@@ -216,7 +216,7 @@ def cmd_certify(args) -> int:
     if verdict.status == "refuted":
         print(f"refuted: condition(s) {verdict.refutation_reason} fail")
         return EX_FALSE
-    print("unknown: collapse search inconclusive")
+    print("unknown: collapse search or desingularization inconclusive")
     return EX_UNKNOWN
 
 
@@ -242,9 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search/iteration budget")
         p.add_argument("--out", help="write the result document here")
         p.add_argument("--witness", help="directory for witness sidecar files")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized generators (unused by the "
-                            "deterministic core)")
         p.set_defaults(handler=handler)
         return p
 

@@ -417,7 +417,3 @@ def realize(w: WeightedComplex) -> GeoComplex:
         placed[v] = RPoint(tuple(coords))
     simplexes = [GeoSimplex(tuple(placed[v] for v in f)) for f in w.base.faces]
     return GeoComplex(simplexes, validate=False)
-
-
-def carrier(cx: GeoComplex, p: RPoint) -> Optional[GeoSimplex]:
-    return cx.carrier(p)

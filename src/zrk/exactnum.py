@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 Rat = Fraction
@@ -68,118 +67,27 @@ class IntMat:
         return len(self.entries[0])
 
 
-def _smith_diagonal(entries: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form by elementary row/column reduction.
-
-    Pivots on the minimal nonzero absolute value, which keeps the numbers
-    small at desk scale; the divisibility chain is enforced afterwards.
-    """
-    m = [list(r) for r in entries]
-    nr, nc = len(m), len(m[0])
-    diag: list[int] = []
-    top = 0
-    while top < nr and top < nc:
-        # Locate minimal nonzero |entry| in the trailing block.
-        best = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        pivot = m[top][top]
-        reduced = False
-        for i in range(top + 1, nr):
-            q = m[i][top] // pivot
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-            if m[i][top] != 0:
-                reduced = True
-        for j in range(top + 1, nc):
-            q = m[top][j] // pivot
-            if q:
-                for row in m:
-                    row[j] -= q * row[top]
-            if m[top][j] != 0:
-                reduced = True
-        if reduced:
-            continue  # smaller remainders appeared; pick a new pivot
-        diag.append(abs(pivot))
-        top += 1
-    # Enforce d_i | d_{i+1} by gcd/lcm absorption.
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            g = math.gcd(a, b)
-            diag[i], diag[j] = g, a * b // g if g else 0
-    size = min(nr, nc)
-    return diag + [0] * (size - len(diag))
-
-
 def invariant_factors(m: IntMat | Sequence[Sequence[int]]) -> list[int]:
     """Smith-form diagonal d_1 | d_2 | ... | d_min(rows, cols)."""
     entries = m.entries if isinstance(m, IntMat) else IntMat.from_rows(m).entries
-    return _smith_diagonal(entries)
-
-
-def minor_gcd(m: IntMat | Sequence[Sequence[int]], k: int) -> int:
-    """gcd of all k x k minors (brute force; the oracle for invariant factors)."""
-    entries = m.entries if isinstance(m, IntMat) else IntMat.from_rows(m).entries
-    nr, nc = len(entries), len(entries[0])
-    if k == 0:
-        return 1
-    g = 0
-    for rows in combinations(range(nr), k):
-        for cols in combinations(range(nc), k):
-            g = math.gcd(g, _int_det([[entries[i][j] for j in cols] for i in rows]))
-            if g == 1:
-                return 1
-    return g
-
-
-def _int_det(m: list[list[int]]) -> int:
-    """Integer determinant by cofactor expansion (small matrices only)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    rest = m[1:]
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        sub = [row[:j] + row[j + 1:] for row in rest]
-        total += (-1) ** j * m[0][j] * _int_det(sub)
-    return total
-
-
-def rows_independent(rows: Sequence[Sequence[int]]) -> bool:
-    """Linear independence over the rationals."""
-    from . import linalg
-
-    return linalg.matrix_rank(rows) == len(rows)
+    _, d, _ = smith_with_transforms(entries)
+    return [d[i][i] for i in range(min(len(d), len(d[0])))]
 
 
 def extends_to_basis(rows: Sequence[Sequence[int]]) -> bool:
     """True iff the rows extend to a basis of Z^m.
 
     Equivalent to all invariant factors being 1, i.e. the gcd of the maximal
-    minors being 1.  Dependent rows are rejected.
+    minors being 1.  Dependent rows (a zero invariant factor) are rejected.
     """
     rows = [tuple(int(x) for x in r) for r in rows]
     if not rows:
         raise ValueError("empty input")
-    m = len(rows[0])
-    if len(rows) > m:
-        raise ValueError("not affinely independent input")
-    if not rows_independent(rows):
+    if len(rows) > len(rows[0]):
         raise ValueError("not affinely independent input")
     factors = invariant_factors(rows)
+    if 0 in factors:
+        raise ValueError("not affinely independent input")
     return all(d == 1 for d in factors)
 
 
@@ -197,8 +105,7 @@ def smith_with_transforms(entries: Sequence[Sequence[int]]
                           ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Full Smith decomposition U * A * V = D with U, V unimodular.
 
-    Returns (U, D, V).  Used by the integer affine-map fitting oracle; not
-    part of the public surface.
+    Returns (U, D, V); the diagonal of D holds the invariant factors.
     """
     a = [list(map(int, r)) for r in entries]
     nr, nc = len(a), len(a[0])

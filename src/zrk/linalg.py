@@ -218,10 +218,6 @@ def simplex_forms(points: Sequence[Vec]) -> tuple[list[AffineForm], list[AffineF
     return affine_hull_forms(points), vertex_forms(points)
 
 
-def evaluate_forms(forms: Sequence[AffineForm], p: Vec) -> list[Fraction]:
-    return [f(p) for f in forms]
-
-
 def enumerate_cell_vertices(eqs: Sequence[AffineForm], ineqs: Sequence[AffineForm],
                             ambient_dim: int) -> list[Vec]:
     """Vertices of {x : eqs = 0, ineqs >= 0}, assumed bounded.

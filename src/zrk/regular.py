@@ -159,6 +159,21 @@ def _box_point(s: GeoSimplex) -> RPoint:
     return RPoint(tuple(Fraction(e, xi[-1]) for e in xi[:-1]))
 
 
+def _blow_up_until_regular(cx: GeoComplex, watched, budget: int) -> GeoComplex:
+    """Blow up the least non-regular simplex of ``watched(cx)`` at a box
+    point until none is left; more than ``budget`` steps raise."""
+    steps = 0
+    while True:
+        bad = sorted((s for s in watched(cx) if not is_regular(s)),
+                     key=lambda s: (s.dim, s.vertices))
+        if not bad:
+            return cx
+        cx = subdivide.stellar(cx, _box_point(bad[0]))
+        steps += 1
+        if steps > budget:
+            raise BudgetExhausted("desingularization budget exhausted")
+
+
 def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
     """Stellar subdivision in which every simplex is regular.
 
@@ -166,17 +181,7 @@ def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
     watched.  The budget counts stellar steps; exceeding it raises, it
     never returns a wrong answer.
     """
-    steps = 0
-    while True:
-        bad = sorted((s for s in cx.maximal_simplexes() if not is_regular(s)),
-                     key=lambda s: (s.dim, s.vertices))
-        if not bad:
-            return cx
-        target = _box_point(bad[0])
-        cx = subdivide.stellar(cx, target)
-        steps += 1
-        if steps > budget:
-            raise BudgetExhausted("desingularization budget exhausted")
+    return _blow_up_until_regular(cx, GeoComplex.maximal_simplexes, budget)
 
 
 def desingularize_relative(cx: GeoComplex, part: GeoComplex,
@@ -187,23 +192,12 @@ def desingularize_relative(cx: GeoComplex, part: GeoComplex,
     already; blow-ups happen at mediants inside |part|, so that property is
     maintained while the rest of the complex is refined only incidentally.
     """
-    inside = subdivide.inside_subcomplex(cx, part)
-    if inside is None or not subdivide._adapted(cx, part):
+    if not subdivide._adapted(subdivide.inside_subcomplex(cx, part), part):
         raise ValueError("precondition violation: the inside subcomplex "
                          "does not triangulate |P|")
-    steps = 0
-    while True:
-        inside = subdivide.inside_subcomplex(cx, part)
-        bad = sorted((s for s in inside.maximal_simplexes()
-                      if not is_regular(s)),
-                     key=lambda s: (s.dim, s.vertices))
-        if not bad:
-            return cx
-        target = _box_point(bad[0])
-        cx = subdivide.stellar(cx, target)
-        steps += 1
-        if steps > budget:
-            raise BudgetExhausted("desingularization budget exhausted")
+    return _blow_up_until_regular(
+        cx, lambda c: subdivide.inside_subcomplex(c, part).maximal_simplexes(),
+        budget)
 
 
 def coprime_point(s: GeoSimplex, k: int) -> RPoint:

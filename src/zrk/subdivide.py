@@ -5,18 +5,23 @@ cell overlay, restriction of a triangulation to a subpolyhedron, and
 refinement of a triangulation until a piecewise-linear map is simplexwise
 compatible with a target triangulation.
 
-The overlay produces, for each pair of maximal simplexes, the intersection
-cell with an explicit H-representation; cells are triangulated by pulling
-their lexicographically least vertex.  Pulling depends only on the face
-being triangulated, so adjacent cells agree along shared faces and the
-union is again a simplicial complex.
+One cell kernel serves all of them: a cell is given by an explicit
+H-representation inside the affine hull of a simplex s, its vertices are
+enumerated, and when it has the dimension of s it is triangulated by
+pulling its lexicographically least vertex.  Pulling depends only on the
+face being triangulated, so adjacent cells agree along shared faces and the
+union is again a simplicial complex.  Coverage (``supports``) is decided on
+the same pieces by exact volume: the cells of s against the maximal
+simplexes of a complex overlap only in measure zero, so they cover s
+exactly when their volumes add up to its own (De Loera, Rambau and Santos,
+*Triangulations*, 2010).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from . import linalg
 from .complexes import GeoComplex, GeoSimplex, RPoint, simplex_hrep
@@ -76,12 +81,32 @@ def stellar_chain(cx: GeoComplex, points: Sequence[RPoint]) -> GeoComplex:
     return cx
 
 
-# -- support coverage --------------------------------------------------------
+# -- cells and support coverage ----------------------------------------------
 
 
-def _cell(eqs, ineqs, ambient_dim):
-    verts = linalg.enumerate_cell_vertices(eqs, ineqs, ambient_dim)
-    return verts
+def _pull_cell(eqs, ineqs, s: GeoSimplex) -> list[GeoSimplex]:
+    """Pulling triangulation of the cell {eqs = 0, ineqs >= 0} inside aff(s)
+    when the cell has the dimension of s; nothing otherwise.
+
+    A cell of full dimension in aff(s) has no facet on an equality, so the
+    inequalities alone are an H-representation of it within its hull.
+    """
+    verts = linalg.enumerate_cell_vertices(eqs, ineqs, s.ambient_dim)
+    if not verts or linalg.aff_dim(verts) != s.dim:
+        return []
+    return [GeoSimplex(tuple(RPoint(v) for v in tri))
+            for tri in linalg.pull_triangulation(verts, ineqs)]
+
+
+def _pieces(s: GeoSimplex, cover: Iterable[GeoSimplex]) -> set[GeoSimplex]:
+    """Pulling triangulations of the cells s cap t of dimension dim s."""
+    eqs_s, ineqs_s = simplex_hrep(s)
+    out: set[GeoSimplex] = set()
+    for t in cover:
+        eqs_t, ineqs_t = simplex_hrep(t)
+        out.update(_pull_cell(list(eqs_s) + list(eqs_t),
+                              list(ineqs_s) + list(ineqs_t), s))
+    return out
 
 
 def _simplex_inside(s: GeoSimplex, t: GeoSimplex) -> bool:
@@ -89,64 +114,21 @@ def _simplex_inside(s: GeoSimplex, t: GeoSimplex) -> bool:
     return all(t.contains(v) for v in s.vertices)
 
 
-def _split_off_simplex(piece, t: GeoSimplex):
-    """Split a cell along the H-representation of t.
-
-    piece is (vertices, ineq forms).  Returns (inside, outside) where inside
-    sub-cells are contained in t and outside sub-cells have relative
-    interiors disjoint from t.  Pieces of lower dimension than the input are
-    dropped: they are faces of retained pieces.
-    """
-    dim_piece = linalg.aff_dim(piece[0])
-    eqs, ineqs = simplex_hrep(t)
-    queue = [piece]
-    for form in list(eqs) + list(ineqs):
-        nxt = []
-        for verts, forms in queue:
-            vals = [form(v) for v in verts]
-            if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
-                nxt.append((verts, forms))
-                continue
-            for side in (form, form.negate()):
-                sub_forms = list(forms) + [side]
-                sub = linalg.enumerate_cell_vertices([], sub_forms, t.ambient_dim)
-                if sub and linalg.aff_dim(sub) == dim_piece:
-                    nxt.append((tuple(sub), tuple(sub_forms)))
-        queue = nxt
-    inside, outside = [], []
-    for verts, forms in queue:
-        if all(t.contains(RPoint(v)) for v in verts):
-            inside.append((verts, forms))
-        else:
-            outside.append((verts, forms))
-    return inside, outside
-
-
 def supports(cover: Iterable[GeoSimplex], s: GeoSimplex) -> bool:
     """Exact point-set containment of simplex s in the union of ``cover``.
 
-    Splits s along the covering simplexes' facets until every full-dimension
-    piece is inside one of them or provably outside all of them.
+    ``cover`` must be (a subset of) the maximal simplexes of one complex.
+    Then each cell s cap t of dimension dim s equals s cap F for the least
+    face F of t containing it; distinct faces have disjoint relative
+    interiors, and a cell lying in a face shared by several cover simplexes
+    is pulled into the same simplexes each time.  So the set of pieces
+    overlaps only in measure zero, and s is covered exactly when the
+    pieces' volume equals its own.
     """
     cover = [t for t in cover if t.ambient_dim == s.ambient_dim]
-    eqs, ineqs = simplex_hrep(s)
-    start = (tuple(v.coords for v in s.vertices),
-             tuple(list(ineqs) + [f for e in eqs for f in (e, e.negate())]))
-
-    def covered(piece, remaining) -> bool:
-        if any(all(t.contains(RPoint(v)) for v in piece[0]) for t in remaining):
-            return True
-        for idx, t in enumerate(remaining):
-            inter = linalg.enumerate_cell_vertices(
-                list(simplex_hrep(t)[0]), list(simplex_hrep(t)[1]) + list(piece[1]),
-                s.ambient_dim)
-            if inter and linalg.aff_dim(inter) == linalg.aff_dim(piece[0]):
-                inside, outside = _split_off_simplex(piece, t)
-                rest = remaining[:idx] + remaining[idx + 1:]
-                return all(covered(q, rest) for q in outside)
-        return False
-
-    return covered(start, list(cover))
+    if any(_simplex_inside(s, t) for t in cover):
+        return True
+    return _relative_volume_total(_pieces(s, cover)) == _relative_volume_total([s])
 
 
 def support_equal(a: GeoComplex, b: GeoComplex) -> bool:
@@ -168,23 +150,7 @@ def is_subdivision(fine: GeoComplex, coarse: GeoComplex) -> bool:
     return support_equal(fine, coarse)
 
 
-# -- overlay (common refinement) ---------------------------------------------
-
-
-def _overlay_cells(a: GeoComplex, b: GeoComplex):
-    """Full-dimension cells S cap T per maximal S in a, T in b."""
-    cells = []
-    for s in a.maximal_simplexes():
-        eqs_s, ineqs_s = simplex_hrep(s)
-        d = s.dim
-        for t in b.maximal_simplexes():
-            eqs_t, ineqs_t = simplex_hrep(t)
-            verts = linalg.enumerate_cell_vertices(
-                list(eqs_s) + list(eqs_t), list(ineqs_s) + list(ineqs_t),
-                a.ambient_dim)
-            if verts and linalg.aff_dim(verts) == d:
-                cells.append((verts, tuple(list(ineqs_s) + list(ineqs_t))))
-    return cells
+# -- common refinement -------------------------------------------------------
 
 
 def common_refinement(a: GeoComplex, b: GeoComplex) -> GeoComplex:
@@ -200,10 +166,9 @@ def common_refinement(a: GeoComplex, b: GeoComplex) -> GeoComplex:
         raise SupportMismatch("support mismatch")
     if a == b:
         return a
-    simplexes = []
-    for verts, forms in _overlay_cells(a, b):
-        for tri in linalg.pull_triangulation(verts, forms):
-            simplexes.append(GeoSimplex(tuple(RPoint(v) for v in tri)))
+    simplexes: set[GeoSimplex] = set()
+    for s in a.maximal_simplexes():
+        simplexes |= _pieces(s, b.maximal_simplexes())
     return GeoComplex(simplexes, validate=False)
 
 
@@ -222,20 +187,14 @@ def _slice_complex(cx: GeoComplex, form: AffineForm) -> GeoComplex:
         changed = True
         eqs, ineqs = simplex_hrep(s)
         for side in (form, form.negate()):
-            cell_forms = list(ineqs) + [side]
-            verts = linalg.enumerate_cell_vertices(list(eqs), cell_forms,
-                                                   cx.ambient_dim)
-            if verts and linalg.aff_dim(verts) == s.dim:
-                for tri in linalg.pull_triangulation(verts, cell_forms):
-                    out.append(GeoSimplex(tuple(RPoint(v) for v in tri)))
+            out.extend(_pull_cell(list(eqs), list(ineqs) + [side], s))
     if not changed:
         return cx
     return GeoComplex(out, validate=False)
 
 
-def _adapted(cx: GeoComplex, part: GeoComplex) -> bool:
-    """Does {S in cx : S inside |part|} triangulate |part|?"""
-    inside = inside_subcomplex(cx, part)
+def _adapted(inside: Optional[GeoComplex], part: GeoComplex) -> bool:
+    """Does ``inside``, the result of inside_subcomplex, triangulate |part|?"""
     if inside is None:
         return False
     return all(supports(inside.maximal_simplexes(), q)
@@ -245,8 +204,7 @@ def _adapted(cx: GeoComplex, part: GeoComplex) -> bool:
 def inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
     """The subcomplex of simplexes lying inside |part| (None when empty)."""
     cover = part.maximal_simplexes()
-    inside = [s for s in cx.simplexes
-              if any(_simplex_inside(s, q) for q in cover) or supports(cover, s)]
+    inside = [s for s in cx.simplexes if supports(cover, s)]
     if not inside:
         return None
     return GeoComplex(inside, validate=False)
@@ -267,12 +225,10 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
     if not all(supports(cx.maximal_simplexes(), q)
                for q in part.maximal_simplexes()):
         raise SupportMismatch("containment violation: |P| is not inside the support")
-    if _adapted(cx, part):
+    inside = inside_subcomplex(cx, part)
+    if _adapted(inside, part):
         return cx
-
-    protected = [s for s in cx.simplexes
-                 if any(_simplex_inside(s, q) for q in part.maximal_simplexes())
-                 or supports(part.maximal_simplexes(), s)]
+    protected = inside.simplexes if inside is not None else frozenset()
 
     def crosses_protected(form: AffineForm) -> bool:
         for s in protected:
@@ -317,7 +273,7 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
     for form in forms:
         out = _slice_complex(out, form)
 
-    if not _adapted(out, part):
+    if not _adapted(inside_subcomplex(out, part), part):
         raise RestrictionError("restriction failed to adapt to |P|")
     missing = [s for s in protected if s not in out.simplexes]
     if missing:
@@ -373,19 +329,15 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
         if good is not None:
             simplexes.append(s)
             continue
-        pieces = []
+        # A preimage cell mapping into a face shared by several target
+        # simplexes is pulled identically each time; the set keeps it once.
+        pieces: set[GeoSimplex] = set()
         for t in target_max:
             eqs_t, ineqs_t = simplex_hrep(t)
             pulled = _pullback_forms(s.vertices, vert_imgs, ineqs_t, eqs_t)
-            cell_eqs = list(eqs_s) + [f for f, is_eq in pulled if is_eq]
-            cell_ineqs = list(ineqs_s) + [f for f, is_eq in pulled if not is_eq]
-            verts = linalg.enumerate_cell_vertices(cell_eqs, cell_ineqs,
-                                                   cx.ambient_dim)
-            if verts and linalg.aff_dim(verts) == s.dim:
-                all_forms = cell_ineqs + [g for f in cell_eqs
-                                          for g in (f, f.negate())]
-                for tri in linalg.pull_triangulation(verts, tuple(all_forms)):
-                    pieces.append(GeoSimplex(tuple(RPoint(v) for v in tri)))
+            pieces.update(_pull_cell(
+                list(eqs_s) + [f for f, is_eq in pulled if is_eq],
+                list(ineqs_s) + [f for f, is_eq in pulled if not is_eq], s))
         # The preimage cells must tile s exactly; a gap means the image of s
         # leaves the support of the target.
         if _relative_volume_total(pieces) != _relative_volume_total([s]):
@@ -396,7 +348,7 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
     return GeoComplex(simplexes, validate=False)
 
 
-def _relative_volume_total(simplexes: Sequence[GeoSimplex]) -> Fraction:
+def _relative_volume_total(simplexes: Collection[GeoSimplex]) -> Fraction:
     """Sum of top-dimension volumes measured in projected coordinates.
 
     All inputs must share one affine hull (pieces of a single simplex);

@@ -20,9 +20,9 @@ from .collapse import CollapseSequence, find_collapse_sequence
 from .complexes import (AbsComplex, GeoComplex, GeoSimplex, RPoint,
                         WeightedComplex, realize, skeleton, standard_cube)
 from .exactnum import smith_with_transforms
-from .regular import (den, desingularize_relative, coprime_point,
-                      has_strongly_regular_triangulation, is_regular,
-                      is_strongly_regular, desingularize)
+from .regular import (BudgetExhausted, den, desingularize_relative,
+                      coprime_point, has_strongly_regular_triangulation,
+                      is_regular, is_strongly_regular, desingularize)
 
 
 class DomainError(ValueError):
@@ -181,30 +181,12 @@ def compose(eta: PLMap, theta: PLMap) -> PLMap:
 def _points_hull_in_support(points: Sequence[RPoint], cx: GeoComplex) -> bool:
     """conv(points) inside |cx|, decided exactly."""
     unique = sorted(set(points))
-    if len(unique) == 1:
-        return cx.contains_point(unique[0])
-    if linalg.affinely_independent([p.coords for p in unique]):
-        return subdivide.supports(cx.maximal_simplexes(), GeoSimplex(tuple(unique)))
-    # Degenerate hull: triangulate it by pulling and test each piece.
-    coords = [p.coords for p in unique]
-    # Facet forms of the hull polytope: brute-force over vertex subsets.
-    d = linalg.aff_dim(coords)
-    forms = []
-    for sub in itertools.combinations(coords, d):
-        if linalg.aff_dim(sub) != d - 1:
-            continue
-        cand = linalg.affine_hull_forms(sub)
-        for f in cand:
-            vals = [f(p) for p in coords]
-            if all(x >= 0 for x in vals):
-                forms.append(f)
-            elif all(x <= 0 for x in vals):
-                forms.append(f.negate())
-    for tri in linalg.pull_triangulation(coords, forms):
-        piece = GeoSimplex(tuple(RPoint(v) for v in tri))
-        if not subdivide.supports(cx.maximal_simplexes(), piece):
-            return False
-    return True
+    d = linalg.aff_dim([p.coords for p in unique])
+    # Caratheodory: the hull is the union of the simplexes spanned by its
+    # affinely independent (d+1)-subsets.
+    return all(subdivide.supports(cx.maximal_simplexes(), GeoSimplex._raw(sub))
+               for sub in itertools.combinations(unique, d + 1)
+               if linalg.affinely_independent([p.coords for p in sub]))
 
 
 def fixes_pointwise(eta: PLMap, part: GeoComplex) -> bool:
@@ -305,7 +287,7 @@ def part2_reduce(eta: PLMap, delta: GeoComplex, part: GeoComplex) -> SectionRetr
     by label.  The weights are the image denominators; vertices are
     enumerated in lexicographic order for determinism.
     """
-    _check_part1_properties(eta, delta, part)
+    inside = _check_part1_properties(eta, delta, part)
     verts = sorted(delta.vertices())
     weights = {v: den(eta.images[v]) for v in verts}
     w = WeightedComplex(AbsComplex(verts, skeleton(delta).faces), weights)
@@ -321,7 +303,6 @@ def part2_reduce(eta: PLMap, delta: GeoComplex, part: GeoComplex) -> SectionRetr
         coords[i] = Fraction(1, weights[v])
         placement[v] = RPoint(tuple(coords))
 
-    inside = subdivide.inside_subcomplex(delta, part)
     xi = PLMap(inside, {v: placement[v] for v in inside.vertices()})
     mu = PLMap(q, {placement[v]: eta.images[v] for v in verts})
     if not is_zmap(xi):
@@ -333,12 +314,14 @@ def part2_reduce(eta: PLMap, delta: GeoComplex, part: GeoComplex) -> SectionRetr
     return SectionRetraction(w, q, xi, mu)
 
 
-def _check_part1_properties(eta: PLMap, delta: GeoComplex, part: GeoComplex):
+def _check_part1_properties(eta: PLMap, delta: GeoComplex,
+                            part: GeoComplex) -> GeoComplex:
+    """Check the retraction properties; return the subcomplex inside |P|."""
     if eta.domain != delta:
         raise PropertyViolation("(d)", "the map is not compatible with the "
                                        "given triangulation")
     inside = subdivide.inside_subcomplex(delta, part)
-    if inside is None or not subdivide._adapted(delta, part):
+    if not subdivide._adapted(inside, part):
         raise PropertyViolation("(e)", "the inside simplexes do not "
                                        "triangulate |P|")
     if not all(is_regular(s) for s in inside.simplexes):
@@ -359,6 +342,7 @@ def _check_part1_properties(eta: PLMap, delta: GeoComplex, part: GeoComplex):
         if g != 1:
             raise PropertyViolation("(h)", f"gcd of image denominators on {s} "
                                            f"is {g}")
+    return inside
 
 
 # -- the constructive pipeline (part 1, steps C-H) ----------------------------
@@ -413,13 +397,10 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     # one inside simplex.
     inside = subdivide.inside_subcomplex(delta, part)
     eta_f = PLMap(delta, {
-        v: (v if inside is not None and _vertex_inside(v, part) else eta_b.eval(v))
+        v: (v if inside is not None and part.contains_point(v) else eta_b.eval(v))
         for v in delta.vertices()})
     delta_g = subdivide.refine_for_map(delta, eta_f, inside)
     eta_g = eta_f.rebase(delta_g)
-    # Rationalization is vacuous here: every image is rational by
-    # representation, so the retarget keeps every vertex.
-    eta_g = retarget_to_carrier_vertices(eta_g, inside, keep=lambda v: True)
     # Step H: blow up the top simplexes with non-coprime image denominators.
     delta_h = delta_g
     images = dict(eta_g.images)
@@ -449,10 +430,6 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     seq = find_collapse_sequence(delta_h, budget=collapse_budget)
     status = "ok" if seq is not None else "unknown"
     return PipelineResult(eta_h, delta_h, seq, status)
-
-
-def _vertex_inside(v: RPoint, part: GeoComplex) -> bool:
-    return part.contains_point(v)
 
 
 def _lattice_points_in(part: GeoComplex) -> list[RPoint]:
@@ -491,22 +468,28 @@ def certify_main(part: GeoComplex, budget: int = 100_000,
     A refutation names every condition that verifiably fails ((ii): no cube
     vertex in |P|; (iii): no strongly regular triangulation).  A
     certification carries independently replayable witnesses.  When only
-    the collapse search is inconclusive the verdict is 'unknown':
-    contractibility itself is not decided here.
+    the collapse search is inconclusive, or desingularization exhausts
+    ``desing_budget`` so that (iii) stays undecided, the verdict is
+    'unknown': contractibility itself is not decided here.
     """
     n = part.ambient_dim
     for v in part.vertices():
         if any(c < 0 or c > 1 for c in v.coords):
             raise DomainError("|P| must lie inside the unit cube")
     lattice = _lattice_points_in(part)
-    sigma = desingularize(part, budget=desing_budget)
+    try:
+        sigma = desingularize(part, budget=desing_budget)
+    except BudgetExhausted:
+        sigma = None  # condition (iii) stays undecided
     failed = []
     if not lattice:
         failed.append("(ii)")
-    if not is_strongly_regular(sigma):
+    if sigma is not None and not is_strongly_regular(sigma):
         failed.append("(iii)")
     if failed:
         return RetractVerdict("refuted", refutation_reason=",".join(failed))
+    if sigma is None:
+        return RetractVerdict("unknown")
     for candidate in (part, sigma):
         seq = find_collapse_sequence(candidate, budget=budget)
         if seq is not None:

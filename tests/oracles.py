@@ -1,0 +1,105 @@
+"""Slow reference implementations that the fast kernels are tested against.
+
+``split_supports`` is the recursive polytope splitter that decided
+``subdivide.supports`` before coverage was decided by volume; ``minor_gcd``
+computes invariant-factor products from k x k minors by brute force.
+"""
+
+import math
+from itertools import combinations
+
+from zrk import linalg
+from zrk.complexes import GeoSimplex, RPoint, simplex_hrep
+from zrk.exactnum import IntMat
+
+
+def _split_off_simplex(piece, t: GeoSimplex):
+    """Split a cell along the H-representation of t.
+
+    piece is (vertices, ineq forms).  Returns (inside, outside) where inside
+    sub-cells are contained in t and outside sub-cells have relative
+    interiors disjoint from t.  Pieces of lower dimension than the input are
+    dropped: they are faces of retained pieces.
+    """
+    dim_piece = linalg.aff_dim(piece[0])
+    eqs, ineqs = simplex_hrep(t)
+    queue = [piece]
+    for form in list(eqs) + list(ineqs):
+        nxt = []
+        for verts, forms in queue:
+            vals = [form(v) for v in verts]
+            if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
+                nxt.append((verts, forms))
+                continue
+            for side in (form, form.negate()):
+                sub_forms = list(forms) + [side]
+                sub = linalg.enumerate_cell_vertices([], sub_forms, t.ambient_dim)
+                if sub and linalg.aff_dim(sub) == dim_piece:
+                    nxt.append((tuple(sub), tuple(sub_forms)))
+        queue = nxt
+    inside, outside = [], []
+    for verts, forms in queue:
+        if all(t.contains(RPoint(v)) for v in verts):
+            inside.append((verts, forms))
+        else:
+            outside.append((verts, forms))
+    return inside, outside
+
+
+def split_supports(cover, s: GeoSimplex) -> bool:
+    """Exact point-set containment of simplex s in the union of ``cover``.
+
+    Splits s along the covering simplexes' facets until every full-dimension
+    piece is inside one of them or provably outside all of them.
+    """
+    cover = [t for t in cover if t.ambient_dim == s.ambient_dim]
+    eqs, ineqs = simplex_hrep(s)
+    start = (tuple(v.coords for v in s.vertices),
+             tuple(list(ineqs) + [f for e in eqs for f in (e, e.negate())]))
+
+    def covered(piece, remaining) -> bool:
+        if any(all(t.contains(RPoint(v)) for v in piece[0]) for t in remaining):
+            return True
+        for idx, t in enumerate(remaining):
+            inter = linalg.enumerate_cell_vertices(
+                list(simplex_hrep(t)[0]), list(simplex_hrep(t)[1]) + list(piece[1]),
+                s.ambient_dim)
+            if inter and linalg.aff_dim(inter) == linalg.aff_dim(piece[0]):
+                inside, outside = _split_off_simplex(piece, t)
+                rest = remaining[:idx] + remaining[idx + 1:]
+                return all(covered(q, rest) for q in outside)
+        return False
+
+    return covered(start, list(cover))
+
+
+def minor_gcd(m, k: int) -> int:
+    """gcd of all k x k minors (brute force; the oracle for invariant factors)."""
+    entries = m.entries if isinstance(m, IntMat) else IntMat.from_rows(m).entries
+    nr, nc = len(entries), len(entries[0])
+    if k == 0:
+        return 1
+    g = 0
+    for rows in combinations(range(nr), k):
+        for cols in combinations(range(nc), k):
+            g = math.gcd(g, _int_det([[entries[i][j] for j in cols] for i in rows]))
+            if g == 1:
+                return 1
+    return g
+
+
+def _int_det(m: list[list[int]]) -> int:
+    """Integer determinant by cofactor expansion (small matrices only)."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = 0
+    rest = m[1:]
+    for j in range(n):
+        if m[0][j] == 0:
+            continue
+        sub = [row[:j] + row[j + 1:] for row in rest]
+        total += (-1) ** j * m[0][j] * _int_det(sub)
+    return total

@@ -20,11 +20,11 @@ from zrk import (GeoSimplex, PLMap, anchor, certify_main, den, desingularize,
                  is_subdivision, is_zmap, is_zmap_by_fit, part2_reduce,
                  pipeline_dh, replay, rpoint, standard_cube, stellar,
                  verify_section_retraction, verify_zretract)
-from zrk.exactnum import minor_gcd
 from zrk.linalg import matrix_rank
 from zrk.scx import parse_scx
 
 from conftest import random_simplex, seg, tri
+from oracles import minor_gcd
 from test_zmaps import brute_force_no_zmap_retraction
 
 

@@ -10,9 +10,9 @@ from zrk import (GeoSimplex, anchor, coprime_point, den, desingularize,
                  is_strongly_regular, is_strongly_regular_simplex,
                  is_subdivision, rpoint, standard_cube, stellar)
 from zrk.regular import BudgetExhausted
-from zrk.exactnum import minor_gcd
 
 from conftest import seg, tri, random_simplex
+from oracles import minor_gcd
 
 
 def test_den_golden():

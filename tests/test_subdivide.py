@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from zrk import (GeoSimplex, PLMap, common_refinement, from_maximal,
 from zrk.subdivide import (PointNotInSupport, SupportMismatch,
                            inside_subcomplex, supports, support_equal)
 
-from conftest import seg, tri
+from conftest import random_rational, random_simplex, seg, tri
+from oracles import split_supports
 
 
 def test_stellar_segment_midpoint():
@@ -254,3 +256,58 @@ def test_refine_for_map_output_is_valid_complex():
     target = from_maximal([seg(0, "1/2"), seg("1/2", 1)])
     out = refine_for_map(dom, eta, target)
     GeoComplex(out.maximal_simplexes(), validate=True)
+
+
+def test_refine_for_map_image_along_shared_edges():
+    # The image of [0,1] runs along the diagonal of the square, whose two
+    # halves are each an edge shared by two target triangles.
+    dom = standard_cube(1)
+    eta = PLMap(dom, {rpoint(0): rpoint(0, 0), rpoint(1): rpoint(1, 1)})
+    target = stellar(standard_cube(2), rpoint("1/2", "1/2"))
+    out = refine_for_map(dom, eta, target)
+    assert sorted(out.maximal_simplexes()) == [seg(0, "1/2"), seg("1/2", 1)]
+
+
+def test_supports_hand_cases():
+    square = standard_cube(2).maximal_simplexes()
+    lower = tri((0, 0), (1, 0), (1, 1))
+    assert lower in square
+    diagonal = seg2d((0, 0), (1, 1))
+    non_pure = from_maximal([tri((0, 0), (1, 0), (0, 1)),
+                             seg2d((1, 0), (2, 0))]).maximal_simplexes()
+    cases = [
+        (square, diagonal, True),
+        (square, seg2d((0, 1), (1, 0)), True),
+        ([lower], seg2d((0, 1), (1, 0)), False),
+        (square, seg2d(("1/2", "1/2"), ("3/2", "1/2")), False),
+        (square, GeoSimplex((rpoint("1/3", "1/4"),)), True),
+        (square, GeoSimplex((rpoint(2, 0),)), False),
+        (non_pure, seg2d(("1/2", 0), ("3/2", 0)), True),
+        (non_pure, seg2d(("1/2", "1/4"), ("3/2", 0)), False),
+        (non_pure, tri((0, 0), (2, 0), (0, 1)), False),
+    ]
+    for cover, s, expected in cases:
+        assert supports(cover, s) is expected, s
+        assert split_supports(cover, s) is expected, s
+
+
+def test_supports_matches_splitting_oracle():
+    rng = random.Random(20141)
+    pairs = 0
+    for n in (1, 2, 3):
+        for _ in range(6):
+            cx = standard_cube(n)
+            for _ in range(rng.randint(0, 2)):
+                cx = stellar(cx, rpoint(*[random_rational(rng, 4)
+                                          for _ in range(n)]))
+            maxi = cx.maximal_simplexes()
+            faces = sorted(cx.simplexes)
+            for _ in range(10):
+                cover = rng.sample(maxi, rng.randint(1, len(maxi)))
+                if rng.random() < 0.5:
+                    s = random_simplex(rng, n, 4)
+                else:
+                    s = rng.choice(faces)
+                assert supports(cover, s) == split_supports(cover, s), (cover, s)
+                pairs += 1
+    assert pairs == 180

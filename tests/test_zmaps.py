@@ -299,6 +299,15 @@ def test_certify_main_cubes():
         assert certify_main(standard_cube(n)).status == "certified"
 
 
+def test_certify_main_desing_budget_gives_unknown(third_interval):
+    # [0, 2/3] contains a cube vertex but is not regular, so condition (iii)
+    # needs a blow-up that a zero budget does not allow.
+    assert certify_main(from_maximal([seg(0, "2/3")]),
+                        desing_budget=0).status == "unknown"
+    refuted = certify_main(third_interval, desing_budget=0)
+    assert refuted.status == "refuted" and refuted.refutation_reason == "(ii)"
+
+
 def test_certified_polyhedra_not_refuted(tent, half_interval):
     # consistency: a polyhedron carrying a verified retraction is never
     # refuted
