@@ -289,12 +289,9 @@ def main(argv=None) -> int:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except ScxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATA
     except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATA
+        print(f"unknown: {exc}", file=sys.stderr)
+        return EX_UNKNOWN
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA

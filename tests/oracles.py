@@ -2,13 +2,18 @@
 
 ``split_supports`` is the recursive polytope splitter that decided
 ``subdivide.supports`` before coverage was decided by volume; ``minor_gcd``
-computes invariant-factor products from k x k minors by brute force.
+computes invariant-factor products from k x k minors by brute force;
+``dfs_collapse_sequence`` and ``scan_replay`` are the recursive collapse
+search and the pairwise replay that rescan every pair of simplexes for free
+faces, from before ``collapse`` kept a face table.
 """
 
 import math
+import sys
 from itertools import combinations
 
 from zrk import linalg
+from zrk.collapse import CollapseSequence, CollapseStep
 from zrk.complexes import GeoSimplex, RPoint, simplex_hrep
 from zrk.exactnum import IntMat
 
@@ -103,3 +108,86 @@ def _int_det(m: list[list[int]]) -> int:
         sub = [row[:j] + row[j + 1:] for row in rest]
         total += (-1) ** j * m[0][j] * _int_det(sub)
     return total
+
+
+def _facet_index(sims: frozenset) -> list:
+    """Free pairs of an abstract state, by a scan over all pairs."""
+    out = []
+    for f in sims:
+        parents = [t for t in sims if len(t) == len(f) + 1 and f < t]
+        if len(parents) == 1:
+            out.append((parents[0], f))
+    return out
+
+
+def dfs_collapse_sequence(cx, budget: int = 100_000):
+    """Recursive depth-first collapse search; the reference for
+    ``collapse.find_collapse_sequence`` (same order, memo and budget)."""
+    verts = cx.vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    start = frozenset(frozenset(index[v] for v in s.vertices)
+                      for s in cx.simplexes)
+    if len(start) == 1 and len(next(iter(start))) == 1:
+        (only,) = start
+        return CollapseSequence((), GeoSimplex((verts[min(only)],)))
+
+    def sort_key(pair):
+        t, f = pair
+        return (tuple(sorted(verts[i] for i in t)),
+                tuple(sorted(verts[i] for i in f)))
+
+    visited: set[frozenset] = set()
+    nodes = 0
+    path: list[tuple[frozenset, frozenset]] = []
+
+    def dfs(state: frozenset) -> bool:
+        nonlocal nodes
+        if len(state) == 1 and len(next(iter(state))) == 1:
+            return True
+        if state in visited:
+            return False
+        nodes += 1
+        if nodes > budget:
+            return False
+        visited.add(state)
+        for t, f in sorted(_facet_index(state), key=sort_key):
+            path.append((t, f))
+            if dfs(state - {t, f}):
+                return True
+            path.pop()
+        return False
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, len(start) * 2 + 100))
+    try:
+        found = dfs(start)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    if not found:
+        return None
+    steps = []
+    state = start
+    for t, f in path:
+        steps.append(CollapseStep(
+            GeoSimplex(tuple(verts[i] for i in t)),
+            GeoSimplex(tuple(verts[i] for i in f))))
+        state = state - {t, f}
+    (only,) = state
+    return CollapseSequence(tuple(steps), GeoSimplex((verts[min(only)],)))
+
+
+def scan_replay(cx, seq) -> bool:
+    """Replay by rescanning all simplexes for the cofaces of each free facet;
+    the reference for ``collapse.replay``."""
+    sims = set(cx.simplexes)
+    for step in seq.steps:
+        t, f = step.maximal, step.free_facet
+        if t not in sims or f not in sims:
+            return False
+        parents = [u for u in sims
+                   if len(u.vertices) == len(f.vertices) + 1
+                   and set(f.vertices) < set(u.vertices)]
+        if parents != [t]:
+            return False
+        sims -= {t, f}
+    return sims == {GeoSimplex(seq.terminal.vertices)}

@@ -36,6 +36,14 @@ def test_desingularize_roundtrip(tmp_path, capsys):
     assert run("check-regular", str(out)) == 0
 
 
+def test_desingularize_budget_overrun_is_unknown(tmp_path, capsys):
+    tri = tmp_path / "tri.scx"
+    tri.write_text('{"version": "1", "kind": "complex", "dim": 2, '
+                   '"maximal_simplexes": [[["0", "0"], ["1", "1/3"], ["1/5", "1"]]]}')
+    assert run("desingularize", str(tri), "--budget", "1") == 2
+    assert "budget exhausted" in capsys.readouterr().err
+
+
 def test_stellar(tmp_path):
     out = tmp_path / "st.scx"
     assert run("stellar", corpus_path("cube2.scx"), "--at", "1/2,1/2",

@@ -1,13 +1,16 @@
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
-from zrk import (CollapseSequence, CollapseStep, GeoSimplex,
+from zrk import (CollapseSequence, CollapseStep, GeoComplex, GeoSimplex,
                  elementary_collapse, find_collapse_sequence, free_faces,
                  from_maximal, replay, rpoint, standard_cube, stellar)
 from zrk.collapse import NotAnElementaryCollapse
 
 from conftest import seg, tri
+from oracles import dfs_collapse_sequence, scan_replay
 
 
 def test_free_faces_segment():
@@ -117,3 +120,84 @@ def test_stellar_subdivision_stays_collapsible():
 def test_collapse_step_validation():
     with pytest.raises(ValueError):
         CollapseStep(seg(0, 1), GeoSimplex((rpoint("1/2"),)))
+
+
+def _differential_complexes():
+    rng = random.Random(29)
+    out = []
+    for n in (1, 2, 3):
+        cx = standard_cube(n)
+        for _ in range(3):
+            s = rng.choice(cx.maximal_simplexes())
+            cx = stellar(cx, s.barycenter())
+            out.append(cx)
+    hollow = [seg2d((0, 0), (1, 0)), seg2d((1, 0), (0, 1)), seg2d((0, 0), (0, 1))]
+    out.append(from_maximal(hollow))
+    # two tails: the search backtracks and meets memoized states
+    out.append(from_maximal(hollow + [seg2d((1, 0), (1, 1)),
+                                      seg2d((0, 1), ("1/2", 1))]))
+    out.append(standard_cube(4))
+    return out
+
+
+def _foreign(s: GeoSimplex) -> GeoSimplex:
+    return GeoSimplex(tuple(rpoint(*(c + 2 for c in v.coords))
+                            for v in s.vertices))
+
+
+def _mutations(seq: CollapseSequence, rng: random.Random):
+    steps = list(seq.steps)
+    yield seq
+    yield CollapseSequence(tuple(reversed(steps)), seq.terminal)
+    yield CollapseSequence(seq.steps, _foreign(seq.terminal))
+    if not steps:
+        return
+    k = rng.randrange(len(steps))
+    yield CollapseSequence(tuple(steps[:k] + steps[k + 1:]), seq.terminal)
+    yield CollapseSequence(seq.steps[:-1], seq.terminal)
+    last = steps[-1]
+    yield CollapseSequence(seq.steps, last.free_facet)
+    yield CollapseSequence(
+        tuple(steps[:k] + [CollapseStep(_foreign(steps[k].maximal),
+                                        _foreign(steps[k].free_facet))]
+              + steps[k + 1:]), seq.terminal)
+    foreign_edge = GeoSimplex(last.free_facet.vertices
+                              + _foreign(last.free_facet).vertices)
+    yield CollapseSequence(
+        tuple(steps[:-1] + [CollapseStep(foreign_edge, last.free_facet)]),
+        seq.terminal)
+    if len(steps) > 1:
+        k = rng.randrange(len(steps) - 1)
+        swapped = steps[:k] + [steps[k + 1], steps[k]] + steps[k + 2:]
+        yield CollapseSequence(tuple(swapped), seq.terminal)
+        k = rng.randrange(len(steps) - 1)
+        swapped = steps[:k] + [steps[-1]] + steps[k + 1:-1] + [steps[k]]
+        yield CollapseSequence(tuple(swapped), seq.terminal)
+
+
+def test_search_and_replay_match_scanning_oracles():
+    rng = random.Random(31)
+    for cx in _differential_complexes():
+        for budget in (0, 1, 3, 10, 50, 100_000):
+            seq = find_collapse_sequence(cx, budget=budget)
+            assert seq == dfs_collapse_sequence(cx, budget=budget), (cx, budget)
+        if seq is None:
+            continue
+        for mutated in _mutations(seq, rng):
+            assert replay(cx, mutated) == scan_replay(cx, mutated)
+
+
+def test_search_leaves_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the collapse search changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    cube3 = standard_cube(3)
+    seq = find_collapse_sequence(cube3)
+    assert seq is not None and replay(cube3, seq)
+    n = 1200
+    path = GeoComplex([seg(Fraction(k, n), Fraction(k + 1, n))
+                       for k in range(n)], validate=False)
+    seq = find_collapse_sequence(path)
+    assert seq is not None and len(seq.steps) == n
+    assert replay(path, seq)
