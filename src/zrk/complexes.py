@@ -1,9 +1,12 @@
 """Simplicial complexes over exact rational coordinates.
 
 Geometric complexes store all faces explicitly and check the defining
-common-face condition on construction; abstract and weighted abstract
-complexes carry the combinatorial skeletons.  Point membership is decided
-through exact barycentric coordinates, never through tolerances.
+common-face condition on construction, pair by pair over the maximal
+simplexes: a bounding-box test first, then one exact LP whose infeasibility
+(a Farkas certificate) or zero optimum shows the pair meets in a common
+face.  Abstract and weighted abstract complexes carry the combinatorial
+skeletons.  Point membership is decided through exact barycentric
+coordinates, never through tolerances.
 """
 
 from __future__ import annotations
@@ -88,18 +91,11 @@ class GeoSimplex:
     def ambient_dim(self) -> int:
         return self.vertices[0].dim
 
-    def faces(self, proper: bool = False) -> Iterable["GeoSimplex"]:
-        """All nonempty faces (optionally only the proper ones)."""
-        top = len(self.vertices) - (1 if proper else 0)
-        for k in range(1, top + 1):
+    def faces(self) -> Iterable["GeoSimplex"]:
+        """All nonempty faces, the simplex itself included."""
+        for k in range(1, len(self.vertices) + 1):
             for sub in itertools.combinations(self.vertices, k):
                 yield GeoSimplex._raw(sub)
-
-    def facets(self) -> Iterable["GeoSimplex"]:
-        if self.dim == 0:
-            return
-        for sub in itertools.combinations(self.vertices, len(self.vertices) - 1):
-            yield GeoSimplex._raw(sub)
 
     def barycentric(self, p: RPoint) -> Optional[tuple[Fraction, ...]]:
         """Barycentric coordinates of p, or None if p is off the affine hull."""
@@ -143,30 +139,28 @@ def _bbox_overlap(a: GeoSimplex, b: GeoSimplex) -> bool:
     return all(al <= bh and bl <= ah for al, ah, bl, bh in zip(alo, ahi, blo, bhi))
 
 
-def intersection_vertices(a: GeoSimplex, b: GeoSimplex) -> list:
-    """Vertices of the polytope a cap b (empty list when disjoint)."""
-    eqs_a, ineqs_a = simplex_hrep(a)
-    eqs_b, ineqs_b = simplex_hrep(b)
-    return linalg.enumerate_cell_vertices(list(eqs_a) + list(eqs_b),
-                                          list(ineqs_a) + list(ineqs_b),
-                                          a.ambient_dim)
-
-
 def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
-    """The defining condition: a cap b = conv(shared vertices)."""
+    """The defining condition: a cap b = conv(shared vertices).
+
+    A point of a cap b is sum(mu_v v) over the vertices of a and
+    sum(nu_w w) over those of b, with mu, nu >= 0 summing to 1 each.  The
+    vertices of a are affinely independent, so mu is the point's
+    barycentric coordinate vector in a, and the point lies in conv(shared)
+    exactly when mu vanishes off the shared vertices.  One exact LP
+    maximises that off-shared mass over a cap b: the pair meets in a common
+    face iff the LP is infeasible (a cap b is empty) or its optimum is 0.
+    """
     if not _bbox_overlap(a, b):
         return True
-    shared = tuple(sorted(set(a.vertices) & set(b.vertices)))
-    cut = intersection_vertices(a, b)
-    if not cut:
-        return True
-    if not shared:
-        return False
-    face = GeoSimplex(shared)
-    return all(
-        (lam := face.barycentric(RPoint(p))) is not None and all(c >= 0 for c in lam)
-        for p in cut
-    )
+    # Variables (mu, nu); the column of a vertex v of a is (v, 1, 0) and
+    # that of a vertex w of b is (-w, 0, 1).
+    cols = ([v.coords + (1, 0) for v in a.vertices]
+            + [tuple(-c for c in w.coords) + (0, 1) for w in b.vertices])
+    rhs = (0,) * a.ambient_dim + (1, 1)
+    in_b = set(b.vertices)
+    off_shared = [0 if v in in_b else 1 for v in a.vertices] + [0] * len(b.vertices)
+    best = linalg.lp_maximize(list(zip(*cols)), rhs, off_shared)
+    return best is None or best == 0
 
 
 class GeoComplex:
@@ -291,9 +285,6 @@ class AbsComplex:
         covered = set().union(*self.faces) if self.faces else set()
         if covered != set(self.vertices):
             raise ValueError("the union of the faces must be the vertex set")
-
-    def maximal_faces(self) -> list[frozenset]:
-        return [f for f in self.faces if not any(f < g for g in self.faces)]
 
     def __eq__(self, other):
         return (isinstance(other, AbsComplex)

@@ -3,7 +3,10 @@
 Everything here works on tuples of ``fractions.Fraction``; there are no
 tolerances anywhere.  The polytope routines (vertex enumeration, pulling
 triangulation) are written for the desk-scale cells that arise when two
-triangulations are overlaid, not for high-dimensional polytopes.
+triangulations are overlaid, not for high-dimensional polytopes.  The LP
+kernel ``lp_maximize`` is a dense two-phase simplex method with Bland's
+rule for small equality-form programs, such as the common-face test of two
+simplexes.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def solve_square(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
+    """Determinant by Gaussian elimination over Fractions."""
     m = [[frac(x) for x in r] for r in rows]
     n = len(m)
     sign = 1
@@ -256,6 +259,75 @@ def enumerate_cell_vertices(eqs: Sequence[AffineForm], ineqs: Sequence[AffineFor
                 x = vadd(x, vscale(tk, b))
             found.add(x)
     return sorted(found)
+
+
+def lp_maximize(rows: Sequence[Sequence], rhs: Sequence,
+                objective: Sequence) -> Optional[Fraction]:
+    """Optimum of max objective.x subject to rows.x = rhs, x >= 0.
+
+    ``rows`` is a nonempty list of constraint rows.  Returns None when the
+    system is infeasible and raises ValueError when the objective is
+    unbounded.  Dense two-phase simplex method with Bland's rule (least
+    index enters, ties in the ratio test leave by least index), which
+    terminates on degenerate problems.  Phase 1 gives each row an implicit
+    artificial variable and maximises minus their sum; an optimum below
+    zero is the Farkas alternative, so the system has no solution.  An
+    artificial variable that leaves the basis is dropped, and one still
+    basic at level zero after phase 1 is pivoted out or, when its row has
+    no other nonzero entry, removed with that redundant row.
+    """
+    nvars = len(objective)
+    tab = []
+    for row, b in zip(rows, rhs):
+        r = [frac(x) for x in row] + [frac(b)]
+        tab.append([-x for x in r] if r[-1] < 0 else r)
+    basis = [nvars + i for i in range(len(tab))]  # artificial ids >= nvars
+
+    def pivot(obj, i, j):
+        ri = tab[i]
+        if ri[j] != 1:
+            inv = 1 / ri[j]
+            ri = tab[i] = [x * inv for x in ri]
+        # Constraint rows are sparse, so zero entries of ri are skipped.
+        for k, rk in enumerate(tab):
+            f = rk[j]
+            if k != i and f:
+                tab[k] = [x - f * y if y else x for x, y in zip(rk, ri)]
+        f = obj[j]
+        if f:
+            obj[:] = [x - f * y if y else x for x, y in zip(obj, ri)]
+        basis[i] = j
+
+    def optimise(obj, stop_at_zero: bool):
+        # obj holds the reduced costs and, last, minus the objective value.
+        while not (stop_at_zero and obj[-1] == 0):
+            j = next((j for j in range(nvars) if obj[j] > 0), None)
+            if j is None:
+                return
+            rows_in = [i for i in range(len(tab)) if tab[i][j] > 0]
+            if not rows_in:
+                raise ValueError("the linear program is unbounded")
+            i = min(rows_in, key=lambda i: (tab[i][-1] / tab[i][j], basis[i]))
+            pivot(obj, i, j)
+
+    phase1 = [sum(col, Fraction(0)) for col in zip(*tab)]
+    optimise(phase1, stop_at_zero=True)
+    if phase1[-1] > 0:
+        return None
+    for i in reversed(range(len(tab))):
+        if basis[i] >= nvars:
+            j = next((j for j in range(nvars) if tab[i][j] != 0), None)
+            if j is None:
+                del tab[i], basis[i]
+            else:
+                pivot(phase1, i, j)
+    obj = [frac(c) for c in objective] + [Fraction(0)]
+    for i, b in enumerate(basis):
+        f = obj[b]
+        if f:
+            obj = [x - f * y for x, y in zip(obj, tab[i])]
+    optimise(obj, stop_at_zero=False)
+    return -obj[-1]
 
 
 def pull_triangulation(vertices: Sequence[Vec],

@@ -5,7 +5,9 @@
 computes invariant-factor products from k x k minors by brute force;
 ``dfs_collapse_sequence`` and ``scan_replay`` are the recursive collapse
 search and the pairwise replay that rescan every pair of simplexes for free
-faces, from before ``collapse`` kept a face table.
+faces, from before ``collapse`` kept a face table;
+``enumerate_meet_in_common_face`` decides the common-face condition by
+enumerating every vertex of a cap b, from before it was one LP.
 """
 
 import math
@@ -14,7 +16,7 @@ from itertools import combinations
 
 from zrk import linalg
 from zrk.collapse import CollapseSequence, CollapseStep
-from zrk.complexes import GeoSimplex, RPoint, simplex_hrep
+from zrk.complexes import GeoSimplex, RPoint, _bbox_overlap, simplex_hrep
 from zrk.exactnum import IntMat
 
 
@@ -191,3 +193,23 @@ def scan_replay(cx, seq) -> bool:
             return False
         sims -= {t, f}
     return sims == {GeoSimplex(seq.terminal.vertices)}
+
+
+def enumerate_meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
+    """a cap b = conv(shared vertices), by enumerating the vertices of a cap b
+    and testing each against the shared face; the reference for
+    ``complexes._meet_in_common_face``."""
+    if not _bbox_overlap(a, b):
+        return True
+    shared = tuple(sorted(set(a.vertices) & set(b.vertices)))
+    eqs_a, ineqs_a = simplex_hrep(a)
+    eqs_b, ineqs_b = simplex_hrep(b)
+    cut = linalg.enumerate_cell_vertices(list(eqs_a) + list(eqs_b),
+                                         list(ineqs_a) + list(ineqs_b),
+                                         a.ambient_dim)
+    if not cut:
+        return True
+    if not shared:
+        return False
+    face = GeoSimplex(shared)
+    return all(face.contains(RPoint(p)) for p in cut)

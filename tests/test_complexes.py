@@ -1,15 +1,18 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from zrk import (AbsComplex, GeoComplex, GeoSimplex, WeightedComplex,
                  from_maximal, realize, rpoint, simplicially_isomorphic,
-                 skeleton, standard_cube)
-from zrk.complexes import NotASimplicialComplex
+                 skeleton, standard_cube, stellar)
+from zrk.complexes import NotASimplicialComplex, _meet_in_common_face
 from zrk.regular import is_regular
+from zrk.scx import ScxError, parse_scx
 
-from conftest import seg, tri
+from conftest import random_rational, seg, tri
+from oracles import enumerate_meet_in_common_face
 
 
 def test_from_maximal_segment():
@@ -35,6 +38,101 @@ def test_from_maximal_rejects_overlap():
 def test_from_maximal_rejects_vertex_inside_edge():
     with pytest.raises(NotASimplicialComplex):
         from_maximal([seg(0, 1), GeoSimplex((rpoint("1/2"),))])
+
+
+def test_common_face_hand_cases_in_r3():
+    base = tri((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    cases = [
+        # a segment piercing the interior of a triangle
+        (tri(("1/4", "1/4", -1), ("1/4", "1/4", 1)), base, False),
+        # two coplanar triangles that overlap
+        (base, tri(("1/4", "1/4", 0), (2, "1/4", 0), ("1/4", 2, 0)), False),
+        # coplanar triangles sharing a vertex and still overlapping
+        (base, tri((0, 0, 0), (1, 1, 0), (1, 2, 0)), False),
+        # two triangles touching only at a shared vertex
+        (base, tri((0, 0, 0), (1, 1, 1), (1, 0, 1)), True),
+        # two triangles sharing an edge, one bent out of the plane
+        (base, tri((0, 0, 0), (1, 0, 0), (1, 1, 1)), True),
+        # two tetrahedra sharing an edge whose interiors overlap
+        (tri((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+         tri((0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 1, -1)), False),
+        # disjoint simplexes whose bounding boxes overlap
+        (tri((0, 0, 0), (1, 1, 1)), tri((1, 0, 0), (0, 1, 0), (1, 1, 0)), True),
+    ]
+    for a, b, expected in cases:
+        for x, y in ((a, b), (b, a)):
+            assert _meet_in_common_face(x, y) is expected, (x, y)
+            assert enumerate_meet_in_common_face(x, y) is expected, (x, y)
+
+
+def test_first_failing_pair_is_reported():
+    # In combinations order the pairs are (s0, s1), (s0, s2), (s1, s2); the
+    # second is the first improper one.
+    s0 = tri((0, 0), (1, 0), (0, 1))
+    s1 = tri((1, 0), (0, 1), (1, 1))
+    s2 = tri(("1/4", "1/4"), (2, 2))
+    message = ("not a simplicial complex: conv((0, 0), (0, 1), (1, 0)) and "
+               "conv((1/4, 1/4), (2, 2)) do not meet in a common face")
+    with pytest.raises(NotASimplicialComplex) as err:
+        from_maximal([s2, s1, s0])
+    assert str(err.value) == message
+    text = ('{"version": "1", "kind": "complex", "dim": 2, "maximal_simplexes": '
+            '[[["1/4", "1/4"], ["2", "2"]], [["1", "0"], ["0", "1"], ["1", "1"]], '
+            '[["0", "0"], ["1", "0"], ["0", "1"]]]}')
+    with pytest.raises(ScxError) as err:
+        parse_scx(text)
+    assert err.value.where == "maximal_simplexes"
+    assert str(err.value) == "maximal_simplexes: " + message
+
+
+def _pool_simplex(rng: random.Random, pool: list, k: int) -> GeoSimplex:
+    while True:
+        try:
+            return GeoSimplex(tuple(rng.sample(pool, k + 1)))
+        except ValueError:
+            continue
+
+
+def test_common_face_lp_matches_enumeration_oracle():
+    rng = random.Random(20144)
+    pairs = []
+    # Faces of two stellar subdivisions of one cube: maximal simplexes and
+    # random faces, from the same subdivision (always proper) and from two
+    # different ones (often improper while sharing cube corners).
+    for n in (2, 3, 4):
+        for _ in range(2):
+            cxs = []
+            for _ in range(2):
+                cx = standard_cube(n)
+                for _ in range(rng.randint(1, 2)):
+                    cx = stellar(cx, rpoint(*[random_rational(rng, 3)
+                                              for _ in range(n)]))
+                cxs.append((cx.maximal_simplexes(), sorted(cx.simplexes)))
+            for _ in range(15):
+                first, second = rng.choice([(0, 1), (0, 0), (1, 0)])
+                pairs.append((rng.choice(rng.choice(cxs[first])),
+                              rng.choice(rng.choice(cxs[second]))))
+    # Simplexes of every dimension 0..d in R^d, drawn from one small pool:
+    # the origin, the unit vectors and three points with denominators <= 3.
+    for d in (1, 2, 3, 4):
+        for _ in range(4):
+            pool = [rpoint(*[Fraction(int(i == j)) for j in range(d)])
+                    for i in range(-1, d)]
+            pool += [rpoint(*[random_rational(rng, 3) for _ in range(d)])
+                     for _ in range(3)]
+            pool = list(dict.fromkeys(pool))
+            for _ in range(12):
+                pairs.append(tuple(_pool_simplex(rng, pool, rng.randint(0, d))
+                                   for _ in range(2)))
+    improper = shared_improper = 0
+    for a, b in pairs:
+        expected = enumerate_meet_in_common_face(a, b)
+        assert _meet_in_common_face(a, b) is expected, (a, b)
+        assert _meet_in_common_face(b, a) is expected, (a, b)
+        if not expected:
+            improper += 1
+            shared_improper += bool(set(a.vertices) & set(b.vertices))
+    assert improper >= 20 and shared_improper >= 10
 
 
 def test_from_maximal_idempotent():
