@@ -199,18 +199,13 @@ class GeoComplex:
     # -- structure ---------------------------------------------------------
 
     def maximal_simplexes(self) -> tuple[GeoSimplex, ...]:
-        # Face closure makes "has a coface with one more vertex" equivalent
-        # to non-maximality.
+        # Face closure makes "is a facet of some simplex" equivalent to
+        # non-maximality.
         if self._maximal is None:
-            key_set = {s.vertices for s in self.simplexes}
-            verts = self.vertices()
-            maxi = []
-            for s in self.simplexes:
-                vs = set(s.vertices)
-                if not any(tuple(sorted(vs | {v})) in key_set
-                           for v in verts if v not in vs):
-                    maxi.append(s)
-            self._maximal = tuple(sorted(maxi))
+            facets = {s.vertices[:i] + s.vertices[i + 1:]
+                      for s in self.simplexes for i in range(len(s.vertices))}
+            self._maximal = tuple(sorted(s for s in self.simplexes
+                                         if s.vertices not in facets))
         return self._maximal
 
     def vertices(self) -> tuple[RPoint, ...]:
@@ -247,6 +242,8 @@ class GeoComplex:
     def carrier(self, p: RPoint) -> Optional[GeoSimplex]:
         """Minimal simplex containing p: the one holding p in its relative
         interior.  None when p is outside the support."""
+        if p.dim != self.ambient_dim:
+            raise ValueError(f"a point in R^{p.dim} is not in R^{self.ambient_dim}")
         for s in self.simplexes:
             lo, hi = _bbox(s)
             if any(c < a or c > b for c, a, b in zip(p.coords, lo, hi)):

@@ -1,18 +1,17 @@
 """Exact linear algebra and small-polytope kernels over the rationals.
 
 Everything here works on tuples of ``fractions.Fraction``; there are no
-tolerances anywhere.  The polytope routines (vertex enumeration, pulling
-triangulation) are written for the desk-scale cells that arise when two
-triangulations are overlaid, not for high-dimensional polytopes.  The LP
-kernel ``lp_maximize`` is a dense two-phase simplex method with Bland's
-rule for small equality-form programs, such as the common-face test of two
-simplexes.
+tolerances anywhere.  The polytope routines (clipping a simplex by
+halfspaces, pulling triangulation) are written for the desk-scale cells
+that arise when two triangulations are overlaid, not for high-dimensional
+polytopes.  The LP kernel ``lp_maximize`` is a dense two-phase simplex
+method with Bland's rule for small equality-form programs, such as the
+common-face test of two simplexes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vec = tuple  # tuple[Fraction, ...]
@@ -148,6 +147,8 @@ def barycentric_coords(points: Sequence[Vec], x: Vec) -> Optional[Vec]:
     """Coordinates of x w.r.t. affinely independent points; None if x is
     outside their affine hull."""
     n = len(points[0])
+    if len(x) != n:
+        raise ValueError(f"a point in R^{len(x)} is not in R^{n}")
     rows = [[p[i] for p in points] for i in range(n)]
     rows.append([Fraction(1)] * len(points))
     rhs = list(x) + [Fraction(1)]
@@ -221,44 +222,44 @@ def simplex_forms(points: Sequence[Vec]) -> tuple[list[AffineForm], list[AffineF
     return affine_hull_forms(points), vertex_forms(points)
 
 
-def enumerate_cell_vertices(eqs: Sequence[AffineForm], ineqs: Sequence[AffineForm],
-                            ambient_dim: int) -> list[Vec]:
-    """Vertices of {x : eqs = 0, ineqs >= 0}, assumed bounded.
+def clip_simplex(points: Sequence[Vec], eqs: Sequence[AffineForm],
+                 ineqs: Sequence[AffineForm]) -> list[Vec]:
+    """Sorted vertices of conv(points) cap {eqs = 0, ineqs >= 0} when that
+    cell has the dimension of the simplex conv(points); [] otherwise.
 
-    Brute-force: parametrise the equality subspace, then intersect the
-    inequality hyperplanes dim-at-a-time.  Fine for overlay cells.
+    Double description, one halfspace at a time (Fukuda and Prodon 1996):
+    each vertex carries the bitmask of constraints tight at it, and vertex
+    i starts tight on every barycentric form but form i.  The cell stays
+    full-dimensional, so every equality must vanish on the points, and an
+    inequality that is 0 on every vertex vanishes on the hull: skip it.
+    Clipping by g keeps the vertices with g >= 0 and adds a point on each
+    edge from g > 0 to g < 0; two vertices span an edge iff no third one
+    is tight on every constraint tight at both.
     """
-    if eqs:
-        rows = [list(f.coeffs) for f in eqs]
-        rhs = [-f.const for f in eqs]
-        out = solve_affine(rows, rhs)
-        if out is None:
-            return []
-        x0, basis = out
-    else:
-        x0, basis = tuple([Fraction(0)] * ambient_dim), \
-            [tuple(Fraction(1) if j == i else Fraction(0) for j in range(ambient_dim))
-             for i in range(ambient_dim)]
-    d = len(basis)
-    # Inequalities in parameter space: g_j(t) = ineq_j(x0 + B t).
-    gs = []
-    for f in ineqs:
-        gs.append((tuple(dot(f.coeffs, b) for b in basis), f(x0)))
-    if d == 0:
-        return [x0] if all(c >= 0 for _, c in gs) else []
-    found: set[Vec] = set()
-    for combo in combinations(range(len(gs)), d):
-        rows = [gs[j][0] for j in combo]
-        rhs = [-gs[j][1] for j in combo]
-        t = solve_square(rows, rhs)
-        if t is None:
+    if any(e(p) != 0 for e in eqs for p in points):
+        return []
+    everything = (1 << len(points)) - 1
+    cell = [(p, everything ^ (1 << i)) for i, p in enumerate(points)]
+    for k, g in enumerate(ineqs, start=len(points)):
+        vals = [g(p) for p, _ in cell]
+        if not any(vals):
             continue
-        if all(dot(a, t) + c >= 0 for a, c in gs):
-            x = x0
-            for tk, b in zip(t, basis):
-                x = vadd(x, vscale(tk, b))
-            found.add(x)
-    return sorted(found)
+        if all(x <= 0 for x in vals):
+            return []
+        out = [(p, tight | (1 << k) if x == 0 else tight)
+               for (p, tight), x in zip(cell, vals) if x >= 0]
+        for i, (p, tp) in enumerate(cell):
+            for j, (q, tq) in enumerate(cell):
+                if not vals[i] > 0 > vals[j]:
+                    continue
+                common = tp & tq
+                if any(tw & common == common
+                       for w, (_, tw) in enumerate(cell) if w != i and w != j):
+                    continue
+                lam = vals[i] / (vals[i] - vals[j])
+                out.append((vadd(p, vscale(lam, vsub(q, p))), common | (1 << k)))
+        cell = out
+    return sorted(p for p, _ in cell)
 
 
 def lp_maximize(rows: Sequence[Sequence], rhs: Sequence,

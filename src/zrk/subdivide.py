@@ -5,16 +5,16 @@ cell overlay, restriction of a triangulation to a subpolyhedron, and
 refinement of a triangulation until a piecewise-linear map is simplexwise
 compatible with a target triangulation.
 
-One cell kernel serves all of them: a cell is given by an explicit
-H-representation inside the affine hull of a simplex s, its vertices are
-enumerated, and when it has the dimension of s it is triangulated by
-pulling its lexicographically least vertex.  Pulling depends only on the
-face being triangulated, so adjacent cells agree along shared faces and the
-union is again a simplicial complex.  Coverage (``supports``) is decided on
-the same pieces by exact volume: the cells of s against the maximal
-simplexes of a complex overlap only in measure zero, so they cover s
-exactly when their volumes add up to its own (De Loera, Rambau and Santos,
-*Triangulations*, 2010).
+One cell kernel serves all of them: a cell is s cap t for a simplex s and a
+simplex or halfspace t.  Its vertices come from clipping s by t's
+halfspaces one at a time (``linalg.clip_simplex``), and when it has the
+dimension of s it is triangulated by pulling its lexicographically least
+vertex.  Pulling depends only on the face being triangulated, so adjacent
+cells agree along shared faces and the union is again a simplicial complex.
+Coverage (``supports``) is decided on the same pieces by exact volume: the
+cells of s against the maximal simplexes of a complex overlap only in
+measure zero, so they cover s exactly when their volumes add up to its own
+(De Loera, Rambau and Santos, *Triangulations*, 2010).
 """
 
 from __future__ import annotations
@@ -84,28 +84,27 @@ def stellar_chain(cx: GeoComplex, points: Sequence[RPoint]) -> GeoComplex:
 # -- cells and support coverage ----------------------------------------------
 
 
-def _pull_cell(eqs, ineqs, s: GeoSimplex) -> list[GeoSimplex]:
-    """Pulling triangulation of the cell {eqs = 0, ineqs >= 0} inside aff(s)
+def _pull_cell(s: GeoSimplex, eqs_t, ineqs_t) -> list[GeoSimplex]:
+    """Pulling triangulation of the cell s cap {eqs_t = 0, ineqs_t >= 0}
     when the cell has the dimension of s; nothing otherwise.
 
     A cell of full dimension in aff(s) has no facet on an equality, so the
-    inequalities alone are an H-representation of it within its hull.
+    facet forms of s and ineqs_t are an H-representation of it within its
+    hull.
     """
-    verts = linalg.enumerate_cell_vertices(eqs, ineqs, s.ambient_dim)
-    if not verts or linalg.aff_dim(verts) != s.dim:
+    verts = linalg.clip_simplex([v.coords for v in s.vertices], eqs_t, ineqs_t)
+    if not verts:
         return []
+    ineqs = list(simplex_hrep(s)[1]) + list(ineqs_t)
     return [GeoSimplex(tuple(RPoint(v) for v in tri))
             for tri in linalg.pull_triangulation(verts, ineqs)]
 
 
 def _pieces(s: GeoSimplex, cover: Iterable[GeoSimplex]) -> set[GeoSimplex]:
     """Pulling triangulations of the cells s cap t of dimension dim s."""
-    eqs_s, ineqs_s = simplex_hrep(s)
     out: set[GeoSimplex] = set()
     for t in cover:
-        eqs_t, ineqs_t = simplex_hrep(t)
-        out.update(_pull_cell(list(eqs_s) + list(eqs_t),
-                              list(ineqs_s) + list(ineqs_t), s))
+        out.update(_pull_cell(s, *simplex_hrep(t)))
     return out
 
 
@@ -185,9 +184,8 @@ def _slice_complex(cx: GeoComplex, form: AffineForm) -> GeoComplex:
             out.append(s)
             continue
         changed = True
-        eqs, ineqs = simplex_hrep(s)
         for side in (form, form.negate()):
-            out.extend(_pull_cell(list(eqs), list(ineqs) + [side], s))
+            out.extend(_pull_cell(s, [], [side]))
     if not changed:
         return cx
     return GeoComplex(out, validate=False)
@@ -202,12 +200,19 @@ def _adapted(inside: Optional[GeoComplex], part: GeoComplex) -> bool:
 
 
 def inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
-    """The subcomplex of simplexes lying inside |part| (None when empty)."""
+    """The subcomplex of simplexes lying inside |part| (None when empty).
+
+    Simplexes are tested from the top dimension down; the faces of one
+    found inside are inside too and are not tested again.
+    """
     cover = part.maximal_simplexes()
-    inside = [s for s in cx.simplexes if supports(cover, s)]
+    inside: set[GeoSimplex] = set()
+    for s in sorted(cx.simplexes, key=lambda s: -s.dim):
+        if s not in inside and supports(cover, s):
+            inside.update(s.faces())
     if not inside:
         return None
-    return GeoComplex(inside, validate=False)
+    return GeoComplex(inside, validate=False, closed=True)
 
 
 def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
@@ -285,22 +290,20 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
 # -- refinement compatible with a map ----------------------------------------
 
 
-def _pullback_forms(vertices: Sequence[RPoint], images: Sequence[RPoint],
-                    forms: Sequence[AffineForm], eqs: Sequence[AffineForm]):
+def _pullback_forms(bary: Sequence[AffineForm], images: Sequence[RPoint],
+                    forms: Sequence[AffineForm]) -> list[AffineForm]:
     """Forms g with g(x) = f(eta(x)) on a simplex where eta is affine.
 
     eta is interpolated from vertex images; the pullback is expressed in the
-    barycentric functionals of the simplex.
+    barycentric functionals ``bary`` of the simplex.
     """
-    bary = linalg.vertex_forms([v.coords for v in vertices])
     out = []
-    for f in list(eqs) + list(forms):
+    for f in forms:
         vals = [f(img.coords) for img in images]
         coeffs = tuple(sum(val * b.coeffs[i] for val, b in zip(vals, bary))
-                       for i in range(len(vertices[0].coords)))
+                       for i in range(len(bary[0].coeffs)))
         const = sum(val * b.const for val, b in zip(vals, bary))
-        is_eq = f in list(eqs)
-        out.append((AffineForm(coeffs, const), is_eq))
+        out.append(AffineForm(coeffs, const))
     return out
 
 
@@ -323,7 +326,6 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
     target_max = target.maximal_simplexes()
     for s in cx.maximal_simplexes():
         vert_imgs = [image_of(v) for v in s.vertices]
-        eqs_s, ineqs_s = simplex_hrep(s)
         good = next((t for t in target_max
                      if all(t.contains(img) for img in vert_imgs)), None)
         if good is not None:
@@ -332,12 +334,11 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
         # A preimage cell mapping into a face shared by several target
         # simplexes is pulled identically each time; the set keeps it once.
         pieces: set[GeoSimplex] = set()
+        bary = simplex_hrep(s)[1]
         for t in target_max:
             eqs_t, ineqs_t = simplex_hrep(t)
-            pulled = _pullback_forms(s.vertices, vert_imgs, ineqs_t, eqs_t)
-            pieces.update(_pull_cell(
-                list(eqs_s) + [f for f, is_eq in pulled if is_eq],
-                list(ineqs_s) + [f for f, is_eq in pulled if not is_eq], s))
+            pieces.update(_pull_cell(s, _pullback_forms(bary, vert_imgs, eqs_t),
+                                     _pullback_forms(bary, vert_imgs, ineqs_t)))
         # The preimage cells must tile s exactly; a gap means the image of s
         # leaves the support of the target.
         if _relative_volume_total(pieces) != _relative_volume_total([s]):

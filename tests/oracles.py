@@ -7,17 +7,68 @@ computes invariant-factor products from k x k minors by brute force;
 search and the pairwise replay that rescan every pair of simplexes for free
 faces, from before ``collapse`` kept a face table;
 ``enumerate_meet_in_common_face`` decides the common-face condition by
-enumerating every vertex of a cap b, from before it was one LP.
+enumerating every vertex of a cap b, from before it was one LP;
+``enumerate_cell_vertices`` finds the vertices of a cell by solving every
+square subsystem of its constraints, from before cells were clipped one
+halfspace at a time; ``scan_maximal_simplexes`` finds maximal simplexes by
+looking for a coface through every vertex.
 """
 
 import math
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 from zrk import linalg
 from zrk.collapse import CollapseSequence, CollapseStep
 from zrk.complexes import GeoSimplex, RPoint, _bbox_overlap, simplex_hrep
 from zrk.exactnum import IntMat
+from zrk.linalg import dot, solve_affine, solve_square, vadd, vscale
+
+
+def enumerate_cell_vertices(eqs, ineqs, ambient_dim: int):
+    """Vertices of {x : eqs = 0, ineqs >= 0}, assumed bounded; the reference
+    for ``linalg.clip_simplex``.
+
+    Brute-force: parametrise the equality subspace, then intersect the
+    inequality hyperplanes dim-at-a-time.
+    """
+    if eqs:
+        out = solve_affine([list(f.coeffs) for f in eqs], [-f.const for f in eqs])
+        if out is None:
+            return []
+        x0, basis = out
+    else:
+        x0 = tuple([Fraction(0)] * ambient_dim)
+        basis = [tuple(Fraction(int(j == i)) for j in range(ambient_dim))
+                 for i in range(ambient_dim)]
+    # Inequalities in parameter space: g_j(t) = ineq_j(x0 + B t).
+    gs = [(tuple(dot(f.coeffs, b) for b in basis), f(x0)) for f in ineqs]
+    if not basis:
+        return [x0] if all(c >= 0 for _, c in gs) else []
+    found = set()
+    for combo in combinations(range(len(gs)), len(basis)):
+        t = solve_square([gs[j][0] for j in combo], [-gs[j][1] for j in combo])
+        if t is None or not all(dot(a, t) + c >= 0 for a, c in gs):
+            continue
+        x = x0
+        for tk, b in zip(t, basis):
+            x = vadd(x, vscale(tk, b))
+        found.add(x)
+    return sorted(found)
+
+
+def scan_maximal_simplexes(cx):
+    """Maximal simplexes of a complex, by testing every (simplex, vertex)
+    pair for a coface; the reference for ``GeoComplex.maximal_simplexes``."""
+    key_set = {s.vertices for s in cx.simplexes}
+    maxi = []
+    for s in cx.simplexes:
+        vs = set(s.vertices)
+        if not any(tuple(sorted(vs | {v})) in key_set
+                   for v in cx.vertices() if v not in vs):
+            maxi.append(s)
+    return tuple(sorted(maxi))
 
 
 def _split_off_simplex(piece, t: GeoSimplex):
@@ -40,7 +91,7 @@ def _split_off_simplex(piece, t: GeoSimplex):
                 continue
             for side in (form, form.negate()):
                 sub_forms = list(forms) + [side]
-                sub = linalg.enumerate_cell_vertices([], sub_forms, t.ambient_dim)
+                sub = enumerate_cell_vertices([], sub_forms, t.ambient_dim)
                 if sub and linalg.aff_dim(sub) == dim_piece:
                     nxt.append((tuple(sub), tuple(sub_forms)))
         queue = nxt
@@ -68,7 +119,7 @@ def split_supports(cover, s: GeoSimplex) -> bool:
         if any(all(t.contains(RPoint(v)) for v in piece[0]) for t in remaining):
             return True
         for idx, t in enumerate(remaining):
-            inter = linalg.enumerate_cell_vertices(
+            inter = enumerate_cell_vertices(
                 list(simplex_hrep(t)[0]), list(simplex_hrep(t)[1]) + list(piece[1]),
                 s.ambient_dim)
             if inter and linalg.aff_dim(inter) == linalg.aff_dim(piece[0]):
@@ -204,9 +255,8 @@ def enumerate_meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     shared = tuple(sorted(set(a.vertices) & set(b.vertices)))
     eqs_a, ineqs_a = simplex_hrep(a)
     eqs_b, ineqs_b = simplex_hrep(b)
-    cut = linalg.enumerate_cell_vertices(list(eqs_a) + list(eqs_b),
-                                         list(ineqs_a) + list(ineqs_b),
-                                         a.ambient_dim)
+    cut = enumerate_cell_vertices(list(eqs_a) + list(eqs_b),
+                                  list(ineqs_a) + list(ineqs_b), a.ambient_dim)
     if not cut:
         return True
     if not shared:

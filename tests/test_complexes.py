@@ -12,7 +12,7 @@ from zrk.regular import is_regular
 from zrk.scx import ScxError, parse_scx
 
 from conftest import random_rational, seg, tri
-from oracles import enumerate_meet_in_common_face
+from oracles import enumerate_meet_in_common_face, scan_maximal_simplexes
 
 
 def test_from_maximal_segment():
@@ -135,6 +135,22 @@ def test_common_face_lp_matches_enumeration_oracle():
     assert improper >= 20 and shared_improper >= 10
 
 
+def test_maximal_simplexes_match_scanning_oracle():
+    rng = random.Random(20145)
+    cxs = [from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (2, 0), (2, 1)),
+                         seg((0, 1), (-1, 2)), GeoSimplex((rpoint(3, 3),))])]
+    for n in (1, 2, 3, 4):
+        for _ in range(2):
+            cx = standard_cube(n)
+            for _ in range(rng.randint(1, 3)):
+                cx = stellar(cx, rpoint(*[random_rational(rng, 4)
+                                          for _ in range(n)]))
+            cxs.append(cx)
+    for cx in cxs:
+        assert cx.maximal_simplexes() == scan_maximal_simplexes(cx)
+    assert {s.dim for s in cxs[0].maximal_simplexes()} == {0, 1, 2}
+
+
 def test_from_maximal_idempotent():
     cx = from_maximal([tri((0, 0), (1, 0), (1, 1)), tri((0, 0), (0, 1), (1, 1))])
     again = from_maximal(list(cx.maximal_simplexes()))
@@ -189,6 +205,21 @@ def test_carrier():
     v = rpoint(1, 0)
     assert cx.carrier(v) == GeoSimplex((v,))
     assert cx.carrier(rpoint(2, 2)) is None
+
+
+def test_points_of_another_dimension_are_rejected():
+    cx = standard_cube(2)
+    with pytest.raises(ValueError, match=r"R\^3 .* R\^2"):
+        cx.contains_point(rpoint(0, 0, 5))
+    with pytest.raises(ValueError, match=r"R\^3 .* R\^2"):
+        cx.carrier(rpoint(1, 1, 7))
+    with pytest.raises(ValueError, match=r"R\^1 .* R\^2"):
+        cx.carrier(rpoint("1/2"))
+    diagonal = GeoSimplex((rpoint(0, 0), rpoint(1, 1)))
+    with pytest.raises(ValueError, match=r"R\^3 .* R\^2"):
+        diagonal.contains(rpoint(1, 1, 7))
+    with pytest.raises(ValueError, match=r"R\^1 .* R\^2"):
+        diagonal.barycentric(rpoint("1/2"))
 
 
 def test_carrier_minimality():

@@ -311,3 +311,25 @@ def test_supports_matches_splitting_oracle():
                 assert supports(cover, s) == split_supports(cover, s), (cover, s)
                 pairs += 1
     assert pairs == 180
+
+
+def test_inside_subcomplex_matches_testing_every_simplex():
+    rng = random.Random(20146)
+
+    def stellar_cube(n):
+        cx = standard_cube(n)
+        for _ in range(rng.randint(1, 3)):
+            cx = stellar(cx, rpoint(*[random_rational(rng, 4) for _ in range(n)]))
+        return cx
+
+    for n in (1, 2, 3):
+        for _ in range(3):
+            cx = stellar_cube(n)
+            other = stellar_cube(n).maximal_simplexes()
+            parts = [from_maximal(rng.sample(other, min(2, len(other)))),
+                     from_maximal([random_simplex(rng, n, 3)]), standard_cube(n)]
+            for part in parts:
+                expected = {s for s in cx.simplexes
+                            if supports(part.maximal_simplexes(), s)}
+                inside = inside_subcomplex(cx, part)
+                assert (inside.simplexes if inside else set()) == expected
