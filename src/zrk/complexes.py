@@ -5,16 +5,26 @@ common-face condition on construction, pair by pair over the maximal
 simplexes: a bounding-box test first, then one exact LP whose infeasibility
 (a Farkas certificate) or zero optimum shows the pair meets in a common
 face.  Abstract and weighted abstract complexes carry the combinatorial
-skeletons.  Point membership is decided through exact barycentric
-coordinates, never through tolerances.
+skeletons.
+
+Point location is exact integer arithmetic.  Each simplex caches, on first
+use, its affine-hull equalities and barycentric forms scaled to integer
+rows E and B with one common denominator D > 0.  A point p with least
+common denominator d becomes the integer vector X = d(p, 1); p lies on the
+affine hull iff E X = 0, and its barycentric coordinates are B X / (D d),
+so a containment test compares integer signs.  ``GeoComplex.carrier`` finds
+a vertex by set lookup and otherwise the first maximal simplex holding p,
+whose face on the positive coordinates is the carrier.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Hashable, Iterable, Optional, Sequence
 
 from . import linalg
@@ -97,17 +107,52 @@ class GeoSimplex:
             for sub in itertools.combinations(self.vertices, k):
                 yield GeoSimplex._raw(sub)
 
+    @cached_property
+    def _point_rows(self) -> tuple[tuple[tuple[int, ...], ...],
+                                   tuple[tuple[int, ...], ...], int]:
+        """The forms of ``linalg.simplex_forms`` (equalities E, barycentric
+        forms B) as integer rows: D times each form (a, c) is the row
+        (D a, D c), for their least common denominator D > 0.
+
+        Cached on the instance (the dataclass is frozen but has a
+        ``__dict__``), not in the module-level ``simplex_hrep`` cache, so
+        the rows go away with the simplex.
+        """
+        eqs, bary = linalg.simplex_forms([v.coords for v in self.vertices])
+        forms = eqs + bary
+        scale = math.lcm(*(x.denominator for f in forms for x in f.coeffs + (f.const,)))
+
+        def row(f: linalg.AffineForm) -> tuple[int, ...]:
+            return tuple(x.numerator * (scale // x.denominator)
+                         for x in f.coeffs + (f.const,))
+
+        return tuple(map(row, eqs)), tuple(map(row, bary)), scale
+
+    def _weights(self, x: tuple[int, ...]) -> Optional[list[int]]:
+        """B X for the homogeneous integer vector X of a point (see
+        ``_homogeneous``): its barycentric coordinates times D * X[-1] > 0.
+        None when the point is off the affine hull."""
+        eqs, bary, _ = self._point_rows
+        if any(sum(map(mul, e, x)) for e in eqs):
+            return None
+        return [sum(map(mul, b, x)) for b in bary]
+
     def barycentric(self, p: RPoint) -> Optional[tuple[Fraction, ...]]:
         """Barycentric coordinates of p, or None if p is off the affine hull."""
-        return linalg.barycentric_coords([v.coords for v in self.vertices], p.coords)
+        x = _homogeneous(p, self.ambient_dim)
+        w = self._weights(x)
+        if w is None:
+            return None
+        q = self._point_rows[2] * x[-1]
+        return tuple(Fraction(a, q) for a in w)
 
     def contains(self, p: RPoint) -> bool:
-        b = self.barycentric(p)
-        return b is not None and all(c >= 0 for c in b)
+        w = self._weights(_homogeneous(p, self.ambient_dim))
+        return w is not None and all(a >= 0 for a in w)
 
     def relint_contains(self, p: RPoint) -> bool:
-        b = self.barycentric(p)
-        return b is not None and all(c > 0 for c in b)
+        w = self._weights(_homogeneous(p, self.ambient_dim))
+        return w is not None and all(a > 0 for a in w)
 
     def barycenter(self) -> RPoint:
         k = Fraction(1, len(self.vertices))
@@ -119,6 +164,15 @@ class GeoSimplex:
 
     def __repr__(self):
         return "conv(" + ", ".join(repr(v) for v in self.vertices) + ")"
+
+
+def _homogeneous(p: RPoint, n: int) -> tuple[int, ...]:
+    """d(p, 1) for the least common denominator d of p's coordinates; p must
+    lie in R^n."""
+    if p.dim != n:
+        raise ValueError(f"a point in R^{p.dim} is not in R^{n}")
+    d = math.lcm(*(c.denominator for c in p.coords))
+    return tuple(c.numerator * (d // c.denominator) for c in p.coords) + (d,)
 
 
 @lru_cache(maxsize=None)
@@ -239,18 +293,39 @@ class GeoComplex:
 
     # -- point queries -----------------------------------------------------
 
-    def carrier(self, p: RPoint) -> Optional[GeoSimplex]:
-        """Minimal simplex containing p: the one holding p in its relative
-        interior.  None when p is outside the support."""
-        if p.dim != self.ambient_dim:
-            raise ValueError(f"a point in R^{p.dim} is not in R^{self.ambient_dim}")
-        for s in self.simplexes:
+    def _locate(self, p: RPoint) -> Optional[tuple[GeoSimplex, list[int], int]]:
+        """A maximal simplex s containing p, with p's barycentric coordinates
+        in s as integers w over one denominator q > 0; None when p is
+        outside the support.  Scans the maximal simplexes in order, with a
+        bounding-box prefilter before the integer test."""
+        x = _homogeneous(p, self.ambient_dim)
+        for s in self.maximal_simplexes():
             lo, hi = _bbox(s)
             if any(c < a or c > b for c, a, b in zip(p.coords, lo, hi)):
                 continue
-            if s.relint_contains(p):
-                return s
+            w = s._weights(x)
+            if w is not None and all(a >= 0 for a in w):
+                return s, w, s._point_rows[2] * x[-1]
         return None
+
+    def carrier(self, p: RPoint) -> Optional[GeoSimplex]:
+        """Minimal simplex containing p: the one holding p in its relative
+        interior.  None when p is outside the support.
+
+        A vertex of the complex is its own carrier, found by set lookup.
+        Otherwise, take a maximal simplex holding p (``_locate``): its face
+        spanned by the vertices where p's barycentric coordinates are
+        positive holds p in its relative interior.  That simplex is unique
+        in a complex, so the maximal simplex found does not matter.
+        """
+        vertex = GeoSimplex._raw((p,))
+        if vertex in self.simplexes:
+            return vertex
+        found = self._locate(p)
+        if found is None:
+            return None
+        s, w, _ = found
+        return GeoSimplex._raw(tuple(v for v, a in zip(s.vertices, w) if a > 0))
 
     def contains_point(self, p: RPoint) -> bool:
         return self.carrier(p) is not None

@@ -143,23 +143,6 @@ def affinely_independent(points: Sequence[Vec]) -> bool:
     return aff_dim(points) == len(points) - 1
 
 
-def barycentric_coords(points: Sequence[Vec], x: Vec) -> Optional[Vec]:
-    """Coordinates of x w.r.t. affinely independent points; None if x is
-    outside their affine hull."""
-    n = len(points[0])
-    if len(x) != n:
-        raise ValueError(f"a point in R^{len(x)} is not in R^{n}")
-    rows = [[p[i] for p in points] for i in range(n)]
-    rows.append([Fraction(1)] * len(points))
-    rhs = list(x) + [Fraction(1)]
-    out = solve_affine(rows, rhs)
-    if out is None:
-        return None
-    sol, basis = out
-    assert not basis, "points are affinely dependent"
-    return sol
-
-
 class AffineForm(NamedTuple):
     """The affine functional x -> coeffs . x + const."""
 
@@ -173,53 +156,42 @@ class AffineForm(NamedTuple):
         return AffineForm(tuple(-c for c in self.coeffs), -self.const)
 
 
-def affine_hull_forms(points: Sequence[Vec]) -> list[AffineForm]:
-    """Canonical basis of affine forms vanishing on the given points.
+def simplex_forms(points: Sequence[Vec]) -> tuple[list[AffineForm], list[AffineForm]]:
+    """H-representation of a simplex: (affine-hull equalities, facet forms).
 
-    The common zero set of the returned forms is exactly aff(points).
+    The facet forms are the barycentric functionals l_i with
+    l_i(p_j) = delta_ij, extended to the ambient space; within the affine
+    hull, the simplex is exactly where they are all nonnegative.  One
+    echelon of the rows (p_j, 1 | e_j) gives both.  Unknowns (a, c) stand
+    for the form x -> a.x + c.  The free columns of the (p_j, 1) block span
+    the forms vanishing on every point, and the e_i column holds the
+    solution of (p_j, 1).(a, c) = delta_ij with free coefficients pinned to
+    zero, so the result is deterministic.  The points must be affinely
+    independent.
     """
     n = len(points[0])
-    # Unknowns (a_1..a_n, c) with a.p + c = 0 for every p.
-    rows = [list(p) + [Fraction(1)] for p in points]
+    k = len(points)
+    rows = [list(p) + [Fraction(1)] + [Fraction(int(i == j)) for i in range(k)]
+            for j, p in enumerate(points)]
     red, pivots = _echelon(rows)
-    free = [c for c in range(n + 1) if c not in pivots]
-    forms = []
-    for f in free:
+    if pivots[-1] > n:  # a pivot in the e block: the (p_j, 1) are dependent
+        raise ValueError("points are affinely dependent")
+    eqs = []
+    for f in range(n + 1):
+        if f in pivots:
+            continue
         sol = [Fraction(0)] * (n + 1)
         sol[f] = Fraction(1)
         for row, p in zip(red, pivots):
             sol[p] = -row[f]
-        forms.append(AffineForm(tuple(sol[:n]), sol[n]))
-    return forms
-
-
-def vertex_forms(points: Sequence[Vec]) -> list[AffineForm]:
-    """Affine forms l_i with l_i(p_j) = delta_ij, one per point.
-
-    For a simplex these are barycentric-coordinate functionals extended to
-    the ambient space; free coefficients are pinned to zero, so the
-    extension is deterministic.
-    """
-    n = len(points[0])
-    out = []
-    rows = [list(p) + [Fraction(1)] for p in points]
-    for i in range(len(points)):
-        # Unknown functional (a, c) with row_j . (a, c) = delta_ij.
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(len(points))]
-        sol = solve_affine(rows, rhs)
-        assert sol is not None
-        coeffs = sol[0]
-        out.append(AffineForm(tuple(coeffs[:n]), coeffs[n]))
-    return out
-
-
-def simplex_forms(points: Sequence[Vec]) -> tuple[list[AffineForm], list[AffineForm]]:
-    """H-representation of a simplex: (affine-hull equalities, facet forms).
-
-    The facet forms are the extended barycentric functionals; within the
-    affine hull, the simplex is exactly where they are all nonnegative.
-    """
-    return affine_hull_forms(points), vertex_forms(points)
+        eqs.append(AffineForm(tuple(sol[:n]), sol[n]))
+    facets = []
+    for i in range(n + 1, n + 1 + k):
+        sol = [Fraction(0)] * (n + 1)
+        for row, p in zip(red, pivots):
+            sol[p] = row[i]
+        facets.append(AffineForm(tuple(sol[:n]), sol[n]))
+    return eqs, facets
 
 
 def clip_simplex(points: Sequence[Vec], eqs: Sequence[AffineForm],

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .complexes import GeoComplex, GeoSimplex, RPoint
+from .complexes import GeoComplex, GeoSimplex, RPoint, _homogeneous
 from .exactnum import extends_to_basis, lcd
 from . import subdivide
 
@@ -46,8 +46,7 @@ def den(v: RPoint) -> int:
 
 
 def homog(v: RPoint) -> HomogVec:
-    d = den(v)
-    return HomogVec(tuple(int(d * c) for c in v.coords) + (d,))
+    return HomogVec(_homogeneous(v, v.dim))
 
 
 @lru_cache(maxsize=None)

@@ -62,17 +62,19 @@ class PLMap:
         self.codomain_dim = dims.pop()
 
     def eval(self, p: RPoint) -> RPoint:
-        """Barycentric interpolation of the vertex images in the carrier."""
-        s = self.domain.carrier(p)
-        if s is None:
+        """Barycentric interpolation of the vertex images in a maximal
+        simplex holding p; coordinates that are zero drop out, so this is
+        the interpolation in the carrier."""
+        found = self.domain._locate(p)
+        if found is None:
             raise DomainError(f"point not in support: {p}")
-        lam = s.barycentric(p)
+        s, w, q = found
         coords = [Fraction(0)] * self.codomain_dim
-        for weight, v in zip(lam, s.vertices):
-            img = self.images[v]
-            for i, c in enumerate(img.coords):
-                coords[i] += weight * c
-        return RPoint(tuple(coords))
+        for weight, v in zip(w, s.vertices):
+            if weight:
+                for i, c in enumerate(self.images[v].coords):
+                    coords[i] += weight * c
+        return RPoint(tuple(c / q for c in coords))
 
     def image_simplex_points(self, s: GeoSimplex) -> list[RPoint]:
         return [self.images[v] for v in s.vertices]
@@ -197,7 +199,9 @@ def fixes_pointwise(eta: PLMap, part: GeoComplex) -> bool:
         raise DomainError("containment failure: |P| is not inside the domain")
     refined = subdivide.restrict(eta.domain, part)
     inside = subdivide.inside_subcomplex(refined, part)
-    assert inside is not None
+    if inside is None:
+        raise DomainError("containment failure: no simplex of the refined "
+                          "domain lies inside |P|")
     return all(eta.eval(v) == v for v in inside.vertices())
 
 
@@ -264,7 +268,9 @@ def retarget_to_carrier_vertices(eta: PLMap, target: GeoComplex,
             images[v] = img
             continue
         host = target.carrier(img)
-        assert host is not None
+        if host is None:
+            raise DomainError(f"carrier precondition failure: the image {img} "
+                              f"is not inside |target|")
         images[v] = min(host.vertices)
     return PLMap(eta.domain, images)
 
@@ -433,13 +439,15 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
 
 
 def _lattice_points_in(part: GeoComplex) -> list[RPoint]:
-    n = part.ambient_dim
-    out = []
-    for corner in itertools.product((Fraction(0), Fraction(1)), repeat=n):
-        p = RPoint(corner)
-        if part.contains_point(p):
-            out.append(p)
-    return out
+    """The vertices of [0,1]^n in |part|, in ``itertools.product`` order.
+
+    Requires |part| inside [0,1]^n (``certify_main`` checks the vertex
+    bounds; ``pipeline_dh`` has checked that a triangulation of the cube
+    fixes |part| pointwise).  A cube vertex is an extreme point of the
+    cube, so it lies in |part| exactly when it is a vertex of the
+    triangulation; the sorted vertex order is the product order.
+    """
+    return [v for v in part.vertices() if all(c in (0, 1) for c in v.coords)]
 
 
 # -- the certifier ------------------------------------------------------------

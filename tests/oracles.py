@@ -11,19 +11,102 @@ enumerating every vertex of a cap b, from before it was one LP;
 ``enumerate_cell_vertices`` finds the vertices of a cell by solving every
 square subsystem of its constraints, from before cells were clipped one
 halfspace at a time; ``scan_maximal_simplexes`` finds maximal simplexes by
-looking for a coface through every vertex.
+looking for a coface through every vertex.  ``barycentric_coords`` solves a
+fresh ``Fraction`` system for every point, and ``affine_hull_forms`` and
+``vertex_forms`` solve one system per form, from before each simplex cached
+integer forms from one echelon; ``scan_carrier`` tests every face of a
+complex, and ``product_lattice_points`` tests every vertex of the cube
+against every maximal simplex.
 """
 
 import math
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from zrk import linalg
 from zrk.collapse import CollapseSequence, CollapseStep
-from zrk.complexes import GeoSimplex, RPoint, _bbox_overlap, simplex_hrep
+from zrk.complexes import GeoSimplex, RPoint, _bbox, _bbox_overlap, simplex_hrep
 from zrk.exactnum import IntMat
-from zrk.linalg import dot, solve_affine, solve_square, vadd, vscale
+from zrk.linalg import (AffineForm, _echelon, dot, solve_affine, solve_square,
+                        vadd, vscale)
+
+
+def barycentric_coords(points, x):
+    """Coordinates of x w.r.t. affinely independent points; None if x is
+    outside their affine hull.  The reference for ``GeoSimplex.barycentric``."""
+    n = len(points[0])
+    if len(x) != n:
+        raise ValueError(f"a point in R^{len(x)} is not in R^{n}")
+    rows = [[p[i] for p in points] for i in range(n)]
+    rows.append([Fraction(1)] * len(points))
+    rhs = list(x) + [Fraction(1)]
+    out = solve_affine(rows, rhs)
+    if out is None:
+        return None
+    sol, basis = out
+    assert not basis, "points are affinely dependent"
+    return sol
+
+
+def affine_hull_forms(points):
+    """Canonical basis of affine forms vanishing on the given points, from one
+    echelon of the rows (p, 1); the reference for the equalities of
+    ``linalg.simplex_forms``."""
+    n = len(points[0])
+    # Unknowns (a_1..a_n, c) with a.p + c = 0 for every p.
+    rows = [list(p) + [Fraction(1)] for p in points]
+    red, pivots = _echelon(rows)
+    forms = []
+    for f in [c for c in range(n + 1) if c not in pivots]:
+        sol = [Fraction(0)] * (n + 1)
+        sol[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            sol[p] = -row[f]
+        forms.append(AffineForm(tuple(sol[:n]), sol[n]))
+    return forms
+
+
+def vertex_forms(points):
+    """Affine forms l_i with l_i(p_j) = delta_ij, one solve per point with
+    free coefficients pinned to zero; the reference for the facet forms of
+    ``linalg.simplex_forms``."""
+    n = len(points[0])
+    rows = [list(p) + [Fraction(1)] for p in points]
+    out = []
+    for i in range(len(points)):
+        rhs = [Fraction(int(j == i)) for j in range(len(points))]
+        sol = solve_affine(rows, rhs)
+        assert sol is not None
+        out.append(AffineForm(tuple(sol[0][:n]), sol[0][n]))
+    return out
+
+
+def scan_carrier(cx, p: RPoint):
+    """The simplex of cx holding p in its relative interior, by testing every
+    simplex with ``barycentric_coords``; the reference for
+    ``GeoComplex.carrier``."""
+    for s in cx.simplexes:
+        lo, hi = _bbox(s)
+        if any(c < a or c > b for c, a, b in zip(p.coords, lo, hi)):
+            continue
+        lam = barycentric_coords([v.coords for v in s.vertices], p.coords)
+        if lam is not None and all(c > 0 for c in lam):
+            return s
+    return None
+
+
+def product_lattice_points(part):
+    """The vertices of [0,1]^n in |part|, in ``itertools.product`` order, each
+    tested against every maximal simplex with ``barycentric_coords``; the
+    reference for ``zmaps._lattice_points_in``."""
+    def inside(s, corner):
+        lam = barycentric_coords([v.coords for v in s.vertices], corner)
+        return lam is not None and all(c >= 0 for c in lam)
+
+    return [RPoint(corner)
+            for corner in product((Fraction(0), Fraction(1)), repeat=part.ambient_dim)
+            if any(inside(s, corner) for s in part.maximal_simplexes())]
 
 
 def enumerate_cell_vertices(eqs, ineqs, ambient_dim: int):

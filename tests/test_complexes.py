@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from zrk import (AbsComplex, GeoComplex, GeoSimplex, WeightedComplex,
+from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, WeightedComplex,
                  from_maximal, realize, rpoint, simplicially_isomorphic,
-                 skeleton, standard_cube, stellar)
+                 skeleton, standard_cube, stellar, pipeline_dh)
 from zrk.complexes import NotASimplicialComplex, _meet_in_common_face
+from zrk.zmaps import DomainError
 from zrk.regular import is_regular
 from zrk.scx import ScxError, parse_scx
 
 from conftest import random_rational, seg, tri
-from oracles import enumerate_meet_in_common_face, scan_maximal_simplexes
+from oracles import (barycentric_coords, enumerate_meet_in_common_face,
+                     scan_carrier, scan_maximal_simplexes)
 
 
 def test_from_maximal_segment():
@@ -149,6 +151,75 @@ def test_maximal_simplexes_match_scanning_oracle():
     for cx in cxs:
         assert cx.maximal_simplexes() == scan_maximal_simplexes(cx)
     assert {s.dim for s in cxs[0].maximal_simplexes()} == {0, 1, 2}
+
+
+def test_point_location_matches_solving_oracles():
+    # Complexes: seeded stellar subdivisions of cube1-4, the triangulation
+    # that pipeline_dh builds for the fold of the square onto its half
+    # diagonal, and a non-pure complex.  Points: vertices, barycentres of
+    # edges and higher faces, and random rationals in and around the
+    # support; for each tested simplex also points on its affine hull
+    # (inside and outside it) and points pushed off that hull.
+    rng = random.Random(20147)
+    half = rpoint("1/2", "1/2")
+    square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
+    fold = PLMap(square, {rpoint(0, 0): rpoint(0, 0), rpoint(1, 0): half,
+                          rpoint(0, 1): half, rpoint(1, 1): half})
+    diagonal = from_maximal([GeoSimplex((rpoint(0, 0), half))])
+    cxs = [pipeline_dh(fold, diagonal).triangulation,
+           from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (2, 0), (2, 1)),
+                         seg((0, 1), (-1, 2)), GeoSimplex((rpoint(3, 3),))])]
+    for n in (1, 2, 3, 4):
+        cx = standard_cube(n)
+        for _ in range(rng.randint(1, 2)):
+            cx = stellar(cx, rpoint(*[random_rational(rng, 4) for _ in range(n)]))
+        cxs.append(cx)
+
+    def oracle_barycentric(s, p):
+        return barycentric_coords([v.coords for v in s.vertices], p.coords)
+
+    for cx in cxs:
+        n = cx.ambient_dim
+        faces = sorted(cx.simplexes)
+        points = list(cx.vertices())
+        points += [s.barycenter() for s in rng.sample(faces, min(16, len(faces)))
+                   if s.dim >= 1]
+        points += [rpoint(*[random_rational(rng, 4, -1, 3) for _ in range(n)])
+                   for _ in range(12)]
+        # A map with random images, interpolated by hand as the oracle.
+        images = {v: rpoint(random_rational(rng, 5), random_rational(rng, 5))
+                  for v in cx.vertices()}
+        eta = PLMap(cx, images)
+        for p in points:
+            car = scan_carrier(cx, p)
+            assert cx.carrier(p) == car, (cx, p)
+            assert cx.contains_point(p) == (car is not None)
+            if car is None:
+                with pytest.raises(DomainError):
+                    eta.eval(p)
+                continue
+            lam = oracle_barycentric(car, p)
+            assert eta.eval(p) == rpoint(*[
+                sum(c * images[v].coords[i] for c, v in zip(lam, car.vertices))
+                for i in range(2)])
+        tested = list(cx.maximal_simplexes())[:8] + rng.sample(faces, min(12, len(faces)))
+        for s in tested:
+            on_hull = []
+            for _ in range(4):
+                weights = [random_rational(rng, 3, -1, 1) for _ in s.vertices]
+                weights[0] = 1 - sum(weights[1:])
+                on_hull.append(rpoint(*[
+                    sum(w * v.coords[i] for w, v in zip(weights, s.vertices))
+                    for i in range(n)]))
+            pushed = [rpoint(*[c + random_rational(rng, 4, -1, 1) for c in p.coords])
+                      for p in on_hull]
+            for p in rng.sample(points, min(10, len(points))) + on_hull + pushed:
+                lam = oracle_barycentric(s, p)
+                assert s.barycentric(p) == lam, (s, p)
+                assert s.contains(p) == (lam is not None
+                                         and all(c >= 0 for c in lam))
+                assert s.relint_contains(p) == (lam is not None
+                                                and all(c > 0 for c in lam))
 
 
 def test_from_maximal_idempotent():

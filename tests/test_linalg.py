@@ -6,11 +6,12 @@ import pytest
 
 from zrk import GeoSimplex, rpoint
 from zrk.complexes import simplex_hrep
-from zrk.linalg import AffineForm, aff_dim, clip_simplex, lp_maximize
+from zrk.linalg import (AffineForm, aff_dim, affinely_independent, clip_simplex,
+                        lp_maximize, simplex_forms)
 from zrk.subdivide import _pullback_forms
 
 from conftest import random_rational
-from oracles import enumerate_cell_vertices
+from oracles import affine_hull_forms, enumerate_cell_vertices, vertex_forms
 
 
 def test_lp_maximize_hand_cases():
@@ -149,3 +150,23 @@ def test_clip_simplex_matches_enumeration_oracle():
                                       for g in pulled)
             check(s, _pullback_forms(bary, images, simplex_hrep(t)[0]), pulled)
     assert all(count >= 20 for count in kinds.values()), kinds
+
+
+def test_simplex_forms_match_per_form_solves():
+    # Simplexes of every dimension k in R^1..R^4, with coordinates in
+    # [-2, 2] over denominators <= 5; the one echelon must give exactly the
+    # forms of the hull echelon and the k + 1 separate solves.
+    rng = random.Random(20148)
+    for n in (1, 2, 3, 4):
+        for k in range(n + 1):
+            drawn = 0
+            while drawn < 6:
+                pts = [tuple(random_rational(rng, 5, -2, 2) for _ in range(n))
+                       for _ in range(k + 1)]
+                if not affinely_independent(pts):
+                    continue
+                drawn += 1
+                assert simplex_forms(pts) == (affine_hull_forms(pts),
+                                              vertex_forms(pts)), pts
+    with pytest.raises(ValueError, match="affinely dependent"):
+        simplex_forms(_corners((0, 0), (1, 1), (2, 2)))

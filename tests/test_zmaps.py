@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -9,11 +10,15 @@ from zrk import (GeoSimplex, PLMap, certify_main, compose, fixes_pointwise,
                  part2_reduce, pipeline_dh, replay,
                  retarget_to_carrier_vertices, rpoint, standard_cube, stellar,
                  verify_section_retraction, verify_zretract)
-from zrk.complexes import AbsComplex, WeightedComplex, realize
+from zrk import subdivide
+from zrk.complexes import GeoComplex
 from zrk.regular import den, is_strongly_regular
-from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation)
+from zrk.scx import parse_scx
+from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
+                       _lattice_points_in)
 
-from conftest import seg, tri
+from conftest import random_rational, random_simplex, seg, tri
+from oracles import product_lattice_points
 
 
 def seg2d(a, b):
@@ -149,6 +154,44 @@ def test_retarget_to_carrier_vertices():
                    for t in target.maximal_simplexes())
     kept = retarget_to_carrier_vertices(eta, target, keep=lambda v: True)
     assert kept.images == eta.images
+
+
+def test_broken_invariants_raise_domain_error(monkeypatch, tent, half_interval):
+    # Both used to be asserts, which python -O strips.  A restriction that
+    # returns a complex away from |P| leaves no simplex inside it.
+    monkeypatch.setattr(subdivide, "restrict", lambda cx, part: from_maximal([seg(2, 3)]))
+    with pytest.raises(DomainError, match="no simplex of the refined domain"):
+        fixes_pointwise(tent, half_interval)
+    monkeypatch.undo()
+    monkeypatch.setattr(GeoComplex, "carrier", lambda cx, p: None)
+    with pytest.raises(DomainError, match="carrier precondition failure"):
+        retarget_to_carrier_vertices(tent, half_interval, keep=lambda v: False)
+
+
+def test_lattice_points_match_product_scan():
+    # Parts inside the cube: the corpus, cube1-5, seeded stellar
+    # subdivisions of cube2-4, and unions of some of their maximal
+    # simplexes and random simplexes, which miss some or all corners.
+    rng = random.Random(20149)
+    parts = []
+    for entry in resources.files("zrk.corpus").iterdir():
+        if entry.name.endswith(".scx") and ".verdict." not in entry.name:
+            doc = parse_scx(entry.read_text(encoding="utf-8"))
+            if doc.kind == "complex":
+                parts.append(doc.payload)
+    parts += [standard_cube(n) for n in range(1, 6)]
+    for n in (2, 3, 4):
+        for _ in range(2):
+            cx = standard_cube(n)
+            for _ in range(rng.randint(1, 3)):
+                cx = stellar(cx, rpoint(*[random_rational(rng, 4) for _ in range(n)]))
+            maxi = cx.maximal_simplexes()
+            parts += [cx, from_maximal(rng.sample(maxi, rng.randint(1, len(maxi) - 1))),
+                      from_maximal([random_simplex(rng, n, 4)])]
+    found = [_lattice_points_in(part) for part in parts]
+    assert found == [product_lattice_points(part) for part in parts]
+    assert any(not f for f in found)
+    assert any(0 < len(f) < 2 ** part.ambient_dim for f, part in zip(found, parts))
 
 
 def test_part2_reduce_worked_example(tent, tent_domain, half_interval):
