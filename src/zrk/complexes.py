@@ -2,9 +2,11 @@
 
 Geometric complexes store all faces explicitly and check the defining
 common-face condition on construction, pair by pair over the maximal
-simplexes: a bounding-box test first, then one exact LP whose infeasibility
-(a Farkas certificate) or zero optimum shows the pair meets in a common
-face.  Abstract and weighted abstract complexes carry the combinatorial
+simplexes: a bounding-box test first, then a separating form read off the
+cached integer rows of either simplex (``_separated``), and only when
+neither settles the pair one exact LP whose infeasibility (a Farkas
+certificate) or zero optimum shows the pair meets in a common face.
+Abstract and weighted abstract complexes carry the combinatorial
 skeletons.
 
 Point location is exact integer arithmetic.  Each simplex caches, on first
@@ -128,6 +130,13 @@ class GeoSimplex:
 
         return tuple(map(row, eqs)), tuple(map(row, bary)), scale
 
+    @cached_property
+    def _vertex_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The homogeneous integer vector ``_homogeneous(v)`` of each vertex,
+        in vertex order.  Equal points have equal vectors, so shared
+        vertices are found by hashing int tuples, not ``Fraction``s."""
+        return tuple(_homogeneous(v, self.ambient_dim) for v in self.vertices)
+
     def _weights(self, x: tuple[int, ...]) -> Optional[list[int]]:
         """B X for the homogeneous integer vector X of a point (see
         ``_homogeneous``): its barycentric coordinates times D * X[-1] > 0.
@@ -193,26 +202,60 @@ def _bbox_overlap(a: GeoSimplex, b: GeoSimplex) -> bool:
     return all(al <= bh and bl <= ah for al, ah, bl, bh in zip(alo, ahi, blo, bhi))
 
 
+def _separated(a: GeoSimplex, b: GeoSimplex, shared: set) -> bool:
+    """A cheap sufficient test that a cap b = conv(S), for the set S of
+    shared vertices (as ``_vertex_rows`` vectors).
+
+    Let R be the vertices of b outside S.  When R is empty, b is a face of
+    a.  Otherwise look for an affine form f among a's rows with f >= 0 on a,
+    f = 0 on S and f < 0 on R: a barycentric form of a whose vertex is not
+    shared, or an affine-hull equality of a, up to sign, that is nonzero
+    with one sign on R.  Each row evaluated at X = d(w, 1) with d > 0 has
+    the sign of f(w).  Then f <= 0 on b, with f = 0 exactly on the face
+    conv(S) of b, so a cap b lies in {f >= 0} cap b = conv(S), which is a
+    face of both.  The proof uses only that f is affine, so how a's forms
+    extend off aff(a) does not matter.  False means "not shown", not
+    "improper".
+    """
+    rest = [x for x in b._vertex_rows if x not in shared]
+    if not rest:
+        return True
+    eqs, bary, _ = a._point_rows
+    for row, v in zip(bary, a._vertex_rows):
+        if v not in shared and all(sum(map(mul, row, x)) < 0 for x in rest):
+            return True
+    for row in eqs:
+        values = [sum(map(mul, row, x)) for x in rest]
+        if all(t > 0 for t in values) or all(t < 0 for t in values):
+            return True
+    return False
+
+
 def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     """The defining condition: a cap b = conv(shared vertices).
 
-    A point of a cap b is sum(mu_v v) over the vertices of a and
-    sum(nu_w w) over those of b, with mu, nu >= 0 summing to 1 each.  The
-    vertices of a are affinely independent, so mu is the point's
-    barycentric coordinate vector in a, and the point lies in conv(shared)
-    exactly when mu vanishes off the shared vertices.  One exact LP
-    maximises that off-shared mass over a cap b: the pair meets in a common
-    face iff the LP is infeasible (a cap b is empty) or its optimum is 0.
+    Disjoint bounding boxes, or a separating form of either simplex
+    (``_separated``), settle the pair.  Otherwise: a point of a cap b is
+    sum(mu_v v) over the vertices of a and sum(nu_w w) over those of b,
+    with mu, nu >= 0 summing to 1 each.  The vertices of a are affinely
+    independent, so mu is the point's barycentric coordinate vector in a,
+    and the point lies in conv(shared) exactly when mu vanishes off the
+    shared vertices.  One exact LP maximises that off-shared mass over
+    a cap b: the pair meets in a common face iff the LP is infeasible
+    (a cap b is empty) or its optimum is 0.
     """
     if not _bbox_overlap(a, b):
+        return True
+    shared = set(a._vertex_rows).intersection(b._vertex_rows)
+    if _separated(a, b, shared) or _separated(b, a, shared):
         return True
     # Variables (mu, nu); the column of a vertex v of a is (v, 1, 0) and
     # that of a vertex w of b is (-w, 0, 1).
     cols = ([v.coords + (1, 0) for v in a.vertices]
             + [tuple(-c for c in w.coords) + (0, 1) for w in b.vertices])
     rhs = (0,) * a.ambient_dim + (1, 1)
-    in_b = set(b.vertices)
-    off_shared = [0 if v in in_b else 1 for v in a.vertices] + [0] * len(b.vertices)
+    off_shared = ([0 if x in shared else 1 for x in a._vertex_rows]
+                  + [0] * len(b.vertices))
     best = linalg.lp_maximize(list(zip(*cols)), rhs, off_shared)
     return best is None or best == 0
 
@@ -478,5 +521,9 @@ def realize(w: WeightedComplex) -> GeoComplex:
         coords = [Fraction(0)] * k
         coords[i] = Fraction(1, w.weights[v])
         placed[v] = RPoint(tuple(coords))
-    simplexes = [GeoSimplex(tuple(placed[v] for v in f)) for f in w.base.faces]
-    return GeoComplex(simplexes, validate=False)
+    # Points on distinct positive multiples of distinct basis vectors are
+    # linearly, hence affinely, independent: no rank check per face.  The
+    # faces of an AbsComplex are closed under subsets already.
+    simplexes = [GeoSimplex._raw(tuple(sorted(placed[v] for v in f)))
+                 for f in w.base.faces]
+    return GeoComplex(simplexes, validate=False, closed=True)

@@ -25,6 +25,17 @@ class BudgetExhausted(RuntimeError):
     pass
 
 
+class InvariantBroken(RuntimeError):
+    """An internal invariant of the number theory failed: a bug, never a
+    property of the input.  Raised instead of ``assert`` so that it also
+    fires under ``python -O``."""
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvariantBroken(message)
+
+
 @dataclass(frozen=True)
 class HomogVec:
     """den(v) * (v, 1): the integer vector housing a rational point."""
@@ -81,10 +92,11 @@ def _integer_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
     for j in range(n):
         rhs = [Fraction(int(i == j)) for i in range(n)]
         sol = linalg.solve_square([[Fraction(x) for x in row] for row in m], rhs)
-        assert sol is not None
+        _check(sol is not None, "matrix is singular")
         cols.append(sol)
     out = [[cols[j][i] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row)
+    _check(all(x.denominator == 1 for row in out for x in row),
+           "matrix is not unimodular: its inverse is not integral")
     return [[int(x) for x in row] for row in out]
 
 
@@ -107,14 +119,15 @@ def _box_point(s: GeoSimplex) -> RPoint:
     _, d_mat, v = smith_with_transforms(rows)
     diag = [d_mat[i][i] for i in range(min(len(d_mat), len(d_mat[0])))]
     torsion = [(i, di) for i, di in enumerate(diag) if di > 1]
-    assert torsion, "regular simplex has no box point"
+    _check(bool(torsion), "regular simplex has no box point")
     v_inv = _integer_inverse(v)
     # Coefficients of each torsion saturation-basis vector over the w_i.
     w_cols = [[Fraction(rows[j][k]) for j in range(m)] for k in range(len(rows[0]))]
     gen_coeffs = []
     for i, _ in torsion:
         sol = linalg.solve_affine(w_cols, [Fraction(e) for e in v_inv[i]])
-        assert sol is not None and not sol[1]
+        _check(sol is not None and not sol[1],
+               "torsion generator is not a unique combination of the vertex vectors")
         gen_coeffs.append(sol[0])
 
     cap = 4096
@@ -141,20 +154,20 @@ def _box_point(s: GeoSimplex) -> RPoint:
         key = (max(coeffs), coeffs)
         if best is None or key < best[0]:
             best = (key, coeffs)
-    assert best is not None
+    _check(best is not None, "every box coefficient vector vanishes")
     coeffs = best[1]
     x = [Fraction(0)] * len(rows[0])
     for c, w in zip(coeffs, rows):
         for k, e in enumerate(w):
             x[k] += c * e
-    assert all(e.denominator == 1 for e in x)
+    _check(all(e.denominator == 1 for e in x), "box point is not integral")
     xi = [int(e) for e in x]
     g = 0
     for e in xi:
         g = math.gcd(g, e)
-    assert g > 0, "box point of a non-regular simplex cannot vanish"
+    _check(g > 0, "box point of a non-regular simplex cannot vanish")
     xi = [e // g for e in xi]
-    assert xi[-1] > 0
+    _check(xi[-1] > 0, "box point has a nonpositive denominator")
     return RPoint(tuple(Fraction(e, xi[-1]) for e in xi[:-1]))
 
 
@@ -217,7 +230,7 @@ def coprime_point(s: GeoSimplex, k: int) -> RPoint:
             return v
     dens = [den(v) for v in s.vertices]
     # gcd(dens) = 1, so the numerical semigroup of the combinations hits a
-    # residue coprime to k; cap generously and assert.
+    # residue coprime to k; cap generously and check.
     cap = (k + 2) * (sum(dens) + 1)
     best = None
     for total in range(2, cap + 1):
@@ -232,7 +245,7 @@ def coprime_point(s: GeoSimplex, k: int) -> RPoint:
                     acc[i] += a * e
             best = RPoint(tuple(Fraction(e, acc[-1]) for e in acc[:-1]))
             break
-    assert best is not None, "coprime point search exhausted its cap"
+    _check(best is not None, "coprime point search exhausted its cap")
     return best
 
 
@@ -296,7 +309,7 @@ def anchor(p: GeoComplex, v: RPoint,
         du = den(u)
         # Bezout pair with b*du > 0 so that v + (w - v)/(b*du) lands on u.
         g, a0, b0 = _xgcd(d, du)
-        assert g == 1
+        _check(g == 1, "companion denominator is not coprime to den(v)")
         b = b0
         while b <= 0:
             b += d
@@ -304,8 +317,9 @@ def anchor(p: GeoComplex, v: RPoint,
         w = RPoint(tuple(a * d * vc + b * du * uc
                          for vc, uc in zip(v.coords, u.coords)))
         eps = Fraction(1, b * du)
-        assert all(c.denominator == 1 for c in w.coords)
-        assert segment_ok(w, eps)
+        _check(all(c.denominator == 1 for c in w.coords),
+               "anchor witness is not integral")
+        _check(segment_ok(w, eps), "anchor segment leaves |P|")
         return w, eps
     # Bounded lattice scan; absence after exhaustion leans on the
     # equivalence with strong regularity, cross-checked by the caller.

@@ -1,9 +1,11 @@
 """The .scx exchange format: UTF-8 JSON with exact 'p/q' rationals.
 
 Five document kinds: complex, plmap, weighted, sequence, verdict.  Parsing
-validates both syntax (fractions must be in lowest terms) and semantics
-(complexes must satisfy the simplicial-complex condition); printing is
-canonical, so parse . print is the identity on canonical text.
+validates both syntax (rationals must be written canonically, 'p' or 'p/q'
+in lowest terms; no vertex is listed twice) and semantics (complexes must
+satisfy the simplicial-complex condition); printing is canonical, so
+parse . print is the identity on canonical text.  Every failure is a
+``ScxError`` whose ``where`` locates it in the document.
 """
 
 from __future__ import annotations
@@ -112,6 +114,10 @@ def print_scx(doc: ScxDocument) -> str:
 # -- decoding ----------------------------------------------------------------
 
 
+def _positive_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
 def _parse_point(entry, where: str) -> RPoint:
     if not isinstance(entry, list) or not entry:
         raise ScxError("a point must be a nonempty array of rationals", where)
@@ -120,9 +126,13 @@ def _parse_point(entry, where: str) -> RPoint:
         if not isinstance(txt, str):
             raise ScxError("rationals are strings like '2/3'", f"{where}[{i}]")
         try:
-            coords.append(parse_rat(txt))
+            x = parse_rat(txt)
         except ValueError as exc:
             raise ScxError(str(exc), f"{where}[{i}]") from None
+        if format_rat(x) != txt:
+            raise ScxError(f"{txt!r} is not canonical: write {format_rat(x)!r}",
+                           f"{where}[{i}]")
+        coords.append(x)
     return RPoint(tuple(coords))
 
 
@@ -133,14 +143,19 @@ def _parse_simplex(entry, dim: int, where: str) -> GeoSimplex:
     if any(p.dim != dim for p in points):
         raise ScxError(f"points must have dimension {dim}", where)
     try:
-        return GeoSimplex(tuple(points))
+        s = GeoSimplex(tuple(points))
     except ValueError as exc:
         raise ScxError(str(exc), where) from None
+    if len(s.vertices) != len(points):  # GeoSimplex drops repeats
+        raise ScxError("a simplex lists a vertex twice", where)
+    return s
 
 
 def _parse_complex(body: dict, where: str = "") -> GeoComplex:
+    if not isinstance(body, dict):
+        raise ScxError("a complex must be a JSON object", where.rstrip("."))
     dim = body.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _positive_int(dim):
         raise ScxError("'dim' must be a positive integer", where + "dim")
     sims = body.get("maximal_simplexes")
     if not isinstance(sims, list) or not sims:
@@ -156,18 +171,26 @@ def _parse_complex(body: dict, where: str = "") -> GeoComplex:
 
 def _parse_plmap(body: dict) -> PLMap:
     domain = _parse_complex(body)
+    vertices = set(domain.vertices())
     images = {}
     pairs = body.get("vertex_images")
     if not isinstance(pairs, list):
         raise ScxError("'vertex_images' must be an array of pairs",
                        "vertex_images")
     declared = body.get("codomain_dim")
+    if declared is not None and not _positive_int(declared):
+        raise ScxError("'codomain_dim' must be a positive integer", "codomain_dim")
     for i, pair in enumerate(pairs):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScxError("each entry is [vertex, image]", f"vertex_images[{i}]")
         v = _parse_point(pair[0], f"vertex_images[{i}][0]")
+        if v not in vertices:
+            raise ScxError(f"{v} is not a vertex of the domain",
+                           f"vertex_images[{i}][0]")
+        if v in images:
+            raise ScxError(f"{v} is listed twice", f"vertex_images[{i}][0]")
         img = _parse_point(pair[1], f"vertex_images[{i}][1]")
-        if isinstance(declared, int) and img.dim != declared:
+        if declared is not None and img.dim != declared:
             raise ScxError(f"image dimension {img.dim} contradicts "
                            f"codomain_dim {declared}", f"vertex_images[{i}][1]")
         images[v] = img
@@ -181,38 +204,52 @@ def _parse_weighted(body: dict) -> WeightedComplex:
     names = body.get("vertices")
     faces = body.get("faces")
     weights = body.get("weights")
-    if not isinstance(names, list) or not names:
-        raise ScxError("'vertices' must be a nonempty array", "vertices")
+    if (not isinstance(names, list) or not names
+            or any(not isinstance(v, str) for v in names)
+            or len(set(names)) != len(names)):
+        raise ScxError("'vertices' must be a nonempty array of distinct strings",
+                       "vertices")
     if not isinstance(faces, list):
         raise ScxError("'faces' must be an array of index arrays", "faces")
     if (not isinstance(weights, list) or len(weights) != len(names)
-            or any(not isinstance(w, int) or w < 1 for w in weights)):
+            or not all(map(_positive_int, weights))):
         raise ScxError("'weights' must be positive integers, one per vertex",
                        "weights")
+    fsets = []
+    for i, f in enumerate(faces):
+        if (not isinstance(f, list)
+                or any(isinstance(j, bool) or not isinstance(j, int)
+                       or not 0 <= j < len(names) for j in f)
+                or len(set(f)) != len(f)):
+            raise ScxError(f"a face is an array of distinct vertex indices "
+                           f"0..{len(names) - 1}", f"faces[{i}]")
+        fsets.append(frozenset(names[j] for j in f))
     try:
-        fsets = [frozenset(names[i] for i in f) for f in faces]
         base = AbsComplex(names, fsets)
-        return WeightedComplex(base, dict(zip(names, weights)))
-    except (ValueError, IndexError, TypeError) as exc:
+    except ValueError as exc:
         raise ScxError(str(exc), "faces") from None
+    return WeightedComplex(base, dict(zip(names, weights)))
 
 
-def _parse_sequence(body: dict) -> CollapseSequence:
+def _parse_sequence(body: dict, where: str = "") -> CollapseSequence:
+    if not isinstance(body, dict):
+        raise ScxError("a collapse sequence must be a JSON object", where.rstrip("."))
     steps_in = body.get("steps")
     terminal_in = body.get("terminal")
     if not isinstance(steps_in, list):
-        raise ScxError("'steps' must be an array", "steps")
-    terminal = _parse_point(terminal_in, "terminal")
+        raise ScxError("'steps' must be an array", where + "steps")
+    terminal = _parse_point(terminal_in, where + "terminal")
     steps = []
     for i, pair in enumerate(steps_in):
+        at = f"{where}steps[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
-            raise ScxError("each step is [maximal, free_facet]", f"steps[{i}]")
-        t = _parse_simplex(pair[0], terminal.dim, f"steps[{i}][0]")
-        f = _parse_simplex(pair[1], terminal.dim, f"steps[{i}][1]")
+            raise ScxError("each step is [maximal, free_facet]", at)
+        t = _parse_simplex(pair[0], terminal.dim, at + "[0]")
+        f = _parse_simplex(pair[1], terminal.dim, at + "[1]")
         try:
             steps.append(CollapseStep(t, f))
         except ValueError as exc:
-            raise ScxError(str(exc), f"steps[{i}]") from None
+            raise ScxError(str(exc), at) from None
     return CollapseSequence(tuple(steps), GeoSimplex((terminal,)))
 
 
@@ -221,14 +258,19 @@ def _parse_verdict(body: dict) -> RetractVerdict:
     if status not in ("certified", "refuted", "unknown"):
         raise ScxError("'status' must be certified/refuted/unknown", "status")
     reason = body.get("refutation_reason")
+    if reason is not None and not isinstance(reason, str):
+        raise ScxError("'refutation_reason' must be a string", "refutation_reason")
     witnesses = None
     wbody = body.get("witnesses")
-    if isinstance(wbody, dict):
+    if wbody is not None:
+        if not isinstance(wbody, dict):
+            raise ScxError("'witnesses' must be a JSON object", "witnesses")
         lattice = (_parse_point(wbody["lattice_vertex"], "witnesses.lattice_vertex")
                    if "lattice_vertex" in wbody else None)
         ccx = (_parse_complex(wbody["collapse_complex"], "witnesses.collapse_complex.")
                if "collapse_complex" in wbody else None)
-        seq = (_parse_sequence(wbody["collapse_sequence"])
+        seq = (_parse_sequence(wbody["collapse_sequence"],
+                               "witnesses.collapse_sequence.")
                if "collapse_sequence" in wbody else None)
         srt = (_parse_complex(wbody["strongly_regular"], "witnesses.strongly_regular.")
                if "strongly_regular" in wbody else None)
@@ -241,10 +283,14 @@ def parse_scx(text: str) -> ScxDocument:
     try:
         body = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScxError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                       f"{exc.msg}") from None
+        raise ScxError(f"invalid JSON: {exc.msg}",
+                       f"line {exc.lineno}, column {exc.colno}") from None
+    except (ValueError, RecursionError) as exc:
+        # Integer literals past Python's digit limit, or nesting past the
+        # recursion limit.
+        raise ScxError(f"invalid JSON: {exc}", "document") from None
     if not isinstance(body, dict):
-        raise ScxError("the document must be a JSON object")
+        raise ScxError("the document must be a JSON object", "document")
     version = body.get("version")
     if version != FORMAT_VERSION:
         raise ScxError(f"unsupported format version {version!r}", "version")

@@ -6,8 +6,11 @@ import pytest
 
 from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, WeightedComplex,
                  from_maximal, realize, rpoint, simplicially_isomorphic,
-                 skeleton, standard_cube, stellar, pipeline_dh)
-from zrk.complexes import NotASimplicialComplex, _meet_in_common_face
+                 skeleton, standard_cube, stellar, pipeline_dh,
+                 part2_reduce)
+from zrk import linalg
+from zrk.complexes import (NotASimplicialComplex, _meet_in_common_face,
+                           _separated)
 from zrk.zmaps import DomainError
 from zrk.regular import is_regular
 from zrk.scx import ScxError, parse_scx
@@ -95,7 +98,7 @@ def _pool_simplex(rng: random.Random, pool: list, k: int) -> GeoSimplex:
             continue
 
 
-def test_common_face_lp_matches_enumeration_oracle():
+def _seeded_pairs() -> list[tuple[GeoSimplex, GeoSimplex]]:
     rng = random.Random(20144)
     pairs = []
     # Faces of two stellar subdivisions of one cube: maximal simplexes and
@@ -126,15 +129,71 @@ def test_common_face_lp_matches_enumeration_oracle():
             for _ in range(12):
                 pairs.append(tuple(_pool_simplex(rng, pool, rng.randint(0, d))
                                    for _ in range(2)))
-    improper = shared_improper = 0
+    return pairs
+
+
+def _shared(a: GeoSimplex, b: GeoSimplex) -> set:
+    return set(a._vertex_rows) & set(b._vertex_rows)
+
+
+def test_common_face_lp_matches_enumeration_oracle():
+    # The separating form may only ever certify proper pairs; it must also
+    # fire often enough to matter.
+    improper = shared_improper = fired = 0
+    pairs = _seeded_pairs()
     for a, b in pairs:
         expected = enumerate_meet_in_common_face(a, b)
-        assert _meet_in_common_face(a, b) is expected, (a, b)
-        assert _meet_in_common_face(b, a) is expected, (a, b)
+        for x, y in ((a, b), (b, a)):
+            assert _meet_in_common_face(x, y) is expected, (x, y)
+            hit = _separated(x, y, _shared(x, y))
+            assert not hit or expected, (x, y)
+            fired += hit
         if not expected:
             improper += 1
             shared_improper += bool(set(a.vertices) & set(b.vertices))
     assert improper >= 20 and shared_improper >= 10
+    assert fired >= len(pairs) - improper
+
+
+def test_separating_form_never_fires_on_overlaps():
+    # Improper pairs with shared vertices, where no form may fire.
+    base = tri((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    for a, b in [
+            # coplanar triangles sharing a vertex and still overlapping
+            (base, tri((0, 0, 0), (1, 1, 0), (1, 2, 0))),
+            # tetrahedra sharing an edge whose interiors overlap
+            (tri((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+             tri((0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 1, -1))),
+            # a segment piercing a triangle
+            (tri(("1/4", "1/4", -1), ("1/4", "1/4", 1)), base)]:
+        for x, y in ((a, b), (b, a)):
+            assert not _separated(x, y, _shared(x, y)), (x, y)
+
+
+def test_separating_form_fires_through_an_equality_row():
+    # a lies in z = 0 and b meets it in the origin only.  The barycentric
+    # forms x and y of a take both signs on b's other vertices, so only the
+    # hull equality z = 0 of a separates.
+    a = tri((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    b = tri((0, 0, 0), (1, 1, 1), (-1, 0, 1), (0, -1, 1))
+    assert _separated(a, b, _shared(a, b))
+    # A segment on the x axis against a triangle above it, sharing nothing.
+    c = tri((0, 0, 0), (1, 0, 0))
+    d = tri((-1, -1, 1), (2, 1, 1), (0, 2, "1/2"))
+    assert _separated(c, d, _shared(c, d))
+    for x, y in ((a, b), (c, d)):
+        assert _meet_in_common_face(x, y) and enumerate_meet_in_common_face(x, y)
+
+
+def test_separating_form_spares_most_lps(monkeypatch):
+    # 192 of the 276 pairs of cube4 have a separating form; the rest reach
+    # the LP.
+    calls = []
+    lp = linalg.lp_maximize
+    monkeypatch.setattr(linalg, "lp_maximize",
+                        lambda *args: calls.append(1) or lp(*args))
+    from_maximal(standard_cube(4).maximal_simplexes())
+    assert len(calls) <= 84
 
 
 def test_maximal_simplexes_match_scanning_oracle():
@@ -360,6 +419,41 @@ def test_realize_always_regular():
     cx = realize(w)
     GeoComplex(cx.maximal_simplexes(), validate=True)
     assert all(is_regular(s) for s in cx.simplexes)
+
+
+def _realize_validated(w: WeightedComplex) -> GeoComplex:
+    """The realization built with the validating simplex constructor."""
+    k = len(w.base.vertices)
+    placed = {v: rpoint(*[Fraction(int(i == j), w.weights[v]) for j in range(k)])
+              for i, v in enumerate(w.base.vertices)}
+    return GeoComplex([GeoSimplex(tuple(placed[v] for v in f))
+                       for f in w.base.faces], validate=False)
+
+
+def test_realize_matches_validating_build():
+    ws = [WeightedComplex(AbsComplex(["a", "b"], [frozenset({"a", "b"})]),
+                          {"a": 1, "b": 2}),
+          WeightedComplex(AbsComplex(["a", "b", "c"],
+                                     [frozenset({"a", "b"}), frozenset({"b", "c"})]),
+                          {"a": 1, "b": 2, "c": 1}),
+          WeightedComplex(AbsComplex(["a", "b", "c", "d"],
+                                     [frozenset({"a", "b", "c"}), frozenset({"c", "d"})]),
+                          {"a": 2, "b": 3, "c": 1, "d": 6})]
+    # The weighted skeleton part2_reduce builds for the fold of the square
+    # onto its half diagonal, its domain subdivided at a seeded point.
+    rng = random.Random(20148)
+    half = rpoint("1/2", "1/2")
+    square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
+    fold = PLMap(square, {rpoint(0, 0): rpoint(0, 0), rpoint(1, 0): half,
+                          rpoint(0, 1): half, rpoint(1, 1): half})
+    point = rpoint(*[Fraction(rng.randint(1, 3), 4) for _ in range(2)])
+    fold = fold.rebase(stellar(square, point))
+    diagonal = from_maximal([GeoSimplex((rpoint(0, 0), half))])
+    result = pipeline_dh(fold, diagonal)
+    ws.append(part2_reduce(result.map, result.triangulation, diagonal).weighted)
+    for w in ws:
+        assert realize(w) == _realize_validated(w)
+    assert len(ws[-1].base.faces) > 20
 
 
 def test_abscomplex_invariants():

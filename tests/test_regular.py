@@ -9,7 +9,8 @@ from zrk import (GeoSimplex, anchor, coprime_point, den, desingularize,
                  has_strongly_regular_triangulation, homog, is_regular,
                  is_strongly_regular, is_strongly_regular_simplex,
                  is_subdivision, rpoint, standard_cube, stellar)
-from zrk.regular import BudgetExhausted
+from zrk import linalg, regular
+from zrk.regular import BudgetExhausted, InvariantBroken
 
 from conftest import seg, tri, random_simplex
 from oracles import minor_gcd
@@ -169,6 +170,53 @@ def test_anchor_absent_on_antidiagonal(antidiagonal):
 def test_anchor_outside_support(half_interval):
     with pytest.raises(ValueError, match="point not in support"):
         anchor(half_interval, rpoint("3/4"))
+
+
+# Broken invariants raise InvariantBroken, also under ``python -O``; each
+# test below forces one through a monkeypatched helper.
+
+
+def test_integer_inverse_invariants(monkeypatch):
+    assert regular._integer_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    with pytest.raises(InvariantBroken, match="not unimodular"):
+        regular._integer_inverse([[2]])
+    monkeypatch.setattr(linalg, "solve_square", lambda m, rhs: None)
+    with pytest.raises(InvariantBroken, match="singular"):
+        regular._integer_inverse([[1]])
+
+
+def test_box_point_invariants(monkeypatch):
+    with pytest.raises(InvariantBroken, match="no box point"):
+        regular._box_point(seg(0, 1))
+    bad = GeoSimplex((rpoint("1/3", 0), rpoint("2/3", 0)))
+    with monkeypatch.context() as m:
+        # A wrong inverse: its torsion row e_y is off the span of the
+        # vertex vectors (1, 0, 3) and (2, 0, 3).
+        m.setattr(regular, "_integer_inverse",
+                  lambda v: [[int(i == j) for j in range(len(v))]
+                             for i in range(len(v))])
+        with pytest.raises(InvariantBroken, match="torsion generator"):
+            regular._box_point(bad)
+    monkeypatch.setattr(linalg, "solve_affine",
+                        lambda cols, rhs: ([Fraction(0)] * len(cols[0]), []))
+    with pytest.raises(InvariantBroken, match="every box coefficient"):
+        regular._box_point(bad)
+
+
+def test_coprime_point_invariant(monkeypatch):
+    monkeypatch.setattr(regular, "_composition_with_total", lambda dens, total: None)
+    with pytest.raises(InvariantBroken, match="exhausted its cap"):
+        coprime_point(seg("1/2", "1/3"), 6)
+
+
+def test_anchor_invariants(monkeypatch, half_interval):
+    monkeypatch.setattr(regular, "_xgcd", lambda a, b: (2, 0, 0))
+    with pytest.raises(InvariantBroken, match="not coprime"):
+        anchor(half_interval, rpoint("1/2"))
+    monkeypatch.undo()
+    monkeypatch.setattr(regular.subdivide, "supports", lambda cover, s: False)
+    with pytest.raises(InvariantBroken, match="leaves"):
+        anchor(half_interval, rpoint("1/2"))
 
 
 def test_has_strongly_regular_triangulation_golden(half_interval, third_interval,

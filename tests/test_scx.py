@@ -1,8 +1,13 @@
+import json
+from fractions import Fraction
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from zrk import (GeoSimplex, PLMap, certify_main, find_collapse_sequence,
                  from_maximal, rpoint, standard_cube)
 from zrk.complexes import AbsComplex, WeightedComplex
+from zrk.exactnum import format_rat
 from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
 
 from conftest import seg
@@ -108,3 +113,231 @@ def test_plmap_codomain_consistency_checked():
                "vertex_images": [[["0"], ["0"]], [["1"], ["0"]]]}"""
     with pytest.raises(ScxError, match="codomain_dim"):
         parse_scx(text)
+
+
+# -- fuzzing ---------------------------------------------------------------
+#
+# Every malformed document must raise ScxError with a location, never another
+# exception.  Fixed example counts, derandomized and without a database, so
+# the suite stays deterministic.
+
+FUZZ = settings(max_examples=40, database=None, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _valid_documents() -> list[str]:
+    half = from_maximal([seg(0, "1/2")])
+    tent_domain = from_maximal([seg(0, "1/2"), seg("1/2", 1)])
+    tent = PLMap(tent_domain, {rpoint(0): rpoint(0), rpoint("1/2"): rpoint("1/2"),
+                               rpoint(1): rpoint(0)})
+    base = AbsComplex(["a", "b", "c"], [frozenset({"a", "b"}), frozenset({"b", "c"})])
+    docs = [ScxDocument("complex", standard_cube(2)),
+            ScxDocument("plmap", tent),
+            ScxDocument("weighted", WeightedComplex(base, {"a": 1, "b": 2, "c": 3})),
+            ScxDocument("sequence", find_collapse_sequence(standard_cube(2))),
+            ScxDocument("verdict", certify_main(half))]
+    return [print_scx(doc) for doc in docs]
+
+
+VALID = _valid_documents()
+
+
+def _rejects(text: str) -> None:
+    with pytest.raises(ScxError) as err:
+        parse_scx(text)
+    assert err.value.where, str(err.value)
+
+
+@FUZZ
+@given(st.text(max_size=60))
+@example("[" * 100_000)
+@example('{"version": "1", "kind": "complex", "dim": ' + "9" * 5000 + "}")
+def test_fuzz_malformed_json(text):
+    _rejects(text)
+
+
+@FUZZ
+@given(st.sampled_from(VALID), st.data())
+def test_fuzz_truncated_documents(text, data):
+    _rejects(text[:data.draw(st.integers(0, text.rindex("}") - 1))])
+
+
+@FUZZ
+@given(st.integers(4301, 6000), st.sampled_from(["dim", "coordinate", "weight"]))
+def test_fuzz_huge_integers(digits, place):
+    huge = "9" * digits
+    if place == "dim":
+        text = VALID[0].replace('"dim": 2', '"dim": ' + huge)
+    elif place == "coordinate":
+        text = VALID[0].replace('"1"', '"' + huge + '"', 1)
+    else:
+        text = VALID[2].replace('"weights": [\n    1', '"weights": [\n    ' + huge)
+    assert text not in VALID
+    _rejects(text)
+
+
+@FUZZ
+@given(st.sampled_from(["point", "dim", "image", "codomain"]), st.data())
+def test_fuzz_mismatched_dimensions(case, data):
+    # complex, plmap and sequence documents carry points.
+    text = data.draw(st.sampled_from([VALID[0], VALID[1], VALID[3]] if case == "point"
+                                     else VALID[:2] if case == "dim" else VALID[1:2]))
+    body = json.loads(text)
+    if case == "point":
+        # One point gains a coordinate: in a simplex, an image, a step or
+        # the terminal vertex.
+        p = data.draw(st.sampled_from(list(_points(body))))
+        p.append(format_rat(data.draw(st.fractions(0, 1, max_denominator=5))))
+    elif case == "dim":
+        body["dim"] = data.draw(st.integers(-3, 0) | st.integers(3, 10**30))
+    elif case == "image":
+        pairs = body["vertex_images"]
+        data.draw(st.sampled_from(pairs))[1].append("0")
+    else:
+        body["codomain_dim"] = data.draw(st.integers(2, 5))
+    _rejects(json.dumps(body))
+
+
+def _points(node):
+    """Every innermost list of strings in a parsed document."""
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _points(v)
+    elif isinstance(node, list):
+        if node and all(isinstance(x, str) for x in node):
+            yield node
+        else:
+            for v in node:
+                yield from _points(v)
+
+
+@FUZZ
+@given(st.data())
+def test_fuzz_repeated_vertices(data):
+    text = data.draw(st.sampled_from(VALID[:4]))
+    body = json.loads(text)
+    kind = body["kind"]
+    if kind == "complex":
+        s = data.draw(st.sampled_from(body["maximal_simplexes"]))
+        s.insert(data.draw(st.integers(0, len(s))), list(data.draw(st.sampled_from(s))))
+    elif kind == "plmap":
+        pairs = body["vertex_images"]
+        pairs.append(json.loads(json.dumps(data.draw(st.sampled_from(pairs)))))
+    elif kind == "weighted":
+        if data.draw(st.booleans()):
+            body["vertices"].append(data.draw(st.sampled_from(body["vertices"])))
+            body["weights"].append(1)
+        else:
+            f = data.draw(st.sampled_from(body["faces"]))
+            f.append(data.draw(st.sampled_from(f)))
+    else:
+        step = data.draw(st.sampled_from(body["steps"]))
+        s = step[data.draw(st.integers(0, 1))]
+        s.append(list(data.draw(st.sampled_from(s))))
+    _rejects(json.dumps(body))
+
+
+def _noncanonical(x: Fraction, how: str) -> str:
+    t = format_rat(x)
+    sign, digits = ("-", t[1:]) if t.startswith("-") else ("", t)
+    return {"plus": "+" + t,
+            "space": " " + t,
+            "trailing": t + " ",
+            "zero": sign + "0" + digits,
+            "unit": f"{2 * x.numerator}/{2 * x.denominator}" if x.denominator > 1
+                    else f"{t}/1",
+            "underscore": f"{sign}1_{digits}",
+            "negzero": "-0"}[how]
+
+
+@FUZZ
+@given(st.fractions(-3, 3, max_denominator=7),
+       st.sampled_from(["plus", "space", "trailing", "zero", "unit",
+                        "underscore", "negzero"]),
+       st.sampled_from(VALID[:2] + VALID[3:]), st.data())
+def test_fuzz_noncanonical_rationals(x, how, text, data):
+    body = json.loads(text)
+    p = data.draw(st.sampled_from(list(_points(body))))
+    p[data.draw(st.integers(0, len(p) - 1))] = _noncanonical(x, how)
+    _rejects(json.dumps(body))
+
+
+@st.composite
+def improper_complexes(draw):
+    """A full-dimensional simplex T and a segment through its barycentre c,
+    from c outward or from a vertex of T: the pair never meets in a common
+    face."""
+    d = draw(st.integers(1, 3))
+    origin = [draw(st.integers(-3, 3)) for _ in range(d)]
+    # Lower-triangular edge vectors with a positive diagonal keep T full
+    # dimensional.
+    edges = [[draw(st.integers(-2, 2)) if j < i else draw(st.integers(1, 3)) if j == i
+              else 0 for j in range(d)] for i in range(d)]
+    verts = [origin] + [[o + e for o, e in zip(origin, edge)] for edge in edges]
+    c = [Fraction(sum(col), d + 1) for col in zip(*verts)]
+    if draw(st.booleans()):
+        start = [Fraction(x) for x in draw(st.sampled_from(verts))]
+    else:
+        offset = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+                      .filter(any))
+        start = [a + b for a, b in zip(c, offset)]
+    sims = [[[format_rat(x) for x in v] for v in verts],
+            [[format_rat(x) for x in start], [format_rat(x) for x in c]]]
+    return json.dumps({"version": "1", "kind": "complex", "dim": d,
+                       "maximal_simplexes": draw(st.permutations(sims))})
+
+
+@FUZZ
+@given(improper_complexes())
+def test_fuzz_improper_complexes(text):
+    with pytest.raises(ScxError, match="not a simplicial complex") as err:
+        parse_scx(text)
+    assert err.value.where == "maximal_simplexes"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**20) | st.text(max_size=5)
+    | st.sampled_from(["0", "1", "1/2", "-1", "2/4", "complex"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def _slots(node, out):
+    """(container, key) for every value in a parsed document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+@FUZZ
+@given(st.sampled_from(VALID), st.data())
+def test_fuzz_mutated_documents(text, data):
+    # One value replaced or deleted anywhere: the result may still be a
+    # valid document, but a failure is always a located ScxError.
+    body = json.loads(text)
+    container, key = data.draw(st.sampled_from(_slots(body, [])))
+    if data.draw(st.booleans()):
+        container[key] = data.draw(JSON_VALUES)
+    else:
+        del container[key]
+    try:
+        parse_scx(json.dumps(body))
+    except ScxError as exc:
+        assert exc.where, str(exc)
+
+
+def test_nested_witnesses_must_be_objects():
+    body = json.loads(VALID[4])
+    for key in ("collapse_complex", "collapse_sequence"):
+        broken = json.loads(VALID[4])
+        broken["witnesses"][key] = [1]
+        with pytest.raises(ScxError) as err:
+            parse_scx(json.dumps(broken))
+        assert err.value.where == f"witnesses.{key}"
+    body["witnesses"] = "none"
+    with pytest.raises(ScxError, match="JSON object"):
+        parse_scx(json.dumps(body))
