@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
+from types import SimpleNamespace
 from typing import Hashable, Iterable, Optional, Sequence
 
 from . import linalg
@@ -57,6 +58,17 @@ class RPoint:
 
     def __getitem__(self, i):
         return self.coords[i]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.coords,))
+
+    def __hash__(self) -> int:
+        # The generated hash, computed once: otherwise every set or cache
+        # lookup hashes each Fraction coordinate again.  ``_hash`` lives in
+        # the instance dict, not in a field, so equality, ordering and repr
+        # ignore it.
+        return self._hash
 
     def __repr__(self):
         return "(" + ", ".join(format_rat(c) for c in self.coords) + ")"
@@ -95,6 +107,14 @@ class GeoSimplex:
         object.__setattr__(obj, "vertices", vertices)
         return obj
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.vertices,))
+
+    def __hash__(self) -> int:
+        # As RPoint: the generated hash, computed once per instance.
+        return self._hash
+
     @property
     def dim(self) -> int:
         return len(self.vertices) - 1
@@ -129,6 +149,13 @@ class GeoSimplex:
                          for x in f.coeffs + (f.const,))
 
         return tuple(map(row, eqs)), tuple(map(row, bary)), scale
+
+    @cached_property
+    def _box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """The bounding box (lowest corner, highest corner), cached on the
+        instance like ``_point_rows``."""
+        columns = list(zip(*(v.coords for v in self.vertices)))
+        return tuple(map(min, columns)), tuple(map(max, columns))
 
     @cached_property
     def _vertex_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -190,15 +217,14 @@ def simplex_hrep(s: GeoSimplex):
     return linalg.simplex_forms([v.coords for v in s.vertices])
 
 
-@lru_cache(maxsize=None)
-def _bbox(s: GeoSimplex):
-    lo = tuple(min(v[i] for v in s.vertices) for i in range(s.ambient_dim))
-    hi = tuple(max(v[i] for v in s.vertices) for i in range(s.ambient_dim))
-    return lo, hi
+# The box is GeoSimplex._box now.  bench/make_golden.py still empties
+# ``_bbox`` with the module-level caches, so a no-op stands in for it until
+# that script stops calling it.
+_bbox = SimpleNamespace(cache_clear=lambda: None)
 
 
 def _bbox_overlap(a: GeoSimplex, b: GeoSimplex) -> bool:
-    (alo, ahi), (blo, bhi) = _bbox(a), _bbox(b)
+    (alo, ahi), (blo, bhi) = a._box, b._box
     return all(al <= bh and bl <= ah for al, ah, bl, bh in zip(alo, ahi, blo, bhi))
 
 
@@ -343,7 +369,7 @@ class GeoComplex:
         bounding-box prefilter before the integer test."""
         x = _homogeneous(p, self.ambient_dim)
         for s in self.maximal_simplexes():
-            lo, hi = _bbox(s)
+            lo, hi = s._box
             if any(c < a or c > b for c, a, b in zip(p.coords, lo, hi)):
                 continue
             w = s._weights(x)

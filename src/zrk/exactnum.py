@@ -35,7 +35,8 @@ def parse_rat(text: str) -> Rat:
 
 def format_rat(x: Rat) -> str:
     """Serialize as 'p/q' for true fractions and 'p' for integers."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

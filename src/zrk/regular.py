@@ -3,12 +3,18 @@
 A rational point v has the homogeneous integer vector den(v)*(v, 1); a
 simplex is regular when those vectors extend to a basis of Z^{n+1}, and
 strongly regular when additionally the vertex denominators are globally
-coprime.  Desingularization proceeds by stellar blow-ups at Farey mediant
-points of non-saturated vertex subsets.
+coprime.  Desingularization blows up the least non-regular maximal simplex
+at a lattice point of its fundamental box (on a 1-simplex, the Farey
+mediant) until every simplex is regular.  ``desingularize`` keeps only the
+set of maximal simplexes, replaces the star of the blown-up carrier at each
+step and builds the complex once at the end; ``desingularize_relative``
+watches the subcomplex inside a polyhedron, so it rebuilds the complex with
+``subdivide.stellar`` at each step.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -171,29 +177,57 @@ def _box_point(s: GeoSimplex) -> RPoint:
     return RPoint(tuple(Fraction(e, xi[-1]) for e in xi[:-1]))
 
 
-def _blow_up_until_regular(cx: GeoComplex, watched, budget: int) -> GeoComplex:
-    """Blow up the least non-regular simplex of ``watched(cx)`` at a box
-    point until none is left; more than ``budget`` steps raise."""
-    steps = 0
-    while True:
-        bad = sorted((s for s in watched(cx) if not is_regular(s)),
-                     key=lambda s: (s.dim, s.vertices))
-        if not bad:
-            return cx
-        cx = subdivide.stellar(cx, _box_point(bad[0]))
-        steps += 1
-        if steps > budget:
-            raise BudgetExhausted("desingularization budget exhausted")
-
-
 def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
     """Stellar subdivision in which every simplex is regular.
 
     Faces of regular simplexes are regular, so only maximal simplexes are
-    watched.  The budget counts stellar steps; exceeding it raises, it
-    never returns a wrong answer.
+    watched.  Each step blows up the least non-regular maximal simplex s,
+    in (dim, vertices) order, at its box point p (``_box_point``).  The
+    budget counts stellar steps; exceeding it raises, it never returns a
+    wrong answer.
+
+    The steps work on the set M of maximal simplexes alone; the complex is
+    built once at the end.  Why that is the same as ``subdivide.stellar``
+    on the whole complex: p = sum c_i w_i over s's homogeneous vertex
+    vectors with every c_i >= 0, so p lies in s, and its carrier C is the
+    face of s on the vertices with c_i > 0, read off ``s._weights``.  The
+    simplexes of stellar(K, p) are the simplexes of K not containing C and
+    the cones F u {p} over faces F, not containing C, of simplexes
+    containing C.  Each lies in a maximal one of two kinds: an m in M
+    without C, untouched and still maximal (it does not contain p and no
+    simplex of K strictly contains it), or a cone (m minus u) u {p} for an
+    m in M containing C and a vertex u of C, since a face F of m missing
+    some u of C lies in m minus u.  No such cone lies in another: a face F'
+    of some m' in M containing C with F' strictly containing m minus u
+    misses u, so F' u {u} lies in m' and strictly contains m, which is
+    maximal.  So M is updated by replacing each m containing C with its
+    cones, and the closure of M is stellar(K, p).
     """
-    return _blow_up_until_regular(cx, GeoComplex.maximal_simplexes, budget)
+    n = cx.ambient_dim
+    maximal = set(cx.maximal_simplexes())
+    heap = [(s.dim, s) for s in maximal if not is_regular(s)]
+    heapq.heapify(heap)
+    steps = 0
+    while heap:
+        _, s = heapq.heappop(heap)
+        if s not in maximal:
+            continue
+        p = _box_point(s)
+        weights = s._weights(_homogeneous(p, n))
+        carrier = {v for v, a in zip(s.vertices, weights) if a > 0}
+        star = [m for m in maximal if carrier.issubset(m.vertices)]
+        maximal.difference_update(star)
+        for m in star:
+            for u in carrier:
+                cone = GeoSimplex._raw(tuple(sorted(
+                    [v for v in m.vertices if v != u] + [p])))
+                maximal.add(cone)
+                if not is_regular(cone):
+                    heapq.heappush(heap, (cone.dim, cone))
+        steps += 1
+        if steps > budget:
+            raise BudgetExhausted("desingularization budget exhausted")
+    return GeoComplex(maximal, validate=False) if steps else cx
 
 
 def desingularize_relative(cx: GeoComplex, part: GeoComplex,
@@ -203,13 +237,22 @@ def desingularize_relative(cx: GeoComplex, part: GeoComplex,
     Requires the simplexes of cx inside |part| to triangulate |part|
     already; blow-ups happen at mediants inside |part|, so that property is
     maintained while the rest of the complex is refined only incidentally.
+    The budget counts stellar steps, as in ``desingularize``.
     """
     if not subdivide._adapted(subdivide.inside_subcomplex(cx, part), part):
         raise ValueError("precondition violation: the inside subcomplex "
                          "does not triangulate |P|")
-    return _blow_up_until_regular(
-        cx, lambda c: subdivide.inside_subcomplex(c, part).maximal_simplexes(),
-        budget)
+    steps = 0
+    while True:
+        inside = subdivide.inside_subcomplex(cx, part)
+        bad = [s for s in inside.maximal_simplexes() if not is_regular(s)]
+        if not bad:
+            return cx
+        cx = subdivide.stellar(
+            cx, _box_point(min(bad, key=lambda s: (s.dim, s.vertices))))
+        steps += 1
+        if steps > budget:
+            raise BudgetExhausted("desingularization budget exhausted")
 
 
 def coprime_point(s: GeoSimplex, k: int) -> RPoint:

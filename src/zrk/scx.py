@@ -51,9 +51,12 @@ def _simplex_out(s: GeoSimplex) -> list[list[str]]:
 
 
 def _complex_body(cx: GeoComplex) -> dict:
+    # Each vertex is formatted once, not once per simplex containing it.
+    text = {v: _point_out(v) for v in cx.vertices()}
     return {
         "dim": cx.ambient_dim,
-        "maximal_simplexes": [_simplex_out(s) for s in cx.maximal_simplexes()],
+        "maximal_simplexes": [[text[v] for v in s.vertices]
+                              for s in cx.maximal_simplexes()],
     }
 
 

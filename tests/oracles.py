@@ -16,7 +16,9 @@ fresh ``Fraction`` system for every point, and ``affine_hull_forms`` and
 ``vertex_forms`` solve one system per form, from before each simplex cached
 integer forms from one echelon; ``scan_carrier`` tests every face of a
 complex, and ``product_lattice_points`` tests every vertex of the cube
-against every maximal simplex.
+against every maximal simplex.  ``rebuild_desingularize`` rebuilds the whole
+complex with ``subdivide.stellar`` at every blow-up, from before
+``regular.desingularize`` replaced only the star of the blown-up simplex.
 """
 
 import math
@@ -24,10 +26,11 @@ import sys
 from fractions import Fraction
 from itertools import combinations, product
 
-from zrk import linalg
+from zrk import linalg, subdivide
 from zrk.collapse import CollapseSequence, CollapseStep
-from zrk.complexes import GeoSimplex, RPoint, _bbox, _bbox_overlap, simplex_hrep
+from zrk.complexes import GeoSimplex, RPoint, _bbox_overlap, simplex_hrep
 from zrk.exactnum import IntMat
+from zrk.regular import BudgetExhausted, _box_point, is_regular
 from zrk.linalg import (AffineForm, _echelon, dot, solve_affine, solve_square,
                         vadd, vscale)
 
@@ -87,7 +90,7 @@ def scan_carrier(cx, p: RPoint):
     simplex with ``barycentric_coords``; the reference for
     ``GeoComplex.carrier``."""
     for s in cx.simplexes:
-        lo, hi = _bbox(s)
+        lo, hi = s._box
         if any(c < a or c > b for c, a, b in zip(p.coords, lo, hi)):
             continue
         lam = barycentric_coords([v.coords for v in s.vertices], p.coords)
@@ -346,3 +349,20 @@ def enumerate_meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
         return False
     face = GeoSimplex(shared)
     return all(face.contains(RPoint(p)) for p in cut)
+
+
+def rebuild_desingularize(cx, budget: int = 10_000):
+    """Blow up the least non-regular maximal simplex at its box point with
+    ``subdivide.stellar`` on the whole complex, rebuilding the complex and
+    its maximal simplexes every step; the reference for
+    ``regular.desingularize``."""
+    steps = 0
+    while True:
+        bad = sorted((s for s in cx.maximal_simplexes() if not is_regular(s)),
+                     key=lambda s: (s.dim, s.vertices))
+        if not bad:
+            return cx
+        cx = subdivide.stellar(cx, _box_point(bad[0]))
+        steps += 1
+        if steps > budget:
+            raise BudgetExhausted("desingularization budget exhausted")

@@ -196,6 +196,37 @@ def test_separating_form_spares_most_lps(monkeypatch):
     assert len(calls) <= 84
 
 
+def test_hash_is_the_generated_hash_computed_once(monkeypatch):
+    # Points and simplexes cache their hash, which must equal the generated
+    # dataclass hash so that sets iterate in the same order as before.
+    s = tri(("1/2", 0), (0, "1/3"), (1, 1))
+    raw = GeoSimplex._raw(s.vertices)
+    simplexes = [s, raw, *s.faces(), tri((1, 1), ("1/2", 0), (0, "1/3"))]
+    for t in simplexes:
+        assert hash(t) == hash((t.vertices,))
+        for v in t.vertices:
+            assert hash(v) == hash((v.coords,))
+    assert raw == s and hash(raw) == hash(s) == hash(simplexes[-1])
+    assert hash(rpoint("1/2", 0)) == hash(s.vertices[1])
+
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__",
+                        lambda x: calls.append(x) or fraction_hash(x))
+    p = rpoint("2/5", "3/7")
+    hash(p)
+    assert calls == list(p.coords)
+    t = GeoSimplex._raw((rpoint(0, 0), p))
+    face = next(iter(tri((0, 0), ("2/5", "3/7"), (1, 0)).faces()))
+    for obj in (p, t, face):
+        hash(obj)
+        before = len(calls)
+        hash(obj)
+        {obj}
+        frozenset([obj])
+        assert len(calls) == before
+
+
 def test_maximal_simplexes_match_scanning_oracle():
     rng = random.Random(20145)
     cxs = [from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (2, 0), (2, 1)),

@@ -4,16 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from zrk import (GeoSimplex, anchor, coprime_point, den, desingularize,
+from zrk import (GeoComplex, GeoSimplex, anchor, coprime_point, den, desingularize,
                  desingularize_relative, from_maximal,
                  has_strongly_regular_triangulation, homog, is_regular,
                  is_strongly_regular, is_strongly_regular_simplex,
                  is_subdivision, rpoint, standard_cube, stellar)
-from zrk import linalg, regular
+from zrk import linalg, regular, subdivide
 from zrk.regular import BudgetExhausted, InvariantBroken
 
-from conftest import seg, tri, random_simplex
-from oracles import minor_gcd
+from conftest import random_rational, random_simplex, seg, tri
+from oracles import minor_gcd, rebuild_desingularize
 
 
 def test_den_golden():
@@ -83,23 +83,82 @@ def test_desingularize_2d():
     assert all(is_regular(s) for s in out.simplexes)
 
 
-def test_desingularize_random_corpus():
+def _desingularize_inputs():
+    """15 seed-23 random simplexes, seeded stellar subdivisions of cube2-3
+    at random rational points, and random rational simplexes in
+    [0,1]^2..3."""
+    cxs = []
     rng = random.Random(23)
-    done = 0
-    while done < 15:
+    while len(cxs) < 15:
         s = random_simplex(rng, rng.randint(1, 2), 6)
-        if s.dim == 0:
-            continue
-        cx = from_maximal([s])
+        if s.dim > 0:
+            cxs.append(from_maximal([s]))
+    rng = random.Random(20148)
+    for n in (2, 2, 3, 3):
+        cx = standard_cube(n)
+        for _ in range(rng.randint(2, 3)):
+            cx = stellar(cx, rpoint(*[random_rational(rng, 5) for _ in range(n)]))
+        cxs.append(cx)
+    while len(cxs) < 30:
+        s = random_simplex(rng, rng.randint(2, 3), 4)
+        if s.dim > 0:
+            cxs.append(from_maximal([s]))
+    # Two complexes whose result depends on the order of the blow-ups.
+    for seed in (105, 171):
+        rng = random.Random(seed)
+        n = rng.choice((2, 3))
+        cx = standard_cube(n)
+        for _ in range(rng.randint(1, 4)):
+            cx = stellar(cx, rpoint(*[random_rational(rng, 7) for _ in range(n)]))
+        cxs.append(cx)
+    return cxs
+
+
+def test_desingularize_random_corpus():
+    for cx in _desingularize_inputs()[:15]:
         out = desingularize(cx)
         assert is_subdivision(out, cx)
         assert all(is_regular(t) for t in out.simplexes)
-        done += 1
 
 
 def test_desingularize_budget():
     with pytest.raises(BudgetExhausted, match="desingularization budget exhausted"):
         desingularize(from_maximal([seg("1/3", "2/3")]), budget=0)
+
+
+def test_desingularize_matches_rebuild_oracle():
+    for cx in _desingularize_inputs():
+        for budget in (0, 1, 3, 10_000):
+            try:
+                expected = rebuild_desingularize(cx, budget).simplexes
+            except BudgetExhausted:
+                expected = BudgetExhausted
+            try:
+                got = desingularize(cx, budget).simplexes
+            except BudgetExhausted:
+                got = BudgetExhausted
+            assert got == expected, (cx, budget)
+
+
+def test_desingularize_builds_one_complex(monkeypatch):
+    # Star replacement works on the maximal simplexes alone: one complex is
+    # built at the end, and no step rebuilds it or searches for a carrier.
+    cxs = [cx for cx in _desingularize_inputs()
+           if not all(is_regular(s) for s in cx.maximal_simplexes())]
+    built = []
+    init = GeoComplex.__init__
+    monkeypatch.setattr(GeoComplex, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+
+    def forbidden(*args):
+        raise AssertionError("desingularize must not call this")
+
+    monkeypatch.setattr(subdivide, "stellar", forbidden)
+    monkeypatch.setattr(GeoComplex, "carrier", forbidden)
+    for cx in cxs:
+        built.clear()
+        desingularize(cx)
+        assert len(built) == 1
 
 
 def test_desingularize_relative_already_regular():
