@@ -9,20 +9,23 @@ certificate) or zero optimum shows the pair meets in a common face.
 Abstract and weighted abstract complexes carry the combinatorial
 skeletons.
 
-Point location is exact integer arithmetic.  Each simplex caches, on first
-use, its affine-hull equalities and barycentric forms scaled to integer
-rows E and B with one common denominator D > 0.  A point p with least
-common denominator d becomes the integer vector X = d(p, 1); p lies on the
-affine hull iff E X = 0, and its barycentric coordinates are B X / (D d),
-so a containment test compares integer signs.  ``GeoComplex.carrier`` finds
-a vertex by set lookup and otherwise the first maximal simplex holding p,
-whose face on the positive coordinates is the carrier.
+Point location and independence are exact integer arithmetic.  Each point
+caches its primitive homogeneous vector X = d(p, 1), for the least common
+denominator d of p (``linalg.homogeneous``), and a tuple of points is
+affinely independent iff the rank of their vectors is their number.  Each
+simplex caches, on first use, its affine-hull equalities and barycentric
+forms scaled to integer rows E and B with one common denominator D > 0:
+p lies on the affine hull iff E X = 0, and its barycentric coordinates are
+B X / (D d), so a containment test compares integer signs.  The same
+vectors and rows are what ``linalg``'s cell kernel clips and pulls.
+``GeoComplex.carrier`` finds a vertex by set lookup and otherwise the first
+maximal simplex holding p, whose face on the positive coordinates is the
+carrier.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -60,6 +63,12 @@ class RPoint:
         return self.coords[i]
 
     @cached_property
+    def _homog(self) -> tuple[int, ...]:
+        """The primitive homogeneous vector d(p, 1), computed once, like
+        ``_hash``."""
+        return linalg.homogeneous(self.coords)
+
+    @cached_property
     def _hash(self) -> int:
         return hash((self.coords,))
 
@@ -95,7 +104,7 @@ class GeoSimplex:
             raise ValueError("a simplex needs at least one vertex")
         if len({v.dim for v in vs}) != 1:
             raise ValueError("vertices must share an ambient dimension")
-        if not linalg.affinely_independent([v.coords for v in vs]):
+        if linalg.matrix_rank([v._homog for v in vs]) != len(vs):
             raise ValueError("vertices are not affinely independent")
         object.__setattr__(self, "vertices", vs)
 
@@ -141,14 +150,8 @@ class GeoSimplex:
         the rows go away with the simplex.
         """
         eqs, bary = linalg.simplex_forms([v.coords for v in self.vertices])
-        forms = eqs + bary
-        scale = math.lcm(*(x.denominator for f in forms for x in f.coeffs + (f.const,)))
-
-        def row(f: linalg.AffineForm) -> tuple[int, ...]:
-            return tuple(x.numerator * (scale // x.denominator)
-                         for x in f.coeffs + (f.const,))
-
-        return tuple(map(row, eqs)), tuple(map(row, bary)), scale
+        rows, scale = linalg.integer_rows(eqs + bary)
+        return tuple(rows[:len(eqs)]), tuple(rows[len(eqs):]), scale
 
     @cached_property
     def _box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -159,10 +162,10 @@ class GeoSimplex:
 
     @cached_property
     def _vertex_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The homogeneous integer vector ``_homogeneous(v)`` of each vertex,
-        in vertex order.  Equal points have equal vectors, so shared
-        vertices are found by hashing int tuples, not ``Fraction``s."""
-        return tuple(_homogeneous(v, self.ambient_dim) for v in self.vertices)
+        """The homogeneous integer vector of each vertex, in vertex order.
+        Equal points have equal vectors, so shared vertices are found by
+        hashing int tuples, not ``Fraction``s."""
+        return tuple(v._homog for v in self.vertices)
 
     def _weights(self, x: tuple[int, ...]) -> Optional[list[int]]:
         """B X for the homogeneous integer vector X of a point (see
@@ -203,12 +206,10 @@ class GeoSimplex:
 
 
 def _homogeneous(p: RPoint, n: int) -> tuple[int, ...]:
-    """d(p, 1) for the least common denominator d of p's coordinates; p must
-    lie in R^n."""
+    """p's cached vector d(p, 1); p must lie in R^n."""
     if p.dim != n:
         raise ValueError(f"a point in R^{p.dim} is not in R^{n}")
-    d = math.lcm(*(c.denominator for c in p.coords))
-    return tuple(c.numerator * (d // c.denominator) for c in p.coords) + (d,)
+    return p._homog
 
 
 @lru_cache(maxsize=None)
@@ -522,14 +523,22 @@ def standard_cube(n: int) -> GeoComplex:
     chains in {0,1}^n under the product order; n! maximal simplexes."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    # One RPoint per corner, so equal vertices are the same object.
+    corners: dict[tuple[int, ...], RPoint] = {}
+
+    def corner(key: tuple[int, ...]) -> RPoint:
+        p = corners.get(key)
+        if p is None:
+            p = corners[key] = RPoint(tuple(map(Fraction, key)))
+        return p
+
     maxi = []
     for perm in itertools.permutations(range(n)):
-        chain = []
-        point = [Fraction(0)] * n
-        chain.append(RPoint(tuple(point)))
+        point = [0] * n
+        chain = [corner(tuple(point))]
         for i in perm:
-            point[i] = Fraction(1)
-            chain.append(RPoint(tuple(point)))
+            point[i] = 1
+            chain.append(corner(tuple(point)))
         maxi.append(GeoSimplex(tuple(chain)))
     return GeoComplex(maxi, validate=False)
 

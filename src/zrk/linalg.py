@@ -1,20 +1,31 @@
 """Exact linear algebra and small-polytope kernels over the rationals.
 
-Everything here works on tuples of ``fractions.Fraction``; there are no
-tolerances anywhere.  The polytope routines (clipping a simplex by
-halfspaces, pulling triangulation) are written for the desk-scale cells
-that arise when two triangulations are overlaid, not for high-dimensional
-polytopes.  The LP kernel ``lp_maximize`` is a dense two-phase simplex
-method with Bland's rule for small equality-form programs, such as the
-common-face test of two simplexes.
+There are no tolerances anywhere, and two exact number types.  Solving
+(``solve_affine``, ``simplex_forms``) and the LP kernel ``lp_maximize``
+work on tuples of ``fractions.Fraction``.  The cell kernel works on
+integers: a rational point p is its primitive homogeneous vector
+X = d(p, 1), for the least common denominator d of p (``homogeneous``),
+and an affine form f is an integer row R, a positive multiple of f's
+coefficients and constant, so that R . X has the sign of f(p).  Clipping a
+simplex by halfspaces (``clip_simplex``) and its pulling triangulation
+(``pull_triangulation``) decide everything by such signs; determinant and
+rank use Bareiss's fraction-free elimination (Bareiss 1968), whose
+intermediate entries are minors of the input and so stay integers.  The
+polytope routines are written for the desk-scale cells that arise when two
+triangulations are overlaid, not for high-dimensional polytopes.  The LP
+kernel is a dense two-phase simplex method with Bland's rule for small
+equality-form programs, such as the common-face test of two simplexes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 Vec = tuple  # tuple[Fraction, ...]
+IntVec = tuple  # tuple[int, ...]
 
 
 def frac(x) -> Fraction:
@@ -22,25 +33,24 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vec(xs: Iterable) -> Vec:
-    return tuple(frac(x) for x in xs)
-
-
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * x for x in a)
-
-
 def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def homogeneous(coords: Sequence) -> IntVec:
+    """The primitive integer vector d(p, 1) of the rational point p with these
+    coordinates, d the least common denominator of p.  Equal points have
+    equal vectors."""
+    d = math.lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (d // c.denominator) for c in coords) + (d,)
+
+
+def integer_rows(forms: Sequence["AffineForm"]) -> tuple[list[IntVec], int]:
+    """The forms as integer rows D(a, c), for the least common denominator
+    D > 0 of all their coefficients and constants; returns (rows, D)."""
+    scale = math.lcm(*(x.denominator for f in forms for x in f.coeffs + (f.const,)))
+    return [tuple(x.numerator * (scale // x.denominator) for x in f.coeffs + (f.const,))
+            for f in forms], scale
 
 
 def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -67,10 +77,6 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    return len(_echelon([[frac(x) for x in r] for r in rows])[1])
 
 
 def solve_affine(rows: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Vec, list[Vec]]]:
@@ -109,34 +115,64 @@ def solve_square(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
     return out[0]
 
 
-def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant by Gaussian elimination over Fractions."""
-    m = [[frac(x) for x in r] for r in rows]
-    n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free row echelon form of integer rows (Bareiss 1968).
+
+    Returns (the rows, the pivot columns, the sign of the row swaps).  Each
+    step replaces every entry x of a row below the pivot a by
+    (a x - b y) / p, for the row's entry b in the pivot column, the pivot
+    row's entry y in x's column and the previous pivot p; Sylvester's
+    identity makes every entry a minor of the input, so the division is
+    exact.  A column without a nonzero entry is
+    skipped, so the pivot columns are the lexicographically first maximal
+    set of independent columns, and the last pivot of a nonsingular square
+    matrix is its determinant up to the sign.
+    """
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    sign, prev, r = 1, 1, 0
+    for c in range(len(m[0]) if m else 0):
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * result
+        top = m[r]
+        a = top[c]
+        for i in range(r + 1, len(m)):
+            b = m[i][c]
+            m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], top)]
+        prev = a
+        pivots.append(c)
+        r += 1
+    return m, pivots, sign
+
+
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    m, pivots, sign = _bareiss(rows)
+    if len(pivots) < len(m):
+        return 0
+    return sign * m[-1][-1] if m else 1
+
+
+def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The lexicographically first maximal set of linearly independent
+    columns of an integer matrix, by Bareiss elimination."""
+    return _bareiss(rows)[1]
+
+
+def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    return len(pivot_columns(rows))
 
 
 def aff_dim(points: Sequence[Vec]) -> int:
-    """Dimension of the affine hull; -1 for the empty set."""
-    if not points:
-        return -1
-    p0 = points[0]
-    return matrix_rank([vsub(p, p0) for p in points[1:]])
+    """Dimension of the affine hull; -1 for the empty set.  It is the rank of
+    the homogeneous vectors, less one."""
+    return matrix_rank([homogeneous(p) for p in points]) - 1
 
 
 def affinely_independent(points: Sequence[Vec]) -> bool:
@@ -151,9 +187,6 @@ class AffineForm(NamedTuple):
 
     def __call__(self, p: Vec) -> Fraction:
         return dot(self.coeffs, p) + self.const
-
-    def negate(self) -> "AffineForm":
-        return AffineForm(tuple(-c for c in self.coeffs), -self.const)
 
 
 def simplex_forms(points: Sequence[Vec]) -> tuple[list[AffineForm], list[AffineForm]]:
@@ -194,44 +227,50 @@ def simplex_forms(points: Sequence[Vec]) -> tuple[list[AffineForm], list[AffineF
     return eqs, facets
 
 
-def clip_simplex(points: Sequence[Vec], eqs: Sequence[AffineForm],
-                 ineqs: Sequence[AffineForm]) -> list[Vec]:
-    """Sorted vertices of conv(points) cap {eqs = 0, ineqs >= 0} when that
-    cell has the dimension of the simplex conv(points); [] otherwise.
+def clip_simplex(points: Sequence[IntVec], eqs: Sequence[IntVec],
+                 ineqs: Sequence[IntVec]) -> list[IntVec]:
+    """Vertices of conv(points) cap {eqs = 0, ineqs >= 0} when that cell has
+    the dimension of the simplex conv(points); [] otherwise.
 
-    Double description, one halfspace at a time (Fukuda and Prodon 1996):
-    each vertex carries the bitmask of constraints tight at it, and vertex
-    i starts tight on every barycentric form but form i.  The cell stays
-    full-dimensional, so every equality must vanish on the points, and an
-    inequality that is 0 on every vertex vanishes on the hull: skip it.
-    Clipping by g keeps the vertices with g >= 0 and adds a point on each
-    edge from g > 0 to g < 0; two vertices span an edge iff no third one
-    is tight on every constraint tight at both.
+    Points are homogeneous vectors (``homogeneous``) of affinely independent
+    points and constraints are integer rows, so each sign is that of an
+    integer dot product; the vertices come back as homogeneous vectors, in
+    no fixed order.  Double description, one halfspace at a time (Fukuda
+    and Prodon 1996): each vertex carries the bitmask of constraints tight
+    at it, and vertex i starts tight on every barycentric form but form i.
+    The cell stays full-dimensional, so every equality must vanish on the
+    points, and an inequality that is 0 on every vertex vanishes on the
+    hull: skip it.  Clipping by g keeps the vertices with g >= 0 and adds a
+    point on each edge X -> Y from g > 0 to g < 0, two vertices spanning an
+    edge iff no third one is tight on every constraint tight at both.  That
+    point is g(X) Y - g(Y) X over the gcd of its entries: the primitive
+    vector of the point where g vanishes, with a last entry > 0.
     """
-    if any(e(p) != 0 for e in eqs for p in points):
+    if any(sum(map(mul, e, x)) for e in eqs for x in points):
         return []
     everything = (1 << len(points)) - 1
-    cell = [(p, everything ^ (1 << i)) for i, p in enumerate(points)]
+    cell = [(x, everything ^ (1 << i)) for i, x in enumerate(points)]
     for k, g in enumerate(ineqs, start=len(points)):
-        vals = [g(p) for p, _ in cell]
+        vals = [sum(map(mul, g, x)) for x, _ in cell]
         if not any(vals):
             continue
-        if all(x <= 0 for x in vals):
+        if all(v <= 0 for v in vals):
             return []
-        out = [(p, tight | (1 << k) if x == 0 else tight)
-               for (p, tight), x in zip(cell, vals) if x >= 0]
-        for i, (p, tp) in enumerate(cell):
-            for j, (q, tq) in enumerate(cell):
+        out = [(x, tight | (1 << k) if v == 0 else tight)
+               for (x, tight), v in zip(cell, vals) if v >= 0]
+        for i, (x, tx) in enumerate(cell):
+            for j, (y, ty) in enumerate(cell):
                 if not vals[i] > 0 > vals[j]:
                     continue
-                common = tp & tq
+                common = tx & ty
                 if any(tw & common == common
                        for w, (_, tw) in enumerate(cell) if w != i and w != j):
                     continue
-                lam = vals[i] / (vals[i] - vals[j])
-                out.append((vadd(p, vscale(lam, vsub(q, p))), common | (1 << k)))
+                z = [vals[i] * b - vals[j] * a for a, b in zip(x, y)]
+                h = math.gcd(*z)
+                out.append((tuple(c // h for c in z), common | (1 << k)))
         cell = out
-    return sorted(p for p, _ in cell)
+    return [x for x, _ in cell]
 
 
 def lp_maximize(rows: Sequence[Sequence], rhs: Sequence,
@@ -303,60 +342,70 @@ def lp_maximize(rows: Sequence[Sequence], rhs: Sequence,
     return -obj[-1]
 
 
-def pull_triangulation(vertices: Sequence[Vec],
-                       ineqs: Sequence[AffineForm]) -> list[tuple[Vec, ...]]:
-    """Pulling triangulation of conv(vertices).
+def pull_triangulation(points: Sequence[IntVec],
+                       ineqs: Sequence[IntVec]) -> list[tuple[int, ...]]:
+    """Pulling triangulation of conv(points), as increasing tuples of
+    indices into ``points``.
 
-    ``ineqs`` must be an H-representation of the polytope within its affine
-    hull (every facet is the tight set of some listed form).  Each face is
-    triangulated by coning its lexicographically least vertex over the
-    pulling triangulations of the facets avoiding it, which makes the result
-    depend only on the face itself; shared faces of adjacent cells therefore
-    receive identical triangulations.
+    ``points`` are the distinct homogeneous vectors of the polytope's
+    vertices, in pulling order; ``ineqs`` are integer rows forming an
+    H-representation of the polytope within its affine hull (every facet is
+    the tight set of some row).  Each face is triangulated by coning its
+    first vertex over the pulling triangulations of the facets avoiding it,
+    which makes the result depend only on the face itself and the order;
+    shared faces of adjacent cells therefore receive identical
+    triangulations when the order is the same, e.g. lexicographic.  A face
+    is the bitmask of its vertices, its intersection with a row's tight
+    bitmask is the row's tight set on it, and dimensions are integer ranks.
     """
-    cache: dict[tuple[Vec, ...], list[tuple[Vec, ...]]] = {}
+    tight_masks = [sum(1 << i for i, x in enumerate(points) if not sum(map(mul, g, x)))
+                   for g in ineqs]
+    ranks: dict[int, int] = {}
+    cache: dict[int, list[int]] = {}
 
-    def pull(vset: tuple[Vec, ...]) -> list[tuple[Vec, ...]]:
-        got = cache.get(vset)
+    def rank(face: int) -> int:
+        got = ranks.get(face)
+        if got is None:
+            got = ranks[face] = matrix_rank(
+                [x for i, x in enumerate(points) if face >> i & 1])
+        return got
+
+    def pull(face: int) -> list[int]:
+        got = cache.get(face)
         if got is not None:
             return got
-        if affinely_independent(vset):
-            cache[vset] = [vset]
-            return [vset]
-        v0 = vset[0]  # vset is sorted, so this is the lexicographic minimum
-        d = aff_dim(vset)
+        r = rank(face)
+        if r == face.bit_count():  # affinely independent: a simplex
+            cache[face] = [face]
+            return [face]
+        first = face & -face
         out = []
-        seen: set[tuple[Vec, ...]] = set()
-        for f in ineqs:
-            tight = tuple(w for w in vset if f(w) == 0)
-            if not tight or len(tight) == len(vset) or tight in seen:
+        seen: set[int] = set()
+        for mask in tight_masks:
+            tight = face & mask
+            if not tight or tight == face or tight in seen:
                 continue
-            if aff_dim(tight) != d - 1:
+            if rank(tight) != r - 1:
                 continue
             seen.add(tight)
-            if v0 in tight:
+            if tight & first:
                 continue
-            for sub in pull(tight):
-                out.append(tuple(sorted(sub + (v0,))))
-        cache[vset] = out
+            out.extend(sub | first for sub in pull(tight))
+        cache[face] = out
         return out
 
-    return pull(tuple(sorted(set(vertices))))
+    return [tuple(i for i in range(len(points)) if face >> i & 1)
+            for face in pull((1 << len(points)) - 1)]
 
 
 def simplex_volume(points: Sequence[Vec]) -> Fraction:
     """Full-dimensional volume of a simplex in its ambient space.
 
-    Zero when the simplex is not full-dimensional.
+    Zero when the simplex is not full-dimensional.  With homogeneous
+    vectors X_j = d_j(p_j, 1), n! times the volume is |det(X_j)| / prod d_j.
     """
     n = len(points[0])
     if len(points) != n + 1:
         return Fraction(0)
-    m = [vsub(p, points[0]) for p in points[1:]]
-    d = det(m)
-    if d < 0:
-        d = -d
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    return d / fact
+    xs = [homogeneous(p) for p in points]
+    return Fraction(abs(det(xs)), math.prod(x[-1] for x in xs) * math.factorial(n))

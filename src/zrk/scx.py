@@ -121,9 +121,16 @@ def _positive_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
-def _parse_point(entry, where: str) -> RPoint:
+def _parse_point(entry, where: str, points: dict) -> RPoint:
+    """The point an entry spells.  ``points`` maps the text of every point
+    parsed so far in the document to its RPoint, so equal points of one
+    document are one object and set lookups of them hit by identity."""
     if not isinstance(entry, list) or not entry:
         raise ScxError("a point must be a nonempty array of rationals", where)
+    key = tuple(entry)
+    known = points.get(key) if all(isinstance(t, str) for t in key) else None
+    if known is not None:
+        return known
     coords = []
     for i, txt in enumerate(entry):
         if not isinstance(txt, str):
@@ -136,25 +143,26 @@ def _parse_point(entry, where: str) -> RPoint:
             raise ScxError(f"{txt!r} is not canonical: write {format_rat(x)!r}",
                            f"{where}[{i}]")
         coords.append(x)
-    return RPoint(tuple(coords))
+    p = points[key] = RPoint(tuple(coords))
+    return p
 
 
-def _parse_simplex(entry, dim: int, where: str) -> GeoSimplex:
+def _parse_simplex(entry, dim: int, where: str, points: dict) -> GeoSimplex:
     if not isinstance(entry, list) or not entry:
         raise ScxError("a simplex must be a nonempty array of points", where)
-    points = [_parse_point(p, f"{where}[{i}]") for i, p in enumerate(entry)]
-    if any(p.dim != dim for p in points):
+    vertices = [_parse_point(p, f"{where}[{i}]", points) for i, p in enumerate(entry)]
+    if any(p.dim != dim for p in vertices):
         raise ScxError(f"points must have dimension {dim}", where)
     try:
-        s = GeoSimplex(tuple(points))
+        s = GeoSimplex(tuple(vertices))
     except ValueError as exc:
         raise ScxError(str(exc), where) from None
-    if len(s.vertices) != len(points):  # GeoSimplex drops repeats
+    if len(s.vertices) != len(vertices):  # GeoSimplex drops repeats
         raise ScxError("a simplex lists a vertex twice", where)
     return s
 
 
-def _parse_complex(body: dict, where: str = "") -> GeoComplex:
+def _parse_complex(body: dict, points: dict, where: str = "") -> GeoComplex:
     if not isinstance(body, dict):
         raise ScxError("a complex must be a JSON object", where.rstrip("."))
     dim = body.get("dim")
@@ -164,7 +172,7 @@ def _parse_complex(body: dict, where: str = "") -> GeoComplex:
     if not isinstance(sims, list) or not sims:
         raise ScxError("'maximal_simplexes' must be a nonempty array",
                        where + "maximal_simplexes")
-    parsed = [_parse_simplex(s, dim, f"{where}maximal_simplexes[{i}]")
+    parsed = [_parse_simplex(s, dim, f"{where}maximal_simplexes[{i}]", points)
               for i, s in enumerate(sims)]
     try:
         return GeoComplex(parsed, validate=True)
@@ -172,8 +180,8 @@ def _parse_complex(body: dict, where: str = "") -> GeoComplex:
         raise ScxError(str(exc), where + "maximal_simplexes") from None
 
 
-def _parse_plmap(body: dict) -> PLMap:
-    domain = _parse_complex(body)
+def _parse_plmap(body: dict, points: dict) -> PLMap:
+    domain = _parse_complex(body, points)
     vertices = set(domain.vertices())
     images = {}
     pairs = body.get("vertex_images")
@@ -186,13 +194,13 @@ def _parse_plmap(body: dict) -> PLMap:
     for i, pair in enumerate(pairs):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScxError("each entry is [vertex, image]", f"vertex_images[{i}]")
-        v = _parse_point(pair[0], f"vertex_images[{i}][0]")
+        v = _parse_point(pair[0], f"vertex_images[{i}][0]", points)
         if v not in vertices:
             raise ScxError(f"{v} is not a vertex of the domain",
                            f"vertex_images[{i}][0]")
         if v in images:
             raise ScxError(f"{v} is listed twice", f"vertex_images[{i}][0]")
-        img = _parse_point(pair[1], f"vertex_images[{i}][1]")
+        img = _parse_point(pair[1], f"vertex_images[{i}][1]", points)
         if declared is not None and img.dim != declared:
             raise ScxError(f"image dimension {img.dim} contradicts "
                            f"codomain_dim {declared}", f"vertex_images[{i}][1]")
@@ -234,21 +242,21 @@ def _parse_weighted(body: dict) -> WeightedComplex:
     return WeightedComplex(base, dict(zip(names, weights)))
 
 
-def _parse_sequence(body: dict, where: str = "") -> CollapseSequence:
+def _parse_sequence(body: dict, points: dict, where: str = "") -> CollapseSequence:
     if not isinstance(body, dict):
         raise ScxError("a collapse sequence must be a JSON object", where.rstrip("."))
     steps_in = body.get("steps")
     terminal_in = body.get("terminal")
     if not isinstance(steps_in, list):
         raise ScxError("'steps' must be an array", where + "steps")
-    terminal = _parse_point(terminal_in, where + "terminal")
+    terminal = _parse_point(terminal_in, where + "terminal", points)
     steps = []
     for i, pair in enumerate(steps_in):
         at = f"{where}steps[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScxError("each step is [maximal, free_facet]", at)
-        t = _parse_simplex(pair[0], terminal.dim, at + "[0]")
-        f = _parse_simplex(pair[1], terminal.dim, at + "[1]")
+        t = _parse_simplex(pair[0], terminal.dim, at + "[0]", points)
+        f = _parse_simplex(pair[1], terminal.dim, at + "[1]", points)
         try:
             steps.append(CollapseStep(t, f))
         except ValueError as exc:
@@ -256,7 +264,7 @@ def _parse_sequence(body: dict, where: str = "") -> CollapseSequence:
     return CollapseSequence(tuple(steps), GeoSimplex((terminal,)))
 
 
-def _parse_verdict(body: dict) -> RetractVerdict:
+def _parse_verdict(body: dict, points: dict) -> RetractVerdict:
     status = body.get("status")
     if status not in ("certified", "refuted", "unknown"):
         raise ScxError("'status' must be certified/refuted/unknown", "status")
@@ -268,14 +276,17 @@ def _parse_verdict(body: dict) -> RetractVerdict:
     if wbody is not None:
         if not isinstance(wbody, dict):
             raise ScxError("'witnesses' must be a JSON object", "witnesses")
-        lattice = (_parse_point(wbody["lattice_vertex"], "witnesses.lattice_vertex")
+        lattice = (_parse_point(wbody["lattice_vertex"], "witnesses.lattice_vertex",
+                                points)
                    if "lattice_vertex" in wbody else None)
-        ccx = (_parse_complex(wbody["collapse_complex"], "witnesses.collapse_complex.")
+        ccx = (_parse_complex(wbody["collapse_complex"], points,
+                              "witnesses.collapse_complex.")
                if "collapse_complex" in wbody else None)
-        seq = (_parse_sequence(wbody["collapse_sequence"],
+        seq = (_parse_sequence(wbody["collapse_sequence"], points,
                                "witnesses.collapse_sequence.")
                if "collapse_sequence" in wbody else None)
-        srt = (_parse_complex(wbody["strongly_regular"], "witnesses.strongly_regular.")
+        srt = (_parse_complex(wbody["strongly_regular"], points,
+                              "witnesses.strongly_regular.")
                if "strongly_regular" in wbody else None)
         witnesses = RetractWitnesses(collapse_complex=ccx, collapse_sequence=seq,
                                      lattice_vertex=lattice, strongly_regular=srt)
@@ -300,16 +311,17 @@ def parse_scx(text: str) -> ScxDocument:
     kind = body.get("kind")
     if kind not in KINDS:
         raise ScxError(f"unknown kind {kind!r}", "kind")
+    points: dict = {}  # one RPoint per distinct point of the document
     if kind == "complex":
-        payload = _parse_complex(body)
+        payload = _parse_complex(body, points)
     elif kind == "plmap":
-        payload = _parse_plmap(body)
+        payload = _parse_plmap(body, points)
     elif kind == "weighted":
         payload = _parse_weighted(body)
     elif kind == "sequence":
-        payload = _parse_sequence(body)
+        payload = _parse_sequence(body, points)
     else:
-        payload = _parse_verdict(body)
+        payload = _parse_verdict(body, points)
     return ScxDocument(kind, payload, version)
 
 

@@ -15,17 +15,29 @@ Coverage (``supports``) is decided on the same pieces by exact volume: the
 cells of s against the maximal simplexes of a complex overlap only in
 measure zero, so they cover s exactly when their volumes add up to its own
 (De Loera, Rambau and Santos, *Triangulations*, 2010).
+
+The kernel is integer arithmetic throughout.  Points enter as their cached
+homogeneous vectors d(p, 1) and constraints as integer rows: the cached
+rows of a simplex (``GeoSimplex._point_rows``), which also serve as the
+slicing forms of ``restrict``, or a target simplex's rows pulled back along
+a map (``_pullback_rows``).  Only the signs of rows at vectors matter, and a
+volume is a determinant of vectors over the product of their last entries.
+The cell's vertices become points again only to be sorted, so the pulling
+order, and with it every piece, is the lexicographic one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Collection, Iterable, Optional, Sequence
 
 from . import linalg
-from .complexes import GeoComplex, GeoSimplex, RPoint, simplex_hrep
-from .linalg import AffineForm
+from .complexes import GeoComplex, GeoSimplex, RPoint
+
+Row = tuple  # tuple[int, ...], an affine form as an integer row
 
 
 class PointNotInSupport(ValueError):
@@ -84,27 +96,34 @@ def stellar_chain(cx: GeoComplex, points: Sequence[RPoint]) -> GeoComplex:
 # -- cells and support coverage ----------------------------------------------
 
 
-def _pull_cell(s: GeoSimplex, eqs_t, ineqs_t) -> list[GeoSimplex]:
+def _pull_cell(s: GeoSimplex, eqs_t: Sequence[Row],
+               ineqs_t: Sequence[Row]) -> list[GeoSimplex]:
     """Pulling triangulation of the cell s cap {eqs_t = 0, ineqs_t >= 0}
     when the cell has the dimension of s; nothing otherwise.
 
     A cell of full dimension in aff(s) has no facet on an equality, so the
-    facet forms of s and ineqs_t are an H-representation of it within its
-    hull.
+    barycentric rows of s and ineqs_t are an H-representation of it within
+    its hull.  The vertices are sorted as points, and vertices of s keep
+    their own objects.  The pulled simplexes are independent and sorted
+    already, so they skip validation.
     """
-    verts = linalg.clip_simplex([v.coords for v in s.vertices], eqs_t, ineqs_t)
-    if not verts:
+    found = linalg.clip_simplex(s._vertex_rows, eqs_t, ineqs_t)
+    if not found:
         return []
-    ineqs = list(simplex_hrep(s)[1]) + list(ineqs_t)
-    return [GeoSimplex(tuple(RPoint(v) for v in tri))
-            for tri in linalg.pull_triangulation(verts, ineqs)]
+    own = dict(zip(s._vertex_rows, s.vertices))
+    points = sorted(own.get(x) or RPoint(tuple(Fraction(e, x[-1]) for e in x[:-1]))
+                    for x in found)
+    ineqs = s._point_rows[1] + tuple(ineqs_t)
+    return [GeoSimplex._raw(tuple(points[i] for i in tri))
+            for tri in linalg.pull_triangulation([p._homog for p in points], ineqs)]
 
 
 def _pieces(s: GeoSimplex, cover: Iterable[GeoSimplex]) -> set[GeoSimplex]:
     """Pulling triangulations of the cells s cap t of dimension dim s."""
     out: set[GeoSimplex] = set()
     for t in cover:
-        out.update(_pull_cell(s, *simplex_hrep(t)))
+        eqs, bary, _ = t._point_rows
+        out.update(_pull_cell(s, eqs, bary))
     return out
 
 
@@ -174,17 +193,17 @@ def common_refinement(a: GeoComplex, b: GeoComplex) -> GeoComplex:
 # -- restriction to a subpolyhedron ------------------------------------------
 
 
-def _slice_complex(cx: GeoComplex, form: AffineForm) -> GeoComplex:
-    """Subdivide so that every simplex lies in {form >= 0} or {form <= 0}."""
+def _slice_complex(cx: GeoComplex, row: Row) -> GeoComplex:
+    """Subdivide so that every simplex lies in {row >= 0} or {row <= 0}."""
     out = []
     changed = False
     for s in cx.maximal_simplexes():
-        vals = [form(v.coords) for v in s.vertices]
+        vals = [sum(map(mul, row, x)) for x in s._vertex_rows]
         if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
             out.append(s)
             continue
         changed = True
-        for side in (form, form.negate()):
+        for side in (row, tuple(-c for c in row)):
             out.extend(_pull_cell(s, [], [side]))
     if not changed:
         return cx
@@ -235,25 +254,27 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
         return cx
     protected = inside.simplexes if inside is not None else frozenset()
 
-    def crosses_protected(form: AffineForm) -> bool:
+    def crosses_protected(row: Row) -> bool:
         for s in protected:
-            vals = [form(v.coords) for v in s.vertices]
+            vals = [sum(map(mul, row, x)) for x in s._vertex_rows]
             if any(x > 0 for x in vals) and any(x < 0 for x in vals):
                 return True
         return False
 
-    forms: list[AffineForm] = []
+    # q's rows are its forms times one positive scale, so sums of them are
+    # the same sums of forms, scaled: every sign below is the forms' sign.
+    rows: list[Row] = []
     for q in part.maximal_simplexes():
-        eqs, ineqs = simplex_hrep(q)
+        eqs, ineqs, _ = q._point_rows
         for e in eqs:
             if crosses_protected(e):
                 raise RestrictionError(
                     "restriction cannot preserve interior simplexes: an affine "
                     f"hull of {q} separates a preserved simplex")
-            forms.append(e)
+            rows.append(e)
         for f in ineqs:
             if not crosses_protected(f):
-                forms.append(f)
+                rows.append(f)
                 continue
             # The facet functional is only determined on aff(q); shift it by
             # the hull equalities until it stops cutting preserved simplexes.
@@ -262,9 +283,7 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
                 cand = f
                 for c, e in zip(coeffs, eqs):
                     if c:
-                        cand = AffineForm(
-                            tuple(x + c * y for x, y in zip(cand.coeffs, e.coeffs)),
-                            cand.const + c * e.const)
+                        cand = tuple(x + c * y for x, y in zip(cand, e))
                 if not crosses_protected(cand):
                     fixed = cand
                     break
@@ -272,11 +291,11 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
                 raise RestrictionError(
                     "restriction cannot preserve interior simplexes: no "
                     f"admissible extension for a facet of {q}")
-            forms.append(fixed)
+            rows.append(fixed)
 
     out = cx
-    for form in forms:
-        out = _slice_complex(out, form)
+    for row in rows:
+        out = _slice_complex(out, row)
 
     if not _adapted(inside_subcomplex(out, part), part):
         raise RestrictionError("restriction failed to adapt to |P|")
@@ -290,20 +309,25 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
 # -- refinement compatible with a map ----------------------------------------
 
 
-def _pullback_forms(bary: Sequence[AffineForm], images: Sequence[RPoint],
-                    forms: Sequence[AffineForm]) -> list[AffineForm]:
-    """Forms g with g(x) = f(eta(x)) on a simplex where eta is affine.
+def _pullback_rows(s: GeoSimplex, images: Sequence[RPoint],
+                   rows: Sequence[Row]) -> list[Row]:
+    """Rows g with g . X of the sign of f(eta(x)) for each row f, where eta
+    is the affine map on s with the given vertex images.
 
-    eta is interpolated from vertex images; the pullback is expressed in the
-    barycentric functionals ``bary`` of the simplex.
+    eta(x) = sum_i l_i(x) y_i for the barycentric forms l_i of s, so
+    f(eta(x)) = sum_i l_i(x) f(y_i).  s's barycentric rows are B_i = D l_i,
+    and f . Y_i = D' e_i f(y_i) for Y_i = e_i (y_i, 1).  So for the least
+    common multiple L of the e_i, g = sum_i (f . Y_i)(L / e_i) B_i is
+    D D' L > 0 times the form sum_i f(y_i) l_i, everywhere, not only on
+    aff(s).
     """
+    ys = [y._homog for y in images]
+    lcm = math.lcm(*(y[-1] for y in ys))
+    bary = s._point_rows[1]
     out = []
-    for f in forms:
-        vals = [f(img.coords) for img in images]
-        coeffs = tuple(sum(val * b.coeffs[i] for val, b in zip(vals, bary))
-                       for i in range(len(bary[0].coeffs)))
-        const = sum(val * b.const for val, b in zip(vals, bary))
-        out.append(AffineForm(coeffs, const))
+    for f in rows:
+        weights = [sum(map(mul, f, y)) * (lcm // y[-1]) for y in ys]
+        out.append(tuple(sum(map(mul, weights, col)) for col in zip(*bary)))
     return out
 
 
@@ -334,11 +358,10 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
         # A preimage cell mapping into a face shared by several target
         # simplexes is pulled identically each time; the set keeps it once.
         pieces: set[GeoSimplex] = set()
-        bary = simplex_hrep(s)[1]
         for t in target_max:
-            eqs_t, ineqs_t = simplex_hrep(t)
-            pieces.update(_pull_cell(s, _pullback_forms(bary, vert_imgs, eqs_t),
-                                     _pullback_forms(bary, vert_imgs, ineqs_t)))
+            eqs_t, ineqs_t, _ = t._point_rows
+            pieces.update(_pull_cell(s, _pullback_rows(s, vert_imgs, eqs_t),
+                                     _pullback_rows(s, vert_imgs, ineqs_t)))
         # The preimage cells must tile s exactly; a gap means the image of s
         # leaves the support of the target.
         if _relative_volume_total(pieces) != _relative_volume_total([s]):
@@ -354,21 +377,23 @@ def _relative_volume_total(simplexes: Collection[GeoSimplex]) -> Fraction:
 
     All inputs must share one affine hull (pieces of a single simplex);
     projecting to a coordinate subspace that is injective on the hull keeps
-    volumes rational and makes exact coverage comparisons valid.
+    volumes rational and makes exact coverage comparisons valid.  The axes
+    are the first independent columns of the vertex vectors, after their
+    last entry: those on which the edge directions are independent.  A
+    simplex's d! volume there is |det(X[axes], X[-1])| over the product of
+    the X[-1], for its homogeneous vertex vectors X.
     """
     if not simplexes:
         return Fraction(0)
     d = max(s.dim for s in simplexes)
     base = next(s for s in simplexes if s.dim == d)
-    dirs = [linalg.vsub(v.coords, base.vertices[0].coords)
-            for v in base.vertices[1:]]
-    _, pivots = linalg._echelon([list(r) for r in dirs])
-    axes = pivots
+    pivots = linalg.pivot_columns([x[-1:] + x[:-1] for x in base._vertex_rows])
+    axes = [c - 1 for c in pivots[1:]] + [-1]
     total = Fraction(0)
     for s in simplexes:
         if s.dim != d:
             continue
-        rows = [[v.coords[a] - s.vertices[0].coords[a] for a in axes]
-                for v in s.vertices[1:]]
-        total += abs(linalg.det(rows))
+        xs = s._vertex_rows
+        total += Fraction(abs(linalg.det([[x[a] for a in axes] for x in xs])),
+                          math.prod(x[-1] for x in xs))
     return total  # common factor d! omitted from both sides

@@ -19,6 +19,11 @@ complex, and ``product_lattice_points`` tests every vertex of the cube
 against every maximal simplex.  ``rebuild_desingularize`` rebuilds the whole
 complex with ``subdivide.stellar`` at every blow-up, from before
 ``regular.desingularize`` replaced only the star of the blown-up simplex.
+``fraction_clip_simplex``, ``fraction_pull_triangulation``, ``fraction_det``
+and ``pullback_forms`` are the cell kernel on ``Fraction`` points and
+``AffineForm``s, from before it worked on homogeneous integer vectors and
+integer rows; ``fraction_aff_dim`` is the ``Fraction`` echelon rank they
+used.
 """
 
 import math
@@ -31,8 +36,132 @@ from zrk.collapse import CollapseSequence, CollapseStep
 from zrk.complexes import GeoSimplex, RPoint, _bbox_overlap, simplex_hrep
 from zrk.exactnum import IntMat
 from zrk.regular import BudgetExhausted, _box_point, is_regular
-from zrk.linalg import (AffineForm, _echelon, dot, solve_affine, solve_square,
-                        vadd, vscale)
+from zrk.linalg import AffineForm, _echelon, dot, solve_affine, solve_square
+
+
+def negate(f):
+    return AffineForm(tuple(-c for c in f.coeffs), -f.const)
+
+
+def vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vscale(c, a):
+    return tuple(c * x for x in a)
+
+
+def fraction_aff_dim(points) -> int:
+    """Dimension of the affine hull by a ``Fraction`` echelon; -1 when empty."""
+    if not points:
+        return -1
+    return len(_echelon([list(vsub(p, points[0])) for p in points[1:]])[1])
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions; the reference for
+    ``linalg.det``."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    n = len(m)
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        result *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return sign * result
+
+
+def fraction_clip_simplex(points, eqs, ineqs):
+    """Sorted vertices of conv(points) cap {eqs = 0, ineqs >= 0} when that
+    cell has the dimension of the simplex conv(points), [] otherwise, by
+    the same double description as ``linalg.clip_simplex`` on ``Fraction``
+    points and ``AffineForm``s; its reference."""
+    if any(e(p) != 0 for e in eqs for p in points):
+        return []
+    everything = (1 << len(points)) - 1
+    cell = [(p, everything ^ (1 << i)) for i, p in enumerate(points)]
+    for k, g in enumerate(ineqs, start=len(points)):
+        vals = [g(p) for p, _ in cell]
+        if not any(vals):
+            continue
+        if all(x <= 0 for x in vals):
+            return []
+        out = [(p, tight | (1 << k) if x == 0 else tight)
+               for (p, tight), x in zip(cell, vals) if x >= 0]
+        for i, (p, tp) in enumerate(cell):
+            for j, (q, tq) in enumerate(cell):
+                if not vals[i] > 0 > vals[j]:
+                    continue
+                common = tp & tq
+                if any(tw & common == common
+                       for w, (_, tw) in enumerate(cell) if w != i and w != j):
+                    continue
+                lam = vals[i] / (vals[i] - vals[j])
+                out.append((vadd(p, vscale(lam, vsub(q, p))), common | (1 << k)))
+        cell = out
+    return sorted(p for p, _ in cell)
+
+
+def fraction_pull_triangulation(vertices, ineqs):
+    """Pulling triangulation of conv(vertices) on ``Fraction`` points and
+    ``AffineForm``s, coning the lexicographically least vertex of each face;
+    the reference for ``linalg.pull_triangulation``."""
+    cache = {}
+
+    def pull(vset):
+        got = cache.get(vset)
+        if got is not None:
+            return got
+        d = fraction_aff_dim(vset)
+        if d == len(vset) - 1:
+            cache[vset] = [vset]
+            return [vset]
+        v0 = vset[0]  # vset is sorted, so this is the lexicographic minimum
+        out = []
+        seen = set()
+        for f in ineqs:
+            tight = tuple(w for w in vset if f(w) == 0)
+            if not tight or len(tight) == len(vset) or tight in seen:
+                continue
+            if fraction_aff_dim(tight) != d - 1:
+                continue
+            seen.add(tight)
+            if v0 in tight:
+                continue
+            for sub in pull(tight):
+                out.append(tuple(sorted(sub + (v0,))))
+        cache[vset] = out
+        return out
+
+    return pull(tuple(sorted(set(vertices))))
+
+
+def pullback_forms(bary, images, forms):
+    """Forms g with g(x) = f(eta(x)) on a simplex where eta is affine,
+    expressed in the simplex's barycentric forms ``bary``; the reference for
+    ``subdivide._pullback_rows``."""
+    out = []
+    for f in forms:
+        vals = [f(img.coords) for img in images]
+        coeffs = tuple(sum(val * b.coeffs[i] for val, b in zip(vals, bary))
+                       for i in range(len(bary[0].coeffs)))
+        const = sum(val * b.const for val, b in zip(vals, bary))
+        out.append(AffineForm(coeffs, const))
+    return out
 
 
 def barycentric_coords(points, x):
@@ -175,7 +304,7 @@ def _split_off_simplex(piece, t: GeoSimplex):
             if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
                 nxt.append((verts, forms))
                 continue
-            for side in (form, form.negate()):
+            for side in (form, negate(form)):
                 sub_forms = list(forms) + [side]
                 sub = enumerate_cell_vertices([], sub_forms, t.ambient_dim)
                 if sub and linalg.aff_dim(sub) == dim_piece:
@@ -199,7 +328,7 @@ def split_supports(cover, s: GeoSimplex) -> bool:
     cover = [t for t in cover if t.ambient_dim == s.ambient_dim]
     eqs, ineqs = simplex_hrep(s)
     start = (tuple(v.coords for v in s.vertices),
-             tuple(list(ineqs) + [f for e in eqs for f in (e, e.negate())]))
+             tuple(list(ineqs) + [f for e in eqs for f in (e, negate(e))]))
 
     def covered(piece, remaining) -> bool:
         if any(all(t.contains(RPoint(v)) for v in piece[0]) for t in remaining):

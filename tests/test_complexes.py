@@ -17,7 +17,7 @@ from zrk.scx import ScxError, parse_scx
 
 from conftest import random_rational, seg, tri
 from oracles import (barycentric_coords, enumerate_meet_in_common_face,
-                     scan_carrier, scan_maximal_simplexes)
+                     fraction_aff_dim, scan_carrier, scan_maximal_simplexes)
 
 
 def test_from_maximal_segment():
@@ -500,6 +500,32 @@ def test_weighted_validation():
         WeightedComplex(base, {"a": 0})
     with pytest.raises(ValueError):
         WeightedComplex(base, {"b": 1})
+
+
+def test_standard_cube_shares_one_object_per_vertex():
+    cx = standard_cube(3)
+    objects = {id(v) for s in cx.simplexes for v in s.vertices}
+    assert objects == {id(v) for v in cx.vertices()} and len(objects) == 8
+
+
+def test_independence_matches_fraction_rank():
+    # GeoSimplex checks independence by the integer rank of the vertices'
+    # homogeneous vectors; the Fraction echelon rank is the reference.
+    rng = random.Random(1968)
+    rejected = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        pts = list({rpoint(*[rng.choice((0, 1, "1/2", "1/3", "2/3"))
+                             for _ in range(n)]) for _ in range(rng.randint(1, n + 2))})
+        independent = fraction_aff_dim([p.coords for p in pts]) == len(pts) - 1
+        try:
+            GeoSimplex(tuple(pts))
+        except ValueError:
+            rejected += 1
+            assert not independent, pts
+        else:
+            assert independent, pts
+    assert 50 <= rejected <= 250, rejected
 
 
 def test_geosimplex_canonical_order_and_independence():

@@ -1,17 +1,22 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from zrk import GeoSimplex, rpoint
+from zrk import GeoSimplex, RPoint, rpoint
 from zrk.complexes import simplex_hrep
-from zrk.linalg import (AffineForm, aff_dim, affinely_independent, clip_simplex,
-                        lp_maximize, simplex_forms)
-from zrk.subdivide import _pullback_forms
+from zrk.linalg import (AffineForm, _echelon, aff_dim, affinely_independent,
+                        clip_simplex, det, homogeneous, integer_rows, lp_maximize,
+                        matrix_rank, pivot_columns, pull_triangulation,
+                        simplex_forms, simplex_volume)
+from zrk.subdivide import _pullback_rows
 
 from conftest import random_rational
-from oracles import affine_hull_forms, enumerate_cell_vertices, vertex_forms
+from oracles import (affine_hull_forms, enumerate_cell_vertices, fraction_clip_simplex,
+                     fraction_det, fraction_pull_triangulation, pullback_forms,
+                     vertex_forms)
 
 
 def test_lp_maximize_hand_cases():
@@ -62,37 +67,52 @@ def _halfspace(coeffs, const):
     return AffineForm(tuple(map(Fraction, coeffs)), Fraction(const))
 
 
+def _row(form):
+    return integer_rows([form])[0][0]
+
+
+def _point(x):
+    return tuple(Fraction(e, x[-1]) for e in x[:-1])
+
+
+def _clip(points, eqs, ineqs):
+    """``clip_simplex`` on Fraction points and forms, as sorted points."""
+    found = clip_simplex([homogeneous(p) for p in points], [_row(e) for e in eqs],
+                         [_row(g) for g in ineqs])
+    return sorted(map(_point, found))
+
+
 def test_clip_simplex_hand_cases():
     triangle = _corners((0, 0), (1, 0), (0, 1))
     half = Fraction(1, 2)
     # x >= 1/2 cuts off the corner at (1, 0)
-    assert clip_simplex(triangle, [], [_halfspace((1, 0), -half)]) == \
+    assert _clip(triangle, [], [_halfspace((1, 0), -half)]) == \
         _corners((half, 0), (half, half), (1, 0))
     # x <= 1/2 leaves a quadrilateral; y >= 3/4 then separates (0, 1) from
     # (1/2, 0), which span no edge of it
-    assert clip_simplex(triangle, [], [_halfspace((-1, 0), half),
+    assert _clip(triangle, [], [_halfspace((-1, 0), half),
                                        _halfspace((0, 1), Fraction(-3, 4))]) == \
         _corners((0, Fraction(3, 4)), (0, 1), (Fraction(1, 4), Fraction(3, 4)))
     # flattened onto the line x = 1/2, by an equality or by two halfspaces
-    assert clip_simplex(triangle, [_halfspace((1, 0), -half)], []) == []
-    assert clip_simplex(triangle, [], [_halfspace((1, 0), -half),
+    assert _clip(triangle, [_halfspace((1, 0), -half)], []) == []
+    assert _clip(triangle, [], [_halfspace((1, 0), -half),
                                        _halfspace((-1, 0), half)]) == []
     # flattened onto the edge y = 0, and empty
-    assert clip_simplex(triangle, [], [_halfspace((0, -1), 0)]) == []
-    assert clip_simplex(triangle, [], [_halfspace((1, 0), -2)]) == []
+    assert _clip(triangle, [], [_halfspace((0, -1), 0)]) == []
+    assert _clip(triangle, [], [_halfspace((1, 0), -2)]) == []
     # s inside t gives the vertices of s
     big = GeoSimplex((rpoint(-1, -1), rpoint(3, 0), rpoint(0, 3)))
-    assert clip_simplex(triangle, *simplex_hrep(big)) == sorted(triangle)
+    assert _clip(triangle, *simplex_hrep(big)) == sorted(triangle)
     # a segment in R^3 on a plane z = 0: the equality holds on it, the
     # halfspace z >= 0 vanishes on it and y <= 1/2 halves it
     segment = _corners((0, 0, 0), (1, 1, 0))
-    assert clip_simplex(segment, [_halfspace((0, 0, 1), 0)],
+    assert _clip(segment, [_halfspace((0, 0, 1), 0)],
                         [_halfspace((0, 0, 1), 0), _halfspace((0, -1, 0), half)]) \
         == _corners((0, 0, 0), (half, half, 0))
     # a point is kept or dropped whole
     point = _corners((half, half))
-    assert clip_simplex(point, [], [_halfspace((1, 1), -1)]) == point
-    assert clip_simplex(point, [], [_halfspace((1, 1), -2)]) == []
+    assert _clip(point, [], [_halfspace((1, 1), -1)]) == point
+    assert _clip(point, [], [_halfspace((1, 1), -2)]) == []
 
 
 def _lattice_simplex(rng, pool, k, keep=()):
@@ -115,8 +135,18 @@ def test_clip_simplex_matches_enumeration_oracle():
         verts = enumerate_cell_vertices(list(eqs_s) + list(eqs),
                                         list(ineqs_s) + list(ineqs), s.ambient_dim)
         expected = verts if verts and aff_dim(verts) == s.dim else []
-        got = clip_simplex([v.coords for v in s.vertices], eqs, ineqs)
+        points = [v.coords for v in s.vertices]
+        got = _clip(points, eqs, ineqs)
         assert got == expected, (s, eqs, ineqs)
+        # The Fraction kernel gives the same vertices, and the same pulled
+        # simplexes of the cell.
+        assert fraction_clip_simplex(points, eqs, ineqs) == got, (s, eqs, ineqs)
+        if got:
+            forms = list(ineqs_s) + list(ineqs)
+            pulled = pull_triangulation([homogeneous(p) for p in got],
+                                        list(s._point_rows[1]) + [_row(g) for g in ineqs])
+            assert [tuple(got[i] for i in tri) for tri in pulled] == \
+                fraction_pull_triangulation(got, forms), (s, eqs, ineqs)
         kinds["full"] += bool(expected)
 
     for n in (1, 2, 3, 4):
@@ -145,11 +175,79 @@ def test_clip_simplex_matches_enumeration_oracle():
             face = rng.sample(t.vertices, rng.randint(1, n))
             images = [rng.choice(face) for _ in s.vertices]
             bary = simplex_hrep(s)[1]
-            pulled = _pullback_forms(bary, images, simplex_hrep(t)[1])
+            pulled = pullback_forms(bary, images, simplex_hrep(t)[1])
             kinds["vanishing"] += any(not any(g.coeffs) and g.const == 0
                                       for g in pulled)
-            check(s, _pullback_forms(bary, images, simplex_hrep(t)[0]), pulled)
+            check(s, pullback_forms(bary, images, simplex_hrep(t)[0]), pulled)
+            # The integer pullback is a positive multiple of each form.
+            for rows, forms in zip(t._point_rows, simplex_hrep(t)):
+                got = _pullback_rows(s, images, rows)
+                assert list(map(_primitive, got)) == \
+                    [_primitive(_row(g)) for g in pullback_forms(bary, images, forms)]
     assert all(count >= 20 for count in kinds.values()), kinds
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return tuple(x // g for x in row) if g else row
+
+
+def _fraction_rank(rows):
+    return len(_echelon([[Fraction(x) for x in r] for r in rows])[1])
+
+
+def test_bareiss_matches_fraction_elimination():
+    # Square and rectangular integer matrices; many have zero pivots (a
+    # zero leading entry, a zero column) or are singular (a row that is a
+    # combination of others, a zero row).
+    rng = random.Random(1968)
+    singular = zero_pivot = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+             for _ in range(n)]
+        shape = rng.randrange(4)
+        if shape == 1 and n > 1:
+            a, b = rng.sample(range(n), 2)
+            c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[b] = [c * x + d * y for x, y in zip(m[a], m[(a + 1) % n])]
+        elif shape == 2:
+            col = rng.randrange(n)
+            for r in m:
+                r[col] = 0
+        elif shape == 3:
+            m[rng.randrange(n)][0] = 0
+            m[0][0] = 0
+        expected = fraction_det(m)
+        assert det(m) == expected, m
+        singular += expected == 0
+        zero_pivot += m[0][0] == 0
+        rect = m + [[rng.randint(-4, 4) for _ in range(n)]
+                    for _ in range(rng.randint(0, 2))]
+        rows = [r[:rng.randint(1, n)] for r in rect]
+        width = min(map(len, rows))
+        rows = [r[:width] for r in rows]
+        assert pivot_columns(rows) == _echelon([[Fraction(x) for x in r]
+                                                for r in rows])[1], rows
+        assert matrix_rank(rows) == _fraction_rank(rows)
+    assert singular >= 80 and zero_pivot >= 80, (singular, zero_pivot)
+    assert det([]) == 1 and det([[0]]) == 0 and det([[0, 1], [1, 0]]) == -1
+    assert matrix_rank([]) == 0 and matrix_rank([[0, 0], [0, 0]]) == 0
+
+
+def test_homogeneous_vectors_and_volumes():
+    rng = random.Random(2014)
+    for n in (1, 2, 3):
+        for _ in range(30):
+            pts = [tuple(random_rational(rng, 6, -1, 1) for _ in range(n))
+                   for _ in range(n + 1)]
+            xs = [homogeneous(p) for p in pts]
+            for p, x in zip(pts, xs):
+                assert _point(x) == p and x[-1] > 0 and math.gcd(*x) == 1
+                assert RPoint(p)._homog == x
+            dirs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+            assert simplex_volume(pts) == abs(fraction_det(dirs)) / math.factorial(n)
+            assert aff_dim(pts) == _fraction_rank(dirs)
 
 
 def test_simplex_forms_match_per_form_solves():

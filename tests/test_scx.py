@@ -32,6 +32,20 @@ def test_plmap_roundtrip(tent):
     assert again.payload.images == tent.images
 
 
+def test_equal_vertices_of_a_parsed_document_are_one_object():
+    doc = parse_scx(print_scx(ScxDocument("complex", standard_cube(3))))
+    cx = doc.payload
+    objects = {id(v) for s in cx.simplexes for v in s.vertices}
+    assert objects == {id(v) for v in cx.vertices()} and len(objects) == 8
+    # Across the parts of one document too: a verdict's two witness
+    # complexes and its collapse sequence share their points.
+    verdict = certify_main(standard_cube(2))
+    wit = parse_scx(print_scx(ScxDocument("verdict", verdict))).payload.witnesses
+    ids = {id(v) for v in wit.collapse_complex.vertices()}
+    assert ids == {id(v) for v in wit.strongly_regular.vertices()}
+    assert id(wit.collapse_sequence.terminal.vertices[0]) in ids
+
+
 def test_weighted_roundtrip():
     base = AbsComplex(["a", "b", "c"],
                       [frozenset({"a", "b"}), frozenset({"b", "c"})])

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from zrk import (GeoSimplex, PLMap, common_refinement, from_maximal,
-                 is_subdivision, refine_for_map, restrict, rpoint, standard_cube,
-                 stellar, stellar_chain)
+                 is_subdivision, linalg, refine_for_map, restrict, rpoint,
+                 standard_cube, stellar, stellar_chain)
+from zrk.linalg import AffineForm
 from zrk.subdivide import (PointNotInSupport, SupportMismatch,
                            inside_subcomplex, supports, support_equal)
 
@@ -333,3 +334,45 @@ def test_inside_subcomplex_matches_testing_every_simplex():
                             if supports(part.maximal_simplexes(), s)}
                 inside = inside_subcomplex(cx, part)
                 assert (inside.simplexes if inside else set()) == expected
+
+
+def test_cell_kernel_runs_on_integers_only(monkeypatch):
+    # Once the input simplexes have their cached rows, supports,
+    # common_refinement and refine_for_map clip, pull and measure cells on
+    # integer vectors and rows: no AffineForm is evaluated and no Fraction
+    # echelon runs, for a determinant or anything else.
+    rng = random.Random(20149)
+
+    def stellar_square():
+        cx = standard_cube(2)
+        for _ in range(3):
+            cx = stellar(cx, rpoint(*[random_rational(rng, 4) for _ in range(2)]))
+        return cx
+
+    a, b = stellar_square(), stellar_square()
+    eta = PLMap(a, {v: rpoint((v[0] + v[1]) / 2, v[1]) for v in a.vertices()})
+    s = random_simplex(rng, 2, 4)
+    for t in (s, *a.maximal_simplexes(), *b.maximal_simplexes()):
+        t._point_rows
+
+    calls = {"form": 0, "echelon": 0, "clip": 0, "det": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(AffineForm, "__call__", counting("form", AffineForm.__call__))
+    monkeypatch.setattr(linalg, "_echelon", counting("echelon", linalg._echelon))
+    monkeypatch.setattr(linalg, "clip_simplex", counting("clip", linalg.clip_simplex))
+    monkeypatch.setattr(linalg, "det", counting("det", linalg.det))
+    covered = supports(b.maximal_simplexes(), s)
+    overlay = common_refinement(a, b)
+    refined = refine_for_map(a, eta, b)
+    assert calls["form"] == 0 and calls["echelon"] == 0, calls
+    assert calls["clip"] > 20 and calls["det"] > 20, calls
+    monkeypatch.undo()
+    assert covered and is_subdivision(overlay, a) and is_subdivision(overlay, b)
+    assert is_subdivision(refined, a)
+    assert len(refined.maximal_simplexes()) > len(a.maximal_simplexes())
