@@ -73,7 +73,7 @@ def cmd_check_strongly_regular(args) -> int:
     if regular.is_strongly_regular(cx):
         print("strongly regular")
         return EX_OK
-    if all(is_regular(s) for s in cx.simplexes):
+    if all(is_regular(s) for s in cx.maximal_simplexes()):
         import math
         for s in cx.maximal_simplexes():
             g = 0

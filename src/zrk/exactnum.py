@@ -2,8 +2,13 @@
 
 ``Rat`` is the standard-library ``fractions.Fraction``: it already keeps
 numerator/denominator coprime with a positive denominator, which is exactly
-the required canonical form.  The lattice kernels (invariant factors and the
-basis-extension test) are what every regularity check reduces to.
+the required canonical form.  The lattice kernels take integer matrices
+only: an entry that is not an ``int`` (a float, a ``Fraction``, a bool)
+raises ``ValueError`` instead of being truncated.  Every regularity check
+reduces to ``extends_to_basis``, a saturation test by unimodular column
+operations that computes no transforms; the Smith decomposition
+(``smith_with_transforms``, ``invariant_factors``) serves the callers that
+need the invariant factors themselves or the transforms.
 """
 
 from __future__ import annotations
@@ -52,12 +57,13 @@ class IntMat:
         width = len(self.entries[0])
         if any(len(r) != width for r in self.entries):
             raise ValueError("ragged rows")
-        if any(not isinstance(x, int) for r in self.entries for x in r):
+        if any(isinstance(x, bool) or not isinstance(x, int)
+               for r in self.entries for x in r):
             raise ValueError("entries must be integers")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMat":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
+        return cls(tuple(tuple(r) for r in rows))
 
     @property
     def rows(self) -> int:
@@ -70,26 +76,71 @@ class IntMat:
 
 def invariant_factors(m: IntMat | Sequence[Sequence[int]]) -> list[int]:
     """Smith-form diagonal d_1 | d_2 | ... | d_min(rows, cols)."""
-    entries = m.entries if isinstance(m, IntMat) else IntMat.from_rows(m).entries
-    _, d, _ = smith_with_transforms(entries)
+    _, d, _ = smith_with_transforms(m.entries if isinstance(m, IntMat) else m)
     return [d[i][i] for i in range(min(len(d), len(d[0])))]
 
 
 def extends_to_basis(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff the rows extend to a basis of Z^m.
+    """True iff the k rows extend to a basis of Z^m.
 
-    Equivalent to all invariant factors being 1, i.e. the gcd of the maximal
-    minors being 1.  Dependent rows (a zero invariant factor) are rejected.
+    Unimodular column operations reduce the rows A to A C = [L | 0], L
+    lower triangular k x k and det C = +-1: for each row i in turn, an
+    extended gcd folds each entry right of the pivot (i, i) into the pivot,
+    as a 2 x 2 column operation of determinant 1 applied to rows i..k-1
+    (the rows above are already zero there).  Dependent rows raise
+    ``ValueError``; otherwise the rows extend to a basis exactly when every
+    diagonal entry of L is +-1.
+
+    Proof.  If the diagonal entry of row i is 0, row i of A C lies in the
+    span of the first i unit vectors, as do rows 0..i-1, so the rows are
+    dependent; if no diagonal entry is 0, L is nonsingular and the rows are
+    independent.  If every diagonal entry is +-1, L is unimodular, the
+    square matrix M with rows [L | 0] and [0 | I] has det +-1, and M C^-1
+    is a unimodular matrix whose first k rows are A.  Conversely, the
+    determinant of any square integer matrix whose first k rows are A is,
+    by Laplace expansion along those rows, an integer combination of the
+    k x k minors of A; each of these is an integer combination of the
+    minors of A C (Cauchy-Binet with C^-1), and the only nonzero one of
+    those is det L.  So every completion has a determinant divisible by
+    det L, and none is unimodular when |det L| > 1.
     """
-    rows = [tuple(int(x) for x in r) for r in rows]
     if not rows:
         raise ValueError("empty input")
-    if len(rows) > len(rows[0]):
+    a = _int_rows(rows)
+    k, m = len(a), len(a[0])
+    if k > m:
         raise ValueError("not affinely independent input")
-    factors = invariant_factors(rows)
-    if 0 in factors:
+    for i in range(k):
+        top = a[i]
+        for j in range(i + 1, m):
+            b = top[j]
+            if not b:
+                continue
+            g, x, y = xgcd(top[i], b)
+            p, b = top[i] // g, b // g  # x p + y b = 1
+            for r in a[i:]:
+                ri, rj = r[i], r[j]
+                r[i], r[j] = x * ri + y * rj, p * rj - b * ri
+    diagonal = [a[i][i] for i in range(k)]
+    if 0 in diagonal:
         raise ValueError("not affinely independent input")
-    return all(d == 1 for d in factors)
+    return all(d in (1, -1) for d in diagonal)
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """g, x, y with a*x + b*y = g, g = +-gcd(a, b)."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows as mutable lists, once ``IntMat`` has checked that they form
+    a nonempty rectangular matrix of ints."""
+    return [list(r) for r in IntMat.from_rows(rows).entries]
 
 
 def lcd(xs: Sequence[Rat]) -> int:
@@ -108,7 +159,7 @@ def smith_with_transforms(entries: Sequence[Sequence[int]]
 
     Returns (U, D, V); the diagonal of D holds the invariant factors.
     """
-    a = [list(map(int, r)) for r in entries]
+    a = _int_rows(entries)
     nr, nc = len(a), len(a[0])
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]

@@ -1,15 +1,16 @@
 """Exact linear algebra and small-polytope kernels over the rationals.
 
-There are no tolerances anywhere, and two exact number types.  Solving
-(``solve_affine``, ``simplex_forms``) and the LP kernel ``lp_maximize``
-work on tuples of ``fractions.Fraction``.  The cell kernel works on
+There are no tolerances anywhere, and two exact number types.  The
+simplex forms (``simplex_forms``, one echelon) and the LP kernel
+``lp_maximize`` work on tuples of ``fractions.Fraction``; nothing here
+solves a ``Fraction`` system otherwise.  The cell kernel works on
 integers: a rational point p is its primitive homogeneous vector
 X = d(p, 1), for the least common denominator d of p (``homogeneous``),
 and an affine form f is an integer row R, a positive multiple of f's
 coefficients and constant, so that R . X has the sign of f(p).  Clipping a
 simplex by halfspaces (``clip_simplex``) and its pulling triangulation
-(``pull_triangulation``) decide everything by such signs; determinant and
-rank use Bareiss's fraction-free elimination (Bareiss 1968), whose
+(``pull_triangulation``) decide everything by such signs; determinant,
+adjugate and rank use Bareiss's fraction-free elimination (Bareiss 1968), whose
 intermediate entries are minors of the input and so stay integers.  The
 polytope routines are written for the desk-scale cells that arise when two
 triangulations are overlaid, not for high-dimensional polytopes.  The LP
@@ -79,42 +80,6 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     return rows[:r], pivots
 
 
-def solve_affine(rows: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[Vec, list[Vec]]]:
-    """Solve A x = b exactly.
-
-    Returns (particular solution, nullspace basis) or None when inconsistent.
-    Free variables are pinned to zero, so the result is deterministic.
-    """
-    aug = [[frac(x) for x in row] + [frac(b)] for row, b in zip(rows, rhs)]
-    nvars = len(aug[0]) - 1 if aug else 0
-    red, pivots = _echelon(aug)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    if nvars in pivots:  # pivot in the rhs column: inconsistent
-        return None
-    particular = [Fraction(0)] * nvars
-    for row, p in zip(red, pivots):
-        particular[p] = row[-1]
-    free = [c for c in range(nvars) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * nvars
-        v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return tuple(particular), basis
-
-
-def solve_square(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
-    """Unique solution of a square system, or None if singular/inconsistent."""
-    out = solve_affine(rows, rhs)
-    if out is None or out[1]:
-        return None
-    return out[0]
-
-
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free row echelon form of integer rows (Bareiss 1968).
 
@@ -157,6 +122,20 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     if len(pivots) < len(m):
         return 0
     return sign * m[-1][-1] if m else 1
+
+
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adj(M), det(M)) of a square integer matrix M, so that
+    adj(M) M = M adj(M) = det(M) I; each cofactor is a Bareiss
+    determinant."""
+    n = len(rows)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rest = rows[:i] + rows[i + 1:]
+        for j in range(n):
+            minor = det([r[:j] + r[j + 1:] for r in rest])
+            adj[j][i] = -minor if (i + j) % 2 else minor
+    return adj, sum(rows[0][j] * adj[j][0] for j in range(n))
 
 
 def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:

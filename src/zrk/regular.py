@@ -1,14 +1,18 @@
 """Denominator arithmetic and regularity of rational triangulations.
 
-A rational point v has the homogeneous integer vector den(v)*(v, 1); a
-simplex is regular when those vectors extend to a basis of Z^{n+1}, and
-strongly regular when additionally the vertex denominators are globally
-coprime.  Desingularization blows up the least non-regular maximal simplex
-at a lattice point of its fundamental box (on a 1-simplex, the Farey
-mediant) until every simplex is regular.  ``desingularize`` keeps only the
-set of maximal simplexes, replaces the star of the blown-up carrier at each
-step and builds the complex once at the end; ``desingularize_relative``
-watches the subcomplex inside a polyhedron, so it rebuilds the complex with
+A rational point v has the homogeneous integer vector den(v)*(v, 1),
+cached on the point; a simplex is regular when those vectors extend to a
+basis of Z^{n+1} (``exactnum.extends_to_basis``), and strongly regular when
+additionally the vertex denominators are globally coprime.  Faces of a
+regular simplex are regular, since a subset of rows that extends to a basis
+extends to one, so a complex is tested on its maximal simplexes alone.
+Desingularization blows up the least non-regular maximal simplex at a
+lattice point of its fundamental box (on a 1-simplex, the Farey mediant)
+until every simplex is regular; that point is found in integer arithmetic
+alone (``_box_point``).  ``desingularize`` keeps only the set of maximal
+simplexes, replaces the star of the blown-up carrier at each step and
+builds the complex once at the end; ``desingularize_relative`` watches the
+subcomplex inside a polyhedron, so it rebuilds the complex with
 ``subdivide.stellar`` at each step.
 """
 
@@ -23,8 +27,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .complexes import GeoComplex, GeoSimplex, RPoint, _homogeneous
-from .exactnum import extends_to_basis, lcd
-from . import subdivide
+from .exactnum import extends_to_basis, smith_with_transforms, xgcd
+from . import linalg, subdivide
 
 
 class BudgetExhausted(RuntimeError):
@@ -58,8 +62,9 @@ class HomogVec:
 
 
 def den(v: RPoint) -> int:
-    """Lowest common denominator of the coordinates; 1 on lattice points."""
-    return lcd(list(v.coords))
+    """Lowest common denominator of the coordinates; 1 on lattice points.
+    It is the last entry of the cached homogeneous vector."""
+    return v._homog[-1]
 
 
 def homog(v: RPoint) -> HomogVec:
@@ -69,7 +74,7 @@ def homog(v: RPoint) -> HomogVec:
 @lru_cache(maxsize=None)
 def is_regular(s: GeoSimplex) -> bool:
     """Homogeneous vertex vectors extend to a basis of Z^{n+1}."""
-    return extends_to_basis([homog(v).entries for v in s.vertices])
+    return extends_to_basis(s._vertex_rows)
 
 
 def is_strongly_regular_simplex(s: GeoSimplex) -> bool:
@@ -83,27 +88,12 @@ def is_strongly_regular_simplex(s: GeoSimplex) -> bool:
 
 
 def is_strongly_regular(cx: GeoComplex) -> bool:
-    """All simplexes regular, all maximal simplexes strongly regular."""
-    if not all(is_regular(s) for s in cx.simplexes):
-        return False
+    """All simplexes regular, all maximal simplexes strongly regular.
+
+    Only the maximal simplexes are tested: every simplex is a face of one,
+    and faces of a regular simplex are regular.
+    """
     return all(is_strongly_regular_simplex(s) for s in cx.maximal_simplexes())
-
-
-def _integer_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, exactly."""
-    from . import linalg
-
-    n = len(m)
-    cols = []
-    for j in range(n):
-        rhs = [Fraction(int(i == j)) for i in range(n)]
-        sol = linalg.solve_square([[Fraction(x) for x in row] for row in m], rhs)
-        _check(sol is not None, "matrix is singular")
-        cols.append(sol)
-    out = [[cols[j][i] for j in range(n)] for i in range(n)]
-    _check(all(x.denominator == 1 for row in out for x in row),
-           "matrix is not unimodular: its inverse is not integral")
-    return [[int(x) for x in row] for row in out]
 
 
 def _box_point(s: GeoSimplex) -> RPoint:
@@ -116,25 +106,39 @@ def _box_point(s: GeoSimplex) -> RPoint:
     desingularization terminate; among the finitely many candidates the
     one with the smallest maximal coefficient splits fastest.  On a
     non-regular 1-simplex this is the classical Farey mediant.
-    """
-    from . import linalg
-    from .exactnum import smith_with_transforms
 
-    rows = [homog(v).entries for v in s.vertices]
-    m = len(rows)
+    All in integers.  With U W V = D the Smith form of the vertex matrix
+    W, the rows of V^-1 = det(V) adj(V) at the invariant factors d > 1
+    generate the lattice points of the span modulo the vertex lattice.
+    Each generator g is a rational combination c W of the vertex vectors;
+    on the pivot columns P of W, c = g_P adj(W_P) / det(W_P), so every
+    coefficient is a numerator over the one denominator D = |det W_P|.
+    Candidates t_1 g_1 + ... are reduced modulo the vertex lattice by
+    taking each numerator mod D, and since all share D, comparing
+    (max, tuple) of numerators orders them as the coefficients do.
+    """
+    rows = s._vertex_rows
+    m, width = len(rows), len(rows[0])
     _, d_mat, v = smith_with_transforms(rows)
     diag = [d_mat[i][i] for i in range(min(len(d_mat), len(d_mat[0])))]
     torsion = [(i, di) for i, di in enumerate(diag) if di > 1]
     _check(bool(torsion), "regular simplex has no box point")
-    v_inv = _integer_inverse(v)
-    # Coefficients of each torsion saturation-basis vector over the w_i.
-    w_cols = [[Fraction(rows[j][k]) for j in range(m)] for k in range(len(rows[0]))]
-    gen_coeffs = []
+    adj_v, det_v = linalg.adjugate(v)
+    _check(det_v in (1, -1), "matrix is not unimodular: its inverse is not integral")
+    pivots = linalg.pivot_columns(rows)
+    adj_w, det_w = linalg.adjugate([[r[p] for p in pivots] for r in rows])
+    sign, den_d = (1, det_w) if det_w > 0 else (-1, -det_w)
+    # Numerators over den_d of each torsion generator's coefficients.
+    gen_nums = []
     for i, _ in torsion:
-        sol = linalg.solve_affine(w_cols, [Fraction(e) for e in v_inv[i]])
-        _check(sol is not None and not sol[1],
-               "torsion generator is not a unique combination of the vertex vectors")
-        gen_coeffs.append(sol[0])
+        g = [det_v * x for x in adj_v[i]]
+        nums = [sign * sum(g[p] * adj_w[q][j] for q, p in enumerate(pivots))
+                for j in range(m)]
+        _check(den_d != 0 and all(
+            sum(c * w[k] for c, w in zip(nums, rows)) == den_d * g[k]
+            for k in range(width)),
+            "torsion generator is not a unique combination of the vertex vectors")
+        gen_nums.append(nums)
 
     cap = 4096
     total = 1
@@ -151,30 +155,21 @@ def _box_point(s: GeoSimplex) -> RPoint:
     for ts in itertools.product(*ranges):
         if not any(ts):
             continue
-        coeffs = []
-        for j in range(m):
-            q = sum(t * g[j] for t, g in zip(ts, gen_coeffs))
-            coeffs.append(q - (q.numerator // q.denominator))
-        if all(c == 0 for c in coeffs):
+        coeffs = tuple(sum(t * g[j] for t, g in zip(ts, gen_nums)) % den_d
+                       for j in range(m))
+        if not any(coeffs):
             continue
         key = (max(coeffs), coeffs)
-        if best is None or key < best[0]:
-            best = (key, coeffs)
+        if best is None or key < best:
+            best = key
     _check(best is not None, "every box coefficient vector vanishes")
-    coeffs = best[1]
-    x = [Fraction(0)] * len(rows[0])
-    for c, w in zip(coeffs, rows):
-        for k, e in enumerate(w):
-            x[k] += c * e
-    _check(all(e.denominator == 1 for e in x), "box point is not integral")
-    xi = [int(e) for e in x]
-    g = 0
-    for e in xi:
-        g = math.gcd(g, e)
+    x = [sum(c * w[k] for c, w in zip(best[1], rows)) for k in range(width)]
+    _check(all(e % den_d == 0 for e in x), "box point is not integral")
+    g = math.gcd(*x)
     _check(g > 0, "box point of a non-regular simplex cannot vanish")
-    xi = [e // g for e in xi]
-    _check(xi[-1] > 0, "box point has a nonpositive denominator")
-    return RPoint(tuple(Fraction(e, xi[-1]) for e in xi[:-1]))
+    x = [e // g for e in x]
+    _check(x[-1] > 0, "box point has a nonpositive denominator")
+    return HomogVec(tuple(x)).point()
 
 
 def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
@@ -351,7 +346,7 @@ def anchor(p: GeoComplex, v: RPoint,
         u = coprime_point(s, d)
         du = den(u)
         # Bezout pair with b*du > 0 so that v + (w - v)/(b*du) lands on u.
-        g, a0, b0 = _xgcd(d, du)
+        g, a0, b0 = xgcd(d, du)
         _check(g == 1, "companion denominator is not coprime to den(v)")
         b = b0
         while b <= 0:
@@ -398,13 +393,3 @@ def _exit_parameter(s: GeoSimplex, v: RPoint, w: RPoint) -> Optional[Fraction]:
         if rate < 0:
             eps = min(eps, level / -rate)
     return eps if eps > 0 else None
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, x, y with a*x + b*y = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0

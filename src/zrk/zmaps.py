@@ -330,7 +330,7 @@ def _check_part1_properties(eta: PLMap, delta: GeoComplex,
     if not subdivide._adapted(inside, part):
         raise PropertyViolation("(e)", "the inside simplexes do not "
                                        "triangulate |P|")
-    if not all(is_regular(s) for s in inside.simplexes):
+    if not all(is_regular(s) for s in inside.maximal_simplexes()):
         raise PropertyViolation("(f)", "the triangulation of |P| is not regular")
     for s in delta.maximal_simplexes():
         if not _points_hull_in_support(eta.image_simplex_points(s), part):

@@ -23,7 +23,14 @@ complex with ``subdivide.stellar`` at every blow-up, from before
 and ``pullback_forms`` are the cell kernel on ``Fraction`` points and
 ``AffineForm``s, from before it worked on homogeneous integer vectors and
 integer rows; ``fraction_aff_dim`` is the ``Fraction`` echelon rank they
-used.
+used.  ``solve_affine`` and ``solve_square`` are the ``Fraction`` solvers
+the box point used.  ``smith_extends_to_basis`` decides basis extension
+from the full Smith form, from before ``exactnum.extends_to_basis`` was a
+saturation test by column operations; ``fraction_box_point`` (with
+``fraction_integer_inverse``) finds the box point with ``Fraction`` solves,
+from before ``regular._box_point`` worked on integers; and
+``all_faces_strongly_regular`` tests regularity on every face, from before
+``regular.is_strongly_regular`` read it off the maximal simplexes.
 """
 
 import math
@@ -34,9 +41,9 @@ from itertools import combinations, product
 from zrk import linalg, subdivide
 from zrk.collapse import CollapseSequence, CollapseStep
 from zrk.complexes import GeoSimplex, RPoint, _bbox_overlap, simplex_hrep
-from zrk.exactnum import IntMat
-from zrk.regular import BudgetExhausted, _box_point, is_regular
-from zrk.linalg import AffineForm, _echelon, dot, solve_affine, solve_square
+from zrk.exactnum import IntMat, invariant_factors, smith_with_transforms
+from zrk.regular import BudgetExhausted, _box_point, _check, homog, is_regular
+from zrk.linalg import AffineForm, _echelon, dot, frac
 
 
 def negate(f):
@@ -53,6 +60,42 @@ def vsub(a, b):
 
 def vscale(c, a):
     return tuple(c * x for x in a)
+
+
+def solve_affine(rows, rhs):
+    """Solve A x = b exactly over Fractions.
+
+    Returns (particular solution, nullspace basis) or None when inconsistent.
+    Free variables are pinned to zero, so the result is deterministic.
+    """
+    aug = [[frac(x) for x in row] + [frac(b)] for row, b in zip(rows, rhs)]
+    nvars = len(aug[0]) - 1 if aug else 0
+    red, pivots = _echelon(aug)
+    for row in red:
+        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
+            return None
+    if nvars in pivots:  # pivot in the rhs column: inconsistent
+        return None
+    particular = [Fraction(0)] * nvars
+    for row, p in zip(red, pivots):
+        particular[p] = row[-1]
+    free = [c for c in range(nvars) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * nvars
+        v[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return tuple(particular), basis
+
+
+def solve_square(rows, rhs):
+    """Unique solution of a square system, or None if singular/inconsistent."""
+    out = solve_affine(rows, rhs)
+    if out is None or out[1]:
+        return None
+    return out[0]
 
 
 def fraction_aff_dim(points) -> int:
@@ -495,3 +538,97 @@ def rebuild_desingularize(cx, budget: int = 10_000):
         steps += 1
         if steps > budget:
             raise BudgetExhausted("desingularization budget exhausted")
+
+
+def smith_extends_to_basis(rows) -> bool:
+    """Basis extension read off the invariant factors of the full Smith
+    form; the reference for ``exactnum.extends_to_basis``."""
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        raise ValueError("empty input")
+    if len(rows) > len(rows[0]):
+        raise ValueError("not affinely independent input")
+    factors = invariant_factors(rows)
+    if 0 in factors:
+        raise ValueError("not affinely independent input")
+    return all(d == 1 for d in factors)
+
+
+def fraction_integer_inverse(m):
+    """Inverse of a unimodular integer matrix by one ``Fraction`` solve per
+    column."""
+    n = len(m)
+    cols = []
+    for j in range(n):
+        rhs = [Fraction(int(i == j)) for i in range(n)]
+        sol = solve_square([[Fraction(x) for x in row] for row in m], rhs)
+        _check(sol is not None, "matrix is singular")
+        cols.append(sol)
+    out = [[cols[j][i] for j in range(n)] for i in range(n)]
+    _check(all(x.denominator == 1 for row in out for x in row),
+           "matrix is not unimodular: its inverse is not integral")
+    return [[int(x) for x in row] for row in out]
+
+
+def fraction_box_point(s) -> RPoint:
+    """The box point of a non-regular simplex from ``Fraction`` solves for
+    V^-1 and the torsion coefficients, enumerated in ``Fraction``s; the
+    reference for ``regular._box_point``."""
+    rows = [homog(v).entries for v in s.vertices]
+    m = len(rows)
+    _, d_mat, v = smith_with_transforms(rows)
+    diag = [d_mat[i][i] for i in range(min(len(d_mat), len(d_mat[0])))]
+    torsion = [(i, di) for i, di in enumerate(diag) if di > 1]
+    _check(bool(torsion), "regular simplex has no box point")
+    v_inv = fraction_integer_inverse(v)
+    w_cols = [[Fraction(rows[j][k]) for j in range(m)] for k in range(len(rows[0]))]
+    gen_coeffs = []
+    for i, _ in torsion:
+        sol = solve_affine(w_cols, [Fraction(e) for e in v_inv[i]])
+        _check(sol is not None and not sol[1],
+               "torsion generator is not a unique combination of the vertex vectors")
+        gen_coeffs.append(sol[0])
+    total = math.prod(di for _, di in torsion)
+    ranges = [range(di) for _, di in torsion]
+    if total > 4096:
+        i_big = max(range(len(torsion)), key=lambda i: torsion[i][1])
+        ranges = [range(torsion[i][1]) if i == i_big else range(1)
+                  for i in range(len(torsion))]
+    best = None
+    for ts in product(*ranges):
+        if not any(ts):
+            continue
+        coeffs = []
+        for j in range(m):
+            q = sum(t * g[j] for t, g in zip(ts, gen_coeffs))
+            coeffs.append(q - (q.numerator // q.denominator))
+        if all(c == 0 for c in coeffs):
+            continue
+        key = (max(coeffs), coeffs)
+        if best is None or key < best[0]:
+            best = (key, coeffs)
+    _check(best is not None, "every box coefficient vector vanishes")
+    x = [Fraction(0)] * len(rows[0])
+    for c, w in zip(best[1], rows):
+        for k, e in enumerate(w):
+            x[k] += c * e
+    _check(all(e.denominator == 1 for e in x), "box point is not integral")
+    xi = [int(e) for e in x]
+    g = math.gcd(*xi)
+    _check(g > 0, "box point of a non-regular simplex cannot vanish")
+    xi = [e // g for e in xi]
+    _check(xi[-1] > 0, "box point has a nonpositive denominator")
+    return RPoint(tuple(Fraction(e, xi[-1]) for e in xi[:-1]))
+
+
+def all_faces_strongly_regular(cx) -> bool:
+    """Every simplex regular, by the Smith form, and every maximal simplex
+    with coprime vertex denominators; the reference for
+    ``regular.is_strongly_regular``."""
+    def regular(s):
+        return smith_extends_to_basis([homog(v).entries for v in s.vertices])
+
+    if not all(regular(s) for s in cx.simplexes):
+        return False
+    return all(math.gcd(*(homog(v).den for v in s.vertices)) == 1
+               for s in cx.maximal_simplexes())

@@ -9,7 +9,7 @@ from zrk.exactnum import (IntMat, extends_to_basis, format_rat,
                           invariant_factors, lcd, parse_rat,
                           smith_with_transforms)
 
-from oracles import minor_gcd
+from oracles import minor_gcd, smith_extends_to_basis
 
 rats = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -67,6 +67,53 @@ def test_extends_to_basis_golden():
 def test_extends_to_basis_rejects_dependent_rows():
     with pytest.raises(ValueError, match="not affinely independent input"):
         extends_to_basis([(1, 2, 3), (2, 4, 6)])
+    # Dependent rows raise also after a pivot that is not +-1.
+    with pytest.raises(ValueError, match="not affinely independent input"):
+        extends_to_basis([(2, 0, 0), (0, 3, 0), (2, 3, 0)])
+    # Empty input, more rows than columns and ragged rows.
+    for bad in ([], [()], [(1,), (2,)], [(1, 2), (3,)]):
+        with pytest.raises(ValueError):
+            extends_to_basis(bad)
+
+
+def test_lattice_kernels_reject_non_integers():
+    # int() used to truncate these: (1.9, 0) passed as the basis row (1, 0).
+    for bad in ([(1.9, 0)], [(2.7,)], [(1.5,)], [(True, 0)], [(Fraction(2), 1)]):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            extends_to_basis(bad)
+        with pytest.raises(ValueError, match="entries must be integers"):
+            invariant_factors(bad)
+        with pytest.raises(ValueError, match="entries must be integers"):
+            smith_with_transforms(bad)
+        with pytest.raises(ValueError, match="entries must be integers"):
+            IntMat.from_rows(bad)
+
+
+def _outcome(fn, rows):
+    try:
+        return fn(rows)
+    except ValueError:
+        return ValueError
+
+
+def test_extends_to_basis_matches_smith_oracle():
+    rng = random.Random(41)
+    seen = []
+    for _ in range(2500):
+        m = rng.randint(1, 5)
+        k = rng.randint(1, m)
+        rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(k)]
+        if rng.random() < 0.2:
+            zero = rng.randrange(m)
+            for r in rows:
+                r[zero] = 0
+        if k > 1 and rng.random() < 0.15:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        expected = _outcome(smith_extends_to_basis, rows)
+        assert _outcome(extends_to_basis, rows) == expected, rows
+        seen.append(expected)
+    assert min(seen.count(v) for v in (True, False, ValueError)) > 300
 
 
 def test_extends_to_basis_unimodular_invariance():

@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from zrk import (GeoComplex, GeoSimplex, anchor, coprime_point, den, desingularize,
+from zrk import (GeoComplex, GeoSimplex, anchor, certify_main, coprime_point, den,
+                 desingularize,
                  desingularize_relative, from_maximal,
                  has_strongly_regular_triangulation, homog, is_regular,
                  is_strongly_regular, is_strongly_regular_simplex,
                  is_subdivision, rpoint, standard_cube, stellar)
-from zrk import linalg, regular, subdivide
+from zrk import exactnum, linalg, regular, subdivide, zmaps
+from zrk.exactnum import invariant_factors
 from zrk.regular import BudgetExhausted, InvariantBroken
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import minor_gcd, rebuild_desingularize
+from oracles import (all_faces_strongly_regular, fraction_box_point, minor_gcd,
+                     rebuild_desingularize)
 
 
 def test_den_golden():
@@ -235,13 +238,26 @@ def test_anchor_outside_support(half_interval):
 # test below forces one through a monkeypatched helper.
 
 
+def _with_column_transform(v_new):
+    """smith_with_transforms with its column transform V replaced."""
+    real = regular.smith_with_transforms
+
+    def smith(rows):
+        u, d, _ = real(rows)
+        return u, d, v_new
+    return smith
+
+
 def test_integer_inverse_invariants(monkeypatch):
-    assert regular._integer_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert linalg.adjugate([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
+    assert linalg.adjugate([[2]]) == ([[1]], 2)
+    assert linalg.adjugate([[1, 2, 0], [0, 1, 0], [3, 0, 1]]) == (
+        [[1, -2, 0], [0, 1, 0], [-3, 6, 1]], 1)
+    bad = GeoSimplex((rpoint("1/3", 0), rpoint("2/3", 0)))
+    monkeypatch.setattr(regular, "smith_with_transforms",
+                        _with_column_transform([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(InvariantBroken, match="not unimodular"):
-        regular._integer_inverse([[2]])
-    monkeypatch.setattr(linalg, "solve_square", lambda m, rhs: None)
-    with pytest.raises(InvariantBroken, match="singular"):
-        regular._integer_inverse([[1]])
+        regular._box_point(bad)
 
 
 def test_box_point_invariants(monkeypatch):
@@ -249,17 +265,110 @@ def test_box_point_invariants(monkeypatch):
         regular._box_point(seg(0, 1))
     bad = GeoSimplex((rpoint("1/3", 0), rpoint("2/3", 0)))
     with monkeypatch.context() as m:
-        # A wrong inverse: its torsion row e_y is off the span of the
-        # vertex vectors (1, 0, 3) and (2, 0, 3).
-        m.setattr(regular, "_integer_inverse",
-                  lambda v: [[int(i == j) for j in range(len(v))]
-                             for i in range(len(v))])
+        # V = I makes the torsion row of V^-1 e_y, which is off the span of
+        # the vertex vectors (1, 0, 3) and (2, 0, 3).
+        m.setattr(regular, "smith_with_transforms",
+                  _with_column_transform([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
         with pytest.raises(InvariantBroken, match="torsion generator"):
             regular._box_point(bad)
-    monkeypatch.setattr(linalg, "solve_affine",
-                        lambda cols, rhs: ([Fraction(0)] * len(cols[0]), []))
+    # This V makes the torsion row of V^-1 the vertex vector (1, 0, 3)
+    # itself, so every multiple of it is 0 modulo the vertex lattice.
+    monkeypatch.setattr(regular, "smith_with_transforms",
+                        _with_column_transform([[0, 1, -3], [1, 0, 0], [0, 0, 1]]))
     with pytest.raises(InvariantBroken, match="every box coefficient"):
         regular._box_point(bad)
+
+
+def test_box_point_matches_fraction_oracle():
+    simplexes = [cx.maximal_simplexes()[0] for cx in _desingularize_inputs()[:15]]
+    rng = random.Random(61)
+    while len(simplexes) < 55:
+        s = random_simplex(rng, rng.randint(1, 3), 7)
+        if s.dim > 0 and not is_regular(s):
+            simplexes.append(s)
+    # Torsion order 4097 exceeds the 4096 cap on enumerated candidates.
+    wide = seg("1/4099", "1/2")
+    assert invariant_factors(homog(v).entries for v in wide.vertices)[-1] == 4097
+    simplexes.append(wide)
+    for s in simplexes:
+        try:
+            expected = fraction_box_point(s)
+        except InvariantBroken as e:
+            expected = str(e)
+        try:
+            got = regular._box_point(s)
+        except InvariantBroken as e:
+            got = str(e)
+        assert got == expected, s
+
+
+def test_is_strongly_regular_matches_all_faces_oracle(antidiagonal):
+    inputs = _desingularize_inputs()
+    cxs = inputs + [desingularize(cx) for cx in inputs[:20]] + [
+        antidiagonal, desingularize(antidiagonal),
+        from_maximal([seg(0, "1/2"), seg("1/2", 1)])]
+    verdicts = []
+    for cx in cxs:
+        expected = all_faces_strongly_regular(cx)
+        assert is_strongly_regular(cx) == expected, cx
+        verdicts.append(expected)
+    assert verdicts.count(True) > 5 and verdicts.count(False) > 5
+
+
+def test_regularity_paths_stay_integer(monkeypatch):
+    # certify_main tests regularity without Smith transforms and finds box
+    # points without a Fraction echelon; is_strongly_regular looks at the
+    # maximal simplexes only.
+    rng = random.Random(8)
+    while True:
+        s = random_simplex(rng, 2, 6)
+        if s.dim == 2 and not is_regular(s):
+            break
+    inputs = [standard_cube(3), from_maximal([s])]
+    is_reg, is_sreg, box = (regular.is_regular, regular.is_strongly_regular,
+                            regular._box_point)
+    smith, echelon = exactnum.smith_with_transforms, linalg._echelon
+    inside, calls = [], {"regular": 0, "box": 0, "smith": 0, "echelon": 0}
+
+    def entered(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            inside.append(key)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def counted(key, within, fn):
+        def wrapped(*args):
+            if within in inside:
+                calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    for mod in (regular, zmaps):
+        monkeypatch.setattr(mod, "is_regular", entered("regular", is_reg))
+        monkeypatch.setattr(mod, "is_strongly_regular", entered("regular", is_sreg))
+    monkeypatch.setattr(regular, "_box_point", entered("box", box))
+    monkeypatch.setattr(exactnum, "smith_with_transforms",
+                        counted("smith", "regular", smith))
+    monkeypatch.setattr(regular, "smith_with_transforms",
+                        counted("smith", "regular", smith))
+    monkeypatch.setattr(linalg, "_echelon", counted("echelon", "box", echelon))
+    is_reg.cache_clear()
+    verdicts = [certify_main(cx).status for cx in inputs]
+    assert calls["regular"] > 10 and calls["box"] > 0, calls
+    assert calls["smith"] == 0 and calls["echelon"] == 0, calls
+    monkeypatch.undo()
+    assert verdicts == [certify_main(cx).status for cx in inputs]
+
+    for cx in inputs + [desingularize(inputs[1])]:
+        seen = []
+        monkeypatch.setattr(regular, "is_regular",
+                            lambda t: seen.append(t) or is_reg(t))
+        is_strongly_regular(cx)
+        assert seen and set(seen) <= set(cx.maximal_simplexes())
 
 
 def test_coprime_point_invariant(monkeypatch):
@@ -269,7 +378,7 @@ def test_coprime_point_invariant(monkeypatch):
 
 
 def test_anchor_invariants(monkeypatch, half_interval):
-    monkeypatch.setattr(regular, "_xgcd", lambda a, b: (2, 0, 0))
+    monkeypatch.setattr(regular, "xgcd", lambda a, b: (2, 0, 0))
     with pytest.raises(InvariantBroken, match="not coprime"):
         anchor(half_interval, rpoint("1/2"))
     monkeypatch.undo()
