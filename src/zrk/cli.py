@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success/certified/true, 1 refuted/false, 2 unknown,
-64 usage errors, 65 parse/data errors.  The default search budget comes
-from --budget or the ZRK_BUDGET environment variable.
+64 usage errors, 65 parse/data errors.  The search budget comes from
+--budget or else the ZRK_BUDGET environment variable; one that is not a
+nonnegative integer is a usage error.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from .scx import ScxDocument, ScxError
 EX_OK, EX_FALSE, EX_UNKNOWN, EX_USAGE, EX_DATA = 0, 1, 2, 64, 65
 
 
-def _default_budget() -> int:
-    env = os.environ.get("ZRK_BUDGET")
-    return int(env) if env else 100_000
+def _budget(text: str) -> int:
+    """A search budget: a nonnegative decimal integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return int(text)
 
 
 def _load(path: str, kind: str):
@@ -238,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for arg, kind in files.items():
             p.add_argument(arg, help=f"path to a {kind} .scx document")
-        p.add_argument("--budget", type=int, default=_default_budget(),
-                       help="search/iteration budget")
+        p.add_argument("--budget", type=_budget,
+                       help="search/iteration budget (default: ZRK_BUDGET or 100000)")
         p.add_argument("--out", help="write the result document here")
         p.add_argument("--witness", help="directory for witness sidecar files")
         p.set_defaults(handler=handler)
@@ -285,8 +288,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.budget is None:
+            args.budget = _budget(os.environ.get("ZRK_BUDGET") or "100000")
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
+    except argparse.ArgumentTypeError as exc:
+        print(f"zrk: error: ZRK_BUDGET: {exc}", file=sys.stderr)
+        return EX_USAGE
     try:
         return args.handler(args)
     except BudgetExhausted as exc:

@@ -14,10 +14,12 @@ caches its primitive homogeneous vector X = d(p, 1), for the least common
 denominator d of p (``linalg.homogeneous``), and a tuple of points is
 affinely independent iff the rank of their vectors is their number.  Each
 simplex caches, on first use, its affine-hull equalities and barycentric
-forms scaled to integer rows E and B with one common denominator D > 0:
-p lies on the affine hull iff E X = 0, and its barycentric coordinates are
-B X / (D d), so a containment test compares integer signs.  The same
-vectors and rows are what ``linalg``'s cell kernel clips and pulls.
+forms as integer rows E and B with one common denominator D > 0, read off
+one fraction-free Gauss-Jordan elimination of its vertex vectors
+(``linalg.simplex_rows``): p lies on the affine hull iff E X = 0, and its
+barycentric coordinates are B X / (D d), so a containment test compares
+integer signs.  The same vectors and rows are what ``linalg``'s cell
+kernel clips and pulls.
 ``GeoComplex.carrier`` finds a vertex by set lookup and otherwise the first
 maximal simplex holding p, whose face on the positive coordinates is the
 carrier.
@@ -141,17 +143,13 @@ class GeoSimplex:
     @cached_property
     def _point_rows(self) -> tuple[tuple[tuple[int, ...], ...],
                                    tuple[tuple[int, ...], ...], int]:
-        """The forms of ``linalg.simplex_forms`` (equalities E, barycentric
-        forms B) as integer rows: D times each form (a, c) is the row
-        (D a, D c), for their least common denominator D > 0.
+        """The equalities E, barycentric forms B and denominator D of
+        ``linalg.simplex_rows``.
 
         Cached on the instance (the dataclass is frozen but has a
-        ``__dict__``), not in the module-level ``simplex_hrep`` cache, so
-        the rows go away with the simplex.
+        ``__dict__``), so the rows go away with the simplex.
         """
-        eqs, bary = linalg.simplex_forms([v.coords for v in self.vertices])
-        rows, scale = linalg.integer_rows(eqs + bary)
-        return tuple(rows[:len(eqs)]), tuple(rows[len(eqs):]), scale
+        return linalg.simplex_rows(self._vertex_rows)
 
     @cached_property
     def _box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -212,10 +210,13 @@ def _homogeneous(p: RPoint, n: int) -> tuple[int, ...]:
     return p._homog
 
 
+# The rows are GeoSimplex._point_rows now.  bench/tracer.py still reads
+# ``simplex_hrep.cache_info()`` in every traced run and bench/make_golden.py
+# empties it, so this cached stand-in stays until those scripts stop.
 @lru_cache(maxsize=None)
 def simplex_hrep(s: GeoSimplex):
-    """Cached H-representation (equalities, facet forms) of a simplex."""
-    return linalg.simplex_forms([v.coords for v in s.vertices])
+    """The integer rows (E, B) of ``GeoSimplex._point_rows``."""
+    return s._point_rows[:2]
 
 
 # The box is GeoSimplex._box now.  bench/make_golden.py still empties

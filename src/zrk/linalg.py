@@ -1,17 +1,16 @@
 """Exact linear algebra and small-polytope kernels over the rationals.
 
-There are no tolerances anywhere, and two exact number types.  The
-simplex forms (``simplex_forms``, one echelon) and the LP kernel
-``lp_maximize`` work on tuples of ``fractions.Fraction``; nothing here
-solves a ``Fraction`` system otherwise.  The cell kernel works on
-integers: a rational point p is its primitive homogeneous vector
-X = d(p, 1), for the least common denominator d of p (``homogeneous``),
-and an affine form f is an integer row R, a positive multiple of f's
-coefficients and constant, so that R . X has the sign of f(p).  Clipping a
-simplex by halfspaces (``clip_simplex``) and its pulling triangulation
-(``pull_triangulation``) decide everything by such signs; determinant,
-adjugate and rank use Bareiss's fraction-free elimination (Bareiss 1968), whose
-intermediate entries are minors of the input and so stay integers.  The
+There are no tolerances anywhere.  The kernels work on integers: a rational
+point p is its primitive homogeneous vector X = d(p, 1), for the least
+common denominator d of p (``homogeneous``), and an affine form f is an
+integer row R, a positive multiple of f's coefficients and constant, so
+that R . X has the sign of f(p).  Clipping a simplex by halfspaces
+(``clip_simplex``) and its pulling triangulation (``pull_triangulation``)
+decide everything by such signs.  Determinant, rank and a simplex's
+integer forms (``simplex_rows``, one Gauss-Jordan elimination) use
+Bareiss's fraction-free elimination (Bareiss 1968), whose intermediate
+entries are minors of the input and so stay integers.  Only the LP kernel
+``lp_maximize`` and ``simplex_volume`` return ``fractions.Fraction``s.  The
 polytope routines are written for the desk-scale cells that arise when two
 triangulations are overlaid, not for high-dimensional polytopes.  The LP
 kernel is a dense two-phase simplex method with Bland's rule for small
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 Vec = tuple  # tuple[Fraction, ...]
 IntVec = tuple  # tuple[int, ...]
@@ -34,10 +33,6 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 def homogeneous(coords: Sequence) -> IntVec:
     """The primitive integer vector d(p, 1) of the rational point p with these
     coordinates, d the least common denominator of p.  Equal points have
@@ -46,41 +41,8 @@ def homogeneous(coords: Sequence) -> IntVec:
     return tuple(c.numerator * (d // c.denominator) for c in coords) + (d,)
 
 
-def integer_rows(forms: Sequence["AffineForm"]) -> tuple[list[IntVec], int]:
-    """The forms as integer rows D(a, c), for the least common denominator
-    D > 0 of all their coefficients and constants; returns (rows, D)."""
-    scale = math.lcm(*(x.denominator for f in forms for x in f.coeffs + (f.const,)))
-    return [tuple(x.numerator * (scale // x.denominator) for x in f.coeffs + (f.const,))
-            for f in forms], scale
-
-
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+def _bareiss(rows: Sequence[Sequence[int]], reduced: bool = False
+             ) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free row echelon form of integer rows (Bareiss 1968).
 
     Returns (the rows, the pivot columns, the sign of the row swaps).  Each
@@ -91,7 +53,11 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int],
     exact.  A column without a nonzero entry is
     skipped, so the pivot columns are the lexicographically first maximal
     set of independent columns, and the last pivot of a nonsingular square
-    matrix is its determinant up to the sign.
+    matrix is its determinant up to the sign.  With ``reduced`` the rows
+    above the pivot are treated alike (fraction-free Gauss-Jordan): by
+    Cramer's rule their entries are minors up to sign too, and each earlier
+    pivot p becomes a, so at the end every pivot equals the last one, t,
+    and the pivot rows are t times the reduced row echelon form.
     """
     m = [list(r) for r in rows]
     pivots: list[int] = []
@@ -107,9 +73,10 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int],
             sign = -sign
         top = m[r]
         a = top[c]
-        for i in range(r + 1, len(m)):
-            b = m[i][c]
-            m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], top)]
+        for i in range(0 if reduced else r + 1, len(m)):
+            if i != r:
+                b = m[i][c]
+                m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], top)]
         prev = a
         pivots.append(c)
         r += 1
@@ -122,20 +89,6 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     if len(pivots) < len(m):
         return 0
     return sign * m[-1][-1] if m else 1
-
-
-def adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(adj(M), det(M)) of a square integer matrix M, so that
-    adj(M) M = M adj(M) = det(M) I; each cofactor is a Bareiss
-    determinant."""
-    n = len(rows)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rest = rows[:i] + rows[i + 1:]
-        for j in range(n):
-            minor = det([r[:j] + r[j + 1:] for r in rest])
-            adj[j][i] = -minor if (i + j) % 2 else minor
-    return adj, sum(rows[0][j] * adj[j][0] for j in range(n))
 
 
 def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -158,52 +111,48 @@ def affinely_independent(points: Sequence[Vec]) -> bool:
     return aff_dim(points) == len(points) - 1
 
 
-class AffineForm(NamedTuple):
-    """The affine functional x -> coeffs . x + const."""
+def simplex_rows(vectors: Sequence[IntVec]) -> tuple[tuple[IntVec, ...],
+                                                     tuple[IntVec, ...], int]:
+    """A simplex's affine-hull equalities E and barycentric forms B as
+    integer rows with one denominator D > 0, from the homogeneous vectors
+    X_j = d_j(p_j, 1) of its vertices: D times each form x -> a.x + c is
+    the row (D a, D c), for the least such D.
 
-    coeffs: Vec
-    const: Fraction
-
-    def __call__(self, p: Vec) -> Fraction:
-        return dot(self.coeffs, p) + self.const
-
-
-def simplex_forms(points: Sequence[Vec]) -> tuple[list[AffineForm], list[AffineForm]]:
-    """H-representation of a simplex: (affine-hull equalities, facet forms).
-
-    The facet forms are the barycentric functionals l_i with
-    l_i(p_j) = delta_ij, extended to the ambient space; within the affine
-    hull, the simplex is exactly where they are all nonnegative.  One
-    echelon of the rows (p_j, 1 | e_j) gives both.  Unknowns (a, c) stand
-    for the form x -> a.x + c.  The free columns of the (p_j, 1) block span
-    the forms vanishing on every point, and the e_i column holds the
-    solution of (p_j, 1).(a, c) = delta_ij with free coefficients pinned to
-    zero, so the result is deterministic.  The points must be affinely
+    The barycentric forms solve X_j . (a, c) = d_j e_j, so one fraction-free
+    Gauss-Jordan elimination of the rows (X_j | d_j e_j) gives t times the
+    reduced echelon form of (p_j, 1 | e_j), for its last pivot t.  Each
+    form is read off it with free coefficients pinned to zero: for each
+    free column f of the X block, the equality with t at f and minus f's
+    entries at the pivots, and for each e_i column, the barycentric form
+    with that column at the pivots.  Dividing by the gcd of t and every
+    entry, with the sign of t, leaves D > 0.  The points must be affinely
     independent.
     """
-    n = len(points[0])
-    k = len(points)
-    rows = [list(p) + [Fraction(1)] + [Fraction(int(i == j)) for i in range(k)]
-            for j, p in enumerate(points)]
-    red, pivots = _echelon(rows)
-    if pivots[-1] > n:  # a pivot in the e block: the (p_j, 1) are dependent
+    width, k = len(vectors[0]), len(vectors)
+    red, pivots, _ = _bareiss(
+        [x + tuple(x[-1] if i == j else 0 for i in range(k))
+         for j, x in enumerate(vectors)], reduced=True)
+    if pivots[-1] >= width:  # a pivot in the e block: dependent points
         raise ValueError("points are affinely dependent")
+    t = red[0][pivots[0]]
     eqs = []
-    for f in range(n + 1):
-        if f in pivots:
-            continue
-        sol = [Fraction(0)] * (n + 1)
-        sol[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            sol[p] = -row[f]
-        eqs.append(AffineForm(tuple(sol[:n]), sol[n]))
-    facets = []
-    for i in range(n + 1, n + 1 + k):
-        sol = [Fraction(0)] * (n + 1)
-        for row, p in zip(red, pivots):
-            sol[p] = row[i]
-        facets.append(AffineForm(tuple(sol[:n]), sol[n]))
-    return eqs, facets
+    for f in range(width):
+        if f not in pivots:
+            row = [0] * width
+            row[f] = t
+            for r, p in zip(red, pivots):
+                row[p] = -r[f]
+            eqs.append(row)
+    bary = []
+    for i in range(width, width + k):
+        row = [0] * width
+        for r, p in zip(red, pivots):
+            row[p] = r[i]
+        bary.append(row)
+    g = math.gcd(t, *(x for row in eqs + bary for x in row))
+    g = g if t > 0 else -g
+    return (tuple(tuple(x // g for x in row) for row in eqs),
+            tuple(tuple(x // g for x in row) for row in bary), t // g)
 
 
 def clip_simplex(points: Sequence[IntVec], eqs: Sequence[IntVec],

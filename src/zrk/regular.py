@@ -9,7 +9,8 @@ extends to one, so a complex is tested on its maximal simplexes alone.
 Desingularization blows up the least non-regular maximal simplex at a
 lattice point of its fundamental box (on a 1-simplex, the Farey mediant)
 until every simplex is regular; that point is found in integer arithmetic
-alone (``_box_point``).  ``desingularize`` keeps only the set of maximal
+alone, from the row transform of one Smith form (``_box_point``), together
+with its carrier.  ``desingularize`` keeps only the set of maximal
 simplexes, replaces the star of the blown-up carrier at each step and
 builds the complex once at the end; ``desingularize_relative`` watches the
 subcomplex inside a polyhedron, so it rebuilds the complex with
@@ -24,11 +25,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from .complexes import GeoComplex, GeoSimplex, RPoint, _homogeneous
 from .exactnum import extends_to_basis, smith_with_transforms, xgcd
-from . import linalg, subdivide
+from . import subdivide
 
 
 class BudgetExhausted(RuntimeError):
@@ -96,8 +98,10 @@ def is_strongly_regular(cx: GeoComplex) -> bool:
     return all(is_strongly_regular_simplex(s) for s in cx.maximal_simplexes())
 
 
-def _box_point(s: GeoSimplex) -> RPoint:
-    """A lattice point of the fundamental box of a non-regular simplex.
+def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:
+    """A lattice point of the fundamental box of a non-regular simplex, and
+    its carrier: the set of vertices of s where its coefficients are
+    positive.
 
     Writing the homogeneous vertex vectors as w_i, the returned point has
     homogeneous vector sum(c_i * w_i) with rational 0 <= c_i < 1, integral
@@ -108,42 +112,25 @@ def _box_point(s: GeoSimplex) -> RPoint:
     non-regular 1-simplex this is the classical Farey mediant.
 
     All in integers.  With U W V = D the Smith form of the vertex matrix
-    W, the rows of V^-1 = det(V) adj(V) at the invariant factors d > 1
-    generate the lattice points of the span modulo the vertex lattice.
-    Each generator g is a rational combination c W of the vertex vectors;
-    on the pivot columns P of W, c = g_P adj(W_P) / det(W_P), so every
-    coefficient is a numerator over the one denominator D = |det W_P|.
-    Candidates t_1 g_1 + ... are reduced modulo the vertex lattice by
-    taking each numerator mod D, and since all share D, comparing
-    (max, tuple) of numerators orders them as the coefficients do.
+    W, the rows of V^-1 at the invariant factors d_i > 1 generate the
+    lattice points of the span modulo the vertex lattice, and U W = D V^-1
+    makes generator i the combination (U_i / d_i) W: its coefficients are
+    row i of U over d_i.  Candidates t_1 g_1 + ... are reduced modulo the
+    vertex lattice by taking each coefficient's numerator over
+    L = lcm(d_i) mod L, and since all share L, comparing (max, tuple) of
+    numerators orders them as the coefficients do.
     """
     rows = s._vertex_rows
     m, width = len(rows), len(rows[0])
-    _, d_mat, v = smith_with_transforms(rows)
-    diag = [d_mat[i][i] for i in range(min(len(d_mat), len(d_mat[0])))]
-    torsion = [(i, di) for i, di in enumerate(diag) if di > 1]
+    u, d_mat, _ = smith_with_transforms(rows)
+    torsion = [(u[i], d_mat[i][i]) for i in range(m) if d_mat[i][i] > 1]
     _check(bool(torsion), "regular simplex has no box point")
-    adj_v, det_v = linalg.adjugate(v)
-    _check(det_v in (1, -1), "matrix is not unimodular: its inverse is not integral")
-    pivots = linalg.pivot_columns(rows)
-    adj_w, det_w = linalg.adjugate([[r[p] for p in pivots] for r in rows])
-    sign, den_d = (1, det_w) if det_w > 0 else (-1, -det_w)
-    # Numerators over den_d of each torsion generator's coefficients.
-    gen_nums = []
-    for i, _ in torsion:
-        g = [det_v * x for x in adj_v[i]]
-        nums = [sign * sum(g[p] * adj_w[q][j] for q, p in enumerate(pivots))
-                for j in range(m)]
-        _check(den_d != 0 and all(
-            sum(c * w[k] for c, w in zip(nums, rows)) == den_d * g[k]
-            for k in range(width)),
-            "torsion generator is not a unique combination of the vertex vectors")
-        gen_nums.append(nums)
+    big = math.lcm(*(di for _, di in torsion))
+    # Numerators over big of each torsion generator's coefficients.
+    gen_nums = [[x * (big // di) for x in ui] for ui, di in torsion]
 
     cap = 4096
-    total = 1
-    for _, di in torsion:
-        total *= di
+    total = math.prod(di for _, di in torsion)
     ranges = [range(di) for _, di in torsion]
     if total > cap:
         # Fall back to multiples of the single worst generator.
@@ -155,7 +142,7 @@ def _box_point(s: GeoSimplex) -> RPoint:
     for ts in itertools.product(*ranges):
         if not any(ts):
             continue
-        coeffs = tuple(sum(t * g[j] for t, g in zip(ts, gen_nums)) % den_d
+        coeffs = tuple(sum(t * g[j] for t, g in zip(ts, gen_nums)) % big
                        for j in range(m))
         if not any(coeffs):
             continue
@@ -164,12 +151,13 @@ def _box_point(s: GeoSimplex) -> RPoint:
             best = key
     _check(best is not None, "every box coefficient vector vanishes")
     x = [sum(c * w[k] for c, w in zip(best[1], rows)) for k in range(width)]
-    _check(all(e % den_d == 0 for e in x), "box point is not integral")
+    _check(all(e % big == 0 for e in x), "box point is not integral")
     g = math.gcd(*x)
     _check(g > 0, "box point of a non-regular simplex cannot vanish")
     x = [e // g for e in x]
     _check(x[-1] > 0, "box point has a nonpositive denominator")
-    return HomogVec(tuple(x)).point()
+    carrier = frozenset(v for v, c in zip(s.vertices, best[1]) if c)
+    return HomogVec(tuple(x)).point(), carrier
 
 
 def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
@@ -185,8 +173,8 @@ def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
     built once at the end.  Why that is the same as ``subdivide.stellar``
     on the whole complex: p = sum c_i w_i over s's homogeneous vertex
     vectors with every c_i >= 0, so p lies in s, and its carrier C is the
-    face of s on the vertices with c_i > 0, read off ``s._weights``.  The
-    simplexes of stellar(K, p) are the simplexes of K not containing C and
+    face of s on the vertices with c_i > 0, which ``_box_point`` returns.
+    The simplexes of stellar(K, p) are the simplexes of K not containing C and
     the cones F u {p} over faces F, not containing C, of simplexes
     containing C.  Each lies in a maximal one of two kinds: an m in M
     without C, untouched and still maximal (it does not contain p and no
@@ -198,7 +186,6 @@ def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
     maximal.  So M is updated by replacing each m containing C with its
     cones, and the closure of M is stellar(K, p).
     """
-    n = cx.ambient_dim
     maximal = set(cx.maximal_simplexes())
     heap = [(s.dim, s) for s in maximal if not is_regular(s)]
     heapq.heapify(heap)
@@ -207,9 +194,7 @@ def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
         _, s = heapq.heappop(heap)
         if s not in maximal:
             continue
-        p = _box_point(s)
-        weights = s._weights(_homogeneous(p, n))
-        carrier = {v for v, a in zip(s.vertices, weights) if a > 0}
+        p, carrier = _box_point(s)
         star = [m for m in maximal if carrier.issubset(m.vertices)]
         maximal.difference_update(star)
         for m in star:
@@ -244,7 +229,7 @@ def desingularize_relative(cx: GeoComplex, part: GeoComplex,
         if not bad:
             return cx
         cx = subdivide.stellar(
-            cx, _box_point(min(bad, key=lambda s: (s.dim, s.vertices))))
+            cx, _box_point(min(bad, key=lambda s: (s.dim, s.vertices)))[0])
         steps += 1
         if steps > budget:
             raise BudgetExhausted("desingularization budget exhausted")
@@ -378,18 +363,26 @@ def anchor(p: GeoComplex, v: RPoint,
 
 
 def _exit_parameter(s: GeoSimplex, v: RPoint, w: RPoint) -> Optional[Fraction]:
-    """Largest eps in (0, 1] with v + eps(w - v) still inside s."""
-    from .complexes import simplex_hrep
+    """Largest eps in (0, 1] with v + eps(w - v) still inside s; None when
+    the segment leaves the affine hull of s, or s at once.
 
-    eqs, ineqs = simplex_hrep(s)
-    direction = tuple(b - a for a, b in zip(v.coords, w.coords))
-    for e in eqs:
-        if sum(c * t for c, t in zip(e.coeffs, direction)) != 0:
-            return None  # leaves the affine hull immediately
+    A row R of ``s._point_rows`` gives R X = D d f(p) for the vector
+    X = d(p, 1) of a point p and its form f, so with a = R X_v and
+    b = R X_w, f changes along the segment iff a d_w != b d_v, falls iff
+    a d_w > b d_v, and then vanishes at eps = a d_w / (a d_w - b d_v).
+    """
+    eqs, bary, _ = s._point_rows
+    x, y = _homogeneous(v, s.ambient_dim), _homogeneous(w, s.ambient_dim)
+
+    def level_and_fall(row):
+        a = sum(map(mul, row, x))
+        return a * y[-1], a * y[-1] - sum(map(mul, row, y)) * x[-1]
+
+    if any(level_and_fall(e)[1] for e in eqs):
+        return None  # leaves the affine hull immediately
     eps = Fraction(1)
-    for f in ineqs:
-        rate = sum(c * t for c, t in zip(f.coeffs, direction))
-        level = f(v.coords)
-        if rate < 0:
-            eps = min(eps, level / -rate)
+    for row in bary:
+        level, fall = level_and_fall(row)
+        if fall > 0:
+            eps = min(eps, Fraction(level, fall))
     return eps if eps > 0 else None

@@ -14,7 +14,11 @@ halfspace at a time; ``scan_maximal_simplexes`` finds maximal simplexes by
 looking for a coface through every vertex.  ``barycentric_coords`` solves a
 fresh ``Fraction`` system for every point, and ``affine_hull_forms`` and
 ``vertex_forms`` solve one system per form, from before each simplex cached
-integer forms from one echelon; ``scan_carrier`` tests every face of a
+its forms from one echelon.  ``simplex_forms`` is that ``Fraction`` echelon
+(``echelon``), giving ``AffineForm``s that ``integer_rows`` scales to
+integer rows and ``simplex_hrep`` caches per simplex, from before
+``GeoSimplex._point_rows`` read its rows off one fraction-free Gauss-Jordan
+elimination.  ``scan_carrier`` tests every face of a
 complex, and ``product_lattice_points`` tests every vertex of the cube
 against every maximal simplex.  ``rebuild_desingularize`` rebuilds the whole
 complex with ``subdivide.stellar`` at every blow-up, from before
@@ -28,7 +32,9 @@ the box point used.  ``smith_extends_to_basis`` decides basis extension
 from the full Smith form, from before ``exactnum.extends_to_basis`` was a
 saturation test by column operations; ``fraction_box_point`` (with
 ``fraction_integer_inverse``) finds the box point with ``Fraction`` solves,
-from before ``regular._box_point`` worked on integers; and
+from before ``regular._box_point`` worked on integers;
+``fraction_exit_parameter`` is ``regular._exit_parameter`` on the
+``Fraction`` forms, from before it read integer rows; and
 ``all_faces_strongly_regular`` tests regularity on every face, from before
 ``regular.is_strongly_regular`` read it off the maximal simplexes.
 """
@@ -36,14 +42,101 @@ from before ``regular._box_point`` worked on integers; and
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 from zrk import linalg, subdivide
 from zrk.collapse import CollapseSequence, CollapseStep
-from zrk.complexes import GeoSimplex, RPoint, _bbox_overlap, simplex_hrep
+from zrk.complexes import GeoSimplex, RPoint, _bbox_overlap
 from zrk.exactnum import IntMat, invariant_factors, smith_with_transforms
 from zrk.regular import BudgetExhausted, _box_point, _check, homog, is_regular
-from zrk.linalg import AffineForm, _echelon, dot, frac
+from zrk.linalg import frac
+
+
+def dot(a, b) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+class AffineForm(NamedTuple):
+    """The affine functional x -> coeffs . x + const."""
+
+    coeffs: tuple
+    const: Fraction
+
+    def __call__(self, p) -> Fraction:
+        return dot(self.coeffs, p) + self.const
+
+
+def echelon(rows):
+    """Reduced row echelon form over Fractions; returns (rref rows, pivot
+    column indices)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def simplex_forms(points):
+    """(affine-hull equalities, barycentric forms) of a simplex as
+    ``AffineForm``s, from one ``Fraction`` echelon of the rows
+    (p_j, 1 | e_j) with free coefficients pinned to zero; the reference for
+    ``GeoSimplex._point_rows``.  The points must be affinely independent."""
+    n = len(points[0])
+    k = len(points)
+    rows = [list(p) + [Fraction(1)] + [Fraction(int(i == j)) for i in range(k)]
+            for j, p in enumerate(points)]
+    red, pivots = echelon(rows)
+    if pivots[-1] > n:  # a pivot in the e block: the (p_j, 1) are dependent
+        raise ValueError("points are affinely dependent")
+    eqs = []
+    for f in range(n + 1):
+        if f in pivots:
+            continue
+        sol = [Fraction(0)] * (n + 1)
+        sol[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            sol[p] = -row[f]
+        eqs.append(AffineForm(tuple(sol[:n]), sol[n]))
+    facets = []
+    for i in range(n + 1, n + 1 + k):
+        sol = [Fraction(0)] * (n + 1)
+        for row, p in zip(red, pivots):
+            sol[p] = row[i]
+        facets.append(AffineForm(tuple(sol[:n]), sol[n]))
+    return eqs, facets
+
+
+@lru_cache(maxsize=None)
+def simplex_hrep(s: GeoSimplex):
+    """Cached ``simplex_forms`` of a simplex's vertices."""
+    return simplex_forms([v.coords for v in s.vertices])
+
+
+def integer_rows(forms):
+    """The forms as integer rows D(a, c), for the least common denominator
+    D > 0 of all their coefficients and constants; returns (rows, D)."""
+    scale = math.lcm(*(x.denominator for f in forms for x in f.coeffs + (f.const,)))
+    return [tuple(x.numerator * (scale // x.denominator) for x in f.coeffs + (f.const,))
+            for f in forms], scale
 
 
 def negate(f):
@@ -70,7 +163,7 @@ def solve_affine(rows, rhs):
     """
     aug = [[frac(x) for x in row] + [frac(b)] for row, b in zip(rows, rhs)]
     nvars = len(aug[0]) - 1 if aug else 0
-    red, pivots = _echelon(aug)
+    red, pivots = echelon(aug)
     for row in red:
         if all(x == 0 for x in row[:-1]) and row[-1] != 0:
             return None
@@ -102,7 +195,7 @@ def fraction_aff_dim(points) -> int:
     """Dimension of the affine hull by a ``Fraction`` echelon; -1 when empty."""
     if not points:
         return -1
-    return len(_echelon([list(vsub(p, points[0])) for p in points[1:]])[1])
+    return len(echelon([list(vsub(p, points[0])) for p in points[1:]])[1])
 
 
 def fraction_det(rows) -> Fraction:
@@ -227,11 +320,11 @@ def barycentric_coords(points, x):
 def affine_hull_forms(points):
     """Canonical basis of affine forms vanishing on the given points, from one
     echelon of the rows (p, 1); the reference for the equalities of
-    ``linalg.simplex_forms``."""
+    ``simplex_forms``."""
     n = len(points[0])
     # Unknowns (a_1..a_n, c) with a.p + c = 0 for every p.
     rows = [list(p) + [Fraction(1)] for p in points]
-    red, pivots = _echelon(rows)
+    red, pivots = echelon(rows)
     forms = []
     for f in [c for c in range(n + 1) if c not in pivots]:
         sol = [Fraction(0)] * (n + 1)
@@ -245,7 +338,7 @@ def affine_hull_forms(points):
 def vertex_forms(points):
     """Affine forms l_i with l_i(p_j) = delta_ij, one solve per point with
     free coefficients pinned to zero; the reference for the facet forms of
-    ``linalg.simplex_forms``."""
+    ``simplex_forms``."""
     n = len(points[0])
     rows = [list(p) + [Fraction(1)] for p in points]
     out = []
@@ -534,7 +627,7 @@ def rebuild_desingularize(cx, budget: int = 10_000):
                      key=lambda s: (s.dim, s.vertices))
         if not bad:
             return cx
-        cx = subdivide.stellar(cx, _box_point(bad[0]))
+        cx = subdivide.stellar(cx, _box_point(bad[0])[0])
         steps += 1
         if steps > budget:
             raise BudgetExhausted("desingularization budget exhausted")
@@ -619,6 +712,22 @@ def fraction_box_point(s) -> RPoint:
     xi = [e // g for e in xi]
     _check(xi[-1] > 0, "box point has a nonpositive denominator")
     return RPoint(tuple(Fraction(e, xi[-1]) for e in xi[:-1]))
+
+
+def fraction_exit_parameter(s, v, w):
+    """Largest eps in (0, 1] with v + eps(w - v) inside s, or None, from the
+    ``Fraction`` forms of ``simplex_hrep``; the reference for
+    ``regular._exit_parameter``."""
+    eqs, ineqs = simplex_hrep(s)
+    direction = vsub(w.coords, v.coords)
+    if any(dot(e.coeffs, direction) != 0 for e in eqs):
+        return None
+    eps = Fraction(1)
+    for f in ineqs:
+        rate = dot(f.coeffs, direction)
+        if rate < 0:
+            eps = min(eps, f(v.coords) / -rate)
+    return eps if eps > 0 else None
 
 
 def all_faces_strongly_regular(cx) -> bool:

@@ -140,6 +140,22 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     assert "lowest terms" in err
 
 
+def test_bad_budget_is_a_usage_error(monkeypatch, capsys):
+    cube = corpus_path("cube1.scx")
+    for budget in ("abc", "-1", "1.5", ""):
+        assert run("certify", cube, "--budget", budget) == 64
+        err = capsys.readouterr().err
+        assert "--budget" in err and "Traceback" not in err
+    for budget in ("abc", "-1", "1.5"):
+        monkeypatch.setenv("ZRK_BUDGET", budget)
+        assert run("certify", cube) == 64
+        assert capsys.readouterr().err.startswith("zrk: error: ZRK_BUDGET: ")
+    # A valid flag overrides the variable; an empty variable is unset.
+    assert run("certify", cube, "--budget", "100") == 0
+    monkeypatch.setenv("ZRK_BUDGET", "")
+    assert run("certify", cube) == 0
+
+
 def test_corpus_verdicts_match():
     for name in ("half_interval", "third_interval", "antidiagonal", "cube1",
                  "cube2", "cube3", "corner_triangle", "edge_path",

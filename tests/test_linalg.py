@@ -6,16 +6,15 @@ from fractions import Fraction
 import pytest
 
 from zrk import GeoSimplex, RPoint, rpoint
-from zrk.complexes import simplex_hrep
-from zrk.linalg import (AffineForm, _echelon, aff_dim, affinely_independent,
-                        clip_simplex, det, homogeneous, integer_rows, lp_maximize,
-                        matrix_rank, pivot_columns, pull_triangulation,
-                        simplex_forms, simplex_volume)
+from zrk.linalg import (_bareiss, aff_dim, affinely_independent, clip_simplex, det,
+                        homogeneous, lp_maximize, matrix_rank, pivot_columns,
+                        pull_triangulation, simplex_volume)
 from zrk.subdivide import _pullback_rows
 
 from conftest import random_rational
-from oracles import (affine_hull_forms, enumerate_cell_vertices, fraction_clip_simplex,
-                     fraction_det, fraction_pull_triangulation, pullback_forms,
+from oracles import (AffineForm, affine_hull_forms, echelon, enumerate_cell_vertices,
+                     fraction_clip_simplex, fraction_det, fraction_pull_triangulation,
+                     integer_rows, pullback_forms, simplex_forms, simplex_hrep,
                      vertex_forms)
 
 
@@ -193,7 +192,7 @@ def _primitive(row):
 
 
 def _fraction_rank(rows):
-    return len(_echelon([[Fraction(x) for x in r] for r in rows])[1])
+    return len(echelon([[Fraction(x) for x in r] for r in rows])[1])
 
 
 def test_bareiss_matches_fraction_elimination():
@@ -227,9 +226,16 @@ def test_bareiss_matches_fraction_elimination():
         rows = [r[:rng.randint(1, n)] for r in rect]
         width = min(map(len, rows))
         rows = [r[:width] for r in rows]
-        assert pivot_columns(rows) == _echelon([[Fraction(x) for x in r]
-                                                for r in rows])[1], rows
+        rref, pivots = echelon([[Fraction(x) for x in r] for r in rows])
+        assert pivot_columns(rows) == pivots, rows
         assert matrix_rank(rows) == _fraction_rank(rows)
+        # Fraction-free Gauss-Jordan: t times the reduced echelon form, for
+        # its last pivot t, then zero rows.
+        red, red_pivots, _ = _bareiss(rows, reduced=True)
+        assert red_pivots == pivots, rows
+        t = red[len(pivots) - 1][pivots[-1]] if pivots else 1
+        assert red == [[t * x for x in r] for r in rref] + \
+            [[0] * width] * (len(rows) - len(pivots)), rows
     assert singular >= 80 and zero_pivot >= 80, (singular, zero_pivot)
     assert det([]) == 1 and det([[0]]) == 0 and det([[0, 1], [1, 0]]) == -1
     assert matrix_rank([]) == 0 and matrix_rank([[0, 0], [0, 0]]) == 0
@@ -251,20 +257,39 @@ def test_homogeneous_vectors_and_volumes():
 
 
 def test_simplex_forms_match_per_form_solves():
-    # Simplexes of every dimension k in R^1..R^4, with coordinates in
-    # [-2, 2] over denominators <= 5; the one echelon must give exactly the
-    # forms of the hull echelon and the k + 1 separate solves.
+    # Simplexes of every dimension k in R^1..R^5, with coordinates in
+    # [-2, 2] over denominators <= 5.  The one Fraction echelon must give
+    # exactly the forms of the hull echelon and the k + 1 separate solves,
+    # and the integer rows of _point_rows, read off one fraction-free
+    # Gauss-Jordan, must be exactly those forms scaled to integers.  With
+    # k = n + 1, and for the few dependent draws below, both paths raise.
     rng = random.Random(20148)
-    for n in (1, 2, 3, 4):
-        for k in range(n + 1):
+    dependent = 0
+    for n in (1, 2, 3, 4, 5):
+        for k in range(n + 2):
             drawn = 0
             while drawn < 6:
                 pts = [tuple(random_rational(rng, 5, -2, 2) for _ in range(n))
                        for _ in range(k + 1)]
-                if not affinely_independent(pts):
+                if len(set(pts)) < len(pts):
                     continue
                 drawn += 1
-                assert simplex_forms(pts) == (affine_hull_forms(pts),
-                                              vertex_forms(pts)), pts
+                if not affinely_independent(pts):
+                    dependent += 1
+                    with pytest.raises(ValueError, match="affinely dependent"):
+                        simplex_forms(pts)
+                    with pytest.raises(ValueError, match="affinely dependent"):
+                        GeoSimplex._raw(tuple(map(RPoint, pts)))._point_rows
+                    continue
+                pts = [v.coords for v in GeoSimplex(tuple(map(RPoint, pts))).vertices]
+                eqs, bary = simplex_forms(pts)
+                assert (eqs, bary) == (affine_hull_forms(pts), vertex_forms(pts)), pts
+                rows, scale = integer_rows(eqs + bary)
+                assert GeoSimplex(tuple(map(RPoint, pts)))._point_rows == (
+                    tuple(rows[:len(eqs)]), tuple(rows[len(eqs):]), scale), pts
+    assert dependent >= 30, dependent
+    line = _corners((0, 0), (1, 1), (2, 2))
     with pytest.raises(ValueError, match="affinely dependent"):
-        simplex_forms(_corners((0, 0), (1, 1), (2, 2)))
+        simplex_forms(line)
+    with pytest.raises(ValueError, match="affinely dependent"):
+        GeoSimplex._raw(tuple(map(RPoint, line)))._point_rows

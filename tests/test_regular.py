@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from zrk import (GeoComplex, GeoSimplex, anchor, certify_main, coprime_point, den,
-                 desingularize,
+from zrk import (GeoComplex, GeoSimplex, RPoint, anchor, certify_main, coprime_point,
+                 den, desingularize,
                  desingularize_relative, from_maximal,
                  has_strongly_regular_triangulation, homog, is_regular,
                  is_strongly_regular, is_strongly_regular_simplex,
@@ -15,8 +15,9 @@ from zrk.exactnum import invariant_factors
 from zrk.regular import BudgetExhausted, InvariantBroken
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import (all_faces_strongly_regular, fraction_box_point, minor_gcd,
-                     rebuild_desingularize)
+from oracles import (all_faces_strongly_regular, dot, fraction_box_point,
+                     fraction_exit_parameter, minor_gcd, rebuild_desingularize,
+                     simplex_hrep)
 
 
 def test_den_golden():
@@ -238,25 +239,25 @@ def test_anchor_outside_support(half_interval):
 # test below forces one through a monkeypatched helper.
 
 
-def _with_column_transform(v_new):
-    """smith_with_transforms with its column transform V replaced."""
+def _with_row_transform(u_new):
+    """smith_with_transforms with its row transform U replaced."""
     real = regular.smith_with_transforms
 
     def smith(rows):
-        u, d, _ = real(rows)
-        return u, d, v_new
+        _, d, v = real(rows)
+        return u_new, d, v
     return smith
 
 
 def test_integer_inverse_invariants(monkeypatch):
-    assert linalg.adjugate([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
-    assert linalg.adjugate([[2]]) == ([[1]], 2)
-    assert linalg.adjugate([[1, 2, 0], [0, 1, 0], [3, 0, 1]]) == (
-        [[1, -2, 0], [0, 1, 0], [-3, 6, 1]], 1)
+    # U W = D V^-1: row i of U W over d_i is row i of the integer matrix
+    # V^-1.  U = I makes the torsion row (2, 0, 3) / 3 for the vertex
+    # vectors (1, 0, 3) and (2, 0, 3): not integral, so neither is the box
+    # point built from it.
     bad = GeoSimplex((rpoint("1/3", 0), rpoint("2/3", 0)))
     monkeypatch.setattr(regular, "smith_with_transforms",
-                        _with_column_transform([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    with pytest.raises(InvariantBroken, match="not unimodular"):
+                        _with_row_transform([[1, 0], [0, 1]]))
+    with pytest.raises(InvariantBroken, match="box point is not integral"):
         regular._box_point(bad)
 
 
@@ -264,17 +265,11 @@ def test_box_point_invariants(monkeypatch):
     with pytest.raises(InvariantBroken, match="no box point"):
         regular._box_point(seg(0, 1))
     bad = GeoSimplex((rpoint("1/3", 0), rpoint("2/3", 0)))
-    with monkeypatch.context() as m:
-        # V = I makes the torsion row of V^-1 e_y, which is off the span of
-        # the vertex vectors (1, 0, 3) and (2, 0, 3).
-        m.setattr(regular, "smith_with_transforms",
-                  _with_column_transform([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-        with pytest.raises(InvariantBroken, match="torsion generator"):
-            regular._box_point(bad)
-    # This V makes the torsion row of V^-1 the vertex vector (1, 0, 3)
-    # itself, so every multiple of it is 0 modulo the vertex lattice.
+    # This U makes the torsion generator 3 (2, 0, 3) / 3, the vertex vector
+    # (2, 0, 3) itself, so every multiple of it is 0 modulo the vertex
+    # lattice.
     monkeypatch.setattr(regular, "smith_with_transforms",
-                        _with_column_transform([[0, 1, -3], [1, 0, 0], [0, 0, 1]]))
+                        _with_row_transform([[1, 0], [0, 3]]))
     with pytest.raises(InvariantBroken, match="every box coefficient"):
         regular._box_point(bad)
 
@@ -296,10 +291,16 @@ def test_box_point_matches_fraction_oracle():
         except InvariantBroken as e:
             expected = str(e)
         try:
-            got = regular._box_point(s)
+            got, carrier = regular._box_point(s)
         except InvariantBroken as e:
             got = str(e)
         assert got == expected, s
+        if isinstance(got, str):
+            continue
+        # desingularize blows up the carrier read off the box coefficients:
+        # the face on which the point has positive barycentric coordinates.
+        weights = s._weights(got._homog)
+        assert carrier == {v for v, a in zip(s.vertices, weights) if a > 0}, s
 
 
 def test_is_strongly_regular_matches_all_faces_oracle(antidiagonal):
@@ -317,7 +318,7 @@ def test_is_strongly_regular_matches_all_faces_oracle(antidiagonal):
 
 def test_regularity_paths_stay_integer(monkeypatch):
     # certify_main tests regularity without Smith transforms and finds box
-    # points without a Fraction echelon; is_strongly_regular looks at the
+    # points without a determinant; is_strongly_regular looks at the
     # maximal simplexes only.
     rng = random.Random(8)
     while True:
@@ -327,8 +328,8 @@ def test_regularity_paths_stay_integer(monkeypatch):
     inputs = [standard_cube(3), from_maximal([s])]
     is_reg, is_sreg, box = (regular.is_regular, regular.is_strongly_regular,
                             regular._box_point)
-    smith, echelon = exactnum.smith_with_transforms, linalg._echelon
-    inside, calls = [], {"regular": 0, "box": 0, "smith": 0, "echelon": 0}
+    smith, det = exactnum.smith_with_transforms, linalg.det
+    inside, calls = [], {"regular": 0, "box": 0, "smith": 0, "det": 0}
 
     def entered(key, fn):
         def wrapped(*args):
@@ -355,11 +356,11 @@ def test_regularity_paths_stay_integer(monkeypatch):
                         counted("smith", "regular", smith))
     monkeypatch.setattr(regular, "smith_with_transforms",
                         counted("smith", "regular", smith))
-    monkeypatch.setattr(linalg, "_echelon", counted("echelon", "box", echelon))
+    monkeypatch.setattr(linalg, "det", counted("det", "box", det))
     is_reg.cache_clear()
     verdicts = [certify_main(cx).status for cx in inputs]
     assert calls["regular"] > 10 and calls["box"] > 0, calls
-    assert calls["smith"] == 0 and calls["echelon"] == 0, calls
+    assert calls["smith"] == 0 and calls["det"] == 0, calls
     monkeypatch.undo()
     assert verdicts == [certify_main(cx).status for cx in inputs]
 
@@ -369,6 +370,42 @@ def test_regularity_paths_stay_integer(monkeypatch):
                             lambda t: seen.append(t) or is_reg(t))
         is_strongly_regular(cx)
         assert seen and set(seen) <= set(cx.maximal_simplexes())
+
+
+def test_exit_parameter_matches_fraction_forms():
+    # Seeded (s, v, w) with v in s and w an integer point, as anchor's
+    # lattice scan tries them, a vertex of s (the parameter is capped at
+    # 1), or v moved along an edge of s (the forms of the other vertices
+    # have rate 0).  Lower-dimensional s make many w leave the affine hull.
+    rng = random.Random(1405)
+    kinds = {"off the hull": 0, "capped": 0, "zero rate": 0, "cut": 0}
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        s = random_simplex(rng, n, 5)
+        weights = [rng.randint(0, 3) for _ in s.vertices]
+        weights[0] += not any(weights)
+        v = RPoint(tuple(sum(Fraction(c, sum(weights)) * u[i]
+                             for c, u in zip(weights, s.vertices)) for i in range(n)))
+        pick = rng.randrange(3)
+        if pick == 0:
+            w = rpoint(*[rng.randint(-1, 2) for _ in range(n)])
+        elif pick == 1 or s.dim == 0:
+            w = rng.choice(s.vertices)
+        else:
+            a, b = rng.sample(s.vertices, 2)
+            w = RPoint(tuple(x + y - z for x, y, z in zip(v.coords, b.coords, a.coords)))
+        if w == v:
+            continue
+        expected = fraction_exit_parameter(s, v, w)
+        assert regular._exit_parameter(s, v, w) == expected, (s, v, w)
+        eqs, ineqs = simplex_hrep(s)
+        direction = tuple(b - a for a, b in zip(v.coords, w.coords))
+        kinds["off the hull"] += any(dot(e.coeffs, direction) for e in eqs)
+        kinds["capped"] += expected == 1
+        kinds["cut"] += expected is not None and expected < 1
+        kinds["zero rate"] += expected is not None and any(
+            dot(f.coeffs, direction) == 0 for f in ineqs)
+    assert all(count >= 20 for count in kinds.values()), kinds
 
 
 def test_coprime_point_invariant(monkeypatch):

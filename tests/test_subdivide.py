@@ -6,7 +6,6 @@ import pytest
 from zrk import (GeoSimplex, PLMap, common_refinement, from_maximal,
                  is_subdivision, linalg, refine_for_map, restrict, rpoint,
                  standard_cube, stellar, stellar_chain)
-from zrk.linalg import AffineForm
 from zrk.subdivide import (PointNotInSupport, SupportMismatch,
                            inside_subcomplex, supports, support_equal)
 
@@ -339,8 +338,8 @@ def test_inside_subcomplex_matches_testing_every_simplex():
 def test_cell_kernel_runs_on_integers_only(monkeypatch):
     # Once the input simplexes have their cached rows, supports,
     # common_refinement and refine_for_map clip, pull and measure cells on
-    # integer vectors and rows: no AffineForm is evaluated and no Fraction
-    # echelon runs, for a determinant or anything else.
+    # integer vectors and rows (test_source checks that linalg builds no
+    # Fraction outside frac, lp_maximize and simplex_volume).
     rng = random.Random(20149)
 
     def stellar_square():
@@ -355,7 +354,7 @@ def test_cell_kernel_runs_on_integers_only(monkeypatch):
     for t in (s, *a.maximal_simplexes(), *b.maximal_simplexes()):
         t._point_rows
 
-    calls = {"form": 0, "echelon": 0, "clip": 0, "det": 0}
+    calls = {"clip": 0, "det": 0}
 
     def counting(key, fn):
         def counted(*args):
@@ -363,14 +362,11 @@ def test_cell_kernel_runs_on_integers_only(monkeypatch):
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(AffineForm, "__call__", counting("form", AffineForm.__call__))
-    monkeypatch.setattr(linalg, "_echelon", counting("echelon", linalg._echelon))
     monkeypatch.setattr(linalg, "clip_simplex", counting("clip", linalg.clip_simplex))
     monkeypatch.setattr(linalg, "det", counting("det", linalg.det))
     covered = supports(b.maximal_simplexes(), s)
     overlay = common_refinement(a, b)
     refined = refine_for_map(a, eta, b)
-    assert calls["form"] == 0 and calls["echelon"] == 0, calls
     assert calls["clip"] > 20 and calls["det"] > 20, calls
     monkeypatch.undo()
     assert covered and is_subdivision(overlay, a) and is_subdivision(overlay, b)
