@@ -9,6 +9,7 @@ nonnegative integer is a usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import collapse as collapse_mod
 from . import regular, scx, subdivide, zmaps
 from .complexes import RPoint
-from .exactnum import parse_rat
+from .exactnum import invariant_factors, parse_rat
 from .regular import BudgetExhausted, is_regular
 from .scx import ScxDocument, ScxError
 
@@ -61,9 +62,7 @@ def cmd_check_regular(args) -> int:
     cx = _load(args.file, "complex")
     bad = sorted(s for s in cx.simplexes if not is_regular(s))
     for s in bad:
-        from .exactnum import invariant_factors
-        from .regular import homog
-        factors = invariant_factors([homog(v).entries for v in s.vertices])
+        factors = invariant_factors(s._vertex_rows)
         print(f"simplex {s} not regular: invariant factors {factors}")
     if bad:
         return EX_FALSE
@@ -77,7 +76,6 @@ def cmd_check_strongly_regular(args) -> int:
         print("strongly regular")
         return EX_OK
     if all(is_regular(s) for s in cx.maximal_simplexes()):
-        import math
         for s in cx.maximal_simplexes():
             g = 0
             for v in s.vertices:

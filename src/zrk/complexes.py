@@ -544,19 +544,22 @@ def standard_cube(n: int) -> GeoComplex:
     return GeoComplex(maxi, validate=False)
 
 
-def realize(w: WeightedComplex) -> GeoComplex:
-    """Geometric realization on scaled basis vectors e_i / weight(v_i).
-
-    Vertex enumeration order is the stored order of the underlying abstract
-    complex; the ambient dimension is the number of vertices.
-    """
-    order = list(w.base.vertices)
-    k = len(order)
+def _placement(w: WeightedComplex) -> dict:
+    """Each vertex's point in the realization: the i-th vertex of the
+    stored order of the abstract complex goes to e_i / weight(v_i) in R^k,
+    for k vertices."""
+    k = len(w.base.vertices)
     placed = {}
-    for i, v in enumerate(order):
+    for i, v in enumerate(w.base.vertices):
         coords = [Fraction(0)] * k
         coords[i] = Fraction(1, w.weights[v])
         placed[v] = RPoint(tuple(coords))
+    return placed
+
+
+def realize(w: WeightedComplex) -> GeoComplex:
+    """Geometric realization on scaled basis vectors (``_placement``)."""
+    placed = _placement(w)
     # Points on distinct positive multiples of distinct basis vectors are
     # linearly, hence affinely, independent: no rank check per face.  The
     # faces of an AbsComplex are closed under subsets already.

@@ -10,7 +10,7 @@ decide everything by such signs.  Determinant, rank and a simplex's
 integer forms (``simplex_rows``, one Gauss-Jordan elimination) use
 Bareiss's fraction-free elimination (Bareiss 1968), whose intermediate
 entries are minors of the input and so stay integers.  Only the LP kernel
-``lp_maximize`` and ``simplex_volume`` return ``fractions.Fraction``s.  The
+``lp_maximize`` returns ``fractions.Fraction``s.  The
 polytope routines are written for the desk-scale cells that arise when two
 triangulations are overlaid, not for high-dimensional polytopes.  The LP
 kernel is a dense two-phase simplex method with Bland's rule for small
@@ -324,16 +324,3 @@ def pull_triangulation(points: Sequence[IntVec],
 
     return [tuple(i for i in range(len(points)) if face >> i & 1)
             for face in pull((1 << len(points)) - 1)]
-
-
-def simplex_volume(points: Sequence[Vec]) -> Fraction:
-    """Full-dimensional volume of a simplex in its ambient space.
-
-    Zero when the simplex is not full-dimensional.  With homogeneous
-    vectors X_j = d_j(p_j, 1), n! times the volume is |det(X_j)| / prod d_j.
-    """
-    n = len(points[0])
-    if len(points) != n + 1:
-        return Fraction(0)
-    xs = [homogeneous(p) for p in points]
-    return Fraction(abs(det(xs)), math.prod(x[-1] for x in xs) * math.factorial(n))

@@ -10,11 +10,11 @@ Desingularization blows up the least non-regular maximal simplex at a
 lattice point of its fundamental box (on a 1-simplex, the Farey mediant)
 until every simplex is regular; that point is found in integer arithmetic
 alone, from the row transform of one Smith form (``_box_point``), together
-with its carrier.  ``desingularize`` keeps only the set of maximal
-simplexes, replaces the star of the blown-up carrier at each step and
-builds the complex once at the end; ``desingularize_relative`` watches the
-subcomplex inside a polyhedron, so it rebuilds the complex with
-``subdivide.stellar`` at each step.
+with its carrier.  ``desingularize`` and ``desingularize_relative`` share
+one loop on sets of maximal simplexes: each step replaces the star of the
+blown-up carrier (``subdivide._replace_star``) in the complex and, in the
+relative case, in the subcomplex inside the polyhedron, found once; the
+complex is built once at the end.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:
     numerators orders them as the coefficients do.
     """
     rows = s._vertex_rows
-    m, width = len(rows), len(rows[0])
+    m = len(rows)
     u, d_mat, _ = smith_with_transforms(rows)
     torsion = [(u[i], d_mat[i][i]) for i in range(m) if d_mat[i][i] > 1]
     _check(bool(torsion), "regular simplex has no box point")
@@ -150,14 +150,14 @@ def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:
         if best is None or key < best:
             best = key
     _check(best is not None, "every box coefficient vector vanishes")
-    x = [sum(c * w[k] for c, w in zip(best[1], rows)) for k in range(width)]
+    x = [sum(map(mul, best[1], col)) for col in zip(*rows)]
     _check(all(e % big == 0 for e in x), "box point is not integral")
     g = math.gcd(*x)
     _check(g > 0, "box point of a non-regular simplex cannot vanish")
     x = [e // g for e in x]
     _check(x[-1] > 0, "box point has a nonpositive denominator")
     carrier = frozenset(v for v, c in zip(s.vertices, best[1]) if c)
-    return HomogVec(tuple(x)).point(), carrier
+    return RPoint(tuple(Fraction(e, x[-1]) for e in x[:-1])), carrier
 
 
 def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
@@ -165,49 +165,14 @@ def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
 
     Faces of regular simplexes are regular, so only maximal simplexes are
     watched.  Each step blows up the least non-regular maximal simplex s,
-    in (dim, vertices) order, at its box point p (``_box_point``).  The
+    in (dim, vertices) order, at its box point p = sum c_i w_i over s's
+    homogeneous vertex vectors, c_i >= 0 (``_box_point``).  So p lies in
+    s, its carrier is the face on the vertices with c_i > 0, and the step
+    is ``subdivide._replace_star`` on the maximal simplexes alone.  The
     budget counts stellar steps; exceeding it raises, it never returns a
     wrong answer.
-
-    The steps work on the set M of maximal simplexes alone; the complex is
-    built once at the end.  Why that is the same as ``subdivide.stellar``
-    on the whole complex: p = sum c_i w_i over s's homogeneous vertex
-    vectors with every c_i >= 0, so p lies in s, and its carrier C is the
-    face of s on the vertices with c_i > 0, which ``_box_point`` returns.
-    The simplexes of stellar(K, p) are the simplexes of K not containing C and
-    the cones F u {p} over faces F, not containing C, of simplexes
-    containing C.  Each lies in a maximal one of two kinds: an m in M
-    without C, untouched and still maximal (it does not contain p and no
-    simplex of K strictly contains it), or a cone (m minus u) u {p} for an
-    m in M containing C and a vertex u of C, since a face F of m missing
-    some u of C lies in m minus u.  No such cone lies in another: a face F'
-    of some m' in M containing C with F' strictly containing m minus u
-    misses u, so F' u {u} lies in m' and strictly contains m, which is
-    maximal.  So M is updated by replacing each m containing C with its
-    cones, and the closure of M is stellar(K, p).
     """
-    maximal = set(cx.maximal_simplexes())
-    heap = [(s.dim, s) for s in maximal if not is_regular(s)]
-    heapq.heapify(heap)
-    steps = 0
-    while heap:
-        _, s = heapq.heappop(heap)
-        if s not in maximal:
-            continue
-        p, carrier = _box_point(s)
-        star = [m for m in maximal if carrier.issubset(m.vertices)]
-        maximal.difference_update(star)
-        for m in star:
-            for u in carrier:
-                cone = GeoSimplex._raw(tuple(sorted(
-                    [v for v in m.vertices if v != u] + [p])))
-                maximal.add(cone)
-                if not is_regular(cone):
-                    heapq.heappush(heap, (cone.dim, cone))
-        steps += 1
-        if steps > budget:
-            raise BudgetExhausted("desingularization budget exhausted")
-    return GeoComplex(maximal, validate=False) if steps else cx
+    return _blow_up(cx, None, budget)
 
 
 def desingularize_relative(cx: GeoComplex, part: GeoComplex,
@@ -215,24 +180,55 @@ def desingularize_relative(cx: GeoComplex, part: GeoComplex,
     """Stellar subdivision making the subcomplex inside |part| regular.
 
     Requires the simplexes of cx inside |part| to triangulate |part|
-    already; blow-ups happen at mediants inside |part|, so that property is
-    maintained while the rest of the complex is refined only incidentally.
-    The budget counts stellar steps, as in ``desingularize``.
+    already; blow-ups happen at box points inside |part|, so that property
+    is maintained while the rest of the complex is refined only
+    incidentally.  The budget counts stellar steps, as in ``desingularize``.
+
+    The inside subcomplex I(K) of K is found once.  With |I(K)| = |part|
+    and the carrier C of p in I(K), I(stellar(K, p)) = stellar(I(K), p),
+    so ``subdivide._replace_star`` updates its maximal simplexes as it
+    does those of K.  Proof: each simplex of stellar(I(K), p) is one of
+    stellar(K, p) lying in |I(K)|.  Conversely let t in stellar(K, p) lie
+    in |part|.  If t is in K, it misses C and is in I(K), so it is in
+    stellar(I(K), p).  Otherwise t = F u {p} for a face F of a simplex of
+    K containing C, so G = F u C is in K, and a point x of relint t, a
+    positive combination of F and p, hence of F and C, lies in relint G.
+    x is in |I(K)|, so in some r in I(K), and r meets G in a face holding
+    x, which is G; so G is in I(K), and t is in stellar(I(K), p).  That
+    also keeps |I(K)| = |part|.
     """
-    if not subdivide._adapted(subdivide.inside_subcomplex(cx, part), part):
+    inside = subdivide.inside_subcomplex(cx, part)
+    if not subdivide._adapted(inside, part):
         raise ValueError("precondition violation: the inside subcomplex "
                          "does not triangulate |P|")
+    return _blow_up(cx, set(inside.maximal_simplexes()), budget)
+
+
+def _blow_up(cx: GeoComplex, watched: Optional[set[GeoSimplex]],
+             budget: int) -> GeoComplex:
+    """Blow up the least non-regular simplex of ``watched``, the maximal
+    simplexes of a subcomplex (None: of cx itself), until all are regular,
+    keeping both it and the maximal simplexes of cx up to date."""
+    maximal = set(cx.maximal_simplexes())
+    if watched is None:
+        watched = maximal
+    heap = [(s.dim, s) for s in watched if not is_regular(s)]
+    heapq.heapify(heap)
     steps = 0
-    while True:
-        inside = subdivide.inside_subcomplex(cx, part)
-        bad = [s for s in inside.maximal_simplexes() if not is_regular(s)]
-        if not bad:
-            return cx
-        cx = subdivide.stellar(
-            cx, _box_point(min(bad, key=lambda s: (s.dim, s.vertices)))[0])
+    while heap:
+        _, s = heapq.heappop(heap)
+        if s not in watched:
+            continue
+        p, carrier = _box_point(s)
+        if watched is not maximal:
+            subdivide._replace_star(maximal, p, carrier)
+        for cone in subdivide._replace_star(watched, p, carrier):
+            if not is_regular(cone):
+                heapq.heappush(heap, (cone.dim, cone))
         steps += 1
         if steps > budget:
             raise BudgetExhausted("desingularization budget exhausted")
+    return GeoComplex(maximal, validate=False) if steps else cx
 
 
 def coprime_point(s: GeoSimplex, k: int) -> RPoint:
@@ -261,11 +257,7 @@ def coprime_point(s: GeoSimplex, k: int) -> RPoint:
             continue
         combo = _composition_with_total(dens, total)
         if combo is not None:
-            vecs = [homog(v).entries for v in s.vertices]
-            acc = [0] * len(vecs[0])
-            for a, w in zip(combo, vecs):
-                for i, e in enumerate(w):
-                    acc[i] += a * e
+            acc = [sum(map(mul, combo, col)) for col in zip(*s._vertex_rows)]
             best = RPoint(tuple(Fraction(e, acc[-1]) for e in acc[:-1]))
             break
     _check(best is not None, "coprime point search exhausted its cap")

@@ -3,7 +3,10 @@
 Elementary stellar subdivisions, subdivision checks, common refinement by
 cell overlay, restriction of a triangulation to a subpolyhedron, and
 refinement of a triangulation until a piecewise-linear map is simplexwise
-compatible with a target triangulation.
+compatible with a target triangulation.  A stellar subdivision works on
+the maximal simplexes alone: it replaces those containing the carrier of
+the new point by their cones (``_replace_star``), the one star replacement
+that ``regular``'s desingularization also runs at every blow-up.
 
 One cell kernel serves all of them: a cell is s cap t for a simplex s and a
 simplex or halfspace t.  Its vertices come from clipping s by t's
@@ -55,6 +58,33 @@ class RestrictionError(RuntimeError):
 # -- stellar subdivision -----------------------------------------------------
 
 
+def _replace_star(maximal: set[GeoSimplex], p: RPoint,
+                  carrier: frozenset) -> list[GeoSimplex]:
+    """Turn the maximal simplexes M of a complex K into those of the
+    elementary stellar subdivision stellar(K, p), in place; return the
+    cones added.  ``carrier`` is the vertex set of the simplex C of K holding
+    p in its relative interior, with at least two vertices.
+
+    The simplexes of stellar(K, p) are the simplexes of K not containing C
+    and the cones F u {p} over faces F, not containing C, of simplexes
+    containing C.  Each lies in a maximal one of two kinds: an m in M
+    without C, untouched and still maximal (it does not contain p and no
+    simplex of K strictly contains it), or a cone (m minus u) u {p} for an
+    m in M containing C and a vertex u of C, since a face F of m missing
+    some u of C lies in m minus u.  No such cone lies in another: a face F'
+    of some m' in M containing C with F' strictly containing m minus u
+    misses u, so F' u {u} lies in m' and strictly contains m, which is
+    maximal.  So M is updated by replacing each m containing C with its
+    cones, and the closure of M is stellar(K, p).
+    """
+    star = [m for m in maximal if carrier.issubset(m.vertices)]
+    maximal.difference_update(star)
+    cones = [GeoSimplex._raw(tuple(sorted([v for v in m.vertices if v != u] + [p])))
+             for m in star for u in carrier]
+    maximal.update(cones)
+    return cones
+
+
 def stellar(cx: GeoComplex, p: RPoint) -> GeoComplex:
     """Elementary stellar subdivision at p.
 
@@ -64,26 +94,16 @@ def stellar(cx: GeoComplex, p: RPoint) -> GeoComplex:
     A simplex of the complex contains p exactly when it has p's carrier as
     a face, and a face avoids the point exactly when it does not contain
     the whole carrier, so after one carrier search everything is
-    combinatorial.
+    combinatorial, and done on the maximal simplexes (``_replace_star``).
     """
     car = cx.carrier(p)
     if car is None:
         raise PointNotInSupport(f"point not in support: {p}")
     if car.dim == 0:
         return cx  # p is already a vertex
-    cv = set(car.vertices)
-    out = set()
-    out.add(GeoSimplex((p,)))
-    for s in cx.simplexes:
-        sv = set(s.vertices)
-        if not cv <= sv:
-            out.add(s)
-            continue
-        for k in range(1, len(s.vertices) + 1):
-            for sub in itertools.combinations(s.vertices, k):
-                if not cv <= set(sub):
-                    out.add(GeoSimplex._raw(tuple(sorted(sub + (p,)))))
-    return GeoComplex(out, validate=False, closed=True)
+    maximal = set(cx.maximal_simplexes())
+    _replace_star(maximal, p, frozenset(car.vertices))
+    return GeoComplex(maximal, validate=False)
 
 
 def stellar_chain(cx: GeoComplex, points: Sequence[RPoint]) -> GeoComplex:

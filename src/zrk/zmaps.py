@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 from . import linalg, subdivide
 from .collapse import CollapseSequence, find_collapse_sequence
 from .complexes import (AbsComplex, GeoComplex, GeoSimplex, RPoint,
-                        WeightedComplex, realize, skeleton, standard_cube)
+                        WeightedComplex, _placement, realize, skeleton,
+                        standard_cube)
 from .exactnum import smith_with_transforms
 from .regular import (BudgetExhausted, den, desingularize_relative,
                       coprime_point, has_strongly_regular_triangulation,
@@ -124,9 +125,7 @@ def _integer_fit_exists(s: GeoSimplex, images: Sequence[RPoint]) -> bool:
     be solvable for an integer T, which the Smith form of the vertex matrix
     decides column by column.
     """
-    from .regular import homog
-
-    hv = [homog(v).entries for v in s.vertices]
+    hv = s._vertex_rows
     m = len(images[0].coords)
     rhs_cols = []
     for v, img in zip(s.vertices, images):
@@ -209,15 +208,15 @@ def fixes_pointwise(eta: PLMap, part: GeoComplex) -> bool:
 
 
 def _is_unit_cube_triangulation(cx: GeoComplex) -> bool:
-    """|cx| = [0,1]^n, decided through exact volumes."""
+    """|cx| = [0,1]^n, decided through exact volumes: the n-simplexes of a
+    complex in the cube fill it when their volumes add up to 1, that is
+    their n!-fold volumes (``subdivide._relative_volume_total``) to n!."""
     n = cx.ambient_dim
     for v in cx.vertices():
         if any(c < 0 or c > 1 for c in v.coords):
             return False
-    total = Fraction(0)
-    for s in cx.maximal_simplexes():
-        total += linalg.simplex_volume([v.coords for v in s.vertices])
-    return total == 1
+    return (cx.dim == n and subdivide._relative_volume_total(
+        cx.maximal_simplexes()) == math.factorial(n))
 
 
 def verify_zretract(part: GeoComplex, eta: PLMap) -> bool:
@@ -301,14 +300,7 @@ def part2_reduce(eta: PLMap, delta: GeoComplex, part: GeoComplex) -> SectionRetr
     if not is_strongly_regular(q):
         raise PropertyViolation("(h)", "the realized weighted complex is not "
                                        "strongly regular")
-    # Realization places vertex i on e_i / weight; rebuild that mapping here.
-    k = len(verts)
-    placement = {}
-    for i, v in enumerate(verts):
-        coords = [Fraction(0)] * k
-        coords[i] = Fraction(1, weights[v])
-        placement[v] = RPoint(tuple(coords))
-
+    placement = _placement(w)
     xi = PLMap(inside, {v: placement[v] for v in inside.vertices()})
     mu = PLMap(q, {placement[v]: eta.images[v] for v in verts})
     if not is_zmap(xi):

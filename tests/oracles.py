@@ -20,9 +20,16 @@ integer rows and ``simplex_hrep`` caches per simplex, from before
 ``GeoSimplex._point_rows`` read its rows off one fraction-free Gauss-Jordan
 elimination.  ``scan_carrier`` tests every face of a
 complex, and ``product_lattice_points`` tests every vertex of the cube
-against every maximal simplex.  ``rebuild_desingularize`` rebuilds the whole
-complex with ``subdivide.stellar`` at every blow-up, from before
-``regular.desingularize`` replaced only the star of the blown-up simplex.
+against every maximal simplex.  ``face_stellar`` cones every face of the
+star, from before ``subdivide.stellar`` replaced the star on the maximal
+simplexes alone.  ``rebuild_desingularize`` rebuilds the whole complex with
+``face_stellar`` at every blow-up, from before ``regular.desingularize``
+replaced only the star of the blown-up simplex, and
+``rebuild_desingularize_relative`` also recomputes the subcomplex inside
+the polyhedron every step, from before one loop kept its maximal
+simplexes.  ``simplex_volume`` is the volume of one full-dimensional
+simplex, which the unit-cube test summed before it used
+``subdivide._relative_volume_total``.
 ``fraction_clip_simplex``, ``fraction_pull_triangulation``, ``fraction_det``
 and ``pullback_forms`` are the cell kernel on ``Fraction`` points and
 ``AffineForm``s, from before it worked on homogeneous integer vectors and
@@ -48,7 +55,7 @@ from typing import NamedTuple
 
 from zrk import linalg, subdivide
 from zrk.collapse import CollapseSequence, CollapseStep
-from zrk.complexes import GeoSimplex, RPoint, _bbox_overlap
+from zrk.complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap
 from zrk.exactnum import IntMat, invariant_factors, smith_with_transforms
 from zrk.regular import BudgetExhausted, _box_point, _check, homog, is_regular
 from zrk.linalg import frac
@@ -616,10 +623,32 @@ def enumerate_meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     return all(face.contains(RPoint(p)) for p in cut)
 
 
+def face_stellar(cx, p: RPoint):
+    """Elementary stellar subdivision at p that walks every simplex of the
+    complex and cones every face of the star avoiding the carrier; the
+    reference for ``subdivide.stellar``."""
+    car = cx.carrier(p)
+    if car is None:
+        raise subdivide.PointNotInSupport(f"point not in support: {p}")
+    if car.dim == 0:
+        return cx
+    cv = set(car.vertices)
+    out = {GeoSimplex((p,))}
+    for s in cx.simplexes:
+        if not cv <= set(s.vertices):
+            out.add(s)
+            continue
+        for k in range(1, len(s.vertices) + 1):
+            for sub in combinations(s.vertices, k):
+                if not cv <= set(sub):
+                    out.add(GeoSimplex._raw(tuple(sorted(sub + (p,)))))
+    return GeoComplex(out, validate=False, closed=True)
+
+
 def rebuild_desingularize(cx, budget: int = 10_000):
     """Blow up the least non-regular maximal simplex at its box point with
-    ``subdivide.stellar`` on the whole complex, rebuilding the complex and
-    its maximal simplexes every step; the reference for
+    ``face_stellar`` on the whole complex, rebuilding the complex and its
+    maximal simplexes every step; the reference for
     ``regular.desingularize``."""
     steps = 0
     while True:
@@ -627,10 +656,44 @@ def rebuild_desingularize(cx, budget: int = 10_000):
                      key=lambda s: (s.dim, s.vertices))
         if not bad:
             return cx
-        cx = subdivide.stellar(cx, _box_point(bad[0])[0])
+        cx = face_stellar(cx, _box_point(bad[0])[0])
         steps += 1
         if steps > budget:
             raise BudgetExhausted("desingularization budget exhausted")
+
+
+def rebuild_desingularize_relative(cx, part, budget: int = 10_000):
+    """Recompute the subcomplex inside |part| and blow up its least
+    non-regular maximal simplex with ``face_stellar`` on the whole complex,
+    every step; the reference for ``regular.desingularize_relative``."""
+    if not subdivide._adapted(subdivide.inside_subcomplex(cx, part), part):
+        raise ValueError("precondition violation: the inside subcomplex "
+                         "does not triangulate |P|")
+    steps = 0
+    while True:
+        inside = subdivide.inside_subcomplex(cx, part)
+        bad = [s for s in inside.maximal_simplexes() if not is_regular(s)]
+        if not bad:
+            return cx
+        cx = face_stellar(
+            cx, _box_point(min(bad, key=lambda s: (s.dim, s.vertices)))[0])
+        steps += 1
+        if steps > budget:
+            raise BudgetExhausted("desingularization budget exhausted")
+
+
+def simplex_volume(points) -> Fraction:
+    """Full-dimensional volume of a simplex in its ambient space, zero when
+    the simplex is not full-dimensional; the reference for the volume sum
+    ``subdivide._relative_volume_total`` that ``zmaps`` measures the cube
+    with.  With homogeneous vectors X_j = d_j(p_j, 1), n! times the volume
+    is |det(X_j)| / prod d_j."""
+    n = len(points[0])
+    if len(points) != n + 1:
+        return Fraction(0)
+    xs = [linalg.homogeneous(p) for p in points]
+    return Fraction(abs(linalg.det(xs)),
+                    math.prod(x[-1] for x in xs) * math.factorial(n))
 
 
 def smith_extends_to_basis(rows) -> bool:

@@ -8,14 +8,14 @@ import pytest
 from zrk import GeoSimplex, RPoint, rpoint
 from zrk.linalg import (_bareiss, aff_dim, affinely_independent, clip_simplex, det,
                         homogeneous, lp_maximize, matrix_rank, pivot_columns,
-                        pull_triangulation, simplex_volume)
-from zrk.subdivide import _pullback_rows
+                        pull_triangulation)
+from zrk.subdivide import _pullback_rows, _relative_volume_total
 
 from conftest import random_rational
 from oracles import (AffineForm, affine_hull_forms, echelon, enumerate_cell_vertices,
                      fraction_clip_simplex, fraction_det, fraction_pull_triangulation,
                      integer_rows, pullback_forms, simplex_forms, simplex_hrep,
-                     vertex_forms)
+                     simplex_volume, vertex_forms)
 
 
 def test_lp_maximize_hand_cases():
@@ -254,6 +254,10 @@ def test_homogeneous_vectors_and_volumes():
             dirs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
             assert simplex_volume(pts) == abs(fraction_det(dirs)) / math.factorial(n)
             assert aff_dim(pts) == _fraction_rank(dirs)
+            if aff_dim(pts) == n:
+                s = GeoSimplex(tuple(map(RPoint, pts)))
+                assert (_relative_volume_total([s])
+                        == math.factorial(n) * simplex_volume(pts))
 
 
 def test_simplex_forms_match_per_form_solves():

@@ -17,7 +17,7 @@ from zrk.regular import BudgetExhausted, InvariantBroken
 from conftest import random_rational, random_simplex, seg, tri
 from oracles import (all_faces_strongly_regular, dot, fraction_box_point,
                      fraction_exit_parameter, minor_gcd, rebuild_desingularize,
-                     simplex_hrep)
+                     rebuild_desingularize_relative, simplex_hrep)
 
 
 def test_den_golden():
@@ -144,15 +144,73 @@ def test_desingularize_matches_rebuild_oracle():
             assert got == expected, (cx, budget)
 
 
+def _relative_inputs():
+    """80 seed-2016 pairs (cx, part): stellar subdivisions of cube2-3 at up
+    to three points with denominators <= 6, restricted to the face
+    x_n = 0 or to the chain simplex x_1 >= ... >= x_n of the cube; half of
+    the points are moved onto the part."""
+    rng = random.Random(2016)
+    out = []
+    for i in range(80):
+        n = rng.choice((2, 2, 3))
+        if i % 2:
+            part = from_maximal([GeoSimplex(tuple(v for v in s.vertices if v[-1] == 0))
+                                 for s in standard_cube(n).maximal_simplexes()
+                                 if sum(v[-1] == 0 for v in s.vertices) == n])
+        else:
+            part = from_maximal([GeoSimplex(tuple(
+                rpoint(*([1] * k + [0] * (n - k))) for k in range(n + 1)))])
+        cx = standard_cube(n)
+        for _ in range(rng.randint(1, 3)):
+            p = [random_rational(rng, 6) for _ in range(n)]
+            if rng.random() < 0.5:
+                if i % 2:
+                    p[-1] = 0
+                else:
+                    p.sort(reverse=True)
+            cx = stellar(cx, rpoint(*p))
+        out.append((subdivide.restrict(cx, part), part))
+    return out
+
+
+def _inside_regular(cx, part):
+    return all(is_regular(s) for s in
+               subdivide.inside_subcomplex(cx, part).maximal_simplexes())
+
+
+def test_desingularize_relative_matches_rebuild_oracle():
+    inputs = _relative_inputs()
+    assert sum(not _inside_regular(cx, part) for cx, part in inputs) >= 40
+    for cx, part in inputs:
+        for budget in (0, 1, 3, 10_000):
+            try:
+                expected = rebuild_desingularize_relative(cx, part, budget).simplexes
+            except BudgetExhausted:
+                expected = BudgetExhausted
+            try:
+                got = desingularize_relative(cx, part, budget).simplexes
+            except BudgetExhausted:
+                got = BudgetExhausted
+            assert got == expected, (cx, part, budget)
+
+
 def test_desingularize_builds_one_complex(monkeypatch):
     # Star replacement works on the maximal simplexes alone: one complex is
     # built at the end, and no step rebuilds it or searches for a carrier.
+    # The relative version also finds the inside subcomplex just once, so
+    # it builds that one besides.
     cxs = [cx for cx in _desingularize_inputs()
            if not all(is_regular(s) for s in cx.maximal_simplexes())]
+    pairs = [(cx, part) for cx, part in _relative_inputs()
+             if not _inside_regular(cx, part)]
     built = []
     init = GeoComplex.__init__
     monkeypatch.setattr(GeoComplex, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    inside_calls = []
+    inside = subdivide.inside_subcomplex
+    monkeypatch.setattr(subdivide, "inside_subcomplex",
+                        lambda *a: inside_calls.append(1) or inside(*a))
 
     def forbidden(*args):
         raise AssertionError("desingularize must not call this")
@@ -163,6 +221,11 @@ def test_desingularize_builds_one_complex(monkeypatch):
         built.clear()
         desingularize(cx)
         assert len(built) == 1
+    for cx, part in pairs:
+        built.clear()
+        inside_calls.clear()
+        desingularize_relative(cx, part)
+        assert len(inside_calls) == 1 and len(built) == 2
 
 
 def test_desingularize_relative_already_regular():

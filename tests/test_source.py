@@ -22,8 +22,8 @@ def test_no_assert_statements():
 
 def test_linalg_builds_fractions_only_in_its_fraction_kernels():
     # The linalg kernels work on integers; a Fraction is built only by the
-    # coercion helper, the LP kernel and the volume.
-    allowed = {"frac", "lp_maximize", "simplex_volume"}
+    # coercion helper and the LP kernel.
+    allowed = {"frac", "lp_maximize"}
     tree = ast.parse(Path(zrk.linalg.__file__).read_text(encoding="utf-8"))
     found = [f"{getattr(top, 'name', 'module level')}:{node.lineno}"
              for top in tree.body

@@ -10,7 +10,7 @@ from zrk.subdivide import (PointNotInSupport, SupportMismatch,
                            inside_subcomplex, supports, support_equal)
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import split_supports
+from oracles import face_stellar, split_supports
 
 
 def test_stellar_segment_midpoint():
@@ -80,6 +80,36 @@ def test_stellar_chains_always_subdivide():
     chain = [rpoint("1/2", "1/2"), rpoint("1/4", "1/4"), rpoint("1/2", 0)]
     out = stellar_chain(cx, chain)
     assert is_subdivision(out, cx)
+
+
+def test_stellar_matches_face_oracle():
+    # Ten seeded stellar chains, two each on cube1-4 and on a non-pure complex (a
+    # triangle, an edge and a vertex), at random points of the cube and at
+    # positive combinations of the vertices of a random simplex of the
+    # current complex: points on vertices, edges, facets and interiors.
+    rng = random.Random(2015)
+    non_pure = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (1, 1)),
+                             GeoSimplex((rpoint("1/2", 1),))])
+    seen = set()
+    for cx in 2 * ([standard_cube(n) for n in (1, 2, 3, 4)] + [non_pure]):
+        for _ in range(6):
+            if cx.dim == cx.ambient_dim and rng.random() < 0.3:
+                p = rpoint(*[random_rational(rng, 5) for _ in range(cx.ambient_dim)])
+            else:
+                s = rng.choice(sorted(cx.simplexes))
+                weights = [rng.randint(1, 4) for _ in s.vertices]
+                p = rpoint(*[Fraction(sum(w * v[i] for w, v in zip(weights, s.vertices)),
+                                      sum(weights)) for i in range(cx.ambient_dim)])
+            car = cx.carrier(p)
+            seen.add({0: "vertex", 1: "edge"}.get(car.dim, "higher"))
+            if any(m.dim == car.dim + 1 and set(car.vertices) <= set(m.vertices)
+                   for m in cx.maximal_simplexes()):
+                seen.add("facet")
+            expected = face_stellar(cx, p)
+            got = stellar(cx, p)
+            assert got.simplexes == expected.simplexes, (cx, p)
+            cx = got
+    assert seen == {"vertex", "edge", "facet", "higher"}
 
 
 def test_common_refinement_identity():
@@ -339,7 +369,7 @@ def test_cell_kernel_runs_on_integers_only(monkeypatch):
     # Once the input simplexes have their cached rows, supports,
     # common_refinement and refine_for_map clip, pull and measure cells on
     # integer vectors and rows (test_source checks that linalg builds no
-    # Fraction outside frac, lp_maximize and simplex_volume).
+    # Fraction outside frac and lp_maximize).
     rng = random.Random(20149)
 
     def stellar_square():
