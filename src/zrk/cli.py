@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success/certified/true, 1 refuted/false, 2 unknown,
-64 usage errors, 65 parse/data errors.  The search budget comes from
---budget or else the ZRK_BUDGET environment variable; one that is not a
-nonnegative integer is a usage error.
+64 usage errors, 65 parse/data errors.  A command takes --budget, --out or
+--witness only when it reads it.  The search budget of desingularize,
+collapse, pipeline and certify comes from --budget or else the ZRK_BUDGET
+environment variable; one that is not a nonnegative integer is a usage
+error.  Other commands ignore ZRK_BUDGET.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _parse_point_arg(text: str) -> RPoint:
 
 
 def _witness_dir(args) -> Path | None:
-    if getattr(args, "witness", None):
+    if args.witness:
         path = Path(args.witness)
         path.mkdir(parents=True, exist_ok=True)
         return path
@@ -234,15 +236,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact simplicial geometry and Z-retract certification "
                     "over .scx documents.")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--budget": {"type": _budget,
+                     "help": "search/iteration budget (default: ZRK_BUDGET or 100000)"},
+        "--out": {"help": "write the result document here"},
+        "--witness": {"help": "directory for witness sidecar files"},
+    }
 
-    def add(name, handler, help_text, **files):
+    def add(name, handler, help_text, options=(), **files):
         p = sub.add_parser(name, help=help_text)
         for arg, kind in files.items():
             p.add_argument(arg, help=f"path to a {kind} .scx document")
-        p.add_argument("--budget", type=_budget,
-                       help="search/iteration budget (default: ZRK_BUDGET or 100000)")
-        p.add_argument("--out", help="write the result document here")
-        p.add_argument("--witness", help="directory for witness sidecar files")
+        for option in options:
+            p.add_argument(option, **shared[option])
         p.set_defaults(handler=handler)
         return p
 
@@ -251,18 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
     add("check-strongly-regular", cmd_check_strongly_regular,
         "test strong regularity", file="complex")
     add("desingularize", cmd_desingularize,
-        "stellar subdivision with all simplexes regular", file="complex")
+        "stellar subdivision with all simplexes regular", ("--budget", "--out"),
+        file="complex")
     p = add("stellar", cmd_stellar, "elementary stellar subdivision at a point",
-            file="complex")
+            ("--out",), file="complex")
     p.add_argument("--at", required=True,
                    help="the point, e.g. '1/2,1/3'")
     add("refine", cmd_refine, "common refinement of two triangulations",
-        file="complex", other="complex")
+        ("--out",), file="complex", other="complex")
     add("restrict", cmd_restrict,
         "subdivide until the subpolyhedron is triangulated by a subcomplex",
-        file="complex", part="complex")
+        ("--out",), file="complex", part="complex")
     add("collapse", cmd_collapse, "search for a collapse sequence",
-        file="complex")
+        ("--budget", "--out", "--witness"), file="complex")
     add("replay", cmd_replay, "verify a collapse sequence",
         file="complex", sequence="sequence")
     add("zmap-check", cmd_zmap_check, "test the Z-map criterion", file="plmap")
@@ -271,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
         part="complex", file="plmap")
     add("part2", cmd_part2,
         "build the weighted complex and the section/retraction pair",
-        file="plmap", part="complex")
+        ("--out", "--witness"), file="plmap", part="complex")
     add("pipeline", cmd_pipeline,
         "run the constructive steps from a rational PL retraction",
-        file="plmap", part="complex")
+        ("--budget", "--out", "--witness"), file="plmap", part="complex")
     add("certify", cmd_certify, "three-valued Z-retract certification",
-        file="complex")
+        ("--budget", "--out", "--witness"), file="complex")
     add("realize", cmd_realize, "geometric realization of a weighted complex",
-        file="weighted")
+        ("--out",), file="weighted")
     return parser
 
 
@@ -286,7 +293,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.budget is None:
+        if "budget" in vars(args) and args.budget is None:
             args.budget = _budget(os.environ.get("ZRK_BUDGET") or "100000")
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0

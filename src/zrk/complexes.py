@@ -4,9 +4,9 @@ Geometric complexes store all faces explicitly and check the defining
 common-face condition on construction, pair by pair over the maximal
 simplexes: a bounding-box test first, then a separating form read off the
 cached integer rows of either simplex (``_separated``), and only when
-neither settles the pair one exact LP whose infeasibility (a Farkas
-certificate) or zero optimum shows the pair meets in a common face.
-Abstract and weighted abstract complexes carry the combinatorial
+neither settles the pair the cell a cap b from ``linalg``'s polytope kernel,
+whose vertex masks show whether it lies in the face spanned by the shared
+vertices.  Abstract and weighted abstract complexes carry the combinatorial
 skeletons.
 
 Point location and independence are exact integer arithmetic.  Each point
@@ -18,7 +18,7 @@ forms as integer rows E and B with one common denominator D > 0, read off
 one fraction-free Gauss-Jordan elimination of its vertex vectors
 (``linalg.simplex_rows``): p lies on the affine hull iff E X = 0, and its
 barycentric coordinates are B X / (D d), so a containment test compares
-integer signs.  The same vectors and rows are what ``linalg``'s cell
+integer signs.  The same vectors and rows are what ``linalg``'s polytope
 kernel clips and pulls.
 ``GeoComplex.carrier`` finds a vertex by set lookup and otherwise the first
 maximal simplex holding p, whose face on the positive coordinates is the
@@ -260,32 +260,32 @@ def _separated(a: GeoSimplex, b: GeoSimplex, shared: set) -> bool:
 
 
 def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
-    """The defining condition: a cap b = conv(shared vertices).
+    """The defining condition: a cap b = conv(S), for the set S of shared
+    vertices.
 
     Disjoint bounding boxes, or a separating form of either simplex
-    (``_separated``), settle the pair.  Otherwise: a point of a cap b is
-    sum(mu_v v) over the vertices of a and sum(nu_w w) over those of b,
-    with mu, nu >= 0 summing to 1 each.  The vertices of a are affinely
-    independent, so mu is the point's barycentric coordinate vector in a,
-    and the point lies in conv(shared) exactly when mu vanishes off the
-    shared vertices.  One exact LP maximises that off-shared mass over
-    a cap b: the pair meets in a common face iff the LP is infeasible
-    (a cap b is empty) or its optimum is 0.
+    (``_separated``), settle the pair.  Otherwise clip a by b's constraints,
+    its hull equalities as rows and their negations and its barycentric
+    forms (``linalg.clip_simplex``), which gives the vertices of the cell
+    a cap b with their tight masks.  Bit i of a mask is set iff a's
+    barycentric form i is 0 at that vertex: it is set on the vertices of a,
+    and a new vertex lies strictly inside an edge of the cell, where a form
+    vanishes iff it vanishes at both ends.  A point of a lies in conv(S)
+    iff its barycentric forms vanish off S, and the convex set a cap b
+    lies in conv(S) iff its vertices do; conv(S) lies in a cap b anyway.
+    So the pair is proper iff every mask holds the bits of a's unshared
+    vertices, which an empty cell satisfies.
     """
     if not _bbox_overlap(a, b):
         return True
     shared = set(a._vertex_rows).intersection(b._vertex_rows)
     if _separated(a, b, shared) or _separated(b, a, shared):
         return True
-    # Variables (mu, nu); the column of a vertex v of a is (v, 1, 0) and
-    # that of a vertex w of b is (-w, 0, 1).
-    cols = ([v.coords + (1, 0) for v in a.vertices]
-            + [tuple(-c for c in w.coords) + (0, 1) for w in b.vertices])
-    rhs = (0,) * a.ambient_dim + (1, 1)
-    off_shared = ([0 if x in shared else 1 for x in a._vertex_rows]
-                  + [0] * len(b.vertices))
-    best = linalg.lp_maximize(list(zip(*cols)), rhs, off_shared)
-    return best is None or best == 0
+    eqs, bary, _ = b._point_rows
+    cell = linalg.clip_simplex(
+        a._vertex_rows, eqs + tuple(tuple(-c for c in e) for e in eqs) + bary)
+    unshared = sum(1 << i for i, x in enumerate(a._vertex_rows) if x not in shared)
+    return all(m & unshared == unshared for _, m in cell)
 
 
 class GeoComplex:

@@ -1,36 +1,30 @@
-"""Exact linear algebra and small-polytope kernels over the rationals.
+"""Exact linear algebra and the polytope kernel over the rationals.
 
-There are no tolerances anywhere.  The kernels work on integers: a rational
-point p is its primitive homogeneous vector X = d(p, 1), for the least
-common denominator d of p (``homogeneous``), and an affine form f is an
-integer row R, a positive multiple of f's coefficients and constant, so
-that R . X has the sign of f(p).  Clipping a simplex by halfspaces
-(``clip_simplex``) and its pulling triangulation (``pull_triangulation``)
-decide everything by such signs.  Determinant, rank and a simplex's
-integer forms (``simplex_rows``, one Gauss-Jordan elimination) use
-Bareiss's fraction-free elimination (Bareiss 1968), whose intermediate
-entries are minors of the input and so stay integers.  Only the LP kernel
-``lp_maximize`` returns ``fractions.Fraction``s.  The
+There are no tolerances anywhere, and every kernel works on integers: a
+rational point p is its primitive homogeneous vector X = d(p, 1), for the
+least common denominator d of p (``homogeneous``), and an affine form f is
+an integer row R, a positive multiple of f's coefficients and constant, so
+that R . X has the sign of f(p).  The one polytope kernel clips a simplex by
+halfspaces (``clip_simplex``): it gives the vertices of the cell, of any
+dimension, each with the mask of the constraints tight at it, and so decides
+both the cells that ``subdivide`` triangulates and the common-face condition
+of ``complexes``.  The pulling triangulation of a cell
+(``pull_triangulation``) decides everything by such signs too.  Determinant,
+rank and a simplex's integer forms (``simplex_rows``, one Gauss-Jordan
+elimination) use Bareiss's fraction-free elimination (Bareiss 1968), whose
+intermediate entries are minors of the input and so stay integers.  The
 polytope routines are written for the desk-scale cells that arise when two
-triangulations are overlaid, not for high-dimensional polytopes.  The LP
-kernel is a dense two-phase simplex method with Bland's rule for small
-equality-form programs, such as the common-face test of two simplexes.
+simplexes meet, not for high-dimensional polytopes.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
-Vec = tuple  # tuple[Fraction, ...]
+Vec = tuple  # a point's rational coordinates
 IntVec = tuple  # tuple[int, ...]
-
-
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '2/3', and Fractions to Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def homogeneous(coords: Sequence) -> IntVec:
@@ -43,7 +37,7 @@ def homogeneous(coords: Sequence) -> IntVec:
 
 def _bareiss(rows: Sequence[Sequence[int]], reduced: bool = False
              ) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free row echelon form of integer rows (Bareiss 1968).
+    """The fraction-free row echelon form of integer rows (Bareiss 1968).
 
     Returns (the rows, the pivot columns, the sign of the row swaps).  Each
     step replaces every entry x of a row below the pivot a by
@@ -155,34 +149,38 @@ def simplex_rows(vectors: Sequence[IntVec]) -> tuple[tuple[IntVec, ...],
             tuple(tuple(x // g for x in row) for row in bary), t // g)
 
 
-def clip_simplex(points: Sequence[IntVec], eqs: Sequence[IntVec],
-                 ineqs: Sequence[IntVec]) -> list[IntVec]:
-    """Vertices of conv(points) cap {eqs = 0, ineqs >= 0} when that cell has
-    the dimension of the simplex conv(points); [] otherwise.
+def clip_simplex(points: Sequence[IntVec],
+                 ineqs: Sequence[IntVec]) -> list[tuple[IntVec, int]]:
+    """The vertices of the cell conv(points) cap {ineqs >= 0}, of any
+    dimension, each with the bitmask of the constraints tight at it; [] when
+    the cell is empty.
 
     Points are homogeneous vectors (``homogeneous``) of affinely independent
     points and constraints are integer rows, so each sign is that of an
     integer dot product; the vertices come back as homogeneous vectors, in
-    no fixed order.  Double description, one halfspace at a time (Fukuda
-    and Prodon 1996): each vertex carries the bitmask of constraints tight
-    at it, and vertex i starts tight on every barycentric form but form i.
-    The cell stays full-dimensional, so every equality must vanish on the
-    points, and an inequality that is 0 on every vertex vanishes on the
-    hull: skip it.  Clipping by g keeps the vertices with g >= 0 and adds a
-    point on each edge X -> Y from g > 0 to g < 0, two vertices spanning an
-    edge iff no third one is tight on every constraint tight at both.  That
-    point is g(X) Y - g(Y) X over the gcd of its entries: the primitive
-    vector of the point where g vanishes, with a last entry > 0.
+    no fixed order.  Bit i < len(points) stands for the barycentric form of
+    point i and bit len(points) + k for ineqs[k]; an equality enters as a
+    row and its negation.  Double description, one halfspace at a time
+    (Fukuda and Prodon 1996): vertex i starts tight on every barycentric
+    form but form i.  An inequality that is 0 on every vertex vanishes on
+    the whole cell: it is skipped and gets no bit.  Clipping by g keeps the
+    vertices with g >= 0, adding g's bit where g = 0, and adds a point on
+    each edge X -> Y from g > 0 to g < 0.  That point is g(X) Y - g(Y) X
+    over the gcd of its entries: the primitive vector of the point where g
+    vanishes, with a last entry > 0.  It lies strictly inside the edge, so
+    the constraints tight at it are those tight at both ends and g.  Two
+    vertices span an edge iff no third one is tight on every constraint
+    tight at both, since the least face holding both is where those
+    constraints are tight; this holds at every dimension, so a mask bit is
+    set exactly when its constraint is 0 at the vertex.
     """
-    if any(sum(map(mul, e, x)) for e in eqs for x in points):
-        return []
     everything = (1 << len(points)) - 1
     cell = [(x, everything ^ (1 << i)) for i, x in enumerate(points)]
     for k, g in enumerate(ineqs, start=len(points)):
         vals = [sum(map(mul, g, x)) for x, _ in cell]
         if not any(vals):
             continue
-        if all(v <= 0 for v in vals):
+        if all(v < 0 for v in vals):
             return []
         out = [(x, tight | (1 << k) if v == 0 else tight)
                for (x, tight), v in zip(cell, vals) if v >= 0]
@@ -198,76 +196,7 @@ def clip_simplex(points: Sequence[IntVec], eqs: Sequence[IntVec],
                 h = math.gcd(*z)
                 out.append((tuple(c // h for c in z), common | (1 << k)))
         cell = out
-    return [x for x, _ in cell]
-
-
-def lp_maximize(rows: Sequence[Sequence], rhs: Sequence,
-                objective: Sequence) -> Optional[Fraction]:
-    """Optimum of max objective.x subject to rows.x = rhs, x >= 0.
-
-    ``rows`` is a nonempty list of constraint rows.  Returns None when the
-    system is infeasible and raises ValueError when the objective is
-    unbounded.  Dense two-phase simplex method with Bland's rule (least
-    index enters, ties in the ratio test leave by least index), which
-    terminates on degenerate problems.  Phase 1 gives each row an implicit
-    artificial variable and maximises minus their sum; an optimum below
-    zero is the Farkas alternative, so the system has no solution.  An
-    artificial variable that leaves the basis is dropped, and one still
-    basic at level zero after phase 1 is pivoted out or, when its row has
-    no other nonzero entry, removed with that redundant row.
-    """
-    nvars = len(objective)
-    tab = []
-    for row, b in zip(rows, rhs):
-        r = [frac(x) for x in row] + [frac(b)]
-        tab.append([-x for x in r] if r[-1] < 0 else r)
-    basis = [nvars + i for i in range(len(tab))]  # artificial ids >= nvars
-
-    def pivot(obj, i, j):
-        ri = tab[i]
-        if ri[j] != 1:
-            inv = 1 / ri[j]
-            ri = tab[i] = [x * inv for x in ri]
-        # Constraint rows are sparse, so zero entries of ri are skipped.
-        for k, rk in enumerate(tab):
-            f = rk[j]
-            if k != i and f:
-                tab[k] = [x - f * y if y else x for x, y in zip(rk, ri)]
-        f = obj[j]
-        if f:
-            obj[:] = [x - f * y if y else x for x, y in zip(obj, ri)]
-        basis[i] = j
-
-    def optimise(obj, stop_at_zero: bool):
-        # obj holds the reduced costs and, last, minus the objective value.
-        while not (stop_at_zero and obj[-1] == 0):
-            j = next((j for j in range(nvars) if obj[j] > 0), None)
-            if j is None:
-                return
-            rows_in = [i for i in range(len(tab)) if tab[i][j] > 0]
-            if not rows_in:
-                raise ValueError("the linear program is unbounded")
-            i = min(rows_in, key=lambda i: (tab[i][-1] / tab[i][j], basis[i]))
-            pivot(obj, i, j)
-
-    phase1 = [sum(col, Fraction(0)) for col in zip(*tab)]
-    optimise(phase1, stop_at_zero=True)
-    if phase1[-1] > 0:
-        return None
-    for i in reversed(range(len(tab))):
-        if basis[i] >= nvars:
-            j = next((j for j in range(nvars) if tab[i][j] != 0), None)
-            if j is None:
-                del tab[i], basis[i]
-            else:
-                pivot(phase1, i, j)
-    obj = [frac(c) for c in objective] + [Fraction(0)]
-    for i, b in enumerate(basis):
-        f = obj[b]
-        if f:
-            obj = [x - f * y for x, y in zip(obj, tab[i])]
-    optimise(obj, stop_at_zero=False)
-    return -obj[-1]
+    return cell
 
 
 def pull_triangulation(points: Sequence[IntVec],

@@ -9,10 +9,12 @@ the new point by their cones (``_replace_star``), the one star replacement
 that ``regular``'s desingularization also runs at every blow-up.
 
 One cell kernel serves all of them: a cell is s cap t for a simplex s and a
-simplex or halfspace t.  Its vertices come from clipping s by t's
-halfspaces one at a time (``linalg.clip_simplex``), and when it has the
-dimension of s it is triangulated by pulling its lexicographically least
-vertex.  Pulling depends only on the face being triangulated, so adjacent
+simplex or halfspace t.  Its vertices, each with the mask of the
+constraints tight at it, come from clipping s by t's halfspaces one at a
+time (``linalg.clip_simplex``, the polytope kernel that also decides the
+common-face condition of ``complexes``).  A cell whose masks all share a
+bit lies in a hyperplane of aff(s) and is dropped; one with the dimension
+of s is triangulated by pulling its lexicographically least vertex.  Pulling depends only on the face being triangulated, so adjacent
 cells agree along shared faces and the union is again a simplicial complex.
 Coverage (``supports``) is decided on the same pieces by exact volume: the
 cells of s against the maximal simplexes of a complex overlap only in
@@ -34,7 +36,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import and_, mul
 from typing import Collection, Iterable, Optional, Sequence
 
 from . import linalg
@@ -121,18 +124,28 @@ def _pull_cell(s: GeoSimplex, eqs_t: Sequence[Row],
     """Pulling triangulation of the cell s cap {eqs_t = 0, ineqs_t >= 0}
     when the cell has the dimension of s; nothing otherwise.
 
-    A cell of full dimension in aff(s) has no facet on an equality, so the
-    barycentric rows of s and ineqs_t are an H-representation of it within
-    its hull.  The vertices are sorted as points, and vertices of s keep
-    their own objects.  The pulled simplexes are independent and sorted
-    already, so they skip validation.
+    An equality that does not vanish on s cuts the cell down, so the cell
+    is clipped by ineqs_t alone, and it is lower-dimensional exactly when
+    every vertex mask shares a bit.  Every constraint with a bit is
+    nonzero somewhere on aff(s), a barycentric form of s or a row that
+    ``linalg.clip_simplex`` did not skip, so a bit shared by every vertex
+    puts the cell in a proper hyperplane of aff(s).  Conversely a
+    lower-dimensional cell has an implicit equality among the constraints
+    with bits, one that is 0 on the whole cell and hence on every vertex.
+    A full-dimensional cell has no facet on an equality, so the barycentric
+    rows of s and ineqs_t are an H-representation of it within its hull.
+    The vertices are sorted as points, and vertices of s keep their own
+    objects.  The pulled simplexes are independent and sorted already, so
+    they skip validation.
     """
-    found = linalg.clip_simplex(s._vertex_rows, eqs_t, ineqs_t)
-    if not found:
+    if any(sum(map(mul, e, x)) for e in eqs_t for x in s._vertex_rows):
+        return []
+    cell = linalg.clip_simplex(s._vertex_rows, ineqs_t)
+    if not cell or reduce(and_, (m for _, m in cell)):
         return []
     own = dict(zip(s._vertex_rows, s.vertices))
     points = sorted(own.get(x) or RPoint(tuple(Fraction(e, x[-1]) for e in x[:-1]))
-                    for x in found)
+                    for x, _ in cell)
     ineqs = s._point_rows[1] + tuple(ineqs_t)
     return [GeoSimplex._raw(tuple(points[i] for i in tri))
             for tri in linalg.pull_triangulation([p._homog for p in points], ineqs)]
@@ -354,22 +367,15 @@ def _pullback_rows(s: GeoSimplex, images: Sequence[RPoint],
 def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
     """Subdivide cx until every simplex maps into one simplex of target.
 
-    ``plmap`` must be compatible with cx (affine on each simplex, which holds
-    for any vertex-image map on a subdivision of its domain) and its image
-    must lie in |target|.  Simplexes already mapping into a single target
+    ``plmap``, a ``zmaps.PLMap``, must be compatible with cx (affine on each
+    simplex, which holds for any vertex-image map on a subdivision of its
+    domain) and its image must lie in |target|.  Simplexes already mapping into a single target
     simplex survive: they are faces of the preimage cells.
     """
-    from .zmaps import PLMap  # local import to avoid a cycle
-
-    if isinstance(plmap, PLMap):
-        image_of = lambda v: plmap.eval(v)
-    else:
-        image_of = plmap
-
     simplexes = []
     target_max = target.maximal_simplexes()
     for s in cx.maximal_simplexes():
-        vert_imgs = [image_of(v) for v in s.vertices]
+        vert_imgs = [plmap.eval(v) for v in s.vertices]
         good = next((t for t in target_max
                      if all(t.contains(img) for img in vert_imgs)), None)
         if good is not None:

@@ -7,7 +7,10 @@ computes invariant-factor products from k x k minors by brute force;
 search and the pairwise replay that rescan every pair of simplexes for free
 faces, from before ``collapse`` kept a face table;
 ``enumerate_meet_in_common_face`` decides the common-face condition by
-enumerating every vertex of a cap b, from before it was one LP;
+enumerating every vertex of a cap b, from before it was one LP, and
+``lp_meet_in_common_face`` decides it by that LP (``lp_maximize``, a dense
+two-phase ``Fraction`` simplex method, with the coercion helper ``frac``),
+from before ``complexes`` read it off the tight masks of one integer clip;
 ``enumerate_cell_vertices`` finds the vertices of a cell by solving every
 square subsystem of its constraints, from before cells were clipped one
 halfspace at a time; ``scan_maximal_simplexes`` finds maximal simplexes by
@@ -58,7 +61,11 @@ from zrk.collapse import CollapseSequence, CollapseStep
 from zrk.complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap
 from zrk.exactnum import IntMat, invariant_factors, smith_with_transforms
 from zrk.regular import BudgetExhausted, _box_point, _check, homog, is_regular
-from zrk.linalg import frac
+
+
+def frac(x) -> Fraction:
+    """Coerce ints, strings like '2/3', and Fractions to Fraction."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def dot(a, b) -> Fraction:
@@ -602,6 +609,99 @@ def scan_replay(cx, seq) -> bool:
             return False
         sims -= {t, f}
     return sims == {GeoSimplex(seq.terminal.vertices)}
+
+
+def lp_maximize(rows, rhs, objective):
+    """Optimum of max objective.x subject to rows.x = rhs, x >= 0.
+
+    ``rows`` is a nonempty list of constraint rows.  Returns None when the
+    system is infeasible and raises ValueError when the objective is
+    unbounded.  Dense two-phase simplex method with Bland's rule (least
+    index enters, ties in the ratio test leave by least index), which
+    terminates on degenerate problems.  Phase 1 gives each row an implicit
+    artificial variable and maximises minus their sum; an optimum below
+    zero is the Farkas alternative, so the system has no solution.  An
+    artificial variable that leaves the basis is dropped, and one still
+    basic at level zero after phase 1 is pivoted out or, when its row has
+    no other nonzero entry, removed with that redundant row.
+    """
+    nvars = len(objective)
+    tab = []
+    for row, b in zip(rows, rhs):
+        r = [frac(x) for x in row] + [frac(b)]
+        tab.append([-x for x in r] if r[-1] < 0 else r)
+    basis = [nvars + i for i in range(len(tab))]  # artificial ids >= nvars
+
+    def pivot(obj, i, j):
+        ri = tab[i]
+        if ri[j] != 1:
+            inv = 1 / ri[j]
+            ri = tab[i] = [x * inv for x in ri]
+        # Constraint rows are sparse, so zero entries of ri are skipped.
+        for k, rk in enumerate(tab):
+            f = rk[j]
+            if k != i and f:
+                tab[k] = [x - f * y if y else x for x, y in zip(rk, ri)]
+        f = obj[j]
+        if f:
+            obj[:] = [x - f * y if y else x for x, y in zip(obj, ri)]
+        basis[i] = j
+
+    def optimise(obj, stop_at_zero: bool):
+        # obj holds the reduced costs and, last, minus the objective value.
+        while not (stop_at_zero and obj[-1] == 0):
+            j = next((j for j in range(nvars) if obj[j] > 0), None)
+            if j is None:
+                return
+            rows_in = [i for i in range(len(tab)) if tab[i][j] > 0]
+            if not rows_in:
+                raise ValueError("the linear program is unbounded")
+            i = min(rows_in, key=lambda i: (tab[i][-1] / tab[i][j], basis[i]))
+            pivot(obj, i, j)
+
+    phase1 = [sum(col, Fraction(0)) for col in zip(*tab)]
+    optimise(phase1, stop_at_zero=True)
+    if phase1[-1] > 0:
+        return None
+    for i in reversed(range(len(tab))):
+        if basis[i] >= nvars:
+            j = next((j for j in range(nvars) if tab[i][j] != 0), None)
+            if j is None:
+                del tab[i], basis[i]
+            else:
+                pivot(phase1, i, j)
+    obj = [frac(c) for c in objective] + [Fraction(0)]
+    for i, b in enumerate(basis):
+        f = obj[b]
+        if f:
+            obj = [x - f * y for x, y in zip(obj, tab[i])]
+    optimise(obj, stop_at_zero=False)
+    return -obj[-1]
+
+
+def lp_meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
+    """a cap b = conv(shared vertices), by one exact LP; the reference for
+    ``complexes._meet_in_common_face``.
+
+    A point of a cap b is sum(mu_v v) over the vertices of a and
+    sum(nu_w w) over those of b, with mu, nu >= 0 summing to 1 each.  The
+    vertices of a are affinely independent, so mu is the point's
+    barycentric coordinate vector in a, and the point lies in conv(shared)
+    exactly when mu vanishes off the shared vertices.  The LP maximises
+    that off-shared mass over a cap b: the pair meets in a common face iff
+    the LP is infeasible (a cap b is empty) or its optimum is 0.
+    """
+    if not _bbox_overlap(a, b):
+        return True
+    shared = set(a.vertices) & set(b.vertices)
+    # Variables (mu, nu); the column of a vertex v of a is (v, 1, 0) and
+    # that of a vertex w of b is (-w, 0, 1).
+    cols = ([v.coords + (1, 0) for v in a.vertices]
+            + [tuple(-c for c in w.coords) + (0, 1) for w in b.vertices])
+    rhs = (0,) * a.ambient_dim + (1, 1)
+    off_shared = [0 if v in shared else 1 for v in a.vertices] + [0] * len(b.vertices)
+    best = lp_maximize(list(zip(*cols)), rhs, off_shared)
+    return best is None or best == 0
 
 
 def enumerate_meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:

@@ -156,6 +156,17 @@ def test_bad_budget_is_a_usage_error(monkeypatch, capsys):
     assert run("certify", cube) == 0
 
 
+def test_only_commands_that_read_a_budget_take_one(monkeypatch, capsys):
+    cube = corpus_path("cube1.scx")
+    assert run("check-regular", cube, "--budget", "5") == 64
+    assert "--budget" in capsys.readouterr().err
+    assert run("replay", cube, cube, "--out", "x.scx") == 64
+    assert run("stellar", cube, "--at", "1/2", "--witness", "w") == 64
+    monkeypatch.setenv("ZRK_BUDGET", "abc")
+    assert run("check-regular", cube) == 0
+    assert run("desingularize", cube) == 64
+
+
 def test_corpus_verdicts_match():
     for name in ("half_interval", "third_interval", "antidiagonal", "cube1",
                  "cube2", "cube3", "corner_triangle", "edge_path",

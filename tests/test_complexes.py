@@ -17,7 +17,8 @@ from zrk.scx import ScxError, parse_scx
 
 from conftest import random_rational, seg, tri
 from oracles import (barycentric_coords, enumerate_meet_in_common_face,
-                     fraction_aff_dim, scan_carrier, scan_maximal_simplexes)
+                     fraction_aff_dim, lp_meet_in_common_face, scan_carrier,
+                     scan_maximal_simplexes)
 
 
 def test_from_maximal_segment():
@@ -145,6 +146,7 @@ def test_common_face_lp_matches_enumeration_oracle():
         expected = enumerate_meet_in_common_face(a, b)
         for x, y in ((a, b), (b, a)):
             assert _meet_in_common_face(x, y) is expected, (x, y)
+            assert lp_meet_in_common_face(x, y) is expected, (x, y)
             hit = _separated(x, y, _shared(x, y))
             assert not hit or expected, (x, y)
             fired += hit
@@ -153,6 +155,37 @@ def test_common_face_lp_matches_enumeration_oracle():
             shared_improper += bool(set(a.vertices) & set(b.vertices))
     assert improper >= 20 and shared_improper >= 10
     assert fired >= len(pairs) - improper
+
+
+def test_common_face_clip_matches_lp_and_enumeration_oracles():
+    # 2,000 pairs in R^1..R^5, each tested in both orders.  Each pool holds
+    # the origin, the unit vectors, midpoints of up to three pairs of them
+    # and a point with denominators <= 3, and simplexes of every dimension
+    # are drawn from it: pairs share vertices, and a midpoint of an edge of
+    # one simplex is often a vertex of the other.  Most pools are in low
+    # dimensions, where the enumeration oracle is cheap.
+    rng = random.Random(2013)
+    seen = {"improper": 0, "shared": 0, "low": 0, "midpoint": 0}
+    for d, pools in ((1, 60), (2, 70), (3, 40), (4, 20), (5, 10)):
+        corners = [rpoint(*[int(i == j) for j in range(d)]) for i in range(-1, d)]
+        for _ in range(pools):
+            mids = {rpoint(*[(x + y) / 2 for x, y in zip(p, q)])
+                    for p, q in rng.sample(list(itertools.combinations(corners, 2)),
+                                           min(d, 3))}
+            pool = corners + sorted(mids - set(corners)) + [
+                rpoint(*[random_rational(rng, 3) for _ in range(d)])]
+            pool = list(dict.fromkeys(pool))
+            for _ in range(10):
+                a, b = (_pool_simplex(rng, pool, rng.randint(0, d)) for _ in range(2))
+                expected = enumerate_meet_in_common_face(a, b)
+                for x, y in ((a, b), (b, a)):
+                    assert _meet_in_common_face(x, y) is expected, (x, y)
+                    assert lp_meet_in_common_face(x, y) is expected, (x, y)
+                seen["improper"] += not expected
+                seen["shared"] += bool(set(a.vertices) & set(b.vertices))
+                seen["low"] += min(a.dim, b.dim) < d
+                seen["midpoint"] += bool(mids & set(a.vertices + b.vertices))
+    assert min(seen.values()) >= 250, seen
 
 
 def test_separating_form_never_fires_on_overlaps():
@@ -187,11 +220,11 @@ def test_separating_form_fires_through_an_equality_row():
 
 def test_separating_form_spares_most_lps(monkeypatch):
     # 192 of the 276 pairs of cube4 have a separating form; the rest reach
-    # the LP.
+    # the polytope kernel, one clip each.
     calls = []
-    lp = linalg.lp_maximize
-    monkeypatch.setattr(linalg, "lp_maximize",
-                        lambda *args: calls.append(1) or lp(*args))
+    clip = linalg.clip_simplex
+    monkeypatch.setattr(linalg, "clip_simplex",
+                        lambda *args: calls.append(1) or clip(*args))
     from_maximal(standard_cube(4).maximal_simplexes())
     assert len(calls) <= 84
 

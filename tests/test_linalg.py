@@ -2,20 +2,21 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 import pytest
 
 from zrk import GeoSimplex, RPoint, rpoint
 from zrk.linalg import (_bareiss, aff_dim, affinely_independent, clip_simplex, det,
-                        homogeneous, lp_maximize, matrix_rank, pivot_columns,
-                        pull_triangulation)
-from zrk.subdivide import _pullback_rows, _relative_volume_total
+                        homogeneous, matrix_rank, pivot_columns, pull_triangulation)
+from zrk.subdivide import _pull_cell, _pullback_rows, _relative_volume_total
 
 from conftest import random_rational
 from oracles import (AffineForm, affine_hull_forms, echelon, enumerate_cell_vertices,
                      fraction_clip_simplex, fraction_det, fraction_pull_triangulation,
-                     integer_rows, pullback_forms, simplex_forms, simplex_hrep,
-                     simplex_volume, vertex_forms)
+                     integer_rows, lp_maximize, negate, pullback_forms, simplex_forms,
+                     simplex_hrep, simplex_volume, vertex_forms)
 
 
 def test_lp_maximize_hand_cases():
@@ -74,44 +75,68 @@ def _point(x):
     return tuple(Fraction(e, x[-1]) for e in x[:-1])
 
 
-def _clip(points, eqs, ineqs):
-    """``clip_simplex`` on Fraction points and forms, as sorted points."""
-    found = clip_simplex([homogeneous(p) for p in points], [_row(e) for e in eqs],
-                         [_row(g) for g in ineqs])
-    return sorted(map(_point, found))
+def _clip(points, ineqs):
+    """``clip_simplex`` on Fraction points and forms, as sorted (point, tight
+    mask) pairs."""
+    found = clip_simplex([homogeneous(p) for p in points], [_row(g) for g in ineqs])
+    return sorted((_point(x), mask) for x, mask in found)
+
+
+def _equal(form):
+    """An equality as the two inequalities ``clip_simplex`` takes for it."""
+    return [form, negate(form)]
 
 
 def test_clip_simplex_hand_cases():
+    # Bits 0-2 are the barycentric forms of (0, 0), (1, 0), (0, 1), so each
+    # corner starts with the two bits of the forms vanishing there; bit 3 on
+    # are the forms passed in.
     triangle = _corners((0, 0), (1, 0), (0, 1))
     half = Fraction(1, 2)
     # x >= 1/2 cuts off the corner at (1, 0)
-    assert _clip(triangle, [], [_halfspace((1, 0), -half)]) == \
-        _corners((half, 0), (half, half), (1, 0))
+    assert _clip(triangle, [_halfspace((1, 0), -half)]) == \
+        list(zip(_corners((half, 0), (half, half), (1, 0)),
+                 (0b1100, 0b1001, 0b0101)))
     # x <= 1/2 leaves a quadrilateral; y >= 3/4 then separates (0, 1) from
     # (1/2, 0), which span no edge of it
-    assert _clip(triangle, [], [_halfspace((-1, 0), half),
-                                       _halfspace((0, 1), Fraction(-3, 4))]) == \
-        _corners((0, Fraction(3, 4)), (0, 1), (Fraction(1, 4), Fraction(3, 4)))
-    # flattened onto the line x = 1/2, by an equality or by two halfspaces
-    assert _clip(triangle, [_halfspace((1, 0), -half)], []) == []
-    assert _clip(triangle, [], [_halfspace((1, 0), -half),
-                                       _halfspace((-1, 0), half)]) == []
-    # flattened onto the edge y = 0, and empty
-    assert _clip(triangle, [], [_halfspace((0, -1), 0)]) == []
-    assert _clip(triangle, [], [_halfspace((1, 0), -2)]) == []
-    # s inside t gives the vertices of s
+    assert _clip(triangle, [_halfspace((-1, 0), half),
+                            _halfspace((0, 1), Fraction(-3, 4))]) == \
+        list(zip(_corners((0, Fraction(3, 4)), (0, 1), (Fraction(1, 4), Fraction(3, 4))),
+                 (0b10010, 0b00011, 0b10001)))
+    # cut down to the edge x = 1/2, by an equality or by two halfspaces
+    edge = list(zip(_corners((half, 0), (half, half)), (0b11100, 0b11001)))
+    assert _clip(triangle, _equal(_halfspace((1, 0), -half))) == edge
+    assert _clip(triangle, [_halfspace((1, 0), -half),
+                            _halfspace((-1, 0), half)]) == edge
+    # cut down to the edge y = 0, whose form gets a bit on both ends
+    assert _clip(triangle, [_halfspace((0, -1), 0)]) == \
+        list(zip(_corners((0, 0), (1, 0)), (0b1110, 0b1101)))
+    # cut down to the corner (0, 0), and to the point (1/2, 1/2) inside an edge
+    assert _clip(triangle, [_halfspace((-1, -1), 0)]) == [((0, 0), 0b1110)]
+    assert _clip(triangle, [_halfspace((1, 1), -1), _halfspace((1, -1), 0),
+                            _halfspace((-1, 1), 0)]) == \
+        [((half, half), 0b111001)]
+    # empty
+    assert _clip(triangle, [_halfspace((1, 0), -2)]) == []
+    assert _clip(triangle, [_halfspace((1, 0), -half),
+                            _halfspace((-1, 0), Fraction(1, 4))]) == []
+    # s inside t gives the vertices of s, tight on their own forms only
     big = GeoSimplex((rpoint(-1, -1), rpoint(3, 0), rpoint(0, 3)))
-    assert _clip(triangle, *simplex_hrep(big)) == sorted(triangle)
-    # a segment in R^3 on a plane z = 0: the equality holds on it, the
-    # halfspace z >= 0 vanishes on it and y <= 1/2 halves it
+    eqs, bary = simplex_hrep(big)
+    assert _clip(triangle, [f for e in eqs for f in _equal(e)] + list(bary)) == \
+        list(zip(sorted(triangle), (0b110, 0b011, 0b101)))
+    # a segment in R^3 on a plane z = 0: the equality and the halfspace
+    # z >= 0 vanish on it and get no bit, and y <= 1/2 halves it
     segment = _corners((0, 0, 0), (1, 1, 0))
-    assert _clip(segment, [_halfspace((0, 0, 1), 0)],
-                        [_halfspace((0, 0, 1), 0), _halfspace((0, -1, 0), half)]) \
-        == _corners((0, 0, 0), (half, half, 0))
-    # a point is kept or dropped whole
+    assert _clip(segment, _equal(_halfspace((0, 0, 1), 0))
+                 + [_halfspace((0, 0, 1), 0), _halfspace((0, -1, 0), half)]) \
+        == list(zip(_corners((0, 0, 0), (half, half, 0)), (0b10, 0b100000)))
+    # a point is kept or dropped whole, and a form is 0 on all of it or on
+    # none of it, so it never gets a bit
     point = _corners((half, half))
-    assert _clip(point, [], [_halfspace((1, 1), -1)]) == point
-    assert _clip(point, [], [_halfspace((1, 1), -2)]) == []
+    assert _clip(point, [_halfspace((1, 1), -1)]) == [(point[0], 0)]
+    assert _clip(point, [_halfspace((1, 1), -half)]) == [(point[0], 0)]
+    assert _clip(point, [_halfspace((1, 1), -2)]) == []
 
 
 def _lattice_simplex(rng, pool, k, keep=()):
@@ -127,26 +152,39 @@ def _lattice_simplex(rng, pool, k, keep=()):
 
 def test_clip_simplex_matches_enumeration_oracle():
     rng = random.Random(1996)
-    kinds = {"shared": 0, "low": 0, "vanishing": 0, "full": 0}
+    kinds = {"shared": 0, "low": 0, "vanishing": 0, "full": 0, "lower": 0}
 
     def check(s, eqs, ineqs):
         eqs_s, ineqs_s = simplex_hrep(s)
         verts = enumerate_cell_vertices(list(eqs_s) + list(eqs),
                                         list(ineqs_s) + list(ineqs), s.ambient_dim)
-        expected = verts if verts and aff_dim(verts) == s.dim else []
         points = [v.coords for v in s.vertices]
-        got = _clip(points, eqs, ineqs)
-        assert got == expected, (s, eqs, ineqs)
-        # The Fraction kernel gives the same vertices, and the same pulled
-        # simplexes of the cell.
-        assert fraction_clip_simplex(points, eqs, ineqs) == got, (s, eqs, ineqs)
-        if got:
+        cuts = [f for e in eqs for f in _equal(e)] + list(ineqs)
+        got = _clip(points, cuts)
+        # The cell at any dimension, with exact masks: a form's bit is set
+        # where it is 0, except that a form 0 on the whole cell may have
+        # been skipped and then has no bit anywhere.
+        assert [p for p, _ in got] == verts, (s, eqs, ineqs)
+        for k, f in enumerate(list(ineqs_s) + cuts):
+            zero = [f(p) == 0 for p, _ in got]
+            bits = [mask >> k & 1 == 1 for _, mask in got]
+            assert bits == zero or (all(zero) and not any(bits)), (s, eqs, ineqs, k)
+        # It has the dimension of s iff no bit is shared by every vertex, and
+        # the Fraction kernel and _pull_cell keep just those cells.
+        expected = verts if verts and aff_dim(verts) == s.dim else []
+        assert (verts if got and not reduce(and_, (m for _, m in got)) else []) \
+            == expected, (s, eqs, ineqs)
+        assert fraction_clip_simplex(points, eqs, ineqs) == expected, (s, eqs, ineqs)
+        pieces = _pull_cell(s, [_row(e) for e in eqs], [_row(g) for g in ineqs])
+        assert sorted({v.coords for t in pieces for v in t.vertices}) == expected
+        if expected:
             forms = list(ineqs_s) + list(ineqs)
-            pulled = pull_triangulation([homogeneous(p) for p in got],
+            pulled = pull_triangulation([homogeneous(p) for p in expected],
                                         list(s._point_rows[1]) + [_row(g) for g in ineqs])
-            assert [tuple(got[i] for i in tri) for tri in pulled] == \
-                fraction_pull_triangulation(got, forms), (s, eqs, ineqs)
+            assert [tuple(expected[i] for i in tri) for tri in pulled] == \
+                fraction_pull_triangulation(expected, forms), (s, eqs, ineqs)
         kinds["full"] += bool(expected)
+        kinds["lower"] += bool(verts) and not expected
 
     for n in (1, 2, 3, 4):
         # The origin, the unit vectors and points with coordinates in

@@ -369,7 +369,7 @@ def test_cell_kernel_runs_on_integers_only(monkeypatch):
     # Once the input simplexes have their cached rows, supports,
     # common_refinement and refine_for_map clip, pull and measure cells on
     # integer vectors and rows (test_source checks that linalg builds no
-    # Fraction outside frac and lp_maximize).
+    # Fraction at all).
     rng = random.Random(20149)
 
     def stellar_square():
