@@ -62,7 +62,9 @@ def _witness_dir(args) -> Path | None:
 
 def cmd_check_regular(args) -> int:
     cx = _load(args.file, "complex")
-    bad = sorted(s for s in cx.simplexes if not is_regular(s))
+    # Faces of a regular simplex are regular.
+    bad = sorted({f for s in cx.maximal_simplexes() if not is_regular(s)
+                  for f in s.faces() if not is_regular(f)})
     for s in bad:
         factors = invariant_factors(s._vertex_rows)
         print(f"simplex {s} not regular: invariant factors {factors}")

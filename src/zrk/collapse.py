@@ -8,6 +8,7 @@ collapsible".
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,15 +41,17 @@ class CollapseSequence:
 
 
 class _FaceTable:
-    """Live simplexes (sorted vertex-id tuples; ids follow sorted vertex
-    order, so tuple order is ``GeoSimplex`` order) with each face's live
-    cofaces one dimension up; ``free`` maps a face with one live coface to
-    it.  Removing only free pairs keeps the live set closed under faces."""
+    """Live simplexes as vertex-id tuples, at first every face of every
+    maximal simplex (ids follow vertex order, so tuple order is
+    ``GeoSimplex`` order), with each face's live cofaces one dimension up;
+    ``free`` maps a face with one live coface to it.  Removing only free
+    pairs keeps every face of a live simplex live."""
 
     def __init__(self, cx: GeoComplex):
         self.verts = cx.vertices()
         self.index = {v: i for i, v in enumerate(self.verts)}
-        ids = [tuple(self.index[v] for v in s.vertices) for s in cx.simplexes]
+        ids = {f for s in cx.maximal_simplexes() for k in range(1, len(s.vertices) + 1)
+               for f in itertools.combinations([self.index[v] for v in s.vertices], k)}
         self.cofaces: dict[tuple[int, ...], set] = {s: set() for s in ids}
         self.live: set[tuple[int, ...]] = set()
         self.free: dict[tuple[int, ...], tuple[int, ...]] = {}

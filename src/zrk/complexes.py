@@ -1,8 +1,9 @@
 """Simplicial complexes over exact rational coordinates.
 
-Geometric complexes store all faces explicitly and check the defining
-common-face condition on construction, pair by pair over the maximal
-simplexes: a bounding-box test first, then a separating form read off the
+A geometric complex is its maximal simplexes: the constructor drops every
+input simplex that lies in another and builds no faces (``simplexes`` builds
+them when read).  It checks the common-face condition pair by pair over what
+is left: a bounding-box test first, then a separating form read off the
 cached integer rows of either simplex (``_separated``), and only when
 neither settles the pair the cell a cap b from ``linalg``'s polytope kernel,
 whose vertex masks show whether it lies in the face spanned by the shared
@@ -19,10 +20,8 @@ one fraction-free Gauss-Jordan elimination of its vertex vectors
 (``linalg.simplex_rows``): p lies on the affine hull iff E X = 0, and its
 barycentric coordinates are B X / (D d), so a containment test compares
 integer signs.  The same vectors and rows are what ``linalg``'s polytope
-kernel clips and pulls.
-``GeoComplex.carrier`` finds a vertex by set lookup and otherwise the first
-maximal simplex holding p, whose face on the positive coordinates is the
-carrier.
+kernel clips and pulls.  ``GeoComplex.carrier`` reads the carrier of p off
+the first maximal simplex holding p.
 """
 
 from __future__ import annotations
@@ -289,28 +288,31 @@ def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
 
 
 class GeoComplex:
-    """Finite face-closed set of simplexes meeting pairwise in common faces."""
+    """Finite simplicial complex, stored as its sorted maximal simplexes."""
 
-    __slots__ = ("simplexes", "ambient_dim", "_maximal", "_vertices")
+    __slots__ = ("ambient_dim", "_maximal", "_faces", "_vertices")
 
+    # ``closed`` is ignored; it stays while bench/tracer.py passes it on.
     def __init__(self, simplexes: Iterable[GeoSimplex], validate: bool = True,
                  closed: bool = False):
-        sset = frozenset(simplexes)
+        sset = set(simplexes)
         if not sset:
             raise NotASimplicialComplex("a complex needs at least one simplex")
         dims = {s.ambient_dim for s in sset}
         if len(dims) != 1:
             raise NotASimplicialComplex("mixed ambient dimensions")
-        if closed:
-            self.simplexes = sset
-        else:
-            closure = set(sset)
+        if len({s.dim for s in sset}) > 1:
+            # Keep s iff no other input simplex holds all of s's vertices.
+            stars: dict[RPoint, set] = {}
             for s in sset:
-                closure.update(s.faces())
-            self.simplexes = frozenset(closure)
+                for v in s.vertices:
+                    stars.setdefault(v, set()).add(s)
+            sset = [s for s in sset
+                    if len(set.intersection(*map(stars.get, s.vertices))) == 1]
         self.ambient_dim = dims.pop()
-        self._maximal = None
-        self._vertices = None
+        self._maximal = tuple(sorted(sset))
+        self._vertices = tuple(sorted({v for s in sset for v in s.vertices}))
+        self._faces = None
         if validate:
             self._validate()
 
@@ -324,43 +326,37 @@ class GeoComplex:
     # -- structure ---------------------------------------------------------
 
     def maximal_simplexes(self) -> tuple[GeoSimplex, ...]:
-        # Face closure makes "is a facet of some simplex" equivalent to
-        # non-maximality.
-        if self._maximal is None:
-            facets = {s.vertices[:i] + s.vertices[i + 1:]
-                      for s in self.simplexes for i in range(len(s.vertices))}
-            self._maximal = tuple(sorted(s for s in self.simplexes
-                                         if s.vertices not in facets))
         return self._maximal
 
+    @property
+    def simplexes(self) -> frozenset:
+        if self._faces is None:
+            # Each maximal simplex is kept as itself, with its cached rows.
+            self._faces = frozenset(f for s in self._maximal for f in (s, *s.faces()))
+        return self._faces
+
     def vertices(self) -> tuple[RPoint, ...]:
-        if self._vertices is None:
-            vs = set()
-            for s in self.simplexes:
-                vs.update(s.vertices)
-            self._vertices = tuple(sorted(vs))
         return self._vertices
 
     @property
     def dim(self) -> int:
-        return max(s.dim for s in self.simplexes)
+        return max(s.dim for s in self._maximal)
 
     def __contains__(self, s: GeoSimplex) -> bool:
-        return s in self.simplexes
+        return any(set(s.vertices).issubset(m.vertices) for m in self._maximal)
 
     def __len__(self) -> int:
         return len(self.simplexes)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GeoComplex) and self.simplexes == other.simplexes
+        return isinstance(other, GeoComplex) and self._maximal == other._maximal
 
     def __hash__(self) -> int:
-        return hash(self.simplexes)
+        return hash(self._maximal)
 
     def __repr__(self):
         return (f"GeoComplex(dim {self.dim} in R^{self.ambient_dim}, "
-                f"{len(self.simplexes)} simplexes, "
-                f"{len(self.maximal_simplexes())} maximal)")
+                f"{len(self._maximal)} maximal simplexes)")
 
     # -- point queries -----------------------------------------------------
 
@@ -383,15 +379,12 @@ class GeoComplex:
         """Minimal simplex containing p: the one holding p in its relative
         interior.  None when p is outside the support.
 
-        A vertex of the complex is its own carrier, found by set lookup.
-        Otherwise, take a maximal simplex holding p (``_locate``): its face
-        spanned by the vertices where p's barycentric coordinates are
-        positive holds p in its relative interior.  That simplex is unique
-        in a complex, so the maximal simplex found does not matter.
+        Take a maximal simplex holding p (``_locate``): its face spanned by
+        the vertices where p's barycentric coordinates are positive holds p
+        in its relative interior.  That simplex is unique in a complex, so
+        the maximal simplex found does not matter; a vertex of the complex
+        is a vertex of every maximal simplex holding it.
         """
-        vertex = GeoSimplex._raw((p,))
-        if vertex in self.simplexes:
-            return vertex
         found = self._locate(p)
         if found is None:
             return None
@@ -403,7 +396,7 @@ class GeoComplex:
 
 
 def from_maximal(simplexes: Sequence[GeoSimplex]) -> GeoComplex:
-    """Face-closure of the given simplexes; validates the complex condition."""
+    """The complex of the given simplexes; validates the complex condition."""
     return GeoComplex(simplexes, validate=True)
 
 
@@ -411,8 +404,8 @@ def from_maximal(simplexes: Sequence[GeoSimplex]) -> GeoComplex:
 
 
 class AbsComplex:
-    """Abstract simplicial complex: ordered vertex labels plus a subset-closed
-    family of faces whose union is the vertex set."""
+    """Abstract simplicial complex: ordered vertex labels plus the nonempty
+    subsets of the given faces, whose union is the vertex set."""
 
     __slots__ = ("vertices", "faces")
 
@@ -461,7 +454,7 @@ class WeightedComplex:
 def skeleton(cx: GeoComplex) -> AbsComplex:
     """Abstract skeleton; vertices are labelled by their geometric points."""
     return AbsComplex(cx.vertices(),
-                      [frozenset(s.vertices) for s in cx.simplexes])
+                      [frozenset(s.vertices) for s in cx.maximal_simplexes()])
 
 
 def simplicially_isomorphic(a: GeoComplex, b: GeoComplex) -> Optional[dict]:
@@ -561,8 +554,7 @@ def realize(w: WeightedComplex) -> GeoComplex:
     """Geometric realization on scaled basis vectors (``_placement``)."""
     placed = _placement(w)
     # Points on distinct positive multiples of distinct basis vectors are
-    # linearly, hence affinely, independent: no rank check per face.  The
-    # faces of an AbsComplex are closed under subsets already.
+    # linearly, hence affinely, independent: no rank check per face.
     simplexes = [GeoSimplex._raw(tuple(sorted(placed[v] for v in f)))
                  for f in w.base.faces]
-    return GeoComplex(simplexes, validate=False, closed=True)
+    return GeoComplex(simplexes, validate=False)

@@ -255,16 +255,17 @@ def inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
     """The subcomplex of simplexes lying inside |part| (None when empty).
 
     Simplexes are tested from the top dimension down; the faces of one
-    found inside are inside too and are not tested again.
+    found inside are inside too and are not tested again, so those found
+    are the maximal simplexes of the result.
     """
     cover = part.maximal_simplexes()
+    found: list[GeoSimplex] = []
     inside: set[GeoSimplex] = set()
     for s in sorted(cx.simplexes, key=lambda s: -s.dim):
         if s not in inside and supports(cover, s):
+            found.append(s)
             inside.update(s.faces())
-    if not inside:
-        return None
-    return GeoComplex(inside, validate=False, closed=True)
+    return GeoComplex(found, validate=False) if found else None
 
 
 def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
@@ -285,7 +286,8 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
     inside = inside_subcomplex(cx, part)
     if _adapted(inside, part):
         return cx
-    protected = inside.simplexes if inside is not None else frozenset()
+    # A row crossing a face crosses every simplex holding it: test maximal ones.
+    protected = inside.maximal_simplexes() if inside is not None else ()
 
     def crosses_protected(row: Row) -> bool:
         for s in protected:
@@ -332,7 +334,7 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
 
     if not _adapted(inside_subcomplex(out, part), part):
         raise RestrictionError("restriction failed to adapt to |P|")
-    missing = [s for s in protected if s not in out.simplexes]
+    missing = [s for s in protected if s not in out]
     if missing:
         raise RestrictionError(
             f"restriction failed to preserve interior simplexes: {missing[:3]}")

@@ -14,7 +14,11 @@ from before ``complexes`` read it off the tight masks of one integer clip;
 ``enumerate_cell_vertices`` finds the vertices of a cell by solving every
 square subsystem of its constraints, from before cells were clipped one
 halfspace at a time; ``scan_maximal_simplexes`` finds maximal simplexes by
-looking for a coface through every vertex.  ``barycentric_coords`` solves a
+looking for a coface through every vertex, and ``closure_complex`` closes
+the input under faces and scans it so, from before a ``GeoComplex`` stored
+only its maximal simplexes.  ``scan_inside_subcomplex`` tests every face
+with ``supports``, from before ``subdivide.inside_subcomplex`` kept only
+the simplexes it found.  ``barycentric_coords`` solves a
 fresh ``Fraction`` system for every point, and ``affine_hull_forms`` and
 ``vertex_forms`` solve one system per form, from before each simplex cached
 its forms from one echelon.  ``simplex_forms`` is that ``Fraction`` echelon
@@ -52,6 +56,7 @@ from before ``regular._box_point`` worked on integers;
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
@@ -436,6 +441,28 @@ def scan_maximal_simplexes(cx):
     return tuple(sorted(maxi))
 
 
+def closure_complex(simplexes):
+    """The face closure of the given simplexes, as the constructor of
+    ``GeoComplex`` built it eagerly, with its vertices, dimension and maximal
+    simplexes (``scan_maximal_simplexes``); the reference for ``GeoComplex``.
+    """
+    faces = frozenset(GeoSimplex._raw(sub) for s in simplexes
+                      for k in range(1, len(s.vertices) + 1)
+                      for sub in combinations(s.vertices, k))
+    vertices = tuple(sorted({v for s in faces for v in s.vertices}))
+    out = SimpleNamespace(simplexes=faces, vertices=lambda: vertices,
+                          dim=max(s.dim for s in faces))
+    out.maximal = scan_maximal_simplexes(out)
+    return out
+
+
+def scan_inside_subcomplex(cx, part) -> set:
+    """Every face of cx that lies in |part|, each tested with ``supports``;
+    the reference for ``subdivide.inside_subcomplex``."""
+    cover = part.maximal_simplexes()
+    return {s for s in cx.simplexes if subdivide.supports(cover, s)}
+
+
 def _split_off_simplex(piece, t: GeoSimplex):
     """Split a cell along the H-representation of t.
 
@@ -742,7 +769,7 @@ def face_stellar(cx, p: RPoint):
             for sub in combinations(s.vertices, k):
                 if not cv <= set(sub):
                     out.add(GeoSimplex._raw(tuple(sorted(sub + (p,)))))
-    return GeoComplex(out, validate=False, closed=True)
+    return GeoComplex(out, validate=False)
 
 
 def rebuild_desingularize(cx, budget: int = 10_000):

@@ -4,8 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from zrk import is_regular, rpoint, standard_cube, stellar
 from zrk.cli import main
-from zrk.scx import parse_scx
+from zrk.exactnum import invariant_factors
+from zrk.scx import ScxDocument, parse_scx, print_scx
+
+from oracles import closure_complex
 
 
 def corpus_path(name: str) -> str:
@@ -21,6 +25,24 @@ def test_check_regular(capsys):
     assert run("check-regular", corpus_path("third_interval.scx")) == 1
     out = capsys.readouterr().out
     assert "not regular" in out and "invariant factors" in out
+
+
+def test_check_regular_lists_the_same_faces_as_testing_every_face(tmp_path, capsys):
+    # Two of the four triangles are regular and two are not, and so is an
+    # edge of the latter; only faces of non-regular maximal simplexes are
+    # tested, and the listing equals the one over every face.
+    cx = stellar(standard_cube(2), rpoint("1/3", "1/3"))
+    assert sorted(map(is_regular, cx.maximal_simplexes())) == [False, False, True, True]
+    path = tmp_path / "mixed.scx"
+    path.write_text(print_scx(ScxDocument("complex", cx)), encoding="utf-8")
+    capsys.readouterr()
+    assert run("check-regular", str(path)) == 1
+    bad = sorted(s for s in closure_complex(cx.maximal_simplexes()).simplexes
+                 if not is_regular(s))
+    assert [s.dim for s in bad] == [2, 2, 1]
+    assert capsys.readouterr().out == "".join(
+        f"simplex {s} not regular: invariant factors "
+        f"{invariant_factors(s._vertex_rows)}\n" for s in bad)
 
 
 def test_check_strongly_regular():

@@ -5,20 +5,21 @@ from fractions import Fraction
 import pytest
 
 from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, WeightedComplex,
-                 from_maximal, realize, rpoint, simplicially_isomorphic,
+                 certify_main, desingularize, elementary_collapse, free_faces,
+                 from_maximal, realize, replay, rpoint, simplicially_isomorphic,
                  skeleton, standard_cube, stellar, pipeline_dh,
                  part2_reduce)
 from zrk import linalg
 from zrk.complexes import (NotASimplicialComplex, _meet_in_common_face,
-                           _separated)
+                           _placement, _separated)
 from zrk.zmaps import DomainError
 from zrk.regular import is_regular
-from zrk.scx import ScxError, parse_scx
+from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
 
 from conftest import random_rational, seg, tri
-from oracles import (barycentric_coords, enumerate_meet_in_common_face,
-                     fraction_aff_dim, lp_meet_in_common_face, scan_carrier,
-                     scan_maximal_simplexes)
+from oracles import (barycentric_coords, closure_complex,
+                     enumerate_meet_in_common_face, fraction_aff_dim,
+                     lp_meet_in_common_face, scan_carrier, scan_maximal_simplexes)
 
 
 def test_from_maximal_segment():
@@ -260,20 +261,131 @@ def test_hash_is_the_generated_hash_computed_once(monkeypatch):
         assert len(calls) == before
 
 
+def _random_face(rng: random.Random, s: GeoSimplex) -> GeoSimplex:
+    return GeoSimplex(tuple(rng.sample(s.vertices, rng.randint(1, len(s.vertices)))))
+
+
+def _stellar_chain(rng: random.Random, n: int, max_den: int, steps: int):
+    cx = standard_cube(n)
+    for _ in range(steps):
+        cx = stellar(cx, rpoint(*[random_rational(rng, max_den) for _ in range(n)]))
+    return cx
+
+
 def test_maximal_simplexes_match_scanning_oracle():
+    # cx.simplexes is read off the maximal simplexes, so the oracle closes
+    # and scans the input itself: the maximal simplexes of stellar chains,
+    # listed with random faces of them in random order.
     rng = random.Random(20145)
-    cxs = [from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (2, 0), (2, 1)),
-                         seg((0, 1), (-1, 2)), GeoSimplex((rpoint(3, 3),))])]
+    non_pure = [tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (2, 0), (2, 1)),
+                seg((0, 1), (-1, 2)), GeoSimplex((rpoint(3, 3),))]
+    inputs = [non_pure, non_pure + [seg((0, 0), (1, 0)), GeoSimplex((rpoint(2, 1),))]]
     for n in (1, 2, 3, 4):
         for _ in range(2):
-            cx = standard_cube(n)
-            for _ in range(rng.randint(1, 3)):
-                cx = stellar(cx, rpoint(*[random_rational(rng, 4)
-                                          for _ in range(n)]))
-            cxs.append(cx)
-    for cx in cxs:
-        assert cx.maximal_simplexes() == scan_maximal_simplexes(cx)
-    assert {s.dim for s in cxs[0].maximal_simplexes()} == {0, 1, 2}
+            cx = _stellar_chain(rng, n, 4, rng.randint(1, 3))
+            assert cx.maximal_simplexes() == scan_maximal_simplexes(
+                closure_complex(cx.maximal_simplexes()))
+            maxi = list(cx.maximal_simplexes())
+            inputs.append(maxi + [_random_face(rng, s)
+                                  for s in rng.sample(maxi, min(6, len(maxi)))])
+    for simplexes in inputs:
+        rng.shuffle(simplexes)
+        expected = scan_maximal_simplexes(closure_complex(simplexes))
+        assert from_maximal(simplexes).maximal_simplexes() == expected
+    assert {s.dim for s in from_maximal(non_pure).maximal_simplexes()} == {0, 1, 2}
+
+
+def _grid(n: int, rng: random.Random) -> list:
+    """Points k/4 in [-1/4, 5/4]^n: every one for n <= 2, else 60 of them
+    plus the corners of [0, 1]^n."""
+    steps = [Fraction(k, 4) for k in range(-1, 6)]
+    if n <= 2:
+        return [rpoint(*c) for c in itertools.product(steps, repeat=n)]
+    corners = [rpoint(*c) for c in itertools.product((0, 1), repeat=n)]
+    return corners + [rpoint(*[rng.choice(steps) for _ in range(n)]) for _ in range(60)]
+
+
+def test_representation_matches_closure_oracle():
+    # Each case is a complex and the simplexes it was built from; the
+    # oracle is their face closure with scanned maximal simplexes, as the
+    # eager constructor stored them.  Cases: seeded stellar chains of
+    # cube1-4, non-pure complexes, inputs listing simplexes with some of
+    # their faces (also through parse_scx), realize outputs and
+    # elementary_collapse results.
+    rng = random.Random(20150)
+    cases = []
+    chains = {}
+    for n in (1, 2, 3, 4):
+        cx = chains[n] = _stellar_chain(rng, n, 4 if n <= 2 else 2, rng.randint(1, 3))
+        cases.append((cx, cx.maximal_simplexes()))
+        with_faces = list(cx.maximal_simplexes()) + [
+            _random_face(rng, s) for s in rng.choices(cx.maximal_simplexes(), k=4)]
+        rng.shuffle(with_faces)
+        cases.append((GeoComplex(with_faces), with_faces))
+    non_pure = [tri((0, 0, 0), (1, 0, 0), (0, 1, 0)), tri((1, 0, 0), (1, 1, 1)),
+                GeoSimplex((rpoint(0, 0, 1),)), seg((0, 0, 0), (1, 0, 0)),
+                GeoSimplex((rpoint(1, 1, 1),))]
+    cases.append((from_maximal(non_pure), non_pure))
+    text = ('{"version": "1", "kind": "complex", "dim": 2, "maximal_simplexes": '
+            '[[["0", "0"], ["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]]}')
+    doc = parse_scx(text)
+    triangle = tri((0, 0), (1, 0), (0, 1))
+    assert print_scx(doc) == print_scx(ScxDocument("complex", from_maximal([triangle])))
+    cases.append((doc.payload, [triangle, seg((1, 0), (0, 1))]))
+    for base in (standard_cube(2), chains[2]):
+        w = WeightedComplex(skeleton(base), {v: rng.randint(1, 3)
+                                             for v in base.vertices()})
+        placed = _placement(w)
+        cases.append((realize(w), [GeoSimplex(tuple(placed[v] for v in f))
+                                   for f in w.base.faces]))
+    for base in (standard_cube(2), chains[3]):
+        faces = closure_complex(base.maximal_simplexes()).simplexes
+        for t, f in rng.sample(free_faces(base), 2):
+            cases.append((elementary_collapse(base, t, f), faces - {t, f}))
+
+    refs = [closure_complex(simplexes) for _, simplexes in cases]
+    others = [s for ref in refs for s in ref.simplexes]
+    for (cx, _), ref in zip(cases, refs):
+        assert cx.simplexes == ref.simplexes
+        assert cx.maximal_simplexes() == ref.maximal
+        assert cx.vertices() == ref.vertices()
+        assert cx.dim == ref.dim
+        assert len(cx) == len(ref.simplexes)
+        assert skeleton(cx) == AbsComplex(ref.vertices(), [frozenset(s.vertices)
+                                                           for s in ref.simplexes])
+        for again in (GeoComplex(ref.simplexes, validate=False),
+                      GeoComplex(ref.maximal, validate=False)):
+            assert cx == again and hash(cx) == hash(again)
+        for s in rng.sample(others, 60):
+            assert (s in cx) == (s in ref.simplexes), (cx, s)
+        for p in _grid(cx.ambient_dim, rng):
+            assert cx.carrier(p) == scan_carrier(ref, p), (cx, p)
+    for (a, _), ref_a in zip(cases, refs):
+        for (b, _), ref_b in zip(cases, refs):
+            assert (a == b) == (ref_a.simplexes == ref_b.simplexes)
+
+
+def test_no_face_is_built_on_the_maximal_paths(monkeypatch):
+    # Building, subdividing, desingularizing, certifying, printing, parsing
+    # and replaying all work on maximal simplexes: none builds a face.
+    calls = []
+    faces = GeoSimplex.faces
+
+    def counted(self):
+        calls.append(self)
+        return faces(self)
+
+    monkeypatch.setattr(GeoSimplex, "faces", counted)
+    cube = standard_cube(4)
+    fine = stellar(stellar(cube, rpoint("1/2", "1/2", "1/2", "1/2")),
+                   rpoint("1/3", "1/3", "1/3", 0))
+    assert desingularize(fine) != fine
+    verdict = certify_main(cube)
+    assert verdict.status == "certified"
+    parsed = parse_scx(print_scx(ScxDocument("verdict", verdict))).payload
+    wit = parsed.witnesses
+    assert replay(wit.collapse_complex, wit.collapse_sequence)
+    assert calls == []
 
 
 def test_point_location_matches_solving_oracles():

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from zrk import (GeoSimplex, PLMap, common_refinement, from_maximal,
-                 is_subdivision, linalg, refine_for_map, restrict, rpoint,
-                 standard_cube, stellar, stellar_chain)
+                 is_subdivision, linalg, part2_reduce, pipeline_dh,
+                 refine_for_map, restrict, rpoint, standard_cube, stellar,
+                 stellar_chain, subdivide)
 from zrk.subdivide import (PointNotInSupport, SupportMismatch,
                            inside_subcomplex, supports, support_equal)
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import face_stellar, split_supports
+from oracles import face_stellar, scan_inside_subcomplex, split_supports
 
 
 def test_stellar_segment_midpoint():
@@ -359,10 +360,51 @@ def test_inside_subcomplex_matches_testing_every_simplex():
             parts = [from_maximal(rng.sample(other, min(2, len(other)))),
                      from_maximal([random_simplex(rng, n, 3)]), standard_cube(n)]
             for part in parts:
-                expected = {s for s in cx.simplexes
-                            if supports(part.maximal_simplexes(), s)}
                 inside = inside_subcomplex(cx, part)
-                assert (inside.simplexes if inside else set()) == expected
+                assert ((inside.simplexes if inside else set())
+                        == scan_inside_subcomplex(cx, part))
+
+
+def test_inside_subcomplex_matches_scanning_oracle_in_restrict_and_pipeline(
+        monkeypatch):
+    # Every inside subcomplex that restrict, pipeline_dh and part2_reduce
+    # find on seeded inputs equals the faces the oracle finds inside.
+    rng = random.Random(20151)
+    found = []
+
+    def checked(cx, part):
+        inside = inside_subcomplex(cx, part)
+        assert ((inside.simplexes if inside else set())
+                == scan_inside_subcomplex(cx, part)), (cx, part)
+        found.append(inside)
+        return inside
+
+    monkeypatch.setattr(subdivide, "inside_subcomplex", checked)
+    for i in range(12):
+        n = 2 + i % 2
+        corners = [rpoint(*([1] * k + [0] * (n - k))) for k in range(n + 1)]
+        part = from_maximal([GeoSimplex(tuple(corners[:rng.randint(1, n)]))])
+        cx = standard_cube(n)
+        for _ in range(rng.randint(1, 3)):
+            p = [random_rational(rng, 4) for _ in range(n)]
+            if rng.random() < 0.5:
+                p.sort(reverse=True)
+            cx = stellar(cx, rpoint(*p))
+        restrict(cx, part)
+    # The fold of the square onto its half diagonal, and seeded stellar
+    # subdivisions of its domain.
+    half = rpoint("1/2", "1/2")
+    square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
+    fold = PLMap(square, {v: half if any(v.coords) else v for v in square.vertices()})
+    part = from_maximal([GeoSimplex((rpoint(0, 0), half))])
+    for i in range(4):
+        eta = fold
+        for _ in range(i):
+            p = rpoint(*[random_rational(rng, 4) for _ in range(2)])
+            eta = eta.rebase(stellar(eta.domain, p))
+        result = pipeline_dh(eta, part)
+        part2_reduce(result.map, result.triangulation, part)
+    assert len(found) == 56 and {inside.dim for inside in found} == {0, 1, 2}
 
 
 def test_cell_kernel_runs_on_integers_only(monkeypatch):
