@@ -35,7 +35,7 @@ from types import SimpleNamespace
 from typing import Hashable, Iterable, Optional, Sequence
 
 from . import linalg
-from .exactnum import format_rat, parse_rat
+from .exactnum import _exact, format_rat, parse_rat
 
 
 class NotASimplicialComplex(ValueError):
@@ -51,7 +51,9 @@ class RPoint:
     def __post_init__(self):
         if not self.coords:
             raise ValueError("ambient dimension must be >= 1")
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(
+            c if type(c) is Fraction else Fraction(_exact(c, f"coordinate {i}"))
+            for i, c in enumerate(self.coords)))
 
     @property
     def dim(self) -> int:
@@ -88,8 +90,7 @@ def rpoint(*coords) -> RPoint:
     """Build an RPoint from ints, Fractions or 'p/q' strings."""
     if len(coords) == 1 and isinstance(coords[0], (list, tuple)):
         coords = tuple(coords[0])
-    return RPoint(tuple(parse_rat(c) if isinstance(c, str) else Fraction(c)
-                        for c in coords))
+    return RPoint(tuple(parse_rat(c) if isinstance(c, str) else c for c in coords))
 
 
 @dataclass(frozen=True, order=True)
@@ -310,8 +311,11 @@ class GeoComplex:
             sset = [s for s in sset
                     if len(set.intersection(*map(stars.get, s.vertices))) == 1]
         self.ambient_dim = dims.pop()
-        self._maximal = tuple(sorted(sset))
         self._vertices = tuple(sorted({v for s in sset for v in s.vertices}))
+        # Simplex order is the lexicographic order of vertex tuples, so
+        # tuples of vertex ranks sort them without comparing Fractions.
+        rank = {v: i for i, v in enumerate(self._vertices)}.__getitem__
+        self._maximal = tuple(sorted(sset, key=lambda s: tuple(map(rank, s.vertices))))
         self._faces = None
         if validate:
             self._validate()

@@ -38,10 +38,19 @@ def parse_rat(text: str) -> Rat:
     return Fraction(int(s))
 
 
+def _exact(x, what: str):
+    """x itself, unless it is a float or a bool: a float would stand in for
+    a rational it only approximates, and a bool is no number."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"{what} is a {type(x).__name__} ({x!r}); "
+                         "use an int, a Fraction or a 'p/q' string")
+    return x
+
+
 def format_rat(x: Rat) -> str:
     """Serialize as 'p/q' for true fractions and 'p' for integers."""
     if not isinstance(x, Fraction):
-        x = Fraction(x)
+        x = Fraction(_exact(x, "the value"))
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -6,12 +6,25 @@ in lowest terms; no vertex is listed twice) and semantics (complexes must
 satisfy the simplicial-complex condition); printing is canonical, so
 parse . print is the identity on canonical text.  Every failure is a
 ``ScxError`` whose ``where`` locates it in the document.
+
+The canonical text is what ``json.dumps`` prints with sorted keys and an
+indent of 2, plus a newline.  An indent makes ``json`` run its pure-Python
+encoder, so ``_emit`` writes the same bytes itself: sorted keys, a
+two-space indent, ``","`` between items and ``": "`` after keys, ``[]``
+and ``{}`` when empty, ``int.__repr__`` for integers and ``json``'s C
+``encode_basestring_ascii`` for strings.  In a body, a point is a tuple of
+coordinate texts.  A per-document memo (``_point_out``) formats each
+distinct point once and hands every occurrence the same tuple, and the
+emitter renders a point's bracketed block once per indent level at which
+it appears, so a vertex repeated in many simplexes or collapse steps is
+one dict lookup each time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .collapse import CollapseSequence, CollapseStep
@@ -42,33 +55,35 @@ class ScxDocument:
 # -- encoding ----------------------------------------------------------------
 
 
-def _point_out(p: RPoint) -> list[str]:
-    return [format_rat(c) for c in p.coords]
+def _point_out(p: RPoint, memo: dict) -> tuple[str, ...]:
+    """The coordinate texts of p, formatted once per document: ``memo``
+    maps each point printed so far to its tuple."""
+    text = memo.get(p)
+    if text is None:
+        text = memo[p] = tuple(map(format_rat, p.coords))
+    return text
 
 
-def _simplex_out(s: GeoSimplex) -> list[list[str]]:
-    return [_point_out(v) for v in s.vertices]
+def _simplex_out(s: GeoSimplex, memo: dict) -> list[tuple[str, ...]]:
+    return [_point_out(v, memo) for v in s.vertices]
 
 
-def _complex_body(cx: GeoComplex) -> dict:
-    # Each vertex is formatted once, not once per simplex containing it.
-    text = {v: _point_out(v) for v in cx.vertices()}
+def _complex_body(cx: GeoComplex, memo: dict) -> dict:
     return {
         "dim": cx.ambient_dim,
-        "maximal_simplexes": [[text[v] for v in s.vertices]
-                              for s in cx.maximal_simplexes()],
+        "maximal_simplexes": [_simplex_out(s, memo) for s in cx.maximal_simplexes()],
     }
 
 
-def _payload_body(doc: ScxDocument) -> dict:
-    kind, payload = doc.kind, doc.payload
+def _payload_body(kind: str, payload, memo: dict) -> dict:
     if kind == "complex":
-        return _complex_body(payload)
+        return _complex_body(payload, memo)
     if kind == "plmap":
-        body = _complex_body(payload.domain)
+        body = _complex_body(payload.domain, memo)
         body["codomain_dim"] = payload.codomain_dim
-        body["vertex_images"] = [[_point_out(v), _point_out(payload.images[v])]
-                                 for v in payload.domain.vertices()]
+        body["vertex_images"] = [
+            [_point_out(v, memo), _point_out(payload.images[v], memo)]
+            for v in payload.domain.vertices()]
         return body
     if kind == "weighted":
         w: WeightedComplex = payload
@@ -82,9 +97,9 @@ def _payload_body(doc: ScxDocument) -> dict:
     if kind == "sequence":
         seq: CollapseSequence = payload
         return {
-            "steps": [[_simplex_out(st.maximal), _simplex_out(st.free_facet)]
-                      for st in seq.steps],
-            "terminal": _point_out(seq.terminal.vertices[0]),
+            "steps": [[_simplex_out(st.maximal, memo),
+                       _simplex_out(st.free_facet, memo)] for st in seq.steps],
+            "terminal": _point_out(seq.terminal.vertices[0], memo),
         }
     if kind == "verdict":
         verdict: RetractVerdict = payload
@@ -95,23 +110,86 @@ def _payload_body(doc: ScxDocument) -> dict:
             wit = verdict.witnesses
             wbody = {}
             if wit.lattice_vertex is not None:
-                wbody["lattice_vertex"] = _point_out(wit.lattice_vertex)
+                wbody["lattice_vertex"] = _point_out(wit.lattice_vertex, memo)
             if wit.collapse_complex is not None:
-                wbody["collapse_complex"] = _complex_body(wit.collapse_complex)
+                wbody["collapse_complex"] = _complex_body(wit.collapse_complex, memo)
             if wit.collapse_sequence is not None:
                 wbody["collapse_sequence"] = _payload_body(
-                    ScxDocument("sequence", wit.collapse_sequence))
+                    "sequence", wit.collapse_sequence, memo)
             if wit.strongly_regular is not None:
-                wbody["strongly_regular"] = _complex_body(wit.strongly_regular)
+                wbody["strongly_regular"] = _complex_body(wit.strongly_regular, memo)
             body["witnesses"] = wbody
         return body
     raise ScxError(f"unknown kind {kind!r}")
 
 
-def print_scx(doc: ScxDocument) -> str:
+def _document_body(doc: ScxDocument) -> dict:
+    """The JSON value of a document.  Points are tuples of coordinate
+    texts, one tuple object per distinct point of the document."""
     body = {"version": doc.version, "kind": doc.kind}
-    body.update(_payload_body(doc))
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    body.update(_payload_body(doc.kind, doc.payload, {}))
+    return body
+
+
+def _emit(body: dict) -> str:
+    """The text ``json.dumps`` prints for ``body`` with sorted keys and an
+    indent of 2, for a body of dicts with string keys, lists, tuples of
+    strings, strings and ints.
+
+    A tuple is a point: its block is rendered once for each depth at which
+    it appears and reused at every later occurrence, which is what lets
+    one dict lookup stand for a vertex repeated in many simplexes.
+    """
+    out: list[str] = []
+    put = out.append
+    blocks: dict = {}  # (point, depth) -> its rendered block
+
+    def value(x, depth: int) -> None:
+        kind = type(x)
+        if kind is str:
+            put(encode_basestring_ascii(x))
+        elif kind is tuple:
+            block = blocks.get((x, depth))
+            if block is None:
+                inner = "\n" + "  " * (depth + 1)
+                block = blocks[x, depth] = (
+                    "[" + inner + ("," + inner).join(map(encode_basestring_ascii, x))
+                    + "\n" + "  " * depth + "]")
+            put(block)
+        elif kind is list:
+            if not x:
+                put("[]")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            put("[" + inner)
+            for i, item in enumerate(x):
+                if i:
+                    put("," + inner)
+                value(item, depth + 1)
+            put("\n" + "  " * depth + "]")
+        elif kind is dict:
+            if not x:
+                put("{}")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            put("{" + inner)
+            for i, key in enumerate(sorted(x)):
+                if i:
+                    put("," + inner)
+                put(encode_basestring_ascii(key) + ": ")
+                value(x[key], depth + 1)
+            put("\n" + "  " * depth + "}")
+        elif kind is int:
+            put(int.__repr__(x))
+        else:
+            raise TypeError(f"cannot print a {kind.__name__} in .scx")
+
+    value(body, 0)
+    return "".join(out)
+
+
+def print_scx(doc: ScxDocument) -> str:
+    return _emit(_document_body(doc)) + "\n"
 
 
 # -- decoding ----------------------------------------------------------------

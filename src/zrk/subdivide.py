@@ -143,12 +143,17 @@ def _pull_cell(s: GeoSimplex, eqs_t: Sequence[Row],
     cell = linalg.clip_simplex(s._vertex_rows, ineqs_t)
     if not cell or reduce(and_, (m for _, m in cell)):
         return []
+    # Lexicographic order of the points: the primitive vectors, whose last
+    # entries are the positive denominators, scaled to one denominator.
+    common = math.lcm(*(x[-1] for x, _ in cell))
+    vectors = sorted((x for x, _ in cell),
+                     key=lambda x: tuple(c * (common // x[-1]) for c in x[:-1]))
     own = dict(zip(s._vertex_rows, s.vertices))
-    points = sorted(own.get(x) or RPoint(tuple(Fraction(e, x[-1]) for e in x[:-1]))
-                    for x, _ in cell)
+    points = [own.get(x) or RPoint(tuple(Fraction(e, x[-1]) for e in x[:-1]))
+              for x in vectors]
     ineqs = s._point_rows[1] + tuple(ineqs_t)
     return [GeoSimplex._raw(tuple(points[i] for i in tri))
-            for tri in linalg.pull_triangulation([p._homog for p in points], ineqs)]
+            for tri in linalg.pull_triangulation(vectors, ineqs)]
 
 
 def _pieces(s: GeoSimplex, cover: Iterable[GeoSimplex]) -> set[GeoSimplex]:

@@ -51,8 +51,11 @@ from before ``regular._box_point`` worked on integers;
 ``Fraction`` forms, from before it read integer rows; and
 ``all_faces_strongly_regular`` tests regularity on every face, from before
 ``regular.is_strongly_regular`` read it off the maximal simplexes.
+``json_print_scx`` prints a document with ``json.dumps(indent=2)``, which
+runs the pure-Python encoder, from before ``scx`` had its own emitter.
 """
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -61,7 +64,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
-from zrk import linalg, subdivide
+from zrk import linalg, scx, subdivide
 from zrk.collapse import CollapseSequence, CollapseStep
 from zrk.complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap
 from zrk.exactnum import IntMat, invariant_factors, smith_with_transforms
@@ -931,3 +934,8 @@ def all_faces_strongly_regular(cx) -> bool:
         return False
     return all(math.gcd(*(homog(v).den for v in s.vertices)) == 1
                for s in cx.maximal_simplexes())
+
+
+def json_print_scx(doc) -> str:
+    """The canonical text of a document, printed by the ``json`` module."""
+    return json.dumps(scx._document_body(doc), sort_keys=True, indent=2) + "\n"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, WeightedComplex,
+from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, RPoint, WeightedComplex,
                  certify_main, desingularize, elementary_collapse, free_faces,
                  from_maximal, realize, replay, rpoint, simplicially_isomorphic,
                  skeleton, standard_cube, stellar, pipeline_dh,
@@ -293,6 +293,33 @@ def test_maximal_simplexes_match_scanning_oracle():
         expected = scan_maximal_simplexes(closure_complex(simplexes))
         assert from_maximal(simplexes).maximal_simplexes() == expected
     assert {s.dim for s in from_maximal(non_pure).maximal_simplexes()} == {0, 1, 2}
+
+
+def test_maximal_simplexes_come_in_sorted_order():
+    # The constructor sorts by tuples of vertex ranks; the order must be
+    # sorted() on GeoSimplex, the lexicographic order of the vertex tuples.
+    # Inputs mix dimensions and hold equal points as distinct objects.
+    rng = random.Random(20151)
+
+    def check(cx, expected):
+        assert cx.maximal_simplexes() == tuple(sorted(set(expected)))
+        assert cx.vertices() == tuple(sorted({v for s in expected for v in s.vertices}))
+
+    for n in (1, 2, 3, 4, 5):
+        cube = standard_cube(n)
+        s = rng.choice(cube.maximal_simplexes())
+        face = GeoSimplex(tuple(rng.sample(s.vertices, rng.randint(2, n + 1))))
+        cx = stellar(cube, face.barycenter())
+        maxi = list(cx.maximal_simplexes())
+        check(cx, maxi)
+        far = rpoint(*[2] * n)
+        extra = [GeoSimplex((rpoint(*[1] * n), far)), GeoSimplex((rpoint(*[3] * n),))]
+        copies = [GeoSimplex(tuple(RPoint(v.coords) for v in s.vertices))
+                  for s in rng.sample(maxi, min(5, len(maxi)))]
+        mixed = maxi + extra + copies + [GeoSimplex((far,))] + [
+            _random_face(rng, s) for s in rng.choices(maxi, k=6)]
+        rng.shuffle(mixed)
+        check(GeoComplex(mixed, validate=n <= 3), maxi + extra)
 
 
 def _grid(n: int, rng: random.Random) -> list:
@@ -671,6 +698,24 @@ def test_independence_matches_fraction_rank():
         else:
             assert independent, pts
     assert 50 <= rejected <= 250, rejected
+
+
+def test_points_refuse_floats_and_bools():
+    # No float stands in for a rational and no bool for an integer; a
+    # Fraction coordinate is kept as the object it is.
+    with pytest.raises(ValueError, match="coordinate 0 is a float"):
+        rpoint(0.1)
+    with pytest.raises(ValueError, match="coordinate 2 is a float"):
+        rpoint(1, "1/2", 0.5)
+    with pytest.raises(ValueError, match="coordinate 1 is a bool"):
+        RPoint((Fraction(1, 2), True))
+    with pytest.raises(ValueError, match="coordinate 0 is a bool"):
+        RPoint([False])
+    half = Fraction(1, 2)
+    p = RPoint((half, 3))
+    assert p.coords[0] is half and type(p.coords[1]) is Fraction
+    assert p == rpoint("1/2", 3) == RPoint([half, Fraction(3)])
+    assert type(RPoint([half]).coords) is tuple
 
 
 def test_geosimplex_canonical_order_and_independence():

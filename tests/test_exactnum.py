@@ -156,6 +156,10 @@ def test_parse_and_format_rat():
     assert parse_rat("-2") == Fraction(-2)
     assert format_rat(Fraction(1, 2)) == "1/2"
     assert format_rat(Fraction(5)) == "5"
+    assert format_rat(-3) == "-3"
+    for bad in (0.5, 2.0, True):
+        with pytest.raises(ValueError, match=type(bad).__name__):
+            format_rat(bad)
     with pytest.raises(ValueError, match="not in lowest terms"):
         parse_rat("2/4")
     with pytest.raises(ValueError, match="positive"):

@@ -1,16 +1,20 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from zrk import (GeoSimplex, PLMap, certify_main, find_collapse_sequence,
-                 from_maximal, rpoint, standard_cube)
+                 from_maximal, part2_reduce, pipeline_dh, rpoint, scx,
+                 standard_cube, stellar)
 from zrk.complexes import AbsComplex, WeightedComplex
 from zrk.exactnum import format_rat
-from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
+from zrk.scx import KINDS, ScxDocument, ScxError, parse_scx, print_scx
+from zrk.zmaps import RetractVerdict
 
 from conftest import seg
+from oracles import json_print_scx
 
 
 def roundtrip(doc: ScxDocument) -> ScxDocument:
@@ -355,3 +359,95 @@ def test_nested_witnesses_must_be_objects():
     body["witnesses"] = "none"
     with pytest.raises(ScxError, match="JSON object"):
         parse_scx(json.dumps(body))
+
+
+# -- the emitter against json.dumps ---------------------------------------------
+
+
+def _same_as_json(doc: ScxDocument) -> str:
+    text = print_scx(doc)
+    assert text == json_print_scx(doc)
+    return text
+
+
+def test_printer_matches_json_on_corpus():
+    from importlib import resources
+
+    verdicts = 0
+    for entry in resources.files("zrk.corpus").iterdir():
+        if entry.name.endswith(".scx"):
+            text = entry.read_text(encoding="utf-8")
+            assert _same_as_json(parse_scx(text)) == text, entry.name
+            verdicts += entry.name.endswith(".verdict.scx")
+    assert verdicts >= 9
+
+
+def test_printer_matches_json_on_verdicts(antidiagonal):
+    rng = random.Random(1515)
+    parts = [standard_cube(n) for n in (1, 2, 3, 4)]
+    for n in (3, 3, 4, 4):
+        cube = standard_cube(n)
+        s = rng.choice(cube.maximal_simplexes())
+        face = rng.sample(s.vertices, rng.randint(2, len(s.vertices)))
+        parts.append(stellar(cube, GeoSimplex(tuple(face)).barycenter()))
+    verdicts = [certify_main(part) for part in parts + [antidiagonal]]
+    assert [v.status for v in verdicts] == ["certified"] * 8 + ["refuted"]
+    for verdict in verdicts:
+        _same_as_json(ScxDocument("verdict", verdict))
+
+
+def test_printer_matches_json_on_every_kind(tent, half_interval):
+    from importlib import resources
+
+    corpus = resources.files("zrk.corpus")
+    square = parse_scx((corpus / "square_to_half_diagonal.scx").read_text()).payload
+    diagonal = parse_scx((corpus / "half_diagonal.scx").read_text()).payload
+    docs = [ScxDocument("verdict", certify_main(half_interval))]
+    for eta, part in ((tent, half_interval), (square, diagonal)):
+        result = pipeline_dh(eta, part)
+        reduced = part2_reduce(result.map, result.triangulation, part)
+        docs += [ScxDocument("plmap", result.map),
+                 ScxDocument("complex", result.triangulation),
+                 ScxDocument("sequence", result.collapse_sequence),
+                 ScxDocument("weighted", reduced.weighted),
+                 ScxDocument("complex", reduced.realization),
+                 ScxDocument("plmap", reduced.section),
+                 ScxDocument("plmap", reduced.retraction)]
+    assert sorted({doc.kind for doc in docs}) == sorted(KINDS)
+    for doc in docs:
+        _same_as_json(doc)
+        roundtrip(doc)
+
+
+def test_printer_escapes_strings_like_json():
+    names = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "café",
+             "π/2 ≤ θ", "😀", "\u2028", "a/b"]
+    base = AbsComplex(names, [frozenset(names[:3]), frozenset(names[2:])])
+    weighted = WeightedComplex(base, {v: i + 1 for i, v in enumerate(names)})
+    doc = ScxDocument("weighted", weighted)
+    assert _same_as_json(doc).isascii()
+    assert list(roundtrip(doc).payload.base.vertices) == names
+    reason = "(ii): no lattice vertex — |P| ∩ ℤ³ = ∅"
+    doc = ScxDocument("verdict", RetractVerdict("refuted", refutation_reason=reason))
+    assert _same_as_json(doc).isascii()
+    assert roundtrip(doc).payload.refutation_reason == reason
+
+
+_EMITTER_TEXT = st.text(max_size=6) | st.text(
+    alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€\u2028\ud7ff😀 a1', max_size=6)
+_EMITTER_VALUES = st.recursive(
+    st.integers() | _EMITTER_TEXT
+    | st.lists(_EMITTER_TEXT, min_size=1, max_size=3).map(tuple),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_EMITTER_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, database=None, deadline=None, derandomize=True)
+@given(_EMITTER_VALUES)
+@example({})
+@example([])
+@example({"a": [[], {}, ("1/2", "0")], "b": [("1/2", "0"), [("1/2", "0")]]})
+def test_emitter_matches_json_dumps(body):
+    # Tuples are points, whose blocks are reused at each depth.
+    assert scx._emit(body) == json.dumps(body, sort_keys=True, indent=2)

@@ -30,3 +30,16 @@ def test_linalg_builds_no_fractions():
              if "Fraction" in (getattr(node, "id", None), getattr(node, "attr", None),
                                getattr(node, "name", None))]
     assert not found, f"Fraction in linalg: {found}"
+
+
+def test_no_indented_json_dumps():
+    # json.dumps with ``indent`` runs the pure-Python encoder; .scx text is
+    # printed by scx's own emitter, so no module in src/zrk calls it so.
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("dump", "dumps")
+             and any(k.arg == "indent" for k in node.keywords)]
+    assert not found, f"json.dumps with indent in src/zrk: {found}"

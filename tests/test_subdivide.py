@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zrk import (GeoSimplex, PLMap, common_refinement, from_maximal,
+from zrk import (GeoSimplex, PLMap, RPoint, common_refinement, from_maximal,
                  is_subdivision, linalg, part2_reduce, pipeline_dh,
                  refine_for_map, restrict, rpoint, standard_cube, stellar,
                  stellar_chain, subdivide)
@@ -342,6 +342,34 @@ def test_supports_matches_splitting_oracle():
                 assert supports(cover, s) == split_supports(cover, s), (cover, s)
                 pairs += 1
     assert pairs == 180
+
+
+def test_pulled_cells_sort_vertices_as_points():
+    # _pull_cell sorts the cell's vertices by integer keys; the pieces must
+    # be those pulled in sorted() order of the vertices as RPoints.
+    rng = random.Random(20152)
+    full = mixed = 0
+    for n in (1, 2, 3):
+        cover = standard_cube(n)
+        for _ in range(2):
+            cover = stellar(cover, rpoint(*[random_rational(rng, 5) for _ in range(n)]))
+        for _ in range(30):
+            s = random_simplex(rng, n, 4)
+            for t in cover.maximal_simplexes():
+                eqs, bary, _ = t._point_rows
+                got = subdivide._pull_cell(s, eqs, bary)
+                if not got:
+                    continue
+                cell = linalg.clip_simplex(s._vertex_rows, bary)
+                points = sorted(RPoint(tuple(Fraction(c, x[-1]) for c in x[:-1]))
+                                for x, _ in cell)
+                ineqs = s._point_rows[1] + bary
+                pulled = linalg.pull_triangulation([p._homog for p in points], ineqs)
+                assert [g.vertices for g in got] == \
+                    [tuple(points[i] for i in tri) for tri in pulled], (s, t)
+                full += 1
+                mixed += len({x[-1] for x, _ in cell}) > 1
+    assert full >= 150 and mixed >= 100, (full, mixed)
 
 
 def test_inside_subcomplex_matches_testing_every_simplex():
