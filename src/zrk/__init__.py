@@ -22,8 +22,8 @@ from .regular import (anchor, coprime_point, den, desingularize,
 from .subdivide import (common_refinement, is_subdivision, refine_for_map,
                         restrict, stellar, stellar_chain)
 from .zmaps import (PLMap, RetractVerdict, certify_main, compose,
-                    fixes_pointwise, identity_map, is_zmap, is_zmap_by_fit,
-                    part2_reduce, pipeline_dh, retarget_to_carrier_vertices,
+                    fixes_pointwise, identity_map, is_zmap, part2_reduce,
+                    pipeline_dh, retarget_to_carrier_vertices,
                     verify_section_retraction, verify_zretract)
 
 __version__ = "0.1.0"

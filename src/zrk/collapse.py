@@ -3,12 +3,14 @@
 Collapsibility is the checkable certificate used in place of
 contractibility: a found collapse sequence replays independently, while a
 failed search means only "not found within budget", never "not
-collapsible".
+collapsible".  Search, replay and free faces read one sorted list of free
+pairs; the search remembers failed states by a bitmask of live simplexes.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,58 +45,58 @@ class CollapseSequence:
 class _FaceTable:
     """Live simplexes as vertex-id tuples, at first every face of every
     maximal simplex (ids follow vertex order, so tuple order is
-    ``GeoSimplex`` order), with each face's live cofaces one dimension up;
-    ``free`` maps a face with one live coface to it.  Removing only free
-    pairs keeps every face of a live simplex live."""
+    ``GeoSimplex`` order), with each face's live cofaces one dimension up.
+    ``free`` is the sorted list of pairs (T, F) where T is F's only live
+    coface; bit ``bit[s]`` of ``mask`` is set while s is live.  Removing
+    only free pairs keeps every face of a live simplex live."""
 
     def __init__(self, cx: GeoComplex):
         self.verts = cx.vertices()
         self.index = {v: i for i, v in enumerate(self.verts)}
         ids = {f for s in cx.maximal_simplexes() for k in range(1, len(s.vertices) + 1)
                for f in itertools.combinations([self.index[v] for v in s.vertices], k)}
-        self.cofaces: dict[tuple[int, ...], set] = {s: set() for s in ids}
-        self.live: set[tuple[int, ...]] = set()
-        self.free: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for s in ids:
-            self._link(s, True)
+        self.faces = list(ids)
+        self.bit = {s: i for i, s in enumerate(self.faces)}
+        self.mask = (1 << len(self.faces)) - 1
+        self.cofaces: dict[tuple[int, ...], set] = {s: set() for s in self.faces}
+        for s in self.faces:
+            for i in range(len(s) if len(s) > 1 else 0):
+                self.cofaces[s[:i] + s[i + 1:]].add(s)
+        self.free = sorted((next(iter(c)), g) for g, c in self.cofaces.items() if len(c) == 1)
 
-    def _link(self, s: tuple[int, ...], add: bool) -> None:
-        """Add s to, or remove it from, the live set and its facets' cofaces."""
-        (self.live.add if add else self.live.remove)(s)
-        for i in range(len(s) if len(s) > 1 else 0):
-            g = s[:i] + s[i + 1:]
-            c = self.cofaces[g]
-            (c.add if add else c.remove)(s)
-            self.free.pop(g, None)
-            if len(c) == 1:
-                self.free[g] = next(iter(c))
-
-    def collapse(self, t, f) -> None:
-        self._link(t, False)
-        self._link(f, False)
-
-    def uncollapse(self, t, f) -> None:
-        self._link(f, True)
-        self._link(t, True)
+    def toggle(self, pair) -> None:
+        """Remove the free pair (T, F), or put it back: flip each simplex in
+        ``mask`` and in its facets' cofaces, re-filing the facets' pairs."""
+        free = self.free
+        for s in pair:
+            self.mask ^= 1 << self.bit[s]
+            for i in range(len(s) if len(s) > 1 else 0):
+                g = s[:i] + s[i + 1:]
+                c = self.cofaces[g]
+                if len(c) == 1:
+                    del free[bisect_left(free, (next(iter(c)), g))]
+                c ^= {s}
+                if len(c) == 1:
+                    insort(free, (next(iter(c)), g))
 
     def free_pair(self, t: GeoSimplex, f: GeoSimplex):
-        """(T, F) as id tuples if F is now free with coface T, else None."""
-        tid, fid = (tuple(self.index.get(v) for v in s.vertices) for s in (t, f))
-        if None in fid or self.free.get(fid) != tid:
+        """(T, F) as id tuples if F is now free with coface T, else None.
+        F's ids are read off T's, whose points F usually shares."""
+        tid = tuple(map(self.index.get, t.vertices))
+        pair = (tid, tuple(map(dict(zip(t.vertices, tid)).get, f.vertices)))
+        if None in pair[0] + pair[1]:
             return None
-        return tid, fid
+        k = bisect_left(self.free, pair)
+        return pair if self.free[k:k + 1] == [pair] else None
 
     def geo(self, s: tuple[int, ...]) -> GeoSimplex:
         return GeoSimplex._raw(tuple(self.verts[i] for i in s))
-
-    def sorted_pairs(self) -> list:
-        return sorted((t, f) for f, t in self.free.items())
 
 
 def free_faces(cx: GeoComplex) -> list[tuple[GeoSimplex, GeoSimplex]]:
     """All pairs (T, F) where F is a facet of exactly one simplex T."""
     table = _FaceTable(cx)
-    return [(table.geo(t), table.geo(f)) for t, f in table.sorted_pairs()]
+    return [(table.geo(t), table.geo(f)) for t, f in table.free]
 
 
 def elementary_collapse(cx: GeoComplex, t: GeoSimplex, f: GeoSimplex) -> GeoComplex:
@@ -108,47 +110,50 @@ def find_collapse_sequence(cx: GeoComplex,
                            budget: int = 100_000) -> Optional[CollapseSequence]:
     """Depth-first search for a collapse down to a single vertex.
 
-    Greedy on the lexicographically least free pair, backtracking on an
-    explicit stack.  The budget counts nodes: each state that is not a
-    single vertex and not yet visited costs one, and is memoized (by its
-    exact set of live simplexes) only while the count is within budget.
-    Past the budget no state is expanded, but open states still try their
-    remaining free pairs, so a single vertex reached that way succeeds.  A
-    budget of 0 finds nothing unless cx is a single vertex.  None means
-    "not found within budget".
+    Greedy on the lexicographically least free pair.  A state on the path
+    keeps only the pair it tried; a backtrack restores the free list
+    exactly, so its next pair is that pair's successor.  The budget counts
+    nodes: each state that is not a single vertex and not known to fail
+    costs one, and is expanded only while the count is within budget.  An
+    expanded state's live bitmask is remembered once all its pairs fail;
+    path states strictly shrink, so an open state is never met again.  Past
+    the budget open states still try their remaining pairs, so a single
+    vertex reached that way succeeds.  A budget of 0 finds nothing unless
+    cx is a single vertex.  None means "not found within budget".
     """
     table = _FaceTable(cx)
-    visited: set[frozenset] = set()
+    pairs = table.free  # updated in place
+    failed: set[int] = set()
     nodes = 0
     path: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    stack: list = []  # per state on the path: iterator over its untried pairs
-    while len(table.live) > 1:
-        key = frozenset(table.live)
-        pairs = []
-        if key not in visited:
-            nodes += 1
-            if nodes <= budget:
-                visited.add(key)
-                pairs = table.sorted_pairs()
-        stack.append(iter(pairs))
-        while (pair := next(stack[-1], None)) is None:
-            stack.pop()
-            if not stack:
+    while table.mask & (table.mask - 1):
+        fresh = table.mask not in failed
+        nodes += fresh
+        expanded = fresh and nodes <= budget
+        k = 0 if expanded else len(pairs)
+        while k == len(pairs):
+            if expanded:
+                failed.add(table.mask)
+            if not path:
                 return None
-            table.uncollapse(*path.pop())
-        path.append(pair)
-        table.collapse(*pair)
+            last = path.pop()
+            table.toggle(last)
+            k, expanded = bisect_right(pairs, last), True
+        path.append(pairs[k])
+        table.toggle(pairs[k])
     steps = tuple(CollapseStep(table.geo(t), table.geo(f)) for t, f in path)
-    return CollapseSequence(steps, table.geo(table.live.pop()))
+    return CollapseSequence(steps, table.geo(table.faces[table.mask.bit_length() - 1]))
 
 
 def replay(cx: GeoComplex, seq: CollapseSequence) -> bool:
-    """Check, in linear time, that every step is a valid elementary collapse
-    in order and the end state is the single terminal vertex."""
+    """Check that every step is a valid elementary collapse in order and the
+    end state is the single terminal vertex.  Each step costs O(log n)
+    comparisons per facet plus list shifts linear in the free list."""
     table = _FaceTable(cx)
     for step in seq.steps:
         pair = table.free_pair(step.maximal, step.free_facet)
         if pair is None:
             return False
-        table.collapse(*pair)
-    return [table.geo(s) for s in table.live] == [seq.terminal]
+        table.toggle(pair)
+    i = table.bit.get(tuple(map(table.index.get, seq.terminal.vertices)))
+    return i is not None and table.mask == 1 << i

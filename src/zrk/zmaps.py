@@ -20,7 +20,6 @@ from .collapse import CollapseSequence, find_collapse_sequence
 from .complexes import (AbsComplex, GeoComplex, GeoSimplex, RPoint,
                         WeightedComplex, _placement, realize, skeleton,
                         standard_cube)
-from .exactnum import smith_with_transforms
 from .regular import (BudgetExhausted, den, desingularize_relative,
                       coprime_point, has_strongly_regular_triangulation,
                       is_regular, is_strongly_regular, desingularize)
@@ -108,58 +107,6 @@ def is_zmap(eta: PLMap) -> bool:
         domain = desingularize(domain)
         eta = eta.rebase(domain)
     return all(den(v) % den(eta.images[v]) == 0 for v in domain.vertices())
-
-
-def is_zmap_by_fit(eta: PLMap) -> bool:
-    """Directly fit an integer-coefficient affine map on every maximal
-    simplex (the independent route; agrees with the divisibility criterion
-    on regular domains)."""
-    return all(_integer_fit_exists(s, eta.image_simplex_points(s))
-               for s in eta.domain.maximal_simplexes())
-
-
-def _integer_fit_exists(s: GeoSimplex, images: Sequence[RPoint]) -> bool:
-    """Is there an integer matrix [A | b] with A v_i + b = images_i on s?
-
-    Written homogeneously: T . den(v_i)(v_i, 1) = den(v_i) * images_i must
-    be solvable for an integer T, which the Smith form of the vertex matrix
-    decides column by column.
-    """
-    hv = s._vertex_rows
-    m = len(images[0].coords)
-    rhs_cols = []
-    for v, img in zip(s.vertices, images):
-        d = den(v)
-        col = [d * c for c in img.coords]
-        if any(x.denominator != 1 for x in col):
-            return False
-        rhs_cols.append([int(x) for x in col])
-    # Solve T V = Y over the integers: V columns are the homogeneous vertex
-    # vectors ((n+1) x k), Y columns are rhs_cols (m x k).
-    v_mat = [list(col) for col in zip(*hv)]  # (n+1) x k
-    u, d_mat, w = smith_with_transforms(v_mat)
-    # T V = Y  <=>  (T U^-1)(U V W) = Y W  with U V W = D.
-    y = [list(col) for col in zip(*rhs_cols)]  # m x k
-    yw = _int_matmul(y, w)
-    n1 = len(v_mat)
-    k = len(v_mat[0])
-    for j in range(k):
-        dj = d_mat[j][j] if j < len(d_mat) and j < len(d_mat[j]) else 0
-        for i in range(len(yw)):
-            if dj == 0:
-                if yw[i][j] != 0:
-                    return False
-            elif yw[i][j] % dj != 0:
-                return False
-    return True
-
-
-def _int_matmul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
-            for i in range(rows)]
 
 
 # -- composition and fixity --------------------------------------------------
@@ -490,7 +437,7 @@ def certify_main(part: GeoComplex, budget: int = 100_000,
         return RetractVerdict("refuted", refutation_reason=",".join(failed))
     if sigma is None:
         return RetractVerdict("unknown")
-    for candidate in (part, sigma):
+    for candidate in (part,) if sigma is part else (part, sigma):
         seq = find_collapse_sequence(candidate, budget=budget)
         if seq is not None:
             return RetractVerdict(

@@ -53,6 +53,9 @@ from before ``regular._box_point`` worked on integers;
 ``regular.is_strongly_regular`` read it off the maximal simplexes.
 ``json_print_scx`` prints a document with ``json.dumps(indent=2)``, which
 runs the pure-Python encoder, from before ``scx`` had its own emitter.
+``is_zmap_by_fit`` decides the Z-map property by fitting an integer affine
+map on every maximal simplex through the Smith form; it was the second
+route in ``zmaps``, next to the divisibility criterion ``is_zmap``.
 """
 
 import json
@@ -68,7 +71,7 @@ from zrk import linalg, scx, subdivide
 from zrk.collapse import CollapseSequence, CollapseStep
 from zrk.complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap
 from zrk.exactnum import IntMat, invariant_factors, smith_with_transforms
-from zrk.regular import BudgetExhausted, _box_point, _check, homog, is_regular
+from zrk.regular import BudgetExhausted, _box_point, _check, den, homog, is_regular
 
 
 def frac(x) -> Fraction:
@@ -939,3 +942,53 @@ def all_faces_strongly_regular(cx) -> bool:
 def json_print_scx(doc) -> str:
     """The canonical text of a document, printed by the ``json`` module."""
     return json.dumps(scx._document_body(doc), sort_keys=True, indent=2) + "\n"
+
+
+def is_zmap_by_fit(eta) -> bool:
+    """Directly fit an integer-coefficient affine map on every maximal
+    simplex; the reference for ``zmaps.is_zmap`` (the two agree on regular
+    domains)."""
+    return all(_integer_fit_exists(s, eta.image_simplex_points(s))
+               for s in eta.domain.maximal_simplexes())
+
+
+def _integer_fit_exists(s: GeoSimplex, images) -> bool:
+    """Is there an integer matrix [A | b] with A v_i + b = images_i on s?
+
+    Written homogeneously: T . den(v_i)(v_i, 1) = den(v_i) * images_i must
+    be solvable for an integer T, which the Smith form of the vertex matrix
+    decides column by column.
+    """
+    hv = s._vertex_rows
+    rhs_cols = []
+    for v, img in zip(s.vertices, images):
+        d = den(v)
+        col = [d * c for c in img.coords]
+        if any(x.denominator != 1 for x in col):
+            return False
+        rhs_cols.append([int(x) for x in col])
+    # Solve T V = Y over the integers: V columns are the homogeneous vertex
+    # vectors ((n+1) x k), Y columns are rhs_cols (m x k).
+    v_mat = [list(col) for col in zip(*hv)]  # (n+1) x k
+    _, d_mat, w = smith_with_transforms(v_mat)
+    # T V = Y  <=>  (T U^-1)(U V W) = Y W  with U V W = D.
+    y = [list(col) for col in zip(*rhs_cols)]  # m x k
+    yw = _int_matmul(y, w)
+    k = len(v_mat[0])
+    for j in range(k):
+        dj = d_mat[j][j] if j < len(d_mat) and j < len(d_mat[j]) else 0
+        for i in range(len(yw)):
+            if dj == 0:
+                if yw[i][j] != 0:
+                    return False
+            elif yw[i][j] % dj != 0:
+                return False
+    return True
+
+
+def _int_matmul(a, b):
+    rows = len(a)
+    inner = len(b)
+    cols = len(b[0])
+    return [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
+            for i in range(rows)]

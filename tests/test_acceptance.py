@@ -17,14 +17,14 @@ from zrk import (GeoSimplex, PLMap, anchor, certify_main, den, desingularize,
                  find_collapse_sequence, from_maximal,
                  has_strongly_regular_triangulation, homog, is_regular,
                  is_strongly_regular, is_strongly_regular_simplex,
-                 is_subdivision, is_zmap, is_zmap_by_fit, part2_reduce,
+                 is_subdivision, is_zmap, part2_reduce,
                  pipeline_dh, replay, rpoint, standard_cube, stellar,
                  verify_section_retraction, verify_zretract)
 from zrk.linalg import matrix_rank
 from zrk.scx import parse_scx
 
 from conftest import random_simplex, seg, tri
-from oracles import minor_gcd
+from oracles import is_zmap_by_fit, minor_gcd
 from test_zmaps import brute_force_no_zmap_retraction
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,9 @@ import pytest
 from zrk import (CollapseSequence, CollapseStep, GeoComplex, GeoSimplex,
                  elementary_collapse, find_collapse_sequence, free_faces,
                  from_maximal, replay, rpoint, standard_cube, stellar)
+from zrk import collapse
 from zrk.collapse import NotAnElementaryCollapse
+from zrk.scx import ScxDocument, print_scx
 
 from conftest import seg, tri
 from oracles import dfs_collapse_sequence, scan_replay
@@ -187,6 +191,22 @@ def test_search_and_replay_match_scanning_oracles():
             assert replay(cx, mutated) == scan_replay(cx, mutated)
 
 
+def test_search_expands_each_failed_state_once(monkeypatch):
+    # A hollow triangle with k tails does not collapse.  Its states are the
+    # 2^k sets of tails left; with failed states remembered, each is
+    # expanded once and tries each of its tails, so the search removes and
+    # restores k 2^(k-1) pairs.  Without the memo it walks all k! orders.
+    flips = []
+    toggle = collapse._FaceTable.toggle
+    monkeypatch.setattr(collapse._FaceTable, "toggle",
+                        lambda table, pair: flips.append(pair) or toggle(table, pair))
+    k = 10
+    hollow = [seg2d((0, 0), (1, 0)), seg2d((1, 0), (0, 1)), seg2d((0, 0), (0, 1))]
+    tails = [seg2d((0, 0), (-1, Fraction(j, k))) for j in range(k)]
+    assert find_collapse_sequence(from_maximal(hollow + tails)) is None
+    assert len(flips) == 2 * k * 2 ** (k - 1)
+
+
 def test_search_leaves_recursion_limit_alone(monkeypatch):
     def refuse(limit):
         raise AssertionError("the collapse search changed the recursion limit")
@@ -201,3 +221,32 @@ def test_search_leaves_recursion_limit_alone(monkeypatch):
     seq = find_collapse_sequence(path)
     assert seq is not None and len(seq.steps) == n
     assert replay(path, seq)
+
+
+# SHA-256 of the canonical text of the cube5 sequence found at full budget,
+# recorded before the search kept one sorted free list and a bitmask memo.
+CUBE5_SEQUENCE_SHA256 = "6a6918ab5b0c5fb4a8b169e7d75bcb6e552c7b82951ce2e132ef99d583172e4d"
+
+
+def test_cube5_sequence_is_unchanged():
+    cube5 = standard_cube(5)
+    text = print_scx(ScxDocument("sequence", find_collapse_sequence(cube5)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CUBE5_SEQUENCE_SHA256
+    # The scanning oracle needs minutes at full budget on cube5.
+    for budget in (0, 1):
+        assert (find_collapse_sequence(cube5, budget=budget)
+                == dfs_collapse_sequence(cube5, budget=budget))
+
+
+def test_search_memory_holds_no_state_per_node():
+    # A whole-state memo key at every node peaked at 64 MB on cube5; the
+    # bitmasks of failed states and the face table stay under 2 MB.
+    cube5 = standard_cube(5)
+    tracemalloc.start()
+    try:
+        seq = find_collapse_sequence(cube5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq is not None
+    assert peak < 16_000_000, f"search peak {peak / 1e6:.1f} MB"

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import zrk
+import zrk.collapse
 import zrk.linalg
 
 SOURCES = sorted(Path(zrk.__file__).parent.glob("*.py"))
@@ -43,3 +44,15 @@ def test_no_indented_json_dumps():
              in ("dump", "dumps")
              and any(k.arg == "indent" for k in node.keywords)]
     assert not found, f"json.dumps with indent in src/zrk: {found}"
+
+
+def test_collapse_search_makes_no_per_node_copies():
+    # The search walks the one sorted free list and keys failed states by
+    # an int bitmask.  A sorted copy of the free pairs and a frozenset of
+    # the live set at every node made cube6 take 37 s and 4.5 GB.
+    tree = ast.parse(Path(zrk.collapse.__file__).read_text(encoding="utf-8"))
+    (search,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "find_collapse_sequence"]
+    found = [f"{node.id}:{node.lineno}" for node in ast.walk(search)
+             if isinstance(node, ast.Name) and node.id in ("sorted", "frozenset")]
+    assert not found, f"per-node copies in find_collapse_sequence: {found}"

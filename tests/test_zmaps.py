@@ -5,12 +5,13 @@ from importlib import resources
 
 import pytest
 
-from zrk import (GeoSimplex, PLMap, certify_main, compose, fixes_pointwise,
-                 from_maximal, identity_map, is_zmap, is_zmap_by_fit,
+from zrk import (GeoSimplex, PLMap, certify_main, compose,
+                 find_collapse_sequence, fixes_pointwise,
+                 from_maximal, identity_map, is_zmap,
                  part2_reduce, pipeline_dh, replay,
                  retarget_to_carrier_vertices, rpoint, standard_cube, stellar,
                  verify_section_retraction, verify_zretract)
-from zrk import subdivide
+from zrk import subdivide, zmaps
 from zrk.complexes import GeoComplex
 from zrk.regular import den, is_strongly_regular
 from zrk.scx import parse_scx
@@ -18,7 +19,7 @@ from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
                        _lattice_points_in)
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import product_lattice_points
+from oracles import is_zmap_by_fit, product_lattice_points
 
 
 def seg2d(a, b):
@@ -349,6 +350,22 @@ def test_certify_main_desing_budget_gives_unknown(third_interval):
                         desing_budget=0).status == "unknown"
     refuted = certify_main(third_interval, desing_budget=0)
     assert refuted.status == "refuted" and refuted.refutation_reason == "(ii)"
+
+
+def test_certify_main_searches_a_regular_part_once(monkeypatch):
+    # The hollow triangle is regular, so desingularize returns it as it is;
+    # its one failed search is not repeated on the same object.
+    calls = []
+
+    def counting(cx, budget):
+        calls.append(cx)
+        return find_collapse_sequence(cx, budget=budget)
+
+    monkeypatch.setattr(zmaps, "find_collapse_sequence", counting)
+    hollow = from_maximal([tri((0, 0), (1, 0)), tri((1, 0), (0, 1)),
+                           tri((0, 0), (0, 1))])
+    assert certify_main(hollow).status == "unknown"
+    assert calls == [hollow]
 
 
 def test_certified_polyhedra_not_refuted(tent, half_interval):
