@@ -19,7 +19,11 @@ cells agree along shared faces and the union is again a simplicial complex.
 Coverage (``supports``) is decided on the same pieces by exact volume: the
 cells of s against the maximal simplexes of a complex overlap only in
 measure zero, so they cover s exactly when their volumes add up to its own
-(De Loera, Rambau and Santos, *Triangulations*, 2010).
+(De Loera, Rambau and Santos, *Triangulations*, 2010).  Questions over
+many simplexes first locate each vertex once among the cover's maximal
+simplexes, its hosts (``_hosts``): a simplex with a vertex without host
+leaves the union, one whose vertices share a host lies in it, and only the
+rest take the volume test.
 
 The kernel is integer arithmetic throughout.  Points enter as their cached
 homogeneous vectors d(p, 1) and constraints as integer rows: the cached
@@ -256,18 +260,36 @@ def _adapted(inside: Optional[GeoComplex], part: GeoComplex) -> bool:
                for q in part.maximal_simplexes())
 
 
+def _hosts(cover: Sequence[GeoSimplex], points: Iterable[RPoint]) -> dict:
+    """Each distinct point mapped to the indices of the ``cover`` simplexes
+    holding it; a simplex of another ambient dimension holds none."""
+    return {p: frozenset(i for i, t in enumerate(cover)
+                         if t.ambient_dim == p.dim and t.contains(p))
+            for p in set(points)}
+
+
+def _hull_in_union(table: dict, points: Sequence[RPoint], volume_test) -> bool:
+    """Is conv(points) in the union of the cover that ``table`` (``_hosts``)
+    locates points in?  False if a point has no host, True if the points
+    share a host (it is convex), and otherwise what ``volume_test()`` says."""
+    found = [table[p] for p in points]
+    return all(found) and bool(frozenset.intersection(*found) or volume_test())
+
+
 def inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
     """The subcomplex of simplexes lying inside |part| (None when empty).
 
     Simplexes are tested from the top dimension down; the faces of one
     found inside are inside too and are not tested again, so those found
-    are the maximal simplexes of the result.
+    are the maximal simplexes of the result.  Vertices are located once.
     """
     cover = part.maximal_simplexes()
+    table = _hosts(cover, cx.vertices())
     found: list[GeoSimplex] = []
     inside: set[GeoSimplex] = set()
     for s in sorted(cx.simplexes, key=lambda s: -s.dim):
-        if s not in inside and supports(cover, s):
+        if s not in inside and _hull_in_union(table, s.vertices,
+                                              lambda: supports(cover, s)):
             found.append(s)
             inside.update(s.faces())
     return GeoComplex(found, validate=False) if found else None

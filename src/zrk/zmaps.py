@@ -64,7 +64,11 @@ class PLMap:
     def eval(self, p: RPoint) -> RPoint:
         """Barycentric interpolation of the vertex images in a maximal
         simplex holding p; coordinates that are zero drop out, so this is
-        the interpolation in the carrier."""
+        the interpolation in the carrier.  A domain vertex v is a vertex of
+        every simplex holding it (its carrier is {v}), so its coordinates
+        are a unit vector and the result is images[v], returned unsearched."""
+        if p in self.images:
+            return self.images[p]
         found = self.domain._locate(p)
         if found is None:
             raise DomainError(f"point not in support: {p}")
@@ -115,15 +119,25 @@ def is_zmap(eta: PLMap) -> bool:
 def compose(eta: PLMap, theta: PLMap) -> PLMap:
     """theta after eta, as a PL map on a refinement of eta's domain."""
     target = theta.domain
-    for s in eta.domain.maximal_simplexes():
-        imgs = eta.image_simplex_points(s)
-        if not _points_hull_in_support(imgs, target):
-            raise DomainError("image containment failure: composition undefined")
+    if _image_leaving(eta, target) is not None:
+        raise DomainError("image containment failure: composition undefined")
     refined = subdivide.refine_for_map(eta.domain, eta, target)
     images = {}
     for v in refined.vertices():
         images[v] = theta.eval(eta.eval(v))
     return PLMap(refined, images)
+
+
+def _image_leaving(eta: PLMap, cx: GeoComplex) -> Optional[GeoSimplex]:
+    """The first maximal simplex of eta's domain whose image hull leaves
+    |cx|, or None; each image point is located once."""
+    table = subdivide._hosts(cx.maximal_simplexes(), eta.images.values())
+    for s in eta.domain.maximal_simplexes():
+        images = eta.image_simplex_points(s)
+        if not subdivide._hull_in_union(
+                table, images, lambda: _points_hull_in_support(images, cx)):
+            return s
+    return None
 
 
 def _points_hull_in_support(points: Sequence[RPoint], cx: GeoComplex) -> bool:
@@ -140,10 +154,10 @@ def _points_hull_in_support(points: Sequence[RPoint], cx: GeoComplex) -> bool:
 def fixes_pointwise(eta: PLMap, part: GeoComplex) -> bool:
     """Is eta the identity on |part|?  Decided exactly by refining the
     domain against |part| and checking fixity on the inside vertices."""
-    if not all(subdivide.supports(eta.domain.maximal_simplexes(), q)
-               for q in part.maximal_simplexes()):
-        raise DomainError("containment failure: |P| is not inside the domain")
-    refined = subdivide.restrict(eta.domain, part)
+    try:
+        refined = subdivide.restrict(eta.domain, part)
+    except subdivide.SupportMismatch:
+        raise DomainError("containment failure: |P| is not inside the domain") from None
     inside = subdivide.inside_subcomplex(refined, part)
     if inside is None:
         raise DomainError("containment failure: no simplex of the refined "
@@ -172,11 +186,8 @@ def verify_zretract(part: GeoComplex, eta: PLMap) -> bool:
         raise DomainError("domain mismatch: ambient dimensions differ")
     if not _is_unit_cube_triangulation(eta.domain):
         raise DomainError("domain mismatch: the domain must triangulate the unit cube")
-    if not is_zmap(eta):
+    if not is_zmap(eta) or _image_leaving(eta, part) is not None:
         return False
-    for s in eta.domain.maximal_simplexes():
-        if not _points_hull_in_support(eta.image_simplex_points(s), part):
-            return False
     return fixes_pointwise(eta, part)
 
 
@@ -271,9 +282,9 @@ def _check_part1_properties(eta: PLMap, delta: GeoComplex,
                                        "triangulate |P|")
     if not all(is_regular(s) for s in inside.maximal_simplexes()):
         raise PropertyViolation("(f)", "the triangulation of |P| is not regular")
-    for s in delta.maximal_simplexes():
-        if not _points_hull_in_support(eta.image_simplex_points(s), part):
-            raise PropertyViolation("(a)", f"the image of {s} leaves |P|")
+    leaving = _image_leaving(eta, part)
+    if leaving is not None:
+        raise PropertyViolation("(a)", f"the image of {leaving} leaves |P|")
     for v in inside.vertices():
         if eta.images[v] != v:
             raise PropertyViolation("(a)", f"vertex {v} is not fixed")
@@ -319,10 +330,9 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     if not _is_unit_cube_triangulation(eta_b.domain):
         raise ConditionViolation("(i)", "the retraction domain must triangulate "
                                         "the unit cube")
-    for s in eta_b.domain.maximal_simplexes():
-        if not _points_hull_in_support(eta_b.image_simplex_points(s), part):
-            raise ConditionViolation("(i)", "the supplied map is not a "
-                                            "retraction onto |P|")
+    if _image_leaving(eta_b, part) is not None:
+        raise ConditionViolation("(i)", "the supplied map is not a "
+                                        "retraction onto |P|")
     if not fixes_pointwise(eta_b, part):
         raise ConditionViolation("(i)", "the supplied map does not fix |P|")
     if not _lattice_points_in(part):

@@ -56,6 +56,11 @@ runs the pure-Python encoder, from before ``scx`` had its own emitter.
 ``is_zmap_by_fit`` decides the Z-map property by fitting an integer affine
 map on every maximal simplex through the Smith form; it was the second
 route in ``zmaps``, next to the divisibility criterion ``is_zmap``.
+``scan_image_leaving`` runs the Caratheodory volume test on the image of
+every maximal simplex, from before ``zmaps._image_leaving`` located each
+image point once, and ``locate_eval`` interpolates every point, vertices
+too, through a point location, from before ``PLMap.eval`` returned a
+vertex's image directly.
 """
 
 import json
@@ -67,7 +72,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
-from zrk import linalg, scx, subdivide
+from zrk import linalg, scx, subdivide, zmaps
 from zrk.collapse import CollapseSequence, CollapseStep
 from zrk.complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap
 from zrk.exactnum import IntMat, invariant_factors, smith_with_transforms
@@ -467,6 +472,30 @@ def scan_inside_subcomplex(cx, part) -> set:
     the reference for ``subdivide.inside_subcomplex``."""
     cover = part.maximal_simplexes()
     return {s for s in cx.simplexes if subdivide.supports(cover, s)}
+
+
+def scan_image_leaving(eta, cx):
+    """The first maximal simplex of eta's domain whose image hull is not
+    inside |cx|, each tested with ``zmaps._points_hull_in_support``; the
+    reference for ``zmaps._image_leaving``."""
+    return next((s for s in eta.domain.maximal_simplexes()
+                 if not zmaps._points_hull_in_support(eta.image_simplex_points(s), cx)),
+                None)
+
+
+def locate_eval(eta, p: RPoint) -> RPoint:
+    """Barycentric interpolation of eta's vertex images in the maximal
+    simplex ``GeoComplex._locate`` finds for p, vertices included; the
+    reference for ``PLMap.eval``."""
+    found = eta.domain._locate(p)
+    if found is None:
+        raise zmaps.DomainError(f"point not in support: {p}")
+    s, w, q = found
+    coords = [Fraction(0)] * eta.codomain_dim
+    for weight, v in zip(w, s.vertices):
+        for i, c in enumerate(eta.images[v].coords):
+            coords[i] += weight * c
+    return RPoint(tuple(c / q for c in coords))
 
 
 def _split_off_simplex(piece, t: GeoSimplex):

@@ -385,12 +385,27 @@ def test_inside_subcomplex_matches_testing_every_simplex():
         for _ in range(3):
             cx = stellar_cube(n)
             other = stellar_cube(n).maximal_simplexes()
+            # A simplex with a vertex v of cx on its boundary (the midpoint
+            # of an edge, or an end in R^1), too small to hold an edge of cx:
+            # points with denominators <= 4 differ by 1/12 in some
+            # coordinate.  And a part in another space.
+            v = cx.vertices()[len(cx.vertices()) // 2]
+            axes = [[Fraction(i == j, 100) for j in range(n)] for i in range(n)]
+
+            def shift(d, sign=1):
+                return rpoint(*[c + sign * x for c, x in zip(v.coords, d)])
+
+            ends = [shift(d) for d in axes] + [shift(axes[0], -1) if n > 1 else v]
+            small = GeoSimplex(tuple(sorted(ends)))
             parts = [from_maximal(rng.sample(other, min(2, len(other)))),
-                     from_maximal([random_simplex(rng, n, 3)]), standard_cube(n)]
+                     from_maximal([random_simplex(rng, n, 3)]), standard_cube(n),
+                     from_maximal([small]), standard_cube(n % 3 + 1)]
             for part in parts:
                 inside = inside_subcomplex(cx, part)
                 assert ((inside.simplexes if inside else set())
                         == scan_inside_subcomplex(cx, part))
+            assert inside_subcomplex(cx, parts[3]).maximal_simplexes() == (GeoSimplex((v,)),)
+            assert inside_subcomplex(cx, parts[4]) is None
 
 
 def test_inside_subcomplex_matches_scanning_oracle_in_restrict_and_pipeline(
@@ -433,6 +448,52 @@ def test_inside_subcomplex_matches_scanning_oracle_in_restrict_and_pipeline(
         result = pipeline_dh(eta, part)
         part2_reduce(result.map, result.triangulation, part)
     assert len(found) == 56 and {inside.dim for inside in found} == {0, 1, 2}
+
+
+def test_inside_subcomplex_runs_supports_only_on_undecided_faces(monkeypatch):
+    # Work bound: on the fold pipeline, every face that inside_subcomplex
+    # passes to the volume test has all its vertices in |P| and no simplex
+    # of P holding them all.  A face with a vertex outside |P|, or inside
+    # one simplex of P, is decided by the vertex hosts alone.
+    rng = random.Random(20177)
+    calls = []
+    parts = []
+    inside, measured = subdivide.inside_subcomplex, subdivide.supports
+
+    def tracked(cx, part):
+        parts.append(part)
+        try:
+            return inside(cx, part)
+        finally:
+            parts.pop()
+
+    def counted(cover, s):
+        if parts:
+            calls.append((parts[-1], s))
+        return measured(cover, s)
+
+    monkeypatch.setattr(subdivide, "inside_subcomplex", tracked)
+    monkeypatch.setattr(subdivide, "supports", counted)
+    half, quarter = rpoint("1/2", "1/2"), rpoint("1/4", "1/4")
+    square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
+    fold = PLMap(square, {v: half if any(v.coords) else v for v in square.vertices()})
+    for part in (from_maximal([GeoSimplex((rpoint(0, 0), half))]),
+                 from_maximal([GeoSimplex((rpoint(0, 0), quarter)),
+                               GeoSimplex((quarter, half))])):
+        for i in range(3):
+            eta = fold
+            for _ in range(i):
+                p = rpoint(*[random_rational(rng, 4) for _ in range(2)])
+                eta = eta.rebase(stellar(eta.domain, p))
+            result = pipeline_dh(eta, part)
+            part2_reduce(result.map, result.triangulation, part)
+    for part, s in calls:
+        hosts = [{t for t in part.maximal_simplexes() if t.contains(v)}
+                 for v in s.vertices]
+        assert all(hosts) and not set.intersection(*hosts), (part, s)
+    # Only edges with their ends on either side of the two-segment part's
+    # split point reach it, 24 of them here.
+    assert 0 < len(calls) <= 30, len(calls)
 
 
 def test_cell_kernel_runs_on_integers_only(monkeypatch):

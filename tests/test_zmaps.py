@@ -19,7 +19,8 @@ from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
                        _lattice_points_in)
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import is_zmap_by_fit, product_lattice_points
+from oracles import (is_zmap_by_fit, locate_eval, product_lattice_points,
+                     scan_image_leaving)
 
 
 def seg2d(a, b):
@@ -37,6 +38,48 @@ def test_eval_golden(tent):
 def test_eval_outside_domain(tent):
     with pytest.raises(DomainError, match="point not in support"):
         tent.eval(rpoint(2))
+
+
+def test_eval_returns_vertex_images_as_interpolation_does():
+    # eval returns a domain vertex's image without locating it; the oracle
+    # interpolates every point in the simplex _locate finds.  Both agree on
+    # vertices, on other points, and on the errors for points outside the
+    # support or of another dimension.
+    rng = random.Random(20172)
+
+    def point(n, max_den=6):
+        return rpoint(*[random_rational(rng, max_den) for _ in range(n)])
+
+    half = rpoint("1/2", "1/2")
+    square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
+    fold = PLMap(square, {v: half if any(v.coords) else v for v in square.vertices()})
+    maps = [fold, fold.rebase(stellar(square, point(2, 4)))]
+    for n in (2, 3):
+        for _ in range(3):
+            cx = standard_cube(n)
+            for _ in range(rng.randint(1, 3)):
+                cx = stellar(cx, point(n, 4))
+            k = rng.randint(1, 3)
+            maps.append(PLMap(cx, {v: point(k) for v in cx.vertices()}))
+    vertices = others = 0
+    for eta in maps:
+        n = eta.domain.ambient_dim
+        for v in eta.domain.vertices():
+            assert eta.eval(v) == locate_eval(eta, v) == eta.images[v]
+            vertices += 1
+        for _ in range(15):
+            p = point(n)
+            if p not in eta.images:
+                assert eta.eval(p) == locate_eval(eta, p), (eta, p)
+                others += 1
+        for p in (rpoint("7/6", *["1/2"] * (n - 1)), rpoint(*[0] * (n + 1)),
+                  rpoint(*[1] * (n - 1))):
+            with pytest.raises(ValueError) as got:
+                eta.eval(p)
+            with pytest.raises(ValueError) as want:
+                locate_eval(eta, p)
+            assert (got.type, str(got.value)) == (want.type, str(want.value))
+    assert vertices > 50 and others > 80, (vertices, others)
 
 
 def test_eval_affine_on_simplexes(tent):
@@ -115,6 +158,16 @@ def test_fixes_pointwise(tent, half_interval):
     assert not fixes_pointwise(tent, from_maximal([seg(0, 1)]))
     ident = identity_map(from_maximal([seg(0, 1)]))
     assert fixes_pointwise(ident, half_interval)
+
+
+def test_fixes_pointwise_part_outside_the_domain(tent):
+    # |P| outside the domain, partly or in another space, is reported by
+    # the restriction and named as a containment failure.
+    for part in (from_maximal([seg("1/2", 2)]), from_maximal([seg(2, 3)]),
+                 standard_cube(2)):
+        with pytest.raises(DomainError, match=r"^containment failure: \|P\| is "
+                                              "not inside the domain$"):
+            fixes_pointwise(tent, part)
 
 
 def test_verify_zretract(tent, half_interval, third_interval):
@@ -430,3 +483,65 @@ def test_degenerate_image_hull_containment():
     sq = standard_cube(2)
     pts2 = [rpoint(0, 0), rpoint(1, 0), rpoint("1/2", "1/2"), rpoint("1/2", 0)]
     assert _points_hull_in_support(pts2, sq)
+
+
+def test_image_leaving_matches_scanning_oracle():
+    # zmaps._image_leaving locates each image point once and runs the
+    # volume test only on a simplex whose images lie in |P| with no simplex
+    # of P holding them all.  It returns the same first simplex as the
+    # oracle, which runs the volume test on every simplex, for images in
+    # one simplex of P, images spread over P, images in the cube (some
+    # leave |P|) and images in another space; compose fails exactly then.
+    rng = random.Random(20171)
+
+    def in_simplex(t):
+        w = [rng.randint(0, 4) for _ in t.vertices]
+        w[rng.randrange(len(w))] += 1
+        return rpoint(*[sum(a * v.coords[i] for a, v in zip(w, t.vertices)) / sum(w)
+                        for i in range(t.ambient_dim)])
+
+    # Three of the four triangles around the square's centre: |P| is not
+    # convex, so images spread over it can have a hull that leaves it.
+    centre = stellar(standard_cube(2), rpoint("1/2", "1/2"))
+    part = from_maximal([t for t in centre.maximal_simplexes()
+                         if rpoint(1, 1) not in t.vertices
+                         or rpoint(1, 0) not in t.vertices])
+    cover = part.maximal_simplexes()
+    assert len(cover) == 3
+    def images(case, dom):
+        if case == "one simplex":
+            t = rng.choice(cover)
+            return {v: in_simplex(t) for v in dom.vertices()}
+        if case == "spread":
+            return {v: in_simplex(rng.choice(cover)) for v in dom.vertices()}
+        k = 2 if case == "cube" else rng.choice((1, 3))
+        return {v: rpoint(*[random_rational(rng, 4) for _ in range(k)])
+                for v in dom.vertices()}
+
+    cases = ("one simplex", "spread", "cube", "other space")
+    undecided = {True: 0, False: 0}
+    found = {name: set() for name in cases}
+    for name in cases:
+        for i in range(6):
+            dom = standard_cube(2)
+            for _ in range(rng.randint(0, 3)):
+                dom = stellar(dom, rpoint(*[random_rational(rng, 4) for _ in range(2)]))
+            eta = PLMap(dom, images(name, dom))
+            want = scan_image_leaving(eta, part)
+            assert zmaps._image_leaving(eta, part) == want, (name, eta)
+            found[name].add(want is None)
+            for s in dom.maximal_simplexes():
+                imgs = eta.image_simplex_points(s)
+                if imgs[0].dim != 2:
+                    continue
+                hosts = [{t for t in cover if t.contains(p)} for p in imgs]
+                if all(hosts) and not set.intersection(*hosts):
+                    undecided[zmaps._points_hull_in_support(imgs, part)] += 1
+            if i < 2 and want is not None:
+                with pytest.raises(DomainError, match="^image containment failure"):
+                    compose(eta, identity_map(part))
+            elif i < 2 and want is None:
+                assert compose(eta, identity_map(part)).domain.ambient_dim == 2
+    assert (found["one simplex"] == {True} and found["spread"] == {True, False}
+            and False in found["cube"] and found["other space"] == {False}), found
+    assert undecided[True] > 5 and undecided[False] > 5, undecided
