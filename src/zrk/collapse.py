@@ -127,7 +127,7 @@ def find_collapse_sequence(cx: GeoComplex,
     nodes = 0
     path: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     while table.mask & (table.mask - 1):
-        fresh = table.mask not in failed
+        fresh = not failed or table.mask not in failed
         nodes += fresh
         expanded = fresh and nodes <= budget
         k = 0 if expanded else len(pairs)

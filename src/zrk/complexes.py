@@ -3,12 +3,13 @@
 A geometric complex is its maximal simplexes: the constructor drops every
 input simplex that lies in another and builds no faces (``simplexes`` builds
 them when read).  It checks the common-face condition pair by pair over what
-is left: a bounding-box test first, then a separating form read off the
-cached integer rows of either simplex (``_separated``), and only when
-neither settles the pair the cell a cap b from ``linalg``'s polytope kernel,
-whose vertex masks show whether it lies in the face spanned by the shared
-vertices.  Abstract and weighted abstract complexes carry the combinatorial
-skeletons.
+is left, by four tests in order: disjoint integer bounding boxes
+(``_bbox_overlap``), a separating form read off the cached integer rows of
+either simplex (``_separated``), the combined form of both (``_combined``),
+and only when none settles the pair the cell a cap b from ``linalg``'s
+polytope kernel, whose vertex masks show whether it lies in the face
+spanned by the shared vertices.  Abstract and weighted abstract complexes
+carry the combinatorial skeletons.
 
 Point location and independence are exact integer arithmetic.  Each point
 caches its primitive homogeneous vector X = d(p, 1), for the least common
@@ -21,16 +22,20 @@ one fraction-free Gauss-Jordan elimination of its vertex vectors
 barycentric coordinates are B X / (D d), so a containment test compares
 integer signs.  The same vectors and rows are what ``linalg``'s polytope
 kernel clips and pulls.  ``GeoComplex.carrier`` reads the carrier of p off
-the first maximal simplex holding p.
+the first maximal simplex holding p.  Points compare by cross-multiplying
+their vectors and boxes are integer corners over one denominator, so once
+a point is built no ``Fraction`` is compared: not in sorting or looking up
+points, validating a complex, replaying a collapse or locating a point.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import ge, gt, le, lt, mul
 from types import SimpleNamespace
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -42,9 +47,15 @@ class NotASimplicialComplex(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False)
 class RPoint:
-    """A rational point with a fixed ambient dimension."""
+    """A rational point with a fixed ambient dimension.
+
+    Points compare as their coordinate tuples do (lexicographically, a
+    proper prefix first), but on the cached primitive vectors ``_homog``:
+    two points are equal iff their vectors are, and coordinates a/d and
+    b/e (d, e > 0 the vectors' last entries) compare as a e and b d.  No
+    ``Fraction`` is compared."""
 
     coords: tuple[Fraction, ...]
 
@@ -78,9 +89,43 @@ class RPoint:
     def __hash__(self) -> int:
         # The generated hash, computed once: otherwise every set or cache
         # lookup hashes each Fraction coordinate again.  ``_hash`` lives in
-        # the instance dict, not in a field, so equality, ordering and repr
-        # ignore it.
+        # the instance dict, not in a field, so repr ignores it.
         return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._homog == other._homog
+
+    def _compare(self, other, op):
+        """op on the coordinate tuples of self and other: on the vectors
+        when the denominators agree, else on the first pair of coordinates
+        that differ, or on the lengths when one tuple is a prefix of the
+        other."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        x, y = self._homog, other._homog
+        d, e = x[-1], y[-1]
+        if d == e:
+            return op(x[:-1], y[:-1])
+        for a, b in zip(x[:-1], y[:-1]):
+            if a * e != b * d:
+                return op(a * e, b * d)
+        return op(len(x), len(y))
+
+    def __lt__(self, other):
+        return self._compare(other, lt)
+
+    def __le__(self, other):
+        return self._compare(other, le)
+
+    def __gt__(self, other):
+        return self._compare(other, gt)
+
+    def __ge__(self, other):
+        return self._compare(other, ge)
 
     def __repr__(self):
         return "(" + ", ".join(format_rat(c) for c in self.coords) + ")"
@@ -152,11 +197,14 @@ class GeoSimplex:
         return linalg.simplex_rows(self._vertex_rows)
 
     @cached_property
-    def _box(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """The bounding box (lowest corner, highest corner), cached on the
-        instance like ``_point_rows``."""
-        columns = list(zip(*(v.coords for v in self.vertices)))
-        return tuple(map(min, columns)), tuple(map(max, columns))
+    def _box(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """The bounding box as integer corners (lo, hi) over one denominator
+        D, the lcm of the vertex denominators: the box is [lo/D, hi/D].
+        Cached on the instance like ``_point_rows``."""
+        rows = self._vertex_rows
+        d = math.lcm(*(x[-1] for x in rows))
+        columns = list(zip(*(tuple(c * (d // x[-1]) for c in x[:-1]) for x in rows)))
+        return tuple(map(min, columns)), tuple(map(max, columns)), d
 
     @cached_property
     def _vertex_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -226,8 +274,9 @@ _bbox = SimpleNamespace(cache_clear=lambda: None)
 
 
 def _bbox_overlap(a: GeoSimplex, b: GeoSimplex) -> bool:
-    (alo, ahi), (blo, bhi) = a._box, b._box
-    return all(al <= bh and bl <= ah for al, ah, bl, bh in zip(alo, ahi, blo, bhi))
+    (alo, ahi, da), (blo, bhi, db) = a._box, b._box
+    return all(al * db <= bh * da and bl * da <= ah * db
+               for al, ah, bl, bh in zip(alo, ahi, blo, bhi))
 
 
 def _separated(a: GeoSimplex, b: GeoSimplex, shared: set) -> bool:
@@ -259,12 +308,44 @@ def _separated(a: GeoSimplex, b: GeoSimplex, shared: set) -> bool:
     return False
 
 
+def _combined(a: GeoSimplex, b: GeoSimplex, shared: set) -> bool:
+    """A second sufficient test that a cap b = conv(S), for the set S of
+    shared vertices (as ``_vertex_rows`` vectors), by one combined form.
+
+    Let R_a and R_b be the unshared vertices of a and b, and mu_a the sum
+    of a's barycentric coordinates over R_a, extended to the affine form
+    that a's rows define on all of R^n; mu_b likewise.  With the row sums
+    m_a, m_b and denominators D_a, D_b of the two simplexes, the integer
+    row f = D_b m_a - D_a m_b at X = d(w, 1) is D_a D_b d (mu_a - mu_b)(w),
+    so it has the sign of the affine form g = mu_a - mu_b.  At a shared
+    vertex s the barycentric coordinates of either simplex are the unit
+    vector of s, so mu_a(s) = mu_b(s) = 0 and g = 0 on S.  Suppose g > 0
+    on R_a and g < 0 on R_b.  A point p of a is sum_v l_v v with l_v >= 0
+    summing to 1, so g(p) = sum over R_a of l_v g(v) >= 0, with equality
+    iff l_v = 0 on R_a, that is iff p lies in conv(S); likewise g <= 0 on
+    b with equality exactly on conv(S).  A point of a cap b thus has g = 0
+    and lies in conv(S), which lies in a cap b anyway.  ``_separated`` is
+    the case of one form of one simplex; the sum tests a form that neither
+    simplex has, which settles every pair of standard_cube(4).  False
+    means "not shown".
+    """
+    da, db = a._point_rows[2], b._point_rows[2]
+    f = [0] * len(a._vertex_rows[0])
+    for s, scale in ((a, db), (b, -da)):
+        for row, x in zip(s._point_rows[1], s._vertex_rows):
+            if x not in shared:
+                f = [t + scale * c for t, c in zip(f, row)]
+    return (all(sum(map(mul, f, x)) > 0 for x in a._vertex_rows if x not in shared)
+            and all(sum(map(mul, f, x)) < 0 for x in b._vertex_rows if x not in shared))
+
+
 def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     """The defining condition: a cap b = conv(S), for the set S of shared
     vertices.
 
-    Disjoint bounding boxes, or a separating form of either simplex
-    (``_separated``), settle the pair.  Otherwise clip a by b's constraints,
+    Disjoint bounding boxes, a separating form of either simplex
+    (``_separated``) or the combined form of both (``_combined``), in that
+    order, settle the pair.  Otherwise clip a by b's constraints,
     its hull equalities as rows and their negations and its barycentric
     forms (``linalg.clip_simplex``), which gives the vertices of the cell
     a cap b with their tight masks.  Bit i of a mask is set iff a's
@@ -279,7 +360,8 @@ def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     if not _bbox_overlap(a, b):
         return True
     shared = set(a._vertex_rows).intersection(b._vertex_rows)
-    if _separated(a, b, shared) or _separated(b, a, shared):
+    if (_separated(a, b, shared) or _separated(b, a, shared)
+            or _combined(a, b, shared)):
         return True
     eqs, bary, _ = b._point_rows
     cell = linalg.clip_simplex(
@@ -370,9 +452,10 @@ class GeoComplex:
         outside the support.  Scans the maximal simplexes in order, with a
         bounding-box prefilter before the integer test."""
         x = _homogeneous(p, self.ambient_dim)
+        d = x[-1]
         for s in self.maximal_simplexes():
-            lo, hi = s._box
-            if any(c < a or c > b for c, a, b in zip(p.coords, lo, hi)):
+            lo, hi, e = s._box
+            if any(c * e < a * d or c * e > b * d for c, a, b in zip(x, lo, hi)):
                 continue
             w = s._weights(x)
             if w is not None and all(a >= 0 for a in w):

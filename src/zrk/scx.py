@@ -320,6 +320,21 @@ def _parse_weighted(body: dict) -> WeightedComplex:
     return WeightedComplex(base, dict(zip(names, weights)))
 
 
+def _facet_of(entry, t: GeoSimplex, points: dict):
+    """The facet of t that ``entry`` spells, read off t without sorting or a
+    rank check, when entry lists distinct points already parsed in this
+    document, all vertices of t and one fewer than t has; otherwise None.
+    A facet of a simplex is one, with its vertices in t's order."""
+    if (not isinstance(entry, list) or not entry
+            or len(entry) != len(t.vertices) - 1
+            or not all(isinstance(e, list) and all(isinstance(c, str) for c in e)
+                       for e in entry)):
+        return None
+    mine = {points.get(tuple(e)) for e in entry}
+    vertices = tuple(v for v in t.vertices if v in mine)
+    return GeoSimplex._raw(vertices) if len(vertices) == len(entry) else None
+
+
 def _parse_sequence(body: dict, points: dict, where: str = "") -> CollapseSequence:
     if not isinstance(body, dict):
         raise ScxError("a collapse sequence must be a JSON object", where.rstrip("."))
@@ -334,7 +349,8 @@ def _parse_sequence(body: dict, points: dict, where: str = "") -> CollapseSequen
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScxError("each step is [maximal, free_facet]", at)
         t = _parse_simplex(pair[0], terminal.dim, at + "[0]", points)
-        f = _parse_simplex(pair[1], terminal.dim, at + "[1]", points)
+        f = (_facet_of(pair[1], t, points)
+             or _parse_simplex(pair[1], terminal.dim, at + "[1]", points))
         try:
             steps.append(CollapseStep(t, f))
         except ValueError as exc:

@@ -385,8 +385,8 @@ def scan_carrier(cx, p: RPoint):
     simplex with ``barycentric_coords``; the reference for
     ``GeoComplex.carrier``."""
     for s in cx.simplexes:
-        lo, hi = s._box
-        if any(c < a or c > b for c, a, b in zip(p.coords, lo, hi)):
+        columns = list(zip(*(v.coords for v in s.vertices)))
+        if any(c < min(col) or c > max(col) for c, col in zip(p.coords, columns)):
             continue
         lam = barycentric_coords([v.coords for v in s.vertices], p.coords)
         if lam is not None and all(c > 0 for c in lam):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -5,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, RPoint, WeightedComplex,
-                 certify_main, desingularize, elementary_collapse, free_faces,
-                 from_maximal, realize, replay, rpoint, simplicially_isomorphic,
-                 skeleton, standard_cube, stellar, pipeline_dh,
-                 part2_reduce)
+                 certify_main, desingularize, elementary_collapse,
+                 find_collapse_sequence, free_faces, from_maximal, realize, replay,
+                 rpoint, simplicially_isomorphic, skeleton, standard_cube, stellar,
+                 pipeline_dh, part2_reduce)
 from zrk import linalg
-from zrk.complexes import (NotASimplicialComplex, _meet_in_common_face,
-                           _placement, _separated)
+from zrk.complexes import (NotASimplicialComplex, _combined,
+                           _meet_in_common_face, _placement, _separated)
 from zrk.zmaps import DomainError
 from zrk.regular import is_regular
 from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
@@ -139,12 +140,13 @@ def _shared(a: GeoSimplex, b: GeoSimplex) -> set:
 
 
 def test_common_face_lp_matches_enumeration_oracle():
-    # The separating form may only ever certify proper pairs; it must also
-    # fire often enough to matter.
+    # The separating and combined forms may only ever certify proper pairs;
+    # they must also fire often enough to matter.
     improper = shared_improper = fired = 0
     pairs = _seeded_pairs()
     for a, b in pairs:
         expected = enumerate_meet_in_common_face(a, b)
+        assert not _combined(a, b, _shared(a, b)) or expected, (a, b)
         for x, y in ((a, b), (b, a)):
             assert _meet_in_common_face(x, y) is expected, (x, y)
             assert lp_meet_in_common_face(x, y) is expected, (x, y)
@@ -156,6 +158,13 @@ def test_common_face_lp_matches_enumeration_oracle():
             shared_improper += bool(set(a.vertices) & set(b.vertices))
     assert improper >= 20 and shared_improper >= 10
     assert fired >= len(pairs) - improper
+    # Every box of cube4 overlaps every other, and 84 of its 276 pairs have
+    # no separating form; the combined form settles each of them.
+    missed = [(a, b) for a, b in itertools.combinations(
+                  standard_cube(4).maximal_simplexes(), 2)
+              if not (_separated(a, b, _shared(a, b)) or _separated(b, a, _shared(a, b)))]
+    assert len(missed) == 84
+    assert all(_combined(a, b, _shared(a, b)) for a, b in missed)
 
 
 def test_common_face_clip_matches_lp_and_enumeration_oracles():
@@ -182,6 +191,7 @@ def test_common_face_clip_matches_lp_and_enumeration_oracles():
                 for x, y in ((a, b), (b, a)):
                     assert _meet_in_common_face(x, y) is expected, (x, y)
                     assert lp_meet_in_common_face(x, y) is expected, (x, y)
+                    assert not _combined(x, y, _shared(x, y)) or expected, (x, y)
                 seen["improper"] += not expected
                 seen["shared"] += bool(set(a.vertices) & set(b.vertices))
                 seen["low"] += min(a.dim, b.dim) < d
@@ -202,6 +212,7 @@ def test_separating_form_never_fires_on_overlaps():
             (tri(("1/4", "1/4", -1), ("1/4", "1/4", 1)), base)]:
         for x, y in ((a, b), (b, a)):
             assert not _separated(x, y, _shared(x, y)), (x, y)
+            assert not _combined(x, y, _shared(x, y)), (x, y)
 
 
 def test_separating_form_fires_through_an_equality_row():
@@ -220,14 +231,71 @@ def test_separating_form_fires_through_an_equality_row():
 
 
 def test_separating_form_spares_most_lps(monkeypatch):
-    # 192 of the 276 pairs of cube4 have a separating form; the rest reach
-    # the polytope kernel, one clip each.
+    # 192 of the 276 pairs of cube4 have a separating form and the combined
+    # form settles the other 84, so none reaches the polytope kernel.
     calls = []
     clip = linalg.clip_simplex
     monkeypatch.setattr(linalg, "clip_simplex",
                         lambda *args: calls.append(1) or clip(*args))
     from_maximal(standard_cube(4).maximal_simplexes())
-    assert len(calls) <= 84
+    assert len(calls) == 0
+
+
+def test_points_compare_as_fraction_tuples():
+    # Points compare their integer vectors; the reference is the order of
+    # their Fraction coordinate tuples, which the generated dataclass
+    # methods used.  Coordinates are negative and positive over mixed
+    # denominators, ambient dimensions differ, equal points come as
+    # distinct objects and some points are prefixes of others.
+    rng = random.Random(7118)
+    points = [RPoint(tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 12)))
+                           for _ in range(rng.randint(1, 3))))
+              for _ in range(160)]
+    points += [RPoint(p.coords) for p in rng.sample(points, 20)]
+    points += [RPoint(p.coords[:-1]) for p in points[:60] if p.dim > 1]
+    for p in points:
+        assert hash(p) == hash((p.coords,))
+    for p, q in itertools.product(points, repeat=2):
+        x, y = p.coords, q.coords
+        assert ((p == q, p != q, p < q, p <= q, p > q, p >= q)
+                == (x == y, x != y, x < y, x <= y, x > y, x >= y)), (p, q)
+    assert [p.coords for p in sorted(points)] == sorted(p.coords for p in points)
+    p = points[0]
+    assert p != p.coords and not p == p.coords
+    with pytest.raises(TypeError):
+        p < p.coords
+
+
+def test_checking_a_certificate_compares_no_fractions(monkeypatch):
+    # Once a point is parsed, parsing, validation, replay and point location
+    # compare integers only.  The complex and its collapse sequence are
+    # separate documents, so their points are distinct objects.
+    cx = standard_cube(4)
+    texts = (print_scx(ScxDocument("complex", cx)),
+             print_scx(ScxDocument("sequence", find_collapse_sequence(cx))))
+    calls = collections.Counter()
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, _n=name, _f=real: calls.update([_n]) or _f(*args))
+    assert Fraction(1, 2) < Fraction(2, 3) and calls == {"__lt__": 1}
+
+    def count(stage, run):
+        calls.clear()
+        result = run()
+        assert not calls, (stage, calls)
+        return result
+
+    parsed = count("parse the complex", lambda: parse_scx(texts[0]).payload)
+    seq = count("parse the sequence", lambda: parse_scx(texts[1]).payload)
+    assert parsed == cx
+    assert not {id(v) for v in parsed.vertices()} & {id(v) for st in seq.steps
+                                                     for v in st.maximal.vertices}
+    count("validate", parsed._validate)
+    assert count("replay", lambda: replay(parsed, seq))
+    for p in (rpoint("1/3", "1/5", "2/7", "1/2"), rpoint(1, 0, 1, 1),
+              rpoint(0, "1/2", 1, "1/2"), rpoint("-1/3", 0, 0, 0)):
+        count("carrier", lambda: parsed.carrier(p))
 
 
 def test_hash_is_the_generated_hash_computed_once(monkeypatch):

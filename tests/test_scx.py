@@ -67,6 +67,40 @@ def test_sequence_roundtrip():
     assert again == seq
 
 
+def test_malformed_free_facets_keep_their_errors():
+    # A free facet spelled by distinct vertices of its step's maximal
+    # simplex, one fewer, is read off that simplex; every other facet is
+    # parsed as any simplex, with the same error text and location.
+    body = json.loads(print_scx(ScxDocument(
+        "sequence", find_collapse_sequence(standard_cube(2)))))
+    t, f = body["steps"][0]
+    assert t == [["0", "0"], ["0", "1"], ["1", "1"]] and f == t[:2]
+    cases = [
+        ([t[0], t[0]], "steps[0][1]", "a simplex lists a vertex twice"),
+        ([t[0], ["1/2", "1/2"]], "steps[0]", "free_facet must be a facet of maximal"),
+        (t, "steps[0]", "free_facet must be a facet of maximal"),
+        ([t[0]], "steps[0]", "free_facet must be a facet of maximal"),
+        ([t[0], ["0", "0", "0"]], "steps[0][1]", "points must have dimension 2"),
+        ([t[0], ["01", "1"]], "steps[0][1][1][0]", "'01' is not canonical: write '1'"),
+        ([t[0], "0"], "steps[0][1][1]", "a point must be a nonempty array of rationals"),
+        ([], "steps[0][1]", "a simplex must be a nonempty array of points"),
+    ]
+    for facet, where, message in cases:
+        body["steps"][0][1] = facet
+        with pytest.raises(ScxError) as err:
+            parse_scx(json.dumps(body))
+        assert (err.value.where, str(err.value)) == (where, f"{where}: {message}"), facet
+    # A vertex has no facet to read off.
+    body["steps"][0] = [[t[0]], []]
+    with pytest.raises(ScxError) as err:
+        parse_scx(json.dumps(body))
+    assert str(err.value) == "steps[0][1]: a simplex must be a nonempty array of points"
+    body["steps"][0] = [t, f[::-1]]
+    step = parse_scx(json.dumps(body)).payload.steps[0]
+    assert step.free_facet == GeoSimplex(step.maximal.vertices[:2])
+    assert all(v is w for v, w in zip(step.free_facet.vertices, step.maximal.vertices))
+
+
 def test_verdict_roundtrip(half_interval, antidiagonal):
     certified = certify_main(half_interval)
     again = roundtrip(ScxDocument("verdict", certified)).payload
