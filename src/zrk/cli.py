@@ -49,7 +49,15 @@ def _emit(doc: ScxDocument, out: str | None) -> None:
 
 
 def _parse_point_arg(text: str) -> RPoint:
-    return RPoint(tuple(parse_rat(t) for t in text.split(",")))
+    """The point of ``--at``: comma-separated 'p' or 'p/q' coordinates.  A
+    bad coordinate is reported with its position, counted from 0."""
+    coords = []
+    for i, t in enumerate(text.split(",")):
+        try:
+            coords.append(parse_rat(t))
+        except ValueError as exc:
+            raise ValueError(f"--at coordinate {i}: {exc}") from None
+    return RPoint(tuple(coords))
 
 
 def _witness_dir(args) -> Path | None:

@@ -22,7 +22,9 @@ one fraction-free Gauss-Jordan elimination of its vertex vectors
 barycentric coordinates are B X / (D d), so a containment test compares
 integer signs.  The same vectors and rows are what ``linalg``'s polytope
 kernel clips and pulls.  ``GeoComplex.carrier`` reads the carrier of p off
-the first maximal simplex holding p.  Points compare by cross-multiplying
+the first maximal simplex holding p, and ``GeoComplex.hosts`` reads every
+maximal simplex holding p off the stars of the carrier's vertices, with no
+test per simplex.  Points compare by cross-multiplying
 their vectors and boxes are integer corners over one denominator, so once
 a point is built no ``Fraction`` is compared: not in sorting or looking up
 points, validating a complex, replaying a collapse or locating a point.
@@ -373,7 +375,7 @@ def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
 class GeoComplex:
     """Finite simplicial complex, stored as its sorted maximal simplexes."""
 
-    __slots__ = ("ambient_dim", "_maximal", "_faces", "_vertices")
+    __slots__ = ("ambient_dim", "_maximal", "_faces", "_vertices", "_stars")
 
     # ``closed`` is ignored; it stays while bench/tracer.py passes it on.
     def __init__(self, simplexes: Iterable[GeoSimplex], validate: bool = True,
@@ -399,6 +401,7 @@ class GeoComplex:
         rank = {v: i for i, v in enumerate(self._vertices)}.__getitem__
         self._maximal = tuple(sorted(sset, key=lambda s: tuple(map(rank, s.vertices))))
         self._faces = None
+        self._stars = None
         if validate:
             self._validate()
 
@@ -428,8 +431,24 @@ class GeoComplex:
     def dim(self) -> int:
         return max(s.dim for s in self._maximal)
 
+    def _star_index(self) -> dict[RPoint, frozenset[int]]:
+        """Each vertex mapped to its star: the indices into
+        ``maximal_simplexes()`` of the maximal simplexes having it as a
+        vertex.  Built on first use."""
+        if self._stars is None:
+            stars: dict[RPoint, list[int]] = {}
+            for i, m in enumerate(self._maximal):
+                for v in m.vertices:
+                    stars.setdefault(v, []).append(i)
+            self._stars = {v: frozenset(ix) for v, ix in stars.items()}
+        return self._stars
+
     def __contains__(self, s: GeoSimplex) -> bool:
-        return any(set(s.vertices).issubset(m.vertices) for m in self._maximal)
+        """s is a simplex of the complex iff its vertices are vertices of
+        one maximal simplex, that is iff their stars meet."""
+        stars = self._star_index()
+        found = [stars.get(v) for v in s.vertices]
+        return all(found) and bool(frozenset.intersection(*found))
 
     def __len__(self) -> int:
         return len(self.simplexes)
@@ -478,8 +497,40 @@ class GeoComplex:
         s, w, _ = found
         return GeoSimplex._raw(tuple(v for v, a in zip(s.vertices, w) if a > 0))
 
+    def hosts(self, p: RPoint) -> frozenset[int]:
+        """The indices into ``maximal_simplexes()`` of the maximal simplexes
+        holding p; empty when p lies outside the support or in another
+        ambient dimension.
+
+        Read off the stars of vertices (``_star_index``).  A vertex v of
+        the complex lies in a simplex t only as a vertex: t and the simplex
+        {v} meet in a common face, which holds v, so it is {v}.  So the
+        hosts of v are its star.  Any other p has one carrier C, the face
+        on the positive barycentric coordinates of the maximal simplex that
+        ``_locate`` finds, which holds p in its relative interior.  If a
+        simplex t holds p, then t cap C is a face of C holding a point of
+        its relative interior, so it is C, and C is a face of t; conversely
+        a t with C as a face holds p.  So the hosts of p are the maximal
+        simplexes having every vertex of C, the intersection of their
+        stars.
+        """
+        if p.dim != self.ambient_dim:
+            return frozenset()
+        stars = self._star_index()
+        star = stars.get(p)
+        if star is not None:
+            return star
+        found = self._locate(p)
+        if found is None:
+            return frozenset()
+        s, w, _ = found
+        return frozenset.intersection(*(stars[v] for v, a in zip(s.vertices, w) if a > 0))
+
     def contains_point(self, p: RPoint) -> bool:
-        return self.carrier(p) is not None
+        """p in the support; unlike ``hosts``, a point of another ambient
+        dimension is an error."""
+        _homogeneous(p, self.ambient_dim)
+        return bool(self.hosts(p))
 
 
 def from_maximal(simplexes: Sequence[GeoSimplex]) -> GeoComplex:

@@ -20,10 +20,15 @@ Coverage (``supports``) is decided on the same pieces by exact volume: the
 cells of s against the maximal simplexes of a complex overlap only in
 measure zero, so they cover s exactly when their volumes add up to its own
 (De Loera, Rambau and Santos, *Triangulations*, 2010).  Questions over
-many simplexes first locate each vertex once among the cover's maximal
-simplexes, its hosts (``_hosts``): a simplex with a vertex without host
-leaves the union, one whose vertices share a host lies in it, and only the
-rest take the volume test.
+many simplexes first look up each vertex once among the cover's maximal
+simplexes, its hosts (``_hosts``, ``GeoComplex.hosts``): a vertex of the
+cover is held exactly by its star, and any other point by the simplexes
+having every vertex of its carrier, found by one point location.  A
+simplex with a vertex without host leaves the union, one whose vertices
+share a host lies in it, and only the rest take the volume test.
+Integer bounding boxes spare tests and clips: a simplex whose box
+is not inside t's box is not inside t (``_simplex_inside``), and a cell
+of two simplexes with disjoint boxes is empty (``_pieces``).
 
 The kernel is integer arithmetic throughout.  Points enter as their cached
 homogeneous vectors d(p, 1) and constraints as integer rows: the cached
@@ -45,7 +50,7 @@ from operator import and_, mul
 from typing import Collection, Iterable, Optional, Sequence
 
 from . import linalg
-from .complexes import GeoComplex, GeoSimplex, RPoint
+from .complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap
 
 Row = tuple  # tuple[int, ...], an affine form as an integer row
 
@@ -161,16 +166,24 @@ def _pull_cell(s: GeoSimplex, eqs_t: Sequence[Row],
 
 
 def _pieces(s: GeoSimplex, cover: Iterable[GeoSimplex]) -> set[GeoSimplex]:
-    """Pulling triangulations of the cells s cap t of dimension dim s."""
+    """Pulling triangulations of the cells s cap t of dimension dim s; a t
+    whose box misses s's box leaves an empty cell and is skipped."""
     out: set[GeoSimplex] = set()
     for t in cover:
+        if not _bbox_overlap(s, t):
+            continue
         eqs, bary, _ = t._point_rows
         out.update(_pull_cell(s, eqs, bary))
     return out
 
 
 def _simplex_inside(s: GeoSimplex, t: GeoSimplex) -> bool:
-    """s subseteq t, decided on vertices (both convex)."""
+    """s subseteq t, decided on vertices (both convex), after the necessary
+    condition that s's integer box lies in t's."""
+    (slo, shi, ds), (tlo, thi, dt) = s._box, t._box
+    if not all(tl * ds <= sl * dt and sh * dt <= th * ds
+               for sl, sh, tl, th in zip(slo, shi, tlo, thi)):
+        return False
     return all(t.contains(v) for v in s.vertices)
 
 
@@ -260,17 +273,25 @@ def _adapted(inside: Optional[GeoComplex], part: GeoComplex) -> bool:
                for q in part.maximal_simplexes())
 
 
-def _hosts(cover: Sequence[GeoSimplex], points: Iterable[RPoint]) -> dict:
-    """Each distinct point mapped to the indices of the ``cover`` simplexes
-    holding it; a simplex of another ambient dimension holds none."""
-    return {p: frozenset(i for i, t in enumerate(cover)
-                         if t.ambient_dim == p.dim and t.contains(p))
-            for p in set(points)}
+def _hosts(cx: GeoComplex, points: Iterable[RPoint]) -> dict:
+    """Each distinct point mapped to its hosts in cx (``GeoComplex.hosts``):
+    the indices of the maximal simplexes of cx holding it, none for a point
+    of another ambient dimension."""
+    return {p: cx.hosts(p) for p in set(points)}
+
+
+def _image_hosts(target: GeoComplex, images: Iterable[RPoint], dim: int) -> dict:
+    """``_hosts`` of the images of a map into R^dim; as for
+    ``GeoSimplex.contains``, a map into another space than target's is an
+    error."""
+    if dim != target.ambient_dim:
+        raise ValueError(f"a point in R^{dim} is not in R^{target.ambient_dim}")
+    return _hosts(target, images)
 
 
 def _hull_in_union(table: dict, points: Sequence[RPoint], volume_test) -> bool:
-    """Is conv(points) in the union of the cover that ``table`` (``_hosts``)
-    locates points in?  False if a point has no host, True if the points
+    """Is conv(points) in the union of the complex that ``table``
+    (``_hosts``) locates points in?  False if a point has no host, True if the points
     share a host (it is convex), and otherwise what ``volume_test()`` says."""
     found = [table[p] for p in points]
     return all(found) and bool(frozenset.intersection(*found) or volume_test())
@@ -284,7 +305,7 @@ def inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
     are the maximal simplexes of the result.  Vertices are located once.
     """
     cover = part.maximal_simplexes()
-    table = _hosts(cover, cx.vertices())
+    table = _hosts(part, cx.vertices())
     found: list[GeoSimplex] = []
     inside: set[GeoSimplex] = set()
     for s in sorted(cx.simplexes, key=lambda s: -s.dim):
@@ -398,16 +419,18 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
 
     ``plmap``, a ``zmaps.PLMap``, must be compatible with cx (affine on each
     simplex, which holds for any vertex-image map on a subdivision of its
-    domain) and its image must lie in |target|.  Simplexes already mapping into a single target
-    simplex survive: they are faces of the preimage cells.
+    domain) and its image must lie in |target|.  Simplexes already mapping
+    into a single target simplex survive: they are faces of the preimage
+    cells.  A simplex maps into one target simplex iff its vertex images
+    share a host (``_hosts``), and each image is looked up once.
     """
     simplexes = []
     target_max = target.maximal_simplexes()
+    images = {v: plmap.eval(v) for v in cx.vertices()}
+    table = _image_hosts(target, images.values(), plmap.codomain_dim)
     for s in cx.maximal_simplexes():
-        vert_imgs = [plmap.eval(v) for v in s.vertices]
-        good = next((t for t in target_max
-                     if all(t.contains(img) for img in vert_imgs)), None)
-        if good is not None:
+        vert_imgs = [images[v] for v in s.vertices]
+        if frozenset.intersection(*(table[y] for y in vert_imgs)):
             simplexes.append(s)
             continue
         # A preimage cell mapping into a face shared by several target

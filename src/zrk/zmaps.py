@@ -130,8 +130,8 @@ def compose(eta: PLMap, theta: PLMap) -> PLMap:
 
 def _image_leaving(eta: PLMap, cx: GeoComplex) -> Optional[GeoSimplex]:
     """The first maximal simplex of eta's domain whose image hull leaves
-    |cx|, or None; each image point is located once."""
-    table = subdivide._hosts(cx.maximal_simplexes(), eta.images.values())
+    |cx|, or None; the hosts of each image point are looked up once."""
+    table = subdivide._hosts(cx, eta.images.values())
     for s in eta.domain.maximal_simplexes():
         images = eta.image_simplex_points(s)
         if not subdivide._hull_in_union(
@@ -211,11 +211,11 @@ def retarget_to_carrier_vertices(eta: PLMap, target: GeoComplex,
 
     Requires each domain simplex to map into a single simplex of target;
     the retargeted map still does (carrier minimality), so its image stays
-    inside |target|."""
+    inside |target|.  A simplex maps into one target simplex iff its
+    vertex images share a host (``subdivide._hosts``)."""
+    table = subdivide._image_hosts(target, eta.images.values(), eta.codomain_dim)
     for s in eta.domain.maximal_simplexes():
-        imgs = eta.image_simplex_points(s)
-        if not any(all(t.contains(img) for img in imgs)
-                   for t in target.maximal_simplexes()):
+        if not frozenset.intersection(*(table[y] for y in eta.image_simplex_points(s))):
             raise DomainError("carrier precondition failure: a simplex image "
                               "is not inside one target simplex")
     images = {}

@@ -60,7 +60,9 @@ route in ``zmaps``, next to the divisibility criterion ``is_zmap``.
 every maximal simplex, from before ``zmaps._image_leaving`` located each
 image point once, and ``locate_eval`` interpolates every point, vertices
 too, through a point location, from before ``PLMap.eval`` returned a
-vertex's image directly.
+vertex's image directly.  ``scan_hosts`` tests a point against every
+maximal simplex of a complex, from before ``GeoComplex.hosts`` read the
+simplexes holding it off the stars of its carrier's vertices.
 """
 
 import json
@@ -392,6 +394,14 @@ def scan_carrier(cx, p: RPoint):
         if lam is not None and all(c > 0 for c in lam):
             return s
     return None
+
+
+def scan_hosts(cx, p: RPoint) -> frozenset:
+    """The indices of the maximal simplexes of cx holding p, each tested
+    with ``GeoSimplex.contains``; a simplex of another ambient dimension
+    holds none.  The reference for ``GeoComplex.hosts``."""
+    return frozenset(i for i, t in enumerate(cx.maximal_simplexes())
+                     if t.ambient_dim == p.dim and t.contains(p))
 
 
 def product_lattice_points(part):

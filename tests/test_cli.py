@@ -74,6 +74,18 @@ def test_stellar(tmp_path):
     assert len(doc.payload.maximal_simplexes()) == 4
 
 
+def test_stellar_names_a_bad_coordinate(capsys):
+    cube = corpus_path("cube2.scx")
+    for at, where, why in (("1/2,x", 1, "invalid literal"),
+                           ("2/4,1/2", 0, "not in lowest terms"),
+                           ("1/2,1/-2", 1, "denominator must be positive"),
+                           ("1/2,", 1, "invalid literal")):
+        assert run("stellar", cube, "--at", at) == 65
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --at coordinate {where}: "), err
+        assert why in err and "Traceback" not in err
+
+
 def test_refine_and_restrict(tmp_path):
     out = tmp_path / "r.scx"
     assert run("refine", corpus_path("cube2.scx"), corpus_path("cube2.scx"),

@@ -9,7 +9,8 @@ from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, RPoint, WeightedComp
                  certify_main, desingularize, elementary_collapse,
                  find_collapse_sequence, free_faces, from_maximal, realize, replay,
                  rpoint, simplicially_isomorphic, skeleton, standard_cube, stellar,
-                 pipeline_dh, part2_reduce)
+                 pipeline_dh, part2_reduce, refine_for_map,
+                 retarget_to_carrier_vertices)
 from zrk import linalg
 from zrk.complexes import (NotASimplicialComplex, _combined,
                            _meet_in_common_face, _placement, _separated)
@@ -20,7 +21,8 @@ from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
 from conftest import random_rational, seg, tri
 from oracles import (barycentric_coords, closure_complex,
                      enumerate_meet_in_common_face, fraction_aff_dim,
-                     lp_meet_in_common_face, scan_carrier, scan_maximal_simplexes)
+                     lp_meet_in_common_face, scan_carrier, scan_hosts,
+                     scan_maximal_simplexes)
 
 
 def test_from_maximal_segment():
@@ -608,6 +610,42 @@ def test_carrier():
     assert cx.carrier(rpoint(2, 2)) is None
 
 
+def test_hosts_match_scanning_oracle():
+    # GeoComplex.hosts reads the maximal simplexes holding a point off the
+    # stars of its carrier's vertices; the oracle tests every maximal
+    # simplex.  Points: the vertices (also as fresh equal objects), the
+    # barycentre of every face, which lies in the relative interior of a
+    # shared edge or facet or inside a maximal simplex, a grid reaching
+    # outside |K|, and points of another ambient dimension.
+    rng = random.Random(20190)
+    cases = []
+    for n in (2, 3):
+        cx = standard_cube(n)
+        for _ in range(4):
+            cx = stellar(cx, rpoint(*[random_rational(rng, 5) for _ in range(n)]))
+        cases.append(cx)
+    # Not pure: a triangle with a dangling edge, and an isolated vertex.
+    cases.append(from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (2, 1)),
+                               GeoSimplex((rpoint(3, 3),))]))
+    seen = collections.Counter()
+    for cx in cases:
+        n = cx.ambient_dim
+        points = [*cx.vertices(), *(RPoint(tuple(v.coords)) for v in cx.vertices()),
+                  *(s.barycenter() for s in cx.simplexes), *_grid(n, rng),
+                  rpoint(*[0] * (n + 1)), rpoint(*[Fraction(1, 2)] * (n - 1))]
+        for p in points:
+            want = scan_hosts(cx, p)
+            assert cx.hosts(p) == want, (cx, p)
+            if p.dim == n:
+                assert cx.contains_point(p) == bool(want)
+            seen[min(len(want), 2)] += 1
+        for s in cx.simplexes:
+            assert s in cx
+            assert GeoSimplex._raw(s.vertices[:-1] + (rpoint(*[7] * n),)) not in cx
+    # Points outside, in exactly one and in several maximal simplexes.
+    assert min(seen[0], seen[1], seen[2]) > 20, seen
+
+
 def test_points_of_another_dimension_are_rejected():
     cx = standard_cube(2)
     with pytest.raises(ValueError, match=r"R\^3 .* R\^2"):
@@ -621,6 +659,12 @@ def test_points_of_another_dimension_are_rejected():
         diagonal.contains(rpoint(1, 1, 7))
     with pytest.raises(ValueError, match=r"R\^1 .* R\^2"):
         diagonal.barycentric(rpoint("1/2"))
+    # A map into R^3 does not map into a complex in R^2.
+    lift = PLMap(cx, {v: rpoint(*v.coords, 1) for v in cx.vertices()})
+    with pytest.raises(ValueError, match=r"R\^3 .* R\^2"):
+        refine_for_map(cx, lift, cx)
+    with pytest.raises(ValueError, match=r"R\^3 .* R\^2"):
+        retarget_to_carrier_vertices(lift, cx, keep=lambda v: False)
 
 
 def test_carrier_minimality():

@@ -7,6 +7,7 @@ from zrk import (GeoSimplex, PLMap, RPoint, common_refinement, from_maximal,
                  is_subdivision, linalg, part2_reduce, pipeline_dh,
                  refine_for_map, restrict, rpoint, standard_cube, stellar,
                  stellar_chain, subdivide)
+from zrk.complexes import _bbox_overlap
 from zrk.subdivide import (PointNotInSupport, SupportMismatch,
                            inside_subcomplex, supports, support_equal)
 
@@ -494,6 +495,87 @@ def test_inside_subcomplex_runs_supports_only_on_undecided_faces(monkeypatch):
     # Only edges with their ends on either side of the two-segment part's
     # split point reach it, 24 of them here.
     assert 0 < len(calls) <= 30, len(calls)
+
+
+def test_vertices_of_the_part_are_looked_up_without_barycentric_work(monkeypatch):
+    # Work bound: on the fold pipeline, inside_subcomplex finds the hosts
+    # of a vertex of P in its star, with no GeoSimplex._weights call;
+    # only the other vertices are located.
+    rng = random.Random(20191)
+    parts, looking, located = [], [], []
+    vertex_lookups = 0
+    inside, hosts, weights = subdivide.inside_subcomplex, subdivide._hosts, GeoSimplex._weights
+
+    def tracked(cx, part):
+        parts.append(part)
+        try:
+            return inside(cx, part)
+        finally:
+            parts.pop()
+
+    def looked_up(cx, points):
+        nonlocal vertex_lookups
+        points = list(points)
+        if parts:
+            vertex_lookups += len(set(points) & set(parts[-1].vertices()))
+        looking.append(True)
+        try:
+            return hosts(cx, points)
+        finally:
+            looking.pop()
+
+    def counted(self, x):
+        if parts and looking:
+            located.append((parts[-1], x))
+        return weights(self, x)
+
+    monkeypatch.setattr(subdivide, "inside_subcomplex", tracked)
+    monkeypatch.setattr(subdivide, "_hosts", looked_up)
+    monkeypatch.setattr(GeoSimplex, "_weights", counted)
+    half = rpoint("1/2", "1/2")
+    square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
+    fold = PLMap(square, {v: half if any(v.coords) else v for v in square.vertices()})
+    part = from_maximal([GeoSimplex((rpoint(0, 0), half))])
+    for i in range(3):
+        eta = fold
+        for _ in range(i):
+            p = rpoint(*[random_rational(rng, 4) for _ in range(2)])
+            eta = eta.rebase(stellar(eta.domain, p))
+        pipeline_dh(eta, part)
+    monkeypatch.undo()
+    assert vertex_lookups > 20 and located, (vertex_lookups, len(located))
+    for part, x in located:
+        assert x not in {v._homog for v in part.vertices()}, (part, x)
+
+
+def test_pieces_never_clip_disjoint_boxes(monkeypatch):
+    # _pieces skips a cover simplex whose integer box misses s's box (the
+    # cell is empty); the pieces are those of clipping against every one.
+    rng = random.Random(20192)
+    cover = standard_cube(2)
+    for _ in range(4):
+        cover = stellar(cover, rpoint(*[random_rational(rng, 4) for _ in range(2)]))
+    by_rows = {id(t._point_rows[1]): t for t in cover.maximal_simplexes()}
+    clipped, pull = [], subdivide._pull_cell
+
+    def tracked(s, eqs, ineqs):
+        clipped.append((s, by_rows[id(ineqs)]))
+        return pull(s, eqs, ineqs)
+
+    samples = [random_simplex(rng, 2, 6) for _ in range(40)]
+    samples += [tri((0, 0), ("1/4", 0), (0, "1/4")), tri((1, 1), ("3/4", 1), (1, "3/4"))]
+    monkeypatch.setattr(subdivide, "_pull_cell", tracked)
+    got = [subdivide._pieces(s, cover.maximal_simplexes()) for s in samples]
+    monkeypatch.undo()
+    assert clipped and all(_bbox_overlap(s, t) for s, t in clipped)
+    skipped = len(samples) * len(cover.maximal_simplexes()) - len(clipped)
+    assert skipped >= len(samples), (skipped, len(clipped))
+    for s, pieces in zip(samples, got):
+        every = set()
+        for t in cover.maximal_simplexes():
+            eqs, bary, _ = t._point_rows
+            every.update(pull(s, eqs, bary))
+        assert pieces == every, s
 
 
 def test_cell_kernel_runs_on_integers_only(monkeypatch):
