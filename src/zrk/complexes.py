@@ -2,13 +2,15 @@
 
 A geometric complex is its maximal simplexes: the constructor drops every
 input simplex that lies in another and builds no faces (``simplexes`` builds
-them when read).  It checks the common-face condition pair by pair over what
-is left, by four tests in order: disjoint integer bounding boxes
-(``_bbox_overlap``), a separating form read off the cached integer rows of
-either simplex (``_separated``), the combined form of both (``_combined``),
-and only when none settles the pair the cell a cap b from ``linalg``'s
-polytope kernel, whose vertex masks show whether it lies in the face
-spanned by the shared vertices.  Abstract and weighted abstract complexes
+them when read).  It checks the common-face condition on what is left.  A
+complex of n-simplexes in [0,1]^n is first tried as a triangulation of the
+cube by facet matching, in time linear in its size (``_triangulates_cube``);
+otherwise the condition is checked pair by pair, by four tests in order:
+disjoint integer bounding boxes (``_bbox_overlap``), a separating form read
+off the cached integer rows of either simplex (``_separated``), the
+combined form of both (``_combined``), and only when none settles the pair
+the cell a cap b from ``linalg``'s polytope kernel, whose vertex masks show
+whether it lies in the face spanned by the shared vertices.  Abstract and weighted abstract complexes
 carry the combinatorial skeletons.
 
 Point location and independence are exact integer arithmetic.  Each point
@@ -36,8 +38,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import ge, gt, le, lt, mul
+from functools import cached_property, lru_cache, reduce
+from operator import and_, ge, gt, le, lt, mul
 from types import SimpleNamespace
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -372,6 +374,90 @@ def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     return all(m & unshared == unshared for _, m in cell)
 
 
+def _triangulates_cube(cx: GeoComplex) -> bool:
+    """A test in time linear in the size of cx, and sufficient for the
+    common-face condition: True shows that cx triangulates [0,1]^n, for n
+    its ambient dimension; False means "not shown".  It holds when
+
+    (a) every maximal simplex has dimension n;
+    (b) every vertex lies in [0,1]^n;
+    (c) each facet, keyed by its vertex tuple, lies in at most two maximal
+        simplexes;
+    (d) a facet in one maximal simplex lies in a facet of the cube: all its
+        vertices have some coordinate 0, or all have it 1;
+    (e) at a facet shared by a and b, a's barycentric row for its opposite
+        vertex is negative at b's opposite vertex, so the two lie on
+        opposite sides of the facet;
+    (f) the barycentre of the first maximal simplex lies in exactly one.
+
+    Call a point of the open cube generic when it lies on no facet; the
+    number k of simplexes holding a generic point is locally constant.  Two
+    generic points are joined by a path avoiding the (n-2)-faces and the
+    meets of distinct facet hyperplanes, which have codimension 2, so where
+    it crosses a facet, at z, z is in the relative interior of every facet
+    holding it, and those lie in one hyperplane.  By (d) none of them lies
+    in only one simplex, as z is inside the cube, so by (c) each lies in
+    two, which by (e) lie on opposite sides: the crossing trades one
+    simplex for the other and k does not change.  So k is the same at every
+    generic point, and positive near the barycentre of (f), an interior
+    point of the first simplex.  Were k 2 or more, generic points
+    converging to that barycentre would lie in two fixed simplexes, which
+    are closed and would hold it too; so (f) makes k = 1.  The simplexes
+    lie in the cube by (b) and cover its generic points, so |cx| is the
+    cube.
+
+    Now let x lie in a and b, in the relative interiors of their faces C_a
+    and C_b.  In a ball around x meeting only simplexes that hold x, count
+    the simplexes having C_a as a face.  Take a facet crossed in the ball,
+    shared by a' and b', where a' has C_a as a face and b' has not.  Then
+    C_a holds the vertex of a' off the facet, but x lies in a' cap b',
+    which is the facet, so x's carrier in a', which is C_a, lies in the
+    facet: a contradiction.  So that count is constant in the ball too, and
+    positive inside a: the simplexes having C_a cover the generic points
+    near x, and so do those having C_b.  A generic point near x lies in one
+    simplex only, which then has both as faces and holds x in the relative
+    interior of each, so C_a = C_b.  So x lies in the convex hull of the
+    vertices that a and b share, and a cap b is that common face.
+
+    A cube wound twice by two triangulations fails (f); a facet met across
+    by smaller facets (a T-junction) lies in one simplex and fails (d).
+    Every corner of the cube is a vertex of any triangulation of it, so a
+    complex missing one is turned down before the facets are keyed.
+    """
+    n, maxi, verts = cx.ambient_dim, cx.maximal_simplexes(), cx.vertices()
+    if any(len(s.vertices) != n + 1 for s in maxi):
+        return False
+    low, high = [], []  # per vertex: the axes where it is 0, and where it is 1
+    for v in verts:
+        *x, d = v._homog
+        if min(x) < 0 or max(x) > d:
+            return False
+        low.append(sum(1 << j for j, c in enumerate(x) if c == 0))
+        high.append(sum(1 << j for j, c in enumerate(x) if c == d))
+    full = (1 << n) - 1
+    if sum(lo | hi == full for lo, hi in zip(low, high)) != 1 << n:
+        return False
+    rank = {v: i for i, v in enumerate(verts)}.__getitem__
+    facets: dict[tuple[int, ...], list] = {}
+    for s in maxi:
+        r = tuple(map(rank, s.vertices))
+        for i in range(n + 1):
+            facets.setdefault(r[:i] + r[i + 1:], []).append((s, i))
+    for key, holders in facets.items():
+        if len(holders) == 1:
+            if not (reduce(and_, (low[k] for k in key))
+                    or reduce(and_, (high[k] for k in key))):
+                return False
+        elif len(holders) == 2:
+            (a, i), (b, j) = holders
+            if sum(map(mul, a._point_rows[1][i], b._vertex_rows[j])) >= 0:
+                return False
+        else:
+            return False
+    x = maxi[0].barycenter()._homog
+    return sum(min(s._weights(x)) >= 0 for s in maxi) == 1
+
+
 class GeoComplex:
     """Finite simplicial complex, stored as its sorted maximal simplexes."""
 
@@ -406,6 +492,8 @@ class GeoComplex:
             self._validate()
 
     def _validate(self):
+        if _triangulates_cube(self):
+            return
         maxi = self.maximal_simplexes()
         for a, b in itertools.combinations(maxi, 2):
             if not _meet_in_common_face(a, b):

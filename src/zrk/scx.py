@@ -5,7 +5,11 @@ validates both syntax (rationals must be written canonically, 'p' or 'p/q'
 in lowest terms; no vertex is listed twice) and semantics (complexes must
 satisfy the simplicial-complex condition); printing is canonical, so
 parse . print is the identity on canonical text.  Every failure is a
-``ScxError`` whose ``where`` locates it in the document.
+``ScxError`` whose ``where`` locates it in the document.  A collapse step's
+simplexes are read off earlier simplexes of the sequence when they are
+faces of them, with no sort and no rank check: its free facet off its
+maximal simplex, and its maximal simplex, unless it is maximal in the
+complex, off an earlier step's.  Every other entry is built and checked.
 
 The canonical text is what ``json.dumps`` prints with sorted keys and an
 indent of 2, plus a newline.  An indent makes ``json`` run its pure-Python
@@ -25,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Optional
 
 from .collapse import CollapseSequence, CollapseStep
 from .complexes import (AbsComplex, GeoComplex, GeoSimplex, RPoint,
@@ -320,22 +324,37 @@ def _parse_weighted(body: dict) -> WeightedComplex:
     return WeightedComplex(base, dict(zip(names, weights)))
 
 
-def _facet_of(entry, t: GeoSimplex, points: dict):
-    """The facet of t that ``entry`` spells, read off t without sorting or a
-    rank check, when entry lists distinct points already parsed in this
-    document, all vertices of t and one fewer than t has; otherwise None.
-    A facet of a simplex is one, with its vertices in t's order."""
+def _listed(entry, points: dict) -> Optional[set]:
+    """The points ``entry`` lists, when they are distinct points already
+    parsed in this document; otherwise None."""
     if (not isinstance(entry, list) or not entry
-            or len(entry) != len(t.vertices) - 1
-            or not all(isinstance(e, list) and all(isinstance(c, str) for c in e)
-                       for e in entry)):
+            or not all(isinstance(e, list) for e in entry)):
         return None
-    mine = {points.get(tuple(e)) for e in entry}
+    try:
+        found = {points.get(tuple(e)) for e in entry}
+    except TypeError:  # an array in a point: the parser reports it
+        return None
+    return found if len(found) == len(entry) and None not in found else None
+
+
+def _face_of(mine: set, t: GeoSimplex) -> Optional[GeoSimplex]:
+    """The face of t spanned by the points ``mine``, read off t without
+    sorting or a rank check, or None when one is not a vertex of t.  A face
+    of a simplex is one, with its vertices in t's order."""
     vertices = tuple(v for v in t.vertices if v in mine)
-    return GeoSimplex._raw(vertices) if len(vertices) == len(entry) else None
+    return GeoSimplex._raw(vertices) if len(vertices) == len(mine) else None
 
 
 def _parse_sequence(body: dict, points: dict, where: str = "") -> CollapseSequence:
+    """A collapse sequence.  When a step removes (T, F), every proper
+    coface of T in the complex has gone already, as an earlier step's T' or
+    as its free facet, a facet of T'.  So in a sequence that replays, each
+    T is a maximal simplex of the complex or a face of an earlier T', and
+    is then read off T' (``_face_of``), found by intersecting the
+    ``stars`` of its points: the earlier steps whose T' has them.  F is
+    read off T.  Every other entry, a bad one included, is parsed and
+    checked as any simplex; a face of T that is not a facet fails as a
+    free facet either way."""
     if not isinstance(body, dict):
         raise ScxError("a collapse sequence must be a JSON object", where.rstrip("."))
     steps_in = body.get("steps")
@@ -344,17 +363,24 @@ def _parse_sequence(body: dict, points: dict, where: str = "") -> CollapseSequen
         raise ScxError("'steps' must be an array", where + "steps")
     terminal = _parse_point(terminal_in, where + "terminal", points)
     steps = []
+    stars: dict[RPoint, set[int]] = {}
     for i, pair in enumerate(steps_in):
         at = f"{where}steps[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScxError("each step is [maximal, free_facet]", at)
-        t = _parse_simplex(pair[0], terminal.dim, at + "[0]", points)
-        f = (_facet_of(pair[1], t, points)
+        mine = _listed(pair[0], points)
+        earlier = mine and set.intersection(*(stars.get(p, set()) for p in mine))
+        t = ((earlier and _face_of(mine, steps[min(earlier)].maximal))
+             or _parse_simplex(pair[0], terminal.dim, at + "[0]", points))
+        mine = _listed(pair[1], points)
+        f = ((mine and _face_of(mine, t))
              or _parse_simplex(pair[1], terminal.dim, at + "[1]", points))
         try:
             steps.append(CollapseStep(t, f))
         except ValueError as exc:
             raise ScxError(str(exc), at) from None
+        for v in t.vertices:
+            stars.setdefault(v, set()).add(i)
     return CollapseSequence(tuple(steps), GeoSimplex((terminal,)))
 
 

@@ -1,12 +1,13 @@
 """Subdivision machinery.
 
-Elementary stellar subdivisions, subdivision checks, common refinement by
-cell overlay, restriction of a triangulation to a subpolyhedron, and
-refinement of a triangulation until a piecewise-linear map is simplexwise
-compatible with a target triangulation.  A stellar subdivision works on
-the maximal simplexes alone: it replaces those containing the carrier of
-the new point by their cones (``_replace_star``), the one star replacement
-that ``regular``'s desingularization also runs at every blow-up.
+Elementary stellar subdivisions, subdivision checks by volume accounting,
+common refinement by cell overlay, restriction of a triangulation to a
+subpolyhedron, and refinement of a triangulation until a piecewise-linear
+map is simplexwise compatible with a target triangulation.  A stellar
+subdivision works on the maximal simplexes alone: it replaces those
+containing the carrier of the new point by their cones (``_replace_star``),
+the one star replacement that ``regular``'s desingularization also runs at
+every blow-up.
 
 One cell kernel serves all of them: a cell is s cap t for a simplex s and a
 simplex or halfspace t.  Its vertices, each with the mask of the
@@ -19,8 +20,12 @@ cells agree along shared faces and the union is again a simplicial complex.
 Coverage (``supports``) is decided on the same pieces by exact volume: the
 cells of s against the maximal simplexes of a complex overlap only in
 measure zero, so they cover s exactly when their volumes add up to its own
-(De Loera, Rambau and Santos, *Triangulations*, 2010).  Questions over
-many simplexes first look up each vertex once among the cover's maximal
+(De Loera, Rambau and Santos, *Triangulations*, 2010).  The subdivision
+test clips nothing: it files each maximal simplex of the fine complex under
+the coarse maximal simplex holding its barycentre, found by one point
+location, and compares the volumes filed under each with its own
+(``is_subdivision``).  Questions over many simplexes first look up each
+vertex once among the cover's maximal
 simplexes, its hosts (``_hosts``, ``GeoComplex.hosts``): a vertex of the
 cover is held exactly by its star, and any other point by the simplexes
 having every vertex of its carrier, found by one point location.  A
@@ -213,14 +218,44 @@ def support_equal(a: GeoComplex, b: GeoComplex) -> bool:
 
 def is_subdivision(fine: GeoComplex, coarse: GeoComplex) -> bool:
     """True iff supports agree and every simplex of ``fine`` lies in some
-    simplex of ``coarse``."""
+    simplex of ``coarse``; decided by volume accounting (De Loera, Rambau
+    and Santos, *Triangulations*, 2010, ch. 4), with no cell clipped.
+
+    Each maximal s of fine is filed under the maximal t of coarse in which
+    ``GeoComplex._locate`` finds its barycentre b.  t must hold b in its
+    relative interior, have the dimension of s and hold every vertex of s,
+    or the answer is no; this turns down no subdivision.  If s lies in a
+    simplex of coarse, it lies in the carrier C of b, the face of that
+    simplex holding b in its relative interior: a supporting hyperplane
+    that cuts out C holds b, a point of s's relative interior, so it holds
+    s.  Only s holds b among the simplexes of fine, as s is maximal, so
+    near b |fine| is s.  If C were larger than s, or a proper face of a
+    larger simplex, |coarse| would hold points near b off aff(s).  So for a
+    subdivision C is t and holds s, with its dimension.  Then the answer
+    is yes iff every maximal t gets a group whose volumes add up to vol(t):
+    the group's simplexes lie in t, with its dimension and disjoint
+    relative interiors, so their union, which is closed, is t iff the
+    volumes add up; and a simplex of fine meeting t in a set of t's
+    dimension is in t's group, as its own t shares that set with t.  t and
+    its group are measured in one projection (``_volume_axes``).
+    """
     if fine.ambient_dim != coarse.ambient_dim:
         return False
-    cm = coarse.maximal_simplexes()
-    if not all(any(_simplex_inside(s, t) for t in cm)
-               for s in fine.maximal_simplexes()):
-        return False
-    return support_equal(fine, coarse)
+    groups: dict[GeoSimplex, list[GeoSimplex]] = {
+        t: [] for t in coarse.maximal_simplexes()}
+    for s in fine.maximal_simplexes():
+        found = coarse._locate(s.barycenter())
+        if found is None:
+            return False
+        t, w, _ = found
+        if min(w) <= 0 or t.dim != s.dim or not _simplex_inside(s, t):
+            return False
+        groups[t].append(s)
+    for t, group in groups.items():
+        axes = _volume_axes(t)
+        if sum(_volume(s, axes) for s in group) != _volume(t, axes):
+            return False
+    return True
 
 
 # -- common refinement -------------------------------------------------------
@@ -450,28 +485,34 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
     return GeoComplex(simplexes, validate=False)
 
 
+def _volume_axes(base: GeoSimplex) -> list[int]:
+    """Coordinates in which the simplexes of aff(base) keep their volumes
+    up to one factor: the first independent columns of the vertex vectors,
+    after their last entry, which is where the edge directions are
+    independent, then the last entry itself."""
+    pivots = linalg.pivot_columns([x[-1:] + x[:-1] for x in base._vertex_rows])
+    return [c - 1 for c in pivots[1:]] + [-1]
+
+
+def _volume(s: GeoSimplex, axes: Sequence[int]) -> Fraction:
+    """s's d! volume projected to ``axes`` (``_volume_axes``): |det(X[axes])|
+    over the product of the X[-1], for its homogeneous vertex vectors X."""
+    xs = s._vertex_rows
+    return Fraction(abs(linalg.det([[x[a] for a in axes] for x in xs])),
+                    math.prod(x[-1] for x in xs))
+
+
 def _relative_volume_total(simplexes: Collection[GeoSimplex]) -> Fraction:
     """Sum of top-dimension volumes measured in projected coordinates.
 
     All inputs must share one affine hull (pieces of a single simplex);
-    projecting to a coordinate subspace that is injective on the hull keeps
-    volumes rational and makes exact coverage comparisons valid.  The axes
-    are the first independent columns of the vertex vectors, after their
-    last entry: those on which the edge directions are independent.  A
-    simplex's d! volume there is |det(X[axes], X[-1])| over the product of
-    the X[-1], for its homogeneous vertex vectors X.
+    projecting to a coordinate subspace that is injective on the hull
+    (``_volume_axes``) keeps volumes rational and makes exact coverage
+    comparisons valid.
     """
     if not simplexes:
         return Fraction(0)
     d = max(s.dim for s in simplexes)
-    base = next(s for s in simplexes if s.dim == d)
-    pivots = linalg.pivot_columns([x[-1:] + x[:-1] for x in base._vertex_rows])
-    axes = [c - 1 for c in pivots[1:]] + [-1]
-    total = Fraction(0)
-    for s in simplexes:
-        if s.dim != d:
-            continue
-        xs = s._vertex_rows
-        total += Fraction(abs(linalg.det([[x[a] for a in axes] for x in xs])),
-                          math.prod(x[-1] for x in xs))
-    return total  # common factor d! omitted from both sides
+    axes = _volume_axes(next(s for s in simplexes if s.dim == d))
+    # The common factor d! is omitted from both sides of every comparison.
+    return sum((_volume(s, axes) for s in simplexes if s.dim == d), Fraction(0))

@@ -63,6 +63,11 @@ too, through a point location, from before ``PLMap.eval`` returned a
 vertex's image directly.  ``scan_hosts`` tests a point against every
 maximal simplex of a complex, from before ``GeoComplex.hosts`` read the
 simplexes holding it off the stars of its carrier's vertices.
+``clip_is_subdivision`` tests every fine simplex against every coarse one
+and then both supports by clipping, from before
+``subdivide.is_subdivision`` accounted volumes; ``validating_parse_sequence``
+parses a collapse sequence building and checking every simplex, from before
+``scx`` read a step's simplexes off earlier steps.
 """
 
 import json
@@ -566,6 +571,32 @@ def split_supports(cover, s: GeoSimplex) -> bool:
         return False
 
     return covered(start, list(cover))
+
+
+def clip_is_subdivision(fine, coarse) -> bool:
+    """True iff supports agree and every simplex of ``fine`` lies in some
+    simplex of ``coarse``: a containment scan, then ``support_equal``."""
+    if fine.ambient_dim != coarse.ambient_dim:
+        return False
+    cm = coarse.maximal_simplexes()
+    if not all(any(subdivide._simplex_inside(s, t) for t in cm)
+               for s in fine.maximal_simplexes()):
+        return False
+    return subdivide.support_equal(fine, coarse)
+
+
+def validating_parse_sequence(text: str) -> CollapseSequence:
+    """A canonical sequence document parsed with every simplex built and
+    checked by ``GeoSimplex``."""
+    body = json.loads(text)
+
+    def point(entry):
+        return RPoint(tuple(Fraction(c) for c in entry))
+
+    steps = tuple(CollapseStep(GeoSimplex(tuple(map(point, t))),
+                               GeoSimplex(tuple(map(point, f))))
+                  for t, f in body["steps"])
+    return CollapseSequence(steps, GeoSimplex((point(body["terminal"]),)))
 
 
 def minor_gcd(m, k: int) -> int:

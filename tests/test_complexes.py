@@ -12,8 +12,10 @@ from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, RPoint, WeightedComp
                  pipeline_dh, part2_reduce, refine_for_map,
                  retarget_to_carrier_vertices)
 from zrk import linalg
+from zrk import complexes
 from zrk.complexes import (NotASimplicialComplex, _combined,
-                           _meet_in_common_face, _placement, _separated)
+                           _meet_in_common_face, _placement, _separated,
+                           _triangulates_cube)
 from zrk.zmaps import DomainError
 from zrk.regular import is_regular
 from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
@@ -241,6 +243,101 @@ def test_separating_form_spares_most_lps(monkeypatch):
                         lambda *args: calls.append(1) or clip(*args))
     from_maximal(standard_cube(4).maximal_simplexes())
     assert len(calls) == 0
+
+
+def test_cube_fast_path_turns_down_improper_cubes():
+    # Each complex fails the linear cube test, and the pairwise loop then
+    # reports the pair it reported before the cube test existed.
+    corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    ring = [(0, 0), ("1/2", 0), (1, 0), (1, "1/2"), (1, 1), ("1/2", 1), (0, 1),
+            (0, "1/2")]
+    fans = ([tri(("1/3", "1/3"), corners[i], corners[(i + 1) % 4]) for i in range(4)],
+            [tri(("2/3", "1/2"), ring[i], ring[(i + 1) % 8]) for i in range(8)])
+    # Either fan triangulates the square, and their facets differ, so the
+    # double-wound square passes every test but the count at one point.
+    assert all(_triangulates_cube(GeoComplex(fan, validate=False)) for fan in fans)
+    # A T-junction: one of the two tetrahedra of cube3 at the triangle
+    # (0,0,0), (1,0,0), (1,1,1) is coned from a point inside it.
+    cube = standard_cube(3).maximal_simplexes()
+    triangle = (rpoint(0, 0, 0), rpoint(1, 0, 0), rpoint(1, 1, 1))
+    coned = next(m for m in cube if set(triangle) <= set(m.vertices))
+    inside = rpoint("2/3", "1/6", "1/6")
+    junction = [m for m in cube if m != coned] + [
+        GeoSimplex(tuple(v for v in coned.vertices if v != u) + (inside,))
+        for u in triangle]
+
+    def fan(p):  # a fan from the centre with the triangle at the bottom split from p
+        return [tri((0, 0), (1, 0), p), tri((1, 0), ("1/2", "1/2"), p),
+                tri(("1/2", "1/2"), (0, 0), p)] + [
+            tri(corners[i], corners[(i + 1) % 4], ("1/2", "1/2")) for i in (1, 2, 3)]
+
+    assert _triangulates_cube(GeoComplex(fan(("1/2", "1/4")), validate=False))
+    cases = [
+        (fans[0] + fans[1], "conv((0, 0), (0, 1/2), (2/3, 1/2))",
+         "conv((0, 0), (0, 1), (1/3, 1/3))"),
+        (junction, "conv((0, 0, 0), (2/3, 1/6, 1/6), (1, 0, 0), (1, 0, 1))",
+         "conv((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))"),
+        # A fold: p is moved across the edges from the centre to (0,0) and (1,0).
+        (fan(("1/2", "3/4")), "conv((0, 0), (0, 1), (1/2, 1/2))",
+         "conv((0, 0), (1/2, 1/2), (1/2, 3/4))"),
+        # The same fold with p outside the cube.
+        (fan(("1/2", "3/2")), "conv((0, 0), (0, 1), (1/2, 1/2))",
+         "conv((0, 0), (1/2, 1/2), (1/2, 3/2))"),
+    ]
+    for maxi, a, b in cases:
+        cx = GeoComplex(maxi, validate=False)
+        assert not _triangulates_cube(cx)
+        with pytest.raises(NotASimplicialComplex) as err:
+            cx._validate()
+        assert str(err.value) == (
+            f"not a simplicial complex: {a} and {b} do not meet in a common face")
+
+
+def test_cube_fast_path_never_accepts_an_improper_complex():
+    # Stellar subdivisions of cube1-4 with one vertex that is not a corner
+    # nudged or moved to a random point, some out of the cube: whatever the
+    # cube test accepts, the pairwise loop accepts too.  Unmoved, every one
+    # passes the cube test.
+    rng = random.Random(4321)
+    seen = collections.Counter()
+    for n in (1, 2, 3, 4):
+        for _ in range(30):
+            cx = standard_cube(n)
+            for _ in range(rng.randint(1, 3)):
+                cx = stellar(cx, rpoint(*[random_rational(rng, 4) for _ in range(n)]))
+            assert _triangulates_cube(cx)
+            inner = [v for v in cx.vertices() if any(0 < c < 1 for c in v)]
+            if not inner:
+                continue
+            old = rng.choice(inner)
+            if rng.random() < 0.5:  # a nudge, which often keeps the complex proper
+                new = rpoint(*[c + Fraction(rng.randint(-1, 1), 16) for c in old])
+            else:
+                new = rpoint(*[random_rational(rng, 4, -1 if rng.random() < 0.2 else 0)
+                               for _ in range(n)])
+            try:
+                moved = GeoComplex([GeoSimplex(tuple(new if v == old else v
+                                                     for v in m.vertices))
+                                    for m in cx.maximal_simplexes()], validate=False)
+            except ValueError:  # the move flattened a simplex
+                continue
+            fast = _triangulates_cube(moved)
+            proper = all(_meet_in_common_face(a, b) for a, b in
+                         itertools.combinations(moved.maximal_simplexes(), 2))
+            assert proper or not fast, moved
+            seen[fast, proper] += 1
+    assert seen[False, False] >= 10 and seen[True, True] >= 10, seen
+
+
+def test_cube_complexes_validate_without_pair_tests(monkeypatch):
+    # Parsing cube5 ran 7,140 pair tests before the linear cube test.
+    text = print_scx(ScxDocument("complex", standard_cube(5)))
+    calls = []
+    meet = complexes._meet_in_common_face
+    monkeypatch.setattr(complexes, "_meet_in_common_face",
+                        lambda a, b: calls.append(1) or meet(a, b))
+    assert parse_scx(text).payload == standard_cube(5)
+    assert not calls
 
 
 def test_points_compare_as_fraction_tuples():

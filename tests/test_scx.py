@@ -14,7 +14,7 @@ from zrk.scx import KINDS, ScxDocument, ScxError, parse_scx, print_scx
 from zrk.zmaps import RetractVerdict
 
 from conftest import seg
-from oracles import json_print_scx
+from oracles import json_print_scx, validating_parse_sequence
 
 
 def roundtrip(doc: ScxDocument) -> ScxDocument:
@@ -99,6 +99,49 @@ def test_malformed_free_facets_keep_their_errors():
     step = parse_scx(json.dumps(body)).payload.steps[0]
     assert step.free_facet == GeoSimplex(step.maximal.vertices[:2])
     assert all(v is w for v, w in zip(step.free_facet.vertices, step.maximal.vertices))
+    # Step 2 removes the diagonal, an edge of step 0's triangle, so its
+    # maximal simplex is read off that triangle; tampered, it is parsed as
+    # any simplex, with the same error text and location.
+    assert body["steps"][2] == [[t[0], t[2]], [t[0]]]
+    corners = [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
+    cases = [
+        ([t[0], t[0]], "steps[2][0]", "a simplex lists a vertex twice"),
+        (corners, "steps[2][0]", "vertices are not affinely independent"),
+        ([t[0], ["0", "0", "0"]], "steps[2][0]", "points must have dimension 2"),
+        ([t[0], ["01", "1"]], "steps[2][0][1][0]", "'01' is not canonical: write '1'"),
+        ([t[2], ["1/2", "1/2"]], "steps[2]", "free_facet must be a facet of maximal"),
+    ]
+    for maximal, where, message in cases:
+        body["steps"][2][0] = maximal
+        with pytest.raises(ScxError) as err:
+            parse_scx(json.dumps(body))
+        assert (err.value.where, str(err.value)) == (
+            where, f"{where}: {message}"), maximal
+    body["steps"][2][0] = [t[2], t[0]]
+    step = parse_scx(json.dumps(body)).payload.steps[2]
+    assert step.maximal == GeoSimplex((rpoint(0, 0), rpoint(1, 1)))
+
+
+def test_sequences_parse_as_when_every_simplex_is_checked():
+    rng = random.Random(1405)
+    cxs = [standard_cube(n) for n in (3, 4, 5)]
+    cxs += [stellar(cxs[0], rpoint(*[Fraction(rng.randint(1, 5), 6) for _ in range(3)]))
+            for _ in range(4)]
+    for cx in cxs:
+        text = print_scx(ScxDocument("sequence", find_collapse_sequence(cx)))
+        assert parse_scx(text).payload == validating_parse_sequence(text)
+
+
+def test_sequence_steps_are_read_off_earlier_steps(monkeypatch):
+    # Only the 24 maximal simplexes of cube4 and the terminal vertex are
+    # built and checked; the 126 other simplexes were before.
+    text = print_scx(ScxDocument("sequence", find_collapse_sequence(standard_cube(4))))
+    calls = []
+    check = GeoSimplex.__post_init__
+    monkeypatch.setattr(GeoSimplex, "__post_init__",
+                        lambda self: calls.append(1) or check(self))
+    parse_scx(text)
+    assert len(calls) <= 25
 
 
 def test_verdict_roundtrip(half_interval, antidiagonal):

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from zrk import (GeoSimplex, PLMap, RPoint, common_refinement, from_maximal,
-                 is_subdivision, linalg, part2_reduce, pipeline_dh,
-                 refine_for_map, restrict, rpoint, standard_cube, stellar,
-                 stellar_chain, subdivide)
+from zrk import (GeoComplex, GeoSimplex, PLMap, RPoint, common_refinement,
+                 desingularize, from_maximal, is_subdivision, linalg,
+                 part2_reduce, pipeline_dh, refine_for_map, restrict, rpoint,
+                 standard_cube, stellar, stellar_chain, subdivide)
 from zrk.complexes import _bbox_overlap
 from zrk.subdivide import (PointNotInSupport, SupportMismatch,
                            inside_subcomplex, supports, support_equal)
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import face_stellar, scan_inside_subcomplex, split_supports
+from oracles import (clip_is_subdivision, face_stellar, scan_inside_subcomplex,
+                     split_supports)
 
 
 def test_stellar_segment_midpoint():
@@ -82,6 +83,64 @@ def test_stellar_chains_always_subdivide():
     chain = [rpoint("1/2", "1/2"), rpoint("1/4", "1/4"), rpoint("1/2", 0)]
     out = stellar_chain(cx, chain)
     assert is_subdivision(out, cx)
+
+
+def test_is_subdivision_matches_clipping_oracle():
+    # Volume accounting against the containment scan plus support_equal it
+    # replaced: stellar-and-desingularized subdivisions of cubes and of
+    # random simplexes (some lower-dimensional) in R^1..R^4 and of a
+    # non-pure complex, each also with a maximal simplex dropped, with an
+    # extra one, and the other way round; hand cases where a fine simplex
+    # straddles coarse ones, so that its barycentre's carrier is smaller.
+    rng = random.Random(11805)
+    non_pure = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (1, 1)),
+                             GeoSimplex((rpoint("1/2", 1),))])
+    coarse_ones = [non_pure]
+    for n in (1, 2, 3, 4):
+        coarse_ones.append(standard_cube(n))
+        coarse_ones += [GeoComplex([random_simplex(rng, n, 4)]) for _ in range(2)]
+    pairs = []
+    for coarse in coarse_ones:
+        n = coarse.ambient_dim
+        fine = coarse
+        for _ in range(rng.randint(1, 2)):
+            s = rng.choice(coarse.maximal_simplexes())
+            weights = [rng.randint(1, 3) for _ in s.vertices]
+            fine = stellar(fine, rpoint(*[
+                Fraction(sum(w * v[i] for w, v in zip(weights, s.vertices)),
+                         sum(weights)) for i in range(n)]))
+        fine = desingularize(fine)
+        maxi = list(fine.maximal_simplexes())
+        pairs += [(fine, coarse), (coarse, fine),
+                  (GeoComplex(maxi + [GeoSimplex((rpoint(*[2] * n),))]), coarse)]
+        if len(maxi) > 1:
+            maxi.remove(rng.choice(maxi))
+            pairs.append((GeoComplex(maxi, validate=False), coarse))
+    halves = from_maximal([seg(0, "1/2"), seg("1/2", 1)])
+    pairs += [
+        (from_maximal([seg(0, "1/4"), seg("1/4", "3/4"), seg("3/4", 1)]), halves),
+        (from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))]),
+         standard_cube(2)),
+        (standard_cube(1), standard_cube(2)),
+        (non_pure, from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (1, 1))])),
+    ]
+    answers = []
+    for fine, coarse in pairs:
+        answers.append(clip_is_subdivision(fine, coarse))
+        assert is_subdivision(fine, coarse) is answers[-1], (fine, coarse)
+    assert answers.count(True) >= 13 and answers.count(False) >= 30, answers
+
+
+def test_is_subdivision_clips_no_cell(monkeypatch):
+    cube = standard_cube(4)
+    fine = stellar_chain(cube, [rpoint("1/2", "1/2", "1/2", "1/2"),
+                                rpoint("1/2", "1/2", 0, 0)])
+    calls = []
+    clip = linalg.clip_simplex
+    monkeypatch.setattr(linalg, "clip_simplex",
+                        lambda *args: calls.append(1) or clip(*args))
+    assert is_subdivision(fine, cube) and not is_subdivision(cube, fine)
+    assert not calls
 
 
 def test_stellar_matches_face_oracle():
