@@ -10,8 +10,12 @@ disjoint integer bounding boxes (``_bbox_overlap``), a separating form read
 off the cached integer rows of either simplex (``_separated``), the
 combined form of both (``_combined``), and only when none settles the pair
 the cell a cap b from ``linalg``'s polytope kernel, whose vertex masks show
-whether it lies in the face spanned by the shared vertices.  Abstract and weighted abstract complexes
-carry the combinatorial skeletons.
+whether it lies in the face spanned by the shared vertices.  A complex keeps
+the answers to questions about it in a memo made on first use
+(``GeoComplex._answer``): whether it triangulates the cube, which
+validation records, and ``subdivide``'s inside subcomplex and coverage of a
+polyhedron.  Abstract and weighted abstract complexes carry the
+combinatorial skeletons.
 
 Point location and independence are exact integer arithmetic.  Each point
 caches its primitive homogeneous vector X = d(p, 1), for the least common
@@ -239,10 +243,6 @@ class GeoSimplex:
         w = self._weights(_homogeneous(p, self.ambient_dim))
         return w is not None and all(a >= 0 for a in w)
 
-    def relint_contains(self, p: RPoint) -> bool:
-        w = self._weights(_homogeneous(p, self.ambient_dim))
-        return w is not None and all(a > 0 for a in w)
-
     def barycenter(self) -> RPoint:
         k = Fraction(1, len(self.vertices))
         coords = [Fraction(0)] * self.ambient_dim
@@ -423,6 +423,12 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
     by smaller facets (a T-junction) lies in one simplex and fails (d).
     Every corner of the cube is a vertex of any triangulation of it, so a
     complex missing one is turned down before the facets are keyed.
+
+    Conversely every triangulation of the cube passes: its maximal
+    simplexes are n-simplexes, two of them on one side of a common facet
+    would overlap, a facet in one lies on the boundary and so in a facet of
+    the cube, and a barycentre lies in one simplex only.  So on a
+    simplicial complex the test decides whether |cx| = [0,1]^n.
     """
     n, maxi, verts = cx.ambient_dim, cx.maximal_simplexes(), cx.vertices()
     if any(len(s.vertices) != n + 1 for s in maxi):
@@ -461,7 +467,8 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
 class GeoComplex:
     """Finite simplicial complex, stored as its sorted maximal simplexes."""
 
-    __slots__ = ("ambient_dim", "_maximal", "_faces", "_vertices", "_stars")
+    __slots__ = ("ambient_dim", "_maximal", "_faces", "_vertices", "_stars",
+                 "_answers")
 
     # ``closed`` is ignored; it stays while bench/tracer.py passes it on.
     def __init__(self, simplexes: Iterable[GeoSimplex], validate: bool = True,
@@ -488,17 +495,34 @@ class GeoComplex:
         self._maximal = tuple(sorted(sset, key=lambda s: tuple(map(rank, s.vertices))))
         self._faces = None
         self._stars = None
+        self._answers = None
         if validate:
             self._validate()
 
     def _validate(self):
-        if _triangulates_cube(self):
+        if self._is_cube():
             return
         maxi = self.maximal_simplexes()
         for a, b in itertools.combinations(maxi, 2):
             if not _meet_in_common_face(a, b):
                 raise NotASimplicialComplex(
                     f"not a simplicial complex: {a} and {b} do not meet in a common face")
+
+    def _answer(self, key: Hashable, compute):
+        """The answer to a question about this complex, ``compute()`` on the
+        first ask and kept after.  The answer must depend only on ``key`` and
+        on the maximal simplexes, which never change, so it cannot go stale;
+        the memo is made on first use, and a question that raises is asked
+        again next time."""
+        if self._answers is None:
+            self._answers = {}
+        if key not in self._answers:
+            self._answers[key] = compute()
+        return self._answers[key]
+
+    def _is_cube(self) -> bool:
+        """``_triangulates_cube`` of this complex, asked once."""
+        return self._answer("cube", lambda: _triangulates_cube(self))
 
     # -- structure ---------------------------------------------------------
 

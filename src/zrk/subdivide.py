@@ -35,6 +35,15 @@ Integer bounding boxes spare tests and clips: a simplex whose box
 is not inside t's box is not inside t (``_simplex_inside``), and a cell
 of two simplexes with disjoint boxes is empty (``_pieces``).
 
+Two questions come up again and again about the same complexes: which
+simplexes of K lie in |P| (``inside_subcomplex``), and whether |P| lies in
+|K| (``covers``, which restrict's precondition, ``_adapted`` and
+``support_equal`` all ask).  K keeps both answers per P
+(``GeoComplex._answer``), so each is worked out once.  A K that
+triangulates [0,1]^n, by the linear cube test that K also keeps
+(``GeoComplex._is_cube``), covers P exactly when P's vertices lie in the
+cube, which is convex, and no cell is clipped to show it.
+
 The kernel is integer arithmetic throughout.  Points enter as their cached
 homogeneous vectors d(p, 1) and constraints as integer rows: the cached
 rows of a simplex (``GeoSimplex._point_rows``), which also serve as the
@@ -209,11 +218,26 @@ def supports(cover: Iterable[GeoSimplex], s: GeoSimplex) -> bool:
     return _relative_volume_total(_pieces(s, cover)) == _relative_volume_total([s])
 
 
+def covers(cx: GeoComplex, part: GeoComplex) -> bool:
+    """|part| inside |cx|, decided exactly (``_covers``) once per complex
+    and polyhedron (``GeoComplex._answer``)."""
+    return cx._answer(("covers", part), lambda: _covers(cx, part))
+
+
+def _covers(cx: GeoComplex, part: GeoComplex) -> bool:
+    """|part| inside |cx|.  When cx triangulates [0,1]^n
+    (``GeoComplex._is_cube``), |cx| is the cube, which is convex, so |part|
+    lies in it iff part's vertices do, and no cell is clipped.  Otherwise
+    each maximal simplex of part is measured against cx (``supports``)."""
+    if cx.ambient_dim == part.ambient_dim and cx._is_cube():
+        return all(min(x) >= 0 and max(x) <= d
+                   for *x, d in (v._homog for v in part.vertices()))
+    return all(supports(cx.maximal_simplexes(), q) for q in part.maximal_simplexes())
+
+
 def support_equal(a: GeoComplex, b: GeoComplex) -> bool:
     """|a| = |b|, decided exactly."""
-    am, bm = a.maximal_simplexes(), b.maximal_simplexes()
-    return (all(supports(bm, s) for s in am)
-            and all(supports(am, t) for t in bm))
+    return covers(b, a) and covers(a, b)
 
 
 def is_subdivision(fine: GeoComplex, coarse: GeoComplex) -> bool:
@@ -302,10 +326,7 @@ def _slice_complex(cx: GeoComplex, row: Row) -> GeoComplex:
 
 def _adapted(inside: Optional[GeoComplex], part: GeoComplex) -> bool:
     """Does ``inside``, the result of inside_subcomplex, triangulate |part|?"""
-    if inside is None:
-        return False
-    return all(supports(inside.maximal_simplexes(), q)
-               for q in part.maximal_simplexes())
+    return inside is not None and covers(inside, part)
 
 
 def _hosts(cx: GeoComplex, points: Iterable[RPoint]) -> dict:
@@ -333,6 +354,13 @@ def _hull_in_union(table: dict, points: Sequence[RPoint], volume_test) -> bool:
 
 
 def inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
+    """The subcomplex of simplexes lying inside |part| (None when empty),
+    found (``_inside_subcomplex``) once per complex and polyhedron
+    (``GeoComplex._answer``), so every ask returns the same object."""
+    return cx._answer(("inside", part), lambda: _inside_subcomplex(cx, part))
+
+
+def _inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
     """The subcomplex of simplexes lying inside |part| (None when empty).
 
     Simplexes are tested from the top dimension down; the faces of one
@@ -363,8 +391,7 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
     """
     if cx.ambient_dim != part.ambient_dim:
         raise SupportMismatch("containment violation: ambient dimensions differ")
-    if not all(supports(cx.maximal_simplexes(), q)
-               for q in part.maximal_simplexes()):
+    if not covers(cx, part):
         raise SupportMismatch("containment violation: |P| is not inside the support")
     inside = inside_subcomplex(cx, part)
     if _adapted(inside, part):
@@ -457,9 +484,11 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
     domain) and its image must lie in |target|.  Simplexes already mapping
     into a single target simplex survive: they are faces of the preimage
     cells.  A simplex maps into one target simplex iff its vertex images
-    share a host (``_hosts``), and each image is looked up once.
+    share a host (``_hosts``), and each image is looked up once.  When no
+    simplex is cut, cx itself is returned.
     """
     simplexes = []
+    cut = False
     target_max = target.maximal_simplexes()
     images = {v: plmap.eval(v) for v in cx.vertices()}
     table = _image_hosts(target, images.values(), plmap.codomain_dim)
@@ -468,6 +497,7 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
         if frozenset.intersection(*(table[y] for y in vert_imgs)):
             simplexes.append(s)
             continue
+        cut = True
         # A preimage cell mapping into a face shared by several target
         # simplexes is pulled identically each time; the set keeps it once.
         pieces: set[GeoSimplex] = set()
@@ -482,7 +512,7 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
                 f"compatibility failure: the image of {s} is not contained "
                 "in the target support")
         simplexes.extend(pieces)
-    return GeoComplex(simplexes, validate=False)
+    return GeoComplex(simplexes, validate=False) if cut else cx
 
 
 def _volume_axes(base: GeoSimplex) -> list[int]:

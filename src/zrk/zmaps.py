@@ -168,23 +168,11 @@ def fixes_pointwise(eta: PLMap, part: GeoComplex) -> bool:
 # -- retract verification ----------------------------------------------------
 
 
-def _is_unit_cube_triangulation(cx: GeoComplex) -> bool:
-    """|cx| = [0,1]^n, decided through exact volumes: the n-simplexes of a
-    complex in the cube fill it when their volumes add up to 1, that is
-    their n!-fold volumes (``subdivide._relative_volume_total``) to n!."""
-    n = cx.ambient_dim
-    for v in cx.vertices():
-        if any(c < 0 or c > 1 for c in v.coords):
-            return False
-    return (cx.dim == n and subdivide._relative_volume_total(
-        cx.maximal_simplexes()) == math.factorial(n))
-
-
 def verify_zretract(part: GeoComplex, eta: PLMap) -> bool:
     """Z-map from the whole cube onto |part| fixing |part| pointwise."""
     if eta.domain.ambient_dim != part.ambient_dim:
         raise DomainError("domain mismatch: ambient dimensions differ")
-    if not _is_unit_cube_triangulation(eta.domain):
+    if not eta.domain._is_cube():
         raise DomainError("domain mismatch: the domain must triangulate the unit cube")
     if not is_zmap(eta) or _image_leaving(eta, part) is not None:
         return False
@@ -327,7 +315,7 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     n = part.ambient_dim
     if eta_b.domain.ambient_dim != n:
         raise ConditionViolation("(i)", "retraction and |P| live in different spaces")
-    if not _is_unit_cube_triangulation(eta_b.domain):
+    if not eta_b.domain._is_cube():
         raise ConditionViolation("(i)", "the retraction domain must triangulate "
                                         "the unit cube")
     if _image_leaving(eta_b, part) is not None:
@@ -356,28 +344,22 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
         for v in delta.vertices()})
     delta_g = subdivide.refine_for_map(delta, eta_f, inside)
     eta_g = eta_f.rebase(delta_g)
-    # Step H: blow up the top simplexes with non-coprime image denominators.
+    # Step H: blow up the top simplexes with non-coprime image denominators,
+    # each at a point of the first inside simplex holding its vertex images.
     delta_h = delta_g
     images = dict(eta_g.images)
-    inside_h = subdivide.inside_subcomplex(delta_h, part)
-    offending = []
-    for s in delta_g.maximal_simplexes():
-        if s.dim != n:
-            continue
-        g = 0
-        for v in s.vertices:
-            g = math.gcd(g, den(images[v]))
-        if g != 1:
-            offending.append(s)
-    for s in offending:
-        center = s.barycenter()
-        host = next(t for t in inside_h.maximal_simplexes()
-                    if all(t.contains(images[v]) for v in s.vertices))
-        k = 1
-        for v in s.vertices:
-            k = k * den(images[v]) // math.gcd(k, den(images[v]))
-        images[center] = coprime_point(host, k)
-        delta_h = subdivide.stellar(delta_h, center)
+    offending = [s for s in delta_g.maximal_simplexes() if s.dim == n
+                 and math.gcd(*(den(images[v]) for v in s.vertices)) != 1]
+    if offending:
+        inside_h = subdivide.inside_subcomplex(delta_g, part)
+        table = subdivide._hosts(inside_h, (images[v] for s in offending
+                                            for v in s.vertices))
+        for s in offending:
+            first = min(frozenset.intersection(*(table[images[v]] for v in s.vertices)))
+            center = s.barycenter()
+            images[center] = coprime_point(inside_h.maximal_simplexes()[first],
+                                           math.lcm(*(den(images[v]) for v in s.vertices)))
+            delta_h = subdivide.stellar(delta_h, center)
     eta_h = PLMap(delta_h, {v: images[v] if v in images else eta_g.eval(v)
                             for v in delta_h.vertices()})
 

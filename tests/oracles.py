@@ -35,7 +35,7 @@ replaced only the star of the blown-up simplex, and
 ``rebuild_desingularize_relative`` also recomputes the subcomplex inside
 the polyhedron every step, from before one loop kept its maximal
 simplexes.  ``simplex_volume`` is the volume of one full-dimensional
-simplex, which the unit-cube test summed before it used
+simplex, which the volume cube test summed before it used
 ``subdivide._relative_volume_total``.
 ``fraction_clip_simplex``, ``fraction_pull_triangulation``, ``fraction_det``
 and ``pullback_forms`` are the cell kernel on ``Fraction`` points and
@@ -65,7 +65,11 @@ maximal simplex of a complex, from before ``GeoComplex.hosts`` read the
 simplexes holding it off the stars of its carrier's vertices.
 ``clip_is_subdivision`` tests every fine simplex against every coarse one
 and then both supports by clipping, from before
-``subdivide.is_subdivision`` accounted volumes; ``validating_parse_sequence``
+``subdivide.is_subdivision`` accounted volumes, and ``relint_contains``
+reads strict positivity off ``GeoSimplex.barycentric``, from before the
+simplex had a method for it.  ``volume_triangulates_cube`` sums the
+volumes of a complex in the cube, from before ``zmaps`` asked
+``GeoComplex._is_cube``.  ``validating_parse_sequence``
 parses a collapse sequence building and checking every simplex, from before
 ``scx`` read a step's simplexes off earlier steps.
 """
@@ -575,14 +579,23 @@ def split_supports(cover, s: GeoSimplex) -> bool:
 
 def clip_is_subdivision(fine, coarse) -> bool:
     """True iff supports agree and every simplex of ``fine`` lies in some
-    simplex of ``coarse``: a containment scan, then ``support_equal``."""
+    simplex of ``coarse``: a containment scan, then every maximal simplex
+    of each complex measured against the other with ``supports``, with no
+    answer kept on either complex."""
     if fine.ambient_dim != coarse.ambient_dim:
         return False
-    cm = coarse.maximal_simplexes()
-    if not all(any(subdivide._simplex_inside(s, t) for t in cm)
-               for s in fine.maximal_simplexes()):
+    fm, cm = fine.maximal_simplexes(), coarse.maximal_simplexes()
+    if not all(any(subdivide._simplex_inside(s, t) for t in cm) for s in fm):
         return False
-    return subdivide.support_equal(fine, coarse)
+    return (all(subdivide.supports(cm, s) for s in fm)
+            and all(subdivide.supports(fm, t) for t in cm))
+
+
+def relint_contains(s: GeoSimplex, p: RPoint) -> bool:
+    """p in the relative interior of s: every barycentric coordinate
+    positive."""
+    lam = s.barycentric(p)
+    return lam is not None and all(c > 0 for c in lam)
 
 
 def validating_parse_sequence(text: str) -> CollapseSequence:
@@ -885,11 +898,24 @@ def rebuild_desingularize_relative(cx, part, budget: int = 10_000):
             raise BudgetExhausted("desingularization budget exhausted")
 
 
+def volume_triangulates_cube(cx) -> bool:
+    """|cx| = [0,1]^n, decided through exact volumes: the n-simplexes of a
+    complex in the cube fill it when their volumes add up to 1, that is
+    their n!-fold volumes (``subdivide._relative_volume_total``) to n!.
+    The reference for ``GeoComplex._is_cube`` on simplicial complexes."""
+    n = cx.ambient_dim
+    for v in cx.vertices():
+        if any(c < 0 or c > 1 for c in v.coords):
+            return False
+    return (cx.dim == n and subdivide._relative_volume_total(
+        cx.maximal_simplexes()) == math.factorial(n))
+
+
 def simplex_volume(points) -> Fraction:
     """Full-dimensional volume of a simplex in its ambient space, zero when
     the simplex is not full-dimensional; the reference for the volume sum
-    ``subdivide._relative_volume_total`` that ``zmaps`` measures the cube
-    with.  With homogeneous vectors X_j = d_j(p_j, 1), n! times the volume
+    ``subdivide._relative_volume_total`` that ``volume_triangulates_cube``
+    measures the cube with.  With homogeneous vectors X_j = d_j(p_j, 1), n! times the volume
     is |det(X_j)| / prod d_j."""
     n = len(points[0])
     if len(points) != n + 1:

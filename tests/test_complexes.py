@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -10,7 +11,8 @@ from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, RPoint, WeightedComp
                  find_collapse_sequence, free_faces, from_maximal, realize, replay,
                  rpoint, simplicially_isomorphic, skeleton, standard_cube, stellar,
                  pipeline_dh, part2_reduce, refine_for_map,
-                 retarget_to_carrier_vertices)
+                 retarget_to_carrier_vertices, common_refinement, stellar_chain,
+                 verify_zretract)
 from zrk import linalg
 from zrk import complexes
 from zrk.complexes import (NotASimplicialComplex, _combined,
@@ -23,8 +25,8 @@ from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
 from conftest import random_rational, seg, tri
 from oracles import (barycentric_coords, closure_complex,
                      enumerate_meet_in_common_face, fraction_aff_dim,
-                     lp_meet_in_common_face, scan_carrier, scan_hosts,
-                     scan_maximal_simplexes)
+                     lp_meet_in_common_face, relint_contains, scan_carrier,
+                     scan_hosts, scan_maximal_simplexes, volume_triangulates_cube)
 
 
 def test_from_maximal_segment():
@@ -245,6 +247,18 @@ def test_separating_form_spares_most_lps(monkeypatch):
     assert len(calls) == 0
 
 
+def _t_junction() -> list[GeoSimplex]:
+    """A T-junction: one of the two tetrahedra of cube3 at the triangle
+    (0,0,0), (1,0,0), (1,1,1) is coned from a point inside it."""
+    cube = standard_cube(3).maximal_simplexes()
+    triangle = (rpoint(0, 0, 0), rpoint(1, 0, 0), rpoint(1, 1, 1))
+    coned = next(m for m in cube if set(triangle) <= set(m.vertices))
+    inside = rpoint("2/3", "1/6", "1/6")
+    return [m for m in cube if m != coned] + [
+        GeoSimplex(tuple(v for v in coned.vertices if v != u) + (inside,))
+        for u in triangle]
+
+
 def test_cube_fast_path_turns_down_improper_cubes():
     # Each complex fails the linear cube test, and the pairwise loop then
     # reports the pair it reported before the cube test existed.
@@ -256,15 +270,7 @@ def test_cube_fast_path_turns_down_improper_cubes():
     # Either fan triangulates the square, and their facets differ, so the
     # double-wound square passes every test but the count at one point.
     assert all(_triangulates_cube(GeoComplex(fan, validate=False)) for fan in fans)
-    # A T-junction: one of the two tetrahedra of cube3 at the triangle
-    # (0,0,0), (1,0,0), (1,1,1) is coned from a point inside it.
-    cube = standard_cube(3).maximal_simplexes()
-    triangle = (rpoint(0, 0, 0), rpoint(1, 0, 0), rpoint(1, 1, 1))
-    coned = next(m for m in cube if set(triangle) <= set(m.vertices))
-    inside = rpoint("2/3", "1/6", "1/6")
-    junction = [m for m in cube if m != coned] + [
-        GeoSimplex(tuple(v for v in coned.vertices if v != u) + (inside,))
-        for u in triangle]
+    junction = _t_junction()
 
     def fan(p):  # a fan from the centre with the triangle at the bottom split from p
         return [tri((0, 0), (1, 0), p), tri((1, 0), ("1/2", "1/2"), p),
@@ -327,6 +333,66 @@ def test_cube_fast_path_never_accepts_an_improper_complex():
             assert proper or not fast, moved
             seen[fast, proper] += 1
     assert seen[False, False] >= 10 and seen[True, True] >= 10, seen
+
+
+def test_cube_test_matches_summing_volumes():
+    # The linear cube test that a complex keeps (GeoComplex._is_cube) and
+    # the volume sum that zmaps used before agree on complexes: cube1-4,
+    # seeded stellar subdivisions and common refinements of them, parsed
+    # corpus domains, and complexes in the cube that miss part of it.
+    rng = random.Random(20210)
+    stellars = {n: [] for n in (1, 2, 3)}
+    for n in stellars:
+        for _ in range(4):
+            cx = standard_cube(n)
+            for _ in range(rng.randint(1, 3)):
+                cx = stellar(cx, rpoint(*[random_rational(rng, 4) for _ in range(n)]))
+            stellars[n].append(cx)
+    cubes = [standard_cube(n) for n in (1, 2, 3, 4)]
+    cubes += [cx for n in stellars for cx in stellars[n]]
+    cubes += [common_refinement(stellars[n][0], stellars[n][1]) for n in stellars]
+    for name in ("tent_retraction", "square_to_half_diagonal", "cube1", "cube2", "cube3"):
+        doc = parse_scx((resources.files("zrk.corpus") / f"{name}.scx").read_text())
+        cubes.append(doc.payload.domain if doc.kind == "plmap" else doc.payload)
+    others = []
+    for cx in cubes:
+        maxi = cx.maximal_simplexes()
+        if len(maxi) > 1:
+            others.append(from_maximal(rng.sample(maxi, len(maxi) - 1)))
+    others += [stellar_chain(from_maximal([tri((0, 0), (1, 0), (0, 1))]),
+                             [rpoint("1/4", "1/2"), rpoint("1/3", "1/3")]),
+               from_maximal([tri((0, 0), (2, 0), (2, 1)), tri((0, 0), (0, 1), (2, 1))])]
+    for cx in cubes + others:
+        expected = cx in cubes
+        assert volume_triangulates_cube(cx) is expected, cx
+        fresh = GeoComplex(cx.maximal_simplexes(), validate=False)
+        assert cx._is_cube() is fresh._is_cube() is cx._is_cube() is expected, cx
+
+
+def test_cube_test_turns_down_what_is_not_a_cube_triangulation():
+    # Not complexes triangulating the cube: a vertex moved out of the cube,
+    # the two triangulations of the square overlaid, and a T-junction.  The
+    # volume sum accepts the T-junction, which is no simplicial complex, so
+    # it could only reach the cube test unvalidated; verify_zretract turns
+    # each down.
+    square = standard_cube(2).maximal_simplexes()
+    cases = {
+        "outside": [GeoSimplex(tuple(rpoint(1, "3/2") if v == rpoint(1, 1) else v
+                                     for v in m.vertices)) for m in square],
+        "overlaid": list(square) + [tri((0, 0), (1, 0), (0, 1)),
+                                    tri((1, 0), (0, 1), (1, 1))],
+        "junction": _t_junction(),
+    }
+    for name, maxi in cases.items():
+        cx = GeoComplex(maxi, validate=False)
+        assert not cx._is_cube(), name
+        assert volume_triangulates_cube(cx) is (name == "junction"), name
+        if name != "outside":
+            with pytest.raises(NotASimplicialComplex):
+                cx._validate()
+        part = GeoComplex([GeoSimplex((cx.vertices()[0],))], validate=False)
+        with pytest.raises(DomainError, match="must triangulate the unit cube"):
+            verify_zretract(part, PLMap(cx, {v: v for v in cx.vertices()}))
 
 
 def test_cube_complexes_validate_without_pair_tests(monkeypatch):
@@ -647,8 +713,8 @@ def test_point_location_matches_solving_oracles():
                 assert s.barycentric(p) == lam, (s, p)
                 assert s.contains(p) == (lam is not None
                                          and all(c >= 0 for c in lam))
-                assert s.relint_contains(p) == (lam is not None
-                                                and all(c > 0 for c in lam))
+                assert relint_contains(s, p) == (lam is not None
+                                                 and all(c > 0 for c in lam))
 
 
 def test_from_maximal_idempotent():

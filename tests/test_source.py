@@ -1,6 +1,8 @@
 """Checks on the source text of the package itself."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import zrk
@@ -56,3 +58,32 @@ def test_collapse_search_makes_no_per_node_copies():
     found = [f"{node.id}:{node.lineno}" for node in ast.walk(search)
              if isinstance(node, ast.Name) and node.id in ("sorted", "frozenset")]
     assert not found, f"per-node copies in find_collapse_sequence: {found}"
+
+
+# Code lines in src/zrk when the gate was set.  Lower it when code goes;
+# raise it only with a line in CHANGES.md saying why.
+CODE_LINES = 2186
+
+
+def code_lines(text: str) -> int:
+    """Lines holding a token of code: not blank, not only a comment, and
+    not in a module, class or function docstring."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def test_code_line_count():
+    assert code_lines('"""Doc."""\n\n# note\nx = 1  # one\ny = """a\nb"""\n') == 3
+    count = sum(code_lines(path.read_text(encoding="utf-8")) for path in SOURCES)
+    assert count <= CODE_LINES, f"src/zrk has {count} code lines, over {CODE_LINES}"

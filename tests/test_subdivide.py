@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -6,10 +7,11 @@ import pytest
 from zrk import (GeoComplex, GeoSimplex, PLMap, RPoint, common_refinement,
                  desingularize, from_maximal, is_subdivision, linalg,
                  part2_reduce, pipeline_dh, refine_for_map, restrict, rpoint,
-                 standard_cube, stellar, stellar_chain, subdivide)
+                 standard_cube, stellar, stellar_chain, subdivide,
+                 verify_section_retraction)
 from zrk.complexes import _bbox_overlap
-from zrk.subdivide import (PointNotInSupport, SupportMismatch,
-                           inside_subcomplex, supports, support_equal)
+from zrk.subdivide import (PointNotInSupport, RestrictionError, SupportMismatch,
+                           covers, inside_subcomplex, supports, support_equal)
 
 from conftest import random_rational, random_simplex, seg, tri
 from oracles import (clip_is_subdivision, face_stellar, scan_inside_subcomplex,
@@ -284,7 +286,7 @@ def test_restrict_nonconvex_part():
 def test_refine_for_map_identity():
     cx = standard_cube(1)
     eta = PLMap(cx, {v: v for v in cx.vertices()})
-    assert refine_for_map(cx, eta, cx) == cx
+    assert refine_for_map(cx, eta, cx) is cx
 
 
 def test_refine_for_map_steep_tent():
@@ -306,7 +308,7 @@ def test_refine_for_map_constant():
     dom = standard_cube(1)
     eta = PLMap(dom, {v: rpoint("1/2") for v in dom.vertices()})
     target = from_maximal([seg(0, "1/2"), seg("1/2", 1)])
-    assert refine_for_map(dom, eta, target) == dom
+    assert refine_for_map(dom, eta, target) is dom
 
 
 def test_refine_for_map_shallow_tent_already_good():
@@ -314,7 +316,7 @@ def test_refine_for_map_shallow_tent_already_good():
     eta = PLMap(dom, {rpoint(0): rpoint(0), rpoint("1/2"): rpoint("1/2"),
                       rpoint(1): rpoint(0)})
     target = from_maximal([seg(0, "1/2"), seg("1/2", 1)])
-    assert refine_for_map(dom, eta, target) == dom
+    assert refine_for_map(dom, eta, target) is dom
 
 
 def test_refine_for_map_2d():
@@ -641,7 +643,9 @@ def test_cell_kernel_runs_on_integers_only(monkeypatch):
     # Once the input simplexes have their cached rows, supports,
     # common_refinement and refine_for_map clip, pull and measure cells on
     # integer vectors and rows (test_source checks that linalg builds no
-    # Fraction at all).
+    # Fraction at all).  Coverage of a cube triangulation is read off the
+    # vertices, so support_equal also measures two subdivisions of a
+    # triangle, which is not a cube.
     rng = random.Random(20149)
 
     def stellar_square():
@@ -653,7 +657,11 @@ def test_cell_kernel_runs_on_integers_only(monkeypatch):
     a, b = stellar_square(), stellar_square()
     eta = PLMap(a, {v: rpoint((v[0] + v[1]) / 2, v[1]) for v in a.vertices()})
     s = random_simplex(rng, 2, 4)
-    for t in (s, *a.maximal_simplexes(), *b.maximal_simplexes()):
+    c, d = [stellar_chain(from_maximal([tri((0, 0), (1, 0), (0, 1))]),
+                          [rpoint(*p) for p in ((x, y), (y, x), (x, x))])
+            for x, y in (("1/4", "1/2"), ("1/3", "1/6"))]
+    for t in (s, *a.maximal_simplexes(), *b.maximal_simplexes(),
+              *c.maximal_simplexes(), *d.maximal_simplexes()):
         t._point_rows
 
     calls = {"clip": 0, "det": 0}
@@ -669,8 +677,123 @@ def test_cell_kernel_runs_on_integers_only(monkeypatch):
     covered = supports(b.maximal_simplexes(), s)
     overlay = common_refinement(a, b)
     refined = refine_for_map(a, eta, b)
+    same = support_equal(c, d)
     assert calls["clip"] > 20 and calls["det"] > 20, calls
     monkeypatch.undo()
-    assert covered and is_subdivision(overlay, a) and is_subdivision(overlay, b)
+    assert covered and same and not c._is_cube()
+    assert is_subdivision(overlay, a) and is_subdivision(overlay, b)
     assert is_subdivision(refined, a)
     assert len(refined.maximal_simplexes()) > len(a.maximal_simplexes())
+
+
+def _answers(cx, part):
+    """Every answer that cx keeps about part, with restrict's result or
+    error, the cube test, and the inside subcomplex as its faces."""
+    inside = inside_subcomplex(cx, part)
+    try:
+        restricted = restrict(cx, part)
+    except (SupportMismatch, RestrictionError) as err:
+        restricted = (type(err), str(err))
+    return (inside.simplexes if inside else set(), covers(cx, part),
+            support_equal(cx, part), subdivide._adapted(inside, part),
+            restricted, cx._is_cube())
+
+
+def test_kept_answers_equal_fresh_ones():
+    # A complex keeps its inside subcomplex, coverage and cube test once
+    # asked.  Asked again, and asked of a freshly built equal complex, which
+    # keeps nothing yet, every answer is the same, and the inside subcomplex,
+    # coverage and support equality are what supports finds.
+    rng = random.Random(20212)
+    seen = collections.Counter()
+    for i in range(12):
+        n = 2 + i % 2
+        cx = standard_cube(n)
+        for _ in range(rng.randint(1, 3)):
+            cx = stellar(cx, rpoint(*[random_rational(rng, 4) for _ in range(n)]))
+        if i % 3 == 2:  # not a cube: one maximal simplex left out
+            maxi = cx.maximal_simplexes()
+            cx = from_maximal(rng.sample(maxi, len(maxi) - 1))
+        corners = [rpoint(*([1] * k + [0] * (n - k))) for k in range(n + 1)]
+        outside = rpoint(*([Fraction(3, 2)] + [Fraction(0)] * (n - 1)))
+        parts = [from_maximal([GeoSimplex(tuple(corners[:rng.randint(2, n + 1)]))]),
+                 from_maximal([random_simplex(rng, n, 4)]),
+                 from_maximal([GeoSimplex((corners[0], outside))]), standard_cube(n)]
+        for part in parts:
+            warm = _answers(cx, part)
+            fresh = GeoComplex(cx.maximal_simplexes(), validate=False)
+            assert _answers(cx, part) == _answers(fresh, part) == warm, (cx, part)
+            assert warm[0] == scan_inside_subcomplex(fresh, part)
+            assert warm[1] == all(supports(fresh.maximal_simplexes(), q)
+                                  for q in part.maximal_simplexes())
+            assert warm[2] == (warm[1] and all(supports(part.maximal_simplexes(), s)
+                                               for s in fresh.maximal_simplexes()))
+            seen[warm[1], warm[5], isinstance(warm[4], GeoComplex)] += 1
+    assert seen[True, True, True] and seen[True, False, True], seen
+    assert seen[False, True, False] and seen[False, False, False], seen
+
+
+def test_restrict_raises_the_same_error_again():
+    # Coverage is kept; the error restrict raises on it is not, and comes
+    # again with the same text.
+    cx = stellar(standard_cube(2), rpoint("1/3", "1/4"))
+    for part, text in ((from_maximal([seg2d((0, 0), ("3/2", "1/2"))]),
+                        "containment violation: |P| is not inside the support"),
+                       (from_maximal([seg(0, "1/2")]),
+                        "containment violation: ambient dimensions differ")):
+        for _ in range(2):
+            with pytest.raises(SupportMismatch) as err:
+                restrict(cx, part)
+            assert str(err.value) == text
+
+
+def test_an_answer_that_raises_is_not_kept(monkeypatch):
+    cx, part = standard_cube(2), from_maximal([seg2d((0, 0), (1, 1))])
+    kernel, calls = subdivide._inside_subcomplex, []
+
+    def flaky(cx, part):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("first ask fails")
+        return kernel(cx, part)
+
+    monkeypatch.setattr(subdivide, "_inside_subcomplex", flaky)
+    with pytest.raises(RuntimeError):
+        inside_subcomplex(cx, part)
+    inside = inside_subcomplex(cx, part)
+    assert inside_subcomplex(cx, part) is inside and len(calls) == 2
+    assert inside.maximal_simplexes() == (seg2d((0, 0), (1, 1)),)
+
+
+def test_support_kernels_run_once_per_complex_and_part(monkeypatch):
+    # Work bound: through pipeline_dh, part2_reduce and
+    # verify_section_retraction on the fold of the square onto its lower
+    # half, the inside-subcomplex and coverage kernels run at most once per
+    # complex object and polyhedron, though both questions are asked again.
+    asked, ran, alive = collections.Counter(), collections.Counter(), []
+    for name in ("inside_subcomplex", "covers"):
+        kernel, wrapper = getattr(subdivide, "_" + name), getattr(subdivide, name)
+
+        def counted(cx, part, kernel=kernel, name=name):
+            alive.append(cx)  # keeps every id distinct
+            ran[name, id(cx), part] += 1
+            return kernel(cx, part)
+
+        def asking(cx, part, wrapper=wrapper, name=name):
+            asked[name] += 1
+            return wrapper(cx, part)
+
+        monkeypatch.setattr(subdivide, "_" + name, counted)
+        monkeypatch.setattr(subdivide, name, asking)
+    h = "1/2"
+    lower = [tri((0, 0), (1, 0), (1, h)), tri((0, 0), (0, h), (1, h))]
+    upper = [tri((0, h), (1, h), (1, 1)), tri((0, h), (0, 1), (1, 1))]
+    domain, part = from_maximal(lower + upper), from_maximal(lower)
+    fold = PLMap(domain, {v: rpoint(v[0], min(v[1], 1 - v[1])) for v in domain.vertices()})
+    result = pipeline_dh(fold, part)
+    red = part2_reduce(result.map, result.triangulation, part)
+    assert verify_section_retraction(part, red.retraction, red.section)
+    assert max(ran.values()) == 1, ran
+    for name in ("inside_subcomplex", "covers"):
+        runs = sum(k for (kind, *_), k in ran.items() if kind == name)
+        assert 0 < runs < asked[name], (name, runs, asked[name])

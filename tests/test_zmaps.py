@@ -345,6 +345,42 @@ def test_pipeline_step_h_blowup(half_interval, tent_domain):
         assert g == 1
 
 
+def test_pipeline_step_h_hosts_are_the_first_inside_simplexes(monkeypatch):
+    # Step H blows up each top simplex with non-coprime image denominators
+    # at a point of the first inside simplex holding all its vertex images,
+    # as a scan over the inside simplexes finds it.  Here the top half of
+    # the square folds onto (1/2, 1/4), on an edge of two inside simplexes.
+    h = "1/2"
+    lower = [tri((0, 0), (1, 0), (1, h)), tri((0, 0), (0, h), (1, h))]
+    c = ("1/2", "3/4")
+    upper = [tri((0, h), (1, h), c), tri((1, h), (1, 1), c),
+             tri((1, 1), (0, 1), c), tri((0, 1), (0, h), c)]
+    domain, part = from_maximal(lower + upper), from_maximal(lower)
+    w = rpoint("1/2", "1/4")
+    eta = PLMap(domain, {v: v if v[1] <= Fraction(1, 2) else w
+                         for v in domain.vertices()})
+    hosts, blown = [], []
+    coprime, stellar_ = zmaps.coprime_point, subdivide.stellar
+    monkeypatch.setattr(zmaps, "coprime_point",
+                        lambda host, k: hosts.append(host) or coprime(host, k))
+    monkeypatch.setattr(subdivide, "stellar",
+                        lambda cx, p: blown.append((cx, p)) or stellar_(cx, p))
+    result = pipeline_dh(eta, part)
+    monkeypatch.undo()
+    assert result.status == "ok" and hosts and len(hosts) == len(blown)
+    delta_g = blown[0][0]
+    inside = subdivide.inside_subcomplex(delta_g, part)
+    shared = 0
+    for host, (_, centre) in zip(hosts, blown):
+        s = next(m for m in delta_g.maximal_simplexes() if m.barycenter() == centre)
+        images = [result.map.images[v] for v in s.vertices]
+        held = [t for t in inside.maximal_simplexes()
+                if all(t.contains(y) for y in images)]
+        assert host == held[0], (s, held)
+        shared += len(held) > 1
+    assert shared
+
+
 def test_pipeline_condition_violations(third_interval, antidiagonal):
     dom = from_maximal([seg(0, "1/3"), seg("1/3", "2/3"), seg("2/3", 1)])
     eta = PLMap(dom, {rpoint(0): rpoint("1/3"), rpoint("1/3"): rpoint("1/3"),
