@@ -13,9 +13,9 @@ the cell a cap b from ``linalg``'s polytope kernel, whose vertex masks show
 whether it lies in the face spanned by the shared vertices.  A complex keeps
 the answers to questions about it in a memo made on first use
 (``GeoComplex._answer``): whether it triangulates the cube, which
-validation records, and ``subdivide``'s inside subcomplex and coverage of a
-polyhedron.  Abstract and weighted abstract complexes carry the
-combinatorial skeletons.
+validation records, the hosts of each point located in it, and
+``subdivide``'s inside subcomplex and coverage of a polyhedron.  Abstract
+and weighted abstract complexes carry the combinatorial skeletons.
 
 Point location and independence are exact integer arithmetic.  Each point
 caches its primitive homogeneous vector X = d(p, 1), for the least common
@@ -30,7 +30,8 @@ integer signs.  The same vectors and rows are what ``linalg``'s polytope
 kernel clips and pulls.  ``GeoComplex.carrier`` reads the carrier of p off
 the first maximal simplex holding p, and ``GeoComplex.hosts`` reads every
 maximal simplex holding p off the stars of the carrier's vertices, with no
-test per simplex.  Points compare by cross-multiplying
+test per simplex; a vertex's hosts are its star, and a point that is not a
+vertex is located once per complex.  Points compare by cross-multiplying
 their vectors and boxes are integer corners over one denominator, so once
 a point is built no ``Fraction`` is compared: not in sorting or looking up
 points, validating a complex, replaying a collapse or locating a point.
@@ -624,7 +625,8 @@ class GeoComplex:
         its relative interior, so it is C, and C is a face of t; conversely
         a t with C as a face holds p.  So the hosts of p are the maximal
         simplexes having every vertex of C, the intersection of their
-        stars.
+        stars.  The complex keeps them (``_answer``), so each point that is
+        not a vertex is located once.
         """
         if p.dim != self.ambient_dim:
             return frozenset()
@@ -632,11 +634,15 @@ class GeoComplex:
         star = stars.get(p)
         if star is not None:
             return star
-        found = self._locate(p)
-        if found is None:
-            return frozenset()
-        s, w, _ = found
-        return frozenset.intersection(*(stars[v] for v, a in zip(s.vertices, w) if a > 0))
+
+        def locate() -> frozenset[int]:
+            found = self._locate(p)
+            if found is None:
+                return frozenset()
+            s, w, _ = found
+            return frozenset.intersection(*(stars[v] for v, a in zip(s.vertices, w) if a > 0))
+
+        return self._answer(("hosts", p), locate)
 
     def contains_point(self, p: RPoint) -> bool:
         """p in the support; unlike ``hosts``, a point of another ambient

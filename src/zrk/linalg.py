@@ -23,7 +23,6 @@ import math
 from operator import mul
 from typing import Sequence
 
-Vec = tuple  # a point's rational coordinates
 IntVec = tuple  # tuple[int, ...]
 
 
@@ -93,16 +92,6 @@ def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
 
 def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(pivot_columns(rows))
-
-
-def aff_dim(points: Sequence[Vec]) -> int:
-    """Dimension of the affine hull; -1 for the empty set.  It is the rank of
-    the homogeneous vectors, less one."""
-    return matrix_rank([homogeneous(p) for p in points]) - 1
-
-
-def affinely_independent(points: Sequence[Vec]) -> bool:
-    return aff_dim(points) == len(points) - 1
 
 
 def simplex_rows(vectors: Sequence[IntVec]) -> tuple[tuple[IntVec, ...],

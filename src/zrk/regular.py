@@ -309,17 +309,11 @@ def anchor(p: GeoComplex, v: RPoint,
 
     def segment_ok(w: RPoint, eps: Fraction) -> bool:
         end = RPoint(tuple(a + eps * (b - a) for a, b in zip(v.coords, w.coords)))
-        try:
-            seg = GeoSimplex((v, end)) if v != end else None
-        except ValueError:
-            seg = None
-        if seg is None:
-            return p.contains_point(end)
-        return subdivide.supports(p.maximal_simplexes(), seg)
+        return subdivide.supports(p, (v, end))
 
     sigma = desingularize(p, budget=budget)
     if is_strongly_regular(sigma):
-        s = next(t for t in sigma.maximal_simplexes() if t.contains(v))
+        s = sigma.maximal_simplexes()[min(sigma.hosts(v))]
         u = coprime_point(s, d)
         du = den(u)
         # Bezout pair with b*du > 0 so that v + (w - v)/(b*du) lands on u.
@@ -340,7 +334,7 @@ def anchor(p: GeoComplex, v: RPoint,
     # equivalence with strong regularity, cross-checked by the caller.
     n = p.ambient_dim
     radius = d * n
-    incident = [s for s in p.maximal_simplexes() if s.contains(v)]
+    incident = [p.maximal_simplexes()[i] for i in sorted(p.hosts(v))]
     for w_coords in itertools.product(range(-radius, radius + 1), repeat=n):
         w = RPoint(tuple(Fraction(c) for c in w_coords))
         if w == v:

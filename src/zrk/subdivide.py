@@ -17,23 +17,23 @@ common-face condition of ``complexes``).  A cell whose masks all share a
 bit lies in a hyperplane of aff(s) and is dropped; one with the dimension
 of s is triangulated by pulling its lexicographically least vertex.  Pulling depends only on the face being triangulated, so adjacent
 cells agree along shared faces and the union is again a simplicial complex.
-Coverage (``supports``) is decided on the same pieces by exact volume: the
-cells of s against the maximal simplexes of a complex overlap only in
+One predicate answers every question "does this set lie in |K|?":
+``supports(K, points)``, conv(points) inside |K|.  It reads each point's
+hosts off K (``GeoComplex.hosts``), the maximal simplexes holding it: a
+vertex of K is held exactly by its star, and any other point by the
+simplexes having every vertex of its carrier, found by one point location
+that K keeps.  A point without host leaves |K|, points sharing a host lie
+in it, and only the rest take the volume test on the same pieces: the
+cells of a simplex s against the maximal simplexes of K overlap only in
 measure zero, so they cover s exactly when their volumes add up to its own
 (De Loera, Rambau and Santos, *Triangulations*, 2010).  The subdivision
 test clips nothing: it files each maximal simplex of the fine complex under
 the coarse maximal simplex holding its barycentre, found by one point
 location, and compares the volumes filed under each with its own
-(``is_subdivision``).  Questions over many simplexes first look up each
-vertex once among the cover's maximal
-simplexes, its hosts (``_hosts``, ``GeoComplex.hosts``): a vertex of the
-cover is held exactly by its star, and any other point by the simplexes
-having every vertex of its carrier, found by one point location.  A
-simplex with a vertex without host leaves the union, one whose vertices
-share a host lies in it, and only the rest take the volume test.
-Integer bounding boxes spare tests and clips: a simplex whose box
-is not inside t's box is not inside t (``_simplex_inside``), and a cell
-of two simplexes with disjoint boxes is empty (``_pieces``).
+(``is_subdivision``).  Integer bounding boxes spare tests and clips: a
+simplex whose box is not inside t's box is not inside t
+(``_simplex_inside``), and a cell of two simplexes with disjoint boxes is
+empty (``_pieces``).
 
 Two questions come up again and again about the same complexes: which
 simplexes of K lie in |P| (``inside_subcomplex``), and whether |P| lies in
@@ -201,21 +201,41 @@ def _simplex_inside(s: GeoSimplex, t: GeoSimplex) -> bool:
     return all(t.contains(v) for v in s.vertices)
 
 
-def supports(cover: Iterable[GeoSimplex], s: GeoSimplex) -> bool:
-    """Exact point-set containment of simplex s in the union of ``cover``.
+def supports(cx: GeoComplex, points: Sequence[RPoint]) -> bool:
+    """conv(points) inside |cx|, decided exactly; ``points`` is not empty.
 
-    ``cover`` must be (a subset of) the maximal simplexes of one complex.
-    Then each cell s cap t of dimension dim s equals s cap F for the least
-    face F of t containing it; distinct faces have disjoint relative
-    interiors, and a cell lying in a face shared by several cover simplexes
-    is pulled into the same simplexes each time.  So the set of pieces
-    overlaps only in measure zero, and s is covered exactly when the
-    pieces' volume equals its own.
+    No if a point has no host in cx (``GeoComplex.hosts``), as a point of
+    another ambient dimension has none; yes if the points share a host,
+    which is convex.  Otherwise, for the rank r of the points' vectors (one
+    more than the dimension of their hull), conv(points) is by
+    Caratheodory the union of the simplexes spanned by r affinely
+    independent points among them, and each such simplex takes the volume
+    test (``_volume_covers``).
     """
-    cover = [t for t in cover if t.ambient_dim == s.ambient_dim]
-    if any(_simplex_inside(s, t) for t in cover):
+    found = [cx.hosts(p) for p in points]
+    if not all(found):
+        return False
+    if frozenset.intersection(*found):
         return True
-    return _relative_volume_total(_pieces(s, cover)) == _relative_volume_total([s])
+    unique = sorted(set(points))
+    r = linalg.matrix_rank([p._homog for p in unique])
+    return all(_volume_covers(cx, GeoSimplex._raw(sub))
+               for sub in itertools.combinations(unique, r)
+               if linalg.matrix_rank([p._homog for p in sub]) == r)
+
+
+def _volume_covers(cx: GeoComplex, s: GeoSimplex) -> bool:
+    """s inside |cx|, for s in cx's ambient space, by exact volume.
+
+    Each cell s cap t, for a maximal t of cx, of dimension dim s equals
+    s cap F for the least face F of t containing it; distinct faces have
+    disjoint relative interiors, and a cell lying in a face shared by
+    several maximal simplexes is pulled into the same simplexes each time.
+    So the set of pieces overlaps only in measure zero, and s is covered
+    exactly when the pieces' volume equals its own.
+    """
+    return (_relative_volume_total(_pieces(s, cx.maximal_simplexes()))
+            == _relative_volume_total([s]))
 
 
 def covers(cx: GeoComplex, part: GeoComplex) -> bool:
@@ -232,7 +252,7 @@ def _covers(cx: GeoComplex, part: GeoComplex) -> bool:
     if cx.ambient_dim == part.ambient_dim and cx._is_cube():
         return all(min(x) >= 0 and max(x) <= d
                    for *x, d in (v._homog for v in part.vertices()))
-    return all(supports(cx.maximal_simplexes(), q) for q in part.maximal_simplexes())
+    return all(supports(cx, q.vertices) for q in part.maximal_simplexes())
 
 
 def support_equal(a: GeoComplex, b: GeoComplex) -> bool:
@@ -329,30 +349,6 @@ def _adapted(inside: Optional[GeoComplex], part: GeoComplex) -> bool:
     return inside is not None and covers(inside, part)
 
 
-def _hosts(cx: GeoComplex, points: Iterable[RPoint]) -> dict:
-    """Each distinct point mapped to its hosts in cx (``GeoComplex.hosts``):
-    the indices of the maximal simplexes of cx holding it, none for a point
-    of another ambient dimension."""
-    return {p: cx.hosts(p) for p in set(points)}
-
-
-def _image_hosts(target: GeoComplex, images: Iterable[RPoint], dim: int) -> dict:
-    """``_hosts`` of the images of a map into R^dim; as for
-    ``GeoSimplex.contains``, a map into another space than target's is an
-    error."""
-    if dim != target.ambient_dim:
-        raise ValueError(f"a point in R^{dim} is not in R^{target.ambient_dim}")
-    return _hosts(target, images)
-
-
-def _hull_in_union(table: dict, points: Sequence[RPoint], volume_test) -> bool:
-    """Is conv(points) in the union of the complex that ``table``
-    (``_hosts``) locates points in?  False if a point has no host, True if the points
-    share a host (it is convex), and otherwise what ``volume_test()`` says."""
-    found = [table[p] for p in points]
-    return all(found) and bool(frozenset.intersection(*found) or volume_test())
-
-
 def inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
     """The subcomplex of simplexes lying inside |part| (None when empty),
     found (``_inside_subcomplex``) once per complex and polyhedron
@@ -363,17 +359,14 @@ def inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
 def _inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
     """The subcomplex of simplexes lying inside |part| (None when empty).
 
-    Simplexes are tested from the top dimension down; the faces of one
-    found inside are inside too and are not tested again, so those found
-    are the maximal simplexes of the result.  Vertices are located once.
+    Simplexes are tested from the top dimension down (``supports``); the
+    faces of one found inside are inside too and are not tested again, so
+    those found are the maximal simplexes of the result.
     """
-    cover = part.maximal_simplexes()
-    table = _hosts(part, cx.vertices())
     found: list[GeoSimplex] = []
     inside: set[GeoSimplex] = set()
     for s in sorted(cx.simplexes, key=lambda s: -s.dim):
-        if s not in inside and _hull_in_union(table, s.vertices,
-                                              lambda: supports(cover, s)):
+        if s not in inside and supports(part, s.vertices):
             found.append(s)
             inside.update(s.faces())
     return GeoComplex(found, validate=False) if found else None
@@ -484,17 +477,18 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
     domain) and its image must lie in |target|.  Simplexes already mapping
     into a single target simplex survive: they are faces of the preimage
     cells.  A simplex maps into one target simplex iff its vertex images
-    share a host (``_hosts``), and each image is looked up once.  When no
-    simplex is cut, cx itself is returned.
+    share a host (``GeoComplex.hosts``).  When no simplex is cut, cx itself
+    is returned.
     """
+    if plmap.codomain_dim != target.ambient_dim:
+        raise ValueError(f"a point in R^{plmap.codomain_dim} is not in R^{target.ambient_dim}")
     simplexes = []
     cut = False
     target_max = target.maximal_simplexes()
     images = {v: plmap.eval(v) for v in cx.vertices()}
-    table = _image_hosts(target, images.values(), plmap.codomain_dim)
     for s in cx.maximal_simplexes():
         vert_imgs = [images[v] for v in s.vertices]
-        if frozenset.intersection(*(table[y] for y in vert_imgs)):
+        if frozenset.intersection(*map(target.hosts, vert_imgs)):
             simplexes.append(s)
             continue
         cut = True

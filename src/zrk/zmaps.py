@@ -9,13 +9,12 @@ inside the carrier, so the map is affine on every simplex by construction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from . import linalg, subdivide
+from . import subdivide
 from .collapse import CollapseSequence, find_collapse_sequence
 from .complexes import (AbsComplex, GeoComplex, GeoSimplex, RPoint,
                         WeightedComplex, _placement, realize, skeleton,
@@ -130,25 +129,9 @@ def compose(eta: PLMap, theta: PLMap) -> PLMap:
 
 def _image_leaving(eta: PLMap, cx: GeoComplex) -> Optional[GeoSimplex]:
     """The first maximal simplex of eta's domain whose image hull leaves
-    |cx|, or None; the hosts of each image point are looked up once."""
-    table = subdivide._hosts(cx, eta.images.values())
-    for s in eta.domain.maximal_simplexes():
-        images = eta.image_simplex_points(s)
-        if not subdivide._hull_in_union(
-                table, images, lambda: _points_hull_in_support(images, cx)):
-            return s
-    return None
-
-
-def _points_hull_in_support(points: Sequence[RPoint], cx: GeoComplex) -> bool:
-    """conv(points) inside |cx|, decided exactly."""
-    unique = sorted(set(points))
-    d = linalg.aff_dim([p.coords for p in unique])
-    # Caratheodory: the hull is the union of the simplexes spanned by its
-    # affinely independent (d+1)-subsets.
-    return all(subdivide.supports(cx.maximal_simplexes(), GeoSimplex._raw(sub))
-               for sub in itertools.combinations(unique, d + 1)
-               if linalg.affinely_independent([p.coords for p in sub]))
+    |cx|, or None."""
+    return next((s for s in eta.domain.maximal_simplexes()
+                 if not subdivide.supports(cx, eta.image_simplex_points(s))), None)
 
 
 def fixes_pointwise(eta: PLMap, part: GeoComplex) -> bool:
@@ -200,10 +183,11 @@ def retarget_to_carrier_vertices(eta: PLMap, target: GeoComplex,
     Requires each domain simplex to map into a single simplex of target;
     the retargeted map still does (carrier minimality), so its image stays
     inside |target|.  A simplex maps into one target simplex iff its
-    vertex images share a host (``subdivide._hosts``)."""
-    table = subdivide._image_hosts(target, eta.images.values(), eta.codomain_dim)
+    vertex images share a host (``GeoComplex.hosts``)."""
+    if eta.codomain_dim != target.ambient_dim:
+        raise ValueError(f"a point in R^{eta.codomain_dim} is not in R^{target.ambient_dim}")
     for s in eta.domain.maximal_simplexes():
-        if not frozenset.intersection(*(table[y] for y in eta.image_simplex_points(s))):
+        if not frozenset.intersection(*map(target.hosts, eta.image_simplex_points(s))):
             raise DomainError("carrier precondition failure: a simplex image "
                               "is not inside one target simplex")
     images = {}
@@ -352,10 +336,9 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
                  and math.gcd(*(den(images[v]) for v in s.vertices)) != 1]
     if offending:
         inside_h = subdivide.inside_subcomplex(delta_g, part)
-        table = subdivide._hosts(inside_h, (images[v] for s in offending
-                                            for v in s.vertices))
         for s in offending:
-            first = min(frozenset.intersection(*(table[images[v]] for v in s.vertices)))
+            first = min(frozenset.intersection(*(inside_h.hosts(images[v])
+                                                 for v in s.vertices)))
             center = s.barycenter()
             images[center] = coprime_point(inside_h.maximal_simplexes()[first],
                                            math.lcm(*(den(images[v]) for v in s.vertices)))

@@ -71,7 +71,12 @@ simplex had a method for it.  ``volume_triangulates_cube`` sums the
 volumes of a complex in the cube, from before ``zmaps`` asked
 ``GeoComplex._is_cube``.  ``validating_parse_sequence``
 parses a collapse sequence building and checking every simplex, from before
-``scx`` read a step's simplexes off earlier steps.
+``scx`` read a step's simplexes off earlier steps.  ``scan_supports`` tests
+a simplex against every simplex of a cover list and then by volume, and
+``caratheodory_supports`` splits a point list into the simplexes of its
+affinely independent subsets (``aff_dim`` and ``affinely_independent``,
+the ranks ``linalg`` computed for it), from before ``subdivide.supports``
+read the points' hosts off a complex.
 """
 
 import json
@@ -230,6 +235,17 @@ def solve_square(rows, rhs):
     if out is None or out[1]:
         return None
     return out[0]
+
+
+def aff_dim(points) -> int:
+    """Dimension of the affine hull of points given by their rational
+    coordinates; -1 for the empty set.  It is the rank of the homogeneous
+    vectors, less one."""
+    return linalg.matrix_rank([linalg.homogeneous(p) for p in points]) - 1
+
+
+def affinely_independent(points) -> bool:
+    return aff_dim(points) == len(points) - 1
 
 
 def fraction_aff_dim(points) -> int:
@@ -486,19 +502,46 @@ def closure_complex(simplexes):
     return out
 
 
+def scan_supports(cover, s: GeoSimplex) -> bool:
+    """Exact point-set containment of simplex s in the union of ``cover``,
+    a subset of the maximal simplexes of one complex: s is tested against
+    each cover simplex (``subdivide._simplex_inside``), then by volume
+    against all of them.  The reference for ``subdivide.supports``, which
+    took a cover list and a simplex."""
+    cover = [t for t in cover if t.ambient_dim == s.ambient_dim]
+    if any(subdivide._simplex_inside(s, t) for t in cover):
+        return True
+    return (subdivide._relative_volume_total(subdivide._pieces(s, cover))
+            == subdivide._relative_volume_total([s]))
+
+
+def caratheodory_supports(cover, points, simplex_supports=scan_supports) -> bool:
+    """conv(points) in the union of ``cover``: every simplex spanned by an
+    affinely independent subset of the points with one more point than the
+    dimension of their hull, each tested with ``simplex_supports``; the
+    split on coordinates that ``zmaps`` ran before ``subdivide.supports``
+    took points."""
+    unique = sorted(set(points))
+    d = aff_dim([p.coords for p in unique])
+    return all(simplex_supports(cover, GeoSimplex._raw(sub))
+               for sub in combinations(unique, d + 1)
+               if affinely_independent([p.coords for p in sub]))
+
+
 def scan_inside_subcomplex(cx, part) -> set:
-    """Every face of cx that lies in |part|, each tested with ``supports``;
-    the reference for ``subdivide.inside_subcomplex``."""
+    """Every face of cx that lies in |part|, each tested with
+    ``scan_supports``; the reference for ``subdivide.inside_subcomplex``."""
     cover = part.maximal_simplexes()
-    return {s for s in cx.simplexes if subdivide.supports(cover, s)}
+    return {s for s in cx.simplexes if scan_supports(cover, s)}
 
 
 def scan_image_leaving(eta, cx):
     """The first maximal simplex of eta's domain whose image hull is not
-    inside |cx|, each tested with ``zmaps._points_hull_in_support``; the
-    reference for ``zmaps._image_leaving``."""
+    inside |cx|, each tested with ``caratheodory_supports``; the reference
+    for ``zmaps._image_leaving``."""
+    cover = cx.maximal_simplexes()
     return next((s for s in eta.domain.maximal_simplexes()
-                 if not zmaps._points_hull_in_support(eta.image_simplex_points(s), cx)),
+                 if not caratheodory_supports(cover, eta.image_simplex_points(s))),
                 None)
 
 
@@ -525,7 +568,7 @@ def _split_off_simplex(piece, t: GeoSimplex):
     interiors disjoint from t.  Pieces of lower dimension than the input are
     dropped: they are faces of retained pieces.
     """
-    dim_piece = linalg.aff_dim(piece[0])
+    dim_piece = aff_dim(piece[0])
     eqs, ineqs = simplex_hrep(t)
     queue = [piece]
     for form in list(eqs) + list(ineqs):
@@ -538,7 +581,7 @@ def _split_off_simplex(piece, t: GeoSimplex):
             for side in (form, negate(form)):
                 sub_forms = list(forms) + [side]
                 sub = enumerate_cell_vertices([], sub_forms, t.ambient_dim)
-                if sub and linalg.aff_dim(sub) == dim_piece:
+                if sub and aff_dim(sub) == dim_piece:
                     nxt.append((tuple(sub), tuple(sub_forms)))
         queue = nxt
     inside, outside = [], []
@@ -568,7 +611,7 @@ def split_supports(cover, s: GeoSimplex) -> bool:
             inter = enumerate_cell_vertices(
                 list(simplex_hrep(t)[0]), list(simplex_hrep(t)[1]) + list(piece[1]),
                 s.ambient_dim)
-            if inter and linalg.aff_dim(inter) == linalg.aff_dim(piece[0]):
+            if inter and aff_dim(inter) == aff_dim(piece[0]):
                 inside, outside = _split_off_simplex(piece, t)
                 rest = remaining[:idx] + remaining[idx + 1:]
                 return all(covered(q, rest) for q in outside)
@@ -580,15 +623,15 @@ def split_supports(cover, s: GeoSimplex) -> bool:
 def clip_is_subdivision(fine, coarse) -> bool:
     """True iff supports agree and every simplex of ``fine`` lies in some
     simplex of ``coarse``: a containment scan, then every maximal simplex
-    of each complex measured against the other with ``supports``, with no
-    answer kept on either complex."""
+    of each complex measured against the other with ``scan_supports``, with
+    no answer kept on either complex."""
     if fine.ambient_dim != coarse.ambient_dim:
         return False
     fm, cm = fine.maximal_simplexes(), coarse.maximal_simplexes()
     if not all(any(subdivide._simplex_inside(s, t) for t in cm) for s in fm):
         return False
-    return (all(subdivide.supports(cm, s) for s in fm)
-            and all(subdivide.supports(fm, t) for t in cm))
+    return (all(scan_supports(cm, s) for s in fm)
+            and all(scan_supports(fm, t) for t in cm))
 
 
 def relint_contains(s: GeoSimplex, p: RPoint) -> bool:

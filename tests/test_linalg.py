@@ -8,12 +8,13 @@ from operator import and_
 import pytest
 
 from zrk import GeoSimplex, RPoint, rpoint
-from zrk.linalg import (_bareiss, aff_dim, affinely_independent, clip_simplex, det,
-                        homogeneous, matrix_rank, pivot_columns, pull_triangulation)
+from zrk.linalg import (_bareiss, clip_simplex, det, homogeneous, matrix_rank,
+                        pivot_columns, pull_triangulation)
 from zrk.subdivide import _pull_cell, _pullback_rows, _relative_volume_total
 
 from conftest import random_rational
-from oracles import (AffineForm, affine_hull_forms, echelon, enumerate_cell_vertices,
+from oracles import (AffineForm, aff_dim, affine_hull_forms, affinely_independent,
+                     echelon, enumerate_cell_vertices,
                      fraction_clip_simplex, fraction_det, fraction_pull_triangulation,
                      integer_rows, lp_maximize, negate, pullback_forms, simplex_forms,
                      simplex_hrep, simplex_volume, vertex_forms)

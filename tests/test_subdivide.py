@@ -14,8 +14,8 @@ from zrk.subdivide import (PointNotInSupport, RestrictionError, SupportMismatch,
                            covers, inside_subcomplex, supports, support_equal)
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import (clip_is_subdivision, face_stellar, scan_inside_subcomplex,
-                     split_supports)
+from oracles import (caratheodory_supports, clip_is_subdivision, face_stellar,
+                     scan_inside_subcomplex, scan_supports, split_supports)
 
 
 def test_stellar_segment_midpoint():
@@ -259,8 +259,7 @@ def test_restrict_half_diagonal_adapts():
     assert is_subdivision(out, cx)
     inside = inside_subcomplex(out, part)
     assert inside is not None
-    assert all(supports(inside.maximal_simplexes(), q)
-               for q in part.maximal_simplexes())
+    assert all(supports(inside, q.vertices) for q in part.maximal_simplexes())
 
 
 def test_restrict_preserves_interior_simplexes():
@@ -278,8 +277,7 @@ def test_restrict_nonconvex_part():
     part = from_maximal([seg2d((0, 0), (1, 0)), seg2d((0, 0), (0, 1))])
     out = restrict(cx, part)
     inside = inside_subcomplex(out, part)
-    assert all(supports(inside.maximal_simplexes(), q)
-               for q in part.maximal_simplexes())
+    assert all(supports(inside, q.vertices) for q in part.maximal_simplexes())
     assert is_subdivision(out, cx)
 
 
@@ -380,13 +378,59 @@ def test_supports_hand_cases():
         (non_pure, tri((0, 0), (2, 0), (0, 1)), False),
     ]
     for cover, s, expected in cases:
-        assert supports(cover, s) is expected, s
+        assert supports(GeoComplex(cover, validate=False), s.vertices) is expected, s
+        assert scan_supports(cover, s) is expected, s
         assert split_supports(cover, s) is expected, s
+    # Point lists: dependent ones take the Caratheodory split, and points
+    # of another ambient space have no host.
+    point_cases = [
+        (square, [(0, 0), (1, 0), (1, 1), (0, 1), ("1/2", "1/2")], True),
+        (square, [(0, 1), ("1/2", "1/2"), (1, 0)], True),
+        ([lower], [(0, 1), ("1/2", "1/2"), (1, 0)], False),
+        (square, [(0, 0), (1, 1), (2, 2)], False),
+        (non_pure, [("1/2", 0), (1, 0), ("3/2", 0), ("5/4", 0)], True),
+        (non_pure, [("1/2", "1/4"), (1, 0), ("3/2", 0), (0, 0)], False),
+        (square, [(0, 0, 0), (1, 0, 0)], False),
+        (square, [("1/2",)], False),
+    ]
+    for cover, coords, expected in point_cases:
+        points = [rpoint(*c) for c in coords]
+        assert supports(GeoComplex(cover, validate=False), points) is expected, coords
+        assert caratheodory_supports(cover, points) is expected, coords
+        assert caratheodory_supports(cover, points, split_supports) is expected, coords
+
+
+def _point_list(rng, n, face, cover):
+    """A random list of points for ``supports``: a face's vertices and a
+    point on the segment of two of them, n + 2 points each in a random
+    simplex of ``cover`` (both dependent), up to n + 2 points of
+    [-1, 2]^n, or points of R^(n+1)."""
+    def between(a, b):
+        t = random_rational(rng, 4)
+        return RPoint(tuple(x + t * (y - x) for x, y in zip(a, b)))
+
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [*face.vertices, between(rng.choice(face.vertices), rng.choice(face.vertices))]
+    if kind == 1:
+        return [between(rng.choice(t.vertices), t.barycenter())
+                for t in (rng.choice(cover) for _ in range(n + 2))]
+    if kind == 2:
+        return [rpoint(*[random_rational(rng, 4, -1, 2) for _ in range(n)])
+                for _ in range(rng.randint(1, n + 2))]
+    return [rpoint(*[random_rational(rng, 4) for _ in range(n + 1)])
+            for _ in range(rng.randint(1, 3))]
 
 
 def test_supports_matches_splitting_oracle():
-    rng = random.Random(20141)
+    # supports(K, points) on sub-covers of stellar cubes agrees with the
+    # per-cover scan and with the splitter, for faces and random simplexes,
+    # and for point lists (``_point_list``) against the Caratheodory split
+    # of the scan, and of the splitter too up to the plane; dependent lists
+    # decided by neither a missing nor a shared host come out both ways.
+    rng, point_rng = random.Random(20141), random.Random(20221)
     pairs = 0
+    split = collections.Counter()
     for n in (1, 2, 3):
         for _ in range(6):
             cx = standard_cube(n)
@@ -401,9 +445,22 @@ def test_supports_matches_splitting_oracle():
                     s = random_simplex(rng, n, 4)
                 else:
                     s = rng.choice(faces)
-                assert supports(cover, s) == split_supports(cover, s), (cover, s)
+                sub = GeoComplex(cover, validate=False)
+                want = split_supports(cover, s)
+                assert supports(sub, s.vertices) == scan_supports(cover, s) == want, (cover, s)
                 pairs += 1
+                for _ in range(3):
+                    points = _point_list(point_rng, n, rng.choice(faces), cover)
+                    want = caratheodory_supports(cover, points)
+                    assert supports(sub, points) == want, (cover, points)
+                    found = [sub.hosts(p) for p in points]
+                    if (all(found) and not frozenset.intersection(*found)
+                            and len(set(points)) > linalg.matrix_rank([p._homog for p in points])):
+                        if n < 3:
+                            assert caratheodory_supports(cover, points, split_supports) == want
+                        split[n, want] += 1
     assert pairs == 180
+    assert all(split[n, want] > 1 for n in (2, 3) for want in (True, False)), split
 
 
 def test_pulled_cells_sort_vertices_as_points():
@@ -520,7 +577,7 @@ def test_inside_subcomplex_runs_supports_only_on_undecided_faces(monkeypatch):
     rng = random.Random(20177)
     calls = []
     parts = []
-    inside, measured = subdivide.inside_subcomplex, subdivide.supports
+    inside, measured = subdivide.inside_subcomplex, subdivide._volume_covers
 
     def tracked(cx, part):
         parts.append(part)
@@ -529,13 +586,13 @@ def test_inside_subcomplex_runs_supports_only_on_undecided_faces(monkeypatch):
         finally:
             parts.pop()
 
-    def counted(cover, s):
+    def counted(cx, s):
         if parts:
             calls.append((parts[-1], s))
-        return measured(cover, s)
+        return measured(cx, s)
 
     monkeypatch.setattr(subdivide, "inside_subcomplex", tracked)
-    monkeypatch.setattr(subdivide, "supports", counted)
+    monkeypatch.setattr(subdivide, "_volume_covers", counted)
     half, quarter = rpoint("1/2", "1/2"), rpoint("1/4", "1/4")
     square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
     fold = PLMap(square, {v: half if any(v.coords) else v for v in square.vertices()})
@@ -560,12 +617,12 @@ def test_inside_subcomplex_runs_supports_only_on_undecided_faces(monkeypatch):
 
 def test_vertices_of_the_part_are_looked_up_without_barycentric_work(monkeypatch):
     # Work bound: on the fold pipeline, inside_subcomplex finds the hosts
-    # of a vertex of P in its star, with no GeoSimplex._weights call;
-    # only the other vertices are located.
+    # of a vertex of P in its star (GeoComplex.hosts), with no
+    # GeoSimplex._weights call; only the other vertices are located.
     rng = random.Random(20191)
     parts, looking, located = [], [], []
     vertex_lookups = 0
-    inside, hosts, weights = subdivide.inside_subcomplex, subdivide._hosts, GeoSimplex._weights
+    inside, hosts, weights = subdivide.inside_subcomplex, GeoComplex.hosts, GeoSimplex._weights
 
     def tracked(cx, part):
         parts.append(part)
@@ -574,14 +631,13 @@ def test_vertices_of_the_part_are_looked_up_without_barycentric_work(monkeypatch
         finally:
             parts.pop()
 
-    def looked_up(cx, points):
+    def looked_up(cx, p):
         nonlocal vertex_lookups
-        points = list(points)
         if parts:
-            vertex_lookups += len(set(points) & set(parts[-1].vertices()))
+            vertex_lookups += p in parts[-1].vertices()
         looking.append(True)
         try:
-            return hosts(cx, points)
+            return hosts(cx, p)
         finally:
             looking.pop()
 
@@ -591,7 +647,7 @@ def test_vertices_of_the_part_are_looked_up_without_barycentric_work(monkeypatch
         return weights(self, x)
 
     monkeypatch.setattr(subdivide, "inside_subcomplex", tracked)
-    monkeypatch.setattr(subdivide, "_hosts", looked_up)
+    monkeypatch.setattr(GeoComplex, "hosts", looked_up)
     monkeypatch.setattr(GeoSimplex, "_weights", counted)
     half = rpoint("1/2", "1/2")
     square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
@@ -607,6 +663,43 @@ def test_vertices_of_the_part_are_looked_up_without_barycentric_work(monkeypatch
     assert vertex_lookups > 20 and located, (vertex_lookups, len(located))
     for part, x in located:
         assert x not in {v._homog for v in part.vertices()}, (part, x)
+
+
+def test_points_are_located_once_per_complex(monkeypatch):
+    # Work bound: through pipeline_dh, part2_reduce and
+    # verify_section_retraction on the fold of the square onto its lower
+    # half, GeoComplex.hosts locates each point that is not a vertex at
+    # most once per complex object, though it is asked again.
+    asked, located, alive = collections.Counter(), collections.Counter(), []
+    hosts, locate, looking = GeoComplex.hosts, GeoComplex._locate, []
+
+    def asking(cx, p):
+        alive.append(cx)  # keeps every id distinct
+        if p not in cx.vertices():
+            asked[id(cx), p] += 1
+        looking.append(True)
+        try:
+            return hosts(cx, p)
+        finally:
+            looking.pop()
+
+    def counted(cx, p):
+        if looking:
+            located[id(cx), p] += 1
+        return locate(cx, p)
+
+    monkeypatch.setattr(GeoComplex, "hosts", asking)
+    monkeypatch.setattr(GeoComplex, "_locate", counted)
+    h = "1/2"
+    lower = [tri((0, 0), (1, 0), (1, h)), tri((0, 0), (0, h), (1, h))]
+    upper = [tri((0, h), (1, h), (1, 1)), tri((0, h), (0, 1), (1, 1))]
+    domain, part = from_maximal(lower + upper), from_maximal(lower)
+    fold = PLMap(domain, {v: rpoint(v[0], min(v[1], 1 - v[1])) for v in domain.vertices()})
+    result = pipeline_dh(fold, part)
+    red = part2_reduce(result.map, result.triangulation, part)
+    assert verify_section_retraction(part, red.retraction, red.section)
+    assert located and max(located.values()) == 1, located
+    assert sum(located.values()) < sum(asked.values()), (located, asked)
 
 
 def test_pieces_never_clip_disjoint_boxes(monkeypatch):
@@ -674,7 +767,7 @@ def test_cell_kernel_runs_on_integers_only(monkeypatch):
 
     monkeypatch.setattr(linalg, "clip_simplex", counting("clip", linalg.clip_simplex))
     monkeypatch.setattr(linalg, "det", counting("det", linalg.det))
-    covered = supports(b.maximal_simplexes(), s)
+    covered = supports(b, s.vertices)
     overlay = common_refinement(a, b)
     refined = refine_for_map(a, eta, b)
     same = support_equal(c, d)
@@ -703,7 +796,7 @@ def test_kept_answers_equal_fresh_ones():
     # A complex keeps its inside subcomplex, coverage and cube test once
     # asked.  Asked again, and asked of a freshly built equal complex, which
     # keeps nothing yet, every answer is the same, and the inside subcomplex,
-    # coverage and support equality are what supports finds.
+    # coverage and support equality are what scan_supports finds.
     rng = random.Random(20212)
     seen = collections.Counter()
     for i in range(12):
@@ -724,9 +817,9 @@ def test_kept_answers_equal_fresh_ones():
             fresh = GeoComplex(cx.maximal_simplexes(), validate=False)
             assert _answers(cx, part) == _answers(fresh, part) == warm, (cx, part)
             assert warm[0] == scan_inside_subcomplex(fresh, part)
-            assert warm[1] == all(supports(fresh.maximal_simplexes(), q)
+            assert warm[1] == all(scan_supports(fresh.maximal_simplexes(), q)
                                   for q in part.maximal_simplexes())
-            assert warm[2] == (warm[1] and all(supports(part.maximal_simplexes(), s)
+            assert warm[2] == (warm[1] and all(scan_supports(part.maximal_simplexes(), s)
                                                for s in fresh.maximal_simplexes()))
             seen[warm[1], warm[5], isinstance(warm[4], GeoComplex)] += 1
     assert seen[True, True, True] and seen[True, False, True], seen

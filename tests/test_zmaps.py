@@ -19,8 +19,8 @@ from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
                        _lattice_points_in)
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import (is_zmap_by_fit, locate_eval, product_lattice_points,
-                     scan_image_leaving)
+from oracles import (caratheodory_supports, is_zmap_by_fit, locate_eval,
+                     product_lattice_points, scan_image_leaving)
 
 
 def seg2d(a, b):
@@ -508,17 +508,16 @@ def test_pipeline_identity_cube3():
 
 
 def test_degenerate_image_hull_containment():
-    from zrk.zmaps import _points_hull_in_support
     # three collinear image points: the hull is a segment, not a simplex
     part = from_maximal([seg(0, 1)])
     pts = [rpoint(0), rpoint("1/2"), rpoint(1)]
-    assert _points_hull_in_support(pts, part)
+    assert subdivide.supports(part, pts)
     small = from_maximal([seg(0, "1/2")])
-    assert not _points_hull_in_support(pts, small)
+    assert not subdivide.supports(small, pts)
     # a degenerate quadrilateral in the plane
     sq = standard_cube(2)
     pts2 = [rpoint(0, 0), rpoint(1, 0), rpoint("1/2", "1/2"), rpoint("1/2", 0)]
-    assert _points_hull_in_support(pts2, sq)
+    assert subdivide.supports(sq, pts2)
 
 
 def test_image_leaving_matches_scanning_oracle():
@@ -572,7 +571,7 @@ def test_image_leaving_matches_scanning_oracle():
                     continue
                 hosts = [{t for t in cover if t.contains(p)} for p in imgs]
                 if all(hosts) and not set.intersection(*hosts):
-                    undecided[zmaps._points_hull_in_support(imgs, part)] += 1
+                    undecided[caratheodory_supports(cover, imgs)] += 1
             if i < 2 and want is not None:
                 with pytest.raises(DomainError, match="^image containment failure"):
                     compose(eta, identity_map(part))
