@@ -89,10 +89,8 @@ def cmd_check_strongly_regular(args) -> int:
         return EX_OK
     if all(is_regular(s) for s in cx.maximal_simplexes()):
         for s in cx.maximal_simplexes():
-            g = 0
-            for v in s.vertices:
-                g = math.gcd(g, regular.den(v))
-            if g != 1:
+            if not regular.is_strongly_regular_simplex(s):
+                g = math.gcd(*map(regular.den, s.vertices))
                 print(f"maximal simplex {s} has denominator gcd {g}")
     else:
         print("not regular")

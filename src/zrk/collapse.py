@@ -5,6 +5,10 @@ contractibility: a found collapse sequence replays independently, while a
 failed search means only "not found within budget", never "not
 collapsible".  Search, replay and free faces read one sorted list of free
 pairs; the search remembers failed states by a bitmask of live simplexes.
+A simplex is the tuple of its vertices' ranks in the complex's vertex
+table, the sorted ``GeoComplex.vertices()``, so the face table is built
+from the complex's rank tuples; only a pair handed in as simplexes, a
+replay step or an elementary collapse, is looked up by point.
 """
 
 from __future__ import annotations
@@ -44,17 +48,18 @@ class CollapseSequence:
 
 class _FaceTable:
     """Live simplexes as vertex-id tuples, at first every face of every
-    maximal simplex (ids follow vertex order, so tuple order is
-    ``GeoSimplex`` order), with each face's live cofaces one dimension up.
+    maximal simplex, with each face's live cofaces one dimension up.  The
+    ids are the complex's vertex ranks (``GeoComplex._rank``), read off its
+    rank tuples (``GeoComplex._ranks``): they follow vertex order, so tuple
+    order is ``GeoSimplex`` order, and building the table hashes no point.
     ``free`` is the sorted list of pairs (T, F) where T is F's only live
     coface; bit ``bit[s]`` of ``mask`` is set while s is live.  Removing
     only free pairs keeps every face of a live simplex live."""
 
     def __init__(self, cx: GeoComplex):
-        self.verts = cx.vertices()
-        self.index = {v: i for i, v in enumerate(self.verts)}
-        ids = {f for s in cx.maximal_simplexes() for k in range(1, len(s.vertices) + 1)
-               for f in itertools.combinations([self.index[v] for v in s.vertices], k)}
+        self.verts, self.index = cx.vertices(), cx._rank
+        ids = {f for r in cx._ranks for k in range(1, len(r) + 1)
+               for f in itertools.combinations(r, k)}
         self.faces = list(ids)
         self.bit = {s: i for i, s in enumerate(self.faces)}
         self.mask = (1 << len(self.faces)) - 1
@@ -80,10 +85,8 @@ class _FaceTable:
                     insort(free, (next(iter(c)), g))
 
     def free_pair(self, t: GeoSimplex, f: GeoSimplex):
-        """(T, F) as id tuples if F is now free with coface T, else None.
-        F's ids are read off T's, whose points F usually shares."""
-        tid = tuple(map(self.index.get, t.vertices))
-        pair = (tid, tuple(map(dict(zip(t.vertices, tid)).get, f.vertices)))
+        """(T, F) as id tuples if F is now free with coface T, else None."""
+        pair = tuple(tuple(map(self.index.get, s.vertices)) for s in (t, f))
         if None in pair[0] + pair[1]:
             return None
         k = bisect_left(self.free, pair)

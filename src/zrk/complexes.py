@@ -10,7 +10,16 @@ disjoint integer bounding boxes (``_bbox_overlap``), a separating form read
 off the cached integer rows of either simplex (``_separated``), the
 combined form of both (``_combined``), and only when none settles the pair
 the cell a cap b from ``linalg``'s polytope kernel, whose vertex masks show
-whether it lies in the face spanned by the shared vertices.  A complex keeps
+whether it lies in the face spanned by the shared vertices.
+
+A complex numbers its vertices once: its sorted vertices are its vertex
+table, ``_rank`` maps each vertex to its index there, and ``_ranks`` holds
+each maximal simplex as the tuple of its vertices' ranks, in the order of
+``maximal_simplexes()``.  Ranks follow vertex order, so rank tuples sort as
+the simplexes do.  The constructor drops non-maximal input by rank stars,
+and the cube test, the vertex stars, ``collapse``'s face table and the
+``.scx`` printer read the ranks: none of them builds an index of its own
+or hashes a point per vertex occurrence.  A complex keeps
 the answers to questions about it in a memo made on first use
 (``GeoComplex._answer``): whether it triangulates the cube, which
 validation records, the hosts of each point located in it, and
@@ -444,10 +453,8 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
     full = (1 << n) - 1
     if sum(lo | hi == full for lo, hi in zip(low, high)) != 1 << n:
         return False
-    rank = {v: i for i, v in enumerate(verts)}.__getitem__
     facets: dict[tuple[int, ...], list] = {}
-    for s in maxi:
-        r = tuple(map(rank, s.vertices))
+    for s, r in zip(maxi, cx._ranks):
         for i in range(n + 1):
             facets.setdefault(r[:i] + r[i + 1:], []).append((s, i))
     for key, holders in facets.items():
@@ -466,10 +473,11 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
 
 
 class GeoComplex:
-    """Finite simplicial complex, stored as its sorted maximal simplexes."""
+    """Finite simplicial complex, stored as its sorted maximal simplexes
+    and their vertex rank tuples over the sorted vertex table."""
 
-    __slots__ = ("ambient_dim", "_maximal", "_faces", "_vertices", "_stars",
-                 "_answers")
+    __slots__ = ("ambient_dim", "_maximal", "_faces", "_vertices", "_rank",
+                 "_ranks", "_stars", "_answers")
 
     # ``closed`` is ignored; it stays while bench/tracer.py passes it on.
     def __init__(self, simplexes: Iterable[GeoSimplex], validate: bool = True,
@@ -480,20 +488,23 @@ class GeoComplex:
         dims = {s.ambient_dim for s in sset}
         if len(dims) != 1:
             raise NotASimplicialComplex("mixed ambient dimensions")
-        if len({s.dim for s in sset}) > 1:
-            # Keep s iff no other input simplex holds all of s's vertices.
-            stars: dict[RPoint, set] = {}
-            for s in sset:
-                for v in s.vertices:
-                    stars.setdefault(v, set()).add(s)
-            sset = [s for s in sset
-                    if len(set.intersection(*map(stars.get, s.vertices))) == 1]
         self.ambient_dim = dims.pop()
+        # The vertex table is read off the whole input: a simplex dropped
+        # below lies in a kept one, so it adds no vertex.
         self._vertices = tuple(sorted({v for s in sset for v in s.vertices}))
+        self._rank = {v: i for i, v in enumerate(self._vertices)}
         # Simplex order is the lexicographic order of vertex tuples, so
         # tuples of vertex ranks sort them without comparing Fractions.
-        rank = {v: i for i, v in enumerate(self._vertices)}.__getitem__
-        self._maximal = tuple(sorted(sset, key=lambda s: tuple(map(rank, s.vertices))))
+        ranked = sorted((tuple(map(self._rank.__getitem__, s.vertices)), s) for s in sset)
+        if len({len(r) for r, _ in ranked}) > 1:
+            # Keep s iff no other input simplex holds all of s's vertices.
+            stars: list[set] = [set() for _ in self._vertices]
+            for r, _ in ranked:
+                for k in r:
+                    stars[k].add(r)
+            ranked = [(r, s) for r, s in ranked
+                      if len(set.intersection(*(stars[k] for k in r))) == 1]
+        self._ranks, self._maximal = zip(*ranked)
         self._faces = None
         self._stars = None
         self._answers = None
@@ -549,11 +560,11 @@ class GeoComplex:
         ``maximal_simplexes()`` of the maximal simplexes having it as a
         vertex.  Built on first use."""
         if self._stars is None:
-            stars: dict[RPoint, list[int]] = {}
-            for i, m in enumerate(self._maximal):
-                for v in m.vertices:
-                    stars.setdefault(v, []).append(i)
-            self._stars = {v: frozenset(ix) for v, ix in stars.items()}
+            stars: list[list[int]] = [[] for _ in self._vertices]
+            for i, r in enumerate(self._ranks):
+                for k in r:
+                    stars[k].append(i)
+            self._stars = dict(zip(self._vertices, map(frozenset, stars)))
         return self._stars
 
     def __contains__(self, s: GeoSimplex) -> bool:
@@ -770,7 +781,10 @@ def simplicially_isomorphic(a: GeoComplex, b: GeoComplex) -> Optional[dict]:
 
 def standard_cube(n: int) -> GeoComplex:
     """Standard triangulation of [0,1]^n: simplexes are convex hulls of
-    chains in {0,1}^n under the product order; n! maximal simplexes."""
+    chains in {0,1}^n under the product order; n! maximal simplexes.  A
+    maximal chain rises in the product order, so it is sorted, and its
+    steps are distinct unit vectors, so it is affinely independent: no sort
+    and no rank check per chain."""
     if n < 1:
         raise ValueError("n must be >= 1")
     # One RPoint per corner, so equal vertices are the same object.
@@ -789,7 +803,7 @@ def standard_cube(n: int) -> GeoComplex:
         for i in perm:
             point[i] = 1
             chain.append(corner(tuple(point)))
-        maxi.append(GeoSimplex(tuple(chain)))
+        maxi.append(GeoSimplex._raw(tuple(chain)))
     return GeoComplex(maxi, validate=False)
 
 

@@ -81,12 +81,7 @@ def is_regular(s: GeoSimplex) -> bool:
 
 def is_strongly_regular_simplex(s: GeoSimplex) -> bool:
     """Regular with globally coprime vertex denominators."""
-    if not is_regular(s):
-        return False
-    g = 0
-    for v in s.vertices:
-        g = math.gcd(g, den(v))
-    return g == 1
+    return is_regular(s) and math.gcd(*map(den, s.vertices)) == 1
 
 
 def is_strongly_regular(cx: GeoComplex) -> bool:

@@ -21,7 +21,10 @@ coordinate texts.  A per-document memo (``_point_out``) formats each
 distinct point once and hands every occurrence the same tuple, and the
 emitter renders a point's bracketed block once per indent level at which
 it appears, so a vertex repeated in many simplexes or collapse steps is
-one dict lookup each time.
+one dict lookup each time.  A complex is printed off its vertex table: each
+vertex of ``GeoComplex.vertices()`` is looked up in the memo once, and a
+maximal simplex is the texts at its rank tuple (``GeoComplex._ranks``), so
+no vertex occurrence is hashed.
 """
 
 from __future__ import annotations
@@ -73,9 +76,10 @@ def _simplex_out(s: GeoSimplex, memo: dict) -> list[tuple[str, ...]]:
 
 
 def _complex_body(cx: GeoComplex, memo: dict) -> dict:
+    texts = [_point_out(v, memo) for v in cx.vertices()]
     return {
         "dim": cx.ambient_dim,
-        "maximal_simplexes": [_simplex_out(s, memo) for s in cx.maximal_simplexes()],
+        "maximal_simplexes": [[texts[k] for k in r] for r in cx._ranks],
     }
 
 

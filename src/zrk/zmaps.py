@@ -223,7 +223,7 @@ def part2_reduce(eta: PLMap, delta: GeoComplex, part: GeoComplex) -> SectionRetr
     enumerated in lexicographic order for determinism.
     """
     inside = _check_part1_properties(eta, delta, part)
-    verts = sorted(delta.vertices())
+    verts = delta.vertices()
     weights = {v: den(eta.images[v]) for v in verts}
     w = WeightedComplex(AbsComplex(verts, skeleton(delta).faces), weights)
     q = realize(w)
@@ -264,9 +264,7 @@ def _check_part1_properties(eta: PLMap, delta: GeoComplex,
     for s in delta.maximal_simplexes():
         if s.dim != n:
             continue
-        g = 0
-        for v in s.vertices:
-            g = math.gcd(g, den(eta.images[v]))
+        g = math.gcd(*(den(eta.images[v]) for v in s.vertices))
         if g != 1:
             raise PropertyViolation("(h)", f"gcd of image denominators on {s} "
                                            f"is {g}")
@@ -359,9 +357,11 @@ def _lattice_points_in(part: GeoComplex) -> list[RPoint]:
     bounds; ``pipeline_dh`` has checked that a triangulation of the cube
     fixes |part| pointwise).  A cube vertex is an extreme point of the
     cube, so it lies in |part| exactly when it is a vertex of the
-    triangulation; the sorted vertex order is the product order.
+    triangulation; the sorted vertex order is the product order.  A point
+    is a cube vertex iff every entry of its integer vector d(p, 1) is 0 or
+    1, its denominator d included, so no ``Fraction`` is compared.
     """
-    return [v for v in part.vertices() if all(c in (0, 1) for c in v.coords)]
+    return [v for v in part.vertices() if all(c in (0, 1) for c in v._homog)]
 
 
 # -- the certifier ------------------------------------------------------------
@@ -395,8 +395,8 @@ def certify_main(part: GeoComplex, budget: int = 100_000,
     'unknown': contractibility itself is not decided here.
     """
     n = part.ambient_dim
-    for v in part.vertices():
-        if any(c < 0 or c > 1 for c in v.coords):
+    for *x, d in (v._homog for v in part.vertices()):
+        if min(x) < 0 or max(x) > d:
             raise DomainError("|P| must lie inside the unit cube")
     lattice = _lattice_points_in(part)
     try:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from zrk import is_regular, rpoint, standard_cube, stellar
+from zrk import GeoSimplex, from_maximal, is_regular, rpoint, standard_cube, stellar
 from zrk.cli import main
 from zrk.exactnum import invariant_factors
 from zrk.scx import ScxDocument, parse_scx, print_scx
@@ -45,9 +45,24 @@ def test_check_regular_lists_the_same_faces_as_testing_every_face(tmp_path, caps
         f"{invariant_factors(s._vertex_rows)}\n" for s in bad)
 
 
-def test_check_strongly_regular():
+def test_check_strongly_regular(tmp_path, capsys):
     assert run("check-strongly-regular", corpus_path("half_interval.scx")) == 0
+    capsys.readouterr()
     assert run("check-strongly-regular", corpus_path("antidiagonal.scx")) == 1
+    assert capsys.readouterr().out == (
+        "maximal simplex conv((0, 1/2), (1/2, 0)) has denominator gcd 2\n")
+    # Every maximal simplex of the path is regular, so each one whose
+    # vertex denominators have a common factor is reported with that gcd,
+    # in simplex order; the last segment is strongly regular.
+    points = [rpoint(0, "1/2"), rpoint("1/2", 0), rpoint(1, "1/2"), rpoint(1, 1)]
+    path_cx = from_maximal([GeoSimplex(pair) for pair in zip(points, points[1:])])
+    assert all(map(is_regular, path_cx.maximal_simplexes()))
+    path = tmp_path / "path.scx"
+    path.write_text(print_scx(ScxDocument("complex", path_cx)), encoding="utf-8")
+    assert run("check-strongly-regular", str(path)) == 1
+    assert capsys.readouterr().out == (
+        "maximal simplex conv((0, 1/2), (1/2, 0)) has denominator gcd 2\n"
+        "maximal simplex conv((1/2, 0), (1, 1/2)) has denominator gcd 2\n")
 
 
 def test_desingularize_roundtrip(tmp_path, capsys):

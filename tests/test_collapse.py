@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from zrk import (CollapseSequence, CollapseStep, GeoComplex, GeoSimplex,
+from zrk import (CollapseSequence, CollapseStep, GeoComplex, GeoSimplex, RPoint,
                  elementary_collapse, find_collapse_sequence, free_faces,
                  from_maximal, replay, rpoint, standard_cube, stellar)
 from zrk import collapse
@@ -250,3 +250,19 @@ def test_search_memory_holds_no_state_per_node():
         tracemalloc.stop()
     assert seq is not None
     assert peak < 16_000_000, f"search peak {peak / 1e6:.1f} MB"
+
+
+def test_face_table_hashes_no_point(monkeypatch):
+    # The face table takes the complex's vertex table and reads its ids off
+    # the complex's rank tuples; building it looked every vertex of every
+    # maximal simplex up by point (616 hashes on cube4).
+    cx = standard_cube(4)
+    hashed = []
+    real = RPoint.__hash__
+    monkeypatch.setattr(RPoint, "__hash__", lambda p: hashed.append(p) or real(p))
+    table = collapse._FaceTable(cx)
+    assert not hashed
+    monkeypatch.undo()
+    assert table.index is cx._rank and table.verts is cx.vertices()
+    faces = [table.geo(s) for s in table.faces]
+    assert len(faces) == len(cx.simplexes) and set(faces) == cx.simplexes

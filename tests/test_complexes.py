@@ -528,6 +528,37 @@ def test_maximal_simplexes_match_scanning_oracle():
     assert {s.dim for s in from_maximal(non_pure).maximal_simplexes()} == {0, 1, 2}
 
 
+def test_rank_tuples_read_the_vertex_table():
+    # A complex numbers its vertices once: ``_rank`` maps each vertex to
+    # its index in ``vertices()`` and ``_ranks[i]`` is the rank tuple of
+    # ``maximal_simplexes()[i]``; the stars are read off the rank tuples.
+    # Inputs are cubes, stellar cubes, and non-pure lists with faces of
+    # their simplexes and copies of their points, in seeded random order;
+    # the kept simplexes are the scanning oracle's.
+    rng = random.Random(20233)
+    non_pure = [tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (2, 0), (2, 1)),
+                seg((0, 1), (-1, 2)), GeoSimplex((rpoint(3, 3),)),
+                seg((0, 0), (1, 0)), GeoSimplex((rpoint(2, 1),))]
+    inputs = [non_pure]
+    for n in (1, 2, 3, 4):
+        inputs.append(list(standard_cube(n).maximal_simplexes()))
+        maxi = list(_stellar_chain(rng, n, 4, rng.randint(1, 3)).maximal_simplexes())
+        copies = [GeoSimplex(tuple(RPoint(v.coords) for v in s.vertices))
+                  for s in rng.sample(maxi, min(4, len(maxi)))]
+        inputs += [maxi, maxi + copies + [_random_face(rng, s)
+                                          for s in rng.choices(maxi, k=6)]]
+    for simplexes in inputs:
+        rng.shuffle(simplexes)
+        cx = GeoComplex(simplexes, validate=False)
+        maxi, verts = cx.maximal_simplexes(), cx.vertices()
+        assert maxi == scan_maximal_simplexes(closure_complex(simplexes))
+        assert cx._rank == {v: i for i, v in enumerate(verts)}
+        assert cx._ranks == tuple(tuple(verts.index(v) for v in s.vertices) for s in maxi)
+        assert cx._star_index() == {
+            v: frozenset(i for i, s in enumerate(maxi) if v in s.vertices) for v in verts}
+    assert {s.dim for s in GeoComplex(non_pure).maximal_simplexes()} == {0, 1, 2}
+
+
 def test_maximal_simplexes_come_in_sorted_order():
     # The constructor sorts by tuples of vertex ranks; the order must be
     # sorted() on GeoSimplex, the lexicographic order of the vertex tuples.
@@ -752,6 +783,31 @@ def test_standard_cube_counts():
             assert all(c in (0, 1) for c in v.coords)
         # the construction is a genuine complex
         GeoComplex(maxi, validate=True)
+
+
+def test_standard_cube_builds_its_chains_without_rank_checks(monkeypatch):
+    # Each maximal chain is built raw: it is sorted and independent by
+    # construction.  The reference validates every chain, given in reverse
+    # order, with the checking constructor, and the complex with
+    # ``from_maximal``.
+    real = linalg.matrix_rank
+    for n in (1, 2, 3, 4, 5):
+        chains = []
+        for perm in itertools.permutations(range(n)):
+            point = [0] * n
+            chain = [rpoint(*point)]
+            for i in perm:
+                point[i] = 1
+                chain.append(rpoint(*point))
+            chains.append(GeoSimplex(tuple(reversed(chain))))
+        expected = from_maximal(chains)
+        ranks = []
+        monkeypatch.setattr(linalg, "matrix_rank", lambda rows: ranks.append(1) or real(rows))
+        cx = standard_cube(n)
+        monkeypatch.undo()
+        assert not ranks
+        assert cx == expected and cx.vertices() == expected.vertices()
+        assert cx._ranks == expected._ranks
 
 
 def test_standard_cube_support_grid():

@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from zrk import (GeoSimplex, PLMap, certify_main, find_collapse_sequence,
+from zrk import (GeoSimplex, PLMap, RPoint, certify_main, find_collapse_sequence,
                  from_maximal, part2_reduce, pipeline_dh, rpoint, scx,
                  standard_cube, stellar)
 from zrk.complexes import AbsComplex, WeightedComplex
@@ -13,7 +14,7 @@ from zrk.exactnum import format_rat
 from zrk.scx import KINDS, ScxDocument, ScxError, parse_scx, print_scx
 from zrk.zmaps import RetractVerdict
 
-from conftest import seg
+from conftest import seg, tri
 from oracles import json_print_scx, validating_parse_sequence
 
 
@@ -457,6 +458,33 @@ def test_printer_matches_json_on_corpus():
             assert _same_as_json(parse_scx(text)) == text, entry.name
             verdicts += entry.name.endswith(".verdict.scx")
     assert verdicts >= 9
+
+
+def test_printing_a_complex_hashes_each_vertex_at_most_twice(monkeypatch):
+    # A complex is printed off its vertex table: each vertex is formatted
+    # once and every simplex is read off its rank tuple, so a vertex is
+    # hashed at most twice (a memo miss and its store) however many
+    # simplexes share it.  The cube4 origin lies in all 24 simplexes.
+    rng = random.Random(2317)
+    cube = standard_cube(4)
+    complexes = [cube, stellar(cube, rpoint("1/3", "1/4", "1/2", "1/5")),
+                 stellar(standard_cube(3), rng.choice(
+                     standard_cube(3).maximal_simplexes()).barycenter()),
+                 from_maximal([tri((0, 0), (1, 0), (0, 1)), seg((1, 0), (2, 1)),
+                               GeoSimplex((rpoint(3, 3),))])]
+    for cx in complexes:
+        doc = ScxDocument("complex", cx)
+        expected = json_print_scx(doc)
+        hashed = collections.Counter()
+        real = RPoint.__hash__
+        monkeypatch.setattr(RPoint, "__hash__", lambda p: hashed.update([id(p)]) or real(p))
+        text = print_scx(doc)
+        monkeypatch.undo()
+        assert text == expected
+        assert set(hashed) <= {id(v) for v in cx.vertices()}
+        assert max(hashed.values()) <= 2
+    assert max(sum(v in s.vertices for s in cube.maximal_simplexes())
+               for v in cube.vertices()) == 24
 
 
 def test_printer_matches_json_on_verdicts(antidiagonal):

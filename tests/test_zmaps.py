@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -246,6 +247,29 @@ def test_lattice_points_match_product_scan():
     assert found == [product_lattice_points(part) for part in parts]
     assert any(not f for f in found)
     assert any(0 < len(f) < 2 ** part.ambient_dim for f, part in zip(found, parts))
+
+
+def test_certifying_compares_no_fractions(monkeypatch):
+    # certify_main reads the cube bounds and the cube vertices of |P| off
+    # the points' integer vectors, and the search, desingularization and
+    # strong-regularity tests compare integers only.  The parts are cube3,
+    # a stellar cube3 and a random simplex, built before counting.
+    rng = random.Random(20234)
+    parts = [standard_cube(3), stellar(standard_cube(3), rpoint("1/3", "1/4", "1/2")),
+             from_maximal([random_simplex(rng, 3, 4)])]
+    calls = collections.Counter()
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, _n=name, _f=real: calls.update([_n]) or _f(*args))
+    assert Fraction(1, 2) < Fraction(2, 3) and calls == {"__lt__": 1}
+    verdicts = []
+    for part in parts:
+        calls.clear()
+        verdicts.append(certify_main(part).status)
+        assert not calls, (part, calls)
+    monkeypatch.undo()
+    assert verdicts[:2] == ["certified", "certified"]
 
 
 def test_part2_reduce_worked_example(tent, tent_domain, half_interval):
