@@ -31,8 +31,12 @@ class CollapseStep:
     free_facet: GeoSimplex
 
     def __post_init__(self):
-        mv, fv = set(self.maximal.vertices), set(self.free_facet.vertices)
-        if not (fv < mv and len(fv) == len(mv) - 1):
+        # Both vertex tuples are sorted, so F is a facet of T iff it is T
+        # without the vertex where the two first differ.
+        t, f = self.maximal.vertices, self.free_facet.vertices
+        i = next((i for i, (u, v) in enumerate(zip(f, t)) if u is not v and u != v),
+                 len(f))
+        if len(f) != len(t) - 1 or f != t[:i] + t[i + 1:]:
             raise ValueError("free_facet must be a facet of maximal")
 
 

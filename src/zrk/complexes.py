@@ -5,12 +5,12 @@ input simplex that lies in another and builds no faces (``simplexes`` builds
 them when read).  It checks the common-face condition on what is left.  A
 complex of n-simplexes in [0,1]^n is first tried as a triangulation of the
 cube by facet matching, in time linear in its size (``_triangulates_cube``);
-otherwise the condition is checked pair by pair, by four tests in order:
+otherwise the condition is checked pair by pair, by three tests in order:
 disjoint integer bounding boxes (``_bbox_overlap``), a separating form read
-off the cached integer rows of either simplex (``_separated``), the
-combined form of both (``_combined``), and only when none settles the pair
-the cell a cap b from ``linalg``'s polytope kernel, whose vertex masks show
-whether it lies in the face spanned by the shared vertices.
+off the cached integer rows of either simplex (``_separated``), and only
+when neither settles the pair the cell a cap b from ``linalg``'s polytope
+kernel, whose vertex masks show whether it lies in the face spanned by the
+shared vertices.
 
 A complex numbers its vertices once: its sorted vertices are its vertex
 table, ``_rank`` maps each vertex to its index there, and ``_ranks`` holds
@@ -322,47 +322,15 @@ def _separated(a: GeoSimplex, b: GeoSimplex, shared: set) -> bool:
     return False
 
 
-def _combined(a: GeoSimplex, b: GeoSimplex, shared: set) -> bool:
-    """A second sufficient test that a cap b = conv(S), for the set S of
-    shared vertices (as ``_vertex_rows`` vectors), by one combined form.
-
-    Let R_a and R_b be the unshared vertices of a and b, and mu_a the sum
-    of a's barycentric coordinates over R_a, extended to the affine form
-    that a's rows define on all of R^n; mu_b likewise.  With the row sums
-    m_a, m_b and denominators D_a, D_b of the two simplexes, the integer
-    row f = D_b m_a - D_a m_b at X = d(w, 1) is D_a D_b d (mu_a - mu_b)(w),
-    so it has the sign of the affine form g = mu_a - mu_b.  At a shared
-    vertex s the barycentric coordinates of either simplex are the unit
-    vector of s, so mu_a(s) = mu_b(s) = 0 and g = 0 on S.  Suppose g > 0
-    on R_a and g < 0 on R_b.  A point p of a is sum_v l_v v with l_v >= 0
-    summing to 1, so g(p) = sum over R_a of l_v g(v) >= 0, with equality
-    iff l_v = 0 on R_a, that is iff p lies in conv(S); likewise g <= 0 on
-    b with equality exactly on conv(S).  A point of a cap b thus has g = 0
-    and lies in conv(S), which lies in a cap b anyway.  ``_separated`` is
-    the case of one form of one simplex; the sum tests a form that neither
-    simplex has, which settles every pair of standard_cube(4).  False
-    means "not shown".
-    """
-    da, db = a._point_rows[2], b._point_rows[2]
-    f = [0] * len(a._vertex_rows[0])
-    for s, scale in ((a, db), (b, -da)):
-        for row, x in zip(s._point_rows[1], s._vertex_rows):
-            if x not in shared:
-                f = [t + scale * c for t, c in zip(f, row)]
-    return (all(sum(map(mul, f, x)) > 0 for x in a._vertex_rows if x not in shared)
-            and all(sum(map(mul, f, x)) < 0 for x in b._vertex_rows if x not in shared))
-
-
 def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     """The defining condition: a cap b = conv(S), for the set S of shared
     vertices.
 
-    Disjoint bounding boxes, a separating form of either simplex
-    (``_separated``) or the combined form of both (``_combined``), in that
-    order, settle the pair.  Otherwise clip a by b's constraints,
-    its hull equalities as rows and their negations and its barycentric
-    forms (``linalg.clip_simplex``), which gives the vertices of the cell
-    a cap b with their tight masks.  Bit i of a mask is set iff a's
+    Disjoint bounding boxes or a separating form of either simplex
+    (``_separated``), in that order, settle the pair.  Otherwise clip a by
+    b's constraints, its hull equalities as rows and their negations and its
+    barycentric forms (``linalg.clip_simplex``), which gives the vertices of
+    the cell a cap b with their tight masks.  Bit i of a mask is set iff a's
     barycentric form i is 0 at that vertex: it is set on the vertices of a,
     and a new vertex lies strictly inside an edge of the cell, where a form
     vanishes iff it vanishes at both ends.  A point of a lies in conv(S)
@@ -374,8 +342,7 @@ def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     if not _bbox_overlap(a, b):
         return True
     shared = set(a._vertex_rows).intersection(b._vertex_rows)
-    if (_separated(a, b, shared) or _separated(b, a, shared)
-            or _combined(a, b, shared)):
+    if _separated(a, b, shared) or _separated(b, a, shared):
         return True
     eqs, bary, _ = b._point_rows
     cell = linalg.clip_simplex(

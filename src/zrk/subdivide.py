@@ -61,7 +61,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 from operator import and_, mul
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from . import linalg
 from .complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap
@@ -78,7 +78,8 @@ class SupportMismatch(ValueError):
 
 
 class RestrictionError(RuntimeError):
-    """Raised when a restriction cannot keep an interior simplex intact."""
+    """Raised when a restriction fails its end checks: the simplexes inside
+    |P| do not triangulate it, or a preserved simplex was cut."""
 
 
 # -- stellar subdivision -----------------------------------------------------
@@ -372,15 +373,27 @@ def _inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]
     return GeoComplex(found, validate=False) if found else None
 
 
+def _shifts(f: Row, eqs: Sequence[Row]) -> Iterator[Row]:
+    """f, then f plus each integer combination of eqs with coefficients in
+    -6..6, the coefficient tuples in lexicographic order."""
+    yield f
+    for coeffs in itertools.product(range(-6, 7), repeat=len(eqs)):
+        yield tuple(x + sum(c * e[j] for c, e in zip(coeffs, eqs))
+                    for j, x in enumerate(f))
+
+
 def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
     """Subdivide cx so that the simplexes inside |part| triangulate |part|.
 
     Simplexes of cx that already lie inside |part| are never cut.  The
     subdivision slices along the affine hulls and facet functionals of
-    part's maximal simplexes; a slicing functional whose hyperplane would
-    cut through a preserved simplex is perturbed within its admissible
-    freedom, and if no admissible choice exists a RestrictionError is
-    raised rather than returning a wrong answer.
+    part's maximal simplexes.  A facet functional is only determined on the
+    affine hull of its simplex, so one whose hyperplane would cut through a
+    preserved simplex is shifted by the hull equalities (``_shifts``); a
+    row that still cuts one is left out.  The end checks decide: a
+    RestrictionError is raised, rather than a wrong answer returned, when
+    the simplexes inside |part| do not triangulate it or a preserved
+    simplex was lost.
     """
     if cx.ambient_dim != part.ambient_dim:
         raise SupportMismatch("containment violation: ambient dimensions differ")
@@ -404,32 +417,10 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
     rows: list[Row] = []
     for q in part.maximal_simplexes():
         eqs, ineqs, _ = q._point_rows
-        for e in eqs:
-            if crosses_protected(e):
-                raise RestrictionError(
-                    "restriction cannot preserve interior simplexes: an affine "
-                    f"hull of {q} separates a preserved simplex")
-            rows.append(e)
-        for f in ineqs:
-            if not crosses_protected(f):
-                rows.append(f)
-                continue
-            # The facet functional is only determined on aff(q); shift it by
-            # the hull equalities until it stops cutting preserved simplexes.
-            fixed = None
-            for coeffs in itertools.product(range(-6, 7), repeat=len(eqs)):
-                cand = f
-                for c, e in zip(coeffs, eqs):
-                    if c:
-                        cand = tuple(x + c * y for x, y in zip(cand, e))
-                if not crosses_protected(cand):
-                    fixed = cand
-                    break
-            if fixed is None:
-                raise RestrictionError(
-                    "restriction cannot preserve interior simplexes: no "
-                    f"admissible extension for a facet of {q}")
-            rows.append(fixed)
+        for tries in [(e,) for e in eqs] + [_shifts(f, eqs) for f in ineqs]:
+            row = next((r for r in tries if not crosses_protected(r)), None)
+            if row is not None:
+                rows.append(row)
 
     out = cx
     for row in rows:

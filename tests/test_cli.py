@@ -111,6 +111,22 @@ def test_refine_and_restrict(tmp_path):
     assert doc.kind == "complex"
 
 
+def test_restrict_to_a_quadrilateral_with_an_interior_facet(tmp_path):
+    # The edge from (0,0) to (1,1/2) is a facet of both triangles of P that
+    # crosses the lower triangle of cx, but it is interior to |P|: restrict
+    # leaves its row out and succeeds.
+    paths = {}
+    for name, simplexes in (
+            ("cx", [((0, 0), (0, 1), (1, 0)), ((0, 1), (1, 0), (1, 1))]),
+            ("part", [((0, 0), (0, 1), (1, "1/2")), ((0, 0), (1, 0), (1, "1/2"))])):
+        cx = from_maximal([GeoSimplex(tuple(rpoint(*p) for p in s)) for s in simplexes])
+        paths[name] = tmp_path / f"{name}.scx"
+        paths[name].write_text(print_scx(ScxDocument("complex", cx)), encoding="utf-8")
+    out = tmp_path / "adapted.scx"
+    assert run("restrict", str(paths["cx"]), str(paths["part"]), "--out", str(out)) == 0
+    assert len(parse_scx(out.read_text()).payload.maximal_simplexes()) == 3
+
+
 def test_collapse_replay_cycle(tmp_path):
     seq = tmp_path / "seq.scx"
     assert run("collapse", corpus_path("cube2.scx"), "--out", str(seq)) == 0

@@ -266,3 +266,32 @@ def test_face_table_hashes_no_point(monkeypatch):
     assert table.index is cx._rank and table.verts is cx.vertices()
     faces = [table.geo(s) for s in table.faces]
     assert len(faces) == len(cx.simplexes) and set(faces) == cx.simplexes
+
+
+def test_collapse_step_checks_its_facet_without_hashing(monkeypatch):
+    # Both vertex tuples are sorted, so the facet test compares tuples; it
+    # built two point sets per step, also for the steps the search builds
+    # from its own free pairs.
+    seq = find_collapse_sequence(standard_cube(4))
+    assert len(seq.steps) == 149
+    hashed = []
+    real = RPoint.__hash__
+    monkeypatch.setattr(RPoint, "__hash__", lambda p: hashed.append(p) or real(p))
+    rebuilt = [CollapseStep(s.maximal, s.free_facet) for s in seq.steps]
+    assert not hashed
+    monkeypatch.undo()
+    assert rebuilt == list(seq.steps)
+    # Every pair of simplexes of cube2, with equal points as distinct
+    # objects, and a foreign point: a step is made iff the point sets say
+    # F is a facet of T.
+    simplexes = sorted(standard_cube(2).simplexes) + [
+        seg2d((0, 0), ("1/2", 0)), tri((0, 0), (1, 0), ("1/2", "1/2"))]
+    for t in simplexes:
+        for f in simplexes:
+            f = GeoSimplex(tuple(RPoint(v.coords) for v in f.vertices))
+            mv, fv = set(t.vertices), set(f.vertices)
+            if fv < mv and len(fv) == len(mv) - 1:
+                CollapseStep(t, f)
+            else:
+                with pytest.raises(ValueError, match="must be a facet of maximal"):
+                    CollapseStep(t, f)

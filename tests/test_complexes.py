@@ -15,9 +15,8 @@ from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, RPoint, WeightedComp
                  verify_zretract)
 from zrk import linalg
 from zrk import complexes
-from zrk.complexes import (NotASimplicialComplex, _combined,
-                           _meet_in_common_face, _placement, _separated,
-                           _triangulates_cube)
+from zrk.complexes import (NotASimplicialComplex, _meet_in_common_face,
+                           _placement, _separated, _triangulates_cube)
 from zrk.zmaps import DomainError
 from zrk.regular import is_regular
 from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
@@ -145,14 +144,13 @@ def _shared(a: GeoSimplex, b: GeoSimplex) -> set:
     return set(a._vertex_rows) & set(b._vertex_rows)
 
 
-def test_common_face_lp_matches_enumeration_oracle():
-    # The separating and combined forms may only ever certify proper pairs;
-    # they must also fire often enough to matter.
+def test_common_face_lp_matches_enumeration_oracle(monkeypatch):
+    # The separating form may only ever certify proper pairs; it must also
+    # fire often enough to matter.
     improper = shared_improper = fired = 0
     pairs = _seeded_pairs()
     for a, b in pairs:
         expected = enumerate_meet_in_common_face(a, b)
-        assert not _combined(a, b, _shared(a, b)) or expected, (a, b)
         for x, y in ((a, b), (b, a)):
             assert _meet_in_common_face(x, y) is expected, (x, y)
             assert lp_meet_in_common_face(x, y) is expected, (x, y)
@@ -165,12 +163,18 @@ def test_common_face_lp_matches_enumeration_oracle():
     assert improper >= 20 and shared_improper >= 10
     assert fired >= len(pairs) - improper
     # Every box of cube4 overlaps every other, and 84 of its 276 pairs have
-    # no separating form; the combined form settles each of them.
+    # no separating form; the clip shows each of them proper.
     missed = [(a, b) for a, b in itertools.combinations(
                   standard_cube(4).maximal_simplexes(), 2)
               if not (_separated(a, b, _shared(a, b)) or _separated(b, a, _shared(a, b)))]
     assert len(missed) == 84
-    assert all(_combined(a, b, _shared(a, b)) for a, b in missed)
+    calls = []
+    clip = linalg.clip_simplex
+    monkeypatch.setattr(linalg, "clip_simplex",
+                        lambda *args: calls.append(1) or clip(*args))
+    for a, b in missed:
+        assert _meet_in_common_face(a, b) and enumerate_meet_in_common_face(a, b), (a, b)
+    assert len(calls) == len(missed)
 
 
 def test_common_face_clip_matches_lp_and_enumeration_oracles():
@@ -197,7 +201,6 @@ def test_common_face_clip_matches_lp_and_enumeration_oracles():
                 for x, y in ((a, b), (b, a)):
                     assert _meet_in_common_face(x, y) is expected, (x, y)
                     assert lp_meet_in_common_face(x, y) is expected, (x, y)
-                    assert not _combined(x, y, _shared(x, y)) or expected, (x, y)
                 seen["improper"] += not expected
                 seen["shared"] += bool(set(a.vertices) & set(b.vertices))
                 seen["low"] += min(a.dim, b.dim) < d
@@ -218,7 +221,6 @@ def test_separating_form_never_fires_on_overlaps():
             (tri(("1/4", "1/4", -1), ("1/4", "1/4", 1)), base)]:
         for x, y in ((a, b), (b, a)):
             assert not _separated(x, y, _shared(x, y)), (x, y)
-            assert not _combined(x, y, _shared(x, y)), (x, y)
 
 
 def test_separating_form_fires_through_an_equality_row():
@@ -234,17 +236,6 @@ def test_separating_form_fires_through_an_equality_row():
     assert _separated(c, d, _shared(c, d))
     for x, y in ((a, b), (c, d)):
         assert _meet_in_common_face(x, y) and enumerate_meet_in_common_face(x, y)
-
-
-def test_separating_form_spares_most_lps(monkeypatch):
-    # 192 of the 276 pairs of cube4 have a separating form and the combined
-    # form settles the other 84, so none reaches the polytope kernel.
-    calls = []
-    clip = linalg.clip_simplex
-    monkeypatch.setattr(linalg, "clip_simplex",
-                        lambda *args: calls.append(1) or clip(*args))
-    from_maximal(standard_cube(4).maximal_simplexes())
-    assert len(calls) == 0
 
 
 def _t_junction() -> list[GeoSimplex]:

@@ -62,7 +62,7 @@ def test_collapse_search_makes_no_per_node_copies():
 
 # Code lines in src/zrk when the gate was set.  Lower it when code goes;
 # raise it only with a line in CHANGES.md saying why.
-CODE_LINES = 2152
+CODE_LINES = 2129
 
 
 def code_lines(text: str) -> int:

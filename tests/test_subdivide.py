@@ -281,6 +281,51 @@ def test_restrict_nonconvex_part():
     assert is_subdivision(out, cx)
 
 
+def _check_restricted(out: GeoComplex, cx: GeoComplex, part: GeoComplex) -> None:
+    """out subdivides cx, its simplexes inside |part| triangulate |part|,
+    and every simplex of cx inside |part| is still in out."""
+    assert is_subdivision(out, cx)
+    assert support_equal(inside_subcomplex(out, part), part)
+    assert all(s in out for s in inside_subcomplex(cx, part).maximal_simplexes())
+
+
+def test_restrict_leaves_out_a_facet_row_interior_to_the_part():
+    # |P| is the quadrilateral (0,0), (1,0), (1,1/2), (0,1), and the lower
+    # triangle of cx lies in it.  The edge from (0,0) to (1,1/2) is a facet
+    # of both triangles of P and crosses that triangle, but it is interior
+    # to |P| and needs no cut: its row is left out, and slicing by the
+    # other rows adapts cx.
+    cx = from_maximal([tri((0, 0), (0, 1), (1, 0)), tri((0, 1), (1, 0), (1, 1))])
+    part = from_maximal([tri((0, 0), (0, 1), (1, "1/2")),
+                         tri((0, 0), (1, 0), (1, "1/2"))])
+    out = restrict(cx, part)
+    assert sorted(out.maximal_simplexes()) == [
+        tri((0, 0), (0, 1), (1, 0)), tri((0, 1), (1, 0), (1, "1/2")),
+        tri((0, 1), (1, "1/2"), (1, 1))]
+    _check_restricted(out, cx, part)
+
+
+def test_restrict_shifts_a_facet_row_off_a_preserved_triangle(monkeypatch):
+    # Found by a seeded search (random.Random(1)) over K a stellar cube2 at
+    # one to four quarter points and P a triangle of K with an edge from
+    # one of its vertices to a quarter point: the first case whose K has
+    # three triangles, and whose restriction needs a shifted facet row.
+    # The facet row x = 1/2 of the dangling edge crosses the preserved
+    # triangle; shifted by a multiple of the edge's hull equality y = 0 it
+    # passes through (1/2, 0) and (1, 1/4) instead.
+    cx = stellar(standard_cube(2), rpoint(1, "1/4"))
+    part = from_maximal([tri((0, 0), (1, "1/4"), (1, 1)), tri((0, 0), ("1/2", 0))])
+    out = restrict(cx, part)
+    assert sorted(out.maximal_simplexes()) == [
+        tri((0, 0), (0, 1), (1, 1)), tri((0, 0), ("1/2", 0), (1, "1/4")),
+        tri((0, 0), (1, "1/4"), (1, 1)), tri(("1/2", 0), (1, 0), (1, "1/4"))]
+    _check_restricted(out, cx, part)
+    # Without the shifts the row is left out, and the end check refuses.
+    monkeypatch.setattr(subdivide, "_shifts", lambda f, eqs: iter((f,)))
+    with pytest.raises(RestrictionError, match="failed to adapt"):
+        restrict(stellar(standard_cube(2), rpoint(1, "1/4")), part)
+
+
 def test_refine_for_map_identity():
     cx = standard_cube(1)
     eta = PLMap(cx, {v: v for v in cx.vertices()})
