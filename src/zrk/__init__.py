@@ -10,7 +10,7 @@ collapsibility, a cube vertex in the polyhedron, strong regularity).
 
 from .complexes import (AbsComplex, GeoComplex, GeoSimplex, RPoint,
                         WeightedComplex, from_maximal, realize, rpoint,
-                        simplicially_isomorphic, skeleton, standard_cube)
+                        skeleton, standard_cube)
 from .collapse import (CollapseSequence, CollapseStep, elementary_collapse,
                        find_collapse_sequence, free_faces, replay)
 from .exactnum import (IntMat, Rat, extends_to_basis, format_rat,

@@ -3,8 +3,14 @@
 Collapsibility is the checkable certificate used in place of
 contractibility: a found collapse sequence replays independently, while a
 failed search means only "not found within budget", never "not
-collapsible".  Search, replay and free faces read one sorted list of free
-pairs; the search remembers failed states by a bitmask of live simplexes.
+collapsible".  Search, replay and free faces read one face table of
+integer face ids.  Each face keeps its facets' ids, the number of its live
+cofaces and the XOR of their ids, so a free face names its one coface, and
+the free pairs are ints in one sorted list: removing or restoring a pair
+updates its two faces' facets and re-files their pairs in that list, whose
+shifts are linear in its length.  The search remembers failed states by a
+64-bit Zobrist word of the live set (Zobrist 1970), checked against the
+exact live flags, so a collision costs time and never changes a result.
 A simplex is the tuple of its vertices' ranks in the complex's vertex
 table, the sorted ``GeoComplex.vertices()``, so the face table is built
 from the complex's rank tuples; only a pair handed in as simplexes, a
@@ -39,6 +45,15 @@ class CollapseStep:
         if len(f) != len(t) - 1 or f != t[:i] + t[i + 1:]:
             raise ValueError("free_facet must be a facet of maximal")
 
+    @classmethod
+    def _raw(cls, maximal: GeoSimplex, free_facet: GeoSimplex) -> "CollapseStep":
+        """Skip the facet check for a free facet known to be a facet of
+        ``maximal``, as a face table's pairs are."""
+        step = object.__new__(cls)
+        object.__setattr__(step, "maximal", maximal)
+        object.__setattr__(step, "free_facet", free_facet)
+        return step
+
 
 @dataclass(frozen=True)
 class CollapseSequence:
@@ -51,59 +66,77 @@ class CollapseSequence:
 
 
 class _FaceTable:
-    """Live simplexes as vertex-id tuples, at first every face of every
-    maximal simplex, with each face's live cofaces one dimension up.  The
-    ids are the complex's vertex ranks (``GeoComplex._rank``), read off its
-    rank tuples (``GeoComplex._ranks``): they follow vertex order, so tuple
-    order is ``GeoSimplex`` order, and building the table hashes no point.
-    ``free`` is the sorted list of pairs (T, F) where T is F's only live
-    coface; bit ``bit[s]`` of ``mask`` is set while s is live.  Removing
-    only free pairs keeps every face of a live simplex live."""
+    """Every face of every maximal simplex, numbered in the order of its
+    vertex-id tuple.  The vertex ids are the complex's vertex ranks
+    (``GeoComplex._rank``), read off its rank tuples (``GeoComplex._ranks``):
+    they follow vertex order, so face-id order is ``GeoSimplex`` order, and
+    building the table hashes no point.  Face i keeps ``facets[i]``, its
+    facets' ids; ``count[i]``, the number of its live cofaces one dimension
+    up; and ``xor[i]``, the XOR of their ids, which is that coface when
+    there is one.  ``live`` flags the live faces and ``size`` counts them.
+    ``free`` is the sorted list of the ints T·n + F, n faces, over the pairs
+    where T is F's only live coface, so int order is (T, F) order.  Removing
+    only free pairs keeps every face of a live face live."""
 
     def __init__(self, cx: GeoComplex):
         self.verts, self.index = cx.vertices(), cx._rank
-        ids = {f for r in cx._ranks for k in range(1, len(r) + 1)
-               for f in itertools.combinations(r, k)}
-        self.faces = list(ids)
-        self.bit = {s: i for i, s in enumerate(self.faces)}
-        self.mask = (1 << len(self.faces)) - 1
-        self.cofaces: dict[tuple[int, ...], set] = {s: set() for s in self.faces}
-        for s in self.faces:
-            for i in range(len(s) if len(s) > 1 else 0):
-                self.cofaces[s[:i] + s[i + 1:]].add(s)
-        self.free = sorted((next(iter(c)), g) for g, c in self.cofaces.items() if len(c) == 1)
+        self.faces = sorted({f for r in cx._ranks for k in range(1, len(r) + 1)
+                             for f in itertools.combinations(r, k)})
+        self.id = {s: i for i, s in enumerate(self.faces)}
+        n = self.n = self.size = len(self.faces)
+        self.facets = [tuple(map(self.id.__getitem__, itertools.combinations(s, len(s) - 1)))
+                       if len(s) > 1 else () for s in self.faces]
+        count, xor = self.count, self.xor = [0] * n, [0] * n
+        for i, facets in enumerate(self.facets):
+            for g in facets:
+                count[g] += 1
+                xor[g] ^= i
+        self.live = bytearray(b"\1") * n
+        self.free = sorted(xor[g] * n + g for g in range(n) if count[g] == 1)
 
-    def toggle(self, pair) -> None:
-        """Remove the free pair (T, F), or put it back: flip each simplex in
-        ``mask`` and in its facets' cofaces, re-filing the facets' pairs."""
-        free = self.free
-        for s in pair:
-            self.mask ^= 1 << self.bit[s]
-            for i in range(len(s) if len(s) > 1 else 0):
-                g = s[:i] + s[i + 1:]
-                c = self.cofaces[g]
-                if len(c) == 1:
-                    del free[bisect_left(free, (next(iter(c)), g))]
-                c ^= {s}
-                if len(c) == 1:
-                    insort(free, (next(iter(c)), g))
+    def toggle(self, pair: int) -> None:
+        """Remove the free pair T·n + F, or put it back: flip T and F in
+        ``live`` and in their facets' counts and XORs, re-filing the facets'
+        pairs."""
+        n, free, count, xor, live = self.n, self.free, self.count, self.xor, self.live
+        t, f = divmod(pair, n)
+        step = -1 if live[t] else 1
+        self.size += 2 * step
+        for s in (t, f):
+            live[s] ^= 1
+            for g in self.facets[s]:
+                if count[g] == 1:
+                    del free[bisect_left(free, xor[g] * n + g)]
+                count[g] += step
+                xor[g] ^= s
+                if count[g] == 1:
+                    insort(free, xor[g] * n + g)
 
-    def free_pair(self, t: GeoSimplex, f: GeoSimplex):
-        """(T, F) as id tuples if F is now free with coface T, else None."""
-        pair = tuple(tuple(map(self.index.get, s.vertices)) for s in (t, f))
-        if None in pair[0] + pair[1]:
-            return None
-        k = bisect_left(self.free, pair)
-        return pair if self.free[k:k + 1] == [pair] else None
+    def face_id(self, s: GeoSimplex) -> Optional[int]:
+        return self.id.get(tuple(map(self.index.get, s.vertices)))
 
-    def geo(self, s: tuple[int, ...]) -> GeoSimplex:
-        return GeoSimplex._raw(tuple(self.verts[i] for i in s))
+    def free_pair(self, t: GeoSimplex, f: GeoSimplex) -> Optional[int]:
+        """T·n + F if F is now free with coface T, else None."""
+        i, j = self.face_id(t), self.face_id(f)
+        free = j is not None and self.count[j] == 1 and self.xor[j] == i
+        return i * self.n + j if free else None
+
+    def geo(self, i: int) -> GeoSimplex:
+        return GeoSimplex._raw(tuple(map(self.verts.__getitem__, self.faces[i])))
+
+
+def _zobrist(i: int) -> int:
+    """The 64-bit word of face id i: a fixed integer mix (the first
+    multiplier of splitmix64, a xor-shift, its second multiplier), so the
+    words need no random state."""
+    z = (i + 1) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+    return (z ^ z >> 29) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
 
 
 def free_faces(cx: GeoComplex) -> list[tuple[GeoSimplex, GeoSimplex]]:
     """All pairs (T, F) where F is a facet of exactly one simplex T."""
     table = _FaceTable(cx)
-    return [(table.geo(t), table.geo(f)) for t, f in table.free]
+    return [(table.geo(p // table.n), table.geo(p % table.n)) for p in table.free]
 
 
 def elementary_collapse(cx: GeoComplex, t: GeoSimplex, f: GeoSimplex) -> GeoComplex:
@@ -122,45 +155,52 @@ def find_collapse_sequence(cx: GeoComplex,
     exactly, so its next pair is that pair's successor.  The budget counts
     nodes: each state that is not a single vertex and not known to fail
     costs one, and is expanded only while the count is within budget.  An
-    expanded state's live bitmask is remembered once all its pairs fail;
-    path states strictly shrink, so an open state is never met again.  Past
-    the budget open states still try their remaining pairs, so a single
-    vertex reached that way succeeds.  A budget of 0 finds nothing unless
-    cx is a single vertex.  None means "not found within budget".
+    expanded state is remembered once all its pairs fail, filed under
+    ``key``, the XOR of the Zobrist words of the faces removed; its live
+    flags are copied only then, or when the key of a state is already
+    filed.  Path states strictly shrink, so an open state is never met
+    again.  Past the budget open states still try their remaining pairs,
+    so a single vertex reached that way succeeds.  A budget of 0 finds
+    nothing unless cx is a single vertex.  None means "not found within
+    budget".
     """
     table = _FaceTable(cx)
-    pairs = table.free  # updated in place
-    failed: set[int] = set()
-    nodes = 0
-    path: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    while table.mask & (table.mask - 1):
-        fresh = not failed or table.mask not in failed
+    pairs, n, live = table.free, table.n, table.live  # updated in place
+    words = list(map(_zobrist, range(n)))
+    failed: dict[int, set[bytes]] = {}
+    key = nodes = 0
+    path: list[int] = []
+    while table.size > 1:
+        fresh = key not in failed or bytes(live) not in failed[key]
         nodes += fresh
         expanded = fresh and nodes <= budget
         k = 0 if expanded else len(pairs)
         while k == len(pairs):
             if expanded:
-                failed.add(table.mask)
+                failed.setdefault(key, set()).add(bytes(live))
             if not path:
                 return None
             last = path.pop()
             table.toggle(last)
+            key ^= words[last // n] ^ words[last % n]
             k, expanded = bisect_right(pairs, last), True
-        path.append(pairs[k])
-        table.toggle(pairs[k])
-    steps = tuple(CollapseStep(table.geo(t), table.geo(f)) for t, f in path)
-    return CollapseSequence(steps, table.geo(table.faces[table.mask.bit_length() - 1]))
+        pair = pairs[k]
+        path.append(pair)
+        table.toggle(pair)
+        key ^= words[pair // n] ^ words[pair % n]
+    steps = tuple(CollapseStep._raw(table.geo(p // n), table.geo(p % n)) for p in path)
+    return CollapseSequence(steps, table.geo(live.index(1)))
 
 
 def replay(cx: GeoComplex, seq: CollapseSequence) -> bool:
     """Check that every step is a valid elementary collapse in order and the
-    end state is the single terminal vertex.  Each step costs O(log n)
-    comparisons per facet plus list shifts linear in the free list."""
+    end state is the single terminal vertex.  A step costs its vertices'
+    rank lookups, two face-id lookups and one flip, whose list shifts are
+    linear in the free list."""
     table = _FaceTable(cx)
     for step in seq.steps:
         pair = table.free_pair(step.maximal, step.free_facet)
         if pair is None:
             return False
         table.toggle(pair)
-    i = table.bit.get(tuple(map(table.index.get, seq.terminal.vertices)))
-    return i is not None and table.mask == 1 << i
+    return table.size == 1 and table.geo(table.live.index(1)) == seq.terminal

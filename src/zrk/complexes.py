@@ -691,61 +691,6 @@ def skeleton(cx: GeoComplex) -> AbsComplex:
                       [frozenset(s.vertices) for s in cx.maximal_simplexes()])
 
 
-def simplicially_isomorphic(a: GeoComplex, b: GeoComplex) -> Optional[dict]:
-    """A vertex bijection identifying the two skeletons, or None.
-
-    Exhaustive backtracking with degree-vector pruning; complexes at desk
-    scale keep this cheap.
-    """
-    sa, sb = skeleton(a), skeleton(b)
-    va, vb = list(sa.vertices), list(sb.vertices)
-    if len(va) != len(vb) or len(sa.faces) != len(sb.faces):
-        return None
-
-    def profile(sk, v):
-        sizes = sorted(len(f) for f in sk.faces if v in f)
-        return tuple(sizes)
-
-    prof_a = {v: profile(sa, v) for v in va}
-    prof_b = {w: profile(sb, w) for w in vb}
-    if sorted(prof_a.values()) != sorted(prof_b.values()):
-        return None
-
-    faces_by_v_a = {v: [f for f in sa.faces if v in f] for v in va}
-    assignment: dict = {}
-    used: set = set()
-
-    def extend(i: int) -> bool:
-        if i == len(va):
-            return True
-        v = va[i]
-        for w in vb:
-            if w in used or prof_a[v] != prof_b[w]:
-                continue
-            ok = True
-            for f in faces_by_v_a[v]:
-                if all(u in assignment or u == v for u in f):
-                    img = frozenset(assignment.get(u, w) for u in f)
-                    if img not in sb.faces:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            assignment[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del assignment[v]
-            used.discard(w)
-        return False
-
-    if not extend(0):
-        return None
-    # The face counts match, so face-preservation in one direction plus
-    # bijectivity gives the reverse direction as well.
-    return dict(assignment)
-
-
 def standard_cube(n: int) -> GeoComplex:
     """Standard triangulation of [0,1]^n: simplexes are convex hulls of
     chains in {0,1}^n under the product order; n! maximal simplexes.  A

@@ -7,9 +7,12 @@ satisfy the simplicial-complex condition); printing is canonical, so
 parse . print is the identity on canonical text.  Every failure is a
 ``ScxError`` whose ``where`` locates it in the document.  A collapse step's
 simplexes are read off earlier simplexes of the sequence when they are
-faces of them, with no sort and no rank check: its free facet off its
+facets of them, with no sort and no rank check: its free facet off its
 maximal simplex, and its maximal simplex, unless it is maximal in the
-complex, off an earlier step's.  Every other entry is built and checked.
+complex, off an earlier step's maximal simplex or free facet.  The facets
+of the earlier steps are keyed by the ids of their points, a fixed number
+of keys per step, dropped once the step removing that facet is read, so
+the parse is linear in the steps.  Every other entry is built and checked.
 
 The canonical text is what ``json.dumps`` prints with sorted keys and an
 indent of 2, plus a newline.  An indent makes ``json`` run its pure-Python
@@ -20,16 +23,17 @@ and ``{}`` when empty, ``int.__repr__`` for integers and ``json``'s C
 coordinate texts.  A per-document memo (``_point_out``) formats each
 distinct point once and hands every occurrence the same tuple, and the
 emitter renders a point's bracketed block once per indent level at which
-it appears, so a vertex repeated in many simplexes or collapse steps is
-one dict lookup each time.  A complex is printed off its vertex table: each
-vertex of ``GeoComplex.vertices()`` is looked up in the memo once, and a
-maximal simplex is the texts at its rank tuple (``GeoComplex._ranks``), so
-no vertex occurrence is hashed.
+it appears.  A complex's maximal simplexes and a sequence's steps stay in
+the body as they are (``_Simplexes``, ``_Steps``) and are printed by
+joins: a maximal simplex is one join of the blocks at its rank tuple
+(``GeoComplex._ranks``), and a step is two joins of the blocks of its
+vertex objects, looked up by id, so no vertex occurrence is hashed.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
@@ -71,16 +75,16 @@ def _point_out(p: RPoint, memo: dict) -> tuple[str, ...]:
     return text
 
 
-def _simplex_out(s: GeoSimplex, memo: dict) -> list[tuple[str, ...]]:
-    return [_point_out(v, memo) for v in s.vertices]
+# The lists of a body that ``_emit`` prints by joins: a complex's maximal
+# simplexes, as the texts of its vertex table and its rank tuples
+# (``GeoComplex._ranks``), and a sequence's steps, with the point memo.
+_Simplexes = namedtuple("_Simplexes", "texts ranks")
+_Steps = namedtuple("_Steps", "steps memo")
 
 
 def _complex_body(cx: GeoComplex, memo: dict) -> dict:
     texts = [_point_out(v, memo) for v in cx.vertices()]
-    return {
-        "dim": cx.ambient_dim,
-        "maximal_simplexes": [[texts[k] for k in r] for r in cx._ranks],
-    }
+    return {"dim": cx.ambient_dim, "maximal_simplexes": _Simplexes(texts, cx._ranks)}
 
 
 def _payload_body(kind: str, payload, memo: dict) -> dict:
@@ -105,8 +109,7 @@ def _payload_body(kind: str, payload, memo: dict) -> dict:
     if kind == "sequence":
         seq: CollapseSequence = payload
         return {
-            "steps": [[_simplex_out(st.maximal, memo),
-                       _simplex_out(st.free_facet, memo)] for st in seq.steps],
+            "steps": _Steps(seq.steps, memo),
             "terminal": _point_out(seq.terminal.vertices[0], memo),
         }
     if kind == "verdict":
@@ -131,39 +134,65 @@ def _payload_body(kind: str, payload, memo: dict) -> dict:
     raise ScxError(f"unknown kind {kind!r}")
 
 
-def _document_body(doc: ScxDocument) -> dict:
-    """The JSON value of a document.  Points are tuples of coordinate
-    texts, one tuple object per distinct point of the document."""
-    body = {"version": doc.version, "kind": doc.kind}
-    body.update(_payload_body(doc.kind, doc.payload, {}))
-    return body
-
-
 def _emit(body: dict) -> str:
     """The text ``json.dumps`` prints for ``body`` with sorted keys and an
     indent of 2, for a body of dicts with string keys, lists, tuples of
-    strings, strings and ints.
+    strings, strings and ints, and the lists ``_Simplexes`` and ``_Steps``.
 
     A tuple is a point: its block is rendered once for each depth at which
     it appears and reused at every later occurrence, which is what lets
-    one dict lookup stand for a vertex repeated in many simplexes.
+    one dict lookup stand for a vertex repeated in many simplexes.  In a
+    ``_Simplexes`` or ``_Steps`` each vertex's block is looked up once, by
+    rank or by the id of its point object, and a simplex is one join of its
+    vertices' blocks, a step one concatenation of two such joins.
     """
     out: list[str] = []
     put = out.append
     blocks: dict = {}  # (point, depth) -> its rendered block
+
+    def block(x: tuple, depth: int) -> str:
+        text = blocks.get((x, depth))
+        if text is None:
+            inner = "\n" + "  " * (depth + 1)
+            text = blocks[x, depth] = (
+                "[" + inner + ("," + inner).join(map(encode_basestring_ascii, x))
+                + "\n" + "  " * depth + "]")
+        return text
+
+    def joins(x, depth: int) -> None:
+        """The list x at depth, a ``_Simplexes`` or a ``_Steps``.  Each item
+        is one string led by its separator, and the first item's comma is
+        the opening bracket, so the items go out with no join of the list."""
+        i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
+        if type(x) is _Simplexes:
+            vb = [block(t, depth + 2) for t in x.texts]
+            opening, sep = "," + i1 + "[" + i2, "," + i2
+            items = [opening + sep.join(map(vb.__getitem__, r)) + i1 + "]" for r in x.ranks]
+        else:
+            by_id: dict[int, str] = {}  # id of a point object -> its block
+            sep = "," + i3
+
+            def joined(vs) -> str:
+                try:
+                    return sep.join(map(by_id.__getitem__, map(id, vs)))
+                except KeyError:
+                    for v in vs:
+                        if id(v) not in by_id:
+                            by_id[id(v)] = block(_point_out(v, x.memo), depth + 3)
+                    return joined(vs)
+
+            opening, middle = "," + i1 + "[" + i2 + "[" + i3, i2 + "]," + i2 + "[" + i3
+            items = [opening + joined(st.maximal.vertices) + middle
+                     + joined(st.free_facet.vertices) + i2 + "]" + i1 + "]"
+                     for st in x.steps]
+        out.extend(["[" + items[0][1:], *items[1:], i0 + "]"] if items else ["[]"])
 
     def value(x, depth: int) -> None:
         kind = type(x)
         if kind is str:
             put(encode_basestring_ascii(x))
         elif kind is tuple:
-            block = blocks.get((x, depth))
-            if block is None:
-                inner = "\n" + "  " * (depth + 1)
-                block = blocks[x, depth] = (
-                    "[" + inner + ("," + inner).join(map(encode_basestring_ascii, x))
-                    + "\n" + "  " * depth + "]")
-            put(block)
+            put(block(x, depth))
         elif kind is list:
             if not x:
                 put("[]")
@@ -175,6 +204,8 @@ def _emit(body: dict) -> str:
                     put("," + inner)
                 value(item, depth + 1)
             put("\n" + "  " * depth + "]")
+        elif kind is _Simplexes or kind is _Steps:
+            joins(x, depth)
         elif kind is dict:
             if not x:
                 put("{}")
@@ -193,11 +224,17 @@ def _emit(body: dict) -> str:
             raise TypeError(f"cannot print a {kind.__name__} in .scx")
 
     value(body, 0)
-    return "".join(out)
+    text = "".join(out)
+    # ``value`` calls itself, so the closures of this call form a cycle that
+    # lives until the next collection; emptying ``out`` frees the pieces now.
+    out.clear()
+    return text
 
 
 def print_scx(doc: ScxDocument) -> str:
-    return _emit(_document_body(doc)) + "\n"
+    body = {"version": doc.version, "kind": doc.kind}
+    body.update(_payload_body(doc.kind, doc.payload, {}))
+    return _emit(body) + "\n"
 
 
 # -- decoding ----------------------------------------------------------------
@@ -328,37 +365,37 @@ def _parse_weighted(body: dict) -> WeightedComplex:
     return WeightedComplex(base, dict(zip(names, weights)))
 
 
-def _listed(entry, points: dict) -> Optional[set]:
-    """The points ``entry`` lists, when they are distinct points already
-    parsed in this document; otherwise None."""
-    if (not isinstance(entry, list) or not entry
-            or not all(isinstance(e, list) for e in entry)):
+def _read_off(entry, points: dict, known) -> Optional[GeoSimplex]:
+    """The simplex ``entry`` lists, read with no sort and no rank check,
+    when it lists points already parsed in this document and the tuple of
+    their ids is in ``known``; otherwise None.  A document's equal points
+    are one object (``_parse_point``), alive while it parses, so the ids
+    name the points."""
+    if not isinstance(entry, list) or not entry:
         return None
     try:
-        found = {points.get(tuple(e)) for e in entry}
+        found = [points.get(tuple(e)) if type(e) is list else None for e in entry]
     except TypeError:  # an array in a point: the parser reports it
         return None
-    return found if len(found) == len(entry) and None not in found else None
+    return GeoSimplex._raw(tuple(found)) if tuple(map(id, found)) in known else None
 
 
-def _face_of(mine: set, t: GeoSimplex) -> Optional[GeoSimplex]:
-    """The face of t spanned by the points ``mine``, read off t without
-    sorting or a rank check, or None when one is not a vertex of t.  A face
-    of a simplex is one, with its vertices in t's order."""
-    vertices = tuple(v for v in t.vertices if v in mine)
-    return GeoSimplex._raw(vertices) if len(vertices) == len(mine) else None
+def _facet_ids(s: GeoSimplex) -> list[tuple[int, ...]]:
+    ids = tuple(map(id, s.vertices))
+    return [ids[:j] + ids[j + 1:] for j in range(len(ids))]
 
 
 def _parse_sequence(body: dict, points: dict, where: str = "") -> CollapseSequence:
-    """A collapse sequence.  When a step removes (T, F), every proper
-    coface of T in the complex has gone already, as an earlier step's T' or
-    as its free facet, a facet of T'.  So in a sequence that replays, each
-    T is a maximal simplex of the complex or a face of an earlier T', and
-    is then read off T' (``_face_of``), found by intersecting the
-    ``stars`` of its points: the earlier steps whose T' has them.  F is
-    read off T.  Every other entry, a bad one included, is parsed and
-    checked as any simplex; a face of T that is not a facet fails as a
-    free facet either way."""
+    """A collapse sequence.  When a step removes (T, F), every coface of T
+    one dimension up in the complex has gone already, as an earlier step's
+    T' or F', so T is a facet of one of them unless it is maximal in the
+    complex.  ``faces`` holds the id tuples of the facets of every earlier
+    T' and F' not yet removed themselves, a fixed number of keys per step,
+    and a T listed as one of them is read off it (``_read_off``), as is an
+    F listed as a facet of its T.  Every other entry, a bad one included,
+    is parsed and checked as any simplex, which builds an equal simplex
+    when the entry is good; an F that is not a facet of T fails as a free
+    facet either way."""
     if not isinstance(body, dict):
         raise ScxError("a collapse sequence must be a JSON object", where.rstrip("."))
     steps_in = body.get("steps")
@@ -367,24 +404,23 @@ def _parse_sequence(body: dict, points: dict, where: str = "") -> CollapseSequen
         raise ScxError("'steps' must be an array", where + "steps")
     terminal = _parse_point(terminal_in, where + "terminal", points)
     steps = []
-    stars: dict[RPoint, set[int]] = {}
+    faces: set[tuple[int, ...]] = set()
     for i, pair in enumerate(steps_in):
         at = f"{where}steps[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScxError("each step is [maximal, free_facet]", at)
-        mine = _listed(pair[0], points)
-        earlier = mine and set.intersection(*(stars.get(p, set()) for p in mine))
-        t = ((earlier and _face_of(mine, steps[min(earlier)].maximal))
+        t = (_read_off(pair[0], points, faces)
              or _parse_simplex(pair[0], terminal.dim, at + "[0]", points))
-        mine = _listed(pair[1], points)
-        f = ((mine and _face_of(mine, t))
+        facets = _facet_ids(t)
+        f = (_read_off(pair[1], points, facets)
              or _parse_simplex(pair[1], terminal.dim, at + "[1]", points))
         try:
             steps.append(CollapseStep(t, f))
         except ValueError as exc:
             raise ScxError(str(exc), at) from None
-        for v in t.vertices:
-            stars.setdefault(v, set()).add(i)
+        faces.update(facets)
+        faces.update(_facet_ids(f))
+        faces.difference_update((tuple(map(id, t.vertices)), tuple(map(id, f.vertices))))
     return CollapseSequence(tuple(steps), GeoSimplex((terminal,)))
 
 

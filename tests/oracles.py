@@ -52,7 +52,11 @@ from before ``regular._box_point`` worked on integers;
 ``all_faces_strongly_regular`` tests regularity on every face, from before
 ``regular.is_strongly_regular`` read it off the maximal simplexes.
 ``json_print_scx`` prints a document with ``json.dumps(indent=2)``, which
-runs the pure-Python encoder, from before ``scx`` had its own emitter.
+runs the pure-Python encoder, from before ``scx`` had its own emitter, over
+a JSON body of its own built from the payload's simplexes and points, from
+before ``scx`` printed simplexes and collapse steps by joins.
+``simplicially_isomorphic`` matches two skeletons by backtracking over
+vertex bijections; it was in ``complexes`` with no caller in ``src``.
 ``is_zmap_by_fit`` decides the Z-map property by fitting an integer affine
 map on every maximal simplex through the Smith form; it was the second
 route in ``zmaps``, next to the divisibility criterion ``is_zmap``.
@@ -88,10 +92,10 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
-from zrk import linalg, scx, subdivide, zmaps
+from zrk import linalg, subdivide, zmaps
 from zrk.collapse import CollapseSequence, CollapseStep
-from zrk.complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap
-from zrk.exactnum import IntMat, invariant_factors, smith_with_transforms
+from zrk.complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap, skeleton
+from zrk.exactnum import IntMat, format_rat, invariant_factors, smith_with_transforms
 from zrk.regular import BudgetExhausted, _box_point, _check, den, homog, is_regular
 
 
@@ -1078,9 +1082,63 @@ def all_faces_strongly_regular(cx) -> bool:
                for s in cx.maximal_simplexes())
 
 
+def _json_point(p: RPoint) -> list:
+    return [format_rat(c) for c in p.coords]
+
+
+def _json_simplex(s: GeoSimplex) -> list:
+    return [_json_point(v) for v in s.vertices]
+
+
+def _json_complex(cx: GeoComplex) -> dict:
+    return {"dim": cx.ambient_dim,
+            "maximal_simplexes": [_json_simplex(s) for s in cx.maximal_simplexes()]}
+
+
+def _json_payload(kind: str, payload) -> dict:
+    """The JSON value of a payload, built from its simplexes and points
+    alone: the body ``scx`` printed before it printed simplexes by joins."""
+    if kind == "complex":
+        return _json_complex(payload)
+    if kind == "plmap":
+        body = _json_complex(payload.domain)
+        body["codomain_dim"] = payload.codomain_dim
+        body["vertex_images"] = [[_json_point(v), _json_point(payload.images[v])]
+                                 for v in payload.domain.vertices()]
+        return body
+    if kind == "weighted":
+        order = list(payload.base.vertices)
+        index = {v: i for i, v in enumerate(order)}
+        return {"vertices": [str(v) for v in order],
+                "faces": sorted(sorted(index[v] for v in f) for f in payload.base.faces),
+                "weights": [payload.weights[v] for v in order]}
+    if kind == "sequence":
+        return {"steps": [[_json_simplex(st.maximal), _json_simplex(st.free_facet)]
+                          for st in payload.steps],
+                "terminal": _json_point(payload.terminal.vertices[0])}
+    body = {"status": payload.status}
+    if payload.refutation_reason:
+        body["refutation_reason"] = payload.refutation_reason
+    wit = payload.witnesses
+    if wit:
+        wbody = {}
+        if wit.lattice_vertex is not None:
+            wbody["lattice_vertex"] = _json_point(wit.lattice_vertex)
+        if wit.collapse_complex is not None:
+            wbody["collapse_complex"] = _json_complex(wit.collapse_complex)
+        if wit.collapse_sequence is not None:
+            wbody["collapse_sequence"] = _json_payload("sequence", wit.collapse_sequence)
+        if wit.strongly_regular is not None:
+            wbody["strongly_regular"] = _json_complex(wit.strongly_regular)
+        body["witnesses"] = wbody
+    return body
+
+
 def json_print_scx(doc) -> str:
     """The canonical text of a document, printed by the ``json`` module."""
-    return json.dumps(scx._document_body(doc), sort_keys=True, indent=2) + "\n"
+    body = {"version": doc.version, "kind": doc.kind}
+    body.update(_json_payload(doc.kind, doc.payload))
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
 def is_zmap_by_fit(eta) -> bool:
@@ -1131,3 +1189,59 @@ def _int_matmul(a, b):
     cols = len(b[0])
     return [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
             for i in range(rows)]
+
+
+def simplicially_isomorphic(a: GeoComplex, b: GeoComplex):
+    """A vertex bijection identifying the two skeletons, or None.
+
+    Exhaustive backtracking with degree-vector pruning; complexes at desk
+    scale keep this cheap.  It recurses once per vertex, so a path of 1,200
+    edges passes Python's default recursion limit.
+    """
+    sa, sb = skeleton(a), skeleton(b)
+    va, vb = list(sa.vertices), list(sb.vertices)
+    if len(va) != len(vb) or len(sa.faces) != len(sb.faces):
+        return None
+
+    def profile(sk, v):
+        sizes = sorted(len(f) for f in sk.faces if v in f)
+        return tuple(sizes)
+
+    prof_a = {v: profile(sa, v) for v in va}
+    prof_b = {w: profile(sb, w) for w in vb}
+    if sorted(prof_a.values()) != sorted(prof_b.values()):
+        return None
+
+    faces_by_v_a = {v: [f for f in sa.faces if v in f] for v in va}
+    assignment: dict = {}
+    used: set = set()
+
+    def extend(i: int) -> bool:
+        if i == len(va):
+            return True
+        v = va[i]
+        for w in vb:
+            if w in used or prof_a[v] != prof_b[w]:
+                continue
+            ok = True
+            for f in faces_by_v_a[v]:
+                if all(u in assignment or u == v for u in f):
+                    img = frozenset(assignment.get(u, w) for u in f)
+                    if img not in sb.faces:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            assignment[v] = w
+            used.add(w)
+            if extend(i + 1):
+                return True
+            del assignment[v]
+            used.discard(w)
+        return False
+
+    if not extend(0):
+        return None
+    # The face counts match, so face-preservation in one direction plus
+    # bijectivity gives the reverse direction as well.
+    return dict(assignment)

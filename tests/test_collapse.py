@@ -191,19 +191,44 @@ def test_search_and_replay_match_scanning_oracles():
             assert replay(cx, mutated) == scan_replay(cx, mutated)
 
 
+def _hollow_with_tails(k: int) -> GeoComplex:
+    hollow = [seg2d((0, 0), (1, 0)), seg2d((1, 0), (0, 1)), seg2d((0, 0), (0, 1))]
+    tails = [seg2d((0, 0), (-1, Fraction(j, k))) for j in range(k)]
+    return from_maximal(hollow + tails)
+
+
+def _count_flips(monkeypatch) -> list:
+    flips = []
+    toggle = collapse._FaceTable.toggle
+    monkeypatch.setattr(collapse._FaceTable, "toggle",
+                        lambda table, pair: flips.append(pair) or toggle(table, pair))
+    return flips
+
+
 def test_search_expands_each_failed_state_once(monkeypatch):
     # A hollow triangle with k tails does not collapse.  Its states are the
     # 2^k sets of tails left; with failed states remembered, each is
     # expanded once and tries each of its tails, so the search removes and
     # restores k 2^(k-1) pairs.  Without the memo it walks all k! orders.
-    flips = []
-    toggle = collapse._FaceTable.toggle
-    monkeypatch.setattr(collapse._FaceTable, "toggle",
-                        lambda table, pair: flips.append(pair) or toggle(table, pair))
+    flips = _count_flips(monkeypatch)
     k = 10
-    hollow = [seg2d((0, 0), (1, 0)), seg2d((1, 0), (0, 1)), seg2d((0, 0), (0, 1))]
-    tails = [seg2d((0, 0), (-1, Fraction(j, k))) for j in range(k)]
-    assert find_collapse_sequence(from_maximal(hollow + tails)) is None
+    assert find_collapse_sequence(_hollow_with_tails(k)) is None
+    assert len(flips) == 2 * k * 2 ** (k - 1)
+
+
+def test_colliding_state_keys_change_no_result(monkeypatch):
+    # With every Zobrist word 0, every state has key 0, so each failed
+    # state is told apart by its live flags alone: the search finds what
+    # it finds with distinct words, at every budget, and still expands
+    # each failed state of the hollow triangle with tails once.
+    monkeypatch.setattr(collapse, "_zobrist", lambda i: 0)
+    for cx in _differential_complexes():
+        for budget in (0, 1, 3, 10, 50, 100_000):
+            assert (find_collapse_sequence(cx, budget=budget)
+                    == dfs_collapse_sequence(cx, budget=budget)), (cx, budget)
+    flips = _count_flips(monkeypatch)
+    k = 8
+    assert find_collapse_sequence(_hollow_with_tails(k)) is None
     assert len(flips) == 2 * k * 2 ** (k - 1)
 
 
@@ -264,8 +289,9 @@ def test_face_table_hashes_no_point(monkeypatch):
     assert not hashed
     monkeypatch.undo()
     assert table.index is cx._rank and table.verts is cx.vertices()
-    faces = [table.geo(s) for s in table.faces]
+    faces = [table.geo(i) for i in range(table.n)]
     assert len(faces) == len(cx.simplexes) and set(faces) == cx.simplexes
+    assert faces == sorted(faces)  # face-id order is simplex order
 
 
 def test_collapse_step_checks_its_facet_without_hashing(monkeypatch):

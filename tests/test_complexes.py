@@ -9,7 +9,7 @@ import pytest
 from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, RPoint, WeightedComplex,
                  certify_main, desingularize, elementary_collapse,
                  find_collapse_sequence, free_faces, from_maximal, realize, replay,
-                 rpoint, simplicially_isomorphic, skeleton, standard_cube, stellar,
+                 rpoint, skeleton, standard_cube, stellar,
                  pipeline_dh, part2_reduce, refine_for_map,
                  retarget_to_carrier_vertices, common_refinement, stellar_chain,
                  verify_zretract)
@@ -25,7 +25,8 @@ from conftest import random_rational, seg, tri
 from oracles import (barycentric_coords, closure_complex,
                      enumerate_meet_in_common_face, fraction_aff_dim,
                      lp_meet_in_common_face, relint_contains, scan_carrier,
-                     scan_hosts, scan_maximal_simplexes, volume_triangulates_cube)
+                     scan_hosts, scan_maximal_simplexes, simplicially_isomorphic,
+                     volume_triangulates_cube)
 
 
 def test_from_maximal_segment():

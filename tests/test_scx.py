@@ -1,6 +1,8 @@
 import collections
+import gc
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from zrk.zmaps import RetractVerdict
 
 from conftest import seg, tri
 from oracles import json_print_scx, validating_parse_sequence
+from test_collapse import _differential_complexes, _mutations
 
 
 def roundtrip(doc: ScxDocument) -> ScxDocument:
@@ -128,9 +131,33 @@ def test_sequences_parse_as_when_every_simplex_is_checked():
     cxs = [standard_cube(n) for n in (3, 4, 5)]
     cxs += [stellar(cxs[0], rpoint(*[Fraction(rng.randint(1, 5), 6) for _ in range(3)]))
             for _ in range(4)]
-    for cx in cxs:
-        text = print_scx(ScxDocument("sequence", find_collapse_sequence(cx)))
+    seqs = [find_collapse_sequence(cx) for cx in cxs]
+    # Steps out of order, dropped, swapped or foreign: what a sequence
+    # file that does not replay can hold.
+    for cx in _differential_complexes():
+        seq = find_collapse_sequence(cx)
+        seqs += list(_mutations(seq, rng)) if seq is not None else []
+    for seq in seqs:
+        text = _same_as_json(ScxDocument("sequence", seq))
         assert parse_scx(text).payload == validating_parse_sequence(text)
+
+
+def test_sequence_parse_work_per_step_does_not_grow(monkeypatch):
+    # Each step looks up a fixed number of facet keys, so the point hashes
+    # per step do not grow with the sequence.  They grew when each step
+    # was found by intersecting per-vertex sets of earlier step indices:
+    # about 34 per step on cube5, against 2.7 for parsing the complex.
+    per_step = []
+    for n in (4, 5, 6):
+        text = print_scx(ScxDocument("sequence", find_collapse_sequence(standard_cube(n))))
+        hashed = []
+        real = RPoint.__hash__
+        monkeypatch.setattr(RPoint, "__hash__", lambda p: hashed.append(1) or real(p))
+        seq = parse_scx(text).payload
+        monkeypatch.undo()
+        per_step.append(len(hashed) / len(seq.steps))
+    assert len(seq.steps) == 9365
+    assert per_step[2] <= per_step[1] <= per_step[0] <= 2, per_step
 
 
 def test_sequence_steps_are_read_off_earlier_steps(monkeypatch):
@@ -485,6 +512,38 @@ def test_printing_a_complex_hashes_each_vertex_at_most_twice(monkeypatch):
         assert max(hashed.values()) <= 2
     assert max(sum(v in s.vertices for s in cube.maximal_simplexes())
                for v in cube.vertices()) == 24
+    # A sequence's steps are printed off the ids of their vertex objects:
+    # a vertex is hashed at most twice over all the steps holding it, and
+    # the terminal, formatted before the steps, once more when they meet it.
+    for cx in complexes[:3]:
+        seq = find_collapse_sequence(cx)
+        doc = ScxDocument("sequence", seq)
+        expected = json_print_scx(doc)
+        hashed = collections.Counter()
+        monkeypatch.setattr(RPoint, "__hash__", lambda p: hashed.update([id(p)]) or real(p))
+        text = print_scx(doc)
+        monkeypatch.undo()
+        assert text == expected
+        assert set(hashed) <= {id(v) for v in cx.vertices()}
+        terminal = id(seq.terminal.vertices[0])
+        assert hashed[terminal] <= 3
+        assert max(c for v, c in hashed.items() if v != terminal) <= 2
+
+
+def test_printing_holds_no_pieces_after_it_returns():
+    # The emitter's closures form a cycle; with the collector off, what
+    # they hold stays allocated.  The pieces of the text must not.
+    doc = ScxDocument("sequence", find_collapse_sequence(standard_cube(5)))
+    print_scx(doc)  # builds the points' cached hashes and vertex rows
+    gc.disable()
+    tracemalloc.start()
+    try:
+        text = print_scx(doc)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(text) > 800_000 and held < 1.2 * len(text), (held, len(text))
 
 
 def test_printer_matches_json_on_verdicts(antidiagonal):
@@ -518,6 +577,23 @@ def test_printer_matches_json_on_every_kind(tent, half_interval):
                  ScxDocument("complex", reduced.realization),
                  ScxDocument("plmap", reduced.section),
                  ScxDocument("plmap", reduced.retraction)]
+    # A single vertex: a complex of one point, its empty collapse sequence
+    # and its verdict.  Then a plmap onto a line, and a sequence whose
+    # steps hold equal points as distinct objects.
+    point = from_maximal([GeoSimplex((rpoint("1/2", 0),))])
+    single = certify_main(from_maximal([GeoSimplex((rpoint(0, 1),))]))
+    assert single.status == "certified"
+    cube = standard_cube(2)
+    seq = find_collapse_sequence(cube)
+    copies = type(seq)(tuple(
+        type(st)(GeoSimplex(tuple(RPoint(v.coords) for v in st.maximal.vertices)),
+                 GeoSimplex(tuple(RPoint(v.coords) for v in st.free_facet.vertices)))
+        for st in seq.steps), seq.terminal)
+    fold = PLMap(cube, {v: RPoint((v.coords[0],)) for v in cube.vertices()})
+    docs += [ScxDocument("complex", point), ScxDocument("verdict", single),
+             ScxDocument("sequence", find_collapse_sequence(point)),
+             ScxDocument("plmap", fold), ScxDocument("sequence", copies)]
+    assert '"steps": []' in print_scx(docs[-3])
     assert sorted({doc.kind for doc in docs}) == sorted(KINDS)
     for doc in docs:
         _same_as_json(doc)
