@@ -4,7 +4,8 @@ A geometric complex is its maximal simplexes: the constructor drops every
 input simplex that lies in another and builds no faces (``simplexes`` builds
 them when read).  It checks the common-face condition on what is left.  A
 complex of n-simplexes in [0,1]^n is first tried as a triangulation of the
-cube by facet matching, in time linear in its size (``_triangulates_cube``);
+cube by facet matching, orientations and volumes, in time linear in its
+size (``_triangulates_cube``);
 otherwise the condition is checked pair by pair, by three tests in order:
 disjoint integer bounding boxes (``_bbox_overlap``), a separating form read
 off the cached integer rows of either simplex (``_separated``), and only
@@ -29,10 +30,12 @@ and weighted abstract complexes carry the combinatorial skeletons.
 Point location and independence are exact integer arithmetic.  Each point
 caches its primitive homogeneous vector X = d(p, 1), for the least common
 denominator d of p (``linalg.homogeneous``), and a tuple of points is
-affinely independent iff the rank of their vectors is their number.  Each
-simplex caches, on first use, its affine-hull equalities and barycentric
-forms as integer rows E and B with one common denominator D > 0, read off
-one fraction-free Gauss-Jordan elimination of its vertex vectors
+affinely independent iff the rank of their vectors is their number; the
+checking constructor keeps the determinant that its rank elimination yields
+(``GeoSimplex._det``), the orientation and volume that the cube test reads.
+Each simplex caches, on first use, its affine-hull equalities and
+barycentric forms as integer rows E and B with one common denominator D > 0,
+read off one fraction-free Gauss-Jordan elimination of its vertex vectors
 (``linalg.simplex_rows``): p lies on the affine hull iff E X = 0, and its
 barycentric coordinates are B X / (D d), so a containment test compares
 integer signs.  The same vectors and rows are what ``linalg``'s polytope
@@ -169,9 +172,11 @@ class GeoSimplex:
             raise ValueError("a simplex needs at least one vertex")
         if len({v.dim for v in vs}) != 1:
             raise ValueError("vertices must share an ambient dimension")
-        if linalg.matrix_rank([v._homog for v in vs]) != len(vs):
+        rank, det = linalg.rank_det([v._homog for v in vs])
+        if rank != len(vs):
             raise ValueError("vertices are not affinely independent")
         object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "_det", det)  # the rank check's, for free
 
     @classmethod
     def _raw(cls, vertices: tuple[RPoint, ...]) -> "GeoSimplex":
@@ -213,6 +218,15 @@ class GeoSimplex:
         ``__dict__``), so the rows go away with the simplex.
         """
         return linalg.simplex_rows(self._vertex_rows)
+
+    @cached_property
+    def _det(self) -> int:
+        """det(X_j) of the homogeneous vertex vectors X_j = d_j(p_j, 1) in
+        vertex order; nonzero, and the sign of the orientation, for an
+        n-simplex in R^n (0 for a lower-dimensional one).  Set by the
+        checking constructor, and computed on first use, by one plain
+        elimination, for a simplex built ``_raw``."""
+        return linalg.det(self._vertex_rows)
 
     @cached_property
     def _box(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -354,7 +368,8 @@ def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
 def _triangulates_cube(cx: GeoComplex) -> bool:
     """A test in time linear in the size of cx, and sufficient for the
     common-face condition: True shows that cx triangulates [0,1]^n, for n
-    its ambient dimension; False means "not shown".  It holds when
+    its ambient dimension; False means "not shown".  It reads each maximal
+    simplex's determinant ``_det`` and no barycentric row.  It holds when
 
     (a) every maximal simplex has dimension n;
     (b) every vertex lies in [0,1]^n;
@@ -362,10 +377,20 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
         simplexes;
     (d) a facet in one maximal simplex lies in a facet of the cube: all its
         vertices have some coordinate 0, or all have it 1;
-    (e) at a facet shared by a and b, a's barycentric row for its opposite
-        vertex is negative at b's opposite vertex, so the two lie on
-        opposite sides of the facet;
-    (f) the barycentre of the first maximal simplex lies in exactly one.
+    (e) at a facet shared by a and b, which drops a's vertex i and b's
+        vertex j, (-1)^(i+j) det a det b < 0, so the two lie on opposite
+        sides of the facet;
+    (f) the volumes add up to the cube's: with the product q_s of the
+        vertex denominators of each maximal simplex s and their lcm L,
+        sum |det s| (L / q_s) = n! L, in integers.
+
+    The vectors X_j = d_j(p_j, 1) of a simplex have det = q_s det(p_j, 1),
+    so |det s| / q_s is n! times the volume of s.  For (e), the facet F
+    lists the shared vertices in one order in both, so moving the dropped
+    vertex last gives det a = (-1)^(n-i) det(F, X) and det b = (-1)^(n-j)
+    det(F, Y) for the dropped vectors X and Y; det(F, .) is a linear form
+    vanishing on F's vectors, whose sign at a vector with positive last
+    entry tells the side of F the point lies on.
 
     Call a point of the open cube generic when it lies on no facet; the
     number k of simplexes holding a generic point is locally constant.  Two
@@ -376,12 +401,11 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
     in only one simplex, as z is inside the cube, so by (c) each lies in
     two, which by (e) lie on opposite sides: the crossing trades one
     simplex for the other and k does not change.  So k is the same at every
-    generic point, and positive near the barycentre of (f), an interior
-    point of the first simplex.  Were k 2 or more, generic points
-    converging to that barycentre would lie in two fixed simplexes, which
-    are closed and would hold it too; so (f) makes k = 1.  The simplexes
-    lie in the cube by (b) and cover its generic points, so |cx| is the
-    cube.
+    generic point, and at least 1, as the interior of any maximal simplex
+    holds generic points.  The simplexes lie in the cube by (b), and the
+    points that are not generic have volume 0, so the volumes add up to k
+    times the cube's volume 1, and (f) makes k = 1.  The simplexes cover
+    the generic points, so |cx| is the cube.
 
     Now let x lie in a and b, in the relative interiors of their faces C_a
     and C_b.  In a ball around x meeting only simplexes that hold x, count
@@ -404,8 +428,8 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
     Conversely every triangulation of the cube passes: its maximal
     simplexes are n-simplexes, two of them on one side of a common facet
     would overlap, a facet in one lies on the boundary and so in a facet of
-    the cube, and a barycentre lies in one simplex only.  So on a
-    simplicial complex the test decides whether |cx| = [0,1]^n.
+    the cube, and the volumes of the simplexes add up to the cube's.  So on
+    a simplicial complex the test decides whether |cx| = [0,1]^n.
     """
     n, maxi, verts = cx.ambient_dim, cx.maximal_simplexes(), cx.vertices()
     if any(len(s.vertices) != n + 1 for s in maxi):
@@ -431,12 +455,14 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
                 return False
         elif len(holders) == 2:
             (a, i), (b, j) = holders
-            if sum(map(mul, a._point_rows[1][i], b._vertex_rows[j])) >= 0:
+            if (-1) ** (i + j) * a._det * b._det >= 0:
                 return False
         else:
             return False
-    x = maxi[0].barycenter()._homog
-    return sum(min(s._weights(x)) >= 0 for s in maxi) == 1
+    qs = [math.prod(verts[k]._homog[-1] for k in r) for r in cx._ranks]
+    lcm = math.lcm(*qs)
+    volumes = sum(abs(s._det) * (lcm // q) for s, q in zip(maxi, qs))
+    return volumes == math.factorial(n) * lcm
 
 
 class GeoComplex:

@@ -116,9 +116,17 @@ def extends_to_basis(rows: Sequence[Sequence[int]]) -> bool:
     if not rows:
         raise ValueError("empty input")
     a = _int_rows(rows)
-    k, m = len(a), len(a[0])
-    if k > m:
+    if len(a) > len(a[0]):
         raise ValueError("not affinely independent input")
+    return _saturated(a)
+
+
+def _saturated(a: list[list[int]]) -> bool:
+    """``extends_to_basis`` on rows known to be ints, at most as many as
+    their width, given as mutable lists that it reduces in place; for
+    callers whose rows are zrk's own, such as a simplex's vertex vectors,
+    so they skip ``IntMat``'s checks."""
+    k, m = len(a), len(a[0])
     for i in range(k):
         top = a[i]
         for j in range(i + 1, m):
@@ -156,10 +164,7 @@ def lcd(xs: Sequence[Rat]) -> int:
     """Least positive d with d*x integral for every x."""
     if not xs:
         raise ValueError("empty input")
-    out = 1
-    for x in xs:
-        out = out * x.denominator // math.gcd(out, x.denominator)
-    return out
+    return math.lcm(*(x.denominator for x in xs))
 
 
 def smith_with_transforms(entries: Sequence[Sequence[int]]

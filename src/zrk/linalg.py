@@ -9,12 +9,13 @@ halfspaces (``clip_simplex``): it gives the vertices of the cell, of any
 dimension, each with the mask of the constraints tight at it, and so decides
 both the cells that ``subdivide`` triangulates and the common-face condition
 of ``complexes``.  The pulling triangulation of a cell
-(``pull_triangulation``) decides everything by such signs too.  Determinant,
-rank and a simplex's integer forms (``simplex_rows``, one Gauss-Jordan
-elimination) use Bareiss's fraction-free elimination (Bareiss 1968), whose
-intermediate entries are minors of the input and so stay integers.  The
-polytope routines are written for the desk-scale cells that arise when two
-simplexes meet, not for high-dimensional polytopes.
+(``pull_triangulation``) decides everything by such signs too.  Determinant
+and rank, together from one elimination (``rank_det``), and a simplex's
+integer forms (``simplex_rows``, one Gauss-Jordan elimination) use
+Bareiss's fraction-free elimination (Bareiss 1968), whose intermediate
+entries are minors of the input and so stay integers.  The polytope
+routines are written for the desk-scale cells that arise when two simplexes
+meet, not for high-dimensional polytopes.
 """
 
 from __future__ import annotations
@@ -78,10 +79,18 @@ def _bareiss(rows: Sequence[Sequence[int]], reduced: bool = False
 
 def det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix, by Bareiss elimination."""
+    return rank_det(rows)[1]
+
+
+def rank_det(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """The rank of an integer matrix and its determinant, from one Bareiss
+    elimination: the last pivot times the sign of the row swaps when the
+    matrix is square and nonsingular, else 0 (1 for the empty matrix)."""
     m, pivots, sign = _bareiss(rows)
-    if len(pivots) < len(m):
-        return 0
-    return sign * m[-1][-1] if m else 1
+    if not m:
+        return 0, 1
+    full = len(pivots) == len(m) == len(m[0])
+    return len(pivots), sign * m[-1][-1] if full else 0
 
 
 def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:

@@ -2,7 +2,8 @@
 
 A rational point v has the homogeneous integer vector den(v)*(v, 1),
 cached on the point; a simplex is regular when those vectors extend to a
-basis of Z^{n+1} (``exactnum.extends_to_basis``), and strongly regular when
+basis of Z^{n+1} (``exactnum.extends_to_basis``, whose kernel ``is_regular``
+runs on the simplex's own int rows), and strongly regular when
 additionally the vertex denominators are globally coprime.  Faces of a
 regular simplex are regular, since a subset of rows that extends to a basis
 extends to one, so a complex is tested on its maximal simplexes alone.
@@ -29,7 +30,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .complexes import GeoComplex, GeoSimplex, RPoint, _homogeneous
-from .exactnum import extends_to_basis, smith_with_transforms, xgcd
+from .exactnum import _saturated, smith_with_transforms, xgcd
 from . import subdivide
 
 
@@ -76,7 +77,7 @@ def homog(v: RPoint) -> HomogVec:
 @lru_cache(maxsize=None)
 def is_regular(s: GeoSimplex) -> bool:
     """Homogeneous vertex vectors extend to a basis of Z^{n+1}."""
-    return extends_to_basis(s._vertex_rows)
+    return _saturated(list(map(list, s._vertex_rows)))
 
 
 def is_strongly_regular_simplex(s: GeoSimplex) -> bool:
@@ -133,17 +134,9 @@ def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:
         ranges = [range(torsion[i][1]) if i == i_big else range(1)
                   for i in range(len(torsion))]
 
-    best = None
-    for ts in itertools.product(*ranges):
-        if not any(ts):
-            continue
-        coeffs = tuple(sum(t * g[j] for t, g in zip(ts, gen_nums)) % big
-                       for j in range(m))
-        if not any(coeffs):
-            continue
-        key = (max(coeffs), coeffs)
-        if best is None or key < best:
-            best = key
+    vectors = (tuple(sum(t * g[j] for t, g in zip(ts, gen_nums)) % big
+                     for j in range(m)) for ts in itertools.product(*ranges))
+    best = min(((max(c), c) for c in vectors if any(c)), default=None)
     _check(best is not None, "every box coefficient vector vanishes")
     x = [sum(map(mul, best[1], col)) for col in zip(*rows)]
     _check(all(e % big == 0 for e in x), "box point is not integral")
@@ -246,17 +239,13 @@ def coprime_point(s: GeoSimplex, k: int) -> RPoint:
     # gcd(dens) = 1, so the numerical semigroup of the combinations hits a
     # residue coprime to k; cap generously and check.
     cap = (k + 2) * (sum(dens) + 1)
-    best = None
     for total in range(2, cap + 1):
-        if math.gcd(k, total) != 1:
-            continue
-        combo = _composition_with_total(dens, total)
+        coprime = math.gcd(k, total) == 1
+        combo = _composition_with_total(dens, total) if coprime else None
         if combo is not None:
             acc = [sum(map(mul, combo, col)) for col in zip(*s._vertex_rows)]
-            best = RPoint(tuple(Fraction(e, acc[-1]) for e in acc[:-1]))
-            break
-    _check(best is not None, "coprime point search exhausted its cap")
-    return best
+            return RPoint(tuple(Fraction(e, acc[-1]) for e in acc[:-1]))
+    raise InvariantBroken("coprime point search exhausted its cap")
 
 
 def _composition_with_total(dens: Sequence[int], total: int) -> Optional[tuple]:
@@ -295,6 +284,8 @@ def anchor(p: GeoComplex, v: RPoint,
     triangulation the witness is built from a coprime-denominator companion
     point, which always succeeds; otherwise integer points in a box of
     radius den(v) * n are tried and absence is reported on exhaustion.
+    ``budget`` bounds both the stellar steps of the desingularization and
+    the lattice points tried; past either, ``BudgetExhausted`` is raised.
     """
     if not p.contains_point(v):
         raise ValueError(f"point not in support: {v}")
@@ -330,7 +321,10 @@ def anchor(p: GeoComplex, v: RPoint,
     n = p.ambient_dim
     radius = d * n
     incident = [p.maximal_simplexes()[i] for i in sorted(p.hosts(v))]
-    for w_coords in itertools.product(range(-radius, radius + 1), repeat=n):
+    box = range(-radius, radius + 1)
+    for k, w_coords in enumerate(itertools.product(box, repeat=n)):
+        if k == budget:
+            raise BudgetExhausted("anchor lattice scan budget exhausted")
         w = RPoint(tuple(Fraction(c) for c in w_coords))
         if w == v:
             continue

@@ -247,7 +247,9 @@ def _positive_int(x) -> bool:
 def _parse_point(entry, where: str, points: dict) -> RPoint:
     """The point an entry spells.  ``points`` maps the text of every point
     parsed so far in the document to its RPoint, so equal points of one
-    document are one object and set lookups of them hit by identity."""
+    document are one object and set lookups of them hit by identity, and
+    each coordinate text that has passed the canonical check to its
+    ``Fraction``, so a coordinate is parsed once per document."""
     if not isinstance(entry, list) or not entry:
         raise ScxError("a point must be a nonempty array of rationals", where)
     key = tuple(entry)
@@ -256,15 +258,18 @@ def _parse_point(entry, where: str, points: dict) -> RPoint:
         return known
     coords = []
     for i, txt in enumerate(entry):
-        if not isinstance(txt, str):
-            raise ScxError("rationals are strings like '2/3'", f"{where}[{i}]")
-        try:
-            x = parse_rat(txt)
-        except ValueError as exc:
-            raise ScxError(str(exc), f"{where}[{i}]") from None
-        if format_rat(x) != txt:
-            raise ScxError(f"{txt!r} is not canonical: write {format_rat(x)!r}",
-                           f"{where}[{i}]")
+        x = points.get(txt) if isinstance(txt, str) else None
+        if x is None:
+            if not isinstance(txt, str):
+                raise ScxError("rationals are strings like '2/3'", f"{where}[{i}]")
+            try:
+                x = parse_rat(txt)
+            except ValueError as exc:
+                raise ScxError(str(exc), f"{where}[{i}]") from None
+            if format_rat(x) != txt:
+                raise ScxError(f"{txt!r} is not canonical: write {format_rat(x)!r}",
+                               f"{where}[{i}]")
+            points[txt] = x
         coords.append(x)
     p = points[key] = RPoint(tuple(coords))
     return p

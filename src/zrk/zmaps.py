@@ -121,10 +121,7 @@ def compose(eta: PLMap, theta: PLMap) -> PLMap:
     if _image_leaving(eta, target) is not None:
         raise DomainError("image containment failure: composition undefined")
     refined = subdivide.refine_for_map(eta.domain, eta, target)
-    images = {}
-    for v in refined.vertices():
-        images[v] = theta.eval(eta.eval(v))
-    return PLMap(refined, images)
+    return PLMap(refined, {v: theta.eval(eta.eval(v)) for v in refined.vertices()})
 
 
 def _image_leaving(eta: PLMap, cx: GeoComplex) -> Optional[GeoSimplex]:

@@ -73,7 +73,10 @@ and then both supports by clipping, from before
 reads strict positivity off ``GeoSimplex.barycentric``, from before the
 simplex had a method for it.  ``volume_triangulates_cube`` sums the
 volumes of a complex in the cube, from before ``zmaps`` asked
-``GeoComplex._is_cube``.  ``validating_parse_sequence``
+``GeoComplex._is_cube``, and ``rows_triangulates_cube`` is the linear
+cube test on barycentric rows and a barycentre count, from before
+``complexes._triangulates_cube`` read orientations and volumes off each
+simplex's determinant.  ``validating_parse_sequence``
 parses a collapse sequence building and checking every simplex, from before
 ``scx`` read a step's simplexes off earlier steps.  ``scan_supports`` tests
 a simplex against every simplex of a cover list and then by volume, and
@@ -88,8 +91,9 @@ import math
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
+from operator import and_, mul
 from typing import NamedTuple
 
 from zrk import linalg, subdivide, zmaps
@@ -956,6 +960,44 @@ def volume_triangulates_cube(cx) -> bool:
             return False
     return (cx.dim == n and subdivide._relative_volume_total(
         cx.maximal_simplexes()) == math.factorial(n))
+
+
+def rows_triangulates_cube(cx) -> bool:
+    """``complexes._triangulates_cube`` as it was before it read each
+    simplex's determinant: (a)-(d) as there, then (e) a's barycentric row
+    for its vertex off a shared facet is negative at b's vertex off it, and
+    (f) the barycentre of the first maximal simplex lies in exactly one.
+    The reference for the orientation and volume test."""
+    n, maxi, verts = cx.ambient_dim, cx.maximal_simplexes(), cx.vertices()
+    if any(len(s.vertices) != n + 1 for s in maxi):
+        return False
+    low, high = [], []  # per vertex: the axes where it is 0, and where it is 1
+    for v in verts:
+        *x, d = v._homog
+        if min(x) < 0 or max(x) > d:
+            return False
+        low.append(sum(1 << j for j, c in enumerate(x) if c == 0))
+        high.append(sum(1 << j for j, c in enumerate(x) if c == d))
+    full = (1 << n) - 1
+    if sum(lo | hi == full for lo, hi in zip(low, high)) != 1 << n:
+        return False
+    facets: dict[tuple[int, ...], list] = {}
+    for s, r in zip(maxi, cx._ranks):
+        for i in range(n + 1):
+            facets.setdefault(r[:i] + r[i + 1:], []).append((s, i))
+    for key, holders in facets.items():
+        if len(holders) == 1:
+            if not (reduce(and_, (low[k] for k in key))
+                    or reduce(and_, (high[k] for k in key))):
+                return False
+        elif len(holders) == 2:
+            (a, i), (b, j) = holders
+            if sum(map(mul, a._point_rows[1][i], b._vertex_rows[j])) >= 0:
+                return False
+        else:
+            return False
+    x = maxi[0].barycenter()._homog
+    return sum(min(s._weights(x)) >= 0 for s in maxi) == 1
 
 
 def simplex_volume(points) -> Fraction:

@@ -21,12 +21,12 @@ from zrk.zmaps import DomainError
 from zrk.regular import is_regular
 from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
 
-from conftest import random_rational, seg, tri
+from conftest import random_rational, random_simplex, seg, tri
 from oracles import (barycentric_coords, closure_complex,
                      enumerate_meet_in_common_face, fraction_aff_dim,
                      lp_meet_in_common_face, relint_contains, scan_carrier,
-                     scan_hosts, scan_maximal_simplexes, simplicially_isomorphic,
-                     volume_triangulates_cube)
+                     rows_triangulates_cube, scan_hosts, scan_maximal_simplexes,
+                     simplicially_isomorphic, volume_triangulates_cube)
 
 
 def test_from_maximal_segment():
@@ -251,35 +251,87 @@ def _t_junction() -> list[GeoSimplex]:
         for u in triangle]
 
 
+_CORNERS = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+
+def _square_fans() -> tuple[list[GeoSimplex], list[GeoSimplex]]:
+    """Two fans that each triangulate the square, with different facets."""
+    ring = [(0, 0), ("1/2", 0), (1, 0), (1, "1/2"), (1, 1), ("1/2", 1), (0, 1),
+            (0, "1/2")]
+    return ([tri(("1/3", "1/3"), _CORNERS[i], _CORNERS[(i + 1) % 4]) for i in range(4)],
+            [tri(("2/3", "1/2"), ring[i], ring[(i + 1) % 8]) for i in range(8)])
+
+
+def _fan(p) -> list[GeoSimplex]:
+    """A fan from the centre of the square with the triangle at the bottom
+    split from p: a triangulation for p inside it, a fold otherwise."""
+    return [tri((0, 0), (1, 0), p), tri((1, 0), ("1/2", "1/2"), p),
+            tri(("1/2", "1/2"), (0, 0), p)] + [
+        tri(_CORNERS[i], _CORNERS[(i + 1) % 4], ("1/2", "1/2")) for i in (1, 2, 3)]
+
+
+def _folded_corners() -> list[GeoSimplex]:
+    """The four corner triangles cut off the square by the diamond on its
+    edge midpoints, each covered twice: once whole and once coned from its
+    centroid.  Every edge lies in two triangles and the areas add up to 1,
+    but the two at each edge of a corner triangle lie on one side of it."""
+    half = Fraction(1, 2)
+    maxi = []
+    for t in (((0, 0), (half, 0), (0, half)), ((1, 0), (half, 0), (1, half)),
+              ((1, 1), (half, 1), (1, half)), ((0, 1), (half, 1), (0, half))):
+        centroid = tuple(sum(map(Fraction, c)) / 3 for c in zip(*t))
+        maxi += [tri(*t)] + [tri(t[i], t[i - 1], centroid) for i in range(3)]
+    return maxi
+
+
+def _moved_vertex_cubes():
+    """Seeded stellar subdivisions of cube1-4, each with the complex made by
+    moving one vertex that is not a corner: nudged, or moved to a random
+    point, some out of the cube.  The moved complex is None when there is
+    no such vertex or the move flattened a simplex."""
+    rng = random.Random(4321)
+    for n in (1, 2, 3, 4):
+        for _ in range(30):
+            cx = standard_cube(n)
+            for _ in range(rng.randint(1, 3)):
+                cx = stellar(cx, rpoint(*[random_rational(rng, 4) for _ in range(n)]))
+            inner = [v for v in cx.vertices() if any(0 < c < 1 for c in v)]
+            if not inner:
+                yield cx, None
+                continue
+            old = rng.choice(inner)
+            if rng.random() < 0.5:  # a nudge, which often keeps the complex proper
+                new = rpoint(*[c + Fraction(rng.randint(-1, 1), 16) for c in old])
+            else:
+                new = rpoint(*[random_rational(rng, 4, -1 if rng.random() < 0.2 else 0)
+                               for _ in range(n)])
+            try:
+                moved = GeoComplex([GeoSimplex(tuple(new if v == old else v
+                                                     for v in m.vertices))
+                                    for m in cx.maximal_simplexes()], validate=False)
+            except ValueError:
+                moved = None
+            yield cx, moved
+
+
 def test_cube_fast_path_turns_down_improper_cubes():
     # Each complex fails the linear cube test, and the pairwise loop then
     # reports the pair it reported before the cube test existed.
-    corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    ring = [(0, 0), ("1/2", 0), (1, 0), (1, "1/2"), (1, 1), ("1/2", 1), (0, 1),
-            (0, "1/2")]
-    fans = ([tri(("1/3", "1/3"), corners[i], corners[(i + 1) % 4]) for i in range(4)],
-            [tri(("2/3", "1/2"), ring[i], ring[(i + 1) % 8]) for i in range(8)])
+    fans = _square_fans()
     # Either fan triangulates the square, and their facets differ, so the
-    # double-wound square passes every test but the count at one point.
+    # double-wound square passes every test but the volume sum.
     assert all(_triangulates_cube(GeoComplex(fan, validate=False)) for fan in fans)
-    junction = _t_junction()
-
-    def fan(p):  # a fan from the centre with the triangle at the bottom split from p
-        return [tri((0, 0), (1, 0), p), tri((1, 0), ("1/2", "1/2"), p),
-                tri(("1/2", "1/2"), (0, 0), p)] + [
-            tri(corners[i], corners[(i + 1) % 4], ("1/2", "1/2")) for i in (1, 2, 3)]
-
-    assert _triangulates_cube(GeoComplex(fan(("1/2", "1/4")), validate=False))
+    assert _triangulates_cube(GeoComplex(_fan(("1/2", "1/4")), validate=False))
     cases = [
         (fans[0] + fans[1], "conv((0, 0), (0, 1/2), (2/3, 1/2))",
          "conv((0, 0), (0, 1), (1/3, 1/3))"),
-        (junction, "conv((0, 0, 0), (2/3, 1/6, 1/6), (1, 0, 0), (1, 0, 1))",
+        (_t_junction(), "conv((0, 0, 0), (2/3, 1/6, 1/6), (1, 0, 0), (1, 0, 1))",
          "conv((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))"),
         # A fold: p is moved across the edges from the centre to (0,0) and (1,0).
-        (fan(("1/2", "3/4")), "conv((0, 0), (0, 1), (1/2, 1/2))",
+        (_fan(("1/2", "3/4")), "conv((0, 0), (0, 1), (1/2, 1/2))",
          "conv((0, 0), (1/2, 1/2), (1/2, 3/4))"),
         # The same fold with p outside the cube.
-        (fan(("1/2", "3/2")), "conv((0, 0), (0, 1), (1/2, 1/2))",
+        (_fan(("1/2", "3/2")), "conv((0, 0), (0, 1), (1/2, 1/2))",
          "conv((0, 0), (1/2, 1/2), (1/2, 3/2))"),
     ]
     for maxi, a, b in cases:
@@ -292,39 +344,93 @@ def test_cube_fast_path_turns_down_improper_cubes():
 
 
 def test_cube_fast_path_never_accepts_an_improper_complex():
-    # Stellar subdivisions of cube1-4 with one vertex that is not a corner
-    # nudged or moved to a random point, some out of the cube: whatever the
-    # cube test accepts, the pairwise loop accepts too.  Unmoved, every one
-    # passes the cube test.
-    rng = random.Random(4321)
+    # Whatever the cube test accepts of the moved-vertex complexes, the
+    # pairwise loop accepts too.  Unmoved, every one passes the cube test.
     seen = collections.Counter()
+    for cx, moved in _moved_vertex_cubes():
+        assert _triangulates_cube(cx)
+        if moved is None:
+            continue
+        fast = _triangulates_cube(moved)
+        proper = all(_meet_in_common_face(a, b) for a, b in
+                     itertools.combinations(moved.maximal_simplexes(), 2))
+        assert proper or not fast, moved
+        seen[fast, proper] += 1
+    assert seen[False, False] >= 10 and seen[True, True] >= 10, seen
+
+
+def test_cube_test_matches_the_row_oracle():
+    # Orientations and volumes decide what barycentric rows and a
+    # barycentre count decided, on cube triangulations and on complexes
+    # that fail each of (c)-(f): cube1-5, seeded stellar subdivisions and
+    # common refinements, the two square fans overlaid (covering twice),
+    # the T-junction, the folds, the folded corners, which fail (e) alone,
+    # the overlaid square, the moved-vertex complexes and cubes with one
+    # maximal simplex dropped.
+    rng = random.Random(1405)
+    cubes = [standard_cube(n) for n in (1, 2, 3, 4, 5)]
     for n in (1, 2, 3, 4):
-        for _ in range(30):
+        pair = []
+        for _ in range(2):
             cx = standard_cube(n)
             for _ in range(rng.randint(1, 3)):
-                cx = stellar(cx, rpoint(*[random_rational(rng, 4) for _ in range(n)]))
-            assert _triangulates_cube(cx)
-            inner = [v for v in cx.vertices() if any(0 < c < 1 for c in v)]
-            if not inner:
-                continue
-            old = rng.choice(inner)
-            if rng.random() < 0.5:  # a nudge, which often keeps the complex proper
-                new = rpoint(*[c + Fraction(rng.randint(-1, 1), 16) for c in old])
-            else:
-                new = rpoint(*[random_rational(rng, 4, -1 if rng.random() < 0.2 else 0)
-                               for _ in range(n)])
-            try:
-                moved = GeoComplex([GeoSimplex(tuple(new if v == old else v
-                                                     for v in m.vertices))
-                                    for m in cx.maximal_simplexes()], validate=False)
-            except ValueError:  # the move flattened a simplex
-                continue
-            fast = _triangulates_cube(moved)
-            proper = all(_meet_in_common_face(a, b) for a, b in
-                         itertools.combinations(moved.maximal_simplexes(), 2))
-            assert proper or not fast, moved
-            seen[fast, proper] += 1
-    assert seen[False, False] >= 10 and seen[True, True] >= 10, seen
+                cx = stellar(cx, rpoint(*[random_rational(rng, 6) for _ in range(n)]))
+            pair.append(cx)
+        cubes += pair + [common_refinement(*pair)]
+    fans = _square_fans()
+    square = standard_cube(2).maximal_simplexes()
+    cases = [GeoComplex(maxi, validate=False) for maxi in (
+        fans[0], fans[1], fans[0] + fans[1], _t_junction(), _fan(("1/2", "1/4")),
+        _fan(("1/2", "3/4")), _fan(("1/2", "3/2")), _folded_corners(),
+        list(square) + [tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])]
+    cases += [moved for _, moved in _moved_vertex_cubes() if moved is not None]
+    for cx in cubes:
+        maxi = cx.maximal_simplexes()
+        if len(maxi) > 1:
+            dropped = rng.randrange(len(maxi))
+            cases.append(GeoComplex(maxi[:dropped] + maxi[dropped + 1:], validate=False))
+    seen = collections.Counter()
+    for cx in cubes + cases:
+        fresh = GeoComplex(cx.maximal_simplexes(), validate=False)
+        expected = rows_triangulates_cube(fresh)
+        assert _triangulates_cube(cx) is expected, cx
+        seen[expected] += 1
+    assert seen[True] >= 40 and seen[False] >= 60, seen
+
+
+def test_constructor_determinant_is_the_plain_one():
+    # The checking constructor keeps the determinant of its rank
+    # elimination; a simplex built raw computes it by a plain elimination.
+    rng = random.Random(7105)
+    for n in (1, 2, 3, 4):
+        for _ in range(20):
+            s = random_simplex(rng, n, 5)
+            raw = GeoSimplex._raw(s.vertices)
+            assert s._det == raw._det == linalg.det(s._vertex_rows), s
+            assert (s._det != 0) is (s.dim == n), s
+
+
+def test_cube_test_eliminates_once_per_simplex(monkeypatch):
+    # Parsing cube5 eliminates each maximal simplex once, for its rank and
+    # determinant, and builds no barycentric rows; a complex of simplexes
+    # built raw is tested with one plain elimination per maximal simplex.
+    cube = standard_cube(5)
+    text = print_scx(ScxDocument("complex", cube))
+    stellars = stellar_chain(standard_cube(3), [rpoint("1/3", "1/5", "1/2"),
+                                                rpoint("2/3", "3/4", "1/7")])
+    raw = GeoComplex([GeoSimplex._raw(s.vertices) for s in stellars.maximal_simplexes()],
+                     validate=False)
+    calls = collections.Counter()
+    bareiss, rows = linalg._bareiss, linalg.simplex_rows
+    monkeypatch.setattr(linalg, "_bareiss", lambda m, reduced=False: calls.update(
+        ["reduced" if reduced else "plain"]) or bareiss(m, reduced))
+    monkeypatch.setattr(linalg, "simplex_rows",
+                        lambda vectors: calls.update(["rows"]) or rows(vectors))
+    assert parse_scx(text).payload == cube
+    assert calls == {"plain": 120}, calls
+    calls.clear()
+    assert raw._is_cube()
+    assert calls == {"plain": len(raw.maximal_simplexes())}, calls
 
 
 def test_cube_test_matches_summing_volumes():

@@ -295,6 +295,34 @@ def test_anchor_absent_on_antidiagonal(antidiagonal):
     assert anchor(antidiagonal, rpoint("1/4", "1/4")) is None
 
 
+def test_is_regular_hands_its_rows_to_the_kernel_unchecked(monkeypatch):
+    # A simplex's vertex vectors are its own int rows, so is_regular runs
+    # the kernel of extends_to_basis without IntMat's checks, and answers
+    # as extends_to_basis does.
+    rng = random.Random(278)
+    simplexes = [random_simplex(rng, n, 6) for n in (1, 2, 3, 4) for _ in range(15)]
+    checks = []
+    real = exactnum.IntMat.__post_init__
+    monkeypatch.setattr(exactnum.IntMat, "__post_init__",
+                        lambda self: checks.append(1) or real(self))
+    regular.is_regular.cache_clear()
+    answers = [is_regular(s) for s in simplexes]
+    assert not checks
+    assert answers == [exactnum.extends_to_basis(s._vertex_rows) for s in simplexes]
+    assert len(checks) == len(simplexes) and True in answers and False in answers
+
+
+def test_anchor_lattice_scan_counts_against_the_budget(antidiagonal):
+    # The fallback scan tries the 17^2 = 289 integer points of the box of
+    # radius den(v) * n = 8; the budget bounds them as it bounds the
+    # desingularization's stellar steps.
+    v = rpoint("1/4", "1/4")
+    assert anchor(antidiagonal, v, budget=289) is None
+    for budget in (100, 288):
+        with pytest.raises(BudgetExhausted, match="lattice scan"):
+            anchor(antidiagonal, v, budget=budget)
+
+
 def test_anchor_outside_support(half_interval):
     with pytest.raises(ValueError, match="point not in support"):
         anchor(half_interval, rpoint("3/4"))

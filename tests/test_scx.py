@@ -190,6 +190,36 @@ def test_rejects_unreduced_fraction():
         parse_scx(text)
 
 
+def test_coordinates_are_parsed_once_per_document(monkeypatch):
+    # Each distinct coordinate text is parsed once per document.  A text is
+    # kept only once it has passed the canonical check, so a non-canonical
+    # text is reported where it first appears, even after canonical texts
+    # of the same rational and when it appears again later.
+    cube = standard_cube(3)
+    text = print_scx(ScxDocument("complex", cube))
+    calls = collections.Counter()
+    real = scx.parse_rat
+    monkeypatch.setattr(scx, "parse_rat", lambda t: calls.update([t]) or real(t))
+    for _ in range(2):  # the memo lives for one document
+        calls.clear()
+        assert parse_scx(text).payload == cube
+        assert calls == {"0": 1, "1": 1}, calls
+    monkeypatch.undo()
+    head = '{"version": "1", "kind": "complex", "dim": 2, "maximal_simplexes": '
+    cases = [
+        ('[[["0", "1/2"], ["1", "0"], ["1/2", "01/2"]], [["01/2", "1"], ["1", "1"], '
+         '["0", "1"]]]', "maximal_simplexes[0][2][1]: '01/2' is not canonical: write '1/2'"),
+        ('[[["0", "1/2"], ["1", "0"], ["1", "1"]], [["1/2", "2/4"], ["0", "2/4"], '
+         '["1", "0"]]]', "maximal_simplexes[1][0][1]: '2/4': not in lowest terms"),
+        ('[[["0", "1"], ["1", "0"], ["1", "1"]], [["0", 1], ["1", 1], ["0", "0"]]]',
+         "maximal_simplexes[1][0][1]: rationals are strings like '2/3'"),
+    ]
+    for body, message in cases:
+        with pytest.raises(ScxError) as err:
+            parse_scx(head + body + "}")
+        assert str(err.value) == message
+
+
 def test_rejects_overlapping_simplexes():
     text = """{"version": "1", "kind": "complex", "dim": 1,
                "maximal_simplexes": [[["0"], ["1"]], [["1/2"], ["3/2"]]]}"""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import zrk
 import zrk.collapse
+import zrk.complexes
 import zrk.linalg
 
 SOURCES = sorted(Path(zrk.__file__).parent.glob("*.py"))
@@ -68,6 +69,19 @@ def test_collapse_search_makes_no_per_node_copies():
              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift)
              or isinstance(node, ast.Attribute) and node.attr == "bit_length"]
     assert not found, f"bitmask work in the search: {found}"
+
+
+def test_cube_test_reads_no_barycentric_rows():
+    # The cube test reads orientations and volumes off each simplex's
+    # determinant; asking for barycentric rows made every parsed simplex
+    # eliminate twice, once for its rank and once for its rows.
+    tree = ast.parse(Path(zrk.complexes.__file__).read_text(encoding="utf-8"))
+    (test,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "_triangulates_cube"]
+    found = [f"{name}:{node.lineno}" for node in ast.walk(test)
+             for name in (getattr(node, "id", None), getattr(node, "attr", None))
+             if name in ("_point_rows", "_weights", "barycenter")]
+    assert not found, f"barycentric rows in _triangulates_cube: {found}"
 
 
 # Code lines in src/zrk when the gate was set.  Lower it when code goes;
