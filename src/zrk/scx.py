@@ -450,9 +450,15 @@ def _parse_verdict(body: dict, points: dict) -> RetractVerdict:
         seq = (_parse_sequence(wbody["collapse_sequence"], points,
                                "witnesses.collapse_sequence.")
                if "collapse_sequence" in wbody else None)
-        srt = (_parse_complex(wbody["strongly_regular"], points,
-                              "witnesses.strongly_regular.")
-               if "strongly_regular" in wbody else None)
+        # A certified cube verdict holds one complex twice: an equal text
+        # parses to an equal complex, so the first, already checked, serves.
+        if "strongly_regular" not in wbody:
+            srt = None
+        elif ccx is not None and wbody["strongly_regular"] == wbody["collapse_complex"]:
+            srt = ccx
+        else:
+            srt = _parse_complex(wbody["strongly_regular"], points,
+                                 "witnesses.strongly_regular.")
         witnesses = RetractWitnesses(collapse_complex=ccx, collapse_sequence=seq,
                                      lattice_vertex=lattice, strongly_regular=srt)
     return RetractVerdict(status, witnesses=witnesses, refutation_reason=reason)

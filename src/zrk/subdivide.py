@@ -28,11 +28,9 @@ cells of a simplex s against the maximal simplexes of K overlap only in
 measure zero, so they cover s exactly when their volumes add up to its own
 (De Loera, Rambau and Santos, *Triangulations*, 2010).  The subdivision
 test clips nothing: it files each maximal simplex of the fine complex under
-the coarse maximal simplex holding its barycentre, found by one point
-location, and compares the volumes filed under each with its own
-(``is_subdivision``).  Integer bounding boxes spare tests and clips: a
-simplex whose box is not inside t's box is not inside t
-(``_simplex_inside``), and a cell of two simplexes with disjoint boxes is
+the one coarse maximal simplex its vertices share as hosts, and compares
+the volumes filed under each with its own (``is_subdivision``).  Integer
+bounding boxes spare clips: a cell of two simplexes with disjoint boxes is
 empty (``_pieces``).
 
 Two questions come up again and again about the same complexes: which
@@ -192,16 +190,6 @@ def _pieces(s: GeoSimplex, cover: Iterable[GeoSimplex]) -> set[GeoSimplex]:
     return out
 
 
-def _simplex_inside(s: GeoSimplex, t: GeoSimplex) -> bool:
-    """s subseteq t, decided on vertices (both convex), after the necessary
-    condition that s's integer box lies in t's."""
-    (slo, shi, ds), (tlo, thi, dt) = s._box, t._box
-    if not all(tl * ds <= sl * dt and sh * dt <= th * ds
-               for sl, sh, tl, th in zip(slo, shi, tlo, thi)):
-        return False
-    return all(t.contains(v) for v in s.vertices)
-
-
 def supports(cx: GeoComplex, points: Sequence[RPoint]) -> bool:
     """conv(points) inside |cx|, decided exactly; ``points`` is not empty.
 
@@ -266,18 +254,21 @@ def is_subdivision(fine: GeoComplex, coarse: GeoComplex) -> bool:
     simplex of ``coarse``; decided by volume accounting (De Loera, Rambau
     and Santos, *Triangulations*, 2010, ch. 4), with no cell clipped.
 
-    Each maximal s of fine is filed under the maximal t of coarse in which
-    ``GeoComplex._locate`` finds its barycentre b.  t must hold b in its
-    relative interior, have the dimension of s and hold every vertex of s,
-    or the answer is no; this turns down no subdivision.  If s lies in a
-    simplex of coarse, it lies in the carrier C of b, the face of that
-    simplex holding b in its relative interior: a supporting hyperplane
-    that cuts out C holds b, a point of s's relative interior, so it holds
-    s.  Only s holds b among the simplexes of fine, as s is maximal, so
-    near b |fine| is s.  If C were larger than s, or a proper face of a
-    larger simplex, |coarse| would hold points near b off aff(s).  So for a
-    subdivision C is t and holds s, with its dimension.  Then the answer
-    is yes iff every maximal t gets a group whose volumes add up to vol(t):
+    Each maximal s of fine is filed under the maximal simplexes of coarse
+    that its vertices share as hosts (``GeoComplex.hosts``), which are the
+    maximal simplexes holding s, as simplexes are convex.  They must be one
+    t with the dimension of s, or the answer is no; this turns down no
+    subdivision.  If s lies in a simplex of coarse, it lies in the carrier
+    C of any point b of its relative interior: a supporting hyperplane that
+    cuts out C holds b, so it holds s.  Only s holds b among the simplexes
+    of fine, as s is maximal, so near b |fine| is s.  If C were larger than
+    s, or a proper face of a larger simplex, |coarse| would hold points
+    near b off aff(s).  So for a subdivision C is a maximal t with the
+    dimension of s.  Then s spans aff(t), so relint s lies in relint t, and
+    any other maximal simplex holding s meets t in a face holding a point
+    of relint t, which is t itself: it contains t, which is maximal.  So t
+    is the only shared host.  Then the answer is yes iff every maximal t
+    gets a group whose volumes add up to vol(t):
     the group's simplexes lie in t, with its dimension and disjoint
     relative interiors, so their union, which is closed, is t iff the
     volumes add up; and a simplex of fine meeting t in a set of t's
@@ -286,17 +277,17 @@ def is_subdivision(fine: GeoComplex, coarse: GeoComplex) -> bool:
     """
     if fine.ambient_dim != coarse.ambient_dim:
         return False
-    groups: dict[GeoSimplex, list[GeoSimplex]] = {
-        t: [] for t in coarse.maximal_simplexes()}
+    maxi = coarse.maximal_simplexes()
+    groups: list[list[GeoSimplex]] = [[] for _ in maxi]
     for s in fine.maximal_simplexes():
-        found = coarse._locate(s.barycenter())
-        if found is None:
+        shared = frozenset.intersection(*map(coarse.hosts, s.vertices))
+        if len(shared) != 1:
             return False
-        t, w, _ = found
-        if min(w) <= 0 or t.dim != s.dim or not _simplex_inside(s, t):
+        (i,) = shared
+        if maxi[i].dim != s.dim:
             return False
-        groups[t].append(s)
-    for t, group in groups.items():
+        groups[i].append(s)
+    for t, group in zip(maxi, groups):
         axes = _volume_axes(t)
         if sum(_volume(s, axes) for s in group) != _volume(t, axes):
             return False

@@ -79,7 +79,10 @@ cube test on barycentric rows and a barycentre count, from before
 simplex's determinant.  ``validating_parse_sequence``
 parses a collapse sequence building and checking every simplex, from before
 ``scx`` read a step's simplexes off earlier steps.  ``scan_supports`` tests
-a simplex against every simplex of a cover list and then by volume, and
+a simplex against every simplex of a cover list (``simplex_inside``, the
+box-and-vertex test that also decided ``subdivide.is_subdivision``'s
+containment before it read the hosts its vertices share) and then by
+volume, and
 ``caratheodory_supports`` splits a point list into the simplexes of its
 affinely independent subsets (``aff_dim`` and ``affinely_independent``,
 the ranks ``linalg`` computed for it), from before ``subdivide.supports``
@@ -510,14 +513,24 @@ def closure_complex(simplexes):
     return out
 
 
+def simplex_inside(s: GeoSimplex, t: GeoSimplex) -> bool:
+    """s subseteq t, decided on vertices (both convex), after the necessary
+    condition that s's integer box lies in t's."""
+    (slo, shi, ds), (tlo, thi, dt) = s._box, t._box
+    if not all(tl * ds <= sl * dt and sh * dt <= th * ds
+               for sl, sh, tl, th in zip(slo, shi, tlo, thi)):
+        return False
+    return all(t.contains(v) for v in s.vertices)
+
+
 def scan_supports(cover, s: GeoSimplex) -> bool:
     """Exact point-set containment of simplex s in the union of ``cover``,
     a subset of the maximal simplexes of one complex: s is tested against
-    each cover simplex (``subdivide._simplex_inside``), then by volume
+    each cover simplex (``simplex_inside``), then by volume
     against all of them.  The reference for ``subdivide.supports``, which
     took a cover list and a simplex."""
     cover = [t for t in cover if t.ambient_dim == s.ambient_dim]
-    if any(subdivide._simplex_inside(s, t) for t in cover):
+    if any(simplex_inside(s, t) for t in cover):
         return True
     return (subdivide._relative_volume_total(subdivide._pieces(s, cover))
             == subdivide._relative_volume_total([s]))
@@ -636,7 +649,7 @@ def clip_is_subdivision(fine, coarse) -> bool:
     if fine.ambient_dim != coarse.ambient_dim:
         return False
     fm, cm = fine.maximal_simplexes(), coarse.maximal_simplexes()
-    if not all(any(subdivide._simplex_inside(s, t) for t in cm) for s in fm):
+    if not all(any(simplex_inside(s, t) for t in cm) for s in fm):
         return False
     return (all(scan_supports(cm, s) for s in fm)
             and all(scan_supports(fm, t) for t in cm))

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from zrk import (GeoSimplex, PLMap, RPoint, certify_main, find_collapse_sequence,
-                 from_maximal, part2_reduce, pipeline_dh, rpoint, scx,
-                 standard_cube, stellar)
+from zrk import (GeoSimplex, PLMap, RPoint, certify_main, complexes,
+                 find_collapse_sequence, from_maximal, part2_reduce, pipeline_dh,
+                 rpoint, scx, standard_cube, stellar)
 from zrk.complexes import AbsComplex, WeightedComplex
 from zrk.exactnum import format_rat
 from zrk.scx import KINDS, ScxDocument, ScxError, parse_scx, print_scx
@@ -181,6 +181,29 @@ def test_verdict_roundtrip(half_interval, antidiagonal):
     again = roundtrip(ScxDocument("verdict", refuted)).payload
     assert again.status == "refuted"
     assert again.refutation_reason == "(ii),(iii)"
+
+
+def test_a_verdict_checks_its_repeated_complex_once(monkeypatch):
+    # A certified cube verdict holds the same complex as both witnesses.
+    # The second copy is the first, already checked, object; a second copy
+    # whose text differs is parsed and checked on its own, with its own
+    # error locations.
+    text = print_scx(ScxDocument("verdict", certify_main(standard_cube(4))))
+    cube_tests = []
+    real = complexes._triangulates_cube
+    monkeypatch.setattr(complexes, "_triangulates_cube",
+                        lambda cx: cube_tests.append(cx) or real(cx))
+    wit = parse_scx(text).payload.witnesses
+    assert wit.strongly_regular is wit.collapse_complex
+    assert len(cube_tests) == 1
+    body = json.loads(text)
+    simplexes = body["witnesses"]["strongly_regular"]["maximal_simplexes"]
+    simplexes[5][2] = ["01" if c == "1" else c for c in simplexes[5][2]]
+    assert "01" in simplexes[5][2]
+    with pytest.raises(ScxError) as err:
+        parse_scx(json.dumps(body))
+    assert err.value.where.startswith("witnesses.strongly_regular.maximal_simplexes[5][2][")
+    assert "'01' is not canonical: write '1'" in str(err.value)
 
 
 def test_rejects_unreduced_fraction():

@@ -10,6 +10,7 @@ from zrk import (GeoComplex, GeoSimplex, PLMap, RPoint, common_refinement,
                  standard_cube, stellar, stellar_chain, subdivide,
                  verify_section_retraction)
 from zrk.complexes import _bbox_overlap
+from zrk.scx import ScxDocument, parse_scx, print_scx
 from zrk.subdivide import (PointNotInSupport, RestrictionError, SupportMismatch,
                            covers, inside_subcomplex, supports, support_equal)
 
@@ -93,7 +94,9 @@ def test_is_subdivision_matches_clipping_oracle():
     # random simplexes (some lower-dimensional) in R^1..R^4 and of a
     # non-pure complex, each also with a maximal simplex dropped, with an
     # extra one, and the other way round; hand cases where a fine simplex
-    # straddles coarse ones, so that its barycentre's carrier is smaller.
+    # straddles coarse ones, and where its vertices share two or more
+    # coarse hosts: the square's diagonal, and segments and a triangle on
+    # facets shared by two cube simplexes, alone and refined.
     rng = random.Random(11805)
     non_pure = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (1, 1)),
                              GeoSimplex((rpoint("1/2", 1),))])
@@ -126,11 +129,51 @@ def test_is_subdivision_matches_clipping_oracle():
         (standard_cube(1), standard_cube(2)),
         (non_pure, from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (1, 1))])),
     ]
+    diagonal = from_maximal([seg2d((0, 0), (1, 1))])
+    on_facet = from_maximal([tri((0, 0, 0), (1, 0, 0), (1, "1/2", "1/2"))])
+    shared = [(diagonal, standard_cube(2)),
+              (stellar(diagonal, rpoint("1/2", "1/2")), standard_cube(2)),
+              (from_maximal([seg2d((0, 0), (1, 1)), seg2d((0, 0), (1, 0))]),
+               standard_cube(2)),
+              (from_maximal([seg2d((0, 0, 0), (1, 1, 1))]), standard_cube(3)),
+              (on_facet, standard_cube(3))]
+    for fine, coarse in shared:
+        assert any(len(frozenset.intersection(*map(coarse.hosts, s.vertices))) > 1
+                   for s in fine.maximal_simplexes())
+    pairs += shared + [(standard_cube(2), diagonal),
+                       (stellar(diagonal, rpoint("1/2", "1/2")), diagonal),
+                       (stellar(on_facet, rpoint("2/3", "1/6", "1/6")), on_facet)]
     answers = []
     for fine, coarse in pairs:
         answers.append(clip_is_subdivision(fine, coarse))
         assert is_subdivision(fine, coarse) is answers[-1], (fine, coarse)
-    assert answers.count(True) >= 13 and answers.count(False) >= 30, answers
+    assert answers.count(True) >= 16 and answers.count(False) >= 40, answers
+
+
+def test_is_subdivision_locates_only_new_vertices(monkeypatch):
+    # Work bound: a fine vertex that is a coarse vertex has its star as
+    # hosts, and any other is located once per coarse complex.  So parsed
+    # cube5 against itself locates nothing, and a stellar cube5 against
+    # cube5 locates at most its new vertices.  Locating the barycentre of
+    # every fine maximal simplex made 120 and 264 scans.
+    located = []
+    locate = GeoComplex._locate
+    monkeypatch.setattr(GeoComplex, "_locate",
+                        lambda cx, p: located.append(p) or locate(cx, p))
+    h = "1/2"
+    cube = standard_cube(5)
+    fine = stellar_chain(cube, [rpoint(h, h, h, h, h), rpoint(h, h, 0, 0, h),
+                                rpoint("1/4", "1/4", "1/4", 0, 0)])
+    new = set(fine.vertices()) - set(cube.vertices())
+    assert len(new) == 3 and len(fine.maximal_simplexes()) == 264
+    cube_text, fine_text = (print_scx(ScxDocument("complex", cx)) for cx in (cube, fine))
+    for a_text, b_text, answer, bound in ((cube_text, cube_text, True, 0),
+                                          (fine_text, cube_text, True, len(new)),
+                                          (cube_text, fine_text, False, 0)):
+        a, b = parse_scx(a_text).payload, parse_scx(b_text).payload
+        located.clear()
+        assert is_subdivision(a, b) is answer
+        assert len(located) == len(set(located)) <= bound, located
 
 
 def test_is_subdivision_clips_no_cell(monkeypatch):
