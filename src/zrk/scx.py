@@ -390,17 +390,22 @@ def _facet_ids(s: GeoSimplex) -> list[tuple[int, ...]]:
     return [ids[:j] + ids[j + 1:] for j in range(len(ids))]
 
 
-def _parse_sequence(body: dict, points: dict, where: str = "") -> CollapseSequence:
+def _parse_sequence(body: dict, points: dict, where: str = "",
+                    ccx: Optional[GeoComplex] = None) -> CollapseSequence:
     """A collapse sequence.  When a step removes (T, F), every coface of T
     one dimension up in the complex has gone already, as an earlier step's
     T' or F', so T is a facet of one of them unless it is maximal in the
     complex.  ``faces`` holds the id tuples of the facets of every earlier
     T' and F' not yet removed themselves, a fixed number of keys per step,
     and a T listed as one of them is read off it (``_read_off``), as is an
-    F listed as a facet of its T.  Every other entry, a bad one included,
-    is parsed and checked as any simplex, which builds an equal simplex
-    when the entry is good; an F that is not a facet of T fails as a free
-    facet either way."""
+    F listed as a facet of its T.  In a verdict, ``ccx`` is the collapse
+    complex parsed from the same document, and ``faces`` starts with the
+    id tuples of its maximal simplexes, so a maximal T is read off too;
+    only a complex of the terminal's dimension seeds it, as any other T
+    fails the dimension check.  Every other entry, a bad one included, is
+    parsed and checked as any simplex, which builds an equal simplex when
+    the entry is good; an F that is not a facet of T fails as a free facet
+    either way."""
     if not isinstance(body, dict):
         raise ScxError("a collapse sequence must be a JSON object", where.rstrip("."))
     steps_in = body.get("steps")
@@ -410,6 +415,8 @@ def _parse_sequence(body: dict, points: dict, where: str = "") -> CollapseSequen
     terminal = _parse_point(terminal_in, where + "terminal", points)
     steps = []
     faces: set[tuple[int, ...]] = set()
+    if ccx is not None and ccx.ambient_dim == terminal.dim:
+        faces.update(tuple(map(id, m.vertices)) for m in ccx.maximal_simplexes())
     for i, pair in enumerate(steps_in):
         at = f"{where}steps[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
@@ -448,7 +455,7 @@ def _parse_verdict(body: dict, points: dict) -> RetractVerdict:
                               "witnesses.collapse_complex.")
                if "collapse_complex" in wbody else None)
         seq = (_parse_sequence(wbody["collapse_sequence"], points,
-                               "witnesses.collapse_sequence.")
+                               "witnesses.collapse_sequence.", ccx)
                if "collapse_sequence" in wbody else None)
         # A certified cube verdict holds one complex twice: an equal text
         # parses to an equal complex, so the first, already checked, serves.

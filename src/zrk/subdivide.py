@@ -25,13 +25,16 @@ simplexes having every vertex of its carrier, found by one point location
 that K keeps.  A point without host leaves |K|, points sharing a host lie
 in it, and only the rest take the volume test on the same pieces: the
 cells of a simplex s against the maximal simplexes of K overlap only in
-measure zero, so they cover s exactly when their volumes add up to its own
-(De Loera, Rambau and Santos, *Triangulations*, 2010).  The subdivision
-test clips nothing: it files each maximal simplex of the fine complex under
-the one coarse maximal simplex its vertices share as hosts, and compares
-the volumes filed under each with its own (``is_subdivision``).  Integer
-bounding boxes spare clips: a cell of two simplexes with disjoint boxes is
-empty (``_pieces``).
+measure zero, so they cover s exactly when they tile it.  One tiling test
+serves every such question (``_tiles``): pieces of s's dimension lying in
+s and overlapping in measure zero tile s exactly when their volumes,
+measured in s's own projection, add up to its own (De Loera, Rambau and
+Santos, *Triangulations*, 2010).  ``supports`` asks it of cells,
+``refine_for_map`` of preimage cells, and the subdivision test, which
+clips nothing, of the maximal simplexes of the fine complex filed under
+the one coarse maximal simplex their vertices share as hosts
+(``is_subdivision``).  Integer bounding boxes spare clips: a cell of two
+simplexes with disjoint boxes is empty (``_pieces``).
 
 Two questions come up again and again about the same complexes: which
 simplexes of K lie in |P| (``inside_subcomplex``), and whether |P| lies in
@@ -46,7 +49,10 @@ The kernel is integer arithmetic throughout.  Points enter as their cached
 homogeneous vectors d(p, 1) and constraints as integer rows: the cached
 rows of a simplex (``GeoSimplex._point_rows``), which also serve as the
 slicing forms of ``restrict``, or a target simplex's rows pulled back along
-a map (``_pullback_rows``).  Only the signs of rows at vectors matter, and a
+a map (``_pullback_rows``).  ``restrict`` slices the tuple of maximal
+simplexes by every row in one pass, cutting a simplex the row crosses
+(``_crosses``) into the pulled cells of its two sides, and builds one
+complex at the end.  Only the signs of rows at vectors matter, and a
 volume is a determinant of vectors over the product of their last entries.
 The cell's vertices become points again only to be sorted, so the pulling
 order, and with it every piece, is the lexicographic one.
@@ -59,7 +65,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 from operator import and_, mul
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import linalg
 from .complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap
@@ -197,9 +203,14 @@ def supports(cx: GeoComplex, points: Sequence[RPoint]) -> bool:
     another ambient dimension has none; yes if the points share a host,
     which is convex.  Otherwise, for the rank r of the points' vectors (one
     more than the dimension of their hull), conv(points) is by
-    Caratheodory the union of the simplexes spanned by r affinely
-    independent points among them, and each such simplex takes the volume
-    test (``_volume_covers``).
+    Caratheodory the union of the simplexes s spanned by r affinely
+    independent points among them, and each s must be tiled by its cells
+    against the maximal simplexes of cx (``_pieces``, ``_tiles``).  Each
+    cell s cap t of dimension dim s equals s cap F for the least face F of
+    t containing it; distinct faces have disjoint relative interiors, and a
+    cell lying in a face shared by several maximal simplexes is pulled into
+    the same simplexes each time.  So the pieces overlap only in measure
+    zero, and they tile s exactly when s lies in |cx|.
     """
     found = [cx.hosts(p) for p in points]
     if not all(found):
@@ -208,23 +219,10 @@ def supports(cx: GeoComplex, points: Sequence[RPoint]) -> bool:
         return True
     unique = sorted(set(points))
     r = linalg.matrix_rank([p._homog for p in unique])
-    return all(_volume_covers(cx, GeoSimplex._raw(sub))
-               for sub in itertools.combinations(unique, r)
-               if linalg.matrix_rank([p._homog for p in sub]) == r)
-
-
-def _volume_covers(cx: GeoComplex, s: GeoSimplex) -> bool:
-    """s inside |cx|, for s in cx's ambient space, by exact volume.
-
-    Each cell s cap t, for a maximal t of cx, of dimension dim s equals
-    s cap F for the least face F of t containing it; distinct faces have
-    disjoint relative interiors, and a cell lying in a face shared by
-    several maximal simplexes is pulled into the same simplexes each time.
-    So the set of pieces overlaps only in measure zero, and s is covered
-    exactly when the pieces' volume equals its own.
-    """
-    return (_relative_volume_total(_pieces(s, cx.maximal_simplexes()))
-            == _relative_volume_total([s]))
+    maxi = cx.maximal_simplexes()
+    subs = (GeoSimplex._raw(sub) for sub in itertools.combinations(unique, r)
+            if linalg.matrix_rank([p._homog for p in sub]) == r)
+    return all(_tiles(s, _pieces(s, maxi)) for s in subs)
 
 
 def covers(cx: GeoComplex, part: GeoComplex) -> bool:
@@ -271,9 +269,8 @@ def is_subdivision(fine: GeoComplex, coarse: GeoComplex) -> bool:
     gets a group whose volumes add up to vol(t):
     the group's simplexes lie in t, with its dimension and disjoint
     relative interiors, so their union, which is closed, is t iff the
-    volumes add up; and a simplex of fine meeting t in a set of t's
-    dimension is in t's group, as its own t shares that set with t.  t and
-    its group are measured in one projection (``_volume_axes``).
+    volumes add up (``_tiles``); and a simplex of fine meeting t in a set
+    of t's dimension is in t's group, as its own t shares that set with t.
     """
     if fine.ambient_dim != coarse.ambient_dim:
         return False
@@ -287,11 +284,7 @@ def is_subdivision(fine: GeoComplex, coarse: GeoComplex) -> bool:
         if maxi[i].dim != s.dim:
             return False
         groups[i].append(s)
-    for t, group in zip(maxi, groups):
-        axes = _volume_axes(t)
-        if sum(_volume(s, axes) for s in group) != _volume(t, axes):
-            return False
-    return True
+    return all(map(_tiles, maxi, groups))
 
 
 # -- common refinement -------------------------------------------------------
@@ -319,21 +312,10 @@ def common_refinement(a: GeoComplex, b: GeoComplex) -> GeoComplex:
 # -- restriction to a subpolyhedron ------------------------------------------
 
 
-def _slice_complex(cx: GeoComplex, row: Row) -> GeoComplex:
-    """Subdivide so that every simplex lies in {row >= 0} or {row <= 0}."""
-    out = []
-    changed = False
-    for s in cx.maximal_simplexes():
-        vals = [sum(map(mul, row, x)) for x in s._vertex_rows]
-        if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
-            out.append(s)
-            continue
-        changed = True
-        for side in (row, tuple(-c for c in row)):
-            out.extend(_pull_cell(s, [], [side]))
-    if not changed:
-        return cx
-    return GeoComplex(out, validate=False)
+def _crosses(row: Row, s: GeoSimplex) -> bool:
+    """Does ``row`` take both signs on s?  Then {row = 0} cuts s in two."""
+    vals = [sum(map(mul, row, x)) for x in s._vertex_rows]
+    return any(x > 0 for x in vals) and any(x < 0 for x in vals)
 
 
 def _adapted(inside: Optional[GeoComplex], part: GeoComplex) -> bool:
@@ -381,10 +363,16 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
     part's maximal simplexes.  A facet functional is only determined on the
     affine hull of its simplex, so one whose hyperplane would cut through a
     preserved simplex is shifted by the hull equalities (``_shifts``); a
-    row that still cuts one is left out.  The end checks decide: a
-    RestrictionError is raised, rather than a wrong answer returned, when
-    the simplexes inside |part| do not triangulate it or a preserved
-    simplex was lost.
+    row that still cuts one (``_crosses``) is left out.  The rows slice the
+    tuple of maximal simplexes in one pass: a simplex a row crosses becomes
+    the pulled cells of its two sides (``_pull_cell``), the others stay,
+    and one complex is built at the end, or cx itself is returned when no
+    row cuts anything.  Slicing a complex along a hyperplane leaves a
+    complex, so no piece repeats or lies in another, and the pass keeps
+    exactly the maximal simplexes of slicing row by row.  The end checks
+    decide: a RestrictionError is raised, rather than a wrong answer
+    returned, when the simplexes inside |part| do not triangulate it or a
+    preserved simplex was lost.
     """
     if cx.ambient_dim != part.ambient_dim:
         raise SupportMismatch("containment violation: ambient dimensions differ")
@@ -395,27 +383,25 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
         return cx
     # A row crossing a face crosses every simplex holding it: test maximal ones.
     protected = inside.maximal_simplexes() if inside is not None else ()
-
-    def crosses_protected(row: Row) -> bool:
-        for s in protected:
-            vals = [sum(map(mul, row, x)) for x in s._vertex_rows]
-            if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-                return True
-        return False
-
     # q's rows are its forms times one positive scale, so sums of them are
     # the same sums of forms, scaled: every sign below is the forms' sign.
     rows: list[Row] = []
     for q in part.maximal_simplexes():
         eqs, ineqs, _ = q._point_rows
         for tries in [(e,) for e in eqs] + [_shifts(f, eqs) for f in ineqs]:
-            row = next((r for r in tries if not crosses_protected(r)), None)
+            row = next((r for r in tries
+                        if not any(_crosses(r, s) for s in protected)), None)
             if row is not None:
                 rows.append(row)
 
-    out = cx
+    maximal = cx.maximal_simplexes()
     for row in rows:
-        out = _slice_complex(out, row)
+        neg = tuple(-c for c in row)
+        maximal = tuple(p for s in maximal
+                        for p in (_pull_cell(s, [], [row]) + _pull_cell(s, [], [neg])
+                                  if _crosses(row, s) else (s,)))
+    # A cut simplex leaves two pieces or more, so an equal tuple cut nothing.
+    out = cx if maximal == cx.maximal_simplexes() else GeoComplex(maximal, validate=False)
 
     if not _adapted(inside_subcomplex(out, part), part):
         raise RestrictionError("restriction failed to adapt to |P|")
@@ -459,8 +445,9 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
     domain) and its image must lie in |target|.  Simplexes already mapping
     into a single target simplex survive: they are faces of the preimage
     cells.  A simplex maps into one target simplex iff its vertex images
-    share a host (``GeoComplex.hosts``).  When no simplex is cut, cx itself
-    is returned.
+    share a host (``GeoComplex.hosts``).  The preimage cells of a cut
+    simplex must tile it (``_tiles``), or its image leaves |target|.  When
+    no simplex is cut, cx itself is returned.
     """
     if plmap.codomain_dim != target.ambient_dim:
         raise ValueError(f"a point in R^{plmap.codomain_dim} is not in R^{target.ambient_dim}")
@@ -483,7 +470,7 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
                                      _pullback_rows(s, vert_imgs, ineqs_t)))
         # The preimage cells must tile s exactly; a gap means the image of s
         # leaves the support of the target.
-        if _relative_volume_total(pieces) != _relative_volume_total([s]):
+        if not _tiles(s, pieces):
             raise SupportMismatch(
                 f"compatibility failure: the image of {s} is not contained "
                 "in the target support")
@@ -508,17 +495,12 @@ def _volume(s: GeoSimplex, axes: Sequence[int]) -> Fraction:
                     math.prod(x[-1] for x in xs))
 
 
-def _relative_volume_total(simplexes: Collection[GeoSimplex]) -> Fraction:
-    """Sum of top-dimension volumes measured in projected coordinates.
-
-    All inputs must share one affine hull (pieces of a single simplex);
-    projecting to a coordinate subspace that is injective on the hull
-    (``_volume_axes``) keeps volumes rational and makes exact coverage
-    comparisons valid.
-    """
-    if not simplexes:
-        return Fraction(0)
-    d = max(s.dim for s in simplexes)
-    axes = _volume_axes(next(s for s in simplexes if s.dim == d))
-    # The common factor d! is omitted from both sides of every comparison.
-    return sum((_volume(s, axes) for s in simplexes if s.dim == d), Fraction(0))
+def _tiles(s: GeoSimplex, pieces: Iterable[GeoSimplex]) -> bool:
+    """Do ``pieces`` tile s?  They must be simplexes in s of its dimension
+    overlapping only in measure zero; their union, which is closed, is then
+    s exactly when their volumes add up to its own (De Loera, Rambau and
+    Santos, *Triangulations*, 2010).  Every piece spans aff(s), so s's
+    projection (``_volume_axes``) measures them all; the common factor d!
+    is left out of both sides."""
+    axes = _volume_axes(s)
+    return sum(_volume(p, axes) for p in pieces) == _volume(s, axes)

@@ -16,9 +16,8 @@ from typing import Callable, Optional
 
 from . import subdivide
 from .collapse import CollapseSequence, find_collapse_sequence
-from .complexes import (AbsComplex, GeoComplex, GeoSimplex, RPoint,
-                        WeightedComplex, _placement, realize, skeleton,
-                        standard_cube)
+from .complexes import (GeoComplex, GeoSimplex, RPoint, WeightedComplex,
+                        _placement, realize, skeleton, standard_cube)
 from .regular import (BudgetExhausted, den, desingularize_relative,
                       coprime_point, has_strongly_regular_triangulation,
                       is_regular, is_strongly_regular, desingularize)
@@ -222,7 +221,7 @@ def part2_reduce(eta: PLMap, delta: GeoComplex, part: GeoComplex) -> SectionRetr
     inside = _check_part1_properties(eta, delta, part)
     verts = delta.vertices()
     weights = {v: den(eta.images[v]) for v in verts}
-    w = WeightedComplex(AbsComplex(verts, skeleton(delta).faces), weights)
+    w = WeightedComplex(skeleton(delta), weights)
     q = realize(w)
     if not is_strongly_regular(q):
         raise PropertyViolation("(h)", "the realized weighted complex is not "

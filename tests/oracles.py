@@ -36,7 +36,10 @@ replaced only the star of the blown-up simplex, and
 the polyhedron every step, from before one loop kept its maximal
 simplexes.  ``simplex_volume`` is the volume of one full-dimensional
 simplex, which the volume cube test summed before it used
-``subdivide._relative_volume_total``.
+``relative_volume_total``, the projected volume sum of simplexes sharing
+one affine hull that ``subdivide`` compared on both sides of every tiling
+question before ``subdivide._tiles`` measured pieces in their simplex's
+own projection.
 ``fraction_clip_simplex``, ``fraction_pull_triangulation``, ``fraction_det``
 and ``pullback_forms`` are the cell kernel on ``Fraction`` points and
 ``AffineForm``s, from before it worked on homogeneous integer vectors and
@@ -86,7 +89,10 @@ volume, and
 ``caratheodory_supports`` splits a point list into the simplexes of its
 affinely independent subsets (``aff_dim`` and ``affinely_independent``,
 the ranks ``linalg`` computed for it), from before ``subdivide.supports``
-read the points' hosts off a complex.
+read the points' hosts off a complex.  ``rowwise_restrict`` slices the
+whole complex by one row at a time (``slice_complex``), building a complex
+per cutting row, from before ``subdivide.restrict`` sliced the tuple of
+maximal simplexes in one pass.
 """
 
 import json
@@ -532,8 +538,8 @@ def scan_supports(cover, s: GeoSimplex) -> bool:
     cover = [t for t in cover if t.ambient_dim == s.ambient_dim]
     if any(simplex_inside(s, t) for t in cover):
         return True
-    return (subdivide._relative_volume_total(subdivide._pieces(s, cover))
-            == subdivide._relative_volume_total([s]))
+    return (relative_volume_total(subdivide._pieces(s, cover))
+            == relative_volume_total([s]))
 
 
 def caratheodory_supports(cover, points, simplex_supports=scan_supports) -> bool:
@@ -554,6 +560,65 @@ def scan_inside_subcomplex(cx, part) -> set:
     ``scan_supports``; the reference for ``subdivide.inside_subcomplex``."""
     cover = part.maximal_simplexes()
     return {s for s in cx.simplexes if scan_supports(cover, s)}
+
+
+def slice_complex(cx: GeoComplex, row) -> GeoComplex:
+    """Subdivide so that every simplex lies in {row >= 0} or {row <= 0}."""
+    out = []
+    changed = False
+    for s in cx.maximal_simplexes():
+        vals = [sum(map(mul, row, x)) for x in s._vertex_rows]
+        if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
+            out.append(s)
+            continue
+        changed = True
+        for side in (row, tuple(-c for c in row)):
+            out.extend(subdivide._pull_cell(s, [], [side]))
+    if not changed:
+        return cx
+    return GeoComplex(out, validate=False)
+
+
+def rowwise_restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
+    """``subdivide.restrict`` slicing the whole complex by one row at a
+    time (``slice_complex``), a new complex per cutting row; the reference
+    for its one-pass slicing.  Rows, end checks and errors are restrict's."""
+    if cx.ambient_dim != part.ambient_dim:
+        raise subdivide.SupportMismatch("containment violation: ambient dimensions differ")
+    if not subdivide.covers(cx, part):
+        raise subdivide.SupportMismatch(
+            "containment violation: |P| is not inside the support")
+    inside = subdivide.inside_subcomplex(cx, part)
+    if subdivide._adapted(inside, part):
+        return cx
+    protected = inside.maximal_simplexes() if inside is not None else ()
+
+    def crosses_protected(row) -> bool:
+        for s in protected:
+            vals = [sum(map(mul, row, x)) for x in s._vertex_rows]
+            if any(x > 0 for x in vals) and any(x < 0 for x in vals):
+                return True
+        return False
+
+    rows = []
+    for q in part.maximal_simplexes():
+        eqs, ineqs, _ = q._point_rows
+        for tries in [(e,) for e in eqs] + [subdivide._shifts(f, eqs) for f in ineqs]:
+            row = next((r for r in tries if not crosses_protected(r)), None)
+            if row is not None:
+                rows.append(row)
+
+    out = cx
+    for row in rows:
+        out = slice_complex(out, row)
+
+    if not subdivide._adapted(subdivide.inside_subcomplex(out, part), part):
+        raise subdivide.RestrictionError("restriction failed to adapt to |P|")
+    missing = [s for s in protected if s not in out]
+    if missing:
+        raise subdivide.RestrictionError(
+            f"restriction failed to preserve interior simplexes: {missing[:3]}")
+    return out
 
 
 def scan_image_leaving(eta, cx):
@@ -965,13 +1030,13 @@ def rebuild_desingularize_relative(cx, part, budget: int = 10_000):
 def volume_triangulates_cube(cx) -> bool:
     """|cx| = [0,1]^n, decided through exact volumes: the n-simplexes of a
     complex in the cube fill it when their volumes add up to 1, that is
-    their n!-fold volumes (``subdivide._relative_volume_total``) to n!.
+    their n!-fold volumes (``relative_volume_total``) to n!.
     The reference for ``GeoComplex._is_cube`` on simplicial complexes."""
     n = cx.ambient_dim
     for v in cx.vertices():
         if any(c < 0 or c > 1 for c in v.coords):
             return False
-    return (cx.dim == n and subdivide._relative_volume_total(
+    return (cx.dim == n and relative_volume_total(
         cx.maximal_simplexes()) == math.factorial(n))
 
 
@@ -1013,11 +1078,27 @@ def rows_triangulates_cube(cx) -> bool:
     return sum(min(s._weights(x)) >= 0 for s in maxi) == 1
 
 
+def relative_volume_total(simplexes) -> Fraction:
+    """Sum of top-dimension volumes measured in projected coordinates.
+
+    All inputs must share one affine hull (pieces of a single simplex);
+    projecting to a coordinate subspace that is injective on the hull
+    (``subdivide._volume_axes``) keeps volumes rational and makes exact
+    coverage comparisons valid.  The common factor d! is left out.
+    """
+    if not simplexes:
+        return Fraction(0)
+    d = max(s.dim for s in simplexes)
+    axes = subdivide._volume_axes(next(s for s in simplexes if s.dim == d))
+    return sum((subdivide._volume(s, axes) for s in simplexes if s.dim == d),
+               Fraction(0))
+
+
 def simplex_volume(points) -> Fraction:
     """Full-dimensional volume of a simplex in its ambient space, zero when
     the simplex is not full-dimensional; the reference for the volume sum
-    ``subdivide._relative_volume_total`` that ``volume_triangulates_cube``
-    measures the cube with.  With homogeneous vectors X_j = d_j(p_j, 1), n! times the volume
+    ``relative_volume_total`` that ``volume_triangulates_cube`` measures
+    the cube with.  With homogeneous vectors X_j = d_j(p_j, 1), n! times the volume
     is |det(X_j)| / prod d_j."""
     n = len(points[0])
     if len(points) != n + 1:

@@ -10,14 +10,15 @@ import pytest
 from zrk import GeoSimplex, RPoint, rpoint
 from zrk.linalg import (_bareiss, clip_simplex, det, homogeneous, matrix_rank,
                         pivot_columns, pull_triangulation)
-from zrk.subdivide import _pull_cell, _pullback_rows, _relative_volume_total
+from zrk.subdivide import _pull_cell, _pullback_rows
 
 from conftest import random_rational
 from oracles import (AffineForm, aff_dim, affine_hull_forms, affinely_independent,
                      echelon, enumerate_cell_vertices,
                      fraction_clip_simplex, fraction_det, fraction_pull_triangulation,
-                     integer_rows, lp_maximize, negate, pullback_forms, simplex_forms,
-                     simplex_hrep, simplex_volume, vertex_forms)
+                     integer_rows, lp_maximize, negate, pullback_forms,
+                     relative_volume_total, simplex_forms, simplex_hrep, simplex_volume,
+                     vertex_forms)
 
 
 def test_lp_maximize_hand_cases():
@@ -295,7 +296,7 @@ def test_homogeneous_vectors_and_volumes():
             assert aff_dim(pts) == _fraction_rank(dirs)
             if aff_dim(pts) == n:
                 s = GeoSimplex(tuple(map(RPoint, pts)))
-                assert (_relative_volume_total([s])
+                assert (relative_volume_total([s])
                         == math.factorial(n) * simplex_volume(pts))
 
 

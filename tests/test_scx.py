@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from zrk import (GeoSimplex, PLMap, RPoint, certify_main, complexes,
-                 find_collapse_sequence, from_maximal, part2_reduce, pipeline_dh,
-                 rpoint, scx, standard_cube, stellar)
+                 find_collapse_sequence, from_maximal, linalg, part2_reduce,
+                 pipeline_dh, rpoint, scx, standard_cube, stellar)
 from zrk.complexes import AbsComplex, WeightedComplex
 from zrk.exactnum import format_rat
 from zrk.scx import KINDS, ScxDocument, ScxError, parse_scx, print_scx
@@ -204,6 +204,33 @@ def test_a_verdict_checks_its_repeated_complex_once(monkeypatch):
         parse_scx(json.dumps(body))
     assert err.value.where.startswith("witnesses.strongly_regular.maximal_simplexes[5][2][")
     assert "'01' is not canonical: write '1'" in str(err.value)
+
+
+def test_a_verdict_reads_maximal_steps_off_its_collapse_complex(monkeypatch):
+    # Work bound: parsing the cube5 verdict eliminates once per maximal
+    # simplex of the collapse complex and once for the terminal, 121
+    # times; checking each maximal step's T again made it 241.  The
+    # sequence is the one a standalone document parses to.
+    verdict = certify_main(standard_cube(5))
+    text = print_scx(ScxDocument("verdict", verdict))
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss",
+                        lambda m, reduced=False: calls.append(1) or bareiss(m, reduced))
+    wit = parse_scx(text).payload.witnesses
+    assert len(calls) == 121
+    monkeypatch.undo()
+    seq = verdict.witnesses.collapse_sequence
+    assert wit.collapse_sequence == seq
+    assert parse_scx(print_scx(ScxDocument("sequence", seq))).payload == seq
+    # A terminal of another dimension seeds nothing: the first T fails the
+    # dimension check where a standalone sequence fails it.
+    body = json.loads(text)
+    body["witnesses"]["collapse_sequence"]["terminal"].append("0")
+    with pytest.raises(ScxError) as err:
+        parse_scx(json.dumps(body))
+    assert err.value.where == "witnesses.collapse_sequence.steps[0][0]"
+    assert "points must have dimension 6" in str(err.value)
 
 
 def test_rejects_unreduced_fraction():

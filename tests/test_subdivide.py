@@ -15,8 +15,10 @@ from zrk.subdivide import (PointNotInSupport, RestrictionError, SupportMismatch,
                            covers, inside_subcomplex, supports, support_equal)
 
 from conftest import random_rational, random_simplex, seg, tri
+import oracles
 from oracles import (caratheodory_supports, clip_is_subdivision, face_stellar,
-                     scan_inside_subcomplex, scan_supports, split_supports)
+                     rowwise_restrict, scan_inside_subcomplex, scan_supports,
+                     split_supports)
 
 
 def test_stellar_segment_midpoint():
@@ -369,6 +371,91 @@ def test_restrict_shifts_a_facet_row_off_a_preserved_triangle(monkeypatch):
         restrict(stellar(standard_cube(2), rpoint(1, "1/4")), part)
 
 
+def _restrict_cases():
+    """48 seed-2029 pairs (cx, part): cube2 or cube3 stellar-subdivided at
+    one to three random points, against a random simplex of the cube, all
+    with denominators <= 4; every fourth simplex is scaled by 3/2, so that
+    it may leave the cube."""
+    rng = random.Random(2029)
+    out = []
+    for i in range(48):
+        n = 2 + i % 2
+        points = [rpoint(*[random_rational(rng, 4) for _ in range(n)])
+                  for _ in range(rng.randint(1, 3))]
+        cx = stellar_chain(standard_cube(n), points)
+        q = random_simplex(rng, n, 4)
+        if i % 4 == 3:
+            q = GeoSimplex(tuple(rpoint(*[c * Fraction(3, 2) for c in v])
+                                 for v in q.vertices))
+        out.append((cx, from_maximal([q])))
+    return out
+
+
+def _restricted(restrict_fn, cx, part):
+    """The printed restriction, or the error's type and text."""
+    try:
+        return print_scx(ScxDocument("complex", restrict_fn(cx, part)))
+    except (SupportMismatch, RestrictionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_restrict_matches_slicing_row_by_row(monkeypatch):
+    # One pass over the maximal simplexes keeps exactly the simplexes that
+    # slicing the whole complex by one row at a time kept, error texts
+    # included.  Each side gets its own copy of the inputs, so neither
+    # reads answers the other kept.
+    got = [_restricted(restrict, cx, part) for cx, part in _restrict_cases()]
+    want = [_restricted(rowwise_restrict, cx, part) for cx, part in _restrict_cases()]
+    assert got == want
+    kinds = collections.Counter(map(type, got))
+    assert kinds[str] >= 30 and kinds[tuple] >= 5, kinds
+    # The shifted-row case without its shifts fails the end check alike.
+    monkeypatch.setattr(subdivide, "_shifts", lambda f, eqs: iter((f,)))
+    part = from_maximal([tri((0, 0), (1, "1/4"), (1, 1)), tri((0, 0), ("1/2", 0))])
+    got, want = (_restricted(fn, stellar(standard_cube(2), rpoint(1, "1/4")), part)
+                 for fn in (restrict, rowwise_restrict))
+    assert got == want == (RestrictionError, "restriction failed to adapt to |P|")
+
+
+def test_restrict_builds_one_complex_after_choosing_its_rows(monkeypatch):
+    # Work bound: the rows slice the maximal simplexes in one pass and one
+    # complex is built at the end.  Slicing row by row built a complex per
+    # cutting row, and several rows cut on some of these inputs.
+    built, cuts, depth = [], [], [0]
+    real_complex, real_inside = subdivide.GeoComplex, subdivide._inside_subcomplex
+    real_slice = oracles.slice_complex
+
+    def counted(*args, **kwargs):
+        if not depth[0]:  # the inside subcomplexes are not slicing work
+            built.append(1)
+        return real_complex(*args, **kwargs)
+
+    def tracked(cx, part):
+        depth[0] += 1
+        try:
+            return real_inside(cx, part)
+        finally:
+            depth[0] -= 1
+
+    def sliced(cx, row):
+        out = real_slice(cx, row)
+        cuts.append(out is not cx)
+        return out
+
+    monkeypatch.setattr(subdivide, "GeoComplex", counted)
+    monkeypatch.setattr(subdivide, "_inside_subcomplex", tracked)
+    monkeypatch.setattr(oracles, "slice_complex", sliced)
+    most_cuts = 0
+    for (cx, part), (cx2, part2) in zip(_restrict_cases(), _restrict_cases()):
+        built.clear()
+        _restricted(restrict, cx, part)
+        assert len(built) <= 1, (cx, part, len(built))
+        cuts.clear()
+        _restricted(rowwise_restrict, cx2, part2)
+        most_cuts = max(most_cuts, sum(cuts))
+    assert most_cuts >= 2
+
+
 def test_refine_for_map_identity():
     cx = standard_cube(1)
     eta = PLMap(cx, {v: v for v in cx.vertices()})
@@ -665,7 +752,7 @@ def test_inside_subcomplex_runs_supports_only_on_undecided_faces(monkeypatch):
     rng = random.Random(20177)
     calls = []
     parts = []
-    inside, measured = subdivide.inside_subcomplex, subdivide._volume_covers
+    inside, measured = subdivide.inside_subcomplex, subdivide._tiles
 
     def tracked(cx, part):
         parts.append(part)
@@ -674,13 +761,13 @@ def test_inside_subcomplex_runs_supports_only_on_undecided_faces(monkeypatch):
         finally:
             parts.pop()
 
-    def counted(cx, s):
+    def counted(s, pieces):
         if parts:
             calls.append((parts[-1], s))
-        return measured(cx, s)
+        return measured(s, pieces)
 
     monkeypatch.setattr(subdivide, "inside_subcomplex", tracked)
-    monkeypatch.setattr(subdivide, "_volume_covers", counted)
+    monkeypatch.setattr(subdivide, "_tiles", counted)
     half, quarter = rpoint("1/2", "1/2"), rpoint("1/4", "1/4")
     square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
     fold = PLMap(square, {v: half if any(v.coords) else v for v in square.vertices()})
