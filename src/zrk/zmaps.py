@@ -131,24 +131,25 @@ def _image_leaving(eta: PLMap, cx: GeoComplex) -> Optional[GeoSimplex]:
 
 
 def fixes_pointwise(eta: PLMap, part: GeoComplex) -> bool:
-    """Is eta the identity on |part|?  Decided exactly by refining the
-    domain against |part| and checking fixity on the inside vertices."""
+    """Is eta the identity on |part|?  Decided exactly on a refinement of
+    part: ``refine_for_map`` cuts part until each simplex lies in one
+    simplex of eta's domain, where eta is affine, and the refined simplexes
+    cover |part|, so eta fixes |part| iff it fixes their vertices.  |part|
+    outside |domain|, or in another space, is a containment failure."""
     try:
-        refined = subdivide.restrict(eta.domain, part)
-    except subdivide.SupportMismatch:
+        refined = subdivide.refine_for_map(part, identity_map(part), eta.domain)
+    except ValueError:  # SupportMismatch, or another ambient dimension
         raise DomainError("containment failure: |P| is not inside the domain") from None
-    inside = subdivide.inside_subcomplex(refined, part)
-    if inside is None:
-        raise DomainError("containment failure: no simplex of the refined "
-                          "domain lies inside |P|")
-    return all(eta.eval(v) == v for v in inside.vertices())
+    return all(eta.eval(v) == v for v in refined.vertices())
 
 
 # -- retract verification ----------------------------------------------------
 
 
 def verify_zretract(part: GeoComplex, eta: PLMap) -> bool:
-    """Z-map from the whole cube onto |part| fixing |part| pointwise."""
+    """Z-map from the whole cube onto |part| fixing |part| pointwise.  Only
+    part is refined, for the fixity (``fixes_pointwise``); eta's domain is
+    never restricted to |part|, a construction that can refuse its input."""
     if eta.domain.ambient_dim != part.ambient_dim:
         raise DomainError("domain mismatch: ambient dimensions differ")
     if not eta.domain._is_cube():
@@ -315,11 +316,11 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     # Step F: make the inside triangulation regular.
     delta = desingularize_relative(delta, part, budget=desing_budget)
     # Step G: fix |P| vertexwise, then refine until every simplex maps into
-    # one inside simplex.
+    # one inside simplex.  The inside simplexes triangulate |P|, so a vertex
+    # of delta lies in |P| exactly when it is a vertex of one of them.
     inside = subdivide.inside_subcomplex(delta, part)
-    eta_f = PLMap(delta, {
-        v: (v if inside is not None and part.contains_point(v) else eta_b.eval(v))
-        for v in delta.vertices()})
+    eta_f = PLMap(delta, {v: v if v in inside._rank else eta_b.eval(v)
+                          for v in delta.vertices()})
     delta_g = subdivide.refine_for_map(delta, eta_f, inside)
     eta_g = eta_f.rebase(delta_g)
     # Step H: blow up the top simplexes with non-coprime image denominators,

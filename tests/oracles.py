@@ -92,7 +92,11 @@ the ranks ``linalg`` computed for it), from before ``subdivide.supports``
 read the points' hosts off a complex.  ``rowwise_restrict`` slices the
 whole complex by one row at a time (``slice_complex``), building a complex
 per cutting row, from before ``subdivide.restrict`` sliced the tuple of
-maximal simplexes in one pass.
+maximal simplexes in one pass.  ``restricted_fixes_pointwise`` restricts
+the map's domain to |P| and tests the inside vertices, from before
+``zmaps.fixes_pointwise`` refined P against the domain; it raises where
+``restrict`` refuses its input, and there ``clip_fixes_pointwise``, which
+tests every vertex of every cell of P against the domain, is the reference.
 """
 
 import json
@@ -619,6 +623,35 @@ def rowwise_restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
         raise subdivide.RestrictionError(
             f"restriction failed to preserve interior simplexes: {missing[:3]}")
     return out
+
+
+def restricted_fixes_pointwise(eta, part) -> bool:
+    """``zmaps.fixes_pointwise`` from before it refined part: restrict eta's
+    domain to |part| (``subdivide.restrict``) and test fixity on the
+    vertices of the inside subcomplex.  Raises ``subdivide.RestrictionError``
+    where restrict refuses its input; the reference where it does not."""
+    try:
+        refined = subdivide.restrict(eta.domain, part)
+    except subdivide.SupportMismatch:
+        raise zmaps.DomainError("containment failure: |P| is not inside the domain") from None
+    inside = subdivide.inside_subcomplex(refined, part)
+    return all(eta.eval(v) == v for v in inside.vertices())
+
+
+def clip_fixes_pointwise(eta, part) -> bool:
+    """Does eta fix every vertex of every cell s cap q, for maximal
+    simplexes s of part and q of eta's domain (``linalg.clip_simplex``)?
+    eta is affine on each cell, and when |part| lies in |domain| the cells
+    cover it, so this decides fixity on |part|; nothing is triangulated."""
+    for s in part.maximal_simplexes():
+        for q in eta.domain.maximal_simplexes():
+            eqs, bary, _ = q._point_rows
+            rows = [*eqs, *(tuple(-c for c in e) for e in eqs), *bary]
+            for x, _ in linalg.clip_simplex(s._vertex_rows, rows):
+                p = RPoint(tuple(Fraction(c, x[-1]) for c in x[:-1]))
+                if eta.eval(p) != p:
+                    return False
+    return True
 
 
 def scan_image_leaving(eta, cx):

@@ -10,6 +10,7 @@ import zrk.collapse
 import zrk.complexes
 import zrk.linalg
 import zrk.subdivide
+import zrk.zmaps
 
 SOURCES = sorted(Path(zrk.__file__).parent.glob("*.py"))
 
@@ -117,9 +118,22 @@ def test_subdivide_has_one_tiling_test_and_one_slicing_pass():
     assert not defined & gone, defined & gone
 
 
+def test_only_the_pipeline_restricts_in_zmaps():
+    # Fixity refines P against the map's domain.  Restricting the domain to
+    # |P| is a construction that refuses some valid inputs, so a check that
+    # ran it crashed where it should answer; only pipeline_dh's step E, a
+    # construction itself, restricts.
+    tree = ast.parse(Path(zrk.zmaps.__file__).read_text(encoding="utf-8"))
+    named = {top.name: {name for node in ast.walk(top)
+                        for name in (getattr(node, "id", None), getattr(node, "attr", None))}
+             for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert [fn for fn, names in named.items() if "restrict" in names] == ["pipeline_dh"]
+    assert not named["fixes_pointwise"] & {"restrict", "inside_subcomplex"}
+
+
 # Code lines in src/zrk when the gate was set.  Lower it when code goes;
 # raise it only with a line in CHANGES.md saying why.
-CODE_LINES = 2105
+CODE_LINES = 2100
 
 
 def code_lines(text: str) -> int:

@@ -741,7 +741,7 @@ def test_inside_subcomplex_matches_scanning_oracle_in_restrict_and_pipeline(
             eta = eta.rebase(stellar(eta.domain, p))
         result = pipeline_dh(eta, part)
         part2_reduce(result.map, result.triangulation, part)
-    assert len(found) == 56 and {inside.dim for inside in found} == {0, 1, 2}
+    assert len(found) == 36 and {inside.dim for inside in found} == {0, 1, 2}
 
 
 def test_inside_subcomplex_runs_supports_only_on_undecided_faces(monkeypatch):

@@ -6,22 +6,24 @@ from importlib import resources
 
 import pytest
 
-from zrk import (GeoSimplex, PLMap, certify_main, compose,
+from zrk import (GeoSimplex, PLMap, certify_main, compose, desingularize,
                  find_collapse_sequence, fixes_pointwise,
-                 from_maximal, identity_map, is_zmap,
+                 from_maximal, identity_map, is_subdivision, is_zmap,
                  part2_reduce, pipeline_dh, replay,
-                 retarget_to_carrier_vertices, rpoint, standard_cube, stellar,
-                 verify_section_retraction, verify_zretract)
-from zrk import subdivide, zmaps
+                 restrict, retarget_to_carrier_vertices, rpoint, standard_cube,
+                 stellar, verify_section_retraction, verify_zretract)
+from zrk import stellar_chain, subdivide, zmaps
+from zrk.cli import main
 from zrk.complexes import GeoComplex
 from zrk.regular import den, is_strongly_regular
-from zrk.scx import parse_scx
+from zrk.scx import ScxDocument, parse_scx, print_scx
 from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
                        _lattice_points_in)
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import (caratheodory_supports, is_zmap_by_fit, locate_eval,
-                     product_lattice_points, scan_image_leaving)
+from oracles import (caratheodory_supports, clip_fixes_pointwise, is_zmap_by_fit,
+                     locate_eval, product_lattice_points, restricted_fixes_pointwise,
+                     scan_image_leaving)
 
 
 def seg2d(a, b):
@@ -163,12 +165,112 @@ def test_fixes_pointwise(tent, half_interval):
 
 def test_fixes_pointwise_part_outside_the_domain(tent):
     # |P| outside the domain, partly or in another space, is reported by
-    # the restriction and named as a containment failure.
+    # the refinement of P against the domain and named as a containment
+    # failure.
     for part in (from_maximal([seg("1/2", 2)]), from_maximal([seg(2, 3)]),
                  standard_cube(2)):
         with pytest.raises(DomainError, match=r"^containment failure: \|P\| is "
                                               "not inside the domain$"):
             fixes_pointwise(tent, part)
+
+
+def _stellar_square_and_part():
+    """A stellar square K and a part P, a triangle with a dangling edge,
+    that ``subdivide.restrict`` refuses to restrict K to."""
+    cx = stellar_chain(standard_cube(2), [rpoint("1/4", 0), rpoint(0, "1/4"),
+                                          rpoint(0, "3/4"), rpoint("1/4", "3/4")])
+    part = from_maximal([tri((0, "3/4"), ("1/4", "3/4"), (1, 1)),
+                         seg2d(("3/4", 1), (1, 1))])
+    return cx, part
+
+
+def test_fixity_is_decided_where_restrict_refuses(tmp_path, capsys):
+    # Fixity refines P, not the map's domain, so it answers on a K and P
+    # that restrict cannot adapt to each other; retract-verify exits 1 on
+    # the constant map, not 65.
+    cx, part = _stellar_square_and_part()
+    constant = PLMap(cx, {v: rpoint(1, 1) for v in cx.vertices()})
+    with pytest.raises(subdivide.RestrictionError, match="failed to adapt"):
+        subdivide.restrict(cx, part)
+    assert fixes_pointwise(identity_map(cx), part)
+    assert not fixes_pointwise(constant, part)
+    assert not verify_zretract(part, constant)
+    for name, doc in (("part", ScxDocument("complex", part)),
+                      ("map", ScxDocument("plmap", constant))):
+        (tmp_path / f"{name}.scx").write_text(print_scx(doc), encoding="utf-8")
+    assert main(["retract-verify", str(tmp_path / "part.scx"),
+                 str(tmp_path / "map.scx")]) == 1
+    assert capsys.readouterr().out == "not a Z-retraction\n"
+
+
+def _fixity_triples(rng, count):
+    """Seeded (eta, P).  eta's domain is a stellar cube2 or cube3, blown up
+    at random points and points of the cube's facets, or its maximal
+    simplexes whose least vertex has x_0 < 1/2; eta is the identity, the
+    identity with one or two vertex images moved, or the fold
+    x -> min(x, 1 - x).  P is a random simplex, a simplex of the domain,
+    or in the square a triangle with a dangling edge whose points are
+    vertices of the domain or random."""
+    def point(n):
+        return rpoint(*[random_rational(rng, 4) for _ in range(n)])
+
+    def boundary_point(n):
+        p = [random_rational(rng, 4) for _ in range(n)]
+        p[rng.randrange(n)] = rng.randint(0, 1)
+        return rpoint(*p)
+
+    while count:
+        n = 2 if rng.random() < 0.75 else 3
+        cx = stellar_chain(standard_cube(n), [rng.choice((point, boundary_point))(n)
+                                              for _ in range(rng.randint(1, 4))])
+        kind = rng.randrange(3) if n == 2 else rng.randint(1, 2)
+        try:
+            if kind == 0:
+                a, b, c, d = (rng.choice(cx.vertices()) if rng.random() < 0.5
+                              else point(n) for _ in range(4))
+                part = from_maximal([GeoSimplex((a, b, c)), GeoSimplex((c, d))])
+            elif kind == 1:
+                part = from_maximal([random_simplex(rng, n, 4)])
+            else:
+                part = from_maximal([rng.choice(sorted(cx.simplexes))])
+        except ValueError:
+            continue
+        if rng.random() < 1 / 6:
+            cx = from_maximal([s for s in cx.maximal_simplexes()
+                               if 2 * s.vertices[0].coords[0] < 1])
+        images = {v: v for v in cx.vertices()}
+        form = rng.randrange(3)
+        if form == 1:
+            for v in rng.sample(cx.vertices(), rng.randint(1, 2)):
+                images[v] = point(n)
+        elif form == 2:
+            images = {v: rpoint(*[min(c, 1 - c) for c in v.coords]) for v in images}
+        yield PLMap(cx, images), part
+        count -= 1
+
+
+def test_fixity_matches_the_restricted_and_clipped_oracles():
+    # Where restricting the domain answers, refining P gives the same
+    # answer or the same DomainError text; where restrict refuses, it gives
+    # the answer of testing every vertex of every cell of P against the
+    # domain.
+    def outcome(check, eta, part):
+        try:
+            return check(eta, part)
+        except (DomainError, subdivide.RestrictionError) as exc:
+            return type(exc), str(exc)
+
+    seen = collections.Counter()
+    for eta, part in _fixity_triples(random.Random(7), 525):
+        new = outcome(fixes_pointwise, eta, part)
+        old = outcome(restricted_fixes_pointwise, eta, part)
+        if isinstance(old, tuple) and old[0] is subdivide.RestrictionError:
+            assert new == clip_fixes_pointwise(eta, part), (eta, part)
+            seen["refused"] += 1
+        else:
+            assert new == old, (eta, part)
+            seen[new if isinstance(new, bool) else "outside"] += 1
+    assert all(seen[key] for key in (True, False, "outside", "refused")), seen
 
 
 def test_verify_zretract(tent, half_interval, third_interval):
@@ -212,12 +314,7 @@ def test_retarget_to_carrier_vertices():
 
 
 def test_broken_invariants_raise_domain_error(monkeypatch, tent, half_interval):
-    # Both used to be asserts, which python -O strips.  A restriction that
-    # returns a complex away from |P| leaves no simplex inside it.
-    monkeypatch.setattr(subdivide, "restrict", lambda cx, part: from_maximal([seg(2, 3)]))
-    with pytest.raises(DomainError, match="no simplex of the refined domain"):
-        fixes_pointwise(tent, half_interval)
-    monkeypatch.undo()
+    # This used to be an assert, which python -O strips.
     monkeypatch.setattr(GeoComplex, "carrier", lambda cx, p: None)
     with pytest.raises(DomainError, match="carrier precondition failure"):
         retarget_to_carrier_vertices(tent, half_interval, keep=lambda v: False)
@@ -513,6 +610,30 @@ def brute_force_no_zmap_retraction(part, domain, max_den):
         if ok_image and fixes_pointwise(eta, part):
             return False
     return True
+
+
+def test_a_long_path_goes_through_every_step_without_recursion():
+    # The Farey path 0, 1/2000, 1/1999, ..., 1/2, 1 of [0,1]: 2,001
+    # vertices, every edge regular with coprime denominators, triangulating
+    # the cube, so validation takes the linear cube test.  No step recurses
+    # once per vertex, so none raises RecursionError.
+    points = [rpoint(0)] + [rpoint(Fraction(1, k)) for k in range(2000, 0, -1)]
+    path = from_maximal([GeoSimplex(pair) for pair in zip(points, points[1:])])
+    assert len(path.vertices()) == 2001
+    assert parse_scx(print_scx(ScxDocument("complex", path))).payload == path
+    verdict = certify_main(path)
+    assert verdict.status == "certified"
+    back = parse_scx(print_scx(ScxDocument("verdict", verdict))).payload
+    assert back.status == "certified"
+    assert replay(back.witnesses.collapse_complex, back.witnesses.collapse_sequence)
+    assert is_subdivision(path, standard_cube(1))
+    assert desingularize(path) is path
+    assert len(stellar(path, rpoint("3/4")).maximal_simplexes()) == 2001
+    half = from_maximal([seg(0, "1/2")])
+    assert restrict(path, half) is path
+    assert fixes_pointwise(identity_map(path), half)
+    fold = PLMap(path, {v: rpoint(0) if v == rpoint(1) else v for v in path.vertices()})
+    assert verify_zretract(half, fold)
 
 
 def test_refutations_backed_by_brute_force(third_interval, antidiagonal):
