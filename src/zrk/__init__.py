@@ -15,15 +15,13 @@ from .collapse import (CollapseSequence, CollapseStep, elementary_collapse,
                        find_collapse_sequence, free_faces, replay)
 from .exactnum import (IntMat, Rat, extends_to_basis, format_rat,
                        invariant_factors, lcd, parse_rat)
-from .regular import (anchor, coprime_point, den, desingularize,
-                      desingularize_relative, has_strongly_regular_triangulation,
-                      homog, is_regular, is_strongly_regular,
-                      is_strongly_regular_simplex)
+from .regular import (coprime_point, den, desingularize, desingularize_relative,
+                      has_strongly_regular_triangulation, homog, is_regular,
+                      is_strongly_regular, is_strongly_regular_simplex)
 from .subdivide import (common_refinement, is_subdivision, refine_for_map,
-                        restrict, stellar, stellar_chain)
+                        restrict, stellar)
 from .zmaps import (PLMap, RetractVerdict, certify_main, compose,
                     fixes_pointwise, identity_map, is_zmap, part2_reduce,
-                    pipeline_dh, retarget_to_carrier_vertices,
-                    verify_section_retraction, verify_zretract)
+                    pipeline_dh, verify_section_retraction, verify_zretract)
 
 __version__ = "0.1.0"

@@ -2,14 +2,24 @@
 
 A geometric complex is its maximal simplexes: the constructor drops every
 input simplex that lies in another and builds no faces (``simplexes`` builds
-them when read).  It checks the common-face condition on what is left.  A
-complex of n-simplexes in [0,1]^n is first tried as a triangulation of the
-cube by facet matching, orientations and volumes, in time linear in its
-size (``_triangulates_cube``);
-otherwise the condition is checked pair by pair, by three tests in order:
-disjoint integer bounding boxes (``_bbox_overlap``), a separating form read
-off the cached integer rows of either simplex (``_separated``), and only
-when neither settles the pair the cell a cap b from ``linalg``'s polytope
+them when read).  It checks the common-face condition on what is left
+(``GeoComplex._validate``) by at most four tests, in order; only the last
+rejects.  (1) One maximal simplex needs none.  (2) A complex of n-simplexes
+in [0,1]^n is tried as a triangulation of the cube by facet matching,
+orientations and volumes (``_triangulates_cube``).  (3) From three maximal
+simplexes up, a complex whose vertices are affinely independent is a set
+of faces of one simplex (``_independent_vertices``), and a complex of
+n-simplexes in R^n is tried as a triangulation of the hull of its vertices
+by the same facet pass, supporting hyperplanes and one point located in
+one vertex star (``_triangulates_hull``).  Both run in time linear in the
+size of the complex; two maximal simplexes keep their one pair test, which
+costs less.  (4) Otherwise the condition is checked pair by pair: on
+complexes of lower dimension than their ambient space, non-convex
+full-dimensional ones, non-convex sets of Kuhn simplexes (whose chain test
+is still to come), and any that fail the tests above.  Each pair takes
+disjoint integer bounding boxes (``_bbox_overlap``), a separating form
+read off the cached integer rows of either simplex (``_separated``), and
+only when neither settles it the cell a cap b from ``linalg``'s polytope
 kernel, whose vertex masks show whether it lies in the face spanned by the
 shared vertices.
 
@@ -365,6 +375,40 @@ def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     return all(m & unshared == unshared for _, m in cell)
 
 
+def _boundary_facets(cx: GeoComplex) -> Optional[list[tuple[GeoSimplex, int, tuple]]]:
+    """The facet pass that the cube and hull tests share, on a complex
+    whose maximal simplexes are n-simplexes in R^n: each facet of a maximal
+    simplex is keyed by its vertex rank tuple.  None when a facet lies in
+    three or more maximal simplexes, or in two, a and b, which drop a's
+    vertex i and b's vertex j, with (-1)^(i+j) det a det b >= 0, so that
+    they lie on one side of it.  Otherwise the facets that lie in one
+    maximal simplex, as (simplex, index of the dropped vertex, key).
+
+    The vectors X_j = d_j(p_j, 1) of a facet F are listed in one order in
+    both a and b, so moving the dropped vertex last gives det a =
+    (-1)^(n-i) det(F, X) and det b = (-1)^(n-j) det(F, Y) for the dropped
+    vectors X and Y; det(F, .) is a linear form vanishing on F's vectors,
+    whose sign at a vector with positive last entry tells the side of F the
+    point lies on.  It reads each simplex's determinant ``_det``.
+    """
+    n = cx.ambient_dim
+    facets: dict[tuple[int, ...], list] = {}
+    for s, r in zip(cx.maximal_simplexes(), cx._ranks):
+        for i in range(n + 1):
+            facets.setdefault(r[:i] + r[i + 1:], []).append((s, i))
+    boundary = []
+    for key, holders in facets.items():
+        if len(holders) == 1:
+            boundary.append((*holders[0], key))
+        elif len(holders) == 2:
+            (a, i), (b, j) = holders
+            if (-1) ** (i + j) * a._det * b._det >= 0:
+                return None
+        else:
+            return None
+    return boundary
+
+
 def _triangulates_cube(cx: GeoComplex) -> bool:
     """A test in time linear in the size of cx, and sufficient for the
     common-face condition: True shows that cx triangulates [0,1]^n, for n
@@ -377,20 +421,15 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
         simplexes;
     (d) a facet in one maximal simplex lies in a facet of the cube: all its
         vertices have some coordinate 0, or all have it 1;
-    (e) at a facet shared by a and b, which drops a's vertex i and b's
-        vertex j, (-1)^(i+j) det a det b < 0, so the two lie on opposite
-        sides of the facet;
+    (e) two maximal simplexes sharing a facet lie on opposite sides of it,
+        read off their orientations (``_boundary_facets``, which checks (c)
+        and (e));
     (f) the volumes add up to the cube's: with the product q_s of the
         vertex denominators of each maximal simplex s and their lcm L,
         sum |det s| (L / q_s) = n! L, in integers.
 
     The vectors X_j = d_j(p_j, 1) of a simplex have det = q_s det(p_j, 1),
-    so |det s| / q_s is n! times the volume of s.  For (e), the facet F
-    lists the shared vertices in one order in both, so moving the dropped
-    vertex last gives det a = (-1)^(n-i) det(F, X) and det b = (-1)^(n-j)
-    det(F, Y) for the dropped vectors X and Y; det(F, .) is a linear form
-    vanishing on F's vectors, whose sign at a vector with positive last
-    entry tells the side of F the point lies on.
+    so |det s| / q_s is n! times the volume of s.
 
     Call a point of the open cube generic when it lies on no facet; the
     number k of simplexes holding a generic point is locally constant.  Two
@@ -444,25 +483,97 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
     full = (1 << n) - 1
     if sum(lo | hi == full for lo, hi in zip(low, high)) != 1 << n:
         return False
-    facets: dict[tuple[int, ...], list] = {}
-    for s, r in zip(maxi, cx._ranks):
-        for i in range(n + 1):
-            facets.setdefault(r[:i] + r[i + 1:], []).append((s, i))
-    for key, holders in facets.items():
-        if len(holders) == 1:
-            if not (reduce(and_, (low[k] for k in key))
-                    or reduce(and_, (high[k] for k in key))):
-                return False
-        elif len(holders) == 2:
-            (a, i), (b, j) = holders
-            if (-1) ** (i + j) * a._det * b._det >= 0:
-                return False
-        else:
-            return False
+    boundary = _boundary_facets(cx)
+    if boundary is None or not all(reduce(and_, (low[k] for k in key))
+                                   or reduce(and_, (high[k] for k in key))
+                                   for _, _, key in boundary):
+        return False
     qs = [math.prod(verts[k]._homog[-1] for k in r) for r in cx._ranks]
     lcm = math.lcm(*qs)
     volumes = sum(abs(s._det) * (lcm // q) for s, q in zip(maxi, qs))
     return volumes == math.factorial(n) * lcm
+
+
+def _triangulates_hull(cx: GeoComplex) -> bool:
+    """True shows that cx triangulates the convex hull C of its vertices;
+    False means "not shown".  It reads determinants and one normal per
+    hyperplane of the boundary, in time linear in the size of cx times
+    their number.  It holds when
+
+    (a) every maximal simplex has dimension n, the ambient dimension;
+    (c), (e) of ``_triangulates_cube`` hold (``_boundary_facets``);
+    (h) a facet in one maximal simplex s supports C: its normal, signed
+        positive on s, is >= 0 at every vertex;
+    (k) for the least vertex v, the first maximal simplex s, which has v,
+        and the barycentre b of s, every other maximal simplex t having v
+        gives b a negative barycentric coordinate at some vertex u != v;
+        by Cramer's rule its sign is that of det t times the determinant
+        of t's vectors with b's in place of u's.
+
+    By (h) a facet in one simplex lies in a hyperplane missing the interior
+    of C, so as for the cube the number k of simplexes holding a point of
+    the interior of C on no facet (a generic point) is the same at every
+    generic point.  A convex combination of points greater than v is
+    greater, so v is a vertex of C and of every simplex holding it.  For
+    0 < e <= 1, q = v + e(b - v) lies in the interior of s, and in a t
+    having v its coordinates off v are e times b's, so by (k) no other t
+    having v holds q; the simplexes without v miss a ball around q for e
+    small, so generic points near q lie in s alone and k = 1.  The union
+    of the simplexes is closed and holds every generic point once, so it
+    is C, and the second half of the cube proof, with C for the cube,
+    shows that any two meet in a common face.  A facet on a hyperplane
+    already found spans it, and that hyperplane is >= 0 at every vertex,
+    so it is positive at the vertex of s off the facet: (h) holds for the
+    facet with no normal of its own.
+
+    Conversely a triangulation of a convex polytope by n-simplexes passes:
+    a facet in one simplex lies in the supporting hyperplane of C at a
+    point of its relative interior, q lies in s alone, and a t failing (k)
+    would hold q for every e.  So on a complex of n-simplexes the test
+    decides whether the support is convex.  Stacked triangulations fail
+    (k), a T-junction fails (h) and a fold (e).
+    """
+    n, maxi = cx.ambient_dim, cx.maximal_simplexes()
+    if any(len(s.vertices) != n + 1 for s in maxi):
+        return False
+    boundary = _boundary_facets(cx)
+    if boundary is None:
+        return False
+    vectors = [v._homog for v in cx.vertices()]
+    planes = []
+    for s, i, _ in boundary:
+        x = s._vertex_rows
+        facet = x[:i] + x[i + 1:]
+        if any(all(sum(map(mul, row, y)) == 0 for y in facet) for row in planes):
+            continue
+        row = linalg.normal(facet)
+        if sum(map(mul, row, x[i])) < 0:
+            row = tuple(-c for c in row)
+        if any(sum(map(mul, row, y)) < 0 for y in vectors):
+            return False
+        planes.append(row)
+    # (n + 1) L (b, 1), for the lcm L of the first simplex's denominators.
+    x = maxi[0]._vertex_rows
+    lcm = math.lcm(*(y[-1] for y in x))
+    b = tuple(map(sum, zip(*(tuple(c * (lcm // y[-1]) for c in y) for y in x))))
+    for t, r in zip(maxi[1:], cx._ranks[1:]):
+        if r[0]:
+            return True
+        x = t._vertex_rows
+        if all(linalg.det(x[:u] + (b,) + x[u + 1:]) * t._det >= 0 for u in range(1, n + 1)):
+            return False
+    return True
+
+
+def _independent_vertices(cx: GeoComplex) -> bool:
+    """The vertices of cx are affinely independent: one rank computation.
+    Then every simplex of cx is a face of the simplex S they span, and two
+    faces of S meet in the face spanned by their common vertices, as a
+    point of S has one set of barycentric coordinates.  Every ``realize``
+    output has this shape."""
+    verts = cx.vertices()
+    return (len(verts) <= cx.ambient_dim + 1
+            and linalg.rank_det([v._homog for v in verts])[0] == len(verts))
 
 
 class GeoComplex:
@@ -505,9 +616,15 @@ class GeoComplex:
             self._validate()
 
     def _validate(self):
-        if self._is_cube():
-            return
+        """Check the common-face condition by the tests of the module
+        docstring, in its order; the cube test's answer is kept.  Only the
+        pair loop rejects, at the first failing pair in
+        ``itertools.combinations`` order, as before the linear tests."""
         maxi = self.maximal_simplexes()
+        if len(maxi) == 1 or self._is_cube():
+            return
+        if len(maxi) > 2 and (_independent_vertices(self) or _triangulates_hull(self)):
+            return
         for a, b in itertools.combinations(maxi, 2):
             if not _meet_in_common_face(a, b):
                 raise NotASimplicialComplex(

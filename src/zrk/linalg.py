@@ -115,7 +115,7 @@ def simplex_rows(vectors: Sequence[IntVec]) -> tuple[tuple[IntVec, ...],
     reduced echelon form of (p_j, 1 | e_j), for its last pivot t.  Each
     form is read off it with free coefficients pinned to zero: for each
     free column f of the X block, the equality with t at f and minus f's
-    entries at the pivots, and for each e_i column, the barycentric form
+    entries at the pivots (``_null_rows``), and for each e_i column, the barycentric form
     with that column at the pivots.  Dividing by the gcd of t and every
     entry, with the sign of t, leaves D > 0.  The points must be affinely
     independent.
@@ -127,14 +127,7 @@ def simplex_rows(vectors: Sequence[IntVec]) -> tuple[tuple[IntVec, ...],
     if pivots[-1] >= width:  # a pivot in the e block: dependent points
         raise ValueError("points are affinely dependent")
     t = red[0][pivots[0]]
-    eqs = []
-    for f in range(width):
-        if f not in pivots:
-            row = [0] * width
-            row[f] = t
-            for r, p in zip(red, pivots):
-                row[p] = -r[f]
-            eqs.append(row)
+    eqs = _null_rows(red, pivots, width)
     bary = []
     for i in range(width, width + k):
         row = [0] * width
@@ -145,6 +138,32 @@ def simplex_rows(vectors: Sequence[IntVec]) -> tuple[tuple[IntVec, ...],
     g = g if t > 0 else -g
     return (tuple(tuple(x // g for x in row) for row in eqs),
             tuple(tuple(x // g for x in row) for row in bary), t // g)
+
+
+def _null_rows(red: list[list[int]], pivots: list[int], width: int) -> list[list[int]]:
+    """Rows spanning the integer vectors orthogonal to the first ``width``
+    columns of the rows that ``_bareiss(..., reduced=True)`` eliminated to
+    ``red``: for each free column f, t at f and minus f's entries at the
+    pivots, where t is the common pivot."""
+    t = red[0][pivots[0]]
+    rows = []
+    for f in range(width):
+        if f not in pivots:
+            row = [0] * width
+            row[f] = t
+            for r, p in zip(red, pivots):
+                row[p] = -r[f]
+            rows.append(row)
+    return rows
+
+
+def normal(vectors: Sequence[IntVec]) -> IntVec:
+    """A nonzero integer row N with N . x = 0 for n linearly independent
+    vectors x in Z^(n+1): the hyperplane they span, read off one
+    fraction-free Gauss-Jordan elimination of the vectors alone."""
+    red, pivots, _ = _bareiss(vectors, reduced=True)
+    (row,) = _null_rows(red, pivots, len(vectors[0]))
+    return tuple(row)
 
 
 def clip_simplex(points: Sequence[IntVec],

@@ -137,13 +137,6 @@ def stellar(cx: GeoComplex, p: RPoint) -> GeoComplex:
     return GeoComplex(maximal, validate=False)
 
 
-def stellar_chain(cx: GeoComplex, points: Sequence[RPoint]) -> GeoComplex:
-    """Iterated elementary stellar subdivision."""
-    for p in points:
-        cx = stellar(cx, p)
-    return cx
-
-
 # -- cells and support coverage ----------------------------------------------
 
 

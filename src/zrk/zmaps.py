@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from . import subdivide
 from .collapse import CollapseSequence, find_collapse_sequence
@@ -171,34 +171,6 @@ def verify_section_retraction(part: GeoComplex, mu: PLMap, nu: PLMap) -> bool:
         return False
     round_trip = compose(nu, mu)
     return fixes_pointwise(round_trip, part)
-
-
-def retarget_to_carrier_vertices(eta: PLMap, target: GeoComplex,
-                                 keep: Callable[[RPoint], bool]) -> PLMap:
-    """Replace non-kept vertex images by the least vertex of their carrier.
-
-    Requires each domain simplex to map into a single simplex of target;
-    the retargeted map still does (carrier minimality), so its image stays
-    inside |target|.  A simplex maps into one target simplex iff its
-    vertex images share a host (``GeoComplex.hosts``)."""
-    if eta.codomain_dim != target.ambient_dim:
-        raise ValueError(f"a point in R^{eta.codomain_dim} is not in R^{target.ambient_dim}")
-    for s in eta.domain.maximal_simplexes():
-        if not frozenset.intersection(*map(target.hosts, eta.image_simplex_points(s))):
-            raise DomainError("carrier precondition failure: a simplex image "
-                              "is not inside one target simplex")
-    images = {}
-    for v in eta.domain.vertices():
-        img = eta.images[v]
-        if keep(v):
-            images[v] = img
-            continue
-        host = target.carrier(img)
-        if host is None:
-            raise DomainError(f"carrier precondition failure: the image {img} "
-                              f"is not inside |target|")
-        images[v] = min(host.vertices)
-    return PLMap(eta.domain, images)
 
 
 # -- the constructive reduction (part 2) -------------------------------------

@@ -107,13 +107,15 @@ from types import SimpleNamespace
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from operator import and_, mul
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from zrk import linalg, subdivide, zmaps
 from zrk.collapse import CollapseSequence, CollapseStep
-from zrk.complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap, skeleton
-from zrk.exactnum import IntMat, format_rat, invariant_factors, smith_with_transforms
-from zrk.regular import BudgetExhausted, _box_point, _check, den, homog, is_regular
+from zrk.complexes import (GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _homogeneous,
+                           skeleton)
+from zrk.exactnum import IntMat, format_rat, invariant_factors, smith_with_transforms, xgcd
+from zrk.regular import (BudgetExhausted, _box_point, _check, coprime_point, den,
+                         desingularize, homog, is_regular, is_strongly_regular)
 
 
 def frac(x) -> Fraction:
@@ -1414,3 +1416,126 @@ def simplicially_isomorphic(a: GeoComplex, b: GeoComplex):
     # The face counts match, so face-preservation in one direction plus
     # bijectivity gives the reverse direction as well.
     return dict(assignment)
+
+
+def anchor(p: GeoComplex, v: RPoint,
+           budget: int = 10_000) -> Optional[tuple[RPoint, Fraction]]:
+    """A witness (w, eps) with w integral and conv(v, v + eps(w - v)) inside
+    |P|, or None when the candidate family is exhausted.
+
+    Lattice points anchor themselves.  When |P| has a strongly regular
+    triangulation the witness is built from a coprime-denominator companion
+    point, which always succeeds; otherwise integer points in a box of
+    radius den(v) * n are tried and absence is reported on exhaustion.
+    ``budget`` bounds both the stellar steps of the desingularization and
+    the lattice points tried; past either, ``BudgetExhausted`` is raised.
+    """
+    if not p.contains_point(v):
+        raise ValueError(f"point not in support: {v}")
+    d = den(v)
+    if d == 1:
+        return v, Fraction(1)
+
+    def segment_ok(w: RPoint, eps: Fraction) -> bool:
+        end = RPoint(tuple(a + eps * (b - a) for a, b in zip(v.coords, w.coords)))
+        return subdivide.supports(p, (v, end))
+
+    sigma = desingularize(p, budget=budget)
+    if is_strongly_regular(sigma):
+        s = sigma.maximal_simplexes()[min(sigma.hosts(v))]
+        u = coprime_point(s, d)
+        du = den(u)
+        # Bezout pair with b*du > 0 so that v + (w - v)/(b*du) lands on u.
+        g, a0, b0 = xgcd(d, du)
+        _check(g == 1, "companion denominator is not coprime to den(v)")
+        b = b0
+        while b <= 0:
+            b += d
+        a = (1 - b * du) // d
+        w = RPoint(tuple(a * d * vc + b * du * uc
+                         for vc, uc in zip(v.coords, u.coords)))
+        eps = Fraction(1, b * du)
+        _check(all(c.denominator == 1 for c in w.coords),
+               "anchor witness is not integral")
+        _check(segment_ok(w, eps), "anchor segment leaves |P|")
+        return w, eps
+    # Bounded lattice scan; absence after exhaustion leans on the
+    # equivalence with strong regularity, cross-checked by the caller.
+    n = p.ambient_dim
+    radius = d * n
+    incident = [p.maximal_simplexes()[i] for i in sorted(p.hosts(v))]
+    box = range(-radius, radius + 1)
+    for k, w_coords in enumerate(product(box, repeat=n)):
+        if k == budget:
+            raise BudgetExhausted("anchor lattice scan budget exhausted")
+        w = RPoint(tuple(Fraction(c) for c in w_coords))
+        if w == v:
+            continue
+        # Exit parameter: the largest eps keeping the segment in an incident
+        # simplex; try each incident simplex.
+        for s in incident:
+            eps = exit_parameter(s, v, w)
+            if eps is not None and eps > 0 and segment_ok(w, eps):
+                return w, eps
+    return None
+
+
+def exit_parameter(s: GeoSimplex, v: RPoint, w: RPoint) -> Optional[Fraction]:
+    """Largest eps in (0, 1] with v + eps(w - v) still inside s; None when
+    the segment leaves the affine hull of s, or s at once.
+
+    A row R of ``s._point_rows`` gives R X = D d f(p) for the vector
+    X = d(p, 1) of a point p and its form f, so with a = R X_v and
+    b = R X_w, f changes along the segment iff a d_w != b d_v, falls iff
+    a d_w > b d_v, and then vanishes at eps = a d_w / (a d_w - b d_v).
+    """
+    eqs, bary, _ = s._point_rows
+    x, y = _homogeneous(v, s.ambient_dim), _homogeneous(w, s.ambient_dim)
+
+    def level_and_fall(row):
+        a = sum(map(mul, row, x))
+        return a * y[-1], a * y[-1] - sum(map(mul, row, y)) * x[-1]
+
+    if any(level_and_fall(e)[1] for e in eqs):
+        return None  # leaves the affine hull immediately
+    eps = Fraction(1)
+    for row in bary:
+        level, fall = level_and_fall(row)
+        if fall > 0:
+            eps = min(eps, Fraction(level, fall))
+    return eps if eps > 0 else None
+
+
+def retarget_to_carrier_vertices(eta, target: GeoComplex,
+                                 keep: Callable[[RPoint], bool]) -> zmaps.PLMap:
+    """Replace non-kept vertex images by the least vertex of their carrier.
+
+    Requires each domain simplex to map into a single simplex of target;
+    the retargeted map still does (carrier minimality), so its image stays
+    inside |target|.  A simplex maps into one target simplex iff its
+    vertex images share a host (``GeoComplex.hosts``)."""
+    if eta.codomain_dim != target.ambient_dim:
+        raise ValueError(f"a point in R^{eta.codomain_dim} is not in R^{target.ambient_dim}")
+    for s in eta.domain.maximal_simplexes():
+        if not frozenset.intersection(*map(target.hosts, eta.image_simplex_points(s))):
+            raise zmaps.DomainError("carrier precondition failure: a simplex image "
+                                    "is not inside one target simplex")
+    images = {}
+    for v in eta.domain.vertices():
+        img = eta.images[v]
+        if keep(v):
+            images[v] = img
+            continue
+        host = target.carrier(img)
+        if host is None:
+            raise zmaps.DomainError(f"carrier precondition failure: the image {img} "
+                                    f"is not inside |target|")
+        images[v] = min(host.vertices)
+    return zmaps.PLMap(eta.domain, images)
+
+
+def stellar_chain(cx: GeoComplex, points: Sequence[RPoint]) -> GeoComplex:
+    """Iterated elementary stellar subdivision."""
+    for p in points:
+        cx = subdivide.stellar(cx, p)
+    return cx

@@ -13,7 +13,7 @@ from importlib import resources
 
 import pytest
 
-from zrk import (GeoSimplex, PLMap, anchor, certify_main, den, desingularize,
+from zrk import (GeoSimplex, PLMap, certify_main, den, desingularize,
                  find_collapse_sequence, from_maximal,
                  has_strongly_regular_triangulation, homog, is_regular,
                  is_strongly_regular, is_strongly_regular_simplex,
@@ -24,7 +24,7 @@ from zrk.linalg import matrix_rank
 from zrk.scx import parse_scx
 
 from conftest import random_simplex, seg, tri
-from oracles import is_zmap_by_fit, minor_gcd
+from oracles import anchor, is_zmap_by_fit, minor_gcd
 from test_zmaps import brute_force_no_zmap_retraction
 
 

@@ -11,12 +11,12 @@ from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, RPoint, WeightedComp
                  find_collapse_sequence, free_faces, from_maximal, realize, replay,
                  rpoint, skeleton, standard_cube, stellar,
                  pipeline_dh, part2_reduce, refine_for_map,
-                 retarget_to_carrier_vertices, common_refinement, stellar_chain,
-                 verify_zretract)
+                 common_refinement, verify_zretract)
 from zrk import linalg
 from zrk import complexes
-from zrk.complexes import (NotASimplicialComplex, _meet_in_common_face,
-                           _placement, _separated, _triangulates_cube)
+from zrk.complexes import (NotASimplicialComplex, _boundary_facets,
+                           _independent_vertices, _meet_in_common_face, _placement,
+                           _separated, _triangulates_cube, _triangulates_hull)
 from zrk.zmaps import DomainError
 from zrk.regular import is_regular
 from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
@@ -25,8 +25,9 @@ from conftest import random_rational, random_simplex, seg, tri
 from oracles import (barycentric_coords, closure_complex,
                      enumerate_meet_in_common_face, fraction_aff_dim,
                      lp_meet_in_common_face, relint_contains, scan_carrier,
-                     rows_triangulates_cube, scan_hosts, scan_maximal_simplexes,
-                     simplicially_isomorphic, volume_triangulates_cube)
+                     retarget_to_carrier_vertices, rows_triangulates_cube, scan_hosts,
+                     scan_maximal_simplexes, simplicially_isomorphic, stellar_chain,
+                     volume_triangulates_cube)
 
 
 def test_from_maximal_segment():
@@ -413,13 +414,20 @@ def test_constructor_determinant_is_the_plain_one():
 def test_cube_test_eliminates_once_per_simplex(monkeypatch):
     # Parsing cube5 eliminates each maximal simplex once, for its rank and
     # determinant, and builds no barycentric rows; a complex of simplexes
-    # built raw is tested with one plain elimination per maximal simplex.
+    # built raw, a stellar cube3 or the domain of a pipeline_dh map, is
+    # tested with one plain elimination per maximal simplex.
     cube = standard_cube(5)
     text = print_scx(ScxDocument("complex", cube))
     stellars = stellar_chain(standard_cube(3), [rpoint("1/3", "1/5", "1/2"),
                                                 rpoint("2/3", "3/4", "1/7")])
-    raw = GeoComplex([GeoSimplex._raw(s.vertices) for s in stellars.maximal_simplexes()],
-                     validate=False)
+    half = rpoint("1/2", "1/2")
+    square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
+    fold = PLMap(square, {rpoint(0, 0): rpoint(0, 0), rpoint(1, 0): half,
+                          rpoint(0, 1): half, rpoint(1, 1): half})
+    fold = fold.rebase(stellar(square, rpoint("1/4", "1/2")))
+    domain = pipeline_dh(fold, from_maximal([GeoSimplex((rpoint(0, 0), half))])).map.domain
+    raws = [GeoComplex([GeoSimplex._raw(s.vertices) for s in cx.maximal_simplexes()],
+                       validate=False) for cx in (stellars, domain)]
     calls = collections.Counter()
     bareiss, rows = linalg._bareiss, linalg.simplex_rows
     monkeypatch.setattr(linalg, "_bareiss", lambda m, reduced=False: calls.update(
@@ -428,9 +436,10 @@ def test_cube_test_eliminates_once_per_simplex(monkeypatch):
                         lambda vectors: calls.update(["rows"]) or rows(vectors))
     assert parse_scx(text).payload == cube
     assert calls == {"plain": 120}, calls
-    calls.clear()
-    assert raw._is_cube()
-    assert calls == {"plain": len(raw.maximal_simplexes())}, calls
+    for raw in raws:
+        calls.clear()
+        assert raw._is_cube()
+        assert calls == {"plain": len(raw.maximal_simplexes())}, calls
 
 
 def test_cube_test_matches_summing_volumes():
@@ -501,6 +510,204 @@ def test_cube_complexes_validate_without_pair_tests(monkeypatch):
     monkeypatch.setattr(complexes, "_meet_in_common_face",
                         lambda a, b: calls.append(1) or meet(a, b))
     assert parse_scx(text).payload == standard_cube(5)
+    assert not calls
+
+
+def _x0_first(n: int) -> GeoComplex:
+    """The chains of cube n that rise along x_0 first: a triangulation of
+    the convex region x_0 >= x_i of the cube, with (n - 1)! simplexes."""
+    first = rpoint(1, *[0] * (n - 1))
+    return GeoComplex([s for s in standard_cube(n).maximal_simplexes()
+                       if s.vertices[1] == first], validate=False)
+
+
+def _pair_loop_accepts(cx: GeoComplex) -> bool:
+    return all(_meet_in_common_face(a, b)
+               for a, b in itertools.combinations(cx.maximal_simplexes(), 2))
+
+
+def _linear_tests_accept(cx: GeoComplex) -> bool:
+    return _independent_vertices(cx) or _triangulates_hull(cx)
+
+
+def _random_point_in(rng: random.Random, s: GeoSimplex) -> RPoint:
+    """A convex combination of s's vertices with random weights, some of
+    them 0, so the point may lie on a proper face."""
+    weights = [rng.randint(0, 3) for _ in s.vertices]
+    weights[rng.randrange(len(weights))] += 1
+    total = sum(weights)
+    return RPoint(tuple(sum(Fraction(w, total) * v[i] for w, v in zip(weights, s.vertices))
+                        for i in range(s.ambient_dim)))
+
+
+def _random_realization(rng: random.Random) -> GeoComplex:
+    labels = "abcdefg"[:rng.randint(4, 7)]
+    faces = [frozenset(rng.sample(labels, rng.randint(1, 3))) for _ in range(rng.randint(3, 6))]
+    faces += [frozenset(v) for v in labels]
+    base = AbsComplex(labels, faces)
+    return realize(WeightedComplex(base, {v: rng.randint(1, 6) for v in labels}))
+
+
+def test_linear_tests_accept_convex_triangulations_and_realizations():
+    # Seeded stellar subdivisions of a simplex and of the x0-first region of
+    # a cube pass the hull test, and realizations the vertex-set test; the
+    # pair loop, the oracle, accepts every one.
+    rng = random.Random(7118)
+    convex = []
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            s = random_simplex(rng, n, 5)
+            while s.dim < n:
+                s = random_simplex(rng, n, 5)
+            convex.append(GeoComplex([s], validate=False))
+        convex += [_x0_first(n)] * 4 if n > 2 else []
+    subdivided = []
+    for cx in convex:
+        steps = rng.randint(2, 4)
+        while steps or len(cx.maximal_simplexes()) < 3:
+            cx = stellar(cx, _random_point_in(rng, rng.choice(cx.maximal_simplexes())))
+            steps = max(steps - 1, 0)
+        subdivided.append(cx)
+    subdivided += [_x0_first(n) for n in (4, 5)]
+    realized = [_random_realization(rng) for _ in range(20)]
+    for cx in subdivided:
+        assert len(cx.maximal_simplexes()) >= 3, cx
+        assert _triangulates_hull(cx) and _pair_loop_accepts(cx), cx
+    for cx in realized:
+        assert _independent_vertices(cx) and _pair_loop_accepts(cx), cx
+    assert sum(len(cx.maximal_simplexes()) >= 3 for cx in realized) >= 10
+
+
+def _stacked_fans() -> list[GeoSimplex]:
+    """Two triangulations of the square with no facet in common, stacked:
+    every edge lies in one triangle on the square's boundary or in two on
+    opposite sides, so only the barycentre test finds the double cover."""
+    fans = _square_fans()
+    return fans[0] + fans[1]
+
+
+def _plane_t_junction() -> list[GeoSimplex]:
+    """A triangle whose long edge is met across by two smaller edges."""
+    return [tri((0, 0), (1, 0), (0, 1)), tri((1, 0), ("1/2", "1/2"), (1, 1)),
+            tri(("1/2", "1/2"), (0, 1), (1, 1))]
+
+
+def _double_annulus() -> list[GeoSimplex]:
+    """A strip of triangles between an inner and an outer ring that winds
+    twice around the origin, the second turn on slightly larger rings."""
+    directions = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    inner, outer = [], []
+    for j in range(8):
+        r = Fraction(3, 2) if j >= 4 else Fraction(1)
+        x, y = directions[j % 4]
+        inner.append((x * r, y * r))
+        outer.append((x * (r + 2), y * (r + 2)))
+    maxi = []
+    for j in range(8):
+        k = (j + 1) % 8
+        maxi += [tri(inner[j], outer[j], outer[k]), tri(inner[j], outer[k], inner[k])]
+    return maxi
+
+
+def _moved_kuhn() -> list[GeoSimplex]:
+    """The x0-first region of cube4 with the vertex e_0 moved off the cube."""
+    old, new = rpoint(1, 0, 0, 0), rpoint(0, "-1/2", "-1/2", "1/2")
+    return [GeoSimplex(tuple(new if v == old else v for v in m.vertices))
+            for m in _x0_first(4).maximal_simplexes()]
+
+
+def test_linear_tests_turn_down_improper_complexes():
+    # Improper complexes of three or more maximal simplexes, among them some
+    # that every local test passes: the stacked fans (found by the
+    # barycentre), the T-junction and the annulus (by a boundary facet that
+    # does not support the hull), a moved Kuhn vertex, and a path folding
+    # back (by the orientations).  The linear tests turn each down and the
+    # pair loop rejects it.
+    cases = {
+        "stacked": _stacked_fans(),
+        "plane junction": _plane_t_junction(),
+        "space junction": _t_junction(),
+        "annulus": _double_annulus(),
+        "moved kuhn": _moved_kuhn(),
+        "fold": [seg(0, "1/2"), seg("1/2", 1), seg("3/4", 1)],
+    }
+    for name, maxi in cases.items():
+        cx = GeoComplex(maxi, validate=False)
+        assert len(cx.maximal_simplexes()) >= 3, name
+        assert not _linear_tests_accept(cx), name
+        assert not _pair_loop_accepts(cx), name
+        with pytest.raises(NotASimplicialComplex):
+            cx._validate()
+    stacked = GeoComplex(cases["stacked"], validate=False)
+    assert _boundary_facets(stacked) is not None
+
+
+def test_linear_tests_never_accept_what_the_pair_loop_rejects():
+    # Seeded stellar subdivisions of cube1-4 and of the x0-first regions of
+    # cube3-4 with one vertex moved: whatever the linear tests accept, the
+    # pair loop accepts too.
+    seen = collections.Counter()
+    moved = [m for _, m in _moved_vertex_cubes() if m is not None]
+    rng = random.Random(1405)
+    for n in (3, 4):
+        for _ in range(30):
+            cx = _x0_first(n)
+            for _ in range(rng.randint(1, 2)):
+                cx = stellar(cx, _random_point_in(rng, rng.choice(cx.maximal_simplexes())))
+            old = rng.choice(cx.vertices())
+            new = rpoint(*[c + Fraction(rng.randint(-2, 2), 4) for c in old])
+            try:
+                moved.append(GeoComplex([GeoSimplex(tuple(new if v == old else v
+                                                          for v in m.vertices))
+                                         for m in cx.maximal_simplexes()], validate=False))
+            except ValueError:
+                pass
+    for cx in moved:
+        fast = _linear_tests_accept(cx)
+        proper = _pair_loop_accepts(cx)
+        assert proper or not fast, cx
+        seen[fast, proper] += 1
+    assert seen[True, True] >= 20 and seen[False, False] >= 20, seen
+
+
+def _count_pair_tests(monkeypatch) -> list:
+    calls = []
+    meet = complexes._meet_in_common_face
+    monkeypatch.setattr(complexes, "_meet_in_common_face",
+                        lambda a, b: calls.append(1) or meet(a, b))
+    return calls
+
+
+def test_a_valid_non_convex_complex_passes_the_pair_loop(monkeypatch):
+    # An L of three unit squares is no convex region: the hull test turns it
+    # down, and the pair loop accepts it.
+    maxi = []
+    for x, y in ((0, 0), (1, 0), (0, 1)):
+        maxi += [tri((x, y), (x + 1, y), (x + 1, y + 1)), tri((x, y), (x, y + 1), (x + 1, y + 1))]
+    calls = _count_pair_tests(monkeypatch)
+    cx = from_maximal(maxi)
+    assert not _triangulates_hull(cx) and not _independent_vertices(cx)
+    assert len(calls) == 15
+
+
+def test_convex_witnesses_validate_without_pair_tests(monkeypatch):
+    # Parsing the x0-first cube6 region ran 7,140 pair tests before the
+    # hull test; its desingularizations, the seed-23 ones with three or
+    # more maximal simplexes, and realizations run none.
+    from test_regular import _desingularize_inputs
+
+    texts = [print_scx(ScxDocument("complex", _x0_first(n))) for n in (5, 6)]
+    fine = [desingularize(cx) for cx in _desingularize_inputs()[:15]]
+    texts += [print_scx(ScxDocument("complex", cx)) for cx in fine
+              if len(cx.maximal_simplexes()) >= 3]
+    rng = random.Random(3)
+    realized = [_random_realization(rng) for _ in range(10)]
+    texts += [print_scx(ScxDocument("complex", cx)) for cx in realized
+              if len(cx.maximal_simplexes()) >= 3]
+    assert len(texts) >= 2 + 6 + 5
+    calls = _count_pair_tests(monkeypatch)
+    for text in texts:
+        parse_scx(text)
     assert not calls
 
 

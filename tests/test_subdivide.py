@@ -7,7 +7,7 @@ import pytest
 from zrk import (GeoComplex, GeoSimplex, PLMap, RPoint, common_refinement,
                  desingularize, from_maximal, is_subdivision, linalg,
                  part2_reduce, pipeline_dh, refine_for_map, restrict, rpoint,
-                 standard_cube, stellar, stellar_chain, subdivide,
+                 standard_cube, stellar, subdivide,
                  verify_section_retraction)
 from zrk.complexes import _bbox_overlap
 from zrk.scx import ScxDocument, parse_scx, print_scx
@@ -18,7 +18,7 @@ from conftest import random_rational, random_simplex, seg, tri
 import oracles
 from oracles import (caratheodory_supports, clip_is_subdivision, face_stellar,
                      rowwise_restrict, scan_inside_subcomplex, scan_supports,
-                     split_supports)
+                     split_supports, stellar_chain)
 
 
 def test_stellar_segment_midpoint():

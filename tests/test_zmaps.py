@@ -10,9 +10,9 @@ from zrk import (GeoSimplex, PLMap, certify_main, compose, desingularize,
                  find_collapse_sequence, fixes_pointwise,
                  from_maximal, identity_map, is_subdivision, is_zmap,
                  part2_reduce, pipeline_dh, replay,
-                 restrict, retarget_to_carrier_vertices, rpoint, standard_cube,
+                 restrict, rpoint, standard_cube,
                  stellar, verify_section_retraction, verify_zretract)
-from zrk import stellar_chain, subdivide, zmaps
+from zrk import subdivide, zmaps
 from zrk.cli import main
 from zrk.complexes import GeoComplex
 from zrk.regular import den, is_strongly_regular
@@ -23,7 +23,7 @@ from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
 from conftest import random_rational, random_simplex, seg, tri
 from oracles import (caratheodory_supports, clip_fixes_pointwise, is_zmap_by_fit,
                      locate_eval, product_lattice_points, restricted_fixes_pointwise,
-                     scan_image_leaving)
+                     retarget_to_carrier_vertices, scan_image_leaving, stellar_chain)
 
 
 def seg2d(a, b):
