@@ -50,9 +50,11 @@ homogeneous vectors d(p, 1) and constraints as integer rows: the cached
 rows of a simplex (``GeoSimplex._point_rows``), which also serve as the
 slicing forms of ``restrict``, or a target simplex's rows pulled back along
 a map (``_pullback_rows``).  ``restrict`` slices the tuple of maximal
-simplexes by every row in one pass, cutting a simplex the row crosses
-(``_crosses``) into the pulled cells of its two sides, and builds one
-complex at the end.  Only the signs of rows at vectors matter, and a
+simplexes by the rows it keeps in one pass, cutting a simplex the row
+crosses (``_crosses``) into the pulled cells of its two sides, and builds
+one complex; only when that complex is not adapted to |P| does the same
+loop slice it on by the rows it left out, so every P inside |K| gets an
+answer.  Only the signs of rows at vectors matter, and a
 volume is a determinant of vectors over the product of their last entries.
 The cell's vertices become points again only to be sorted, so the pulling
 order, and with it every piece, is the lexicographic one.
@@ -79,11 +81,6 @@ class PointNotInSupport(ValueError):
 
 class SupportMismatch(ValueError):
     pass
-
-
-class RestrictionError(RuntimeError):
-    """Raised when a restriction fails its end checks: the simplexes inside
-    |P| do not triangulate it, or a preserved simplex was cut."""
 
 
 # -- stellar subdivision -----------------------------------------------------
@@ -339,33 +336,60 @@ def _inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]
     return GeoComplex(found, validate=False) if found else None
 
 
+# Candidate rows per facet row: f, then its first 13^2 shifts, so a simplex
+# of P of codimension two or less tries every shift with coefficients in
+# -6..6.
+_SHIFTS = 1 + 13 ** 2
+
+
 def _shifts(f: Row, eqs: Sequence[Row]) -> Iterator[Row]:
-    """f, then f plus each integer combination of eqs with coefficients in
-    -6..6, the coefficient tuples in lexicographic order."""
+    """f, then f plus each nonzero integer combination of eqs with
+    coefficients in -6..6, the coefficient tuples in lexicographic order:
+    ``_SHIFTS`` rows at most."""
     yield f
-    for coeffs in itertools.product(range(-6, 7), repeat=len(eqs)):
-        yield tuple(x + sum(c * e[j] for c, e in zip(coeffs, eqs))
-                    for j, x in enumerate(f))
+    combos = itertools.product(range(-6, 7), repeat=len(eqs))
+    for coeffs in itertools.islice(filter(any, combos), _SHIFTS - 1):
+        yield tuple(x + sum(map(mul, coeffs, col)) for x, col in zip(f, zip(*eqs)))
 
 
 def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
     """Subdivide cx so that the simplexes inside |part| triangulate |part|.
 
-    Simplexes of cx that already lie inside |part| are never cut.  The
-    subdivision slices along the affine hulls and facet functionals of
-    part's maximal simplexes.  A facet functional is only determined on the
+    The subdivision slices along the affine hulls and facet functionals of
+    part's maximal simplexes.  Simplexes of cx that already lie inside
+    |part| are kept unless a left-out row is needed, and then only the
+    left-out rows cut them.  A facet functional is only determined on the
     affine hull of its simplex, so one whose hyperplane would cut through a
-    preserved simplex is shifted by the hull equalities (``_shifts``); a
-    row that still cuts one (``_crosses``) is left out.  The rows slice the
-    tuple of maximal simplexes in one pass: a simplex a row crosses becomes
-    the pulled cells of its two sides (``_pull_cell``), the others stay,
-    and one complex is built at the end, or cx itself is returned when no
-    row cuts anything.  Slicing a complex along a hyperplane leaves a
-    complex, so no piece repeats or lies in another, and the pass keeps
-    exactly the maximal simplexes of slicing row by row.  The end checks
-    decide: a RestrictionError is raised, rather than a wrong answer
-    returned, when the simplexes inside |part| do not triangulate it or a
-    preserved simplex was lost.
+    preserved simplex is shifted by the hull equalities (``_shifts``).  A
+    hull equality that cuts one (``_crosses``), or a facet row that cuts
+    one however ``_shifts`` moves it, is left out, and set aside as it is,
+    unshifted.  The kept rows slice the tuple of maximal simplexes
+    in one pass: a simplex a row crosses becomes the pulled cells of its
+    two sides (``_pull_cell``), the others stay, and one complex is built,
+    or cx itself is kept when no row cuts anything.  If its simplexes
+    inside |part| do not triangulate it, the left-out rows slice that tuple
+    in a second pass, and its complex is returned.  Slicing a complex along
+    a hyperplane leaves a complex, so no piece repeats or lies in another,
+    and each pass keeps exactly the maximal simplexes of slicing row by
+    row.
+
+    The second pass adapts.  After it, every hull equality e of every
+    maximal q of part has sliced the complex, and so has every facet row f,
+    shifted or not.  Take x in q, and the simplex c of the result holding x
+    in its relative interior.  c lies on one side of e and e(x) = 0, so e
+    vanishes on c: c lies in aff(q).  There a shifted row equals f, so
+    f(x) >= 0 puts c on the side f >= 0 in the same way, whether f sliced
+    shifted or not.  So c lies in q and inside |part|, and the simplexes
+    inside |part| cover it; they lie in it, so they triangulate it.
+
+    The kept rows preserve.  A preserved simplex p is a face of a maximal
+    simplex s, and a kept row r crosses no preserved simplex.  Where r
+    crosses s, p lies in {r >= 0} or {r <= 0}, and p is the face of that
+    cell s cap {r >= 0} (or <= 0) cut out by the barycentric forms of s
+    that vanish on p.  Pulling triangulates each face of a cell by its own
+    vertices, and a simplex has no triangulation by its vertices but
+    itself, so p is a simplex of the pulled cell and the next row finds it
+    again.
     """
     if cx.ambient_dim != part.ambient_dim:
         raise SupportMismatch("containment violation: ambient dimensions differ")
@@ -378,30 +402,30 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
     protected = inside.maximal_simplexes() if inside is not None else ()
     # q's rows are its forms times one positive scale, so sums of them are
     # the same sums of forms, scaled: every sign below is the forms' sign.
-    rows: list[Row] = []
+    kept: list[Row] = []
+    left_out: list[Row] = []
     for q in part.maximal_simplexes():
         eqs, ineqs, _ = q._point_rows
-        for tries in [(e,) for e in eqs] + [_shifts(f, eqs) for f in ineqs]:
-            row = next((r for r in tries
-                        if not any(_crosses(r, s) for s in protected)), None)
-            if row is not None:
-                rows.append(row)
+        for row, tries in [(e, (e,)) for e in eqs] + [(f, _shifts(f, eqs)) for f in ineqs]:
+            pick = next((r for r in tries if not any(_crosses(r, s) for s in protected)), None)
+            if pick is None:
+                left_out.append(row)
+            else:
+                kept.append(pick)
 
-    maximal = cx.maximal_simplexes()
-    for row in rows:
-        neg = tuple(-c for c in row)
-        maximal = tuple(p for s in maximal
-                        for p in (_pull_cell(s, [], [row]) + _pull_cell(s, [], [neg])
-                                  if _crosses(row, s) else (s,)))
-    # A cut simplex leaves two pieces or more, so an equal tuple cut nothing.
-    out = cx if maximal == cx.maximal_simplexes() else GeoComplex(maximal, validate=False)
-
-    if not _adapted(inside_subcomplex(out, part), part):
-        raise RestrictionError("restriction failed to adapt to |P|")
-    missing = [s for s in protected if s not in out]
-    if missing:
-        raise RestrictionError(
-            f"restriction failed to preserve interior simplexes: {missing[:3]}")
+    # cx is not adapted (asked above, and the answer kept), so the kept
+    # rows always slice, and the left-out rows only when they must.
+    maximal, out = cx.maximal_simplexes(), cx
+    for rows in (kept, left_out):
+        if _adapted(inside_subcomplex(out, part), part):
+            break
+        for row in rows:
+            neg = tuple(-c for c in row)
+            maximal = tuple(p for s in maximal
+                            for p in (_pull_cell(s, [], [row]) + _pull_cell(s, [], [neg])
+                                      if _crosses(row, s) else (s,)))
+        # A cut simplex leaves two pieces or more, so an equal tuple cut nothing.
+        out = cx if maximal == cx.maximal_simplexes() else GeoComplex(maximal, validate=False)
     return out
 
 

@@ -149,7 +149,7 @@ def fixes_pointwise(eta: PLMap, part: GeoComplex) -> bool:
 def verify_zretract(part: GeoComplex, eta: PLMap) -> bool:
     """Z-map from the whole cube onto |part| fixing |part| pointwise.  Only
     part is refined, for the fixity (``fixes_pointwise``); eta's domain is
-    never restricted to |part|, a construction that can refuse its input."""
+    never restricted to |part|, a construction that slices all of it."""
     if eta.domain.ambient_dim != part.ambient_dim:
         raise DomainError("domain mismatch: ambient dimensions differ")
     if not eta.domain._is_cube():

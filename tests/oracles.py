@@ -92,11 +92,13 @@ the ranks ``linalg`` computed for it), from before ``subdivide.supports``
 read the points' hosts off a complex.  ``rowwise_restrict`` slices the
 whole complex by one row at a time (``slice_complex``), building a complex
 per cutting row, from before ``subdivide.restrict`` sliced the tuple of
-maximal simplexes in one pass.  ``restricted_fixes_pointwise`` restricts
-the map's domain to |P| and tests the inside vertices, from before
-``zmaps.fixes_pointwise`` refined P against the domain; it raises where
-``restrict`` refuses its input, and there ``clip_fixes_pointwise``, which
-tests every vertex of every cell of P against the domain, is the reference.
+maximal simplexes in one pass; it keeps the end checks restrict dropped
+when it learned to slice on by its left-out rows, and refuses where restrict
+once did when asked to (``fallback=False``).  ``restricted_fixes_pointwise``
+restricts the map's domain to |P| and tests the inside vertices, from
+before ``zmaps.fixes_pointwise`` refined P against the domain; where
+restrict falls back, ``clip_fixes_pointwise``, which tests every vertex of
+every cell of P against the domain, is a second reference.
 """
 
 import json
@@ -585,10 +587,21 @@ def slice_complex(cx: GeoComplex, row) -> GeoComplex:
     return GeoComplex(out, validate=False)
 
 
-def rowwise_restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
+class RestrictionRefused(RuntimeError):
+    """Raised by ``rowwise_restrict`` when an end check fails: the
+    simplexes inside |P| do not triangulate it, or the kept rows adapted cx
+    and yet cut a preserved simplex."""
+
+
+def rowwise_restrict(cx: GeoComplex, part: GeoComplex, fallback: bool = True) -> GeoComplex:
     """``subdivide.restrict`` slicing the whole complex by one row at a
     time (``slice_complex``), a new complex per cutting row; the reference
-    for its one-pass slicing.  Rows, end checks and errors are restrict's."""
+    for its one-pass slicing.  Rows and input errors are restrict's.  When
+    the kept rows do not adapt cx, the left-out rows slice on, unshifted,
+    or with ``fallback`` False the restriction is refused, as restrict did
+    before it fell back.  Both end checks stay: the result must be adapted,
+    and when the kept rows adapted it, every preserved simplex must be in
+    it; a failure raises ``RestrictionRefused``."""
     if cx.ambient_dim != part.ambient_dim:
         raise subdivide.SupportMismatch("containment violation: ambient dimensions differ")
     if not subdivide.covers(cx, part):
@@ -606,32 +619,44 @@ def rowwise_restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
                 return True
         return False
 
-    rows = []
+    rows, left_out = [], []
     for q in part.maximal_simplexes():
         eqs, ineqs, _ = q._point_rows
-        for tries in [(e,) for e in eqs] + [subdivide._shifts(f, eqs) for f in ineqs]:
-            row = next((r for r in tries if not crosses_protected(r)), None)
-            if row is not None:
+        for e in eqs:
+            (left_out if crosses_protected(e) else rows).append(e)
+        for f in ineqs:
+            row = next((r for r in subdivide._shifts(f, eqs) if not crosses_protected(r)),
+                       None)
+            if row is None:
+                left_out.append(f)
+            else:
                 rows.append(row)
+
+    def adapted(out) -> bool:
+        return subdivide._adapted(subdivide.inside_subcomplex(out, part), part)
 
     out = cx
     for row in rows:
         out = slice_complex(out, row)
-
-    if not subdivide._adapted(subdivide.inside_subcomplex(out, part), part):
-        raise subdivide.RestrictionError("restriction failed to adapt to |P|")
-    missing = [s for s in protected if s not in out]
-    if missing:
-        raise subdivide.RestrictionError(
-            f"restriction failed to preserve interior simplexes: {missing[:3]}")
+    if adapted(out):
+        missing = [s for s in protected if s not in out]
+        if missing:
+            raise RestrictionRefused(
+                f"restriction failed to preserve interior simplexes: {missing[:3]}")
+        return out
+    if not fallback:
+        raise RestrictionRefused("restriction failed to adapt to |P|")
+    for row in left_out:
+        out = slice_complex(out, row)
+    if not adapted(out):
+        raise RestrictionRefused("restriction failed to adapt to |P|")
     return out
 
 
 def restricted_fixes_pointwise(eta, part) -> bool:
     """``zmaps.fixes_pointwise`` from before it refined part: restrict eta's
     domain to |part| (``subdivide.restrict``) and test fixity on the
-    vertices of the inside subcomplex.  Raises ``subdivide.RestrictionError``
-    where restrict refuses its input; the reference where it does not."""
+    vertices of the inside subcomplex."""
     try:
         refined = subdivide.restrict(eta.domain, part)
     except subdivide.SupportMismatch:

@@ -4,12 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from zrk import GeoSimplex, from_maximal, is_regular, rpoint, standard_cube, stellar
+from zrk import (GeoSimplex, from_maximal, is_regular, is_subdivision, rpoint,
+                 standard_cube, stellar)
 from zrk.cli import main
 from zrk.exactnum import invariant_factors
 from zrk.scx import ScxDocument, parse_scx, print_scx
+from zrk.subdivide import inside_subcomplex, support_equal
 
 from oracles import closure_complex
+from test_zmaps import _stellar_square_and_part
 
 
 def corpus_path(name: str) -> str:
@@ -125,6 +128,22 @@ def test_restrict_to_a_quadrilateral_with_an_interior_facet(tmp_path):
     out = tmp_path / "adapted.scx"
     assert run("restrict", str(paths["cx"]), str(paths["part"]), "--out", str(out)) == 0
     assert len(parse_scx(out.read_text()).payload.maximal_simplexes()) == 3
+
+
+def test_restrict_slices_on_by_its_left_out_rows(tmp_path):
+    # The rows restrict keeps do not adapt this stellar square to the
+    # triangle with a dangling edge; it slices on by the rows it left out
+    # and exits 0, where it exited 65.
+    cx, part = _stellar_square_and_part()
+    paths = {}
+    for name, complex_ in (("cx", cx), ("part", part)):
+        paths[name] = tmp_path / f"{name}.scx"
+        paths[name].write_text(print_scx(ScxDocument("complex", complex_)), encoding="utf-8")
+    out = tmp_path / "adapted.scx"
+    assert run("restrict", str(paths["cx"]), str(paths["part"]), "--out", str(out)) == 0
+    adapted = parse_scx(out.read_text()).payload
+    assert is_subdivision(adapted, cx)
+    assert support_equal(inside_subcomplex(adapted, part), part)
 
 
 def test_collapse_replay_cycle(tmp_path):

@@ -1,5 +1,7 @@
 import collections
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,14 +13,14 @@ from zrk import (GeoComplex, GeoSimplex, PLMap, RPoint, common_refinement,
                  verify_section_retraction)
 from zrk.complexes import _bbox_overlap
 from zrk.scx import ScxDocument, parse_scx, print_scx
-from zrk.subdivide import (PointNotInSupport, RestrictionError, SupportMismatch,
-                           covers, inside_subcomplex, supports, support_equal)
+from zrk.subdivide import (PointNotInSupport, SupportMismatch, covers,
+                           inside_subcomplex, supports, support_equal)
 
 from conftest import random_rational, random_simplex, seg, tri
 import oracles
-from oracles import (caratheodory_supports, clip_is_subdivision, face_stellar,
-                     rowwise_restrict, scan_inside_subcomplex, scan_supports,
-                     split_supports, stellar_chain)
+from oracles import (RestrictionRefused, caratheodory_supports, clip_is_subdivision,
+                     face_stellar, rowwise_restrict, scan_inside_subcomplex,
+                     scan_supports, split_supports, stellar_chain)
 
 
 def test_stellar_segment_midpoint():
@@ -326,12 +328,15 @@ def test_restrict_nonconvex_part():
     assert is_subdivision(out, cx)
 
 
-def _check_restricted(out: GeoComplex, cx: GeoComplex, part: GeoComplex) -> None:
+def _check_restricted(out: GeoComplex, cx: GeoComplex, part: GeoComplex,
+                      preserved: bool = True) -> None:
     """out subdivides cx, its simplexes inside |part| triangulate |part|,
-    and every simplex of cx inside |part| is still in out."""
+    and, when ``preserved`` (the kept rows adapt cx), every simplex of cx
+    inside |part| is still in out."""
     assert is_subdivision(out, cx)
     assert support_equal(inside_subcomplex(out, part), part)
-    assert all(s in out for s in inside_subcomplex(cx, part).maximal_simplexes())
+    if preserved:
+        assert all(s in out for s in inside_subcomplex(cx, part).maximal_simplexes())
 
 
 def test_restrict_leaves_out_a_facet_row_interior_to_the_part():
@@ -365,10 +370,106 @@ def test_restrict_shifts_a_facet_row_off_a_preserved_triangle(monkeypatch):
         tri((0, 0), (0, 1), (1, 1)), tri((0, 0), ("1/2", 0), (1, "1/4")),
         tri((0, 0), (1, "1/4"), (1, 1)), tri(("1/2", 0), (1, 0), (1, "1/4"))]
     _check_restricted(out, cx, part)
-    # Without the shifts the row is left out, and the end check refuses.
+    # Without the shifts the row is left out, and the kept rows do not
+    # adapt cx: the left-out row x = 1/2 slices on, and it alone cuts the
+    # preserved triangle.
     monkeypatch.setattr(subdivide, "_shifts", lambda f, eqs: iter((f,)))
-    with pytest.raises(RestrictionError, match="failed to adapt"):
-        restrict(stellar(standard_cube(2), rpoint(1, "1/4")), part)
+    cx = stellar(standard_cube(2), rpoint(1, "1/4"))
+    out = restrict(cx, part)
+    assert sorted(out.maximal_simplexes()) == [
+        tri((0, 0), (0, 1), ("1/2", 1)), tri((0, 0), ("1/2", 0), ("1/2", "1/8")),
+        tri((0, 0), ("1/2", "1/8"), ("1/2", "1/2")),
+        tri((0, 0), ("1/2", "1/2"), ("1/2", 1)),
+        tri(("1/2", 0), ("1/2", "1/8"), (1, "1/4")), tri(("1/2", 0), (1, 0), (1, "1/4")),
+        tri(("1/2", "1/8"), ("1/2", "1/2"), (1, 1)),
+        tri(("1/2", "1/8"), (1, "1/4"), (1, 1)),
+        tri(("1/2", "1/2"), ("1/2", 1), (1, 1))]
+    assert is_subdivision(out, cx)
+    assert support_equal(inside_subcomplex(out, part), part)
+    assert tri((0, 0), (1, "1/4"), (1, 1)) not in out
+
+
+def _half_cube_cases(n, seed, count):
+    """Seeded pairs (cx, part): cx the standard n-cube, and part its
+    maximal simplexes whose second vertex has x0 = 1 or x1 = 1, with a
+    dangling simplex on one of their vertices and ``count`` further points,
+    random with denominators <= 4."""
+    rng = random.Random(seed)
+    half = [s for s in standard_cube(n).maximal_simplexes()
+            if 1 in s.vertices[1].coords[:2]]
+    corners = sorted({v for s in half for v in s.vertices})
+    while True:
+        points = {rng.choice(corners)}
+        points.update(rpoint(*[random_rational(rng, 4) for _ in range(n)])
+                      for _ in range(count))
+        try:
+            part = from_maximal(half + [GeoSimplex(tuple(points))])
+        except ValueError:  # dependent points, or a simplex crossing the half cube
+            continue
+        if len(points) == count + 1:
+            yield standard_cube(n), part
+
+
+def test_restrict_falls_back_on_its_left_out_rows():
+    # Half of cube4, and once of cube5, with a dangling edge: a facet row of
+    # the edge may cross a preserved simplex however it is shifted, and then
+    # the kept rows may not adapt the cube.  There restrict slices on by the
+    # rows it left out, where it once refused, and the result still
+    # subdivides the cube, triangulates |P| by its simplexes inside, and
+    # equals slicing row by row.  Where the kept rows adapt it, nothing
+    # preserved is cut.  Each side gets its own copy of the inputs.
+    def triples(n, start, stop):
+        return itertools.islice(zip(*(_half_cube_cases(n, 2039, 1) for _ in range(3))),
+                                start, stop)
+
+    seen = collections.Counter()
+    for (cx, part), (cx2, part2), (cx3, part3) in itertools.chain(triples(4, 0, 8),
+                                                                  triples(5, 1, 2)):
+        out = restrict(cx, part)
+        assert print_scx(ScxDocument("complex", out)) == _restricted(rowwise_restrict, cx2, part2)
+        kept = _restricted(_kept_rows_only, cx3, part3)
+        fell_back = kept == (RestrictionRefused, "restriction failed to adapt to |P|")
+        assert fell_back or isinstance(kept, str), kept
+        _check_restricted(out, cx, part, preserved=not fell_back)
+        seen["cube" if out is cx else "fell back" if fell_back else "kept rows"] += 1
+    assert seen["fell back"] >= 3 and seen["kept rows"] >= 2 and seen["cube"], seen
+
+
+def test_restrict_bounds_its_shift_search(monkeypatch):
+    # _shifts yields f, then f plus each nonzero combination of the hull
+    # equalities with coefficients in -6..6 in lexicographic order, and
+    # stops after _SHIFTS rows: all of them up to codimension two.  Without
+    # the bound a facet row of a simplex of codimension k tried 13^k + 1
+    # rows before it was left out.
+    f, eqs = (1, 2, 3, 4, 5), [(0, 1, 0, 0, 1), (0, 0, 1, 0, 0), (1, 0, 0, 1, 0)]
+
+    def every_shift(k):
+        return [f] + [tuple(x + sum(c * e[j] for c, e in zip(coeffs, eqs))
+                            for j, x in enumerate(f))
+                      for coeffs in itertools.product(range(-6, 7), repeat=k) if any(coeffs)]
+
+    for k in range(4):
+        assert list(subdivide._shifts(f, eqs[:k])) == every_shift(k)[:subdivide._SHIFTS]
+    assert len(every_shift(2)) <= subdivide._SHIFTS < len(every_shift(3))
+    # A codimension-3 case, an edge in R^4 with a facet row that crosses a
+    # preserved simplex under each of its first _SHIFTS rows (the unbounded
+    # search took its 1,399th): the search stops at the bound, the row is
+    # left out, and restrict falls back and finishes within a second.
+    drawn, real = [], subdivide._shifts
+
+    def counted(f, eqs):
+        drawn.append(0)
+        for row in real(f, eqs):
+            drawn[-1] += 1
+            yield row
+
+    monkeypatch.setattr(subdivide, "_shifts", counted)
+    cx, part = next(itertools.islice(_half_cube_cases(4, 2039, 1), 3, None))
+    start = time.perf_counter()
+    out = restrict(cx, part)
+    assert time.perf_counter() - start < 1
+    assert max(drawn) == subdivide._SHIFTS
+    _check_restricted(out, cx, part, preserved=False)
 
 
 def _restrict_cases():
@@ -395,7 +496,7 @@ def _restricted(restrict_fn, cx, part):
     """The printed restriction, or the error's type and text."""
     try:
         return print_scx(ScxDocument("complex", restrict_fn(cx, part)))
-    except (SupportMismatch, RestrictionError) as exc:
+    except (SupportMismatch, RestrictionRefused) as exc:
         return type(exc), str(exc)
 
 
@@ -409,12 +510,19 @@ def test_restrict_matches_slicing_row_by_row(monkeypatch):
     assert got == want
     kinds = collections.Counter(map(type, got))
     assert kinds[str] >= 30 and kinds[tuple] >= 5, kinds
-    # The shifted-row case without its shifts fails the end check alike.
+    # The shifted-row case without its shifts falls back alike, where the
+    # kept rows alone are refused.
     monkeypatch.setattr(subdivide, "_shifts", lambda f, eqs: iter((f,)))
     part = from_maximal([tri((0, 0), (1, "1/4"), (1, 1)), tri((0, 0), ("1/2", 0))])
-    got, want = (_restricted(fn, stellar(standard_cube(2), rpoint(1, "1/4")), part)
-                 for fn in (restrict, rowwise_restrict))
-    assert got == want == (RestrictionError, "restriction failed to adapt to |P|")
+    got, want, kept = (_restricted(fn, stellar(standard_cube(2), rpoint(1, "1/4")), part)
+                       for fn in (restrict, rowwise_restrict, _kept_rows_only))
+    assert got == want and isinstance(got, str)
+    assert kept == (RestrictionRefused, "restriction failed to adapt to |P|")
+
+
+def _kept_rows_only(cx, part):
+    """``rowwise_restrict`` refusing where its kept rows do not adapt cx."""
+    return rowwise_restrict(cx, part, fallback=False)
 
 
 def test_restrict_builds_one_complex_after_choosing_its_rows(monkeypatch):
@@ -960,7 +1068,7 @@ def _answers(cx, part):
     inside = inside_subcomplex(cx, part)
     try:
         restricted = restrict(cx, part)
-    except (SupportMismatch, RestrictionError) as err:
+    except SupportMismatch as err:
         restricted = (type(err), str(err))
     return (inside.simplexes if inside else set(), covers(cx, part),
             support_equal(cx, part), subdivide._adapted(inside, part),

@@ -21,9 +21,10 @@ from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
                        _lattice_points_in)
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import (caratheodory_supports, clip_fixes_pointwise, is_zmap_by_fit,
-                     locate_eval, product_lattice_points, restricted_fixes_pointwise,
-                     retarget_to_carrier_vertices, scan_image_leaving, stellar_chain)
+from oracles import (RestrictionRefused, caratheodory_supports, clip_fixes_pointwise,
+                     is_zmap_by_fit, locate_eval, product_lattice_points,
+                     restricted_fixes_pointwise, retarget_to_carrier_vertices,
+                     rowwise_restrict, scan_image_leaving, stellar_chain)
 
 
 def seg2d(a, b):
@@ -176,7 +177,8 @@ def test_fixes_pointwise_part_outside_the_domain(tent):
 
 def _stellar_square_and_part():
     """A stellar square K and a part P, a triangle with a dangling edge,
-    that ``subdivide.restrict`` refuses to restrict K to."""
+    that ``subdivide.restrict`` adapts K to only by slicing on by the rows
+    it left out: the rows it keeps do not adapt K."""
     cx = stellar_chain(standard_cube(2), [rpoint("1/4", 0), rpoint(0, "1/4"),
                                           rpoint(0, "3/4"), rpoint("1/4", "3/4")])
     part = from_maximal([tri((0, "3/4"), ("1/4", "3/4"), (1, 1)),
@@ -184,14 +186,17 @@ def _stellar_square_and_part():
     return cx, part
 
 
-def test_fixity_is_decided_where_restrict_refuses(tmp_path, capsys):
+def test_fixity_is_decided_where_restrict_falls_back(tmp_path, capsys):
     # Fixity refines P, not the map's domain, so it answers on a K and P
-    # that restrict cannot adapt to each other; retract-verify exits 1 on
-    # the constant map, not 65.
+    # that restrict adapts to each other only by its left-out rows, where
+    # it once refused; retract-verify exits 1 on the constant map, not 65.
     cx, part = _stellar_square_and_part()
     constant = PLMap(cx, {v: rpoint(1, 1) for v in cx.vertices()})
-    with pytest.raises(subdivide.RestrictionError, match="failed to adapt"):
-        subdivide.restrict(cx, part)
+    with pytest.raises(RestrictionRefused, match="failed to adapt"):
+        rowwise_restrict(cx, part, fallback=False)
+    out = subdivide.restrict(cx, part)
+    assert is_subdivision(out, cx)
+    assert subdivide.support_equal(subdivide.inside_subcomplex(out, part), part)
     assert fixes_pointwise(identity_map(cx), part)
     assert not fixes_pointwise(constant, part)
     assert not verify_zretract(part, constant)
@@ -250,27 +255,30 @@ def _fixity_triples(rng, count):
 
 
 def test_fixity_matches_the_restricted_and_clipped_oracles():
-    # Where restricting the domain answers, refining P gives the same
-    # answer or the same DomainError text; where restrict refuses, it gives
-    # the answer of testing every vertex of every cell of P against the
-    # domain.
+    # Refining P gives the answer, or the DomainError text, of restricting
+    # the domain; where restrict falls back on its left-out rows, both
+    # equal the answer of testing every vertex of every cell of P against
+    # the domain.
     def outcome(check, eta, part):
         try:
             return check(eta, part)
-        except (DomainError, subdivide.RestrictionError) as exc:
+        except (DomainError, subdivide.SupportMismatch, RestrictionRefused) as exc:
             return type(exc), str(exc)
+
+    def kept_rows(eta, part):
+        return rowwise_restrict(eta.domain, part, fallback=False)
 
     seen = collections.Counter()
     for eta, part in _fixity_triples(random.Random(7), 525):
         new = outcome(fixes_pointwise, eta, part)
-        old = outcome(restricted_fixes_pointwise, eta, part)
-        if isinstance(old, tuple) and old[0] is subdivide.RestrictionError:
+        assert new == outcome(restricted_fixes_pointwise, eta, part), (eta, part)
+        if outcome(kept_rows, eta, part) == (RestrictionRefused,
+                                             "restriction failed to adapt to |P|"):
             assert new == clip_fixes_pointwise(eta, part), (eta, part)
-            seen["refused"] += 1
+            seen["fell back"] += 1
         else:
-            assert new == old, (eta, part)
             seen[new if isinstance(new, bool) else "outside"] += 1
-    assert all(seen[key] for key in (True, False, "outside", "refused")), seen
+    assert all(seen[key] for key in (True, False, "outside", "fell back")), seen
 
 
 def test_verify_zretract(tent, half_interval, third_interval):
