@@ -16,8 +16,7 @@ from .collapse import (CollapseSequence, CollapseStep, elementary_collapse,
 from .exactnum import (IntMat, Rat, extends_to_basis, format_rat,
                        invariant_factors, lcd, parse_rat)
 from .regular import (coprime_point, den, desingularize, desingularize_relative,
-                      has_strongly_regular_triangulation, homog, is_regular,
-                      is_strongly_regular, is_strongly_regular_simplex)
+                      is_regular, is_strongly_regular, is_strongly_regular_simplex)
 from .subdivide import (common_refinement, is_subdivision, refine_for_map,
                         restrict, stellar)
 from .zmaps import (PLMap, RetractVerdict, certify_main, compose,

@@ -23,13 +23,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .complexes import GeoComplex, GeoSimplex, RPoint, _homogeneous
+from .complexes import GeoComplex, GeoSimplex, RPoint
 from .exactnum import _saturated, smith_with_transforms
 from . import subdivide
 
@@ -49,29 +48,10 @@ def _check(ok: bool, message: str) -> None:
         raise InvariantBroken(message)
 
 
-@dataclass(frozen=True)
-class HomogVec:
-    """den(v) * (v, 1): the integer vector housing a rational point."""
-
-    entries: tuple[int, ...]
-
-    @property
-    def den(self) -> int:
-        return self.entries[-1]
-
-    def point(self) -> RPoint:
-        d = self.entries[-1]
-        return RPoint(tuple(Fraction(e, d) for e in self.entries[:-1]))
-
-
 def den(v: RPoint) -> int:
     """Lowest common denominator of the coordinates; 1 on lattice points.
     It is the last entry of the cached homogeneous vector."""
     return v._homog[-1]
-
-
-def homog(v: RPoint) -> HomogVec:
-    return HomogVec(_homogeneous(v, v.dim))
 
 
 @lru_cache(maxsize=None)
@@ -264,12 +244,3 @@ def _composition_with_total(dens: Sequence[int], total: int) -> Optional[tuple]:
         return False
 
     return tuple(out) if rec(0, total) else None
-
-
-def has_strongly_regular_triangulation(p: GeoComplex, budget: int = 10_000) -> bool:
-    """Decide condition (iii): desingularize, then test strong regularity.
-
-    Strong regularity is a property of the polyhedron, not of the chosen
-    triangulation, so the verdict is triangulation-independent.
-    """
-    return is_strongly_regular(desingularize(p, budget=budget))

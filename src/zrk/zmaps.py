@@ -19,8 +19,8 @@ from .collapse import CollapseSequence, find_collapse_sequence
 from .complexes import (GeoComplex, GeoSimplex, RPoint, WeightedComplex,
                         _placement, realize, skeleton, standard_cube)
 from .regular import (BudgetExhausted, den, desingularize_relative,
-                      coprime_point, has_strongly_regular_triangulation,
-                      is_regular, is_strongly_regular, desingularize)
+                      coprime_point, is_regular, is_strongly_regular,
+                      desingularize)
 
 
 class DomainError(ValueError):
@@ -193,8 +193,10 @@ def part2_reduce(eta: PLMap, delta: GeoComplex, part: GeoComplex) -> SectionRetr
     """Build the weighted skeleton, the section xi, and the retraction mu.
 
     Verifies the retraction properties (a)-(h) first and reports violations
-    by label.  The weights are the image denominators; vertices are
-    enumerated in lexicographic order for determinism.
+    by label; this is the one check of them on the constructive path, as
+    ``pipeline_dh`` establishes them without checking.  The weights are
+    the image denominators; vertices are enumerated in lexicographic order
+    for determinism.
 
     Once (a)-(h) hold, xi and mu are Z-maps and mu . xi fixes |P|, so
     neither is checked again (``verify_section_retraction`` re-checks the
@@ -274,6 +276,28 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     assignment with carrier refinement, and coprime blow-ups of the
     offending top simplexes.  Collapsibility of the result is re-certified
     by search; an inconclusive search yields status 'unknown'.
+
+    Each fact is established once.  (a)-(h) are not checked here: they
+    follow from the steps, and ``part2_reduce`` checks them at its input.
+    - (iii) is decided on step F's regular triangulation I of |P|, the
+      inside subcomplex.  Strong regularity is a property of the
+      polyhedron, not of the chosen triangulation (``certify_main`` relies
+      on it too), so one triangulation decides it.  A P failing (iii) is
+      refused after steps C-F have run.
+    - Step G keeps I, so step H reads it.  ``refine_for_map`` keeps each
+      simplex of I: its vertices are fixed and share a host.  Any other
+      simplex s meets |P| only in proper faces of s that lie in I, so no
+      piece of s, and no face of a piece, adds an inside simplex.
+    - Step H does not touch |P|.  An n-simplex of I is regular and fixed,
+      so its image denominators, a column of a unimodular matrix, are
+      coprime: an offending s is not in I, and its barycentre lies in its
+      interior, which misses |P|.
+    - (a)-(h) hold for (eta_h, delta_h).  (d) holds by construction, (e)
+      by step E, kept by steps F-H, and (f) by step F.  Step G fixes the
+      vertices of I and maps each simplex into a simplex of I, and each
+      cone of step H maps into the simplex of I holding its centre's image,
+      which gives (a).  (h): a cone of an offending s has its barycentre as
+      a vertex, whose image denominator is coprime to the lcm of s's.
     """
     n = part.ambient_dim
     if eta_b.domain.ambient_dim != n:
@@ -288,21 +312,21 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
         raise ConditionViolation("(i)", "the supplied map does not fix |P|")
     if not _lattice_points_in(part):
         raise ConditionViolation("(ii)", "|P| misses every vertex of the cube")
-    if not has_strongly_regular_triangulation(part):
-        raise ConditionViolation("(iii)", "|P| has no strongly regular "
-                                          "triangulation")
 
     # Step C: a collapsible start; Step D: make the retraction simplexwise
     # affine on it.
     delta = subdivide.common_refinement(standard_cube(n), eta_b.domain)
     # Step E: adapt to |P|.
     delta = subdivide.restrict(delta, part)
-    # Step F: make the inside triangulation regular.
+    # Step F: make the inside triangulation regular, and decide (iii) on it.
     delta = desingularize_relative(delta, part)
+    inside = subdivide.inside_subcomplex(delta, part)
+    if not is_strongly_regular(inside):
+        raise ConditionViolation("(iii)", "|P| has no strongly regular "
+                                          "triangulation")
     # Step G: fix |P| vertexwise, then refine until every simplex maps into
     # one inside simplex.  The inside simplexes triangulate |P|, so a vertex
     # of delta lies in |P| exactly when it is a vertex of one of them.
-    inside = subdivide.inside_subcomplex(delta, part)
     eta_f = PLMap(delta, {v: v if v in inside._rank else eta_b.eval(v)
                           for v in delta.vertices()})
     delta_g = subdivide.refine_for_map(delta, eta_f, inside)
@@ -313,24 +337,20 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     # n-dimensional, so s is the carrier of its barycentre and its own star:
     # the blow-ups replace stars in one set of maximal simplexes, and one
     # complex is built from it.
-    delta_h = delta_g
     images = dict(eta_g.images)
     offending = [s for s in delta_g.maximal_simplexes() if s.dim == n
                  and math.gcd(*(den(images[v]) for v in s.vertices)) != 1]
-    if offending:
-        inside_h = subdivide.inside_subcomplex(delta_g, part)
-        maximal = set(delta_g.maximal_simplexes())
-        for s in offending:
-            first = min(frozenset.intersection(*(inside_h.hosts(images[v])
-                                                 for v in s.vertices)))
-            center = s.barycenter()
-            images[center] = coprime_point(inside_h.maximal_simplexes()[first],
-                                           math.lcm(*(den(images[v]) for v in s.vertices)))
-            subdivide._replace_star(maximal, center, frozenset(s.vertices))
-        delta_h = GeoComplex(maximal, validate=False)
+    maximal = set(delta_g.maximal_simplexes())
+    for s in offending:
+        first = min(frozenset.intersection(*(inside.hosts(images[v])
+                                             for v in s.vertices)))
+        center = s.barycenter()
+        images[center] = coprime_point(inside.maximal_simplexes()[first],
+                                       math.lcm(*(den(images[v]) for v in s.vertices)))
+        subdivide._replace_star(maximal, center, frozenset(s.vertices))
+    delta_h = GeoComplex(maximal, validate=False) if offending else delta_g
     eta_h = PLMap(delta_h, images)
 
-    _check_part1_properties(eta_h, delta_h, part)
     seq = find_collapse_sequence(delta_h, budget=collapse_budget)
     status = "ok" if seq is not None else "unknown"
     return PipelineResult(eta_h, delta_h, seq, status)

@@ -54,6 +54,11 @@ from before ``regular._box_point`` worked on integers;
 ``Fraction`` forms, from before it read integer rows; and
 ``all_faces_strongly_regular`` tests regularity on every face, from before
 ``regular.is_strongly_regular`` read it off the maximal simplexes.
+``has_strongly_regular_triangulation`` decides condition (iii) on a
+desingularization of P, from before ``zmaps.pipeline_dh`` decided it on its
+own step-F triangulation; ``homog`` gives a point's homogeneous integer
+vector as a ``HomogVec``, which ``regular`` exported with no caller in
+``src``.
 ``json_print_scx`` prints a document with ``json.dumps(indent=2)``, which
 runs the pure-Python encoder, from before ``scx`` had its own emitter, over
 a JSON body of its own built from the payload's simplexes and points, from
@@ -104,6 +109,7 @@ every cell of P against the domain, is a second reference.
 import json
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from functools import lru_cache, reduce
@@ -117,7 +123,7 @@ from zrk.complexes import (GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _homog
                            skeleton)
 from zrk.exactnum import IntMat, format_rat, invariant_factors, smith_with_transforms, xgcd
 from zrk.regular import (BudgetExhausted, _box_point, _check, coprime_point, den,
-                         desingularize, homog, is_regular, is_strongly_regular)
+                         desingularize, is_regular, is_strongly_regular)
 
 
 def frac(x) -> Fraction:
@@ -127,6 +133,25 @@ def frac(x) -> Fraction:
 
 def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+@dataclass(frozen=True)
+class HomogVec:
+    """den(v) * (v, 1): the integer vector housing a rational point."""
+
+    entries: tuple[int, ...]
+
+    @property
+    def den(self) -> int:
+        return self.entries[-1]
+
+    def point(self) -> RPoint:
+        d = self.entries[-1]
+        return RPoint(tuple(Fraction(e, d) for e in self.entries[:-1]))
+
+
+def homog(v: RPoint) -> HomogVec:
+    return HomogVec(_homogeneous(v, v.dim))
 
 
 class AffineForm(NamedTuple):
@@ -1276,6 +1301,15 @@ def all_faces_strongly_regular(cx) -> bool:
         return False
     return all(math.gcd(*(homog(v).den for v in s.vertices)) == 1
                for s in cx.maximal_simplexes())
+
+
+def has_strongly_regular_triangulation(p: GeoComplex, budget: int = 10_000) -> bool:
+    """Decide condition (iii): desingularize, then test strong regularity.
+
+    Strong regularity is a property of the polyhedron, not of the chosen
+    triangulation, so the verdict is triangulation-independent.
+    """
+    return is_strongly_regular(desingularize(p, budget=budget))
 
 
 def _json_point(p: RPoint) -> list:

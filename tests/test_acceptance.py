@@ -14,8 +14,7 @@ from importlib import resources
 import pytest
 
 from zrk import (GeoSimplex, PLMap, certify_main, den, desingularize,
-                 find_collapse_sequence, from_maximal,
-                 has_strongly_regular_triangulation, homog, is_regular,
+                 find_collapse_sequence, from_maximal, is_regular,
                  is_strongly_regular, is_strongly_regular_simplex,
                  is_subdivision, is_zmap, part2_reduce,
                  pipeline_dh, replay, rpoint, standard_cube, stellar,
@@ -24,7 +23,8 @@ from zrk.linalg import matrix_rank
 from zrk.scx import parse_scx
 
 from conftest import random_simplex, seg, tri
-from oracles import anchor, is_zmap_by_fit, minor_gcd
+from oracles import (anchor, has_strongly_regular_triangulation, homog, is_zmap_by_fit,
+                     minor_gcd)
 from test_zmaps import brute_force_no_zmap_retraction
 
 

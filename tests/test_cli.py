@@ -12,7 +12,7 @@ from zrk.scx import ScxDocument, parse_scx, print_scx
 from zrk.subdivide import inside_subcomplex, support_equal
 
 from oracles import closure_complex
-from test_zmaps import _stellar_square_and_part
+from test_zmaps import _path_through_an_even_edge, _stellar_square_and_part
 
 
 def corpus_path(name: str) -> str:
@@ -183,6 +183,19 @@ def test_pipeline(tmp_path):
     assert (wdir / "triangulation.scx").exists()
     assert run("replay", str(wdir / "triangulation.scx"),
                str(wdir / "collapse_sequence.scx")) == 0
+
+
+def test_pipeline_refuses_a_part_failing_condition_iii(tmp_path, capsys):
+    eta, part = _path_through_an_even_edge()
+    for name, doc in (("map", ScxDocument("plmap", eta)),
+                      ("part", ScxDocument("complex", part))):
+        (tmp_path / f"{name}.scx").write_text(print_scx(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run("pipeline", str(tmp_path / "map.scx"), str(tmp_path / "part.scx")) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: condition (iii) violated: |P| has no strongly "
+                            "regular triangulation\n")
 
 
 def test_certify_exit_codes(tmp_path):

@@ -6,8 +6,7 @@ import pytest
 
 from zrk import (GeoComplex, GeoSimplex, RPoint, certify_main, coprime_point,
                  den, desingularize,
-                 desingularize_relative, from_maximal,
-                 has_strongly_regular_triangulation, homog, is_regular,
+                 desingularize_relative, from_maximal, is_regular,
                  is_strongly_regular, is_strongly_regular_simplex,
                  is_subdivision, rpoint, standard_cube, stellar)
 from zrk import exactnum, linalg, regular, subdivide, zmaps
@@ -17,7 +16,8 @@ from zrk.regular import BudgetExhausted, InvariantBroken
 from conftest import random_rational, random_simplex, seg, tri
 import oracles
 from oracles import (all_faces_strongly_regular, anchor, dot, exit_parameter,
-                     fraction_box_point, fraction_exit_parameter, minor_gcd,
+                     fraction_box_point, fraction_exit_parameter,
+                     has_strongly_regular_triangulation, homog, minor_gcd,
                      rebuild_desingularize, rebuild_desingularize_relative,
                      simplex_hrep)
 

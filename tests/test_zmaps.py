@@ -15,13 +15,14 @@ from zrk import (GeoSimplex, PLMap, certify_main, compose, desingularize,
 from zrk import subdivide, zmaps
 from zrk.cli import main
 from zrk.complexes import GeoComplex
-from zrk.regular import den, is_strongly_regular
+from zrk.regular import den, is_regular, is_strongly_regular
 from zrk.scx import ScxDocument, parse_scx, print_scx
 from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
-                       _lattice_points_in)
+                       _image_leaving, _lattice_points_in)
 
 from conftest import random_rational, random_simplex, seg, tri
 from oracles import (RestrictionRefused, caratheodory_supports, clip_fixes_pointwise,
+                     has_strongly_regular_triangulation,
                      is_zmap_by_fit, locate_eval, product_lattice_points,
                      restricted_fixes_pointwise, retarget_to_carrier_vertices,
                      rowwise_restrict, scan_image_leaving, stellar_chain)
@@ -527,6 +528,33 @@ def test_pipeline_condition_violations(third_interval, antidiagonal):
     assert err.value.label == "(ii)"
 
 
+def _path_through_an_even_edge():
+    """P, the path (0,0)-(1/2,0)-(0,1/2), which holds a cube vertex, and the
+    simplicial retraction eta of the square onto it.  Every point of the
+    second edge has x + y = 1/2, so an even denominator: P fails (iii)."""
+    h, q = "1/2", "1/4"
+    part = from_maximal([seg2d((0, 0), (h, 0)), seg2d((h, 0), (0, h))])
+    dom = from_maximal([tri((0, 0), (h, 0), (0, q)), tri((0, q), (h, 0), (0, h)),
+                        tri((h, 0), (1, 0), (1, 1)), tri((h, 0), (1, 1), (0, h)),
+                        tri((0, h), (1, 1), (0, 1))])
+    moved = {rpoint(0, q): rpoint(h, 0), rpoint(1, 0): rpoint(h, 0),
+             rpoint(1, 1): rpoint(h, 0), rpoint(0, 1): rpoint(0, h)}
+    return PLMap(dom, {v: moved.get(v, v) for v in dom.vertices()}), part
+
+
+def test_pipeline_refuses_a_part_failing_condition_iii():
+    # (iii) is decided on step F's regular triangulation of |P|, after
+    # steps C-F have run; the oracle decides it on a desingularization of
+    # P.  eta passes (i) and (ii), so (iii) is the refusal.
+    eta, part = _path_through_an_even_edge()
+    assert _image_leaving(eta, part) is None and fixes_pointwise(eta, part)
+    assert not has_strongly_regular_triangulation(part)
+    with pytest.raises(ConditionViolation, match="^condition \\(iii\\) violated: "
+                       "\\|P\\| has no strongly regular triangulation$") as err:
+        pipeline_dh(eta, part)
+    assert err.value.label == "(iii)"
+
+
 def test_pipeline_2d(half_diagonal_retraction):
     eta, part = half_diagonal_retraction
     result = pipeline_dh(eta, part)
@@ -535,26 +563,95 @@ def test_pipeline_2d(half_diagonal_retraction):
     assert verify_section_retraction(part, reduced.retraction, reduced.section)
 
 
-def test_part2_pair_is_a_section_and_retraction_on_seeded_folds():
-    # part2_reduce proves, and does not check, that its section and
-    # retraction are Z-maps with mu . xi fixing |P|; the checkers confirm
-    # it on the fold of the square onto its lower half, with its domain
-    # subdivided at 0-3 seeded points.
+def _seeded_folds():
+    """The fold of the square onto its lower half, with its domain
+    subdivided at 0-3 seeded points, eight times."""
     rng = random.Random(3407)
     h = "1/2"
     lower = [tri((0, 0), (1, 0), (1, h)), tri((0, 0), (0, h), (1, h))]
     upper = [tri((0, h), (1, h), (1, 1)), tri((0, h), (0, 1), (1, 1))]
     square, part = from_maximal(lower + upper), from_maximal(lower)
     fold = PLMap(square, {v: rpoint(v[0], min(v[1], 1 - v[1])) for v in square.vertices()})
+    folds = []
     for _ in range(8):
         dom = square
         for _ in range(rng.randint(0, 3)):
             dom = stellar(dom, rpoint(*[random_rational(rng, 4) for _ in range(2)]))
-        result = pipeline_dh(fold.rebase(dom), part)
+        folds.append((fold.rebase(dom), part))
+    return folds
+
+
+def _seeded_segments(rng, count):
+    """Segments P from the origin to seeded points b of the square, each
+    with the retraction of stellar(square, b) sending every vertex but the
+    origin to b.  Only b whose edge to the origin is not regular are kept,
+    so step F blows up every P."""
+    origin = rpoint(0, 0)
+    cases = []
+    while len(cases) < count:
+        b = rpoint(*[random_rational(rng, 9) for _ in range(2)])
+        if b != origin and not is_regular(GeoSimplex((origin, b))):
+            dom = stellar(standard_cube(2), b)
+            cases.append((PLMap(dom, {v: v if v == origin else b for v in dom.vertices()}),
+                          from_maximal([GeoSimplex((origin, b))])))
+    return cases
+
+
+def _face_projection(n):
+    """[0,1]^n onto its face x_n = 0, on the standard triangulation."""
+    cube = standard_cube(n)
+    face = GeoComplex([s for s in cube.simplexes if all(v[-1] == 0 for v in s.vertices)])
+    return PLMap(cube, {v: rpoint(*v.coords[:-1], 0) for v in cube.vertices()}), face
+
+
+def test_part2_pair_is_a_section_and_retraction_on_seeded_folds():
+    # part2_reduce proves, and does not check, that its section and
+    # retraction are Z-maps with mu . xi fixing |P|; the checkers confirm
+    # it on the fold of the square onto its lower half, with its domain
+    # subdivided at 0-3 seeded points.
+    for eta, part in _seeded_folds():
+        result = pipeline_dh(eta, part)
         assert result.status == "ok"
         red = part2_reduce(result.map, result.triangulation, part)
         assert is_zmap(red.section) and is_zmap(red.retraction)
         assert verify_section_retraction(part, red.retraction, red.section)
+
+
+def test_pipeline_establishes_the_part1_properties(monkeypatch, tent, half_interval):
+    # pipeline_dh checks neither (a)-(h) at its end nor the inside
+    # subcomplex of step G's delta_g: its docstring proves both.  On seeded
+    # folds, segments where step F blows up, the tent and the face
+    # projections, its output passes the check part2_reduce runs, the
+    # inside subcomplex of a cold copy of delta_g is step G's, and step H
+    # leaves it as it is.  Some outputs have step-H blow-ups.
+    refined, desingularized = [], []
+    refine, desingularize_relative = subdivide.refine_for_map, zmaps.desingularize_relative
+
+    def refine_spy(cx, plmap, target):
+        out = refine(cx, plmap, target)
+        refined.append((out, target))
+        return out
+
+    def desingularize_spy(cx, part):
+        out = desingularize_relative(cx, part)
+        desingularized.append(out is not cx)
+        return out
+
+    monkeypatch.setattr(subdivide, "refine_for_map", refine_spy)
+    monkeypatch.setattr(zmaps, "desingularize_relative", desingularize_spy)
+    cases = (_seeded_folds() + _seeded_segments(random.Random(2729), 8)
+             + [(tent, half_interval), _face_projection(2), _face_projection(3)])
+    blown_up = []
+    for eta, part in cases:
+        result = pipeline_dh(eta, part)
+        delta_g, inside = refined[-1]  # step G's refinement is the last
+        cold = GeoComplex(delta_g.maximal_simplexes(), validate=False)
+        assert subdivide.inside_subcomplex(cold, part) == inside
+        assert zmaps._check_part1_properties(result.map, result.triangulation,
+                                             part) == inside
+        blown_up.append(result.triangulation is not delta_g)
+    assert len(desingularized) == len(cases)
+    assert any(blown_up[:8]) and all(desingularized[8:16])
 
 
 @pytest.fixture
