@@ -11,12 +11,13 @@ collapsibility, a cube vertex in the polyhedron, strong regularity).
 from .complexes import (AbsComplex, GeoComplex, GeoSimplex, RPoint,
                         WeightedComplex, from_maximal, realize, rpoint,
                         skeleton, standard_cube)
-from .collapse import (CollapseSequence, CollapseStep, elementary_collapse,
-                       find_collapse_sequence, free_faces, replay)
+from .collapse import (CollapseSequence, CollapseStep, find_collapse_sequence,
+                       free_faces, replay)
 from .exactnum import (IntMat, Rat, extends_to_basis, format_rat,
                        invariant_factors, lcd, parse_rat)
 from .regular import (coprime_point, den, desingularize, desingularize_relative,
-                      is_regular, is_strongly_regular, is_strongly_regular_simplex)
+                      is_regular, is_strongly_regular, is_strongly_regular_polyhedron,
+                      is_strongly_regular_simplex)
 from .subdivide import (common_refinement, is_subdivision, refine_for_map,
                         restrict, stellar)
 from .zmaps import (PLMap, RetractVerdict, certify_main, compose,

@@ -14,7 +14,7 @@ exact live flags, so a collision costs time and never changes a result.
 A simplex is the tuple of its vertices' ranks in the complex's vertex
 table, the sorted ``GeoComplex.vertices()``, so the face table is built
 from the complex's rank tuples; only a pair handed in as simplexes, a
-replay step or an elementary collapse, is looked up by point.
+replay step, is looked up by point.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import GeoComplex, GeoSimplex
-
-
-class NotAnElementaryCollapse(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -137,13 +133,6 @@ def free_faces(cx: GeoComplex) -> list[tuple[GeoSimplex, GeoSimplex]]:
     """All pairs (T, F) where F is a facet of exactly one simplex T."""
     table = _FaceTable(cx)
     return [(table.geo(p // table.n), table.geo(p % table.n)) for p in table.free]
-
-
-def elementary_collapse(cx: GeoComplex, t: GeoSimplex, f: GeoSimplex) -> GeoComplex:
-    """Remove exactly {T, F}; errors unless (T, F) is a free pair."""
-    if _FaceTable(cx).free_pair(t, f) is None:
-        raise NotAnElementaryCollapse("not an elementary collapse")
-    return GeoComplex(cx.simplexes - {t, f}, validate=False)
 
 
 def find_collapse_sequence(cx: GeoComplex,

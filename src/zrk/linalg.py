@@ -44,10 +44,11 @@ def _bareiss(rows: Sequence[Sequence[int]], reduced: bool = False
     (a x - b y) / p, for the row's entry b in the pivot column, the pivot
     row's entry y in x's column and the previous pivot p; Sylvester's
     identity makes every entry a minor of the input, so the division is
-    exact.  A column without a nonzero entry is
-    skipped, so the pivot columns are the lexicographically first maximal
-    set of independent columns, and the last pivot of a nonsingular square
-    matrix is its determinant up to the sign.  With ``reduced`` the rows
+    exact.  A row with b = 0 becomes a x / p, so it is left as it is when
+    a = p.  A column without a nonzero entry is skipped, so the pivot
+    columns are the lexicographically first maximal set of independent
+    columns, and the last pivot of a nonsingular square matrix is its
+    determinant up to the sign.  With ``reduced`` the rows
     above the pivot are treated alike (fraction-free Gauss-Jordan): by
     Cramer's rule their entries are minors up to sign too, and each earlier
     pivot p becomes a, so at the end every pivot equals the last one, t,
@@ -68,9 +69,11 @@ def _bareiss(rows: Sequence[Sequence[int]], reduced: bool = False
         top = m[r]
         a = top[c]
         for i in range(0 if reduced else r + 1, len(m)):
-            if i != r:
-                b = m[i][c]
+            b = m[i][c]
+            if b and i != r:
                 m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], top)]
+            elif not b and a != prev:
+                m[i] = [a * x // prev for x in m[i]]
         prev = a
         pivots.append(c)
         r += 1

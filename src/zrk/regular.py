@@ -7,6 +7,9 @@ runs on the simplex's own int rows), and strongly regular when
 additionally the vertex denominators are globally coprime.  Faces of a
 regular simplex are regular, since a subset of rows that extends to a basis
 extends to one, so a complex is tested on its maximal simplexes alone.
+Whether a polyhedron has a strongly regular triangulation at all, condition
+(iii), is read off its own maximal simplexes, whose affine hulls must meet
+the integer lattice (``is_strongly_regular_polyhedron``).
 Desingularization blows up the least non-regular maximal simplex at a
 lattice point of its fundamental box (on a 1-simplex, the Farey mediant)
 until every simplex is regular; that point is found in integer arithmetic
@@ -72,6 +75,52 @@ def is_strongly_regular(cx: GeoComplex) -> bool:
     and faces of a regular simplex are regular.
     """
     return all(is_strongly_regular_simplex(s) for s in cx.maximal_simplexes())
+
+
+def is_strongly_regular_polyhedron(cx: GeoComplex) -> bool:
+    """Whether |cx| has a strongly regular triangulation (condition (iii)),
+    read off cx's own maximal simplexes, with no desingularization.
+
+    Lemma.  Let sigma be a regular triangulation of |cx|.  Then sigma is
+    strongly regular iff aff(M) meets Z^n for every maximal simplex M of
+    cx.  ``desingularize`` gives such a sigma, so this decides (iii).
+
+    (1) One regular simplex T.  Its vectors w_i = d_i(v_i, 1) extend to a
+    basis of Z^{n+1}, so they are a basis of L, the lattice of the integer
+    points of span(w_i).  With h the last coordinate, gcd(d_i)
+    generates h(L), and h(L) = Z iff L holds a vector (x, 1), that is iff
+    aff(T) meets Z^n.  So T is strongly regular iff aff(T) meets Z^n.
+
+    (2) Matching the hulls.  Two triangulations K, K' of one space have the
+    same affine hulls of maximal simplexes.  A simplex of K sharing a
+    relative-interior point of a maximal M would meet M in a face of M
+    holding that point, so would contain M; so relint M lies in no other
+    maximal simplex, and near a point x of it the space is M.  Finitely
+    many closed simplexes of K' cover M near x, so one of them, t, holds
+    an open piece of M; near a point of that piece the space is M, so
+    dim t = dim M, aff t = aff M, and t is maximal.  By symmetry every
+    maximal simplex of K' has the hull of a maximal simplex of K; with (1)
+    for sigma's maximal simplexes, this proves the lemma.
+
+    Computing it.  A full-dimensional M has L = Z^{n+1}: True with no
+    arithmetic.  If gcd(d_i) = 1, an integer combination of the w_i is
+    (x, 1): True.  Otherwise, with U W V = D the Smith form of the vertex
+    rows W, the first rows of V^-1 are a basis of L, and U (d_i) =
+    D (V^-1 e_last), so h(L) is generated by the gcd of the exact quotients
+    (U (d_i))_i / D_ii.
+    """
+    return all(_hull_meets_lattice(s) for s in cx.maximal_simplexes())
+
+
+def _hull_meets_lattice(s: GeoSimplex) -> bool:
+    """aff(s) holds an integer point (``is_strongly_regular_polyhedron``)."""
+    rows = s._vertex_rows
+    dens = [w[-1] for w in rows]
+    if len(rows) == len(rows[0]) or math.gcd(*dens) == 1:
+        return True
+    u, d, _ = smith_with_transforms(rows)
+    return math.gcd(*(sum(map(mul, ui, dens)) // d[i][i]
+                      for i, ui in enumerate(u))) == 1
 
 
 def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:

@@ -20,7 +20,7 @@ from .complexes import (GeoComplex, GeoSimplex, RPoint, WeightedComplex,
                         _placement, realize, skeleton, standard_cube)
 from .regular import (BudgetExhausted, den, desingularize_relative,
                       coprime_point, is_regular, is_strongly_regular,
-                      desingularize)
+                      is_strongly_regular_polyhedron, desingularize)
 
 
 class DomainError(ValueError):
@@ -279,11 +279,11 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
 
     Each fact is established once.  (a)-(h) are not checked here: they
     follow from the steps, and ``part2_reduce`` checks them at its input.
-    - (iii) is decided on step F's regular triangulation I of |P|, the
-      inside subcomplex.  Strong regularity is a property of the
-      polyhedron, not of the chosen triangulation (``certify_main`` relies
-      on it too), so one triangulation decides it.  A P failing (iii) is
-      refused after steps C-F have run.
+    - (iii) is decided up front, on P's own maximal simplexes
+      (``is_strongly_regular_polyhedron``), so a P failing it is refused
+      before steps C-F run.  By that function's lemma, step F's regular
+      triangulation I of |P|, the inside subcomplex, is then strongly
+      regular, so step H's hosts are strongly regular simplexes.
     - Step G keeps I, so step H reads it.  ``refine_for_map`` keeps each
       simplex of I: its vertices are fixed and share a host.  Any other
       simplex s meets |P| only in proper faces of s that lie in I, so no
@@ -312,18 +312,18 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
         raise ConditionViolation("(i)", "the supplied map does not fix |P|")
     if not _lattice_points_in(part):
         raise ConditionViolation("(ii)", "|P| misses every vertex of the cube")
+    if not is_strongly_regular_polyhedron(part):
+        raise ConditionViolation("(iii)", "|P| has no strongly regular "
+                                          "triangulation")
 
     # Step C: a collapsible start; Step D: make the retraction simplexwise
     # affine on it.
     delta = subdivide.common_refinement(standard_cube(n), eta_b.domain)
     # Step E: adapt to |P|.
     delta = subdivide.restrict(delta, part)
-    # Step F: make the inside triangulation regular, and decide (iii) on it.
+    # Step F: make the inside triangulation regular.
     delta = desingularize_relative(delta, part)
     inside = subdivide.inside_subcomplex(delta, part)
-    if not is_strongly_regular(inside):
-        raise ConditionViolation("(iii)", "|P| has no strongly regular "
-                                          "triangulation")
     # Step G: fix |P| vertexwise, then refine until every simplex maps into
     # one inside simplex.  The inside simplexes triangulate |P|, so a vertex
     # of delta lies in |P| exactly when it is a vertex of one of them.
@@ -379,7 +379,6 @@ class RetractWitnesses:
     collapse_sequence: Optional[CollapseSequence] = None
     lattice_vertex: Optional[RPoint] = None
     strongly_regular: Optional[GeoComplex] = None
-    retraction: Optional[PLMap] = None
 
 
 @dataclass(frozen=True)
@@ -399,20 +398,28 @@ def certify_main(part: GeoComplex, budget: int = 100_000,
     the collapse search is inconclusive, or desingularization exhausts
     ``desing_budget`` so that (iii) stays undecided, the verdict is
     'unknown': contractibility itself is not decided here.
+
+    (iii) is decided on P's own maximal simplexes
+    (``is_strongly_regular_polyhedron``), which is what testing a
+    desingularization sigma of P would answer.  So a P with no cube vertex
+    that passes (iii) is refuted by (ii) alone before ``desingularize``
+    runs.  It still runs where sigma is the regular witness, and where its
+    budget tells a (iii) refutation from an undecided (iii): a verdict
+    names (iii) only if sigma was found within ``desing_budget``.
     """
-    n = part.ambient_dim
     for *x, d in (v._homog for v in part.vertices()):
         if min(x) < 0 or max(x) > d:
             raise DomainError("|P| must lie inside the unit cube")
     lattice = _lattice_points_in(part)
+    strongly_regular = is_strongly_regular_polyhedron(part)
+    if not lattice and strongly_regular:
+        return RetractVerdict("refuted", refutation_reason="(ii)")
     try:
         sigma = desingularize(part, budget=desing_budget)
     except BudgetExhausted:
         sigma = None  # condition (iii) stays undecided
-    failed = []
-    if not lattice:
-        failed.append("(ii)")
-    if sigma is not None and not is_strongly_regular(sigma):
+    failed = [] if lattice else ["(ii)"]
+    if sigma is not None and not strongly_regular:
         failed.append("(iii)")
     if failed:
         return RetractVerdict("refuted", refutation_reason=",".join(failed))

@@ -55,8 +55,10 @@ from before ``regular._box_point`` worked on integers;
 ``all_faces_strongly_regular`` tests regularity on every face, from before
 ``regular.is_strongly_regular`` read it off the maximal simplexes.
 ``has_strongly_regular_triangulation`` decides condition (iii) on a
-desingularization of P, from before ``zmaps.pipeline_dh`` decided it on its
-own step-F triangulation; ``homog`` gives a point's homogeneous integer
+desingularization of P, and ``desingularizing_certify`` is
+``zmaps.certify_main`` deciding it so, from before ``certify_main`` and
+``zmaps.pipeline_dh`` read it off P's own maximal simplexes
+(``regular.is_strongly_regular_polyhedron``); ``homog`` gives a point's homogeneous integer
 vector as a ``HomogVec``, which ``regular`` exported with no caller in
 ``src``.
 ``json_print_scx`` prints a document with ``json.dumps(indent=2)``, which
@@ -84,7 +86,9 @@ volumes of a complex in the cube, from before ``zmaps`` asked
 ``GeoComplex._is_cube``, and ``rows_triangulates_cube`` is the linear
 cube test on barycentric rows and a barycentre count, from before
 ``complexes._triangulates_cube`` read orientations and volumes off each
-simplex's determinant.  ``validating_parse_sequence``
+simplex's determinant.  ``elementary_collapse`` removes one free pair, checked against a face
+table; it was in ``collapse`` with no caller in ``src``.
+``validating_parse_sequence``
 parses a collapse sequence building and checking every simplex, from before
 ``scx`` read a step's simplexes off earlier steps.  ``scan_supports`` tests
 a simplex against every simplex of a cover list (``simplex_inside``, the
@@ -118,7 +122,7 @@ from operator import and_, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from zrk import linalg, subdivide, zmaps
-from zrk.collapse import CollapseSequence, CollapseStep
+from zrk.collapse import CollapseSequence, CollapseStep, _FaceTable, find_collapse_sequence
 from zrk.complexes import (GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _homogeneous,
                            skeleton)
 from zrk.exactnum import IntMat, format_rat, invariant_factors, smith_with_transforms, xgcd
@@ -868,6 +872,17 @@ def _facet_index(sims: frozenset) -> list:
     return out
 
 
+class NotAnElementaryCollapse(ValueError):
+    pass
+
+
+def elementary_collapse(cx: GeoComplex, t: GeoSimplex, f: GeoSimplex) -> GeoComplex:
+    """Remove exactly {T, F}; errors unless (T, F) is a free pair."""
+    if _FaceTable(cx).free_pair(t, f) is None:
+        raise NotAnElementaryCollapse("not an elementary collapse")
+    return GeoComplex(cx.simplexes - {t, f}, validate=False)
+
+
 def dfs_collapse_sequence(cx, budget: int = 100_000):
     """Recursive depth-first collapse search; the reference for
     ``collapse.find_collapse_sequence`` (same order, memo and budget)."""
@@ -1310,6 +1325,36 @@ def has_strongly_regular_triangulation(p: GeoComplex, budget: int = 10_000) -> b
     triangulation, so the verdict is triangulation-independent.
     """
     return is_strongly_regular(desingularize(p, budget=budget))
+
+
+def desingularizing_certify(part: GeoComplex, budget: int = 100_000,
+                            desing_budget: int = 10_000) -> zmaps.RetractVerdict:
+    """``zmaps.certify_main`` deciding (iii) on a desingularization of P,
+    which it runs on every input."""
+    for *x, d in (v._homog for v in part.vertices()):
+        if min(x) < 0 or max(x) > d:
+            raise zmaps.DomainError("|P| must lie inside the unit cube")
+    lattice = zmaps._lattice_points_in(part)
+    try:
+        sigma = desingularize(part, budget=desing_budget)
+    except BudgetExhausted:
+        sigma = None
+    failed = []
+    if not lattice:
+        failed.append("(ii)")
+    if sigma is not None and not is_strongly_regular(sigma):
+        failed.append("(iii)")
+    if failed:
+        return zmaps.RetractVerdict("refuted", refutation_reason=",".join(failed))
+    if sigma is None:
+        return zmaps.RetractVerdict("unknown")
+    for candidate in (part,) if sigma is part else (part, sigma):
+        seq = find_collapse_sequence(candidate, budget=budget)
+        if seq is not None:
+            return zmaps.RetractVerdict("certified", witnesses=zmaps.RetractWitnesses(
+                collapse_complex=candidate, collapse_sequence=seq,
+                lattice_vertex=lattice[0], strongly_regular=sigma))
+    return zmaps.RetractVerdict("unknown")
 
 
 def _json_point(p: RPoint) -> list:

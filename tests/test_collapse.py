@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 
 from zrk import (CollapseSequence, CollapseStep, GeoComplex, GeoSimplex, RPoint,
-                 elementary_collapse, find_collapse_sequence, free_faces,
-                 from_maximal, replay, rpoint, standard_cube, stellar)
+                 find_collapse_sequence, free_faces, from_maximal, replay, rpoint,
+                 standard_cube, stellar)
 from zrk import collapse
-from zrk.collapse import NotAnElementaryCollapse
 from zrk.scx import ScxDocument, print_scx
 
 from conftest import seg, tri
-from oracles import dfs_collapse_sequence, scan_replay
+from oracles import (NotAnElementaryCollapse, dfs_collapse_sequence,
+                     elementary_collapse, scan_replay)
 
 
 def test_free_faces_segment():

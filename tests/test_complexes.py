@@ -7,8 +7,7 @@ from importlib import resources
 import pytest
 
 from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, RPoint, WeightedComplex,
-                 certify_main, desingularize, elementary_collapse,
-                 find_collapse_sequence, free_faces, from_maximal, realize, replay,
+                 certify_main, desingularize, find_collapse_sequence, free_faces, from_maximal, realize, replay,
                  rpoint, skeleton, standard_cube, stellar,
                  pipeline_dh, part2_reduce, refine_for_map,
                  common_refinement, verify_zretract)
@@ -22,7 +21,7 @@ from zrk.regular import is_regular
 from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import (barycentric_coords, closure_complex,
+from oracles import (barycentric_coords, closure_complex, elementary_collapse,
                      enumerate_meet_in_common_face, fraction_aff_dim,
                      lp_meet_in_common_face, relint_contains, scan_carrier,
                      retarget_to_carrier_vertices, rows_triangulates_cube, scan_hosts,

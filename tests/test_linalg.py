@@ -282,6 +282,35 @@ def test_bareiss_matches_fraction_elimination():
     assert matrix_rank([]) == 0 and matrix_rank([[0, 0], [0, 0]]) == 0
 
 
+def test_bareiss_on_zero_one_matrices_matches_fraction_elimination():
+    # 0/1 matrices, such as a Kuhn simplex's vertex rows, are mostly rows
+    # with a zero in the pivot column, which skip the cross terms and, when
+    # the pivot equals the previous one, are not touched at all.  In both
+    # modes the pivots are the Fraction echelon's and the rows span the
+    # same space; the plain mode leaves a staircase with the determinant as
+    # its last pivot, and the reduced mode t times the reduced echelon form.
+    rng = random.Random(196801)
+    for _ in range(300):
+        height, width = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[int(rng.random() < 0.4) for _ in range(width)] for _ in range(height)]
+        rref, pivots = echelon([[Fraction(x) for x in r] for r in rows])
+        out, got, sign = _bareiss(rows)
+        assert got == pivots, rows
+        assert echelon([[Fraction(x) for x in r] for r in out])[0] == rref, rows
+        for r, c in enumerate(pivots):
+            assert out[r][c] and not any(out[r][:c]), rows
+        assert not any(map(any, out[len(pivots):])), rows
+        if height == width:
+            full = len(pivots) == width
+            assert det(rows) == fraction_det(rows) == (sign * out[-1][-1] if full else 0)
+        red, red_pivots, _ = _bareiss(rows, reduced=True)
+        t = red[len(pivots) - 1][pivots[-1]] if pivots else 1
+        assert red_pivots == pivots and red == [[t * x for x in r] for r in rref] + \
+            [[0] * width] * (height - len(pivots)), rows
+    # The homogeneous rows of a Kuhn simplex of the 4-cube are unimodular.
+    assert abs(det([[1] * k + [0] * (4 - k) + [1] for k in range(5)])) == 1
+
+
 def test_normal_is_the_cofactor_row_up_to_scale():
     # Seeded n independent vectors in Z^(n+1), some with a zero column, which
     # is then the free one: the normal vanishes on each vector, and at any y

@@ -7,8 +7,8 @@ import pytest
 from zrk import (GeoComplex, GeoSimplex, RPoint, certify_main, coprime_point,
                  den, desingularize,
                  desingularize_relative, from_maximal, is_regular,
-                 is_strongly_regular, is_strongly_regular_simplex,
-                 is_subdivision, rpoint, standard_cube, stellar)
+                 is_strongly_regular, is_strongly_regular_polyhedron,
+                 is_strongly_regular_simplex, is_subdivision, rpoint, standard_cube, stellar)
 from zrk import exactnum, linalg, regular, subdivide, zmaps
 from zrk.exactnum import invariant_factors
 from zrk.regular import BudgetExhausted, InvariantBroken
@@ -540,6 +540,85 @@ def test_strong_regularity_triangulation_invariance():
         v1 = is_strongly_regular(desingularize(cx))
         v2 = is_strongly_regular(desingularize(alt))
         assert v1 == v2
+
+
+def _simplex_of_dim(rng, ambient: int, k: int, max_den: int = 0) -> GeoSimplex:
+    """A seeded k-simplex in [0,1]^ambient with denominators <= max_den; by
+    default 12, or 3 for a full-dimensional one in R^3 or R^4, whose
+    desingularization at 12 can take half a minute."""
+    max_den = max_den or (3 if k == ambient > 2 else 12)
+    while True:
+        try:
+            return GeoSimplex(tuple(rpoint(*[random_rational(rng, max_den)
+                                             for _ in range(ambient)])
+                                    for _ in range(k + 1)))
+        except ValueError:
+            continue
+
+
+def _mixed_complexes(rng, count: int) -> list[GeoComplex]:
+    """Two simplexes of different dimensions sharing a vertex, in R^2..R^4,
+    where they form a complex; full-dimensional only in R^2, where the
+    oracle desingularizes one fast."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        k1, k2 = rng.sample(range(1, 3 if n == 2 else n), 2)
+        a, b = _simplex_of_dim(rng, n, k1), _simplex_of_dim(rng, n, k2)
+        b = GeoSimplex((a.vertices[0],) + b.vertices[1:])
+        try:
+            out.append(from_maximal([a, b]))
+        except ValueError:
+            continue
+    return out
+
+
+def test_strongly_regular_polyhedron_matches_the_desingularizing_oracle(antidiagonal):
+    # The lemma decides (iii) on P's own maximal simplexes; the oracle
+    # desingularizes P and tests the result.  Seeded simplexes of every
+    # dimension 0..n in R^1..R^4, mixed-dimension complexes, and a stellar
+    # subdivision of each, which has other maximal simplexes and the same
+    # support.
+    rng = random.Random(7118)
+    cxs = [antidiagonal]
+    for n in (1, 2, 3, 4):
+        for k in range(n + 1):
+            cxs += [from_maximal([_simplex_of_dim(rng, n, k)]) for _ in range(12)]
+    cxs += _mixed_complexes(rng, 40)
+    verdicts = {}
+    for cx in cxs:
+        expected = has_strongly_regular_triangulation(cx)
+        assert is_strongly_regular_polyhedron(cx) == expected, cx
+        first = cx.maximal_simplexes()[0]
+        if first.dim:
+            assert is_strongly_regular_polyhedron(stellar(cx, first.barycenter())) == expected
+        key = (cx.ambient_dim, max(s.dim for s in cx.maximal_simplexes()),
+               len(cx.maximal_simplexes()) > 1)
+        verdicts.setdefault(expected, set()).add(key)
+    # Both answers occur in every ambient dimension and for mixed complexes;
+    # a full-dimensional simplex always passes.
+    assert {n for n, _, _ in verdicts[False]} == {1, 2, 3, 4}, verdicts
+    assert any(mixed for _, _, mixed in verdicts[False]), verdicts
+    assert any(mixed for _, _, mixed in verdicts[True]), verdicts
+    assert not any(n == k and not mixed for n, k, mixed in verdicts[False]), verdicts
+
+
+def test_strongly_regular_polyhedron_needs_smith_only_off_the_shortcuts(monkeypatch):
+    # Full-dimensional simplexes and those with coprime vertex denominators
+    # pass with no Smith form; the antidiagonal, both vertices over 2, needs
+    # one.
+    calls = []
+    smith = regular.smith_with_transforms
+    monkeypatch.setattr(regular, "smith_with_transforms",
+                        lambda rows: calls.append(rows) or smith(rows))
+    assert is_strongly_regular_polyhedron(standard_cube(3))
+    assert is_strongly_regular_polyhedron(from_maximal([seg("1/3", "1/2")]))
+    assert is_strongly_regular_polyhedron(from_maximal([tri(("1/2", 0, 0), (0, "1/2", 0),
+                                                            (0, 0, "1/2"))])) is False
+    assert len(calls) == 1
+    assert is_strongly_regular_polyhedron(from_maximal([tri(("1/2", 0), (0, "1/2"))])) is False
+    assert is_strongly_regular_polyhedron(from_maximal([tri(("1/2", "1/2"), (0, 1))]))
+    assert len(calls) == 2
 
 
 def test_regularity_matches_minor_gcd_oracle():

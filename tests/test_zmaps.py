@@ -22,7 +22,7 @@ from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
 
 from conftest import random_rational, random_simplex, seg, tri
 from oracles import (RestrictionRefused, caratheodory_supports, clip_fixes_pointwise,
-                     has_strongly_regular_triangulation,
+                     desingularizing_certify, has_strongly_regular_triangulation,
                      is_zmap_by_fit, locate_eval, product_lattice_points,
                      restricted_fixes_pointwise, retarget_to_carrier_vertices,
                      rowwise_restrict, scan_image_leaving, stellar_chain)
@@ -543,9 +543,9 @@ def _path_through_an_even_edge():
 
 
 def test_pipeline_refuses_a_part_failing_condition_iii():
-    # (iii) is decided on step F's regular triangulation of |P|, after
-    # steps C-F have run; the oracle decides it on a desingularization of
-    # P.  eta passes (i) and (ii), so (iii) is the refusal.
+    # (iii) is decided up front on P's own maximal simplexes, before steps
+    # C-F run; the oracle decides it on a desingularization of P.  eta
+    # passes (i) and (ii), so (iii) is the refusal.
     eta, part = _path_through_an_even_edge()
     assert _image_leaving(eta, part) is None and fixes_pointwise(eta, part)
     assert not has_strongly_regular_triangulation(part)
@@ -553,6 +553,22 @@ def test_pipeline_refuses_a_part_failing_condition_iii():
                        "\\|P\\| has no strongly regular triangulation$") as err:
         pipeline_dh(eta, part)
     assert err.value.label == "(iii)"
+
+
+def test_pipeline_refuses_condition_iii_before_step_c(monkeypatch):
+    # The even-edge path is refused with no common refinement, the first
+    # construction step; every part that passes (iii) gets one.
+    calls = []
+    refine = subdivide.common_refinement
+    monkeypatch.setattr(subdivide, "common_refinement",
+                        lambda a, b: calls.append(b) or refine(a, b))
+    eta, part = _path_through_an_even_edge()
+    with pytest.raises(ConditionViolation, match="^condition \\(iii\\)"):
+        pipeline_dh(eta, part)
+    assert calls == []
+    for eta, part in _seeded_folds()[:2]:
+        assert pipeline_dh(eta, part).status == "ok"
+    assert len(calls) == 2
 
 
 def test_pipeline_2d(half_diagonal_retraction):
@@ -711,6 +727,63 @@ def test_certify_main_searches_a_regular_part_once(monkeypatch):
                            tri((0, 0), (0, 1))])
     assert certify_main(hollow).status == "unknown"
     assert calls == [hollow]
+
+
+def test_certify_main_prints_the_desingularizing_oracles_verdicts():
+    # certify_main decides (iii) on P's own maximal simplexes and refutes a
+    # P with no cube vertex that passes it without desingularizing; the
+    # oracle desingularizes every P.  The printed verdicts agree at the
+    # default budget and at desing_budget=0, where the oracle's (iii) stays
+    # undecided unless P is regular.  Inputs: the corpus, cube1-3, seeded
+    # random simplexes in R^1..R^3, mixed-dimension complexes, and seeded
+    # paths from the origin through two random points, which hold a cube
+    # vertex and may fail (iii).
+    from test_regular import _mixed_complexes
+    rng = random.Random(405)
+    parts = [parse_scx(entry.read_text(encoding="utf-8")).payload
+             for entry in sorted(resources.files("zrk.corpus").iterdir(),
+                                 key=lambda entry: entry.name)
+             if entry.name.endswith(".scx") and ".verdict." not in entry.name
+             and entry.name not in ("square_to_half_diagonal.scx", "tent_retraction.scx")]
+    parts += [standard_cube(n) for n in (1, 2, 3)]
+    parts += [from_maximal([random_simplex(rng, rng.randint(1, 3), 6)]) for _ in range(40)]
+    parts += _mixed_complexes(rng, 12)
+    paths = []
+    while len(paths) < 12:
+        n = rng.randint(2, 3)
+        p, q = (rpoint(*[random_rational(rng, 6) for _ in range(n)]) for _ in range(2))
+        try:
+            paths.append(from_maximal([GeoSimplex((rpoint(*[0] * n), p)),
+                                       GeoSimplex((p, q))]))
+        except ValueError:
+            continue
+    parts += paths
+    seen = collections.Counter()
+    for part in parts:
+        for desing_budget in (10_000, 0):
+            got = certify_main(part, desing_budget=desing_budget)
+            want = desingularizing_certify(part, desing_budget=desing_budget)
+            text = print_scx(ScxDocument("verdict", got))
+            assert text == print_scx(ScxDocument("verdict", want)), part
+            seen[desing_budget, got.refutation_reason or got.status] += 1
+    assert all(seen[10_000, kind] >= 3 for kind in
+               ("certified", "(ii)", "(iii)", "(ii),(iii)")), seen
+    assert seen[0, "unknown"] >= 3 and seen[0, "(ii)"] >= 10, seen
+
+
+def test_certify_main_refutes_by_ii_alone_without_desingularizing(monkeypatch, third_interval,
+                                                                   antidiagonal):
+    # [1/3, 2/3] has no cube vertex and passes (iii), so it is refuted by
+    # (ii) with no desingularization.  The antidiagonal fails (iii) too; a
+    # desingularization, within its budget, tells that from an undecided
+    # (iii), so it still runs there.
+    calls = []
+    monkeypatch.setattr(zmaps, "desingularize",
+                        lambda cx, budget: calls.append(cx) or desingularize(cx, budget=budget))
+    assert certify_main(third_interval).refutation_reason == "(ii)"
+    assert calls == []
+    assert certify_main(antidiagonal).refutation_reason == "(ii),(iii)"
+    assert calls == [antidiagonal]
 
 
 def test_certified_polyhedra_not_refuted(tent, half_interval):
