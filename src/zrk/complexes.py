@@ -240,13 +240,9 @@ class GeoSimplex:
 
     @cached_property
     def _box(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """The bounding box as integer corners (lo, hi) over one denominator
-        D, the lcm of the vertex denominators: the box is [lo/D, hi/D].
-        Cached on the instance like ``_point_rows``."""
-        rows = self._vertex_rows
-        d = math.lcm(*(x[-1] for x in rows))
-        columns = list(zip(*(tuple(c * (d // x[-1]) for c in x[:-1]) for x in rows)))
-        return tuple(map(min, columns)), tuple(map(max, columns)), d
+        """The bounding box of the vertices (``_points_box``).  Cached on
+        the instance like ``_point_rows``."""
+        return _points_box(self._vertex_rows)
 
     @cached_property
     def _vertex_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -311,8 +307,18 @@ def simplex_hrep(s: GeoSimplex):
 _bbox = SimpleNamespace(cache_clear=lambda: None)
 
 
-def _bbox_overlap(a: GeoSimplex, b: GeoSimplex) -> bool:
-    (alo, ahi, da), (blo, bhi, db) = a._box, b._box
+def _points_box(rows: Sequence[tuple]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The bounding box of points given as homogeneous integer vectors, as
+    integer corners (lo, hi) over one denominator D, the lcm of the point
+    denominators: the box is [lo/D, hi/D]."""
+    d = math.lcm(*(x[-1] for x in rows))
+    columns = list(zip(*(tuple(c * (d // x[-1]) for c in x[:-1]) for x in rows)))
+    return tuple(map(min, columns)), tuple(map(max, columns)), d
+
+
+def _bbox_overlap(abox: tuple, bbox: tuple) -> bool:
+    """Do two boxes (``_points_box``) meet?"""
+    (alo, ahi, da), (blo, bhi, db) = abox, bbox
     return all(al * db <= bh * da and bl * da <= ah * db
                for al, ah, bl, bh in zip(alo, ahi, blo, bhi))
 
@@ -363,7 +369,7 @@ def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     So the pair is proper iff every mask holds the bits of a's unshared
     vertices, which an empty cell satisfies.
     """
-    if not _bbox_overlap(a, b):
+    if not _bbox_overlap(a._box, b._box):
         return True
     shared = set(a._vertex_rows).intersection(b._vertex_rows)
     if _separated(a, b, shared) or _separated(b, a, shared):

@@ -15,8 +15,20 @@ constraints tight at it, come from clipping s by t's halfspaces one at a
 time (``linalg.clip_simplex``, the polytope kernel that also decides the
 common-face condition of ``complexes``).  A cell whose masks all share a
 bit lies in a hyperplane of aff(s) and is dropped; one with the dimension
-of s is triangulated by pulling its lexicographically least vertex.  Pulling depends only on the face being triangulated, so adjacent
-cells agree along shared faces and the union is again a simplicial complex.
+of s is triangulated by pulling its lexicographically least vertex.
+Pulling depends only on the face being triangulated, so adjacent cells
+agree along shared faces and the union is again a simplicial complex.
+
+One overlay serves ``supports``, ``common_refinement`` and
+``refine_for_map``: ``_cells`` cuts a simplex s into its preimage cells in
+the maximal simplexes of a target complex, for the affine map on s given by
+its vertex images, the identity in the first two.  Images sharing a host
+leave s whole, a target simplex whose integer box misses the images' box
+is skipped with no clip, and only a map other than the identity pulls the
+target's rows back (``_pullback_rows``).  ``common_refinement`` measures
+no tiling, as its support checks have settled that the cells tile;
+``refine_for_map`` measures one for every simplex it cuts.
+
 One predicate answers every question "does this set lie in |K|?":
 ``supports(K, points)``, conv(points) inside |K|.  It reads each point's
 hosts off K (``GeoComplex.hosts``), the maximal simplexes holding it: a
@@ -24,7 +36,7 @@ vertex of K is held exactly by its star, and any other point by the
 simplexes having every vertex of its carrier, found by one point location
 that K keeps.  A point without host leaves |K|, points sharing a host lie
 in it, and only the rest take the volume test on the same pieces: the
-cells of a simplex s against the maximal simplexes of K overlap only in
+cells of a simplex s in the maximal simplexes of K overlap only in
 measure zero, so they cover s exactly when they tile it.  One tiling test
 serves every such question (``_tiles``): pieces of s's dimension lying in
 s and overlapping in measure zero tile s exactly when their volumes,
@@ -33,8 +45,7 @@ Santos, *Triangulations*, 2010).  ``supports`` asks it of cells,
 ``refine_for_map`` of preimage cells, and the subdivision test, which
 clips nothing, of the maximal simplexes of the fine complex filed under
 the one coarse maximal simplex their vertices share as hosts
-(``is_subdivision``).  Integer bounding boxes spare clips: a cell of two
-simplexes with disjoint boxes is empty (``_pieces``).
+(``is_subdivision``).
 
 Two questions come up again and again about the same complexes: which
 simplexes of K lie in |P| (``inside_subcomplex``), and whether |P| lies in
@@ -70,7 +81,7 @@ from operator import and_, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import linalg
-from .complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap
+from .complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _points_box
 
 Row = tuple  # tuple[int, ...], an affine form as an integer row
 
@@ -174,15 +185,62 @@ def _pull_cell(s: GeoSimplex, eqs_t: Sequence[Row],
             for tri in linalg.pull_triangulation(vectors, ineqs)]
 
 
-def _pieces(s: GeoSimplex, cover: Iterable[GeoSimplex]) -> set[GeoSimplex]:
-    """Pulling triangulations of the cells s cap t of dimension dim s; a t
-    whose box misses s's box leaves an empty cell and is skipped."""
+def _pullback_rows(s: GeoSimplex, images: Sequence[RPoint],
+                   rows: Sequence[Row]) -> list[Row]:
+    """Rows g with g . X of the sign of f(eta(x)) for each row f, where eta
+    is the affine map on s with the given vertex images.
+
+    eta(x) = sum_i l_i(x) y_i for the barycentric forms l_i of s, so
+    f(eta(x)) = sum_i l_i(x) f(y_i).  s's barycentric rows are B_i = D l_i,
+    and f . Y_i = D' e_i f(y_i) for Y_i = e_i (y_i, 1).  So for the least
+    common multiple L of the e_i, g = sum_i (f . Y_i)(L / e_i) B_i is
+    D D' L > 0 times the form sum_i f(y_i) l_i, everywhere, not only on
+    aff(s).
+    """
+    ys = [y._homog for y in images]
+    lcm = math.lcm(*(y[-1] for y in ys))
+    bary = s._point_rows[1]
+    out = []
+    for f in rows:
+        weights = [sum(map(mul, f, y)) * (lcm // y[-1]) for y in ys]
+        out.append(tuple(sum(map(mul, weights, col)) for col in zip(*bary)))
+    return out
+
+
+def _cells(s: GeoSimplex, images: Sequence[RPoint],
+           target: GeoComplex) -> set[GeoSimplex]:
+    """The pulled preimage cells of s in the maximal simplexes t of target,
+    for the affine map eta on s with the given vertex images: the pulling
+    triangulations (``_pull_cell``) of the cells s cap eta^-1(t) of
+    dimension dim s.
+
+    Images sharing a host (``GeoComplex.hosts``) lie in one t, which then
+    holds eta(s), and the cells are {s}: the cell in t is s, and a cell in
+    another t' lies in the preimage of the face t cap t' of t, cut out of t
+    by an affine form that is >= 0 on eta(s); if that form pulled back is 0
+    on a subset of s of dimension dim s, it is 0 on s, and the cell is s
+    again.  A t whose integer box misses the images' box holds
+    no point of eta(s), which lies in that box, and is skipped.  For the
+    identity, ``images`` being s's own vertex tuple, t's rows cut s as
+    they are; otherwise they are pulled back along eta
+    (``_pullback_rows``).  Each cell equals s cap eta^-1(F) for the least
+    face F of t holding its image; distinct faces have disjoint relative
+    interiors, and a cell mapping into a face shared by several maximal
+    simplexes is pulled into the same simplexes each time, so the set keeps
+    it once and the cells overlap only in measure zero.
+    """
+    if frozenset.intersection(*map(target.hosts, images)):
+        return {s}
+    own = images == s.vertices
+    box = s._box if own else _points_box([y._homog for y in images])
     out: set[GeoSimplex] = set()
-    for t in cover:
-        if not _bbox_overlap(s, t):
+    for t in target.maximal_simplexes():
+        if not _bbox_overlap(box, t._box):
             continue
-        eqs, bary, _ = t._point_rows
-        out.update(_pull_cell(s, eqs, bary))
+        eqs, ineqs, _ = t._point_rows
+        if not own:
+            eqs, ineqs = _pullback_rows(s, images, eqs), _pullback_rows(s, images, ineqs)
+        out.update(_pull_cell(s, eqs, ineqs))
     return out
 
 
@@ -195,12 +253,9 @@ def supports(cx: GeoComplex, points: Sequence[RPoint]) -> bool:
     more than the dimension of their hull), conv(points) is by
     Caratheodory the union of the simplexes s spanned by r affinely
     independent points among them, and each s must be tiled by its cells
-    against the maximal simplexes of cx (``_pieces``, ``_tiles``).  Each
-    cell s cap t of dimension dim s equals s cap F for the least face F of
-    t containing it; distinct faces have disjoint relative interiors, and a
-    cell lying in a face shared by several maximal simplexes is pulled into
-    the same simplexes each time.  So the pieces overlap only in measure
-    zero, and they tile s exactly when s lies in |cx|.
+    in the maximal simplexes of cx under the identity (``_cells``,
+    ``_tiles``).  The cells overlap only in measure zero, so they tile s
+    exactly when s lies in |cx|.
     """
     found = [cx.hosts(p) for p in points]
     if not all(found):
@@ -209,10 +264,9 @@ def supports(cx: GeoComplex, points: Sequence[RPoint]) -> bool:
         return True
     unique = sorted(set(points))
     r = linalg.matrix_rank([p._homog for p in unique])
-    maxi = cx.maximal_simplexes()
     subs = (GeoSimplex._raw(sub) for sub in itertools.combinations(unique, r)
             if linalg.matrix_rank([p._homog for p in sub]) == r)
-    return all(_tiles(s, _pieces(s, maxi)) for s in subs)
+    return all(_tiles(s, _cells(s, s.vertices, cx)) for s in subs)
 
 
 def covers(cx: GeoComplex, part: GeoComplex) -> bool:
@@ -283,20 +337,19 @@ def is_subdivision(fine: GeoComplex, coarse: GeoComplex) -> bool:
 def common_refinement(a: GeoComplex, b: GeoComplex) -> GeoComplex:
     """A triangulation subdividing both a and b (equal supports required).
 
-    Simplexes of a already contained in a simplex of b survive unchanged:
-    they appear as faces of overlay cells, and pulling triangulates a face
-    that is already a simplex by itself.
+    Each maximal s of a is cut into its cells in the maximal simplexes of b
+    under the identity (``_cells``), and one complex is built from them all.
+    A simplex of a already in a simplex of b is its own one cell, and when
+    every one is, a itself is returned.  With |a| = |b| settled first, the
+    cells of s tile it, so no tiling is measured (``refine_for_map``
+    measures one for every cut simplex).
     """
     if a.ambient_dim != b.ambient_dim:
         raise SupportMismatch("support mismatch: different ambient dimensions")
     if not support_equal(a, b):
         raise SupportMismatch("support mismatch")
-    if a == b:
-        return a
-    simplexes: set[GeoSimplex] = set()
-    for s in a.maximal_simplexes():
-        simplexes |= _pieces(s, b.maximal_simplexes())
-    return GeoComplex(simplexes, validate=False)
+    cells = {c for s in a.maximal_simplexes() for c in _cells(s, s.vertices, b)}
+    return a if cells == set(a.maximal_simplexes()) else GeoComplex(cells, validate=False)
 
 
 # -- restriction to a subpolyhedron ------------------------------------------
@@ -432,66 +485,32 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
 # -- refinement compatible with a map ----------------------------------------
 
 
-def _pullback_rows(s: GeoSimplex, images: Sequence[RPoint],
-                   rows: Sequence[Row]) -> list[Row]:
-    """Rows g with g . X of the sign of f(eta(x)) for each row f, where eta
-    is the affine map on s with the given vertex images.
-
-    eta(x) = sum_i l_i(x) y_i for the barycentric forms l_i of s, so
-    f(eta(x)) = sum_i l_i(x) f(y_i).  s's barycentric rows are B_i = D l_i,
-    and f . Y_i = D' e_i f(y_i) for Y_i = e_i (y_i, 1).  So for the least
-    common multiple L of the e_i, g = sum_i (f . Y_i)(L / e_i) B_i is
-    D D' L > 0 times the form sum_i f(y_i) l_i, everywhere, not only on
-    aff(s).
-    """
-    ys = [y._homog for y in images]
-    lcm = math.lcm(*(y[-1] for y in ys))
-    bary = s._point_rows[1]
-    out = []
-    for f in rows:
-        weights = [sum(map(mul, f, y)) * (lcm // y[-1]) for y in ys]
-        out.append(tuple(sum(map(mul, weights, col)) for col in zip(*bary)))
-    return out
-
-
 def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
     """Subdivide cx until every simplex maps into one simplex of target.
 
     ``plmap``, a ``zmaps.PLMap``, must be compatible with cx (affine on each
     simplex, which holds for any vertex-image map on a subdivision of its
-    domain) and its image must lie in |target|.  Simplexes already mapping
-    into a single target simplex survive: they are faces of the preimage
-    cells.  A simplex maps into one target simplex iff its vertex images
-    share a host (``GeoComplex.hosts``).  The preimage cells of a cut
-    simplex must tile it (``_tiles``), or its image leaves |target|.  When
-    no simplex is cut, cx itself is returned.
+    domain) and its image must lie in |target|.  Each maximal s is cut into
+    its preimage cells in the maximal simplexes of target (``_cells``).  A
+    simplex mapping into one target simplex is its own one cell and
+    survives.  The cells of a cut simplex must tile it (``_tiles``), or its
+    image leaves |target|.  When no simplex is cut, cx itself is returned.
     """
     if plmap.codomain_dim != target.ambient_dim:
         raise ValueError(f"a point in R^{plmap.codomain_dim} is not in R^{target.ambient_dim}")
-    simplexes = []
-    cut = False
-    target_max = target.maximal_simplexes()
+    simplexes, cut = [], False
     images = {v: plmap.eval(v) for v in cx.vertices()}
     for s in cx.maximal_simplexes():
-        vert_imgs = [images[v] for v in s.vertices]
-        if frozenset.intersection(*map(target.hosts, vert_imgs)):
-            simplexes.append(s)
-            continue
-        cut = True
-        # A preimage cell mapping into a face shared by several target
-        # simplexes is pulled identically each time; the set keeps it once.
-        pieces: set[GeoSimplex] = set()
-        for t in target_max:
-            eqs_t, ineqs_t, _ = t._point_rows
-            pieces.update(_pull_cell(s, _pullback_rows(s, vert_imgs, eqs_t),
-                                     _pullback_rows(s, vert_imgs, ineqs_t)))
-        # The preimage cells must tile s exactly; a gap means the image of s
-        # leaves the support of the target.
-        if not _tiles(s, pieces):
-            raise SupportMismatch(
-                f"compatibility failure: the image of {s} is not contained "
-                "in the target support")
-        simplexes.extend(pieces)
+        cells = _cells(s, tuple(images[v] for v in s.vertices), target)
+        # The cells of a cut simplex must tile it exactly; a gap means the
+        # image of s leaves the support of the target.
+        if cells != {s}:
+            cut = True
+            if not _tiles(s, cells):
+                raise SupportMismatch(
+                    f"compatibility failure: the image of {s} is not contained "
+                    "in the target support")
+        simplexes.extend(cells)
     return GeoComplex(simplexes, validate=False) if cut else cx
 
 

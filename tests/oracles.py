@@ -94,11 +94,17 @@ parses a collapse sequence building and checking every simplex, from before
 a simplex against every simplex of a cover list (``simplex_inside``, the
 box-and-vertex test that also decided ``subdivide.is_subdivision``'s
 containment before it read the hosts its vertices share) and then by
-volume, and
+volume, on the cells that ``fraction_cell`` clips and pulls on
+``Fraction`` forms, so it shares no cell code with ``supports``; and
 ``caratheodory_supports`` splits a point list into the simplexes of its
 affinely independent subsets (``aff_dim`` and ``affinely_independent``,
 the ranks ``linalg`` computed for it), from before ``subdivide.supports``
-read the points' hosts off a complex.  ``rowwise_restrict`` slices the
+read the points' hosts off a complex.  ``pieces_common_refinement`` and
+``scan_refine_for_map`` are the two overlay loops that
+``subdivide.common_refinement`` and ``subdivide.refine_for_map`` ran
+before both cut simplexes with ``subdivide._cells``: the first with its
+``a == b`` shortcut and box test, the second with no box test and a
+pullback for every target simplex.  ``rowwise_restrict`` slices the
 whole complex by one row at a time (``slice_complex``), building a complex
 per cutting row, from before ``subdivide.restrict`` sliced the tuple of
 maximal simplexes in one pass; it keeps the end checks restrict dropped
@@ -566,17 +572,82 @@ def simplex_inside(s: GeoSimplex, t: GeoSimplex) -> bool:
     return all(t.contains(v) for v in s.vertices)
 
 
+def fraction_cell(s: GeoSimplex, t: GeoSimplex) -> list[GeoSimplex]:
+    """The pulling triangulation of the cell s cap t when it has the
+    dimension of s, [] otherwise, by the ``Fraction`` cell kernel
+    (``fraction_clip_simplex``, ``fraction_pull_triangulation``) on the
+    forms of ``simplex_hrep``; no integer row is read."""
+    eqs, ineqs = simplex_hrep(t)
+    verts = fraction_clip_simplex([v.coords for v in s.vertices], eqs, ineqs)
+    if not verts:
+        return []
+    forms = list(simplex_hrep(s)[1]) + list(ineqs)
+    return [GeoSimplex._raw(tuple(map(RPoint, tri)))
+            for tri in fraction_pull_triangulation(verts, forms)]
+
+
 def scan_supports(cover, s: GeoSimplex) -> bool:
     """Exact point-set containment of simplex s in the union of ``cover``,
     a subset of the maximal simplexes of one complex: s is tested against
-    each cover simplex (``simplex_inside``), then by volume
-    against all of them.  The reference for ``subdivide.supports``, which
-    took a cover list and a simplex."""
+    each cover simplex (``simplex_inside``), then by volume against its
+    cells in all of them (``fraction_cell``).  The reference for
+    ``subdivide.supports``, which took a cover list and a simplex."""
     cover = [t for t in cover if t.ambient_dim == s.ambient_dim]
     if any(simplex_inside(s, t) for t in cover):
         return True
-    return (relative_volume_total(subdivide._pieces(s, cover))
+    return (relative_volume_total({c for t in cover for c in fraction_cell(s, t)})
             == relative_volume_total([s]))
+
+
+def pieces_common_refinement(a: GeoComplex, b: GeoComplex) -> GeoComplex:
+    """``subdivide.common_refinement`` by its own overlay loop: a returned
+    as it is when a == b, and otherwise each maximal s of a pulled against
+    every maximal t of b whose integer box meets s's.  The reference for
+    common refinement by ``subdivide._cells``."""
+    if a.ambient_dim != b.ambient_dim:
+        raise subdivide.SupportMismatch("support mismatch: different ambient dimensions")
+    if not subdivide.support_equal(a, b):
+        raise subdivide.SupportMismatch("support mismatch")
+    if a == b:
+        return a
+    simplexes: set[GeoSimplex] = set()
+    for s in a.maximal_simplexes():
+        for t in b.maximal_simplexes():
+            if _bbox_overlap(s._box, t._box):
+                eqs, bary, _ = t._point_rows
+                simplexes.update(subdivide._pull_cell(s, eqs, bary))
+    return GeoComplex(simplexes, validate=False)
+
+
+def scan_refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
+    """``subdivide.refine_for_map`` by its own overlay loop: a simplex whose
+    vertex images share a host is kept, and any other is pulled against
+    every maximal simplex of target, with no box test, on the target's
+    rows pulled back along the map even for the identity.  The reference
+    for map refinement by ``subdivide._cells``."""
+    if plmap.codomain_dim != target.ambient_dim:
+        raise ValueError(f"a point in R^{plmap.codomain_dim} is not in R^{target.ambient_dim}")
+    simplexes = []
+    cut = False
+    images = {v: plmap.eval(v) for v in cx.vertices()}
+    for s in cx.maximal_simplexes():
+        vert_imgs = [images[v] for v in s.vertices]
+        if frozenset.intersection(*map(target.hosts, vert_imgs)):
+            simplexes.append(s)
+            continue
+        cut = True
+        pieces: set[GeoSimplex] = set()
+        for t in target.maximal_simplexes():
+            eqs_t, ineqs_t, _ = t._point_rows
+            pieces.update(subdivide._pull_cell(
+                s, subdivide._pullback_rows(s, vert_imgs, eqs_t),
+                subdivide._pullback_rows(s, vert_imgs, ineqs_t)))
+        if not subdivide._tiles(s, pieces):
+            raise subdivide.SupportMismatch(
+                f"compatibility failure: the image of {s} is not contained "
+                "in the target support")
+        simplexes.extend(pieces)
+    return GeoComplex(simplexes, validate=False) if cut else cx
 
 
 def caratheodory_supports(cover, points, simplex_supports=scan_supports) -> bool:
@@ -1036,7 +1107,7 @@ def lp_meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     that off-shared mass over a cap b: the pair meets in a common face iff
     the LP is infeasible (a cap b is empty) or its optimum is 0.
     """
-    if not _bbox_overlap(a, b):
+    if not _bbox_overlap(a._box, b._box):
         return True
     shared = set(a.vertices) & set(b.vertices)
     # Variables (mu, nu); the column of a vertex v of a is (v, 1, 0) and
@@ -1053,7 +1124,7 @@ def enumerate_meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
     """a cap b = conv(shared vertices), by enumerating the vertices of a cap b
     and testing each against the shared face; the reference for
     ``complexes._meet_in_common_face``."""
-    if not _bbox_overlap(a, b):
+    if not _bbox_overlap(a._box, b._box):
         return True
     shared = tuple(sorted(set(a.vertices) & set(b.vertices)))
     eqs_a, ineqs_a = simplex_hrep(a)

@@ -1,5 +1,8 @@
+import collections
 import json
+import random
 from importlib import resources
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -272,3 +275,106 @@ def test_corpus_verdicts_match():
             Path(corpus_path(f"{name}.verdict.scx")).read_text()).payload
         code = run("certify", corpus_path(f"{name}.scx"))
         assert code == {"certified": 0, "refuted": 1, "unknown": 2}[expected.status]
+
+
+def _corpus_documents() -> dict[str, dict]:
+    """The corpus documents by name, as JSON values, with the collapse
+    complex and sequence of each certified verdict as documents of their
+    own (``cube2.complex``, ``cube2.sequence``)."""
+    docs = {}
+    for path in sorted(resources.files("zrk.corpus").iterdir()):
+        if not path.name.endswith(".scx"):
+            continue
+        name, body = path.name.split(".")[0], json.loads(path.read_text(encoding="utf-8"))
+        if body["kind"] != "verdict":
+            docs[name] = body
+        elif "witnesses" in body:
+            for kind in ("complex", "sequence"):
+                docs[f"{name}.{kind}"] = dict(body["witnesses"][f"collapse_{kind}"],
+                                              kind=kind, version="1")
+    return docs
+
+
+# Each two-file command with the corpus pairs it accepts, file order kept.
+_TWO_FILE_PAIRS = {
+    "refine": [(c, c) for c in ("cube1", "cube2", "cube3", "edge_path", "half_diagonal")]
+              + [("cube2", "cube2.complex"), ("cube3", "cube3.complex")],
+    "restrict": [("cube1", "half_interval"), ("cube1", "third_interval"),
+                 ("cube2", "half_diagonal"), ("cube2", "antidiagonal"),
+                 ("cube2", "edge_path"), ("cube2", "corner_triangle"), ("cube3", "cube3")],
+    "replay": [(f"{c}.complex", f"{c}.sequence")
+               for c in ("cube1", "cube2", "cube3", "edge_path", "half_diagonal")],
+    "retract-verify": [("half_interval", "tent_retraction"),
+                       ("half_diagonal", "square_to_half_diagonal")],
+    "part2": [("tent_retraction", "half_interval"),
+              ("square_to_half_diagonal", "half_diagonal")],
+}
+_TWO_FILE_PAIRS["pipeline"] = _TWO_FILE_PAIRS["part2"]
+
+
+def _mutate(value, rng):
+    """The JSON value with one leaf, list or key changed at random: a
+    coordinate moved in [0, 1] mostly, else a malformed rational or a value
+    of another type put in, a list entry dropped, repeated or swapped, or a
+    key dropped."""
+    if isinstance(value, dict) and value:
+        keys, how = sorted(value), rng.random()
+        if how < 0.05:
+            return {k: v for k, v in value.items() if k != rng.choice(keys)}
+        # Mostly into the simplexes, images or steps, seldom the header.
+        deep = [k for k in keys if isinstance(value[k], list)]
+        key = rng.choice(deep if deep and how < 0.9 else keys)
+        return dict(value, **{key: _mutate(value[key], rng)})
+    if isinstance(value, list) and value:
+        out, i = list(value), rng.randrange(len(value))
+        how = rng.random()
+        if how < 0.1:
+            del out[i]
+        elif how < 0.2:
+            out.insert(i, out[i])
+        elif how < 0.3:
+            j = rng.randrange(len(out))
+            out[i], out[j] = out[j], out[i]
+        else:
+            out[i] = _mutate(out[i], rng)
+        return out
+    how = rng.random()
+    if how < 0.7:
+        q = rng.randint(1, 6)
+        return str(Fraction(rng.randint(0, q), q))
+    if how < 0.85:
+        return rng.choice(["-1", "3/2", "2/4", "1/0", "x", "", "1/2/3", "9" * 30, 2, -1])
+    return rng.choice([None, [], {}, [["0"]], 1.5, True])
+
+
+def test_two_file_commands_survive_mutated_documents(tmp_path, capsys):
+    # Each case gives a two-file command a pair of corpus documents, mostly
+    # one it accepts, each mutated zero to three times and now and then
+    # truncated: every run ends in an exit code, never in a traceback.
+    rng = random.Random(3808)
+    docs = _corpus_documents()
+    codes = collections.Counter()
+    for case in range(200):
+        command = sorted(_TWO_FILE_PAIRS)[case % len(_TWO_FILE_PAIRS)]
+        names = rng.choice(_TWO_FILE_PAIRS[command])
+        if rng.random() < 0.2:
+            names = rng.sample(sorted(docs), 2)
+        paths = []
+        for k, name in enumerate(names):
+            body = docs[name]
+            for _ in range(rng.choice([0, 0, 0, 1, 1, 2, 3])):
+                body = _mutate(body, rng)
+            text = json.dumps(body)
+            if rng.random() < 0.05:
+                text = text[:rng.randrange(len(text))]
+            paths.append(tmp_path / f"{case}-{k}.scx")
+            paths[-1].write_text(text, encoding="utf-8")
+        argv = [command, *map(str, paths)] + (["--budget", "200"] if command == "pipeline" else [])
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 65) and "Traceback" not in err, (argv, code, err)
+        codes[command, code] += 1
+    # Every command gets past parsing to an answer now and then.
+    assert {c for _, c in codes} >= {0, 1, 65}, codes
+    assert all(codes[command, 0] + codes[command, 1] + codes[command, 2] >= 3
+               for command in _TWO_FILE_PAIRS), codes

@@ -11,7 +11,6 @@ from zrk import (GeoComplex, GeoSimplex, PLMap, RPoint, common_refinement,
                  part2_reduce, pipeline_dh, refine_for_map, restrict, rpoint,
                  standard_cube, stellar, subdivide,
                  verify_section_retraction)
-from zrk.complexes import _bbox_overlap
 from zrk.scx import ScxDocument, parse_scx, print_scx
 from zrk.subdivide import (PointNotInSupport, SupportMismatch, covers,
                            inside_subcomplex, supports, support_equal)
@@ -987,34 +986,148 @@ def test_points_are_located_once_per_complex(monkeypatch):
     assert sum(located.values()) < sum(asked.values()), (located, asked)
 
 
-def test_pieces_never_clip_disjoint_boxes(monkeypatch):
-    # _pieces skips a cover simplex whose integer box misses s's box (the
-    # cell is empty); the pieces are those of clipping against every one.
+def _boxes_meet(ps, qs) -> bool:
+    """Do the coordinate boxes of two point lists meet?  Read off the
+    ``Fraction`` coordinates."""
+    return all(min(p[i] for p in ps) <= max(q[i] for q in qs)
+               and min(q[i] for q in qs) <= max(p[i] for p in ps)
+               for i in range(ps[0].dim))
+
+
+def test_cells_never_clip_disjoint_boxes(monkeypatch):
+    # _cells skips a target simplex whose integer box misses the box of the
+    # vertex images (the cell is empty), for the identity and for maps that
+    # squash s onto a line or into half the square; the cells are those of
+    # clipping against every target simplex.
     rng = random.Random(20192)
     cover = standard_cube(2)
     for _ in range(4):
         cover = stellar(cover, rpoint(*[random_rational(rng, 4) for _ in range(2)]))
-    by_rows = {id(t._point_rows[1]): t for t in cover.maximal_simplexes()}
-    clipped, pull = [], subdivide._pull_cell
+    maxi = cover.maximal_simplexes()
+    rows = {id(t._point_rows[1]): (t._point_rows[1], t) for t in maxi}
+    clipped, pull, pullback = [], subdivide._pull_cell, subdivide._pullback_rows
+
+    def tracked_pullback(s, images, rows_t):
+        out = pullback(s, images, rows_t)
+        if id(rows_t) in rows:  # kept alive in rows, so no id is reused
+            rows[id(out)] = (out, rows[id(rows_t)][1])
+        return out
 
     def tracked(s, eqs, ineqs):
-        clipped.append((s, by_rows[id(ineqs)]))
+        clipped.append((s, rows[id(ineqs)][1]))
         return pull(s, eqs, ineqs)
 
-    samples = [random_simplex(rng, 2, 6) for _ in range(40)]
-    samples += [tri((0, 0), ("1/4", 0), (0, "1/4")), tri((1, 1), ("3/4", 1), (1, "3/4"))]
+    simplexes = [random_simplex(rng, 2, 6) for _ in range(40)]
+    # Small triangles, a quarter wide, that cross the cover's edges.
+    for _ in range(40):
+        corner = [random_rational(rng, 4, 0, 1) * 3 / 4 for _ in range(2)]
+        pts = [rpoint(*[c + random_rational(rng, 8, 0, 1) / 4 for c in corner])
+               for _ in range(3)]
+        if linalg.matrix_rank([p._homog for p in pts]) == 3:
+            simplexes.append(GeoSimplex(tuple(sorted(pts))))
+    simplexes += [tri((0, 0), ("1/4", 0), (0, "1/4")), tri((1, 1), ("3/4", 1), (1, "3/4"))]
+    maps = [lambda v: v, lambda v: rpoint(v[0], v[1] / 2), lambda v: rpoint(v[0], 0),
+            lambda v: rpoint(v[0], v[0]), lambda v: rpoint(1 - v[1], (1 - v[1]) / 3)]
+    samples = [(s, tuple(map(f, s.vertices))) for s in simplexes for f in maps]
     monkeypatch.setattr(subdivide, "_pull_cell", tracked)
-    got = [subdivide._pieces(s, cover.maximal_simplexes()) for s in samples]
+    monkeypatch.setattr(subdivide, "_pullback_rows", tracked_pullback)
+    got, clipping = [], []
+    for s, images in samples:
+        del clipped[:]
+        got.append(subdivide._cells(s, images, cover))
+        clipping.append(list(clipped))
     monkeypatch.undo()
-    assert clipped and all(_bbox_overlap(s, t) for s, t in clipped)
-    skipped = len(samples) * len(cover.maximal_simplexes()) - len(clipped)
-    assert skipped >= len(samples), (skipped, len(clipped))
-    for s, pieces in zip(samples, got):
+    for (s, images), pairs in zip(samples, clipping):
+        assert all(c is s and _boxes_meet(images, t.vertices) for c, t in pairs), (s, images)
+    # Images sharing a host return {s} unclipped; every other sample skips
+    # one target simplex or more on the average, maps as well.
+    looped = [(images == s.vertices, len(maxi) - len(pairs))
+              for (s, images), pairs in zip(samples, clipping)
+              if not frozenset.intersection(*map(cover.hosts, images))]
+    for own in (True, False):
+        skips = [k for o, k in looped if o is own]
+        assert len(skips) >= 20 and sum(skips) >= len(skips), (own, skips)
+    for (s, images), cells in zip(samples, got):
         every = set()
-        for t in cover.maximal_simplexes():
+        for t in maxi:
             eqs, bary, _ = t._point_rows
+            if images != s.vertices:
+                eqs, bary = pullback(s, images, eqs), pullback(s, images, bary)
             every.update(pull(s, eqs, bary))
-        assert pieces == every, s
+        assert cells == every, (s, images)
+
+
+def _random_cube_point(rng, n: int, max_den: int = 4) -> RPoint:
+    return rpoint(*[random_rational(rng, max_den) for _ in range(n)])
+
+
+def test_one_overlay_matches_the_loops_it_replaced():
+    # common_refinement and refine_for_map cut simplexes with _cells; the
+    # loops they ran before (the a == b shortcut and box test of one, and a
+    # pullback against every target simplex in the other) are kept as
+    # oracles, and both answer the same, errors included.
+    rng = random.Random(3807)
+
+    def doc(cx):
+        return print_scx(ScxDocument("complex", cx))
+
+    for i in range(60):
+        n = 2 + i % 2
+        a = stellar_chain(standard_cube(n), [_random_cube_point(rng, n) for _ in range(4)])
+        b = a if i % 10 == 0 else stellar_chain(
+            standard_cube(n), [_random_cube_point(rng, n) for _ in range(4)])
+        assert doc(common_refinement(a, b)) == doc(oracles.pieces_common_refinement(a, b)), i
+
+    # Vertex images anywhere in the cube; on the main diagonal, made of
+    # edges shared by several target simplexes; or in one shared face for
+    # some vertices and anywhere for the rest, so a simplex may collapse
+    # onto that face; and the identity.  Targets missing a maximal simplex
+    # refuse some images with the same text.
+    kinds, collapsed = collections.Counter(), 0
+    for i in range(80):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        dom = stellar_chain(standard_cube(n), [_random_cube_point(rng, n) for _ in range(2)])
+        diagonal = [rpoint(*[x] * m) for x in (Fraction(1, 3), Fraction(1, 2))]
+        target = stellar_chain(standard_cube(m), diagonal[:i % 3]
+                               + [_random_cube_point(rng, m) for _ in range(2)])
+        kind = ("anywhere", "diagonal", "face", "identity")[i % 4]
+        if kind == "identity":
+            m, target = n, stellar_chain(standard_cube(n), [_random_cube_point(rng, n)])
+        if i % 5 == 4 and len(target.maximal_simplexes()) > 1:
+            target = GeoComplex(target.maximal_simplexes()[1:], validate=False)
+            kind += ", part of the cube"
+        shared = [f for f in target.simplexes if f.dim < m
+                  and len(frozenset.intersection(*map(target.hosts, f.vertices))) > 1]
+        face = rng.choice(shared) if shared else None
+        images, in_face = {}, set()
+        for v in dom.vertices():
+            if kind.startswith("identity"):
+                images[v] = v
+            elif kind.startswith("diagonal"):
+                images[v] = rpoint(*[random_rational(rng, 6)] * m)
+            elif kind.startswith("face") and face is not None and rng.random() < 0.8:
+                w = [rng.randint(0, 3) for _ in face.vertices]
+                w[0] += not any(w)
+                in_face.add(v)
+                images[v] = rpoint(*[sum(c * x[j] for c, x in zip(w, face.vertices)) / sum(w)
+                                     for j in range(m)])
+            else:
+                images[v] = _random_cube_point(rng, m, 6)
+        eta = PLMap(dom, images)
+        collapsed += sum(in_face.issuperset(s.vertices) and s.dim > face.dim
+                         for s in dom.maximal_simplexes())
+        outcomes = []
+        for refine in (refine_for_map, oracles.scan_refine_for_map):
+            try:
+                outcomes.append(doc(refine(dom, eta, target)))
+            except SupportMismatch as e:
+                outcomes.append(f"refused: {e}")
+        assert outcomes[0] == outcomes[1], (i, kind)
+        kinds[kind, outcomes[0].startswith("refused"), outcomes[0] == doc(dom)] += 1
+    assert collapsed >= 20, collapsed
+    assert sum(k for (_, refused, _), k in kinds.items() if refused) >= 4, kinds
+    assert sum(k for (_, refused, same), k in kinds.items()
+               if not refused and not same) >= 30, kinds
 
 
 def test_cell_kernel_runs_on_integers_only(monkeypatch):
