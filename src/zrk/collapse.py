@@ -6,15 +6,17 @@ failed search means only "not found within budget", never "not
 collapsible".  Search, replay and free faces read one face table of
 integer face ids.  Each face keeps its facets' ids, the number of its live
 cofaces and the XOR of their ids, so a free face names its one coface, and
-the free pairs are ints in one sorted list: removing or restoring a pair
-updates its two faces' facets and re-files their pairs in that list, whose
-shifts are linear in its length.  The search remembers failed states by a
-64-bit Zobrist word of the live set (Zobrist 1970), checked against the
-exact live flags, so a collision costs time and never changes a result.
+the free pairs are ints in one sorted list.  In the search, removing or
+restoring a pair updates its two faces' facets and re-files their pairs in
+that list, whose shifts are linear in its length; replay reads no free
+list, so a step only updates the facets.  The search remembers failed
+states by a 64-bit Zobrist word of the live set (Zobrist 1970), checked
+against the exact live flags, so a collision costs time and never changes
+a result.
 A simplex is the tuple of its vertices' ranks in the complex's vertex
 table, the sorted ``GeoComplex.vertices()``, so the face table is built
 from the complex's rank tuples; only a pair handed in as simplexes, a
-replay step, is looked up by point.
+replay step, is looked up by point, once per distinct vertex object.
 """
 
 from __future__ import annotations
@@ -108,15 +110,6 @@ class _FaceTable:
                 if count[g] == 1:
                     insort(free, xor[g] * n + g)
 
-    def face_id(self, s: GeoSimplex) -> Optional[int]:
-        return self.id.get(tuple(map(self.index.get, s.vertices)))
-
-    def free_pair(self, t: GeoSimplex, f: GeoSimplex) -> Optional[int]:
-        """T·n + F if F is now free with coface T, else None."""
-        i, j = self.face_id(t), self.face_id(f)
-        free = j is not None and self.count[j] == 1 and self.xor[j] == i
-        return i * self.n + j if free else None
-
     def geo(self, i: int) -> GeoSimplex:
         return GeoSimplex._raw(tuple(map(self.verts.__getitem__, self.faces[i])))
 
@@ -183,13 +176,33 @@ def find_collapse_sequence(cx: GeoComplex,
 
 def replay(cx: GeoComplex, seq: CollapseSequence) -> bool:
     """Check that every step is a valid elementary collapse in order and the
-    end state is the single terminal vertex.  A step costs its vertices'
-    rank lookups, two face-id lookups and one flip, whose list shifts are
-    linear in the free list."""
+    end state is the single terminal vertex.  Each distinct vertex object
+    of the sequence is looked up by point once, and then by its id, so a
+    parsed sequence, which shares one object per point, hashes no point
+    per occurrence.  A step costs two face-id lookups and one removal,
+    which flips ``live``, ``count`` and ``xor`` and leaves the sorted free
+    list, which replay never reads, as it is."""
     table = _FaceTable(cx)
+    ids, facets, count, xor, live = table.id, table.facets, table.count, table.xor, table.live
+    ranks: dict[int, Optional[int]] = {}  # id of a vertex object -> its rank
+
+    def face(vs: tuple) -> Optional[int]:
+        try:
+            return ids.get(tuple(map(ranks.__getitem__, map(id, vs))))
+        except KeyError:
+            for v in vs:
+                if id(v) not in ranks:
+                    ranks[id(v)] = table.index.get(v)
+            return face(vs)
+
     for step in seq.steps:
-        pair = table.free_pair(step.maximal, step.free_facet)
-        if pair is None:
+        t, f = face(step.maximal.vertices), face(step.free_facet.vertices)
+        if f is None or count[f] != 1 or xor[f] != t:
             return False
-        table.toggle(pair)
-    return table.size == 1 and table.geo(table.live.index(1)) == seq.terminal
+        for s in (t, f):
+            live[s] = 0
+            for g in facets[s]:
+                count[g] -= 1
+                xor[g] ^= s
+    # Each step removed two live faces.
+    return table.n - 2 * len(seq.steps) == 1 and table.geo(live.index(1)) == seq.terminal

@@ -65,7 +65,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import and_, ge, gt, le, lt, mul
 from types import SimpleNamespace
 from typing import Hashable, Iterable, Optional, Sequence
@@ -76,6 +76,29 @@ from .exactnum import _exact, format_rat, parse_rat
 
 class NotASimplicialComplex(ValueError):
     pass
+
+
+_FRACTION = frozenset({Fraction})  # the coordinate types a point keeps as given
+
+
+class _cached:
+    """An attribute computed on first read and kept in the instance dict,
+    which then answers every later read.  ``functools.cached_property``
+    does the same but, before Python 3.12, takes a lock shared by every
+    instance on each first read."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        # The dict is fetched (on 3.11, made) before the value is computed,
+        # as functools does: made after it, the benchmark's check set-up
+        # peaked about 0.1 MB higher on Python 3.11.
+        cache = obj.__dict__
+        value = cache[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +114,13 @@ class RPoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not self.coords:
+        coords = self.coords
+        if not coords:
             raise ValueError("ambient dimension must be >= 1")
-        object.__setattr__(self, "coords", tuple(
-            c if type(c) is Fraction else Fraction(_exact(c, f"coordinate {i}"))
-            for i, c in enumerate(self.coords)))
+        if type(coords) is not tuple or set(map(type, coords)) != _FRACTION:
+            object.__setattr__(self, "coords", tuple(
+                c if type(c) is Fraction else Fraction(_exact(c, f"coordinate {i}"))
+                for i, c in enumerate(coords)))
 
     @property
     def dim(self) -> int:
@@ -107,13 +132,13 @@ class RPoint:
     def __getitem__(self, i):
         return self.coords[i]
 
-    @cached_property
+    @_cached
     def _homog(self) -> tuple[int, ...]:
         """The primitive homogeneous vector d(p, 1), computed once, like
         ``_hash``."""
         return linalg.homogeneous(self.coords)
 
-    @cached_property
+    @_cached
     def _hash(self) -> int:
         return hash((self.coords,))
 
@@ -147,6 +172,12 @@ class RPoint:
         return op(len(x), len(y))
 
     def __lt__(self, other):
+        # What sorting and the ordered-vertex check ask: on equal
+        # denominators and lengths, the vectors compare as the tuples do.
+        if other.__class__ is self.__class__:
+            x, y = self._homog, other._homog
+            if x[-1] == y[-1] and len(x) == len(y):
+                return x < y
         return self._compare(other, lt)
 
     def __le__(self, other):
@@ -177,12 +208,17 @@ class GeoSimplex:
     vertices: tuple[RPoint, ...]
 
     def __post_init__(self):
-        vs = tuple(sorted(set(self.vertices)))
+        vs = self.vertices
+        # Strictly increasing vertices are sorted and distinct already, which
+        # k - 1 comparisons show with no hashing.
+        if type(vs) is not tuple or not all(map(lt, vs, vs[1:])):
+            vs = tuple(sorted(set(vs)))
         if not vs:
             raise ValueError("a simplex needs at least one vertex")
-        if len({v.dim for v in vs}) != 1:
+        rows = [v._homog for v in vs]
+        if len(set(map(len, rows))) != 1:
             raise ValueError("vertices must share an ambient dimension")
-        rank, det = linalg.rank_det([v._homog for v in vs])
+        rank, det = linalg.rank_det(rows)
         if rank != len(vs):
             raise ValueError("vertices are not affinely independent")
         object.__setattr__(self, "vertices", vs)
@@ -196,7 +232,7 @@ class GeoSimplex:
         object.__setattr__(obj, "vertices", vertices)
         return obj
 
-    @cached_property
+    @_cached
     def _hash(self) -> int:
         return hash((self.vertices,))
 
@@ -218,7 +254,7 @@ class GeoSimplex:
             for sub in itertools.combinations(self.vertices, k):
                 yield GeoSimplex._raw(sub)
 
-    @cached_property
+    @_cached
     def _point_rows(self) -> tuple[tuple[tuple[int, ...], ...],
                                    tuple[tuple[int, ...], ...], int]:
         """The equalities E, barycentric forms B and denominator D of
@@ -229,7 +265,7 @@ class GeoSimplex:
         """
         return linalg.simplex_rows(self._vertex_rows)
 
-    @cached_property
+    @_cached
     def _det(self) -> int:
         """det(X_j) of the homogeneous vertex vectors X_j = d_j(p_j, 1) in
         vertex order; nonzero, and the sign of the orientation, for an
@@ -238,13 +274,13 @@ class GeoSimplex:
         elimination, for a simplex built ``_raw``."""
         return linalg.det(self._vertex_rows)
 
-    @cached_property
+    @_cached
     def _box(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """The bounding box of the vertices (``_points_box``).  Cached on
         the instance like ``_point_rows``."""
         return _points_box(self._vertex_rows)
 
-    @cached_property
+    @_cached
     def _vertex_rows(self) -> tuple[tuple[int, ...], ...]:
         """The homogeneous integer vector of each vertex, in vertex order.
         Equal points have equal vectors, so shared vertices are found by

@@ -48,32 +48,46 @@ def _bareiss(rows: Sequence[Sequence[int]], reduced: bool = False
     a = p.  A column without a nonzero entry is skipped, so the pivot
     columns are the lexicographically first maximal set of independent
     columns, and the last pivot of a nonsingular square matrix is its
-    determinant up to the sign.  With ``reduced`` the rows
-    above the pivot are treated alike (fraction-free Gauss-Jordan): by
-    Cramer's rule their entries are minors up to sign too, and each earlier
-    pivot p becomes a, so at the end every pivot equals the last one, t,
-    and the pivot rows are t times the reduced row echelon form.
+    determinant up to the sign.  The pivot row and every row below it are
+    0 left of the pivot column, and stay 0, and a row below gets 0 in the
+    pivot column, so it is updated right of that column only; the pivot is
+    the diagonal entry when that is nonzero, with no scan.  With
+    ``reduced`` the rows above the pivot are treated alike, whole
+    (fraction-free Gauss-Jordan): by Cramer's rule their entries are minors
+    up to sign too, and each earlier pivot p becomes a, so at the end every
+    pivot equals the last one, t, and the pivot rows are t times the
+    reduced row echelon form.
     """
     m = [list(r) for r in rows]
     pivots: list[int] = []
-    sign, prev, r = 1, 1, 0
+    sign, prev, r, nrows = 1, 1, 0, len(m)
     for c in range(len(m[0]) if m else 0):
-        if r == len(m):
+        if r == nrows:
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
+        if not m[r][c]:
+            pivot = next((i for i in range(r + 1, nrows) if m[i][c]), None)
+            if pivot is None:
+                continue
             m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
         top = m[r]
         a = top[c]
-        for i in range(0 if reduced else r + 1, len(m)):
+        for i in range(r if reduced else 0):
             b = m[i][c]
-            if b and i != r:
+            if b:
                 m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], top)]
-            elif not b and a != prev:
+            elif a != prev:
                 m[i] = [a * x // prev for x in m[i]]
+        c1 = c + 1
+        tail = top[c1:]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            b = row[c]
+            if b:
+                row[c1:] = [(a * x - b * y) // prev for x, y in zip(row[c1:], tail)]
+                row[c] = 0
+            elif a != prev:
+                row[c1:] = [a * x // prev for x in row[c1:]]
         prev = a
         pivots.append(c)
         r += 1

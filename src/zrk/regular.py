@@ -59,8 +59,9 @@ def den(v: RPoint) -> int:
 
 @lru_cache(maxsize=None)
 def is_regular(s: GeoSimplex) -> bool:
-    """Homogeneous vertex vectors extend to a basis of Z^{n+1}."""
-    return _saturated(list(map(list, s._vertex_rows)))
+    """Homogeneous vertex vectors extend to a basis of Z^{n+1}.  A vertex's
+    one vector is primitive, so a 0-simplex is regular."""
+    return len(s.vertices) == 1 or _saturated(list(map(list, s._vertex_rows)))
 
 
 def is_strongly_regular_simplex(s: GeoSimplex) -> bool:

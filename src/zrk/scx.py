@@ -5,14 +5,17 @@ validates both syntax (rationals must be written canonically, 'p' or 'p/q'
 in lowest terms; no vertex is listed twice) and semantics (complexes must
 satisfy the simplicial-complex condition); printing is canonical, so
 parse . print is the identity on canonical text.  Every failure is a
-``ScxError`` whose ``where`` locates it in the document.  A collapse step's
-simplexes are read off earlier simplexes of the sequence when they are
-facets of them, with no sort and no rank check: its free facet off its
-maximal simplex, and its maximal simplex, unless it is maximal in the
-complex, off an earlier step's maximal simplex or free facet.  The facets
-of the earlier steps are keyed by the ids of their points, a fixed number
-of keys per step, dropped once the step removing that facet is read, so
-the parse is linear in the steps.  Every other entry is built and checked.
+``ScxError`` whose ``where`` locates it in the document.  Each point of a
+document is parsed once and then found by one memo lookup of its text.
+A collapse step's simplexes are read off earlier simplexes of the
+sequence when they are facets of them, with no sort, no rank check and
+no facet check of the pair: its free facet off its maximal simplex, and
+its maximal simplex, unless it is maximal in the complex, off an earlier
+step's maximal simplex or free facet.  Each step entry is resolved once
+to its points and their ids.  The facets of the earlier steps are keyed
+by those ids, a fixed number of keys per step, dropped once the step
+removing that facet is read, so the parse is linear in the steps.  Every
+other entry is built and checked, and so is its pair.
 
 The canonical text is what ``json.dumps`` prints with sorted keys and an
 indent of 2, plus a newline.  An indent makes ``json`` run its pure-Python
@@ -253,7 +256,10 @@ def _parse_point(entry, where: str, points: dict) -> RPoint:
     if not isinstance(entry, list) or not entry:
         raise ScxError("a point must be a nonempty array of rationals", where)
     key = tuple(entry)
-    known = points.get(key) if all(isinstance(t, str) for t in key) else None
+    try:
+        known = points.get(key)
+    except TypeError:  # an array in the point: reported below
+        known = None
     if known is not None:
         return known
     coords = []
@@ -278,8 +284,9 @@ def _parse_point(entry, where: str, points: dict) -> RPoint:
 def _parse_simplex(entry, dim: int, where: str, points: dict) -> GeoSimplex:
     if not isinstance(entry, list) or not entry:
         raise ScxError("a simplex must be a nonempty array of points", where)
-    vertices = [_parse_point(p, f"{where}[{i}]", points) for i, p in enumerate(entry)]
-    if any(p.dim != dim for p in vertices):
+    vertices = [v if v is not None else _parse_point(p, f"{where}[{i}]", points)
+                for i, (p, v) in enumerate(zip(entry, _resolve(entry, points)))]
+    if any(len(p.coords) != dim for p in vertices):
         raise ScxError(f"points must have dimension {dim}", where)
     try:
         s = GeoSimplex(tuple(vertices))
@@ -370,24 +377,22 @@ def _parse_weighted(body: dict) -> WeightedComplex:
     return WeightedComplex(base, dict(zip(names, weights)))
 
 
-def _read_off(entry, points: dict, known) -> Optional[GeoSimplex]:
-    """The simplex ``entry`` lists, read with no sort and no rank check,
-    when it lists points already parsed in this document and the tuple of
-    their ids is in ``known``; otherwise None.  A document's equal points
-    are one object (``_parse_point``), alive while it parses, so the ids
-    name the points."""
-    if not isinstance(entry, list) or not entry:
-        return None
+def _resolve(entry, points: dict) -> tuple:
+    """The points of this document that the items of a simplex entry
+    spell, one memo lookup each, with None for any other item; () when the
+    entry is not an array.  A document's equal points are one object
+    (``_parse_point``), alive while it parses, so their ids name them."""
+    if type(entry) is not list:
+        return ()
     try:
-        found = [points.get(tuple(e)) if type(e) is list else None for e in entry]
+        return tuple([points.get(tuple(e)) if type(e) is list else None for e in entry])
     except TypeError:  # an array in a point: the parser reports it
-        return None
-    return GeoSimplex._raw(tuple(found)) if tuple(map(id, found)) in known else None
+        return (None,) * len(entry)
 
 
-def _facet_ids(s: GeoSimplex) -> list[tuple[int, ...]]:
-    ids = tuple(map(id, s.vertices))
-    return [ids[:j] + ids[j + 1:] for j in range(len(ids))]
+def _facets(ids: tuple) -> list[tuple]:
+    """The facets of a simplex given as a tuple of ids; a vertex has none."""
+    return [ids[:j] + ids[j + 1:] for j in range(len(ids))] if len(ids) > 1 else []
 
 
 def _parse_sequence(body: dict, points: dict, where: str = "",
@@ -396,16 +401,18 @@ def _parse_sequence(body: dict, points: dict, where: str = "",
     one dimension up in the complex has gone already, as an earlier step's
     T' or F', so T is a facet of one of them unless it is maximal in the
     complex.  ``faces`` holds the id tuples of the facets of every earlier
-    T' and F' not yet removed themselves, a fixed number of keys per step,
-    and a T listed as one of them is read off it (``_read_off``), as is an
-    F listed as a facet of its T.  In a verdict, ``ccx`` is the collapse
-    complex parsed from the same document, and ``faces`` starts with the
-    id tuples of its maximal simplexes, so a maximal T is read off too;
-    only a complex of the terminal's dimension seeds it, as any other T
-    fails the dimension check.  Every other entry, a bad one included, is
+    T' and F' not yet removed themselves, a fixed number of keys per step.
+    Each step entry is resolved once, to its points and their ids
+    (``_resolve``): a T whose ids are in ``faces`` is read off as it is
+    listed, and an F whose ids are a facet of T's, with the pair, so
+    neither is sorted nor checked again.  In a verdict, ``ccx`` is the
+    collapse complex parsed from the same document, and ``faces`` starts
+    with the id tuples of its maximal simplexes, so a maximal T is read off
+    too; only a complex of the terminal's dimension seeds it, as any other
+    T fails the dimension check.  Every other entry, a bad one included, is
     parsed and checked as any simplex, which builds an equal simplex when
-    the entry is good; an F that is not a facet of T fails as a free facet
-    either way."""
+    the entry is good, and its pair is checked; an F that is not a facet of
+    T fails as a free facet either way."""
     if not isinstance(body, dict):
         raise ScxError("a collapse sequence must be a JSON object", where.rstrip("."))
     steps_in = body.get("steps")
@@ -418,21 +425,30 @@ def _parse_sequence(body: dict, points: dict, where: str = "",
     if ccx is not None and ccx.ambient_dim == terminal.dim:
         faces.update(tuple(map(id, m.vertices)) for m in ccx.maximal_simplexes())
     for i, pair in enumerate(steps_in):
-        at = f"{where}steps[{i}]"
+        # A step's location is formatted only for an entry that is parsed.
         if not isinstance(pair, list) or len(pair) != 2:
-            raise ScxError("each step is [maximal, free_facet]", at)
-        t = (_read_off(pair[0], points, faces)
-             or _parse_simplex(pair[0], terminal.dim, at + "[0]", points))
-        facets = _facet_ids(t)
-        f = (_read_off(pair[1], points, facets)
-             or _parse_simplex(pair[1], terminal.dim, at + "[1]", points))
-        try:
-            steps.append(CollapseStep(t, f))
-        except ValueError as exc:
-            raise ScxError(str(exc), at) from None
-        faces.update(facets)
-        faces.update(_facet_ids(f))
-        faces.difference_update((tuple(map(id, t.vertices)), tuple(map(id, f.vertices))))
+            raise ScxError("each step is [maximal, free_facet]", f"{where}steps[{i}]")
+        found = _resolve(pair[0], points)
+        tids = tuple(map(id, found))
+        if tids in faces:
+            t = GeoSimplex._raw(found)
+        else:
+            t = _parse_simplex(pair[0], terminal.dim, f"{where}steps[{i}][0]", points)
+            tids = tuple(map(id, t.vertices))
+        tfacets = _facets(tids)
+        found = _resolve(pair[1], points)
+        fids = tuple(map(id, found))
+        if fids in tfacets:
+            steps.append(CollapseStep._raw(t, GeoSimplex._raw(found)))
+        else:
+            f = _parse_simplex(pair[1], terminal.dim, f"{where}steps[{i}][1]", points)
+            fids = tuple(map(id, f.vertices))
+            try:
+                steps.append(CollapseStep(t, f))
+            except ValueError as exc:
+                raise ScxError(str(exc), f"{where}steps[{i}]") from None
+        faces.update(tfacets, _facets(fids))
+        faces.difference_update((tids, fids))
     return CollapseSequence(tuple(steps), GeoSimplex((terminal,)))
 
 

@@ -514,21 +514,26 @@ def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
     return GeoComplex(simplexes, validate=False) if cut else cx
 
 
-def _volume_axes(base: GeoSimplex) -> list[int]:
+def _volume_axes(base: GeoSimplex) -> Optional[list[int]]:
     """Coordinates in which the simplexes of aff(base) keep their volumes
     up to one factor: the first independent columns of the vertex vectors,
     after their last entry, which is where the edge directions are
-    independent, then the last entry itself."""
+    independent, then the last entry itself.  None for a full-dimensional
+    base, whose simplexes need no projection."""
+    if len(base.vertices) == base.ambient_dim + 1:
+        return None
     pivots = linalg.pivot_columns([x[-1:] + x[:-1] for x in base._vertex_rows])
     return [c - 1 for c in pivots[1:]] + [-1]
 
 
-def _volume(s: GeoSimplex, axes: Sequence[int]) -> Fraction:
+def _volume(s: GeoSimplex, axes: Optional[Sequence[int]]) -> Fraction:
     """s's d! volume projected to ``axes`` (``_volume_axes``): |det(X[axes])|
-    over the product of the X[-1], for its homogeneous vertex vectors X."""
+    over the product of the X[-1], for its homogeneous vertex vectors X.
+    With no axes that determinant is s's own ``_det``, which the checking
+    constructor keeps."""
     xs = s._vertex_rows
-    return Fraction(abs(linalg.det([[x[a] for a in axes] for x in xs])),
-                    math.prod(x[-1] for x in xs))
+    d = s._det if axes is None else linalg.det([[x[a] for a in axes] for x in xs])
+    return Fraction(abs(d), math.prod(x[-1] for x in xs))
 
 
 def _tiles(s: GeoSimplex, pieces: Iterable[GeoSimplex]) -> bool:

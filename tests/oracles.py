@@ -90,7 +90,14 @@ simplex's determinant.  ``elementary_collapse`` removes one free pair, checked a
 table; it was in ``collapse`` with no caller in ``src``.
 ``validating_parse_sequence``
 parses a collapse sequence building and checking every simplex, from before
-``scx`` read a step's simplexes off earlier steps.  ``scan_supports`` tests
+``scx`` read a step's simplexes off earlier steps, and
+``read_off_parse_sequence`` reads them off so (``_read_off``, against
+``_facet_ids``) but checks every pair and recomputes the id tuples of each
+step's simplexes, from before ``scx`` resolved each step entry once and
+built a read-off pair unchecked.  ``full_row_bareiss`` is the elimination
+that updated every row in full and scanned for every pivot, from before
+``linalg._bareiss`` updated a row below the pivot from the pivot column
+on.  ``scan_supports`` tests
 a simplex against every simplex of a cover list (``simplex_inside``, the
 box-and-vertex test that also decided ``subdivide.is_subdivision``'s
 containment before it read the hosts its vertices share) and then by
@@ -127,7 +134,7 @@ from itertools import combinations, product
 from operator import and_, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from zrk import linalg, subdivide, zmaps
+from zrk import linalg, scx, subdivide, zmaps
 from zrk.collapse import CollapseSequence, CollapseStep, _FaceTable, find_collapse_sequence
 from zrk.complexes import (GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _homogeneous,
                            skeleton)
@@ -901,6 +908,88 @@ def validating_parse_sequence(text: str) -> CollapseSequence:
     return CollapseSequence(steps, GeoSimplex((point(body["terminal"]),)))
 
 
+def _read_off(entry, points: dict, known) -> Optional[GeoSimplex]:
+    """The simplex ``entry`` lists, read with no sort and no rank check,
+    when it lists points already parsed in this document and the tuple of
+    their ids is in ``known``; otherwise None."""
+    if not isinstance(entry, list) or not entry:
+        return None
+    try:
+        found = [points.get(tuple(e)) if type(e) is list else None for e in entry]
+    except TypeError:  # an array in a point: the parser reports it
+        return None
+    return GeoSimplex._raw(tuple(found)) if tuple(map(id, found)) in known else None
+
+
+def _facet_ids(s: GeoSimplex) -> list[tuple[int, ...]]:
+    ids = tuple(map(id, s.vertices))
+    return [ids[:j] + ids[j + 1:] for j in range(len(ids))]
+
+
+def read_off_parse_sequence(body: dict, points: dict, where: str = "",
+                            ccx: Optional[GeoComplex] = None) -> CollapseSequence:
+    """``scx._parse_sequence`` with the same arguments, reading a simplex
+    off earlier steps by ``_read_off`` and checking every pair with
+    ``CollapseStep``."""
+    if not isinstance(body, dict):
+        raise scx.ScxError("a collapse sequence must be a JSON object", where.rstrip("."))
+    steps_in = body.get("steps")
+    terminal_in = body.get("terminal")
+    if not isinstance(steps_in, list):
+        raise scx.ScxError("'steps' must be an array", where + "steps")
+    terminal = scx._parse_point(terminal_in, where + "terminal", points)
+    steps = []
+    faces: set[tuple[int, ...]] = set()
+    if ccx is not None and ccx.ambient_dim == terminal.dim:
+        faces.update(tuple(map(id, m.vertices)) for m in ccx.maximal_simplexes())
+    for i, pair in enumerate(steps_in):
+        at = f"{where}steps[{i}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise scx.ScxError("each step is [maximal, free_facet]", at)
+        t = (_read_off(pair[0], points, faces)
+             or scx._parse_simplex(pair[0], terminal.dim, at + "[0]", points))
+        facets = _facet_ids(t)
+        f = (_read_off(pair[1], points, facets)
+             or scx._parse_simplex(pair[1], terminal.dim, at + "[1]", points))
+        try:
+            steps.append(CollapseStep(t, f))
+        except ValueError as exc:
+            raise scx.ScxError(str(exc), at) from None
+        faces.update(facets)
+        faces.update(_facet_ids(f))
+        faces.difference_update((tuple(map(id, t.vertices)), tuple(map(id, f.vertices))))
+    return CollapseSequence(tuple(steps), GeoSimplex((terminal,)))
+
+
+def full_row_bareiss(rows, reduced: bool = False):
+    """``linalg._bareiss`` updating every row in full, with a scan for
+    every pivot."""
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    sign, prev, r = 1, 1, 0
+    for c in range(len(m[0]) if m else 0):
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        top = m[r]
+        a = top[c]
+        for i in range(0 if reduced else r + 1, len(m)):
+            b = m[i][c]
+            if b and i != r:
+                m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], top)]
+            elif not b and a != prev:
+                m[i] = [a * x // prev for x in m[i]]
+        prev = a
+        pivots.append(c)
+        r += 1
+    return m, pivots, sign
+
+
 def minor_gcd(m, k: int) -> int:
     """gcd of all k x k minors (brute force; the oracle for invariant factors)."""
     entries = m.entries if isinstance(m, IntMat) else IntMat.from_rows(m).entries
@@ -949,7 +1038,9 @@ class NotAnElementaryCollapse(ValueError):
 
 def elementary_collapse(cx: GeoComplex, t: GeoSimplex, f: GeoSimplex) -> GeoComplex:
     """Remove exactly {T, F}; errors unless (T, F) is a free pair."""
-    if _FaceTable(cx).free_pair(t, f) is None:
+    table = _FaceTable(cx)
+    i, j = (table.id.get(tuple(map(table.index.get, s.vertices))) for s in (t, f))
+    if j is None or table.count[j] != 1 or table.xor[j] != i:
         raise NotAnElementaryCollapse("not an elementary collapse")
     return GeoComplex(cx.simplexes - {t, f}, validate=False)
 

@@ -10,7 +10,7 @@ from zrk import (CollapseSequence, CollapseStep, GeoComplex, GeoSimplex, RPoint,
                  find_collapse_sequence, free_faces, from_maximal, replay, rpoint,
                  standard_cube, stellar)
 from zrk import collapse
-from zrk.scx import ScxDocument, print_scx
+from zrk.scx import ScxDocument, parse_scx, print_scx
 
 from conftest import seg, tri
 from oracles import (NotAnElementaryCollapse, dfs_collapse_sequence,
@@ -189,6 +189,32 @@ def test_search_and_replay_match_scanning_oracles():
             continue
         for mutated in _mutations(seq, rng):
             assert replay(cx, mutated) == scan_replay(cx, mutated)
+
+
+def test_replay_files_no_free_pairs(monkeypatch):
+    # Replay reads no free list, so a step only updates its two faces'
+    # facets; re-filing their pairs in the sorted list, as the search's
+    # toggle does, shifted that list at every step.  Each distinct vertex
+    # object is looked up by point once: a parsed cube4 witness has 16.
+    cx = standard_cube(4)
+    seq = find_collapse_sequence(cx)
+    parsed = parse_scx(print_scx(ScxDocument("sequence", seq))).payload
+    calls = []
+    for name in ("insort", "bisect_left", "bisect_right"):
+        real = getattr(collapse, name)
+        monkeypatch.setattr(collapse, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    hashed = []
+    real_hash = RPoint.__hash__
+    monkeypatch.setattr(RPoint, "__hash__", lambda p: hashed.append(p) or real_hash(p))
+    assert replay(cx, parsed)
+    assert not calls
+    assert len(hashed) == 16
+    monkeypatch.undo()
+    assert replay(cx, seq)
+    rng = random.Random(39)
+    for mutated in _mutations(parsed, rng):
+        assert replay(cx, mutated) == scan_replay(cx, mutated)
 
 
 def _hollow_with_tails(k: int) -> GeoComplex:

@@ -15,7 +15,7 @@ from zrk.subdivide import _pull_cell, _pullback_rows
 
 from conftest import random_rational
 from oracles import (AffineForm, aff_dim, affine_hull_forms, affinely_independent,
-                     echelon, enumerate_cell_vertices,
+                     echelon, enumerate_cell_vertices, full_row_bareiss,
                      fraction_clip_simplex, fraction_det, fraction_pull_triangulation,
                      integer_rows, lp_maximize, negate, pullback_forms,
                      relative_volume_total, simplex_forms, simplex_hrep, simplex_volume,
@@ -309,6 +309,40 @@ def test_bareiss_on_zero_one_matrices_matches_fraction_elimination():
             [[0] * width] * (height - len(pivots)), rows
     # The homogeneous rows of a Kuhn simplex of the 4-cube are unimodular.
     assert abs(det([[1] * k + [0] * (4 - k) + [1] for k in range(5)])) == 1
+
+
+def test_bareiss_matches_the_full_row_elimination():
+    # A row below the pivot is updated right of the pivot column only, and
+    # the diagonal entry is tried before a scan for the pivot; the rows,
+    # pivots and sign are those of the elimination that updated every row
+    # in full, in both modes.  Seeded integer matrices: square, wide and
+    # tall, singular, with zero columns and zero leading entries.
+    rng = random.Random(1405)
+    kinds = collections.Counter()
+    for _ in range(600):
+        height, width = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.choice((0, 0, 1, -1, rng.randint(-30, 30))) for _ in range(width)]
+             for _ in range(height)]
+        shape = rng.randrange(4)
+        if shape == 1 and height > 1:
+            a, b = rng.sample(range(height), 2)
+            m[b] = [rng.randint(-3, 3) * x for x in m[a]]
+        elif shape == 2:
+            col = rng.randrange(width)
+            for r in m:
+                r[col] = 0
+        elif shape == 3:
+            m[0][0] = 0
+        for reduced in (False, True):
+            assert _bareiss(m, reduced) == full_row_bareiss(m, reduced), (m, reduced)
+        pivots = _bareiss(m)[1]
+        kinds["singular"] += len(pivots) < min(height, width)
+        kinds["wide"] += width > height
+        kinds["tall"] += height > width
+        kinds["zero column"] += any(not any(col) for col in zip(*m))
+        kinds["swap"] += _bareiss(m)[2] == -1
+    assert min(kinds.values()) >= 60, kinds
+    assert _bareiss([]) == full_row_bareiss([]) == ([], [], 1)
 
 
 def test_normal_is_the_cofactor_row_up_to_scale():

@@ -47,6 +47,8 @@ def test_is_regular_golden():
     assert is_regular(tri((0, 0), (1, 0), ("1/2", "1/2")))
     assert not is_regular(seg("1/3", "2/3"))
     assert is_regular(GeoSimplex((rpoint(0, 0), rpoint(1, 0))))
+    # A vertex's one vector is primitive.
+    assert is_regular(GeoSimplex((rpoint("1/3", "2/5"),)))
 
 
 def test_is_regular_vertex_order_invariant():

@@ -8,16 +8,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from zrk import (GeoSimplex, PLMap, RPoint, certify_main, complexes,
-                 find_collapse_sequence, from_maximal, linalg, part2_reduce,
+from zrk import (CollapseSequence, CollapseStep, GeoSimplex, PLMap, RPoint, certify_main,
+                 complexes, find_collapse_sequence, from_maximal, linalg, part2_reduce,
                  pipeline_dh, rpoint, scx, standard_cube, stellar)
 from zrk.complexes import AbsComplex, WeightedComplex
 from zrk.exactnum import format_rat
 from zrk.scx import KINDS, ScxDocument, ScxError, parse_scx, print_scx
 from zrk.zmaps import RetractVerdict
 
-from conftest import seg, tri
-from oracles import json_print_scx, validating_parse_sequence
+from conftest import random_simplex, seg, tri
+from oracles import json_print_scx, read_off_parse_sequence, validating_parse_sequence
 from test_collapse import _differential_complexes, _mutations
 
 
@@ -142,6 +142,112 @@ def test_sequences_parse_as_when_every_simplex_is_checked():
         assert parse_scx(text).payload == validating_parse_sequence(text)
 
 
+def _witness_documents(rng: random.Random) -> list[str]:
+    """Sequence and certified verdict texts: every witness ``certify_main``
+    gives for the corpus complexes, cube1-4, 20 seeded stellar cube3s and
+    random simplexes."""
+    from importlib import resources
+
+    parts = [doc.payload for doc in (
+        parse_scx(entry.read_text(encoding="utf-8"))
+        for entry in sorted(resources.files("zrk.corpus").iterdir(), key=lambda e: e.name)
+        if entry.name.endswith(".scx")) if doc.kind == "complex"]
+    parts += [standard_cube(n) for n in (1, 2, 3, 4)]
+    parts += [stellar(standard_cube(3), rpoint(*[Fraction(rng.randint(1, 8), 9)
+                                                 for _ in range(3)]))
+              for _ in range(20)]
+    parts += [from_maximal([random_simplex(rng, rng.randint(1, 3), 6)]) for _ in range(12)]
+    texts = []
+    for part in parts:
+        verdict = certify_main(part)
+        if verdict.witnesses and verdict.witnesses.collapse_sequence is not None:
+            texts.append(print_scx(ScxDocument("verdict", verdict)))
+        texts.append(print_scx(ScxDocument("sequence", find_collapse_sequence(part))))
+    return texts
+
+
+def _mutated_sequence(body: dict, rng: random.Random) -> str:
+    """The document with one fault in one step of its sequence: a dropped or
+    doubled step, T and F swapped, an F that is not a facet, a repeated or
+    unsorted vertex, a dependent T, a non-canonical coordinate, a point of
+    the wrong dimension or an array inside a point."""
+    body = json.loads(json.dumps(body))
+    seq = body["witnesses"]["collapse_sequence"] if body["kind"] == "verdict" else body
+    steps = seq["steps"]
+    k = rng.randrange(len(steps))
+    side = rng.randrange(2)
+    simplex = steps[k][side]
+    kind = rng.choice(("drop", "double", "swap", "foreign facet", "repeat", "unsort",
+                       "dependent", "noncanonical", "dimension", "array"))
+    if kind == "drop":
+        del steps[k]
+    elif kind == "double":
+        steps.insert(k, json.loads(json.dumps(steps[k])))
+    elif kind == "swap":
+        steps[k].reverse()
+    elif kind == "foreign facet":
+        steps[k][1] = json.loads(json.dumps(rng.choice(steps)[1]))
+    elif kind == "repeat":
+        simplex.append(list(rng.choice(simplex)))
+        rng.shuffle(simplex)
+    elif kind == "unsort":
+        simplex.reverse()
+    elif kind == "dependent":
+        t = steps[k][0]  # a maximal simplex has two vertices or more
+        a, b = (rpoint(*p) for p in rng.sample(t, 2))
+        t.append([format_rat((x + y) / 2) for x, y in zip(a.coords, b.coords)])
+    else:
+        point = rng.choice(simplex)
+        i = rng.randrange(len(point))
+        if kind == "noncanonical":
+            num, _, den = point[i].partition("/")
+            point[i] = f"{2 * int(num)}/{2 * int(den)}" if den else num + "/1"
+        elif kind == "dimension":
+            point.append("0")
+        else:
+            point[i] = [point[i]]
+    return json.dumps(body)
+
+
+def _sequence_outcome(text: str):
+    """The collapse sequence a document parses to, or its error's location
+    and text."""
+    try:
+        doc = parse_scx(text)
+    except ScxError as exc:
+        return exc.where, str(exc)
+    return doc.payload if doc.kind == "sequence" else doc.payload.witnesses.collapse_sequence
+
+
+def test_sequence_parser_matches_the_read_off_oracle(monkeypatch):
+    # Resolving each step entry once and building a read-off pair unchecked
+    # parses every witness, standalone and inside its verdict, to the
+    # sequence that reading simplexes off and checking every pair gives;
+    # each mutated document raises the same error at the same location, or
+    # parses to the same sequence.
+    rng = random.Random(39)
+    texts = _witness_documents(rng)
+    assert sum('"kind": "verdict"' in t for t in texts) >= 30, len(texts)
+    for text in texts:
+        got = _sequence_outcome(text)
+        with monkeypatch.context() as m:
+            m.setattr(scx, "_parse_sequence", read_off_parse_sequence)
+            assert _sequence_outcome(text) == got
+        assert isinstance(got, CollapseSequence), got
+    bodies = [json.loads(t) for t in texts]
+    bodies = [b for b in bodies
+              if (b["witnesses"]["collapse_sequence"] if b["kind"] == "verdict" else b)["steps"]]
+    raised = 0
+    for _ in range(200):
+        text = _mutated_sequence(rng.choice(bodies), rng)
+        got = _sequence_outcome(text)
+        with monkeypatch.context() as m:
+            m.setattr(scx, "_parse_sequence", read_off_parse_sequence)
+            assert _sequence_outcome(text) == got, text
+        raised += isinstance(got, tuple)
+    assert 100 <= raised < 200, raised
+
+
 def test_sequence_parse_work_per_step_does_not_grow(monkeypatch):
     # Each step looks up a fixed number of facet keys, so the point hashes
     # per step do not grow with the sequence.  They grew when each step
@@ -162,14 +268,19 @@ def test_sequence_parse_work_per_step_does_not_grow(monkeypatch):
 
 def test_sequence_steps_are_read_off_earlier_steps(monkeypatch):
     # Only the 24 maximal simplexes of cube4 and the terminal vertex are
-    # built and checked; the 126 other simplexes were before.
+    # built and checked; the 126 other simplexes were before.  Every one
+    # of the 149 free facets is read off its maximal simplex, so no pair
+    # is checked again.
     text = print_scx(ScxDocument("sequence", find_collapse_sequence(standard_cube(4))))
-    calls = []
-    check = GeoSimplex.__post_init__
+    calls, steps = [], []
+    check, step_check = GeoSimplex.__post_init__, CollapseStep.__post_init__
     monkeypatch.setattr(GeoSimplex, "__post_init__",
                         lambda self: calls.append(1) or check(self))
-    parse_scx(text)
+    monkeypatch.setattr(CollapseStep, "__post_init__",
+                        lambda self: steps.append(1) or step_check(self))
+    assert len(parse_scx(text).payload.steps) == 149
     assert len(calls) <= 25
+    assert not steps
 
 
 def test_verdict_roundtrip(half_interval, antidiagonal):
