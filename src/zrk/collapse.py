@@ -8,7 +8,7 @@ integer face ids.  Each face keeps its facets' ids, the number of its live
 cofaces and the XOR of their ids, so a free face names its one coface, and
 the free pairs are ints in one sorted list.  In the search, removing or
 restoring a pair updates its two faces' facets and re-files their pairs in
-that list, whose shifts are linear in its length; replay reads no free
+that list, whose shifts are linear in its length; replay builds no free
 list, so a step only updates the facets.  The search remembers failed
 states by a 64-bit Zobrist word of the live set (Zobrist 1970), checked
 against the exact live flags, so a collision costs time and never changes
@@ -72,9 +72,7 @@ class _FaceTable:
     facets' ids; ``count[i]``, the number of its live cofaces one dimension
     up; and ``xor[i]``, the XOR of their ids, which is that coface when
     there is one.  ``live`` flags the live faces and ``size`` counts them.
-    ``free`` is the sorted list of the ints T·n + F, n faces, over the pairs
-    where T is F's only live coface, so int order is (T, F) order.  Removing
-    only free pairs keeps every face of a live face live."""
+    Removing only free pairs keeps every face of a live face live."""
 
     def __init__(self, cx: GeoComplex):
         self.verts, self.index = cx.vertices(), cx._rank
@@ -90,7 +88,15 @@ class _FaceTable:
                 count[g] += 1
                 xor[g] ^= i
         self.live = bytearray(b"\1") * n
+
+    def file_free(self) -> list[int]:
+        """Build ``free``, the sorted list of the ints T·n + F, n faces,
+        over the pairs where T is F's only live coface, so int order is
+        (T, F) order.  The search and ``free_faces`` read it; replay does
+        not, so the table is built without it."""
+        count, xor, n = self.count, self.xor, self.n
         self.free = sorted(xor[g] * n + g for g in range(n) if count[g] == 1)
+        return self.free
 
     def toggle(self, pair: int) -> None:
         """Remove the free pair T·n + F, or put it back: flip T and F in
@@ -125,7 +131,7 @@ def _zobrist(i: int) -> int:
 def free_faces(cx: GeoComplex) -> list[tuple[GeoSimplex, GeoSimplex]]:
     """All pairs (T, F) where F is a facet of exactly one simplex T."""
     table = _FaceTable(cx)
-    return [(table.geo(p // table.n), table.geo(p % table.n)) for p in table.free]
+    return [(table.geo(p // table.n), table.geo(p % table.n)) for p in table.file_free()]
 
 
 def find_collapse_sequence(cx: GeoComplex,
@@ -147,7 +153,7 @@ def find_collapse_sequence(cx: GeoComplex,
     budget".
     """
     table = _FaceTable(cx)
-    pairs, n, live = table.free, table.n, table.live  # updated in place
+    pairs, n, live = table.file_free(), table.n, table.live  # updated in place
     words = list(map(_zobrist, range(n)))
     failed: dict[int, set[bytes]] = {}
     key = nodes = 0
@@ -180,8 +186,8 @@ def replay(cx: GeoComplex, seq: CollapseSequence) -> bool:
     of the sequence is looked up by point once, and then by its id, so a
     parsed sequence, which shares one object per point, hashes no point
     per occurrence.  A step costs two face-id lookups and one removal,
-    which flips ``live``, ``count`` and ``xor`` and leaves the sorted free
-    list, which replay never reads, as it is."""
+    which flips ``live``, ``count`` and ``xor``; replay builds no free list
+    (``_FaceTable.file_free``)."""
     table = _FaceTable(cx)
     ids, facets, count, xor, live = table.id, table.facets, table.count, table.xor, table.live
     ranks: dict[int, Optional[int]] = {}  # id of a vertex object -> its rank

@@ -38,7 +38,7 @@ validation records, the hosts of each point located in it, and
 and weighted abstract complexes carry the combinatorial skeletons.
 
 Point location and independence are exact integer arithmetic.  Each point
-caches its primitive homogeneous vector X = d(p, 1), for the least common
+holds its primitive homogeneous vector X = d(p, 1), for the least common
 denominator d of p (``linalg.homogeneous``), and a tuple of points is
 affinely independent iff the rank of their vectors is their number; the
 checking constructor keeps the determinant that its rank elimination yields
@@ -53,25 +53,31 @@ kernel clips and pulls.  ``GeoComplex.carrier`` reads the carrier of p off
 the first maximal simplex holding p, and ``GeoComplex.hosts`` reads every
 maximal simplex holding p off the stars of the carrier's vertices, with no
 test per simplex; a vertex's hosts are its star, and a point that is not a
-vertex is located once per complex.  Points compare by cross-multiplying
-their vectors and boxes are integer corners over one denominator, so once
-a point is built no ``Fraction`` is compared: not in sorting or looking up
-points, validating a complex, replaying a collapse or locating a point.
+vertex is located once per complex.  A point is its vector: every point
+computed here and in ``subdivide``, ``regular`` and ``zmaps`` is built
+from it (``RPoint._from_homog``), and its ``Fraction`` coordinates are made
+only when read.  Points compare by cross-multiplying their vectors, hash
+and print from them, and boxes are integer corners over one denominator,
+so no ``Fraction`` is built: not in sorting, hashing or printing points,
+validating a complex, replaying a collapse, locating a point or running
+the constructive pipeline.  They are made where coordinates are parsed or
+read, and by ``GeoSimplex.barycentric``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import and_, ge, gt, le, lt, mul
+from operator import and_, ge, gt, itemgetter, le, lt, mul
 from types import SimpleNamespace
 from typing import Hashable, Iterable, Optional, Sequence
 
 from . import linalg
-from .exactnum import _exact, format_rat, parse_rat
+from .exactnum import _exact, parse_rat
 
 
 class NotASimplicialComplex(ValueError):
@@ -101,30 +107,77 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True, eq=False)
+_set = object.__setattr__
+_MODULUS = sys.hash_info.modulus
+
+
+def _quotient_text(e: int, d: int) -> str:
+    """``format_rat`` of e/d, d > 0."""
+    g = math.gcd(e, d)
+    return str(e // g) if g == d else f"{e // g}/{d // g}"
+
+
 class RPoint:
-    """A rational point with a fixed ambient dimension.
+    """A rational point with a fixed ambient dimension, kept as its
+    primitive homogeneous vector ``_homog`` = d(p, 1), d > 0 the least
+    common denominator of p.  A point built from coordinates keeps them;
+    one built from its vector (``_from_homog``), as every computed point
+    is, makes its ``Fraction`` coordinates only when ``coords`` is read.
 
     Points compare as their coordinate tuples do (lexicographically, a
-    proper prefix first), but on the cached primitive vectors ``_homog``:
-    two points are equal iff their vectors are, and coordinates a/d and
-    b/e (d, e > 0 the vectors' last entries) compare as a e and b d.  No
-    ``Fraction`` is compared."""
+    proper prefix first), but on the vectors: two points are equal iff
+    their vectors are, and coordinates a/d and b/e compare as a e and b d.
+    The hash is hash((coords,)), the one a dataclass with the field
+    ``coords`` generates, computed once from the vector by Python's
+    numeric hash ("Hashing of numeric types" in the standard library
+    reference): for the hash modulus M, a prime, and d prime to M, the
+    coordinate e/d hashes as |e| d^-1 mod M with e's sign, and -1 as -2,
+    whether or not e/d is in lowest terms.  That signed residue lies in
+    (-M, M), where an int hashes as itself but -1 as -2, so a tuple of the
+    residues hashes as the coordinate tuple.  So once a point is built, no
+    ``Fraction`` is built, compared or hashed unless ``coords`` is read."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("_coords", "_homog", "_hash")
 
-    def __post_init__(self):
-        coords = self.coords
+    def __new__(cls, coords: Sequence):
+        if type(coords) is not tuple or set(map(type, coords)) != _FRACTION:
+            coords = tuple(c if type(c) is Fraction else Fraction(_exact(c, f"coordinate {i}"))
+                           for i, c in enumerate(coords))
         if not coords:
             raise ValueError("ambient dimension must be >= 1")
-        if type(coords) is not tuple or set(map(type, coords)) != _FRACTION:
-            object.__setattr__(self, "coords", tuple(
-                c if type(c) is Fraction else Fraction(_exact(c, f"coordinate {i}"))
-                for i, c in enumerate(coords)))
+        p = cls._from_homog(linalg.homogeneous(coords))
+        _set(p, "_coords", coords)
+        return p
+
+    @classmethod
+    def _from_homog(cls, x: tuple[int, ...]) -> "RPoint":
+        """The point with the primitive vector x, whose last entry is > 0."""
+        p = object.__new__(cls)
+        _set(p, "_coords", None)
+        _set(p, "_homog", x)
+        _set(p, "_hash", None)
+        return p
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}: points are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return RPoint._from_homog, (self._homog,)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        coords = self._coords
+        if coords is None:
+            *x, d = self._homog
+            coords = tuple(Fraction(e, d) for e in x)
+            _set(self, "_coords", coords)
+        return coords
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self._homog) - 1
 
     def __iter__(self):
         return iter(self.coords)
@@ -132,21 +185,26 @@ class RPoint:
     def __getitem__(self, i):
         return self.coords[i]
 
-    @_cached
-    def _homog(self) -> tuple[int, ...]:
-        """The primitive homogeneous vector d(p, 1), computed once, like
-        ``_hash``."""
-        return linalg.homogeneous(self.coords)
-
-    @_cached
-    def _hash(self) -> int:
-        return hash((self.coords,))
-
     def __hash__(self) -> int:
-        # The generated hash, computed once: otherwise every set or cache
-        # lookup hashes each Fraction coordinate again.  ``_hash`` lives in
-        # the instance dict, not in a field, so repr ignores it.
-        return self._hash
+        h = self._hash
+        if h is None:
+            x, d = self._homog, self._homog[-1]
+            if d == 1:
+                h = hash((x[:-1],))
+            elif d % _MODULUS:
+                inverse = pow(d, -1, _MODULUS)
+                h = hash((tuple([e * inverse % _MODULUS if e >= 0 else -(-e * inverse % _MODULUS)
+                                 for e in x[:-1]]),))
+            else:  # d has no inverse modulo M: a case no real input meets
+                h = hash((self.coords,))
+            _set(self, "_hash", h)
+        return h
+
+    def _texts(self) -> tuple[str, ...]:
+        """The canonical text of each coordinate (``format_rat``), read off
+        the vector."""
+        *x, d = self._homog
+        return tuple(map(str, x)) if d == 1 else tuple(_quotient_text(e, d) for e in x)
 
     def __eq__(self, other):
         if self is other:
@@ -190,7 +248,7 @@ class RPoint:
         return self._compare(other, ge)
 
     def __repr__(self):
-        return "(" + ", ".join(format_rat(c) for c in self.coords) + ")"
+        return "(" + ", ".join(self._texts()) + ")"
 
 
 def rpoint(*coords) -> RPoint:
@@ -310,12 +368,8 @@ class GeoSimplex:
         return w is not None and all(a >= 0 for a in w)
 
     def barycenter(self) -> RPoint:
-        k = Fraction(1, len(self.vertices))
-        coords = [Fraction(0)] * self.ambient_dim
-        for v in self.vertices:
-            for i, c in enumerate(v.coords):
-                coords[i] += k * c
-        return RPoint(tuple(coords))
+        rows = self._vertex_rows
+        return RPoint._from_homog(linalg._primitive(linalg._combination([1] * len(rows), rows)))
 
     def __repr__(self):
         return "conv(" + ", ".join(repr(v) for v in self.vertices) + ")"
@@ -595,9 +649,7 @@ def _triangulates_hull(cx: GeoComplex) -> bool:
             return False
         planes.append(row)
     # (n + 1) L (b, 1), for the lcm L of the first simplex's denominators.
-    x = maxi[0]._vertex_rows
-    lcm = math.lcm(*(y[-1] for y in x))
-    b = tuple(map(sum, zip(*(tuple(c * (lcm // y[-1]) for c in y) for y in x))))
+    b = linalg._combination([1] * (n + 1), maxi[0]._vertex_rows)
     for t, r in zip(maxi[1:], cx._ranks[1:]):
         if r[0]:
             return True
@@ -628,20 +680,33 @@ class GeoComplex:
     # ``closed`` is ignored; it stays while bench/tracer.py passes it on.
     def __init__(self, simplexes: Iterable[GeoSimplex], validate: bool = True,
                  closed: bool = False):
-        sset = set(simplexes)
-        if not sset:
+        simplexes = list(simplexes)
+        if not simplexes:
             raise NotASimplicialComplex("a complex needs at least one simplex")
-        dims = {s.ambient_dim for s in sset}
+        dims = {s.ambient_dim for s in simplexes}
         if len(dims) != 1:
             raise NotASimplicialComplex("mixed ambient dimensions")
         self.ambient_dim = dims.pop()
         # The vertex table is read off the whole input: a simplex dropped
-        # below lies in a kept one, so it adds no vertex.
-        self._vertices = tuple(sorted({v for s in sset for v in s.vertices}))
-        self._rank = {v: i for i, v in enumerate(self._vertices)}
+        # below lies in a kept one, so it adds no vertex.  ``ranks`` maps
+        # the id of each vertex object to the object, then to its rank;
+        # equal objects sort side by side and share a rank, so each
+        # distinct object is hashed once, by ``_rank``.
+        ranks = {id(v): v for s in simplexes for v in s.vertices}
+        table = []
+        for key, v in sorted(ranks.items(), key=itemgetter(1)):
+            if not table or table[-1] != v:
+                table.append(v)
+            ranks[key] = len(table) - 1
+        self._vertices = tuple(table)
+        self._rank = dict(zip(table, range(len(table))))
         # Simplex order is the lexicographic order of vertex tuples, so
-        # tuples of vertex ranks sort them without comparing Fractions.
-        ranked = sorted((tuple(map(self._rank.__getitem__, s.vertices)), s) for s in sset)
+        # tuples of vertex ranks sort them without comparing points.  Equal
+        # simplexes have one rank tuple, which keeps the first of them.
+        unique: dict[tuple[int, ...], GeoSimplex] = {}
+        for s in simplexes:
+            unique.setdefault(tuple(map(ranks.__getitem__, map(id, s.vertices))), s)
+        ranked = sorted(unique.items())
         if len({len(r) for r, _ in ranked}) > 1:
             # Keep s iff no other input simplex holds all of s's vertices.
             stars: list[set] = [set() for _ in self._vertices]
@@ -824,14 +889,16 @@ def from_maximal(simplexes: Sequence[GeoSimplex]) -> GeoComplex:
 
 class AbsComplex:
     """Abstract simplicial complex: ordered vertex labels plus the nonempty
-    subsets of the given faces, whose union is the vertex set."""
+    subsets of the given faces, whose union is the vertex set.  ``given``
+    keeps the nonempty faces as given, which generate ``faces``."""
 
-    __slots__ = ("vertices", "faces")
+    __slots__ = ("vertices", "faces", "given")
 
     def __init__(self, vertices: Sequence[Hashable], faces: Iterable[frozenset]):
         self.vertices = tuple(dict.fromkeys(vertices))
         fset = {frozenset(f) for f in faces}
         fset.discard(frozenset())
+        self.given = frozenset(fset)
         closure = set(fset)
         for f in fset:
             for k in range(1, len(f)):
@@ -890,7 +957,7 @@ def standard_cube(n: int) -> GeoComplex:
     def corner(key: tuple[int, ...]) -> RPoint:
         p = corners.get(key)
         if p is None:
-            p = corners[key] = RPoint(tuple(map(Fraction, key)))
+            p = corners[key] = RPoint._from_homog(key + (1,))
         return p
 
     maxi = []
@@ -911,17 +978,19 @@ def _placement(w: WeightedComplex) -> dict:
     k = len(w.base.vertices)
     placed = {}
     for i, v in enumerate(w.base.vertices):
-        coords = [Fraction(0)] * k
-        coords[i] = Fraction(1, w.weights[v])
-        placed[v] = RPoint(tuple(coords))
+        x = [0] * (k + 1)
+        x[i], x[k] = 1, w.weights[v]
+        placed[v] = RPoint._from_homog(tuple(x))
     return placed
 
 
 def realize(w: WeightedComplex) -> GeoComplex:
-    """Geometric realization on scaled basis vectors (``_placement``)."""
+    """Geometric realization on scaled basis vectors (``_placement``), built
+    from the faces the abstract complex was given: ``GeoComplex`` drops a
+    face that lies in another, so the rest of the closure adds nothing."""
     placed = _placement(w)
     # Points on distinct positive multiples of distinct basis vectors are
     # linearly, hence affinely, independent: no rank check per face.
     simplexes = [GeoSimplex._raw(tuple(sorted(placed[v] for v in f)))
-                 for f in w.base.faces]
+                 for f in w.base.given]
     return GeoComplex(simplexes, validate=False)

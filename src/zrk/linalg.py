@@ -35,6 +35,21 @@ def homogeneous(coords: Sequence) -> IntVec:
     return tuple(c.numerator * (d // c.denominator) for c in coords) + (d,)
 
 
+def _primitive(z: Sequence[int]) -> IntVec:
+    """z over the gcd of its entries; z must not be 0."""
+    g = math.gcd(*z)
+    return tuple(c // g for c in z)
+
+
+def _combination(weights: Sequence[int], vectors: Sequence[IntVec]) -> IntVec:
+    """sum_j w_j (L / d_j) X_j for the vectors X_j = d_j(p_j, 1) and the lcm
+    L of the d_j, which is L (sum_j w_j p_j, sum_j w_j): for weights >= 0,
+    not all 0, a homogeneous vector of the weighted mean of the p_j."""
+    lcm = math.lcm(*(x[-1] for x in vectors))
+    scale = [w * (lcm // x[-1]) for w, x in zip(weights, vectors)]
+    return tuple(sum(map(mul, scale, col)) for col in zip(*vectors))
+
+
 def _bareiss(rows: Sequence[Sequence[int]], reduced: bool = False
              ) -> tuple[list[list[int]], list[int], int]:
     """The fraction-free row echelon form of integer rows (Bareiss 1968).
@@ -227,8 +242,7 @@ def clip_simplex(points: Sequence[IntVec],
                        for w, (_, tw) in enumerate(cell) if w != i and w != j):
                     continue
                 z = [vals[i] * b - vals[j] * a for a, b in zip(x, y)]
-                h = math.gcd(*z)
-                out.append((tuple(c // h for c in z), common | (1 << k)))
+                out.append((_primitive(z), common | (1 << k)))
         cell = out
     return cell
 

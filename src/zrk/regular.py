@@ -26,14 +26,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
 from .complexes import GeoComplex, GeoSimplex, RPoint
 from .exactnum import _saturated, smith_with_transforms
-from . import subdivide
+from . import linalg, subdivide
 
 
 class BudgetExhausted(RuntimeError):
@@ -175,7 +174,7 @@ def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:
     x = [e // g for e in x]
     _check(x[-1] > 0, "box point has a nonpositive denominator")
     carrier = frozenset(v for v, c in zip(s.vertices, best[1]) if c)
-    return RPoint(tuple(Fraction(e, x[-1]) for e in x[:-1])), carrier
+    return RPoint._from_homog(tuple(x)), carrier
 
 
 def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
@@ -274,7 +273,7 @@ def coprime_point(s: GeoSimplex, k: int) -> RPoint:
         combo = _composition_with_total(dens, total) if coprime else None
         if combo is not None:
             acc = [sum(map(mul, combo, col)) for col in zip(*s._vertex_rows)]
-            return RPoint(tuple(Fraction(e, acc[-1]) for e in acc[:-1]))
+            return RPoint._from_homog(linalg._primitive(acc))
     raise InvariantBroken("coprime point search exhausted its cap")
 
 

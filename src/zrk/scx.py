@@ -74,7 +74,7 @@ def _point_out(p: RPoint, memo: dict) -> tuple[str, ...]:
     maps each point printed so far to its tuple."""
     text = memo.get(p)
     if text is None:
-        text = memo[p] = tuple(map(format_rat, p.coords))
+        text = memo[p] = p._texts()
     return text
 
 

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import reduce
 from operator import and_, mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -178,8 +177,7 @@ def _pull_cell(s: GeoSimplex, eqs_t: Sequence[Row],
     vectors = sorted((x for x, _ in cell),
                      key=lambda x: tuple(c * (common // x[-1]) for c in x[:-1]))
     own = dict(zip(s._vertex_rows, s.vertices))
-    points = [own.get(x) or RPoint(tuple(Fraction(e, x[-1]) for e in x[:-1]))
-              for x in vectors]
+    points = [own.get(x) or RPoint._from_homog(x) for x in vectors]
     ineqs = s._point_rows[1] + tuple(ineqs_t)
     return [GeoSimplex._raw(tuple(points[i] for i in tri))
             for tri in linalg.pull_triangulation(vectors, ineqs)]
@@ -526,14 +524,14 @@ def _volume_axes(base: GeoSimplex) -> Optional[list[int]]:
     return [c - 1 for c in pivots[1:]] + [-1]
 
 
-def _volume(s: GeoSimplex, axes: Optional[Sequence[int]]) -> Fraction:
-    """s's d! volume projected to ``axes`` (``_volume_axes``): |det(X[axes])|
-    over the product of the X[-1], for its homogeneous vertex vectors X.
-    With no axes that determinant is s's own ``_det``, which the checking
-    constructor keeps."""
+def _volume(s: GeoSimplex, axes: Optional[Sequence[int]]) -> tuple[int, int]:
+    """s's d! volume projected to ``axes`` (``_volume_axes``) as the pair
+    (|det(X[axes])|, the product of the X[-1]), its numerator and a
+    denominator, for its homogeneous vertex vectors X.  With no axes that
+    determinant is s's own ``_det``, which the checking constructor keeps."""
     xs = s._vertex_rows
     d = s._det if axes is None else linalg.det([[x[a] for a in axes] for x in xs])
-    return Fraction(abs(d), math.prod(x[-1] for x in xs))
+    return abs(d), math.prod(x[-1] for x in xs)
 
 
 def _tiles(s: GeoSimplex, pieces: Iterable[GeoSimplex]) -> bool:
@@ -542,6 +540,10 @@ def _tiles(s: GeoSimplex, pieces: Iterable[GeoSimplex]) -> bool:
     s exactly when their volumes add up to its own (De Loera, Rambau and
     Santos, *Triangulations*, 2010).  Every piece spans aff(s), so s's
     projection (``_volume_axes``) measures them all; the common factor d!
-    is left out of both sides."""
+    is left out of both sides, and the volumes are compared in integers
+    over the lcm L of their denominators, as in ``_triangulates_cube``."""
     axes = _volume_axes(s)
-    return sum(_volume(p, axes) for p in pieces) == _volume(s, axes)
+    volumes = [_volume(p, axes) for p in pieces]
+    whole, q = _volume(s, axes)
+    lcm = math.lcm(q, *(b for _, b in volumes))
+    return sum(a * (lcm // b) for a, b in volumes) == whole * (lcm // q)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from . import subdivide
+from . import linalg, subdivide
 from .collapse import CollapseSequence, find_collapse_sequence
 from .complexes import (GeoComplex, GeoSimplex, RPoint, WeightedComplex,
                         _placement, realize, skeleton, standard_cube)
@@ -64,19 +63,19 @@ class PLMap:
         simplex holding p; coordinates that are zero drop out, so this is
         the interpolation in the carrier.  A domain vertex v is a vertex of
         every simplex holding it (its carrier is {v}), so its coordinates
-        are a unit vector and the result is images[v], returned unsearched."""
+        are a unit vector and the result is images[v], returned unsearched.
+        The images' vectors are combined with p's integer barycentric
+        weights over one lcm (``linalg._combination``); the weights add up
+        to their common denominator, so the sum is a vector of the image,
+        made primitive."""
         if p in self.images:
             return self.images[p]
         found = self.domain._locate(p)
         if found is None:
             raise DomainError(f"point not in support: {p}")
-        s, w, q = found
-        coords = [Fraction(0)] * self.codomain_dim
-        for weight, v in zip(w, s.vertices):
-            if weight:
-                for i, c in enumerate(self.images[v].coords):
-                    coords[i] += weight * c
-        return RPoint(tuple(c / q for c in coords))
+        s, w, _ = found
+        images = [self.images[v]._homog for v in s.vertices]
+        return RPoint._from_homog(linalg._primitive(linalg._combination(w, images)))
 
     def image_simplex_points(self, s: GeoSimplex) -> list[RPoint]:
         return [self.images[v] for v in s.vertices]

@@ -121,6 +121,13 @@ restricts the map's domain to |P| and tests the inside vertices, from
 before ``zmaps.fixes_pointwise`` refined P against the domain; where
 restrict falls back, ``clip_fixes_pointwise``, which tests every vertex of
 every cell of P against the domain, is a second reference.
+``FractionRPoint`` is the dataclass point that kept ``Fraction``
+coordinates and hashed them, ``fraction_barycenter`` and ``fraction_eval``
+sum ``Fraction`` coordinates, and ``_json_point`` formats each one with
+``format_rat``, from before a computed point was built, interpolated and
+printed from its integer vector alone.  ``closure_realize`` realizes every
+face of the closure of a weighted complex, from before ``complexes.realize``
+read only the faces it was given.
 """
 
 import json
@@ -131,13 +138,13 @@ from fractions import Fraction
 from types import SimpleNamespace
 from functools import lru_cache, reduce
 from itertools import combinations, product
-from operator import and_, mul
+from operator import and_, ge, gt, le, lt, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from zrk import linalg, scx, subdivide, zmaps
 from zrk.collapse import CollapseSequence, CollapseStep, _FaceTable, find_collapse_sequence
-from zrk.complexes import (GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _homogeneous,
-                           skeleton)
+from zrk.complexes import (GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _cached,
+                           _homogeneous, _placement, skeleton)
 from zrk.exactnum import IntMat, format_rat, invariant_factors, smith_with_transforms, xgcd
 from zrk.regular import (BudgetExhausted, _box_point, _check, coprime_point, den,
                          desingularize, is_regular, is_strongly_regular)
@@ -1352,7 +1359,7 @@ def relative_volume_total(simplexes) -> Fraction:
         return Fraction(0)
     d = max(s.dim for s in simplexes)
     axes = subdivide._volume_axes(next(s for s in simplexes if s.dim == d))
-    return sum((subdivide._volume(s, axes) for s in simplexes if s.dim == d),
+    return sum((Fraction(*subdivide._volume(s, axes)) for s in simplexes if s.dim == d),
                Fraction(0))
 
 
@@ -1798,6 +1805,98 @@ def retarget_to_carrier_vertices(eta, target: GeoComplex,
                                     f"is not inside |target|")
         images[v] = min(host.vertices)
     return zmaps.PLMap(eta.domain, images)
+
+
+@dataclass(frozen=True, eq=False)
+class FractionRPoint:
+    """``complexes.RPoint`` as the dataclass it was: it keeps ``Fraction``
+    coordinates and caches its vector and its generated hash."""
+
+    coords: tuple
+
+    def __post_init__(self):
+        if not self.coords:
+            raise ValueError("ambient dimension must be >= 1")
+        object.__setattr__(self, "coords", tuple(map(Fraction, self.coords)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+    @_cached
+    def _homog(self) -> tuple:
+        return linalg.homogeneous(self.coords)
+
+    @_cached
+    def _hash(self) -> int:
+        return hash((self.coords,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._homog == other._homog
+
+    def _compare(self, other, op):
+        x, y = self._homog, other._homog
+        d, e = x[-1], y[-1]
+        if d == e:
+            return op(x[:-1], y[:-1])
+        for a, b in zip(x[:-1], y[:-1]):
+            if a * e != b * d:
+                return op(a * e, b * d)
+        return op(len(x), len(y))
+
+    def __lt__(self, other):
+        return self._compare(other, lt)
+
+    def __le__(self, other):
+        return self._compare(other, le)
+
+    def __gt__(self, other):
+        return self._compare(other, gt)
+
+    def __ge__(self, other):
+        return self._compare(other, ge)
+
+    def __repr__(self):
+        return "(" + ", ".join(format_rat(c) for c in self.coords) + ")"
+
+
+def fraction_barycenter(s: GeoSimplex) -> RPoint:
+    """``GeoSimplex.barycenter`` summing ``Fraction`` coordinates."""
+    k = Fraction(1, len(s.vertices))
+    coords = [Fraction(0)] * s.ambient_dim
+    for v in s.vertices:
+        for i, c in enumerate(v.coords):
+            coords[i] += k * c
+    return RPoint(tuple(coords))
+
+
+def fraction_eval(eta, p: RPoint) -> RPoint:
+    """``PLMap.eval`` interpolating ``Fraction`` coordinates, from before it
+    combined the images' integer vectors."""
+    if p in eta.images:
+        return eta.images[p]
+    found = eta.domain._locate(p)
+    if found is None:
+        raise zmaps.DomainError(f"point not in support: {p}")
+    s, w, q = found
+    coords = [Fraction(0)] * eta.codomain_dim
+    for weight, v in zip(w, s.vertices):
+        for i, c in enumerate(eta.images[v].coords):
+            coords[i] += weight * c
+    return RPoint(tuple(c / q for c in coords))
+
+
+def closure_realize(w) -> GeoComplex:
+    """``complexes.realize`` over every face of the closure of the abstract
+    complex, from before it read only the faces given."""
+    placed = _placement(w)
+    return GeoComplex([GeoSimplex._raw(tuple(sorted(placed[v] for v in f)))
+                       for f in w.base.faces], validate=False)
 
 
 def stellar_chain(cx: GeoComplex, points: Sequence[RPoint]) -> GeoComplex:

@@ -192,10 +192,11 @@ def test_search_and_replay_match_scanning_oracles():
 
 
 def test_replay_files_no_free_pairs(monkeypatch):
-    # Replay reads no free list, so a step only updates its two faces'
-    # facets; re-filing their pairs in the sorted list, as the search's
-    # toggle does, shifted that list at every step.  Each distinct vertex
-    # object is looked up by point once: a parsed cube4 witness has 16.
+    # Replay reads no free list, so it builds none, and a step only updates
+    # its two faces' facets; re-filing their pairs in the sorted list, as
+    # the search's toggle does, shifted that list at every step.  Each
+    # distinct vertex object is looked up by point once: a parsed cube4
+    # witness has 16.
     cx = standard_cube(4)
     seq = find_collapse_sequence(cx)
     parsed = parse_scx(print_scx(ScxDocument("sequence", seq))).payload
@@ -204,6 +205,9 @@ def test_replay_files_no_free_pairs(monkeypatch):
         real = getattr(collapse, name)
         monkeypatch.setattr(collapse, name, lambda *a, real=real, name=name:
                             calls.append(name) or real(*a))
+    file_free = collapse._FaceTable.file_free
+    monkeypatch.setattr(collapse._FaceTable, "file_free",
+                        lambda table: calls.append("file_free") or file_free(table))
     hashed = []
     real_hash = RPoint.__hash__
     monkeypatch.setattr(RPoint, "__hash__", lambda p: hashed.append(p) or real_hash(p))

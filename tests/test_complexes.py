@@ -1,6 +1,9 @@
 import collections
+import copy
 import itertools
+import pickle
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -21,8 +24,9 @@ from zrk.regular import is_regular
 from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
 
 from conftest import random_rational, random_simplex, seg, tri
-from oracles import (barycentric_coords, closure_complex, elementary_collapse,
-                     enumerate_meet_in_common_face, fraction_aff_dim,
+from oracles import (FractionRPoint, _json_point, barycentric_coords, closure_complex,
+                     closure_realize, elementary_collapse,
+                     enumerate_meet_in_common_face, fraction_aff_dim, fraction_barycenter,
                      lp_meet_in_common_face, relint_contains, scan_carrier,
                      retarget_to_carrier_vertices, rows_triangulates_cube, scan_hosts,
                      scan_maximal_simplexes, simplicially_isomorphic, stellar_chain,
@@ -786,7 +790,7 @@ def test_hash_is_the_generated_hash_computed_once(monkeypatch):
                         lambda x: calls.append(x) or fraction_hash(x))
     p = rpoint("2/5", "3/7")
     hash(p)
-    assert calls == list(p.coords)
+    assert calls == []  # the hash is read off the integer vector
     t = GeoSimplex._raw((rpoint(0, 0), p))
     face = next(iter(tri((0, 0), ("2/5", "3/7"), (1, 0)).faces()))
     for obj in (p, t, face):
@@ -796,6 +800,9 @@ def test_hash_is_the_generated_hash_computed_once(monkeypatch):
         {obj}
         frozenset([obj])
         assert len(calls) == before
+    assert calls == []
+    monkeypatch.undo()
+    assert hash(p) == hash((p.coords,))
 
 
 def _random_face(rng: random.Random, s: GeoSimplex) -> GeoSimplex:
@@ -1358,3 +1365,97 @@ def test_geosimplex_canonical_order_and_independence():
     assert s.vertices[0] == rpoint(0, 0)
     with pytest.raises(ValueError, match="affinely independent"):
         GeoSimplex((rpoint(0, 0), rpoint(1, 1), rpoint("1/2", "1/2")))
+
+
+def _seeded_coordinates(rng: random.Random, count: int) -> list[tuple]:
+    """Coordinate tuples in R^1..R^3 with negative, zero and integer
+    entries and small and huge denominators, after some edge cases: a
+    denominator that is the hash modulus M, which has no inverse mod M, and
+    -(M + 2)/2, whose hash before the -1 rule is -1."""
+    modulus = sys.hash_info.modulus
+    coords = [(Fraction(1, modulus),), (Fraction(-3, modulus), 2), (-1,), (0, 0),
+              (Fraction(-(modulus + 2), 2), Fraction(-1, 2)), (Fraction(7, 3), -4, 0)]
+    for _ in range(count):
+        coords.append(tuple(random_rational(rng, rng.choice((1, 6, 10 ** 20)), -2, 2)
+                            for _ in range(rng.randint(1, 3))))
+    return coords
+
+
+def test_points_match_the_fraction_dataclass():
+    # A point is its integer vector; the dataclass it was kept Fraction
+    # coordinates and hashed them.  Built from coordinates or from the
+    # vector, a point agrees with that dataclass on ==, the orders, hash,
+    # repr, coords, dim and its printed text, on seeded coordinates.
+    rng = random.Random(4001)
+    coords = _seeded_coordinates(rng, 300)
+    new = [RPoint(c) for c in coords]
+    new += [RPoint._from_homog(linalg.homogeneous(tuple(map(Fraction, c)))) for c in coords]
+    old = [FractionRPoint(c) for c in coords] * 2
+    for p, o in zip(new, old):
+        assert hash(p) == hash(o) == hash((p.coords,))
+        assert repr(p) == repr(o) and p.coords == o.coords and p.dim == o.dim
+        assert p._texts() == tuple(_json_point(o))
+    ops = ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__")
+    for _ in range(3000):
+        i, j = rng.randrange(len(new)), rng.randrange(len(new))
+        for op in ops:
+            assert getattr(new[i], op)(new[j]) == getattr(old[i], op)(old[j]), (old[i], old[j], op)
+    for p in new[:12]:
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert q == p and q.coords == p.coords and hash(q) == hash(p)
+    with pytest.raises(AttributeError):
+        new[0]._homog = (1, 1)
+    with pytest.raises(ValueError):
+        RPoint(())
+
+
+def test_barycenter_matches_the_fraction_sum():
+    # barycenter sums the vertex vectors over one lcm and divides by the
+    # gcd; the oracle sums Fraction coordinates.  Seeded simplexes in
+    # R^1..R^4 with negative, zero and integer coordinates.
+    rng = random.Random(4002)
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(15):
+            points = [rpoint(*[random_rational(rng, rng.choice((1, 5)), -1, 1) for _ in range(n)])
+                      for _ in range(rng.randint(1, n + 1))]
+            try:
+                s = GeoSimplex(tuple(points))
+            except ValueError:
+                continue
+            got, want = s.barycenter(), fraction_barycenter(s)
+            assert got == want and got.coords == want.coords and hash(got) == hash(want)
+            checked += 1
+    assert checked > 40
+
+
+def test_complex_hashes_each_distinct_vertex_object_once(monkeypatch):
+    # The constructor ranks vertex objects by id, so only ``_rank`` hashes
+    # a point, once per distinct vertex: 16 on a parsed cube4 complex,
+    # which shares one object per point.  It hashed each of the 120 vertex
+    # occurrences three times and each vertex once more (376 calls).
+    parsed = parse_scx(print_scx(ScxDocument("complex", standard_cube(4)))).payload
+    simplexes = [GeoSimplex._raw(s.vertices) for s in parsed.maximal_simplexes()]
+    hashed = []
+    real = RPoint.__hash__
+    monkeypatch.setattr(RPoint, "__hash__", lambda p: hashed.append(p) or real(p))
+    cx = GeoComplex(simplexes)
+    assert len(hashed) == 16
+    monkeypatch.undo()
+    assert cx == parsed and cx._rank == parsed._rank
+
+
+def test_realize_from_given_faces_matches_the_closure():
+    # realize builds one simplex per given face; the closure adds only
+    # faces of those, which GeoComplex drops, so the printed bytes agree
+    # with the oracle's on seeded weighted complexes.
+    rng = random.Random(4003)
+    for _ in range(40):
+        labels = "abcdefgh"[:rng.randint(1, 8)]
+        faces = [frozenset(rng.sample(labels, rng.randint(1, min(4, len(labels)))))
+                 for _ in range(rng.randint(1, 6))]
+        faces += [frozenset(v) for v in labels if rng.random() < 0.5 or
+                  not any(v in f for f in faces)]
+        w = WeightedComplex(AbsComplex(labels, faces), {v: rng.randint(1, 7) for v in labels})
+        assert (print_scx(ScxDocument("complex", realize(w)))
+                == print_scx(ScxDocument("complex", closure_realize(w))))

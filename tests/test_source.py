@@ -235,7 +235,7 @@ def test_the_constructive_path_establishes_each_fact_once():
 
 # Code lines in src/zrk when the gate was set.  Lower it when code goes;
 # raise it only with a line in CHANGES.md saying why.
-CODE_LINES = 2091
+CODE_LINES = 2134
 
 
 def code_lines(text: str) -> int:

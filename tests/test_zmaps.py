@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,8 @@ from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
 
 from conftest import random_rational, random_simplex, seg, tri
 from oracles import (RestrictionRefused, caratheodory_supports, clip_fixes_pointwise,
-                     desingularizing_certify, has_strongly_regular_triangulation,
+                     closure_realize, desingularizing_certify, fraction_eval,
+                     has_strongly_regular_triangulation,
                      is_zmap_by_fit, locate_eval, product_lattice_points,
                      restricted_fixes_pointwise, retarget_to_carrier_vertices,
                      rowwise_restrict, scan_image_leaving, stellar_chain)
@@ -944,3 +946,72 @@ def test_image_leaving_matches_scanning_oracle():
             and False in found["cube"] and found["other space"] == {False}
             and found["diagonal"] == {True, False}), found
     assert undecided[True] > 5 and undecided[False] > 5, undecided
+
+
+def test_eval_matches_fraction_interpolation():
+    # eval combines the images' integer vectors over one lcm and divides by
+    # the gcd; the oracle sums Fraction coordinates.  Seeded maps on
+    # stellar cubes in R^1..R^3, into R^1..R^3, with negative, zero and
+    # integer image coordinates.
+    rng = random.Random(4004)
+
+    def point(n, lo=0, hi=1):
+        return rpoint(*[random_rational(rng, rng.choice((1, 4, 9)), lo, hi) for _ in range(n)])
+
+    checked = 0
+    for n in (1, 2, 3):
+        for _ in range(4):
+            cx = standard_cube(n)
+            for _ in range(rng.randint(0, 3)):
+                cx = stellar(cx, point(n))
+            k = rng.randint(1, 3)
+            eta = PLMap(cx, {v: point(k, -2, 2) for v in cx.vertices()})
+            for _ in range(20):
+                p = point(n)
+                got, want = eta.eval(p), fraction_eval(eta, p)
+                assert got == want and got.coords == want.coords, (eta, p)
+                assert hash(got) == hash(want) and repr(got) == repr(want)
+                checked += 1
+    assert checked == 240
+
+
+def _pipeline_ops(monkeypatch, seed):
+    """The ops of the benchmark's pipeline workload for ``seed`` (None: every
+    op any seed can draw), built in memory."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    return workloads.build("pipeline", seed)
+
+
+def test_the_pipeline_cases_build_no_fraction(monkeypatch):
+    # Every point the constructive path computes is built from its integer
+    # vector, tilings compare integer volumes, and points print from their
+    # vectors, so pipeline_dh, part2_reduce, verify_section_retraction and
+    # print_scx make no Fraction on the nine seed-1 cases of the
+    # benchmark's pipeline workload, built before counting.  They made
+    # 1,038 in a pass when computed points were built from Fractions.
+    ops = _pipeline_ops(monkeypatch, 1)
+    made = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: made.append(args) or real(cls, *args, **kw))
+    assert Fraction(1, 2) and made == [(1, 2)]
+    made.clear()
+    texts = [op.run()[0] for op in ops]
+    assert len(ops) == 9 and not made
+    assert all("section-retraction: valid" in text for text in texts)
+
+
+def test_realize_matches_the_closure_on_the_pipeline_cases(monkeypatch):
+    # part2_reduce realizes the skeleton of its triangulation from the
+    # maximal faces alone; the oracle realizes every face of the closure.
+    # Both print the same bytes on every pipeline case of the benchmark.
+    weighted = []
+    real = zmaps.realize
+    monkeypatch.setattr(zmaps, "realize", lambda w: weighted.append(w) or real(w))
+    for op in _pipeline_ops(monkeypatch, None):
+        op.run()
+    assert len(weighted) > 9
+    for w in weighted:
+        assert (print_scx(ScxDocument("complex", real(w)))
+                == print_scx(ScxDocument("complex", closure_realize(w))))
