@@ -15,10 +15,11 @@ lattice point of its fundamental box (on a 1-simplex, the Farey mediant)
 until every simplex is regular; that point is found in integer arithmetic
 alone, from the row transform of one Smith form (``_box_point``), together
 with its carrier.  ``desingularize`` and ``desingularize_relative`` share
-one loop on sets of maximal simplexes: each step replaces the star of the
-blown-up carrier (``subdivide._replace_star``) in the complex and, in the
+one loop over the maximal simplexes held by ``subdivide._Stars``: each step
+replaces the star of the blown-up carrier in the complex and, in the
 relative case, in the subcomplex inside the polyhedron, found once; the
-complex is built once at the end.
+complex is built once at the end, and a regular input builds no star at
+all.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
     in (dim, vertices) order, at its box point p = sum c_i w_i over s's
     homogeneous vertex vectors, c_i >= 0 (``_box_point``).  So p lies in
     s, its carrier is the face on the vertices with c_i > 0, and the step
-    is ``subdivide._replace_star`` on the maximal simplexes alone.  The
+    is ``subdivide._Stars.replace`` on the maximal simplexes alone.  The
     budget counts stellar steps; exceeding it raises, it never returns a
     wrong answer.
     """
@@ -203,7 +204,7 @@ def desingularize_relative(cx: GeoComplex, part: GeoComplex,
 
     The inside subcomplex I(K) of K is found once.  With |I(K)| = |part|
     and the carrier C of p in I(K), I(stellar(K, p)) = stellar(I(K), p),
-    so ``subdivide._replace_star`` updates its maximal simplexes as it
+    so ``subdivide._Stars.replace`` updates its maximal simplexes as it
     does those of K.  Proof: each simplex of stellar(I(K), p) is one of
     stellar(K, p) lying in |I(K)|.  Conversely let t in stellar(K, p) lie
     in |part|.  If t is in K, it misses C and is in I(K), so it is in
@@ -218,34 +219,41 @@ def desingularize_relative(cx: GeoComplex, part: GeoComplex,
     if not subdivide._adapted(inside, part):
         raise ValueError("precondition violation: the inside subcomplex "
                          "does not triangulate |P|")
-    return _blow_up(cx, set(inside.maximal_simplexes()), budget)
+    return _blow_up(cx, inside, budget)
 
 
-def _blow_up(cx: GeoComplex, watched: Optional[set[GeoSimplex]],
+def _blow_up(cx: GeoComplex, inside: Optional[GeoComplex],
              budget: int) -> GeoComplex:
-    """Blow up the least non-regular simplex of ``watched``, the maximal
-    simplexes of a subcomplex (None: of cx itself), until all are regular,
-    keeping both it and the maximal simplexes of cx up to date."""
-    maximal = set(cx.maximal_simplexes())
-    if watched is None:
-        watched = maximal
-    heap = [(s.dim, s) for s in watched if not is_regular(s)]
-    heapq.heapify(heap)
+    """Blow up the least non-regular maximal simplex of ``inside``, a
+    subcomplex of cx (None: of cx itself), until all are regular.  The
+    maximal simplexes of cx and of the subcomplex are held in
+    ``subdivide._Stars``, one for both when there is no subcomplex, and
+    every blow-up replaces its star in each; they are built only once a
+    watched simplex is non-regular, so a regular input returns cx with
+    none built.  A heap entry no longer held was replaced by an earlier
+    blow-up and is skipped."""
+    watched = cx if inside is None else inside
+    # A sorted list is a heap.
+    heap = sorted((s.dim, s) for s in watched.maximal_simplexes() if not is_regular(s))
+    if not heap:
+        return cx
+    stars = subdivide._Stars(cx.maximal_simplexes())
+    inner = stars if inside is None else subdivide._Stars(inside.maximal_simplexes())
     steps = 0
     while heap:
         _, s = heapq.heappop(heap)
-        if s not in watched:
+        if s not in inner:
             continue
         p, carrier = _box_point(s)
-        if watched is not maximal:
-            subdivide._replace_star(maximal, p, carrier)
-        for cone in subdivide._replace_star(watched, p, carrier):
+        if inner is not stars:
+            stars.replace(p, carrier)
+        for cone in inner.replace(p, carrier):
             if not is_regular(cone):
                 heapq.heappush(heap, (cone.dim, cone))
         steps += 1
         if steps > budget:
             raise BudgetExhausted("desingularization budget exhausted")
-    return GeoComplex(maximal, validate=False) if steps else cx
+    return stars.complex()
 
 
 def coprime_point(s: GeoSimplex, k: int) -> RPoint:

@@ -4,10 +4,12 @@ Elementary stellar subdivisions, subdivision checks by volume accounting,
 common refinement by cell overlay, restriction of a triangulation to a
 subpolyhedron, and refinement of a triangulation until a piecewise-linear
 map is simplexwise compatible with a target triangulation.  A stellar
-subdivision works on the maximal simplexes alone: it replaces those
-containing the carrier of the new point by their cones (``_replace_star``),
-the one star replacement that ``regular``'s desingularization also runs at
-every blow-up.
+subdivision works on the maximal simplexes alone, held with the star of
+each vertex (``_Stars``): it replaces those containing the carrier of the
+new point, the intersection of its vertices' stars, by their cones.  The
+same structure makes every blow-up of ``regular``'s desingularization and
+of step H of ``zmaps.pipeline_dh``, so no other module holds a set of
+maximal simplexes or finds a star.
 
 One cell kernel serves all of them: a cell is s cap t for a simplex s and a
 simplex or halfspace t.  Its vertices, each with the mask of the
@@ -75,9 +77,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from functools import reduce
 from operator import and_, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from . import linalg
 from .complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _points_box
@@ -96,31 +99,61 @@ class SupportMismatch(ValueError):
 # -- stellar subdivision -----------------------------------------------------
 
 
-def _replace_star(maximal: set[GeoSimplex], p: RPoint,
-                  carrier: frozenset) -> list[GeoSimplex]:
-    """Turn the maximal simplexes M of a complex K into those of the
-    elementary stellar subdivision stellar(K, p), in place; return the
-    cones added.  ``carrier`` is the vertex set of the simplex C of K holding
-    p in its relative interior, with at least two vertices.
+class _Stars:
+    """The maximal simplexes of a complex under stellar moves, held as the
+    star of each vertex: the maximal simplexes having it.  It is the
+    mutable form of ``GeoComplex._star_index``, so a move finds its star by
+    the carrier's vertices alone, with no scan; the maximal simplexes are
+    the union of the stars, and one complex is built from them at the end."""
 
-    The simplexes of stellar(K, p) are the simplexes of K not containing C
-    and the cones F u {p} over faces F, not containing C, of simplexes
-    containing C.  Each lies in a maximal one of two kinds: an m in M
-    without C, untouched and still maximal (it does not contain p and no
-    simplex of K strictly contains it), or a cone (m minus u) u {p} for an
-    m in M containing C and a vertex u of C, since a face F of m missing
-    some u of C lies in m minus u.  No such cone lies in another: a face F'
-    of some m' in M containing C with F' strictly containing m minus u
-    misses u, so F' u {u} lies in m' and strictly contains m, which is
-    maximal.  So M is updated by replacing each m containing C with its
-    cones, and the closure of M is stellar(K, p).
-    """
-    star = [m for m in maximal if carrier.issubset(m.vertices)]
-    maximal.difference_update(star)
-    cones = [GeoSimplex._raw(tuple(sorted([v for v in m.vertices if v != u] + [p])))
-             for m in star for u in carrier]
-    maximal.update(cones)
-    return cones
+    __slots__ = ("_star",)
+
+    def __init__(self, maximal: Iterable[GeoSimplex]):
+        self._star: defaultdict[RPoint, set[GeoSimplex]] = defaultdict(set)
+        self._add(maximal)
+
+    def __contains__(self, s: GeoSimplex) -> bool:
+        return s in self._star.get(s.vertices[0], ())
+
+    def _add(self, simplexes: Iterable[GeoSimplex]) -> None:
+        for s in simplexes:
+            for v in s.vertices:
+                self._star[v].add(s)
+
+    def replace(self, p: RPoint, carrier: Collection[RPoint]) -> list[GeoSimplex]:
+        """Turn the maximal simplexes M of a complex K into those of the
+        elementary stellar subdivision stellar(K, p); return the cones
+        added.  ``carrier`` holds the vertices of the simplex C of K having
+        p in its relative interior, at least two of them.
+
+        The simplexes of stellar(K, p) are the simplexes of K not containing
+        C and the cones F u {p} over faces F, not containing C, of simplexes
+        containing C.  Each lies in a maximal one of two kinds: an m in M
+        without C, untouched and still maximal (it does not contain p and no
+        simplex of K strictly contains it), or a cone (m minus u) u {p} for
+        an m in M containing C and a vertex u of C, since a face F of m
+        missing some u of C lies in m minus u.  No such cone lies in
+        another: a face F' of some m' in M containing C with F' strictly
+        containing m minus u misses u, so F' u {u} lies in m' and strictly
+        contains m, which is maximal.  So M is updated by replacing each m
+        containing C with its cones, and the closure of M is stellar(K, p).
+        The m containing C are those having every vertex of C, the
+        intersection of their stars, and each is dropped from the star of
+        every vertex it has.  Each such vertex is in a cone of m, as C has
+        two vertices or more, so no star is left empty.
+        """
+        star = set.intersection(*(self._star[v] for v in carrier))
+        for m in star:
+            for v in m.vertices:
+                self._star[v].discard(m)
+        cones = [GeoSimplex._raw(tuple(sorted([v for v in m.vertices if v != u] + [p])))
+                 for m in star for u in carrier]
+        self._add(cones)
+        return cones
+
+    def complex(self) -> GeoComplex:
+        """The complex of the maximal simplexes held."""
+        return GeoComplex(set().union(*self._star.values()), validate=False)
 
 
 def stellar(cx: GeoComplex, p: RPoint) -> GeoComplex:
@@ -132,16 +165,16 @@ def stellar(cx: GeoComplex, p: RPoint) -> GeoComplex:
     A simplex of the complex contains p exactly when it has p's carrier as
     a face, and a face avoids the point exactly when it does not contain
     the whole carrier, so after one carrier search everything is
-    combinatorial, and done on the maximal simplexes (``_replace_star``).
+    combinatorial, and done on the maximal simplexes (``_Stars``).
     """
     car = cx.carrier(p)
     if car is None:
         raise PointNotInSupport(f"point not in support: {p}")
     if car.dim == 0:
         return cx  # p is already a vertex
-    maximal = set(cx.maximal_simplexes())
-    _replace_star(maximal, p, frozenset(car.vertices))
-    return GeoComplex(maximal, validate=False)
+    stars = _Stars(cx.maximal_simplexes())
+    stars.replace(p, car.vertices)
+    return stars.complex()
 
 
 # -- cells and support coverage ----------------------------------------------

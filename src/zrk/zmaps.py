@@ -334,20 +334,20 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     # at their barycentres, each imaged to a point of the first inside
     # simplex holding its vertex images.  An offending s is maximal and
     # n-dimensional, so s is the carrier of its barycentre and its own star:
-    # the blow-ups replace stars in one set of maximal simplexes, and one
-    # complex is built from it.
+    # the blow-ups are moves of ``subdivide._Stars``, built only when some
+    # simplex offends, and one complex is built from it.
     images = dict(eta_g.images)
     offending = [s for s in delta_g.maximal_simplexes() if s.dim == n
                  and math.gcd(*(den(images[v]) for v in s.vertices)) != 1]
-    maximal = set(delta_g.maximal_simplexes())
+    stars = subdivide._Stars(delta_g.maximal_simplexes()) if offending else None
     for s in offending:
         first = min(frozenset.intersection(*(inside.hosts(images[v])
                                              for v in s.vertices)))
         center = s.barycenter()
         images[center] = coprime_point(inside.maximal_simplexes()[first],
                                        math.lcm(*(den(images[v]) for v in s.vertices)))
-        subdivide._replace_star(maximal, center, frozenset(s.vertices))
-    delta_h = GeoComplex(maximal, validate=False) if offending else delta_g
+        stars.replace(center, s.vertices)
+    delta_h = stars.complex() if offending else delta_g
     eta_h = PLMap(delta_h, images)
 
     seq = find_collapse_sequence(delta_h, budget=collapse_budget)

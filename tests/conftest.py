@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +61,11 @@ def random_simplex(rng: random.Random, ambient: int, max_den: int) -> GeoSimplex
             return GeoSimplex(tuple(pts))
         except ValueError:
             continue
+
+
+def random_simplex_pool() -> list[GeoSimplex]:
+    """The simplexes of the benchmark's ``random_simplex`` pool, rational
+    simplexes in [0,1]^n for n = 1..3, in pool order."""
+    pools = Path(__file__).resolve().parent.parent / "bench" / "data" / "pools.json"
+    return [GeoSimplex(tuple(rpoint(*v) for v in entry["vertices"]))
+            for entry in json.loads(pools.read_text(encoding="utf-8"))["random_simplex"]]

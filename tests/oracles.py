@@ -34,7 +34,9 @@ simplexes alone.  ``rebuild_desingularize`` rebuilds the whole complex with
 replaced only the star of the blown-up simplex, and
 ``rebuild_desingularize_relative`` also recomputes the subcomplex inside
 the polyhedron every step, from before one loop kept its maximal
-simplexes.  ``simplex_volume`` is the volume of one full-dimensional
+simplexes.  ``scan_replace_star`` finds the star of a blow-up by scanning
+every maximal simplex of a bare set, from before ``subdivide._Stars`` kept
+the star of each vertex.  ``simplex_volume`` is the volume of one full-dimensional
 simplex, which the volume cube test summed before it used
 ``relative_volume_total``, the projected volume sum of simplexes sharing
 one affine hull that ``subdivide`` compared on both sides of every tiling
@@ -1257,6 +1259,22 @@ def face_stellar(cx, p: RPoint):
                 if not cv <= set(sub):
                     out.add(GeoSimplex._raw(tuple(sorted(sub + (p,)))))
     return GeoComplex(out, validate=False)
+
+
+def scan_replace_star(maximal: set[GeoSimplex], p: RPoint,
+                      carrier: frozenset) -> list[GeoSimplex]:
+    """Turn the maximal simplexes M of a complex K into those of the
+    elementary stellar subdivision stellar(K, p), in place; return the
+    cones added.  ``carrier`` is the vertex set of the simplex C of K holding
+    p in its relative interior, with at least two vertices.  The star is
+    found by scanning every m in M; the reference for
+    ``subdivide._Stars.replace``."""
+    star = [m for m in maximal if carrier.issubset(m.vertices)]
+    maximal.difference_update(star)
+    cones = [GeoSimplex._raw(tuple(sorted([v for v in m.vertices if v != u] + [p])))
+             for m in star for u in carrier]
+    maximal.update(cones)
+    return cones
 
 
 def rebuild_desingularize(cx, budget: int = 10_000):

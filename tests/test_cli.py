@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from zrk import (GeoSimplex, from_maximal, is_regular, is_subdivision, rpoint,
-                 standard_cube, stellar)
+from zrk import (GeoSimplex, certify_main, from_maximal, is_regular, is_subdivision,
+                 rpoint, standard_cube, stellar)
 from zrk.cli import main
 from zrk.exactnum import invariant_factors
 from zrk.scx import ScxDocument, parse_scx, print_scx
 from zrk.subdivide import inside_subcomplex, support_equal
+from zrk.zmaps import DomainError
 
 from oracles import closure_complex
 from test_zmaps import _path_through_an_even_edge, _stellar_square_and_part
@@ -205,6 +206,38 @@ def test_certify_exit_codes(tmp_path):
     assert run("certify", corpus_path("half_interval.scx")) == 0
     assert run("certify", corpus_path("third_interval.scx")) == 1
     assert run("certify", corpus_path("antidiagonal.scx")) == 1
+
+
+def test_certify_refuses_a_part_outside_the_cube(tmp_path, capsys):
+    # certify_main takes only polyhedra in [0,1]^n; a vertex outside is a
+    # DomainError, which the CLI reports as a data error.
+    part = from_maximal([GeoSimplex((rpoint("1/2"), rpoint("3/2")))])
+    with pytest.raises(DomainError) as err:
+        certify_main(part)
+    assert str(err.value) == "|P| must lie inside the unit cube"
+    path = tmp_path / "outside.scx"
+    path.write_text(print_scx(ScxDocument("complex", part)), encoding="utf-8")
+    capsys.readouterr()
+    assert run("certify", str(path)) == 65
+    assert capsys.readouterr().err == "error: |P| must lie inside the unit cube\n"
+
+
+def test_a_zero_search_budget_is_unknown(capsys):
+    # A search with no budget ends inconclusive: exit 2, with the reason on
+    # stderr, for each command that searches for a collapse.
+    cases = [
+        (["collapse", corpus_path("cube2.scx")], "",
+         "no collapse sequence found within budget\n"),
+        (["pipeline", corpus_path("square_to_half_diagonal.scx"),
+          corpus_path("half_diagonal.scx")], "}\n", "collapse search inconclusive\n"),
+        (["certify", corpus_path("cube2.scx")],
+         "unknown: collapse search or desingularization inconclusive\n", ""),
+    ]
+    for argv, out, err in cases:
+        capsys.readouterr()
+        assert run(*argv, "--budget", "0") == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out.endswith(out) and captured.err == err, argv
 
 
 def test_certify_witnesses_reverify(tmp_path):

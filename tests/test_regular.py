@@ -78,9 +78,17 @@ def test_desingularize_one_step(third_interval):
     assert all(is_regular(s) for s in out.simplexes)
 
 
-def test_desingularize_identity_on_regular():
+def test_desingularize_identity_on_regular(monkeypatch):
+    # A regular input is returned as it is, with no star index built; so
+    # is a complex whose inside subcomplex is regular, however the rest is.
+    def forbidden(*args):
+        raise AssertionError("a regular input builds no star index")
+
+    monkeypatch.setattr(subdivide, "_Stars", forbidden)
     cx = standard_cube(2)
-    assert desingularize(cx) == cx
+    assert desingularize(cx) is cx
+    cx = from_maximal([seg(0, "1/3"), seg("1/3", 1)])
+    assert desingularize_relative(cx, from_maximal([seg(0, "1/3")])) is cx
 
 
 def test_desingularize_2d():
@@ -232,6 +240,36 @@ def test_desingularize_builds_one_complex(monkeypatch):
         inside_calls.clear()
         desingularize_relative(cx, part)
         assert len(inside_calls) == 1 and len(built) == 2
+
+
+def _path(k: int) -> GeoComplex:
+    """The path through j/(k - 1), j = 0..k - 1."""
+    points = [rpoint(Fraction(j, k - 1)) for j in range(k)]
+    return GeoComplex([GeoSimplex(pair) for pair in zip(points, points[1:])],
+                      validate=False)
+
+
+def test_star_work_per_blow_up_does_not_grow(monkeypatch):
+    # A blow-up reads the stars of its carrier's vertices, not the whole
+    # complex, so its star work, the sum of those stars' sizes, is the same
+    # on the path at k = 250 and k = 1,000; a scan of every maximal simplex
+    # grows with k.
+    work = []
+    replace = subdivide._Stars.replace
+
+    def spy(stars, p, carrier):
+        work.append(sum(len(stars._star[v]) for v in carrier))
+        return replace(stars, p, carrier)
+
+    monkeypatch.setattr(subdivide._Stars, "replace", spy)
+    per_blow_up = {}
+    for k in (250, 1000):
+        work.clear()
+        with pytest.raises(BudgetExhausted):
+            desingularize(_path(k), budget=200)
+        assert len(work) == 201
+        per_blow_up[k] = sum(work) / len(work)
+    assert per_blow_up[250] == per_blow_up[1000] <= 4, per_blow_up
 
 
 def test_desingularize_relative_already_regular():

@@ -11,15 +11,16 @@ from zrk import (GeoComplex, GeoSimplex, PLMap, RPoint, common_refinement,
                  part2_reduce, pipeline_dh, refine_for_map, restrict, rpoint,
                  standard_cube, stellar, subdivide,
                  verify_section_retraction)
+from zrk.regular import _box_point, is_regular
 from zrk.scx import ScxDocument, parse_scx, print_scx
 from zrk.subdivide import (PointNotInSupport, SupportMismatch, covers,
                            inside_subcomplex, supports, support_equal)
 
-from conftest import random_rational, random_simplex, seg, tri
+from conftest import random_rational, random_simplex, random_simplex_pool, seg, tri
 import oracles
 from oracles import (RestrictionRefused, caratheodory_supports, clip_is_subdivision,
                      face_stellar, rowwise_restrict, scan_inside_subcomplex,
-                     scan_supports, split_supports, stellar_chain)
+                     scan_replace_star, scan_supports, split_supports, stellar_chain)
 
 
 def test_stellar_segment_midpoint():
@@ -219,6 +220,56 @@ def test_stellar_matches_face_oracle():
             assert got.simplexes == expected.simplexes, (cx, p)
             cx = got
     assert seen == {"vertex", "edge", "facet", "higher"}
+
+
+def _star_move_inputs(rng: random.Random) -> list[GeoComplex]:
+    """Seeded stellar squares and cube3s, blown up at one to three points
+    with denominators <= 5, and every 7th simplex of positive dimension of
+    the benchmark's random_simplex pool."""
+    cxs = [stellar_chain(standard_cube(n), [rpoint(*[random_rational(rng, 5) for _ in range(n)])
+                                           for _ in range(rng.randint(1, 3))])
+           for n in (2, 2, 2, 2, 3, 3, 3)]
+    return cxs + [GeoComplex([s]) for s in random_simplex_pool()[::7] if s.dim > 0]
+
+
+def test_stars_match_scan_oracle():
+    # subdivide._Stars finds a star as the intersection of the carrier's
+    # vertex stars; the oracle scans a bare set of maximal simplexes.  Both
+    # make the same moves: the box point of the least non-regular simplex,
+    # as desingularization does, the barycentre of a maximal simplex, as
+    # step H does, and a point inside a random face.  After every move the
+    # cones, the maximal simplexes and the star of every vertex agree, so a
+    # stale star entry, or a replaced simplex still held, fails.
+    rng = random.Random(2041)
+    kinds = collections.Counter()
+    for cx in _star_move_inputs(rng):
+        stars, maximal = subdivide._Stars(cx.maximal_simplexes()), set(cx.maximal_simplexes())
+        for _ in range(8):
+            bad = sorted((m.dim, m) for m in maximal if not is_regular(m))
+            kind = rng.choice(("box", "barycentre", "face")[0 if bad else 1:])
+            m = bad[0][1] if kind == "box" else rng.choice(sorted(maximal))
+            if kind == "box":
+                p, carrier = _box_point(m)
+            elif kind == "barycentre":
+                p, carrier = m.barycenter(), m.vertices
+            else:
+                carrier = tuple(rng.sample(m.vertices, rng.randint(2, len(m.vertices))))
+                weights = [rng.randint(1, 4) for _ in carrier]
+                p = rpoint(*[Fraction(sum(w * v[i] for w, v in zip(weights, carrier)),
+                                      sum(weights)) for i in range(cx.ambient_dim)])
+            kinds[kind] += 1
+            before = set(maximal)
+            cones = stars.replace(p, carrier)
+            assert set(cones) == set(scan_replace_star(maximal, p, frozenset(carrier))), (cx, p)
+            rebuilt = collections.defaultdict(set)
+            for s in maximal:
+                for v in s.vertices:
+                    rebuilt[v].add(s)
+            assert dict(stars._star) == rebuilt, (cx, p)
+            assert all(s in stars for s in maximal)
+            assert not any(s in stars for s in before - maximal)
+        assert stars.complex() == GeoComplex(maximal, validate=False)
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_common_refinement_identity():

@@ -1,0 +1,81 @@
+"""Stellar moves, desingularization and the certifier under the signed
+coordinate permutations of the cube (``symmetry.act``)."""
+
+import random
+from fractions import Fraction
+
+from zrk import (GeoComplex, GeoSimplex, certify_main, desingularize,
+                 desingularize_relative, from_maximal, is_subdivision, rpoint,
+                 standard_cube, stellar, subdivide)
+from zrk.regular import is_regular
+
+from conftest import random_rational, random_simplex_pool
+from oracles import stellar_chain
+from symmetry import act, random_symmetry
+from test_subdivide import _star_move_inputs
+
+
+def _point_in(rng: random.Random, cx: GeoComplex):
+    """A positive combination of the vertices of a random face of a random
+    maximal simplex: a vertex, or a point inside a face."""
+    m = rng.choice(cx.maximal_simplexes())
+    face = rng.sample(m.vertices, rng.randint(1, len(m.vertices)))
+    weights = [rng.randint(1, 4) for _ in face]
+    return rpoint(*[Fraction(sum(w * v[i] for w, v in zip(weights, face)), sum(weights))
+                    for i in range(cx.ambient_dim)])
+
+
+def _relative_pairs(rng: random.Random):
+    """Stellar squares and cube3s restricted to the facet x_n = 0, at points
+    half of which lie on it, with that facet's triangulation."""
+    for n in 4 * (2, 2, 3):
+        part = from_maximal([GeoSimplex(tuple(v for v in s.vertices if v[-1] == 0))
+                             for s in standard_cube(n).maximal_simplexes()
+                             if sum(v[-1] == 0 for v in s.vertices) == n])
+        points = []
+        for _ in range(rng.randint(1, 3)):
+            p = [random_rational(rng, 6) for _ in range(n)]
+            if rng.random() < 0.5:
+                p[-1] = 0
+            points.append(rpoint(*p))
+        yield subdivide.restrict(stellar_chain(standard_cube(n), points), part), part
+
+
+def test_stellar_moves_commute_with_cube_symmetries():
+    # For a cube symmetry g: stellar(gK, gp) is g applied to stellar(K, p),
+    # exactly; desingularize(gK) is regular and subdivides gK; the inside
+    # of desingularize_relative(gK, gP) is regular; and certify_main gives
+    # gK the status and reason it gives K.  Sort orders change under g, so
+    # blow-up orders may differ and only answers are compared.
+    rng = random.Random(2026)
+    moves = 0
+    for cx in _star_move_inputs(rng):
+        for _ in range(2):
+            g = random_symmetry(rng, cx.ambient_dim)
+            gcx = act(g, cx)
+            for _ in range(3):
+                p = _point_in(rng, cx)
+                assert stellar(gcx, act(g, p)) == act(g, stellar(cx, p)), (cx, g, p)
+                moves += 1
+            out = desingularize(gcx)
+            assert all(map(is_regular, out.maximal_simplexes())), (cx, g)
+            assert is_subdivision(out, gcx), (cx, g)
+    assert moves == 264
+    blown = 0
+    for cx, part in _relative_pairs(rng):
+        g = random_symmetry(rng, cx.ambient_dim)
+        gcx, gpart = act(g, cx), act(g, part)
+        out = desingularize_relative(gcx, gpart)
+        inside = subdivide.inside_subcomplex(out, gpart)
+        assert all(map(is_regular, inside.maximal_simplexes())), (cx, part, g)
+        blown += out != gcx
+    assert blown >= 3, blown
+    statuses = set()
+    parts = [GeoComplex([s]) for s in random_simplex_pool()[::3]] + _star_move_inputs(rng)[:7]
+    for part in parts:
+        want = certify_main(part)
+        for _ in range(2):
+            got = certify_main(act(random_symmetry(rng, part.ambient_dim), part))
+            assert (got.status, got.refutation_reason) == (want.status, want.refutation_reason)
+        statuses.add((want.status, want.refutation_reason))
+    assert len(statuses) >= 3, statuses

@@ -302,6 +302,9 @@ def test_verify_zretract_domain_must_be_cube(tent, half_interval):
                                   rpoint("1/2"): rpoint("1/2")})
     with pytest.raises(DomainError, match="domain mismatch"):
         verify_zretract(half_interval, small)
+    with pytest.raises(DomainError) as err:
+        verify_zretract(standard_cube(2), tent)
+    assert str(err.value) == "domain mismatch: ambient dimensions differ"
 
 
 def test_retarget_to_carrier_vertices():
@@ -423,6 +426,44 @@ def test_part2_reduce_fixity_violation(tent_domain):
     assert err.value.label == "(a)"
 
 
+def test_part2_reduce_names_each_violated_property(tent, tent_domain, half_interval):
+    # (d): the map lives on another triangulation; (f): the triangulation of
+    # |P| is not regular, as [0, 2/3] is not; (a): the image of a simplex
+    # leaves |P|, before any vertex is found unfixed.
+    two_thirds = from_maximal([seg(0, "2/3"), seg("2/3", 1)])
+    cases = [
+        (tent, standard_cube(1), half_interval, "(d)",
+         "the map is not compatible with the given triangulation"),
+        (identity_map(two_thirds), two_thirds, from_maximal([seg(0, "2/3")]), "(f)",
+         "the triangulation of |P| is not regular"),
+        (identity_map(tent_domain), tent_domain, half_interval, "(a)",
+         f"the image of {seg('1/2', 1)} leaves |P|"),
+    ]
+    for eta, delta, part, label, message in cases:
+        with pytest.raises(PropertyViolation) as err:
+            part2_reduce(eta, delta, part)
+        assert err.value.label == label
+        assert str(err.value) == f"property {label} violated: {message}"
+
+
+def test_verify_section_retraction_refuses_incompatible_maps(tent, tent_domain,
+                                                            half_interval):
+    # mu maps the realization in R^3 onto |P| in R^1 and nu maps |P| into
+    # R^3; each of the three spaces that must match is mismatched once.
+    result = part2_reduce(tent, tent_domain, half_interval)
+    mu, nu = result.retraction, result.section
+    flat = PLMap(mu.domain, {v: rpoint(0, 0) for v in mu.domain.vertices()})
+    cases = [
+        (standard_cube(2), mu, nu, "nu must be defined on |P|"),
+        (half_interval, mu, identity_map(half_interval), "codomain of nu vs domain of mu"),
+        (half_interval, flat, nu, "mu must land in the space of |P|"),
+    ]
+    for part, m, n, message in cases:
+        with pytest.raises(DomainError) as err:
+            verify_section_retraction(part, m, n)
+        assert str(err.value) == f"compatibility failure: {message}"
+
+
 def test_verify_section_retraction_perturbed(tent, tent_domain, half_interval):
     result = part2_reduce(tent, tent_domain, half_interval)
     bad_images = dict(result.retraction.images)
@@ -439,8 +480,15 @@ def test_verify_section_retraction_lattice_point():
     assert verify_section_retraction(part, mu, nu)
 
 
-def test_pipeline_worked_example(tent, half_interval):
+def test_pipeline_worked_example(tent, half_interval, monkeypatch):
+    # |P| is regular already and no simplex offends, so neither step F nor
+    # step H builds a star index.
+    def forbidden(*args):
+        raise AssertionError("no stellar move is needed")
+
+    monkeypatch.setattr(subdivide, "_Stars", forbidden)
     result = pipeline_dh(tent, half_interval)
+    monkeypatch.undo()
     assert result.status == "ok"
     assert result.triangulation == tent.domain
     assert result.map.images == tent.images
@@ -492,19 +540,19 @@ def test_pipeline_step_h_hosts_are_the_first_inside_simplexes(monkeypatch):
     eta = PLMap(domain, {v: v if v[1] <= Fraction(1, 2) else w
                          for v in domain.vertices()})
     # Step F replaces stars too, so a replacement is step H's blow-up only
-    # after a coprime point has been drawn; the first one's set of maximal
-    # simplexes, before it changes, is delta_g's.
+    # after a coprime point has been drawn; the maximal simplexes held
+    # before the first one are delta_g's.
     hosts, blown = [], []
-    coprime, replace = zmaps.coprime_point, subdivide._replace_star
+    coprime, replace = zmaps.coprime_point, subdivide._Stars.replace
 
-    def spy(maximal, p, carrier):
+    def spy(stars, p, carrier):
         if hosts:
-            blown.append((set(maximal), p))
-        return replace(maximal, p, carrier)
+            blown.append((stars.complex().maximal_simplexes(), p))
+        return replace(stars, p, carrier)
 
     monkeypatch.setattr(zmaps, "coprime_point",
                         lambda host, k: hosts.append(host) or coprime(host, k))
-    monkeypatch.setattr(subdivide, "_replace_star", spy)
+    monkeypatch.setattr(subdivide._Stars, "replace", spy)
     result = pipeline_dh(eta, part)
     monkeypatch.undo()
     assert result.status == "ok" and hosts and len(hosts) == len(blown)
@@ -528,6 +576,25 @@ def test_pipeline_condition_violations(third_interval, antidiagonal):
     with pytest.raises(ConditionViolation) as err:
         pipeline_dh(eta, third_interval)
     assert err.value.label == "(ii)"
+
+
+def test_pipeline_refuses_a_map_failing_condition_i(tent, tent_domain, half_interval,
+                                                    antidiagonal):
+    # Condition (i) asks for a retraction of the cube onto |P|: a map in
+    # another space, one on a domain that is not the cube, and one that
+    # does not fix |P| are each refused by name.
+    cases = [
+        (tent, antidiagonal, "retraction and |P| live in different spaces"),
+        (identity_map(half_interval), half_interval,
+         "the retraction domain must triangulate the unit cube"),
+        (PLMap(tent_domain, {v: rpoint(0) for v in tent_domain.vertices()}), half_interval,
+         "the supplied map does not fix |P|"),
+    ]
+    for eta, part, message in cases:
+        with pytest.raises(ConditionViolation) as err:
+            pipeline_dh(eta, part)
+        assert err.value.label == "(i)"
+        assert str(err.value) == f"condition (i) violated: {message}"
 
 
 def _path_through_an_even_edge():
