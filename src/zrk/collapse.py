@@ -144,17 +144,20 @@ def find_collapse_sequence(cx: GeoComplex,
     nodes: each state that is not a single vertex and not known to fail
     costs one, and is expanded only while the count is within budget.  An
     expanded state is remembered once all its pairs fail, filed under
-    ``key``, the XOR of the Zobrist words of the faces removed; its live
-    flags are copied only then, or when the key of a state is already
-    filed.  Path states strictly shrink, so an open state is never met
-    again.  Past the budget open states still try their remaining pairs,
-    so a single vertex reached that way succeeds.  A budget of 0 finds
+    ``key``, the XOR of the Zobrist words of the faces whose live flags
+    differ from those of the first state filed; its live flags are copied
+    only then, or when the key of a state is already filed.  Before the
+    first filing every state is fresh and no key is read, so the words are
+    made then and the key is kept from there on.  Path states strictly
+    shrink, so an open state is never met again.  Past the budget open
+    states still try their remaining pairs, so a single vertex reached
+    that way succeeds.  A budget of 0 finds
     nothing unless cx is a single vertex.  None means "not found within
     budget".
     """
     table = _FaceTable(cx)
     pairs, n, live = table.file_free(), table.n, table.live  # updated in place
-    words = list(map(_zobrist, range(n)))
+    words: list[int] = []  # each face's Zobrist word, made at the first filing
     failed: dict[int, set[bytes]] = {}
     key = nodes = 0
     path: list[int] = []
@@ -165,17 +168,21 @@ def find_collapse_sequence(cx: GeoComplex,
         k = 0 if expanded else len(pairs)
         while k == len(pairs):
             if expanded:
+                if not words:
+                    words = list(map(_zobrist, range(n)))
                 failed.setdefault(key, set()).add(bytes(live))
             if not path:
                 return None
             last = path.pop()
             table.toggle(last)
-            key ^= words[last // n] ^ words[last % n]
+            if words:
+                key ^= words[last // n] ^ words[last % n]
             k, expanded = bisect_right(pairs, last), True
         pair = pairs[k]
         path.append(pair)
         table.toggle(pair)
-        key ^= words[pair // n] ^ words[pair % n]
+        if words:
+            key ^= words[pair // n] ^ words[pair % n]
     steps = tuple(CollapseStep._raw(table.geo(p // n), table.geo(p % n)) for p in path)
     return CollapseSequence(steps, table.geo(live.index(1)))
 

@@ -19,24 +19,25 @@ other entry is built and checked, and so is its pair.
 
 The canonical text is what ``json.dumps`` prints with sorted keys and an
 indent of 2, plus a newline.  An indent makes ``json`` run its pure-Python
-encoder, so ``_emit`` writes the same bytes itself: sorted keys, a
-two-space indent, ``","`` between items and ``": "`` after keys, ``[]``
-and ``{}`` when empty, ``int.__repr__`` for integers and ``json``'s C
-``encode_basestring_ascii`` for strings.  In a body, a point is a tuple of
-coordinate texts.  A per-document memo (``_point_out``) formats each
-distinct point once and hands every occurrence the same tuple, and the
-emitter renders a point's bracketed block once per indent level at which
-it appears.  A complex's maximal simplexes and a sequence's steps stay in
-the body as they are (``_Simplexes``, ``_Steps``) and are printed by
-joins: a maximal simplex is one join of the blocks at its rank tuple
-(``GeoComplex._ranks``), and a step is two joins of the blocks of its
-vertex objects, looked up by id, so no vertex occurrence is hashed.
+encoder, so ``print_scx`` writes the same bytes itself, kind by kind: each
+kind puts its members in their fixed sorted key order, with a two-space
+indent, ``","`` between items and ``": "`` after keys, ``[]`` and ``{}``
+when empty, ``str`` of integers and ``json``'s C
+``encode_basestring_ascii`` for strings.  A document is a list of pieces
+joined once at the end: ``_object`` puts members, each a key and the
+pieces of its value, into an object, and ``_array`` and ``_close`` put
+items into an array, so no value is joined into its parent.  A point's
+bracketed block is rendered once per depth at which its object appears,
+and its coordinate texts once per document (``_blocks``).  A maximal
+simplex is one join of the blocks at its rank tuple
+(``GeoComplex._ranks``), and a collapse step two joins of the blocks of
+its vertex objects, looked up by id, so no vertex occurrence is hashed.
+A verdict whose two complex witnesses are one object renders it once.
 """
 
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
@@ -69,175 +70,150 @@ class ScxDocument:
 # -- encoding ----------------------------------------------------------------
 
 
-def _point_out(p: RPoint, memo: dict) -> tuple[str, ...]:
-    """The coordinate texts of p, formatted once per document: ``memo``
-    maps each point printed so far to its tuple."""
-    text = memo.get(p)
-    if text is None:
-        text = memo[p] = p._texts()
-    return text
-
-
-# The lists of a body that ``_emit`` prints by joins: a complex's maximal
-# simplexes, as the texts of its vertex table and its rank tuples
-# (``GeoComplex._ranks``), and a sequence's steps, with the point memo.
-_Simplexes = namedtuple("_Simplexes", "texts ranks")
-_Steps = namedtuple("_Steps", "steps memo")
-
-
-def _complex_body(cx: GeoComplex, memo: dict) -> dict:
-    texts = [_point_out(v, memo) for v in cx.vertices()]
-    return {"dim": cx.ambient_dim, "maximal_simplexes": _Simplexes(texts, cx._ranks)}
-
-
-def _payload_body(kind: str, payload, memo: dict) -> dict:
-    if kind == "complex":
-        return _complex_body(payload, memo)
-    if kind == "plmap":
-        body = _complex_body(payload.domain, memo)
-        body["codomain_dim"] = payload.codomain_dim
-        body["vertex_images"] = [
-            [_point_out(v, memo), _point_out(payload.images[v], memo)]
-            for v in payload.domain.vertices()]
-        return body
-    if kind == "weighted":
-        w: WeightedComplex = payload
-        order = list(w.base.vertices)
-        index = {v: i for i, v in enumerate(order)}
-        return {
-            "vertices": [str(v) for v in order],
-            "faces": sorted(sorted(index[v] for v in f) for f in w.base.faces),
-            "weights": [w.weights[v] for v in order],
-        }
-    if kind == "sequence":
-        seq: CollapseSequence = payload
-        return {
-            "steps": _Steps(seq.steps, memo),
-            "terminal": _point_out(seq.terminal.vertices[0], memo),
-        }
-    if kind == "verdict":
-        verdict: RetractVerdict = payload
-        body: dict = {"status": verdict.status}
-        if verdict.refutation_reason:
-            body["refutation_reason"] = verdict.refutation_reason
-        if verdict.witnesses:
-            wit = verdict.witnesses
-            wbody = {}
-            if wit.lattice_vertex is not None:
-                wbody["lattice_vertex"] = _point_out(wit.lattice_vertex, memo)
-            if wit.collapse_complex is not None:
-                wbody["collapse_complex"] = _complex_body(wit.collapse_complex, memo)
-            if wit.collapse_sequence is not None:
-                wbody["collapse_sequence"] = _payload_body(
-                    "sequence", wit.collapse_sequence, memo)
-            if wit.strongly_regular is not None:
-                wbody["strongly_regular"] = _complex_body(wit.strongly_regular, memo)
-            body["witnesses"] = wbody
-        return body
-    raise ScxError(f"unknown kind {kind!r}")
-
-
-def _emit(body: dict) -> str:
-    """The text ``json.dumps`` prints for ``body`` with sorted keys and an
-    indent of 2, for a body of dicts with string keys, lists, tuples of
-    strings, strings and ints, and the lists ``_Simplexes`` and ``_Steps``.
-
-    A tuple is a point: its block is rendered once for each depth at which
-    it appears and reused at every later occurrence, which is what lets
-    one dict lookup stand for a vertex repeated in many simplexes.  In a
-    ``_Simplexes`` or ``_Steps`` each vertex's block is looked up once, by
-    rank or by the id of its point object, and a simplex is one join of its
-    vertices' blocks, a step one concatenation of two such joins.
-    """
-    out: list[str] = []
-    put = out.append
-    blocks: dict = {}  # (point, depth) -> its rendered block
-
-    def block(x: tuple, depth: int) -> str:
-        text = blocks.get((x, depth))
+def _blocks(points, depth: int, memo: dict) -> list[str]:
+    """The blocks of the points at depth.  ``memo`` maps each point
+    formatted so far in the document to its coordinate texts, so equal
+    points held as distinct objects are formatted once, and each depth to
+    a dict from the id of each point object rendered there to its block,
+    so a point object is hashed only where its block at a depth is first
+    rendered.  Coordinate texts hold only digits, '-' and '/', which JSON
+    writes as they are."""
+    at = memo.get(depth)
+    if at is None:
+        at = memo[depth] = {}
+    inner = "\n" + "  " * (depth + 1)
+    sep, closing = '",' + inner + '"', '"\n' + "  " * depth + "]"
+    out = []
+    for p in points:
+        text = at.get(id(p))
         if text is None:
-            inner = "\n" + "  " * (depth + 1)
-            text = blocks[x, depth] = (
-                "[" + inner + ("," + inner).join(map(encode_basestring_ascii, x))
-                + "\n" + "  " * depth + "]")
-        return text
+            texts = memo.get(p)
+            if texts is None:
+                texts = memo[p] = p._texts()
+            text = at[id(p)] = "[" + inner + '"' + sep.join(texts) + closing
+        out.append(text)
+    return out
 
-    def joins(x, depth: int) -> None:
-        """The list x at depth, a ``_Simplexes`` or a ``_Steps``.  Each item
-        is one string led by its separator, and the first item's comma is
-        the opening bracket, so the items go out with no join of the list."""
-        i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
-        if type(x) is _Simplexes:
-            vb = [block(t, depth + 2) for t in x.texts]
-            opening, sep = "," + i1 + "[" + i2, "," + i2
-            items = [opening + sep.join(map(vb.__getitem__, r)) + i1 + "]" for r in x.ranks]
-        else:
-            by_id: dict[int, str] = {}  # id of a point object -> its block
-            sep = "," + i3
 
-            def joined(vs) -> str:
-                try:
-                    return sep.join(map(by_id.__getitem__, map(id, vs)))
-                except KeyError:
-                    for v in vs:
-                        if id(v) not in by_id:
-                            by_id[id(v)] = block(_point_out(v, x.memo), depth + 3)
-                    return joined(vs)
+def _close(pieces: list[str], depth: int) -> list[str]:
+    """The array at depth whose items are ``pieces``, each item led by a
+    piece that starts with its separator ","; the first separator becomes
+    the opening bracket, and no item is joined."""
+    if not pieces:
+        return ["[]"]
+    pieces[0] = "[" + pieces[0][1:]
+    pieces.append("\n" + "  " * depth + "]")
+    return pieces
 
-            opening, middle = "," + i1 + "[" + i2 + "[" + i3, i2 + "]," + i2 + "[" + i3
-            items = [opening + joined(st.maximal.vertices) + middle
-                     + joined(st.free_facet.vertices) + i2 + "]" + i1 + "]"
-                     for st in x.steps]
-        out.extend(["[" + items[0][1:], *items[1:], i0 + "]"] if items else ["[]"])
 
-    def value(x, depth: int) -> None:
-        kind = type(x)
-        if kind is str:
-            put(encode_basestring_ascii(x))
-        elif kind is tuple:
-            put(block(x, depth))
-        elif kind is list:
-            if not x:
-                put("[]")
-                return
-            inner = "\n" + "  " * (depth + 1)
-            put("[" + inner)
-            for i, item in enumerate(x):
-                if i:
-                    put("," + inner)
-                value(item, depth + 1)
-            put("\n" + "  " * depth + "]")
-        elif kind is _Simplexes or kind is _Steps:
-            joins(x, depth)
-        elif kind is dict:
-            if not x:
-                put("{}")
-                return
-            inner = "\n" + "  " * (depth + 1)
-            put("{" + inner)
-            for i, key in enumerate(sorted(x)):
-                if i:
-                    put("," + inner)
-                put(encode_basestring_ascii(key) + ": ")
-                value(x[key], depth + 1)
-            put("\n" + "  " * depth + "}")
-        elif kind is int:
-            put(int.__repr__(x))
-        else:
-            raise TypeError(f"cannot print a {kind.__name__} in .scx")
+def _array(items: list[str], depth: int) -> list[str]:
+    """The array at depth of ``items``, each rendered at depth + 1."""
+    pieces = [",\n" + "  " * (depth + 1)] * (2 * len(items))
+    pieces[1::2] = items
+    return _close(pieces, depth)
 
-    value(body, 0)
-    text = "".join(out)
-    # ``value`` calls itself, so the closures of this call form a cycle that
-    # lives until the next collection; emptying ``out`` frees the pieces now.
-    out.clear()
-    return text
+
+def _object(members: list[tuple[str, list[str]]], depth: int) -> list[str]:
+    """The object at depth whose members are (key, pieces) pairs in sorted
+    key order, each value rendered at depth + 1."""
+    if not members:
+        return ["{}"]
+    inner = "\n" + "  " * (depth + 1)
+    pieces = []
+    for key, value in members:
+        pieces.append(f',{inner}"{key}": ')
+        pieces += value
+    pieces[0] = "{" + pieces[0][1:]
+    pieces.append("\n" + "  " * depth + "}")
+    return pieces
+
+
+def _complex(cx: GeoComplex, depth: int, memo: dict) -> list:
+    """The members "dim" and "maximal_simplexes" of cx in an object at
+    depth.  A simplex is one join of its vertices' blocks, read off its
+    rank tuple (``GeoComplex._ranks``)."""
+    i2, i3 = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 3)
+    block = _blocks(cx.vertices(), depth + 3, memo).__getitem__
+    lead, sep, closing = "," + i2 + "[" + i3, "," + i3, i2 + "]"
+    pieces = []
+    for r in cx._ranks:
+        pieces += (lead, sep.join(map(block, r)), closing)
+    return [("dim", [str(cx.ambient_dim)]), ("maximal_simplexes", _close(pieces, depth + 1))]
+
+
+def _sequence(seq: CollapseSequence, depth: int, memo: dict) -> list:
+    """The members "steps" and "terminal" of seq in an object at depth.  A
+    step is two joins of the blocks of its vertex objects, looked up by
+    id, so no vertex occurrence is hashed."""
+    i2, i3, i4 = ("\n" + "  " * (depth + k) for k in (2, 3, 4))
+    terminal = _blocks(seq.terminal.vertices, depth + 1, memo)
+    block = memo.setdefault(depth + 4, {}).__getitem__
+    sep, lead = "," + i4, "," + i2 + "[" + i3 + "[" + i4
+    middle, closing = i3 + "]," + i3 + "[" + i4, i3 + "]" + i2 + "]"
+    pieces = []
+    for st in seq.steps:
+        t, f = st.maximal.vertices, st.free_facet.vertices
+        try:
+            jt, jf = sep.join(map(block, map(id, t))), sep.join(map(block, map(id, f)))
+        except KeyError:  # a vertex object met for the first time
+            _blocks(t + f, depth + 4, memo)
+            jt, jf = sep.join(map(block, map(id, t))), sep.join(map(block, map(id, f)))
+        pieces += (lead, jt, middle, jf, closing)
+    return [("steps", _close(pieces, depth + 1)), ("terminal", terminal)]
 
 
 def print_scx(doc: ScxDocument) -> str:
-    body = {"version": doc.version, "kind": doc.kind}
-    body.update(_payload_body(doc.kind, doc.payload, {}))
-    return _emit(body) + "\n"
+    kind, payload, memo = doc.kind, doc.payload, {}
+    head = ("kind", [encode_basestring_ascii(kind)])
+    version = ("version", [encode_basestring_ascii(doc.version)])
+    if kind == "complex":
+        dim, simplexes = _complex(payload, 0, memo)
+        members = [dim, head, simplexes, version]
+    elif kind == "plmap":
+        dim, simplexes = _complex(payload.domain, 0, memo)
+        vertices = _blocks(payload.domain.vertices(), 3, memo)
+        # ``PLMap.images`` lists the images in the domain's vertex order.
+        images = _blocks(payload.images.values(), 3, memo)
+        pairs = [f"[\n      {v},\n      {img}\n    ]" for v, img in zip(vertices, images)]
+        members = [("codomain_dim", [str(payload.codomain_dim)]), dim, head, simplexes,
+                   version, ("vertex_images", _array(pairs, 1))]
+    elif kind == "weighted":
+        order = list(payload.base.vertices)
+        index = {v: i for i, v in enumerate(order)}
+        faces = sorted(sorted(index[v] for v in f) for f in payload.base.faces)
+        faces = ["".join(_array(list(map(str, f)), 2)) for f in faces]
+        members = [("faces", _array(faces, 1)), head, version,
+                   ("vertices", _array([encode_basestring_ascii(str(v)) for v in order], 1)),
+                   ("weights", _array([str(payload.weights[v]) for v in order], 1))]
+    elif kind == "sequence":
+        steps, terminal = _sequence(payload, 0, memo)
+        members = [head, steps, terminal, version]
+    elif kind == "verdict":
+        members = [head]
+        if payload.refutation_reason:
+            members.append(("refutation_reason",
+                            [encode_basestring_ascii(payload.refutation_reason)]))
+        members += [("status", [encode_basestring_ascii(payload.status)]), version]
+        wit = payload.witnesses
+        if wit:
+            ccx, srt, found = wit.collapse_complex, wit.strongly_regular, []
+            if ccx is not None:
+                found.append(("collapse_complex", _object(_complex(ccx, 2, memo), 2)))
+            if wit.collapse_sequence is not None:
+                found.append(("collapse_sequence",
+                              _object(_sequence(wit.collapse_sequence, 2, memo), 2)))
+            if wit.lattice_vertex is not None:
+                found.append(("lattice_vertex", _blocks((wit.lattice_vertex,), 2, memo)))
+            if srt is not None:
+                # A certified cube verdict holds one complex twice.
+                found.append(("strongly_regular", found[0][1] if srt is ccx
+                              else _object(_complex(srt, 2, memo), 2)))
+            members.append(("witnesses", _object(found, 1)))
+    else:
+        raise ScxError(f"unknown kind {kind!r}")
+    pieces = _object(members, 0)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 # -- decoding ----------------------------------------------------------------

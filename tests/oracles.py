@@ -67,6 +67,10 @@ vector as a ``HomogVec``, which ``regular`` exported with no caller in
 runs the pure-Python encoder, from before ``scx`` had its own emitter, over
 a JSON body of its own built from the payload's simplexes and points, from
 before ``scx`` printed simplexes and collapse steps by joins.
+``walk_print_scx`` builds a body dict for the document (``_payload_body``)
+and walks it (``_emit``), switching on the type of each value and sorting
+each dict's keys, from before ``scx`` rendered each document kind's members
+in their fixed order.
 ``simplicially_isomorphic`` matches two skeletons by backtracking over
 vertex bijections; it was in ``complexes`` with no caller in ``src``.
 ``is_zmap_by_fit`` decides the Z-map property by fitting an integer affine
@@ -135,11 +139,13 @@ read only the faces it was given.
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from functools import lru_cache, reduce
 from itertools import combinations, product
+from json.encoder import encode_basestring_ascii
 from operator import and_, ge, gt, le, lt, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -1601,6 +1607,178 @@ def json_print_scx(doc) -> str:
     body = {"version": doc.version, "kind": doc.kind}
     body.update(_json_payload(doc.kind, doc.payload))
     return json.dumps(body, sort_keys=True, indent=2) + "\n"
+
+
+def _point_out(p: RPoint, memo: dict) -> tuple[str, ...]:
+    """The coordinate texts of p, formatted once per document: ``memo``
+    maps each point printed so far to its tuple."""
+    text = memo.get(p)
+    if text is None:
+        text = memo[p] = p._texts()
+    return text
+
+
+# The lists of a body that ``_emit`` prints by joins: a complex's maximal
+# simplexes, as the texts of its vertex table and its rank tuples
+# (``GeoComplex._ranks``), and a sequence's steps, with the point memo.
+_Simplexes = namedtuple("_Simplexes", "texts ranks")
+_Steps = namedtuple("_Steps", "steps memo")
+
+
+def _complex_body(cx: GeoComplex, memo: dict) -> dict:
+    texts = [_point_out(v, memo) for v in cx.vertices()]
+    return {"dim": cx.ambient_dim, "maximal_simplexes": _Simplexes(texts, cx._ranks)}
+
+
+def _payload_body(kind: str, payload, memo: dict) -> dict:
+    if kind == "complex":
+        return _complex_body(payload, memo)
+    if kind == "plmap":
+        body = _complex_body(payload.domain, memo)
+        body["codomain_dim"] = payload.codomain_dim
+        body["vertex_images"] = [
+            [_point_out(v, memo), _point_out(payload.images[v], memo)]
+            for v in payload.domain.vertices()]
+        return body
+    if kind == "weighted":
+        w: WeightedComplex = payload
+        order = list(w.base.vertices)
+        index = {v: i for i, v in enumerate(order)}
+        return {
+            "vertices": [str(v) for v in order],
+            "faces": sorted(sorted(index[v] for v in f) for f in w.base.faces),
+            "weights": [w.weights[v] for v in order],
+        }
+    if kind == "sequence":
+        seq: CollapseSequence = payload
+        return {
+            "steps": _Steps(seq.steps, memo),
+            "terminal": _point_out(seq.terminal.vertices[0], memo),
+        }
+    if kind == "verdict":
+        verdict: RetractVerdict = payload
+        body: dict = {"status": verdict.status}
+        if verdict.refutation_reason:
+            body["refutation_reason"] = verdict.refutation_reason
+        if verdict.witnesses:
+            wit = verdict.witnesses
+            wbody = {}
+            if wit.lattice_vertex is not None:
+                wbody["lattice_vertex"] = _point_out(wit.lattice_vertex, memo)
+            if wit.collapse_complex is not None:
+                wbody["collapse_complex"] = _complex_body(wit.collapse_complex, memo)
+            if wit.collapse_sequence is not None:
+                wbody["collapse_sequence"] = _payload_body(
+                    "sequence", wit.collapse_sequence, memo)
+            if wit.strongly_regular is not None:
+                wbody["strongly_regular"] = _complex_body(wit.strongly_regular, memo)
+            body["witnesses"] = wbody
+        return body
+    raise scx.ScxError(f"unknown kind {kind!r}")
+
+
+def _emit(body: dict) -> str:
+    """The text ``json.dumps`` prints for ``body`` with sorted keys and an
+    indent of 2, for a body of dicts with string keys, lists, tuples of
+    strings, strings and ints, and the lists ``_Simplexes`` and ``_Steps``.
+
+    A tuple is a point: its block is rendered once for each depth at which
+    it appears and reused at every later occurrence, which is what lets
+    one dict lookup stand for a vertex repeated in many simplexes.  In a
+    ``_Simplexes`` or ``_Steps`` each vertex's block is looked up once, by
+    rank or by the id of its point object, and a simplex is one join of its
+    vertices' blocks, a step one concatenation of two such joins.
+    """
+    out: list[str] = []
+    put = out.append
+    blocks: dict = {}  # (point, depth) -> its rendered block
+
+    def block(x: tuple, depth: int) -> str:
+        text = blocks.get((x, depth))
+        if text is None:
+            inner = "\n" + "  " * (depth + 1)
+            text = blocks[x, depth] = (
+                "[" + inner + ("," + inner).join(map(encode_basestring_ascii, x))
+                + "\n" + "  " * depth + "]")
+        return text
+
+    def joins(x, depth: int) -> None:
+        """The list x at depth, a ``_Simplexes`` or a ``_Steps``.  Each item
+        is one string led by its separator, and the first item's comma is
+        the opening bracket, so the items go out with no join of the list."""
+        i0, i1, i2, i3 = ("\n" + "  " * (depth + k) for k in range(4))
+        if type(x) is _Simplexes:
+            vb = [block(t, depth + 2) for t in x.texts]
+            opening, sep = "," + i1 + "[" + i2, "," + i2
+            items = [opening + sep.join(map(vb.__getitem__, r)) + i1 + "]" for r in x.ranks]
+        else:
+            by_id: dict[int, str] = {}  # id of a point object -> its block
+            sep = "," + i3
+
+            def joined(vs) -> str:
+                try:
+                    return sep.join(map(by_id.__getitem__, map(id, vs)))
+                except KeyError:
+                    for v in vs:
+                        if id(v) not in by_id:
+                            by_id[id(v)] = block(_point_out(v, x.memo), depth + 3)
+                    return joined(vs)
+
+            opening, middle = "," + i1 + "[" + i2 + "[" + i3, i2 + "]," + i2 + "[" + i3
+            items = [opening + joined(st.maximal.vertices) + middle
+                     + joined(st.free_facet.vertices) + i2 + "]" + i1 + "]"
+                     for st in x.steps]
+        out.extend(["[" + items[0][1:], *items[1:], i0 + "]"] if items else ["[]"])
+
+    def value(x, depth: int) -> None:
+        kind = type(x)
+        if kind is str:
+            put(encode_basestring_ascii(x))
+        elif kind is tuple:
+            put(block(x, depth))
+        elif kind is list:
+            if not x:
+                put("[]")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            put("[" + inner)
+            for i, item in enumerate(x):
+                if i:
+                    put("," + inner)
+                value(item, depth + 1)
+            put("\n" + "  " * depth + "]")
+        elif kind is _Simplexes or kind is _Steps:
+            joins(x, depth)
+        elif kind is dict:
+            if not x:
+                put("{}")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            put("{" + inner)
+            for i, key in enumerate(sorted(x)):
+                if i:
+                    put("," + inner)
+                put(encode_basestring_ascii(key) + ": ")
+                value(x[key], depth + 1)
+            put("\n" + "  " * depth + "}")
+        elif kind is int:
+            put(int.__repr__(x))
+        else:
+            raise TypeError(f"cannot print a {kind.__name__} in .scx")
+
+    value(body, 0)
+    text = "".join(out)
+    # ``value`` calls itself, so the closures of this call form a cycle that
+    # lives until the next collection; emptying ``out`` frees the pieces now.
+    out.clear()
+    return text
+
+
+def walk_print_scx(doc) -> str:
+    """The canonical text of a document, printed by walking its body."""
+    body = {"version": doc.version, "kind": doc.kind}
+    body.update(_payload_body(doc.kind, doc.payload, {}))
+    return _emit(body) + "\n"
 
 
 def is_zmap_by_fit(eta) -> bool:

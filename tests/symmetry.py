@@ -1,5 +1,5 @@
 """The signed coordinate permutations of the cube [0,1]^n, acting on points,
-simplexes and complexes.
+simplexes, complexes, PL maps and collapse sequences.
 
 A symmetry g = (perm, flips) sends x to y with y_i = x_perm[i], or
 1 - x_perm[i] where flips[i].  Its homogeneous lift is a unimodular integer
@@ -11,7 +11,9 @@ needs no reference code to check.
 
 import random
 
+from zrk.collapse import CollapseSequence, CollapseStep
 from zrk.complexes import GeoComplex, GeoSimplex, RPoint
+from zrk.zmaps import PLMap
 
 Symmetry = tuple[tuple[int, ...], tuple[bool, ...]]
 
@@ -21,9 +23,11 @@ def random_symmetry(rng: random.Random, n: int) -> Symmetry:
 
 
 def act(g: Symmetry, obj):
-    """g applied to a point, a simplex or a complex.  A point's integer
-    vector d(x, 1) maps to d(y, 1), which is primitive again, as
-    gcd(d - a, d) = gcd(a, d)."""
+    """g applied to a point, a simplex, a complex, a PL map or a collapse
+    sequence.  A point's integer vector d(x, 1) maps to d(y, 1), which is
+    primitive again, as gcd(d - a, d) = gcd(a, d).  A map eta of the cube
+    into itself becomes g eta g^-1: its domain is gK, and the image of g v
+    is g eta(v).  A sequence's steps and terminal are moved one by one."""
     perm, flips = g
     if isinstance(obj, RPoint):
         *x, d = obj._homog
@@ -33,4 +37,9 @@ def act(g: Symmetry, obj):
         return GeoSimplex(tuple(act(g, v) for v in obj.vertices))
     if isinstance(obj, GeoComplex):
         return GeoComplex([act(g, s) for s in obj.maximal_simplexes()], validate=False)
+    if isinstance(obj, PLMap):
+        return PLMap(act(g, obj.domain), {act(g, v): act(g, img) for v, img in obj.images.items()})
+    if isinstance(obj, CollapseSequence):
+        return CollapseSequence(tuple(CollapseStep(act(g, st.maximal), act(g, st.free_facet))
+                                      for st in obj.steps), act(g, obj.terminal))
     raise TypeError(f"no cube symmetry acts on {type(obj).__name__}")

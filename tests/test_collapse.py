@@ -262,6 +262,22 @@ def test_colliding_state_keys_change_no_result(monkeypatch):
     assert len(flips) == 2 * k * 2 ** (k - 1)
 
 
+def test_search_makes_zobrist_words_only_once_a_state_fails(monkeypatch):
+    # A state's key is read only once some state is filed as failed, so a
+    # search that never backs out of a failed state makes no word; one that
+    # does makes each face's word once, at its first filing.
+    made = []
+    zobrist = collapse._zobrist
+    monkeypatch.setattr(collapse, "_zobrist", lambda i: made.append(i) or zobrist(i))
+    for cx in (standard_cube(2), standard_cube(3), standard_cube(4)):
+        seq = find_collapse_sequence(cx)
+        assert seq is not None and replay(cx, seq)
+    assert made == []
+    cx = _hollow_with_tails(4)
+    assert find_collapse_sequence(cx) is None
+    assert sorted(made) == list(range(len(collapse._FaceTable(cx).faces)))
+
+
 def test_search_leaves_recursion_limit_alone(monkeypatch):
     def refuse(limit):
         raise AssertionError("the collapse search changed the recursion limit")

@@ -1,23 +1,26 @@
 import collections
 import gc
+import itertools
 import json
 import random
 import tracemalloc
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from zrk import (CollapseSequence, CollapseStep, GeoSimplex, PLMap, RPoint, certify_main,
-                 complexes, find_collapse_sequence, from_maximal, linalg, part2_reduce,
-                 pipeline_dh, rpoint, scx, standard_cube, stellar)
+from zrk import (CollapseSequence, CollapseStep, GeoComplex, GeoSimplex, PLMap, RPoint,
+                 certify_main, complexes, find_collapse_sequence, from_maximal, linalg,
+                 part2_reduce, pipeline_dh, rpoint, scx, standard_cube, stellar)
 from zrk.complexes import AbsComplex, WeightedComplex
 from zrk.exactnum import format_rat
 from zrk.scx import KINDS, ScxDocument, ScxError, parse_scx, print_scx
-from zrk.zmaps import RetractVerdict
+from zrk.zmaps import RetractVerdict, RetractWitnesses
 
 from conftest import random_simplex, seg, tri
-from oracles import json_print_scx, read_off_parse_sequence, validating_parse_sequence
+from oracles import (json_print_scx, read_off_parse_sequence, validating_parse_sequence,
+                     walk_print_scx)
 from test_collapse import _differential_complexes, _mutations
 
 
@@ -805,21 +808,121 @@ def test_printer_escapes_strings_like_json():
     assert roundtrip(doc).payload.refutation_reason == reason
 
 
+def _far(cx: GeoComplex, rng: random.Random) -> GeoComplex:
+    """cx under an integer affine map x -> a x + b with a large and of
+    either sign, and b large and negative: big and negative coordinates."""
+    a = rng.choice((-1, 1)) * rng.randint(10**12, 10**30)
+    b = [Fraction(-rng.randint(10**18, 10**40), rng.randint(1, 7))
+         for _ in range(cx.ambient_dim)]
+    far = {v: RPoint(tuple(a * c + t for c, t in zip(v.coords, b))) for v in cx.vertices()}
+    return GeoComplex([GeoSimplex(tuple(far[v] for v in s.vertices))
+                       for s in cx.maximal_simplexes()], validate=False)
+
+
+def _three_printers(doc: ScxDocument) -> str:
+    text = print_scx(doc)
+    assert text == walk_print_scx(doc) == json_print_scx(doc), doc.kind
+    return text
+
+
+def test_printers_agree_on_every_kind():
+    # print_scx against the body-dict walker and json.dumps on seeded
+    # complexes, their collapse sequences, PL maps into other dimensions,
+    # weighted complexes, and verdicts with every subset of witnesses.
+    rng = random.Random(4242)
+    cube3 = standard_cube(3)
+    vertex = from_maximal([GeoSimplex((rpoint("-7/3", 10**25),))])
+    parts = [vertex, standard_cube(2), cube3]
+    for _ in range(3):
+        parts.append(stellar(cube3, rng.choice(cube3.maximal_simplexes()).barycenter()))
+    parts += [_far(cx, rng) for cx in parts[1:]]
+    texts = []
+    for cx in parts:
+        seq = find_collapse_sequence(cx)
+        assert seq is not None
+        texts.append(_three_printers(ScxDocument("complex", cx)))
+        texts.append(_three_printers(ScxDocument("sequence", seq)))
+        for dim in (1, cx.ambient_dim + 1):
+            images = {v: RPoint(tuple(rng.randint(-10**20, 10**20) * c + rng.randint(-5, 5)
+                                      for c in v.coords[:1] * dim))
+                      for v in cx.vertices()}
+            texts.append(_three_printers(ScxDocument("plmap", PLMap(cx, images))))
+    assert '"steps": []' in print_scx(ScxDocument("sequence", find_collapse_sequence(vertex)))
+    cx = parts[4]
+    witnesses = {"collapse_complex": cx, "collapse_sequence": find_collapse_sequence(cx),
+                 "lattice_vertex": rpoint(-(10**30), "1/3", 0),
+                 "strongly_regular": parts[-1]}
+    reasons = [None, "", "(ii),(iii)", "(ii): no lattice vertex, |P| ∩ ℤ³ = ∅ — 😀"]
+    for k in range(len(witnesses) + 1):
+        for chosen in itertools.combinations(witnesses, k):
+            wit = RetractWitnesses(**{key: witnesses[key] for key in chosen})
+            for status, reason in zip(("certified", "refuted", "unknown"),
+                                      rng.sample(reasons, 3)):
+                texts.append(_three_printers(
+                    ScxDocument("verdict", RetractVerdict(status, wit, reason))))
+    assert any('"witnesses": {}' in t for t in texts)
+    names = ['say "hi"', "back\\slash", "\x00\x1f\x7f", "ℤ³", 7, rpoint("1/2", -3)]
+    base = AbsComplex(names, [frozenset(names[:4]), frozenset(names[3:])])
+    weighted = WeightedComplex(base, {v: 10**k for k, v in enumerate(names)})
+    texts.append(_three_printers(ScxDocument("weighted", weighted)))
+    assert {json.loads(t)["kind"] for t in texts} == set(KINDS)
+    assert len(texts) == 93
+
+
+@settings(max_examples=100, database=None, deadline=None, derandomize=True)
+@given(st.text(), st.lists(st.text(), min_size=1, max_size=5, unique=True),
+       st.integers(min_value=1, max_value=10**40))
+@example("", [""], 1)
+@example("(i), (ii)", ['"', "\\", "\u2028", "é,\n"], 10**40)
+def test_printers_agree_on_any_text(reason, names, weight):
+    verdict = RetractVerdict("refuted", refutation_reason=reason)
+    assert _three_printers(ScxDocument("verdict", verdict)).isascii()
+    base = AbsComplex(names, [frozenset(names[:2]), frozenset(names[1:])])
+    weighted = WeightedComplex(base, {v: weight + k for k, v in enumerate(names)})
+    assert _three_printers(ScxDocument("weighted", weighted)).isascii()
+
+
 _EMITTER_TEXT = st.text(max_size=6) | st.text(
     alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€\u2028\ud7ff😀 a1', max_size=6)
+_EMITTER_POINTS = st.lists(st.fractions(), min_size=1, max_size=3).map(
+    lambda cs: RPoint(tuple(cs)))
 _EMITTER_VALUES = st.recursive(
-    st.integers() | _EMITTER_TEXT
-    | st.lists(_EMITTER_TEXT, min_size=1, max_size=3).map(tuple),
+    st.integers() | _EMITTER_TEXT | _EMITTER_POINTS,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(_EMITTER_TEXT, inner, max_size=4),
     max_leaves=20)
+_SHARED = rpoint("-1/2", 0)
+
+
+def _helper_pieces(x, depth: int, memo: dict) -> list[str]:
+    """x printed by scx's helpers: objects by ``_object``, arrays by
+    ``_array`` and points by ``_blocks``; scalars as the printer writes them."""
+    if type(x) is dict:
+        return scx._object([(encode_basestring_ascii(k)[1:-1],
+                             _helper_pieces(x[k], depth + 1, memo)) for k in sorted(x)], depth)
+    if type(x) is list:
+        return scx._array(["".join(_helper_pieces(v, depth + 1, memo)) for v in x], depth)
+    if type(x) is RPoint:
+        return scx._blocks((x,), depth, memo)
+    return [encode_basestring_ascii(x) if type(x) is str else str(x)]
+
+
+def _as_json(x):
+    if type(x) is dict:
+        return {k: _as_json(v) for k, v in x.items()}
+    if type(x) is list:
+        return list(map(_as_json, x))
+    return list(map(format_rat, x.coords)) if type(x) is RPoint else x
 
 
 @settings(max_examples=300, database=None, deadline=None, derandomize=True)
 @given(_EMITTER_VALUES)
 @example({})
 @example([])
-@example({"a": [[], {}, ("1/2", "0")], "b": [("1/2", "0"), [("1/2", "0")]]})
+@example({"a": [[], {}, _SHARED], "b": [_SHARED, [_SHARED, rpoint("-1/2", 0)]]})
 def test_emitter_matches_json_dumps(body):
-    # Tuples are points, whose blocks are reused at each depth.
-    assert scx._emit(body) == json.dumps(body, sort_keys=True, indent=2)
+    # The helpers print_scx builds every document from, on any JSON value
+    # with points in it.  A point's block is reused wherever its object
+    # appears at one depth, and its texts wherever an equal point appears.
+    text = "".join(_helper_pieces(body, 0, {}))
+    assert text == json.dumps(_as_json(body), sort_keys=True, indent=2)

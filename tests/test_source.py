@@ -10,6 +10,7 @@ import zrk.collapse
 import zrk.complexes
 import zrk.linalg
 import zrk.regular
+import zrk.scx
 import zrk.subdivide
 import zrk.zmaps
 
@@ -50,6 +51,22 @@ def test_no_indented_json_dumps():
              in ("dump", "dumps")
              and any(k.arg == "indent" for k in node.keywords)]
     assert not found, f"json.dumps with indent in src/zrk: {found}"
+
+
+def test_printer_builds_no_body_to_walk():
+    # Each document kind writes its members in their fixed order.  A body
+    # dict per document, walked by a printer that sorted every dict's keys
+    # and switched on every value's type, cost a small certify op more than
+    # finding its verdict.
+    tree = ast.parse(Path(zrk.scx.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert not defined & {"_payload_body", "_Simplexes", "_Steps", "_emit"}, defined
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "namedtuple" not in imported and "collections" not in imported, imported
 
 
 def test_collapse_search_makes_no_per_node_copies():
@@ -253,7 +270,7 @@ def test_stellar_moves_go_through_one_star_index():
 
 # Code lines in src/zrk when the gate was set.  Lower it when code goes;
 # raise it only with a line in CHANGES.md saying why.
-CODE_LINES = 2150
+CODE_LINES = 2132
 
 
 def code_lines(text: str) -> int:

@@ -1,18 +1,22 @@
-"""Stellar moves, desingularization and the certifier under the signed
-coordinate permutations of the cube (``symmetry.act``)."""
+"""Stellar moves, desingularization, the certifier, printing, replay and
+the Z-map criterion under the signed coordinate permutations of the cube
+(``symmetry.act``)."""
 
 import random
 from fractions import Fraction
+from importlib import resources
 
-from zrk import (GeoComplex, GeoSimplex, certify_main, desingularize,
-                 desingularize_relative, from_maximal, is_subdivision, rpoint,
-                 standard_cube, stellar, subdivide)
+from zrk import (GeoComplex, GeoSimplex, PLMap, certify_main, desingularize,
+                 desingularize_relative, find_collapse_sequence, from_maximal, is_subdivision,
+                 is_zmap, replay, rpoint, standard_cube, stellar, subdivide)
 from zrk.regular import is_regular
+from zrk.scx import ScxDocument, parse_scx, print_scx
 
 from conftest import random_rational, random_simplex_pool
 from oracles import stellar_chain
 from symmetry import act, random_symmetry
 from test_subdivide import _star_move_inputs
+from test_zmaps import _face_projection
 
 
 def _point_in(rng: random.Random, cx: GeoComplex):
@@ -79,3 +83,41 @@ def test_stellar_moves_commute_with_cube_symmetries():
             assert (got.status, got.refutation_reason) == (want.status, want.refutation_reason)
         statuses.add((want.status, want.refutation_reason))
     assert len(statuses) >= 3, statuses
+
+
+def _same(a, b) -> bool:
+    """Equal payloads; a PL map is its domain and its vertex images."""
+    if isinstance(a, PLMap):
+        return type(b) is PLMap and a.domain == b.domain and a.images == b.images
+    return a == b
+
+
+def test_printing_replay_and_zmaps_commute_with_cube_symmetries():
+    # For a cube symmetry g, the printed gK, g seq and g eta g^-1 parse back
+    # to themselves; g seq replays on gK; and g eta g^-1 is a Z-map iff eta
+    # is.  The maps are face projections, which are Z-maps, and the corpus
+    # map onto the half diagonal, which is not, each on its cube and on
+    # stellar subdivisions of it at seeded points.
+    rng = random.Random(1405)
+    corpus = resources.files("zrk.corpus")
+    square = parse_scx((corpus / "square_to_half_diagonal.scx").read_text()).payload
+    maps = []
+    for eta in [_face_projection(2)[0], _face_projection(3)[0], square] * 2:
+        dom = eta.domain
+        for _ in range(rng.randint(0, 2)):
+            dom = stellar(dom, _point_in(rng, dom))
+        maps.append(eta.rebase(dom))
+    zmaps = []
+    for eta in maps:
+        cx = eta.domain
+        seq = find_collapse_sequence(cx)
+        assert seq is not None
+        for _ in range(2):
+            g = random_symmetry(rng, cx.ambient_dim)
+            for kind, x in (("complex", cx), ("sequence", seq), ("plmap", eta)):
+                gx = act(g, x)
+                assert _same(parse_scx(print_scx(ScxDocument(kind, gx))).payload, gx), (kind, g)
+            assert replay(act(g, cx), act(g, seq)), (cx, g)
+            assert is_zmap(act(g, eta)) == is_zmap(eta), (eta, g)
+        zmaps.append(is_zmap(eta))
+    assert zmaps == [True, True, False] * 2
