@@ -9,10 +9,11 @@ halfspaces (``clip_simplex``): it gives the vertices of the cell, of any
 dimension, each with the mask of the constraints tight at it, and so decides
 both the cells that ``subdivide`` triangulates and the common-face condition
 of ``complexes``.  The pulling triangulation of a cell
-(``pull_triangulation``) decides everything by such signs too.  Determinant
-and rank, together from one elimination (``rank_det``), and a simplex's
-integer forms (``simplex_rows``, one Gauss-Jordan elimination) use
-Bareiss's fraction-free elimination (Bareiss 1968), whose intermediate
+(``pull_triangulation``) decides everything by such signs too, and reads
+the rank of each face off the rows' tight masks with no elimination.
+Determinant and rank, together from one elimination (``rank_det``), and a
+simplex's integer forms (``simplex_rows``, one Gauss-Jordan elimination)
+use Bareiss's fraction-free elimination (Bareiss 1968), whose intermediate
 entries are minors of the input and so stay integers.  The polytope
 routines are written for the desk-scale cells that arise when two simplexes
 meet, not for high-dimensional polytopes.
@@ -260,8 +261,21 @@ def pull_triangulation(points: Sequence[IntVec],
     which makes the result depend only on the face itself and the order;
     shared faces of adjacent cells therefore receive identical
     triangulations when the order is the same, e.g. lexicographic.  A face
-    is the bitmask of its vertices, its intersection with a row's tight
-    bitmask is the row's tight set on it, and dimensions are integer ranks.
+    is the bitmask of its vertices, and its intersection with a row's tight
+    bitmask is the row's tight set on it, the vertex set of a face of it.
+
+    Ranks (dimension + 1) are read off these sets, with no elimination: a
+    vertex has rank 1, and any other face F has 1 + the rank of its
+    largest proper nonempty set F & mask.  Proof: a facet F' of F is a
+    face of the polytope, so it is the intersection of the polytope's
+    facets holding it, and one of them, G, misses a vertex of F; then
+    F' lies in F cap G, a proper face of F, which is F' as F' is a facet.
+    G is the tight set of some row, so every facet of F is some F & mask.
+    Every F & mask is a face of F, and every proper face lies in a facet,
+    so the inclusion-maximal proper nonempty sets F & mask are exactly the
+    facets of F, and one with the most vertices is maximal.  A facet has
+    rank one less than F, and only facets pass the test
+    rank(tight) = rank(F) - 1.
     """
     tight_masks = [sum(1 << i for i, x in enumerate(points) if not sum(map(mul, g, x)))
                    for g in ineqs]
@@ -271,8 +285,9 @@ def pull_triangulation(points: Sequence[IntVec],
     def rank(face: int) -> int:
         got = ranks.get(face)
         if got is None:
-            got = ranks[face] = matrix_rank(
-                [x for i, x in enumerate(points) if face >> i & 1])
+            largest = max((face & m for m in tight_masks if face & m != face),
+                          key=int.bit_count, default=0)
+            got = ranks[face] = 1 + rank(largest) if largest else 1
         return got
 
     def pull(face: int) -> list[int]:
@@ -281,16 +296,13 @@ def pull_triangulation(points: Sequence[IntVec],
             return got
         r = rank(face)
         if r == face.bit_count():  # affinely independent: a simplex
-            cache[face] = [face]
             return [face]
         first = face & -face
         out = []
         seen: set[int] = set()
         for mask in tight_masks:
             tight = face & mask
-            if not tight or tight == face or tight in seen:
-                continue
-            if rank(tight) != r - 1:
+            if not tight or tight == face or tight in seen or rank(tight) != r - 1:
                 continue
             seen.add(tight)
             if tight & first:

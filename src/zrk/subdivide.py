@@ -16,9 +16,11 @@ simplex or halfspace t.  Its vertices, each with the mask of the
 constraints tight at it, come from clipping s by t's halfspaces one at a
 time (``linalg.clip_simplex``, the polytope kernel that also decides the
 common-face condition of ``complexes``).  A cell whose masks all share a
-bit lies in a hyperplane of aff(s) and is dropped; one with the dimension
-of s is triangulated by pulling its lexicographically least vertex.
-Pulling depends only on the face being triangulated, so adjacent cells
+bit lies in a hyperplane of aff(s) and is dropped.  One with the
+dimension of s and dim s + 1 vertices is a simplex, its own triangulation;
+only a cell with more vertices is triangulated by pulling its
+lexicographically least vertex.  Pulling depends only on the face being
+triangulated, and triangulates a simplex as itself, so adjacent cells
 agree along shared faces and the union is again a simplicial complex.
 
 One overlay serves ``supports``, ``common_refinement`` and
@@ -196,8 +198,13 @@ def _pull_cell(s: GeoSimplex, eqs_t: Sequence[Row],
     A full-dimensional cell has no facet on an equality, so the barycentric
     rows of s and ineqs_t are an H-representation of it within its hull.
     The vertices are sorted as points, and vertices of s keep their own
-    objects.  The pulled simplexes are independent and sorted already, so
-    they skip validation.
+    objects.  A full-dimensional cell with dim s + 1 vertices is itself:
+    dim s + 1 points spanning a space of dimension dim s are affinely
+    independent, so the cell is the simplex they span, and pulling a
+    simplex gives the simplex alone (its rank is its vertex count).  It is
+    returned as its sorted vertex tuple with no H-representation read, and
+    only a cell with more vertices is pulled.  The pulled simplexes are
+    independent and sorted already, so they skip validation.
     """
     if any(sum(map(mul, e, x)) for e in eqs_t for x in s._vertex_rows):
         return []
@@ -211,9 +218,9 @@ def _pull_cell(s: GeoSimplex, eqs_t: Sequence[Row],
                      key=lambda x: tuple(c * (common // x[-1]) for c in x[:-1]))
     own = dict(zip(s._vertex_rows, s.vertices))
     points = [own.get(x) or RPoint._from_homog(x) for x in vectors]
-    ineqs = s._point_rows[1] + tuple(ineqs_t)
-    return [GeoSimplex._raw(tuple(points[i] for i in tri))
-            for tri in linalg.pull_triangulation(vectors, ineqs)]
+    tris = (linalg.pull_triangulation(vectors, s._point_rows[1] + tuple(ineqs_t))
+            if len(cell) > len(s.vertices) else [range(len(cell))])
+    return [GeoSimplex._raw(tuple(points[i] for i in tri)) for tri in tris]
 
 
 def _pullback_rows(s: GeoSimplex, images: Sequence[RPoint],

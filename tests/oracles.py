@@ -42,6 +42,11 @@ simplex, which the volume cube test summed before it used
 one affine hull that ``subdivide`` compared on both sides of every tiling
 question before ``subdivide._tiles`` measured pieces in their simplex's
 own projection.
+``rank_pull_triangulation`` ranks every face it pulls by a Bareiss
+elimination, from before ``linalg.pull_triangulation`` read ranks off the
+tight masks, and ``pulling_pull_cell`` pulls every full-dimensional cell
+with it, from before ``subdivide._pull_cell`` returned a cell with
+dim s + 1 vertices as itself.
 ``fraction_clip_simplex``, ``fraction_pull_triangulation``, ``fraction_det``
 and ``pullback_forms`` are the cell kernel on ``Fraction`` points and
 ``AffineForm``s, from before it worked on homogeneous integer vectors and
@@ -423,6 +428,69 @@ def fraction_pull_triangulation(vertices, ineqs):
         return out
 
     return pull(tuple(sorted(set(vertices))))
+
+
+def rank_pull_triangulation(points, ineqs) -> list[tuple[int, ...]]:
+    """``linalg.pull_triangulation`` ranking every face it visits by a
+    Bareiss elimination of the face's vertex vectors, from before it read
+    ranks off the rows' tight masks; its reference."""
+    tight_masks = [sum(1 << i for i, x in enumerate(points) if not sum(map(mul, g, x)))
+                   for g in ineqs]
+    ranks: dict[int, int] = {}
+    cache: dict[int, list[int]] = {}
+
+    def rank(face: int) -> int:
+        got = ranks.get(face)
+        if got is None:
+            got = ranks[face] = linalg.matrix_rank(
+                [x for i, x in enumerate(points) if face >> i & 1])
+        return got
+
+    def pull(face: int) -> list[int]:
+        got = cache.get(face)
+        if got is not None:
+            return got
+        r = rank(face)
+        if r == face.bit_count():  # affinely independent: a simplex
+            cache[face] = [face]
+            return [face]
+        first = face & -face
+        out = []
+        seen: set[int] = set()
+        for mask in tight_masks:
+            tight = face & mask
+            if not tight or tight == face or tight in seen:
+                continue
+            if rank(tight) != r - 1:
+                continue
+            seen.add(tight)
+            if tight & first:
+                continue
+            out.extend(sub | first for sub in pull(tight))
+        cache[face] = out
+        return out
+
+    return [tuple(i for i in range(len(points)) if face >> i & 1)
+            for face in pull((1 << len(points)) - 1)]
+
+
+def pulling_pull_cell(s: GeoSimplex, eqs_t, ineqs_t) -> list[GeoSimplex]:
+    """``subdivide._pull_cell`` pulling every full-dimensional cell with
+    ``rank_pull_triangulation``, a cell that is a simplex too, from before
+    such a cell was returned as itself; its reference."""
+    if any(sum(map(mul, e, x)) for e in eqs_t for x in s._vertex_rows):
+        return []
+    cell = linalg.clip_simplex(s._vertex_rows, ineqs_t)
+    if not cell or reduce(and_, (m for _, m in cell)):
+        return []
+    common = math.lcm(*(x[-1] for x, _ in cell))
+    vectors = sorted((x for x, _ in cell),
+                     key=lambda x: tuple(c * (common // x[-1]) for c in x[:-1]))
+    own = dict(zip(s._vertex_rows, s.vertices))
+    points = [own.get(x) or RPoint._from_homog(x) for x in vectors]
+    ineqs = s._point_rows[1] + tuple(ineqs_t)
+    return [GeoSimplex._raw(tuple(points[i] for i in tri))
+            for tri in rank_pull_triangulation(vectors, ineqs)]
 
 
 def pullback_forms(bary, images, forms):

@@ -9,15 +9,16 @@ from operator import and_, mul
 import pytest
 
 from zrk import GeoSimplex, RPoint, rpoint
-from zrk.linalg import (_bareiss, clip_simplex, det, homogeneous, matrix_rank,
+from zrk.linalg import (_bareiss, _combination, clip_simplex, det, homogeneous, matrix_rank,
                         normal, pivot_columns, pull_triangulation)
 from zrk.subdivide import _pull_cell, _pullback_rows
 
-from conftest import random_rational
+from conftest import random_rational, random_simplex
 from oracles import (AffineForm, aff_dim, affine_hull_forms, affinely_independent,
                      echelon, enumerate_cell_vertices, full_row_bareiss,
                      fraction_clip_simplex, fraction_det, fraction_pull_triangulation,
-                     integer_rows, lp_maximize, negate, pullback_forms,
+                     integer_rows, lp_maximize, negate, pullback_forms, pulling_pull_cell,
+                     rank_pull_triangulation,
                      relative_volume_total, simplex_forms, simplex_hrep, simplex_volume,
                      vertex_forms)
 
@@ -225,6 +226,89 @@ def test_clip_simplex_matches_enumeration_oracle():
                 assert list(map(_primitive, got)) == \
                     [_primitive(_row(g)) for g in pullback_forms(bary, images, forms)]
     assert all(count >= 20 for count in kinds.values()), kinds
+
+
+def _cut_through(rng, x):
+    """A random integer row whose hyperplane passes through the point with
+    homogeneous vector x: (d a, -a . p) for p = x / d, the form a . (y - p)
+    scaled by d > 0."""
+    a = [rng.randint(-3, 3) for _ in x[:-1]]
+    if not any(a):
+        a[rng.randrange(len(a))] = 1
+    return tuple(x[-1] * c for c in a) + (-sum(map(mul, a, x[:-1])),)
+
+
+def _inner_point(rng, vectors):
+    """A homogeneous vector of a random positive mix of these vectors' points."""
+    return _combination([rng.randint(1, 3) for _ in vectors], vectors)
+
+
+def test_pulling_by_mask_ranks_matches_the_eliminating_oracle():
+    # pull_triangulation reads face ranks off the tight masks and _pull_cell
+    # returns a cell with dim s + 1 vertices as itself; their oracles rank
+    # by elimination and pull every cell.  The cells come from clipping
+    # random simplexes of dimension 1-4, in R^dim and in higher ambient
+    # dimension, by 1-3 rows through inner points, and from squares, cubes
+    # and 4-cubes, clipped out of the simplex conv(0, n e_i) by x_i <= 1
+    # and cut by 0-2 more rows.  Each pulling must match its oracle's
+    # index tuples in order.
+    rng = random.Random(43)
+    kinds = collections.Counter()
+
+    def check(s, rows) -> bool:
+        """Compare on s cut by rows; True when the cell was pulled."""
+        got = _pull_cell(s, [], rows)
+        assert [t.vertices for t in got] == \
+            [t.vertices for t in pulling_pull_cell(s, [], rows)], (s, rows)
+        cell = clip_simplex(s._vertex_rows, rows)
+        if not cell or reduce(and_, (m for _, m in cell)):
+            kinds["lower"] += 1
+            return False
+        points = sorted(RPoint._from_homog(x) for x, _ in cell)
+        vectors = [p._homog for p in points]
+        ineqs = s._point_rows[1] + tuple(rows)
+        pulled = pull_triangulation(vectors, ineqs)
+        assert pulled == rank_pull_triangulation(vectors, ineqs), (s, rows)
+        assert [tuple(points[i] for i in tri) for tri in pulled] == \
+            [t.vertices for t in got], (s, rows)
+        if len(cell) == len(s.vertices):
+            kinds["simplex"] += 1
+            return False
+        kinds["pulled"] += 1
+        # Facets by elimination: tight sets of rank one less than the cell.
+        facets = {tight for g in ineqs
+                  for tight in [frozenset(x for x in vectors if sum(map(mul, g, x)) == 0)]
+                  if tight and matrix_rank(list(tight)) == len(s.vertices) - 1}
+        sizes = sorted(map(len, facets))
+        kinds["facet of 4+"] += sizes[-1] >= 4
+        kinds["prism"] += s.dim == 3 and sizes == [3, 3, 4, 4, 4]
+        kinds["cube"] += len(cell) == 2 ** s.dim and sizes == [2 ** (s.dim - 1)] * (2 * s.dim)
+        return True
+
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        ambient = k + rng.choice((0, 0, 1, 2))
+        s = random_simplex(rng, ambient, 4)
+        while s.dim != k:
+            s = random_simplex(rng, ambient, 4)
+        kinds["high ambient"] += ambient > k
+        check(s, [_cut_through(rng, _inner_point(rng, s._vertex_rows))
+                  for _ in range(rng.randint(1, 3))])
+    for n in (2, 3, 4):
+        big = GeoSimplex((rpoint(*[0] * n),) + tuple(
+            rpoint(*[n * (i == j) for j in range(n)]) for i in range(n)))
+        walls = [tuple(-(i == j) for j in range(n)) + (1,) for i in range(n)]
+        centre = [rpoint(*[Fraction(1, 2)] * n)._homog]
+        for _ in range(12):
+            # Rows through a point between the centre and a random corner.
+            rows = [_cut_through(rng, _inner_point(rng, centre * n + [
+                rpoint(*[rng.randint(0, 1) for _ in range(n)])._homog]))
+                for _ in range(rng.randint(0, 2))]
+            kinds["cut square or cube"] += bool(check(big, walls + rows)) and bool(rows)
+    assert kinds["pulled"] >= 150 and kinds["simplex"] >= 50 and kinds["lower"] >= 10, kinds
+    assert kinds["high ambient"] >= 100, kinds
+    assert kinds["cube"] >= 6 and kinds["cut square or cube"] >= 20, kinds
+    assert kinds["facet of 4+"] >= 100 and kinds["prism"] >= 20, kinds
 
 
 def _primitive(row):

@@ -824,6 +824,58 @@ def test_pulled_cells_sort_vertices_as_points():
     assert full >= 150 and mixed >= 100, (full, mixed)
 
 
+def test_only_cells_that_are_not_simplexes_are_pulled_and_pulling_eliminates_nothing(
+        monkeypatch):
+    # Work bound on the pipeline, part 2 and their check for the fold of
+    # the square onto [0,1] x [0,1/2] and two stellar subdivisions of its
+    # domain: a cell with dim s + 1 vertices is returned as itself, so
+    # pull_triangulation sees only cells with more vertices than that, and
+    # it reads face ranks off the tight masks, so no Bareiss elimination
+    # runs inside it.
+    h = "1/2"
+    lower = [tri((0, 0), (1, 0), (1, h)), tri((0, 0), (0, h), (1, h))]
+    upper = [tri((0, h), (1, h), (1, 1)), tri((0, h), (0, 1), (1, 1))]
+    domain = from_maximal(lower + upper)
+    fold = PLMap(domain, {v: rpoint(v[0], min(v[1], 1 - v[1])) for v in domain.vertices()})
+    part = from_maximal(lower)
+    cut, pulling, pulled, eliminated = [], [], [], []
+    pull_cell, pull, bareiss = subdivide._pull_cell, linalg.pull_triangulation, linalg._bareiss
+
+    def tracked_cell(s, eqs, ineqs):
+        cut.append(len(s.vertices))
+        try:
+            return pull_cell(s, eqs, ineqs)
+        finally:
+            cut.pop()
+
+    def tracked_pull(points, ineqs):
+        pulled.append((len(points), cut[-1]))
+        pulling.append(True)
+        try:
+            return pull(points, ineqs)
+        finally:
+            pulling.pop()
+
+    def tracked_bareiss(*args, **kwargs):
+        eliminated.append(bool(pulling))
+        return bareiss(*args, **kwargs)
+
+    monkeypatch.setattr(subdivide, "_pull_cell", tracked_cell)
+    monkeypatch.setattr(linalg, "pull_triangulation", tracked_pull)
+    monkeypatch.setattr(linalg, "_bareiss", tracked_bareiss)
+    for points in [(), (("1/3", "3/4"),), (("3/4", "1/4"), ("1/3", "2/3"))]:
+        eta = fold
+        for p in points:
+            eta = eta.rebase(stellar(eta.domain, rpoint(*p)))
+        result = pipeline_dh(eta, part)
+        red = part2_reduce(result.map, result.triangulation, part)
+        assert result.status == "ok" and verify_section_retraction(
+            part, red.retraction, red.section), points
+    monkeypatch.undo()
+    assert pulled and all(n > dim_plus_one for n, dim_plus_one in pulled), pulled
+    assert len(eliminated) > 100 and not any(eliminated), eliminated.count(True)
+
+
 def test_inside_subcomplex_matches_testing_every_simplex():
     rng = random.Random(20146)
 

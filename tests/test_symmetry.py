@@ -6,17 +6,18 @@ import random
 from fractions import Fraction
 from importlib import resources
 
-from zrk import (GeoComplex, GeoSimplex, PLMap, certify_main, desingularize,
-                 desingularize_relative, find_collapse_sequence, from_maximal, is_subdivision,
-                 is_zmap, replay, rpoint, standard_cube, stellar, subdivide)
+from zrk import (GeoComplex, GeoSimplex, PLMap, certify_main, common_refinement,
+                 desingularize, desingularize_relative, find_collapse_sequence, from_maximal,
+                 is_subdivision, is_zmap, part2_reduce, pipeline_dh, replay, restrict, rpoint,
+                 standard_cube, stellar, subdivide, verify_section_retraction)
 from zrk.regular import is_regular
 from zrk.scx import ScxDocument, parse_scx, print_scx
 
-from conftest import random_rational, random_simplex_pool
+from conftest import random_rational, random_simplex, random_simplex_pool
 from oracles import stellar_chain
 from symmetry import act, random_symmetry
 from test_subdivide import _star_move_inputs
-from test_zmaps import _face_projection
+from test_zmaps import _face_projection, _seeded_folds
 
 
 def _point_in(rng: random.Random, cx: GeoComplex):
@@ -121,3 +122,39 @@ def test_printing_replay_and_zmaps_commute_with_cube_symmetries():
             assert is_zmap(act(g, eta)) == is_zmap(eta), (eta, g)
         zmaps.append(is_zmap(eta))
     assert zmaps == [True, True, False] * 2
+
+
+def _pipeline_answer(eta, part):
+    """pipeline_dh's status, and whether part2_reduce's pair verifies."""
+    result = pipeline_dh(eta, part)
+    red = part2_reduce(result.map, result.triangulation, part)
+    return result.status, verify_section_retraction(part, red.retraction, red.section)
+
+
+def test_cell_kernel_answers_commute_with_cube_symmetries():
+    # For a cube symmetry g: restrict(gK, gP) subdivides gK and its inside
+    # subcomplex triangulates |gP|; common_refinement(gA, gB) subdivides gA
+    # and gB; and the pipeline and part 2 on (g eta g^-1, gP) give eta's
+    # status, with a section and retraction that verify.  g changes the
+    # lexicographic pulling order, so answers are compared, not bytes.
+    rng = random.Random(1407)
+    restricted = 0
+    for cx in _star_move_inputs(rng)[:7] * 2:
+        n = cx.ambient_dim
+        part = from_maximal([random_simplex(rng, n, 2)])
+        g = random_symmetry(rng, n)
+        gcx, gpart = act(g, cx), act(g, part)
+        out = restrict(gcx, gpart)
+        assert is_subdivision(out, gcx), (cx, part, g)
+        assert subdivide._adapted(subdivide.inside_subcomplex(out, gpart), gpart), (cx, part, g)
+        restricted += out != gcx
+        other = stellar(standard_cube(n), _point_in(rng, standard_cube(n)))
+        overlay = common_refinement(gcx, act(g, other))
+        assert is_subdivision(overlay, gcx) and is_subdivision(overlay, act(g, other)), (cx, g)
+    assert restricted >= 8, restricted
+    cases = [_face_projection(2), _face_projection(3)] + _seeded_folds()[:3]
+    for eta, part in cases:
+        want = _pipeline_answer(eta, part)
+        assert want == ("ok", True), (eta, part)
+        g = random_symmetry(rng, part.ambient_dim)
+        assert _pipeline_answer(act(g, eta), act(g, part)) == want, (eta, part, g)
