@@ -1,5 +1,17 @@
 """Command-line front end.
 
+A command is one row of ``COMMANDS``: its help text, the options it takes,
+the document kind of each positional file, in order, and its handler.
+``main`` loads every file argument by its declared kind, in declaration
+order, before the handler runs, so a handler receives the parsed payloads
+and reads no file; a file of another kind is a data error that names it.
+``_witness`` writes a command's named --witness documents, ``_complex``
+makes the handler of a command that prints one complex, and ``_answer``
+that of a command that prints yes or no.  A new command is a handler and
+a row; an option shared by several commands is an entry of ``OPTIONS``
+named in their rows, plus whatever ``main`` does with it for every command
+that takes it, as it does for --budget.
+
 Exit codes: 0 success/certified/true, 1 refuted/false, 2 unknown,
 64 usage errors, 65 parse/data errors.  A command takes --budget, --out or
 --witness only when it reads it.  The search budget of desingularize,
@@ -16,9 +28,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import collapse as collapse_mod
-from . import regular, scx, subdivide, zmaps
-from .complexes import RPoint
+from . import collapse, regular, scx, subdivide, zmaps
+from .complexes import RPoint, realize
 from .exactnum import invariant_factors, parse_rat
 from .regular import BudgetExhausted, is_regular
 from .scx import ScxDocument, ScxError
@@ -30,7 +41,10 @@ def _budget(text: str) -> int:
     """A search budget: a nonnegative decimal integer."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(f"too many digits ({len(text)})") from None
 
 
 def _load(path: str, kind: str):
@@ -40,12 +54,26 @@ def _load(path: str, kind: str):
     return doc.payload
 
 
-def _emit(doc: ScxDocument, out: str | None) -> None:
-    text = scx.print_scx(doc)
+def _emit(doc: ScxDocument, out) -> None:
+    """Write the document to the path out, or to stdout without one."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        scx.dump(doc, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(scx.print_scx(doc))
+
+
+def _witness(args, *named) -> Path | None:
+    """Write each (name, kind, payload) whose payload is not None as
+    name.scx, in order, into the --witness directory, made if need be, and
+    return the directory; None without one."""
+    if not args.witness:
+        return None
+    wdir = Path(args.witness)
+    wdir.mkdir(parents=True, exist_ok=True)
+    for name, kind, payload in named:
+        if payload is not None:
+            _emit(ScxDocument(kind, payload), wdir / f"{name}.scx")
+    return wdir
 
 
 def _parse_point_arg(text: str) -> RPoint:
@@ -60,16 +88,26 @@ def _parse_point_arg(text: str) -> RPoint:
     return RPoint(tuple(coords))
 
 
-def _witness_dir(args) -> Path | None:
-    if args.witness:
-        path = Path(args.witness)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-    return None
+def _complex(build):
+    """The handler of a command that prints the complex build(args,
+    *inputs), or writes it to --out."""
+    def handler(args, *inputs) -> int:
+        _emit(ScxDocument("complex", build(args, *inputs)), args.out)
+        return EX_OK
+    return handler
 
 
-def cmd_check_regular(args) -> int:
-    cx = _load(args.file, "complex")
+def _answer(test, yes: str, no: str):
+    """The handler of a command that prints yes or no as test(*inputs)
+    holds, and exits 0 or 1."""
+    def handler(args, *inputs) -> int:
+        ok = test(*inputs)
+        print(yes if ok else no)
+        return EX_OK if ok else EX_FALSE
+    return handler
+
+
+def cmd_check_regular(args, cx) -> int:
     # Faces of a regular simplex are regular.
     bad = sorted({f for s in cx.maximal_simplexes() if not is_regular(s)
                   for f in s.faces() if not is_regular(f)})
@@ -82,8 +120,7 @@ def cmd_check_regular(args) -> int:
     return EX_OK
 
 
-def cmd_check_strongly_regular(args) -> int:
-    cx = _load(args.file, "complex")
+def cmd_check_strongly_regular(args, cx) -> int:
     if regular.is_strongly_regular(cx):
         print("strongly regular")
         return EX_OK
@@ -97,104 +134,37 @@ def cmd_check_strongly_regular(args) -> int:
     return EX_FALSE
 
 
-def cmd_desingularize(args) -> int:
-    cx = _load(args.file, "complex")
-    out = regular.desingularize(cx, budget=args.budget)
-    _emit(ScxDocument("complex", out), args.out)
-    return EX_OK
-
-
-def cmd_stellar(args) -> int:
-    cx = _load(args.file, "complex")
-    out = subdivide.stellar(cx, _parse_point_arg(args.at))
-    _emit(ScxDocument("complex", out), args.out)
-    return EX_OK
-
-
-def cmd_refine(args) -> int:
-    a = _load(args.file, "complex")
-    b = _load(args.other, "complex")
-    out = subdivide.common_refinement(a, b)
-    _emit(ScxDocument("complex", out), args.out)
-    return EX_OK
-
-
-def cmd_restrict(args) -> int:
-    a = _load(args.file, "complex")
-    p = _load(args.part, "complex")
-    out = subdivide.restrict(a, p)
-    _emit(ScxDocument("complex", out), args.out)
-    return EX_OK
-
-
-def cmd_collapse(args) -> int:
-    cx = _load(args.file, "complex")
-    seq = collapse_mod.find_collapse_sequence(cx, budget=args.budget)
+def cmd_collapse(args, cx) -> int:
+    seq = collapse.find_collapse_sequence(cx, budget=args.budget)
     if seq is None:
         print("no collapse sequence found within budget", file=sys.stderr)
         return EX_UNKNOWN
-    print(f"collapse sequence with {len(seq.steps)} steps "
-          f"ending at {seq.terminal}")
-    doc = ScxDocument("sequence", seq)
+    print(f"collapse sequence with {len(seq.steps)} steps ending at {seq.terminal}")
     if args.out:
-        _emit(doc, args.out)
-    wdir = _witness_dir(args)
-    if wdir:
-        scx.dump(doc, wdir / "collapse_sequence.scx")
+        _emit(ScxDocument("sequence", seq), args.out)
+    _witness(args, ("collapse_sequence", "sequence", seq))
     return EX_OK
 
 
-def cmd_replay(args) -> int:
-    cx = _load(args.file, "complex")
-    seq = _load(args.sequence, "sequence")
-    ok = collapse_mod.replay(cx, seq)
-    print("replay valid" if ok else "replay invalid")
-    return EX_OK if ok else EX_FALSE
-
-
-def cmd_zmap_check(args) -> int:
-    eta = _load(args.file, "plmap")
-    ok = zmaps.is_zmap(eta)
-    print("Z-map" if ok else "not a Z-map")
-    return EX_OK if ok else EX_FALSE
-
-
-def cmd_retract_verify(args) -> int:
-    p = _load(args.part, "complex")
-    eta = _load(args.file, "plmap")
-    ok = zmaps.verify_zretract(p, eta)
-    print("valid Z-retraction" if ok else "not a Z-retraction")
-    return EX_OK if ok else EX_FALSE
-
-
-def cmd_part2(args) -> int:
-    eta = _load(args.file, "plmap")
-    p = _load(args.part, "complex")
-    result = zmaps.part2_reduce(eta, eta.domain, p)
-    wdir = _witness_dir(args)
+def cmd_part2(args, eta, part) -> int:
+    result = zmaps.part2_reduce(eta, eta.domain, part)
+    wdir = _witness(args, ("weighted", "weighted", result.weighted),
+                    ("realization", "complex", result.realization),
+                    ("section", "plmap", result.section),
+                    ("retraction", "plmap", result.retraction))
     if wdir:
-        scx.dump(ScxDocument("weighted", result.weighted), wdir / "weighted.scx")
-        scx.dump(ScxDocument("complex", result.realization), wdir / "realization.scx")
-        scx.dump(ScxDocument("plmap", result.section), wdir / "section.scx")
-        scx.dump(ScxDocument("plmap", result.retraction), wdir / "retraction.scx")
         print(f"witnesses written to {wdir}")
     else:
         _emit(ScxDocument("weighted", result.weighted), args.out)
     return EX_OK
 
 
-def cmd_pipeline(args) -> int:
-    eta = _load(args.file, "plmap")
-    p = _load(args.part, "complex")
-    result = zmaps.pipeline_dh(eta, p, collapse_budget=args.budget)
-    wdir = _witness_dir(args)
+def cmd_pipeline(args, eta, part) -> int:
+    result = zmaps.pipeline_dh(eta, part, collapse_budget=args.budget)
+    wdir = _witness(args, ("retraction", "plmap", result.map),
+                    ("triangulation", "complex", result.triangulation),
+                    ("collapse_sequence", "sequence", result.collapse_sequence))
     if wdir:
-        scx.dump(ScxDocument("plmap", result.map), wdir / "retraction.scx")
-        scx.dump(ScxDocument("complex", result.triangulation),
-                 wdir / "triangulation.scx")
-        if result.collapse_sequence is not None:
-            scx.dump(ScxDocument("sequence", result.collapse_sequence),
-                     wdir / "collapse_sequence.scx")
         print(f"witnesses written to {wdir}")
     else:
         _emit(ScxDocument("plmap", result.map), args.out)
@@ -204,23 +174,15 @@ def cmd_pipeline(args) -> int:
     return EX_OK
 
 
-def cmd_certify(args) -> int:
-    p = _load(args.file, "complex")
-    verdict = zmaps.certify_main(p, budget=args.budget)
-    doc = ScxDocument("verdict", verdict)
+def cmd_certify(args, part) -> int:
+    verdict = zmaps.certify_main(part, budget=args.budget)
     if args.out:
-        _emit(doc, args.out)
-    wdir = _witness_dir(args)
-    if wdir:
-        scx.dump(doc, wdir / "verdict.scx")
-        if verdict.witnesses:
-            wit = verdict.witnesses
-            scx.dump(ScxDocument("complex", wit.collapse_complex),
-                     wdir / "collapse_complex.scx")
-            scx.dump(ScxDocument("sequence", wit.collapse_sequence),
-                     wdir / "collapse_sequence.scx")
-            scx.dump(ScxDocument("complex", wit.strongly_regular),
-                     wdir / "strongly_regular.scx")
+        _emit(ScxDocument("verdict", verdict), args.out)
+    wit = verdict.witnesses
+    _witness(args, ("verdict", "verdict", verdict),
+             ("collapse_complex", "complex", wit and wit.collapse_complex),
+             ("collapse_sequence", "sequence", wit and wit.collapse_sequence),
+             ("strongly_regular", "complex", wit and wit.strongly_regular))
     if verdict.status == "certified":
         print("certified")
         return EX_OK
@@ -231,11 +193,56 @@ def cmd_certify(args) -> int:
     return EX_UNKNOWN
 
 
-def cmd_realize(args) -> int:
-    w = _load(args.file, "weighted")
-    from .complexes import realize
-    _emit(ScxDocument("complex", realize(w)), args.out)
-    return EX_OK
+OPTIONS = {
+    "--budget": {"type": _budget,
+                 "help": "search/iteration budget (default: ZRK_BUDGET or 100000)"},
+    "--out": {"help": "write the result document here"},
+    "--witness": {"help": "directory for witness sidecar files"},
+    "--at": {"required": True, "help": "the point, e.g. '1/2,1/3'"},
+}
+
+# name: (help, options, {positional: document kind}, handler).  The handler
+# is called with the parsed arguments and the payloads of the positionals.
+COMMANDS = {
+    "check-regular": ("test regularity of every simplex", (),
+                      {"file": "complex"}, cmd_check_regular),
+    "check-strongly-regular": ("test strong regularity", (),
+                               {"file": "complex"}, cmd_check_strongly_regular),
+    "desingularize": (
+        "stellar subdivision with all simplexes regular", ("--budget", "--out"),
+        {"file": "complex"},
+        _complex(lambda args, cx: regular.desingularize(cx, budget=args.budget))),
+    "stellar": (
+        "elementary stellar subdivision at a point", ("--out", "--at"),
+        {"file": "complex"},
+        _complex(lambda args, cx: subdivide.stellar(cx, _parse_point_arg(args.at)))),
+    "refine": ("common refinement of two triangulations", ("--out",),
+               {"file": "complex", "other": "complex"},
+               _complex(lambda args, a, b: subdivide.common_refinement(a, b))),
+    "restrict": ("subdivide until the subpolyhedron is triangulated by a subcomplex",
+                 ("--out",), {"file": "complex", "part": "complex"},
+                 _complex(lambda args, cx, part: subdivide.restrict(cx, part))),
+    "collapse": ("search for a collapse sequence", ("--budget", "--out", "--witness"),
+                 {"file": "complex"}, cmd_collapse),
+    "replay": ("verify a collapse sequence", (),
+               {"file": "complex", "sequence": "sequence"},
+               _answer(collapse.replay, "replay valid", "replay invalid")),
+    "zmap-check": ("test the Z-map criterion", (), {"file": "plmap"},
+                   _answer(zmaps.is_zmap, "Z-map", "not a Z-map")),
+    "retract-verify": ("verify a Z-map retraction of the cube onto |P|", (),
+                       {"part": "complex", "file": "plmap"},
+                       _answer(zmaps.verify_zretract, "valid Z-retraction",
+                               "not a Z-retraction")),
+    "part2": ("build the weighted complex and the section/retraction pair",
+              ("--out", "--witness"), {"file": "plmap", "part": "complex"}, cmd_part2),
+    "pipeline": ("run the constructive steps from a rational PL retraction",
+                 ("--budget", "--out", "--witness"), {"file": "plmap", "part": "complex"},
+                 cmd_pipeline),
+    "certify": ("three-valued Z-retract certification", ("--budget", "--out", "--witness"),
+                {"file": "complex"}, cmd_certify),
+    "realize": ("geometric realization of a weighted complex", ("--out",),
+                {"file": "weighted"}, _complex(lambda args, w: realize(w))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,56 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact simplicial geometry and Z-retract certification "
                     "over .scx documents.")
     sub = parser.add_subparsers(dest="command", required=True)
-    shared = {
-        "--budget": {"type": _budget,
-                     "help": "search/iteration budget (default: ZRK_BUDGET or 100000)"},
-        "--out": {"help": "write the result document here"},
-        "--witness": {"help": "directory for witness sidecar files"},
-    }
-
-    def add(name, handler, help_text, options=(), **files):
+    for name, (help_text, options, files, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for arg, kind in files.items():
             p.add_argument(arg, help=f"path to a {kind} .scx document")
         for option in options:
-            p.add_argument(option, **shared[option])
-        p.set_defaults(handler=handler)
-        return p
-
-    add("check-regular", cmd_check_regular, "test regularity of every simplex",
-        file="complex")
-    add("check-strongly-regular", cmd_check_strongly_regular,
-        "test strong regularity", file="complex")
-    add("desingularize", cmd_desingularize,
-        "stellar subdivision with all simplexes regular", ("--budget", "--out"),
-        file="complex")
-    p = add("stellar", cmd_stellar, "elementary stellar subdivision at a point",
-            ("--out",), file="complex")
-    p.add_argument("--at", required=True,
-                   help="the point, e.g. '1/2,1/3'")
-    add("refine", cmd_refine, "common refinement of two triangulations",
-        ("--out",), file="complex", other="complex")
-    add("restrict", cmd_restrict,
-        "subdivide until the subpolyhedron is triangulated by a subcomplex",
-        ("--out",), file="complex", part="complex")
-    add("collapse", cmd_collapse, "search for a collapse sequence",
-        ("--budget", "--out", "--witness"), file="complex")
-    add("replay", cmd_replay, "verify a collapse sequence",
-        file="complex", sequence="sequence")
-    add("zmap-check", cmd_zmap_check, "test the Z-map criterion", file="plmap")
-    add("retract-verify", cmd_retract_verify,
-        "verify a Z-map retraction of the cube onto |P|",
-        part="complex", file="plmap")
-    add("part2", cmd_part2,
-        "build the weighted complex and the section/retraction pair",
-        ("--out", "--witness"), file="plmap", part="complex")
-    add("pipeline", cmd_pipeline,
-        "run the constructive steps from a rational PL retraction",
-        ("--budget", "--out", "--witness"), file="plmap", part="complex")
-    add("certify", cmd_certify, "three-valued Z-retract certification",
-        ("--budget", "--out", "--witness"), file="complex")
-    add("realize", cmd_realize, "geometric realization of a weighted complex",
-        ("--out",), file="weighted")
+            p.add_argument(option, **OPTIONS[option])
     return parser
 
 
@@ -308,8 +271,10 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"zrk: error: ZRK_BUDGET: {exc}", file=sys.stderr)
         return EX_USAGE
+    _, _, files, handler = COMMANDS[args.command]
     try:
-        return args.handler(args)
+        return handler(args, *[_load(getattr(args, arg), kind)
+                               for arg, kind in files.items()])
     except BudgetExhausted as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return EX_UNKNOWN

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import json
 import random
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from zrk import (GeoSimplex, certify_main, from_maximal, is_regular, is_subdivision,
-                 rpoint, standard_cube, stellar)
-from zrk.cli import main
+from zrk import (GeoSimplex, certify_main, common_refinement, desingularize,
+                 find_collapse_sequence, from_maximal, is_regular, is_subdivision,
+                 part2_reduce, pipeline_dh, realize, restrict, rpoint, standard_cube, stellar)
+from zrk.cli import build_parser, main
 from zrk.exactnum import invariant_factors
 from zrk.scx import ScxDocument, parse_scx, print_scx
 from zrk.subdivide import inside_subcomplex, support_equal
@@ -274,15 +276,19 @@ def test_usage_and_parse_errors(tmp_path, capsys):
 
 
 def test_bad_budget_is_a_usage_error(monkeypatch, capsys):
+    # A budget of more digits than int() converts (4,300 by default) is a
+    # usage error too, named by its length, not a traceback.
     cube = corpus_path("cube1.scx")
-    for budget in ("abc", "-1", "1.5", ""):
+    for budget in ("abc", "-1", "1.5", "", "9" * 5000):
         assert run("certify", cube, "--budget", budget) == 64
         err = capsys.readouterr().err
-        assert "--budget" in err and "Traceback" not in err
-    for budget in ("abc", "-1", "1.5"):
+        assert "--budget" in err and "Traceback" not in err and "_budget" not in err
+    for budget in ("abc", "-1", "1.5", "9" * 5000):
         monkeypatch.setenv("ZRK_BUDGET", budget)
         assert run("certify", cube) == 64
         assert capsys.readouterr().err.startswith("zrk: error: ZRK_BUDGET: ")
+    assert run("certify", cube, "--budget", "9" * 5000) == 64
+    assert capsys.readouterr().err.endswith("--budget: too many digits (5000)\n")
     # A valid flag overrides the variable; an empty variable is unset.
     assert run("certify", cube, "--budget", "100") == 0
     monkeypatch.setenv("ZRK_BUDGET", "")
@@ -411,3 +417,160 @@ def test_two_file_commands_survive_mutated_documents(tmp_path, capsys):
     assert {c for _, c in codes} >= {0, 1, 65}, codes
     assert all(codes[command, 0] + codes[command, 1] + codes[command, 2] >= 3
                for command in _TWO_FILE_PAIRS), codes
+
+
+# The command surface: each command's positionals with their document
+# kinds, in order, then its options, in order.
+_SURFACE = {
+    "check-regular": ((("file", "complex"),), ()),
+    "check-strongly-regular": ((("file", "complex"),), ()),
+    "desingularize": ((("file", "complex"),), ("--budget", "--out")),
+    "stellar": ((("file", "complex"),), ("--out", "--at")),
+    "refine": ((("file", "complex"), ("other", "complex")), ("--out",)),
+    "restrict": ((("file", "complex"), ("part", "complex")), ("--out",)),
+    "collapse": ((("file", "complex"),), ("--budget", "--out", "--witness")),
+    "replay": ((("file", "complex"), ("sequence", "sequence")), ()),
+    "zmap-check": ((("file", "plmap"),), ()),
+    "retract-verify": ((("part", "complex"), ("file", "plmap")), ()),
+    "part2": ((("file", "plmap"), ("part", "complex")), ("--out", "--witness")),
+    "pipeline": ((("file", "plmap"), ("part", "complex")),
+                 ("--budget", "--out", "--witness")),
+    "certify": ((("file", "complex"),), ("--budget", "--out", "--witness")),
+    "realize": ((("file", "weighted"),), ("--out",)),
+}
+
+
+def test_the_command_surface_is_the_declared_table():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: (tuple((a.dest, a.help.split()[3]) for a in p._actions
+                            if not a.option_strings),
+                      tuple(a.option_strings[0] for a in p._actions
+                            if a.option_strings and a.dest != "help"))
+               for name, p in commands.choices.items()}
+    assert list(surface.items()) == list(_SURFACE.items())
+    for name, p in commands.choices.items():
+        for a in p._actions:
+            if not a.option_strings:
+                assert a.help == f"path to a {a.help.split()[3]} .scx document", (name, a)
+
+
+def _contract_cases(inputs: Path):
+    """(argv, exit code, stdout, stderr, files) for every command, run in a
+    directory of its own: files maps each path the run writes there to the
+    text print_scx gives the library call's own result."""
+    budget = 100_000
+    cube1, cube2, tent, square, half, diag, corner, third = map(corpus_path, (
+        "cube1.scx", "cube2.scx", "tent_retraction.scx", "square_to_half_diagonal.scx",
+        "half_interval.scx", "half_diagonal.scx", "corner_triangle.scx",
+        "third_interval.scx"))
+    load = lambda path: parse_scx(Path(path).read_text(encoding="utf-8")).payload  # noqa: E731
+    text = lambda kind, x: print_scx(ScxDocument(kind, x))  # noqa: E731
+    seq = find_collapse_sequence(load(cube2), budget=budget)
+    said = f"collapse sequence with {len(seq.steps)} steps ending at {seq.terminal}\n"
+    red = part2_reduce(load(tent), load(tent).domain, load(half))
+    piped = pipeline_dh(load(square), load(diag), collapse_budget=budget)
+    starved = pipeline_dh(load(square), load(diag), collapse_budget=0)
+    assert starved.collapse_sequence is None
+    verdict, refuted = certify_main(load(corner), budget=budget), certify_main(load(third))
+    wit = verdict.witnesses
+    inputs.mkdir()
+    seq_path, weighted_path = inputs / "seq.scx", inputs / "weighted.scx"
+    seq_path.write_text(text("sequence", seq), encoding="utf-8")
+    weighted_path.write_text(text("weighted", red.weighted), encoding="utf-8")
+    desing = text("complex", desingularize(load(third), budget=budget))
+    st = text("complex", stellar(load(cube2), rpoint("1/2", "1/2")))
+    ref = text("complex", common_refinement(load(cube2), load(cube2)))
+    res = text("complex", restrict(load(cube2), load(diag)))
+    real = text("complex", realize(red.weighted))
+    seq_text, verdict_text = text("sequence", seq), text("verdict", verdict)
+    part2_files = {"w/weighted.scx": text("weighted", red.weighted),
+                   "w/realization.scx": text("complex", red.realization),
+                   "w/section.scx": text("plmap", red.section),
+                   "w/retraction.scx": text("plmap", red.retraction)}
+    piped_files = {"w/retraction.scx": text("plmap", piped.map),
+                   "w/triangulation.scx": text("complex", piped.triangulation)}
+    refused = f"refuted: condition(s) {refuted.refutation_reason} fail\n"
+    return [
+        (["check-regular", cube2], 0, "all simplexes regular\n", "", {}),
+        (["check-strongly-regular", half], 0, "strongly regular\n", "", {}),
+        (["check-strongly-regular", third], 1, "not regular\n", "", {}),
+        (["desingularize", third], 0, desing, "", {}),
+        (["desingularize", third, "--budget", "100000", "--out", "o.scx"], 0, "", "",
+         {"o.scx": desing}),
+        (["stellar", cube2, "--at", "1/2,1/2"], 0, st, "", {}),
+        (["stellar", cube2, "--at", "1/2,1/2", "--out", "o.scx"], 0, "", "", {"o.scx": st}),
+        (["refine", cube2, cube2], 0, ref, "", {}),
+        (["refine", cube2, cube2, "--out", "o.scx"], 0, "", "", {"o.scx": ref}),
+        (["restrict", cube2, diag], 0, res, "", {}),
+        (["restrict", cube2, diag, "--out", "o.scx"], 0, "", "", {"o.scx": res}),
+        (["collapse", cube2], 0, said, "", {}),
+        (["collapse", cube2, "--out", "o.scx"], 0, said, "", {"o.scx": seq_text}),
+        (["collapse", cube2, "--witness", "w", "--out", "o.scx"], 0, said, "",
+         {"o.scx": seq_text, "w/collapse_sequence.scx": seq_text}),
+        (["collapse", cube2, "--budget", "0", "--witness", "w"], 2, "",
+         "no collapse sequence found within budget\n", {}),
+        (["replay", cube2, str(seq_path)], 0, "replay valid\n", "", {}),
+        (["replay", cube1, str(seq_path)], 1, "replay invalid\n", "", {}),
+        (["zmap-check", tent], 0, "Z-map\n", "", {}),
+        (["zmap-check", square], 1, "not a Z-map\n", "", {}),
+        (["retract-verify", half, tent], 0, "valid Z-retraction\n", "", {}),
+        (["retract-verify", diag, square], 1, "not a Z-retraction\n", "", {}),
+        (["part2", tent, half], 0, text("weighted", red.weighted), "", {}),
+        (["part2", tent, half, "--out", "o.scx"], 0, "", "",
+         {"o.scx": text("weighted", red.weighted)}),
+        (["part2", tent, half, "--out", "o.scx", "--witness", "w"], 0,
+         "witnesses written to w\n", "", part2_files),
+        (["pipeline", square, diag], 0, text("plmap", piped.map), "", {}),
+        (["pipeline", square, diag, "--out", "o.scx"], 0, "", "",
+         {"o.scx": text("plmap", piped.map)}),
+        (["pipeline", square, diag, "--witness", "w"], 0, "witnesses written to w\n", "",
+         dict(piped_files, **{"w/collapse_sequence.scx":
+                              text("sequence", piped.collapse_sequence)})),
+        (["pipeline", square, diag, "--budget", "0", "--witness", "w"], 2,
+         "witnesses written to w\n", "collapse search inconclusive\n",
+         {"w/retraction.scx": text("plmap", starved.map),
+          "w/triangulation.scx": text("complex", starved.triangulation)}),
+        (["certify", corner], 0, "certified\n", "", {}),
+        (["certify", corner, "--out", "o.scx", "--witness", "w"], 0, "certified\n", "",
+         {"o.scx": verdict_text, "w/verdict.scx": verdict_text,
+          "w/collapse_complex.scx": text("complex", wit.collapse_complex),
+          "w/collapse_sequence.scx": text("sequence", wit.collapse_sequence),
+          "w/strongly_regular.scx": text("complex", wit.strongly_regular)}),
+        (["certify", third, "--witness", "w"], 1, refused, "",
+         {"w/verdict.scx": text("verdict", refuted)}),
+        (["certify", cube2, "--budget", "0", "--out", "o.scx"], 2,
+         "unknown: collapse search or desingularization inconclusive\n", "",
+         {"o.scx": text("verdict", certify_main(load(cube2), budget=0))}),
+        (["realize", str(weighted_path)], 0, real, "", {}),
+        (["realize", str(weighted_path), "--out", "o.scx"], 0, "", "", {"o.scx": real}),
+        # Inputs load in declaration order, so the first bad one is named;
+        # a file written before a failure stays written.
+        (["replay", cube2, cube2], 65, "",
+         f"error: {cube2}: expected a sequence document, found complex\n", {}),
+        (["retract-verify", tent, cube2], 65, "",
+         f"error: {tent}: expected a complex document, found plmap\n", {}),
+        (["part2", cube2, str(seq_path)], 65, "",
+         f"error: {cube2}: expected a plmap document, found complex\n", {}),
+        (["check-regular", "missing.scx"], 65, "",
+         "error: [Errno 2] No such file or directory: 'missing.scx'\n", {}),
+        (["certify", corner, "--out", "o.scx", "--witness", "o.scx"], 65, "",
+         "error: [Errno 17] File exists: 'o.scx'\n", {"o.scx": verdict_text}),
+    ]
+
+
+def test_every_command_prints_and_writes_what_its_library_call_returns(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ZRK_BUDGET", raising=False)
+    cases = _contract_cases(tmp_path / "in")
+    assert {argv[0] for argv, *_ in cases} == set(_SURFACE)
+    for i, (argv, code, out, err, files) in enumerate(cases):
+        workdir = tmp_path / f"run{i}"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        capsys.readouterr()
+        assert run(*argv) == code, argv
+        assert capsys.readouterr() == (out, err), argv
+        written = {p.relative_to(workdir).as_posix(): p.read_text(encoding="utf-8")
+                   for p in workdir.rglob("*") if p.is_file()}
+        assert written == files, argv

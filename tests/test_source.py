@@ -6,6 +6,7 @@ import tokenize
 from pathlib import Path
 
 import zrk
+import zrk.cli
 import zrk.collapse
 import zrk.complexes
 import zrk.linalg
@@ -281,9 +282,26 @@ def test_stellar_moves_go_through_one_star_index():
         assert not found, (module.__name__, found)
 
 
+def test_the_cli_loads_and_writes_documents_in_one_place():
+    # main loads each file argument by the kind its COMMANDS row declares,
+    # before the handler runs, and _emit alone writes a document.  The
+    # handlers once named their inputs' kinds a second time, in 20 _load
+    # calls, and four wrote their own witness files, in 12 scx.dump calls.
+    calls = []
+    for top in ast.parse(Path(zrk.cli.__file__).read_text(encoding="utf-8")).body:
+        owner = (ast.unparse(top.targets[0]) if isinstance(top, ast.Assign)
+                 else getattr(top, "name", "module level"))
+        calls += [(ast.unparse(node.func), owner) for node in ast.walk(top)
+                  if isinstance(node, ast.Call)]
+    assert [owner for func, owner in calls if func == "_load"] == ["main"]
+    assert [owner for func, owner in calls if func == "scx.load"] == ["_load"]
+    assert [owner for func, owner in calls if func == "scx.dump"] == ["_emit"]
+    assert {"COMMANDS", "cmd_certify", "cmd_pipeline"} <= {owner for _, owner in calls}
+
+
 # Code lines in src/zrk when the gate was set.  Lower it when code goes;
 # raise it only with a line in CHANGES.md saying why.
-CODE_LINES = 2130
+CODE_LINES = 2084
 
 
 def code_lines(text: str) -> int:

@@ -2,6 +2,7 @@
 the Z-map criterion under the signed coordinate permutations of the cube
 (``symmetry.act``)."""
 
+import collections
 import random
 from fractions import Fraction
 from importlib import resources
@@ -10,8 +11,9 @@ from zrk import (GeoComplex, GeoSimplex, PLMap, certify_main, common_refinement,
                  desingularize, desingularize_relative, find_collapse_sequence, from_maximal,
                  is_subdivision, is_zmap, part2_reduce, pipeline_dh, replay, restrict, rpoint,
                  standard_cube, stellar, subdivide, verify_section_retraction)
-from zrk.regular import is_regular
+from zrk.regular import is_regular, is_strongly_regular_polyhedron
 from zrk.scx import ScxDocument, parse_scx, print_scx
+from zrk.zmaps import _lattice_points_in
 
 from conftest import random_rational, random_simplex, random_simplex_pool
 from oracles import stellar_chain
@@ -158,3 +160,64 @@ def test_cell_kernel_answers_commute_with_cube_symmetries():
         assert want == ("ok", True), (eta, part)
         g = random_symmetry(rng, part.ambient_dim)
         assert _pipeline_answer(act(g, eta), act(g, part)) == want, (eta, part, g)
+
+
+def _shell_with_hairs(rng: random.Random, cx: GeoComplex) -> GeoComplex:
+    """The boundary sphere of a triangulated cube with two hairs into the
+    inside, v1 to the centre c and v2 halfway to c, at seeded boundary
+    vertices: not collapsible, but with free faces, so the search collapses
+    the hairs in both orders, backtracking and filing failed states."""
+    n = cx.ambient_dim
+    shell = sorted({f for m in cx.maximal_simplexes() for f in m.faces()
+                    if f.dim == n - 1 and any(len({v[i] for v in f.vertices}) == 1
+                                              and f.vertices[0][i] in (0, 1) for i in range(n))})
+    v1, v2 = rng.sample(sorted({v for f in shell for v in f.vertices}), 2)
+    c = rpoint(*["1/2"] * n)
+    m = rpoint(*[(a + b) / 2 for a, b in zip(v2, c)])
+    return from_maximal(shell + [GeoSimplex((v1, c)), GeoSimplex((v2, m))])
+
+
+def _condition_inputs(rng: random.Random) -> list[GeoComplex]:
+    """The corpus complexes, seeded stellar squares and cube3s and their
+    shells with hairs, the random_simplex pool, and the boundaries of the
+    pool's simplexes of positive dimension, which are spheres or point
+    pairs and so not collapsible."""
+    docs = [parse_scx(path.read_text(encoding="utf-8"))
+            for path in sorted(resources.files("zrk.corpus").iterdir())
+            if path.name.endswith(".scx")]
+    corpus = [doc.payload for doc in docs if doc.kind == "complex"]
+    stellars = [stellar_chain(standard_cube(n), [_point_in(rng, standard_cube(n))
+                                                 for _ in range(rng.randint(1, 3))])
+                for n in (2, 2, 3, 3, 3, 3)]
+    pool = random_simplex_pool()
+    return (corpus + stellars + [_shell_with_hairs(rng, cx) for cx in stellars]
+            + [GeoComplex([s]) for s in pool]
+            + [from_maximal([f for f in s.faces() if f.dim == s.dim - 1])
+               for s in pool if s.dim > 0])
+
+
+def test_condition_kernels_and_the_collapse_search_commute_with_cube_symmetries():
+    # For a cube symmetry g: |gK| has a strongly regular triangulation iff
+    # |K| has; the cube vertices in |gK| are g applied to those in |K|; and
+    # find_collapse_sequence finds a sequence on gK iff it finds one on K.
+    # A search that finds none within the budget may have run out of it,
+    # so a difference the other side undoes at ten times the budget is
+    # counted as budget-bound, not as a mismatch.
+    rng = random.Random(1444)
+    answers, budget_bound = collections.Counter(), 0
+    for cx in _condition_inputs(rng):
+        g = random_symmetry(rng, cx.ambient_dim)
+        gcx = act(g, cx)
+        srp = is_strongly_regular_polyhedron(cx)
+        assert is_strongly_regular_polyhedron(gcx) == srp, (cx, g)
+        corners = {act(g, v) for v in _lattice_points_in(cx)}
+        assert set(_lattice_points_in(gcx)) == corners, (cx, g)
+        found = [find_collapse_sequence(k, budget=500) is not None for k in (cx, gcx)]
+        if found[0] != found[1]:
+            retried = find_collapse_sequence((cx, gcx)[found[0]], budget=5000)
+            assert retried is not None, (cx, g)
+            budget_bound += 1
+        answers[srp, bool(corners), found[0]] += 1
+    print(f"budget-bound collapse differences: {budget_bound}")
+    assert {a for a, _, _ in answers} == {b for _, b, _ in answers} == {True, False}, answers
+    assert answers[True, True, False] >= 10 and answers[True, True, True] >= 10, answers
