@@ -58,10 +58,11 @@ computed here and in ``subdivide``, ``regular`` and ``zmaps`` is built
 from it (``RPoint._from_homog``), and its ``Fraction`` coordinates are made
 only when read.  Points compare by cross-multiplying their vectors, hash
 and print from them, and boxes are integer corners over one denominator,
-so no ``Fraction`` is built: not in sorting, hashing or printing points,
-validating a complex, replaying a collapse, locating a point or running
-the constructive pipeline.  They are made where coordinates are parsed or
-read, and by ``GeoSimplex.barycentric``.
+so no ``Fraction`` is built: not in parsing, sorting, hashing or printing
+points, validating a complex, replaying a collapse, locating a point or
+running the constructive pipeline.  They are made where coordinates are
+read, by ``RPoint`` from given coordinates and by
+``GeoSimplex.barycentric``.
 """
 
 from __future__ import annotations

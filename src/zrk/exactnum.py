@@ -8,7 +8,11 @@ raises ``ValueError`` instead of being truncated.  Every regularity check
 reduces to ``extends_to_basis``, a saturation test by unimodular column
 operations that computes no transforms; the Smith decomposition
 (``smith_with_transforms``, ``invariant_factors``) serves the callers that
-need the invariant factors themselves or the transforms.
+need the invariant factors themselves or the transforms.  Each kernel has
+a private form (``_saturated``, ``_smith``) that skips those checks, for
+callers whose rows are zrk's own.  Rationals are read as (numerator,
+denominator) pairs of ints (``_rat_pair``), which ``parse_rat`` makes a
+``Fraction`` and ``.scx`` parsing does not.
 """
 
 from __future__ import annotations
@@ -26,16 +30,19 @@ def parse_rat(text: str) -> Rat:
 
     Raises ValueError for non-canonical inputs such as '2/4' or '1/-2'.
     """
-    s = text.strip()
-    if "/" in s:
-        num_s, den_s = s.split("/", 1)
-        num, den = int(num_s), int(den_s)
-        if den < 1:
-            raise ValueError(f"{text!r}: denominator must be positive")
-        if math.gcd(num, den) != 1:
-            raise ValueError(f"{text!r}: not in lowest terms")
-        return Fraction(num, den)
-    return Fraction(int(s))
+    return Fraction(*_rat_pair(text))
+
+
+def _rat_pair(text: str) -> tuple[int, int]:
+    """``parse_rat`` as its (numerator, denominator) pair of ints, with the
+    same errors; it builds no ``Fraction``."""
+    num_s, slash, den_s = text.strip().partition("/")
+    num, den = int(num_s), int(den_s) if slash else 1
+    if den < 1:
+        raise ValueError(f"{text!r}: denominator must be positive")
+    if math.gcd(num, den) != 1:
+        raise ValueError(f"{text!r}: not in lowest terms")
+    return num, den
 
 
 def _exact(x, what: str):
@@ -173,7 +180,13 @@ def smith_with_transforms(entries: Sequence[Sequence[int]]
 
     Returns (U, D, V); the diagonal of D holds the invariant factors.
     """
-    a = _int_rows(entries)
+    return _smith(_int_rows(entries))
+
+
+def _smith(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """``smith_with_transforms`` on rows known to be ints, given as mutable
+    lists that it reduces in place to D; for callers whose rows are zrk's
+    own, as ``_saturated``, so they skip ``IntMat``'s checks."""
     nr, nc = len(a), len(a[0])
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
@@ -234,17 +247,10 @@ def smith_with_transforms(entries: Sequence[Sequence[int]]
     # Divisibility fix-up: whenever d_i does not divide d_j, fold column j
     # into column i and re-diagonalize from i; the pivot there becomes
     # gcd(d_i, d_j), so the chain strictly improves and the loop terminates.
+    size = min(nr, nc)
     while True:
-        size = min(nr, nc)
-        violation = None
-        for i in range(size):
-            for j in range(i + 1, size):
-                di, dj = a[i][i], a[j][j]
-                if (di == 0 and dj != 0) or (di != 0 and dj % di != 0):
-                    violation = (i, j)
-                    break
-            if violation:
-                break
+        violation = next(((i, j) for i in range(size) for j in range(i + 1, size)
+                          if (a[j][j] % a[i][i] if a[i][i] else a[j][j])), None)
         if violation is None:
             return u, a, v
         i, j = violation

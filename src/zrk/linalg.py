@@ -64,11 +64,12 @@ def _bareiss(rows: Sequence[Sequence[int]], reduced: bool = False
     a = p.  A column without a nonzero entry is skipped, so the pivot
     columns are the lexicographically first maximal set of independent
     columns, and the last pivot of a nonsingular square matrix is its
-    determinant up to the sign.  The pivot row and every row below it are
-    0 left of the pivot column, and stay 0, and a row below gets 0 in the
-    pivot column, so it is updated right of that column only; the pivot is
-    the diagonal entry when that is nonzero, with no scan.  With
-    ``reduced`` the rows above the pivot are treated alike, whole
+    determinant up to the sign.  The pivot is the diagonal entry when that
+    is nonzero, else the first nonzero entry below it, found by a plain
+    scan.  Each row is updated as one whole-row list, with no slices: left
+    of the pivot column the pivot row and every row below it are 0, and
+    stay 0, and in the pivot column a row below gets a b - b a = 0.  With
+    ``reduced`` the same loop updates the rows above the pivot alike
     (fraction-free Gauss-Jordan): by Cramer's rule their entries are minors
     up to sign too, and each earlier pivot p becomes a, so at the end every
     pivot equals the last one, t, and the pivot rows are t times the
@@ -80,30 +81,27 @@ def _bareiss(rows: Sequence[Sequence[int]], reduced: bool = False
     for c in range(len(m[0]) if m else 0):
         if r == nrows:
             break
-        if not m[r][c]:
-            pivot = next((i for i in range(r + 1, nrows) if m[i][c]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            sign = -sign
         top = m[r]
         a = top[c]
-        for i in range(r if reduced else 0):
-            b = m[i][c]
-            if b:
-                m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], top)]
-            elif a != prev:
-                m[i] = [a * x // prev for x in m[i]]
-        c1 = c + 1
-        tail = top[c1:]
-        for i in range(r + 1, nrows):
+        if not a:
+            for i in range(r + 1, nrows):
+                if m[i][c]:
+                    break
+            else:
+                continue
+            top = m[i]
+            m[i], m[r] = m[r], top
+            a = top[c]
+            sign = -sign
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
             row = m[i]
             b = row[c]
             if b:
-                row[c1:] = [(a * x - b * y) // prev for x, y in zip(row[c1:], tail)]
-                row[c] = 0
+                m[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
             elif a != prev:
-                row[c1:] = [a * x // prev for x in row[c1:]]
+                m[i] = [a * x // prev for x in row]
         prev = a
         pivots.append(c)
         r += 1

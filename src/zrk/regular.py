@@ -3,7 +3,8 @@
 A rational point v has the homogeneous integer vector den(v)*(v, 1),
 cached on the point; a simplex is regular when those vectors extend to a
 basis of Z^{n+1} (``exactnum.extends_to_basis``, whose kernel ``is_regular``
-runs on the simplex's own int rows), and strongly regular when
+runs on the simplex's own int rows; for a full-dimensional simplex, its
+determinant is +-1), and strongly regular when
 additionally the vertex denominators are globally coprime.  Faces of a
 regular simplex are regular, since a subset of rows that extends to a basis
 extends to one, so a complex is tested on its maximal simplexes alone.
@@ -32,7 +33,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .complexes import GeoComplex, GeoSimplex, RPoint
-from .exactnum import _saturated, smith_with_transforms
+from .exactnum import _saturated, _smith
 from . import linalg, subdivide
 
 
@@ -59,9 +60,19 @@ def den(v: RPoint) -> int:
 
 @lru_cache(maxsize=None)
 def is_regular(s: GeoSimplex) -> bool:
-    """Homogeneous vertex vectors extend to a basis of Z^{n+1}.  A vertex's
-    one vector is primitive, so a 0-simplex is regular."""
-    return len(s.vertices) == 1 or _saturated(list(map(list, s._vertex_rows)))
+    """Homogeneous vertex vectors extend to a basis of Z^{n+1}.
+
+    A full-dimensional simplex, n + 1 vertices in R^n, has n + 1 vectors,
+    which extend to a basis iff they are one, that is iff |det| = 1: this
+    is read off ``GeoSimplex._det``, which the checking constructor keeps
+    (and a simplex built ``_raw`` computes once).  A vertex's one vector is
+    primitive, so a 0-simplex is regular.  Any other simplex runs the
+    saturation test of ``exactnum.extends_to_basis`` on its own int rows.
+    """
+    rows = s._vertex_rows
+    if len(rows) == len(rows[0]):
+        return s._det in (1, -1)
+    return len(rows) == 1 or _saturated(list(map(list, rows)))
 
 
 def is_strongly_regular_simplex(s: GeoSimplex) -> bool:
@@ -119,7 +130,7 @@ def _hull_meets_lattice(s: GeoSimplex) -> bool:
     dens = [w[-1] for w in rows]
     if len(rows) == len(rows[0]) or math.gcd(*dens) == 1:
         return True
-    u, d, _ = smith_with_transforms(rows)
+    u, d, _ = _smith(list(map(list, rows)))
     return math.gcd(*(sum(map(mul, ui, dens)) // d[i][i]
                       for i, ui in enumerate(u))) == 1
 
@@ -148,7 +159,7 @@ def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:
     """
     rows = s._vertex_rows
     m = len(rows)
-    u, d_mat, _ = smith_with_transforms(rows)
+    u, d_mat, _ = _smith(list(map(list, rows)))
     torsion = [(u[i], d_mat[i][i]) for i in range(m) if d_mat[i][i] > 1]
     _check(bool(torsion), "regular simplex has no box point")
     big = math.lcm(*(di for _, di in torsion))

@@ -6,7 +6,9 @@ in lowest terms; no vertex is listed twice) and semantics (complexes must
 satisfy the simplicial-complex condition); printing is canonical, so
 parse . print is the identity on canonical text.  Every failure is a
 ``ScxError`` whose ``where`` locates it in the document.  Each point of a
-document is parsed once and then found by one memo lookup of its text.
+document is parsed once and then found by one memo lookup of its text; it
+is built from its integer vector, read off (numerator, denominator) pairs
+of ints, so parsing builds no ``Fraction``.
 A collapse step's simplexes are read off earlier simplexes of the
 sequence when they are facets of them, with no sort, no rank check and
 no facet check of the pair: its free facet off its maximal simplex, and
@@ -38,14 +40,15 @@ A verdict whose two complex witnesses are one object renders it once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .collapse import CollapseSequence, CollapseStep
 from .complexes import (AbsComplex, GeoComplex, GeoSimplex, RPoint,
-                        WeightedComplex)
-from .exactnum import format_rat, parse_rat
+                        WeightedComplex, _quotient_text)
+from .exactnum import _rat_pair
 from .zmaps import PLMap, RetractVerdict, RetractWitnesses
 
 FORMAT_VERSION = "1"
@@ -224,11 +227,15 @@ def _positive_int(x) -> bool:
 
 
 def _parse_point(entry, where: str, points: dict) -> RPoint:
-    """The point an entry spells.  ``points`` maps the text of every point
-    parsed so far in the document to its RPoint, so equal points of one
-    document are one object and set lookups of them hit by identity, and
-    each coordinate text that has passed the canonical check to its
-    ``Fraction``, so a coordinate is parsed once per document."""
+    """The point an entry spells, built from its vector d(p, 1)
+    (``RPoint._from_homog``), so parsing builds no ``Fraction``.
+    ``points`` maps the text of every point parsed so far in the document
+    to its RPoint, so equal points of one document are one object and set
+    lookups of them hit by identity, and each coordinate text that has
+    passed the canonical check to its (numerator, denominator) pair of
+    ints, so a coordinate is parsed once per document.  A text is canonical
+    when it is ``complexes._quotient_text`` of its pair, the text that
+    printing gives."""
     if not isinstance(entry, list) or not entry:
         raise ScxError("a point must be a nonempty array of rationals", where)
     key = tuple(entry)
@@ -238,22 +245,24 @@ def _parse_point(entry, where: str, points: dict) -> RPoint:
         known = None
     if known is not None:
         return known
-    coords = []
+    pairs = []
     for i, txt in enumerate(entry):
         x = points.get(txt) if isinstance(txt, str) else None
         if x is None:
             if not isinstance(txt, str):
                 raise ScxError("rationals are strings like '2/3'", f"{where}[{i}]")
             try:
-                x = parse_rat(txt)
+                x = _rat_pair(txt)
             except ValueError as exc:
                 raise ScxError(str(exc), f"{where}[{i}]") from None
-            if format_rat(x) != txt:
-                raise ScxError(f"{txt!r} is not canonical: write {format_rat(x)!r}",
+            canonical = _quotient_text(*x)
+            if canonical != txt:
+                raise ScxError(f"{txt!r} is not canonical: write {canonical!r}",
                                f"{where}[{i}]")
             points[txt] = x
-        coords.append(x)
-    p = points[key] = RPoint(tuple(coords))
+        pairs.append(x)
+    d = math.lcm(*[q for _, q in pairs])
+    p = points[key] = RPoint._from_homog(tuple([e * (d // q) for e, q in pairs] + [d]))
     return p
 
 
@@ -262,7 +271,7 @@ def _parse_simplex(entry, dim: int, where: str, points: dict) -> GeoSimplex:
         raise ScxError("a simplex must be a nonempty array of points", where)
     vertices = [v if v is not None else _parse_point(p, f"{where}[{i}]", points)
                 for i, (p, v) in enumerate(zip(entry, _resolve(entry, points)))]
-    if any(len(p.coords) != dim for p in vertices):
+    if any(p.dim != dim for p in vertices):
         raise ScxError(f"points must have dimension {dim}", where)
     try:
         s = GeoSimplex(tuple(vertices))

@@ -108,7 +108,12 @@ step's simplexes, from before ``scx`` resolved each step entry once and
 built a read-off pair unchecked.  ``full_row_bareiss`` is the elimination
 that updated every row in full and scanned for every pivot, from before
 ``linalg._bareiss`` updated a row below the pivot from the pivot column
-on.  ``scan_supports`` tests
+on, and ``slice_bareiss`` is that slicing elimination, with a generator
+scan for a missing pivot, from before ``_bareiss`` updated each row as one
+whole-row list and scanned with a plain loop.  ``saturation_is_regular``
+runs the saturation test on every simplex, from before
+``regular.is_regular`` read a full-dimensional one off its determinant.
+``scan_supports`` tests
 a simplex against every simplex of a cover list (``simplex_inside``, the
 box-and-vertex test that also decided ``subdivide.is_subdivision``'s
 containment before it read the hosts its vertices share) and then by
@@ -158,7 +163,8 @@ from zrk import linalg, scx, subdivide, zmaps
 from zrk.collapse import CollapseSequence, CollapseStep, _FaceTable, find_collapse_sequence
 from zrk.complexes import (GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _cached,
                            _homogeneous, _placement, skeleton)
-from zrk.exactnum import IntMat, format_rat, invariant_factors, smith_with_transforms, xgcd
+from zrk.exactnum import (IntMat, _saturated, format_rat, invariant_factors,
+                          smith_with_transforms, xgcd)
 from zrk.regular import (BudgetExhausted, _box_point, _check, coprime_point, den,
                          desingularize, is_regular, is_strongly_regular)
 
@@ -1071,6 +1077,72 @@ def full_row_bareiss(rows, reduced: bool = False):
         pivots.append(c)
         r += 1
     return m, pivots, sign
+
+
+def slice_bareiss(rows: Sequence[Sequence[int]], reduced: bool = False
+                  ) -> tuple[list[list[int]], list[int], int]:
+    """``linalg._bareiss`` updating a row below the pivot through slices:
+    the fraction-free row echelon form of integer rows (Bareiss 1968).
+
+    Returns (the rows, the pivot columns, the sign of the row swaps).  Each
+    step replaces every entry x of a row below the pivot a by
+    (a x - b y) / p, for the row's entry b in the pivot column, the pivot
+    row's entry y in x's column and the previous pivot p; Sylvester's
+    identity makes every entry a minor of the input, so the division is
+    exact.  A row with b = 0 becomes a x / p, so it is left as it is when
+    a = p.  A column without a nonzero entry is skipped, so the pivot
+    columns are the lexicographically first maximal set of independent
+    columns, and the last pivot of a nonsingular square matrix is its
+    determinant up to the sign.  The pivot row and every row below it are
+    0 left of the pivot column, and stay 0, and a row below gets 0 in the
+    pivot column, so it is updated right of that column only; the pivot is
+    the diagonal entry when that is nonzero, with no scan.  With
+    ``reduced`` the rows above the pivot are treated alike, whole
+    (fraction-free Gauss-Jordan): by Cramer's rule their entries are minors
+    up to sign too, and each earlier pivot p becomes a, so at the end every
+    pivot equals the last one, t, and the pivot rows are t times the
+    reduced row echelon form.
+    """
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    sign, prev, r, nrows = 1, 1, 0, len(m)
+    for c in range(len(m[0]) if m else 0):
+        if r == nrows:
+            break
+        if not m[r][c]:
+            pivot = next((i for i in range(r + 1, nrows) if m[i][c]), None)
+            if pivot is None:
+                continue
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        top = m[r]
+        a = top[c]
+        for i in range(r if reduced else 0):
+            b = m[i][c]
+            if b:
+                m[i] = [(a * x - b * y) // prev for x, y in zip(m[i], top)]
+            elif a != prev:
+                m[i] = [a * x // prev for x in m[i]]
+        c1 = c + 1
+        tail = top[c1:]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            b = row[c]
+            if b:
+                row[c1:] = [(a * x - b * y) // prev for x, y in zip(row[c1:], tail)]
+                row[c] = 0
+            elif a != prev:
+                row[c1:] = [a * x // prev for x in row[c1:]]
+        prev = a
+        pivots.append(c)
+        r += 1
+    return m, pivots, sign
+
+
+def saturation_is_regular(s: GeoSimplex) -> bool:
+    """``regular.is_regular`` by the saturation test on every simplex, from
+    before a full-dimensional one was read off its determinant."""
+    return len(s.vertices) == 1 or _saturated(list(map(list, s._vertex_rows)))
 
 
 def minor_gcd(m, k: int) -> int:

@@ -18,7 +18,7 @@ from oracles import (AffineForm, aff_dim, affine_hull_forms, affinely_independen
                      echelon, enumerate_cell_vertices, full_row_bareiss,
                      fraction_clip_simplex, fraction_det, fraction_pull_triangulation,
                      integer_rows, lp_maximize, negate, pullback_forms, pulling_pull_cell,
-                     rank_pull_triangulation,
+                     rank_pull_triangulation, slice_bareiss,
                      relative_volume_total, simplex_forms, simplex_hrep, simplex_volume,
                      vertex_forms)
 
@@ -396,11 +396,14 @@ def test_bareiss_on_zero_one_matrices_matches_fraction_elimination():
 
 
 def test_bareiss_matches_the_full_row_elimination():
-    # A row below the pivot is updated right of the pivot column only, and
-    # the diagonal entry is tried before a scan for the pivot; the rows,
-    # pivots and sign are those of the elimination that updated every row
-    # in full, in both modes.  Seeded integer matrices: square, wide and
-    # tall, singular, with zero columns and zero leading entries.
+    # Each row is updated as one whole-row list and a missing pivot is found
+    # by a plain scan; the rows, pivots and sign are those of the slicing
+    # elimination it replaced and of the one that scanned for every pivot,
+    # in both modes.  Seeded integer matrices: square, wide and tall,
+    # singular, with zero columns and zero leading entries; then the shapes
+    # the callers hand it: the k x 2k rows (X_j | d_j e_j) of simplex_rows,
+    # the n x (n + 1) vectors of normal, and square matrices with a zero
+    # diagonal entry, which forces a swap.
     rng = random.Random(1405)
     kinds = collections.Counter()
     for _ in range(600):
@@ -418,7 +421,8 @@ def test_bareiss_matches_the_full_row_elimination():
         elif shape == 3:
             m[0][0] = 0
         for reduced in (False, True):
-            assert _bareiss(m, reduced) == full_row_bareiss(m, reduced), (m, reduced)
+            got = _bareiss(m, reduced)
+            assert got == slice_bareiss(m, reduced) == full_row_bareiss(m, reduced), (m, reduced)
         pivots = _bareiss(m)[1]
         kinds["singular"] += len(pivots) < min(height, width)
         kinds["wide"] += width > height
@@ -426,7 +430,31 @@ def test_bareiss_matches_the_full_row_elimination():
         kinds["zero column"] += any(not any(col) for col in zip(*m))
         kinds["swap"] += _bareiss(m)[2] == -1
     assert min(kinds.values()) >= 60, kinds
-    assert _bareiss([]) == full_row_bareiss([]) == ([], [], 1)
+    assert _bareiss([]) == slice_bareiss([]) == full_row_bareiss([]) == ([], [], 1)
+
+    callers = collections.Counter()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        vectors = [homogeneous([random_rational(rng, 6) for _ in range(n)])
+                   for _ in range(rng.randint(1, n + 1))]
+        k = len(vectors)
+        augmented = [x + tuple(x[-1] if i == j else 0 for i in range(k))
+                     for j, x in enumerate(vectors)]
+        square = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        square[rng.randrange(n)][rng.randrange(n)] = 0
+        i = rng.randrange(n)
+        square[i][i] = 0
+        cases = [("augmented", augmented, True), ("square", square, False),
+                 ("square", square, True)]
+        if k == n:
+            cases.append(("normal", vectors, True))
+        for kind, rows, reduced in cases:
+            got = _bareiss(rows, reduced)
+            assert got == slice_bareiss(rows, reduced) == full_row_bareiss(rows, reduced), \
+                (rows, reduced)
+            callers[kind] += 1
+            callers["swap"] += got[2] == -1
+    assert min(callers.values()) >= 60, callers
 
 
 def test_normal_is_the_cofactor_row_up_to_scale():

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction
@@ -354,6 +355,83 @@ def test_is_regular_hands_its_rows_to_the_kernel_unchecked(monkeypatch):
     assert len(checks) == len(simplexes) and True in answers and False in answers
 
 
+def test_full_dimensional_regularity_is_read_off_the_determinant(monkeypatch):
+    # n + 1 vectors in Z^(n+1) extend to a basis iff they are one, iff
+    # |det| = 1, so is_regular reads a full-dimensional simplex off _det and
+    # runs no saturation test; it answers as the saturation oracle does, on
+    # the simplex and on every face.  Seeded simplexes in R^1 to R^5 with
+    # det = -1 (and +1, which no sorted segment has) and |det| from 2 to 6,
+    # from the checking constructor and built _raw, whose _det is computed
+    # on first use.
+    rng = random.Random(1968)
+    saturated = []
+    real = exactnum._saturated
+    for module in (exactnum, regular):
+        monkeypatch.setattr(module, "_saturated", lambda a: saturated.append(len(a)) or real(a))
+    for n in range(1, 6):
+        wanted = collections.Counter({d: 2 for d in (-1, 2, 3, 4, 5, 6)})
+        wanted[1] = 2 if n > 1 else 0
+        while +wanted:
+            q = rng.choice((1, 1, 2, 3))
+            points = [RPoint(tuple(Fraction(rng.randint(0, 2 * q), q) for _ in range(n)))
+                      for _ in range(n + 1)]
+            try:
+                s = GeoSimplex(tuple(points))
+            except ValueError:
+                continue
+            key = s._det if abs(s._det) == 1 else abs(s._det)
+            if wanted[key] <= 0:
+                continue
+            wanted[key] -= 1
+            raw = GeoSimplex._raw(s.vertices)
+            assert "_det" not in raw.__dict__
+            for t in (s, raw):
+                regular.is_regular.cache_clear()
+                assert is_regular(t) == oracles.saturation_is_regular(t) == (abs(key) == 1)
+                assert not saturated, (t, saturated)
+            assert raw._det == s._det
+            for face in s.faces():
+                if face.dim < n:
+                    regular.is_regular.cache_clear()
+                    assert is_regular(face) == oracles.saturation_is_regular(face), face
+            assert saturated or n == 1
+            saturated.clear()
+
+
+def test_box_point_and_hull_hand_their_rows_to_smith_unchecked(monkeypatch):
+    # A simplex's vertex vectors are its own int rows, so _box_point and
+    # _hull_meets_lattice run the Smith kernel without IntMat's checks, and
+    # it gives the U, D and V that the checked smith_with_transforms gives.
+    rng = random.Random(279)
+    boxed, hulls = [], []
+    while len(boxed) < 30 or len(hulls) < 30:
+        s = random_simplex(rng, rng.randint(1, 4), 6)
+        if s.dim > 0 and not is_regular(s):
+            boxed.append(s)
+        hulls += [f for f in s.faces() if f.dim < s.ambient_dim
+                  and math.gcd(*map(den, f.vertices)) > 1]
+    checks, seen = [], []
+    real_check = exactnum.IntMat.__post_init__
+    monkeypatch.setattr(exactnum.IntMat, "__post_init__",
+                        lambda self: checks.append(1) or real_check(self))
+    smith = regular._smith
+
+    def spy(a):
+        rows = [tuple(r) for r in a]
+        got = smith(a)
+        seen.append((rows, got))
+        return got
+    monkeypatch.setattr(regular, "_smith", spy)
+    for s in boxed:
+        regular._box_point(s)
+    for f in hulls:
+        regular._hull_meets_lattice(f)
+    assert not checks and len(seen) == len(boxed) + len(hulls)
+    for rows, got in seen:
+        assert got == exactnum.smith_with_transforms(rows), rows
+    assert len(checks) == len(seen)
+
+
 def test_anchor_lattice_scan_counts_against_the_budget(antidiagonal):
     # The fallback scan tries the 17^2 = 289 integer points of the box of
     # radius den(v) * n = 8; the budget bounds them as it bounds the
@@ -375,8 +453,8 @@ def test_anchor_outside_support(half_interval):
 
 
 def _with_row_transform(u_new):
-    """smith_with_transforms with its row transform U replaced."""
-    real = regular.smith_with_transforms
+    """``regular._smith`` with its row transform U replaced."""
+    real = regular._smith
 
     def smith(rows):
         _, d, v = real(rows)
@@ -390,7 +468,7 @@ def test_integer_inverse_invariants(monkeypatch):
     # vectors (1, 0, 3) and (2, 0, 3): not integral, so neither is the box
     # point built from it.
     bad = GeoSimplex((rpoint("1/3", 0), rpoint("2/3", 0)))
-    monkeypatch.setattr(regular, "smith_with_transforms",
+    monkeypatch.setattr(regular, "_smith",
                         _with_row_transform([[1, 0], [0, 1]]))
     with pytest.raises(InvariantBroken, match="box point is not integral"):
         regular._box_point(bad)
@@ -403,7 +481,7 @@ def test_box_point_invariants(monkeypatch):
     # This U makes the torsion generator 3 (2, 0, 3) / 3, the vertex vector
     # (2, 0, 3) itself, so every multiple of it is 0 modulo the vertex
     # lattice.
-    monkeypatch.setattr(regular, "smith_with_transforms",
+    monkeypatch.setattr(regular, "_smith",
                         _with_row_transform([[1, 0], [0, 3]]))
     with pytest.raises(InvariantBroken, match="every box coefficient"):
         regular._box_point(bad)
@@ -489,7 +567,7 @@ def test_regularity_paths_stay_integer(monkeypatch):
     monkeypatch.setattr(regular, "_box_point", entered("box", box))
     monkeypatch.setattr(exactnum, "smith_with_transforms",
                         counted("smith", "regular", smith))
-    monkeypatch.setattr(regular, "smith_with_transforms",
+    monkeypatch.setattr(regular, "_smith",
                         counted("smith", "regular", smith))
     monkeypatch.setattr(linalg, "det", counted("det", "box", det))
     is_reg.cache_clear()
@@ -648,8 +726,8 @@ def test_strongly_regular_polyhedron_needs_smith_only_off_the_shortcuts(monkeypa
     # pass with no Smith form; the antidiagonal, both vertices over 2, needs
     # one.
     calls = []
-    smith = regular.smith_with_transforms
-    monkeypatch.setattr(regular, "smith_with_transforms",
+    smith = regular._smith
+    monkeypatch.setattr(regular, "_smith",
                         lambda rows: calls.append(rows) or smith(rows))
     assert is_strongly_regular_polyhedron(standard_cube(3))
     assert is_strongly_regular_polyhedron(from_maximal([seg("1/3", "1/2")]))

@@ -362,8 +362,8 @@ def test_coordinates_are_parsed_once_per_document(monkeypatch):
     cube = standard_cube(3)
     text = print_scx(ScxDocument("complex", cube))
     calls = collections.Counter()
-    real = scx.parse_rat
-    monkeypatch.setattr(scx, "parse_rat", lambda t: calls.update([t]) or real(t))
+    real = scx._rat_pair
+    monkeypatch.setattr(scx, "_rat_pair", lambda t: calls.update([t]) or real(t))
     for _ in range(2):  # the memo lives for one document
         calls.clear()
         assert parse_scx(text).payload == cube
@@ -382,6 +382,36 @@ def test_coordinates_are_parsed_once_per_document(monkeypatch):
         with pytest.raises(ScxError) as err:
             parse_scx(head + body + "}")
         assert str(err.value) == message
+
+
+def test_parsing_builds_no_fraction(monkeypatch):
+    # A coordinate text is read into a (numerator, denominator) pair of ints
+    # and a point is built from its vector, so parsing builds no Fraction:
+    # not for any corpus document, verdicts included, nor for seeded
+    # stellar cube3s and their collapse sequences.  Each distinct
+    # coordinate text of a document made one when points were built from
+    # Fraction coordinates.
+    from importlib import resources
+
+    rng = random.Random(45)
+    texts = [entry.read_text(encoding="utf-8")
+             for entry in sorted(resources.files("zrk.corpus").iterdir(), key=lambda e: e.name)
+             if entry.name.endswith(".scx")]
+    for _ in range(6):
+        cx = stellar(standard_cube(3), rpoint(*[Fraction(rng.randint(1, 8), 9) for _ in range(3)]))
+        texts += [print_scx(ScxDocument("complex", cx)),
+                  print_scx(ScxDocument("sequence", find_collapse_sequence(cx)))]
+    made = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: made.append(args) or real(cls, *args, **kw))
+    assert Fraction(1, 2) and made == [(1, 2)]
+    made.clear()
+    docs = [parse_scx(text) for text in texts]
+    assert not made, made[:5]
+    monkeypatch.undo()
+    assert {doc.kind for doc in docs} == {"complex", "plmap", "sequence", "verdict"}
+    assert [print_scx(doc) for doc in docs] == texts
 
 
 def test_rejects_overlapping_simplexes():

@@ -131,6 +131,47 @@ def test_zmap_criterion_agrees_with_fit(tent):
         assert is_zmap(eta) == is_zmap_by_fit(eta)
 
 
+def test_is_zmap_on_non_regular_domains_matches_the_fit(monkeypatch):
+    # is_zmap desingularizes a non-regular domain first, a branch no
+    # benchmark map reaches.  On seeded non-regular domains, stellar cubes
+    # at non-lattice points and single simplexes with |det| > 1, it answers
+    # as the integer fit on every maximal simplex does: for integer affine
+    # maps, which are Z-maps, and for images drawn from a pool.
+    rng = random.Random(98)
+    desingularized = []
+    real = zmaps.desingularize
+    monkeypatch.setattr(zmaps, "desingularize",
+                        lambda cx: desingularized.append(cx) or real(cx))
+    domains = [stellar(standard_cube(n), rpoint(*[Fraction(rng.randint(1, 4), 5)
+                                                  for _ in range(n)]))
+               for n in (1, 2, 3) for _ in range(3)]
+    while len(domains) < 18:
+        s = random_simplex(rng, rng.randint(1, 3), 5)
+        if s.dim == s.ambient_dim and abs(s._det) > 1:
+            domains.append(from_maximal([s]))
+    answers = collections.Counter()
+    for dom in domains:
+        assert not all(is_regular(s) for s in dom.maximal_simplexes())
+        n = dom.ambient_dim
+        for _ in range(4):
+            m = rng.randint(1, 2)
+            if rng.random() < 0.5:
+                a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+                b = [rng.randint(-1, 1) for _ in range(m)]
+                images = {v: rpoint(*[sum(x * y for x, y in zip(row, v.coords)) + c
+                                      for row, c in zip(a, b)]) for v in dom.vertices()}
+            else:
+                images = {v: rpoint(*[random_rational(rng, 3) for _ in range(m)])
+                          for v in dom.vertices()}
+            eta = PLMap(dom, images)
+            before = len(desingularized)
+            answer = is_zmap(eta)
+            assert len(desingularized) == before + 1
+            assert answer == is_zmap_by_fit(eta), eta
+            answers[answer] += 1
+    assert min(answers[True], answers[False]) >= 15, answers
+
+
 def test_compose_identity(tent):
     ident = identity_map(from_maximal([seg(0, 1)]))
     comp = compose(ident, tent)
