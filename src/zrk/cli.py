@@ -13,11 +13,14 @@ named in their rows, plus whatever ``main`` does with it for every command
 that takes it, as it does for --budget.
 
 Exit codes: 0 success/certified/true, 1 refuted/false, 2 unknown,
-64 usage errors, 65 parse/data errors.  A command takes --budget, --out or
---witness only when it reads it.  The search budget of desingularize,
-collapse, pipeline and certify comes from --budget or else the ZRK_BUDGET
-environment variable; one that is not a nonnegative integer is a usage
-error.  Other commands ignore ZRK_BUDGET.
+64 usage errors, 65 parse/data errors.  A run that exhausts a search budget
+or runs out of memory is unknown, not a traceback: it prints ``unknown:``
+and the reason (``out of memory`` for a ``MemoryError``) to standard error
+and exits 2.  A command takes --budget, --out or --witness only when it
+reads it.  The search budget of desingularize, collapse, pipeline and
+certify comes from --budget or else the ZRK_BUDGET environment variable;
+one that is not a nonnegative integer is a usage error.  Other commands
+ignore ZRK_BUDGET.
 """
 
 from __future__ import annotations
@@ -275,8 +278,9 @@ def main(argv=None) -> int:
     try:
         return handler(args, *[_load(getattr(args, arg), kind)
                                for arg, kind in files.items()])
-    except BudgetExhausted as exc:
-        print(f"unknown: {exc}", file=sys.stderr)
+    except (BudgetExhausted, MemoryError) as exc:
+        reason = exc if isinstance(exc, BudgetExhausted) else "out of memory"
+        print(f"unknown: {reason}", file=sys.stderr)
         return EX_UNKNOWN
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import GeoComplex, GeoSimplex
+from .complexes import GeoComplex, GeoSimplex, _closure
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ class _FaceTable:
 
     def __init__(self, cx: GeoComplex):
         self.verts, self.index = cx.vertices(), cx._rank
-        self.faces = sorted({f for r in cx._ranks for k in range(1, len(r) + 1)
-                             for f in itertools.combinations(r, k)})
+        self.faces = sorted(_closure(cx._ranks))
         self.id = {s: i for i, s in enumerate(self.faces)}
         n = self.n = self.size = len(self.faces)
         self.facets = [tuple(map(self.id.__getitem__, itertools.combinations(s, len(s) - 1)))
@@ -142,29 +141,43 @@ def find_collapse_sequence(cx: GeoComplex,
     keeps only the pair it tried; a backtrack restores the free list
     exactly, so its next pair is that pair's successor.  The budget counts
     nodes: each state that is not a single vertex and not known to fail
-    costs one, and is expanded only while the count is within budget.  An
-    expanded state is remembered once all its pairs fail, filed under
+    costs one, and is expanded unless the count then passes the budget.
+    An expanded state is remembered once all its pairs fail, filed under
     ``key``, the XOR of the Zobrist words of the faces whose live flags
     differ from those of the first state filed; its live flags are copied
     only then, or when the key of a state is already filed.  Before the
     first filing every state is fresh and no key is read, so the words are
     made then and the key is kept from there on.  Path states strictly
-    shrink, so an open state is never met again.  Past the budget open
-    states still try their remaining pairs, so a single vertex reached
-    that way succeeds.  A budget of 0 finds
+    shrink, so an open state is never met again.  A budget of 0 finds
     nothing unless cx is a single vertex.  None means "not found within
     budget".
+
+    The search stops with None as soon as the count passes the budget,
+    which is the answer that trying on would give.  Past the budget no
+    state is expanded, so a child ends the search only by being a single
+    vertex, and only a parent of size 3, an edge and its two vertices, has
+    one.  An expanded state of size 3 has no pair or reaches a single
+    vertex with its first, so none is left open on the path: the open
+    states would try their remaining pairs in vain, and a state filed from
+    then on would never be read, as ``failed`` only decides whether a
+    state is counted.  A table of f faces with 2 budget < f - 1 gives None
+    before any search: a sequence removes two faces a step, so it has
+    (f - 1)/2 steps, and each state on it but the last, a single vertex,
+    is counted and expanded, so it needs (f - 1)/2 nodes within budget.
     """
     table = _FaceTable(cx)
+    if 2 * budget < table.n - 1:
+        return None
     pairs, n, live = table.file_free(), table.n, table.live  # updated in place
     words: list[int] = []  # each face's Zobrist word, made at the first filing
     failed: dict[int, set[bytes]] = {}
     key = nodes = 0
     path: list[int] = []
     while table.size > 1:
-        fresh = key not in failed or bytes(live) not in failed[key]
-        nodes += fresh
-        expanded = fresh and nodes <= budget
+        expanded = key not in failed or bytes(live) not in failed[key]
+        nodes += expanded
+        if nodes > budget:
+            return None
         k = 0 if expanded else len(pairs)
         while k == len(pairs):
             if expanded:

@@ -28,9 +28,13 @@ table, ``_rank`` maps each vertex to its index there, and ``_ranks`` holds
 each maximal simplex as the tuple of its vertices' ranks, in the order of
 ``maximal_simplexes()``.  Ranks follow vertex order, so rank tuples sort as
 the simplexes do.  The constructor drops non-maximal input by rank stars,
-and the cube test, the vertex stars, ``collapse``'s face table and the
-``.scx`` printer read the ranks: none of them builds an index of its own
-or hashes a point per vertex occurrence.  A complex keeps
+and the cube test, the vertex stars, ``collapse``'s face table,
+``subdivide``'s inside subcomplex and the ``.scx`` printer read the ranks:
+none of them builds an index of its own or hashes a point per vertex
+occurrence.  The face table and the inside subcomplex take every face as
+a rank tuple from one enumeration, the closure of the rank tuples
+(``_closure``), which also closes the faces the ``.scx`` printer writes
+for a weighted complex.  A complex keeps
 the answers to questions about it in a memo made on first use
 (``GeoComplex._answer``): whether it triangulates the cube, which
 validation records, the hosts of each point located in it, and
@@ -396,6 +400,14 @@ def simplex_hrep(s: GeoSimplex):
 # ``_bbox`` with the module-level caches, so a no-op stands in for it until
 # that script stops calling it.
 _bbox = SimpleNamespace(cache_clear=lambda: None)
+
+
+def _closure(simplexes: Iterable[tuple]) -> set[tuple]:
+    """Every nonempty face of the given vertex tuples, each as the tuple
+    that ``itertools.combinations`` takes out of it, so the faces of a
+    sorted tuple are sorted: the closure of rank tuples is rank tuples."""
+    return {f for s in simplexes for k in range(1, len(s) + 1)
+            for f in itertools.combinations(s, k)}
 
 
 def _points_box(rows: Sequence[tuple]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -891,23 +903,19 @@ def from_maximal(simplexes: Sequence[GeoSimplex]) -> GeoComplex:
 class AbsComplex:
     """Abstract simplicial complex: ordered vertex labels plus the nonempty
     subsets of the given faces, whose union is the vertex set.  ``given``
-    keeps the nonempty faces as given, which generate ``faces``."""
-
-    __slots__ = ("vertices", "faces", "given")
+    keeps the nonempty faces as given, which generate ``faces``, the
+    closure, built the first time it is read.  A face and its subsets hold
+    the same vertices, so the vertex cover is checked on ``given``."""
 
     def __init__(self, vertices: Sequence[Hashable], faces: Iterable[frozenset]):
         self.vertices = tuple(dict.fromkeys(vertices))
-        fset = {frozenset(f) for f in faces}
-        fset.discard(frozenset())
-        self.given = frozenset(fset)
-        closure = set(fset)
-        for f in fset:
-            for k in range(1, len(f)):
-                closure.update(map(frozenset, itertools.combinations(f, k)))
-        self.faces = frozenset(closure)
-        covered = set().union(*self.faces) if self.faces else set()
-        if covered != set(self.vertices):
+        self.given = frozenset(filter(None, map(frozenset, faces)))
+        if set().union(*self.given) != set(self.vertices):
             raise ValueError("the union of the faces must be the vertex set")
+
+    @_cached
+    def faces(self) -> frozenset:
+        return frozenset(map(frozenset, _closure(self.given)))
 
     def __eq__(self, other):
         return (isinstance(other, AbsComplex)
@@ -988,10 +996,16 @@ def _placement(w: WeightedComplex) -> dict:
 def realize(w: WeightedComplex) -> GeoComplex:
     """Geometric realization on scaled basis vectors (``_placement``), built
     from the faces the abstract complex was given: ``GeoComplex`` drops a
-    face that lies in another, so the rest of the closure adds nothing."""
+    face that lies in another, so the rest of the closure adds nothing.
+
+    Points on distinct positive multiples of distinct basis vectors are
+    linearly, hence affinely, independent, so no face takes a rank check.
+    No point is compared either: for stored indices i < j, coordinate i is
+    the first where e_i / w_i and e_j / w_j differ, and there 1 / w_i > 0,
+    so e_i / w_i is the greater point.  A face's vertices in point order
+    are its vertices in descending stored index."""
     placed = _placement(w)
-    # Points on distinct positive multiples of distinct basis vectors are
-    # linearly, hence affinely, independent: no rank check per face.
-    simplexes = [GeoSimplex._raw(tuple(sorted(placed[v] for v in f)))
-                 for f in w.base.given]
-    return GeoComplex(simplexes, validate=False)
+    index = dict(zip(placed, range(len(placed))))
+    faces = (sorted(f, key=index.__getitem__, reverse=True) for f in w.base.given)
+    return GeoComplex([GeoSimplex._raw(tuple(map(placed.__getitem__, f))) for f in faces],
+                      validate=False)

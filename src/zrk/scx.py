@@ -34,7 +34,12 @@ and its coordinate texts once per document (``_blocks``).  A maximal
 simplex is one join of the blocks at its rank tuple
 (``GeoComplex._ranks``), and a collapse step two joins of the blocks of
 its vertex objects, looked up by id, so no vertex occurrence is hashed.
-A verdict whose two complex witnesses are one object renders it once.
+A verdict whose two complex witnesses are one object renders it once.  A
+weighted complex's ``faces`` are written as the closure
+(``complexes._closure``) of the sorted index tuples of its given faces:
+the closure of the given faces is the abstract complex's ``faces``, and
+the faces of a sorted tuple come out sorted, so no closure of label sets
+is built or sorted back into indices.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from typing import Any, Optional
 
 from .collapse import CollapseSequence, CollapseStep
 from .complexes import (AbsComplex, GeoComplex, GeoSimplex, RPoint,
-                        WeightedComplex, _quotient_text)
+                        WeightedComplex, _closure, _quotient_text)
 from .exactnum import _rat_pair
 from .zmaps import PLMap, RetractVerdict, RetractWitnesses
 
@@ -183,8 +188,8 @@ def print_scx(doc: ScxDocument) -> str:
     elif kind == "weighted":
         order = list(payload.base.vertices)
         index = {v: i for i, v in enumerate(order)}
-        faces = sorted(sorted(index[v] for v in f) for f in payload.base.faces)
-        faces = ["".join(_array(list(map(str, f)), 2)) for f in faces]
+        given = (tuple(sorted(map(index.__getitem__, f))) for f in payload.base.given)
+        faces = ["".join(_array(list(map(str, f)), 2)) for f in sorted(_closure(given))]
         members = [("faces", _array(faces, 1)), head, version,
                    ("vertices", _array([encode_basestring_ascii(str(v)) for v in order], 1)),
                    ("weights", _array([str(payload.weights[v]) for v in order], 1))]

@@ -55,7 +55,10 @@ Two questions come up again and again about the same complexes: which
 simplexes of K lie in |P| (``inside_subcomplex``), and whether |P| lies in
 |K| (``covers``, which restrict's precondition, ``_adapted`` and
 ``support_equal`` all ask).  K keeps both answers per P
-(``GeoComplex._answer``), so each is worked out once.  A K that
+(``GeoComplex._answer``), so each is worked out once.  The first works on
+vertex indices: K's faces are tuples of vertex ranks, each vertex's hosts
+in P are read once, the two host tiers of ``supports`` are applied to the
+rank tuples, and a simplex is built only for a face found inside.  A K that
 triangulates [0,1]^n, by the linear cube test that K also keeps
 (``GeoComplex._is_cube``), covers P exactly when P's vertices lie in the
 cube, which is convex, and no cell is clipped to show it.
@@ -85,7 +88,7 @@ from operator import and_, mul
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from . import linalg
-from .complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _points_box
+from .complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _closure, _points_box
 
 Row = tuple  # tuple[int, ...], an affine form as an integer row
 
@@ -414,16 +417,26 @@ def inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
 def _inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
     """The subcomplex of simplexes lying inside |part| (None when empty).
 
-    Simplexes are tested from the top dimension down (``supports``); the
-    faces of one found inside are inside too and are not tested again, so
-    those found are the maximal simplexes of the result.
+    The faces of cx are its rank tuples (``complexes._closure`` of
+    ``GeoComplex._ranks``), tested from the top dimension down; the faces
+    of one found inside are inside too, so they are marked by their rank
+    tuples and not tested again, and those found are the maximal simplexes
+    of the result.  Each vertex's hosts in part (``GeoComplex.hosts``) are
+    read once, and a face is tested as ``supports`` tests it, tier by
+    tier: a face with a vertex that has no host is out, one whose vertices
+    share a host is in, and only the rest take ``supports`` itself.  A
+    ``GeoSimplex`` is built only for a face found, and a maximal simplex
+    of cx is its own object, with its cached rows.
     """
-    found: list[GeoSimplex] = []
-    inside: set[GeoSimplex] = set()
-    for s in sorted(cx.simplexes, key=lambda s: -s.dim):
-        if s not in inside and supports(part, s.vertices):
-            found.append(s)
-            inside.update(s.faces())
+    verts, maximal = cx.vertices(), dict(zip(cx._ranks, cx.maximal_simplexes()))
+    hosts = [part.hosts(v) for v in verts]
+    found, inside = [], set()  # the simplexes found, and their faces' rank tuples
+    for r in sorted(_closure(cx._ranks), key=len, reverse=True):
+        if r not in inside and all(hosts[k] for k in r) and (
+                frozenset.intersection(*(hosts[k] for k in r))
+                or supports(part, [verts[k] for k in r])):
+            found.append(maximal.get(r) or GeoSimplex._raw(tuple(map(verts.__getitem__, r))))
+            inside |= _closure((r,))
     return GeoComplex(found, validate=False) if found else None
 
 

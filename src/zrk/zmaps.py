@@ -18,8 +18,8 @@ from .collapse import CollapseSequence, find_collapse_sequence
 from .complexes import (GeoComplex, GeoSimplex, RPoint, WeightedComplex,
                         _placement, realize, skeleton, standard_cube)
 from .regular import (BudgetExhausted, den, desingularize_relative,
-                      coprime_point, is_regular, is_strongly_regular,
-                      is_strongly_regular_polyhedron, desingularize)
+                      coprime_point, is_regular, is_strongly_regular_polyhedron,
+                      desingularize)
 
 
 class DomainError(ValueError):
@@ -208,17 +208,25 @@ def part2_reduce(eta: PLMap, delta: GeoComplex, part: GeoComplex) -> SectionRetr
     - On an inside simplex xi is affine onto its realized face, where mu is
       affine and sends p_v to eta(v) = v.  So mu . xi is the identity on
       |inside|, which is |P| by (e).
-    The strong regularity of q is checked: (h) is checked on the
-    n-dimensional maximal simplexes only, so it depends on the input.
+    The strong regularity of q does not follow from (a)-(h), which check
+    (h) on the n-dimensional maximal simplexes only, so it is decided here,
+    on the weights, with no elimination.  The given faces of the skeleton
+    are the maximal simplexes of delta, none in another, so they realize as
+    the maximal simplexes of q, and q is strongly regular iff each of them
+    is: regular, which holds as above, with vertex denominators of gcd 1
+    (``regular.is_strongly_regular_simplex``).  The vector (e_v, w_v) of
+    p_v = e_v / w_v has an entry 1, so it is primitive, and the denominator
+    of p_v is w_v.  So q is strongly regular iff the weights of each given
+    face have gcd 1.
     """
     inside = _check_part1_properties(eta, delta, part)
     verts = delta.vertices()
     weights = {v: den(eta.images[v]) for v in verts}
     w = WeightedComplex(skeleton(delta), weights)
-    q = realize(w)
-    if not is_strongly_regular(q):
+    if any(math.gcd(*map(weights.__getitem__, f)) != 1 for f in w.base.given):
         raise PropertyViolation("(h)", "the realized weighted complex is not "
                                        "strongly regular")
+    q = realize(w)
     placement = _placement(w)
     xi = PLMap(inside, {v: placement[v] for v in inside.vertices()})
     mu = PLMap(q, {placement[v]: eta.images[v] for v in verts})
@@ -243,14 +251,10 @@ def _check_part1_properties(eta: PLMap, delta: GeoComplex,
     for v in inside.vertices():
         if eta.images[v] != v:
             raise PropertyViolation("(a)", f"vertex {v} is not fixed")
-    n = delta.ambient_dim
     for s in delta.maximal_simplexes():
-        if s.dim != n:
-            continue
         g = math.gcd(*(den(eta.images[v]) for v in s.vertices))
-        if g != 1:
-            raise PropertyViolation("(h)", f"gcd of image denominators on {s} "
-                                           f"is {g}")
+        if g != 1 and s.dim == delta.ambient_dim:
+            raise PropertyViolation("(h)", f"gcd of image denominators on {s} is {g}")
     return inside
 
 

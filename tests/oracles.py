@@ -766,6 +766,20 @@ def scan_inside_subcomplex(cx, part) -> set:
     return {s for s in cx.simplexes if scan_supports(cover, s)}
 
 
+def point_inside_subcomplex(cx, part):
+    """``subdivide._inside_subcomplex`` on point tuples, as it was before it
+    read rank tuples: every face of cx (``GeoComplex.simplexes``), tested
+    from the top dimension down with ``supports``, which reads the hosts of
+    each vertex occurrence, and the faces of one found marked as
+    simplexes."""
+    found, inside = [], set()
+    for s in sorted(cx.simplexes, key=lambda s: -s.dim):
+        if s not in inside and subdivide.supports(part, s.vertices):
+            found.append(s)
+            inside.update(s.faces())
+    return GeoComplex(found, validate=False) if found else None
+
+
 def slice_complex(cx: GeoComplex, row) -> GeoComplex:
     """Subdivide so that every simplex lies in {row >= 0} or {row <= 0}."""
     out = []

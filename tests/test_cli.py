@@ -11,6 +11,7 @@ import pytest
 from zrk import (GeoSimplex, certify_main, common_refinement, desingularize,
                  find_collapse_sequence, from_maximal, is_regular, is_subdivision,
                  part2_reduce, pipeline_dh, realize, restrict, rpoint, standard_cube, stellar)
+from zrk import cli
 from zrk.cli import build_parser, main
 from zrk.exactnum import invariant_factors
 from zrk.scx import ScxDocument, parse_scx, print_scx
@@ -88,6 +89,19 @@ def test_desingularize_budget_overrun_is_unknown(tmp_path, capsys):
                    '"maximal_simplexes": [[["0", "0"], ["1", "1/3"], ["1/5", "1"]]]}')
     assert run("desingularize", str(tri), "--budget", "1") == 2
     assert "budget exhausted" in capsys.readouterr().err
+
+
+def test_running_out_of_memory_is_unknown(monkeypatch, capsys):
+    # A MemoryError ends the run as unknown, with no traceback: the
+    # handler is replaced by one that raises it, and nothing is allocated.
+    def exhausted(args, cx):
+        raise MemoryError()
+
+    help_text, options, files, _ = cli.COMMANDS["desingularize"]
+    monkeypatch.setitem(cli.COMMANDS, "desingularize", (help_text, options, files, exhausted))
+    assert run("desingularize", corpus_path("third_interval.scx")) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "unknown: out of memory\n" and captured.out == ""
 
 
 def test_stellar(tmp_path):

@@ -367,3 +367,85 @@ def test_collapse_step_checks_its_facet_without_hashing(monkeypatch):
             else:
                 with pytest.raises(ValueError, match="must be a facet of maximal"):
                     CollapseStep(t, f)
+
+
+def _boundary(cx: GeoComplex) -> list[GeoSimplex]:
+    """The facets of cx's maximal simplexes that lie in only one of them."""
+    held: dict[GeoSimplex, int] = {}
+    for m in cx.maximal_simplexes():
+        for i in range(len(m.vertices)):
+            f = GeoSimplex._raw(m.vertices[:i] + m.vertices[i + 1:])
+            held[f] = held.get(f, 0) + 1
+    return sorted(f for f, count in held.items() if count == 1)
+
+
+def _backtracking_complexes() -> list[GeoComplex]:
+    """Seeded 2-spheres, the boundaries of cube3 made stellar at points on
+    its faces, with hairs (edges to points off the cube, each its own) or
+    with a triangle taken out (a disk) and hairs.  A sphere with hairs does
+    not collapse, so the search tries every order of removing the hairs;
+    the complexes are built unvalidated, as the search is combinatorial."""
+    rng = random.Random(2046)
+    out = []
+    for _ in range(6):
+        cx = standard_cube(3)
+        for _ in range(rng.randint(1, 2)):
+            x = [Fraction(rng.randint(1, 4), 5) for _ in range(3)]
+            x[rng.randrange(3)] = Fraction(rng.randint(0, 1))
+            cx = stellar(cx, RPoint(tuple(x)))
+        sphere = _boundary(cx)
+        verts = sorted({v for f in sphere for v in f.vertices})
+        for cut in (False, True):
+            faces = list(sphere)
+            if cut:
+                faces.remove(rng.choice(faces))
+            faces += [GeoSimplex((rng.choice(verts), rpoint(2 + j, 2, 2)))
+                      for j in range(rng.randint(0, 3))]
+            out.append(GeoComplex(faces, validate=False))
+    return out + [_hollow_with_tails(4)]
+
+
+def test_search_matches_the_oracle_at_the_descent_bound():
+    # A sequence of a complex with f faces has (f - 1)/2 steps, so no
+    # budget below that succeeds, and the search gives None as soon as it
+    # knows f.  At every budget around the bound, and past it, it finds
+    # what the recursive oracle finds.
+    found = {True: 0, False: 0}
+    for cx in _backtracking_complexes():
+        half = (len(cx.simplexes) - 1) // 2
+        for budget in (0, 1, half - 1, half, half + 1, 2 * half, 100_000):
+            seq = find_collapse_sequence(cx, budget=budget)
+            assert seq == dfs_collapse_sequence(cx, budget=budget), (cx, budget)
+            found[seq is not None] += 1
+            if seq is not None:
+                assert replay(cx, seq)
+    assert found[True] >= 10 and found[False] >= 10, found
+
+
+def test_an_exhausted_budget_stops_the_search(monkeypatch):
+    # A hollow triangle with 90 tails does not collapse.  At budget 100
+    # the search descends 90 tails deep, backs out of a few failed states
+    # and passes the budget with 88 states open on its path, and then it
+    # stops.  Had the open states tried their remaining pairs, that would
+    # have taken 8,224 toggles, about the depth times the pairs, and filed
+    # every open state as failed, though no filed state is read once no
+    # state is expanded.
+    k, budget = 90, 100
+    flips = []
+    toggle = collapse._FaceTable.toggle
+    monkeypatch.setattr(collapse._FaceTable, "toggle", lambda table, pair: flips.append(
+        table.live[pair // table.n]) or toggle(table, pair))
+    filed = []
+
+    class Filed(set):
+        def add(self, state):
+            filed.append(state)
+            super().add(state)
+
+    monkeypatch.setattr(collapse, "set", Filed, raising=False)
+    assert find_collapse_sequence(_hollow_with_tails(k), budget=budget) is None
+    open_states = sum(flips) - (len(flips) - sum(flips))  # removals less restores
+    assert open_states > k // 2
+    assert len(flips) <= 2 * k
+    # Every expanded state is filed or open, and the budget expands 100.
+    assert filed and len(filed) == budget - open_states

@@ -912,6 +912,60 @@ def test_inside_subcomplex_matches_testing_every_simplex():
             assert inside_subcomplex(cx, parts[4]) is None
 
 
+def _subcube(n, origin):
+    """The standard triangulation of origin + [0, 1/2]^n."""
+    return [GeoSimplex(tuple(RPoint(tuple(o + c / 2 for o, c in zip(origin, v.coords)))
+                             for v in s.vertices))
+            for s in standard_cube(n).maximal_simplexes()]
+
+
+def test_inside_subcomplex_on_rank_tuples_matches_point_tuples(monkeypatch):
+    # The kernel reads each vertex's hosts once and tests rank tuples; the
+    # point-tuple kernel it replaced (oracles.point_inside_subcomplex) asks
+    # supports of every face it builds, and the scanning oracle tests every
+    # face on its own.  All three agree on seeded stellar cube2 and cube3
+    # complexes against a non-convex P (an L of three half-size cubes), and
+    # a P with a dangling edge or an isolated vertex, which may be a vertex
+    # of the complex.  A maximal simplex of the complex found inside is its
+    # own object.
+    rng = random.Random(2046)
+    asked = []
+    measured = subdivide.supports
+    for n in (2, 3):
+        half = Fraction(1, 2)
+        mid, top = RPoint((half,) * n), RPoint((Fraction(1),) * n)
+        base = _subcube(n, (0,) * n)
+        ell = _subcube(n, (half,) + (0,) * (n - 1)) + _subcube(n, (0, half) + (0,) * (n - 2))
+        for _ in range(3):
+            cx = standard_cube(n)
+            for _ in range(rng.randint(1, 3)):
+                cx = stellar(cx, rpoint(*[random_rational(rng, 4) for _ in range(n)]))
+            far = RPoint(tuple(Fraction(rng.randint(5, 8), 8) for _ in range(n)))
+            parts = [from_maximal(base + ell),
+                     from_maximal(base + [GeoSimplex((mid, far))]),
+                     from_maximal(base + [GeoSimplex((far,))]),
+                     from_maximal(base + [GeoSimplex((top,))]),
+                     from_maximal(base + ell + [GeoSimplex((mid, far))])]
+            own = {s: s for s in cx.maximal_simplexes()}
+            for part in parts:
+                faces = []
+                monkeypatch.setattr(subdivide, "supports",
+                                    lambda p, points: faces.append(set(points))
+                                    or measured(p, points))
+                found = subdivide._inside_subcomplex(cx, part)
+                monkeypatch.undo()
+                assert found == oracles.point_inside_subcomplex(cx, part), (cx, part)
+                assert ((found.simplexes if found else set())
+                        == scan_inside_subcomplex(cx, part)), (cx, part)
+                assert all(own.get(s, s) is s for s in found.maximal_simplexes())
+                # Work bound: the faces of a simplex found are not asked again.
+                assert not any(f < set(m.vertices) for f in faces
+                               for m in found.maximal_simplexes()), (cx, part)
+                asked += faces
+    # Some faces are left to the volume test after the host tiers.
+    assert len(asked) > 20, len(asked)
+
+
 def test_inside_subcomplex_matches_scanning_oracle_in_restrict_and_pipeline(
         monkeypatch):
     # Every inside subcomplex that restrict, pipeline_dh and part2_reduce
@@ -1005,7 +1059,10 @@ def test_inside_subcomplex_runs_supports_only_on_undecided_faces(monkeypatch):
 def test_vertices_of_the_part_are_looked_up_without_barycentric_work(monkeypatch):
     # Work bound: on the fold pipeline, inside_subcomplex finds the hosts
     # of a vertex of P in its star (GeoComplex.hosts), with no
-    # GeoSimplex._weights call; only the other vertices are located.
+    # GeoSimplex._weights call; only the other vertices are located.  The
+    # hosts are read once per vertex of the complex, not once per face, so
+    # the fold runs with up to nine seeded rebases to look up more than
+    # 20 vertices of P.
     rng = random.Random(20191)
     parts, looking, located = [], [], []
     vertex_lookups = 0
@@ -1040,7 +1097,7 @@ def test_vertices_of_the_part_are_looked_up_without_barycentric_work(monkeypatch
     square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
     fold = PLMap(square, {v: half if any(v.coords) else v for v in square.vertices()})
     part = from_maximal([GeoSimplex((rpoint(0, 0), half))])
-    for i in range(3):
+    for i in range(10):
         eta = fold
         for _ in range(i):
             p = rpoint(*[random_rational(rng, 4) for _ in range(2)])

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 from importlib import resources
@@ -15,7 +16,7 @@ from zrk import (GeoSimplex, PLMap, certify_main, compose, desingularize,
                  stellar, verify_section_retraction, verify_zretract)
 from zrk import subdivide, zmaps
 from zrk.cli import main
-from zrk.complexes import GeoComplex
+from zrk.complexes import GeoComplex, WeightedComplex, realize
 from zrk.regular import den, is_regular, is_strongly_regular
 from zrk.scx import ScxDocument, parse_scx, print_scx
 from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
@@ -24,6 +25,7 @@ from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
 from conftest import random_rational, random_simplex, seg, tri
 from oracles import (RestrictionRefused, caratheodory_supports, clip_fixes_pointwise,
                      closure_realize, desingularizing_certify, fraction_eval,
+                     json_print_scx,
                      has_strongly_regular_triangulation,
                      is_zmap_by_fit, locate_eval, product_lattice_points,
                      restricted_fixes_pointwise, retarget_to_carrier_vertices,
@@ -1123,3 +1125,54 @@ def test_realize_matches_the_closure_on_the_pipeline_cases(monkeypatch):
     for w in weighted:
         assert (print_scx(ScxDocument("complex", real(w)))
                 == print_scx(ScxDocument("complex", closure_realize(w))))
+
+
+def test_part2_decides_strong_regularity_on_the_weights(monkeypatch):
+    # part2_reduce decides (h) on its realization q as gcd 1 of the weights
+    # over each given face, and realize orders each face by descending
+    # stored index.  On seeded stellar variants of the fold and of the
+    # projections of the square and the cube onto a face, with their own
+    # weights, weights doubled to fail the test and seeded small weights:
+    # is_strongly_regular(q) agrees with the gcd test, the closure's
+    # realization is q, and every weighted document prints as json does.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    rng = random.Random(2046)
+    found = []
+    for case in (workloads.fold(), workloads.face_projection(2),
+                 workloads.face_projection(3)):
+        for _ in range(3):
+            point = rpoint(*[random_rational(rng, 4) for _ in range(case[1].ambient_dim)])
+            eta, part = workloads.stellar_variant(case, point)
+            result = pipeline_dh(eta, part)
+            base = part2_reduce(result.map, result.triangulation, part).weighted
+            for weights in (base.weights, {v: 2 * w for v, w in base.weights.items()},
+                            *({v: rng.choice((1, 2, 3, 4, 6)) for v in base.weights}
+                              for _ in range(3))):
+                w = WeightedComplex(base.base, weights)
+                q = realize(w)
+                coprime = all(math.gcd(*map(weights.__getitem__, f)) == 1 for f in w.base.given)
+                assert is_strongly_regular(q) == coprime, (case, point, weights)
+                assert q == closure_realize(w)
+                doc = ScxDocument("weighted", w)
+                assert print_scx(doc) == json_print_scx(doc)
+                found.append(coprime)
+    assert found.count(True) >= 9 and found.count(False) >= 18, found
+
+
+def test_part2_refuses_a_realization_that_is_not_strongly_regular():
+    # (a)-(g) hold, and (h) holds on the triangle, but the dangling edge's
+    # vertices both map to (1/2, 0): its weights are 2 and 2, so its
+    # realized simplex is regular but not strongly regular.
+    h = "1/2"
+    delta = from_maximal([tri((0, 0), (h, 0), (0, 1)), seg2d((h, 0), (1, 0))])
+    eta = PLMap(delta, {rpoint(0, 0): rpoint(0, 0), rpoint(h, 0): rpoint(h, 0),
+                        rpoint(0, 1): rpoint(0, 0), rpoint(1, 0): rpoint(h, 0)})
+    part = from_maximal([seg2d((0, 0), (h, 0))])
+    skeleton_weights = {v: den(eta.images[v]) for v in delta.vertices()}
+    assert not is_strongly_regular(realize(WeightedComplex(zmaps.skeleton(delta),
+                                                           skeleton_weights)))
+    with pytest.raises(PropertyViolation, match="^property \\(h\\) violated: the realized "
+                       "weighted complex is not strongly regular$") as err:
+        part2_reduce(eta, delta, part)
+    assert err.value.label == "(h)"
