@@ -72,11 +72,13 @@ class _FaceTable:
     facets' ids; ``count[i]``, the number of its live cofaces one dimension
     up; and ``xor[i]``, the XOR of their ids, which is that coface when
     there is one.  ``live`` flags the live faces and ``size`` counts them.
-    Removing only free pairs keeps every face of a live face live."""
+    Removing only free pairs keeps every face of a live face live.
+    ``faces`` is the closure of cx's rank tuples (``complexes._closure``),
+    which a caller may have counted already."""
 
-    def __init__(self, cx: GeoComplex):
+    def __init__(self, cx: GeoComplex, faces: set[tuple]):
         self.verts, self.index = cx.vertices(), cx._rank
-        self.faces = sorted(_closure(cx._ranks))
+        self.faces = sorted(faces)
         self.id = {s: i for i, s in enumerate(self.faces)}
         n = self.n = self.size = len(self.faces)
         self.facets = [tuple(map(self.id.__getitem__, itertools.combinations(s, len(s) - 1)))
@@ -129,7 +131,7 @@ def _zobrist(i: int) -> int:
 
 def free_faces(cx: GeoComplex) -> list[tuple[GeoSimplex, GeoSimplex]]:
     """All pairs (T, F) where F is a facet of exactly one simplex T."""
-    table = _FaceTable(cx)
+    table = _FaceTable(cx, _closure(cx._ranks))
     return [(table.geo(p // table.n), table.geo(p % table.n)) for p in table.file_free()]
 
 
@@ -164,10 +166,14 @@ def find_collapse_sequence(cx: GeoComplex,
     before any search: a sequence removes two faces a step, so it has
     (f - 1)/2 steps, and each state on it but the last, a single vertex,
     is counted and expanded, so it needs (f - 1)/2 nodes within budget.
+    That test reads only f, so it runs on the closure before the table is
+    built from it.
     """
-    table = _FaceTable(cx)
-    if 2 * budget < table.n - 1:
+    faces = _closure(cx._ranks)
+    if 2 * budget < len(faces) - 1:
         return None
+    table = _FaceTable(cx, faces)
+    del faces  # the table holds the faces sorted; the set is not kept for the search
     pairs, n, live = table.file_free(), table.n, table.live  # updated in place
     words: list[int] = []  # each face's Zobrist word, made at the first filing
     failed: dict[int, set[bytes]] = {}
@@ -208,7 +214,7 @@ def replay(cx: GeoComplex, seq: CollapseSequence) -> bool:
     per occurrence.  A step costs two face-id lookups and one removal,
     which flips ``live``, ``count`` and ``xor``; replay builds no free list
     (``_FaceTable.file_free``)."""
-    table = _FaceTable(cx)
+    table = _FaceTable(cx, _closure(cx._ranks))
     ids, facets, count, xor, live = table.id, table.facets, table.count, table.xor, table.live
     ranks: dict[int, Optional[int]] = {}  # id of a vertex object -> its rank
 

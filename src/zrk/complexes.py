@@ -359,6 +359,17 @@ class GeoSimplex:
             return None
         return [sum(map(mul, b, x)) for b in bary]
 
+    def _image(self, p: RPoint, images: Sequence[RPoint]) -> RPoint:
+        """The image of p, a point of the simplex, under the affine map
+        sending its vertices to ``images``.  The images' vectors are
+        combined with p's integer barycentric weights (``_weights``, all
+        >= 0) over one lcm (``linalg._combination``); the weights add up to
+        their common denominator, so the sum is a vector of the image, made
+        primitive, and the image is the same point whichever simplex
+        holding p is asked."""
+        x = linalg._combination(self._weights(p._homog), [y._homog for y in images])
+        return RPoint._from_homog(linalg._primitive(x))
+
     def barycentric(self, p: RPoint) -> Optional[tuple[Fraction, ...]]:
         """Barycentric coordinates of p, or None if p is off the affine hull."""
         x = _homogeneous(p, self.ambient_dim)

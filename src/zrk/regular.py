@@ -18,9 +18,10 @@ alone, from the row transform of one Smith form (``_box_point``), together
 with its carrier.  ``desingularize`` and ``desingularize_relative`` share
 one loop over the maximal simplexes held by ``subdivide._Stars``: each step
 replaces the star of the blown-up carrier in the complex and, in the
-relative case, in the subcomplex inside the polyhedron, found once; the
-complex is built once at the end, and a regular input builds no star at
-all.
+relative case, in the subcomplex inside the polyhedron, found once.  The
+complex is built once at the end, and the relative case returns the
+subcomplex it kept with it, so its caller does not search for it again; a
+regular input builds no star at all.
 """
 
 from __future__ import annotations
@@ -201,12 +202,13 @@ def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
     budget counts stellar steps; exceeding it raises, it never returns a
     wrong answer.
     """
-    return _blow_up(cx, None, budget)
+    return _blow_up(cx, None, budget)[0]
 
 
 def desingularize_relative(cx: GeoComplex, part: GeoComplex,
-                           budget: int = 10_000) -> GeoComplex:
-    """Stellar subdivision making the subcomplex inside |part| regular.
+                           budget: int = 10_000) -> tuple[GeoComplex, GeoComplex]:
+    """A stellar subdivision K' of cx making the subcomplex inside |part|
+    regular, and that subcomplex I(K').
 
     Requires the simplexes of cx inside |part| to triangulate |part|
     already; blow-ups happen at box points inside |part|, so that property
@@ -216,7 +218,9 @@ def desingularize_relative(cx: GeoComplex, part: GeoComplex,
     The inside subcomplex I(K) of K is found once.  With |I(K)| = |part|
     and the carrier C of p in I(K), I(stellar(K, p)) = stellar(I(K), p),
     so ``subdivide._Stars.replace`` updates its maximal simplexes as it
-    does those of K.  Proof: each simplex of stellar(I(K), p) is one of
+    does those of K, and I(K') is the complex of those kept, or I(K)
+    itself when nothing is blown up: the caller needs no search for it.
+    Proof: each simplex of stellar(I(K), p) is one of
     stellar(K, p) lying in |I(K)|.  Conversely let t in stellar(K, p) lie
     in |part|.  If t is in K, it misses C and is in I(K), so it is in
     stellar(I(K), p).  Otherwise t = F u {p} for a face F of a simplex of
@@ -234,20 +238,21 @@ def desingularize_relative(cx: GeoComplex, part: GeoComplex,
 
 
 def _blow_up(cx: GeoComplex, inside: Optional[GeoComplex],
-             budget: int) -> GeoComplex:
+             budget: int) -> tuple[GeoComplex, Optional[GeoComplex]]:
     """Blow up the least non-regular maximal simplex of ``inside``, a
-    subcomplex of cx (None: of cx itself), until all are regular.  The
+    subcomplex of cx (None: of cx itself), until all are regular; return
+    the subdivided complex and subcomplex (None when none is given).  The
     maximal simplexes of cx and of the subcomplex are held in
     ``subdivide._Stars``, one for both when there is no subcomplex, and
     every blow-up replaces its star in each; they are built only once a
-    watched simplex is non-regular, so a regular input returns cx with
-    none built.  A heap entry no longer held was replaced by an earlier
-    blow-up and is skipped."""
+    watched simplex is non-regular, so a regular input returns cx and
+    ``inside`` with none built.  A heap entry no longer held was replaced
+    by an earlier blow-up and is skipped."""
     watched = cx if inside is None else inside
     # A sorted list is a heap.
     heap = sorted((s.dim, s) for s in watched.maximal_simplexes() if not is_regular(s))
     if not heap:
-        return cx
+        return cx, inside
     stars = subdivide._Stars(cx.maximal_simplexes())
     inner = stars if inside is None else subdivide._Stars(inside.maximal_simplexes())
     steps = 0
@@ -264,7 +269,7 @@ def _blow_up(cx: GeoComplex, inside: Optional[GeoComplex],
         steps += 1
         if steps > budget:
             raise BudgetExhausted("desingularization budget exhausted")
-    return stars.complex()
+    return stars.complex(), None if inside is None else inner.complex()
 
 
 def coprime_point(s: GeoSimplex, k: int) -> RPoint:

@@ -2,7 +2,7 @@
 
 Elementary stellar subdivisions, subdivision checks by volume accounting,
 common refinement by cell overlay, restriction of a triangulation to a
-subpolyhedron, and refinement of a triangulation until a piecewise-linear
+subpolyhedron, and refinement of a piecewise-linear map's domain until the
 map is simplexwise compatible with a target triangulation.  A stellar
 subdivision works on the maximal simplexes alone, held with the star of
 each vertex (``_Stars``): it replaces those containing the carrier of the
@@ -31,7 +31,10 @@ leave s whole, a target simplex whose integer box misses the images' box
 is skipped with no clip, and only a map other than the identity pulls the
 target's rows back (``_pullback_rows``).  ``common_refinement`` measures
 no tiling, as its support checks have settled that the cells tile;
-``refine_for_map`` measures one for every simplex it cuts.
+``refine_for_map`` measures one for every simplex it cuts, and returns the
+map on the refinement: it images each new vertex on the simplex s it was
+cut from, knowing s's vertex images (``GeoSimplex._image``, which
+``PLMap.eval`` calls after locating a point), so no vertex is located.
 
 One predicate answers every question "does this set lie in |K|?":
 ``supports(K, points)``, conv(points) inside |K|.  It reads each point's
@@ -536,33 +539,40 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
 # -- refinement compatible with a map ----------------------------------------
 
 
-def refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
-    """Subdivide cx until every simplex maps into one simplex of target.
+def refine_for_map(plmap, target: GeoComplex):
+    """The map ``plmap``, a ``zmaps.PLMap`` whose image must lie in
+    |target|, on a subdivision of its domain in which every simplex maps
+    into one simplex of target.
 
-    ``plmap``, a ``zmaps.PLMap``, must be compatible with cx (affine on each
-    simplex, which holds for any vertex-image map on a subdivision of its
-    domain) and its image must lie in |target|.  Each maximal s is cut into
-    its preimage cells in the maximal simplexes of target (``_cells``).  A
-    simplex mapping into one target simplex is its own one cell and
-    survives.  The cells of a cut simplex must tile it (``_tiles``), or its
-    image leaves |target|.  When no simplex is cut, cx itself is returned.
+    Each maximal s of the domain is cut into its preimage cells in the
+    maximal simplexes of target (``_cells``).  A simplex mapping into one
+    target simplex is its own one cell and survives.  The cells of a cut
+    simplex must tile it (``_tiles``), or its image leaves |target|.  Old
+    vertices keep their images, and a new vertex, a point of the s it was
+    cut from, gets the image of the affine map on s
+    (``GeoSimplex._image``), the one ``PLMap.eval`` interpolates, so the
+    map is unchanged.  When no simplex is cut, ``plmap`` itself is
+    returned.
     """
     if plmap.codomain_dim != target.ambient_dim:
         raise ValueError(f"a point in R^{plmap.codomain_dim} is not in R^{target.ambient_dim}")
-    simplexes, cut = [], False
-    images = {v: plmap.eval(v) for v in cx.vertices()}
-    for s in cx.maximal_simplexes():
-        cells = _cells(s, tuple(images[v] for v in s.vertices), target)
-        # The cells of a cut simplex must tile it exactly; a gap means the
-        # image of s leaves the support of the target.
+    simplexes, images = [], dict(plmap.images)
+    for s in plmap.domain.maximal_simplexes():
+        ys = tuple(images[v] for v in s.vertices)
+        cells = _cells(s, ys, target)
         if cells != {s}:
-            cut = True
+            # The cells of a cut simplex must tile it exactly; a gap means
+            # the image of s leaves the support of the target.
             if not _tiles(s, cells):
-                raise SupportMismatch(
-                    f"compatibility failure: the image of {s} is not contained "
-                    "in the target support")
+                raise SupportMismatch(f"compatibility failure: the image of {s} is not "
+                                      "contained in the target support")
+            images.update((p, s._image(p, ys)) for c in cells for p in c.vertices
+                          if p not in images)
         simplexes.extend(cells)
-    return GeoComplex(simplexes, validate=False) if cut else cx
+    # A cut simplex has a new vertex: pieces with s's vertices alone tile s
+    # only as s itself.
+    return (type(plmap)(GeoComplex(simplexes, validate=False), images)
+            if len(images) > len(plmap.images) else plmap)
 
 
 def _volume_axes(base: GeoSimplex) -> Optional[list[int]]:

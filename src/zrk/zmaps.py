@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import linalg, subdivide
+from . import subdivide
 from .collapse import CollapseSequence, find_collapse_sequence
 from .complexes import (GeoComplex, GeoSimplex, RPoint, WeightedComplex,
                         _placement, realize, skeleton, standard_cube)
@@ -60,22 +60,17 @@ class PLMap:
 
     def eval(self, p: RPoint) -> RPoint:
         """Barycentric interpolation of the vertex images in a maximal
-        simplex holding p; coordinates that are zero drop out, so this is
-        the interpolation in the carrier.  A domain vertex v is a vertex of
-        every simplex holding it (its carrier is {v}), so its coordinates
-        are a unit vector and the result is images[v], returned unsearched.
-        The images' vectors are combined with p's integer barycentric
-        weights over one lcm (``linalg._combination``); the weights add up
-        to their common denominator, so the sum is a vector of the image,
-        made primitive."""
+        simplex holding p (``GeoSimplex._image``); coordinates that are
+        zero drop out, so this is the interpolation in the carrier.  A
+        domain vertex v is a vertex of every simplex holding it (its carrier
+        is {v}), so its coordinates are a unit vector and the result is
+        images[v], returned unsearched."""
         if p in self.images:
             return self.images[p]
         found = self.domain._locate(p)
         if found is None:
             raise DomainError(f"point not in support: {p}")
-        s, w, _ = found
-        images = [self.images[v]._homog for v in s.vertices]
-        return RPoint._from_homog(linalg._primitive(linalg._combination(w, images)))
+        return found[0]._image(p, self.image_simplex_points(found[0]))
 
     def image_simplex_points(self, s: GeoSimplex) -> list[RPoint]:
         return [self.images[v] for v in s.vertices]
@@ -103,11 +98,9 @@ def is_zmap(eta: PLMap) -> bool:
     unchanged); on regular domains the criterion is equivalent to every
     linear piece having integer coefficients.
     """
-    domain = eta.domain
-    if not all(is_regular(s) for s in domain.maximal_simplexes()):
-        domain = desingularize(domain)
-        eta = eta.rebase(domain)
-    return all(den(v) % den(eta.images[v]) == 0 for v in domain.vertices())
+    if not all(is_regular(s) for s in eta.domain.maximal_simplexes()):
+        eta = eta.rebase(desingularize(eta.domain))
+    return all(den(v) % den(y) == 0 for v, y in eta.images.items())
 
 
 # -- composition and fixity --------------------------------------------------
@@ -121,10 +114,10 @@ def compose(eta: PLMap, theta: PLMap) -> PLMap:
     there, and refuses where the preimage cells of a simplex do not tile
     it, or where the spaces differ.  Either is a containment failure."""
     try:
-        refined = subdivide.refine_for_map(eta.domain, eta, theta.domain)
+        refined = subdivide.refine_for_map(eta, theta.domain)
     except ValueError:  # SupportMismatch, or another ambient dimension
         raise DomainError("image containment failure: composition undefined") from None
-    return PLMap(refined, {v: theta.eval(eta.eval(v)) for v in refined.vertices()})
+    return PLMap(refined.domain, {v: theta.eval(y) for v, y in refined.images.items()})
 
 
 def _image_leaving(eta: PLMap, cx: GeoComplex) -> Optional[GeoSimplex]:
@@ -141,7 +134,7 @@ def fixes_pointwise(eta: PLMap, part: GeoComplex) -> bool:
     cover |part|, so eta fixes |part| iff it fixes their vertices.  |part|
     outside |domain|, or in another space, is a containment failure."""
     try:
-        refined = subdivide.refine_for_map(part, identity_map(part), eta.domain)
+        refined = subdivide.refine_for_map(identity_map(part), eta.domain).domain
     except ValueError:  # SupportMismatch, or another ambient dimension
         raise DomainError("containment failure: |P| is not inside the domain") from None
     return all(eta.eval(v) == v for v in refined.vertices())
@@ -287,10 +280,15 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
       before steps C-F run.  By that function's lemma, step F's regular
       triangulation I of |P|, the inside subcomplex, is then strongly
       regular, so step H's hosts are strongly regular simplexes.
+    - Step F returns I, the subcomplex its blow-ups kept up to date
+      (``desingularize_relative``), so I is never searched for after it.
     - Step G keeps I, so step H reads it.  ``refine_for_map`` keeps each
       simplex of I: its vertices are fixed and share a host.  Any other
       simplex s meets |P| only in proper faces of s that lie in I, so no
       piece of s, and no face of a piece, adds an inside simplex.
+    - Step G's ``refine_for_map`` returns eta_g, not only delta_g: it
+      images each new vertex on the simplex it cut the vertex from, whose
+      vertex images it holds, so no vertex of delta_g is located in delta.
     - Step H does not touch |P|.  An n-simplex of I is regular and fixed,
       so its image denominators, a column of a unimodular matrix, are
       coprime: an offending s is not in I, and its barycentre lies in its
@@ -325,15 +323,13 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     # Step E: adapt to |P|.
     delta = subdivide.restrict(delta, part)
     # Step F: make the inside triangulation regular.
-    delta = desingularize_relative(delta, part)
-    inside = subdivide.inside_subcomplex(delta, part)
+    delta, inside = desingularize_relative(delta, part)
     # Step G: fix |P| vertexwise, then refine until every simplex maps into
     # one inside simplex.  The inside simplexes triangulate |P|, so a vertex
     # of delta lies in |P| exactly when it is a vertex of one of them.
-    eta_f = PLMap(delta, {v: v if v in inside._rank else eta_b.eval(v)
-                          for v in delta.vertices()})
-    delta_g = subdivide.refine_for_map(delta, eta_f, inside)
-    eta_g = eta_f.rebase(delta_g)
+    eta_g = subdivide.refine_for_map(
+        PLMap(delta, {v: v if v in inside._rank else eta_b.eval(v)
+                      for v in delta.vertices()}), inside)
     # Step H: blow up the top simplexes with non-coprime image denominators
     # at their barycentres, each imaged to a point of the first inside
     # simplex holding its vertex images.  An offending s is maximal and
@@ -341,9 +337,9 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     # the blow-ups are moves of ``subdivide._Stars``, built only when some
     # simplex offends, and one complex is built from it.
     images = dict(eta_g.images)
-    offending = [s for s in delta_g.maximal_simplexes() if s.dim == n
+    offending = [s for s in eta_g.domain.maximal_simplexes() if s.dim == n
                  and math.gcd(*(den(images[v]) for v in s.vertices)) != 1]
-    stars = subdivide._Stars(delta_g.maximal_simplexes()) if offending else None
+    stars = subdivide._Stars(eta_g.domain.maximal_simplexes()) if offending else None
     for s in offending:
         first = min(frozenset.intersection(*(inside.hosts(images[v])
                                              for v in s.vertices)))
@@ -351,7 +347,7 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
         images[center] = coprime_point(inside.maximal_simplexes()[first],
                                        math.lcm(*(den(images[v]) for v in s.vertices)))
         stars.replace(center, s.vertices)
-    delta_h = stars.complex() if offending else delta_g
+    delta_h = stars.complex() if offending else eta_g.domain
     eta_h = PLMap(delta_h, images)
 
     seq = find_collapse_sequence(delta_h, budget=collapse_budget)

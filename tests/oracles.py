@@ -162,7 +162,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from zrk import linalg, scx, subdivide, zmaps
 from zrk.collapse import CollapseSequence, CollapseStep, _FaceTable, find_collapse_sequence
 from zrk.complexes import (GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _cached,
-                           _homogeneous, _placement, skeleton)
+                           _closure, _homogeneous, _placement, skeleton)
 from zrk.exactnum import (IntMat, _saturated, format_rat, invariant_factors,
                           smith_with_transforms, xgcd)
 from zrk.regular import (BudgetExhausted, _box_point, _check, coprime_point, den,
@@ -715,14 +715,16 @@ def pieces_common_refinement(a: GeoComplex, b: GeoComplex) -> GeoComplex:
     return GeoComplex(simplexes, validate=False)
 
 
-def scan_refine_for_map(cx: GeoComplex, plmap, target: GeoComplex) -> GeoComplex:
-    """``subdivide.refine_for_map`` by its own overlay loop: a simplex whose
-    vertex images share a host is kept, and any other is pulled against
-    every maximal simplex of target, with no box test, on the target's
-    rows pulled back along the map even for the identity.  The reference
-    for map refinement by ``subdivide._cells``."""
+def scan_refine_for_map(plmap, target: GeoComplex) -> GeoComplex:
+    """The domain of ``subdivide.refine_for_map`` by its own overlay loop: a
+    simplex whose vertex images share a host is kept, and any other is
+    pulled against every maximal simplex of target, with no box test, on
+    the target's rows pulled back along the map even for the identity.  The
+    reference for map refinement by ``subdivide._cells``; the reference for
+    its images is ``PLMap.rebase``."""
     if plmap.codomain_dim != target.ambient_dim:
         raise ValueError(f"a point in R^{plmap.codomain_dim} is not in R^{target.ambient_dim}")
+    cx = plmap.domain
     simplexes = []
     cut = False
     images = {v: plmap.eval(v) for v in cx.vertices()}
@@ -1207,7 +1209,7 @@ class NotAnElementaryCollapse(ValueError):
 
 def elementary_collapse(cx: GeoComplex, t: GeoSimplex, f: GeoSimplex) -> GeoComplex:
     """Remove exactly {T, F}; errors unless (T, F) is a free pair."""
-    table = _FaceTable(cx)
+    table = _FaceTable(cx, _closure(cx._ranks))
     i, j = (table.id.get(tuple(map(table.index.get, s.vertices))) for s in (t, f))
     if j is None or table.count[j] != 1 or table.xor[j] != i:
         raise NotAnElementaryCollapse("not an elementary collapse")

@@ -1192,7 +1192,7 @@ def test_points_of_another_dimension_are_rejected():
     # A map into R^3 does not map into a complex in R^2.
     lift = PLMap(cx, {v: rpoint(*v.coords, 1) for v in cx.vertices()})
     with pytest.raises(ValueError, match=r"R\^3 .* R\^2"):
-        refine_for_map(cx, lift, cx)
+        refine_for_map(lift, cx)
     with pytest.raises(ValueError, match=r"R\^3 .* R\^2"):
         retarget_to_carrier_vertices(lift, cx, keep=lambda v: False)
 

@@ -1,13 +1,19 @@
 """Every op any seed of the benchmark can draw prints the bytes whose
 SHA-256 ``bench/data/golden.json`` records, and its witnesses re-check.
 The ops are built in memory, as ``test_zmaps`` builds the pipeline cases;
-only files under ``bench/`` are read."""
+only files under ``bench/`` are read.  The seeded folds of
+``tests/rfold.py`` print the bytes recorded in ``RFOLD_GOLDEN``."""
 
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+
+from zrk import part2_reduce, pipeline_dh, rpoint
+from zrk.scx import ScxDocument, print_scx
+
+from rfold import rfold, rfold_points
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -24,3 +30,43 @@ def test_every_benchmark_op_prints_its_golden_bytes(monkeypatch, workload):
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == golden[workload][op.id], op.id
         assert op.recheck(text, result) is None, op.id
+
+
+# SHA-256 of the printed pipeline_dh map and collapse sequence, and of
+# part 2's weighted complex, realization, section and retraction, on two
+# seeded folds (tests/rfold.py), recorded before step G returned its map
+# and step F its inside subcomplex.
+RFOLD_GOLDEN = {
+    (2, 15): ["0cc27e5807f6939ab643104329eb439fad4ae232ddf4754dbee7a486ac23d909",
+              "74522509f9785c657ca041723178904db3f2750704f14af05d7cc636575cc2cc",
+              "5823c2c3fcec356eb807fee21cf9ac7d5c61595418fc8fcbe51a187991cf8362",
+              "6be19947354ba98ecda1f3e495fd6c2673679a25208a87d98e302f97251244ba",
+              "a75dec875ecf8e14d1244143933b6050ca8e352838c7d0ef3e08cdd8d3273132",
+              "e63f887c05079c2fa026fb75886d69c10a22f2fb832de6f44b7c11066d1647aa"],
+    (3, 2): ["aa6486471c53f48a714a3d47906ade1fc353c4e17e7636000339e133a262bedb",
+             "c2ada9ea25b3cec8ad217b65378b1e768660025d3a591a8ef49ae05a5296bf0e",
+             "e840c39ff3227e126454d59ef5b622f674862945dd79237d96df212d70862c87",
+             "57e98aaf968cfcee306a71bade4e7b99ff9e1f17b674e1c123e016d3418cf7f1",
+             "966f143336cbb3561d21d34921a53b25c7b7497f3ab526a4bc3d92cc1c406181",
+             "db0992f8f6c3ac166f04150a03671eca00d22eda7e19af06cd627f283e52ee32"],
+}
+
+
+def test_rfold_starts_at_its_recorded_points():
+    points = rfold_points(3, 5)[:3]
+    assert points == [rpoint("1/2", "3/7", "6/7"), rpoint("5/7", "1/2", "1/3"),
+                      rpoint("1/3", "1/2", "2/3")]
+
+
+@pytest.mark.parametrize("n, k", sorted(RFOLD_GOLDEN))
+def test_the_pipeline_and_part2_print_their_golden_bytes_on_rfold(n, k):
+    eta, part = rfold(n, k)
+    result = pipeline_dh(eta, part)
+    assert result.status == "ok"
+    reduced = part2_reduce(result.map, result.triangulation, part)
+    docs = [("plmap", result.map), ("sequence", result.collapse_sequence),
+            ("weighted", reduced.weighted), ("complex", reduced.realization),
+            ("plmap", reduced.section), ("plmap", reduced.retraction)]
+    digests = [hashlib.sha256(print_scx(ScxDocument(kind, payload)).encode("utf-8")).hexdigest()
+               for kind, payload in docs]
+    assert digests == RFOLD_GOLDEN[n, k]

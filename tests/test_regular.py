@@ -81,15 +81,17 @@ def test_desingularize_one_step(third_interval):
 
 def test_desingularize_identity_on_regular(monkeypatch):
     # A regular input is returned as it is, with no star index built; so
-    # is a complex whose inside subcomplex is regular, however the rest is.
+    # is a complex whose inside subcomplex is regular, however the rest is,
+    # with that subcomplex.
     def forbidden(*args):
         raise AssertionError("a regular input builds no star index")
 
     monkeypatch.setattr(subdivide, "_Stars", forbidden)
     cx = standard_cube(2)
     assert desingularize(cx) is cx
-    cx = from_maximal([seg(0, "1/3"), seg("1/3", 1)])
-    assert desingularize_relative(cx, from_maximal([seg(0, "1/3")])) is cx
+    cx, part = from_maximal([seg(0, "1/3"), seg("1/3", 1)]), from_maximal([seg(0, "1/3")])
+    out, inside = desingularize_relative(cx, part)
+    assert out is cx and inside is subdivide.inside_subcomplex(cx, part)
 
 
 def test_desingularize_2d():
@@ -192,16 +194,20 @@ def _inside_regular(cx, part):
 
 
 def test_desingularize_relative_matches_rebuild_oracle():
+    # The inside subcomplex returned is the one a search of the result
+    # finds (the rank-tuple kernel, on a complex that keeps no answer).
     inputs = _relative_inputs()
     assert sum(not _inside_regular(cx, part) for cx, part in inputs) >= 40
     for cx, part in inputs:
         for budget in (0, 1, 3, 10_000):
             try:
-                expected = rebuild_desingularize_relative(cx, part, budget).simplexes
+                out = rebuild_desingularize_relative(cx, part, budget)
+                expected = out.simplexes, subdivide._inside_subcomplex(out, part)
             except BudgetExhausted:
                 expected = BudgetExhausted
             try:
-                got = desingularize_relative(cx, part, budget).simplexes
+                out, inside = desingularize_relative(cx, part, budget)
+                got = out.simplexes, inside
             except BudgetExhausted:
                 got = BudgetExhausted
             assert got == expected, (cx, part, budget)
@@ -211,7 +217,8 @@ def test_desingularize_builds_one_complex(monkeypatch):
     # Star replacement works on the maximal simplexes alone: one complex is
     # built at the end, and no step rebuilds it or searches for a carrier.
     # The relative version also finds the inside subcomplex just once, so
-    # it builds that one besides.  A complex keeps its inside subcomplex
+    # it builds that one besides, and the complex of the subdivided one it
+    # returns.  A complex keeps its inside subcomplex
     # once asked, as restrict and the filter below ask, so each pair runs
     # on a cold copy: the same complex built again.
     cxs = [cx for cx in _desingularize_inputs()
@@ -240,7 +247,7 @@ def test_desingularize_builds_one_complex(monkeypatch):
         built.clear()
         inside_calls.clear()
         desingularize_relative(cx, part)
-        assert len(inside_calls) == 1 and len(built) == 2
+        assert len(inside_calls) == 1 and len(built) == 3
 
 
 def _path(k: int) -> GeoComplex:
@@ -276,15 +283,16 @@ def test_star_work_per_blow_up_does_not_grow(monkeypatch):
 def test_desingularize_relative_already_regular():
     cx = from_maximal([seg(0, "1/3"), seg("1/3", 1)])
     part = from_maximal([seg(0, "1/3")])
-    assert desingularize_relative(cx, part) == cx
+    assert desingularize_relative(cx, part) == (cx, part)
 
 
 def test_desingularize_relative_subdivides_part():
     cx = from_maximal([seg(0, "2/3"), seg("2/3", 1)])
     part = from_maximal([seg(0, "2/3")])
-    out = desingularize_relative(cx, part)
+    out, inside = desingularize_relative(cx, part)
     assert sorted(out.maximal_simplexes()) == [
         seg(0, "1/2"), seg("1/2", "2/3"), seg("2/3", 1)]
+    assert sorted(inside.maximal_simplexes()) == [seg(0, "1/2"), seg("1/2", "2/3")]
 
 
 def test_desingularize_relative_precondition():

@@ -1,6 +1,7 @@
 """Checks on the source text of the package itself."""
 
 import ast
+import inspect
 import io
 import tokenize
 from pathlib import Path
@@ -247,7 +248,12 @@ def test_the_constructive_path_establishes_each_fact_once():
     # P failing (iii) only after steps C-F.  pipeline_dh leaves (a)-(h) to
     # part2_reduce, which checks them at its input, and step H reads step
     # G's inside subcomplex, which step G keeps, instead of asking for it
-    # again.
+    # again.  Each step hands on what it built: step F returns the inside
+    # subcomplex it kept, so pipeline_dh asks for none, and step G's
+    # refine_for_map returns the refined map, whose new vertices it images
+    # on the simplex it cut them from, with the helper PLMap.eval calls
+    # after locating a point.  Rebasing the map onto delta_g located every
+    # new vertex again with a linear scan.
     named = _function_names()
     assert not named["part2_reduce"] & {"is_zmap", "compose", "fixes_pointwise"}
     assert "_image_leaving" not in named["compose"]
@@ -257,12 +263,19 @@ def test_the_constructive_path_establishes_each_fact_once():
     for fn in ("certify_main", "pipeline_dh"):
         assert "is_strongly_regular_polyhedron" in named[fn], fn
         assert "is_strongly_regular" not in named[fn], fn
+    assert not named["pipeline_dh"] & {"rebase", "inside_subcomplex"}
     tree = ast.parse(Path(zrk.zmaps.__file__).read_text(encoding="utf-8"))
-    (pipeline,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-                   and node.name == "pipeline_dh"]
-    asks = [node for node in ast.walk(pipeline)
-            if isinstance(node, ast.Attribute) and node.attr == "inside_subcomplex"]
-    assert len(asks) == 1, [node.lineno for node in asks]
+    (compose,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "compose"]
+    assert [ast.unparse(node.func) for node in ast.walk(compose) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "eval"] == ["theta.eval"]
+    assert list(inspect.signature(zrk.subdivide.refine_for_map).parameters) == ["plmap", "target"]
+    assert {"_image", "eval"} & _function_names(zrk.subdivide)["refine_for_map"] == {"_image"}
+    (plmap,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "PLMap"]
+    (evaluate,) = [node for node in plmap.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "eval"]
+    assert "_image" in {getattr(node, "attr", None) for node in ast.walk(evaluate)}
 
 
 def test_stellar_moves_go_through_one_star_index():

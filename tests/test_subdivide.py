@@ -617,7 +617,7 @@ def test_restrict_builds_one_complex_after_choosing_its_rows(monkeypatch):
 def test_refine_for_map_identity():
     cx = standard_cube(1)
     eta = PLMap(cx, {v: v for v in cx.vertices()})
-    assert refine_for_map(cx, eta, cx) is cx
+    assert refine_for_map(eta, cx) is eta
 
 
 def test_refine_for_map_steep_tent():
@@ -626,9 +626,11 @@ def test_refine_for_map_steep_tent():
     eta = PLMap(dom, {rpoint(0): rpoint(0), rpoint("1/2"): rpoint(1),
                       rpoint(1): rpoint(0)})
     target = from_maximal([seg(0, "1/2"), seg("1/2", 1)])
-    out = refine_for_map(dom, eta, target)
+    refined = refine_for_map(eta, target)
+    out = refined.domain
     assert sorted(out.vertices()) == [rpoint(0), rpoint("1/4"), rpoint("1/2"),
                                       rpoint("3/4"), rpoint(1)]
+    assert refined.images[rpoint("1/4")] == refined.images[rpoint("3/4")] == rpoint("1/2")
     for s in out.maximal_simplexes():
         imgs = [eta.eval(v) for v in s.vertices]
         assert any(all(t.contains(i) for i in imgs)
@@ -639,7 +641,7 @@ def test_refine_for_map_constant():
     dom = standard_cube(1)
     eta = PLMap(dom, {v: rpoint("1/2") for v in dom.vertices()})
     target = from_maximal([seg(0, "1/2"), seg("1/2", 1)])
-    assert refine_for_map(dom, eta, target) is dom
+    assert refine_for_map(eta, target).domain is dom
 
 
 def test_refine_for_map_shallow_tent_already_good():
@@ -647,7 +649,7 @@ def test_refine_for_map_shallow_tent_already_good():
     eta = PLMap(dom, {rpoint(0): rpoint(0), rpoint("1/2"): rpoint("1/2"),
                       rpoint(1): rpoint(0)})
     target = from_maximal([seg(0, "1/2"), seg("1/2", 1)])
-    assert refine_for_map(dom, eta, target) is dom
+    assert refine_for_map(eta, target).domain is dom
 
 
 def test_refine_for_map_2d():
@@ -656,7 +658,7 @@ def test_refine_for_map_2d():
     eta = PLMap(cx, {rpoint(0, 0): rpoint(0, 0), rpoint(1, 0): rpoint(1, 0),
                      rpoint(0, 1): rpoint(0, 0), rpoint(1, 1): rpoint(1, 0)})
     target = from_maximal([seg2d((0, 0), ("1/2", 0)), seg2d(("1/2", 0), (1, 0))])
-    out = refine_for_map(cx, eta, target)
+    out = refine_for_map(eta, target).domain
     assert is_subdivision(out, cx)
     for s in out.maximal_simplexes():
         imgs = [eta.eval(v) for v in s.vertices]
@@ -678,7 +680,7 @@ def test_refine_for_map_output_is_valid_complex():
     eta = PLMap(dom, {rpoint(0): rpoint(0), rpoint("1/2"): rpoint(1),
                       rpoint(1): rpoint(0)})
     target = from_maximal([seg(0, "1/2"), seg("1/2", 1)])
-    out = refine_for_map(dom, eta, target)
+    out = refine_for_map(eta, target).domain
     GeoComplex(out.maximal_simplexes(), validate=True)
 
 
@@ -688,7 +690,7 @@ def test_refine_for_map_image_along_shared_edges():
     dom = standard_cube(1)
     eta = PLMap(dom, {rpoint(0): rpoint(0, 0), rpoint(1): rpoint(1, 1)})
     target = stellar(standard_cube(2), rpoint("1/2", "1/2"))
-    out = refine_for_map(dom, eta, target)
+    out = refine_for_map(eta, target).domain
     assert sorted(out.maximal_simplexes()) == [seg(0, "1/2"), seg("1/2", 1)]
 
 
@@ -970,8 +972,8 @@ def test_inside_subcomplex_matches_scanning_oracle_in_restrict_and_pipeline(
         monkeypatch):
     # Every inside subcomplex that restrict, pipeline_dh and part2_reduce
     # find on seeded inputs equals the faces the oracle finds inside.  The
-    # count pins the work: pipeline_dh asks once, at step G, and step H and
-    # its closing check no longer ask.
+    # count pins the work: pipeline_dh asks none, as step F returns the
+    # inside subcomplex it kept, and step H and its closing check read it.
     rng = random.Random(20151)
     found = []
 
@@ -1007,7 +1009,7 @@ def test_inside_subcomplex_matches_scanning_oracle_in_restrict_and_pipeline(
             eta = eta.rebase(stellar(eta.domain, p))
         result = pipeline_dh(eta, part)
         part2_reduce(result.map, result.triangulation, part)
-    assert len(found) == 28 and {inside.dim for inside in found} == {0, 1, 2}
+    assert len(found) == 24 and {inside.dim for inside in found} == {0, 1, 2}
 
 
 def test_inside_subcomplex_runs_supports_only_on_undecided_faces(monkeypatch):
@@ -1060,9 +1062,10 @@ def test_vertices_of_the_part_are_looked_up_without_barycentric_work(monkeypatch
     # Work bound: on the fold pipeline, inside_subcomplex finds the hosts
     # of a vertex of P in its star (GeoComplex.hosts), with no
     # GeoSimplex._weights call; only the other vertices are located.  The
-    # hosts are read once per vertex of the complex, not once per face, so
-    # the fold runs with up to nine seeded rebases to look up more than
-    # 20 vertices of P.
+    # hosts are read once per vertex of the complex, not once per face, and
+    # pipeline_dh no longer searches step F's output again, so the fold
+    # runs with up to thirteen seeded rebases to look up more than 20
+    # vertices of P.
     rng = random.Random(20191)
     parts, looking, located = [], [], []
     vertex_lookups = 0
@@ -1097,7 +1100,7 @@ def test_vertices_of_the_part_are_looked_up_without_barycentric_work(monkeypatch
     square = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))])
     fold = PLMap(square, {v: half if any(v.coords) else v for v in square.vertices()})
     part = from_maximal([GeoSimplex((rpoint(0, 0), half))])
-    for i in range(10):
+    for i in range(14):
         eta = fold
         for _ in range(i):
             p = rpoint(*[random_rational(rng, 4) for _ in range(2)])
@@ -1277,9 +1280,10 @@ def test_one_overlay_matches_the_loops_it_replaced():
         collapsed += sum(in_face.issuperset(s.vertices) and s.dim > face.dim
                          for s in dom.maximal_simplexes())
         outcomes = []
-        for refine in (refine_for_map, oracles.scan_refine_for_map):
+        for refine in (lambda: refine_for_map(eta, target).domain,
+                       lambda: oracles.scan_refine_for_map(eta, target)):
             try:
-                outcomes.append(doc(refine(dom, eta, target)))
+                outcomes.append(doc(refine()))
             except SupportMismatch as e:
                 outcomes.append(f"refused: {e}")
         assert outcomes[0] == outcomes[1], (i, kind)
@@ -1327,7 +1331,7 @@ def test_cell_kernel_runs_on_integers_only(monkeypatch):
     monkeypatch.setattr(linalg, "det", counting("det", linalg.det))
     covered = supports(b, s.vertices)
     overlay = common_refinement(a, b)
-    refined = refine_for_map(a, eta, b)
+    refined = refine_for_map(eta, b).domain
     same = support_equal(c, d)
     assert calls["clip"] > 20 and calls["det"] > 20, calls
     monkeypatch.undo()

@@ -23,6 +23,7 @@ from zrk.zmaps import (ConditionViolation, DomainError, PropertyViolation,
                        _image_leaving, _lattice_points_in)
 
 from conftest import random_rational, random_simplex, seg, tri
+import oracles
 from oracles import (RestrictionRefused, caratheodory_supports, clip_fixes_pointwise,
                      closure_realize, desingularizing_certify, fraction_eval,
                      json_print_scx,
@@ -750,20 +751,23 @@ def test_pipeline_establishes_the_part1_properties(monkeypatch, tent, half_inter
     # subcomplex of step G's delta_g: its docstring proves both.  On seeded
     # folds, segments where step F blows up, the tent and the face
     # projections, its output passes the check part2_reduce runs, the
-    # inside subcomplex of a cold copy of delta_g is step G's, and step H
-    # leaves it as it is.  Some outputs have step-H blow-ups.
+    # inside subcomplexes of cold copies of step F's delta and of delta_g
+    # are the one step F returns, and step H leaves it as it is.  Some
+    # outputs have step-H blow-ups.
     refined, desingularized = [], []
     refine, desingularize_relative = subdivide.refine_for_map, zmaps.desingularize_relative
 
-    def refine_spy(cx, plmap, target):
-        out = refine(cx, plmap, target)
-        refined.append((out, target))
+    def refine_spy(plmap, target):
+        out = refine(plmap, target)
+        refined.append((out.domain, target))
         return out
 
     def desingularize_spy(cx, part):
-        out = desingularize_relative(cx, part)
+        out, inside = desingularize_relative(cx, part)
+        cold = GeoComplex(out.maximal_simplexes(), validate=False)
+        assert subdivide.inside_subcomplex(cold, part) == inside
         desingularized.append(out is not cx)
-        return out
+        return out, inside
 
     monkeypatch.setattr(subdivide, "refine_for_map", refine_spy)
     monkeypatch.setattr(zmaps, "desingularize_relative", desingularize_spy)
@@ -780,6 +784,45 @@ def test_pipeline_establishes_the_part1_properties(monkeypatch, tent, half_inter
         blown_up.append(result.triangulation is not delta_g)
     assert len(desingularized) == len(cases)
     assert any(blown_up[:8]) and all(desingularized[8:16])
+
+
+def test_refined_maps_match_the_rebase_oracle(monkeypatch, tent, half_interval):
+    # refine_for_map hands on the map on the refinement: old vertices keep
+    # their images, and a new vertex gets the affine image on the simplex
+    # it was cut from.  On the cases of the test above, every call, step G's
+    # and fixity's, agrees with the map rebased by point location
+    # (PLMap.rebase) and with the scanning overlay.  Step G locates no point
+    # in step F's complex: rebasing its map onto delta_g located every new
+    # vertex there with a linear scan over its maximal simplexes.
+    calls, located, step_f = [], collections.Counter(), []
+    refine, desingularize_relative = subdivide.refine_for_map, zmaps.desingularize_relative
+    locate = GeoComplex._locate
+
+    def refine_spy(plmap, target):
+        calls.append((plmap, target, refine(plmap, target)))
+        return calls[-1][2]
+
+    def desingularize_spy(cx, part):
+        step_f.append(desingularize_relative(cx, part))
+        return step_f[-1]
+
+    monkeypatch.setattr(subdivide, "refine_for_map", refine_spy)
+    monkeypatch.setattr(zmaps, "desingularize_relative", desingularize_spy)
+    monkeypatch.setattr(GeoComplex, "_locate", lambda cx, p: located.update([id(cx)])
+                        or locate(cx, p))
+    cases = (_seeded_folds() + _seeded_segments(random.Random(2729), 8)
+             + [(tent, half_interval), _face_projection(2), _face_projection(3)])
+    for eta, part in cases:
+        assert pipeline_dh(eta, part).status == "ok"
+    monkeypatch.undo()
+    assert len(step_f) == len(cases)
+    assert not [i for i, (delta, _) in enumerate(step_f) if located[id(delta)]]
+    cut = 0
+    for plmap, target, out in calls:
+        assert out.domain == oracles.scan_refine_for_map(plmap, target)
+        assert out.images == plmap.rebase(out.domain).images
+        cut += out is not plmap
+    assert cut >= 10, cut
 
 
 @pytest.fixture
