@@ -38,8 +38,16 @@ for a weighted complex.  A complex keeps
 the answers to questions about it in a memo made on first use
 (``GeoComplex._answer``): whether it triangulates the cube, which
 validation records, the hosts of each point located in it, and
-``subdivide``'s inside subcomplex and coverage of a polyhedron.  Abstract
-and weighted abstract complexes carry the combinatorial skeletons.
+``subdivide``'s inside subcomplex and coverage of a polyhedron.
+
+Abstract and weighted abstract complexes carry the combinatorial skeletons
+on the same numbering: an abstract complex holds each face as a sorted
+tuple of indices into its distinct vertex labels, and a weighted one its
+weights as a tuple in vertex order, as the ``.scx`` weighted document
+does.  So the skeleton of a complex is its vertex table and rank tuples
+(``skeleton``), the realization on scaled basis vectors reads each face's
+points off its indices (``realize``), and no label set is turned into
+indices or back on the way from a complex to its printed realization.
 
 Point location and independence are exact integer arithmetic.  Each point
 holds its primitive homogeneous vector X = d(p, 1), for the least common
@@ -359,15 +367,15 @@ class GeoSimplex:
             return None
         return [sum(map(mul, b, x)) for b in bary]
 
-    def _image(self, p: RPoint, images: Sequence[RPoint]) -> RPoint:
-        """The image of p, a point of the simplex, under the affine map
-        sending its vertices to ``images``.  The images' vectors are
-        combined with p's integer barycentric weights (``_weights``, all
-        >= 0) over one lcm (``linalg._combination``); the weights add up to
-        their common denominator, so the sum is a vector of the image, made
-        primitive, and the image is the same point whichever simplex
-        holding p is asked."""
-        x = linalg._combination(self._weights(p._homog), [y._homog for y in images])
+    def _image(self, w: Sequence[int], images: Sequence[RPoint]) -> RPoint:
+        """The image of a point of the simplex, given by its integer
+        barycentric weights w (``_weights``, all >= 0), under the affine map
+        sending the vertices to ``images``.  The images' vectors are
+        combined with w over one lcm (``linalg._combination``); the weights
+        add up to their common denominator, so the sum is a vector of the
+        image, made primitive, and the image is the same point whichever
+        simplex holding the point is asked."""
+        x = linalg._combination(w, [y._homog for y in images])
         return RPoint._from_homog(linalg._primitive(x))
 
     def barycentric(self, p: RPoint) -> Optional[tuple[Fraction, ...]]:
@@ -830,10 +838,10 @@ class GeoComplex:
 
     # -- point queries -----------------------------------------------------
 
-    def _locate(self, p: RPoint) -> Optional[tuple[GeoSimplex, list[int], int]]:
-        """A maximal simplex s containing p, with p's barycentric coordinates
-        in s as integers w over one denominator q > 0; None when p is
-        outside the support.  Scans the maximal simplexes in order, with a
+    def _locate(self, p: RPoint) -> Optional[tuple[GeoSimplex, list[int]]]:
+        """A maximal simplex s containing p, with p's integer barycentric
+        weights w in s (``GeoSimplex._weights``); None when p is outside
+        the support.  Scans the maximal simplexes in order, with a
         bounding-box prefilter before the integer test."""
         x = _homogeneous(p, self.ambient_dim)
         d = x[-1]
@@ -843,7 +851,7 @@ class GeoComplex:
                 continue
             w = s._weights(x)
             if w is not None and all(a >= 0 for a in w):
-                return s, w, s._point_rows[2] * x[-1]
+                return s, w
         return None
 
     def carrier(self, p: RPoint) -> Optional[GeoSimplex]:
@@ -859,7 +867,7 @@ class GeoComplex:
         found = self._locate(p)
         if found is None:
             return None
-        s, w, _ = found
+        s, w = found
         return GeoSimplex._raw(tuple(v for v, a in zip(s.vertices, w) if a > 0))
 
     def hosts(self, p: RPoint) -> frozenset[int]:
@@ -891,7 +899,7 @@ class GeoComplex:
             found = self._locate(p)
             if found is None:
                 return frozenset()
-            s, w, _ = found
+            s, w = found
             return frozenset.intersection(*(stars[v] for v, a in zip(s.vertices, w) if a > 0))
 
         return self._answer(("hosts", p), locate)
@@ -912,55 +920,66 @@ def from_maximal(simplexes: Sequence[GeoSimplex]) -> GeoComplex:
 
 
 class AbsComplex:
-    """Abstract simplicial complex: ordered vertex labels plus the nonempty
-    subsets of the given faces, whose union is the vertex set.  ``given``
-    keeps the nonempty faces as given, which generate ``faces``, the
-    closure, built the first time it is read.  A face and its subsets hold
-    the same vertices, so the vertex cover is checked on ``given``."""
+    """Abstract simplicial complex: distinct ordered vertex labels plus the
+    nonempty subsets of the given faces, whose union is the vertex set.  A
+    face is a tuple of indices into ``vertices``: ``given`` keeps the
+    nonempty faces as given, each as its sorted index tuple, and they
+    generate ``faces``, their closure (``_closure``), built the first time
+    it is read.  A face and its subsets hold the same vertices, so the
+    vertex cover is checked on ``given``.  Equality and the hash are those
+    of the labelled complex: the label set and the faces as label sets."""
 
-    def __init__(self, vertices: Sequence[Hashable], faces: Iterable[frozenset]):
-        self.vertices = tuple(dict.fromkeys(vertices))
-        self.given = frozenset(filter(None, map(frozenset, faces)))
-        if set().union(*self.given) != set(self.vertices):
+    def __init__(self, vertices: Sequence[Hashable], faces: Iterable[Sequence[int]]):
+        self.vertices = tuple(vertices)
+        if len(set(self.vertices)) != len(self.vertices):
+            raise ValueError("vertex labels must be distinct")
+        self.given = frozenset(tuple(sorted(set(f))) for f in faces if f)
+        if set().union(*self.given) != set(range(len(self.vertices))):
             raise ValueError("the union of the faces must be the vertex set")
 
     @_cached
-    def faces(self) -> frozenset:
-        return frozenset(map(frozenset, _closure(self.given)))
+    def faces(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(_closure(self.given))
+
+    def _labelled(self) -> frozenset[frozenset]:
+        """The faces as label sets, which equality and the hash compare."""
+        return frozenset(frozenset(map(self.vertices.__getitem__, f)) for f in self.faces)
 
     def __eq__(self, other):
         return (isinstance(other, AbsComplex)
                 and set(self.vertices) == set(other.vertices)
-                and self.faces == other.faces)
+                and self._labelled() == other._labelled())
 
     def __hash__(self):
-        return hash((frozenset(self.vertices), self.faces))
+        return hash((frozenset(self.vertices), self._labelled()))
 
     def __repr__(self):
         return f"AbsComplex({len(self.vertices)} vertices, {len(self.faces)} faces)"
 
 
 class WeightedComplex:
-    """Abstract complex together with a positive integer weight per vertex."""
+    """Abstract complex together with a positive integer weight per vertex,
+    ``weights`` in the order of ``base.vertices``."""
 
     __slots__ = ("base", "weights")
 
-    def __init__(self, base: AbsComplex, weights: dict):
-        if set(weights) != set(base.vertices):
+    def __init__(self, base: AbsComplex, weights: Sequence[int]):
+        if len(weights) != len(base.vertices):
             raise ValueError("weights must be defined exactly on the vertices")
-        if any(int(w) < 1 for w in weights.values()):
+        if any(int(w) < 1 for w in weights):
             raise ValueError("weights must be positive integers")
         self.base = base
-        self.weights = {v: int(w) for v, w in weights.items()}
+        self.weights = tuple(map(int, weights))
 
     def __repr__(self):
         return f"WeightedComplex({len(self.base.vertices)} vertices)"
 
 
 def skeleton(cx: GeoComplex) -> AbsComplex:
-    """Abstract skeleton; vertices are labelled by their geometric points."""
-    return AbsComplex(cx.vertices(),
-                      [frozenset(s.vertices) for s in cx.maximal_simplexes()])
+    """Abstract skeleton: its vertices are cx's vertex table, labelled by
+    their points, and its given faces the rank tuples of the maximal
+    simplexes (``GeoComplex._ranks``)."""
+    return AbsComplex(cx.vertices(), cx._ranks)
 
 
 def standard_cube(n: int) -> GeoComplex:
@@ -991,17 +1010,12 @@ def standard_cube(n: int) -> GeoComplex:
     return GeoComplex(maxi, validate=False)
 
 
-def _placement(w: WeightedComplex) -> dict:
-    """Each vertex's point in the realization: the i-th vertex of the
-    stored order of the abstract complex goes to e_i / weight(v_i) in R^k,
-    for k vertices."""
-    k = len(w.base.vertices)
-    placed = {}
-    for i, v in enumerate(w.base.vertices):
-        x = [0] * (k + 1)
-        x[i], x[k] = 1, w.weights[v]
-        placed[v] = RPoint._from_homog(tuple(x))
-    return placed
+def _placement(w: WeightedComplex) -> list[RPoint]:
+    """Each vertex's point in the realization: vertex i goes to
+    e_i / weights[i] in R^k, for k vertices."""
+    k = len(w.weights)
+    return [RPoint._from_homog((0,) * i + (1,) + (0,) * (k - 1 - i) + (weight,))
+            for i, weight in enumerate(w.weights)]
 
 
 def realize(w: WeightedComplex) -> GeoComplex:
@@ -1011,12 +1025,12 @@ def realize(w: WeightedComplex) -> GeoComplex:
 
     Points on distinct positive multiples of distinct basis vectors are
     linearly, hence affinely, independent, so no face takes a rank check.
-    No point is compared either: for stored indices i < j, coordinate i is
-    the first where e_i / w_i and e_j / w_j differ, and there 1 / w_i > 0,
-    so e_i / w_i is the greater point.  A face's vertices in point order
-    are its vertices in descending stored index."""
+    No point is compared either: for indices i < j, coordinate i is the
+    first where e_i / w_i and e_j / w_j differ, and there 1 / w_i > 0, so
+    e_i / w_i is the greater point.  A face's vertices in point order are
+    its vertices in descending index, its sorted index tuple reversed.
+    Every vertex lies in a given face, so the vertex table of the
+    realization is the placement in descending index."""
     placed = _placement(w)
-    index = dict(zip(placed, range(len(placed))))
-    faces = (sorted(f, key=index.__getitem__, reverse=True) for f in w.base.given)
-    return GeoComplex([GeoSimplex._raw(tuple(map(placed.__getitem__, f))) for f in faces],
-                      validate=False)
+    return GeoComplex([GeoSimplex._raw(tuple(placed[i] for i in reversed(f)))
+                       for f in w.base.given], validate=False)

@@ -35,11 +35,11 @@ simplex is one join of the blocks at its rank tuple
 (``GeoComplex._ranks``), and a collapse step two joins of the blocks of
 its vertex objects, looked up by id, so no vertex occurrence is hashed.
 A verdict whose two complex witnesses are one object renders it once.  A
-weighted complex's ``faces`` are written as the closure
-(``complexes._closure``) of the sorted index tuples of its given faces:
-the closure of the given faces is the abstract complex's ``faces``, and
-the faces of a sorted tuple come out sorted, so no closure of label sets
-is built or sorted back into indices.
+weighted complex holds its faces as vertex-index tuples, as the document
+does: its ``faces`` are written as the closure (``complexes._closure``)
+of its given faces, sorted index tuples whose faces come out sorted, and
+its weights as they stand, in vertex order.  The parser hands the index
+arrays it has checked to the abstract complex as they are.
 """
 
 from __future__ import annotations
@@ -186,13 +186,12 @@ def print_scx(doc: ScxDocument) -> str:
         members = [("codomain_dim", [str(payload.codomain_dim)]), dim, head, simplexes,
                    version, ("vertex_images", _array(pairs, 1))]
     elif kind == "weighted":
-        order = list(payload.base.vertices)
-        index = {v: i for i, v in enumerate(order)}
-        given = (tuple(sorted(map(index.__getitem__, f))) for f in payload.base.given)
-        faces = ["".join(_array(list(map(str, f)), 2)) for f in sorted(_closure(given))]
+        faces = ["".join(_array(list(map(str, f)), 2))
+                 for f in sorted(_closure(payload.base.given))]
         members = [("faces", _array(faces, 1)), head, version,
-                   ("vertices", _array([encode_basestring_ascii(str(v)) for v in order], 1)),
-                   ("weights", _array([str(payload.weights[v]) for v in order], 1))]
+                   ("vertices", _array([encode_basestring_ascii(str(v))
+                                        for v in payload.base.vertices], 1)),
+                   ("weights", _array(list(map(str, payload.weights)), 1))]
     elif kind == "sequence":
         steps, terminal = _sequence(payload, 0, memo)
         members = [head, steps, terminal, version]
@@ -351,7 +350,6 @@ def _parse_weighted(body: dict) -> WeightedComplex:
             or not all(map(_positive_int, weights))):
         raise ScxError("'weights' must be positive integers, one per vertex",
                        "weights")
-    fsets = []
     for i, f in enumerate(faces):
         if (not isinstance(f, list)
                 or any(isinstance(j, bool) or not isinstance(j, int)
@@ -359,12 +357,11 @@ def _parse_weighted(body: dict) -> WeightedComplex:
                 or len(set(f)) != len(f)):
             raise ScxError(f"a face is an array of distinct vertex indices "
                            f"0..{len(names) - 1}", f"faces[{i}]")
-        fsets.append(frozenset(names[j] for j in f))
     try:
-        base = AbsComplex(names, fsets)
+        base = AbsComplex(names, faces)
     except ValueError as exc:
         raise ScxError(str(exc), "faces") from None
-    return WeightedComplex(base, dict(zip(names, weights)))
+    return WeightedComplex(base, weights)
 
 
 def _resolve(entry, points: dict) -> tuple:

@@ -549,7 +549,7 @@ def refine_for_map(plmap, target: GeoComplex):
     target simplex is its own one cell and survives.  The cells of a cut
     simplex must tile it (``_tiles``), or its image leaves |target|.  Old
     vertices keep their images, and a new vertex, a point of the s it was
-    cut from, gets the image of the affine map on s
+    cut from, gets the image of the affine map on s at its weights in s
     (``GeoSimplex._image``), the one ``PLMap.eval`` interpolates, so the
     map is unchanged.  When no simplex is cut, ``plmap`` itself is
     returned.
@@ -566,8 +566,8 @@ def refine_for_map(plmap, target: GeoComplex):
             if not _tiles(s, cells):
                 raise SupportMismatch(f"compatibility failure: the image of {s} is not "
                                       "contained in the target support")
-            images.update((p, s._image(p, ys)) for c in cells for p in c.vertices
-                          if p not in images)
+            images.update((p, s._image(s._weights(p._homog), ys))
+                          for c in cells for p in c.vertices if p not in images)
         simplexes.extend(cells)
     # A cut simplex has a new vertex: pieces with s's vertices alone tile s
     # only as s itself.

@@ -16,7 +16,7 @@ from typing import Optional
 from . import subdivide
 from .collapse import CollapseSequence, find_collapse_sequence
 from .complexes import (GeoComplex, GeoSimplex, RPoint, WeightedComplex,
-                        _placement, realize, skeleton, standard_cube)
+                        realize, skeleton, standard_cube)
 from .regular import (BudgetExhausted, den, desingularize_relative,
                       coprime_point, is_regular, is_strongly_regular_polyhedron,
                       desingularize)
@@ -60,7 +60,8 @@ class PLMap:
 
     def eval(self, p: RPoint) -> RPoint:
         """Barycentric interpolation of the vertex images in a maximal
-        simplex holding p (``GeoSimplex._image``); coordinates that are
+        simplex holding p, with the weights ``GeoComplex._locate`` found
+        there (``GeoSimplex._image``); coordinates that are
         zero drop out, so this is the interpolation in the carrier.  A
         domain vertex v is a vertex of every simplex holding it (its carrier
         is {v}), so its coordinates are a unit vector and the result is
@@ -70,7 +71,8 @@ class PLMap:
         found = self.domain._locate(p)
         if found is None:
             raise DomainError(f"point not in support: {p}")
-        return found[0]._image(p, self.image_simplex_points(found[0]))
+        s, w = found
+        return s._image(w, self.image_simplex_points(s))
 
     def image_simplex_points(self, s: GeoSimplex) -> list[RPoint]:
         return [self.images[v] for v in s.vertices]
@@ -186,9 +188,9 @@ def part2_reduce(eta: PLMap, delta: GeoComplex, part: GeoComplex) -> SectionRetr
 
     Verifies the retraction properties (a)-(h) first and reports violations
     by label; this is the one check of them on the constructive path, as
-    ``pipeline_dh`` establishes them without checking.  The weights are
-    the image denominators; vertices are enumerated in lexicographic order
-    for determinism.
+    ``pipeline_dh`` establishes them without checking.  The skeleton is
+    delta's vertex table and rank tuples (``skeleton``), and the weights
+    are the image denominators in that order.
 
     Once (a)-(h) hold, xi and mu are Z-maps and mu . xi fixes |P|, so
     neither is checked again (``verify_section_retraction`` re-checks the
@@ -201,34 +203,36 @@ def part2_reduce(eta: PLMap, delta: GeoComplex, part: GeoComplex) -> SectionRetr
     - On an inside simplex xi is affine onto its realized face, where mu is
       affine and sends p_v to eta(v) = v.  So mu . xi is the identity on
       |inside|, which is |P| by (e).
-    The strong regularity of q does not follow from (a)-(h), which check
-    (h) on the n-dimensional maximal simplexes only, so it is decided here,
-    on the weights, with no elimination.  The given faces of the skeleton
-    are the maximal simplexes of delta, none in another, so they realize as
-    the maximal simplexes of q, and q is strongly regular iff each of them
-    is: regular, which holds as above, with vertex denominators of gcd 1
-    (``regular.is_strongly_regular_simplex``).  The vector (e_v, w_v) of
-    p_v = e_v / w_v has an entry 1, so it is primitive, and the denominator
-    of p_v is w_v.  So q is strongly regular iff the weights of each given
-    face have gcd 1.
+    The strong regularity of q does not follow from (a)-(h), which ask
+    (h) of the n-dimensional maximal simplexes only, so it is decided with
+    them, on the weights, with no elimination.  The given faces of the
+    skeleton are the maximal simplexes of delta, none in another, so they
+    realize as the maximal simplexes of q, and q is strongly regular iff
+    each of them is: regular, which holds as above, with vertex
+    denominators of gcd 1 (``regular.is_strongly_regular_simplex``).  The
+    vector (e_v, w_v) of p_v = e_v / w_v has an entry 1, so it is
+    primitive, and the denominator of p_v is w_v.  So q is strongly regular
+    iff the weights of each maximal simplex of delta have gcd 1.
+
+    The placement is read off q: every vertex lies in a given face, so q's
+    vertex table is the placement in descending index (``realize``).
     """
-    inside = _check_part1_properties(eta, delta, part)
-    verts = delta.vertices()
-    weights = {v: den(eta.images[v]) for v in verts}
+    inside, weights = _check_part1_properties(eta, delta, part)
     w = WeightedComplex(skeleton(delta), weights)
-    if any(math.gcd(*map(weights.__getitem__, f)) != 1 for f in w.base.given):
-        raise PropertyViolation("(h)", "the realized weighted complex is not "
-                                       "strongly regular")
     q = realize(w)
-    placement = _placement(w)
-    xi = PLMap(inside, {v: placement[v] for v in inside.vertices()})
-    mu = PLMap(q, {placement[v]: eta.images[v] for v in verts})
+    placement = q.vertices()[::-1]
+    xi = PLMap(inside, {v: placement[delta._rank[v]] for v in inside.vertices()})
+    mu = PLMap(q, dict(zip(placement, eta.images.values())))
     return SectionRetraction(w, q, xi, mu)
 
 
 def _check_part1_properties(eta: PLMap, delta: GeoComplex,
-                            part: GeoComplex) -> GeoComplex:
-    """Check the retraction properties; return the subcomplex inside |P|."""
+                            part: GeoComplex) -> tuple[GeoComplex, list[int]]:
+    """Check the retraction properties; return the subcomplex inside |P|
+    and the image denominators in delta's vertex order.  (h) is read off
+    one gcd per maximal simplex: the first n-dimensional one whose gcd is
+    not 1 is reported by its gcd, and any other realizes as a face that is
+    not strongly regular (``part2_reduce``)."""
     if eta.domain != delta:
         raise PropertyViolation("(d)", "the map is not compatible with the "
                                        "given triangulation")
@@ -244,11 +248,16 @@ def _check_part1_properties(eta: PLMap, delta: GeoComplex,
     for v in inside.vertices():
         if eta.images[v] != v:
             raise PropertyViolation("(a)", f"vertex {v} is not fixed")
-    for s in delta.maximal_simplexes():
-        g = math.gcd(*(den(eta.images[v]) for v in s.vertices))
+    # eta's domain equals delta, so its images are in delta's vertex order.
+    weights = [den(y) for y in eta.images.values()]
+    gcds = [math.gcd(*map(weights.__getitem__, r)) for r in delta._ranks]
+    for s, g in zip(delta.maximal_simplexes(), gcds):
         if g != 1 and s.dim == delta.ambient_dim:
             raise PropertyViolation("(h)", f"gcd of image denominators on {s} is {g}")
-    return inside
+    if any(g != 1 for g in gcds):
+        raise PropertyViolation("(h)", "the realized weighted complex is not "
+                                       "strongly regular")
+    return inside, weights
 
 
 # -- the constructive pipeline (part 1, steps C-H) ----------------------------

@@ -910,7 +910,8 @@ def locate_eval(eta, p: RPoint) -> RPoint:
     found = eta.domain._locate(p)
     if found is None:
         raise zmaps.DomainError(f"point not in support: {p}")
-    s, w, q = found
+    s, w = found
+    q = sum(w)  # the weights add up to their common denominator
     coords = [Fraction(0)] * eta.codomain_dim
     for weight, v in zip(w, s.vertices):
         for i, c in enumerate(eta.images[v].coords):
@@ -1731,11 +1732,9 @@ def _json_payload(kind: str, payload) -> dict:
                                  for v in payload.domain.vertices()]
         return body
     if kind == "weighted":
-        order = list(payload.base.vertices)
-        index = {v: i for i, v in enumerate(order)}
-        return {"vertices": [str(v) for v in order],
-                "faces": sorted(sorted(index[v] for v in f) for f in payload.base.faces),
-                "weights": [payload.weights[v] for v in order]}
+        return {"vertices": [str(v) for v in payload.base.vertices],
+                "faces": sorted(sorted(f) for f in payload.base.faces),
+                "weights": list(payload.weights)}
     if kind == "sequence":
         return {"steps": [[_json_simplex(st.maximal), _json_simplex(st.free_facet)]
                           for st in payload.steps],
@@ -1798,12 +1797,10 @@ def _payload_body(kind: str, payload, memo: dict) -> dict:
         return body
     if kind == "weighted":
         w: WeightedComplex = payload
-        order = list(w.base.vertices)
-        index = {v: i for i, v in enumerate(order)}
         return {
-            "vertices": [str(v) for v in order],
-            "faces": sorted(sorted(index[v] for v in f) for f in w.base.faces),
-            "weights": [w.weights[v] for v in order],
+            "vertices": [str(v) for v in w.base.vertices],
+            "faces": sorted(sorted(f) for f in w.base.faces),
+            "weights": list(w.weights),
         }
     if kind == "sequence":
         seq: CollapseSequence = payload
@@ -1996,19 +1993,22 @@ def simplicially_isomorphic(a: GeoComplex, b: GeoComplex):
     """
     sa, sb = skeleton(a), skeleton(b)
     va, vb = list(sa.vertices), list(sb.vertices)
-    if len(va) != len(vb) or len(sa.faces) != len(sb.faces):
+    # The skeletons' faces as sets of vertex labels.
+    fa, fb = ({frozenset(map(sk.vertices.__getitem__, f)) for f in sk.faces}
+              for sk in (sa, sb))
+    if len(va) != len(vb) or len(fa) != len(fb):
         return None
 
-    def profile(sk, v):
-        sizes = sorted(len(f) for f in sk.faces if v in f)
+    def profile(faces, v):
+        sizes = sorted(len(f) for f in faces if v in f)
         return tuple(sizes)
 
-    prof_a = {v: profile(sa, v) for v in va}
-    prof_b = {w: profile(sb, w) for w in vb}
+    prof_a = {v: profile(fa, v) for v in va}
+    prof_b = {w: profile(fb, w) for w in vb}
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return None
 
-    faces_by_v_a = {v: [f for f in sa.faces if v in f] for v in va}
+    faces_by_v_a = {v: [f for f in fa if v in f] for v in va}
     assignment: dict = {}
     used: set = set()
 
@@ -2023,7 +2023,7 @@ def simplicially_isomorphic(a: GeoComplex, b: GeoComplex):
             for f in faces_by_v_a[v]:
                 if all(u in assignment or u == v for u in f):
                     img = frozenset(assignment.get(u, w) for u in f)
-                    if img not in sb.faces:
+                    if img not in fb:
                         ok = False
                         break
             if not ok:
@@ -2235,7 +2235,8 @@ def fraction_eval(eta, p: RPoint) -> RPoint:
     found = eta.domain._locate(p)
     if found is None:
         raise zmaps.DomainError(f"point not in support: {p}")
-    s, w, q = found
+    s, w = found
+    q = sum(w)  # the weights add up to their common denominator
     coords = [Fraction(0)] * eta.codomain_dim
     for weight, v in zip(w, s.vertices):
         for i, c in enumerate(eta.images[v].coords):

@@ -217,8 +217,8 @@ def test_criterion_8_end_to_end_worked_example():
     result = pipeline_dh(tent, half)
     assert result.status == "ok"
     reduced = part2_reduce(result.map, result.triangulation, half)
-    verts = sorted(result.triangulation.vertices())
-    assert [reduced.weighted.weights[v] for v in verts] == [1, 2, 1]
+    assert reduced.weighted.base.vertices == result.triangulation.vertices()
+    assert reduced.weighted.weights == (1, 2, 1)
     e1, e2, e3 = rpoint(1, 0, 0), rpoint(0, "1/2", 0), rpoint(0, 0, 1)
     assert reduced.section.images == {rpoint(0): e1, rpoint("1/2"): e2}
     assert reduced.retraction.images == {e1: rpoint(0), e2: rpoint("1/2"),

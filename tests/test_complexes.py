@@ -545,10 +545,11 @@ def _random_point_in(rng: random.Random, s: GeoSimplex) -> RPoint:
 
 def _random_realization(rng: random.Random) -> GeoComplex:
     labels = "abcdefg"[:rng.randint(4, 7)]
-    faces = [frozenset(rng.sample(labels, rng.randint(1, 3))) for _ in range(rng.randint(3, 6))]
-    faces += [frozenset(v) for v in labels]
+    indices = range(len(labels))
+    faces = [rng.sample(indices, rng.randint(1, 3)) for _ in range(rng.randint(3, 6))]
+    faces += [(i,) for i in indices]
     base = AbsComplex(labels, faces)
-    return realize(WeightedComplex(base, {v: rng.randint(1, 6) for v in labels}))
+    return realize(WeightedComplex(base, [rng.randint(1, 6) for _ in labels]))
 
 
 def test_linear_tests_accept_convex_triangulations_and_realizations():
@@ -935,8 +936,7 @@ def test_representation_matches_closure_oracle():
     assert print_scx(doc) == print_scx(ScxDocument("complex", from_maximal([triangle])))
     cases.append((doc.payload, [triangle, seg((1, 0), (0, 1))]))
     for base in (standard_cube(2), chains[2]):
-        w = WeightedComplex(skeleton(base), {v: rng.randint(1, 3)
-                                             for v in base.vertices()})
+        w = WeightedComplex(skeleton(base), [rng.randint(1, 3) for _ in base.vertices()])
         placed = _placement(w)
         cases.append((realize(w), [GeoSimplex(tuple(placed[v] for v in f))
                                    for f in w.base.faces]))
@@ -953,8 +953,10 @@ def test_representation_matches_closure_oracle():
         assert cx.vertices() == ref.vertices()
         assert cx.dim == ref.dim
         assert len(cx) == len(ref.simplexes)
-        assert skeleton(cx) == AbsComplex(ref.vertices(), [frozenset(s.vertices)
+        rank = {v: i for i, v in enumerate(ref.vertices())}
+        assert skeleton(cx) == AbsComplex(ref.vertices(), [[rank[v] for v in s.vertices]
                                                            for s in ref.simplexes])
+        assert skeleton(cx).given == set(cx._ranks)
         for again in (GeoComplex(ref.simplexes, validate=False),
                       GeoComplex(ref.maximal, validate=False)):
             assert cx == again and hash(cx) == hash(again)
@@ -1073,14 +1075,17 @@ def test_skeleton_segment():
 
 
 def test_skeleton_square():
-    sk = skeleton(standard_cube(2))
-    assert len(sk.vertices) == 4
+    cx = standard_cube(2)
+    sk = skeleton(cx)
+    assert sk.vertices == cx.vertices()
+    assert sk.given == {(0, 1, 3), (0, 2, 3)}
     assert sum(1 for f in sk.faces if len(f) == 3) == 2
-    # face-closure
+    # face-closure, on sorted index tuples
     for f in sk.faces:
+        assert list(f) == sorted(f)
         for k in range(1, len(f)):
             for sub in itertools.combinations(f, k):
-                assert frozenset(sub) in sk.faces
+                assert sub in sk.faces
 
 
 def test_standard_cube_counts():
@@ -1220,8 +1225,9 @@ def test_simplicially_isomorphic_mirror_path():
     iso = simplicially_isomorphic(path, mirror)
     assert iso is not None
     sk_a, sk_b = skeleton(path), skeleton(mirror)
+    faces_b = {frozenset(sk_b.vertices[i] for i in f) for f in sk_b.faces}
     for f in sk_a.faces:
-        assert frozenset(iso[v] for v in f) in sk_b.faces
+        assert frozenset(iso[sk_a.vertices[i]] for i in f) in faces_b
 
 
 def test_simplicially_isomorphic_absent():
@@ -1231,24 +1237,23 @@ def test_simplicially_isomorphic_absent():
 
 
 def test_realize_two_vertices():
-    base = AbsComplex(["a", "b"], [frozenset({"a", "b"})])
-    w = WeightedComplex(base, {"a": 1, "b": 2})
+    base = AbsComplex(["a", "b"], [(0, 1)])
+    w = WeightedComplex(base, (1, 2))
     cx = realize(w)
     assert set(cx.vertices()) == {rpoint(1, 0), rpoint(0, "1/2")}
     assert cx.dim == 1
 
 
 def test_realize_unit_weights_standard_embedding():
-    base = AbsComplex(["a", "b", "c"], [frozenset({"a", "b", "c"})])
-    w = WeightedComplex(base, {"a": 1, "b": 1, "c": 1})
+    base = AbsComplex(["a", "b", "c"], [(0, 1, 2)])
+    w = WeightedComplex(base, (1, 1, 1))
     cx = realize(w)
     assert set(cx.vertices()) == {rpoint(1, 0, 0), rpoint(0, 1, 0), rpoint(0, 0, 1)}
 
 
 def test_realize_path():
-    base = AbsComplex(["a", "b", "c"],
-                      [frozenset({"a", "b"}), frozenset({"b", "c"})])
-    w = WeightedComplex(base, {"a": 1, "b": 2, "c": 1})
+    base = AbsComplex(["a", "b", "c"], [(0, 1), (1, 2)])
+    w = WeightedComplex(base, (1, 2, 1))
     cx = realize(w)
     maxi = sorted(cx.maximal_simplexes())
     assert len(maxi) == 2
@@ -1258,9 +1263,8 @@ def test_realize_path():
 
 def test_realize_always_regular():
     # cross-module property: realizations are regular triangulations
-    base = AbsComplex(["a", "b", "c", "d"],
-                      [frozenset({"a", "b", "c"}), frozenset({"c", "d"})])
-    w = WeightedComplex(base, {"a": 2, "b": 3, "c": 1, "d": 6})
+    base = AbsComplex(["a", "b", "c", "d"], [(0, 1, 2), (2, 3)])
+    w = WeightedComplex(base, (2, 3, 1, 6))
     cx = realize(w)
     GeoComplex(cx.maximal_simplexes(), validate=True)
     assert all(is_regular(s) for s in cx.simplexes)
@@ -1269,21 +1273,17 @@ def test_realize_always_regular():
 def _realize_validated(w: WeightedComplex) -> GeoComplex:
     """The realization built with the validating simplex constructor."""
     k = len(w.base.vertices)
-    placed = {v: rpoint(*[Fraction(int(i == j), w.weights[v]) for j in range(k)])
-              for i, v in enumerate(w.base.vertices)}
-    return GeoComplex([GeoSimplex(tuple(placed[v] for v in f))
+    placed = [rpoint(*[Fraction(int(i == j), weight) for j in range(k)])
+              for i, weight in enumerate(w.weights)]
+    return GeoComplex([GeoSimplex(tuple(placed[i] for i in f))
                        for f in w.base.faces], validate=False)
 
 
 def test_realize_matches_validating_build():
-    ws = [WeightedComplex(AbsComplex(["a", "b"], [frozenset({"a", "b"})]),
-                          {"a": 1, "b": 2}),
-          WeightedComplex(AbsComplex(["a", "b", "c"],
-                                     [frozenset({"a", "b"}), frozenset({"b", "c"})]),
-                          {"a": 1, "b": 2, "c": 1}),
-          WeightedComplex(AbsComplex(["a", "b", "c", "d"],
-                                     [frozenset({"a", "b", "c"}), frozenset({"c", "d"})]),
-                          {"a": 2, "b": 3, "c": 1, "d": 6})]
+    ws = [WeightedComplex(AbsComplex(["a", "b"], [(0, 1)]), (1, 2)),
+          WeightedComplex(AbsComplex(["a", "b", "c"], [(0, 1), (1, 2)]), (1, 2, 1)),
+          WeightedComplex(AbsComplex(["a", "b", "c", "d"], [(0, 1, 2), (2, 3)]),
+                          (2, 3, 1, 6))]
     # The weighted skeleton part2_reduce builds for the fold of the square
     # onto its half diagonal, its domain subdivided at a seeded point.
     rng = random.Random(20148)
@@ -1302,18 +1302,38 @@ def test_realize_matches_validating_build():
 
 
 def test_abscomplex_invariants():
-    with pytest.raises(ValueError):
-        AbsComplex(["a", "b"], [frozenset({"a"})])  # b uncovered
-    base = AbsComplex(["a", "b"], [frozenset({"a", "b"})])
-    assert frozenset({"a"}) in base.faces  # subset closure
+    uncovered = "the union of the faces must be the vertex set"
+    for faces in ([(0,)], [(0, 2)], [(-1, 0)], [()]):  # b uncovered, or no vertex 2, -1
+        with pytest.raises(ValueError, match=uncovered):
+            AbsComplex(["a", "b"], faces)
+    base = AbsComplex(["a", "b"], [(1, 0), ()])
+    assert base.given == {(0, 1)}  # sorted, the empty face dropped
+    assert (0,) in base.faces  # subset closure
+    # Equality and the hash are the labelled complex's: the same faces on
+    # the labels listed in another order.
+    again = AbsComplex(["b", "a", "c"], [(0, 1), (2, 1)])
+    assert again == AbsComplex(["a", "b", "c"], [(0, 1), (0, 2)])
+    assert hash(again) == hash(AbsComplex(["c", "a", "b"], [(1, 2), (0, 1)]))
+    assert again != AbsComplex(["a", "b", "c"], [(0, 1), (1, 2)])
+
+
+def test_duplicate_vertex_labels_are_refused():
+    # A label listed twice was merged into one vertex; an index tuple
+    # cannot say which of the two copies a face means.
+    with pytest.raises(ValueError, match="vertex labels must be distinct"):
+        AbsComplex(["a", "b", "a"], [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="vertex labels must be distinct"):
+        AbsComplex([rpoint(0, "1/2"), RPoint((0, Fraction(2, 4)))], [(0, 1)])
 
 
 def test_weighted_validation():
-    base = AbsComplex(["a"], [frozenset({"a"})])
-    with pytest.raises(ValueError):
-        WeightedComplex(base, {"a": 0})
-    with pytest.raises(ValueError):
-        WeightedComplex(base, {"b": 1})
+    base = AbsComplex(["a"], [(0,)])
+    with pytest.raises(ValueError, match="positive"):
+        WeightedComplex(base, (0,))
+    for weights in ((), (1, 1)):
+        with pytest.raises(ValueError, match="exactly on the vertices"):
+            WeightedComplex(base, weights)
+    assert WeightedComplex(base, [3]).weights == (3,)
 
 
 def test_standard_cube_shares_one_object_per_vertex():
@@ -1452,10 +1472,11 @@ def test_realize_from_given_faces_matches_the_closure():
     rng = random.Random(4003)
     for _ in range(40):
         labels = "abcdefgh"[:rng.randint(1, 8)]
-        faces = [frozenset(rng.sample(labels, rng.randint(1, min(4, len(labels)))))
+        indices = range(len(labels))
+        faces = [rng.sample(indices, rng.randint(1, min(4, len(labels))))
                  for _ in range(rng.randint(1, 6))]
-        faces += [frozenset(v) for v in labels if rng.random() < 0.5 or
-                  not any(v in f for f in faces)]
-        w = WeightedComplex(AbsComplex(labels, faces), {v: rng.randint(1, 7) for v in labels})
+        faces += [(i,) for i in indices if rng.random() < 0.5 or
+                  not any(i in f for f in faces)]
+        w = WeightedComplex(AbsComplex(labels, faces), [rng.randint(1, 7) for _ in labels])
         assert (print_scx(ScxDocument("complex", realize(w)))
                 == print_scx(ScxDocument("complex", closure_realize(w))))

@@ -58,13 +58,13 @@ def test_equal_vertices_of_a_parsed_document_are_one_object():
 
 
 def test_weighted_roundtrip():
-    base = AbsComplex(["a", "b", "c"],
-                      [frozenset({"a", "b"}), frozenset({"b", "c"})])
-    w = WeightedComplex(base, {"a": 1, "b": 2, "c": 3})
+    base = AbsComplex(["a", "b", "c"], [(0, 1), (1, 2)])
+    w = WeightedComplex(base, (1, 2, 3))
     again = roundtrip(ScxDocument("weighted", w)).payload
     assert list(again.base.vertices) == ["a", "b", "c"]
-    assert again.weights == w.weights
-    assert again.base.faces == base.faces
+    assert again.weights == w.weights == (1, 2, 3)
+    assert again.base.faces == base.faces == {(0,), (1,), (2,), (0, 1), (1, 2)}
+    assert again.base == base
 
 
 def test_sequence_roundtrip():
@@ -477,10 +477,10 @@ def _valid_documents() -> list[str]:
     tent_domain = from_maximal([seg(0, "1/2"), seg("1/2", 1)])
     tent = PLMap(tent_domain, {rpoint(0): rpoint(0), rpoint("1/2"): rpoint("1/2"),
                                rpoint(1): rpoint(0)})
-    base = AbsComplex(["a", "b", "c"], [frozenset({"a", "b"}), frozenset({"b", "c"})])
+    base = AbsComplex(["a", "b", "c"], [(0, 1), (1, 2)])
     docs = [ScxDocument("complex", standard_cube(2)),
             ScxDocument("plmap", tent),
-            ScxDocument("weighted", WeightedComplex(base, {"a": 1, "b": 2, "c": 3})),
+            ScxDocument("weighted", WeightedComplex(base, (1, 2, 3))),
             ScxDocument("sequence", find_collapse_sequence(standard_cube(2))),
             ScxDocument("verdict", certify_main(half))]
     return [print_scx(doc) for doc in docs]
@@ -827,8 +827,8 @@ def test_printer_matches_json_on_every_kind(tent, half_interval):
 def test_printer_escapes_strings_like_json():
     names = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "café",
              "π/2 ≤ θ", "😀", "\u2028", "a/b"]
-    base = AbsComplex(names, [frozenset(names[:3]), frozenset(names[2:])])
-    weighted = WeightedComplex(base, {v: i + 1 for i, v in enumerate(names)})
+    base = AbsComplex(names, [range(3), range(2, len(names))])
+    weighted = WeightedComplex(base, range(1, len(names) + 1))
     doc = ScxDocument("weighted", weighted)
     assert _same_as_json(doc).isascii()
     assert list(roundtrip(doc).payload.base.vertices) == names
@@ -892,8 +892,8 @@ def test_printers_agree_on_every_kind():
                     ScxDocument("verdict", RetractVerdict(status, wit, reason))))
     assert any('"witnesses": {}' in t for t in texts)
     names = ['say "hi"', "back\\slash", "\x00\x1f\x7f", "ℤ³", 7, rpoint("1/2", -3)]
-    base = AbsComplex(names, [frozenset(names[:4]), frozenset(names[3:])])
-    weighted = WeightedComplex(base, {v: 10**k for k, v in enumerate(names)})
+    base = AbsComplex(names, [range(4), range(3, len(names))])
+    weighted = WeightedComplex(base, [10**k for k in range(len(names))])
     texts.append(_three_printers(ScxDocument("weighted", weighted)))
     assert {json.loads(t)["kind"] for t in texts} == set(KINDS)
     assert len(texts) == 93
@@ -907,8 +907,9 @@ def test_printers_agree_on_every_kind():
 def test_printers_agree_on_any_text(reason, names, weight):
     verdict = RetractVerdict("refuted", refutation_reason=reason)
     assert _three_printers(ScxDocument("verdict", verdict)).isascii()
-    base = AbsComplex(names, [frozenset(names[:2]), frozenset(names[1:])])
-    weighted = WeightedComplex(base, {v: weight + k for k, v in enumerate(names)})
+    indices = range(len(names))
+    base = AbsComplex(names, [indices[:2], indices[1:]])
+    weighted = WeightedComplex(base, [weight + k for k in range(len(names))])
     assert _three_printers(ScxDocument("weighted", weighted)).isascii()
 
 

@@ -147,13 +147,17 @@ def test_cube_test_reads_no_barycentric_rows():
 def test_subdivide_asks_complexes_about_points_only_by_hosts_and_carrier():
     # is_subdivision files a fine simplex under the hosts its vertices
     # share.  Locating its barycentre scanned the coarse maximal simplexes
-    # with barycentric tests, 720 scans for cube6 against itself.
+    # with barycentric tests, 720 scans for cube6 against itself.  The one
+    # barycentric test left is refine_for_map's: it reads a new vertex's
+    # weights on the one simplex it cut the vertex from, which locates
+    # nothing, and hands them to GeoSimplex._image.
     tree = ast.parse(Path(zrk.subdivide.__file__).read_text(encoding="utf-8"))
-    found = [f"{name}:{node.lineno}" for node in ast.walk(tree)
+    found = [f"{name}:{node.lineno}" for top in tree.body for node in ast.walk(top)
              for name in (getattr(node, "id", None), getattr(node, "attr", None),
                           getattr(node, "name", None))
              if name in ("_locate", "_weights", "contains", "barycentric",
-                         "barycenter", "_simplex_inside")]
+                         "barycenter", "_simplex_inside")
+             and (name, getattr(top, "name", None)) != ("_weights", "refine_for_map")]
     assert not found, f"point location in subdivide: {found}"
 
 
@@ -255,7 +259,7 @@ def test_the_constructive_path_establishes_each_fact_once():
     # after locating a point.  Rebasing the map onto delta_g located every
     # new vertex again with a linear scan.
     named = _function_names()
-    assert not named["part2_reduce"] & {"is_zmap", "compose", "fixes_pointwise"}
+    assert not named["part2_reduce"] & {"is_zmap", "compose", "fixes_pointwise", "_placement"}
     assert "_image_leaving" not in named["compose"]
     assert "stellar" not in named["pipeline_dh"]
     assert not named["pipeline_dh"] & {"_check_part1_properties", "desingularize",
@@ -314,7 +318,7 @@ def test_the_cli_loads_and_writes_documents_in_one_place():
 
 # Code lines in src/zrk when the gate was set.  Lower it when code goes;
 # raise it only with a line in CHANGES.md saying why.
-CODE_LINES = 2080
+CODE_LINES = 2074
 
 
 def code_lines(text: str) -> int:

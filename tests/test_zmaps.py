@@ -14,7 +14,7 @@ from zrk import (GeoSimplex, PLMap, certify_main, compose, desingularize,
                  part2_reduce, pipeline_dh, replay,
                  restrict, rpoint, standard_cube,
                  stellar, verify_section_retraction, verify_zretract)
-from zrk import subdivide, zmaps
+from zrk import complexes, subdivide, zmaps
 from zrk.cli import main
 from zrk.complexes import GeoComplex, WeightedComplex, realize
 from zrk.regular import den, is_regular, is_strongly_regular
@@ -429,8 +429,8 @@ def test_certifying_compares_no_fractions(monkeypatch):
 
 def test_part2_reduce_worked_example(tent, tent_domain, half_interval):
     result = part2_reduce(tent, tent_domain, half_interval)
-    verts = sorted(tent_domain.vertices())
-    assert [result.weighted.weights[v] for v in verts] == [1, 2, 1]
+    assert result.weighted.base.vertices == tent_domain.vertices()
+    assert result.weighted.weights == (1, 2, 1)
     e1, e2, e3 = rpoint(1, 0, 0), rpoint(0, "1/2", 0), rpoint(0, 0, 1)
     assert sorted(result.realization.maximal_simplexes()) == sorted(
         [GeoSimplex((e1, e2)), GeoSimplex((e2, e3))])
@@ -446,8 +446,8 @@ def test_part2_reduce_identity_case():
     cx = from_maximal([seg(0, "1/2"), seg("1/2", 1)])
     ident = identity_map(cx)
     result = part2_reduce(ident, cx, cx)
-    verts = sorted(cx.vertices())
-    assert [result.weighted.weights[v] for v in verts] == [den(v) for v in verts]
+    assert result.weighted.base.vertices == cx.vertices()
+    assert list(result.weighted.weights) == [den(v) for v in cx.vertices()]
     assert verify_section_retraction(cx, result.retraction, result.section)
 
 
@@ -779,8 +779,8 @@ def test_pipeline_establishes_the_part1_properties(monkeypatch, tent, half_inter
         delta_g, inside = refined[-1]  # step G's refinement is the last
         cold = GeoComplex(delta_g.maximal_simplexes(), validate=False)
         assert subdivide.inside_subcomplex(cold, part) == inside
-        assert zmaps._check_part1_properties(result.map, result.triangulation,
-                                             part) == inside
+        assert zmaps._check_part1_properties(result.map, result.triangulation, part) == (
+            inside, [den(result.map.images[v]) for v in result.triangulation.vertices()])
         blown_up.append(result.triangulation is not delta_g)
     assert len(desingularized) == len(cases)
     assert any(blown_up[:8]) and all(desingularized[8:16])
@@ -1189,12 +1189,12 @@ def test_part2_decides_strong_regularity_on_the_weights(monkeypatch):
             eta, part = workloads.stellar_variant(case, point)
             result = pipeline_dh(eta, part)
             base = part2_reduce(result.map, result.triangulation, part).weighted
-            for weights in (base.weights, {v: 2 * w for v, w in base.weights.items()},
-                            *({v: rng.choice((1, 2, 3, 4, 6)) for v in base.weights}
+            for weights in (base.weights, [2 * w for w in base.weights],
+                            *([rng.choice((1, 2, 3, 4, 6)) for _ in base.weights]
                               for _ in range(3))):
                 w = WeightedComplex(base.base, weights)
                 q = realize(w)
-                coprime = all(math.gcd(*map(weights.__getitem__, f)) == 1 for f in w.base.given)
+                coprime = all(math.gcd(*(weights[i] for i in f)) == 1 for f in w.base.given)
                 assert is_strongly_regular(q) == coprime, (case, point, weights)
                 assert q == closure_realize(w)
                 doc = ScxDocument("weighted", w)
@@ -1212,10 +1212,49 @@ def test_part2_refuses_a_realization_that_is_not_strongly_regular():
     eta = PLMap(delta, {rpoint(0, 0): rpoint(0, 0), rpoint(h, 0): rpoint(h, 0),
                         rpoint(0, 1): rpoint(0, 0), rpoint(1, 0): rpoint(h, 0)})
     part = from_maximal([seg2d((0, 0), (h, 0))])
-    skeleton_weights = {v: den(eta.images[v]) for v in delta.vertices()}
+    skeleton_weights = [den(eta.images[v]) for v in delta.vertices()]
     assert not is_strongly_regular(realize(WeightedComplex(zmaps.skeleton(delta),
                                                            skeleton_weights)))
     with pytest.raises(PropertyViolation, match="^property \\(h\\) violated: the realized "
                        "weighted complex is not strongly regular$") as err:
         part2_reduce(eta, delta, part)
     assert err.value.label == "(h)"
+
+
+def test_part2_reports_a_top_simplex_gcd_before_a_lower_face():
+    # (h) is decided in one pass over delta's maximal simplexes.  The
+    # dangling edge (0, 1)-(0, 3/2), whose weights are 2 and 2, comes before
+    # the triangle whose three weights are 2, yet the triangle's gcd is
+    # reported, as when the n-dimensional simplexes were checked first.
+    h = "1/2"
+    delta = from_maximal([tri((0, 0), (h, 0), (0, 1)), tri((h, 0), (0, 1), (1, 1)),
+                          seg2d((0, 1), (0, "3/2"))])
+    assert delta._ranks == ((0, 1, 3), (1, 2), (1, 3, 4))
+    origin, image = rpoint(0, 0), rpoint(h, 0)
+    eta = PLMap(delta, {v: v if v == origin else image for v in delta.vertices()})
+    part = from_maximal([seg2d((0, 0), (h, 0))])
+    with pytest.raises(PropertyViolation, match="^property \\(h\\) violated: gcd of image "
+                       "denominators on conv\\(\\(0, 1\\), \\(1/2, 0\\), \\(1, 1\\)\\) "
+                       "is 2$"):
+        part2_reduce(eta, delta, part)
+
+
+def test_part2_builds_the_placement_once(monkeypatch, tent, half_interval):
+    # realize places the vertices, and part2_reduce reads the placement off
+    # q's vertex table in descending index instead of building a second
+    # dense copy of it.  The section and the retraction are the maps on
+    # that placement: xi sends each inside vertex of index i to the point
+    # of index i, and mu sends that point to the image of delta's vertex i.
+    real, calls = complexes._placement, []
+    monkeypatch.setattr(complexes, "_placement", lambda w: calls.append(w) or real(w))
+    for eta, part in _seeded_folds()[:3] + [(tent, half_interval)]:
+        result = pipeline_dh(eta, part)
+        calls.clear()
+        reduced = part2_reduce(result.map, result.triangulation, part)
+        assert calls == [reduced.weighted]
+        placed, verts = real(reduced.weighted), result.triangulation.vertices()
+        assert reduced.realization.vertices() == tuple(reversed(placed))
+        assert reduced.section.images == {v: placed[verts.index(v)]
+                                          for v in reduced.section.domain.vertices()}
+        assert reduced.retraction.images == {p: result.map.images[v]
+                                             for p, v in zip(placed, verts)}
