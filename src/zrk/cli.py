@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from . import collapse, regular, scx, subdivide, zmaps
-from .complexes import RPoint, realize
+from .complexes import RPoint, _closure, realize
 from .exactnum import invariant_factors, parse_rat
 from .regular import BudgetExhausted, is_regular
 from .scx import ScxDocument, ScxError
@@ -112,8 +112,8 @@ def _answer(test, yes: str, no: str):
 
 def cmd_check_regular(args, cx) -> int:
     # Faces of a regular simplex are regular.
-    bad = sorted({f for s in cx.maximal_simplexes() if not is_regular(s)
-                  for f in s.faces() if not is_regular(f)})
+    irregular = [r for s, r in zip(cx.maximal_simplexes(), cx._ranks) if not is_regular(s)]
+    bad = sorted(f for f in map(cx._simplex, _closure(irregular)) if not is_regular(f))
     for s in bad:
         factors = invariant_factors(s._vertex_rows)
         print(f"simplex {s} not regular: invariant factors {factors}")

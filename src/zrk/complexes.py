@@ -1,27 +1,26 @@
 """Simplicial complexes over exact rational coordinates.
 
 A geometric complex is its maximal simplexes: the constructor drops every
-input simplex that lies in another and builds no faces (``simplexes`` builds
-them when read).  It checks the common-face condition on what is left
-(``GeoComplex._validate``) by at most four tests, in order; only the last
-rejects.  (1) One maximal simplex needs none.  (2) A complex of n-simplexes
-in [0,1]^n is tried as a triangulation of the cube by facet matching,
-orientations and volumes (``_triangulates_cube``).  (3) From three maximal
-simplexes up, a complex whose vertices are affinely independent is a set
-of faces of one simplex (``_independent_vertices``), and a complex of
-n-simplexes in R^n is tried as a triangulation of the hull of its vertices
-by the same facet pass, supporting hyperplanes and one point located in
-one vertex star (``_triangulates_hull``).  Both run in time linear in the
-size of the complex; two maximal simplexes keep their one pair test, which
-costs less.  (4) Otherwise the condition is checked pair by pair: on
-complexes of lower dimension than their ambient space, non-convex
-full-dimensional ones, non-convex sets of Kuhn simplexes (whose chain test
-is still to come), and any that fail the tests above.  Each pair takes
-disjoint integer bounding boxes (``_bbox_overlap``), a separating form
-read off the cached integer rows of either simplex (``_separated``), and
-only when neither settles it the cell a cap b from ``linalg``'s polytope
-kernel, whose vertex masks show whether it lies in the face spanned by the
-shared vertices.
+input simplex that lies in another and builds no faces.  It checks the
+common-face condition on what is left (``GeoComplex._validate``) by at most
+four tests, in order; only the last rejects.  (1) One maximal simplex needs
+none.  (2) A complex of n-simplexes in [0,1]^n is tried as a triangulation
+of the cube by facet matching, orientations and volumes
+(``_triangulates_cube``).  (3) From three maximal simplexes up, a complex
+whose vertices are affinely independent is a set of faces of one simplex
+(``_independent_vertices``), and a complex of n-simplexes in R^n is tried
+as a triangulation of the hull of its vertices by the same facet pass,
+supporting hyperplanes and one point located in one vertex star
+(``_triangulates_hull``).  Both run in time linear in the size of the
+complex; two maximal simplexes keep their one pair test, which costs less.
+(4) Otherwise the condition is checked pair by pair: on complexes of lower
+dimension than their ambient space, non-convex full-dimensional ones,
+non-convex sets of Kuhn simplexes (whose chain test is still to come), and
+any that fail the tests above.  Each pair takes disjoint integer bounding
+boxes (``_bbox_overlap``), a separating form read off the cached integer
+rows of either simplex (``_separated``), and only when neither settles it
+the cell a cap b from ``linalg``'s polytope kernel, whose vertex masks show
+whether it lies in the face spanned by the shared vertices.
 
 A complex numbers its vertices once: its sorted vertices are its vertex
 table, ``_rank`` maps each vertex to its index there, and ``_ranks`` holds
@@ -34,11 +33,22 @@ none of them builds an index of its own or hashes a point per vertex
 occurrence.  The face table and the inside subcomplex take every face as
 a rank tuple from one enumeration, the closure of the rank tuples
 (``_closure``), which also closes the faces the ``.scx`` printer writes
-for a weighted complex.  A complex keeps
-the answers to questions about it in a memo made on first use
-(``GeoComplex._answer``): whether it triangulates the cube, which
-validation records, the hosts of each point located in it, and
+for a weighted complex.  So do the set of all faces (``simplexes``) and
+the CLI's regularity check, through one accessor (``GeoComplex._simplex``)
+that makes a rank tuple's simplex and gives a maximal simplex back as the
+complex's own object, with its cached determinant and rows.
+
+Whatever a complex or a simplex works out about itself is an attribute
+computed on first read and kept (``_cached``): a simplex's rows, box and
+determinant, and a complex's faces, vertex stars and memo of answers
+(``GeoComplex._answer``), which holds whether it triangulates the cube,
+which validation records, the hosts of each point located in it, and
 ``subdivide``'s inside subcomplex and coverage of a polyhedron.
+
+The cube test's volume clause and ``subdivide``'s tiling test are one
+integer sum (``_adds_up``) over volumes measured by one method
+(``GeoSimplex._volume``), which reads a full-dimensional simplex's volume
+off the determinant it keeps.
 
 Abstract and weighted abstract complexes carry the combinatorial skeletons
 on the same numbering: an abstract complex holds each face as a sorted
@@ -84,8 +94,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import and_, ge, gt, itemgetter, le, lt, mul
+from functools import lru_cache, reduce, total_ordering
+from operator import and_, itemgetter, lt, mul
 from types import SimpleNamespace
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -102,9 +112,11 @@ _FRACTION = frozenset({Fraction})  # the coordinate types a point keeps as given
 
 class _cached:
     """An attribute computed on first read and kept in the instance dict,
-    which then answers every later read.  ``functools.cached_property``
-    does the same but, before Python 3.12, takes a lock shared by every
-    instance on each first read."""
+    which then answers every later read: the one way a simplex, a complex
+    or an abstract complex keeps what it derives, so no slot is set to
+    None and tested.  ``functools.cached_property`` does the same but,
+    before Python 3.12, takes a lock shared by every instance on each
+    first read."""
 
     def __init__(self, fn):
         self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
@@ -130,6 +142,7 @@ def _quotient_text(e: int, d: int) -> str:
     return str(e // g) if g == d else f"{e // g}/{d // g}"
 
 
+@total_ordering
 class RPoint:
     """A rational point with a fixed ambient dimension, kept as its
     primitive homogeneous vector ``_homog`` = d(p, 1), d > 0 the least
@@ -226,39 +239,20 @@ class RPoint:
             return NotImplemented
         return self._homog == other._homog
 
-    def _compare(self, other, op):
-        """op on the coordinate tuples of self and other: on the vectors
-        when the denominators agree, else on the first pair of coordinates
-        that differ, or on the lengths when one tuple is a prefix of the
-        other."""
+    def __lt__(self, other):
+        # total_ordering derives the other three from this one.  What
+        # sorting and the ordered-vertex check ask first: on equal
+        # denominators and lengths, the vectors compare as the tuples do.
         if other.__class__ is not self.__class__:
             return NotImplemented
         x, y = self._homog, other._homog
         d, e = x[-1], y[-1]
-        if d == e:
-            return op(x[:-1], y[:-1])
+        if d == e and len(x) == len(y):
+            return x < y
         for a, b in zip(x[:-1], y[:-1]):
             if a * e != b * d:
-                return op(a * e, b * d)
-        return op(len(x), len(y))
-
-    def __lt__(self, other):
-        # What sorting and the ordered-vertex check ask: on equal
-        # denominators and lengths, the vectors compare as the tuples do.
-        if other.__class__ is self.__class__:
-            x, y = self._homog, other._homog
-            if x[-1] == y[-1] and len(x) == len(y):
-                return x < y
-        return self._compare(other, lt)
-
-    def __le__(self, other):
-        return self._compare(other, le)
-
-    def __gt__(self, other):
-        return self._compare(other, gt)
-
-    def __ge__(self, other):
-        return self._compare(other, ge)
+                return a * e < b * d
+        return len(x) < len(y)
 
     def __repr__(self):
         return "(" + ", ".join(self._texts()) + ")"
@@ -319,12 +313,6 @@ class GeoSimplex:
     def ambient_dim(self) -> int:
         return self.vertices[0].dim
 
-    def faces(self) -> Iterable["GeoSimplex"]:
-        """All nonempty faces, the simplex itself included."""
-        for k in range(1, len(self.vertices) + 1):
-            for sub in itertools.combinations(self.vertices, k):
-                yield GeoSimplex._raw(sub)
-
     @_cached
     def _point_rows(self) -> tuple[tuple[tuple[int, ...], ...],
                                    tuple[tuple[int, ...], ...], int]:
@@ -344,6 +332,16 @@ class GeoSimplex:
         checking constructor, and computed on first use, by one plain
         elimination, for a simplex built ``_raw``."""
         return linalg.det(self._vertex_rows)
+
+    def _volume(self, axes: Optional[Sequence[int]]) -> tuple[int, int]:
+        """The simplex's d! volume projected to ``axes`` (``subdivide``'s
+        ``_volume_axes``) as the pair (|det(X[axes])|, the product of the
+        X[-1]), its numerator and a denominator, for its homogeneous vertex
+        vectors X.  With no axes that determinant is ``_det``, which the
+        checking constructor keeps, and no vertex rows are read."""
+        d = (self._det if axes is None
+             else linalg.det([[x[a] for a in axes] for x in self._vertex_rows]))
+        return abs(d), math.prod(v._homog[-1] for v in self.vertices)
 
     @_cached
     def _box(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -397,6 +395,17 @@ class GeoSimplex:
 
     def __repr__(self):
         return "conv(" + ", ".join(repr(v) for v in self.vertices) + ")"
+
+
+def _adds_up(volumes: Sequence[tuple[int, int]], whole: tuple[int, int]) -> bool:
+    """Do the volumes, pairs (a, b) standing for a / b with b > 0, add up to
+    ``whole``, a pair of the same kind?  Compared in integers over the lcm L
+    of all the denominators: sum a (L / b) = a_whole (L / b_whole).  The
+    tiling test (``subdivide._tiles``) and the cube test's volume clause
+    (``_triangulates_cube``) ask it."""
+    a, q = whole
+    lcm = math.lcm(q, *(b for _, b in volumes))
+    return sum(v * (lcm // b) for v, b in volumes) == a * (lcm // q)
 
 
 def _homogeneous(p: RPoint, n: int) -> tuple[int, ...]:
@@ -553,8 +562,8 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
         read off their orientations (``_boundary_facets``, which checks (c)
         and (e));
     (f) the volumes add up to the cube's: with the product q_s of the
-        vertex denominators of each maximal simplex s and their lcm L,
-        sum |det s| (L / q_s) = n! L, in integers.
+        vertex denominators of each maximal simplex s (``GeoSimplex._volume``),
+        sum |det s| / q_s = n!, compared in integers (``_adds_up``).
 
     The vectors X_j = d_j(p_j, 1) of a simplex have det = q_s det(p_j, 1),
     so |det s| / q_s is n! times the volume of s.
@@ -616,10 +625,7 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
                                    or reduce(and_, (high[k] for k in key))
                                    for _, _, key in boundary):
         return False
-    qs = [math.prod(verts[k]._homog[-1] for k in r) for r in cx._ranks]
-    lcm = math.lcm(*qs)
-    volumes = sum(abs(s._det) * (lcm // q) for s, q in zip(maxi, qs))
-    return volumes == math.factorial(n) * lcm
+    return _adds_up([s._volume(None) for s in maxi], (math.factorial(n), 1))
 
 
 def _triangulates_hull(cx: GeoComplex) -> bool:
@@ -706,9 +712,6 @@ class GeoComplex:
     """Finite simplicial complex, stored as its sorted maximal simplexes
     and their vertex rank tuples over the sorted vertex table."""
 
-    __slots__ = ("ambient_dim", "_maximal", "_faces", "_vertices", "_rank",
-                 "_ranks", "_stars", "_answers")
-
     # ``closed`` is ignored; it stays while bench/tracer.py passes it on.
     def __init__(self, simplexes: Iterable[GeoSimplex], validate: bool = True,
                  closed: bool = False):
@@ -748,9 +751,6 @@ class GeoComplex:
             ranked = [(r, s) for r, s in ranked
                       if len(set.intersection(*(stars[k] for k in r))) == 1]
         self._ranks, self._maximal = zip(*ranked)
-        self._faces = None
-        self._stars = None
-        self._answers = None
         if validate:
             self._validate()
 
@@ -769,17 +769,21 @@ class GeoComplex:
                 raise NotASimplicialComplex(
                     f"not a simplicial complex: {a} and {b} do not meet in a common face")
 
+    @_cached
+    def _answers(self) -> dict:
+        """The memo of ``_answer``, made on first use."""
+        return {}
+
     def _answer(self, key: Hashable, compute):
         """The answer to a question about this complex, ``compute()`` on the
-        first ask and kept after.  The answer must depend only on ``key`` and
-        on the maximal simplexes, which never change, so it cannot go stale;
-        the memo is made on first use, and a question that raises is asked
-        again next time."""
-        if self._answers is None:
-            self._answers = {}
-        if key not in self._answers:
-            self._answers[key] = compute()
-        return self._answers[key]
+        first ask and kept after in ``_answers``.  The answer must depend
+        only on ``key`` and on the maximal simplexes, which never change, so
+        it cannot go stale; a question that raises is asked again next
+        time."""
+        answers = self._answers
+        if key not in answers:
+            answers[key] = compute()
+        return answers[key]
 
     def _is_cube(self) -> bool:
         """``_triangulates_cube`` of this complex, asked once."""
@@ -790,12 +794,21 @@ class GeoComplex:
     def maximal_simplexes(self) -> tuple[GeoSimplex, ...]:
         return self._maximal
 
-    @property
+    @_cached
     def simplexes(self) -> frozenset:
-        if self._faces is None:
-            # Each maximal simplex is kept as itself, with its cached rows.
-            self._faces = frozenset(f for s in self._maximal for f in (s, *s.faces()))
-        return self._faces
+        """Every face, one per rank tuple of the closure (``_closure``)."""
+        return frozenset(map(self._simplex, _closure(self._ranks)))
+
+    @_cached
+    def _by_ranks(self) -> dict[tuple[int, ...], GeoSimplex]:
+        """Each maximal simplex under its rank tuple."""
+        return dict(zip(self._ranks, self._maximal))
+
+    def _simplex(self, r: tuple[int, ...]) -> GeoSimplex:
+        """The face with the rank tuple r.  A maximal simplex is its own
+        object, with its cached ``_det`` and rows; any other face is built
+        on its vertices, which are sorted, distinct and independent."""
+        return self._by_ranks.get(r) or GeoSimplex._raw(tuple(map(self._vertices.__getitem__, r)))
 
     def vertices(self) -> tuple[RPoint, ...]:
         return self._vertices
@@ -804,22 +817,21 @@ class GeoComplex:
     def dim(self) -> int:
         return max(s.dim for s in self._maximal)
 
+    @_cached
     def _star_index(self) -> dict[RPoint, frozenset[int]]:
         """Each vertex mapped to its star: the indices into
         ``maximal_simplexes()`` of the maximal simplexes having it as a
-        vertex.  Built on first use."""
-        if self._stars is None:
-            stars: list[list[int]] = [[] for _ in self._vertices]
-            for i, r in enumerate(self._ranks):
-                for k in r:
-                    stars[k].append(i)
-            self._stars = dict(zip(self._vertices, map(frozenset, stars)))
-        return self._stars
+        vertex."""
+        stars: list[list[int]] = [[] for _ in self._vertices]
+        for i, r in enumerate(self._ranks):
+            for k in r:
+                stars[k].append(i)
+        return dict(zip(self._vertices, map(frozenset, stars)))
 
     def __contains__(self, s: GeoSimplex) -> bool:
         """s is a simplex of the complex iff its vertices are vertices of
         one maximal simplex, that is iff their stars meet."""
-        stars = self._star_index()
+        stars = self._star_index
         found = [stars.get(v) for v in s.vertices]
         return all(found) and bool(frozenset.intersection(*found))
 
@@ -890,7 +902,7 @@ class GeoComplex:
         """
         if p.dim != self.ambient_dim:
             return frozenset()
-        stars = self._star_index()
+        stars = self._star_index
         star = stars.get(p)
         if star is not None:
             return star

@@ -47,12 +47,14 @@ cells of a simplex s in the maximal simplexes of K overlap only in
 measure zero, so they cover s exactly when they tile it.  One tiling test
 serves every such question (``_tiles``): pieces of s's dimension lying in
 s and overlapping in measure zero tile s exactly when their volumes,
-measured in s's own projection, add up to its own (De Loera, Rambau and
-Santos, *Triangulations*, 2010).  ``supports`` asks it of cells,
-``refine_for_map`` of preimage cells, and the subdivision test, which
-clips nothing, of the maximal simplexes of the fine complex filed under
-the one coarse maximal simplex their vertices share as hosts
-(``is_subdivision``).
+measured in s's own projection (``GeoSimplex._volume``), add up to its
+own (De Loera, Rambau and Santos, *Triangulations*, 2010).  ``supports``
+asks it of cells, ``refine_for_map`` of preimage cells, and the
+subdivision test, which clips nothing, of the maximal simplexes of the
+fine complex filed under the one coarse maximal simplex their vertices
+share as hosts (``is_subdivision``).  The sum itself is
+``complexes._adds_up``, which has one other caller: the cube test's
+volume clause, which sums the maximal simplexes' volumes against n!.
 
 Two questions come up again and again about the same complexes: which
 simplexes of K lie in |P| (``inside_subcomplex``), and whether |P| lies in
@@ -61,7 +63,7 @@ simplexes of K lie in |P| (``inside_subcomplex``), and whether |P| lies in
 (``GeoComplex._answer``), so each is worked out once.  The first works on
 vertex indices: K's faces are tuples of vertex ranks, each vertex's hosts
 in P are read once, the two host tiers of ``supports`` are applied to the
-rank tuples, and a simplex is built only for a face found inside.  A K that
+rank tuples, and a face is made a simplex only when found inside.  A K that
 triangulates [0,1]^n, by the linear cube test that K also keeps
 (``GeoComplex._is_cube``), covers P exactly when P's vertices lie in the
 cube, which is convex, and no cell is clipped to show it.
@@ -91,7 +93,8 @@ from operator import and_, mul
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from . import linalg
-from .complexes import GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _closure, _points_box
+from .complexes import (GeoComplex, GeoSimplex, RPoint, _adds_up, _bbox_overlap, _closure,
+                        _points_box)
 
 Row = tuple  # tuple[int, ...], an affine form as an integer row
 
@@ -428,17 +431,17 @@ def _inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]
     read once, and a face is tested as ``supports`` tests it, tier by
     tier: a face with a vertex that has no host is out, one whose vertices
     share a host is in, and only the rest take ``supports`` itself.  A
-    ``GeoSimplex`` is built only for a face found, and a maximal simplex
-    of cx is its own object, with its cached rows.
+    face is made a simplex only when found (``GeoComplex._simplex``), which
+    gives a maximal simplex of cx as its own object, with its cached rows.
     """
-    verts, maximal = cx.vertices(), dict(zip(cx._ranks, cx.maximal_simplexes()))
+    verts = cx.vertices()
     hosts = [part.hosts(v) for v in verts]
     found, inside = [], set()  # the simplexes found, and their faces' rank tuples
     for r in sorted(_closure(cx._ranks), key=len, reverse=True):
         if r not in inside and all(hosts[k] for k in r) and (
                 frozenset.intersection(*(hosts[k] for k in r))
                 or supports(part, [verts[k] for k in r])):
-            found.append(maximal.get(r) or GeoSimplex._raw(tuple(map(verts.__getitem__, r))))
+            found.append(cx._simplex(r))
             inside |= _closure((r,))
     return GeoComplex(found, validate=False) if found else None
 
@@ -587,26 +590,14 @@ def _volume_axes(base: GeoSimplex) -> Optional[list[int]]:
     return [c - 1 for c in pivots[1:]] + [-1]
 
 
-def _volume(s: GeoSimplex, axes: Optional[Sequence[int]]) -> tuple[int, int]:
-    """s's d! volume projected to ``axes`` (``_volume_axes``) as the pair
-    (|det(X[axes])|, the product of the X[-1]), its numerator and a
-    denominator, for its homogeneous vertex vectors X.  With no axes that
-    determinant is s's own ``_det``, which the checking constructor keeps."""
-    xs = s._vertex_rows
-    d = s._det if axes is None else linalg.det([[x[a] for a in axes] for x in xs])
-    return abs(d), math.prod(x[-1] for x in xs)
-
-
 def _tiles(s: GeoSimplex, pieces: Iterable[GeoSimplex]) -> bool:
     """Do ``pieces`` tile s?  They must be simplexes in s of its dimension
     overlapping only in measure zero; their union, which is closed, is then
     s exactly when their volumes add up to its own (De Loera, Rambau and
     Santos, *Triangulations*, 2010).  Every piece spans aff(s), so s's
-    projection (``_volume_axes``) measures them all; the common factor d!
-    is left out of both sides, and the volumes are compared in integers
-    over the lcm L of their denominators, as in ``_triangulates_cube``."""
+    projection (``_volume_axes``) measures them all
+    (``GeoSimplex._volume``); the common factor d! is left out of both
+    sides, and the volumes are compared in integers (``_adds_up``), as in
+    the cube test."""
     axes = _volume_axes(s)
-    volumes = [_volume(p, axes) for p in pieces]
-    whole, q = _volume(s, axes)
-    lcm = math.lcm(q, *(b for _, b in volumes))
-    return sum(a * (lcm // b) for a, b in volumes) == whole * (lcm // q)
+    return _adds_up([p._volume(axes) for p in pieces], s._volume(axes))

@@ -143,7 +143,10 @@ sum ``Fraction`` coordinates, and ``_json_point`` formats each one with
 ``format_rat``, from before a computed point was built, interpolated and
 printed from its integer vector alone.  ``closure_realize`` realizes every
 face of the closure of a weighted complex, from before ``complexes.realize``
-read only the faces it was given.
+read only the faces it was given.  ``simplex_faces`` builds every nonempty
+face of one simplex, as ``GeoSimplex.faces`` did, from before a complex
+made each of its faces from a rank tuple of ``complexes._closure``
+(``GeoComplex._simplex``).
 """
 
 import json
@@ -643,14 +646,18 @@ def scan_maximal_simplexes(cx):
     return tuple(sorted(maxi))
 
 
+def simplex_faces(s: GeoSimplex) -> list[GeoSimplex]:
+    """Every nonempty face of s, s itself included, each built ``_raw``."""
+    return [GeoSimplex._raw(sub) for k in range(1, len(s.vertices) + 1)
+            for sub in combinations(s.vertices, k)]
+
+
 def closure_complex(simplexes):
     """The face closure of the given simplexes, as the constructor of
     ``GeoComplex`` built it eagerly, with its vertices, dimension and maximal
     simplexes (``scan_maximal_simplexes``); the reference for ``GeoComplex``.
     """
-    faces = frozenset(GeoSimplex._raw(sub) for s in simplexes
-                      for k in range(1, len(s.vertices) + 1)
-                      for sub in combinations(s.vertices, k))
+    faces = frozenset(f for s in simplexes for f in simplex_faces(s))
     vertices = tuple(sorted({v for s in faces for v in s.vertices}))
     out = SimpleNamespace(simplexes=faces, vertices=lambda: vertices,
                           dim=max(s.dim for s in faces))
@@ -778,7 +785,7 @@ def point_inside_subcomplex(cx, part):
     for s in sorted(cx.simplexes, key=lambda s: -s.dim):
         if s not in inside and subdivide.supports(part, s.vertices):
             found.append(s)
-            inside.update(s.faces())
+            inside.update(simplex_faces(s))
     return GeoComplex(found, validate=False) if found else None
 
 
@@ -1540,7 +1547,7 @@ def relative_volume_total(simplexes) -> Fraction:
         return Fraction(0)
     d = max(s.dim for s in simplexes)
     axes = subdivide._volume_axes(next(s for s in simplexes if s.dim == d))
-    return sum((Fraction(*subdivide._volume(s, axes)) for s in simplexes if s.dim == d),
+    return sum((Fraction(*s._volume(axes)) for s in simplexes if s.dim == d),
                Fraction(0))
 
 

@@ -29,8 +29,8 @@ from oracles import (FractionRPoint, _json_point, barycentric_coords, closure_co
                      enumerate_meet_in_common_face, fraction_aff_dim, fraction_barycenter,
                      lp_meet_in_common_face, relint_contains, scan_carrier,
                      retarget_to_carrier_vertices, rows_triangulates_cube, scan_hosts,
-                     scan_maximal_simplexes, simplicially_isomorphic, stellar_chain,
-                     volume_triangulates_cube)
+                     scan_maximal_simplexes, simplex_faces, simplicially_isomorphic,
+                     stellar_chain, volume_triangulates_cube)
 
 
 def test_from_maximal_segment():
@@ -740,6 +740,38 @@ def test_points_compare_as_fraction_tuples():
         p < p.coords
 
 
+def test_point_order_comes_from_one_lt():
+    # RPoint writes __lt__ alone and functools.total_ordering derives <=,
+    # > and >= from it.  Seeded pairs with equal denominators, unequal
+    # ones, equal points as distinct objects, and coordinate tuples of
+    # which one is a proper prefix of the other: each operator agrees with
+    # comparing the tuples.  Against a non-point each returns NotImplemented.
+    rng = random.Random(4971)
+
+    def point(k: int, d: int) -> RPoint:
+        return RPoint(tuple(Fraction(rng.randint(-6, 6), d) for _ in range(k)))
+
+    pairs = []
+    for _ in range(300):
+        k, d = rng.randint(1, 4), rng.choice((1, 2, 3, 4, 6))
+        p = point(k, d)
+        pairs += [(p, point(k, d)), (p, point(k, rng.choice((1, 2, 3, 5)))),
+                  (p, RPoint(p.coords))]
+        if k > 1:
+            pairs.append((p, RPoint(p.coords[:rng.randint(1, k - 1)])))
+    kinds = collections.Counter(
+        "prefix" if p.dim != q.dim else "equal" if p == q
+        else "same denominator" if p._homog[-1] == q._homog[-1] else "other denominator"
+        for p, q in pairs)
+    assert min(kinds.values()) >= 100 and len(kinds) == 4, kinds
+    for p, q in pairs + [(q, p) for p, q in pairs]:
+        x, y = p.coords, q.coords
+        assert (p < q, p <= q, p > q, p >= q) == (x < y, x <= y, x > y, x >= y), (p, q)
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        for other in (p.coords, 1, None):
+            assert getattr(p, name)(other) is NotImplemented, (name, other)
+
+
 def test_checking_a_certificate_compares_no_fractions(monkeypatch):
     # Once a point is parsed, parsing, validation, replay and point location
     # compare integers only.  The complex and its collapse sequence are
@@ -777,7 +809,7 @@ def test_hash_is_the_generated_hash_computed_once(monkeypatch):
     # dataclass hash so that sets iterate in the same order as before.
     s = tri(("1/2", 0), (0, "1/3"), (1, 1))
     raw = GeoSimplex._raw(s.vertices)
-    simplexes = [s, raw, *s.faces(), tri((1, 1), ("1/2", 0), (0, "1/3"))]
+    simplexes = [s, raw, *simplex_faces(s), tri((1, 1), ("1/2", 0), (0, "1/3"))]
     for t in simplexes:
         assert hash(t) == hash((t.vertices,))
         for v in t.vertices:
@@ -793,7 +825,7 @@ def test_hash_is_the_generated_hash_computed_once(monkeypatch):
     hash(p)
     assert calls == []  # the hash is read off the integer vector
     t = GeoSimplex._raw((rpoint(0, 0), p))
-    face = next(iter(tri((0, 0), ("2/5", "3/7"), (1, 0)).faces()))
+    face = simplex_faces(tri((0, 0), ("2/5", "3/7"), (1, 0)))[0]
     for obj in (p, t, face):
         hash(obj)
         before = len(calls)
@@ -866,7 +898,7 @@ def test_rank_tuples_read_the_vertex_table():
         assert maxi == scan_maximal_simplexes(closure_complex(simplexes))
         assert cx._rank == {v: i for i, v in enumerate(verts)}
         assert cx._ranks == tuple(tuple(verts.index(v) for v in s.vertices) for s in maxi)
-        assert cx._star_index() == {
+        assert cx._star_index == {
             v: frozenset(i for i, s in enumerate(maxi) if v in s.vertices) for v in verts}
     assert {s.dim for s in GeoComplex(non_pure).maximal_simplexes()} == {0, 1, 2}
 
@@ -969,17 +1001,41 @@ def test_representation_matches_closure_oracle():
             assert (a == b) == (ref_a.simplexes == ref_b.simplexes)
 
 
+def test_faces_come_from_the_rank_closure():
+    # A complex makes every face from a rank tuple of the closure of its
+    # maximal simplexes' rank tuples (GeoComplex._simplex), and a maximal
+    # simplex comes back as the complex's own object, with its cached
+    # determinant and rows.  Inputs: seeded stellar cube2-4, desingularized
+    # seed-23 simplexes, and a complex whose maximal simplexes have
+    # dimensions 0, 1 and 2.
+    from test_regular import _desingularize_inputs
+
+    rng = random.Random(20261)
+    cxs = [_stellar_chain(rng, n, 4, rng.randint(1, 3)) for n in (2, 3, 4)]
+    cxs += [desingularize(cx) for cx in _desingularize_inputs()[:15]]
+    mixed = from_maximal([tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (2, 0), (2, 1)),
+                          seg((0, 1), (-1, 2)), GeoSimplex((rpoint(3, 3),))])
+    assert {s.dim for s in mixed.maximal_simplexes()} == {0, 1, 2}
+    for cx in cxs + [mixed]:
+        ref = closure_complex(cx.maximal_simplexes())
+        assert len(cx) == len(ref.simplexes), cx
+        assert cx.simplexes == ref.simplexes, cx
+        own = {s: s for s in cx.simplexes}
+        assert all(own[s] is s for s in cx.maximal_simplexes()), cx
+
+
 def test_no_face_is_built_on_the_maximal_paths(monkeypatch):
     # Building, subdividing, desingularizing, certifying, printing, parsing
-    # and replaying all work on maximal simplexes: none builds a face.
+    # and replaying all work on maximal simplexes: none asks a complex for a
+    # face (``GeoComplex._simplex``).
     calls = []
-    faces = GeoSimplex.faces
+    simplex = GeoComplex._simplex
 
-    def counted(self):
-        calls.append(self)
-        return faces(self)
+    def counted(self, r):
+        calls.append(r)
+        return simplex(self, r)
 
-    monkeypatch.setattr(GeoSimplex, "faces", counted)
+    monkeypatch.setattr(GeoComplex, "_simplex", counted)
     cube = standard_cube(4)
     fine = stellar(stellar(cube, rpoint("1/2", "1/2", "1/2", "1/2")),
                    rpoint("1/3", "1/3", "1/3", 0))

@@ -19,7 +19,7 @@ from zrk.zmaps import _lattice_points_in
 
 from conftest import random_rational, random_simplex, random_simplex_pool
 from improper import FAMILIES, improper_families
-from oracles import stellar_chain
+from oracles import simplex_faces, stellar_chain
 from symmetry import act, random_symmetry
 from test_subdivide import _star_move_inputs
 from test_zmaps import _face_projection, _seeded_folds
@@ -202,7 +202,7 @@ def _shell_with_hairs(rng: random.Random, cx: GeoComplex) -> GeoComplex:
     vertices: not collapsible, but with free faces, so the search collapses
     the hairs in both orders, backtracking and filing failed states."""
     n = cx.ambient_dim
-    shell = sorted({f for m in cx.maximal_simplexes() for f in m.faces()
+    shell = sorted({f for m in cx.maximal_simplexes() for f in simplex_faces(m)
                     if f.dim == n - 1 and any(len({v[i] for v in f.vertices}) == 1
                                               and f.vertices[0][i] in (0, 1) for i in range(n))})
     v1, v2 = rng.sample(sorted({v for f in shell for v in f.vertices}), 2)
@@ -226,7 +226,7 @@ def _condition_inputs(rng: random.Random) -> list[GeoComplex]:
     pool = random_simplex_pool()
     return (corpus + stellars + [_shell_with_hairs(rng, cx) for cx in stellars]
             + [GeoComplex([s]) for s in pool]
-            + [from_maximal([f for f in s.faces() if f.dim == s.dim - 1])
+            + [from_maximal([f for f in simplex_faces(s) if f.dim == s.dim - 1])
                for s in pool if s.dim > 0])
 
 
