@@ -142,7 +142,7 @@ def cmd_collapse(args, cx) -> int:
     if seq is None:
         print("no collapse sequence found within budget", file=sys.stderr)
         return EX_UNKNOWN
-    print(f"collapse sequence with {len(seq.steps)} steps ending at {seq.terminal}")
+    print(f"collapse sequence with {len(seq.pairs)} steps ending at {seq.terminal}")
     if args.out:
         _emit(ScxDocument("sequence", seq), args.out)
     _witness(args, ("collapse_sequence", "sequence", seq))

@@ -15,8 +15,12 @@ against the exact live flags, so a collision costs time and never changes
 a result.
 A simplex is the tuple of its vertices' ranks in the complex's vertex
 table, the sorted ``GeoComplex.vertices()``, so the face table is built
-from the complex's rank tuples; only a pair handed in as simplexes, a
-replay step, is looked up by point, once per distinct vertex object.
+from the complex's rank tuples.  A collapse sequence is held the same way:
+a sorted vertex table and one pair of rank tuples into it per step
+(``CollapseSequence``).  The search hands over the complex's own table and
+the face table's rank tuples of the pairs on its path, so it builds no
+object per step, and replay reads the face ids of a sequence on that
+table straight off its pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import GeoComplex, GeoSimplex, _closure
+from .complexes import GeoComplex, GeoSimplex, _cached, _closure
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,7 @@ class CollapseStep:
         # Both vertex tuples are sorted, so F is a facet of T iff it is T
         # without the vertex where the two first differ.
         t, f = self.maximal.vertices, self.free_facet.vertices
-        i = next((i for i, (u, v) in enumerate(zip(f, t)) if u is not v and u != v),
-                 len(f))
+        i = next((i for i, (u, v) in enumerate(zip(f, t)) if u is not v and u != v), len(f))
         if len(f) != len(t) - 1 or f != t[:i] + t[i + 1:]:
             raise ValueError("free_facet must be a facet of maximal")
 
@@ -48,19 +51,56 @@ class CollapseStep:
         """Skip the facet check for a free facet known to be a facet of
         ``maximal``, as a face table's pairs are."""
         step = object.__new__(cls)
-        object.__setattr__(step, "maximal", maximal)
-        object.__setattr__(step, "free_facet", free_facet)
+        step.__dict__.update(maximal=maximal, free_facet=free_facet)
         return step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CollapseSequence:
-    steps: tuple[CollapseStep, ...]
+    """A collapse sequence on a sorted vertex table: ``vertices``, the
+    table; ``pairs``, the rank tuples (T, F) into it of each step; and the
+    ``terminal`` vertex.  ``steps``, the ``CollapseStep`` of each pair, is
+    built on first read.  The table is the sorted distinct vertices of the
+    steps and the terminal, so equal sequences have equal tables and pairs
+    however they were made.  ``CollapseSequence(steps, terminal)`` ranks
+    given steps on that table.
+
+    The search's table is its complex's, ``cx.vertices()``, and it is this
+    set.  Each vertex of a step is a vertex of cx.  Each vertex of cx but
+    the terminal is removed by some step, as the search ends on the
+    terminal alone; a vertex has no facet, so it is removed as the free
+    face F of a step, never as its T.  So the vertices of the steps and the
+    terminal are all of cx's."""
+
+    vertices: tuple
+    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     terminal: GeoSimplex
 
-    def __post_init__(self):
-        if self.terminal.dim != 0:
+    def __init__(self, steps, terminal: GeoSimplex):
+        if terminal.dim != 0:
             raise ValueError("terminal must be a vertex")
+        self.__dict__["steps"] = steps = tuple(steps)
+        # A free facet's vertices are its maximal simplex's.
+        table = sorted({v for st in steps for v in st.maximal.vertices}.union(terminal.vertices))
+        rank = dict(zip(table, range(len(table)))).__getitem__
+        pairs = [tuple(map(rank, s.vertices)) for st in steps for s in (st.maximal, st.free_facet)]
+        self.__dict__.update(vertices=tuple(table), pairs=tuple(zip(pairs[::2], pairs[1::2])),
+                             terminal=terminal)
+
+    @classmethod
+    def _raw(cls, vertices: tuple, pairs: tuple, terminal: GeoSimplex) -> "CollapseSequence":
+        """The sequence with this table, known to be the sorted distinct
+        vertices of the pairs and the terminal, and these pairs, whose F
+        is a facet of T."""
+        seq = object.__new__(cls)
+        seq.__dict__.update(vertices=vertices, pairs=pairs, terminal=terminal)
+        return seq
+
+    @_cached
+    def steps(self) -> tuple[CollapseStep, ...]:
+        simplex = [GeoSimplex._raw(tuple(map(self.vertices.__getitem__, r)))
+                   for pair in self.pairs for r in pair]
+        return tuple(map(CollapseStep._raw, simplex[::2], simplex[1::2]))
 
 
 class _FaceTable:
@@ -202,33 +242,28 @@ def find_collapse_sequence(cx: GeoComplex,
         table.toggle(pair)
         if words:
             key ^= words[pair // n] ^ words[pair % n]
-    steps = tuple(CollapseStep._raw(table.geo(p // n), table.geo(p % n)) for p in path)
-    return CollapseSequence(steps, table.geo(live.index(1)))
+    pairs = tuple([(table.faces[p // n], table.faces[p % n]) for p in path])
+    return CollapseSequence._raw(table.verts, pairs, table.geo(live.index(1)))
 
 
 def replay(cx: GeoComplex, seq: CollapseSequence) -> bool:
     """Check that every step is a valid elementary collapse in order and the
-    end state is the single terminal vertex.  Each distinct vertex object
-    of the sequence is looked up by point once, and then by its id, so a
-    parsed sequence, which shares one object per point, hashes no point
-    per occurrence.  A step costs two face-id lookups and one removal,
-    which flips ``live``, ``count`` and ``xor``; replay builds no free list
-    (``_FaceTable.file_free``)."""
+    end state is the single terminal vertex.  A sequence on cx's own table
+    (``cx.vertices()``, or a table equal to it) names cx's faces by its
+    pairs, so a step costs two face-id lookups and one removal, which flips
+    ``live``, ``count`` and ``xor``; replay builds no free list
+    (``_FaceTable.file_free``).  Any other table is translated once, each
+    vertex to its rank in cx; both tables are sorted, so the translated
+    tuples are too.  A vertex outside cx answers False: each vertex of a
+    sequence's table is in a step or is its terminal."""
     table = _FaceTable(cx, _closure(cx._ranks))
     ids, facets, count, xor, live = table.id, table.facets, table.count, table.xor, table.live
-    ranks: dict[int, Optional[int]] = {}  # id of a vertex object -> its rank
-
-    def face(vs: tuple) -> Optional[int]:
-        try:
-            return ids.get(tuple(map(ranks.__getitem__, map(id, vs))))
-        except KeyError:
-            for v in vs:
-                if id(v) not in ranks:
-                    ranks[id(v)] = table.index.get(v)
-            return face(vs)
-
-    for step in seq.steps:
-        t, f = face(step.maximal.vertices), face(step.free_facet.vertices)
+    pairs = seq.pairs
+    if seq.vertices != table.verts:
+        rank = list(map(table.index.get, seq.vertices)).__getitem__
+        pairs = [(tuple(map(rank, t)), tuple(map(rank, f))) for t, f in pairs]
+    for t, f in pairs:
+        t, f = ids.get(t), ids.get(f)
         if f is None or count[f] != 1 or xor[f] != t:
             return False
         for s in (t, f):
@@ -237,4 +272,4 @@ def replay(cx: GeoComplex, seq: CollapseSequence) -> bool:
                 count[g] -= 1
                 xor[g] ^= s
     # Each step removed two live faces.
-    return table.n - 2 * len(seq.steps) == 1 and table.geo(live.index(1)) == seq.terminal
+    return table.n - 2 * len(pairs) == 1 and table.geo(live.index(1)) == seq.terminal

@@ -17,7 +17,9 @@ step's maximal simplex or free facet.  Each step entry is resolved once
 to its points and their ids.  The facets of the earlier steps are keyed
 by those ids, a fixed number of keys per step, dropped once the step
 removing that facet is read, so the parse is linear in the steps.  Every
-other entry is built and checked, and so is its pair.
+other entry is built and checked, and so is its pair.  No step object is
+built: the sequence holds each step as a pair of rank tuples into its
+vertex table (``CollapseSequence``).
 
 The canonical text is what ``json.dumps`` prints with sorted keys and an
 indent of 2, plus a newline.  An indent makes ``json`` run its pure-Python
@@ -33,7 +35,8 @@ bracketed block is rendered once per depth at which its object appears,
 and its coordinate texts once per document (``_blocks``).  A maximal
 simplex is one join of the blocks at its rank tuple
 (``GeoComplex._ranks``), and a collapse step two joins of the blocks of
-its vertex objects, looked up by id, so no vertex occurrence is hashed.
+the sequence's vertex table at its rank pairs (``CollapseSequence.pairs``),
+so no vertex occurrence is hashed.
 A verdict whose two complex witnesses are one object renders it once.  A
 weighted complex holds its faces as vertex-index tuples, as the document
 does: its ``faces`` are written as the closure (``complexes._closure``)
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
-from .collapse import CollapseSequence, CollapseStep
+from .collapse import CollapseSequence
 from .complexes import (AbsComplex, GeoComplex, GeoSimplex, RPoint,
                         WeightedComplex, _closure, _quotient_text)
 from .exactnum import _rat_pair
@@ -151,22 +154,17 @@ def _complex(cx: GeoComplex, depth: int, memo: dict) -> list:
 
 def _sequence(seq: CollapseSequence, depth: int, memo: dict) -> list:
     """The members "steps" and "terminal" of seq in an object at depth.  A
-    step is two joins of the blocks of its vertex objects, looked up by
-    id, so no vertex occurrence is hashed."""
+    step is two joins of the blocks of the sequence's vertex table, read off
+    its rank tuples (``CollapseSequence.pairs``), as a complex's simplexes
+    are."""
     i2, i3, i4 = ("\n" + "  " * (depth + k) for k in (2, 3, 4))
     terminal = _blocks(seq.terminal.vertices, depth + 1, memo)
-    block = memo.setdefault(depth + 4, {}).__getitem__
+    block = _blocks(seq.vertices, depth + 4, memo).__getitem__
     sep, lead = "," + i4, "," + i2 + "[" + i3 + "[" + i4
     middle, closing = i3 + "]," + i3 + "[" + i4, i3 + "]" + i2 + "]"
     pieces = []
-    for st in seq.steps:
-        t, f = st.maximal.vertices, st.free_facet.vertices
-        try:
-            jt, jf = sep.join(map(block, map(id, t))), sep.join(map(block, map(id, f)))
-        except KeyError:  # a vertex object met for the first time
-            _blocks(t + f, depth + 4, memo)
-            jt, jf = sep.join(map(block, map(id, t))), sep.join(map(block, map(id, f)))
-        pieces += (lead, jt, middle, jf, closing)
+    for t, f in seq.pairs:
+        pieces += (lead, sep.join(map(block, t)), middle, sep.join(map(block, f)), closing)
     return [("steps", _close(pieces, depth + 1)), ("terminal", terminal)]
 
 
@@ -399,7 +397,11 @@ def _parse_sequence(body: dict, points: dict, where: str = "",
     T fails the dimension check.  Every other entry, a bad one included, is
     parsed and checked as any simplex, which builds an equal simplex when
     the entry is good, and its pair is checked; an F that is not a facet of
-    T fails as a free facet either way."""
+    T fails as a free facet either way.  The sequence is returned on its
+    sorted vertex table, the points of its steps and terminal, with each
+    step's id tuples turned into rank tuples; when those points are the
+    vertices of ``ccx``, the table is ``ccx.vertices()`` itself, so replay
+    on ccx reads the pairs as they are."""
     if not isinstance(body, dict):
         raise ScxError("a collapse sequence must be a JSON object", where.rstrip("."))
     steps_in = body.get("steps")
@@ -407,36 +409,36 @@ def _parse_sequence(body: dict, points: dict, where: str = "",
     if not isinstance(steps_in, list):
         raise ScxError("'steps' must be an array", where + "steps")
     terminal = _parse_point(terminal_in, where + "terminal", points)
-    steps = []
-    faces: set[tuple[int, ...]] = set()
-    if ccx is not None and ccx.ambient_dim == terminal.dim:
-        faces.update(tuple(map(id, m.vertices)) for m in ccx.maximal_simplexes())
+    steps, byid = [], {id(terminal): terminal}  # each step's id tuples; each point
+    seeds = ccx.maximal_simplexes() if ccx is not None and ccx.ambient_dim == terminal.dim else ()
+    faces = {tuple(map(id, m.vertices)) for m in seeds}
     for i, pair in enumerate(steps_in):
         # A step's location is formatted only for an entry that is parsed.
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScxError("each step is [maximal, free_facet]", f"{where}steps[{i}]")
-        found = _resolve(pair[0], points)
-        tids = tuple(map(id, found))
-        if tids in faces:
-            t = GeoSimplex._raw(found)
-        else:
-            t = _parse_simplex(pair[0], terminal.dim, f"{where}steps[{i}][0]", points)
-            tids = tuple(map(id, t.vertices))
+        t = _resolve(pair[0], points)
+        tids = tuple(map(id, t))
+        if tids not in faces:
+            t = _parse_simplex(pair[0], terminal.dim, f"{where}steps[{i}][0]", points).vertices
+            tids = tuple(map(id, t))
         tfacets = _facets(tids)
-        found = _resolve(pair[1], points)
-        fids = tuple(map(id, found))
-        if fids in tfacets:
-            steps.append(CollapseStep._raw(t, GeoSimplex._raw(found)))
-        else:
+        fids = tuple(map(id, _resolve(pair[1], points)))
+        if fids not in tfacets:
             f = _parse_simplex(pair[1], terminal.dim, f"{where}steps[{i}][1]", points)
             fids = tuple(map(id, f.vertices))
-            try:
-                steps.append(CollapseStep(t, f))
-            except ValueError as exc:
-                raise ScxError(str(exc), f"{where}steps[{i}]") from None
+            if fids not in tfacets:
+                raise ScxError("free_facet must be a facet of maximal", f"{where}steps[{i}]")
+        steps.append((tids, fids))
+        byid.update(zip(tids, t))
         faces.update(tfacets, _facets(fids))
         faces.difference_update((tids, fids))
-    return CollapseSequence(tuple(steps), GeoSimplex((terminal,)))
+    # The table is the sorted points of the steps and the terminal; when
+    # they are the collapse complex's vertices, it is that complex's table.
+    table = (ccx.vertices() if ccx is not None and byid.keys() == set(map(id, ccx.vertices()))
+             else tuple(sorted(byid.values())))
+    rank = dict(zip(map(id, table), range(len(table)))).__getitem__
+    pairs = tuple([(tuple(map(rank, t)), tuple(map(rank, f))) for t, f in steps])
+    return CollapseSequence._raw(table, pairs, GeoSimplex((terminal,)))
 
 
 def _parse_verdict(body: dict, points: dict) -> RetractVerdict:

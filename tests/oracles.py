@@ -146,7 +146,11 @@ face of the closure of a weighted complex, from before ``complexes.realize``
 read only the faces it was given.  ``simplex_faces`` builds every nonempty
 face of one simplex, as ``GeoSimplex.faces`` did, from before a complex
 made each of its faces from a rank tuple of ``complexes._closure``
-(``GeoComplex._simplex``).
+(``GeoComplex._simplex``).  ``id_walk_sequence`` prints a collapse
+sequence's steps off the ids of their vertex objects, and
+``point_lookup_replay`` looks each distinct vertex object of a sequence's
+steps up by point, from before a ``CollapseSequence`` held its steps as
+rank tuples into one vertex table.
 """
 
 import json
@@ -1295,6 +1299,54 @@ def scan_replay(cx, seq) -> bool:
             return False
         sims -= {t, f}
     return sims == {GeoSimplex(seq.terminal.vertices)}
+
+
+def point_lookup_replay(cx, seq) -> bool:
+    """``collapse.replay`` walking ``seq.steps``: each distinct vertex
+    object of the steps is looked up by point once, and then by its id."""
+    table = _FaceTable(cx, _closure(cx._ranks))
+    ids, facets, count, xor, live = table.id, table.facets, table.count, table.xor, table.live
+    ranks: dict[int, Optional[int]] = {}  # id of a vertex object -> its rank
+
+    def face(vs: tuple) -> Optional[int]:
+        try:
+            return ids.get(tuple(map(ranks.__getitem__, map(id, vs))))
+        except KeyError:
+            for v in vs:
+                if id(v) not in ranks:
+                    ranks[id(v)] = table.index.get(v)
+            return face(vs)
+
+    for step in seq.steps:
+        t, f = face(step.maximal.vertices), face(step.free_facet.vertices)
+        if f is None or count[f] != 1 or xor[f] != t:
+            return False
+        for s in (t, f):
+            live[s] = 0
+            for g in facets[s]:
+                count[g] -= 1
+                xor[g] ^= s
+    return table.n - 2 * len(seq.steps) == 1 and table.geo(live.index(1)) == seq.terminal
+
+
+def id_walk_sequence(seq, depth: int, memo: dict) -> list:
+    """``scx._sequence`` walking ``seq.steps``: a step is two joins of the
+    blocks of its vertex objects, looked up by id."""
+    i2, i3, i4 = ("\n" + "  " * (depth + k) for k in (2, 3, 4))
+    terminal = scx._blocks(seq.terminal.vertices, depth + 1, memo)
+    block = memo.setdefault(depth + 4, {}).__getitem__
+    sep, lead = "," + i4, "," + i2 + "[" + i3 + "[" + i4
+    middle, closing = i3 + "]," + i3 + "[" + i4, i3 + "]" + i2 + "]"
+    pieces = []
+    for st in seq.steps:
+        t, f = st.maximal.vertices, st.free_facet.vertices
+        try:
+            jt, jf = sep.join(map(block, map(id, t))), sep.join(map(block, map(id, f)))
+        except KeyError:  # a vertex object met for the first time
+            scx._blocks(t + f, depth + 4, memo)
+            jt, jf = sep.join(map(block, map(id, t))), sep.join(map(block, map(id, f)))
+        pieces += (lead, jt, middle, jf, closing)
+    return [("steps", scx._close(pieces, depth + 1)), ("terminal", terminal)]
 
 
 def lp_maximize(rows, rhs, objective):

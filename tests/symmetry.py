@@ -27,7 +27,10 @@ def act(g: Symmetry, obj):
     sequence.  A point's integer vector d(x, 1) maps to d(y, 1), which is
     primitive again, as gcd(d - a, d) = gcd(a, d).  A map eta of the cube
     into itself becomes g eta g^-1: its domain is gK, and the image of g v
-    is g eta(v).  A sequence's steps and terminal are moved one by one."""
+    is g eta(v).  A sequence's steps and terminal are moved one by one and
+    handed to the public ``CollapseSequence``, which ranks the moved steps
+    on their own sorted vertex table: g changes the order of the points, so
+    the rank pairs of g seq are not those of seq."""
     perm, flips = g
     if isinstance(obj, RPoint):
         *x, d = obj._homog

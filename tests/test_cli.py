@@ -174,6 +174,21 @@ def test_collapse_replay_cycle(tmp_path):
     assert run("replay", corpus_path("cube1.scx"), str(seq)) == 1
 
 
+def test_collapse_and_replay_build_no_step_objects(tmp_path, monkeypatch, capsys):
+    # The collapse command counts the search's rank pairs, and the printer
+    # and replay read pairs too, so no CollapseStep is made.  The line is
+    # the one the command printed when it counted step objects.
+    from zrk.collapse import CollapseStep
+
+    built = []
+    monkeypatch.setattr(CollapseStep, "_raw", classmethod(lambda cls, *a: built.append(a)))
+    seq = tmp_path / "seq.scx"
+    assert run("collapse", corpus_path("cube3.scx"), "--out", str(seq)) == 0
+    assert capsys.readouterr().out == "collapse sequence with 25 steps ending at conv((1, 1, 1))\n"
+    assert run("replay", corpus_path("cube3.scx"), str(seq)) == 0
+    assert not built
+
+
 def test_zmap_check():
     assert run("zmap-check", corpus_path("tent_retraction.scx")) == 0
 

@@ -7,15 +7,16 @@ from fractions import Fraction
 import pytest
 
 from zrk import (CollapseSequence, CollapseStep, GeoComplex, GeoSimplex, RPoint,
-                 find_collapse_sequence, free_faces, from_maximal, replay, rpoint,
-                 standard_cube, stellar)
-from zrk import collapse
+                 certify_main, desingularize, find_collapse_sequence, free_faces,
+                 from_maximal, replay, rpoint, standard_cube, stellar)
+from zrk import collapse, scx
 from zrk.complexes import _closure
 from zrk.scx import ScxDocument, parse_scx, print_scx
 
-from conftest import seg, tri
+from conftest import random_rational, random_simplex, seg, tri
 from oracles import (NotAnElementaryCollapse, dfs_collapse_sequence,
-                     elementary_collapse, scan_replay)
+                     elementary_collapse, id_walk_sequence, point_lookup_replay,
+                     scan_replay)
 
 
 def test_free_faces_segment():
@@ -195,9 +196,10 @@ def test_search_and_replay_match_scanning_oracles():
 def test_replay_files_no_free_pairs(monkeypatch):
     # Replay reads no free list, so it builds none, and a step only updates
     # its two faces' facets; re-filing their pairs in the sorted list, as
-    # the search's toggle does, shifted that list at every step.  Each
-    # distinct vertex object is looked up by point once: a parsed cube4
-    # witness has 16.
+    # the search's toggle does, shifted that list at every step.  A parsed
+    # cube4 witness has a table equal to the complex's, so it is compared,
+    # not looked up: replay hashes no point (16, one per distinct vertex
+    # object, when each step's vertices were looked up).
     cx = standard_cube(4)
     seq = find_collapse_sequence(cx)
     parsed = parse_scx(print_scx(ScxDocument("sequence", seq))).payload
@@ -214,7 +216,7 @@ def test_replay_files_no_free_pairs(monkeypatch):
     monkeypatch.setattr(RPoint, "__hash__", lambda p: hashed.append(p) or real_hash(p))
     assert replay(cx, parsed)
     assert not calls
-    assert len(hashed) == 16
+    assert not hashed
     monkeypatch.undo()
     assert replay(cx, seq)
     rng = random.Random(39)
@@ -467,3 +469,124 @@ def test_an_exhausted_budget_stops_the_search(monkeypatch):
     assert len(flips) <= 2 * k
     # Every expanded state is filed or open, and the budget expands 100.
     assert filed and len(filed) == budget - open_states
+
+
+def _sequence_cases(rng: random.Random) -> list:
+    """(complex, document) pairs whose document holds a collapse sequence
+    of the complex: the sequences found on seeded stellar squares and
+    cube3s and on desingularized random simplexes, the certified verdicts
+    of those complexes, and each sequence and verdict parsed back from its
+    text, whose point objects are not the complex's."""
+    cxs = []
+    for n in (2, 2, 3, 3):
+        cx = standard_cube(n)
+        for _ in range(rng.randint(1, 3)):
+            cx = stellar(cx, RPoint(tuple(random_rational(rng, 7) for _ in range(n))))
+        cxs.append(cx)
+    cxs += [desingularize(from_maximal([random_simplex(rng, d, 5)])) for d in (1, 2, 2, 3)]
+    cases = []
+    for cx in cxs:
+        seq = find_collapse_sequence(cx)
+        verdict = certify_main(cx)
+        docs = [ScxDocument("sequence", seq)]
+        if verdict.status == "certified" and verdict.witnesses.collapse_complex is cx:
+            docs.append(ScxDocument("verdict", verdict))
+        cases += [(cx, doc) for doc in docs] + [(cx, parse_scx(print_scx(doc))) for doc in docs]
+    assert sum(doc.kind == "verdict" for _, doc in cases) >= 8, cases
+    return cases
+
+
+def _payload_sequence(doc: ScxDocument) -> CollapseSequence:
+    return doc.payload if doc.kind == "sequence" else doc.payload.witnesses.collapse_sequence
+
+
+def test_printing_and_replay_match_the_step_walking_oracles(monkeypatch):
+    # The printer joins the blocks of a sequence's vertex table at its rank
+    # pairs, and replay reads face ids off those pairs; the oracles walk
+    # the step objects, by vertex id and by point.  On found, certified and
+    # parsed sequences, and on their mutations, the bytes and the answers
+    # are the same.
+    rng = random.Random(5011)
+    parsed = 0
+    for cx, doc in _sequence_cases(rng):
+        text = print_scx(doc)
+        with monkeypatch.context() as m:
+            m.setattr(scx, "_sequence", id_walk_sequence)
+            assert print_scx(doc) == text
+        seq = _payload_sequence(doc)
+        assert seq.vertices == cx.vertices()
+        if doc.kind == "sequence" and seq.pairs and seq.vertices is not cx.vertices():
+            assert not {id(v) for v in seq.vertices} & {id(v) for v in cx.vertices()}
+            parsed += 1
+        for mutated in _mutations(seq, rng):
+            want = scan_replay(cx, mutated)
+            assert replay(cx, mutated) == want == point_lookup_replay(cx, mutated)
+            with monkeypatch.context() as m:
+                m.setattr(scx, "_sequence", id_walk_sequence)
+                oracle_text = print_scx(ScxDocument("sequence", mutated))
+            assert print_scx(ScxDocument("sequence", mutated)) == oracle_text
+    assert parsed >= 6, parsed
+
+
+def test_replay_answers_no_off_its_complex():
+    # A sequence replayed on another complex, a sequence with a vertex
+    # outside the complex, and a truncated sequence: each is no, as the
+    # oracles say.
+    rng = random.Random(5023)
+    cases, checked = _sequence_cases(rng), 0
+    for (cx, doc), (other, _) in zip(cases, cases[3:] + cases[:3]):
+        seq = _payload_sequence(doc)
+        if not seq.pairs or other.maximal_simplexes() == cx.maximal_simplexes():
+            continue
+        checked += 1
+        outside = GeoSimplex((rpoint(*[2] * cx.ambient_dim),))
+        edge = GeoSimplex(seq.terminal.vertices + outside.vertices)
+        for bad, on in ((seq, other), (seq, stellar(cx, cx.maximal_simplexes()[0].barycenter())),
+                        (CollapseSequence(seq.steps + (CollapseStep(edge, outside),),
+                                          seq.terminal), cx),
+                        (CollapseSequence(seq.steps, outside), cx),
+                        (CollapseSequence(seq.steps[:-1], seq.terminal), cx)):
+            assert not replay(on, bad)
+            assert not scan_replay(on, bad) and not point_lookup_replay(on, bad)
+    assert checked >= 12, checked
+    # Two stellar squares whose new vertices differ but take the same place
+    # in the vertex order have the same rank pairs; only the tables say
+    # that one's sequence is not the other's.
+    cx, other = (stellar(standard_cube(2), rpoint("1/3", y)) for y in ("1/5", "1/4"))
+    seq = find_collapse_sequence(other)
+    assert seq.pairs == find_collapse_sequence(cx).pairs
+    assert seq.terminal.vertices[0] in cx.vertices()
+    assert not replay(cx, seq) and not scan_replay(cx, seq)
+
+
+def test_a_single_vertex_has_the_zero_step_sequence():
+    vertex = GeoSimplex((rpoint("1/3", -2),))
+    cx = from_maximal([vertex])
+    seq = find_collapse_sequence(cx)
+    assert seq == CollapseSequence((), vertex)
+    assert seq.vertices is cx.vertices() and seq.pairs == () and seq.steps == ()
+    text = print_scx(ScxDocument("sequence", seq))
+    assert '"steps": []' in text and parse_scx(text).payload == seq
+    assert replay(cx, seq) and replay(cx, parse_scx(text).payload)
+    assert not replay(cx, CollapseSequence((), GeoSimplex((rpoint(0, 0),))))
+
+
+def test_the_search_and_the_printer_build_no_step_objects(monkeypatch):
+    # The search hands over its rank pairs and the printer joins blocks at
+    # them, so finding cube4's 149-step sequence and printing it, alone and
+    # in a verdict, builds one simplex, the terminal, and no step.  Before,
+    # the search built two simplexes and a step per step.
+    cube4 = standard_cube(4)
+    verdict = certify_main(cube4)
+    built = []
+    simplex, step = GeoSimplex._raw, CollapseStep._raw
+    monkeypatch.setattr(GeoSimplex, "_raw", classmethod(
+        lambda cls, vs: built.append("simplex") or simplex(vs)))
+    monkeypatch.setattr(CollapseStep, "_raw", classmethod(
+        lambda cls, t, f: built.append("step") or step(t, f)))
+    monkeypatch.setattr(CollapseStep, "__post_init__", lambda self: built.append("step"))
+    seq = find_collapse_sequence(cube4)
+    print_scx(ScxDocument("sequence", seq))
+    print_scx(ScxDocument("verdict", verdict))
+    assert built == ["simplex"]
+    assert len(seq.pairs) == 149

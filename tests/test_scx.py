@@ -12,15 +12,15 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from zrk import (CollapseSequence, CollapseStep, GeoComplex, GeoSimplex, PLMap, RPoint,
                  certify_main, complexes, find_collapse_sequence, from_maximal, linalg,
-                 part2_reduce, pipeline_dh, rpoint, scx, standard_cube, stellar)
+                 part2_reduce, pipeline_dh, replay, rpoint, scx, standard_cube, stellar)
 from zrk.complexes import AbsComplex, WeightedComplex
 from zrk.exactnum import format_rat
 from zrk.scx import KINDS, ScxDocument, ScxError, parse_scx, print_scx
 from zrk.zmaps import RetractVerdict, RetractWitnesses
 
 from conftest import random_simplex, seg, tri
-from oracles import (json_print_scx, read_off_parse_sequence, validating_parse_sequence,
-                     walk_print_scx)
+from oracles import (json_print_scx, point_lookup_replay, read_off_parse_sequence,
+                     validating_parse_sequence, walk_print_scx)
 from test_collapse import _differential_complexes, _mutations
 
 
@@ -345,6 +345,62 @@ def test_a_verdict_reads_maximal_steps_off_its_collapse_complex(monkeypatch):
         parse_scx(json.dumps(body))
     assert err.value.where == "witnesses.collapse_sequence.steps[0][0]"
     assert "points must have dimension 6" in str(err.value)
+
+
+def _verdict_outcome(text: str, replay=replay):
+    """A verdict's collapse sequence and whether it replays on the collapse
+    complex, or the error's location and text."""
+    try:
+        wit = parse_scx(text).payload.witnesses
+    except ScxError as exc:
+        return exc.where, str(exc)
+    return wit.collapse_sequence, replay(wit.collapse_complex, wit.collapse_sequence)
+
+
+def test_a_parsed_verdict_shares_its_collapse_complex_table(monkeypatch):
+    # A certified verdict's steps and terminal name exactly its collapse
+    # complex's vertices, so its sequence is parsed onto that complex's
+    # table, and replay reads the pairs as they are.  Tampered so that the
+    # terminal or a step names a point outside the complex, a verdict parses
+    # to a sequence with a table of its own that does not replay, or fails
+    # with the error the step-object parser gives.
+    from importlib import resources
+
+    certified, kept = 0, collections.Counter()
+    for entry in sorted(resources.files("zrk.corpus").iterdir(), key=lambda e: e.name):
+        if not entry.name.endswith(".verdict.scx"):
+            continue
+        text = entry.read_text(encoding="utf-8")
+        wit = parse_scx(text).payload.witnesses
+        if wit is None or wit.collapse_sequence is None:
+            continue
+        certified += 1
+        seq, ccx = wit.collapse_sequence, wit.collapse_complex
+        assert seq.vertices is ccx.vertices(), entry.name
+        assert replay(ccx, seq)
+        outside = [f"{2 * k + 5}/{k + 2}" for k in range(ccx.ambient_dim)]
+        tampered = []
+        for where in ("terminal", "maximal", "free_facet"):
+            tamper = json.loads(text)
+            wseq = tamper["witnesses"]["collapse_sequence"]
+            if where == "terminal":
+                wseq["terminal"] = outside
+            elif not wseq["steps"]:
+                continue
+            else:
+                t, f = wseq["steps"][-1]
+                (f if where == "free_facet" else t)[-1] = outside
+            tampered.append(json.dumps(tamper, indent=2, sort_keys=True) + "\n")
+        for tamper in tampered:
+            got = _verdict_outcome(tamper)
+            with monkeypatch.context() as m:
+                m.setattr(scx, "_parse_sequence", read_off_parse_sequence)
+                assert _verdict_outcome(tamper, point_lookup_replay) == got, tamper
+            if isinstance(got[0], CollapseSequence):
+                assert got[0].vertices != ccx.vertices() and got[1] is False
+            kept[type(got[0]).__name__] += 1
+    assert certified >= 7, certified
+    assert kept["CollapseSequence"] >= 10 and kept["str"] >= 5, kept
 
 
 def test_rejects_unreduced_fraction():
