@@ -26,24 +26,32 @@ A complex numbers its vertices once: its sorted vertices are its vertex
 table, ``_rank`` maps each vertex to its index there, and ``_ranks`` holds
 each maximal simplex as the tuple of its vertices' ranks, in the order of
 ``maximal_simplexes()``.  Ranks follow vertex order, so rank tuples sort as
-the simplexes do.  The constructor drops non-maximal input by rank stars,
-and the cube test, the vertex stars, ``collapse``'s face table,
-``subdivide``'s inside subcomplex and the ``.scx`` printer read the ranks:
-none of them builds an index of its own or hashes a point per vertex
-occurrence.  The face table and the inside subcomplex take every face as
-a rank tuple from one enumeration, the closure of the rank tuples
-(``_closure``), which also closes the faces the ``.scx`` printer writes
-for a weighted complex.  So do the set of all faces (``simplexes``) and
-the CLI's regularity check, through one accessor (``GeoComplex._simplex``)
-that makes a rank tuple's simplex and gives a maximal simplex back as the
-complex's own object, with its cached determinant and rows.
+the simplexes do.  The public constructor sorts the vertices of any input
+and drops non-maximal input by rank stars.  A complex built from one the
+caller holds, the standard cube, a realization, an inside subcomplex or a
+subdivision, is built on the table it extends (``GeoComplex._on_table``),
+and only a subdivision's new points are compared, to place them in it.  The
+cube test, the vertex stars, ``collapse``'s face table, ``subdivide``'s
+inside subcomplex and the ``.scx`` printer read the ranks: none of them
+builds an index of its own or hashes a point per vertex occurrence.  The
+face table and the inside subcomplex take every face as a rank tuple from
+one enumeration, the closure of the rank tuples (``_closure``), which also
+closes the faces the ``.scx`` printer writes for a weighted complex.  So do
+the set of all faces (``simplexes``) and the CLI's regularity check,
+through one accessor (``GeoComplex._simplex``) that makes a rank tuple's
+simplex and gives a maximal simplex back as the complex's own object, with
+its cached determinant and rows.
 
 Whatever a complex or a simplex works out about itself is an attribute
 computed on first read and kept (``_cached``): a simplex's rows, box and
 determinant, and a complex's faces, vertex stars and memo of answers
 (``GeoComplex._answer``), which holds whether it triangulates the cube,
 which validation records, the hosts of each point located in it, and
-``subdivide``'s inside subcomplex and coverage of a polyhedron.
+``subdivide``'s inside subcomplex and coverage of a polyhedron.  Whether
+|cx| is the cube and whether it covers a polyhedron depend on |cx| alone,
+so a subdivision starts with its parent's answers to both.  The standard
+cube knows its cube answer, and so does the inside subcomplex of a complex
+known to triangulate the cube.
 
 The cube test's volume clause and ``subdivide``'s tiling test are one
 integer sum (``_adds_up``) over volumes measured by one method
@@ -708,6 +716,24 @@ def _independent_vertices(cx: GeoComplex) -> bool:
             and linalg.rank_det([v._homog for v in verts])[0] == len(verts))
 
 
+def _maximal_ranked(ranked: list, count: int) -> list:
+    """The (rank tuple, simplex) pairs of ``ranked``, distinct rank tuples
+    over ``count`` vertices, whose rank tuple lies in no other: s is kept
+    iff its vertex stars meet in s alone."""
+    if len({len(r) for r, _ in ranked}) == 1:
+        return ranked
+    stars: list[set] = [set() for _ in range(count)]
+    for r, _ in ranked:
+        for k in r:
+            stars[k].add(r)
+    return [(r, s) for r, s in ranked if len(set.intersection(*(stars[k] for k in r))) == 1]
+
+
+# The questions whose answers depend on |cx| alone, which a complex with the
+# same support inherits (``GeoComplex._on_table``).
+_ON_SUPPORT = frozenset({"cube", "covers"})
+
+
 class GeoComplex:
     """Finite simplicial complex, stored as its sorted maximal simplexes
     and their vertex rank tuples over the sorted vertex table."""
@@ -718,10 +744,8 @@ class GeoComplex:
         simplexes = list(simplexes)
         if not simplexes:
             raise NotASimplicialComplex("a complex needs at least one simplex")
-        dims = {s.ambient_dim for s in simplexes}
-        if len(dims) != 1:
+        if len({s.ambient_dim for s in simplexes}) != 1:
             raise NotASimplicialComplex("mixed ambient dimensions")
-        self.ambient_dim = dims.pop()
         # The vertex table is read off the whole input: a simplex dropped
         # below lies in a kept one, so it adds no vertex.  ``ranks`` maps
         # the id of each vertex object to the object, then to its rank;
@@ -733,26 +757,42 @@ class GeoComplex:
             if not table or table[-1] != v:
                 table.append(v)
             ranks[key] = len(table) - 1
-        self._vertices = tuple(table)
-        self._rank = dict(zip(table, range(len(table))))
         # Simplex order is the lexicographic order of vertex tuples, so
         # tuples of vertex ranks sort them without comparing points.  Equal
         # simplexes have one rank tuple, which keeps the first of them.
         unique: dict[tuple[int, ...], GeoSimplex] = {}
         for s in simplexes:
             unique.setdefault(tuple(map(ranks.__getitem__, map(id, s.vertices))), s)
-        ranked = sorted(unique.items())
-        if len({len(r) for r, _ in ranked}) > 1:
-            # Keep s iff no other input simplex holds all of s's vertices.
-            stars: list[set] = [set() for _ in self._vertices]
-            for r, _ in ranked:
-                for k in r:
-                    stars[k].add(r)
-            ranked = [(r, s) for r, s in ranked
-                      if len(set.intersection(*(stars[k] for k in r))) == 1]
-        self._ranks, self._maximal = zip(*ranked)
+        self._fill(table, _maximal_ranked(sorted(unique.items()), len(table)))
         if validate:
             self._validate()
+
+    @classmethod
+    def _on_table(cls, table: Sequence[RPoint],
+                  ranked: Iterable[tuple[tuple[int, ...], GeoSimplex]],
+                  support: Optional[GeoComplex] = None) -> GeoComplex:
+        """The complex on the vertex table ``table``, sorted distinct
+        points each a vertex of some simplex, whose maximal simplexes are
+        ``ranked``: (rank tuple, simplex) pairs sorted by rank tuple, none
+        inside another.  No point is compared and nothing is validated, so
+        the caller proves all of that.  ``support``, when given, is a
+        complex with the same support, whose kept answers about the support
+        alone the new complex starts with (``_answer``)."""
+        cx = cls.__new__(cls)
+        cx._fill(table, ranked)
+        if support is not None:
+            cx._answers.update((key, a) for key, a in support._answers.items()
+                               if key[0] in _ON_SUPPORT)
+        return cx
+
+    def _fill(self, table: Sequence[RPoint],
+              ranked: Iterable[tuple[tuple[int, ...], GeoSimplex]]) -> None:
+        """Set the fields of both constructors from the table and the
+        sorted (rank tuple, simplex) pairs of the maximal simplexes."""
+        self.ambient_dim = table[0].dim
+        self._vertices = tuple(table)
+        self._rank = dict(zip(self._vertices, range(len(table))))
+        self._ranks, self._maximal = zip(*ranked)
 
     def _validate(self):
         """Check the common-face condition by the tests of the module
@@ -774,12 +814,20 @@ class GeoComplex:
         """The memo of ``_answer``, made on first use."""
         return {}
 
-    def _answer(self, key: Hashable, compute):
+    def _answer(self, key: tuple, compute):
         """The answer to a question about this complex, ``compute()`` on the
-        first ask and kept after in ``_answers``.  The answer must depend
-        only on ``key`` and on the maximal simplexes, which never change, so
-        it cannot go stale; a question that raises is asked again next
-        time."""
+        first ask and kept after in ``_answers``.  A key is a tuple whose
+        first item names the question.  The answer must depend only on
+        ``key`` and on the maximal simplexes, which never change, so it
+        cannot go stale; a question that raises is asked again next time.
+
+        Two answers depend on |cx| alone: whether it is the cube
+        (``_is_cube``, as the cube test decides |cx| = [0,1]^n on a
+        simplicial complex) and whether it covers a polyhedron
+        (``subdivide.covers``).  A subdivision has the support of the
+        complex it subdivides, so it starts with that complex's kept
+        answers to both (``_on_table``); the hosts of a point and the
+        inside subcomplex depend on the simplexes and are found again."""
         answers = self._answers
         if key not in answers:
             answers[key] = compute()
@@ -787,7 +835,7 @@ class GeoComplex:
 
     def _is_cube(self) -> bool:
         """``_triangulates_cube`` of this complex, asked once."""
-        return self._answer("cube", lambda: _triangulates_cube(self))
+        return self._answer(("cube",), lambda: _triangulates_cube(self))
 
     # -- structure ---------------------------------------------------------
 
@@ -995,31 +1043,38 @@ def skeleton(cx: GeoComplex) -> AbsComplex:
 
 
 def standard_cube(n: int) -> GeoComplex:
-    """Standard triangulation of [0,1]^n: simplexes are convex hulls of
-    chains in {0,1}^n under the product order; n! maximal simplexes.  A
-    maximal chain rises in the product order, so it is sorted, and its
-    steps are distinct unit vectors, so it is affinely independent: no sort
-    and no rank check per chain."""
+    """Standard triangulation of [0,1]^n (Freudenthal 1942; Kuhn 1960):
+    simplexes are convex hulls of chains in {0,1}^n under the product
+    order; n! maximal simplexes, one per order of the axes.
+
+    The corners in ``itertools.product`` order are sorted, so they are the
+    vertex table, and corner c has the rank sum c_j 2^(n-1-j).  A maximal
+    chain rises in the product order, so its ranks rise and it is sorted,
+    and its steps are distinct unit vectors, so it is affinely independent:
+    no point is compared and no rank check is made.
+
+    The complex keeps its answer to the cube test (``_is_cube``), True with
+    no test run.  The chain of the order a_1, ..., a_n of the axes spans
+    the simplex {x : 1 >= x_a1 >= ... >= x_an >= 0}: its vertices satisfy
+    the inequalities, and a point satisfying them is the convex combination
+    of the chain with weights 1 - x_a1, x_a1 - x_a2, ..., x_an.  Every
+    point of the cube satisfies them for an order sorting its coordinates,
+    and a point of two such simplexes has ties x_ai = x_ai+1 wherever their
+    orders differ, so it lies in the simplex of their common chain, a face
+    of both.  So the chains triangulate the cube.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    # One RPoint per corner, so equal vertices are the same object.
-    corners: dict[tuple[int, ...], RPoint] = {}
-
-    def corner(key: tuple[int, ...]) -> RPoint:
-        p = corners.get(key)
-        if p is None:
-            p = corners[key] = RPoint._from_homog(key + (1,))
-        return p
-
-    maxi = []
+    corners = [RPoint._from_homog(key + (1,)) for key in itertools.product((0, 1), repeat=n)]
+    ranked = []
     for perm in itertools.permutations(range(n)):
-        point = [0] * n
-        chain = [corner(tuple(point))]
+        chain = [0]
         for i in perm:
-            point[i] = 1
-            chain.append(corner(tuple(point)))
-        maxi.append(GeoSimplex._raw(tuple(chain)))
-    return GeoComplex(maxi, validate=False)
+            chain.append(chain[-1] | 1 << (n - 1 - i))
+        ranked.append((tuple(chain), GeoSimplex._raw(tuple(map(corners.__getitem__, chain)))))
+    cube = GeoComplex._on_table(corners, sorted(ranked, key=itemgetter(0)))
+    cube._answers[("cube",)] = True
+    return cube
 
 
 def _placement(w: WeightedComplex) -> list[RPoint]:
@@ -1032,8 +1087,9 @@ def _placement(w: WeightedComplex) -> list[RPoint]:
 
 def realize(w: WeightedComplex) -> GeoComplex:
     """Geometric realization on scaled basis vectors (``_placement``), built
-    from the faces the abstract complex was given: ``GeoComplex`` drops a
-    face that lies in another, so the rest of the closure adds nothing.
+    from the faces the abstract complex was given, less each face that lies
+    in another (``_maximal_ranked``), so the rest of the closure adds
+    nothing.
 
     Points on distinct positive multiples of distinct basis vectors are
     linearly, hence affinely, independent, so no face takes a rank check.
@@ -1042,7 +1098,10 @@ def realize(w: WeightedComplex) -> GeoComplex:
     e_i / w_i is the greater point.  A face's vertices in point order are
     its vertices in descending index, its sorted index tuple reversed.
     Every vertex lies in a given face, so the vertex table of the
-    realization is the placement in descending index."""
-    placed = _placement(w)
-    return GeoComplex([GeoSimplex._raw(tuple(placed[i] for i in reversed(f)))
-                       for f in w.base.given], validate=False)
+    realization is the placement in descending index, where vertex i has
+    rank k - 1 - i (``GeoComplex._on_table``)."""
+    table = _placement(w)[::-1]
+    top = len(table) - 1
+    ranked = [(r, GeoSimplex._raw(tuple(map(table.__getitem__, r))))
+              for r in sorted(tuple(top - i for i in reversed(f)) for f in w.base.given)]
+    return GeoComplex._on_table(table, _maximal_ranked(ranked, len(table)))

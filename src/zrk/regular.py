@@ -30,7 +30,7 @@ import heapq
 import itertools
 import math
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .complexes import GeoComplex, GeoSimplex, RPoint
@@ -249,12 +249,14 @@ def _blow_up(cx: GeoComplex, inside: Optional[GeoComplex],
     ``inside`` with none built.  A heap entry no longer held was replaced
     by an earlier blow-up and is skipped."""
     watched = cx if inside is None else inside
-    # A sorted list is a heap.
-    heap = sorted((s.dim, s) for s in watched.maximal_simplexes() if not is_regular(s))
+    # A sorted list is a heap.  The maximal simplexes are in simplex order,
+    # so a stable sort by dimension orders the pairs with no point compared.
+    heap = sorted(((s.dim, s) for s in watched.maximal_simplexes() if not is_regular(s)),
+                  key=itemgetter(0))
     if not heap:
         return cx, inside
-    stars = subdivide._Stars(cx.maximal_simplexes())
-    inner = stars if inside is None else subdivide._Stars(inside.maximal_simplexes())
+    stars = subdivide._Stars(cx)
+    inner = stars if inside is None else subdivide._Stars(inside)
     steps = 0
     while heap:
         _, s = heapq.heappop(heap)

@@ -68,6 +68,14 @@ triangulates [0,1]^n, by the linear cube test that K also keeps
 (``GeoComplex._is_cube``), covers P exactly when P's vertices lie in the
 cube, which is convex, and no cell is clipped to show it.
 
+Every complex built here extends a vertex table its input holds, so none
+sorts all its vertices.  A subdivision, whether by stellar moves, overlay,
+slicing or refinement for a map, merges its new points into its input's
+table, each placed by bisection (``_subdivision``), and starts with its
+input's answers about the support, which it shares
+(``GeoComplex._on_table``); the inside subcomplex takes part of its
+complex's table.
+
 The kernel is integer arithmetic throughout.  Points enter as their cached
 homogeneous vectors d(p, 1) and constraints as integer rows: the cached
 rows of a simplex (``GeoSimplex._point_rows``), which also serve as the
@@ -87,9 +95,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from functools import reduce
-from operator import and_, mul
+from operator import and_, itemgetter, mul
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from . import linalg
@@ -110,18 +119,54 @@ class SupportMismatch(ValueError):
 # -- stellar subdivision -----------------------------------------------------
 
 
+def _subdivision(cx: GeoComplex, simplexes: Collection[GeoSimplex],
+                 ranges: Optional[dict[RPoint, tuple[int, int]]] = None) -> GeoComplex:
+    """The complex of ``simplexes``, the maximal simplexes of a subdivision
+    of cx.  It has the support of cx, whose answers about the support it
+    keeps (``GeoComplex._on_table``).  ``ranges`` may give a new point p a
+    range lo..hi of places in cx's vertex table that holds its place, the
+    number of cx's vertices less than p.
+
+    Each vertex v of cx is one of its vertices: v lies in a simplex of the
+    subdivision, which lies in a simplex of cx that has v as a vertex, so v
+    is extreme in it.  So its vertex table is cx's with the new points
+    merged in.  Each new point finds its place by bisection in its range,
+    and only the new points that share a place are sorted among
+    themselves.  Each rank tuple is read off the table by hashing, and only
+    the rank tuples are sorted.
+    """
+    verts, rank, ranges = cx.vertices(), cx._rank, ranges or {}
+    places = defaultdict(list)
+    for p in {v for s in simplexes for v in s.vertices if v not in rank}:
+        lo, hi = ranges.get(p, (0, len(verts)))
+        places[bisect_left(verts, p, lo, hi)].append(p)
+    table, lo = [], 0
+    for hi in sorted(places):
+        table += verts[lo:hi]
+        table += sorted(places[hi])
+        lo = hi
+    table += verts[lo:]
+    rank = dict(zip(table, range(len(table))))
+    ranked = sorted(((tuple(map(rank.__getitem__, s.vertices)), s) for s in simplexes),
+                    key=itemgetter(0))
+    return GeoComplex._on_table(table, ranked, cx)
+
+
 class _Stars:
     """The maximal simplexes of a complex under stellar moves, held as the
     star of each vertex: the maximal simplexes having it.  It is the
     mutable form of ``GeoComplex._star_index``, so a move finds its star by
     the carrier's vertices alone, with no scan; the maximal simplexes are
-    the union of the stars, and one complex is built from them at the end."""
+    the union of the stars.  One complex is built from them at the end, a
+    subdivision of the complex the moves started from, with the points
+    they added as its new vertices (``_subdivision``)."""
 
-    __slots__ = ("_star",)
+    __slots__ = ("_star", "_start", "_new")
 
-    def __init__(self, maximal: Iterable[GeoSimplex]):
+    def __init__(self, cx: GeoComplex):
         self._star: defaultdict[RPoint, set[GeoSimplex]] = defaultdict(set)
-        self._add(maximal)
+        self._start, self._new = cx, {}  # each point added, to its range of places
+        self._add(cx.maximal_simplexes())
 
     def __contains__(self, s: GeoSimplex) -> bool:
         return s in self._star.get(s.vertices[0], ())
@@ -151,20 +196,35 @@ class _Stars:
         The m containing C are those having every vertex of C, the
         intersection of their stars, and each is dropped from the star of
         every vertex it has.  Each such vertex is in a cone of m, as C has
-        two vertices or more, so no star is left empty.
+        two vertices or more, so no star is left empty.  p is a new vertex:
+        it lies in the relative interior of C, which has two vertices or
+        more.  Each cone's vertices are m's with p put in by bisection,
+        between the least and the greatest vertex of C in m: lexicographic
+        order is kept by convex combinations, so p lies strictly between
+        them.  The vertices a < p < b of m next to p bound p's place in the
+        start's table (``_subdivision``): a vertex of the start by its rank,
+        an added point by its own range.
         """
         star = set.intersection(*(self._star[v] for v in carrier))
         for m in star:
             for v in m.vertices:
                 self._star[v].discard(m)
-        cones = [GeoSimplex._raw(tuple(sorted([v for v in m.vertices if v != u] + [p])))
-                 for m in star for u in carrier]
+        cones = []
+        for m in star:
+            ends = [i for i, v in enumerate(m.vertices) if v in carrier]
+            k = bisect_left(m.vertices, p, ends[0] + 1, ends[-1])
+            joined = m.vertices[:k] + (p,) + m.vertices[k:]
+            cones += [GeoSimplex._raw(tuple(v for v in joined if v != u)) for u in carrier]
+        a, b = m.vertices[k - 1], m.vertices[k]  # of any m containing C
+        rank = self._start._rank
+        self._new[p] = (rank[a] + 1 if a in rank else self._new[a][0],
+                        rank[b] if b in rank else self._new[b][1])
         self._add(cones)
         return cones
 
     def complex(self) -> GeoComplex:
         """The complex of the maximal simplexes held."""
-        return GeoComplex(set().union(*self._star.values()), validate=False)
+        return _subdivision(self._start, set().union(*self._star.values()), self._new)
 
 
 def stellar(cx: GeoComplex, p: RPoint) -> GeoComplex:
@@ -183,7 +243,7 @@ def stellar(cx: GeoComplex, p: RPoint) -> GeoComplex:
         raise PointNotInSupport(f"point not in support: {p}")
     if car.dim == 0:
         return cx  # p is already a vertex
-    stars = _Stars(cx.maximal_simplexes())
+    stars = _Stars(cx)
     stars.replace(p, car.vertices)
     return stars.complex()
 
@@ -396,7 +456,7 @@ def common_refinement(a: GeoComplex, b: GeoComplex) -> GeoComplex:
     if not support_equal(a, b):
         raise SupportMismatch("support mismatch")
     cells = {c for s in a.maximal_simplexes() for c in _cells(s, s.vertices, b)}
-    return a if cells == set(a.maximal_simplexes()) else GeoComplex(cells, validate=False)
+    return a if cells == set(a.maximal_simplexes()) else _subdivision(a, cells)
 
 
 # -- restriction to a subpolyhedron ------------------------------------------
@@ -433,17 +493,35 @@ def _inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]
     share a host is in, and only the rest take ``supports`` itself.  A
     face is made a simplex only when found (``GeoComplex._simplex``), which
     gives a maximal simplex of cx as its own object, with its cached rows.
+
+    The result is built on the part of cx's table its faces use, renumbered
+    in order, so rank tuples keep their order and no point is compared
+    (``GeoComplex._on_table``).  When cx is known to triangulate the cube
+    (a kept answer of ``GeoComplex._is_cube``), so is the result exactly
+    when it is all of cx: a maximal simplex s of cx, which is
+    n-dimensional, left out of it has interior points that no other
+    simplex of cx holds, so they are missing from its support.  The result
+    keeps that answer.
     """
     verts = cx.vertices()
     hosts = [part.hosts(v) for v in verts]
-    found, inside = [], set()  # the simplexes found, and their faces' rank tuples
+    found, inside = [], set()  # the rank tuples found, and their faces'
     for r in sorted(_closure(cx._ranks), key=len, reverse=True):
         if r not in inside and all(hosts[k] for k in r) and (
                 frozenset.intersection(*(hosts[k] for k in r))
                 or supports(part, [verts[k] for k in r])):
-            found.append(cx._simplex(r))
+            found.append(r)
             inside |= _closure((r,))
-    return GeoComplex(found, validate=False) if found else None
+    if not found:
+        return None
+    found.sort()
+    used = sorted(set().union(*found))
+    renumber = dict(zip(used, range(len(used))))
+    out = GeoComplex._on_table([verts[k] for k in used], [
+        (tuple(map(renumber.__getitem__, r)), cx._simplex(r)) for r in found])
+    if cx._answers.get(("cube",)):
+        out._answers[("cube",)] = tuple(found) == cx._ranks
+    return out
 
 
 # Candidate rows per facet row: f, then its first 13^2 shifts, so a simplex
@@ -535,7 +613,7 @@ def restrict(cx: GeoComplex, part: GeoComplex) -> GeoComplex:
                             for p in (_pull_cell(s, [], [row]) + _pull_cell(s, [], [neg])
                                       if _crosses(row, s) else (s,)))
         # A cut simplex leaves two pieces or more, so an equal tuple cut nothing.
-        out = cx if maximal == cx.maximal_simplexes() else GeoComplex(maximal, validate=False)
+        out = cx if maximal == cx.maximal_simplexes() else _subdivision(cx, maximal)
     return out
 
 
@@ -559,7 +637,7 @@ def refine_for_map(plmap, target: GeoComplex):
     """
     if plmap.codomain_dim != target.ambient_dim:
         raise ValueError(f"a point in R^{plmap.codomain_dim} is not in R^{target.ambient_dim}")
-    simplexes, images = [], dict(plmap.images)
+    simplexes, images, new, rank = [], dict(plmap.images), {}, plmap.domain._rank
     for s in plmap.domain.maximal_simplexes():
         ys = tuple(images[v] for v in s.vertices)
         cells = _cells(s, ys, target)
@@ -569,13 +647,17 @@ def refine_for_map(plmap, target: GeoComplex):
             if not _tiles(s, cells):
                 raise SupportMismatch(f"compatibility failure: the image of {s} is not "
                                       "contained in the target support")
-            images.update((p, s._image(s._weights(p._homog), ys))
-                          for c in cells for p in c.vertices if p not in images)
+            for p in {p for c in cells for p in c.vertices if p not in images}:
+                w = s._weights(p._homog)
+                images[p] = s._image(w, ys)
+                # Lexicographic order is kept by convex combinations, so p lies
+                # strictly between the least and greatest vertex of its carrier.
+                carrier = [rank[v] for v, a in zip(s.vertices, w) if a]
+                new[p] = carrier[0] + 1, carrier[-1]
         simplexes.extend(cells)
     # A cut simplex has a new vertex: pieces with s's vertices alone tile s
     # only as s itself.
-    return (type(plmap)(GeoComplex(simplexes, validate=False), images)
-            if len(images) > len(plmap.images) else plmap)
+    return type(plmap)(_subdivision(plmap.domain, simplexes, new), images) if new else plmap
 
 
 def _volume_axes(base: GeoSimplex) -> Optional[list[int]]:

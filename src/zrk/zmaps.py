@@ -348,7 +348,7 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     images = dict(eta_g.images)
     offending = [s for s in eta_g.domain.maximal_simplexes() if s.dim == n
                  and math.gcd(*(den(images[v]) for v in s.vertices)) != 1]
-    stars = subdivide._Stars(eta_g.domain.maximal_simplexes()) if offending else None
+    stars = subdivide._Stars(eta_g.domain) if offending else None
     for s in offending:
         first = min(frozenset.intersection(*(inside.hosts(images[v])
                                              for v in s.vertices)))

@@ -220,15 +220,17 @@ def test_desingularize_builds_one_complex(monkeypatch):
     # it builds that one besides, and the complex of the subdivided one it
     # returns.  A complex keeps its inside subcomplex
     # once asked, as restrict and the filter below ask, so each pair runs
-    # on a cold copy: the same complex built again.
+    # on a cold copy: the same complex built again.  Builds are counted
+    # where both constructors set a complex's fields (``GeoComplex._fill``),
+    # so the private one that the stars and the inside subcomplex use
+    # counts too.
     cxs = [cx for cx in _desingularize_inputs()
            if not all(is_regular(s) for s in cx.maximal_simplexes())]
     pairs = [(GeoComplex(cx.maximal_simplexes(), validate=False), part)
              for cx, part in _relative_inputs() if not _inside_regular(cx, part)]
     built = []
-    init = GeoComplex.__init__
-    monkeypatch.setattr(GeoComplex, "__init__",
-                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    fill = GeoComplex._fill
+    monkeypatch.setattr(GeoComplex, "_fill", lambda self, *a: built.append(1) or fill(self, *a))
     inside_calls = []
     inside = subdivide.inside_subcomplex
     monkeypatch.setattr(subdivide, "inside_subcomplex",

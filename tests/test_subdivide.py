@@ -1,16 +1,17 @@
 import collections
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from zrk import (GeoComplex, GeoSimplex, PLMap, RPoint, common_refinement,
-                 desingularize, from_maximal, is_subdivision, linalg,
-                 part2_reduce, pipeline_dh, refine_for_map, restrict, rpoint,
-                 standard_cube, stellar, subdivide,
-                 verify_section_retraction)
+from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, RPoint, WeightedComplex,
+                 common_refinement, complexes, desingularize, from_maximal, is_subdivision,
+                 linalg, part2_reduce, pipeline_dh, realize, refine_for_map, restrict, rpoint,
+                 standard_cube, stellar, subdivide, verify_section_retraction)
+from zrk.complexes import _triangulates_cube
 from zrk.regular import _box_point, is_regular
 from zrk.scx import ScxDocument, parse_scx, print_scx
 from zrk.subdivide import (PointNotInSupport, SupportMismatch, covers,
@@ -20,7 +21,9 @@ from conftest import random_rational, random_simplex, random_simplex_pool, seg, 
 import oracles
 from oracles import (RestrictionRefused, caratheodory_supports, clip_is_subdivision,
                      face_stellar, rowwise_restrict, scan_inside_subcomplex,
-                     scan_replace_star, scan_supports, split_supports, stellar_chain)
+                     scan_replace_star, scan_supports, split_supports, stellar_chain,
+                     volume_triangulates_cube)
+from rfold import rfold
 
 
 def test_stellar_segment_midpoint():
@@ -243,7 +246,7 @@ def test_stars_match_scan_oracle():
     rng = random.Random(2041)
     kinds = collections.Counter()
     for cx in _star_move_inputs(rng):
-        stars, maximal = subdivide._Stars(cx.maximal_simplexes()), set(cx.maximal_simplexes())
+        stars, maximal = subdivide._Stars(cx), set(cx.maximal_simplexes())
         for _ in range(8):
             bad = sorted((m.dim, m) for m in maximal if not is_regular(m))
             kind = rng.choice(("box", "barycentre", "face")[0 if bad else 1:])
@@ -583,10 +586,19 @@ def test_restrict_builds_one_complex_after_choosing_its_rows(monkeypatch):
     real_complex, real_inside = subdivide.GeoComplex, subdivide._inside_subcomplex
     real_slice = oracles.slice_complex
 
-    def counted(*args, **kwargs):
+    def count():
         if not depth[0]:  # the inside subcomplexes are not slicing work
             built.append(1)
+
+    def counted(*args, **kwargs):
+        count()
         return real_complex(*args, **kwargs)
+
+    def counted_on_table(*args):
+        count()
+        return real_complex._on_table(*args)
+
+    counted._on_table = counted_on_table  # the private constructor builds too
 
     def tracked(cx, part):
         depth[0] += 1
@@ -1452,3 +1464,170 @@ def test_support_kernels_run_once_per_complex_and_part(monkeypatch):
     for name in ("inside_subcomplex", "covers"):
         runs = sum(k for (kind, *_), k in ran.items() if kind == name)
         assert 0 < runs < asked[name], (name, runs, asked[name])
+
+
+# -- complexes built on the vertex table they extend --------------------------
+
+# The functions that build a complex on a vertex table they hold
+# (``GeoComplex._on_table``); a build is filed under the innermost of them.
+_TABLE_CALLERS = ("standard_cube", "realize", "_inside_subcomplex", "stellar", "_blow_up",
+                  "pipeline_dh", "common_refinement", "restrict", "refine_for_map")
+
+
+def _builds_on_tables(monkeypatch) -> list:
+    """Spy on ``GeoComplex._on_table``: each build as (caller, complex,
+    support, the answers it started with)."""
+    built = []
+    real = GeoComplex._on_table.__func__
+
+    def spy(cls, table, ranked, support=None):
+        cx = real(cls, table, ranked, support)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in _TABLE_CALLERS:
+            frame = frame.f_back
+        built.append((frame.f_code.co_name, cx, support, dict(cx.__dict__.get("_answers", {}))))
+        return cx
+
+    monkeypatch.setattr(GeoComplex, "_on_table", classmethod(spy))
+    return built
+
+
+def _weighted_complexes(rng: random.Random, count: int) -> list[WeightedComplex]:
+    """Seeded weighted complexes on up to 8 labels, with given faces that
+    may lie in others."""
+    out = []
+    for _ in range(count):
+        labels = "abcdefgh"[:rng.randint(1, 8)]
+        indices = range(len(labels))
+        faces = [rng.sample(indices, rng.randint(1, min(4, len(labels))))
+                 for _ in range(rng.randint(1, 6))]
+        faces += [(i,) for i in indices if rng.random() < 0.5 or not any(i in f for f in faces)]
+        out.append(WeightedComplex(AbsComplex(labels, faces), [rng.randint(1, 7) for _ in labels]))
+    return out
+
+
+def _table_inputs(rng: random.Random) -> None:
+    """Run every caller of ``GeoComplex._on_table`` on seeded inputs:
+    cubes, stellar cubes and simplexes, desingularized random simplexes,
+    pipeline_dh and part 2 on rfold(2, 15), realizations, the inside
+    subcomplexes of restrict's inputs and of cubes, and restrict's fallback
+    on the half cube cases.  A cube's inside subcomplex is taken in the
+    whole cube, and in a part of the square where it is two vertices: as
+    many simplexes as the square has triangles, but not the square.  Some
+    complexes are asked their support questions first, and some are not."""
+    for n in range(1, 6):
+        inside_subcomplex(standard_cube(n), standard_cube(n))
+    h = "1/2"
+    inside_subcomplex(standard_cube(2), from_maximal([seg((0, 1), (h, h)),
+                                                      tri((h, h), (1, h), (1, 1))]))
+    for cx in _star_move_inputs(rng):
+        part = from_maximal([random_simplex(rng, cx.ambient_dim, 4)])
+        if rng.random() < 0.5:
+            cx._is_cube()
+            covers(cx, part)
+        stellar(cx, cx.maximal_simplexes()[0].barycenter())
+    for s in random_simplex_pool()[::5]:
+        cx = GeoComplex([s])
+        if not is_regular(s):
+            desingularize(cx)
+    eta, part = rfold(2, 15)
+    result = pipeline_dh(eta, part)
+    part2_reduce(result.map, result.triangulation, part)
+    for w in _weighted_complexes(rng, 30):
+        realize(w)
+    for cx, part in _restrict_cases()[:24]:
+        inside_subcomplex(cx, part)
+    for cx, part in itertools.islice(_half_cube_cases(4, 2039, 1), 4):
+        restrict(cx, part)
+
+
+def test_complexes_on_a_table_match_the_public_constructor(monkeypatch):
+    # Each complex built on a table its caller holds has the vertex table,
+    # rank tuples and maximal simplexes that the public constructor finds,
+    # by sorting points, on the same maximal simplexes; every caller builds
+    # at least once.
+    built = _builds_on_tables(monkeypatch)
+    _table_inputs(random.Random(2051))
+    callers = collections.Counter(caller for caller, *_ in built)
+    assert set(callers) == set(_TABLE_CALLERS), callers
+    for caller, cx, _, _ in built:
+        public = GeoComplex(cx.maximal_simplexes(), validate=False)
+        assert cx.ambient_dim == public.ambient_dim, caller
+        assert cx._vertices == public._vertices and cx._rank == public._rank, caller
+        assert cx._ranks == public._ranks and cx._maximal == public._maximal, caller
+
+
+def test_inherited_support_answers_match_fresh_ones(monkeypatch):
+    # A subdivision starts with its parent's kept answers about the support:
+    # whether it is the cube, and whether it covers a polyhedron.  Each
+    # equals the cube oracle and the coverage kernel on a copy built by the
+    # public constructor, which keeps nothing; parents answering no and
+    # parents never asked both occur.  The inside subcomplex of a known cube
+    # triangulation keeps its own cube answer, checked the same way.
+    built = _builds_on_tables(monkeypatch)
+    _table_inputs(random.Random(2053))
+    seen = collections.Counter()
+    for caller, cx, support, answers in built:
+        fresh = GeoComplex(cx.maximal_simplexes(), validate=False)
+        if support is None:
+            assert not answers or caller == "standard_cube", caller
+        elif not answers:
+            seen["never asked"] += 1
+        for key, answer in answers.items():
+            if key == ("cube",):
+                assert answer is volume_triangulates_cube(cx) is _triangulates_cube(fresh), caller
+            else:
+                assert key[0] == "covers" and answer is subdivide._covers(fresh, key[1]), caller
+            seen[key[0], answer] += 1
+        if caller == "_inside_subcomplex" and cx._answers.get(("cube",)) is not None:
+            assert cx._answers.get(("cube",)) is volume_triangulates_cube(cx), caller
+            seen["inside", cx._answers.get(("cube",))] += 1
+    assert min(seen[key] for key in [("cube", True), ("cube", False), ("covers", True),
+                                     ("covers", False), "never asked",
+                                     ("inside", True), ("inside", False)]) >= 3, seen
+    for n in range(1, 6):
+        cube = standard_cube(n)
+        assert cube._answers.get(("cube",)) is True
+        assert volume_triangulates_cube(cube) and _triangulates_cube(
+            GeoComplex(cube.maximal_simplexes(), validate=False))
+
+
+def _rpoint_comparisons(monkeypatch) -> list:
+    """Spy on ``RPoint.__lt__``, from which every other order is derived."""
+    calls = []
+    real = RPoint.__lt__
+    monkeypatch.setattr(RPoint, "__lt__", lambda p, q: calls.append(1) or real(p, q))
+    return calls
+
+
+def test_pipeline_and_part2_compare_few_points(monkeypatch):
+    # Work bound: on rfold(2, 15), pipeline_dh and part2_reduce compare
+    # points 7,086 times, mostly placing the new points of step G's
+    # refinement and step H's blow-ups in their tables; building every
+    # complex by the public constructor, which sorts its whole vertex
+    # table, made 63,824 comparisons.  realize compares none.
+    eta, part = rfold(2, 15)
+    calls = _rpoint_comparisons(monkeypatch)
+    result = pipeline_dh(eta, part)
+    reduced = part2_reduce(result.map, result.triangulation, part)
+    assert len(calls) <= 8_000, len(calls)
+    calls.clear()
+    assert realize(reduced.weighted) == reduced.realization
+    assert not calls
+
+
+def test_pipeline_tests_the_cube_on_its_input_domain_only(monkeypatch):
+    # The standard cube knows it triangulates the cube, each step's output
+    # inherits that answer, and the inside subcomplex of a known cube
+    # triangulation knows its own, so pipeline_dh runs the cube test once,
+    # on its input domain, and part2_reduce never; they ran it on the
+    # standard cube, on the common refinement and on each inside subcomplex
+    # as well.
+    eta, part = rfold(2, 15)
+    eta = PLMap(GeoComplex(eta.domain.maximal_simplexes(), validate=False), eta.images)
+    tested = []
+    real = complexes._triangulates_cube
+    monkeypatch.setattr(complexes, "_triangulates_cube", lambda cx: tested.append(cx) or real(cx))
+    result = pipeline_dh(eta, part)
+    part2_reduce(result.map, result.triangulation, part)
+    assert len(tested) == 1 and tested[0] is eta.domain
