@@ -45,13 +45,15 @@ its cached determinant and rows.
 Whatever a complex or a simplex works out about itself is an attribute
 computed on first read and kept (``_cached``): a simplex's rows, box and
 determinant, and a complex's faces, vertex stars and memo of answers
-(``GeoComplex._answer``), which holds whether it triangulates the cube,
-which validation records, the hosts of each point located in it, and
-``subdivide``'s inside subcomplex and coverage of a polyhedron.  Whether
-|cx| is the cube and whether it covers a polyhedron depend on |cx| alone,
-so a subdivision starts with its parent's answers to both.  The standard
-cube knows its cube answer, and so does the inside subcomplex of a complex
-known to triangulate the cube.
+(``GeoComplex._answer``), which holds whether it triangulates the cube
+and whether its support is convex, both of which validation records, the
+hosts of each point located in it, and ``subdivide``'s inside subcomplex
+and coverage of a polyhedron.  Whether |cx| is the cube, whether it is a
+convex set of full dimension (``GeoComplex._is_convex``, from one
+simplex, a kept cube answer or the hull test) and whether it covers a
+polyhedron depend on |cx| alone, so a subdivision starts with its parent's
+answers to all three.  The standard cube knows its cube answer, and so
+does the inside subcomplex of a complex known to triangulate the cube.
 
 The cube test's volume clause and ``subdivide``'s tiling test are one
 integer sum (``_adds_up``) over volumes measured by one method
@@ -731,7 +733,7 @@ def _maximal_ranked(ranked: list, count: int) -> list:
 
 # The questions whose answers depend on |cx| alone, which a complex with the
 # same support inherits (``GeoComplex._on_table``).
-_ON_SUPPORT = frozenset({"cube", "covers"})
+_ON_SUPPORT = frozenset({"cube", "convex", "covers"})
 
 
 class GeoComplex:
@@ -796,13 +798,14 @@ class GeoComplex:
 
     def _validate(self):
         """Check the common-face condition by the tests of the module
-        docstring, in its order; the cube test's answer is kept.  Only the
+        docstring, in its order; the cube and hull tests' answers are kept
+        (``_is_cube``, ``_is_convex``).  Only the
         pair loop rejects, at the first failing pair in
         ``itertools.combinations`` order, as before the linear tests."""
         maxi = self.maximal_simplexes()
         if len(maxi) == 1 or self._is_cube():
             return
-        if len(maxi) > 2 and (_independent_vertices(self) or _triangulates_hull(self)):
+        if len(maxi) > 2 and (_independent_vertices(self) or self._is_convex()):
             return
         for a, b in itertools.combinations(maxi, 2):
             if not _meet_in_common_face(a, b):
@@ -821,12 +824,13 @@ class GeoComplex:
         ``key`` and on the maximal simplexes, which never change, so it
         cannot go stale; a question that raises is asked again next time.
 
-        Two answers depend on |cx| alone: whether it is the cube
+        Three answers depend on |cx| alone: whether it is the cube
         (``_is_cube``, as the cube test decides |cx| = [0,1]^n on a
-        simplicial complex) and whether it covers a polyhedron
+        simplicial complex), whether it is a convex set of the ambient
+        dimension (``_is_convex``) and whether it covers a polyhedron
         (``subdivide.covers``).  A subdivision has the support of the
         complex it subdivides, so it starts with that complex's kept
-        answers to both (``_on_table``); the hosts of a point and the
+        answers to all three (``_on_table``); the hosts of a point and the
         inside subcomplex depend on the simplexes and are found again."""
         answers = self._answers
         if key not in answers:
@@ -836,6 +840,24 @@ class GeoComplex:
     def _is_cube(self) -> bool:
         """``_triangulates_cube`` of this complex, asked once."""
         return self._answer(("cube",), lambda: _triangulates_cube(self))
+
+    def _is_convex(self) -> bool:
+        """Is |cx| a convex set of the ambient dimension n?  Asked once.
+        Yes when cx is one n-simplex, when its kept cube answer is yes (read
+        here, never run), or when ``_triangulates_hull`` shows |cx| =
+        conv(vertices).  The answer depends on |cx| alone, as ``_on_table``
+        needs.  If |cx| is an n-dimensional convex set C, the n-simplexes
+        of cx hold a dense part of C, as the others have measure zero, and
+        so, being finitely many and closed, all of C; a lower maximal
+        simplex would share a point of its relative interior with one of
+        them, which would then have it as a face.  So every maximal simplex
+        has dimension n, and on such a complex the hull test decides
+        convexity.  A lower-dimensional support answers no, a single
+        simplex's too, as its subdivisions would."""
+        maxi = self._maximal
+        return self._answer(("convex",), lambda: (
+            len(maxi) == 1 and maxi[0].dim == self.ambient_dim
+            or self._answers.get(("cube",)) is True or _triangulates_hull(self)))
 
     # -- structure ---------------------------------------------------------
 

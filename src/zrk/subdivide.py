@@ -31,7 +31,8 @@ leave s whole, a target simplex whose integer box misses the images' box
 is skipped with no clip, and only a map other than the identity pulls the
 target's rows back (``_pullback_rows``).  ``common_refinement`` measures
 no tiling, as its support checks have settled that the cells tile;
-``refine_for_map`` measures one for every simplex it cuts, and returns the
+``refine_for_map`` measures one for every simplex it cuts unless the
+target is convex and holds the vertex images, and returns the
 map on the refinement: it images each new vertex on the simplex s it was
 cut from, knowing s's vertex images (``GeoSimplex._image``, which
 ``PLMap.eval`` calls after locating a point), so no vertex is located.
@@ -42,7 +43,9 @@ hosts off K (``GeoComplex.hosts``), the maximal simplexes holding it: a
 vertex of K is held exactly by its star, and any other point by the
 simplexes having every vertex of its carrier, found by one point location
 that K keeps.  A point without host leaves |K|, points sharing a host lie
-in it, and only the rest take the volume test on the same pieces: the
+in it, and so do any points with hosts when |K| is convex
+(``GeoComplex._is_convex``, which K keeps and its subdivisions inherit).
+Only the rest take the volume test on the same pieces: the
 cells of a simplex s in the maximal simplexes of K overlap only in
 measure zero, so they cover s exactly when they tile it.  One tiling test
 serves every such question (``_tiles``): pieces of s's dimension lying in
@@ -356,7 +359,9 @@ def supports(cx: GeoComplex, points: Sequence[RPoint]) -> bool:
 
     No if a point has no host in cx (``GeoComplex.hosts``), as a point of
     another ambient dimension has none; yes if the points share a host,
-    which is convex.  Otherwise, for the rank r of the points' vectors (one
+    which is convex, or if |cx| is convex (``GeoComplex._is_convex``),
+    since a convex set holds the hull of any points it holds.  Otherwise,
+    for the rank r of the points' vectors (one
     more than the dimension of their hull), conv(points) is by
     Caratheodory the union of the simplexes s spanned by r affinely
     independent points among them, and each s must be tiled by its cells
@@ -367,7 +372,7 @@ def supports(cx: GeoComplex, points: Sequence[RPoint]) -> bool:
     found = [cx.hosts(p) for p in points]
     if not all(found):
         return False
-    if frozenset.intersection(*found):
+    if frozenset.intersection(*found) or cx._is_convex():
         return True
     unique = sorted(set(points))
     r = linalg.matrix_rank([p._homog for p in unique])
@@ -628,7 +633,12 @@ def refine_for_map(plmap, target: GeoComplex):
     Each maximal s of the domain is cut into its preimage cells in the
     maximal simplexes of target (``_cells``).  A simplex mapping into one
     target simplex is its own one cell and survives.  The cells of a cut
-    simplex must tile it (``_tiles``), or its image leaves |target|.  Old
+    simplex must tile it (``_tiles``), or its image leaves |target|.  No
+    tiling is measured when every vertex image has a host and |target| is
+    convex (``GeoComplex._is_convex``): the image of s, the hull of the
+    vertex images, then lies in |target|, so the sets s cap eta^-1(t)
+    cover s, and as those of lower dimension have measure zero, the
+    cells, which are closed, cover it too.  Old
     vertices keep their images, and a new vertex, a point of the s it was
     cut from, gets the image of the affine map on s at its weights in s
     (``GeoSimplex._image``), the one ``PLMap.eval`` interpolates, so the
@@ -644,7 +654,7 @@ def refine_for_map(plmap, target: GeoComplex):
         if cells != {s}:
             # The cells of a cut simplex must tile it exactly; a gap means
             # the image of s leaves the support of the target.
-            if not _tiles(s, cells):
+            if not (all(map(target.hosts, ys)) and target._is_convex() or _tiles(s, cells)):
                 raise SupportMismatch(f"compatibility failure: the image of {s} is not "
                                       "contained in the target support")
             for p in {p for c in cells for p in c.vertices if p not in images}:

@@ -122,7 +122,12 @@ volume, on the cells that ``fraction_cell`` clips and pulls on
 ``caratheodory_supports`` splits a point list into the simplexes of its
 affinely independent subsets (``aff_dim`` and ``affinely_independent``,
 the ranks ``linalg`` computed for it), from before ``subdivide.supports``
-read the points' hosts off a complex.  ``pieces_common_refinement`` and
+read the points' hosts off a complex.  ``clip_supports`` is ``supports``
+with every support split and tiled, from before it let a convex support
+(``GeoComplex._is_convex``) decide from the points' hosts alone, and
+``hull_inside`` decides whether a complex holds the hull of its vertices
+by that scan on the vertices that ``hull_vertices`` finds by one LP each.
+``pieces_common_refinement`` and
 ``scan_refine_for_map`` are the two overlay loops that
 ``subdivide.common_refinement`` and ``subdivide.refine_for_map`` ran
 before both cut simplexes with ``subdivide._cells``: the first with its
@@ -156,7 +161,7 @@ rank tuples into one vertex table.
 import json
 import math
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -770,6 +775,54 @@ def caratheodory_supports(cover, points, simplex_supports=scan_supports) -> bool
     return all(simplex_supports(cover, GeoSimplex._raw(sub))
                for sub in combinations(unique, d + 1)
                if affinely_independent([p.coords for p in sub]))
+
+
+def clip_supports(cx: GeoComplex, points) -> bool:
+    """``subdivide.supports`` with no convex exit: a point without host is
+    out and points sharing a host are in, and any other points, whatever
+    the support, take the Caratheodory split into simplexes, each tiled by
+    its cells in the maximal simplexes of cx (``subdivide._cells``,
+    ``subdivide._tiles``).  The path every such question took before
+    ``supports`` read ``GeoComplex._is_convex``."""
+    found = [cx.hosts(p) for p in points]
+    if not all(found):
+        return False
+    if frozenset.intersection(*found):
+        return True
+    unique = sorted(set(points))
+    r = linalg.matrix_rank([p._homog for p in unique])
+    subs = (GeoSimplex._raw(sub) for sub in combinations(unique, r)
+            if linalg.matrix_rank([p._homog for p in sub]) == r)
+    return all(subdivide._tiles(s, subdivide._cells(s, s.vertices, cx)) for s in subs)
+
+
+def hull_vertices(points) -> list:
+    """The points that are no convex combination of the others: for each,
+    one feasibility LP (``lp_maximize``) in the weights of the others."""
+    points = sorted(set(points))
+    out = []
+    for i, v in enumerate(points):
+        rest = points[:i] + points[i + 1:]
+        rows = [[w[k] for w in rest] for k in range(v.dim)] + [[1] * len(rest)]
+        if not rest or lp_maximize(rows, list(v) + [1], [0] * len(rest)) is None:
+            out.append(v)
+    return out
+
+
+def hull_inside(cx: GeoComplex) -> bool:
+    """conv(all vertices of cx) inside |cx|: the Caratheodory scan
+    (``caratheodory_supports``) of the hull's vertices (``hull_vertices``),
+    with no host read and no cell of ``subdivide`` clipped.  When cx is
+    made of n-simplexes in R^n, the hull is that of the vertices on the
+    boundary of |cx|, those of the facets in one maximal simplex: any other
+    vertex is an interior point of |cx|, on a segment between two points
+    of its boundary."""
+    maxi, n = cx.maximal_simplexes(), cx.ambient_dim
+    points = cx.vertices()
+    if all(len(s.vertices) == n + 1 for s in maxi):
+        facets = Counter(f for s in maxi for f in combinations(s.vertices, n))
+        points = {v for f, k in facets.items() if k == 1 for v in f}
+    return caratheodory_supports(maxi, hull_vertices(points))
 
 
 def scan_inside_subcomplex(cx, part) -> set:

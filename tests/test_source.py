@@ -338,7 +338,7 @@ def test_the_cli_loads_and_writes_documents_in_one_place():
 
 # Code lines in src/zrk when the gate was set.  Lower it when code goes;
 # raise it only with a line in CHANGES.md saying why.
-CODE_LINES = 2108
+CODE_LINES = 2113
 
 
 def code_lines(text: str) -> int:

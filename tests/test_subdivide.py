@@ -20,7 +20,7 @@ from zrk.subdivide import (PointNotInSupport, SupportMismatch, covers,
 from conftest import random_rational, random_simplex, random_simplex_pool, seg, tri
 import oracles
 from oracles import (RestrictionRefused, caratheodory_supports, clip_is_subdivision,
-                     face_stellar, rowwise_restrict, scan_inside_subcomplex,
+                     clip_supports, face_stellar, rowwise_restrict, scan_inside_subcomplex,
                      scan_replace_star, scan_supports, split_supports, stellar_chain,
                      volume_triangulates_cube)
 from rfold import rfold
@@ -810,6 +810,234 @@ def test_supports_matches_splitting_oracle():
     assert all(split[n, want] > 1 for n in (2, 3) for want in (True, False)), split
 
 
+def _annulus(k: int) -> list[GeoSimplex]:
+    """The k x k grid of squares on [0,1]^2 less its middle (k - 2) x (k - 2)
+    block, each square cut in two along one diagonal or the other."""
+    out = []
+    for i, j in itertools.product(range(k), repeat=2):
+        if 0 < i < k - 1 and 0 < j < k - 1:
+            continue
+        a, b, c, d = [(Fraction(i + x, k), Fraction(j + y, k))
+                      for x, y in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        out += ([tri(a, b, d), tri(a, c, d)] if (i + j) % 2 else [tri(a, b, c), tri(b, c, d)])
+    return out
+
+
+def _half_square() -> list[GeoSimplex]:
+    """The two triangles of the fold's P, [0,1] x [0,1/2]."""
+    h = "1/2"
+    return [tri((0, 0), (1, 0), (1, h)), tri((0, 0), (0, h), (1, h))]
+
+
+def _convexity_cases(rng: random.Random) -> list[tuple[GeoComplex, bool]]:
+    """Seeded complexes with the answer ``GeoComplex._is_convex`` owes
+    them.  Yes: stellar cubes, the fold's half square and its stellar
+    subdivisions, desingularized random simplexes and single simplexes of
+    full dimension.  No: the same of lower dimension, whose supports are
+    convex but not full; L-shapes of three half cubes, two annuli and a
+    stellar subdivision of one, and a triangle with a dangling edge."""
+    h = Fraction(1, 2)
+    cases = []
+    for n in (1, 2, 3):
+        points = [rpoint(*[random_rational(rng, 4) for _ in range(n)])
+                  for _ in range(rng.randint(1, 3))]
+        cases.append((stellar_chain(standard_cube(n), points), True))
+        for _ in range(2):
+            s = random_simplex(rng, n, 4)
+            cases.append((GeoComplex([s]), s.dim == n))
+    half = from_maximal(_half_square())
+    cases.append((half, True))
+    for count in (1, 2):
+        points = [_in_simplex(rng, rng.choice(half.maximal_simplexes()).vertices)
+                  for _ in range(count)]
+        cases.append((stellar_chain(half, points), True))
+    for s in random_simplex_pool()[::6]:
+        cases.append((desingularize(GeoComplex([s])), s.dim == s.ambient_dim))
+    for n in (2, 3):
+        cases.append((from_maximal(_subcube(n, (0,) * n) + _subcube(n, (h,) + (0,) * (n - 1))
+                                   + _subcube(n, (0, h) + (0,) * (n - 2))), False))
+    ring = from_maximal(_annulus(3))
+    cases += [(ring, False), (from_maximal(_annulus(4)), False),
+              (stellar(ring, rpoint("1/6", "1/2")), False),
+              (from_maximal([tri((0, 0), (1, 0), (0, 1)), seg2d((1, 0), (2, 0))]), False)]
+    return cases
+
+
+def _in_simplex(rng: random.Random, vertices) -> RPoint:
+    """A point with positive random weights on the given points."""
+    w = [rng.randint(1, 4) for _ in vertices]
+    return RPoint(tuple(sum(Fraction(a, sum(w)) * v[i] for a, v in zip(w, vertices))
+                        for i in range(vertices[0].dim)))
+
+
+def _probe_point(rng: random.Random, cx: GeoComplex) -> RPoint:
+    """A point inside a maximal simplex of cx, on a facet of one that no
+    other maximal simplex has (the boundary of |cx| for a complex of full
+    dimension), a vertex of cx pushed away from the centre of them all,
+    or a point of [-1, 2]^n."""
+    n, maxi = cx.ambient_dim, cx.maximal_simplexes()
+    kind = rng.random()
+    if kind < 0.4:
+        return _in_simplex(rng, rng.choice(maxi).vertices)
+    if kind < 0.7:
+        facets = collections.Counter(f for s in maxi for f in
+                                     itertools.combinations(s.vertices, len(s.vertices) - 1))
+        return _in_simplex(rng, rng.choice(sorted(f for f, k in facets.items() if k == 1 and f)
+                                           or [(v,) for v in cx.vertices()]))
+    if kind < 0.85:
+        v, verts = rng.choice(cx.vertices()), cx.vertices()
+        centre = [sum(u[i] for u in verts) / len(verts) for i in range(n)]
+        return RPoint(tuple(c + (c - m) / 8 for c, m in zip(v, centre)))
+    return rpoint(*[random_rational(rng, 4, -1, 2) for _ in range(n)])
+
+
+def test_supports_matches_the_clipping_path_on_convex_and_other_supports(monkeypatch):
+    # supports(K, points) says yes as soon as the points have hosts and |K|
+    # is convex (GeoComplex._is_convex), which reads a kept cube answer but
+    # never runs the cube test to ask.  The clipping path it skips there
+    # (oracles.clip_supports) and the Fraction scan of the Caratheodory
+    # split agree with it on seeded point lists inside, on the boundary
+    # of, outside and in another space than convex complexes and others
+    # (``_convexity_cases``).  Lists that the host tiers leave undecided
+    # reach the exit on convex supports and come out both ways on the rest.
+    rng = random.Random(2052)
+    seen = collections.Counter()
+    cubes, cube_test = [], complexes._triangulates_cube
+    for cx, convex in _convexity_cases(rng):
+        monkeypatch.setattr(complexes, "_triangulates_cube",
+                            lambda c: cubes.append(c) or cube_test(c))
+        assert cx._is_convex() is convex and not cubes, cx
+        monkeypatch.undo()
+        n = cx.ambient_dim
+        for _ in range(12):
+            if rng.random() < 0.1:
+                points = [rpoint(*[random_rational(rng, 4) for _ in range(n + 1)])
+                          for _ in range(rng.randint(1, 3))]
+            else:
+                points = [_probe_point(rng, cx) for _ in range(rng.randint(2, n + 2))]
+            got = supports(cx, points)
+            assert got is clip_supports(cx, points), (cx, points)
+            assert got is caratheodory_supports(cx.maximal_simplexes(), points), (cx, points)
+            found = [cx.hosts(p) for p in points]
+            if all(found) and not frozenset.intersection(*found):
+                seen[convex, got] += 1
+    assert not seen[True, False], seen
+    assert seen[True, True] >= 20 and min(seen[False, True], seen[False, False]) >= 5, seen
+
+
+def test_refine_for_map_is_unchanged_without_the_convex_exit(monkeypatch):
+    # refine_for_map measures no tiling for a cut simplex whose vertex
+    # images all have hosts in a convex target.  With GeoComplex._is_convex
+    # answering no, every cut simplex is measured, and each seeded map
+    # refines to the same map or fails with the same SupportMismatch text:
+    # maps of stellar segments and squares whose vertex images lie inside,
+    # on the boundary of or outside convex and non-convex targets.  Convex
+    # targets both refine cut maps and refuse maps with an image vertex
+    # outside them; non-convex ones also refuse maps whose image vertices
+    # all lie in them.
+    rng = random.Random(2054)
+    seen = collections.Counter()
+
+    def outcome(eta, target):
+        try:
+            out = refine_for_map(eta, target)
+        except SupportMismatch as e:
+            return str(e)
+        return out.domain.maximal_simplexes(), out.images
+
+    for target, convex in _convexity_cases(rng):
+        for _ in range(4):
+            m = rng.choice((1, 2))
+            points = [rpoint(*[random_rational(rng, 4) for _ in range(m)])
+                      for _ in range(rng.randint(0, 2))]
+            domain = stellar_chain(standard_cube(m), points)
+            eta = PLMap(domain, {v: _probe_point(rng, target) for v in domain.vertices()})
+            got = outcome(eta, target)
+            monkeypatch.setattr(GeoComplex, "_is_convex", lambda cx: False)
+            assert outcome(eta, target) == got, (target, eta.images)
+            monkeypatch.undo()
+            leaves = not all(map(target.hosts, eta.images.values()))
+            seen[convex, "refused" if isinstance(got, str) else
+                 "cut" if got[0] != domain.maximal_simplexes() else "kept", leaves] += 1
+    assert min(seen[True, "cut", False], seen[True, "refused", True],
+               seen[False, "cut", False], seen[False, "refused", False]) >= 3, seen
+
+
+def test_convex_supports_and_targets_clip_and_tile_nothing(monkeypatch):
+    # Work bound: on the fold of the square onto its lower half, with P
+    # parsed as its two triangles and as a stellar subdivision of them, and
+    # on rfold(2, 15), pipeline_dh and part2_reduce ask supports of convex
+    # complexes of full dimension, by the oracle, and refine_for_map of
+    # convex targets.  There supports clips no cell and refine_for_map
+    # measures no tiling, though some of those supports calls pass the host
+    # tiers and some of those refine_for_map calls cut.  The parsed P runs
+    # the hull test once: in its validation when it has three maximal
+    # simplexes or more, and for the first supports call past the host
+    # tiers otherwise.
+    h = Fraction(1, 2)
+    square = from_maximal(_half_square() + [tri((0, h), (1, h), (1, 1)),
+                                            tri((0, h), (0, 1), (1, 1))])
+    fold = PLMap(square, {v: RPoint((v[0], min(v[1], 1 - v[1]))) for v in square.vertices()})
+    lower = from_maximal(_half_square())
+    cases = [(fold, lower), (fold, stellar(lower, rpoint("1/2", "1/4"))), rfold(2, 15)]
+    clip, tiles, hull = linalg.clip_simplex, subdivide._tiles, complexes._triangulates_hull
+    measured, refine = subdivide.supports, subdivide.refine_for_map
+    running, calls, hulls = [], [], []
+
+    def counted(real, kind):
+        def spy(*args):
+            if running:
+                running[-1][kind] += 1
+            return real(*args)
+        return spy
+
+    def tracked_supports(cx, points):
+        running.append(collections.Counter())
+        try:
+            return measured(cx, points)
+        finally:
+            calls.append(("supports", cx, points, running.pop()))
+
+    def tracked_refine(plmap, target):
+        running.append(collections.Counter())
+        out = plmap
+        try:
+            out = refine(plmap, target)
+            return out
+        finally:
+            calls.append(("refine", target, out is not plmap, running.pop()))
+
+    monkeypatch.setattr(linalg, "clip_simplex", counted(clip, "clips"))
+    monkeypatch.setattr(subdivide, "_tiles", counted(tiles, "tiles"))
+    monkeypatch.setattr(complexes, "_triangulates_hull", lambda cx: hulls.append(cx) or hull(cx))
+    monkeypatch.setattr(subdivide, "supports", tracked_supports)
+    monkeypatch.setattr(subdivide, "refine_for_map", tracked_refine)
+    for eta, part in cases:
+        hulls.clear()
+        part = parse_scx(print_scx(ScxDocument("complex", part))).payload
+        assert sum(cx is part for cx in hulls) == (len(part.maximal_simplexes()) > 2)
+        result = pipeline_dh(eta, part)
+        part2_reduce(result.map, result.triangulation, part)
+        assert sum(cx is part for cx in hulls) == 1
+    monkeypatch.undo()
+    convex = {}
+    seen = collections.Counter()
+    for kind, cx, arg, work in calls:
+        if id(cx) not in convex:
+            convex[id(cx)] = (all(s.dim == cx.ambient_dim for s in cx.maximal_simplexes())
+                              and oracles.hull_inside(cx))
+        if not convex[id(cx)]:
+            continue
+        if kind == "supports":
+            assert not work["clips"], (cx, arg)
+            found = [cx.hosts(p) for p in arg]
+            seen[kind] += all(found) and not frozenset.intersection(*found)
+        else:
+            assert not work["tiles"], cx
+            seen[kind] += arg
+    assert seen["supports"] >= 3 and seen["refine"] >= 3, seen
+
+
 def test_pulled_cells_sort_vertices_as_points():
     # _pull_cell sorts the cell's vertices by integer keys; the pieces must
     # be those pulled in sorted() order of the vertices as RPoints.
@@ -841,7 +1069,7 @@ def test_pulled_cells_sort_vertices_as_points():
 def test_only_cells_that_are_not_simplexes_are_pulled_and_pulling_eliminates_nothing(
         monkeypatch):
     # Work bound on the pipeline, part 2 and their check for the fold of
-    # the square onto [0,1] x [0,1/2] and two stellar subdivisions of its
+    # the square onto [0,1] x [0,1/2] and three stellar subdivisions of its
     # domain: a cell with dim s + 1 vertices is returned as itself, so
     # pull_triangulation sees only cells with more vertices than that, and
     # it reads face ranks off the tight masks, so no Bareiss elimination
@@ -877,7 +1105,8 @@ def test_only_cells_that_are_not_simplexes_are_pulled_and_pulling_eliminates_not
     monkeypatch.setattr(subdivide, "_pull_cell", tracked_cell)
     monkeypatch.setattr(linalg, "pull_triangulation", tracked_pull)
     monkeypatch.setattr(linalg, "_bareiss", tracked_bareiss)
-    for points in [(), (("1/3", "3/4"),), (("3/4", "1/4"), ("1/3", "2/3"))]:
+    for points in [(), (("1/3", "3/4"),), (("3/4", "1/4"), ("1/3", "2/3")),
+                   (("2/3", "1/3"), ("1/4", "3/4"), ("1/2", "1/4"))]:
         eta = fold
         for p in points:
             eta = eta.rebase(stellar(eta.domain, rpoint(*p)))
@@ -1524,6 +1753,7 @@ def _table_inputs(rng: random.Random) -> None:
         part = from_maximal([random_simplex(rng, cx.ambient_dim, 4)])
         if rng.random() < 0.5:
             cx._is_cube()
+            cx._is_convex()
             covers(cx, part)
         stellar(cx, cx.maximal_simplexes()[0].barycenter())
     for s in random_simplex_pool()[::5]:
@@ -1559,11 +1789,16 @@ def test_complexes_on_a_table_match_the_public_constructor(monkeypatch):
 
 def test_inherited_support_answers_match_fresh_ones(monkeypatch):
     # A subdivision starts with its parent's kept answers about the support:
-    # whether it is the cube, and whether it covers a polyhedron.  Each
-    # equals the cube oracle and the coverage kernel on a copy built by the
-    # public constructor, which keeps nothing; parents answering no and
-    # parents never asked both occur.  The inside subcomplex of a known cube
-    # triangulation keeps its own cube answer, checked the same way.
+    # whether it is the cube, whether it is convex of full dimension, and
+    # whether it covers a polyhedron.  Each equals the cube oracle, the
+    # convexity test or the coverage kernel on a copy built by the public
+    # constructor, which keeps nothing, and a yes to convexity equals the
+    # oracle "conv(vertices) inside |cx|"; parents answering no and parents
+    # never asked both occur.  The no answers include subdivided single
+    # simplexes of lower dimension, whose support is convex: the answer
+    # depends on the support alone, so no subdivision could say yes to it.
+    # The inside subcomplex of a known cube triangulation keeps its own
+    # cube answer, checked the same way.
     built = _builds_on_tables(monkeypatch)
     _table_inputs(random.Random(2053))
     seen = collections.Counter()
@@ -1576,13 +1811,17 @@ def test_inherited_support_answers_match_fresh_ones(monkeypatch):
         for key, answer in answers.items():
             if key == ("cube",):
                 assert answer is volume_triangulates_cube(cx) is _triangulates_cube(fresh), caller
+            elif key == ("convex",):
+                assert answer is fresh._is_convex(), caller
+                assert not answer or oracles.hull_inside(cx), caller
             else:
                 assert key[0] == "covers" and answer is subdivide._covers(fresh, key[1]), caller
             seen[key[0], answer] += 1
         if caller == "_inside_subcomplex" and cx._answers.get(("cube",)) is not None:
             assert cx._answers.get(("cube",)) is volume_triangulates_cube(cx), caller
             seen["inside", cx._answers.get(("cube",))] += 1
-    assert min(seen[key] for key in [("cube", True), ("cube", False), ("covers", True),
+    assert min(seen[key] for key in [("cube", True), ("cube", False), ("convex", True),
+                                     ("convex", False), ("covers", True),
                                      ("covers", False), "never asked",
                                      ("inside", True), ("inside", False)]) >= 3, seen
     for n in range(1, 6):
