@@ -44,16 +44,18 @@ its cached determinant and rows.
 
 Whatever a complex or a simplex works out about itself is an attribute
 computed on first read and kept (``_cached``): a simplex's rows, box and
-determinant, and a complex's faces, vertex stars and memo of answers
-(``GeoComplex._answer``), which holds whether it triangulates the cube
-and whether its support is convex, both of which validation records, the
-hosts of each point located in it, and ``subdivide``'s inside subcomplex
-and coverage of a polyhedron.  Whether |cx| is the cube, whether it is a
-convex set of full dimension (``GeoComplex._is_convex``, from one
-simplex, a kept cube answer or the hull test) and whether it covers a
-polyhedron depend on |cx| alone, so a subdivision starts with its parent's
-answers to all three.  The standard cube knows its cube answer, and so
-does the inside subcomplex of a complex known to triangulate the cube.
+determinant, and a complex's faces, host map and memo of answers about
+the whole complex.  The host map (``GeoComplex._hosts``) starts as each
+vertex's star and keeps the hosts of every other point located in the
+complex.  The memo (``GeoComplex._answer``) holds whether the complex
+triangulates the cube and whether its support is convex, both of which
+validation records, and ``subdivide``'s inside subcomplex and coverage of
+a polyhedron.  Whether |cx| is the cube, whether it is a convex set of
+full dimension (``GeoComplex._is_convex``, from one simplex, a kept cube
+answer or the hull test) and whether it covers a polyhedron depend on |cx|
+alone, so a subdivision starts with its parent's answers to all three.
+Only this module writes the memo, and the standard cube starts with its
+cube answer.
 
 The cube test's volume clause and ``subdivide``'s tiling test are one
 integer sum (``_adds_up``) over volumes measured by one method
@@ -818,11 +820,12 @@ class GeoComplex:
         return {}
 
     def _answer(self, key: tuple, compute):
-        """The answer to a question about this complex, ``compute()`` on the
-        first ask and kept after in ``_answers``.  A key is a tuple whose
-        first item names the question.  The answer must depend only on
-        ``key`` and on the maximal simplexes, which never change, so it
-        cannot go stale; a question that raises is asked again next time.
+        """The answer to a question about the whole complex, ``compute()``
+        on the first ask and kept after in ``_answers``; answers about a
+        point are kept in ``_hosts``.  A key is a tuple whose first item
+        names the question.  The answer must depend only on ``key`` and on
+        the maximal simplexes, which never change, so it cannot go stale; a
+        question that raises is asked again next time.
 
         Three answers depend on |cx| alone: whether it is the cube
         (``_is_cube``, as the cube test decides |cx| = [0,1]^n on a
@@ -830,8 +833,8 @@ class GeoComplex:
         dimension (``_is_convex``) and whether it covers a polyhedron
         (``subdivide.covers``).  A subdivision has the support of the
         complex it subdivides, so it starts with that complex's kept
-        answers to all three (``_on_table``); the hosts of a point and the
-        inside subcomplex depend on the simplexes and are found again."""
+        answers to all three (``_on_table``); the inside subcomplex
+        depends on the simplexes and is found again."""
         answers = self._answers
         if key not in answers:
             answers[key] = compute()
@@ -888,10 +891,11 @@ class GeoComplex:
         return max(s.dim for s in self._maximal)
 
     @_cached
-    def _star_index(self) -> dict[RPoint, frozenset[int]]:
-        """Each vertex mapped to its star: the indices into
-        ``maximal_simplexes()`` of the maximal simplexes having it as a
-        vertex."""
+    def _hosts(self) -> dict[RPoint, frozenset[int]]:
+        """The host map of ``hosts``: each point asked so far mapped to the
+        indices into ``maximal_simplexes()`` of the maximal simplexes
+        holding it.  It starts as each vertex mapped to its star, the
+        maximal simplexes having it as a vertex."""
         stars: list[list[int]] = [[] for _ in self._vertices]
         for i, r in enumerate(self._ranks):
             for k in r:
@@ -900,10 +904,12 @@ class GeoComplex:
 
     def __contains__(self, s: GeoSimplex) -> bool:
         """s is a simplex of the complex iff its vertices are vertices of
-        one maximal simplex, that is iff their stars meet."""
-        stars = self._star_index
-        found = [stars.get(v) for v in s.vertices]
-        return all(found) and bool(frozenset.intersection(*found))
+        one maximal simplex, that is iff their stars meet.  The host map
+        (``_hosts``) holds each vertex's star, and the hosts of points
+        that are not vertices too, so the vertex table is asked first."""
+        if not all(v in self._rank for v in s.vertices):
+            return False
+        return bool(frozenset.intersection(*map(self._hosts.__getitem__, s.vertices)))
 
     def __len__(self) -> int:
         return len(self.simplexes)
@@ -957,34 +963,30 @@ class GeoComplex:
         holding p; empty when p lies outside the support or in another
         ambient dimension.
 
-        Read off the stars of vertices (``_star_index``).  A vertex v of
-        the complex lies in a simplex t only as a vertex: t and the simplex
-        {v} meet in a common face, which holds v, so it is {v}.  So the
-        hosts of v are its star.  Any other p has one carrier C, the face
-        on the positive barycentric coordinates of the maximal simplex that
-        ``_locate`` finds, which holds p in its relative interior.  If a
-        simplex t holds p, then t cap C is a face of C holding a point of
-        its relative interior, so it is C, and C is a face of t; conversely
-        a t with C as a face holds p.  So the hosts of p are the maximal
-        simplexes having every vertex of C, the intersection of their
-        stars.  The complex keeps them (``_answer``), so each point that is
-        not a vertex is located once.
+        One read of the host map (``_hosts``), which starts as the
+        vertices' stars.  A vertex v of the complex lies in a simplex t only
+        as a vertex: t and the simplex {v} meet in a common face, which
+        holds v, so it is {v}.  So the hosts of v are its star.  Any other p
+        has one carrier C, the face on the positive barycentric coordinates
+        of the maximal simplex that ``_locate`` finds, which holds p in its
+        relative interior.  If a simplex t holds p, then t cap C is a face
+        of C holding a point of its relative interior, so it is C, and C is
+        a face of t; conversely a t with C as a face holds p.  So the hosts
+        of p are the maximal simplexes having every vertex of C, the
+        intersection of their stars.  The host map keeps them under p, so
+        each point that is not a vertex is located once.
         """
         if p.dim != self.ambient_dim:
             return frozenset()
-        stars = self._star_index
-        star = stars.get(p)
-        if star is not None:
-            return star
-
-        def locate() -> frozenset[int]:
-            found = self._locate(p)
-            if found is None:
-                return frozenset()
-            s, w = found
-            return frozenset.intersection(*(stars[v] for v, a in zip(s.vertices, w) if a > 0))
-
-        return self._answer(("hosts", p), locate)
+        hosts = self._hosts
+        found = hosts.get(p)
+        if found is None:
+            located, found = self._locate(p), frozenset()
+            if located is not None:
+                s, w = located
+                found = frozenset.intersection(*(hosts[v] for v, a in zip(s.vertices, w) if a > 0))
+            hosts[p] = found
+        return found
 
     def contains_point(self, p: RPoint) -> bool:
         """p in the support; unlike ``hosts``, a point of another ambient

@@ -304,7 +304,6 @@ def _parse_complex(body: dict, points: dict, where: str = "") -> GeoComplex:
 
 def _parse_plmap(body: dict, points: dict) -> PLMap:
     domain = _parse_complex(body, points)
-    vertices = set(domain.vertices())
     images = {}
     pairs = body.get("vertex_images")
     if not isinstance(pairs, list):
@@ -317,7 +316,7 @@ def _parse_plmap(body: dict, points: dict) -> PLMap:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScxError("each entry is [vertex, image]", f"vertex_images[{i}]")
         v = _parse_point(pair[0], f"vertex_images[{i}][0]", points)
-        if v not in vertices:
+        if v not in domain._rank:
             raise ScxError(f"{v} is not a vertex of the domain",
                            f"vertex_images[{i}][0]")
         if v in images:

@@ -42,10 +42,11 @@ One predicate answers every question "does this set lie in |K|?":
 hosts off K (``GeoComplex.hosts``), the maximal simplexes holding it: a
 vertex of K is held exactly by its star, and any other point by the
 simplexes having every vertex of its carrier, found by one point location
-that K keeps.  A point without host leaves |K|, points sharing a host lie
-in it, and so do any points with hosts when |K| is convex
-(``GeoComplex._is_convex``, which K keeps and its subdivisions inherit).
-Only the rest take the volume test on the same pieces: the
+that K keeps in its host map (``GeoComplex._hosts``).  A point without
+host leaves |K|, points sharing a host lie in it, and so do any points
+with hosts when |K| is convex (``GeoComplex._is_convex``, which K keeps
+and its subdivisions inherit).  Only the rest take the volume test on the
+same pieces: the
 cells of a simplex s in the maximal simplexes of K overlap only in
 measure zero, so they cover s exactly when they tile it.  One tiling test
 serves every such question (``_tiles``): pieces of s's dimension lying in
@@ -66,10 +67,7 @@ simplexes of K lie in |P| (``inside_subcomplex``), and whether |P| lies in
 (``GeoComplex._answer``), so each is worked out once.  The first works on
 vertex indices: K's faces are tuples of vertex ranks, each vertex's hosts
 in P are read once, the two host tiers of ``supports`` are applied to the
-rank tuples, and a face is made a simplex only when found inside.  A K that
-triangulates [0,1]^n, by the linear cube test that K also keeps
-(``GeoComplex._is_cube``), covers P exactly when P's vertices lie in the
-cube, which is convex, and no cell is clipped to show it.
+rank tuples, and a face is made a simplex only when found inside.
 
 Every complex built here extends a vertex table its input holds, so none
 sorts all its vertices.  A subdivision, whether by stellar moves, overlay,
@@ -158,11 +156,12 @@ def _subdivision(cx: GeoComplex, simplexes: Collection[GeoSimplex],
 class _Stars:
     """The maximal simplexes of a complex under stellar moves, held as the
     star of each vertex: the maximal simplexes having it.  It is the
-    mutable form of ``GeoComplex._star_index``, so a move finds its star by
-    the carrier's vertices alone, with no scan; the maximal simplexes are
-    the union of the stars.  One complex is built from them at the end, a
-    subdivision of the complex the moves started from, with the points
-    they added as its new vertices (``_subdivision``)."""
+    mutable form of the vertex stars that ``GeoComplex._hosts`` starts
+    with, so a move finds its star by the carrier's vertices alone, with
+    no scan; the maximal simplexes are the union of the stars.  One
+    complex is built from them at the end, a subdivision of the complex
+    the moves started from, with the points they added as its new vertices
+    (``_subdivision``)."""
 
     __slots__ = ("_star", "_start", "_new")
 
@@ -382,20 +381,12 @@ def supports(cx: GeoComplex, points: Sequence[RPoint]) -> bool:
 
 
 def covers(cx: GeoComplex, part: GeoComplex) -> bool:
-    """|part| inside |cx|, decided exactly (``_covers``) once per complex
-    and polyhedron (``GeoComplex._answer``)."""
-    return cx._answer(("covers", part), lambda: _covers(cx, part))
-
-
-def _covers(cx: GeoComplex, part: GeoComplex) -> bool:
-    """|part| inside |cx|.  When cx triangulates [0,1]^n
-    (``GeoComplex._is_cube``), |cx| is the cube, which is convex, so |part|
-    lies in it iff part's vertices do, and no cell is clipped.  Otherwise
-    each maximal simplex of part is measured against cx (``supports``)."""
-    if cx.ambient_dim == part.ambient_dim and cx._is_cube():
-        return all(min(x) >= 0 and max(x) <= d
-                   for *x, d in (v._homog for v in part.vertices()))
-    return all(supports(cx, q.vertices) for q in part.maximal_simplexes())
+    """|part| inside |cx|, decided exactly once per complex and polyhedron
+    (``GeoComplex._answer``): every maximal simplex of part lies in |cx|
+    (``supports``).  When |cx| is convex, as the cube is, that reads the
+    hosts of part's vertices alone."""
+    return cx._answer(("covers", part), lambda: all(
+        supports(cx, q.vertices) for q in part.maximal_simplexes()))
 
 
 def support_equal(a: GeoComplex, b: GeoComplex) -> bool:
@@ -501,12 +492,7 @@ def _inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]
 
     The result is built on the part of cx's table its faces use, renumbered
     in order, so rank tuples keep their order and no point is compared
-    (``GeoComplex._on_table``).  When cx is known to triangulate the cube
-    (a kept answer of ``GeoComplex._is_cube``), so is the result exactly
-    when it is all of cx: a maximal simplex s of cx, which is
-    n-dimensional, left out of it has interior points that no other
-    simplex of cx holds, so they are missing from its support.  The result
-    keeps that answer.
+    (``GeoComplex._on_table``).
     """
     verts = cx.vertices()
     hosts = [part.hosts(v) for v in verts]
@@ -522,11 +508,8 @@ def _inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]
     found.sort()
     used = sorted(set().union(*found))
     renumber = dict(zip(used, range(len(used))))
-    out = GeoComplex._on_table([verts[k] for k in used], [
+    return GeoComplex._on_table([verts[k] for k in used], [
         (tuple(map(renumber.__getitem__, r)), cx._simplex(r)) for r in found])
-    if cx._answers.get(("cube",)):
-        out._answers[("cube",)] = tuple(found) == cx._ranks
-    return out
 
 
 # Candidate rows per facet row: f, then its first 13^2 shifts, so a simplex

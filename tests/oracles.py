@@ -127,6 +127,10 @@ with every support split and tiled, from before it let a convex support
 (``GeoComplex._is_convex``) decide from the points' hosts alone, and
 ``hull_inside`` decides whether a complex holds the hull of its vertices
 by that scan on the vertices that ``hull_vertices`` finds by one LP each.
+``cube_bounds_covers`` reads whether a triangulation of the cube covers a
+polyhedron off the coordinate bounds of the polyhedron's vertices, from
+before ``subdivide.covers`` left the cube to the convex exit of
+``supports``.
 ``pieces_common_refinement`` and
 ``scan_refine_for_map`` are the two overlay loops that
 ``subdivide.common_refinement`` and ``subdivide.refine_for_map`` ran
@@ -823,6 +827,14 @@ def hull_inside(cx: GeoComplex) -> bool:
         facets = Counter(f for s in maxi for f in combinations(s.vertices, n))
         points = {v for f, k in facets.items() if k == 1 for v in f}
     return caratheodory_supports(maxi, hull_vertices(points))
+
+
+def cube_bounds_covers(cx: GeoComplex, part: GeoComplex) -> bool:
+    """|part| inside |cx| for a cx that triangulates [0,1]^n: the cube is
+    convex, so |part| lies in it iff every vertex of part has coordinates
+    in [0, 1].  A part in another ambient dimension is not inside."""
+    return cx.ambient_dim == part.ambient_dim and all(
+        0 <= c <= 1 for v in part.vertices() for c in v.coords)
 
 
 def scan_inside_subcomplex(cx, part) -> set:

@@ -875,7 +875,8 @@ def test_maximal_simplexes_match_scanning_oracle():
 def test_rank_tuples_read_the_vertex_table():
     # A complex numbers its vertices once: ``_rank`` maps each vertex to
     # its index in ``vertices()`` and ``_ranks[i]`` is the rank tuple of
-    # ``maximal_simplexes()[i]``; the stars are read off the rank tuples.
+    # ``maximal_simplexes()[i]``; the host map of a fresh complex is each
+    # vertex's star, read off the rank tuples.
     # Inputs are cubes, stellar cubes, and non-pure lists with faces of
     # their simplexes and copies of their points, in seeded random order;
     # the kept simplexes are the scanning oracle's.
@@ -898,8 +899,14 @@ def test_rank_tuples_read_the_vertex_table():
         assert maxi == scan_maximal_simplexes(closure_complex(simplexes))
         assert cx._rank == {v: i for i, v in enumerate(verts)}
         assert cx._ranks == tuple(tuple(verts.index(v) for v in s.vertices) for s in maxi)
-        assert cx._star_index == {
+        assert cx._hosts == {
             v: frozenset(i for i, s in enumerate(maxi) if v in s.vertices) for v in verts}
+        # The map then keeps the hosts of a point that is not a vertex, which
+        # makes it no vertex of the complex.
+        b = max(maxi, key=lambda s: s.dim).barycenter()
+        assert cx.hosts(b) == cx._hosts[b] and b not in cx._rank
+        assert GeoSimplex((b,)) not in cx and GeoSimplex((verts[0], b)) not in cx
+        assert all(s in cx for s in maxi)
     assert {s.dim for s in GeoComplex(non_pure).maximal_simplexes()} == {0, 1, 2}
 
 

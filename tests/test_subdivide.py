@@ -1629,6 +1629,67 @@ def test_kept_answers_equal_fresh_ones():
     assert seen[False, True, False] and seen[False, False, False], seen
 
 
+def _cube_parts(rng: random.Random, n: int) -> list[tuple[str, GeoComplex]]:
+    """Seeded polyhedra on the quarter grid, each named by where it lies
+    against [0,1]^n: inside the open cube, on a facet, straddling the
+    boundary, wholly outside, or in R^(n+1)."""
+    def simplex(coords, top=n, m=n):
+        while True:
+            try:
+                return GeoSimplex(tuple(rpoint(*[Fraction(coords(j), 4) for j in range(m)])
+                                        for _ in range(rng.randint(1, top + 1))))
+            except ValueError:  # dependent points
+                continue
+
+    axis, side = rng.randrange(n), rng.choice((0, 4))
+    on_facet = simplex(lambda j: side if j == axis else rng.randint(0, 4), top=n - 1)
+    inside = simplex(lambda j: rng.randint(1, 3))
+    while True:
+        wide = simplex(lambda j: rng.randint(-2, 6))
+        if 0 < sum(all(0 <= c <= 1 for c in v) for v in wide.vertices) < len(wide.vertices):
+            break
+    far = [simplex(lambda j: rng.randint(5, 8) if j == 0 else rng.randint(-2, 6))
+           for _ in range(2)]
+    shifted = [GeoSimplex(tuple(rpoint(v[0] + Fraction(1, 2), *v[1:]) for v in s.vertices))
+               for s in standard_cube(n).maximal_simplexes()]
+    return [("inside", from_maximal([inside])), ("inside", standard_cube(n)),
+            ("facet", from_maximal([on_facet])),
+            ("straddling", from_maximal([wide])), ("straddling", from_maximal(shifted)),
+            ("straddling", from_maximal([inside, far[0]])),
+            ("outside", from_maximal([far[1]])),
+            ("other dimension", from_maximal([simplex(lambda j: rng.randint(0, 4), m=n + 1)]))]
+
+
+def test_covers_matches_the_cube_bounds_rule_on_cube_triangulations():
+    # covers decides every polyhedron by supports, whose convex exit reads
+    # a kept cube answer; it had a second rule for known cube
+    # triangulations, which read the part's vertex coordinates.  On
+    # standard, stellar and refined cubes, and on a stellar cube rebuilt
+    # unvalidated and never asked the cube question, both rules agree on
+    # parts inside, on a facet, across the boundary, outside and in
+    # another ambient dimension, and covers never runs the cube test.
+    rng = random.Random(2053)
+    cubes = [standard_cube(n) for n in (1, 2, 3, 4)]
+    for n in (2, 2, 3, 3, 4):
+        cubes.append(stellar_chain(standard_cube(n), [
+            rpoint(*[random_rational(rng, 4) for _ in range(n)]) for _ in range(rng.randint(1, 3))]))
+    cubes += [common_refinement(cubes[4], cubes[5]), common_refinement(cubes[6], cubes[7])]
+    unasked = GeoComplex(cubes[7].maximal_simplexes(), validate=False)
+    cubes.append(unasked)
+    seen = collections.Counter()
+    for cx in cubes:
+        assert volume_triangulates_cube(cx), cx
+        for _ in range(3):
+            for kind, part in _cube_parts(rng, cx.ambient_dim):
+                got = covers(cx, part)
+                assert got is oracles.cube_bounds_covers(cx, part), (cx, kind, part)
+                seen[kind, got] += 1
+    assert ("cube",) not in unasked._answers and unasked._answers[("convex",)] is True
+    assert {key for key, count in seen.items() if count >= 3} == {
+        ("inside", True), ("facet", True), ("straddling", False), ("outside", False),
+        ("other dimension", False)}, seen
+
+
 def test_restrict_raises_the_same_error_again():
     # Coverage is kept; the error restrict raises on it is not, and comes
     # again with the same text.
@@ -1666,20 +1727,25 @@ def test_support_kernels_run_once_per_complex_and_part(monkeypatch):
     # verify_section_retraction on the fold of the square onto its lower
     # half, the inside-subcomplex and coverage kernels run at most once per
     # complex object and polyhedron, though both questions are asked again.
+    # A kernel runs when the complex's memo computes an answer.
     asked, ran, alive = collections.Counter(), collections.Counter(), []
-    for name in ("inside_subcomplex", "covers"):
-        kernel, wrapper = getattr(subdivide, "_" + name), getattr(subdivide, name)
+    kernels = {"inside": "inside_subcomplex", "covers": "covers"}
+    answer = GeoComplex._answer
 
-        def counted(cx, part, kernel=kernel, name=name):
+    def computing(cx, key, compute):
+        def counted():
             alive.append(cx)  # keeps every id distinct
-            ran[name, id(cx), part] += 1
-            return kernel(cx, part)
+            ran[kernels[key[0]], id(cx), key[1]] += 1
+            return compute()
 
-        def asking(cx, part, wrapper=wrapper, name=name):
+        return answer(cx, key, counted if key[0] in kernels else compute)
+
+    monkeypatch.setattr(GeoComplex, "_answer", computing)
+    for name in kernels.values():
+        def asking(cx, part, wrapper=getattr(subdivide, name), name=name):
             asked[name] += 1
             return wrapper(cx, part)
 
-        monkeypatch.setattr(subdivide, "_" + name, counted)
         monkeypatch.setattr(subdivide, name, asking)
     h = "1/2"
     lower = [tri((0, 0), (1, 0), (1, h)), tri((0, 0), (0, h), (1, h))]
@@ -1793,12 +1859,15 @@ def test_inherited_support_answers_match_fresh_ones(monkeypatch):
     # whether it covers a polyhedron.  Each equals the cube oracle, the
     # convexity test or the coverage kernel on a copy built by the public
     # constructor, which keeps nothing, and a yes to convexity equals the
-    # oracle "conv(vertices) inside |cx|"; parents answering no and parents
+    # oracle "conv(vertices) inside |cx|" off the cube, and the volume
+    # oracle's "|cx| is the cube" on it, where the first would scan the
+    # corners of cube4 for minutes; parents answering no and parents
     # never asked both occur.  The no answers include subdivided single
     # simplexes of lower dimension, whose support is convex: the answer
     # depends on the support alone, so no subdivision could say yes to it.
-    # The inside subcomplex of a known cube triangulation keeps its own
-    # cube answer, checked the same way.
+    # A complex built with no support to inherit from, an inside subcomplex
+    # among them, starts with no answer; only the standard cube knows its
+    # own, and no inside subcomplex ever holds a cube answer.
     built = _builds_on_tables(monkeypatch)
     _table_inputs(random.Random(2053))
     seen = collections.Counter()
@@ -1808,22 +1877,25 @@ def test_inherited_support_answers_match_fresh_ones(monkeypatch):
             assert not answers or caller == "standard_cube", caller
         elif not answers:
             seen["never asked"] += 1
+        if caller == "_inside_subcomplex":
+            assert ("cube",) not in cx._answers, caller
+            seen["inside"] += 1
         for key, answer in answers.items():
             if key == ("cube",):
                 assert answer is volume_triangulates_cube(cx) is _triangulates_cube(fresh), caller
             elif key == ("convex",):
                 assert answer is fresh._is_convex(), caller
-                assert not answer or oracles.hull_inside(cx), caller
+                if answer:
+                    cube = volume_triangulates_cube(cx)
+                    assert cube or oracles.hull_inside(cx), caller
+                    seen["hull scanned"] += not cube
             else:
-                assert key[0] == "covers" and answer is subdivide._covers(fresh, key[1]), caller
+                assert key[0] == "covers" and answer is subdivide.covers(fresh, key[1]), caller
             seen[key[0], answer] += 1
-        if caller == "_inside_subcomplex" and cx._answers.get(("cube",)) is not None:
-            assert cx._answers.get(("cube",)) is volume_triangulates_cube(cx), caller
-            seen["inside", cx._answers.get(("cube",))] += 1
     assert min(seen[key] for key in [("cube", True), ("cube", False), ("convex", True),
                                      ("convex", False), ("covers", True),
                                      ("covers", False), "never asked",
-                                     ("inside", True), ("inside", False)]) >= 3, seen
+                                     "hull scanned", "inside"]) >= 3, seen
     for n in range(1, 6):
         cube = standard_cube(n)
         assert cube._answers.get(("cube",)) is True
@@ -1856,12 +1928,12 @@ def test_pipeline_and_part2_compare_few_points(monkeypatch):
 
 
 def test_pipeline_tests_the_cube_on_its_input_domain_only(monkeypatch):
-    # The standard cube knows it triangulates the cube, each step's output
-    # inherits that answer, and the inside subcomplex of a known cube
-    # triangulation knows its own, so pipeline_dh runs the cube test once,
-    # on its input domain, and part2_reduce never; they ran it on the
-    # standard cube, on the common refinement and on each inside subcomplex
-    # as well.
+    # The standard cube knows it triangulates the cube and each step's
+    # output inherits that answer, and coverage asks ``supports``, whose
+    # convex exit reads a kept cube answer but never runs the cube test.
+    # So pipeline_dh runs the cube test once, on its input domain, and
+    # part2_reduce never; they ran it on the standard cube, on the common
+    # refinement and on each inside subcomplex as well.
     eta, part = rfold(2, 15)
     eta = PLMap(GeoComplex(eta.domain.maximal_simplexes(), validate=False), eta.images)
     tested = []
