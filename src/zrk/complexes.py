@@ -26,11 +26,12 @@ A complex numbers its vertices once: its sorted vertices are its vertex
 table, ``_rank`` maps each vertex to its index there, and ``_ranks`` holds
 each maximal simplex as the tuple of its vertices' ranks, in the order of
 ``maximal_simplexes()``.  Ranks follow vertex order, so rank tuples sort as
-the simplexes do.  The public constructor sorts the vertices of any input
-and drops non-maximal input by rank stars.  A complex built from one the
-caller holds, the standard cube, a realization, an inside subcomplex or a
-subdivision, is built on the table it extends (``GeoComplex._on_table``),
-and only a subdivision's new points are compared, to place them in it.  The
+the simplexes do.  The public constructor sorts the distinct vertices of
+any input, ranks each vertex by hashing, and drops non-maximal input by
+rank stars.  A complex built from one the caller holds, the standard
+cube, a realization, an inside subcomplex or a subdivision, is built on
+the table it extends (``GeoComplex._on_table``), and only a subdivision's
+new points are compared, to place them in it.  The
 cube test, the vertex stars, ``collapse``'s face table, ``subdivide``'s
 inside subcomplex and the ``.scx`` printer read the ranks: none of them
 builds an index of its own or hashes a point per vertex occurrence.  The
@@ -91,19 +92,20 @@ vertex is located once per complex.  A point is its vector: every point
 computed here and in ``subdivide``, ``regular`` and ``zmaps`` is built
 from it (``RPoint._from_homog``), and its ``Fraction`` coordinates are made
 only when read.  Points compare by cross-multiplying their vectors, hash
-and print from them, and boxes are integer corners over one denominator,
-so no ``Fraction`` is built: not in parsing, sorting, hashing or printing
-points, validating a complex, replaying a collapse, locating a point or
-running the constructive pipeline.  They are made where coordinates are
-read, by ``RPoint`` from given coordinates and by
-``GeoSimplex.barycentric``.
+as their vectors, print from them, and boxes are integer corners over one
+denominator, so no ``Fraction`` is built: not in parsing, sorting, hashing
+or printing points, validating a complex, replaying a collapse, locating a
+point or running the constructive pipeline.  They are made where
+coordinates are read, by ``RPoint`` from given coordinates and by
+``GeoSimplex.barycentric``.  No output depends on the order in which a set
+of points iterates, so that order may follow the vectors' hash
+(``tests/test_golden.py`` reprints outputs under salted point hashes).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce, total_ordering
@@ -145,7 +147,6 @@ class _cached:
 
 
 _set = object.__setattr__
-_MODULUS = sys.hash_info.modulus
 
 
 def _quotient_text(e: int, d: int) -> str:
@@ -165,15 +166,11 @@ class RPoint:
     Points compare as their coordinate tuples do (lexicographically, a
     proper prefix first), but on the vectors: two points are equal iff
     their vectors are, and coordinates a/d and b/e compare as a e and b d.
-    The hash is hash((coords,)), the one a dataclass with the field
-    ``coords`` generates, computed once from the vector by Python's
-    numeric hash ("Hashing of numeric types" in the standard library
-    reference): for the hash modulus M, a prime, and d prime to M, the
-    coordinate e/d hashes as |e| d^-1 mod M with e's sign, and -1 as -2,
-    whether or not e/d is in lowest terms.  That signed residue lies in
-    (-M, M), where an int hashes as itself but -1 as -2, so a tuple of the
-    residues hashes as the coordinate tuple.  So once a point is built, no
-    ``Fraction`` is built, compared or hashed unless ``coords`` is read."""
+    A point hashes as its vector, hash(``_homog``), computed once: equal
+    points have equal vectors, so the hash agrees with ==.  So once a point
+    is built, no ``Fraction`` is built, compared or hashed unless
+    ``coords`` is read.  No output depends on the order in which a set of
+    points iterates, so that order may follow this hash."""
 
     __slots__ = ("_coords", "_homog", "_hash")
 
@@ -226,15 +223,7 @@ class RPoint:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            x, d = self._homog, self._homog[-1]
-            if d == 1:
-                h = hash((x[:-1],))
-            elif d % _MODULUS:
-                inverse = pow(d, -1, _MODULUS)
-                h = hash((tuple([e * inverse % _MODULUS if e >= 0 else -(-e * inverse % _MODULUS)
-                                 for e in x[:-1]]),))
-            else:  # d has no inverse modulo M: a case no real input meets
-                h = hash((self.coords,))
+            h = hash(self._homog)
             _set(self, "_hash", h)
         return h
 
@@ -314,7 +303,8 @@ class GeoSimplex:
         return hash((self.vertices,))
 
     def __hash__(self) -> int:
-        # As RPoint: the generated hash, computed once per instance.
+        # The hash of the vertex tuple, so of the vertices' vectors,
+        # computed once per instance as RPoint's is.
         return self._hash
 
     @property
@@ -751,22 +741,18 @@ class GeoComplex:
         if len({s.ambient_dim for s in simplexes}) != 1:
             raise NotASimplicialComplex("mixed ambient dimensions")
         # The vertex table is read off the whole input: a simplex dropped
-        # below lies in a kept one, so it adds no vertex.  ``ranks`` maps
-        # the id of each vertex object to the object, then to its rank;
-        # equal objects sort side by side and share a rank, so each
-        # distinct object is hashed once, by ``_rank``.
-        ranks = {id(v): v for s in simplexes for v in s.vertices}
-        table = []
-        for key, v in sorted(ranks.items(), key=itemgetter(1)):
-            if not table or table[-1] != v:
-                table.append(v)
-            ranks[key] = len(table) - 1
+        # below lies in a kept one, so it adds no vertex.  Vertices are
+        # ranked by hashing, as ``_fill`` and ``subdivide`` rank theirs: a
+        # point hashes as its vector, once per object, and the table is
+        # sorted, so no rank depends on the order a set iterates in.
+        table = sorted({v for s in simplexes for v in s.vertices})
+        rank = dict(zip(table, range(len(table)))).__getitem__
         # Simplex order is the lexicographic order of vertex tuples, so
         # tuples of vertex ranks sort them without comparing points.  Equal
         # simplexes have one rank tuple, which keeps the first of them.
         unique: dict[tuple[int, ...], GeoSimplex] = {}
         for s in simplexes:
-            unique.setdefault(tuple(map(ranks.__getitem__, map(id, s.vertices))), s)
+            unique.setdefault(tuple(map(rank, s.vertices)), s)
         self._fill(table, _maximal_ranked(sorted(unique.items()), len(table)))
         if validate:
             self._validate()

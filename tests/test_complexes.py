@@ -720,19 +720,19 @@ def test_points_compare_as_fraction_tuples():
     # their Fraction coordinate tuples, which the generated dataclass
     # methods used.  Coordinates are negative and positive over mixed
     # denominators, ambient dimensions differ, equal points come as
-    # distinct objects and some points are prefixes of others.
+    # distinct objects and some points are prefixes of others.  Equal
+    # points hash alike.
     rng = random.Random(7118)
     points = [RPoint(tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 12)))
                            for _ in range(rng.randint(1, 3))))
               for _ in range(160)]
     points += [RPoint(p.coords) for p in rng.sample(points, 20)]
     points += [RPoint(p.coords[:-1]) for p in points[:60] if p.dim > 1]
-    for p in points:
-        assert hash(p) == hash((p.coords,))
     for p, q in itertools.product(points, repeat=2):
         x, y = p.coords, q.coords
         assert ((p == q, p != q, p < q, p <= q, p > q, p >= q)
                 == (x == y, x != y, x < y, x <= y, x > y, x >= y)), (p, q)
+        assert p != q or hash(p) == hash(q), (p, q)
     assert [p.coords for p in sorted(points)] == sorted(p.coords for p in points)
     p = points[0]
     assert p != p.coords and not p == p.coords
@@ -804,16 +804,32 @@ def test_checking_a_certificate_compares_no_fractions(monkeypatch):
         count("carrier", lambda: parsed.carrier(p))
 
 
-def test_hash_is_the_generated_hash_computed_once(monkeypatch):
-    # Points and simplexes cache their hash, which must equal the generated
-    # dataclass hash so that sets iterate in the same order as before.
+def _count_hash_computations(points) -> list:
+    """Forget the cached hash of each point and give it an equal vector
+    that records every hash computed from it; the list of those records."""
+    computed = []
+
+    class Counted(tuple):
+        def __hash__(self):
+            computed.append(self)
+            return tuple.__hash__(self)
+
+    for p in points:
+        complexes._set(p, "_homog", Counted(p._homog))
+        complexes._set(p, "_hash", None)
+    return computed
+
+
+def test_hash_is_the_vector_hash_computed_once(monkeypatch):
+    # A point hashes as its vector and a simplex as its vertex tuple, each
+    # computed once per object and cached; no Fraction is hashed.
     s = tri(("1/2", 0), (0, "1/3"), (1, 1))
     raw = GeoSimplex._raw(s.vertices)
     simplexes = [s, raw, *simplex_faces(s), tri((1, 1), ("1/2", 0), (0, "1/3"))]
     for t in simplexes:
         assert hash(t) == hash((t.vertices,))
         for v in t.vertices:
-            assert hash(v) == hash((v.coords,))
+            assert hash(v) == hash(v._homog)
     assert raw == s and hash(raw) == hash(s) == hash(simplexes[-1])
     assert hash(rpoint("1/2", 0)) == hash(s.vertices[1])
 
@@ -822,20 +838,21 @@ def test_hash_is_the_generated_hash_computed_once(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__",
                         lambda x: calls.append(x) or fraction_hash(x))
     p = rpoint("2/5", "3/7")
+    computed = _count_hash_computations([p])
     hash(p)
-    assert calls == []  # the hash is read off the integer vector
+    assert calls == [] and computed == [p._homog]  # read off the integer vector
     t = GeoSimplex._raw((rpoint(0, 0), p))
     face = simplex_faces(tri((0, 0), ("2/5", "3/7"), (1, 0)))[0]
     for obj in (p, t, face):
         hash(obj)
-        before = len(calls)
+        before = len(calls), len(computed)
         hash(obj)
         {obj}
         frozenset([obj])
-        assert len(calls) == before
-    assert calls == []
+        assert (len(calls), len(computed)) == before
+    assert calls == [] and computed == [p._homog]
     monkeypatch.undo()
-    assert hash(p) == hash((p.coords,))
+    assert hash(p) == hash(p._homog) == hash(rpoint("2/5", "3/7"))
 
 
 def _random_face(rng: random.Random, s: GeoSimplex) -> GeoSimplex:
@@ -1452,8 +1469,9 @@ def test_geosimplex_canonical_order_and_independence():
 
 def _seeded_coordinates(rng: random.Random, count: int) -> list[tuple]:
     """Coordinate tuples in R^1..R^3 with negative, zero and integer
-    entries and small and huge denominators, after some edge cases: a
-    denominator that is the hash modulus M, which has no inverse mod M, and
+    entries and small and huge denominators, after some edge cases of
+    Fraction's own hash: a denominator that is the hash modulus M
+    (2^61 - 1 on 64-bit builds), which has no inverse mod M, and
     -(M + 2)/2, whose hash before the -1 rule is -1."""
     modulus = sys.hash_info.modulus
     coords = [(Fraction(1, modulus),), (Fraction(-3, modulus), 2), (-1,), (0, 0),
@@ -1466,16 +1484,20 @@ def _seeded_coordinates(rng: random.Random, count: int) -> list[tuple]:
 
 def test_points_match_the_fraction_dataclass():
     # A point is its integer vector; the dataclass it was kept Fraction
-    # coordinates and hashed them.  Built from coordinates or from the
-    # vector, a point agrees with that dataclass on ==, the orders, hash,
-    # repr, coords, dim and its printed text, on seeded coordinates.
+    # coordinates.  Built from coordinates or from the vector, a point
+    # agrees with that dataclass on ==, the orders, repr, coords, dim and
+    # its printed text, on seeded coordinates, and the two builds of one
+    # point hash alike, as its vector.
     rng = random.Random(4001)
     coords = _seeded_coordinates(rng, 300)
-    new = [RPoint(c) for c in coords]
-    new += [RPoint._from_homog(linalg.homogeneous(tuple(map(Fraction, c)))) for c in coords]
+    given = [RPoint(c) for c in coords]
+    computed = [RPoint._from_homog(linalg.homogeneous(tuple(map(Fraction, c)))) for c in coords]
+    assert any(p._homog[-1] == sys.hash_info.modulus for p in computed)
+    for p, q in zip(given, computed):
+        assert hash(p) == hash(q) == hash(q._homog), p
+    new = given + computed
     old = [FractionRPoint(c) for c in coords] * 2
     for p, o in zip(new, old):
-        assert hash(p) == hash(o) == hash((p.coords,))
         assert repr(p) == repr(o) and p.coords == o.coords and p.dim == o.dim
         assert p._texts() == tuple(_json_point(o))
     ops = ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__")
@@ -1512,19 +1534,17 @@ def test_barycenter_matches_the_fraction_sum():
     assert checked > 40
 
 
-def test_complex_hashes_each_distinct_vertex_object_once(monkeypatch):
-    # The constructor ranks vertex objects by id, so only ``_rank`` hashes
-    # a point, once per distinct vertex: 16 on a parsed cube4 complex,
-    # which shares one object per point.  It hashed each of the 120 vertex
-    # occurrences three times and each vertex once more (376 calls).
+def test_complex_hashes_each_distinct_vertex_object_once():
+    # The constructor ranks vertices by hashing, and a point computes its
+    # hash once: 16 computations on a parsed cube4 complex, which shares
+    # one object per point.  It once hashed each of the 120 vertex
+    # occurrences three times and each vertex once more.
     parsed = parse_scx(print_scx(ScxDocument("complex", standard_cube(4)))).payload
     simplexes = [GeoSimplex._raw(s.vertices) for s in parsed.maximal_simplexes()]
-    hashed = []
-    real = RPoint.__hash__
-    monkeypatch.setattr(RPoint, "__hash__", lambda p: hashed.append(p) or real(p))
+    computed = _count_hash_computations(parsed.vertices())
     cx = GeoComplex(simplexes)
-    assert len(hashed) == 16
-    monkeypatch.undo()
+    assert len(computed) == 16
+    assert sorted(map(id, computed)) == sorted(id(v._homog) for v in parsed.vertices())
     assert cx == parsed and cx._rank == parsed._rank
 
 

@@ -2,7 +2,9 @@
 SHA-256 ``bench/data/golden.json`` records, and its witnesses re-check.
 The ops are built in memory, as ``test_zmaps`` builds the pipeline cases;
 only files under ``bench/`` are read.  The seeded folds of
-``tests/rfold.py`` print the bytes recorded in ``RFOLD_GOLDEN``."""
+``tests/rfold.py`` print the bytes recorded in ``RFOLD_GOLDEN``.  A subset
+of both prints the same bytes when points hash otherwise, so no output
+depends on the order in which a set iterates."""
 
 import hashlib
 import json
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from zrk import part2_reduce, pipeline_dh, rpoint
+from zrk import RPoint, part2_reduce, pipeline_dh, rpoint
+from zrk.regular import is_regular
 from zrk.scx import ScxDocument, print_scx
 
 from rfold import rfold, rfold_points
@@ -18,17 +21,24 @@ from rfold import rfold, rfold_points
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def _golden() -> dict:
+    return json.loads((BENCH / "data" / "golden.json").read_text(encoding="utf-8"))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("workload", ["certify", "check", "pipeline"])
 def test_every_benchmark_op_prints_its_golden_bytes(monkeypatch, workload):
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
-    golden = json.loads((BENCH / "data" / "golden.json").read_text(encoding="utf-8"))
+    golden = _golden()
     ops = workloads.build(workload, None)
     assert sorted(op.id for op in ops) == sorted(golden[workload])
     for op in ops:
         text, result = op.run()
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == golden[workload][op.id], op.id
+        assert _digest(text) == golden[workload][op.id], op.id
         assert op.recheck(text, result) is None, op.id
 
 
@@ -58,8 +68,9 @@ def test_rfold_starts_at_its_recorded_points():
                       rpoint("1/3", "1/2", "2/3")]
 
 
-@pytest.mark.parametrize("n, k", sorted(RFOLD_GOLDEN))
-def test_the_pipeline_and_part2_print_their_golden_bytes_on_rfold(n, k):
+def _rfold_digests(n: int, k: int) -> tuple[list[str], object]:
+    """The digests of the six documents of rfold(n, k), and the complex
+    that pipeline_dh triangulated."""
     eta, part = rfold(n, k)
     result = pipeline_dh(eta, part)
     assert result.status == "ok"
@@ -67,6 +78,37 @@ def test_the_pipeline_and_part2_print_their_golden_bytes_on_rfold(n, k):
     docs = [("plmap", result.map), ("sequence", result.collapse_sequence),
             ("weighted", reduced.weighted), ("complex", reduced.realization),
             ("plmap", reduced.section), ("plmap", reduced.retraction)]
-    digests = [hashlib.sha256(print_scx(ScxDocument(kind, payload)).encode("utf-8")).hexdigest()
-               for kind, payload in docs]
-    assert digests == RFOLD_GOLDEN[n, k]
+    digests = [_digest(print_scx(ScxDocument(kind, payload))) for kind, payload in docs]
+    return digests, result.triangulation
+
+
+@pytest.mark.parametrize("n, k", sorted(RFOLD_GOLDEN))
+def test_the_pipeline_and_part2_print_their_golden_bytes_on_rfold(n, k):
+    assert _rfold_digests(n, k)[0] == RFOLD_GOLDEN[n, k]
+
+
+def test_no_output_depends_on_the_order_a_set_iterates(monkeypatch):
+    # Points hash as their vectors, and sets of them iterate in an order
+    # that follows the hash.  Under two salted point hashes, the tiny ops
+    # of each workload and rfold(2, 15) print their golden bytes, while a
+    # set of the triangulation's vertices iterates in two orders.  The
+    # salted hash is not cached, so points built before and inside the
+    # patch agree; every input is built inside it, and is_regular's cache,
+    # keyed by simplexes, is emptied on both sides.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    golden = _golden()
+    orders = []
+    for salt in (7, 12345):
+        is_regular.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(RPoint, "__hash__", lambda p, salt=salt: hash((salt, p._homog)))
+            for workload in ("certify", "check", "pipeline"):
+                for op in workloads.build(workload, 1, tiny=True):
+                    text, _ = op.run()
+                    assert _digest(text) == golden[workload][op.id], (salt, op.id)
+            digests, triangulation = _rfold_digests(2, 15)
+            assert digests == RFOLD_GOLDEN[2, 15], salt
+            orders.append(list(set(triangulation.vertices())))
+        is_regular.cache_clear()
+    assert len(orders[0]) >= 8 and orders[0] != orders[1]
