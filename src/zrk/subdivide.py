@@ -72,8 +72,9 @@ rank tuples, and a face is made a simplex only when found inside.
 Every complex built here extends a vertex table its input holds, so none
 sorts all its vertices.  A subdivision, whether by stellar moves, overlay,
 slicing or refinement for a map, merges its new points into its input's
-table, each placed by bisection (``_subdivision``), and starts with its
-input's answers about the support, which it shares
+table, each placed by one bisection of that whole table
+(``_subdivision``), and starts with its input's answers about the support,
+which it shares
 (``GeoComplex._on_table``); the inside subcomplex takes part of its
 complex's table.
 
@@ -120,27 +121,24 @@ class SupportMismatch(ValueError):
 # -- stellar subdivision -----------------------------------------------------
 
 
-def _subdivision(cx: GeoComplex, simplexes: Collection[GeoSimplex],
-                 ranges: Optional[dict[RPoint, tuple[int, int]]] = None) -> GeoComplex:
+def _subdivision(cx: GeoComplex, simplexes: Collection[GeoSimplex]) -> GeoComplex:
     """The complex of ``simplexes``, the maximal simplexes of a subdivision
     of cx.  It has the support of cx, whose answers about the support it
-    keeps (``GeoComplex._on_table``).  ``ranges`` may give a new point p a
-    range lo..hi of places in cx's vertex table that holds its place, the
-    number of cx's vertices less than p.
+    keeps (``GeoComplex._on_table``).
 
     Each vertex v of cx is one of its vertices: v lies in a simplex of the
     subdivision, which lies in a simplex of cx that has v as a vertex, so v
     is extreme in it.  So its vertex table is cx's with the new points
-    merged in.  Each new point finds its place by bisection in its range,
-    and only the new points that share a place are sorted among
-    themselves.  Each rank tuple is read off the table by hashing, and only
-    the rank tuples are sorted.
+    merged in.  Each new point finds its place, the number of cx's
+    vertices less than it, by one bisection of cx's table, and only the new
+    points that share a place are sorted among themselves.  Each rank
+    tuple is read off the table by hashing, and only the rank tuples are
+    sorted.
     """
-    verts, rank, ranges = cx.vertices(), cx._rank, ranges or {}
+    verts, rank = cx.vertices(), cx._rank
     places = defaultdict(list)
     for p in {v for s in simplexes for v in s.vertices if v not in rank}:
-        lo, hi = ranges.get(p, (0, len(verts)))
-        places[bisect_left(verts, p, lo, hi)].append(p)
+        places[bisect_left(verts, p)].append(p)
     table, lo = [], 0
     for hi in sorted(places):
         table += verts[lo:hi]
@@ -160,14 +158,15 @@ class _Stars:
     with, so a move finds its star by the carrier's vertices alone, with
     no scan; the maximal simplexes are the union of the stars.  One
     complex is built from them at the end, a subdivision of the complex
-    the moves started from, with the points they added as its new vertices
+    the moves started from, with the points they added as its new vertices,
+    each placed by one bisection of that complex's table
     (``_subdivision``)."""
 
-    __slots__ = ("_star", "_start", "_new")
+    __slots__ = ("_star", "_start")
 
     def __init__(self, cx: GeoComplex):
         self._star: defaultdict[RPoint, set[GeoSimplex]] = defaultdict(set)
-        self._start, self._new = cx, {}  # each point added, to its range of places
+        self._start = cx
         self._add(cx.maximal_simplexes())
 
     def __contains__(self, s: GeoSimplex) -> bool:
@@ -203,9 +202,7 @@ class _Stars:
         more.  Each cone's vertices are m's with p put in by bisection,
         between the least and the greatest vertex of C in m: lexicographic
         order is kept by convex combinations, so p lies strictly between
-        them.  The vertices a < p < b of m next to p bound p's place in the
-        start's table (``_subdivision``): a vertex of the start by its rank,
-        an added point by its own range.
+        them.
         """
         star = set.intersection(*(self._star[v] for v in carrier))
         for m in star:
@@ -217,16 +214,12 @@ class _Stars:
             k = bisect_left(m.vertices, p, ends[0] + 1, ends[-1])
             joined = m.vertices[:k] + (p,) + m.vertices[k:]
             cones += [GeoSimplex._raw(tuple(v for v in joined if v != u)) for u in carrier]
-        a, b = m.vertices[k - 1], m.vertices[k]  # of any m containing C
-        rank = self._start._rank
-        self._new[p] = (rank[a] + 1 if a in rank else self._new[a][0],
-                        rank[b] if b in rank else self._new[b][1])
         self._add(cones)
         return cones
 
     def complex(self) -> GeoComplex:
         """The complex of the maximal simplexes held."""
-        return _subdivision(self._start, set().union(*self._star.values()), self._new)
+        return _subdivision(self._start, set().union(*self._star.values()))
 
 
 def stellar(cx: GeoComplex, p: RPoint) -> GeoComplex:
@@ -630,7 +623,7 @@ def refine_for_map(plmap, target: GeoComplex):
     """
     if plmap.codomain_dim != target.ambient_dim:
         raise ValueError(f"a point in R^{plmap.codomain_dim} is not in R^{target.ambient_dim}")
-    simplexes, images, new, rank = [], dict(plmap.images), {}, plmap.domain._rank
+    simplexes, images, cut = [], dict(plmap.images), False
     for s in plmap.domain.maximal_simplexes():
         ys = tuple(images[v] for v in s.vertices)
         cells = _cells(s, ys, target)
@@ -641,16 +634,10 @@ def refine_for_map(plmap, target: GeoComplex):
                 raise SupportMismatch(f"compatibility failure: the image of {s} is not "
                                       "contained in the target support")
             for p in {p for c in cells for p in c.vertices if p not in images}:
-                w = s._weights(p._homog)
-                images[p] = s._image(w, ys)
-                # Lexicographic order is kept by convex combinations, so p lies
-                # strictly between the least and greatest vertex of its carrier.
-                carrier = [rank[v] for v, a in zip(s.vertices, w) if a]
-                new[p] = carrier[0] + 1, carrier[-1]
+                images[p] = s._image(s._weights(p._homog), ys)
+            cut = True
         simplexes.extend(cells)
-    # A cut simplex has a new vertex: pieces with s's vertices alone tile s
-    # only as s itself.
-    return type(plmap)(_subdivision(plmap.domain, simplexes, new), images) if new else plmap
+    return type(plmap)(_subdivision(plmap.domain, simplexes), images) if cut else plmap
 
 
 def _volume_axes(base: GeoSimplex) -> Optional[list[int]]:
