@@ -55,8 +55,10 @@ a polyhedron.  Whether |cx| is the cube, whether it is a convex set of
 full dimension (``GeoComplex._is_convex``, from one simplex, a kept cube
 answer or the hull test) and whether it covers a polyhedron depend on |cx|
 alone, so a subdivision starts with its parent's answers to all three.
-Only this module writes the memo, and the standard cube starts with its
-cube answer.
+An inside subcomplex that triangulates a polyhedron of full dimension has
+its support, so ``subdivide._adapted`` hands it the polyhedron's convex
+answer, through ``_answer`` like every other ask.  Only this module writes
+the memo directly, and the standard cube starts with its cube answer.
 
 The cube test's volume clause and ``subdivide``'s tiling test are one
 integer sum (``_adds_up``) over volumes measured by one method
@@ -399,15 +401,14 @@ class GeoSimplex:
         return "conv(" + ", ".join(repr(v) for v in self.vertices) + ")"
 
 
-def _adds_up(volumes: Sequence[tuple[int, int]], whole: tuple[int, int]) -> bool:
+def _adds_up(volumes: Sequence[tuple[int, int]], wholes: Sequence[tuple[int, int]]) -> bool:
     """Do the volumes, pairs (a, b) standing for a / b with b > 0, add up to
-    ``whole``, a pair of the same kind?  Compared in integers over the lcm L
-    of all the denominators: sum a (L / b) = a_whole (L / b_whole).  The
-    tiling test (``subdivide._tiles``) and the cube test's volume clause
-    (``_triangulates_cube``) ask it."""
-    a, q = whole
-    lcm = math.lcm(q, *(b for _, b in volumes))
-    return sum(v * (lcm // b) for v, b in volumes) == a * (lcm // q)
+    the sum of ``wholes``, pairs of the same kind?  Compared in integers
+    over the lcm L of all the denominators: sum a (L / b) on both sides.
+    The tiling test (``subdivide._tiles``) and the cube test's volume
+    clause (``_triangulates_cube``), whose one whole is n!, ask it."""
+    lcm = math.lcm(*(b for _, b in volumes), *(b for _, b in wholes))
+    return sum(a * (lcm // b) for a, b in volumes) == sum(a * (lcm // b) for a, b in wholes)
 
 
 def _homogeneous(p: RPoint, n: int) -> tuple[int, ...]:
@@ -627,7 +628,7 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
                                    or reduce(and_, (high[k] for k in key))
                                    for _, _, key in boundary):
         return False
-    return _adds_up([s._volume(None) for s in maxi], (math.factorial(n), 1))
+    return _adds_up([s._volume(None) for s in maxi], [(math.factorial(n), 1)])
 
 
 def _triangulates_hull(cx: GeoComplex) -> bool:
@@ -820,7 +821,10 @@ class GeoComplex:
         (``subdivide.covers``).  A subdivision has the support of the
         complex it subdivides, so it starts with that complex's kept
         answers to all three (``_on_table``); the inside subcomplex
-        depends on the simplexes and is found again."""
+        depends on the simplexes and is found again.  An inside subcomplex
+        adapted to a polyhedron of full dimension has the polyhedron's
+        support, so it is handed that polyhedron's convex answer
+        (``subdivide._adapted``)."""
         answers = self._answers
         if key not in answers:
             answers[key] = compute()

@@ -49,25 +49,33 @@ and its subdivisions inherit).  Only the rest take the volume test on the
 same pieces: the
 cells of a simplex s in the maximal simplexes of K overlap only in
 measure zero, so they cover s exactly when they tile it.  One tiling test
-serves every such question (``_tiles``): pieces of s's dimension lying in
-s and overlapping in measure zero tile s exactly when their volumes,
-measured in s's own projection (``GeoSimplex._volume``), add up to its
-own (De Loera, Rambau and Santos, *Triangulations*, 2010).  ``supports``
+serves every such question (``_tiles``): pieces of the wholes' dimension
+lying in the union of the wholes and overlapping in measure zero, as the
+wholes do, tile that union exactly when their volumes, measured in the
+first whole's projection (``GeoSimplex._volume``), add up to the wholes'
+(De Loera, Rambau and Santos, *Triangulations*, 2010).  ``supports``
 asks it of cells, ``refine_for_map`` of preimage cells, and the
 subdivision test, which clips nothing, of the maximal simplexes of the
 fine complex filed under the one coarse maximal simplex their vertices
-share as hosts (``is_subdivision``).  The sum itself is
-``complexes._adds_up``, which has one other caller: the cube test's
-volume clause, which sums the maximal simplexes' volumes against n!.
+share as hosts (``is_subdivision``), each of one whole s, as ``(s,)``;
+``_adapted`` asks it of the n-simplexes of an inside subcomplex, with the
+maximal simplexes of a P of n-simplexes of R^n as the wholes.  The sum
+itself is ``complexes._adds_up``, which has one other caller: the cube
+test's volume clause, which sums the maximal simplexes' volumes against
+n!.
 
 Two questions come up again and again about the same complexes: which
 simplexes of K lie in |P| (``inside_subcomplex``), and whether |P| lies in
-|K| (``covers``, which restrict's precondition, ``_adapted`` and
-``support_equal`` all ask).  K keeps both answers per P
+|K| (``covers``, which restrict's precondition and ``support_equal`` ask,
+and ``_adapted`` for a P of lower dimension).  K keeps both answers per P
 (``GeoComplex._answer``), so each is worked out once.  The first works on
 vertex indices: K's faces are tuples of vertex ranks, each vertex's hosts
 in P are read once, the two host tiers of ``supports`` are applied to the
-rank tuples, and a face is made a simplex only when found inside.
+rank tuples, and a face is made a simplex only when found inside.  Whether
+that subcomplex I triangulates |P| (``_adapted``) is, for a P of
+n-simplexes, a sum of volumes, and an I that does has the support of P,
+so it takes P's kept answer to whether |P| is convex and runs no hull test
+of its own.
 
 Every complex built here extends a vertex table its input holds, so none
 sorts all its vertices.  A subdivision, whether by stellar moves, overlay,
@@ -370,7 +378,7 @@ def supports(cx: GeoComplex, points: Sequence[RPoint]) -> bool:
     r = linalg.matrix_rank([p._homog for p in unique])
     subs = (GeoSimplex._raw(sub) for sub in itertools.combinations(unique, r)
             if linalg.matrix_rank([p._homog for p in sub]) == r)
-    return all(_tiles(s, _cells(s, s.vertices, cx)) for s in subs)
+    return all(_tiles((s,), _cells(s, s.vertices, cx)) for s in subs)
 
 
 def covers(cx: GeoComplex, part: GeoComplex) -> bool:
@@ -424,7 +432,7 @@ def is_subdivision(fine: GeoComplex, coarse: GeoComplex) -> bool:
         if maxi[i].dim != s.dim:
             return False
         groups[i].append(s)
-    return all(map(_tiles, maxi, groups))
+    return all(_tiles((t,), group) for t, group in zip(maxi, groups))
 
 
 # -- common refinement -------------------------------------------------------
@@ -458,8 +466,31 @@ def _crosses(row: Row, s: GeoSimplex) -> bool:
 
 
 def _adapted(inside: Optional[GeoComplex], part: GeoComplex) -> bool:
-    """Does ``inside``, the result of inside_subcomplex, triangulate |part|?"""
-    return inside is not None and covers(inside, part)
+    """Does ``inside``, the result of inside_subcomplex, triangulate |part|?
+
+    |inside| lies in |part|, so the question is whether it covers |part|.
+    When every maximal simplex of part is an n-simplex of R^n, that is one
+    tiling test (``_tiles``) of the n-simplexes of inside against part's
+    maximal simplexes: both overlap only in measure zero, and the first lie
+    in |part|.  If they tile |part|, inside covers it.  If inside covers
+    |part|, its simplexes of lower dimension have measure zero, so its
+    n-simplexes, which are closed, hold a dense part of |part|, the closure
+    of its interior, and so all of it.  A part of lower dimension is asked
+    ``covers``.
+
+    An adapted inside has |inside| = |part|, so it takes part's answer to
+    whether that support is convex of full dimension (``_is_convex``),
+    which its subdivisions inherit (``GeoComplex._on_table``), and asks no
+    hull test of its own.  A part of lower dimension hands it no answer."""
+    if inside is None:
+        return False
+    n, wholes = part.ambient_dim, part.maximal_simplexes()
+    if any(q.dim != n for q in wholes):
+        return covers(inside, part)
+    adapted = _tiles(wholes, [s for s in inside.maximal_simplexes() if s.dim == n])
+    if adapted:
+        inside._answer(("convex",), part._is_convex)
+    return adapted
 
 
 def inside_subcomplex(cx: GeoComplex, part: GeoComplex) -> Optional[GeoComplex]:
@@ -630,7 +661,7 @@ def refine_for_map(plmap, target: GeoComplex):
         if cells != {s}:
             # The cells of a cut simplex must tile it exactly; a gap means
             # the image of s leaves the support of the target.
-            if not (all(map(target.hosts, ys)) and target._is_convex() or _tiles(s, cells)):
+            if not (all(map(target.hosts, ys)) and target._is_convex() or _tiles((s,), cells)):
                 raise SupportMismatch(f"compatibility failure: the image of {s} is not "
                                       "contained in the target support")
             for p in {p for c in cells for p in c.vertices if p not in images}:
@@ -652,14 +683,18 @@ def _volume_axes(base: GeoSimplex) -> Optional[list[int]]:
     return [c - 1 for c in pivots[1:]] + [-1]
 
 
-def _tiles(s: GeoSimplex, pieces: Iterable[GeoSimplex]) -> bool:
-    """Do ``pieces`` tile s?  They must be simplexes in s of its dimension
-    overlapping only in measure zero; their union, which is closed, is then
-    s exactly when their volumes add up to its own (De Loera, Rambau and
-    Santos, *Triangulations*, 2010).  Every piece spans aff(s), so s's
-    projection (``_volume_axes``) measures them all
+def _tiles(wholes: Sequence[GeoSimplex], pieces: Iterable[GeoSimplex]) -> bool:
+    """Do ``pieces`` tile the union W of ``wholes``?  The wholes must be
+    simplexes of one dimension d spanning one affine hull and overlapping
+    only in measure zero, and the pieces simplexes in W of dimension d
+    overlapping only in measure zero.  The union of the pieces, which is
+    closed, is then W exactly when their volumes add up to the wholes'
+    (De Loera, Rambau and Santos, *Triangulations*, 2010): a part of W
+    that no piece holds is open in W, and it has positive volume, as W is
+    the closure of its interior in that hull.  Every piece spans that hull,
+    so the first whole's projection (``_volume_axes``) measures them all
     (``GeoSimplex._volume``); the common factor d! is left out of both
     sides, and the volumes are compared in integers (``_adds_up``), as in
-    the cube test."""
-    axes = _volume_axes(s)
-    return _adds_up([p._volume(axes) for p in pieces], s._volume(axes))
+    the cube test.  Most callers ask about one simplex s, as ``(s,)``."""
+    axes = _volume_axes(wholes[0])
+    return _adds_up([p._volume(axes) for p in pieces], [w._volume(axes) for w in wholes])

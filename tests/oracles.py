@@ -760,7 +760,7 @@ def scan_refine_for_map(plmap, target: GeoComplex) -> GeoComplex:
             pieces.update(subdivide._pull_cell(
                 s, subdivide._pullback_rows(s, vert_imgs, eqs_t),
                 subdivide._pullback_rows(s, vert_imgs, ineqs_t)))
-        if not subdivide._tiles(s, pieces):
+        if not subdivide._tiles((s,), pieces):
             raise subdivide.SupportMismatch(
                 f"compatibility failure: the image of {s} is not contained "
                 "in the target support")
@@ -797,7 +797,7 @@ def clip_supports(cx: GeoComplex, points) -> bool:
     r = linalg.matrix_rank([p._homog for p in unique])
     subs = (GeoSimplex._raw(sub) for sub in combinations(unique, r)
             if linalg.matrix_rank([p._homog for p in sub]) == r)
-    return all(subdivide._tiles(s, subdivide._cells(s, s.vertices, cx)) for s in subs)
+    return all(subdivide._tiles((s,), subdivide._cells(s, s.vertices, cx)) for s in subs)
 
 
 def hull_vertices(points) -> list:

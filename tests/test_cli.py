@@ -304,6 +304,15 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     assert "lowest terms" in err
 
 
+def test_a_document_that_is_not_an_object_exits_65(tmp_path, capsys):
+    path = tmp_path / "list.scx"
+    path.write_text("[]")
+    assert run("check-regular", str(path)) == 65
+    out, err = capsys.readouterr()
+    assert "document: the document must be a JSON object" in err
+    assert not out and "Traceback" not in err
+
+
 def test_bad_budget_is_a_usage_error(monkeypatch, capsys):
     # A budget of more digits than int() converts (4,300 by default) is a
     # usage error too, named by its length, not a traceback.

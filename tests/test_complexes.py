@@ -16,11 +16,13 @@ from zrk import (AbsComplex, GeoComplex, GeoSimplex, PLMap, RPoint, WeightedComp
                  common_refinement, verify_zretract)
 from zrk import linalg
 from zrk import complexes
+from zrk.collapse import CollapseSequence
+from zrk.exactnum import lcd
 from zrk.complexes import (NotASimplicialComplex, _boundary_facets,
                            _independent_vertices, _meet_in_common_face, _placement,
                            _separated, _triangulates_cube, _triangulates_hull)
 from zrk.zmaps import DomainError
-from zrk.regular import is_regular
+from zrk.regular import coprime_point, is_regular
 from zrk.scx import ScxDocument, ScxError, parse_scx, print_scx
 
 from conftest import random_rational, random_simplex, seg, tri
@@ -644,6 +646,45 @@ def test_linear_tests_turn_down_improper_complexes():
             cx._validate()
     stacked = GeoComplex(cases["stacked"], validate=False)
     assert _boundary_facets(stacked) is not None
+
+
+def test_a_facet_in_three_triangles_fails_the_linear_tests():
+    # Three triangles of [0,1]^2 on its diagonal, holding all four corners:
+    # the facet pass finds the diagonal in three maximal simplexes and
+    # stops, so the cube and hull tests answer no, and the parse fails at
+    # the first pair of the pair loop that overlaps.
+    maxi = [tri((0, 0), (0, 1), (1, 1)), tri((0, 0), (1, 0), (1, 1)),
+            tri((0, 0), (1, "1/2"), (1, 1))]
+    cx = GeoComplex(maxi, validate=False)
+    assert _boundary_facets(cx) is None
+    assert not _triangulates_cube(cx) and not _triangulates_hull(cx)
+    with pytest.raises(ScxError) as err:
+        parse_scx(print_scx(ScxDocument("complex", cx)))
+    assert err.value.where == "maximal_simplexes"
+    assert str(err.value) == (f"maximal_simplexes: not a simplicial complex: {maxi[1]} and "
+                              f"{maxi[2]} do not meet in a common face")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: GeoSimplex(()), ValueError, "a simplex needs at least one vertex"),
+    (lambda: GeoSimplex((rpoint(0), rpoint(0, 1))), ValueError,
+     "vertices must share an ambient dimension"),
+    (lambda: GeoComplex([]), NotASimplicialComplex, "a complex needs at least one simplex"),
+    (lambda: GeoComplex([seg(0, 1), tri((0, 0), (1, 0), (0, 1))]), NotASimplicialComplex,
+     "mixed ambient dimensions"),
+    (lambda: standard_cube(0), ValueError, "n must be >= 1"),
+    (lambda: CollapseSequence((), seg(0, 1)), ValueError, "terminal must be a vertex"),
+    (lambda: lcd([]), ValueError, "empty input"),
+    (lambda: coprime_point(tri((0, 0), (1, 0), (0, 1)), 0), ValueError, "k must be positive"),
+    (lambda: PLMap(from_maximal([seg(0, 1)]), {rpoint(0): rpoint(0), rpoint(1): rpoint(0, 1)}),
+     ValueError, "vertex images must share an ambient dimension"),
+])
+def test_constructor_checks_refuse_with_their_text(build, error, message):
+    # Checks on the arguments of constructors and helpers that no other
+    # test reached: each raises its own error type with its own text.
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_linear_tests_never_accept_what_the_pair_loop_rejects():

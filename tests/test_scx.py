@@ -746,6 +746,63 @@ def test_nested_witnesses_must_be_objects():
         parse_scx(json.dumps(body))
 
 
+_SEGMENT = {"version": "1", "dim": 1, "maximal_simplexes": [[["0"], ["1"]]]}
+_SEQUENCE = {"version": "1", "kind": "sequence", "terminal": ["1"],
+             "steps": [[[["0"], ["1"]], [["0"]]]]}
+_WEIGHTED = {"version": "1", "kind": "weighted", "vertices": ["a", "b"],
+             "faces": [[0, 1]], "weights": [1, 2]}
+
+
+@pytest.mark.parametrize("body, where, message", [
+    ([], "document", "the document must be a JSON object"),
+    (dict(_SEGMENT, kind="plmap", vertex_images={}), "vertex_images",
+     "'vertex_images' must be an array of pairs"),
+    (dict(_SEGMENT, kind="plmap", vertex_images=[], codomain_dim=0), "codomain_dim",
+     "'codomain_dim' must be a positive integer"),
+    (dict(_WEIGHTED, weights=[1]), "weights",
+     "'weights' must be positive integers, one per vertex"),
+    (dict(_WEIGHTED, weights=[1, 0]), "weights",
+     "'weights' must be positive integers, one per vertex"),
+    (dict(_SEQUENCE, steps={}), "steps", "'steps' must be an array"),
+    (dict(_SEQUENCE, steps=[1]), "steps[0]",
+     "each step is [maximal, free_facet]"),
+    (dict(_SEQUENCE, steps=[[[["0"], ["1"]]]]), "steps[0]",
+     "each step is [maximal, free_facet]"),
+    (dict(_SEQUENCE, steps=[[1, [["0"]]]]), "steps[0][0]",
+     "a simplex must be a nonempty array of points"),
+    ({"version": "1", "kind": "verdict", "status": "maybe"}, "status",
+     "'status' must be certified/refuted/unknown"),
+    ({"version": "1", "kind": "verdict", "status": "refuted", "refutation_reason": 3},
+     "refutation_reason", "'refutation_reason' must be a string"),
+    ({"version": "1", "kind": "verdict", "status": "certified",
+      "witnesses": {"collapse_sequence": dict(_SEQUENCE, steps=None)}},
+     "witnesses.collapse_sequence.steps", "'steps' must be an array"),
+])
+def test_each_parse_error_has_its_text_and_location(body, where, message):
+    # Each of these raise sites ran in no test: a document that is not an
+    # object, a map's images and declared dimension, a weighted complex's
+    # weights, a sequence's steps and their shape, and a verdict's status
+    # and reason; nor did a step whose maximal simplex is no array.  Each
+    # names its place in the document.
+    with pytest.raises(ScxError) as err:
+        parse_scx(json.dumps(body))
+    assert err.value.where == where
+    assert str(err.value) == f"{where}: {message}"
+
+
+def test_a_verdict_may_leave_out_the_strongly_regular_witness():
+    body = {"version": "1", "kind": "verdict", "status": "refuted",
+            "witnesses": {"lattice_vertex": ["1/2"]}}
+    wit = parse_scx(json.dumps(body)).payload.witnesses
+    assert wit.strongly_regular is None and wit.lattice_vertex == rpoint("1/2")
+
+
+def test_the_printer_refuses_an_unknown_kind():
+    with pytest.raises(ScxError) as err:
+        print_scx(ScxDocument("collapse", standard_cube(1)))
+    assert err.value.where == "" and str(err.value) == "unknown kind 'collapse'"
+
+
 # -- the emitter against json.dumps ---------------------------------------------
 
 

@@ -1270,10 +1270,11 @@ def test_inside_subcomplex_runs_supports_only_on_undecided_faces(monkeypatch):
         finally:
             parts.pop()
 
-    def counted(s, pieces):
+    def counted(wholes, pieces):
         if parts:
+            (s,) = wholes
             calls.append((parts[-1], s))
-        return measured(s, pieces)
+        return measured(wholes, pieces)
 
     monkeypatch.setattr(subdivide, "inside_subcomplex", tracked)
     monkeypatch.setattr(subdivide, "_tiles", counted)
@@ -1726,8 +1727,11 @@ def test_support_kernels_run_once_per_complex_and_part(monkeypatch):
     # Work bound: through pipeline_dh, part2_reduce and
     # verify_section_retraction on the fold of the square onto its lower
     # half, the inside-subcomplex and coverage kernels run at most once per
-    # complex object and polyhedron, though both questions are asked again.
-    # A kernel runs when the complex's memo computes an answer.
+    # complex object and polyhedron, and the inside subcomplex is asked
+    # again.  A kernel runs when the complex's memo computes an answer.
+    # Coverage may be asked only once per complex here: _adapted decides an
+    # inside subcomplex of the fold's full-dimensional P by volume and no
+    # longer asks covers of it.
     asked, ran, alive = collections.Counter(), collections.Counter(), []
     kernels = {"inside": "inside_subcomplex", "covers": "covers"}
     answer = GeoComplex._answer
@@ -1756,9 +1760,89 @@ def test_support_kernels_run_once_per_complex_and_part(monkeypatch):
     red = part2_reduce(result.map, result.triangulation, part)
     assert verify_section_retraction(part, red.retraction, red.section)
     assert max(ran.values()) == 1, ran
-    for name in ("inside_subcomplex", "covers"):
-        runs = sum(k for (kind, *_), k in ran.items() if kind == name)
-        assert 0 < runs < asked[name], (name, runs, asked[name])
+    runs = {name: sum(k for (kind, *_), k in ran.items() if kind == name)
+            for name in kernels.values()}
+    assert 0 < runs["inside_subcomplex"] < asked["inside_subcomplex"], (runs, asked)
+    assert 0 < runs["covers"] <= asked["covers"], (runs, asked)
+
+
+def test_the_fold_runs_the_hull_test_once_on_p_at_most(monkeypatch):
+    # Work bound: pipeline_dh, part2_reduce and verify_section_retraction
+    # on the fold of the square onto its lower half run the hull test at
+    # most once, and only on P.  Each inside subcomplex adapted to P takes
+    # P's convex answer; asking covers of it ran the hull test on each,
+    # six of seven in a bench pipeline pass.
+    hulls, real = [], complexes._triangulates_hull
+    monkeypatch.setattr(complexes, "_triangulates_hull", lambda cx: hulls.append(cx) or real(cx))
+    h = Fraction(1, 2)
+    part = from_maximal(_half_square())
+    domain = from_maximal(_half_square() + [tri((0, h), (1, h), (1, 1)),
+                                            tri((0, h), (0, 1), (1, 1))])
+    fold = PLMap(domain, {v: RPoint((v[0], min(v[1], 1 - v[1]))) for v in domain.vertices()})
+    result = pipeline_dh(fold, part)
+    red = part2_reduce(result.map, result.triangulation, part)
+    assert verify_section_retraction(part, red.retraction, red.section)
+    assert len(hulls) <= 1 and all(cx is part for cx in hulls), hulls
+
+
+def _grid_part(n: int, skip: set) -> GeoComplex:
+    """[0,1]^n cut into its 2^n half-size cubes, each triangulated as the
+    standard cube, without those whose least corner is in ``skip``: with
+    the top one skipped, a non-convex L of full dimension."""
+    out = []
+    for corner in itertools.product((0, Fraction(1, 2)), repeat=n):
+        if corner not in skip:
+            out += [GeoSimplex(tuple(rpoint(*[c / 2 + o for c, o in zip(v, corner)])
+                                     for v in s.vertices))
+                    for s in standard_cube(n).maximal_simplexes()]
+    return from_maximal(out)
+
+
+def test_adapted_decides_as_covers_does():
+    # _adapted decides a full-dimensional P by one tiling test, whether the
+    # n-simplexes of the inside subcomplex I add up to P's volume, where it
+    # asked covers, whose supports ran the hull test on each new I.  covers
+    # stays the oracle, asked of a fresh copy of I, which keeps no answer.
+    # The parts: single simplexes (restrict's cases), cubes, grid cubes and
+    # grid Ls on stellar cubes, and half cubes with a dangling 3-simplex;
+    # each family is asked before restrict, where I may not be adapted, and
+    # after, where it is.  An adapted I holds P's convex answer, which is
+    # the one the hull test gives a fresh copy, and both answers occur.
+    rng = random.Random(2063)
+    cases = [("simplex", cx, part) for cx, part in _restrict_cases()
+             if part.maximal_simplexes()[0].dim == cx.ambient_dim]
+    for n in (2, 3):
+        for _ in range(2):
+            points = [rpoint(*[random_rational(rng, 4) for _ in range(n)])
+                      for _ in range(rng.randint(1, 3))]
+            cx = stellar_chain(standard_cube(n), points)
+            cases += [("cube", cx, part) for part in (
+                standard_cube(n), _grid_part(n, set()), _grid_part(n, {(Fraction(1, 2),) * n}))]
+    cases += [("half cube", cx, part)
+              for cx, part in itertools.islice(_half_cube_cases(3, 2039, 3), 4)]
+    def before_and_after(cx, part):
+        yield cx  # asked before restrict asks it
+        try:
+            yield restrict(cx, part)
+        except SupportMismatch:  # a scaled simplex leaving the cube
+            pass
+
+    seen = collections.Counter()
+    for family, cx, part in cases:
+        for k in before_and_after(cx, part):
+            inside = inside_subcomplex(k, part)
+            fresh = inside and GeoComplex(inside.maximal_simplexes(), validate=False)
+            got = subdivide._adapted(inside, part)
+            assert got is (fresh is not None and covers(fresh, part)), (family, k, part)
+            if got:
+                convex = inside._answers[("convex",)]
+                copy = GeoComplex(fresh.maximal_simplexes(), validate=False)
+                assert convex is copy._is_convex(), (family, k, part)
+                seen["convex", convex] += 1
+            seen[family, got] += 1
+    assert min(seen[family, got] for family in ("simplex", "cube", "half cube")
+               for got in (True, False)) >= 3, seen
+    assert seen["convex", True] >= 3 and seen["convex", False] >= 3, seen
 
 
 # -- complexes built on the vertex table they extend --------------------------
