@@ -16,11 +16,13 @@ Exit codes: 0 success/certified/true, 1 refuted/false, 2 unknown,
 64 usage errors, 65 parse/data errors.  A run that exhausts a search budget
 or runs out of memory is unknown, not a traceback: it prints ``unknown:``
 and the reason (``out of memory`` for a ``MemoryError``) to standard error
-and exits 2.  A command takes --budget, --out or --witness only when it
-reads it.  The search budget of desingularize, collapse, pipeline and
-certify comes from --budget or else the ZRK_BUDGET environment variable;
-one that is not a nonnegative integer is a usage error.  Other commands
-ignore ZRK_BUDGET.
+and exits 2.  An unknown certify verdict is a result, not a failure: it
+prints ``unknown:`` and its reason, ``collapse-search`` or
+``desing-budget``, to standard output.  A command takes --budget, --out
+or --witness only when it reads it.  The search budget of desingularize,
+collapse, pipeline and certify comes from --budget or else the ZRK_BUDGET
+environment variable; one that is not a nonnegative integer is a usage
+error.  Other commands ignore ZRK_BUDGET.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ def cmd_certify(args, part) -> int:
     if verdict.status == "refuted":
         print(f"refuted: condition(s) {verdict.refutation_reason} fail")
         return EX_FALSE
-    print("unknown: collapse search or desingularization inconclusive")
+    print(f"unknown: {verdict.unknown_reason}")
     return EX_UNKNOWN
 
 

@@ -80,6 +80,10 @@ denominator d of p (``linalg.homogeneous``), and a tuple of points is
 affinely independent iff the rank of their vectors is their number; the
 checking constructor keeps the determinant that its rank elimination yields
 (``GeoSimplex._det``), the orientation and volume that the cube test reads.
+``standard_cube`` hands each Kuhn simplex its determinant from a formula
+and a stellar move hands each cone its own from its parent's
+(``subdivide._Stars.replace``), so neither eliminates; only a simplex
+built ``_raw`` with none eliminates, once, on first read.
 Each simplex caches, on first use, its affine-hull equalities and
 barycentric forms as integer rows E and B with one common denominator D > 0,
 read off one fraction-free Gauss-Jordan elimination of its vertex vectors
@@ -293,11 +297,14 @@ class GeoSimplex:
         object.__setattr__(self, "_det", det)  # the rank check's, for free
 
     @classmethod
-    def _raw(cls, vertices: tuple[RPoint, ...]) -> "GeoSimplex":
+    def _raw(cls, vertices: tuple[RPoint, ...], det: Optional[int] = None) -> "GeoSimplex":
         """Skip validation for vertex tuples known to be sorted, distinct and
-        affinely independent (faces of existing simplexes)."""
+        affinely independent (faces of existing simplexes).  A caller that
+        knows the determinant of the vertex vectors (``_det``) hands it in."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "vertices", vertices)
+        if det is not None:
+            object.__setattr__(obj, "_det", det)
         return obj
 
     @_cached
@@ -332,9 +339,14 @@ class GeoSimplex:
     def _det(self) -> int:
         """det(X_j) of the homogeneous vertex vectors X_j = d_j(p_j, 1) in
         vertex order; nonzero, and the sign of the orientation, for an
-        n-simplex in R^n (0 for a lower-dimensional one).  Set by the
-        checking constructor, and computed on first use, by one plain
-        elimination, for a simplex built ``_raw``."""
+        n-simplex in R^n (0 for a lower-dimensional one).  It comes from
+        one of four places.  The checking constructor keeps its rank
+        elimination's.  ``standard_cube`` hands each Kuhn simplex
+        (-1)^n sgn(axis order), and a stellar move (``subdivide._Stars``)
+        hands each cone its parent's determinant times the replaced
+        vertex's coefficient, with the sign of the new vertex's move; both
+        are proved where they are made.  Any other simplex built ``_raw``
+        computes it on first use, by one plain elimination."""
         return linalg.det(self._vertex_rows)
 
     def _volume(self, axes: Optional[Sequence[int]]) -> tuple[int, int]:
@@ -1067,6 +1079,14 @@ def standard_cube(n: int) -> GeoComplex:
     and its steps are distinct unit vectors, so it is affinely independent:
     no point is compared and no rank check is made.
 
+    Each simplex is handed its determinant (``GeoSimplex._det``), with no
+    elimination.  The chain's vertex vectors are X_0 = (0, 1) and X_i =
+    X_i-1 + (e_ai, 0).  Subtracting each row from the next leaves the
+    determinant as it is and the rows (0, 1), (e_a1, 0), ..., (e_an, 0);
+    expanding along the first, whose one entry 1 sits in column n + 1,
+    gives (-1)^n times the determinant of the rows e_a1, ..., e_an, the
+    sign of the axis order, (-1) to its number of inversions.
+
     The complex keeps its answer to the cube test (``_is_cube``), True with
     no test run.  The chain of the order a_1, ..., a_n of the axes spans
     the simplex {x : 1 >= x_a1 >= ... >= x_an >= 0}: its vertices satisfy
@@ -1085,7 +1105,8 @@ def standard_cube(n: int) -> GeoComplex:
         chain = [0]
         for i in perm:
             chain.append(chain[-1] | 1 << (n - 1 - i))
-        ranked.append((tuple(chain), GeoSimplex._raw(tuple(map(corners.__getitem__, chain)))))
+        det = (-1) ** (n + sum(a > b for a, b in itertools.combinations(perm, 2)))
+        ranked.append((tuple(chain), GeoSimplex._raw(tuple(map(corners.__getitem__, chain)), det)))
     cube = GeoComplex._on_table(corners, sorted(ranked, key=itemgetter(0)))
     cube._answers[("cube",)] = True
     return cube

@@ -10,7 +10,9 @@ operations that computes no transforms; the Smith decomposition
 (``smith_with_transforms``, ``invariant_factors``) serves the callers that
 need the invariant factors themselves or the transforms.  Each kernel has
 a private form (``_saturated``, ``_smith``) that skips those checks, for
-callers whose rows are zrk's own.  Rationals are read as (numerator,
+callers whose rows are zrk's own.  A broken invariant of this arithmetic,
+here or in the modules that build on it, raises ``InvariantBroken``
+(``_check``).  Rationals are read as (numerator,
 denominator) pairs of ints (``_rat_pair``), which ``parse_rat`` makes a
 ``Fraction`` and ``.scx`` parsing does not.
 """
@@ -23,6 +25,17 @@ from fractions import Fraction
 from typing import Sequence
 
 Rat = Fraction
+
+
+class InvariantBroken(RuntimeError):
+    """An internal invariant of the number theory failed: a bug, never a
+    property of the input.  Raised instead of ``assert`` so that it also
+    fires under ``python -O``."""
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvariantBroken(message)
 
 
 def parse_rat(text: str) -> Rat:

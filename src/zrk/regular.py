@@ -22,35 +22,33 @@ relative case, in the subcomplex inside the polyhedron, found once.  The
 complex is built once at the end, and the relative case returns the
 subcomplex it kept with it, so its caller does not search for it again; a
 regular input builds no star at all.
+
+No blow-up eliminates to test regularity.  A full-dimensional simplex is
+regular iff |det| = 1, read off ``GeoSimplex._det``.  The box point's
+coefficients p = sum c_i w_i come with it (``_box_point``), and a blow-up
+multiplies the multiplicity of the cone replacing w_i by c_i (Fulton,
+*Introduction to Toric Varieties*, 1993, section 2.6): the move hands each
+cone c_i det(s) with the sign of p's move (``subdivide._Stars.replace``).
+The input's determinants come from the checking constructor, from
+``complexes.standard_cube``'s Kuhn formula or from earlier stellar moves,
+so a desingularization of any of them eliminates nothing.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from functools import lru_cache
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .complexes import GeoComplex, GeoSimplex, RPoint
-from .exactnum import _saturated, _smith
+from .exactnum import InvariantBroken, _check, _saturated, _smith
 from . import linalg, subdivide
 
 
 class BudgetExhausted(RuntimeError):
     pass
-
-
-class InvariantBroken(RuntimeError):
-    """An internal invariant of the number theory failed: a bug, never a
-    property of the input.  Raised instead of ``assert`` so that it also
-    fires under ``python -O``."""
-
-
-def _check(ok: bool, message: str) -> None:
-    if not ok:
-        raise InvariantBroken(message)
 
 
 def den(v: RPoint) -> int:
@@ -136,10 +134,10 @@ def _hull_meets_lattice(s: GeoSimplex) -> bool:
                       for i, ui in enumerate(u))) == 1
 
 
-def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:
+def _box_point(s: GeoSimplex) -> tuple[RPoint, dict[RPoint, tuple[int, int]]]:
     """A lattice point of the fundamental box of a non-regular simplex, and
-    its carrier: the set of vertices of s where its coefficients are
-    positive.
+    its coefficients: each vertex of s where the point's coefficient is
+    positive, its carrier, mapped to that coefficient as an int pair.
 
     Writing the homogeneous vertex vectors as w_i, the returned point has
     homogeneous vector sum(c_i * w_i) with rational 0 <= c_i < 1, integral
@@ -147,7 +145,11 @@ def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:
     maximal minors) of every piece by some c_i < 1, which is what makes
     desingularization terminate; among the finitely many candidates the
     one with the smallest maximal coefficient splits fastest.  On a
-    non-regular 1-simplex this is the classical Farey mediant.
+    non-regular 1-simplex this is the classical Farey mediant.  For a
+    full-dimensional s the multiplicity is |det|, and the cone that
+    replaces w_i has the determinant c_i det(s) up to sign
+    (``subdivide._Stars.replace``), which is how each cone of a blow-up
+    gets its determinant with no elimination.
 
     All in integers.  With U W V = D the Smith form of the vertex matrix
     W, the rows of V^-1 at the invariant factors d_i > 1 generate the
@@ -156,7 +158,11 @@ def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:
     row i of U over d_i.  Candidates t_1 g_1 + ... are reduced modulo the
     vertex lattice by taking each coefficient's numerator over
     L = lcm(d_i) mod L, and since all share L, comparing (max, tuple) of
-    numerators orders them as the coefficients do.
+    numerators orders them as the coefficients do.  They are summed one
+    generator at a time: the candidates of the first j generators, each
+    plus every multiple of generator j + 1 in its range.  The best
+    numerators a_i give the vector x = sum a_i w_i, L times the point's,
+    and the point is x over g = gcd(x), so its coefficients are a_i / g.
     """
     rows = s._vertex_rows
     m = len(rows)
@@ -176,8 +182,10 @@ def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:
         ranges = [range(torsion[i][1]) if i == i_big else range(1)
                   for i in range(len(torsion))]
 
-    vectors = (tuple(sum(t * g[j] for t, g in zip(ts, gen_nums)) % big
-                     for j in range(m)) for ts in itertools.product(*ranges))
+    vectors = [(0,) * m]
+    for gen, r in zip(gen_nums, ranges):
+        steps = [[t * x for x in gen] for t in r]
+        vectors = [tuple((a + b) % big for a, b in zip(c, step)) for c in vectors for step in steps]
     best = min(((max(c), c) for c in vectors if any(c)), default=None)
     _check(best is not None, "every box coefficient vector vanishes")
     x = [sum(map(mul, best[1], col)) for col in zip(*rows)]
@@ -186,8 +194,8 @@ def _box_point(s: GeoSimplex) -> tuple[RPoint, frozenset]:
     _check(g > 0, "box point of a non-regular simplex cannot vanish")
     x = [e // g for e in x]
     _check(x[-1] > 0, "box point has a nonpositive denominator")
-    carrier = frozenset(v for v, c in zip(s.vertices, best[1]) if c)
-    return RPoint._from_homog(tuple(x)), carrier
+    coefficients = {v: (c, g) for v, c in zip(s.vertices, best[1]) if c}
+    return RPoint._from_homog(tuple(x)), coefficients
 
 
 def desingularize(cx: GeoComplex, budget: int = 10_000) -> GeoComplex:
@@ -262,10 +270,10 @@ def _blow_up(cx: GeoComplex, inside: Optional[GeoComplex],
         _, s = heapq.heappop(heap)
         if s not in inner:
             continue
-        p, carrier = _box_point(s)
+        p, coefficients = _box_point(s)
         if inner is not stars:
-            stars.replace(p, carrier)
-        for cone in inner.replace(p, carrier):
+            stars.replace(p, coefficients)
+        for cone in inner.replace(p, coefficients):
             if not is_regular(cone):
                 heapq.heappush(heap, (cone.dim, cone))
         steps += 1

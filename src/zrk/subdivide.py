@@ -9,7 +9,14 @@ each vertex (``_Stars``): it replaces those containing the carrier of the
 new point, the intersection of its vertices' stars, by their cones.  The
 same structure makes every blow-up of ``regular``'s desingularization and
 of step H of ``zmaps.pipeline_dh``, so no other module holds a set of
-maximal simplexes or finds a star.
+maximal simplexes or finds a star.  Each move is handed p's coefficients
+over the carrier's vertex vectors, which every caller already knows:
+``stellar`` from the weights of its one point location, desingularization
+from the box point (``regular._box_point``) and step H from the
+barycentre.  A cone's determinant is then its parent's times the replaced
+vertex's coefficient, with the sign of p's move, so every cone of a parent
+that holds its determinant gets its own with no elimination
+(``_Stars.replace``).
 
 One cell kernel serves all of them: a cell is s cap t for a simplex s and a
 simplex or halfspace t.  Its vertices, each with the mask of the
@@ -109,11 +116,12 @@ from bisect import bisect_left
 from collections import defaultdict
 from functools import reduce
 from operator import and_, itemgetter, mul
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import linalg
 from .complexes import (GeoComplex, GeoSimplex, RPoint, _adds_up, _bbox_overlap, _closure,
                         _points_box)
+from .exactnum import _check
 
 Row = tuple  # tuple[int, ...], an affine form as an integer row
 
@@ -185,11 +193,14 @@ class _Stars:
             for v in s.vertices:
                 self._star[v].add(s)
 
-    def replace(self, p: RPoint, carrier: Collection[RPoint]) -> list[GeoSimplex]:
+    def replace(self, p: RPoint, coefficients: Mapping[RPoint, tuple[int, int]]
+                ) -> list[GeoSimplex]:
         """Turn the maximal simplexes M of a complex K into those of the
         elementary stellar subdivision stellar(K, p); return the cones
-        added.  ``carrier`` holds the vertices of the simplex C of K having
-        p in its relative interior, at least two of them.
+        added.  ``coefficients`` maps each vertex u of the simplex C of K
+        having p in its relative interior, at least two of them, to p's
+        coefficient lambda_u = a / b, an int pair with a, b > 0, in its
+        vector P = sum lambda_u X_u over the vertex vectors of C.
 
         The simplexes of stellar(K, p) are the simplexes of K not containing
         C and the cones F u {p} over faces F, not containing C, of simplexes
@@ -207,21 +218,40 @@ class _Stars:
         every vertex it has.  Each such vertex is in a cone of m, as C has
         two vertices or more, so no star is left empty.  p is a new vertex:
         it lies in the relative interior of C, which has two vertices or
-        more.  Each cone's vertices are m's with p put in by bisection,
-        between the least and the greatest vertex of C in m: lexicographic
-        order is kept by convex combinations, so p lies strictly between
-        them.
+        more.  Each cone's vertices are m's with p put in by bisection, at
+        place k between the least and the greatest vertex of C in m:
+        lexicographic order is kept by convex combinations, so p lies
+        strictly between them.  The cone of u, at place i in m, is that
+        tuple less u, at its place j there: i for i < k, i + 1 for i >= k.
+
+        Each cone of an m that holds its determinant (``GeoSimplex._det``)
+        is handed its own, with no elimination.  Put P in u's row of m's
+        vertex vectors: the determinant is linear in that row, and the
+        terms of P other than lambda_u X_u repeat a row, so it is
+        lambda_u det(m).  Moving P from u's row to its place in the cone
+        passes the |k - j| - 1 vertices between p and u in the tuple, one
+        sign change each (k - 1 - i of them for i < k, i - k for i >= k).
+        The result is a determinant of integer vectors, so the division by
+        b is exact; a remainder is a broken invariant.  An m of lower
+        dimension holds 0, and so do its cones.
         """
-        star = set.intersection(*(self._star[v] for v in carrier))
+        star = set.intersection(*(self._star[v] for v in coefficients))
         for m in star:
             for v in m.vertices:
                 self._star[v].discard(m)
         cones = []
         for m in star:
-            ends = [i for i, v in enumerate(m.vertices) if v in carrier]
-            k = bisect_left(m.vertices, p, ends[0] + 1, ends[-1])
-            joined = m.vertices[:k] + (p,) + m.vertices[k:]
-            cones += [GeoSimplex._raw(tuple(v for v in joined if v != u)) for u in carrier]
+            vs, det = m.vertices, vars(m).get("_det")
+            ends = [i for i, v in enumerate(vs) if v in coefficients]
+            k = bisect_left(vs, p, ends[0] + 1, ends[-1])
+            joined = vs[:k] + (p,) + vs[k:]
+            for i in ends:
+                j = i if i < k else i + 1  # u's place in joined
+                if det is not None:
+                    a, b = coefficients[vs[i]]
+                    q, r = divmod((-1) ** (abs(k - j) - 1) * a * det, b)
+                    _check(r == 0, "a cone's determinant is not an integer")
+                cones.append(GeoSimplex._raw(joined[:j] + joined[j + 1:], None if det is None else q))
         self._add(cones)
         return cones
 
@@ -238,16 +268,26 @@ def stellar(cx: GeoComplex, p: RPoint) -> GeoComplex:
 
     A simplex of the complex contains p exactly when it has p's carrier as
     a face, and a face avoids the point exactly when it does not contain
-    the whole carrier, so after one carrier search everything is
-    combinatorial, and done on the maximal simplexes (``_Stars``).
+    the whole carrier, so after one point location everything is
+    combinatorial, and done on the maximal simplexes (``_Stars``).  The
+    location (``GeoComplex._locate``) gives a maximal simplex s holding p
+    and p's weights w_j = D d_p beta_j there (``GeoSimplex._weights``), for
+    its barycentric coordinates beta_j, the denominator D of s's rows and
+    the denominator d_p of p.  The carrier is the face on the positive
+    weights, and P = d_p (p, 1) = sum beta_j d_p (p_j, 1) = sum (w_j / (D
+    d_j)) X_j for the vertex vectors X_j = d_j (p_j, 1): those are the
+    coefficients from which the move gives each cone its determinant.
     """
-    car = cx.carrier(p)
-    if car is None:
+    found = cx._locate(p)
+    if found is None:
         raise PointNotInSupport(f"point not in support: {p}")
-    if car.dim == 0:
+    s, w = found
+    scale = s._point_rows[2]
+    coefficients = {v: (a, scale * v._homog[-1]) for v, a in zip(s.vertices, w) if a > 0}
+    if len(coefficients) == 1:
         return cx  # p is already a vertex
     stars = _Stars(cx)
-    stars.replace(p, car.vertices)
+    stars.replace(p, coefficients)
     return stars.complex()
 
 

@@ -10,7 +10,7 @@ inside the carrier, so the map is affine on every simplex by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import subdivide
@@ -344,7 +344,10 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
     # simplex holding its vertex images.  An offending s is maximal and
     # n-dimensional, so s is the carrier of its barycentre and its own star:
     # the blow-ups are moves of ``subdivide._Stars``, built only when some
-    # simplex offends, and one complex is built from it.
+    # simplex offends, and one complex is built from it.  The barycentre c
+    # is sum p_j / (n + 1), so its vector d_c (c, 1) is the sum of the
+    # vertex vectors X_j = d_j (p_j, 1) with the coefficients
+    # d_c / ((n + 1) d_j) that each move is handed.
     images = dict(eta_g.images)
     offending = [s for s in eta_g.domain.maximal_simplexes() if s.dim == n
                  and math.gcd(*(den(images[v]) for v in s.vertices)) != 1]
@@ -355,7 +358,7 @@ def pipeline_dh(eta_b: PLMap, part: GeoComplex,
         center = s.barycenter()
         images[center] = coprime_point(inside.maximal_simplexes()[first],
                                        math.lcm(*(den(images[v]) for v in s.vertices)))
-        stars.replace(center, s.vertices)
+        stars.replace(center, {v: (den(center), (n + 1) * den(v)) for v in s.vertices})
     delta_h = stars.complex() if offending else eta_g.domain
     eta_h = PLMap(delta_h, images)
 
@@ -394,6 +397,10 @@ class RetractVerdict:
     status: str  # 'certified' | 'refuted' | 'unknown'
     witnesses: Optional[RetractWitnesses] = None
     refutation_reason: Optional[str] = None
+    # Why an 'unknown' verdict is unknown: 'desing-budget' or
+    # 'collapse-search'.  It explains a run, so it takes no part in
+    # equality and the .scx verdict does not hold it.
+    unknown_reason: Optional[str] = field(default=None, compare=False)
 
 
 def certify_main(part: GeoComplex, budget: int = 100_000,
@@ -405,7 +412,8 @@ def certify_main(part: GeoComplex, budget: int = 100_000,
     certification carries independently replayable witnesses.  When only
     the collapse search is inconclusive, or desingularization exhausts
     ``desing_budget`` so that (iii) stays undecided, the verdict is
-    'unknown': contractibility itself is not decided here.
+    'unknown', with the reason 'collapse-search' or 'desing-budget':
+    contractibility itself is not decided here.
 
     (iii) is decided on P's own maximal simplexes
     (``is_strongly_regular_polyhedron``), which is what testing a
@@ -432,7 +440,7 @@ def certify_main(part: GeoComplex, budget: int = 100_000,
     if failed:
         return RetractVerdict("refuted", refutation_reason=",".join(failed))
     if sigma is None:
-        return RetractVerdict("unknown")
+        return RetractVerdict("unknown", unknown_reason="desing-budget")
     for candidate in (part,) if sigma is part else (part, sigma):
         seq = find_collapse_sequence(candidate, budget=budget)
         if seq is not None:
@@ -443,4 +451,4 @@ def certify_main(part: GeoComplex, budget: int = 100_000,
                     collapse_sequence=seq,
                     lattice_vertex=lattice[0],
                     strongly_regular=sigma))
-    return RetractVerdict("unknown")
+    return RetractVerdict("unknown", unknown_reason="collapse-search")

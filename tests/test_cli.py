@@ -1,5 +1,6 @@
 import argparse
 import collections
+import functools
 import json
 import random
 from importlib import resources
@@ -11,7 +12,7 @@ import pytest
 from zrk import (GeoSimplex, certify_main, common_refinement, desingularize,
                  find_collapse_sequence, from_maximal, is_regular, is_subdivision,
                  part2_reduce, pipeline_dh, realize, restrict, rpoint, standard_cube, stellar)
-from zrk import cli
+from zrk import cli, zmaps
 from zrk.cli import build_parser, main
 from zrk.exactnum import invariant_factors
 from zrk.scx import ScxDocument, parse_scx, print_scx
@@ -262,13 +263,35 @@ def test_a_zero_search_budget_is_unknown(capsys):
         (["pipeline", corpus_path("square_to_half_diagonal.scx"),
           corpus_path("half_diagonal.scx")], "}\n", "collapse search inconclusive\n"),
         (["certify", corpus_path("cube2.scx")],
-         "unknown: collapse search or desingularization inconclusive\n", ""),
+         "unknown: collapse-search\n", ""),
     ]
     for argv, out, err in cases:
         capsys.readouterr()
         assert run(*argv, "--budget", "0") == 2, argv
         captured = capsys.readouterr()
         assert captured.out.endswith(out) and captured.err == err, argv
+
+
+def test_certify_says_why_a_verdict_is_unknown(tmp_path, monkeypatch, capsys):
+    # An unknown verdict names its reason: the collapse search ran out of
+    # budget on both candidates, or desingularization ran out of its own,
+    # so that (iii) stays undecided.  The reason explains the run: it takes
+    # no part in equality and the printed verdict does not hold it.
+    path = tmp_path / "segment.scx"
+    segment = from_maximal([GeoSimplex((rpoint(0), rpoint("2/3")))])
+    path.write_text(print_scx(ScxDocument("complex", segment)), encoding="utf-8")
+    starved = functools.partial(certify_main, desing_budget=0)
+    for budget, certify, reason in (("0", certify_main, "collapse-search"),
+                                    ("100", starved, "desing-budget")):
+        verdict = certify(segment, budget=int(budget))
+        assert (verdict.status, verdict.unknown_reason) == ("unknown", reason)
+        text = print_scx(ScxDocument("verdict", verdict))
+        assert reason not in text and parse_scx(text).payload == verdict
+        assert parse_scx(text).payload.unknown_reason is None
+        monkeypatch.setattr(zmaps, "certify_main", certify)
+        capsys.readouterr()
+        assert run("certify", str(path), "--budget", budget) == 2
+        assert capsys.readouterr() == (f"unknown: {reason}\n", "")
 
 
 def test_certify_witnesses_reverify(tmp_path):
@@ -578,7 +601,7 @@ def _contract_cases(inputs: Path):
         (["certify", third, "--witness", "w"], 1, refused, "",
          {"w/verdict.scx": text("verdict", refuted)}),
         (["certify", cube2, "--budget", "0", "--out", "o.scx"], 2,
-         "unknown: collapse search or desingularization inconclusive\n", "",
+         "unknown: collapse-search\n", "",
          {"o.scx": text("verdict", certify_main(load(cube2), budget=0))}),
         (["realize", str(weighted_path)], 0, real, "", {}),
         (["realize", str(weighted_path), "--out", "o.scx"], 0, "", "", {"o.scx": real}),

@@ -2,6 +2,7 @@ import collections
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from zrk.exactnum import invariant_factors
 from zrk.regular import BudgetExhausted, InvariantBroken
 
 from conftest import random_rational, random_simplex, seg, tri
+from rfold import rfold
 import oracles
 from oracles import (all_faces_strongly_regular, anchor, dot, exit_parameter,
                      fraction_box_point, fraction_exit_parameter,
@@ -497,6 +499,98 @@ def test_box_point_invariants(monkeypatch):
         regular._box_point(bad)
 
 
+def test_handed_determinants_match_eliminations(monkeypatch):
+    # Every determinant a simplex is handed, by standard_cube's Kuhn formula
+    # or by a stellar move from its parent's, is the determinant of its
+    # vertex vectors, by Bareiss elimination and by cofactor expansion (0
+    # for a lower-dimensional simplex).  Cubes 1-6; stellar cube2-4s at
+    # seeded points inside simplexes and on their faces, and a segment in
+    # R^2; absolute and relative desingularizations, one from the capped
+    # box point; and step H on two folds.  Step H blows up pulled cells,
+    # which hold no determinant, so in the pipeline each move reads its
+    # parents' first.
+    made, handed = [], collections.Counter()
+    raw = GeoSimplex._raw.__func__
+
+    def spy(cls, vertices, det=None):
+        s = raw(cls, vertices, det)
+        if det is not None:
+            made.append(s)
+        return s
+
+    def check(kind):
+        for s in made:
+            rows = [list(x) for x in s._vertex_rows]
+            full = len(rows) == len(rows[0])
+            assert vars(s)["_det"] == linalg.det(rows) == (
+                oracles._int_det(rows) if full else 0), (kind, s)
+        handed[kind] += len(made)
+        made.clear()
+
+    monkeypatch.setattr(GeoSimplex, "_raw", classmethod(spy))
+    for n in range(1, 7):
+        standard_cube(n)
+    check("cube")
+    rng = random.Random(1993)
+    for n in (2, 3, 4, 2, 3, 4):
+        cx = standard_cube(n)
+        for _ in range(6):
+            m = rng.choice(cx.maximal_simplexes())
+            face = rng.sample(m.vertices, rng.randint(2, len(m.vertices)))
+            weights = [rng.randint(1, 5) for _ in face]
+            cx = stellar(cx, rpoint(*[Fraction(sum(w * v[i] for w, v in zip(weights, face)),
+                                               sum(weights)) for i in range(n)]))
+        check("stellar")
+    stellar(from_maximal([GeoSimplex((rpoint("1/2", 0), rpoint(0, "1/2")))]),
+            rpoint("1/6", "1/3"))
+    check("stellar")
+    for cx in _desingularize_inputs()[:20]:
+        desingularize(cx)
+    with pytest.raises(BudgetExhausted):
+        desingularize(from_maximal([seg("1/4099", "1/2")]), budget=20)
+    for cx, part in _relative_inputs()[:20]:
+        desingularize_relative(cx, part)
+    check("desingularize")
+    replace, coprime, step_h = subdivide._Stars.replace, zmaps.coprime_point, []
+
+    def read_first(stars, p, coefficients):
+        for m in set.intersection(*(stars._star[v] for v in coefficients)):
+            m._det
+        cones = replace(stars, p, coefficients)
+        if step_h and step_h[-1] is None:  # step H images its centre, then moves
+            step_h[-1] = len(cones)
+        return cones
+
+    monkeypatch.setattr(zmaps, "coprime_point", lambda *a: step_h.append(None) or coprime(*a))
+    for n, k in ((2, 15), (3, 2)):
+        eta, part = rfold(n, k)
+        monkeypatch.setattr(subdivide._Stars, "replace", read_first)
+        zmaps.pipeline_dh(eta, part)
+        monkeypatch.setattr(subdivide._Stars, "replace", replace)
+        check("step H")
+    assert handed["cube"] == sum(math.factorial(n) for n in range(1, 7))
+    assert min(handed.values()) >= 100 and sum(step_h) >= 100, (handed, sum(step_h))
+
+
+def test_a_certify_pass_eliminates_nothing(monkeypatch):
+    # The seed-1 ops of the benchmark's certify workload, built in memory.
+    # Every determinant a certify pass reads is one its simplexes hold: the
+    # checking constructor's, the Kuhn formula's or one a blow-up handed
+    # on, so no op eliminates.  Eliminating for each cone's determinant
+    # made 125 Bareiss eliminations per pass, 86 of them in one random
+    # simplex's desingularization.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    ops = workloads.build("certify", 1)
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda *a, **k: calls.append(1) or bareiss(*a, **k))
+    regular.is_regular.cache_clear()
+    statuses = collections.Counter(op.run()[1].status for op in ops)
+    assert not calls
+    assert statuses["certified"] >= 8 and statuses["refuted"] >= 2, statuses
+
+
 def test_box_point_matches_fraction_oracle():
     simplexes = [cx.maximal_simplexes()[0] for cx in _desingularize_inputs()[:15]]
     rng = random.Random(61)
@@ -508,13 +602,14 @@ def test_box_point_matches_fraction_oracle():
     wide = seg("1/4099", "1/2")
     assert invariant_factors(homog(v).entries for v in wide.vertices)[-1] == 4097
     simplexes.append(wide)
+    rebuilt = []
     for s in simplexes:
         try:
             expected = fraction_box_point(s)
         except InvariantBroken as e:
             expected = str(e)
         try:
-            got, carrier = regular._box_point(s)
+            got, coefficients = regular._box_point(s)
         except InvariantBroken as e:
             got = str(e)
         assert got == expected, s
@@ -523,7 +618,14 @@ def test_box_point_matches_fraction_oracle():
         # desingularize blows up the carrier read off the box coefficients:
         # the face on which the point has positive barycentric coordinates.
         weights = s._weights(got._homog)
-        assert carrier == {v for v, a in zip(s.vertices, weights) if a > 0}, s
+        assert set(coefficients) == {v for v, a in zip(s.vertices, weights) if a > 0}, s
+        # The coefficients, which the blow-up hands on to give each cone its
+        # determinant, rebuild the point's vector from the vertex vectors.
+        assert all(a > 0 and b > 0 for a, b in coefficients.values()), s
+        assert [sum(Fraction(a, b) * v._homog[c] for v, (a, b) in coefficients.items())
+                for c in range(len(got._homog))] == list(got._homog), s
+        rebuilt.append(s)
+    assert len(rebuilt) > 40 and wide in rebuilt
 
 
 def test_is_strongly_regular_matches_all_faces_oracle(antidiagonal):

@@ -151,15 +151,19 @@ def test_subdivide_asks_complexes_about_points_only_by_hosts_and_carrier():
     # with barycentric tests, 720 scans for cube6 against itself.  The one
     # barycentric test left is refine_for_map's: it reads a new vertex's
     # weights on the one simplex it cut the vertex from, which locates
-    # nothing, and hands them to GeoSimplex._image.
+    # nothing, and hands them to GeoSimplex._image.  The one location left
+    # is stellar's: it locates its one point once, as the carrier search it
+    # replaced did, and reads the move's coefficients off the weights.
     tree = ast.parse(Path(zrk.subdivide.__file__).read_text(encoding="utf-8"))
+    allowed = {("_weights", "refine_for_map"), ("_locate", "stellar")}
     found = [f"{name}:{node.lineno}" for top in tree.body for node in ast.walk(top)
              for name in (getattr(node, "id", None), getattr(node, "attr", None),
                           getattr(node, "name", None))
              if name in ("_locate", "_weights", "contains", "barycentric",
                          "barycenter", "_simplex_inside")
-             and (name, getattr(top, "name", None)) != ("_weights", "refine_for_map")]
+             and (name, getattr(top, "name", None)) not in allowed]
     assert not found, f"point location in subdivide: {found}"
+    assert _callers("_locate").count("subdivide.py:stellar") == 1
 
 
 def _callers(name: str) -> list[str]:
@@ -406,7 +410,7 @@ def test_the_cli_loads_and_writes_documents_in_one_place():
 
 # Code lines in src/zrk when the gate was set.  Lower it when code goes;
 # raise it only with a line in CHANGES.md saying why.
-CODE_LINES = 2088
+CODE_LINES = 2105
 
 
 def code_lines(text: str) -> int:
