@@ -6,10 +6,11 @@ the required canonical form.  The lattice kernels take integer matrices
 only: an entry that is not an ``int`` (a float, a ``Fraction``, a bool)
 raises ``ValueError`` instead of being truncated.  Every regularity check
 reduces to ``extends_to_basis``, a saturation test by unimodular column
-operations that computes no transforms; the Smith decomposition
-(``smith_with_transforms``, ``invariant_factors``) serves the callers that
-need the invariant factors themselves or the transforms.  Each kernel has
-a private form (``_saturated``, ``_smith``) that skips those checks, for
+operations that computes no transforms.  The Smith kernel ``_smith``
+keeps only the row transform U and the diagonal D of U * A * V = D, which
+is all its callers read: ``invariant_factors`` the diagonal, and
+``regular``'s lattice tests U and D; the full decomposition with V is a
+test oracle.  ``_saturated`` and ``_smith`` skip the integer checks, for
 callers whose rows are zrk's own.  A broken invariant of this arithmetic,
 here or in the modules that build on it, raises ``InvariantBroken``
 (``_check``).  Rationals are read as (numerator,
@@ -104,8 +105,9 @@ class IntMat:
 
 
 def invariant_factors(m: IntMat | Sequence[Sequence[int]]) -> list[int]:
-    """Smith-form diagonal d_1 | d_2 | ... | d_min(rows, cols)."""
-    _, d, _ = smith_with_transforms(m.entries if isinstance(m, IntMat) else m)
+    """Smith-form diagonal d_1 | d_2 | ... | d_min(rows, cols), read off
+    ``_smith``'s D once ``IntMat`` has checked the rows."""
+    _, d = _smith(_int_rows(m.entries if isinstance(m, IntMat) else m))
     return [d[i][i] for i in range(min(len(d), len(d[0])))]
 
 
@@ -187,45 +189,22 @@ def lcd(xs: Sequence[Rat]) -> int:
     return math.lcm(*(x.denominator for x in xs))
 
 
-def smith_with_transforms(entries: Sequence[Sequence[int]]
-                          ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Full Smith decomposition U * A * V = D with U, V unimodular.
+def _smith(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """(U, D) of the Smith form U * A * V = D of the rows A, with U
+    unimodular and d_1 | d_2 | ... on D's diagonal, for rows known to be
+    ints: callers whose rows are zrk's own skip ``IntMat``'s checks, as
+    with ``_saturated``.  V is not kept; the full decomposition is the
+    test oracle ``smith_with_transforms`` in ``tests/oracles.py``.
 
-    Returns (U, D, V); the diagonal of D holds the invariant factors.
-    """
-    return _smith(_int_rows(entries))
+    The kernel reduces one augmented copy of the rows: each row of A
+    followed by its row of the identity.  Row operations, swaps and sign
+    flips act on whole rows, so the identity block becomes U; column
+    operations, swaps and the divisibility fold touch the first nc entries
+    only, so that block becomes D."""
+    nr, nc = len(rows), len(rows[0])
+    a = [[*r, *(int(i == j) for j in range(nr))] for i, r in enumerate(rows)]
 
-
-def _smith(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """``smith_with_transforms`` on rows known to be ints, given as mutable
-    lists that it reduces in place to D; for callers whose rows are zrk's
-    own, as ``_saturated``, so they skip ``IntMat``'s checks."""
-    nr, nc = len(a), len(a[0])
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(j, i, q):  # col_j -= q * col_i
-        for row in a:
-            row[j] -= q * row[i]
-        for row in v:
-            row[j] -= q * row[i]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def diagonalize(start: int) -> None:
-        top = start
+    def diagonalize(top: int) -> None:
         while top < nr and top < nc:
             best = None
             for i in range(top, nr):
@@ -234,26 +213,27 @@ def _smith(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[l
                         best = (i, j)
             if best is None:
                 break
-            swap_rows(top, best[0])
-            swap_cols(top, best[1])
+            a[top], a[best[0]] = a[best[0]], a[top]
+            for row in a:
+                row[top], row[best[1]] = row[best[1]], row[top]
             dirty = False
             for i in range(top + 1, nr):
                 q = a[i][top] // a[top][top]
-                if q:
-                    row_op(i, top, q)
+                if q:  # row_i -= q * row_top
+                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
                 if a[i][top] != 0:
                     dirty = True
             for j in range(top + 1, nc):
                 q = a[top][j] // a[top][top]
-                if q:
-                    col_op(j, top, q)
+                if q:  # col_j -= q * col_top
+                    for row in a:
+                        row[j] -= q * row[top]
                 if a[top][j] != 0:
                     dirty = True
             if dirty:
                 continue
             if a[top][top] < 0:
                 a[top] = [-x for x in a[top]]
-                u[top] = [-x for x in u[top]]
             top += 1
 
     diagonalize(0)
@@ -265,10 +245,8 @@ def _smith(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[l
         violation = next(((i, j) for i in range(size) for j in range(i + 1, size)
                           if (a[j][j] % a[i][i] if a[i][i] else a[j][j])), None)
         if violation is None:
-            return u, a, v
+            return [r[nc:] for r in a], [r[:nc] for r in a]
         i, j = violation
         for row in a:
-            row[i] += row[j]
-        for row in v:
             row[i] += row[j]
         diagonalize(i)

@@ -129,7 +129,7 @@ def _hull_meets_lattice(s: GeoSimplex) -> bool:
     dens = [w[-1] for w in rows]
     if len(rows) == len(rows[0]) or math.gcd(*dens) == 1:
         return True
-    u, d, _ = _smith(list(map(list, rows)))
+    u, d = _smith(rows)
     return math.gcd(*(sum(map(mul, ui, dens)) // d[i][i]
                       for i, ui in enumerate(u))) == 1
 
@@ -166,7 +166,7 @@ def _box_point(s: GeoSimplex) -> tuple[RPoint, dict[RPoint, tuple[int, int]]]:
     """
     rows = s._vertex_rows
     m = len(rows)
-    u, d_mat, _ = _smith(list(map(list, rows)))
+    u, d_mat = _smith(rows)
     torsion = [(u[i], d_mat[i][i]) for i in range(m) if d_mat[i][i] > 1]
     _check(bool(torsion), "regular simplex has no box point")
     big = math.lcm(*(di for _, di in torsion))

@@ -18,6 +18,11 @@ so that a witness zrk certifies is checked by arithmetic zrk did not do:
   the maximal simplexes are the ones tested.
 
 A verdict document is read for its ``strongly_regular`` witness.
+
+``replay`` re-checks a collapse sequence on the same terms: faces are
+frozensets of points, and a step (T, F) is an elementary collapse when T
+and F are live, F is a facet of T and T is the only live face that
+properly contains F.  The run must leave the terminal vertex alone.
 """
 
 from __future__ import annotations
@@ -28,12 +33,13 @@ import math
 from fractions import Fraction
 
 
-def maximal_simplexes(text: str) -> list[list[tuple[Fraction, ...]]]:
+def maximal_simplexes(text: str, witness: str = "strongly_regular"
+                      ) -> list[list[tuple[Fraction, ...]]]:
     """The maximal simplexes of the complex in a ``.scx`` document: a
-    complex document's own, or a verdict's ``strongly_regular`` witness."""
+    complex document's own, or a verdict's ``witness``."""
     body = json.loads(text)
     if body["kind"] == "verdict":
-        body = body["witnesses"]["strongly_regular"]
+        body = body["witnesses"][witness]
     elif body["kind"] != "complex":
         raise ValueError(f"no complex in a {body['kind']} document")
     return [[tuple(map(Fraction, point)) for point in simplex]
@@ -75,3 +81,25 @@ def is_strongly_regular(simplexes: list[list[tuple[Fraction, ...]]]) -> bool:
     return all(is_regular(s) and math.gcd(*(vector(v)[-1] for v in s)) == 1
                for s in simplexes)
 
+
+def face(points: list) -> frozenset:
+    """A simplex of a ``.scx`` document as the set of its points."""
+    return frozenset(tuple(map(Fraction, point)) for point in points)
+
+
+def replay(complex_text: str, sequence: dict) -> bool:
+    """Whether ``sequence``, a verdict's ``collapse_sequence`` object (its
+    ``steps`` [T, F] and its ``terminal``), collapses the complex of
+    ``complex_text`` to the terminal vertex alone: a complex document's
+    own complex, or a verdict's ``collapse_complex`` witness.  The live
+    faces start as every face of every maximal simplex."""
+    live = {frozenset(subset) for simplex in maximal_simplexes(complex_text, "collapse_complex")
+            for k in range(1, len(simplex) + 1)
+            for subset in itertools.combinations(simplex, k)}
+    for t, f in sequence["steps"]:
+        t, f = face(t), face(f)
+        if not (t in live and f in live and f < t and len(t) == len(f) + 1
+                and all(g == t for g in live if f < g)):
+            return False
+        live -= {t, f}
+    return live == {face([sequence["terminal"]])}

@@ -52,7 +52,9 @@ and ``pullback_forms`` are the cell kernel on ``Fraction`` points and
 ``AffineForm``s, from before it worked on homogeneous integer vectors and
 integer rows; ``fraction_aff_dim`` is the ``Fraction`` echelon rank they
 used.  ``solve_affine`` and ``solve_square`` are the ``Fraction`` solvers
-the box point used.  ``smith_extends_to_basis`` decides basis extension
+the box point used.  ``smith_with_transforms`` is the full Smith
+decomposition U A V = D with both transforms, from before
+``exactnum._smith`` kept only U and D; ``smith_extends_to_basis`` decides basis extension
 from the full Smith form, from before ``exactnum.extends_to_basis`` was a
 saturation test by column operations; ``fraction_box_point`` (with
 ``fraction_integer_inverse``) finds the box point with ``Fraction`` solves,
@@ -179,8 +181,7 @@ from zrk import linalg, scx, subdivide, zmaps
 from zrk.collapse import CollapseSequence, CollapseStep, _FaceTable, find_collapse_sequence
 from zrk.complexes import (GeoComplex, GeoSimplex, RPoint, _bbox_overlap, _cached,
                            _closure, _homogeneous, _placement, skeleton)
-from zrk.exactnum import (IntMat, _saturated, format_rat, invariant_factors,
-                          smith_with_transforms, xgcd)
+from zrk.exactnum import IntMat, _saturated, format_rat, invariant_factors, xgcd
 from zrk.regular import (BudgetExhausted, _box_point, _check, coprime_point, den,
                          desingularize, is_regular, is_strongly_regular)
 
@@ -1680,6 +1681,86 @@ def simplex_volume(points) -> Fraction:
     xs = [linalg.homogeneous(p) for p in points]
     return Fraction(abs(linalg.det(xs)),
                     math.prod(x[-1] for x in xs) * math.factorial(n))
+
+
+def smith_with_transforms(entries):
+    """Full Smith decomposition U * A * V = D with U, V unimodular, once
+    ``IntMat`` has checked the entries.  Returns (U, D, V); the diagonal of
+    D holds the invariant factors.  Two matrices are updated beside A: U
+    by every row operation and V by every column operation."""
+    a = [list(r) for r in IntMat.from_rows(entries).entries]
+    nr, nc = len(a), len(a[0])
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(j, i, q):  # col_j -= q * col_i
+        for row in a:
+            row[j] -= q * row[i]
+        for row in v:
+            row[j] -= q * row[i]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def diagonalize(start: int) -> None:
+        top = start
+        while top < nr and top < nc:
+            best = None
+            for i in range(top, nr):
+                for j in range(top, nc):
+                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            swap_rows(top, best[0])
+            swap_cols(top, best[1])
+            dirty = False
+            for i in range(top + 1, nr):
+                q = a[i][top] // a[top][top]
+                if q:
+                    row_op(i, top, q)
+                if a[i][top] != 0:
+                    dirty = True
+            for j in range(top + 1, nc):
+                q = a[top][j] // a[top][top]
+                if q:
+                    col_op(j, top, q)
+                if a[top][j] != 0:
+                    dirty = True
+            if dirty:
+                continue
+            if a[top][top] < 0:
+                a[top] = [-x for x in a[top]]
+                u[top] = [-x for x in u[top]]
+            top += 1
+
+    diagonalize(0)
+    # Divisibility fix-up: whenever d_i does not divide d_j, fold column j
+    # into column i and re-diagonalize from i; the pivot there becomes
+    # gcd(d_i, d_j), so the chain strictly improves and the loop terminates.
+    size = min(nr, nc)
+    while True:
+        violation = next(((i, j) for i in range(size) for j in range(i + 1, size)
+                          if (a[j][j] % a[i][i] if a[i][i] else a[j][j])), None)
+        if violation is None:
+            return u, a, v
+        i, j = violation
+        for row in a:
+            row[i] += row[j]
+        for row in v:
+            row[i] += row[j]
+        diagonalize(i)
 
 
 def smith_extends_to_basis(rows) -> bool:

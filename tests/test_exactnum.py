@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from zrk.exactnum import (IntMat, extends_to_basis, format_rat,
-                          invariant_factors, lcd, parse_rat,
-                          smith_with_transforms)
+from zrk.exactnum import (IntMat, _smith, extends_to_basis, format_rat,
+                          invariant_factors, lcd, parse_rat)
 
-from oracles import minor_gcd, smith_extends_to_basis
+from conftest import seg
+from oracles import _int_det, minor_gcd, smith_extends_to_basis, smith_with_transforms
 
 rats = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -83,8 +83,6 @@ def test_lattice_kernels_reject_non_integers():
             extends_to_basis(bad)
         with pytest.raises(ValueError, match="entries must be integers"):
             invariant_factors(bad)
-        with pytest.raises(ValueError, match="entries must be integers"):
-            smith_with_transforms(bad)
         with pytest.raises(ValueError, match="entries must be integers"):
             IntMat.from_rows(bad)
 
@@ -194,6 +192,35 @@ def test_smith_with_transforms_consistency():
                     assert d[i][j] == 0
         diag = [d[i][i] for i in range(min(rows, cols))]
         assert diag == invariant_factors(a)
-        from oracles import _int_det
         assert abs(_int_det(u)) == 1
         assert abs(_int_det(v)) == 1
+
+
+def test_smith_keeps_the_oracles_row_transform_and_diagonal():
+    # _smith reduces one augmented matrix [A | I] and keeps no V; every
+    # operation runs in the oracle's order on the oracle's numbers, so U
+    # and D are the oracle's own, not merely another valid pair.  The
+    # vertex rows of seg(1/4099, 1/2) have the torsion 4097, over the box
+    # point's cap of 4096 candidates, where U's exact choice picks the
+    # point.
+    rng = random.Random(58)
+    cases = [[[0] * cols for _ in range(rows)] for rows in range(1, 4) for cols in range(1, 4)]
+    cases.append([list(r) for r in seg("1/4099", "1/2")._vertex_rows])
+    for _ in range(600):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            # A rank-deficient matrix: its last row an integer combination
+            # of two others.
+            i, j = rng.randrange(rows - 1), rng.randrange(rows - 1)
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            a[-1] = [p * x + q * y for x, y in zip(a[i], a[j])]
+        cases.append(a)
+    deficient = 0
+    for a in cases:
+        u, d, _ = smith_with_transforms(a)
+        frozen = [tuple(r) for r in a]
+        assert _smith(frozen) == (u, d), a
+        deficient += 0 in (d[i][i] for i in range(min(len(a), len(a[0]))))
+    assert deficient > 50 and any(len(a) != len(a[0]) for a in cases)
+    assert invariant_factors(cases[9])[-1] == 4097

@@ -1,6 +1,7 @@
 """The stdlib regularity checker of ``tests/independent.py`` against zrk."""
 
 import ast
+import json
 import random
 from importlib import resources
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 from zrk import (GeoComplex, certify_main, desingularize, is_regular, is_strongly_regular,
                  rpoint, standard_cube)
 from zrk import regular
+from zrk.collapse import replay
 from zrk.scx import ScxDocument, parse_scx, print_scx
 
 import independent
@@ -82,3 +84,47 @@ def test_the_independent_checker_agrees_on_certify_witnesses():
             answers.append(mine)
     assert certified >= 8
     assert {(True, True), (True, False), (False, False)} <= set(answers), answers
+
+
+def _tampered(witnesses: dict) -> list[dict]:
+    """Copies of a verdict's collapse sequence that no collapse accepts: one
+    step dropped, which leaves two faces more than the terminal; the first
+    and last steps swapped; and every other vertex of the collapse complex
+    as the terminal."""
+    seq = witnesses["collapse_sequence"]
+    steps, terminal = seq["steps"], seq["terminal"]
+    copies = [dict(seq, steps=steps[:i] + steps[i + 1:]) for i in range(len(steps))]
+    if len(steps) > 1:
+        copies.append(dict(seq, steps=[steps[-1], *steps[1:-1], steps[0]]))
+    vertices = {tuple(point) for simplex in witnesses["collapse_complex"]["maximal_simplexes"]
+                for point in simplex}
+    return copies + [dict(seq, terminal=list(v)) for v in sorted(vertices)
+                     if list(v) != terminal]
+
+
+def test_the_independent_replay_agrees_on_the_shipped_sequences():
+    # The collapse sequence of each certified verdict, as shipped and
+    # tampered with: collapse.replay on the parsed document and the
+    # independent replay on its text give one answer, True for the shipped
+    # sequence only.
+    files = resources.files("zrk.corpus")
+    seen, tampered = 0, 0
+    for path in sorted(files.iterdir(), key=lambda p: p.name):
+        if not path.name.endswith(".verdict.scx"):
+            continue
+        text = path.read_text(encoding="utf-8")
+        body = json.loads(text)
+        if body["status"] != "certified":
+            continue
+        shipped = body["witnesses"]["collapse_sequence"]
+        copies = _tampered(body["witnesses"])
+        for seq in [shipped] + copies:
+            body["witnesses"]["collapse_sequence"] = seq
+            witnesses = parse_scx(json.dumps(body)).payload.witnesses
+            mine = independent.replay(text, seq)
+            assert mine == replay(witnesses.collapse_complex, witnesses.collapse_sequence), \
+                (path.name, seq)
+            assert mine == (seq is shipped), (path.name, seq)
+        seen += 1
+        tampered += len(copies)
+    assert seen == 7 and tampered > 50, (seen, tampered)

@@ -413,7 +413,8 @@ def test_full_dimensional_regularity_is_read_off_the_determinant(monkeypatch):
 def test_box_point_and_hull_hand_their_rows_to_smith_unchecked(monkeypatch):
     # A simplex's vertex vectors are its own int rows, so _box_point and
     # _hull_meets_lattice run the Smith kernel without IntMat's checks, and
-    # it gives the U, D and V that the checked smith_with_transforms gives.
+    # it gives the U and D that the checked oracle smith_with_transforms
+    # gives.
     rng = random.Random(279)
     boxed, hulls = [], []
     while len(boxed) < 30 or len(hulls) < 30:
@@ -440,7 +441,7 @@ def test_box_point_and_hull_hand_their_rows_to_smith_unchecked(monkeypatch):
         regular._hull_meets_lattice(f)
     assert not checks and len(seen) == len(boxed) + len(hulls)
     for rows, got in seen:
-        assert got == exactnum.smith_with_transforms(rows), rows
+        assert got == oracles.smith_with_transforms(rows)[:2], rows
     assert len(checks) == len(seen)
 
 
@@ -469,8 +470,8 @@ def _with_row_transform(u_new):
     real = regular._smith
 
     def smith(rows):
-        _, d, v = real(rows)
-        return u_new, d, v
+        _, d = real(rows)
+        return u_new, d
     return smith
 
 
@@ -653,7 +654,7 @@ def test_regularity_paths_stay_integer(monkeypatch):
     inputs = [standard_cube(3), from_maximal([s])]
     is_reg, is_sreg, box = (regular.is_regular, regular.is_strongly_regular,
                             regular._box_point)
-    smith, det = exactnum.smith_with_transforms, linalg.det
+    smith, det = regular._smith, linalg.det
     inside, calls = [], {"regular": 0, "box": 0, "smith": 0, "det": 0}
 
     def entered(key, fn):
@@ -678,8 +679,6 @@ def test_regularity_paths_stay_integer(monkeypatch):
     # zmaps decides the strong regularity of a realization on its weights.
     monkeypatch.setattr(regular, "is_strongly_regular", entered("regular", is_sreg))
     monkeypatch.setattr(regular, "_box_point", entered("box", box))
-    monkeypatch.setattr(exactnum, "smith_with_transforms",
-                        counted("smith", "regular", smith))
     monkeypatch.setattr(regular, "_smith",
                         counted("smith", "regular", smith))
     monkeypatch.setattr(linalg, "det", counted("det", "box", det))
