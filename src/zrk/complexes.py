@@ -127,9 +127,6 @@ class NotASimplicialComplex(ValueError):
     pass
 
 
-_FRACTION = frozenset({Fraction})  # the coordinate types a point keeps as given
-
-
 class _cached:
     """An attribute computed on first read and kept in the instance dict,
     which then answers every later read: the one way a simplex, a complex
@@ -181,9 +178,8 @@ class RPoint:
     __slots__ = ("_coords", "_homog", "_hash")
 
     def __new__(cls, coords: Sequence):
-        if type(coords) is not tuple or set(map(type, coords)) != _FRACTION:
-            coords = tuple(c if type(c) is Fraction else Fraction(_exact(c, f"coordinate {i}"))
-                           for i, c in enumerate(coords))
+        coords = tuple(c if type(c) is Fraction else Fraction(_exact(c, f"coordinate {i}"))
+                       for i, c in enumerate(coords))
         if not coords:
             raise ValueError("ambient dimension must be >= 1")
         p = cls._from_homog(linalg.homogeneous(coords))
@@ -528,10 +524,10 @@ def _meet_in_common_face(a: GeoSimplex, b: GeoSimplex) -> bool:
 
 
 def _boundary_facets(cx: GeoComplex) -> Optional[list[tuple[GeoSimplex, int, tuple]]]:
-    """The facet pass that the cube and hull tests share, on a complex
-    whose maximal simplexes are n-simplexes in R^n: each facet of a maximal
-    simplex is keyed by its vertex rank tuple.  None when a facet lies in
-    three or more maximal simplexes, or in two, a and b, which drop a's
+    """The facet pass that the cube and hull tests share: each facet of a
+    maximal simplex is keyed by its vertex rank tuple.  None when a maximal
+    simplex is not an n-simplex of R^n, when a facet lies in three or more
+    maximal simplexes, or in two, a and b, which drop a's
     vertex i and b's vertex j, with (-1)^(i+j) det a det b >= 0, so that
     they lie on one side of it.  Otherwise the facets that lie in one
     maximal simplex, as (simplex, index of the dropped vertex, key).
@@ -543,9 +539,11 @@ def _boundary_facets(cx: GeoComplex) -> Optional[list[tuple[GeoSimplex, int, tup
     whose sign at a vector with positive last entry tells the side of F the
     point lies on.  It reads each simplex's determinant ``_det``.
     """
-    n = cx.ambient_dim
+    n, maxi = cx.ambient_dim, cx.maximal_simplexes()
+    if any(len(s.vertices) != n + 1 for s in maxi):
+        return None
     facets: dict[tuple[int, ...], list] = {}
-    for s, r in zip(cx.maximal_simplexes(), cx._ranks):
+    for s, r in zip(maxi, cx._ranks):
         for i in range(n + 1):
             facets.setdefault(r[:i] + r[i + 1:], []).append((s, i))
     boundary = []
@@ -574,8 +572,8 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
     (d) a facet in one maximal simplex lies in a facet of the cube: all its
         vertices have some coordinate 0, or all have it 1;
     (e) two maximal simplexes sharing a facet lie on opposite sides of it,
-        read off their orientations (``_boundary_facets``, which checks (c)
-        and (e));
+        read off their orientations (``_boundary_facets``, which checks (a),
+        (c) and (e));
     (f) the volumes add up to the cube's: with the product q_s of the
         vertex denominators of each maximal simplex s (``GeoSimplex._volume``),
         sum |det s| / q_s = n!, compared in integers (``_adds_up``).
@@ -623,8 +621,6 @@ def _triangulates_cube(cx: GeoComplex) -> bool:
     a simplicial complex the test decides whether |cx| = [0,1]^n.
     """
     n, maxi, verts = cx.ambient_dim, cx.maximal_simplexes(), cx.vertices()
-    if any(len(s.vertices) != n + 1 for s in maxi):
-        return False
     low, high = [], []  # per vertex: the axes where it is 0, and where it is 1
     for v in verts:
         *x, d = v._homog
@@ -650,7 +646,8 @@ def _triangulates_hull(cx: GeoComplex) -> bool:
     their number.  It holds when
 
     (a) every maximal simplex has dimension n, the ambient dimension;
-    (c), (e) of ``_triangulates_cube`` hold (``_boundary_facets``);
+    (c), (e) of ``_triangulates_cube`` hold (``_boundary_facets``, which
+        checks (a) too);
     (h) a facet in one maximal simplex s supports C: its normal, signed
         positive on s, is >= 0 at every vertex;
     (k) for the least vertex v, the first maximal simplex s, which has v,
@@ -683,8 +680,6 @@ def _triangulates_hull(cx: GeoComplex) -> bool:
     (k), a T-junction fails (h) and a fold (e).
     """
     n, maxi = cx.ambient_dim, cx.maximal_simplexes()
-    if any(len(s.vertices) != n + 1 for s in maxi):
-        return False
     boundary = _boundary_facets(cx)
     if boundary is None:
         return False

@@ -4,18 +4,20 @@
 numerator/denominator coprime with a positive denominator, which is exactly
 the required canonical form.  The lattice kernels take integer matrices
 only: an entry that is not an ``int`` (a float, a ``Fraction``, a bool)
-raises ``ValueError`` instead of being truncated.  Every regularity check
-reduces to ``extends_to_basis``, a saturation test by unimodular column
-operations that computes no transforms.  The Smith kernel ``_smith``
-keeps only the row transform U and the diagonal D of U * A * V = D, which
-is all its callers read: ``invariant_factors`` the diagonal, and
-``regular``'s lattice tests U and D; the full decomposition with V is a
-test oracle.  ``_saturated`` and ``_smith`` skip the integer checks, for
-callers whose rows are zrk's own.  A broken invariant of this arithmetic,
-here or in the modules that build on it, raises ``InvariantBroken``
-(``_check``).  Rationals are read as (numerator,
-denominator) pairs of ints (``_rat_pair``), which ``parse_rat`` makes a
-``Fraction`` and ``.scx`` parsing does not.
+raises ``ValueError`` instead of being truncated.  ``extends_to_basis`` is
+a saturation test by unimodular column operations that computes no
+transforms; ``regular.is_regular`` reads a full-dimensional simplex's
+determinant, and runs that test's kernel ``_saturated`` on any other
+simplex of two vertices or more.  The Smith kernel ``_smith`` keeps only
+the row transform U and the diagonal D of U * A * V = D, which is all its
+callers read: ``invariant_factors`` the diagonal, and ``regular``'s
+lattice tests U and D; the full decomposition with V is a test oracle.
+``_saturated`` and ``_smith`` skip the integer checks, for callers whose
+rows are zrk's own.  A broken invariant of this arithmetic, here or in
+the modules that build on it, raises ``InvariantBroken`` (``_check``).
+Rationals are read as (numerator, denominator) pairs of ints
+(``_rat_pair``), which ``parse_rat`` makes a ``Fraction`` and ``.scx``
+parsing does not.
 """
 
 from __future__ import annotations

@@ -170,35 +170,32 @@ def _sequence(seq: CollapseSequence, depth: int, memo: dict) -> list:
 
 def print_scx(doc: ScxDocument) -> str:
     kind, payload, memo = doc.kind, doc.payload, {}
-    head = ("kind", [encode_basestring_ascii(kind)])
-    version = ("version", [encode_basestring_ascii(doc.version)])
+    members = [("kind", [encode_basestring_ascii(kind)]),
+               ("version", [encode_basestring_ascii(doc.version)])]
     if kind == "complex":
-        dim, simplexes = _complex(payload, 0, memo)
-        members = [dim, head, simplexes, version]
+        members += _complex(payload, 0, memo)
     elif kind == "plmap":
-        dim, simplexes = _complex(payload.domain, 0, memo)
+        members += _complex(payload.domain, 0, memo)
         vertices = _blocks(payload.domain.vertices(), 3, memo)
         # ``PLMap.images`` lists the images in the domain's vertex order.
         images = _blocks(payload.images.values(), 3, memo)
         pairs = [f"[\n      {v},\n      {img}\n    ]" for v, img in zip(vertices, images)]
-        members = [("codomain_dim", [str(payload.codomain_dim)]), dim, head, simplexes,
-                   version, ("vertex_images", _array(pairs, 1))]
+        members += [("codomain_dim", [str(payload.codomain_dim)]),
+                    ("vertex_images", _array(pairs, 1))]
     elif kind == "weighted":
         faces = ["".join(_array(list(map(str, f)), 2))
                  for f in sorted(_closure(payload.base.given))]
-        members = [("faces", _array(faces, 1)), head, version,
-                   ("vertices", _array([encode_basestring_ascii(str(v))
-                                        for v in payload.base.vertices], 1)),
-                   ("weights", _array(list(map(str, payload.weights)), 1))]
+        members += [("faces", _array(faces, 1)),
+                    ("vertices", _array([encode_basestring_ascii(str(v))
+                                         for v in payload.base.vertices], 1)),
+                    ("weights", _array(list(map(str, payload.weights)), 1))]
     elif kind == "sequence":
-        steps, terminal = _sequence(payload, 0, memo)
-        members = [head, steps, terminal, version]
+        members += _sequence(payload, 0, memo)
     elif kind == "verdict":
-        members = [head]
         if payload.refutation_reason:
             members.append(("refutation_reason",
                             [encode_basestring_ascii(payload.refutation_reason)]))
-        members += [("status", [encode_basestring_ascii(payload.status)]), version]
+        members.append(("status", [encode_basestring_ascii(payload.status)]))
         wit = payload.witnesses
         if wit:
             ccx, srt, found = wit.collapse_complex, wit.strongly_regular, []
@@ -216,7 +213,9 @@ def print_scx(doc: ScxDocument) -> str:
             members.append(("witnesses", _object(found, 1)))
     else:
         raise ScxError(f"unknown kind {kind!r}")
-    pieces = _object(members, 0)
+    # Each kind appends its members in any order; keys are unique, so the
+    # sort compares keys alone.
+    pieces = _object(sorted(members), 0)
     pieces.append("\n")
     return "".join(pieces)
 

@@ -36,7 +36,9 @@ the maximal simplexes of a target complex, for the affine map on s given by
 its vertex images, the identity in the first two.  Images sharing a host
 leave s whole, a target simplex whose integer box misses the images' box
 is skipped with no clip, and only a map other than the identity pulls the
-target's rows back (``_pullback_rows``).  ``common_refinement`` measures
+target's rows back, each as its product with one integer matrix made once
+per cut simplex (``_pullback``); the identity clips by the target's own
+rows, which the matrix would only rescale.  ``common_refinement`` measures
 no tiling, as its support checks have settled that the cells tile;
 ``refine_for_map`` measures one for every simplex it cuts unless the
 target is convex and holds the vertex images, and returns the
@@ -97,7 +99,8 @@ The kernel is integer arithmetic throughout.  Points enter as their cached
 homogeneous vectors d(p, 1) and constraints as integer rows: the cached
 rows of a simplex (``GeoSimplex._point_rows``), which also serve as the
 slicing forms of ``restrict``, or a target simplex's rows pulled back along
-a map (``_pullback_rows``).  ``restrict`` slices the tuple of maximal
+a map, each as its product with the one matrix of s and its images
+(``_pullback``).  ``restrict`` slices the tuple of maximal
 simplexes by the rows it keeps in one pass, cutting a simplex the row
 crosses (``_crosses``) into the pulled cells of its two sides, and builds
 one complex; only when that complex is not adapted to |P| does the same
@@ -335,26 +338,29 @@ def _pull_cell(s: GeoSimplex, eqs_t: Sequence[Row],
     return [GeoSimplex._raw(tuple(points[i] for i in tri)) for tri in tris]
 
 
-def _pullback_rows(s: GeoSimplex, images: Sequence[RPoint],
-                   rows: Sequence[Row]) -> list[Row]:
-    """Rows g with g . X of the sign of f(eta(x)) for each row f, where eta
-    is the affine map on s with the given vertex images.
+def _pullback(s: GeoSimplex, images: Sequence[RPoint]) -> list[tuple[int, ...]]:
+    """The columns of one integer matrix M that pulls a row back along the
+    affine map eta on s with the given vertex images: for each row f, the
+    row f . M, whose entries are the f . c for the columns c, has at each
+    vector X the sign of f(eta(x)).
 
     eta(x) = sum_i l_i(x) y_i for the barycentric forms l_i of s, so
     f(eta(x)) = sum_i l_i(x) f(y_i).  s's barycentric rows are B_i = D l_i,
     and f . Y_i = D' e_i f(y_i) for Y_i = e_i (y_i, 1).  So for the least
     common multiple L of the e_i, g = sum_i (f . Y_i)(L / e_i) B_i is
     D D' L > 0 times the form sum_i f(y_i) l_i, everywhere, not only on
-    aff(s).
+    aff(s).  g is linear in f: g = f . M for M = sum_i (L / e_i) Y_i B_i^T,
+    whose column j is sum_i (L / e_i) B_i[j] Y_i, so the rows of every
+    target simplex are pulled back through M, made once per s (``_cells``).
+    For the identity M would take rows to positive multiples of themselves
+    on aff(s), so ``_cells`` clips by the target's own rows and makes no M:
+    the 15 identity cuts of a seed-1 pass of the benchmark's pipeline
+    workload (about 17 ms) took 3.0 ms so and 3.9 ms with their rows pulled
+    through M, for the same cells.
     """
-    ys = [y._homog for y in images]
-    lcm = math.lcm(*(y[-1] for y in ys))
-    bary = s._point_rows[1]
-    out = []
-    for f in rows:
-        weights = [sum(map(mul, f, y)) * (lcm // y[-1]) for y in ys]
-        out.append(tuple(sum(map(mul, weights, col)) for col in zip(*bary)))
-    return out
+    lcm = math.lcm(*(y._homog[-1] for y in images))
+    scaled = [[lcm // y._homog[-1] * c for c in y._homog] for y in images]
+    return [tuple(sum(map(mul, col, x)) for x in zip(*scaled)) for col in zip(*s._point_rows[1])]
 
 
 def _cells(s: GeoSimplex, images: Sequence[RPoint],
@@ -372,24 +378,29 @@ def _cells(s: GeoSimplex, images: Sequence[RPoint],
     again.  A t whose integer box misses the images' box holds
     no point of eta(s), which lies in that box, and is skipped.  For the
     identity, ``images`` being s's own vertex tuple, t's rows cut s as
-    they are; otherwise they are pulled back along eta
-    (``_pullback_rows``).  Each cell equals s cap eta^-1(F) for the least
-    face F of t holding its image; distinct faces have disjoint relative
-    interiors, and a cell mapping into a face shared by several maximal
-    simplexes is pulled into the same simplexes each time, so the set keeps
-    it once and the cells overlap only in measure zero.
+    they are, as pulling them back would only rescale them on aff(s) at a
+    cost; otherwise each row f of every t is pulled back along eta as f . M
+    for the one integer matrix M that s and its images give
+    (``_pullback``), made once per call.  Each cell equals s cap
+    eta^-1(F) for the least face F of t holding its image; distinct faces
+    have disjoint relative interiors, and a cell mapping into a face shared
+    by several maximal simplexes is pulled into the same simplexes each
+    time, so the set keeps it once and the cells overlap only in measure
+    zero.
     """
     if frozenset.intersection(*map(target.hosts, images)):
         return {s}
     own = images == s.vertices
     box = s._box if own else _points_box([y._homog for y in images])
+    cols = None if own else _pullback(s, images)
     out: set[GeoSimplex] = set()
     for t in target.maximal_simplexes():
         if not _bbox_overlap(box, t._box):
             continue
         eqs, ineqs, _ = t._point_rows
         if not own:
-            eqs, ineqs = _pullback_rows(s, images, eqs), _pullback_rows(s, images, ineqs)
+            eqs, ineqs = ([tuple(sum(map(mul, f, c)) for c in cols) for f in rows]
+                          for rows in (eqs, ineqs))
         out.update(_pull_cell(s, eqs, ineqs))
     return out
 

@@ -51,8 +51,11 @@ dim s + 1 vertices as itself.
 and ``pullback_forms`` are the cell kernel on ``Fraction`` points and
 ``AffineForm``s, from before it worked on homogeneous integer vectors and
 integer rows; ``fraction_aff_dim`` is the ``Fraction`` echelon rank they
-used.  ``solve_affine`` and ``solve_square`` are the ``Fraction`` solvers
-the box point used.  ``smith_with_transforms`` is the full Smith
+used.  ``pullback_rows`` pulls integer rows back along a map row by row,
+with the images' lcm and each row's weights worked out on every call, from
+before ``subdivide._pullback`` made one matrix per simplex.
+``solve_affine`` and ``solve_square`` are the ``Fraction`` solvers the box
+point used.  ``smith_with_transforms`` is the full Smith
 decomposition U A V = D with both transforms, from before
 ``exactnum._smith`` kept only U and D; ``smith_extends_to_basis`` decides basis extension
 from the full Smith form, from before ``exactnum.extends_to_basis`` was a
@@ -519,7 +522,7 @@ def pulling_pull_cell(s: GeoSimplex, eqs_t, ineqs_t) -> list[GeoSimplex]:
 def pullback_forms(bary, images, forms):
     """Forms g with g(x) = f(eta(x)) on a simplex where eta is affine,
     expressed in the simplex's barycentric forms ``bary``; the reference for
-    ``subdivide._pullback_rows``."""
+    ``pullback_rows`` and ``subdivide._pullback``."""
     out = []
     for f in forms:
         vals = [f(img.coords) for img in images]
@@ -527,6 +530,28 @@ def pullback_forms(bary, images, forms):
                        for i in range(len(bary[0].coeffs)))
         const = sum(val * b.const for val, b in zip(vals, bary))
         out.append(AffineForm(coeffs, const))
+    return out
+
+
+def pullback_rows(s: GeoSimplex, images: Sequence[RPoint], rows) -> list[tuple]:
+    """Rows g with g . X of the sign of f(eta(x)) for each row f, where eta
+    is the affine map on s with the given vertex images.
+
+    eta(x) = sum_i l_i(x) y_i for the barycentric forms l_i of s, so
+    f(eta(x)) = sum_i l_i(x) f(y_i).  s's barycentric rows are B_i = D l_i,
+    and f . Y_i = D' e_i f(y_i) for Y_i = e_i (y_i, 1).  So for the least
+    common multiple L of the e_i, g = sum_i (f . Y_i)(L / e_i) B_i is
+    D D' L > 0 times the form sum_i f(y_i) l_i, everywhere, not only on
+    aff(s).  The reference for ``subdivide._pullback``, whose matrix gives
+    the same integers.
+    """
+    ys = [y._homog for y in images]
+    lcm = math.lcm(*(y[-1] for y in ys))
+    bary = s._point_rows[1]
+    out = []
+    for f in rows:
+        weights = [sum(map(mul, f, y)) * (lcm // y[-1]) for y in ys]
+        out.append(tuple(sum(map(mul, weights, col)) for col in zip(*bary)))
     return out
 
 
@@ -759,8 +784,7 @@ def scan_refine_for_map(plmap, target: GeoComplex) -> GeoComplex:
         for t in target.maximal_simplexes():
             eqs_t, ineqs_t, _ = t._point_rows
             pieces.update(subdivide._pull_cell(
-                s, subdivide._pullback_rows(s, vert_imgs, eqs_t),
-                subdivide._pullback_rows(s, vert_imgs, ineqs_t)))
+                s, pullback_rows(s, vert_imgs, eqs_t), pullback_rows(s, vert_imgs, ineqs_t)))
         if not subdivide._tiles((s,), pieces):
             raise subdivide.SupportMismatch(
                 f"compatibility failure: the image of {s} is not contained "

@@ -11,13 +11,14 @@ import pytest
 from zrk import GeoSimplex, RPoint, rpoint
 from zrk.linalg import (_bareiss, _combination, clip_simplex, det, homogeneous, matrix_rank,
                         normal, pivot_columns, pull_triangulation)
-from zrk.subdivide import _pull_cell, _pullback_rows
+from zrk.subdivide import _pull_cell, _pullback
 
 from conftest import random_rational, random_simplex
 from oracles import (AffineForm, aff_dim, affine_hull_forms, affinely_independent,
                      echelon, enumerate_cell_vertices, full_row_bareiss,
                      fraction_clip_simplex, fraction_det, fraction_pull_triangulation,
-                     integer_rows, lp_maximize, negate, pullback_forms, pulling_pull_cell,
+                     integer_rows, lp_maximize, negate, pullback_forms, pullback_rows,
+                     pulling_pull_cell,
                      rank_pull_triangulation, slice_bareiss,
                      relative_volume_total, simplex_forms, simplex_hrep, simplex_volume,
                      vertex_forms)
@@ -222,10 +223,52 @@ def test_clip_simplex_matches_enumeration_oracle():
             check(s, pullback_forms(bary, images, simplex_hrep(t)[0]), pulled)
             # The integer pullback is a positive multiple of each form.
             for rows, forms in zip(t._point_rows, simplex_hrep(t)):
-                got = _pullback_rows(s, images, rows)
+                got = pullback_rows(s, images, rows)
                 assert list(map(_primitive, got)) == \
                     [_primitive(_row(g)) for g in pullback_forms(bary, images, forms)]
     assert all(count >= 20 for count in kinds.values()), kinds
+
+
+def test_one_pullback_matrix_gives_the_per_row_integers():
+    # _cells pulls each row f of a target simplex back along the map on s
+    # as f . M, for the columns of the one matrix M that _pullback makes
+    # per s; the per-row oracle works out every row's weights on each call.
+    # They agree tuple for tuple on seeded simplexes of every dimension in
+    # R^1..R^4, mapped into R^1..R^4: onto a line, into a face of a target
+    # simplex (whose forms on that face's facets then vanish on s), and
+    # anywhere, on the rows of target simplexes of every dimension and on
+    # random rows.
+    rng = random.Random(6060)
+    kinds = collections.Counter()
+    for _ in range(400):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        s = random_simplex(rng, n, 7)
+        t = random_simplex(rng, m, 7)
+        kind = rng.choice(("line", "face", "any"))
+        if kind == "line":
+            a, b = (rpoint(*[random_rational(rng, 5) for _ in range(m)]) for _ in range(2))
+            images = []
+            for _ in s.vertices:
+                w = random_rational(rng, 6)
+                images.append(rpoint(*[(1 - w) * x + w * y
+                                       for x, y in zip(a.coords, b.coords)]))
+        elif kind == "face":
+            face = rng.sample(t.vertices, rng.randint(1, len(t.vertices)))
+            images = [rng.choice(face) for _ in s.vertices]
+        else:
+            images = [rpoint(*[random_rational(rng, 5) for _ in range(m)])
+                      for _ in s.vertices]
+        rows = list(t._point_rows[0]) + list(t._point_rows[1]) + [
+            tuple(rng.randint(-9, 9) for _ in range(m + 1)) for _ in range(2)]
+        cols = _pullback(s, images)
+        got = [tuple(sum(map(mul, f, c)) for c in cols) for f in rows]
+        want = pullback_rows(s, images, rows)
+        assert got == want, (s, images, rows)
+        assert all(len(g) == n + 1 for g in got)
+        kinds[kind] += 1
+        kinds["low"] += s.dim < n
+        kinds["vanishing"] += kind == "face" and any(not any(g) for g in got)
+    assert all(count >= 40 for count in kinds.values()) and len(kinds) == 5, kinds
 
 
 def _cut_through(rng, x):

@@ -220,12 +220,15 @@ def test_the_complex_layer_does_each_job_one_way():
     assert "id" not in {node.id for node in ast.walk(init) if isinstance(node, ast.Name)}
 
 
-def test_subdivide_has_one_overlay():
+def test_subdivide_has_one_overlay(monkeypatch):
     # supports, common_refinement and refine_for_map cut a simplex against
     # a complex's maximal simplexes in _cells alone.  Three loops once did
     # it, each with a shortcut the others lacked: a box test, an a == b
     # return, and keeping a simplex whose images share a host.  _cells also
-    # decides once whether a target's rows are pulled back.
+    # decides once whether a target's rows are pulled back, and pulls them
+    # through one matrix (_pullback), made outside its loop over the
+    # targets, where _pullback_rows worked out every row's weights twice
+    # per target; the identity clips by the targets' own rows.
     callers: dict[str, set] = {}
     names = set()
     for path in SOURCES:
@@ -240,7 +243,34 @@ def test_subdivide_has_one_overlay():
                         f"{path.name}:{getattr(top, 'name', 'module level')}")
     assert "_pieces" not in names
     assert callers["_pull_cell"] == {"subdivide.py:_cells", "subdivide.py:restrict"}
-    assert callers["_pullback_rows"] == {"subdivide.py:_cells"}
+    assert callers["_pullback"] == {"subdivide.py:_cells"}
+    assert "_pullback_rows" not in names
+    tree = ast.parse(Path(zrk.subdivide.__file__).read_text(encoding="utf-8"))
+    (cells,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_cells"]
+    (call,) = [node for node in ast.walk(cells) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_pullback"]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not any(call in ast.walk(node) for node in ast.walk(cells)
+                   if isinstance(node, loops))
+    # On a triangle crossing the square's diagonal, the identity clips by
+    # the very row tuples the targets keep and makes no matrix; a map makes
+    # one.
+    made, clips = [], []
+    pullback, pull = zrk.subdivide._pullback, zrk.subdivide._pull_cell
+    monkeypatch.setattr(zrk.subdivide, "_pullback",
+                        lambda s, images: made.append(s) or pullback(s, images))
+    monkeypatch.setattr(zrk.subdivide, "_pull_cell",
+                        lambda s, eqs, ineqs: clips.append((eqs, ineqs)) or pull(s, eqs, ineqs))
+    square = zrk.standard_cube(2)
+    s = zrk.GeoSimplex((zrk.rpoint(0, 0), zrk.rpoint(0, 1), zrk.rpoint(1, 0)))
+    zrk.subdivide._cells(s, s.vertices, square)
+    own = {(id(t._point_rows[0]), id(t._point_rows[1])) for t in square.maximal_simplexes()}
+    assert not made and len(clips) == 2
+    assert {(id(eqs), id(ineqs)) for eqs, ineqs in clips} == own
+    del clips[:]
+    zrk.subdivide._cells(s, tuple(zrk.rpoint(x, y / 2) for x, y in s.vertices), square)
+    assert made == [s] and len(clips) == 2
 
 
 def test_restrict_raises_only_on_bad_input():
@@ -427,7 +457,7 @@ def test_the_smith_kernel_keeps_one_matrix():
 
 # Code lines in src/zrk when the gate was set.  Lower it when code goes;
 # raise it only with a line in CHANGES.md saying why.
-CODE_LINES = 2083
+CODE_LINES = 2072
 
 
 def code_lines(text: str) -> int:

@@ -20,9 +20,9 @@ from zrk.subdivide import (PointNotInSupport, SupportMismatch, covers,
 from conftest import random_rational, random_simplex, random_simplex_pool, seg, tri
 import oracles
 from oracles import (RestrictionRefused, caratheodory_supports, clip_is_subdivision,
-                     clip_supports, face_stellar, rowwise_restrict, scan_inside_subcomplex,
-                     scan_replace_star, scan_supports, split_supports, stellar_chain,
-                     volume_triangulates_cube)
+                     clip_supports, face_stellar, pullback_rows, rowwise_restrict,
+                     scan_inside_subcomplex, scan_replace_star, scan_supports, split_supports,
+                     stellar_chain, volume_triangulates_cube)
 from rfold import rfold
 
 
@@ -1417,17 +1417,19 @@ def test_cells_never_clip_disjoint_boxes(monkeypatch):
     for _ in range(4):
         cover = stellar(cover, rpoint(*[random_rational(rng, 4) for _ in range(2)]))
     maxi = cover.maximal_simplexes()
-    rows = {id(t._point_rows[1]): (t._point_rows[1], t) for t in maxi}
-    clipped, pull, pullback = [], subdivide._pull_cell, subdivide._pullback_rows
+    # A clip follows the box test that let its target through, so each
+    # clip is filed under the last target whose box passed.
+    boxes = {id(t._box): t for t in maxi}
+    passed, clipped, pull, overlap = [], [], subdivide._pull_cell, subdivide._bbox_overlap
 
-    def tracked_pullback(s, images, rows_t):
-        out = pullback(s, images, rows_t)
-        if id(rows_t) in rows:  # kept alive in rows, so no id is reused
-            rows[id(out)] = (out, rows[id(rows_t)][1])
-        return out
+    def tracked_overlap(a, b):
+        meets = overlap(a, b)
+        if meets and id(b) in boxes:
+            passed.append(boxes[id(b)])
+        return meets
 
     def tracked(s, eqs, ineqs):
-        clipped.append((s, rows[id(ineqs)][1]))
+        clipped.append((s, passed[-1]))
         return pull(s, eqs, ineqs)
 
     simplexes = [random_simplex(rng, 2, 6) for _ in range(40)]
@@ -1443,7 +1445,7 @@ def test_cells_never_clip_disjoint_boxes(monkeypatch):
             lambda v: rpoint(v[0], v[0]), lambda v: rpoint(1 - v[1], (1 - v[1]) / 3)]
     samples = [(s, tuple(map(f, s.vertices))) for s in simplexes for f in maps]
     monkeypatch.setattr(subdivide, "_pull_cell", tracked)
-    monkeypatch.setattr(subdivide, "_pullback_rows", tracked_pullback)
+    monkeypatch.setattr(subdivide, "_bbox_overlap", tracked_overlap)
     got, clipping = [], []
     for s, images in samples:
         del clipped[:]
@@ -1465,7 +1467,7 @@ def test_cells_never_clip_disjoint_boxes(monkeypatch):
         for t in maxi:
             eqs, bary, _ = t._point_rows
             if images != s.vertices:
-                eqs, bary = pullback(s, images, eqs), pullback(s, images, bary)
+                eqs, bary = pullback_rows(s, images, eqs), pullback_rows(s, images, bary)
             every.update(pull(s, eqs, bary))
         assert cells == every, (s, images)
 
